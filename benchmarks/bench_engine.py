@@ -18,8 +18,7 @@ Output is a JSON report (schema 1) with events/sec per workload and
 the ready/heap dispatch split measured by a heappush spy.  The report
 is a diagnostic artifact (uploaded from CI), not a committed baseline:
 wall-clock on shared runners is too noisy to gate on, unlike the
-deterministic events-per-packet number guarded by
-``check_bench_regression.py``.
+deterministic per-packet counts ``benchmarks/perf`` reports.
 
 Usage::
 

@@ -31,7 +31,7 @@ from ..nic.wqe import (
     OP_ETH_SEND,
 )
 from ..pcie import PcieEndpoint, PcieError
-from ..sim import Simulator, fused_dispatch_ok
+from ..sim import Simulator
 from . import bar
 from .axis import AxisMetadata, AxisStream
 from .buffers import BufferPool
@@ -318,18 +318,15 @@ class FlexDriver(PcieEndpoint):
     def install_rx_fastpath(self, cq, cq_index: int) -> None:
         """Fuse the NIC's rx-CQE delivery with the rx pipeline hop.
 
-        With cut-through transit and tracing off, the CQE's PCIe
-        arrival event and the rx engine's pipeline-latency push
-        collapse into one: the CQE is decoded at issue time (the packet
-        data's write has already delivered — the NIC posts the CQE from
-        that write's completion callback, so the receive SRAM holds the
-        bytes), a single event at arrival + pipeline latency pushes the
-        packet onto the stream, and — when a buffer closes — recycle
-        doorbells issue from one continuation at the CQE's arrival
-        instant, exactly as the reference delivery would issue them.
+        The CQE's PCIe arrival event and the rx engine's
+        pipeline-latency push collapse into one: the CQE is decoded at
+        issue time (the packet data's write has already delivered — the
+        NIC posts the CQE from that write's completion callback, so the
+        receive SRAM holds the bytes), a single event at arrival +
+        pipeline latency pushes the packet onto the stream, and — when
+        a buffer closes — recycle doorbells issue from one continuation
+        at the CQE's arrival instant.
         """
-        if not fused_dispatch_ok(self.sim, self.fabric):
-            return
         cq.fused_rx = partial(self._rx_cqe_fused, cq_index)
 
     def _rx_cqe_fused(self, cq_index: int, handle, cqe) -> None:
@@ -338,17 +335,17 @@ class FlexDriver(PcieEndpoint):
                 or cqe.opcode != CQE_RECV_COMPLETION
                 or self.rx.prog_hook is not None):
             # Rare/slow cases (unbound ring, error CQEs, match-action
-            # programs): replay the reference delivery in its own event
-            # at the write's arrival.
+            # programs): land the write in its own event at its
+            # arrival; _on_cqe_write handles it from the bytes.
             self.sim.call_later(handle.delivery - self.sim._now,
                                 self._rx_cqe_arrive, handle)
             return
         self.stats_cqe_writes += 1
         self._ctr_cqe_writes.inc()
         recycles: list = []
-        self.rx.deliver_fused(
-            route[1], CompressedCqe.compress(cqe),
-            partial(self._emit_rx_fused, handle),
+        self.rx.deliver(
+            route[1], self.rx.binding(route[1]), CompressedCqe.compress(cqe),
+            cqe.trace_ctx, partial(self._emit_rx_fused, handle),
             lambda addr, payload: recycles.append((addr, payload)))
         if recycles:
             # Recycle doorbells must be *issued* at the CQE's arrival
@@ -377,8 +374,8 @@ class FlexDriver(PcieEndpoint):
                                    trace_stage="pcie.doorbell")
 
     def _rx_cqe_arrive(self, handle) -> None:
-        """Fallback continuation: deliver a deferred CQE write exactly
-        as the fabric's own event would have."""
+        """Fallback continuation: land a deferred CQE write as the
+        fabric's own delivery event would."""
         sim = self.sim
         if handle.delivery > sim._now:
             sim.call_later(handle.delivery - sim._now, self._rx_cqe_arrive,
@@ -403,6 +400,10 @@ class FlexDriver(PcieEndpoint):
             sim.call_later(done - sim._now, self._rx_push_fused, entry)
             return
         handle.retire()
+        ctx = meta.trace_ctx
+        if ctx is not None:
+            self._spans.record(ctx, "fld.rx", handle.delivery, sim._now)
+            meta.trace_enqueued = sim._now
         self.rx_stream.push(data, meta)
 
     def _on_cqe_write(self, cq_index: int, data: bytes) -> None:

@@ -173,7 +173,8 @@ class RxRingManager:
     def on_recv_completion(self, binding_id: int, cqe: CompressedCqe,
                            trace_ctx=None) -> None:
         """Decode a receive CQE: stream the packet out, recycle buffers."""
-        self._deliver(binding_id, self.binding(binding_id), cqe, trace_ctx)
+        self.deliver(binding_id, self.binding(binding_id), cqe, trace_ctx,
+                     self.emit, self.mmio_writer)
 
     def on_recv_completions(self, binding_id: int, cqes, trace_ctxs=None):
         """Burst variant of :meth:`on_recv_completion`.
@@ -183,24 +184,25 @@ class RxRingManager:
         """
         binding = self.binding(binding_id)
         if trace_ctxs is None:
-            for cqe in cqes:
-                self._deliver(binding_id, binding, cqe, None)
-        else:
-            for cqe, ctx in zip(cqes, trace_ctxs):
-                self._deliver(binding_id, binding, cqe, ctx)
+            trace_ctxs = [None] * len(cqes)
+        for cqe, ctx in zip(cqes, trace_ctxs):
+            self.deliver(binding_id, binding, cqe, ctx, self.emit,
+                         self.mmio_writer)
 
-    def deliver_fused(self, binding_id: int, cqe: CompressedCqe,
-                      emit: Callable, recycle_writer: Callable) -> None:
-        """Decode a receive CQE ahead of its PCIe arrival (fused mode).
+    def deliver(self, binding_id: int, binding: _RxBinding,
+                cqe: CompressedCqe, trace_ctx, emit: Optional[Callable],
+                recycle_writer: Optional[Callable]) -> None:
+        """The CQE decode: locate the packet in receive SRAM, hand it
+        (with metadata) to ``emit`` — through the match-action hook when
+        a program is attached — then return every buffer before the one
+        now filling through ``recycle_writer(addr, payload)``.
 
-        State effects are identical to :meth:`on_recv_completion`, with
-        the continuation plumbing supplied by the caller: ``emit(data,
-        meta)`` replaces ``self.emit`` (invoked before recycling, as in
-        :meth:`_deliver`) and recycle doorbells go through
-        ``recycle_writer`` (a future-keyed PCIe writer).  The caller
-        gates out tracing and match-action programs.
+        Recycling is strictly in posting order (§5.2 "Receive Ring in
+        Host Memory"), which is what lets the host-memory descriptors
+        stay immutable.  The fused rx engine calls this at CQE *issue*
+        time with its own continuation plumbing; :meth:`on_recv_completion`
+        passes the manager's ``emit`` / ``mmio_writer``.
         """
-        binding = self.binding(binding_id)
         self.stats_cqes += 1
         desc_index = self._full_desc_index(binding, cqe.wqe_counter)
         slot = desc_index % binding.ring_entries
@@ -209,32 +211,7 @@ class RxRingManager:
         data = bytes(self._sram[offset:offset + cqe.byte_count])
         binding.stats_packets += 1
         binding.stats_bytes += cqe.byte_count
-        emit(data, AxisMetadata(
-            queue_id=binding_id,
-            context_id=cqe.flow_tag,
-            flags=cqe.flags,
-            msg_last=bool(cqe.flags & CQE_FLAG_MSG_LAST),
-            src_qpn=cqe.qpn,
-            trace_ctx=None,
-        ))
-        while binding.recycled < desc_index:
-            binding.recycled += 1
-            binding.pi += 1
-            binding.stats_recycled += 1
-            recycle_writer(binding.rq_doorbell_addr,
-                           (binding.pi & 0xFFFFFFFF).to_bytes(4, "big"))
-
-    def _deliver(self, binding_id: int, binding: _RxBinding,
-                 cqe: CompressedCqe, trace_ctx) -> None:
-        self.stats_cqes += 1
-        desc_index = self._full_desc_index(binding, cqe.wqe_counter)
-        slot = desc_index % binding.ring_entries
-        offset = (binding.sram_offset + slot * binding.buffer_size
-                  + cqe.stride_index * binding.stride_size)
-        data = bytes(self._sram[offset:offset + cqe.byte_count])
-        binding.stats_packets += 1
-        binding.stats_bytes += cqe.byte_count
-        if self.emit is not None:
+        if emit is not None:
             meta = AxisMetadata(
                 queue_id=binding_id,
                 context_id=cqe.flow_tag,
@@ -245,12 +222,16 @@ class RxRingManager:
             )
             hook = self.prog_hook
             if hook is None:
-                self.emit(data, meta)
+                emit(data, meta)
             else:
-                hook(binding_id, data, meta, self.emit)
-        self._recycle_before(binding, desc_index)
-
-    # -- recycle-in-order (§5.2 "Receive Ring in Host Memory") ------------------
+                hook(binding_id, data, meta, emit)
+        while binding.recycled < desc_index:
+            binding.recycled += 1
+            binding.pi += 1
+            binding.stats_recycled += 1
+            if recycle_writer is not None:
+                recycle_writer(binding.rq_doorbell_addr,
+                               (binding.pi & 0xFFFFFFFF).to_bytes(4, "big"))
 
     def _full_desc_index(self, binding: _RxBinding, counter16: int) -> int:
         base = binding.recycled & ~0xFFFF
@@ -258,20 +239,6 @@ class RxRingManager:
         if index < binding.recycled:
             index += 1 << 16
         return index
-
-    def _recycle_before(self, binding: _RxBinding, desc_index: int) -> None:
-        """Buffers before the one now filling are complete: return them.
-
-        Recycling is strictly in posting order, which is what lets the
-        host-memory descriptors stay immutable.
-        """
-        while binding.recycled < desc_index:
-            binding.recycled += 1
-            binding.pi += 1
-            binding.stats_recycled += 1
-            if self.mmio_writer is not None:
-                self.mmio_writer(binding.rq_doorbell_addr,
-                                 (binding.pi & 0xFFFFFFFF).to_bytes(4, "big"))
 
     # -- accounting ---------------------------------------------------------------
 

@@ -37,7 +37,7 @@ from ..nic import (
 from ..nic import CommandChannel
 from ..nic.device import DOORBELL_STRIDE, _POISON
 from ..nic.queues import ReceiveQueue
-from ..sim import Event, Simulator, Store, fused_dispatch_ok
+from ..sim import Event, Simulator, Store
 from ..topology.addrmap import CMD_MAILBOX_OFFSET, NIC_CMD_DOORBELL
 from .cpu import CpuCore, HostCpuPort
 from .memory import BumpAllocator, HostMemory
@@ -94,27 +94,22 @@ class EthQueuePair:
         # attribute to the same profiler stage as its processes.
         self.profile_tag = f"ethqp{self.sq.qpn}.rx"
         self.sim.spawn(self._rx_dispatcher(), name=f"ethqp{self.sq.qpn}.rx")
-        # Completion retirement: in cut-through (fused) mode the loop is
-        # pure bookkeeping — no timeouts — so a flat notify consumer
-        # replaces the generator; traced/spanned runs keep the process.
-        if fused_dispatch_ok(self.sim, driver.fabric):
-            _TxRetireWorker(self)
-        else:
-            self.sim.spawn(self._tx_retire(),
-                           name=f"ethqp{self.sq.qpn}.txc")
-        # Fused receive dispatch: in cut-through fabric mode the NIC
-        # hands rx CQEs (with their in-flight write handle) straight to
-        # _rx_fused, which folds PCIe delivery and this core's
+        # Completion retirement is pure bookkeeping — no timeouts — so
+        # a flat notify consumer does it.
+        _TxRetireWorker(self)
+        # Fused receive dispatch: a queue served by a core has the NIC
+        # hand rx CQEs (with their in-flight write handle) straight to
+        # _rx_fused, which folds PCIe delivery and the core's
         # per-packet processing delay into ONE event per packet — the
-        # timing (a serial dispatcher starting each packet at
+        # timing is a serial dispatcher's, starting each packet at
         # max(cqe_arrival, previous_done) and working packet_cost()
-        # seconds) is exactly the generator loop's.  Span-traced runs
-        # keep the generator so per-stage span records are unchanged.
+        # seconds.  A coreless queue (zero processing time) has nothing
+        # to fold and is served from the notify store by
+        # _rx_dispatcher.
         self._fused_planned = 0.0   # planned end of the dispatch chain
         self._fused_done = 0.0      # actual end (>= planned under repair)
         self._fused_queue = deque()
-        if self.core is not None and fused_dispatch_ok(self.sim,
-                                                       driver.fabric):
+        if self.core is not None:
             self.rx_cq.fused_rx = self._rx_fused
 
     def _take(self, size: int) -> int:
@@ -149,19 +144,6 @@ class EthQueuePair:
     def tx_space(self) -> int:
         """Free SQ slots, judged by retired (signalled) completions."""
         return self.sq.entries - (self._pi - self._tx_completed)
-
-    def _tx_retire(self):
-        while True:
-            cqe = yield self.tx_cq.notify.get()
-            if cqe is _POISON:
-                return
-            # Completions are cumulative under selective signalling: a
-            # CQE for index i retires everything up to i.
-            base = self._tx_completed & ~0xFFFF
-            completed = base | cqe.wqe_counter
-            if completed < self._tx_completed:
-                completed += 1 << 16
-            self._tx_completed = completed + 1
 
     def wait_for_tx_space(self, slots: int = 1, poll: float = 100e-9):
         """Generator: spin (as a PMD would) until the SQ has room."""
@@ -252,37 +234,36 @@ class EthQueuePair:
         self.rq.post(1)
 
     def _rx_dispatcher(self):
-        driver = self.driver
+        """Serve a coreless queue's rx CQEs from the notify store."""
         while True:
             cqe = yield self.rx_cq.notify.get()
             if cqe is _POISON:
                 return
-            started = self.sim._now
-            if self.core is not None:
-                yield self.sim.timeout(self.core.packet_cost())
-            slot = cqe.wqe_counter % self.rq.entries
-            buffer_addr = self._rx_buffers[slot]
-            data = driver.memory.read_local(
-                buffer_addr - driver.mem_base, cqe.byte_count
-            )
-            self._repost(cqe.wqe_counter)
-            self.stats_rx += 1
-            if cqe.trace_ctx is not None:
-                self._spans.record(cqe.trace_ctx, "host.rx", started,
-                                   self.sim._now)
-            if self.on_receive is not None:
-                self.on_receive(data, cqe)
-            else:
-                self.received.try_put((data, cqe))
+            self._receive(cqe)
 
-    # -- fused receive dispatch (cut-through fabric mode) ------------------
+    def _receive(self, cqe) -> None:
+        """Hand one completed packet to the application."""
+        driver = self.driver
+        slot = cqe.wqe_counter % self.rq.entries
+        buffer_addr = self._rx_buffers[slot]
+        data = driver.memory.read_local(
+            buffer_addr - driver.mem_base, cqe.byte_count
+        )
+        self._repost(cqe.wqe_counter)
+        self.stats_rx += 1
+        if self.on_receive is not None:
+            self.on_receive(data, cqe)
+        else:
+            self.received.try_put((data, cqe))
+
+    # -- fused receive dispatch (queues served by a core) ------------------
 
     def _rx_fused(self, handle, cqe) -> None:
         """NIC-side CQE issue: plan this packet's dispatch completion.
 
-        The processing cost is drawn here — same per-queue draw order as
-        the generator loop, since CQEs arrive (and were consumed) in
-        issue order on the host's down lane.
+        The processing cost is drawn here — CQEs arrive (and are
+        consumed) in issue order on the host's down lane, so this is
+        the per-queue draw order of a serial dispatcher.
         """
         cost = self.core.packet_cost()
         planned = max(handle.delivery, self._fused_planned) + cost
@@ -319,34 +300,30 @@ class EthQueuePair:
             self._commit_fused(head)
 
     def _commit_fused(self, entry) -> None:
-        """The generator loop's post-timeout body, in callback form."""
+        """The packet's processing is done: land the CQE, deliver."""
         handle, cqe = entry[0], entry[1]
         entry[3] = True
         self._fused_queue.popleft()
-        self._fused_done = self.sim._now
+        now = self.sim._now
+        ctx = cqe.trace_ctx
+        if ctx is not None:
+            # The serial dispatcher picks a packet up once its CQE has
+            # landed and the previous packet is done.
+            self._spans.record(ctx, "host.rx",
+                               max(handle.delivery, self._fused_done), now)
+        self._fused_done = now
         handle.commit()
-        driver = self.driver
-        slot = cqe.wqe_counter % self.rq.entries
-        buffer_addr = self._rx_buffers[slot]
-        data = driver.memory.read_local(
-            buffer_addr - driver.mem_base, cqe.byte_count
-        )
-        self._repost(cqe.wqe_counter)
-        self.stats_rx += 1
-        if self.on_receive is not None:
-            self.on_receive(data, cqe)
-        else:
-            self.received.try_put((data, cqe))
+        self._receive(cqe)
 
 
 class _TxRetireWorker:
-    """Flat form of :meth:`EthQueuePair._tx_retire` (fused fast path).
+    """Retires an :class:`EthQueuePair`'s send completions.
 
     The retire loop never sleeps — it only waits on the tx CQ notify
-    store and updates the cumulative completion counter — so in
-    cut-through mode it runs as a plain callback chain.  Arming is
-    deferred through a zero-delay scheduled step to mirror the
-    generator spawn exactly (same scheduler pushes, same lazy start).
+    store and updates the cumulative completion counter — so it runs
+    as a plain callback chain.  Arming is deferred through a zero-delay
+    scheduled step: the worker must not observe completions before the
+    simulation runs.
     """
 
     __slots__ = ("qp", "notify", "profile_tag")

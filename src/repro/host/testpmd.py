@@ -15,7 +15,6 @@ from ..net import Ethernet, Flow, Ipv4, Packet, Tcp, Udp
 from ..net.ip import PROTO_TCP
 from ..net.parse import parse_frame
 from ..sim import Event, LatencyCollector, Simulator, ThroughputMeter
-from ..sim.fastpath import fused_dispatch_ok
 from .driver import EthQueuePair
 
 _SEQ_FORMAT = "!Q"
@@ -83,15 +82,13 @@ class EchoApp:
 
 
 class _FlatPacer:
-    """Flat continuation form of the open-loop send loop.
+    """The open-loop send loop, as one scheduler entry per pacing tick.
 
-    One scheduler entry per pacing tick — the same ``(time, seq)``
-    instants the generator loop's per-packet ``timeout`` produced, with
-    no Event allocation or generator resume in between.  Frames are
-    built and posted by the same :meth:`LoadGenerator._send_frame`, so
-    per-packet traces/spans are untouched; only the pacing trampoline
-    is flattened.  A full SQ is re-polled at the same 100 ns PMD
-    granularity ``wait_for_tx_space`` spins at.
+    Each tick builds and posts one frame through
+    :meth:`LoadGenerator._send_frame` (which also starts the packet's
+    trace when spans are on) and schedules the next.  A full SQ is
+    re-polled at the 100 ns PMD granularity ``wait_for_tx_space`` spins
+    at.
     """
 
     __slots__ = ("gen", "sizes", "interval", "done", "flows", "labels",
@@ -131,9 +128,8 @@ class _FlatPacer:
         if index < len(self.sizes):
             sim.call_later(self.interval, self._tick, None)
         else:
-            # The generator loop paced once more after the last frame
-            # before returning to its caller; fire the completion event
-            # at that same instant.
+            # Pace once more after the last frame, then release the
+            # caller.
             sim.call_later(self.interval, self.done.succeed, None)
 
 
@@ -278,30 +274,10 @@ class LoadGenerator:
         neither means best-effort back-to-back (the NIC/driver become the
         bottleneck).
         """
-        self.rx_meter.start(self.sim.now)
-        interval = gap if gap is not None else (
-            1.0 / rate_pps if rate_pps else 0.0
-        )
-        if sizes and fused_dispatch_ok(self.sim, self.qp.driver.fabric):
-            # Flat pacing: back-to-back still yields to the event loop
-            # once per packet (1 ns), exactly as the generator path does.
-            done = Event(self.sim)
-            _FlatPacer(self, list(sizes),
-                       interval if interval > 0 else 1e-9, done)._tick()
-            yield done
-            return
-        for size in sizes:
-            yield from self.qp.wait_for_tx_space()
-            self._send_frame(size)
-            self.stats_sent += 1
-            if interval > 0:
-                yield self.sim.timeout(interval)
-            else:
-                # Back-to-back, but don't outrun the simulated wire by an
-                # unbounded queue: yield to the event loop each packet.
-                yield self.sim.timeout(1e-9)
+        return self.run_open_loop_flows(None, sizes, rate_pps, gap)
 
-    def run_open_loop_flows(self, flows: List[Flow], sizes: List[int],
+    def run_open_loop_flows(self, flows: Optional[List[Flow]],
+                            sizes: List[int],
                             rate_pps: Optional[float] = None,
                             gap: Optional[float] = None,
                             labels: Optional[List[str]] = None):
@@ -314,27 +290,18 @@ class LoadGenerator:
         ``labels`` (parallel to ``flows``) names each flow's traces.
         """
         self.rx_meter.start(self.sim.now)
+        if not sizes:
+            return
         interval = gap if gap is not None else (
             1.0 / rate_pps if rate_pps else 0.0
         )
-        if sizes and fused_dispatch_ok(self.sim, self.qp.driver.fabric):
-            done = Event(self.sim)
-            _FlatPacer(self, list(sizes),
-                       interval if interval > 0 else 1e-9, done,
-                       flows=list(flows), labels=labels)._tick()
-            yield done
-            return
-        for i, size in enumerate(sizes):
-            self.flow = flows[i % len(flows)]
-            if labels is not None:
-                self.trace_label = labels[i % len(flows)]
-            yield from self.qp.wait_for_tx_space()
-            self._send_frame(size)
-            self.stats_sent += 1
-            if interval > 0:
-                yield self.sim.timeout(interval)
-            else:
-                yield self.sim.timeout(1e-9)
+        # Back-to-back still yields to the event loop once per packet
+        # (1 ns), so the sender cannot outrun the simulated wire by an
+        # unbounded queue.
+        done = Event(self.sim)
+        _FlatPacer(self, list(sizes), interval if interval > 0 else 1e-9,
+                   done, flows=flows and list(flows), labels=labels)._tick()
+        yield done
 
     def drain(self, quiet_period: float = 50e-6, limit: float = 1.0):
         """Generator: wait until responses stop arriving."""

@@ -27,6 +27,7 @@ class EthernetPort:
         self.sim = sim
         self.name = name
         self.link = Link(sim, rate_bps, latency, name=f"{name}.wire")
+        self.link.trace_name = "Packet"
         # In-flight frames dispatch through the receiving port's
         # ``_receive``; the profiler attributes them to the wire stage.
         self.profile_tag = f"{name}.wire"
@@ -66,11 +67,12 @@ class EthernetPort:
         """Like :meth:`send`, arbitrating for the wire as if the frame
         were handed over at the future instant ``arrival``.
 
-        Used by fused egress stages that resolve a transmit before its
-        pipeline occupancy has elapsed; span stamping is skipped because
-        callers gate the fused path out whenever tracing is on.
+        Used by egress stages that resolve a transmit before its
+        pipeline occupancy has elapsed.
         """
         self.stats_tx_packets += 1
+        if self._spans.enabled and "trace_ctx" in packet.meta:
+            packet.meta["trace_wire_t0"] = arrival
         self.link.send_at(packet, packet.wire_size() * 8, arrival)
 
     def _receive(self, packet: Packet) -> None:

@@ -76,9 +76,10 @@ class _WriteCountdown:
 class _CallbackDone:
     """Duck-typed stand-in for a completion :class:`Event`.
 
-    Flattened initiators pass ``on_done`` to :meth:`PcieFabric.post_write`;
-    the write machinery only ever calls ``done.succeed()``, so a bare
-    callable slot replaces the Event allocation on the hot path.
+    Flattened initiators pass ``on_done`` to :meth:`PcieFabric.post_write`
+    / :meth:`PcieFabric.read`; the transaction machinery only ever calls
+    ``done.succeed(...)``, so a bare callable slot replaces the Event
+    allocation on the hot path.
     """
 
     __slots__ = ("succeed",)
@@ -89,37 +90,45 @@ class _CallbackDone:
 
 class DeferredWrite:
     """A posted write whose delivery the initiator folds into its own
-    continuation event (cut-through mode only).
+    continuation event.
 
     ``delivery`` is the TLP's arrival time at the endpoint — re-read it
     at fire time, since shared-lane arbitration may repair it later.
     The owner must call :meth:`commit` from its continuation event at
     (or after) ``delivery``; that retires the lane reservation and runs
     the endpoint's write handler, exactly what the fabric's own delivery
-    event would have done.
+    event would have done.  A traced write's span, opened at issue,
+    closes then too, at the (by then final) ``delivery``.
     """
 
-    __slots__ = ("_fabric", "_tlp", "_link", "_record")
+    __slots__ = ("_fabric", "_tlp", "_link", "_record", "_span")
 
-    def __init__(self, fabric, tlp, link, record):
+    def __init__(self, fabric, tlp, link, record, span):
         self._fabric = fabric
         self._tlp = tlp
         self._link = link
         self._record = record
+        self._span = span   # open span id when the TLP carries a context
 
     @property
     def delivery(self) -> float:
         return self._record.delivery
 
     def commit(self) -> None:
-        self._fabric._retire_path(self._link, self._record)
-        self._fabric._deliver_write(self._tlp)
+        fabric = self._fabric
+        fabric._retire_path(self._link, self._record)
+        if self._span is not None:
+            fabric._spans.exit(self._span, self._record.delivery)
+        fabric._deliver_write(self._tlp)
 
     def retire(self) -> None:
         """Release the lane reservation without running the handler —
         for owners that already applied the write's effects themselves
         (e.g. a CQE decoded at issue time)."""
-        self._fabric._retire_path(self._link, self._record)
+        fabric = self._fabric
+        fabric._retire_path(self._link, self._record)
+        if self._span is not None:
+            fabric._spans.exit(self._span, self._record.delivery)
 
 
 class _Port:
@@ -134,8 +143,9 @@ class _Port:
         hop_latency = config.latency / 2
         self.up = Link(sim, rate, hop_latency, name=f"{endpoint.name}.up")
         self.down = Link(sim, rate, hop_latency, name=f"{endpoint.name}.down")
-        self.up.trace_process = "pcie"
-        self.down.trace_process = "pcie"
+        for lane in (self.up, self.down):
+            lane.trace_process = "pcie"
+            lane.trace_name = "Tlp"
         telemetry = sim.telemetry
         if telemetry.enabled:
             self.tele_up = _LaneCounters(
@@ -174,18 +184,13 @@ class PcieFabric:
         self._spans = sim.telemetry.spans
         prof = sim.profiler
         self._prof = prof if prof.enabled else None
-        # Cut-through transit: resolve the route and reserve both lanes
-        # at issue time, with one delivery event per TLP (and one per
-        # multi-TLP train) instead of the per-hop send→route→deliver
-        # event chain.  Lane arbitration stays exact: reservations apply
-        # in switch-arrival (time, seq) order (see Link.reserve).  The
-        # Chrome tracer records lane spans as they serialize, which
-        # post-hoc reservation repair would falsify, so traced runs keep
-        # the per-hop chain.
-        self._cut_through = not sim.telemetry.tracer.enabled
-        # Arrival-order tie-break: monotonic per-TLP issue sequence,
-        # mirroring the dispatch order the per-hop chain's switch events
-        # would have had for same-instant arrivals.
+        # Transit is cut-through: the route is resolved and both lanes
+        # reserved at issue time, with one delivery event per TLP (and
+        # one per multi-TLP train).  Lane arbitration is exact:
+        # reservations apply in switch-arrival (time, seq) order (see
+        # Link.reserve), ties broken by this monotonic per-TLP issue
+        # sequence.  The Chrome tracer's lane spans are emitted when a
+        # reservation retires, once repair can no longer move it.
         self._issue_seq = 0
         # The trace context of the MEM_WRITE currently being delivered;
         # endpoints may claim it inside handle_write to re-associate a
@@ -205,8 +210,6 @@ class PcieFabric:
         if endpoint.name in self._ports:
             raise PcieError(f"endpoint {endpoint.name!r} already attached")
         port = _Port(self.sim, endpoint, config or PcieLinkConfig())
-        port.up.connect(self._route)
-        port.down.connect(self._deliver)
         self._ports[endpoint.name] = port
         endpoint.fabric = self
         endpoint._port = port
@@ -290,19 +293,18 @@ class PcieFabric:
         ``on_done`` (a zero-argument callable) instead of chaining on
         the returned event: the write then skips the Event allocation
         entirely and invokes the callback at the exact instant the
-        event would have fired.  The return value is not an Event in
-        that case and must be ignored.
+        event would have fired (after the span, if any, has closed).
+        The return value is not an Event in that case and must be
+        ignored.
         """
         port = self.port_of(requester)
         if data is None and length is None:
             raise PcieError("write needs data or length")
         total = len(data) if data is not None else length
         mps = port.config.max_payload_size
-        span_id = self._spans.enter(trace_ctx, trace_stage, self.sim._now)
-        if on_done is not None and span_id is None:
-            done = _CallbackDone(on_done)
-        else:
-            done = Event(self.sim)
+        span_id = (None if trace_ctx is None else
+                   self._spans.enter(trace_ctx, trace_stage, self.sim._now))
+        done = Event(self.sim) if on_done is None else _CallbackDone(on_done)
 
         if 0 < total <= mps:
             # Single-TLP fast path — the common case for descriptors,
@@ -319,8 +321,7 @@ class PcieFabric:
 
         cursor = 0
         chunks = split_write_bytes(total, mps) or [0]
-        if self._cut_through and self.decode(address).contains(
-                address + max(total, 1) - 1):
+        if self.decode(address).contains(address + max(total, 1) - 1):
             # Whole train decodes to one endpoint: reserve every TLP's
             # lane occupancy now and deliver the train in one aggregate
             # event at the last chunk's arrival (per-TLP stats stay
@@ -357,50 +358,49 @@ class PcieFabric:
 
         As with :meth:`post_write`, flattened initiators that only need
         the data pass ``on_done`` (called with the bytes at completion
-        time) and the Event allocation is skipped; the return value must
-        then be ignored.
+        time, after the span has closed) and the Event allocation is
+        skipped; the return value must then be ignored.
         """
         if length <= 0:
             raise PcieError("read length must be positive")
         port = self.port_of(requester)
-        if on_done is not None and trace_ctx is None:
-            done = _CallbackDone(on_done)
-        else:
-            done = Event(self.sim)
+        done = Event(self.sim) if on_done is None else _CallbackDone(on_done)
+        completion = done
+        if trace_ctx is not None:
+            span_id = self._spans.enter(trace_ctx, trace_stage,
+                                        self.sim._now)
+            finish = done.succeed
+
+            def close_span(data):
+                self._spans.exit(span_id, self.sim._now)
+                finish(data)
+
+            completion = _CallbackDone(close_span)
         request = Tlp(TlpType.MEM_READ, address, length,
                       requester=requester.name)
         request.trace_ctx = trace_ctx
         self._pending_reads[request.tag] = {
-            "event": done,
+            "event": completion,
             "requester": requester.name,
             "chunks": [],
-            "remaining": None,
         }
-        if trace_ctx is not None:
-            span_id = self._spans.enter(trace_ctx, trace_stage,
-                                        self.sim._now)
-            done.add_callback(
-                lambda _event: self._spans.exit(span_id, self.sim._now))
         self._send(port, request)
         return done
 
     def post_write_deferred(self, requester: PcieEndpoint, address: int,
-                            data: bytes) -> Optional[DeferredWrite]:
+                            data: bytes, trace_ctx=None,
+                            trace_stage: str = "pcie.write") -> DeferredWrite:
         """A single-TLP posted write without its own delivery event.
 
-        Cut-through fast path for initiators that already schedule a
-        continuation at/after the write's arrival (e.g. a CQE write
-        fused with the consumer's processing delay): lanes are reserved
-        and per-TLP stats counted exactly as :meth:`post_write`, but the
-        caller owns delivery via the returned handle's ``commit()``.
-        Returns ``None`` (caller falls back to :meth:`post_write`) in
-        per-hop mode or when the write doesn't fit one TLP.
+        For initiators that already schedule a continuation at/after
+        the write's arrival (e.g. a CQE write fused with the consumer's
+        processing delay): lanes are reserved and per-TLP stats counted
+        exactly as :meth:`post_write`, but the caller owns delivery via
+        the returned handle's ``commit()``.
         """
-        if not self._cut_through:
-            return None
         port = self.port_of(requester)
         if not 0 < len(data) <= port.config.max_payload_size:
-            return None
+            raise PcieError("post_write_deferred needs a single-TLP payload")
         tlp = Tlp(TlpType.MEM_WRITE, address, len(data), data,
                   requester=requester.name)
         stats = self.stats_tlps
@@ -408,18 +408,24 @@ class PcieFabric:
         if port.tele_up is not None:
             port.tele_up.count(tlp)
         target, record = self._reserve_path(port, tlp)
-        return DeferredWrite(self, tlp, target.down, record)
+        span = None
+        if trace_ctx is not None:
+            tlp.trace_ctx = trace_ctx
+            span = self._spans.enter(trace_ctx, trace_stage, self.sim._now)
+        return DeferredWrite(self, tlp, target.down, record, span)
 
     def post_write_at(self, requester: PcieEndpoint, address: int,
-                      data: bytes, arrival: float) -> Event:
+                      data: bytes, arrival: float, trace_ctx=None,
+                      trace_stage: str = "pcie.write") -> Event:
         """A single-TLP posted write arbitrating as if issued at ``arrival``.
 
-        Fused pipeline stages resolve a future write early (cut-through
-        mode only): both lanes are reserved under the future arrival key
-        — the reservation model replays the reference arbitration
-        exactly (see :class:`~repro.sim.resources.Reservation`) — and
-        the write delivers through the normal cut-through event at its
-        computed arrival.
+        Fused pipeline stages resolve a future write early: both lanes
+        are reserved under the future arrival key — the reservation
+        model replays the reference arbitration exactly (see
+        :class:`~repro.sim.resources.Reservation`) — and the write
+        delivers through the normal delivery event at its computed
+        arrival.  A traced write's span runs from ``arrival`` to that
+        delivery.
         """
         port = self.port_of(requester)
         if not 0 < len(data) <= port.config.max_payload_size:
@@ -427,7 +433,13 @@ class PcieFabric:
         done = Event(self.sim)
         tlp = Tlp(TlpType.MEM_WRITE, address, len(data), data,
                   requester=requester.name)
-        tlp.on_delivered = done.succeed
+        if trace_ctx is None:
+            tlp.on_delivered = done.succeed
+        else:
+            tlp.trace_ctx = trace_ctx
+            tlp.on_delivered = _WriteCountdown(
+                1, self, self._spans.enter(trace_ctx, trace_stage, arrival),
+                done)
         stats = self.stats_tlps
         stats["MWr"] = stats.get("MWr", 0) + 1
         if port.tele_up is not None:
@@ -446,15 +458,10 @@ class PcieFabric:
         stats[kind] = stats.get(kind, 0) + 1
         if port.tele_up is not None:
             port.tele_up.count(tlp)
-        if self._cut_through:
-            target, record = self._reserve_path(port, tlp)
-            sim = self.sim
-            sim.call_later(record.delivery - sim._now, self._arrive,
-                           (tlp, target.down, record))
-            return
-        port.up.send(tlp, tlp.wire_bytes() * 8)
-
-    # -- cut-through transit -------------------------------------------------
+        target, record = self._reserve_path(port, tlp)
+        sim = self.sim
+        sim.call_later(record.delivery - sim._now, self._arrive,
+                       (tlp, target.down, record))
 
     def _reserve_path(self, port: _Port, tlp: Tlp,
                       arrival: Optional[float] = None):
@@ -534,7 +541,7 @@ class PcieFabric:
                        self._train_arrived, entry)
 
     def _arrive(self, entry) -> None:
-        """Single-TLP delivery event (cut-through path)."""
+        """Single-TLP delivery event."""
         tlp, link, record = entry
         sim = self.sim
         if record.delivery > sim._now:
@@ -561,11 +568,10 @@ class PcieFabric:
                            entry)
             return
         for record in records:
-            record.done = True
             upstream = record.upstream
             if upstream is not None:
                 upstream[0].retire(upstream[1])
-        link.retire(last)
+        link.retire(last, records[:-1])
         for tlp in tlps:
             self._deliver_write(tlp)
         if span_id is not None:
@@ -617,9 +623,7 @@ class PcieFabric:
         requester_port = self._ports[tlp.requester]
         rcb = completer_port.config.read_completion_boundary
         chunks = completion_chunks(tlp.length, rcb)
-        state = self._pending_reads[tlp.tag]
-        state["remaining"] = len(chunks)
-        parts = state["chunks"]
+        parts = self._pending_reads[tlp.tag]["chunks"]
         sim = self.sim
         now = sim._now
         stats = self.stats_tlps
@@ -685,7 +689,6 @@ class PcieFabric:
                 data[cursor:cursor + chunk], tag=tlp.tag,
                 requester=tlp.requester, completer=tlp.requester,
             )
-            completion.seq = index
             cursor += chunk
             stats["CplD"] = stats.get("CplD", 0) + 1
             if tele_up is not None:
@@ -713,79 +716,12 @@ class PcieFabric:
             sim.call_later(last.delivery - sim._now, self._read_completed,
                            entry)
             return
-        # Batch retire: mark the whole train done, then prune the lane
-        # prefix once instead of once per chunk.
+        # Batch retire: the lane prefix is pruned once, not per chunk.
         for record in records:
-            record.done = True
             upstream = record.upstream
             if upstream is not None:
                 upstream[0].retire(upstream[1])
-        link.retire(last)
+        link.retire(last, records[:-1])
         state = self._pending_reads.pop(tag)
         data = b"".join(part for _seq, part in sorted(state["chunks"]))
         state["event"].succeed(data)
-
-    # -- per-hop transit (traced runs) ---------------------------------------
-
-    def _route(self, tlp: Tlp) -> None:
-        """Switch stage: forward a TLP down its target's lane."""
-        kind = tlp.kind
-        if kind is TlpType.COMPLETION_DATA or kind is TlpType.COMPLETION:
-            target = self._ports[tlp.completer]
-        else:
-            bar = self.decode(tlp.address)
-            target = self.port_of(bar.endpoint)
-            tlp.bar = bar
-        if target.tele_down is not None:
-            target.tele_down.count(tlp)
-        target.down.send(tlp, tlp.wire_bytes() * 8)
-
-    def _deliver(self, tlp: Tlp) -> None:
-        """Endpoint ingress: run the handler / complete the transaction."""
-        kind = tlp.kind
-        prof = self._prof
-        if kind is TlpType.MEM_WRITE:
-            self._deliver_write(tlp)
-            return
-
-        if kind is TlpType.MEM_READ:
-            bar = tlp.bar
-            offset = tlp.address - bar.base
-            if prof is not None:
-                prof.current_tag = bar.endpoint.profile_tag
-            try:
-                data = bar.endpoint.handle_read(offset, tlp.length)
-            finally:
-                if prof is not None:
-                    prof.current_tag = "pcie"
-            completer_port = self.port_of(bar.endpoint)
-            rcb = completer_port.config.read_completion_boundary
-            chunks = completion_chunks(tlp.length, rcb)
-            state = self._pending_reads[tlp.tag]
-            state["remaining"] = len(chunks)
-            cursor = 0
-            for index, chunk in enumerate(chunks):
-                completion = Tlp(
-                    TlpType.COMPLETION_DATA, tlp.address + cursor, chunk,
-                    data[cursor:cursor + chunk], tag=tlp.tag,
-                    requester=tlp.requester, completer=tlp.requester,
-                )
-                completion.seq = index
-                cursor += chunk
-                self._send(completer_port, completion)
-            return
-
-        if kind is TlpType.COMPLETION_DATA:
-            state = self._pending_reads.get(tlp.tag)
-            if state is None:
-                raise PcieError(f"orphan completion {tlp!r}")
-            state["chunks"].append((tlp.seq, tlp.data))
-            if len(state["chunks"]) == state["remaining"]:
-                del self._pending_reads[tlp.tag]
-                data = b"".join(
-                    part for _seq, part in sorted(state["chunks"])
-                )
-                state["event"].succeed(data)
-            return
-
-        raise PcieError(f"unroutable TLP {tlp!r}")

@@ -46,13 +46,12 @@ class Tlp:
     ``length``.  ``tag`` matches completions to their read request.
 
     The fields the fabric hangs on a TLP in flight (``trace_ctx``,
-    ``bar``, ``on_delivered``, ``seq``) are dedicated slots rather than a
+    ``bar``, ``on_delivered``) are dedicated slots rather than a
     side-band dict — a dict per TLP was measurable on the datapath.
     """
 
     __slots__ = ("kind", "address", "length", "data", "tag", "requester",
-                 "completer", "trace_ctx", "bar", "on_delivered", "seq",
-                 "_wire")
+                 "completer", "trace_ctx", "bar", "on_delivered", "_wire")
 
     def __init__(self, kind: TlpType, address: int = 0, length: int = 0,
                  data: Optional[bytes] = None, tag: Optional[int] = None,
@@ -69,7 +68,6 @@ class Tlp:
         self.trace_ctx = None    # span trace context riding this TLP
         self.bar = None          # decoded target BAR (set by the switch)
         self.on_delivered = None  # fabric write-completion callback
-        self.seq = 0             # completion reassembly order
         self._wire = None
 
     def wire_bytes(self) -> int:

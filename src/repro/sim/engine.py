@@ -17,8 +17,8 @@ same-timestamp events into one scheduler pass.  None of this changes
 scheduling order — entries are still dispatched strictly by
 ``(time, seq)`` — so results are bit-identical to the scalar engine.
 
-Besides generator :class:`Process`\ es the engine dispatches *flat
-continuations*: a plain ``(callback, arg)`` pair invoked directly by the
+Besides generator processes (:class:`Process`) the engine dispatches
+*flat continuations*: a plain ``(callback, arg)`` pair invoked directly by the
 run loop with no generator resume, no :class:`Event` allocation and no
 trampoline frame.  :meth:`Simulator.call_later` / :meth:`Simulator.schedule`
 / :meth:`Simulator.schedule_at` are the zero-overhead forms used by the

@@ -149,17 +149,22 @@ class Link:
         self._lane_recs: List[Reservation] = []
         self.stats_bits = 0
         self.stats_messages = 0
-        # The trace process this link's spans file under; owners (PCIe
-        # fabric, Ethernet port) override it to group their lanes.
+        # The trace process this link's occupancy spans file under and
+        # the name they carry; owners (the PCIe fabric) override both
+        # to group and label their lanes.
         self.trace_process = "links"
+        self.trace_name = "message"
         telemetry = sim.telemetry
         if telemetry.enabled and name:
             self._ctr_bits = telemetry.counter(f"link.{name}.bits")
             self._ctr_messages = telemetry.counter(f"link.{name}.messages")
-            self._tracer = telemetry.tracer
         else:
             self._ctr_bits = None
-            self._tracer = None
+        # Occupancy spans are emitted when a reservation retires: only
+        # then are its start/finish final (a later-issued,
+        # earlier-arriving message may still repair a pending one).
+        tracer = telemetry.tracer
+        self._tracer = tracer if tracer.enabled and name else None
 
     def connect(self, sink: Callable[[Any], None]) -> None:
         self.sink = sink
@@ -365,9 +370,19 @@ class Link:
         # Repairs only move reservations later, so any already-scheduled
         # delivery event fires early and re-pushes to the new time.
 
-    def retire(self, record: Reservation) -> None:
-        """Mark ``record`` delivered and prune the delivered lane prefix."""
+    def retire(self, record: Reservation, train=()) -> None:
+        """Mark ``record`` delivered and prune the delivered lane prefix.
+
+        ``train`` lists the earlier records of a burst delivered with
+        ``record`` (one aggregate event); they retire in the same prune.
+        """
+        for part in train:
+            part.done = True
         record.done = True
+        if self._tracer is not None:
+            for part in train:
+                self._trace_occupancy(part)
+            self._trace_occupancy(record)
         recs = self._lane_recs
         if not recs or not recs[0].done:
             return
@@ -386,6 +401,24 @@ class Link:
         del fins[:drop]
         del self._lane_keys[:drop]
 
+    def _trace_occupancy(self, record) -> None:
+        """Emit the Chrome-trace span(s) of a retiring reservation."""
+        if type(record) is not TrainReservation:
+            chunks = ((record.start, record.finish, record.bits),)
+        elif record._parts is not None:
+            chunks = [(p.start, p.finish, p.bits) for p in record._parts]
+        else:
+            rate = self.rate_bps
+            chunks = [(finish if rate is None else finish - bits / rate,
+                       finish, bits)
+                      for bits, finish in zip(record.bits_list,
+                                              record.finishes)]
+        for start, finish, bits in chunks:
+            if finish > start:
+                self._tracer.complete(self.trace_process, self.name,
+                                      self.trace_name, start, finish,
+                                      {"bits": bits})
+
     def send(self, message: Any, bits: float) -> float:
         """Enqueue ``message`` of ``bits``; returns its delivery time.
 
@@ -399,12 +432,6 @@ class Link:
         now = sim._now
         record = self.reserve(bits, now, sim._seq)
         record.message = message
-        if self._ctr_bits is not None:
-            tracer = self._tracer
-            if tracer.enabled and record.finish > record.start:
-                tracer.complete(self.trace_process, self.name,
-                                type(message).__name__, record.start,
-                                record.finish, {"bits": bits})
         sim.call_later(record.delivery - now, self._dispatch, record)
         return record.delivery
 

@@ -1,0 +1,11 @@
+"""Suite-wide test configuration."""
+
+from hypothesis import HealthCheck, settings
+
+# Tier-1 must give the same verdict on every run: derive hypothesis
+# examples from each test's source rather than a fresh random seed, and
+# don't let a busy host's slow data generation fail a health check.
+settings.register_profile(
+    "tier1", derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("tier1")

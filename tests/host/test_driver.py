@@ -146,6 +146,27 @@ class TestEthQueuePair:
         sim.run(until=0.01)
         assert receiver.stats_rx == 64
 
+    def test_coreless_queue_receives_through_the_notify_store(self):
+        # Without a core there is no processing delay to fold the CQE's
+        # delivery into, so the NIC posts it the ordinary way.
+        sim, node = self._node()
+        node.add_vport_for_mac(2, "02:00:00:00:00:02")
+        sender = node.driver.create_eth_qp(vport=1)
+        node.driver.core = None
+        receiver = node.driver.create_eth_qp(vport=2)
+        assert receiver.rx_cq.fused_rx is None
+        assert sender.rx_cq.fused_rx is not None
+        receiver.post_rx_buffers(8)
+        frame = Flow("02:00:00:00:00:01", "02:00:00:00:00:02",
+                     "1.1.1.1", "2.2.2.2", 1, 2).make_packet(
+                         b"z" * 80, fill_checksums=False).to_bytes()
+        for _ in range(4):
+            sender.send(frame)
+        sim.run(until=0.01)
+        assert receiver.stats_rx == 4
+        data, _cqe = receiver.received.try_get()
+        assert data == frame
+
     def test_memory_footprint_reported(self):
         _sim, node = self._node()
         node.driver.create_eth_qp(vport=1)

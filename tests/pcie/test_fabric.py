@@ -12,10 +12,11 @@ from repro.pcie import (
     PcieLinkConfig,
 )
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 
 
-def build_fabric(latency=0.0):
-    sim = Simulator()
+def build_fabric(latency=0.0, telemetry=None):
+    sim = Simulator(telemetry=telemetry)
     fabric = PcieFabric(sim)
     config = PcieLinkConfig(latency=latency)
     host = MemoryRegion("host", 1 << 20)
@@ -155,6 +156,98 @@ class TestTransactions:
         _sim, fabric, host, _device = build_fabric()
         with pytest.raises(PcieError):
             fabric.read(host, 0x0, 0)
+
+
+class TestTracedCallbacks:
+    """``on_done`` and ``trace_ctx`` together: the callback must fire
+    (it was silently dropped once a span was opened) and the span must
+    already be closed, at the delivery instant, when it does."""
+
+    def _traced(self):
+        telemetry = Telemetry(trace=False, spans=True)
+        sim, fabric, host, device = build_fabric(latency=1e-6,
+                                                 telemetry=telemetry)
+        spans = telemetry.spans
+        return sim, fabric, host, spans, spans.start_trace("t", 0.0)
+
+    @pytest.mark.parametrize("length,tlps", [(64, 1), (1000, 4)])
+    def test_write_callback_fires_after_span_closes(self, length, tlps):
+        sim, fabric, host, spans, ctx = self._traced()
+        fired = []
+
+        def on_done():
+            (span,) = spans.get_trace(ctx).spans
+            fired.append((sim.now, span.stage, span.end))
+
+        fabric.post_write(host, 0x1000_0000, bytes(length), trace_ctx=ctx,
+                          trace_stage="pcie.dma_write", on_done=on_done)
+        sim.run()
+        assert fabric.stats_tlps["MWr"] == tlps
+        assert len(fired) == 1
+        now, stage, end = fired[0]
+        assert stage == "pcie.dma_write"
+        assert end == now >= 1e-6
+
+    @pytest.mark.parametrize("length,completions", [(64, 1), (1024, 4)])
+    def test_read_callback_fires_after_span_closes(self, length,
+                                                   completions):
+        sim, fabric, host, spans, ctx = self._traced()
+        fired = []
+
+        def on_done(data):
+            (span,) = spans.get_trace(ctx).spans
+            fired.append((sim.now, len(data), span.end))
+
+        fabric.read(host, 0x1000_0000, length, trace_ctx=ctx,
+                    trace_stage="pcie.dma_read", on_done=on_done)
+        sim.run()
+        assert fabric.stats_tlps["CplD"] == completions
+        assert len(fired) == 1
+        now, nbytes, end = fired[0]
+        assert nbytes == length
+        assert end == now >= 2e-6
+
+    def test_write_straddling_two_windows_completes_once(self):
+        # The train does not decode to one endpoint, so each TLP is
+        # delivered on its own and a countdown fires the completion.
+        telemetry = Telemetry(trace=False, spans=True)
+        sim = Simulator(telemetry=telemetry)
+        fabric = PcieFabric(sim)
+        low = MemoryRegion("low", 0x1000)
+        high = MemoryRegion("high", 0x1000)
+        for region, base in ((low, 0x0), (high, 0x1000)):
+            fabric.attach(region)
+            fabric.map_window(base, 0x1000, region)
+        ctx = telemetry.spans.start_trace("t", 0.0)
+        fired = []
+        fabric.post_write(low, 0x1000 - 256, bytes(range(256)) * 2,
+                          trace_ctx=ctx, on_done=lambda: fired.append(1))
+        sim.run()
+        assert fired == [1]
+        assert low.handle_read(0x1000 - 256, 256) == bytes(range(256))
+        assert high.handle_read(0, 256) == bytes(range(256))
+        assert telemetry.spans.get_trace(ctx).spans[0].end == sim.now
+
+    def test_deferred_write_span_ends_at_delivery_not_commit(self):
+        sim, fabric, host, spans, ctx = self._traced()
+        handle = fabric.post_write_deferred(host, 0x1000_0000, bytes(64),
+                                            ctx, "pcie.cqe_write")
+        sim.run(until=5e-6)      # the owner commits late
+        handle.commit()
+        (span,) = spans.get_trace(ctx).spans
+        assert span.stage == "pcie.cqe_write"
+        assert span.start == 0.0
+        assert span.end == handle.delivery < 5e-6
+
+    def test_future_keyed_write_span_starts_at_its_arrival(self):
+        sim, fabric, host, spans, ctx = self._traced()
+        done = fabric.post_write_at(host, 0x1000_0000, bytes(64), 3e-6,
+                                    ctx, "pcie.cqe_write")
+        sim.run()
+        assert done.fired
+        (span,) = spans.get_trace(ctx).spans
+        assert span.start == 3e-6
+        assert span.end == sim.now > 4e-6
 
 
 class TestMmio:

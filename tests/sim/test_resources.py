@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import DuplexLink, Link, Simulator, Store, TokenBucket
+from repro.telemetry import Telemetry
 
 
 class TestLink:
@@ -89,6 +90,69 @@ class TestLink:
         sim.spawn(later(sim))
         sim.run()
         assert arrivals == [1.0, 11.0]
+
+
+class TestLaneTraceRecords:
+    """Chrome-trace occupancy spans are written when a reservation
+    retires, from its final start/finish."""
+
+    def _link(self):
+        telemetry = Telemetry(trace=True)
+        sim = Simulator(telemetry=telemetry)
+        link = Link(sim, rate_bps=1000.0, name="lane")
+        link.trace_name = "Tlp"
+        return sim, link, telemetry.tracer
+
+    @staticmethod
+    def _spans(tracer):
+        return [(e["name"], round(e["ts"] / 1e6, 9),
+                 round(e["dur"] / 1e6, 9))
+                for e in tracer.events if e["ph"] == "X"]
+
+    def test_nothing_is_written_before_retire(self):
+        _sim, link, tracer = self._link()
+        record = link.reserve(1000, 5.0, 0)
+        assert self._spans(tracer) == []
+        link.retire(record)
+        assert self._spans(tracer) == [("Tlp", 5.0, 1.0)]
+
+    def test_repaired_reservation_is_traced_at_its_final_time(self):
+        _sim, link, tracer = self._link()
+        late = link.reserve(1000, 5.0, 0)       # issued first
+        early = link.reserve(2000, 4.5, 1)      # arrives first: late moves
+        assert late.start == 6.5
+        link.retire(early)
+        link.retire(late)
+        assert self._spans(tracer) == [("Tlp", 4.5, 2.0), ("Tlp", 6.5, 1.0)]
+
+    def test_sent_message_is_traced_on_delivery(self):
+        sim, link, tracer = self._link()
+        link.connect(lambda message: None)
+        link.send("m", bits=500)
+        assert self._spans(tracer) == []
+        sim.run()
+        assert self._spans(tracer) == [("Tlp", 0.0, 0.5)]
+
+    @pytest.mark.parametrize("materialize", [False, True])
+    def test_train_is_traced_chunk_by_chunk(self, materialize):
+        _sim, link, tracer = self._link()
+        train = link.reserve_train([1000, 1000], [1.0, 3.0], 0)
+        expected = [("Tlp", 1.0, 1.0), ("Tlp", 3.0, 1.0)]
+        if materialize:
+            # A message keyed between the chunks splits the train.
+            wedge = link.reserve(500, 2.0, 2)
+            link.retire(wedge)
+            expected.insert(0, ("Tlp", 2.0, 0.5))
+        link.retire(train)
+        assert self._spans(tracer) == expected
+
+    def test_retire_with_train_prunes_once(self):
+        _sim, link, tracer = self._link()
+        records = [link.reserve(1000, float(t), t) for t in (1, 2, 3)]
+        link.retire(records[-1], records[:-1])
+        assert all(record.done for record in records)
+        assert link.busy_until == 4.0 and not link._lane_recs
+        assert len(self._spans(tracer)) == 3
 
 
 class TestDuplexLink:
