@@ -19,8 +19,9 @@ from ..base import Accelerator, Output
 from .eea3 import eea3_encrypt
 from .eia3 import eia3_mac
 
-HEADER_SIZE = 64
-HEADER_FORMAT = "!BBBBIII16s16sI"  # 48 bytes packed + 16 reserved
+# 52 bytes of fields, the status byte, 11 reserved.
+_HEADER = struct.Struct("!BBBBIII16s16sIB11x")
+HEADER_SIZE = _HEADER.size  # 64
 
 OP_EEA3 = 0
 OP_EIA3 = 1
@@ -53,21 +54,18 @@ class ZucRequest:
         self.status = status
 
     def pack(self) -> bytes:
-        body = struct.pack(
-            HEADER_FORMAT, self.version, self.op,
-            self.bearer, self.direction, self.count, self.length_bits,
-            self.request_id, self.key, self.iv, self.mac,
+        return _HEADER.pack(
+            self.version, self.op, self.bearer, self.direction, self.count,
+            self.length_bits, self.request_id, self.key, self.iv, self.mac,
+            self.status,
         )
-        body += bytes([self.status])
-        return body + bytes(HEADER_SIZE - len(body))
 
     @classmethod
     def unpack(cls, data: bytes) -> "ZucRequest":
         if len(data) < HEADER_SIZE:
             raise ValueError("truncated ZUC request header")
         (version, op, bearer, direction, count, length_bits, request_id,
-         key, iv, mac) = struct.unpack_from(HEADER_FORMAT, data)
-        status = data[struct.calcsize(HEADER_FORMAT)]
+         key, iv, mac, status) = _HEADER.unpack_from(data)
         return cls(op, key, count, bearer, direction, length_bits,
                    request_id, iv, mac, status, version)
 

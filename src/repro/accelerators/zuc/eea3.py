@@ -29,8 +29,7 @@ def eea3_keystream(key: bytes, count: int, bearer: int, direction: int,
                    nbits: int) -> bytes:
     """Raw keystream covering ``nbits`` bits (rounded up to words)."""
     zuc = Zuc(key, _eea3_iv(count, bearer, direction))
-    nwords = -(-nbits // 32)
-    return b"".join(w.to_bytes(4, "big") for w in zuc.keystream(nwords))
+    return zuc.keystream_bytes(4 * -(-nbits // 32))
 
 
 def eea3_encrypt(key: bytes, count: int, bearer: int, direction: int,
@@ -45,17 +44,14 @@ def eea3_encrypt(key: bytes, count: int, bearer: int, direction: int,
     if nbits > len(message) * 8:
         raise ValueError("nbits exceeds the message length")
     keystream = eea3_keystream(key, count, bearer, direction, nbits)
-    out = bytearray(
-        m ^ k for m, k in zip(message, keystream[:len(message)])
-    )
-    # Zero any bits past nbits in the last byte and drop whole bytes
-    # beyond the bit length.
+    # One XOR over the ceil(nbits / 8) bytes the bit length covers (the
+    # keystream is at least that long), the bits past nbits in the last
+    # of them zeroed, whole bytes beyond it returned as zeros.
     nbytes = -(-nbits // 8)
-    out = out[:nbytes]
-    tail_bits = nbits % 8
-    if tail_bits and out:
-        out[-1] &= (0xFF << (8 - tail_bits)) & 0xFF
-    return bytes(out) + bytes(len(message) - len(out))
+    out = (int.from_bytes(message[:nbytes], "big")
+           ^ int.from_bytes(keystream[:nbytes], "big"))
+    out &= -1 << (-nbits % 8)
+    return out.to_bytes(nbytes, "big") + bytes(len(message) - nbytes)
 
 
 eea3_decrypt = eea3_encrypt  # stream cipher: same operation

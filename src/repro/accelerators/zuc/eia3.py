@@ -25,10 +25,6 @@ def _eia3_iv(count: int, bearer: int, direction: int) -> bytes:
     return bytes(iv)
 
 
-def _get_bit(message: bytes, index: int) -> int:
-    return (message[index // 8] >> (7 - index % 8)) & 1
-
-
 def eia3_mac(key: bytes, count: int, bearer: int, direction: int,
              message: bytes, nbits: int = None) -> int:
     """The 32-bit 128-EIA3 MAC of ``message``."""
@@ -37,24 +33,29 @@ def eia3_mac(key: bytes, count: int, bearer: int, direction: int,
     if nbits > len(message) * 8:
         raise ValueError("nbits exceeds the message length")
     zuc = Zuc(key, _eia3_iv(count, bearer, direction))
-    nwords = -(-nbits // 32) + 2  # L = ceil(LENGTH/32) + 2
-    words = zuc.keystream(nwords)
-    # One long integer holds the whole keystream; GET_WORD(z, i) is a
-    # 32-bit window starting at bit i.
-    stream = 0
-    for word in words:
-        stream = (stream << 32) | word
-    total_bits = 32 * nwords
-
-    def window(i: int) -> int:
-        return (stream >> (total_bits - 32 - i)) & 0xFFFFFFFF
-
-    tag = 0
-    for i in range(nbits):
-        if _get_bit(message, i):
-            tag ^= window(i)
-    tag ^= window(nbits)
-    tag ^= words[-1]
+    nwords = -(-nbits // 32)
+    # One long integer holds the whole keystream, L = nwords + 2 words;
+    # GET_WORD(z, i) is the 32-bit window (stream >> (top - i)) & MASK.
+    stream = int.from_bytes(zuc.keystream_bytes(4 * (nwords + 2)), "big")
+    top = 32 * (nwords + 1)
+    # The message as nwords whole words, its first bit on top and every
+    # bit past nbits zero.
+    bits = (int.from_bytes(message, "big")
+            >> (8 * len(message) - nbits) << (32 * nwords - nbits))
+    # T = XOR of GET_WORD(z, i) over the set message bits i, taken for all
+    # words at once, one bit lane b = i % 32 at a time: ``lane`` has bit 0
+    # of word j set where message bit 32 j + b is, times 0xFFFFFFFF that is
+    # a whole-word mask, and word j of stream >> (64 - b) is that bit's
+    # window.  XOR-ing the words of ``acc`` together finishes the sum.
+    ones = ((1 << 32 * nwords) - 1) // 0xFFFFFFFF
+    acc = 0
+    for b in range(32):
+        lane = (bits >> (31 - b)) & ones
+        acc ^= (stream >> (64 - b)) & (lane * 0xFFFFFFFF)
+    tag = (stream >> (top - nbits)) ^ stream   # GET_WORD(z, LENGTH) ^ z[L-1]
+    while acc:
+        tag ^= acc
+        acc >>= 32
     return tag & 0xFFFFFFFF
 
 

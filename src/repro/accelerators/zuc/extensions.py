@@ -42,8 +42,9 @@ OP_EEA3_CACHED = 0x11
 OP_EIA3_CACHED = 0x12
 
 BATCH_MAGIC = 0xB7
-COMPACT_HEADER_SIZE = 16
-COMPACT_FORMAT = "!BBBBIII"  # op, slot, bearer, direction, count, len, id
+# op, slot, bearer, direction, count, len, id
+_COMPACT = struct.Struct("!BBBBIII")
+COMPACT_HEADER_SIZE = _COMPACT.size  # 16
 
 KEY_SLOTS = 256
 
@@ -68,16 +69,16 @@ class CompactRequest:
         self.request_id = request_id
 
     def pack(self) -> bytes:
-        return struct.pack(COMPACT_FORMAT, self.op, self.slot, self.bearer,
-                           self.direction, self.count, self.length_bits,
-                           self.request_id)
+        return _COMPACT.pack(self.op, self.slot, self.bearer,
+                             self.direction, self.count, self.length_bits,
+                             self.request_id)
 
     @classmethod
     def unpack(cls, data: bytes) -> "CompactRequest":
         if len(data) < COMPACT_HEADER_SIZE:
             raise ValueError("truncated compact request")
-        op, slot, bearer, direction, count, nbits, rid = struct.unpack_from(
-            COMPACT_FORMAT, data)
+        op, slot, bearer, direction, count, nbits, rid = \
+            _COMPACT.unpack_from(data)
         return cls(op, slot, count, bearer, direction, nbits, rid)
 
 

@@ -15,6 +15,8 @@ from repro.net import (
     parse_frame,
 )
 
+from ..accelerators.zuc_oracle import OracleZuc
+
 ips = st.integers(1, (1 << 32) - 2)
 ports = st.integers(1, 65535)
 
@@ -110,7 +112,7 @@ class TestZucProperties:
     @settings(max_examples=60, deadline=None)
     def test_keystream_deterministic_and_32bit(self, key, iv, words):
         a = Zuc(key, iv).keystream(words)
-        b = Zuc(key, iv).keystream(words)
+        b = OracleZuc(key, iv).keystream(words)
         assert a == b
         assert all(0 <= w < (1 << 32) for w in a)
 
