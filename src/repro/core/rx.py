@@ -176,19 +176,6 @@ class RxRingManager:
         self.deliver(binding_id, self.binding(binding_id), cqe, trace_ctx,
                      self.emit, self.mmio_writer)
 
-    def on_recv_completions(self, binding_id: int, cqes, trace_ctxs=None):
-        """Burst variant of :meth:`on_recv_completion`.
-
-        Exactly equivalent to the serial calls, with the binding lookup
-        hoisted out of the per-CQE loop.
-        """
-        binding = self.binding(binding_id)
-        if trace_ctxs is None:
-            trace_ctxs = [None] * len(cqes)
-        for cqe, ctx in zip(cqes, trace_ctxs):
-            self.deliver(binding_id, binding, cqe, ctx, self.emit,
-                         self.mmio_writer)
-
     def deliver(self, binding_id: int, binding: _RxBinding,
                 cqe: CompressedCqe, trace_ctx, emit: Optional[Callable],
                 recycle_writer: Optional[Callable]) -> None:

@@ -91,12 +91,8 @@ class EthQueuePair:
         self.stats_rx = 0
         self._spans = self.sim.telemetry.spans
         # Events this queue pair schedules directly (fused rx dispatch)
-        # attribute to the same profiler stage as its processes.
+        # attribute to the rx profiler stage.
         self.profile_tag = f"ethqp{self.sq.qpn}.rx"
-        self.sim.spawn(self._rx_dispatcher(), name=f"ethqp{self.sq.qpn}.rx")
-        # Completion retirement is pure bookkeeping — no timeouts — so
-        # a flat notify consumer does it.
-        _TxRetireWorker(self)
         # Fused receive dispatch: a queue served by a core has the NIC
         # hand rx CQEs (with their in-flight write handle) straight to
         # _rx_fused, which folds PCIe delivery and the core's
@@ -104,13 +100,18 @@ class EthQueuePair:
         # timing is a serial dispatcher's, starting each packet at
         # max(cqe_arrival, previous_done) and working packet_cost()
         # seconds.  A coreless queue (zero processing time) has nothing
-        # to fold and is served from the notify store by
-        # _rx_dispatcher.
+        # to fold: its CQEs come through the notify store, like the
+        # send completions (pure bookkeeping) of either kind.
+        if self.core is not None:
+            self.rx_cq.fused_rx = self._rx_fused
+        else:
+            _CqConsumer(self.sim, self.rx_cq, self._receive,
+                        self.profile_tag)
+        _CqConsumer(self.sim, self.tx_cq, self._retire,
+                    f"ethqp{self.sq.qpn}.txc")
         self._fused_planned = 0.0   # planned end of the dispatch chain
         self._fused_done = 0.0      # actual end (>= planned under repair)
         self._fused_queue = deque()
-        if self.core is not None:
-            self.rx_cq.fused_rx = self._rx_fused
 
     def _take(self, size: int) -> int:
         """Allocate host memory, remembered for release on close()."""
@@ -207,6 +208,15 @@ class EthQueuePair:
                                  trace_ctx=trace_ctx)
         self.stats_tx += 1
 
+    def _retire(self, cqe) -> None:
+        # Completions are cumulative under selective signalling: a CQE
+        # for index i retires everything up to i (16-bit wrap aware).
+        base = self._tx_completed & ~0xFFFF
+        completed = base | cqe.wqe_counter
+        if completed < self._tx_completed:
+            completed += 1 << 16
+        self._tx_completed = completed + 1
+
     # -- receive -----------------------------------------------------------
 
     def post_rx_buffers(self, count: int) -> None:
@@ -232,14 +242,6 @@ class EthQueuePair:
             self.rq.slot_addr(new_index) - driver.mem_base, desc.pack()
         )
         self.rq.post(1)
-
-    def _rx_dispatcher(self):
-        """Serve a coreless queue's rx CQEs from the notify store."""
-        while True:
-            cqe = yield self.rx_cq.notify.get()
-            if cqe is _POISON:
-                return
-            self._receive(cqe)
 
     def _receive(self, cqe) -> None:
         """Hand one completed packet to the application."""
@@ -316,51 +318,39 @@ class EthQueuePair:
         self._receive(cqe)
 
 
-class _TxRetireWorker:
-    """Retires an :class:`EthQueuePair`'s send completions.
+class _CqConsumer:
+    """The flat consumer of a completion queue's notify store.
 
-    The retire loop never sleeps — it only waits on the tx CQ notify
-    store and updates the cumulative completion counter — so it runs
-    as a plain callback chain.  Arming is deferred through a zero-delay
-    scheduled step: the worker must not observe completions before the
-    simulation runs.
+    Hands each CQE to ``handler`` in order, as a plain callback chain
+    with no process.  A handler that needs virtual time for a CQE
+    returns ``False`` and calls :meth:`resume` itself when done; any
+    other return value moves straight on to the next CQE.  Arming is
+    deferred through a zero-delay scheduled step: the consumer must not
+    observe completions before the simulation runs.
     """
 
-    __slots__ = ("qp", "notify", "profile_tag")
+    __slots__ = ("notify", "handler", "profile_tag")
 
-    def __init__(self, qp: "EthQueuePair"):
-        self.qp = qp
-        self.notify = qp.tx_cq.notify
-        self.profile_tag = f"ethqp{qp.sq.qpn}.txc"
-        qp.sim.schedule(0.0, self._next)
+    def __init__(self, sim: Simulator, cq, handler, profile_tag: str):
+        self.notify = cq.notify
+        self.handler = handler
+        self.profile_tag = profile_tag
+        sim.schedule(0.0, self.resume)
 
-    def _next(self) -> None:
+    def resume(self) -> None:
         notify = self.notify
         while True:
             cqe = notify.try_get()
             if cqe is None:
                 notify.get().add_callback(self._on_cqe)
                 return
-            if cqe is _POISON:
+            if cqe is _POISON or self.handler(cqe) is False:
                 return
-            self._retire(cqe)
 
     def _on_cqe(self, event) -> None:
         cqe = event.value
-        if cqe is _POISON:
-            return
-        self._retire(cqe)
-        self._next()
-
-    def _retire(self, cqe) -> None:
-        # Completions are cumulative under selective signalling: a CQE
-        # for index i retires everything up to i (16-bit wrap aware).
-        qp = self.qp
-        base = qp._tx_completed & ~0xFFFF
-        completed = base | cqe.wqe_counter
-        if completed < qp._tx_completed:
-            completed += 1 << 16
-        qp._tx_completed = completed + 1
+        if cqe is not _POISON and self.handler(cqe) is not False:
+            self.resume()
 
 
 class RcEndpoint:
@@ -393,8 +383,13 @@ class RcEndpoint:
         self.stats_messages_sent = 0
         self.stats_messages_received = 0
         self._spans = self.sim.telemetry.spans
-        self.sim.spawn(self._rx_dispatcher(), name=f"rc{self.qp.qpn}.rx")
-        self.sim.spawn(self._tx_completions(), name=f"rc{self.qp.qpn}.txc")
+        # The per-packet core cost this endpoint schedules attributes
+        # to its rx profiler stage.
+        self.profile_tag = f"rc{self.qp.qpn}.rx"
+        self._rx = _CqConsumer(self.sim, self.rx_cq, self._rx_cqe,
+                               self.profile_tag)
+        _CqConsumer(self.sim, self.cq, self._tx_completion,
+                    f"rc{self.qp.qpn}.txc")
 
     @property
     def qpn(self) -> int:
@@ -507,39 +502,44 @@ class RcEndpoint:
         self.stats_messages_sent += 1
         return done
 
-    def _tx_completions(self):
-        while True:
-            cqe = yield self.cq.notify.get()
-            if cqe is _POISON:
-                return
-            waiter = self._send_waiters.pop(cqe.wqe_counter, None)
-            if waiter is not None:
-                waiter.succeed(cqe)
+    def _tx_completion(self, cqe) -> None:
+        waiter = self._send_waiters.pop(cqe.wqe_counter, None)
+        if waiter is not None:
+            waiter.succeed(cqe)
 
-    def _rx_dispatcher(self):
+    def _rx_cqe(self, cqe) -> bool:
+        """One receive CQE: a core, when present, works
+        ``packet_cost()`` on it before the next is looked at."""
+        core = self.driver.core
+        pending = (cqe, self.sim._now)
+        if core is None:
+            self._rx_segment(pending)
+            return True
+        self.sim.call_later(core.packet_cost(), self._rx_worked, pending)
+        return False
+
+    def _rx_worked(self, pending) -> None:
+        self._rx_segment(pending)
+        self._rx.resume()
+
+    def _rx_segment(self, pending) -> None:
+        cqe, started = pending
         driver = self.driver
-        while True:
-            cqe = yield self.rx_cq.notify.get()
-            if cqe is _POISON:
-                return
-            started = self.sim._now
-            if driver.core is not None:
-                yield self.sim.timeout(driver.core.packet_cost())
-            slot = cqe.wqe_counter % self.rq.entries
-            buffer_addr = self._rx_buffers[slot]
-            data = driver.memory.read_local(
-                buffer_addr - driver.mem_base, cqe.byte_count
-            )
-            if cqe.trace_ctx is not None:
-                self._spans.record(cqe.trace_ctx, "host.rx", started,
-                                   self.sim._now)
-            self._recycle(cqe.wqe_counter)
-            self._assembly.append(data)
-            if cqe.flags & CQE_FLAG_MSG_LAST:
-                message = b"".join(self._assembly)
-                self._assembly = []
-                self.stats_messages_received += 1
-                self.messages.try_put((message, cqe))
+        slot = cqe.wqe_counter % self.rq.entries
+        buffer_addr = self._rx_buffers[slot]
+        data = driver.memory.read_local(
+            buffer_addr - driver.mem_base, cqe.byte_count
+        )
+        if cqe.trace_ctx is not None:
+            self._spans.record(cqe.trace_ctx, "host.rx", started,
+                               self.sim._now)
+        self._recycle(cqe.wqe_counter)
+        self._assembly.append(data)
+        if cqe.flags & CQE_FLAG_MSG_LAST:
+            message = b"".join(self._assembly)
+            self._assembly = []
+            self.stats_messages_received += 1
+            self.messages.try_put((message, cqe))
 
     def _recycle(self, index: int) -> None:
         driver = self.driver

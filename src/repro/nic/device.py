@@ -64,8 +64,8 @@ from .wqe import (
     WQE_SIZE,
 )
 
-#: Sentinel pushed through a destroyed queue's stores so its worker
-#: processes unwind instead of waiting forever.
+#: Sentinel pushed through a destroyed queue's stores so its workers
+#: unwind instead of waiting forever.
 _POISON = object()
 
 
@@ -126,6 +126,8 @@ class Nic(PcieEndpoint):
         self.checksum = ChecksumOffload()
         self.lso = SegmentationOffload()
         self.shaper = Shaper(sim)
+        # Shaper pauses account to their own profiler stage.
+        self.shaper.profile_tag = f"{name}.shaper"
         self.rdma = RdmaEngine(
             sim, mtu=self.config.rdma_mtu,
             retransmit_timeout=self.config.retransmit_timeout,
@@ -157,8 +159,6 @@ class Nic(PcieEndpoint):
         tele = sim.telemetry
         self._tracer = tele.tracer
         self._spans = tele.spans
-        prof = sim.profiler
-        self._prof = prof if prof.enabled else None
         self._ctr_tx_wqes = tele.counter(f"nic.{name}.tx.wqes")
         self._ctr_tx_bytes = tele.counter(f"nic.{name}.tx.bytes")
         self._ctr_rx_packets = tele.counter(f"nic.{name}.rx.packets")
@@ -202,14 +202,7 @@ class Nic(PcieEndpoint):
         sq.meter = meter
         self.sqs[sq.qpn] = sq
         self._next_qpn += 1
-        if transport != SendQueue.TRANSPORT_RC and meter is None:
-            # Flat two-stage pipeline (fetch + transmit); the RC
-            # transport and metered (shaper-paced) queues block inside
-            # their transmit stage, which the generator pair expresses.
-            self._tx_flat[sq.qpn] = _SqFlatPipeline(self, sq)
-        else:
-            self.sim.spawn(self._sq_worker(sq),
-                           name=f"{self.name}.sq{sq.qpn}")
+        self._tx_flat[sq.qpn] = _SqFlatPipeline(self, sq)
         return sq
 
     def create_rq(self, ring_addr: int, entries: int, cq: CompletionQueue,
@@ -365,53 +358,6 @@ class Nic(PcieEndpoint):
     # Transmit path
     # ------------------------------------------------------------------
 
-    def _sq_worker(self, sq: SendQueue):
-        """Fetch stage: pull WQEs (batched) and launch data DMA reads.
-
-        Data reads for consecutive WQEs are issued back-to-back and
-        overlap; the companion ``_sq_tx_stage`` consumes them in order, so
-        PCIe round-trip latency is hidden behind the pipeline — the way
-        real NIC DMA engines keep many transactions in flight.
-        """
-        fabric = self.fabric
-        window = Store(self.sim, capacity=self.config.dma_window,
-                       name=f"{self.name}.sq{sq.qpn}.pipe")
-        self.sim.spawn(self._sq_tx_stage(sq, window),
-                       name=f"{self.name}.sq{sq.qpn}.tx")
-        wqe_batch: Dict[int, TxWqe] = {}
-        while True:
-            rung = yield sq.doorbell.get()
-            if rung is _POISON or sq.destroyed:
-                # Propagate teardown to the companion tx stage and exit.
-                yield window.put(_POISON)
-                return
-            while sq.ci < sq.pi:
-                index = sq.ci
-                sq.ci = index + 1
-                wqe = sq.mmio_wqes.pop(index & 0xFFFF, None)
-                if wqe is None:
-                    wqe = wqe_batch.pop(index, None)
-                if wqe is None:
-                    # Fetch a contiguous batch (bounded by the ring edge).
-                    slot = index % sq.entries
-                    burst = min(self.config.wqe_fetch_batch, sq.pi - index,
-                                sq.entries - slot)
-                    fetch_started = self.sim._now
-                    raw = yield fabric.read(self, sq.slot_addr(index),
-                                            burst * WQE_SIZE)
-                    self._wqes_fetched(sq, wqe_batch, index, burst, raw,
-                                       fetch_started)
-                    wqe = wqe_batch.pop(index)
-                if wqe.byte_count > 0:
-                    data_event = fabric.read(self, wqe.buffer_addr,
-                                             wqe.byte_count,
-                                             trace_ctx=wqe.trace_ctx,
-                                             trace_stage="pcie.dma_read")
-                else:
-                    data_event = None
-                # Blocks when the pipeline window is full.
-                yield window.put((index, wqe, data_event, self.sim._now))
-
     def _wqes_fetched(self, sq: SendQueue, batch: Dict[int, TxWqe],
                       index: int, burst: int, raw: bytes,
                       fetch_started: float) -> None:
@@ -431,84 +377,6 @@ class Nic(PcieEndpoint):
                     spans.record(ctx, "pcie.wqe_fetch", fetch_started,
                                  self.sim._now)
             batch[i] = wqe
-
-    def _sq_tx_stage(self, sq: SendQueue, window: Store):
-        """Transmit stage of an RC or metered queue: consume fetched
-        WQEs in order, pace through the shaper, and send.
-
-        Both conditions can block mid-WQE (a shaper pause, the RC
-        engine's segment loop), which is why these queues run as a
-        generator pair; every other queue is a :class:`_SqFlatPipeline`.
-        """
-        tracer = self._tracer
-        spans = self._spans
-        prof = self._prof
-        shaper_tag = f"{self.name}.shaper"
-        stage_tag = f"{self.name}.sq{sq.qpn}.tx"
-        while True:
-            item = yield window.get()
-            if item is _POISON:
-                return
-            index, wqe, data_event, enqueued = item
-            started = self.sim._now
-            ctx = wqe.trace_ctx
-            if ctx is not None:
-                spans.record(ctx, "nic.tx", enqueued, started,
-                             kind="queue")
-            data = (yield data_event) if data_event is not None else b""
-            service_started = self.sim._now
-            yield self.sim.timeout(self.config.processing_delay)
-            sq.stats_wqes += 1
-            self._ctr_tx_wqes.inc()
-            self._ctr_tx_bytes.inc(len(data))
-            meter = sq.meter
-            if meter is not None and self.shaper.has_limiter(meter):
-                delay = self.shaper.delay_for(meter, len(data) * 8)
-                if delay > 0:
-                    if ctx is not None:
-                        spans.record(ctx, "nic.shaper", self.sim._now,
-                                     self.sim._now + delay, kind="queue")
-                    if prof is None:
-                        yield self.sim.timeout(delay)
-                    else:
-                        # Tag the pacing timeout as shaper work, not
-                        # queue work: the push happens at creation, so
-                        # the scoped tag must wrap the call, not the
-                        # yield.
-                        prof.current_tag = shaper_tag
-                        pause = self.sim.timeout(delay)
-                        prof.current_tag = stage_tag
-                        yield pause
-                self.shaper.consume(meter, len(data) * 8)
-            if sq.transport == SendQueue.TRANSPORT_RC:
-                qp = self._qp_by_sqn.get(sq.qpn)
-                if qp is None or qp.state != RcQp.READY:
-                    # The QP dropped to ERR (or is being torn down):
-                    # queued WQEs are flushed, not sent (verbs flush
-                    # semantics) — software recovers via the command
-                    # channel.
-                    sq.stats_flushed += 1
-                else:
-                    yield from self.rdma.send_message(
-                        qp, wqe, data, remote_addr=wqe.remote_addr,
-                        rkey=wqe.rkey)
-                    # Send CQE arrives later, on the remote ack.
-            else:
-                for disposition, vport in self._resolve_eth(sq, wqe, data):
-                    self.eswitch._apply_fdb(disposition, from_vport=vport)
-                if wqe.signaled:
-                    completion = Cqe(
-                        CQE_SEND_COMPLETION, sq.qpn, index,
-                        wqe.byte_count,
-                    )
-                    completion.trace_ctx = ctx
-                    self._post_cqe(sq.cq, completion)
-            if ctx is not None:
-                spans.record(ctx, "nic.tx", service_started, self.sim._now)
-            if tracer.enabled:
-                tracer.complete(f"nic.{self.name}", f"sq{sq.qpn}", "wqe",
-                                started, self.sim._now,
-                                {"index": index, "bytes": wqe.byte_count})
 
     def _resolve_eth(self, sq: SendQueue, wqe: TxWqe, data: bytes):
         """Steer one Ethernet WQE: parse, offload, segment and classify,
@@ -604,6 +472,7 @@ class Nic(PcieEndpoint):
         inbox = self._rx_inbox.get(qp.rq.rqn)
         if inbox is None or not inbox.try_put(item):
             self.stats_rx_dropped_inbox += 1
+            self._ctr_drop_inbox.inc()
 
     def _rdma_qp_error(self, qp: RcQp, syndrome: int) -> None:
         """A QP dropped to ERR: post the error CQE software recovers from."""
@@ -677,13 +546,13 @@ class Nic(PcieEndpoint):
 
 
 class _DataSlot:
-    """Event-shaped holder for a DMA read's data on the flat tx path.
+    """Holder for a WQE's data DMA read on its way through the window.
 
-    Quacks like the completion Event the pipeline used to carry through
-    the window (``_fired`` / ``value`` / ``add_callback``) but is filled
-    by the fabric's ``on_done`` callback, so no Event is allocated and
-    no scheduler state is touched — completion still lands at the exact
-    instant the Event would have fired.
+    Filled by the fabric's ``on_done`` callback at the read's completion
+    instant; the transmit stage either finds it ``_fired`` when it pulls
+    the WQE or leaves one callback to be resumed by.  No
+    :class:`~repro.sim.Event` is allocated and no scheduler state is
+    touched.
     """
 
     __slots__ = ("_fired", "value", "_callback")
@@ -729,14 +598,12 @@ class _RqFlatWorker:
         self.nic = nic
         self.rq = rq
         self.inbox = inbox
-        # Events this worker schedules attribute to the stage the
-        # spawned generator's process name did.
+        # Events this worker schedules attribute to this stage.
         self.profile_tag = f"{nic.name}.rq{rq.rqn}"
         self._mprq = isinstance(rq, MultiPacketReceiveQueue)
         self._pend = None
-        # Arm via a zero-delay step, exactly like the spawned generator's
-        # first dispatch: the worker must not observe traffic (or unit
-        # tests poking handle_write) before the simulation runs.
+        # Arm via a zero-delay step: the worker must not observe traffic
+        # (or unit tests poking handle_write) before the simulation runs.
         nic.sim.schedule(0.0, self._next)
 
     def _next(self) -> None:
@@ -866,33 +733,41 @@ class _RqFlatWorker:
 
 
 class _SqFlatPipeline:
-    """An Ethernet, unmetered send queue's fetch and transmit stages,
-    written as continuations.
+    """A send queue's fetch and transmit stages, written as
+    continuations.  Every send queue runs one — Ethernet or RC, metered
+    or not.
 
-    Such a queue never blocks mid-WQE, so neither stage needs a
-    process:
-
-    * the fetch stage drains doorbells iteratively, pausing only on a
+    * The fetch stage drains doorbells iteratively, pausing only on a
       batched WQE fetch or a full window (resumed by the read's /
-      put's completion callback);
-    * the transmit stage pulls in order, waits for the data DMA via
-      its callback, and costs no pacing event: the per-WQE pipeline
-      occupancy is a *virtual* clock, ``stage_free``.  Steering
-      resolves when the DMA data lands; the wire reservation and the
-      signaled CQE are keyed at the stage's completion instant — the
-      exact time a serial stage sleeping ``processing_delay`` per WQE
-      would have acted.  Pulling the next WQE early must not release a
+      put's completion callback).
+    * The transmit stage pulls in order and waits for the data DMA via
+      its callback.  The per-WQE pipeline occupancy is a *virtual*
+      clock, ``stage_free``: for an unmetered Ethernet WQE bound for
+      the uplink, steering resolves when the DMA data lands and the
+      wire reservation and the signaled CQE are keyed at the stage's
+      completion instant ``done`` — the exact time a serial stage
+      sleeping ``processing_delay`` per WQE would have acted — at the
+      cost of no event.  Pulling the next WQE early must not release a
       backpressured fetch stage ahead of schedule, so the stage *holds*
       its window slot (``Store.hold_slot``) until the instant the
       serial stage would have popped.
+    * A WQE whose effect depends on state at ``done`` is *deferred*: one
+      continuation at ``done`` that ends in ``_pull()``.  Local
+      dispositions (loopback, queue delivery, drops) apply there.  A
+      metered queue asks the shaper there and, told to wait, schedules
+      a second continuation through :meth:`Shaper.pause`; an RC queue
+      hands the message to :meth:`RdmaEngine.send_message`, which
+      emits one segment per scheduler pass and calls back after the
+      last.  While a WQE is deferred the stage pulls nothing, so
+      ``stage_free`` is simply set to the instant it finished.
 
-    Spans and Chrome-trace records are written from those same virtual
-    instants (``enqueued``, ``stage_free``, ``done``), which are final
-    when the WQE resolves — an observed run schedules nothing extra.
+    Spans and Chrome-trace records are written from those same instants
+    (``enqueued``, ``stage_free``, ``done``) — an observed run
+    schedules nothing extra.
 
     The window Store carries the fetch stage's profiler tag so
     hold-expiry wakes attribute to it; the pipeline object itself
-    carries the tx stage's tag for its own deferred continuations.
+    carries the tx stage's tag for its own continuations.
     """
 
     __slots__ = ("nic", "sq", "window", "profile_tag", "stage_free",
@@ -910,9 +785,9 @@ class _SqFlatPipeline:
         self._wqe_batch: Dict[int, TxWqe] = {}
         self._fetch_pend = None
         self._tx_pend = None
-        # Start via a zero-delay step, exactly like the spawned fetch
-        # generator's first dispatch (which in turn spawned the tx
-        # stage before blocking on the doorbell).
+        # Start via a zero-delay step: the pipeline must not observe
+        # doorbells (or unit tests poking handle_write) before the
+        # simulation runs.
         nic.sim.schedule(0.0, self._start)
 
     # -- fetch stage ---------------------------------------------------
@@ -1051,9 +926,9 @@ class _SqFlatPipeline:
 
     def _tx_send(self, index: int, wqe: TxWqe, data: bytes,
                  enqueued: float) -> bool:
-        """Transmit one WQE whose data has landed; False when the
-        local-disposition realignment defers completion to a
-        continuation."""
+        """Transmit one WQE whose data has landed; False when its
+        completion is deferred to a continuation (which ends in
+        :meth:`_pull`)."""
         nic = self.nic
         sq = self.sq
         sim = nic.sim
@@ -1065,6 +940,15 @@ class _SqFlatPipeline:
         service_started = now if now > stage_free else stage_free
         done = service_started + nic.config.processing_delay
         self.stage_free = done
+        if sq.transport == SendQueue.TRANSPORT_RC or sq.meter is not None:
+            # A shaper wait or the RC segment loop may hold this WQE
+            # past ``done`` by an amount only known at ``done``: defer,
+            # and let the rest of the WQE run as continuations.
+            self._tx_pend = (index, wqe, data, enqueued,
+                             enqueued if enqueued > stage_free
+                             else stage_free, service_started)
+            sim.schedule(done - now, self._tx_paced)
+            return False
         ctx = wqe.trace_ctx
         tracer = nic._tracer
         if ctx is not None or tracer.enabled:
@@ -1115,3 +999,66 @@ class _SqFlatPipeline:
                              wqe.byte_count)
             completion.trace_ctx = wqe.trace_ctx
             nic._post_cqe(self.sq.cq, completion)
+
+    # -- RC and metered WQEs: the deferred arm -------------------------
+
+    def _tx_paced(self) -> None:
+        """At ``done``: a metered queue waits out its shaper first."""
+        nic = self.nic
+        meter = self.sq.meter
+        if meter is None:
+            self._tx_emit()
+            return
+        _index, wqe, data = self._tx_pend[:3]
+        delay = nic.shaper.delay_for(meter, len(data) * 8)
+        if delay > 0:
+            if wqe.trace_ctx is not None:
+                now = nic.sim._now
+                nic._spans.record(wqe.trace_ctx, "nic.shaper", now,
+                                  now + delay, kind="queue")
+            nic.shaper.pause(delay, self._tx_conformed)
+        else:
+            self._tx_conformed()
+
+    def _tx_conformed(self) -> None:
+        self.nic.shaper.consume(self.sq.meter, len(self._tx_pend[2]) * 8)
+        self._tx_emit()
+
+    def _tx_emit(self) -> None:
+        nic = self.nic
+        sq = self.sq
+        index, wqe, data = self._tx_pend[:3]
+        if sq.transport != SendQueue.TRANSPORT_RC:
+            self._apply_local((nic._resolve_eth(sq, wqe, data), wqe, index))
+        else:
+            qp = nic._qp_by_sqn.get(sq.qpn)
+            if qp is not None and qp.state == RcQp.READY:
+                # One segment per scheduler pass; the send CQE arrives
+                # later, on the remote ack.
+                nic.rdma.send_message(qp, wqe, data,
+                                      remote_addr=wqe.remote_addr,
+                                      rkey=wqe.rkey, on_done=self._tx_done)
+                return
+            # The QP dropped to ERR (or is being torn down): queued
+            # WQEs are flushed, not sent (verbs flush semantics) —
+            # software recovers via the command channel.
+            sq.stats_flushed += 1
+        self._tx_done()
+
+    def _tx_done(self) -> None:
+        index, wqe, _data, enqueued, popped, service_started = self._tx_pend
+        self._tx_pend = None
+        nic = self.nic
+        # The stage really was busy until now; the next WQE pops here.
+        now = self.stage_free = nic.sim._now
+        ctx = wqe.trace_ctx
+        if ctx is not None:
+            spans = nic._spans
+            spans.record(ctx, "nic.tx", enqueued, popped, kind="queue")
+            spans.record(ctx, "nic.tx", service_started, now)
+        tracer = nic._tracer
+        if tracer.enabled:
+            tracer.complete(f"nic.{nic.name}", f"sq{self.sq.qpn}", "wqe",
+                            popped, now,
+                            {"index": index, "bytes": wqe.byte_count})
+        self._pull()

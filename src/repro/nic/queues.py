@@ -2,8 +2,8 @@
 
 Queue objects hold the state the NIC keeps per queue (ring location,
 producer/consumer indices, stride bookkeeping); the device
-(:mod:`repro.nic.device`) runs the processes that move packets through
-them.  Rings live at *fabric addresses*, so the same queue works whether
+(:mod:`repro.nic.device`) runs the flat workers that move packets
+through them.  Rings live at *fabric addresses*, so the same queue works whether
 its ring is in host memory (software driver) or inside the FLD BAR.
 """
 
@@ -97,7 +97,8 @@ class SendQueue:
         return self.ring_addr + (index % self.entries) * WQE_SIZE
 
     def ring_doorbell(self, new_pi: int) -> None:
-        """Handle a doorbell MMIO: advance PI and wake the SQ process."""
+        """Handle a doorbell MMIO: advance PI and wake the queue's fetch
+        stage (a getter callback on the ``doorbell`` store)."""
         if self.destroyed:
             raise QueueError(f"doorbell on destroyed SQ {self.qpn}")
         if new_pi < self.pi:

@@ -312,51 +312,55 @@ class RdmaEngine:
         return 14 + 20 + 8 + Bth.HEADER_LEN + ICRC_SIZE
 
     def send_message(self, qp: RcQp, wqe: TxWqe, data: bytes,
-                     remote_addr: int = 0, rkey: int = 0):
-        """Generator: segment and transmit one message.
+                     remote_addr: int = 0, rkey: int = 0,
+                     on_done: Optional[Callable[[], None]] = None) -> None:
+        """Segment and transmit one message.
 
         ``wqe.opcode`` selects SEND or RDMA WRITE; a WRITE carries the
-        (remote VA, rkey) in the first segment's RETH.
+        (remote VA, rkey) in the first segment's RETH.  The first
+        segment leaves now and each further one on its own scheduler
+        pass (the engine pipelines one segment per pass); ``on_done()``
+        is called on the pass after the last segment.
         """
         if qp.state != RcQp.READY:
             raise RdmaError(f"QP {qp.qpn} not connected")
-        is_write = wqe is not None and wqe.opcode == OP_RDMA_WRITE
         chunks = [data[i:i + self.mtu] for i in range(0, len(data), self.mtu)]
         if not chunks:
             chunks = [b""]
-        total = len(chunks)
         ctx = wqe.trace_ctx if wqe is not None else None
         rdma_span = self._spans.enter(ctx, "rdma", self.sim.now)
-        prof = self._prof
-        caller_tag = prof.current_tag if prof is not None else None
-        for index, chunk in enumerate(chunks):
-            if prof is not None:
-                # Re-established every pass: each resume of the driving
-                # SQ process restores *its* tag, and the per-segment
-                # pipeline timeout below belongs to the rdma engine.
-                prof.current_tag = self.profile_tag
-            first, last = index == 0, index == total - 1
-            frame = self._build_frame(
-                qp, chunk, first, last, wqe, is_write=is_write,
-                remote_addr=remote_addr, rkey=rkey,
-                total_length=len(data),
-            )
-            segment = _Segment(frame, wqe, last, self.sim.now)
-            if last:
-                segment.span_id = rdma_span
-            qp.outstanding[qp.next_psn] = segment
-            qp.next_psn = (qp.next_psn + 1) & 0xFFFFFF
-            qp.stats_sent_segments += 1
-            self._ctr_segments_sent.inc()
-            self._egress_frame(qp, frame)
-            if len(qp.outstanding) == 1:
-                self._arm_retransmit_timer(qp)
-            yield self.sim.timeout(0)  # pipeline one segment per pass
-        if prof is not None:
-            # Hand the tag back to the caller's stage (valid because the
-            # saved value is the driving process's own tag, which every
-            # resume re-establishes).
-            prof.current_tag = caller_tag
+        self._send_segment((0, len(chunks) - 1, chunks, qp, wqe, len(data),
+                            remote_addr, rkey, rdma_span, on_done))
+
+    def _send_segment(self, state) -> None:
+        (index, final, chunks, qp, wqe, length, remote_addr, rkey, rdma_span,
+         on_done) = state
+        if index > final or qp.qpn not in self.qps:
+            # Sent — or the QP was destroyed mid-message, and nothing
+            # more of it leaves.
+            if index <= final:
+                self._spans.exit(rdma_span, self.sim.now)
+            if on_done is not None:
+                on_done()
+            return
+        last = index == final
+        frame = self._build_frame(
+            qp, chunks[index], index == 0, last, wqe,
+            is_write=wqe is not None and wqe.opcode == OP_RDMA_WRITE,
+            remote_addr=remote_addr, rkey=rkey, total_length=length,
+        )
+        segment = _Segment(frame, wqe, last, self.sim.now)
+        if last:
+            segment.span_id = rdma_span
+        qp.outstanding[qp.next_psn] = segment
+        qp.next_psn = (qp.next_psn + 1) & 0xFFFFFF
+        qp.stats_sent_segments += 1
+        self._ctr_segments_sent.inc()
+        self._egress_frame(qp, frame)
+        if len(qp.outstanding) == 1:
+            self._arm_retransmit_timer(qp)
+        self.sim.call_later(0.0, self._send_segment,
+                            (index + 1,) + state[1:])
 
     def _build_frame(self, qp: RcQp, payload: bytes, first: bool, last: bool,
                      wqe: Optional[TxWqe], is_write: bool = False,
@@ -388,19 +392,22 @@ class RdmaEngine:
         return packet
 
     def _arm_retransmit_timer(self, qp: RcQp) -> None:
-        def check():
-            if not qp.outstanding:
-                return
-            oldest_psn = next(iter(qp.outstanding))
-            oldest = qp.outstanding[oldest_psn]
-            age = self.sim.now - oldest.sent_at
-            if age + 1e-12 >= self.retransmit_timeout:
-                self._retransmit(qp)
-                self.sim.schedule(self.retransmit_timeout, check)
-            else:
-                self.sim.schedule(self.retransmit_timeout - age, check)
+        # A method bound to the engine, so the timer accounts to the
+        # rdma stage whichever stage's dispatch sent the segment.
+        self.sim.call_later(self.retransmit_timeout, self._check_retransmit,
+                            qp)
 
-        self.sim.schedule(self.retransmit_timeout, check)
+    def _check_retransmit(self, qp: RcQp) -> None:
+        if not qp.outstanding:
+            return
+        oldest = next(iter(qp.outstanding.values()))
+        age = self.sim.now - oldest.sent_at
+        if age + 1e-12 >= self.retransmit_timeout:
+            self._retransmit(qp)
+            self._arm_retransmit_timer(qp)
+        else:
+            self.sim.call_later(self.retransmit_timeout - age,
+                                self._check_retransmit, qp)
 
     def _retransmit(self, qp: RcQp) -> None:
         """Go-back-N: resend every outstanding segment."""

@@ -78,6 +78,18 @@ class Shaper:
         self._hist_delay[name].observe(delay)
         return delay
 
+    def pause(self, delay: float, resume) -> None:
+        """Call ``resume()`` after a shaping ``delay``.
+
+        The wait is the shaper's own scheduler entry (a method bound to
+        this object), so the profiler attributes it to the shaper stage
+        rather than to the send queue it paces.
+        """
+        self.sim.call_later(delay, self._resume, resume)
+
+    def _resume(self, resume) -> None:
+        resume()
+
     def consume(self, name: str, bits: float) -> None:
         bucket = self._buckets.get(name)
         if bucket is not None:

@@ -13,7 +13,7 @@ from .engine import (
     Simulator,
     Store,
 )
-from .resources import DuplexLink, Link, TokenBucket, drain_store_via_link
+from .resources import DuplexLink, Link, TokenBucket
 from .stats import (
     Counter,
     Histogram,
@@ -37,6 +37,5 @@ __all__ = [
     "Store",
     "ThroughputMeter",
     "TokenBucket",
-    "drain_store_via_link",
     "percentile",
 ]

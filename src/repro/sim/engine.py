@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..telemetry import NULL_TELEMETRY
@@ -157,12 +156,8 @@ class Process:
         self.name = name or getattr(gen, "__name__", "process")
         self.profile_tag = self.name
         # One bound method reused for every yield; a per-yield lambda would
-        # allocate a closure each time the process blocks.  Under the
-        # profiler the resume wrapper re-establishes this process's tag
-        # before stepping (a store handoff can resume us synchronously
-        # from inside another component's dispatch).
-        self._resume = (self._on_event if sim._prof is None
-                        else self._profiled_on_event)
+        # allocate a closure each time the process blocks.
+        self._resume = self._on_event
 
     @property
     def done(self) -> Event:
@@ -173,10 +168,13 @@ class Process:
         return self._done.fired
 
     def _on_event(self, event: Event) -> None:
-        self._step(event._value)
-
-    def _profiled_on_event(self, event: Event) -> None:
         prof = self.sim._prof
+        if prof is None:
+            self._step(event._value)
+            return
+        # Re-establish this process's tag before stepping: a store
+        # handoff can resume us synchronously from inside another
+        # component's dispatch.
         prev = prof.current_tag
         prof.current_tag = self.profile_tag
         try:
@@ -262,15 +260,18 @@ class Continuation:
 
 
 class Simulator:
-    """The event loop: a priority queue of (time, seq, func, arg) entries.
+    """The event loop: a priority queue of ``(time, seq, func, arg, tag)``
+    entries.
 
-    With a live profiler (``Telemetry(profile=True)`` or an explicit
-    ``profiler=``) the scheduling entry points are rebound to variants
-    that append an owner tag to each heap entry, and :meth:`run`
-    dispatches through the accounting loop.  With the default
-    :data:`~repro.telemetry.profile.NULL_PROFILER` none of those paths
-    are touched — the class-level methods run unmodified, so disabled
-    runs are bit-identical to untraced ones.
+    There is one set of scheduling entry points and one run loop.  The
+    ``tag`` slot is the profiler's owner tag: with a live profiler
+    (``Telemetry(profile=True)`` or an explicit ``profiler=``) each push
+    fills it — the callback's owning component, else the dispatching
+    context — and :meth:`run` hands it to the profiler before each
+    dispatch.  With the default
+    :data:`~repro.telemetry.profile.NULL_PROFILER` the slot is ``None``
+    and each push and each dispatch pays one ``is None`` test; the
+    ``(time, seq)`` schedule is the same either way.
     """
 
     def __init__(self, telemetry=None, profiler=None):
@@ -283,19 +284,7 @@ class Simulator:
         if profiler is None:
             profiler = getattr(self.telemetry, "profiler", NULL_PROFILER)
         self.profiler = profiler
-        if profiler.enabled:
-            self._prof = profiler
-            # Instance-attribute rebinding: profiled pushes carry a
-            # 5th tag element; the unprofiled methods stay untouched
-            # on the class for every other simulator.
-            self.schedule = self._schedule_profiled
-            self.schedule_at = self._schedule_at_profiled
-            self.call_later = self._call_later_profiled
-            self.timeout = self._timeout_profiled
-            self.defer = self._defer_profiled
-            self.defer_at = self._defer_at_profiled
-        else:
-            self._prof = None
+        self._prof = profiler if profiler.enabled else None
         self._ctr_proc_spawned = self.telemetry.counter("sim.processes.spawned")
         self._ctr_proc_finished = self.telemetry.counter(
             "sim.processes.finished")
@@ -308,18 +297,31 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
+    def _owner_tag(self, func) -> str:
+        """The profiler tag an entry belongs to: the callable's owning
+        component when it is a bound method of something tagged
+        (``profile_tag``), else the tag of the currently dispatching
+        context."""
+        owner = getattr(func, "__self__", None)
+        if owner is not None:
+            tag = getattr(owner, "profile_tag", None)
+            if tag is not None:
+                return tag
+        return self._prof.current_tag
+
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Run ``action()`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         seq = self._seq
         self._seq = seq + 1
+        tag = None if self._prof is None else self._owner_tag(action)
         if delay == 0.0:
             ready = self._ready
             if not ready or ready[-1][0] <= self._now:
-                ready.append((self._now, seq, action, _NO_ARG))
+                ready.append((self._now, seq, action, _NO_ARG, tag))
                 return
-        _heappush(self._queue, (self._now + delay, seq, action, _NO_ARG))
+        _heappush(self._queue, (self._now + delay, seq, action, _NO_ARG, tag))
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Run ``action()`` at absolute time ``time`` (>= now).
@@ -335,11 +337,12 @@ class Simulator:
                 f"schedule_at({time}) before now ({self._now})")
         seq = self._seq
         self._seq = seq + 1
+        tag = None if self._prof is None else self._owner_tag(action)
         ready = self._ready
         if not ready or ready[-1][0] <= time:
-            ready.append((time, seq, action, _NO_ARG))
+            ready.append((time, seq, action, _NO_ARG, tag))
         else:
-            _heappush(self._queue, (time, seq, action, _NO_ARG))
+            _heappush(self._queue, (time, seq, action, _NO_ARG, tag))
 
     def call_later(self, delay: float, func: Callable[[Any], None],
                    arg: Any) -> None:
@@ -352,12 +355,13 @@ class Simulator:
             raise SimulationError(f"negative delay {delay}")
         seq = self._seq
         self._seq = seq + 1
+        tag = None if self._prof is None else self._owner_tag(func)
         if delay == 0.0:
             ready = self._ready
             if not ready or ready[-1][0] <= self._now:
-                ready.append((self._now, seq, func, arg))
+                ready.append((self._now, seq, func, arg, tag))
                 return
-        _heappush(self._queue, (self._now + delay, seq, func, arg))
+        _heappush(self._queue, (self._now + delay, seq, func, arg, tag))
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` seconds from now."""
@@ -366,12 +370,17 @@ class Simulator:
         event = Event(self)
         seq = self._seq
         self._seq = seq + 1
+        # ``event.succeed`` is owned by the Event, which carries no tag;
+        # the timeout attributes to whoever asked for it.
+        prof = self._prof
+        tag = None if prof is None else prof.current_tag
         if delay == 0.0:
             ready = self._ready
             if not ready or ready[-1][0] <= self._now:
-                ready.append((self._now, seq, event.succeed, value))
+                ready.append((self._now, seq, event.succeed, value, tag))
                 return event
-        _heappush(self._queue, (self._now + delay, seq, event.succeed, value))
+        _heappush(self._queue,
+                  (self._now + delay, seq, event.succeed, value, tag))
         return event
 
     def defer(self, delay: float, func: Callable[..., None],
@@ -389,12 +398,17 @@ class Simulator:
         cont = Continuation(func, arg)
         seq = self._seq
         self._seq = seq + 1
+        # Attribute to the *wrapped* callable's owner (``cont.fire`` is
+        # bound to the untagged handle), so cancellable and plain
+        # continuations account identically.
+        tag = None if self._prof is None else self._owner_tag(func)
         if delay == 0.0:
             ready = self._ready
             if not ready or ready[-1][0] <= self._now:
-                ready.append((self._now, seq, cont.fire, _NO_ARG))
+                ready.append((self._now, seq, cont.fire, _NO_ARG, tag))
                 return cont
-        _heappush(self._queue, (self._now + delay, seq, cont.fire, _NO_ARG))
+        _heappush(self._queue,
+                  (self._now + delay, seq, cont.fire, _NO_ARG, tag))
         return cont
 
     def defer_at(self, time: float, func: Callable[..., None],
@@ -406,122 +420,12 @@ class Simulator:
         cont = Continuation(func, arg)
         seq = self._seq
         self._seq = seq + 1
+        tag = None if self._prof is None else self._owner_tag(func)
         ready = self._ready
         if not ready or ready[-1][0] <= time:
-            ready.append((time, seq, cont.fire, _NO_ARG))
+            ready.append((time, seq, cont.fire, _NO_ARG, tag))
         else:
-            _heappush(self._queue, (time, seq, cont.fire, _NO_ARG))
-        return cont
-
-    # -- profiled scheduling (bound as instance attrs when profiling) ----
-
-    def _owner_tag(self, func) -> str:
-        """The tag a heap entry belongs to: the callable's owning
-        component when it is a bound method of something tagged
-        (``profile_tag``), else the tag of the currently dispatching
-        context."""
-        owner = getattr(func, "__self__", None)
-        if owner is not None:
-            tag = getattr(owner, "profile_tag", None)
-            if tag is not None:
-                return tag
-        return self._prof.current_tag
-
-    def _schedule_profiled(self, delay: float,
-                           action: Callable[[], None]) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (self._now + delay, seq, action, _NO_ARG,
-                 self._owner_tag(action))
-        if delay == 0.0:
-            ready = self._ready
-            if not ready or ready[-1][0] <= self._now:
-                ready.append(entry)
-                return
-        _heappush(self._queue, entry)
-
-    def _schedule_at_profiled(self, time: float,
-                              action: Callable[[], None]) -> None:
-        if time < self._now:
-            raise SimulationError(
-                f"schedule_at({time}) before now ({self._now})")
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (time, seq, action, _NO_ARG, self._owner_tag(action))
-        ready = self._ready
-        if not ready or ready[-1][0] <= time:
-            ready.append(entry)
-        else:
-            _heappush(self._queue, entry)
-
-    def _call_later_profiled(self, delay: float, func: Callable[[Any], None],
-                             arg: Any) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (self._now + delay, seq, func, arg, self._owner_tag(func))
-        if delay == 0.0:
-            ready = self._ready
-            if not ready or ready[-1][0] <= self._now:
-                ready.append(entry)
-                return
-        _heappush(self._queue, entry)
-
-    def _timeout_profiled(self, delay: float, value: Any = None) -> Event:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        event = Event(self)
-        seq = self._seq
-        self._seq = seq + 1
-        # ``event.succeed`` is owned by the Event, which carries no tag;
-        # the timeout attributes to whoever asked for it.
-        entry = (self._now + delay, seq, event.succeed, value,
-                 self._prof.current_tag)
-        if delay == 0.0:
-            ready = self._ready
-            if not ready or ready[-1][0] <= self._now:
-                ready.append(entry)
-                return event
-        _heappush(self._queue, entry)
-        return event
-
-    def _defer_profiled(self, delay: float, func: Callable[..., None],
-                        arg: Any = _NO_ARG) -> Continuation:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        cont = Continuation(func, arg)
-        seq = self._seq
-        self._seq = seq + 1
-        # Attribute to the *wrapped* callable's owner (``cont.fire`` is
-        # bound to the untagged handle), so cancellable and plain
-        # continuations account identically.
-        entry = (self._now + delay, seq, cont.fire, _NO_ARG,
-                 self._owner_tag(func))
-        if delay == 0.0:
-            ready = self._ready
-            if not ready or ready[-1][0] <= self._now:
-                ready.append(entry)
-                return cont
-        _heappush(self._queue, entry)
-        return cont
-
-    def _defer_at_profiled(self, time: float, func: Callable[..., None],
-                           arg: Any = _NO_ARG) -> Continuation:
-        if time < self._now:
-            raise SimulationError(
-                f"defer_at({time}) before now ({self._now})")
-        cont = Continuation(func, arg)
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (time, seq, cont.fire, _NO_ARG, self._owner_tag(func))
-        ready = self._ready
-        if not ready or ready[-1][0] <= time:
-            ready.append(entry)
-        else:
-            _heappush(self._queue, entry)
+            _heappush(self._queue, (time, seq, cont.fire, _NO_ARG, tag))
         return cont
 
     def event(self) -> Event:
@@ -569,8 +473,7 @@ class Simulator:
         horizon is checked once per timestamp, not once per event.
         Dispatch order is still strictly ``(time, seq)``.
         """
-        if self._prof is not None:
-            return self._run_profiled(until, max_events)
+        prof = self._prof
         processed = 0
         queue = self._queue
         ready = self._ready
@@ -606,6 +509,8 @@ class Simulator:
                         _heappop(queue)
                     func = entry[2]
                     arg = entry[3]
+                    if prof is not None:
+                        prof.account(entry[4], func, len(queue) + len(ready))
                     if arg is _NO_ARG:
                         func()
                     else:
@@ -637,109 +542,8 @@ class Simulator:
             # One bulk add per run() call keeps the loop body clean of
             # telemetry work.
             self._ctr_events.inc(processed)
-
-    def _run_profiled(self, until: Optional[float],
-                      max_events: int) -> float:
-        """:meth:`run` with per-event accounting.
-
-        Identical dispatch order and identical simulation results — the
-        only differences are bookkeeping: the entry's 5th element (its
-        owner tag) is counted, the profiler's ``current_tag`` tracks the
-        dispatching entry so nested pushes inherit it, heap depth is
-        sampled on a fixed event cadence, and (in wallclock mode) each
-        dispatch is timed with ``perf_counter``.
-        """
-        prof = self._prof
-        counts = prof.event_counts
-        wallclock = prof.wallclock
-        wall = prof.wall_times
-        depth_every = prof.depth_every
-        processed = 0
-        base = prof.total_events
-        queue = self._queue
-        ready = self._ready
-        try:
-            while True:
-                if ready:
-                    # (time, seq) orders entries and seq is unique, so a
-                    # direct tuple compare never reaches the callables.
-                    entry = ready[0]
-                    from_ready = True
-                    if queue:
-                        top = queue[0]
-                        if top < entry:
-                            entry = top
-                            from_ready = False
-                elif queue:
-                    entry = queue[0]
-                    from_ready = False
-                else:
-                    break
-                time = entry[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return until
-                self._now = time
-                while True:
-                    if from_ready:
-                        ready.popleft()
-                    else:
-                        _heappop(queue)
-                    func = entry[2]
-                    arg = entry[3]
-                    tag = entry[4]
-                    prof.current_tag = tag
-                    counts[tag] = counts.get(tag, 0) + 1
-                    if wallclock:
-                        t0 = perf_counter()
-                        if arg is _NO_ARG:
-                            func()
-                        else:
-                            func(arg)
-                        elapsed = perf_counter() - t0
-                        callsite = getattr(func, "__qualname__", repr(func))
-                        acc = wall.get((tag, callsite))
-                        if acc is None:
-                            wall[(tag, callsite)] = [elapsed, 1]
-                        else:
-                            acc[0] += elapsed
-                            acc[1] += 1
-                    else:
-                        if arg is _NO_ARG:
-                            func()
-                        else:
-                            func(arg)
-                    processed += 1
-                    if processed % depth_every == 0:
-                        prof.record_depth(base + processed,
-                                          len(queue) + len(ready))
-                        depth_every = prof.depth_every
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"exceeded {max_events} events; likely a livelock"
-                        )
-                    if ready:
-                        entry = ready[0]
-                        from_ready = True
-                        if queue:
-                            top = queue[0]
-                            if top < entry:
-                                entry = top
-                                from_ready = False
-                    elif queue:
-                        entry = queue[0]
-                        from_ready = False
-                    else:
-                        break
-                    if entry[0] != time:
-                        break
-            if until is not None:
-                self._now = max(self._now, until)
-            return self._now
-        finally:
-            self._ctr_events.inc(processed)
-            prof.total_events += processed
-            prof.flush()
+            if prof is not None:
+                prof.end_run()
 
 
 class Store:
@@ -862,38 +666,6 @@ class Store:
         if self._depth_gauge is not None:
             self._depth_gauge.set(len(self._items))
         return item
-
-    def try_get_many(self, limit: Optional[int] = None) -> List[Any]:
-        """Non-blocking bulk get: repeated :meth:`try_get` in one call.
-
-        Drains up to ``limit`` items (all available when ``None``),
-        admitting waiting putters exactly as the item-at-a-time loop
-        would — items a putter delivers mid-drain are picked up too, so
-        the result is identical to calling ``try_get`` until it returns
-        ``None`` (or ``limit`` times).
-        """
-        out: List[Any] = []
-        items = self._items
-        if not items:
-            return out
-        fast = (self._wait_hist is None and self._depth_gauge is None
-                and not self._putters)
-        if fast and (limit is None or limit >= len(items)):
-            # No telemetry, no blocked putters: the drain is a plain
-            # deque-to-list copy.
-            out.extend(items)
-            items.clear()
-            return out
-        while items and (limit is None or len(out) < limit):
-            item = items.popleft()
-            if self._wait_hist is not None:
-                self._wait_hist.observe(
-                    self.sim.now - self._enqueued.popleft())
-            self._admit_waiting_putter()
-            out.append(item)
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(len(items))
-        return out
 
     def _deliver(self, item: Any) -> None:
         self.stats_put += 1

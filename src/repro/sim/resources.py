@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Callable, List, Optional, Tuple
 
-from .engine import Simulator, Store
+from .engine import Simulator
 
 
 class Reservation:
@@ -539,24 +539,3 @@ class TokenBucket:
         """Consume unconditionally (may drive the bucket negative-free)."""
         self._refill()
         self._tokens = max(0.0, self._tokens - bits)
-
-
-def drain_store_via_link(sim: Simulator, store: Store, link: Link,
-                         bits_of: Callable[[Any], float]):
-    """A process shipping every item from ``store`` over ``link``.
-
-    Waits for serialization so the link is never oversubscribed by this
-    drain (models a device's egress scheduler).  Backlogs are drained in
-    bursts: after the blocking ``get()`` wake-up, every already-queued
-    item is claimed with :meth:`Store.try_get_many` rather than paying
-    one wake-up per item; pacing between items is unchanged.
-    """
-    while True:
-        pending = [(yield store.get())]
-        while pending:
-            for item in pending:
-                link.send(item, bits_of(item))
-                delay = link.queue_delay()
-                if delay > 0:
-                    yield sim.timeout(delay)
-            pending = store.try_get_many()

@@ -8,9 +8,11 @@ Design mirrors the rest of the telemetry stack:
 
 * :class:`SimProfiler` is handed to the engine through
   ``Telemetry(profile=True)``; :data:`NULL_PROFILER` is the shared no-op
-  twin.  With the null profiler the engine keeps its unmodified
-  ``schedule``/``run`` paths, so disabled runs are bit-identical to
-  untraced runs (pinned by fingerprint-equality tests).
+  twin.  The engine has one set of scheduling entry points and one run
+  loop: with the null profiler an entry's tag slot stays ``None`` and
+  :meth:`SimProfiler.account` is never called, so profiled, disabled
+  and untraced runs share one ``(time, seq)`` schedule (pinned by
+  ``tests/identity``).
 * **Event accounting** is deterministic: every heap entry is tagged at
   push time with its owning component (``func.__self__.profile_tag`` when
   the callable is a bound method of a tagged component, else the tag of
@@ -36,6 +38,7 @@ Design mirrors the rest of the telemetry stack:
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Collapsed-stack separator (flamegraph.pl / speedscope compatible).
@@ -89,6 +92,9 @@ class SimProfiler:
         self._stage_cache: Dict[str, str] = {}
         self._flushed: Dict[str, int] = {}
         self._flushed_total = 0
+        # Wallclock mode: the dispatch being timed and when it began.
+        self._wall_key: Optional[Tuple[str, str]] = None
+        self._wall_started = 0.0
 
     # -- stage classification -------------------------------------------
 
@@ -132,7 +138,47 @@ class SimProfiler:
             return "app"
         return "other"
 
-    # -- recording (called from the engine's profiled run loop) ---------
+    # -- recording (called from the engine's run loop) -------------------
+
+    def account(self, tag: str, func, depth: int) -> None:
+        """The engine is about to dispatch ``func`` for ``tag`` with
+        ``depth`` entries still pending.
+
+        Counts the event, makes ``tag`` the current one so nested pushes
+        inherit it, samples the heap depth on a fixed event cadence and
+        (wallclock mode) times the dispatch: its interval runs until the
+        next :meth:`account` or :meth:`end_run`.
+        """
+        self.current_tag = tag
+        counts = self.event_counts
+        counts[tag] = counts.get(tag, 0) + 1
+        self.total_events = index = self.total_events + 1
+        if index % self.depth_every == 0:
+            self.record_depth(index, depth)
+        if self.wallclock:
+            self._wall_mark(
+                (tag, getattr(func, "__qualname__", repr(func))))
+
+    def _wall_mark(self, key: Optional[Tuple[str, str]]) -> None:
+        now = perf_counter()
+        open_key = self._wall_key
+        if open_key is not None:
+            elapsed = now - self._wall_started
+            acc = self.wall_times.get(open_key)
+            if acc is None:
+                self.wall_times[open_key] = [elapsed, 1]
+            else:
+                acc[0] += elapsed
+                acc[1] += 1
+        self._wall_key = key
+        self._wall_started = now
+
+    def end_run(self) -> None:
+        """:meth:`Simulator.run` returned: close the open wall interval
+        and sync the registry."""
+        if self._wall_key is not None:
+            self._wall_mark(None)
+        self.flush()
 
     def record_depth(self, index: int, depth: int) -> None:
         """Append one heap-depth sample, compacting deterministically."""
@@ -313,6 +359,12 @@ class NullSimProfiler:
 
     def classify(self, tag: str) -> str:
         return "other"
+
+    def account(self, tag: str, func, depth: int) -> None:
+        pass
+
+    def end_run(self) -> None:
+        pass
 
     def record_depth(self, index: int, depth: int) -> None:
         pass

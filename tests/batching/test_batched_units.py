@@ -2,9 +2,8 @@
 
 Where ``test_differential.py`` proves whole experiments match across
 modes, these tests pin each batched routine against its scalar twin
-directly: ring-read WQE generation, translation-pool batch lookups,
-burst receive delivery, bulk store drains and the load generator's
-template frame encoder.
+directly: ring-read WQE generation, translation-pool batch lookups
+and the load generator's template frame encoder.
 """
 
 import random
@@ -16,15 +15,13 @@ from repro import batching
 from repro.core import (
     AxisMetadata,
     BufferPool,
-    CompressedCqe,
-    RxRingManager,
     TranslationError,
     TxRingManager,
 )
 from repro.net.flows import Flow
 from repro.net.ip import PROTO_TCP, PROTO_UDP
-from repro.nic import CQE_RECV_COMPLETION, WQE_SIZE
-from repro.sim import Simulator, Store
+from repro.nic import WQE_SIZE
+from repro.sim import Simulator
 
 
 @pytest.fixture
@@ -78,66 +75,6 @@ class TestBatchedRingRead:
         assert many == singles  # same objects from the shared pool
         with pytest.raises(TranslationError):
             tx.descriptors.lookup_many(0, [0, 1, 99])
-
-
-class TestBurstReceiveDelivery:
-    def _manager_with_packets(self, count):
-        sim = Simulator()
-        emitted = []
-        rx = RxRingManager(sim, capacity_bytes=64 * 1024,
-                           emit=lambda data, meta: emitted.append(
-                               (data, meta.queue_id, meta.context_id)))
-        rx.add_binding(3, ring_entries=8, strides_per_buffer=4,
-                       stride_size=512, rq_doorbell_addr=0x40)
-        cqes = []
-        for i in range(count):
-            payload = bytes([i]) * (60 + i)
-            rx.handle_buffer_write((i // 4) * 2048 + (i % 4) * 512,
-                                   payload)
-            cqes.append(CompressedCqe(
-                CQE_RECV_COMPLETION, qpn=7, wqe_counter=i // 4,
-                byte_count=len(payload), flow_tag=i, stride_index=i % 4))
-        return rx, cqes, emitted
-
-    def test_burst_matches_serial_delivery(self):
-        rx_a, cqes_a, out_a = self._manager_with_packets(10)
-        rx_b, cqes_b, out_b = self._manager_with_packets(10)
-        for cqe in cqes_a:
-            rx_a.on_recv_completion(3, cqe)
-        rx_b.on_recv_completions(3, cqes_b)
-        assert out_a == out_b
-        binding_a, binding_b = rx_a.binding(3), rx_b.binding(3)
-        for field in ("stats_packets", "stats_bytes", "stats_recycled",
-                      "pi", "recycled"):
-            assert getattr(binding_a, field) == getattr(binding_b, field)
-        assert rx_a.stats_cqes == rx_b.stats_cqes
-
-
-class TestStoreTryGetMany:
-    def test_bulk_drain_matches_repeated_try_get(self):
-        sim = Simulator()
-        a = Store(sim, capacity=32, name="a")
-        b = Store(sim, capacity=32, name="b")
-        for i in range(10):
-            a.try_put(i)
-            b.try_put(i)
-        drained = a.try_get_many()
-        singles = []
-        while True:
-            item = b.try_get()
-            if item is None:
-                break
-            singles.append(item)
-        assert drained == singles == list(range(10))
-
-    def test_limit_stops_the_drain(self):
-        sim = Simulator()
-        store = Store(sim, capacity=32, name="s")
-        for i in range(8):
-            store.try_put(i)
-        assert store.try_get_many(limit=3) == [0, 1, 2]
-        assert store.try_get_many() == [3, 4, 5, 6, 7]
-        assert store.try_get_many() == []
 
 
 class TestLoadGenTemplates:

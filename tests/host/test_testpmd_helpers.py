@@ -1,11 +1,8 @@
-"""Unit tests for testpmd helpers and remaining sim utilities."""
-
-import pytest
+"""Unit tests for testpmd helpers."""
 
 from repro.host import swap_directions
 from repro.net import Ethernet, Flow, Ipv4, PROTO_TCP, Tcp, Udp, \
     make_flows, round_robin_packets
-from repro.sim import Link, Simulator, Store, drain_store_via_link
 
 
 class TestSwapDirections:
@@ -52,22 +49,3 @@ class TestFlowHelpers:
         flow = make_flows(1, seed=2)[0]
         for size in (64, 128, 1500):
             assert flow.make_sized_packet(size).size() == size
-
-
-class TestDrainStoreViaLink:
-    def test_items_ship_in_order_at_link_rate(self):
-        sim = Simulator()
-        store = Store(sim)
-        link = Link(sim, rate_bps=8000.0)  # 1000 bytes/s
-        received = []
-        link.connect(lambda item: received.append((sim.now, item)))
-        sim.spawn(drain_store_via_link(sim, store, link,
-                                       bits_of=lambda item: 8000))
-        for i in range(3):
-            store.try_put(i)
-        sim.run(until=10.0)
-        assert [item for _t, item in received] == [0, 1, 2]
-        times = [t for t, _item in received]
-        # Each item serializes for a full second.
-        assert times[1] - times[0] == pytest.approx(1.0)
-        assert times[2] - times[1] == pytest.approx(1.0)

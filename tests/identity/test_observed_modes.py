@@ -1,9 +1,10 @@
 """Observation must not change the simulation.
 
 Every run — unobserved, metrics only, causal spans, the Chrome tracer,
-both — executes the same workers, the same fabric transit and the same
-``(time, seq)`` schedule; the only thing observability adds is the
-records themselves.  So the result rows must be equal with ``==``, not
+both, the profiler with and without wall-clock timing — executes the
+same workers, the same fabric transit, the same scheduler entry points
+and the same ``(time, seq)`` schedule; the only thing observability
+adds is the records themselves.  So the result rows must be equal with ``==``, not
 approximately, and the invariant audit must stay clean, for every
 observation mode on every datapath shape.
 
@@ -36,6 +37,9 @@ MODES = {
     "spans": lambda: Telemetry(trace=False, spans=True),
     "tracer": lambda: Telemetry(trace=True),
     "tracer+spans": lambda: Telemetry(trace=True, spans=True),
+    "profile": lambda: Telemetry(trace=False, profile=True),
+    "profile+wallclock": lambda: Telemetry(trace=False, profile=True,
+                                           profile_wallclock=True),
 }
 
 
@@ -74,11 +78,25 @@ def _forward_imc(sim):
 
 
 def _zuc_rdma(sim):
-    # The RC transport and its generator send queue (not a flat worker).
+    # The RC transport: each WQE leaves the flat send pipeline through
+    # the engine's one-segment-per-pass loop, acks retire it.
     setup = zuc_service(sim)
     dev = FldRZucCryptodev(sim, setup.connection)
     row = _measure_throughput(sim, dev, bytes(range(16)), 512, 80, 64,
                               deadline=5.0)
+    return row, setup.testbed, True
+
+
+def _flde_metered(sim):
+    # The echo units transmit through a shaper-paced FLD queue offered
+    # 1.5x its rate: most WQEs pause mid-pipeline on the shaper.
+    setup = flde_echo_remote(sim)
+    setup.server.nic.shaper.add_limiter("slow", 2e9, burst_bits=8 * 1500)
+    setup.accel.tx_queue = setup.runtime.create_eth_tx_queue(
+        vport=2, meter="slow")
+    row = _run_loadgen_throughput(sim, setup.loadgen, 512, 150,
+                                  pace_bps=3e9)
+    assert row["received"] == row["sent"]
     return row, setup.testbed, True
 
 
@@ -87,7 +105,11 @@ EXPERIMENTS = {
     "cpu-remote-64B": _cpu,
     "forward-imc-4-units": _forward_imc,
     "fldr-zuc": _zuc_rdma,
+    "flde-metered": _flde_metered,
 }
+
+#: The profiler stage each shape's distinguishing events must land in.
+OWN_STAGE = {"fldr-zuc": "nic.rdma", "flde-metered": "nic.shaper"}
 
 
 def _observe(experiment: str, mode: str):
@@ -127,6 +149,13 @@ def test_result_row_equals_the_unobserved_run(experiment, mode, unobserved):
         assert {"Tlp", "Packet", "wqe", "rx_packet"} <= names
     if mode.endswith("spans") and experiment != "fldr-zuc":
         assert len(telemetry.spans.finished_traces()) == row["received"]
+    if mode.startswith("profile"):
+        # Attribution is total: every engine event has exactly one stage.
+        stages = telemetry.profiler.stage_counts()
+        assert (sum(stages.values()) == telemetry.profiler.total_events
+                == telemetry.metrics.counter("sim.events.processed").value)
+        if experiment in OWN_STAGE:
+            assert stages[OWN_STAGE[experiment]] > 0
 
 
 # Per-stage service figures of run_latency("echo", count=60) — 64 B

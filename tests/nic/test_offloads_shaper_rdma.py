@@ -148,11 +148,35 @@ class TestRdmaEngine:
         loop = _Loopback(sim)
         wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 2500)
 
-        sim.spawn(loop.a.send_message(loop.qp_a, wqe, bytes(2500)))
+        loop.a.send_message(loop.qp_a, wqe, bytes(2500))
         sim.run(until=0.01)
         # 3 segments at MTU 1024 delivered to b in order.
         assert [len(p) for p in loop.delivered["b"]] == [1024, 1024, 452]
         # Send completion fired after the ack.
+        assert loop.completed == [0]
+
+    def test_one_segment_per_scheduler_pass_then_on_done(self):
+        sim = Simulator()
+        loop = _Loopback(sim)
+        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 2500)
+        sent = []     # segments out, sampled between the engine's passes
+        done = []     # how many samples had been taken when on_done ran
+
+        def probe():
+            sent.append(loop.qp_a.stats_sent_segments)
+            if len(sent) < 4:
+                sim.schedule(0.0, probe)
+
+        loop.a.send_message(loop.qp_a, wqe, bytes(2500),
+                            on_done=lambda: done.append(len(sent)))
+        # The first segment leaves inside the call; every further one
+        # on its own zero-delay pass, which the probe interleaves with.
+        assert loop.qp_a.stats_sent_segments == 1 and not done
+        sim.schedule(0.0, probe)
+        sim.run(until=0.01)
+        assert sent == [2, 3, 3, 3]
+        # Once, on the pass after the last segment's.
+        assert done == [2]
         assert loop.completed == [0]
 
     def test_retransmission_recovers_loss(self):
@@ -160,7 +184,7 @@ class TestRdmaEngine:
         loop = _Loopback(sim, drop_first_n=1)
         wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 2048)
 
-        sim.spawn(loop.a.send_message(loop.qp_a, wqe, bytes(2048)))
+        loop.a.send_message(loop.qp_a, wqe, bytes(2048))
         sim.run(until=0.01)
         assert sum(len(p) for p in loop.delivered["b"]) == 2048
         assert loop.qp_a.stats_retransmits > 0
@@ -170,7 +194,7 @@ class TestRdmaEngine:
         sim = Simulator()
         loop = _Loopback(sim)
         wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 100)
-        sim.spawn(loop.a.send_message(loop.qp_a, wqe, b"x" * 100))
+        loop.a.send_message(loop.qp_a, wqe, b"x" * 100)
         # Duplicate the segment mid-flight (as a spurious retransmission
         # after a delayed ack would).
         def dup(sim):
@@ -193,7 +217,7 @@ class TestRdmaEngine:
         engine.register_qp(qp)
         wqe = TxWqe(OP_RDMA_SEND, 3, 0, 0, 10)
         with pytest.raises(RdmaError):
-            list(engine.send_message(qp, wqe, b"x"))
+            engine.send_message(qp, wqe, b"x")
 
     def test_duplicate_qpn_rejected(self):
         sim = Simulator()
