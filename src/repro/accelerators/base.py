@@ -34,6 +34,7 @@ class Accelerator:
         self.name = name
         self.tx_queue = tx_queue
         self.stats_processed = 0
+        self.stats_bytes = 0
         self.stats_emitted = 0
         self.stats_dropped = 0
         self.stats_errors = 0
@@ -41,9 +42,11 @@ class Accelerator:
         # Per-function throughput accounting: the component name flows
         # into the metric labels, so an N-tenant testbed reads one
         # counter pair per accelerator function.
-        self._ctr_packets = sim.telemetry.counter(
-            f"accel.{name}.packets")
-        self._ctr_bytes = sim.telemetry.counter(f"accel.{name}.bytes")
+        if sim.telemetry.enabled:
+            sim.telemetry.register_counters(f"accel.{name}", lambda: {
+                "packets": self.stats_processed,
+                "bytes": self.stats_bytes,
+            })
         # ``source`` overrides the input stream: a per-function Store a
         # demultiplexer fills when several functions share one FLD
         # (see repro.topology.build).  Default: FLD's raw rx stream.
@@ -114,8 +117,7 @@ class Accelerator:
                 self.stats_errors += 1
                 continue
             self.stats_processed += 1
-            self._ctr_packets.inc()
-            self._ctr_bytes.inc(len(data))
+            self.stats_bytes += len(data)
             self._trace_service(meta, started, outputs)
             for out_data, out_meta in outputs:
                 if out_meta.queue_id is None:
@@ -155,8 +157,7 @@ class DroppingAccelerator(Accelerator):
                 self.stats_errors += 1
                 continue
             self.stats_processed += 1
-            self._ctr_packets.inc()
-            self._ctr_bytes.inc(len(data))
+            self.stats_bytes += len(data)
             self._trace_service(meta, started, outputs)
             for out_data, out_meta in outputs:
                 if out_meta.queue_id is None:

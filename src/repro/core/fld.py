@@ -103,9 +103,9 @@ class FlexDriver(PcieEndpoint):
         self.stats_cqe_writes = 0
         self.stats_tx_packets = 0
         self.stats_tx_bytes = 0
-        # Counters are no-op singletons when telemetry is disabled;
-        # probes are sampled only at export time (§5.2's translation
-        # tables and pools cost nothing to watch).
+        self.stats_rx_stream_pushes = 0
+        # Counts and probes are sampled only at export time (§5.2's
+        # translation tables and pools cost nothing to watch).
         tele = sim.telemetry
         self._tracer = tele.tracer
         self._spans = tele.spans
@@ -119,11 +119,13 @@ class FlexDriver(PcieEndpoint):
         self.profile_tag = self._ptag_rx
         prof.declare(self._ptag_tx, "fld.tx")
         prof.declare(self._ptag_rx, "fld.rx")
-        self._ctr_tx_packets = tele.counter(f"fld.{name}.tx.packets")
-        self._ctr_tx_bytes = tele.counter(f"fld.{name}.tx.bytes")
-        self._ctr_cqe_writes = tele.counter(f"fld.{name}.cqe_writes")
-        self._ctr_rx_stream = tele.counter(f"fld.{name}.rx.stream_pushes")
         if tele.enabled:
+            tele.register_counters(f"fld.{name}", lambda: {
+                "tx.packets": self.stats_tx_packets,
+                "tx.bytes": self.stats_tx_bytes,
+                "cqe_writes": self.stats_cqe_writes,
+                "rx.stream_pushes": self.stats_rx_stream_pushes,
+            })
             tele.register_probe(f"fld.{name}.xlt.descriptors",
                                 self.tx.descriptors.cuckoo_stats)
             tele.register_probe(f"fld.{name}.xlt.data",
@@ -275,8 +277,6 @@ class FlexDriver(PcieEndpoint):
             return  # an egress program dropped it; credit already refunded
         self.stats_tx_packets += 1
         self.stats_tx_bytes += len(data)
-        self._ctr_tx_packets.inc()
-        self._ctr_tx_bytes.inc(len(data))
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(f"fld.{self.name}", f"txq{meta.queue_id}",
@@ -341,7 +341,6 @@ class FlexDriver(PcieEndpoint):
                                 self._rx_cqe_arrive, handle)
             return
         self.stats_cqe_writes += 1
-        self._ctr_cqe_writes.inc()
         recycles: list = []
         self.rx.deliver(
             route[1], self.rx.binding(route[1]), CompressedCqe.compress(cqe),
@@ -384,7 +383,7 @@ class FlexDriver(PcieEndpoint):
         handle.commit()
 
     def _emit_rx_fused(self, handle, data: bytes, meta: AxisMetadata) -> None:
-        self._ctr_rx_stream.inc()
+        self.stats_rx_stream_pushes += 1
         sim = self.sim
         done = handle.delivery + self.config.pipeline_latency
         sim.call_later(done - sim._now, self._rx_push_fused,
@@ -410,7 +409,6 @@ class FlexDriver(PcieEndpoint):
         if len(data) < CQE_SIZE:
             raise PcieError(f"{self.name}: short CQE write ({len(data)} B)")
         self.stats_cqe_writes += 1
-        self._ctr_cqe_writes.inc()
         # Claim the trace context riding the CQE's write TLP — the 64 B
         # on the wire carry no room for it (object identity dies at the
         # byte boundary).
@@ -450,7 +448,7 @@ class FlexDriver(PcieEndpoint):
                                trace_stage="pcie.doorbell")
 
     def _emit_rx(self, data: bytes, meta: AxisMetadata) -> None:
-        self._ctr_rx_stream.inc()
+        self.stats_rx_stream_pushes += 1
         if meta.trace_ctx is not None:
             started = self.sim._now
 

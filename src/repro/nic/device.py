@@ -151,25 +151,31 @@ class Nic(PcieEndpoint):
         # FLD-E resume tables: id -> steering table name (§5.3).
         self._resume_tables: Dict[int, str] = {}
         self._next_resume_id = 1
+        # Device-wide counts: they outlive the queues that fed them.
+        self.stats_tx_wqes = 0
+        self.stats_tx_bytes = 0
+        self.stats_rx_packets = 0
+        self.stats_rx_bytes = 0
+        self.stats_cqes = 0
         self.stats_rx_dropped_inbox = 0
         self.stats_rx_dropped_no_desc = 0
         self.stats_meter_drops = 0
-        # No-op singletons when telemetry is disabled; the tracer is
-        # guarded by its ``enabled`` flag at every use site.
+        # The tracer and span recorder are guarded by their ``enabled``
+        # flags at every use site.
         tele = sim.telemetry
         self._tracer = tele.tracer
         self._spans = tele.spans
-        self._ctr_tx_wqes = tele.counter(f"nic.{name}.tx.wqes")
-        self._ctr_tx_bytes = tele.counter(f"nic.{name}.tx.bytes")
-        self._ctr_rx_packets = tele.counter(f"nic.{name}.rx.packets")
-        self._ctr_rx_bytes = tele.counter(f"nic.{name}.rx.bytes")
-        self._ctr_cqes = tele.counter(f"nic.{name}.cqes")
-        self._ctr_drop_inbox = tele.counter(
-            f"nic.{name}.rx.dropped_inbox")
-        self._ctr_drop_no_desc = tele.counter(
-            f"nic.{name}.rx.dropped_no_desc")
-        self._ctr_drop_meter = tele.counter(f"nic.{name}.meter_drops")
         if tele.enabled:
+            tele.register_counters(f"nic.{name}", lambda: {
+                "tx.wqes": self.stats_tx_wqes,
+                "tx.bytes": self.stats_tx_bytes,
+                "rx.packets": self.stats_rx_packets,
+                "rx.bytes": self.stats_rx_bytes,
+                "cqes": self.stats_cqes,
+                "rx.dropped_inbox": self.stats_rx_dropped_inbox,
+                "rx.dropped_no_desc": self.stats_rx_dropped_no_desc,
+                "meter_drops": self.stats_meter_drops,
+            })
             tele.register_probe(f"nic.{name}.rdma", self._rdma_probe)
         fabric.attach(self, link_config)
         # Inbound RDMA WRITEs DMA straight to the target fabric address.
@@ -428,7 +434,6 @@ class Nic(PcieEndpoint):
         for meter in disposition.meters:
             if not self.shaper.police(meter, packet.size() * 8):
                 self.stats_meter_drops += 1
-                self._ctr_drop_meter.inc()
                 return
         if disposition.kind == Disposition.RSS:
             rq = disposition.target.select(packet)
@@ -446,7 +451,6 @@ class Nic(PcieEndpoint):
         inbox = self._rx_inbox.get(rq.rqn)
         if inbox is None or not inbox.try_put(item):
             self.stats_rx_dropped_inbox += 1
-            self._ctr_drop_inbox.inc()
 
     def _resume_id_for(self, table_name: str) -> int:
         for resume_id, name in self._resume_tables.items():
@@ -472,7 +476,6 @@ class Nic(PcieEndpoint):
         inbox = self._rx_inbox.get(qp.rq.rqn)
         if inbox is None or not inbox.try_put(item):
             self.stats_rx_dropped_inbox += 1
-            self._ctr_drop_inbox.inc()
 
     def _rdma_qp_error(self, qp: RcQp, syndrome: int) -> None:
         """A QP dropped to ERR: post the error CQE software recovers from."""
@@ -492,7 +495,7 @@ class Nic(PcieEndpoint):
     # ------------------------------------------------------------------
 
     def _post_cqe(self, cq: CompletionQueue, cqe: Cqe) -> None:
-        self._ctr_cqes.inc()
+        self.stats_cqes += 1
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
@@ -520,7 +523,7 @@ class Nic(PcieEndpoint):
         posting at ``when`` would ride on.  Send completions never
         target a fused-rx CQ.
         """
-        self._ctr_cqes.inc()
+        self.stats_cqes += 1
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
@@ -638,7 +641,6 @@ class _RqFlatWorker:
             placement = rq.place(len(item.data))
             if placement is None:
                 nic.stats_rx_dropped_no_desc += 1
-                nic._ctr_drop_no_desc.inc()
                 self._next()
                 return
             key = (rq.rqn, placement["desc_index"] % rq.entries)
@@ -655,7 +657,6 @@ class _RqFlatWorker:
         if rq.available == 0:
             rq.stats_drops_no_desc += 1
             nic.stats_rx_dropped_no_desc += 1
-            nic._ctr_drop_no_desc.inc()
             self._next()
             return
         index = rq.ci
@@ -701,15 +702,14 @@ class _RqFlatWorker:
         nic = self.nic
         if len(item.data) > desc.byte_count:
             nic.stats_rx_dropped_no_desc += 1
-            nic._ctr_drop_no_desc.inc()
             self._next()
             return
         self._complete(item, desc.buffer_addr, index, 0)
 
     def _complete(self, item, address, wqe_counter, stride_index) -> None:
         nic = self.nic
-        nic._ctr_rx_packets.inc()
-        nic._ctr_rx_bytes.inc(len(item.data))
+        nic.stats_rx_packets += 1
+        nic.stats_rx_bytes += len(item.data)
         cqe = Cqe(
             CQE_RECV_COMPLETION, item.qpn, wqe_counter, len(item.data),
             flags=item.flags, rss_hash=item.rss_hash,
@@ -933,8 +933,8 @@ class _SqFlatPipeline:
         sq = self.sq
         sim = nic.sim
         sq.stats_wqes += 1
-        nic._ctr_tx_wqes.inc()
-        nic._ctr_tx_bytes.inc(len(data))
+        nic.stats_tx_wqes += 1
+        nic.stats_tx_bytes += len(data)
         now = sim._now
         stage_free = self.stage_free
         service_started = now if now > stage_free else stage_free

@@ -25,12 +25,16 @@ class Shaper:
         self._buckets: Dict[str, TokenBucket] = {}
         self.stats_dropped: Dict[str, int] = {}
         self.stats_passed: Dict[str, int] = {}
-        # Per-meter telemetry counters (no-op singletons when disabled).
-        self._ctr_dropped: Dict[str, object] = {}
-        self._ctr_passed: Dict[str, object] = {}
         # Per-meter shaping-delay histograms: the distribution of how long
         # conforming traffic had to wait for tokens (0 = admitted at once).
+        # Empty unless telemetry is enabled.
         self._hist_delay: Dict[str, object] = {}
+        if sim.telemetry.enabled:
+            sim.telemetry.register_counters("shaper", lambda: {
+                f"{name}.{verdict}": count
+                for verdict, counts in (("passed", self.stats_passed),
+                                        ("dropped", self.stats_dropped))
+                for name, count in counts.items()})
 
     def add_limiter(self, name: str, rate_bps: float,
                     burst_bits: Optional[float] = None) -> None:
@@ -46,9 +50,8 @@ class Shaper:
         self.stats_dropped.setdefault(name, 0)
         self.stats_passed.setdefault(name, 0)
         tele = self.sim.telemetry
-        self._ctr_dropped[name] = tele.counter(f"shaper.{name}.dropped")
-        self._ctr_passed[name] = tele.counter(f"shaper.{name}.passed")
-        self._hist_delay[name] = tele.histogram(f"shaper.{name}.delay")
+        if tele.enabled:
+            self._hist_delay[name] = tele.histogram(f"shaper.{name}.delay")
 
     def remove_limiter(self, name: str) -> None:
         self._buckets.pop(name, None)
@@ -63,10 +66,8 @@ class Shaper:
             return True  # unknown meter: pass-through
         if bucket.try_consume(bits):
             self.stats_passed[name] += 1
-            self._ctr_passed[name].inc()
             return True
         self.stats_dropped[name] += 1
-        self._ctr_dropped[name].inc()
         return False
 
     def delay_for(self, name: str, bits: float) -> float:
@@ -75,7 +76,9 @@ class Shaper:
         if bucket is None:
             return 0.0
         delay = bucket.delay_for(bits)
-        self._hist_delay[name].observe(delay)
+        hists = self._hist_delay
+        if hists:
+            hists[name].observe(delay)
         return delay
 
     def pause(self, delay: float, resume) -> None:
@@ -95,4 +98,3 @@ class Shaper:
         if bucket is not None:
             bucket.consume(bits)
             self.stats_passed[name] += 1
-            self._ctr_passed[name].inc()

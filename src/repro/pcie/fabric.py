@@ -31,28 +31,6 @@ from .tlp import (
 )
 
 
-class _LaneCounters:
-    """Per-lane TLP accounting: count, header bytes, payload bytes.
-
-    The header/payload split is what makes Fig. 7a's claim — that small
-    packets drown in PCIe protocol overhead — directly observable from a
-    simulation run instead of only from the analytic model.
-    """
-
-    __slots__ = ("tlps", "header_bytes", "payload_bytes")
-
-    def __init__(self, telemetry, prefix: str):
-        self.tlps = telemetry.counter(f"{prefix}.tlps")
-        self.header_bytes = telemetry.counter(f"{prefix}.header_bytes")
-        self.payload_bytes = telemetry.counter(f"{prefix}.payload_bytes")
-
-    def count(self, tlp: Tlp) -> None:
-        self.tlps.inc()
-        payload = tlp.payload_wire_bytes()
-        self.header_bytes.inc(tlp.wire_bytes() - payload)
-        self.payload_bytes.inc(payload)
-
-
 class _WriteCountdown:
     """Completion countdown for a multi-TLP posted write."""
 
@@ -132,7 +110,11 @@ class DeferredWrite:
 
 
 class _Port:
-    """A device's two lanes into the switch."""
+    """A device's two lanes into the switch, and the TLP payload bytes
+    that crossed each: the header share (lane bytes minus payload) is
+    what makes Fig. 7a's claim — small packets drown in PCIe protocol
+    overhead — observable from a run, not only from the analytic model.
+    """
 
     def __init__(self, sim: Simulator, endpoint: PcieEndpoint,
                  config: PcieLinkConfig):
@@ -146,12 +128,23 @@ class _Port:
         for lane in (self.up, self.down):
             lane.trace_process = "pcie"
             lane.trace_name = "Tlp"
+        self.up_payload_bytes = 0
+        self.down_payload_bytes = 0
         telemetry = sim.telemetry
         if telemetry.enabled:
-            self.tele_up = _LaneCounters(
-                telemetry, f"pcie.{endpoint.name}.up")
-            self.tele_down = _LaneCounters(
-                telemetry, f"pcie.{endpoint.name}.down")
+            telemetry.register_counters(
+                f"pcie.{endpoint.name}",
+                lambda: {
+                    "up.tlps": self.up.stats_messages,
+                    "up.payload_bytes": self.up_payload_bytes,
+                    "up.header_bytes": (self.up.stats_bits // 8
+                                        - self.up_payload_bytes),
+                    "down.tlps": self.down.stats_messages,
+                    "down.payload_bytes": self.down_payload_bytes,
+                    "down.header_bytes": (self.down.stats_bits // 8
+                                          - self.down_payload_bytes),
+                },
+            )
             telemetry.register_probe(
                 f"pcie.{endpoint.name}",
                 lambda: {
@@ -161,9 +154,6 @@ class _Port:
                     "down.messages": self.down.stats_messages,
                 },
             )
-        else:
-            self.tele_up = None
-            self.tele_down = None
 
 
 class PcieFabric:
@@ -405,8 +395,6 @@ class PcieFabric:
                   requester=requester.name)
         stats = self.stats_tlps
         stats["MWr"] = stats.get("MWr", 0) + 1
-        if port.tele_up is not None:
-            port.tele_up.count(tlp)
         target, record = self._reserve_path(port, tlp)
         span = None
         if trace_ctx is not None:
@@ -442,8 +430,6 @@ class PcieFabric:
                 done)
         stats = self.stats_tlps
         stats["MWr"] = stats.get("MWr", 0) + 1
-        if port.tele_up is not None:
-            port.tele_up.count(tlp)
         target, record = self._reserve_path(port, tlp, arrival)
         sim = self.sim
         sim.call_later(record.delivery - sim._now, self._arrive,
@@ -456,8 +442,6 @@ class PcieFabric:
         kind = tlp.kind.value
         stats = self.stats_tlps
         stats[kind] = stats.get(kind, 0) + 1
-        if port.tele_up is not None:
-            port.tele_up.count(tlp)
         target, record = self._reserve_path(port, tlp)
         sim = self.sim
         sim.call_later(record.delivery - sim._now, self._arrive,
@@ -473,17 +457,16 @@ class PcieFabric:
         bar = self.decode(tlp.address)
         target = self.port_of(bar.endpoint)
         tlp.bar = bar
-        if target.tele_down is not None:
-            target.tele_down.count(tlp)
+        if tlp.kind is TlpType.MEM_WRITE:
+            port.up_payload_bytes += tlp.length
+            target.down_payload_bytes += tlp.length
         bits = tlp.wire_bytes() * 8
         seq = self._issue_seq
         self._issue_seq = seq + 1
         up = port.up
         if arrival is None:
             now = self.sim._now
-            if (up._ctr_bits is None
-                    and (not up._lane_keys
-                         or up._lane_keys[-1] <= (now, seq))):
+            if not up._lane_keys or up._lane_keys[-1] <= (now, seq):
                 # Stable up lane (see Link.reserve): the occupancy
                 # recurrence runs inline with no Reservation handle —
                 # retiring one would be a no-op prune anyway, so the
@@ -501,6 +484,8 @@ class PcieFabric:
                 up._busy_until = finish
                 up.stats_bits += bits
                 up.stats_messages += 1
+                if up._tracer is not None:
+                    up.trace_slice(start, finish, bits)
                 return target, target.down.reserve(
                     bits, finish + up.latency, seq)
             arrival = now
@@ -531,8 +516,6 @@ class PcieFabric:
         target = None
         for tlp in tlps:
             stats[tlp.kind.value] = stats.get(tlp.kind.value, 0) + 1
-            if port.tele_up is not None:
-                port.tele_up.count(tlp)
             target, record = self._reserve_path(port, tlp)
             records.append(record)
         sim = self.sim
@@ -627,22 +610,28 @@ class PcieFabric:
         sim = self.sim
         now = sim._now
         stats = self.stats_tlps
-        tele_up = completer_port.tele_up
-        tele_down = requester_port.tele_down
         down = requester_port.down
         up = completer_port.up
+        completer_port.up_payload_bytes += tlp.length
+        requester_port.down_payload_bytes += tlp.length
         seq = self._issue_seq
-        if (tele_up is None and tele_down is None
-                and up._ctr_bits is None
-                and (not up._lane_keys or up._lane_keys[-1] <= (now, seq))):
-            # Fused fast path.  The completion TLPs are never routed or
-            # delivered as objects — only their lane occupancy and data
-            # slices matter — so skip allocating them.  The up lane is
-            # keyed at (now, seq..): provably stable (see Link.reserve),
-            # so its whole occupancy recurrence runs inline with no
-            # Reservation handles; per-chunk reservations survive only
-            # on the shared down lane, where later-issued traffic can
-            # still interleave with the train and force a replay.
+        n = len(chunks)
+        self._issue_seq = seq + n
+        stats["CplD"] = stats.get("CplD", 0) + n
+        # The completion TLPs are never routed or delivered as objects —
+        # only their lane occupancy and data slices matter — so none
+        # are allocated.
+        header_bits = (COMPLETION_HEADER + DLLP_FRAMING) * 8
+        append_part = parts.append
+        cursor = 0
+        if not up._lane_keys or up._lane_keys[-1] <= (now, seq):
+            # Fused fast path.  The up lane is keyed at (now, seq..):
+            # provably stable (see Link.reserve), so its whole occupancy
+            # recurrence runs inline with no Reservation handles (and,
+            # the times being final, its Chrome-trace slices are written
+            # here); per-chunk reservations survive only on the shared
+            # down lane, where later-issued traffic can still interleave
+            # with the train and force a replay.
             up_keys = up._lane_keys
             if up_keys:
                 up._busy_until = up._lane_fin[-1]
@@ -652,60 +641,44 @@ class PcieFabric:
             rate_up = up.rate_bps
             lat_up = up.latency
             prev = up._busy_until
-            header_bits = (COMPLETION_HEADER + DLLP_FRAMING) * 8
-            n = len(chunks)
-            stats["CplD"] = stats.get("CplD", 0) + n
-            append_part = parts.append
+            tracer = up._tracer
             bits_list = []
             arrivals = []
             total_bits = 0
-            cursor = 0
             for index, chunk in enumerate(chunks):
                 bits = header_bits + chunk * 8
                 bits_list.append(bits)
                 total_bits += bits
                 start = now if now > prev else prev
                 prev = start if rate_up is None else start + bits / rate_up
+                if tracer is not None:
+                    up.trace_slice(start, prev, bits)
                 arrivals.append(prev + lat_up)
                 append_part((index, data[cursor:cursor + chunk]))
                 cursor += chunk
-            self._issue_seq = seq + n
             up._busy_until = prev
             up.stats_bits += total_bits
             up.stats_messages += n
             # The whole completion burst is ONE down-lane entry; a
             # later-issued message keying inside the train splits it
             # back into per-chunk records (see Link.reserve_train).
-            train = down.reserve_train(bits_list, arrivals, seq)
-            entry = (tlp.tag, down, (train,))
-            sim.call_later(train.delivery - now,
-                           self._read_completed, entry)
-            return
-        records = []
-        cursor = 0
-        for index, chunk in enumerate(chunks):
-            completion = Tlp(
-                TlpType.COMPLETION_DATA, tlp.address + cursor, chunk,
-                data[cursor:cursor + chunk], tag=tlp.tag,
-                requester=tlp.requester, completer=tlp.requester,
-            )
-            cursor += chunk
-            stats["CplD"] = stats.get("CplD", 0) + 1
-            if tele_up is not None:
-                tele_up.count(completion)
-            if tele_down is not None:
-                tele_down.count(completion)
-            bits = completion.wire_bytes() * 8
-            seq = self._issue_seq
-            self._issue_seq = seq + 1
-            up_record = up.reserve(bits, now, seq)
-            down_record = down.reserve(bits, up_record.delivery, seq)
-            down_record.upstream = (up, up_record)
-            records.append(down_record)
-            parts.append((index, completion.data))
-        entry = (tlp.tag, down, records)
+            records = (down.reserve_train(bits_list, arrivals, seq),)
+        else:
+            # The up lane holds a reservation keyed after now (a write
+            # resolved ahead of its issue time): the train must insert
+            # before it, chunk by chunk, on both lanes.
+            records = []
+            for index, chunk in enumerate(chunks):
+                bits = header_bits + chunk * 8
+                up_record = up.reserve(bits, now, seq + index)
+                down_record = down.reserve(bits, up_record.delivery,
+                                           seq + index)
+                down_record.upstream = (up, up_record)
+                records.append(down_record)
+                append_part((index, data[cursor:cursor + chunk]))
+                cursor += chunk
         sim.call_later(records[-1].delivery - now, self._read_completed,
-                       entry)
+                       (tlp.tag, down, records))
 
     def _read_completed(self, entry) -> None:
         """Aggregate arrival of a completion train (last chunk lands)."""

@@ -51,11 +51,11 @@ class Tlp:
     """
 
     __slots__ = ("kind", "address", "length", "data", "tag", "requester",
-                 "completer", "trace_ctx", "bar", "on_delivered", "_wire")
+                 "trace_ctx", "bar", "on_delivered", "_wire")
 
     def __init__(self, kind: TlpType, address: int = 0, length: int = 0,
                  data: Optional[bytes] = None, tag: Optional[int] = None,
-                 requester: str = "", completer: str = ""):
+                 requester: str = ""):
         if data is not None:
             length = len(data)
         self.kind = kind
@@ -64,7 +64,6 @@ class Tlp:
         self.data = data
         self.tag = tag if tag is not None else next(_sequence)
         self.requester = requester
-        self.completer = completer
         self.trace_ctx = None    # span trace context riding this TLP
         self.bar = None          # decoded target BAR (set by the switch)
         self.on_delivered = None  # fabric write-completion callback

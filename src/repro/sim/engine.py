@@ -193,7 +193,7 @@ class Process:
                 target = send(value)
             except StopIteration as stop:
                 sim = self.sim
-                sim._ctr_proc_finished.inc()
+                sim.stats_finished += 1
                 tracer = sim.telemetry.tracer
                 if tracer.enabled:
                     tracer.instant("sim", "processes", f"finish:{self.name}",
@@ -285,10 +285,15 @@ class Simulator:
             profiler = getattr(self.telemetry, "profiler", NULL_PROFILER)
         self.profiler = profiler
         self._prof = profiler if profiler.enabled else None
-        self._ctr_proc_spawned = self.telemetry.counter("sim.processes.spawned")
-        self._ctr_proc_finished = self.telemetry.counter(
-            "sim.processes.finished")
-        self._ctr_events = self.telemetry.counter("sim.events.processed")
+        self.stats_events = 0
+        self.stats_spawned = 0
+        self.stats_finished = 0
+        if self.telemetry.enabled:
+            self.telemetry.register_counters("sim", lambda: {
+                "events.processed": self.stats_events,
+                "processes.spawned": self.stats_spawned,
+                "processes.finished": self.stats_finished,
+            })
 
     @property
     def now(self) -> float:
@@ -435,7 +440,7 @@ class Simulator:
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a generator as a process on the next event-loop pass."""
         process = Process(self, gen, name)
-        self._ctr_proc_spawned.inc()
+        self.stats_spawned += 1
         tracer = self.telemetry.tracer
         if tracer.enabled:
             tracer.instant("sim", "processes", f"spawn:{process.name}",
@@ -539,9 +544,7 @@ class Simulator:
                 self._now = max(self._now, until)
             return self._now
         finally:
-            # One bulk add per run() call keeps the loop body clean of
-            # telemetry work.
-            self._ctr_events.inc(processed)
+            self.stats_events += processed
             if prof is not None:
                 prof.end_run()
 

@@ -156,10 +156,10 @@ class Link:
         self.trace_name = "message"
         telemetry = sim.telemetry
         if telemetry.enabled and name:
-            self._ctr_bits = telemetry.counter(f"link.{name}.bits")
-            self._ctr_messages = telemetry.counter(f"link.{name}.messages")
-        else:
-            self._ctr_bits = None
+            telemetry.register_counters(f"link.{name}", lambda: {
+                "bits": self.stats_bits,
+                "messages": self.stats_messages,
+            })
         # Occupancy spans are emitted when a reservation retires: only
         # then are its start/finish final (a later-issued,
         # earlier-arriving message may still repair a pending one).
@@ -197,9 +197,6 @@ class Link:
         """
         self.stats_bits += bits
         self.stats_messages += 1
-        if self._ctr_bits is not None:
-            self._ctr_bits.inc(bits)
-            self._ctr_messages.inc()
         keys = self._lane_keys
         rate = self.rate_bps
         latency = self.latency
@@ -259,14 +256,6 @@ class Link:
         chunk-wise :meth:`reserve` sequence).
         """
         n = len(bits_list)
-        total_bits = 0
-        for bits in bits_list:
-            total_bits += bits
-        self.stats_bits += total_bits
-        self.stats_messages += n
-        if self._ctr_bits is not None:
-            self._ctr_bits.inc(total_bits)
-            self._ctr_messages.inc(n)
         keys = self._lane_keys
         first_key = (arrivals[0], seq0)
         last_key = (arrivals[n - 1], seq0 + n - 1)
@@ -274,14 +263,7 @@ class Link:
         latency = self.latency
         if keys and keys[-1] > first_key:
             # Pending occupancy interleaves with the train: fall back to
-            # chunk-wise inserts (stats were counted above, so bypass
-            # reserve()'s accounting by replaying its lane logic through
-            # individual calls with the counters compensated).
-            self.stats_bits -= total_bits
-            self.stats_messages -= n
-            if self._ctr_bits is not None:
-                self._ctr_bits.inc(-total_bits)
-                self._ctr_messages.inc(-n)
+            # chunk-wise inserts, each counted by reserve().
             parts = [self.reserve(bits_list[j], arrivals[j], seq0 + j)
                      for j in range(n)]
             train = TrainReservation(first_key, last_key, seq0, bits_list,
@@ -291,11 +273,16 @@ class Link:
             return train
         prev = self._lane_fin[-1] if keys else self._busy_until
         finishes = []
+        total_bits = 0
         for j in range(n):
             arrival = arrivals[j]
+            bits = bits_list[j]
+            total_bits += bits
             start = arrival if arrival > prev else prev
-            prev = start if rate is None else start + bits_list[j] / rate
+            prev = start if rate is None else start + bits / rate
             finishes.append(prev)
+        self.stats_bits += total_bits
+        self.stats_messages += n
         train = TrainReservation(first_key, last_key, seq0, bits_list,
                                  arrivals, finishes, prev + latency)
         keys.append(last_key)
@@ -414,10 +401,15 @@ class Link:
                       for bits, finish in zip(record.bits_list,
                                               record.finishes)]
         for start, finish, bits in chunks:
-            if finish > start:
-                self._tracer.complete(self.trace_process, self.name,
-                                      self.trace_name, start, finish,
-                                      {"bits": bits})
+            self.trace_slice(start, finish, bits)
+
+    def trace_slice(self, start: float, finish: float, bits: float) -> None:
+        """One Chrome-trace occupancy span; only call when ``_tracer`` is
+        set and the times are final."""
+        if finish > start:
+            self._tracer.complete(self.trace_process, self.name,
+                                  self.trace_name, start, finish,
+                                  {"bits": bits})
 
     def send(self, message: Any, bits: float) -> float:
         """Enqueue ``message`` of ``bits``; returns its delivery time.

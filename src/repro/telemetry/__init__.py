@@ -68,9 +68,6 @@ from .spans import (
     attribute_trace,
 )
 from .sink import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     NULL_REGISTRY,
     NULL_TELEMETRY,
     NullRegistry,
@@ -86,9 +83,6 @@ __all__ = [
     "Histogram",
     "MetricsError",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "NULL_PROFILER",
     "NULL_REGISTRY",
     "NULL_SPANS",

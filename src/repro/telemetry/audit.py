@@ -128,8 +128,8 @@ def audit_nic(nic, retransmit_ratio: float = 0.1,
                 f"{len(inbox)} items still queued at quiesce"))
     rdma = getattr(nic, "rdma", None)
     if rdma is not None:
-        sent = getattr(rdma, "segments_sent", 0)
-        retx = getattr(rdma, "retransmits", 0)
+        sent = rdma.stats_segments_sent
+        retx = rdma.stats_retransmits
         if retx > retransmit_floor and sent and \
                 retx / sent > retransmit_ratio:
             violations.append(Violation(

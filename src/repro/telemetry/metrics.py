@@ -13,12 +13,17 @@ for those numbers:
   across experiment shards without copying samples;
 * ``snapshot()``/``Snapshot.diff`` bracket a workload phase and report
   exactly what moved — the idiom the telemetry tests are written in;
-* *probes* let components with their own internal stats (cuckoo tables,
-  buffer pools, queue rings) publish them lazily: the callable is only
-  sampled at export time, so steady-state simulation pays nothing.
+* component counts are *pulled*: the owner keeps plain-int ``stats_*``
+  attributes and registers one source (``register_counters``) sampled
+  at export time, under ``counters`` so shards still sum; a pushed
+  :class:`Counter` is for what telemetry itself produces (span sampler,
+  profiler flush, ``merge_from``);
+* *probes* publish point-in-time levels (cuckoo occupancy, free pool
+  slots) the same lazy way, outside the summable ``counters``;
+* gauges and histograms are pushed, by components that checked
+  ``telemetry.enabled`` once at construction.
 
-The matching null implementations live in :mod:`repro.telemetry.sink`;
-this module has no dependencies on the simulator so every layer of the
+This module has no dependencies on the simulator so every layer of the
 stack can import it freely.
 """
 
@@ -231,12 +236,17 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: Dict[str, Any] = {}
         self._probes: Dict[str, Callable[[], Dict[str, float]]] = {}
+        self._sources: List[Tuple[str, Callable[[], Dict[str, float]]]] = []
+        self._pulled_names: set = set()
 
     # -- creation ---------------------------------------------------------
 
     def _get(self, name: str, cls):
         metric = self._metrics.get(name)
         if metric is None:
+            if cls is not Counter and name in self._pulled_names:
+                raise MetricsError(f"metric {name!r} already registered "
+                                   f"as a pulled Counter, not {cls.__name__}")
             metric = cls(name)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
@@ -262,7 +272,9 @@ class MetricsRegistry:
         a :class:`Histogram` while the run owns it, then attach it.
         """
         existing = self._metrics.get(name)
-        if existing is not None and existing is not metric:
+        if (existing is not None and existing is not metric) or (
+                name in self._pulled_names
+                and not isinstance(metric, Counter)):
             raise MetricsError(f"metric {name!r} already registered")
         metric.name = name
         self._metrics[name] = metric
@@ -278,7 +290,36 @@ class MetricsRegistry:
         """
         self._probes[name] = probe
 
+    def register_counters(self, prefix: str,
+                          source: Callable[[], Dict[str, float]]) -> None:
+        """Register a callable returning the owner's plain-int counts.
+
+        Keys are exported as counters named ``prefix.<key>``; sources
+        (and a pushed :class:`Counter`, e.g. one ``merge_from`` made)
+        publishing the same name add up, so a rebuilt component reads
+        as one monotone count.  The source is called once here, so a
+        name a gauge or histogram holds collides now, not at export.
+        """
+        self._pull(prefix, source, {})
+        self._sources.append((prefix, source))
+
+    def _pull(self, prefix: str, source, pulled: Dict[str, float]) -> None:
+        for key, value in source().items():
+            name = f"{prefix}.{key}"
+            held = self._metrics.get(name)
+            if held is not None and not isinstance(held, Counter):
+                raise MetricsError(f"pulled counter {name!r} already "
+                                   f"registered as {type(held).__name__}")
+            self._pulled_names.add(name)
+            pulled[name] = pulled.get(name, 0) + value
+
     # -- export -----------------------------------------------------------
+
+    def pulled_counters(self) -> Dict[str, float]:
+        pulled: Dict[str, float] = {}
+        for prefix, source in self._sources:
+            self._pull(prefix, source, pulled)
+        return pulled
 
     def sample_probes(self) -> Dict[str, float]:
         sampled: Dict[str, float] = {}
@@ -288,10 +329,10 @@ class MetricsRegistry:
         return sampled
 
     def _flat_values(self, include_probes: bool = True) -> Dict[str, float]:
-        values: Dict[str, float] = {}
+        values: Dict[str, float] = self.pulled_counters()
         for name, metric in self._metrics.items():
             if isinstance(metric, Counter):
-                values[name] = metric.value
+                values[name] = values.get(name, 0) + metric.value
             elif isinstance(metric, Gauge):
                 values[name] = metric.value
                 values[f"{name}.peak"] = metric.peak
@@ -307,18 +348,18 @@ class MetricsRegistry:
 
     def to_dict(self) -> Dict[str, Any]:
         """Full structured export: metrics by kind, probes sampled now."""
-        counters: Dict[str, float] = {}
+        counters: Dict[str, float] = self.pulled_counters()
         gauges: Dict[str, Dict[str, float]] = {}
         histograms: Dict[str, Dict[str, Any]] = {}
         for name, metric in sorted(self._metrics.items()):
             if isinstance(metric, Counter):
-                counters[name] = metric.value
+                counters[name] = counters.get(name, 0) + metric.value
             elif isinstance(metric, Gauge):
                 gauges[name] = {"value": metric.value, "peak": metric.peak}
             elif isinstance(metric, Histogram):
                 histograms[name] = metric.to_dict()
         return {
-            "counters": counters,
+            "counters": dict(sorted(counters.items())),
             "gauges": gauges,
             "histograms": histograms,
             "probes": dict(sorted(self.sample_probes().items())),
@@ -352,10 +393,10 @@ class MetricsRegistry:
         return self
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        return sorted({*self._metrics, *self.pulled_counters()})
 
     def __contains__(self, name: str) -> bool:
-        return name in self._metrics
+        return name in self._metrics or name in self.pulled_counters()
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self.names())

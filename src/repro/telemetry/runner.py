@@ -428,8 +428,7 @@ def run_profile(experiment: str, count: Optional[int] = None,
         "result": result,
         "delivered": delivered,
         "profile": profiler.report(delivered=delivered),
-        "engine_events": telemetry.metrics.counter(
-            "sim.events.processed").value,
+        "engine_events": telemetry.snapshot()["sim.events.processed"],
         "violations": [v.to_dict() for v in violations],
     }
     if json_output is not None:

@@ -5,12 +5,13 @@ with one :class:`~repro.telemetry.trace.Tracer`; it is handed to
 :class:`repro.sim.Simulator` and reached by every component through
 ``sim.telemetry``.
 
-The default is :data:`NULL_TELEMETRY`: counters/gauges/histograms are
-shared no-op singletons and the tracer's ``enabled`` flag is False, so a
-simulation that never asked for telemetry pays only an attribute load
-and a no-op call on its hot paths.  Components that need to avoid even
-that check ``telemetry.enabled`` once at construction time and skip
-creating their instruments altogether.
+The default is :data:`NULL_TELEMETRY`, which hands out no instruments:
+components count in plain-int ``stats_*`` attributes, watched or not,
+and check ``telemetry.enabled`` once at construction — to register the
+source that publishes those ints (``register_counters``) and to create
+the gauges and histograms they otherwise hold as ``None``.  Nothing is
+called on a null instrument; the null tracer, span recorder and
+profiler are guarded by ``enabled`` at each use site.
 """
 
 from __future__ import annotations
@@ -23,74 +24,10 @@ from .spans import NULL_SPANS, NullSpanRecorder, SpanRecorder
 from .trace import NULL_TRACER, NullTracer, Tracer
 
 
-class _NullCounter:
-    """Shared inert counter; ``value`` stays 0 forever."""
-
-    __slots__ = ()
-    name = ""
-    value = 0
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = ""
-    value = 0
-    peak = 0
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = ""
-    count = 0
-    total = 0.0
-    min = None
-    max = None
-    underflow = 0
-    buckets: Dict[int, int] = {}
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def merge(self, other) -> "_NullHistogram":
-        return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
 class NullRegistry:
-    """A registry that forgets everything it is told."""
+    """The read side of a registry nothing was ever registered with."""
 
     enabled = False
-
-    def counter(self, name: str) -> _NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return NULL_GAUGE
-
-    def histogram(self, name: str) -> _NullHistogram:
-        return NULL_HISTOGRAM
-
-    def attach(self, name: str, metric) -> None:
-        pass
-
-    def register_probe(self, name: str, probe) -> None:
-        pass
 
     def sample_probes(self) -> Dict[str, float]:
         return {}
@@ -168,16 +105,19 @@ class Telemetry:
                        probe: Callable[[], Dict[str, float]]) -> None:
         self.metrics.register_probe(name, probe)
 
+    def register_counters(self, prefix: str,
+                          source: Callable[[], Dict[str, float]]) -> None:
+        self.metrics.register_counters(prefix, source)
+
     def snapshot(self, include_probes: bool = True) -> Snapshot:
         return self.metrics.snapshot(include_probes)
 
 
 class NullTelemetry:
-    """The disabled bundle — the NullSink fast path.
+    """The disabled bundle: ``enabled`` is False and so is every part's.
 
-    Every instrument it hands out is a shared no-op singleton, so
-    components can be written unconditionally against the telemetry API
-    and cost (almost) nothing when nobody is watching.
+    It has no ``counter``/``gauge``/``histogram``: a component that
+    wants an instrument checks ``enabled`` at construction.
     """
 
     enabled = False
@@ -185,21 +125,6 @@ class NullTelemetry:
     tracer: NullTracer = NULL_TRACER
     spans: NullSpanRecorder = NULL_SPANS
     profiler: NullSimProfiler = NULL_PROFILER
-
-    def counter(self, name: str) -> _NullCounter:
-        return NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return NULL_GAUGE
-
-    def histogram(self, name: str) -> _NullHistogram:
-        return NULL_HISTOGRAM
-
-    def attach(self, name: str, metric) -> None:
-        pass
-
-    def register_probe(self, name: str, probe) -> None:
-        pass
 
     def snapshot(self, include_probes: bool = True) -> Snapshot:
         return Snapshot({})

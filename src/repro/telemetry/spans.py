@@ -30,8 +30,8 @@ Design notes
   rest return ``None``.  Every instrumentation site guards on
   ``ctx is not None``, so an unsampled packet costs one attribute read
   per stage.  With spans disabled entirely, :data:`NULL_SPANS` keeps
-  ``start_trace`` returning ``None`` and the fast path identical to the
-  PR 1 NullSink baseline.
+  ``start_trace`` returning ``None`` and the datapath is the unobserved
+  one.
 
 * When a trace's root ends, the recorder attributes the root interval
   across its spans (see :func:`attribute_trace`) and feeds per-stage

@@ -13,7 +13,10 @@ keeps every stage row, with the per-stage figures the generator
 datapath (deleted by this round's item 1) reported for the same run.
 """
 
+import os
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -153,9 +156,51 @@ def test_result_row_equals_the_unobserved_run(experiment, mode, unobserved):
         # Attribution is total: every engine event has exactly one stage.
         stages = telemetry.profiler.stage_counts()
         assert (sum(stages.values()) == telemetry.profiler.total_events
-                == telemetry.metrics.counter("sim.events.processed").value)
+                == telemetry.snapshot()["sim.events.processed"])
         if experiment in OWN_STAGE:
             assert stages[OWN_STAGE[experiment]] > 0
+
+
+def _fabric_calls(experiment: str, mode: str) -> Counter:
+    """Python-level calls into ``repro.pcie.*`` and
+    ``repro.sim.resources`` while ``experiment`` builds and runs."""
+    suffixes = (os.path.join("repro", "sim", "resources.py"),)
+    pcie = os.path.join("repro", "pcie") + os.sep
+    calls = Counter()
+
+    def tally(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            filename = code.co_filename
+            if pcie in filename or filename.endswith(suffixes):
+                calls[os.path.basename(filename), code.co_qualname] += 1
+
+    random.seed(1)
+    sim = Simulator(telemetry=MODES[mode]())
+    sys.setprofile(tally)
+    try:
+        EXPERIMENTS[experiment](sim)
+    finally:
+        sys.setprofile(None)
+    # Not datapath calls: the profiler's own owner lookup, and the
+    # count sources the registry samples once as they register.
+    del calls["resources.py", "Link.profile_tag"]
+    for key in [key for key in calls
+                if key[1].endswith("__init__.<locals>.<lambda>")]:
+        del calls[key]
+    return calls
+
+
+@pytest.mark.parametrize("experiment", ["forward-imc-4-units", "fldr-zuc"])
+def test_the_fabric_executes_the_same_calls_under_observation(experiment):
+    """Metrics and the profiler read what the fabric already keeps: a
+    TLP takes the same route through the same functions, the same
+    number of times, whether or not anyone is watching."""
+    reference = _fabric_calls(experiment, "none")
+    assert reference["fabric.py", "PcieFabric._read_arrived"] > 0
+    assert reference["resources.py", "Link.reserve_train"] > 0
+    for mode in ("metrics", "profile"):
+        assert _fabric_calls(experiment, mode) == reference, mode
 
 
 # Per-stage service figures of run_latency("echo", count=60) — 64 B

@@ -14,6 +14,7 @@ from repro.net.roce import Bth
 from repro.nic import RcQp, RdmaEngine
 from repro.sim import Simulator
 from repro.sw import FldKernelDriver
+from repro.telemetry import Telemetry
 
 
 class _LossyIngress:
@@ -32,8 +33,8 @@ class _LossyIngress:
         self._deliver(packet)
 
 
-def build():
-    sim = Simulator()
+def build(telemetry=None):
+    sim = Simulator(telemetry=telemetry)
     setup = fldr_echo(sim)  # remote: client and server across a wire
     # The server NIC hosts exactly one QP: the FLD's end of the RC
     # connection the control plane accepted.
@@ -119,3 +120,31 @@ class TestQpRecovery:
         assert replies[0][1] == b"x" * 512
         # The healed wire acks everything; no further recoveries fire.
         assert kdriver.stats_recoveries == recoveries_while_faulted
+
+
+def test_engine_aggregates_outlive_the_qp():
+    """The engine-wide RDMA counts and the NIC's WQE count belong to
+    the device, not to the QP: destroying the QP must not take its
+    share back out of them (nor out of the export)."""
+    telemetry = Telemetry(trace=False)
+    sim, setup, server_qp, _kdriver = build(telemetry)
+    nic = setup.server.nic
+    setup.connection.post(b"x" * 2048)      # two segments each way
+    sim.run(until=0.05)
+    names = [f"server.nic.rdma.{key}" for key in (
+        "segments_sent", "segments_received", "retransmits",
+        "duplicate_segments")] + ["nic.server.nic.tx.wqes"]
+    before = telemetry.snapshot()
+    assert before["server.nic.rdma.segments_sent"] == 2
+    assert before["server.nic.rdma.segments_received"] == 2
+    assert before["nic.server.nic.tx.wqes"] == 1
+    assert nic.rdma.stats_segments_sent == server_qp.stats_sent_segments == 2
+
+    nic.destroy_rc_qp(server_qp)
+    sim.run(until=0.06)
+    assert server_qp.qpn not in nic.rdma.qps
+    after = telemetry.snapshot()
+    assert [after[name] for name in names] == [before[name]
+                                               for name in names]
+    assert nic.rdma.stats_segments_sent == 2    # what the auditor reads
+    assert nic.stats_tx_wqes == 1

@@ -179,9 +179,8 @@ class TestRdmaInboxOverflow:
         sim.run(until=1e-4)
         nic = server.nic
         assert nic.stats_rx_dropped_inbox >= 1
-        assert (telemetry.metrics.counter(
-            f"nic.{nic.name}.rx.dropped_inbox").value
-            == nic.stats_rx_dropped_inbox)
+        assert (telemetry.snapshot()[f"nic.{nic.name}.rx.dropped_inbox"]
+                == nic.stats_rx_dropped_inbox)
 
 
 def spawn_sites(path: Path):

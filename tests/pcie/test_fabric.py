@@ -158,6 +158,86 @@ class TestTransactions:
             fabric.read(host, 0x0, 0)
 
 
+class TestReadBehindAFutureKeyedWrite:
+    """A completer whose up lane already holds a reservation keyed
+    after ``now`` (a ``post_write_at`` resolved early) cannot run the
+    completion train's recurrence inline: the train is reserved chunk
+    by chunk, ahead of the pending write.  The reference is the same
+    traffic with the write issued by a process at its arrival instant,
+    which leaves the lane stable when the read lands."""
+
+    LENGTH = 1024        # four RCB-sized completions
+    # The read request lands at ~1.01 us and its train holds the
+    # completer's up lane until ~1.15 us; the write keys after both.
+    WRITE_AT = 1.5e-6
+
+    def _run(self, early: bool):
+        sim, fabric, host, device = build_fabric(latency=1e-6)
+        host.write_local(0, bytes(range(256)) * 4)
+        seen = {}
+
+        def write_landed(_event):
+            seen["write"] = sim.now
+
+        def reader(sim):
+            seen["data"] = yield fabric.read(device, 0x0, self.LENGTH)
+            seen["read"] = sim.now
+
+        def late_writer(sim):
+            yield sim.timeout(self.WRITE_AT)
+            fabric.post_write(host, 0x1000_0000, bytes(64)) \
+                .add_callback(write_landed)
+
+        sim.spawn(reader(sim))
+        if early:
+            fabric.post_write_at(host, 0x1000_0000, bytes(64),
+                                 self.WRITE_AT).add_callback(write_landed)
+        else:
+            sim.spawn(late_writer(sim))
+        sim.run()
+        lanes = {}
+        for endpoint in (host, device):
+            port = fabric.port_of(endpoint)
+            for lane, link, payload in (
+                    ("up", port.up, port.up_payload_bytes),
+                    ("down", port.down, port.down_payload_bytes)):
+                lanes[endpoint.name, lane] = (
+                    link.stats_messages, payload,
+                    link.stats_bits // 8 - payload)
+        return seen, dict(fabric.stats_tlps), lanes
+
+    def test_equals_the_stable_lane_run(self):
+        seen, tlps, lanes = self._run(early=True)
+        assert seen["data"] == bytes(range(256)) * 4
+        assert self.WRITE_AT < seen["read"] < seen["write"]
+        assert tlps == {"MRd": 1, "MWr": 1, "CplD": 4}
+        # (TLPs, payload bytes, header bytes): 4 CplD at 12 + 8 B of
+        # header and framing plus one MWr at 16 + 8 B.
+        assert lanes["host", "up"] == (5, self.LENGTH + 64, 4 * 20 + 24)
+        assert lanes["device", "down"] == lanes["host", "up"]
+        assert lanes["device", "up"] == lanes["host", "down"] == (1, 0, 24)
+        assert (seen, tlps, lanes) == self._run(early=False)
+
+
+def test_every_tlp_leaves_a_lane_slice_on_both_hops():
+    """The Chrome tracer sees each TLP occupy its up lane and its down
+    lane, also where the fabric runs the up-lane recurrence inline."""
+    from collections import Counter
+    telemetry = Telemetry(trace=True)
+    sim, fabric, host, device = build_fabric(latency=1e-6,
+                                             telemetry=telemetry)
+    fabric.read(device, 0x0, 1024)                      # 1 MRd, 4 CplD
+    fabric.post_write(host, 0x1000_0000, bytes(600))    # 3 MWr
+    sim.run()
+    trace = telemetry.tracer.chrome_trace()["traceEvents"]
+    lanes = {event["tid"]: event["args"]["name"] for event in trace
+             if event["ph"] == "M" and event["name"] == "thread_name"}
+    slices = Counter(lanes[event["tid"]] for event in trace
+                     if event["name"] == "Tlp")
+    assert slices == {"device.up": 1, "host.down": 1,
+                      "host.up": 7, "device.down": 7}
+
+
 class TestTracedCallbacks:
     """``on_done`` and ``trace_ctx`` together: the callback must fire
     (it was silently dropped once a span was opened) and the span must

@@ -84,7 +84,7 @@ class TestFldAudit:
 
 
 def _fake_nic(residue=0, sent=1000, retx=0):
-    rdma = SimpleNamespace(segments_sent=sent, retransmits=retx)
+    rdma = SimpleNamespace(stats_segments_sent=sent, stats_retransmits=retx)
     return SimpleNamespace(name="nic", rdma=rdma,
                            _rx_inbox={0: [object()] * residue})
 

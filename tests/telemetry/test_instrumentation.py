@@ -3,11 +3,13 @@ the analytic model, engine/queue instrumentation, and the trace CLI."""
 
 import json
 
+import pytest
+
 from repro.pcie import MemoryRegion, PcieFabric, PcieLinkConfig
 from repro.pcie.tlp import read_wire_bytes, write_wire_bytes
 from repro.reporting import main
 from repro.sim import Simulator, Store
-from repro.telemetry import Telemetry
+from repro.telemetry import Histogram, MetricsError, Telemetry
 
 
 def build_fabric(telemetry):
@@ -34,15 +36,15 @@ class TestPcieAccounting:
 
         sim.spawn(proc(sim))
         sim.run()
-        metrics = telemetry.metrics
-        up_hdr = metrics.counter("pcie.host.up.header_bytes").value
-        up_pay = metrics.counter("pcie.host.up.payload_bytes").value
+        snap = telemetry.snapshot()
+        up_hdr = snap["pcie.host.up.header_bytes"]
+        up_pay = snap["pcie.host.up.payload_bytes"]
         expected_total = write_wire_bytes(length, config.max_payload_size)
         assert up_pay == length
         assert up_hdr == expected_total - length
         # The switch forwards the same TLPs down the target's lane.
-        assert metrics.counter("pcie.device.down.header_bytes").value == up_hdr
-        assert metrics.counter("pcie.device.down.payload_bytes").value == up_pay
+        assert snap["pcie.device.down.header_bytes"] == up_hdr
+        assert snap["pcie.device.down.payload_bytes"] == up_pay
 
     def test_read_bytes_match_analytic_model(self):
         telemetry = Telemetry(trace=False)
@@ -60,18 +62,15 @@ class TestPcieAccounting:
         request_bytes, completion_bytes = read_wire_bytes(
             length, config.read_completion_boundary,
             max_read_request=length)
-        metrics = telemetry.metrics
-        requester_up = (
-            metrics.counter("pcie.device.up.header_bytes").value
-            + metrics.counter("pcie.device.up.payload_bytes").value)
-        completer_up = (
-            metrics.counter("pcie.host.up.header_bytes").value
-            + metrics.counter("pcie.host.up.payload_bytes").value)
+        snap = telemetry.snapshot()
+        requester_up = (snap["pcie.device.up.header_bytes"]
+                        + snap["pcie.device.up.payload_bytes"])
+        completer_up = (snap["pcie.host.up.header_bytes"]
+                        + snap["pcie.host.up.payload_bytes"])
         assert requester_up == request_bytes
         assert completer_up == completion_bytes
-        assert metrics.counter("pcie.device.up.payload_bytes").value == 0
-        assert (metrics.counter("pcie.host.up.payload_bytes").value
-                == length)
+        assert snap["pcie.device.up.payload_bytes"] == 0
+        assert snap["pcie.host.up.payload_bytes"] == length
 
     def test_tlp_counts_per_lane(self):
         telemetry = Telemetry(trace=False)
@@ -83,8 +82,9 @@ class TestPcieAccounting:
         sim.spawn(proc(sim))
         sim.run()
         # 600 B at MPS 256 -> 3 write TLPs.
-        assert telemetry.metrics.counter("pcie.host.up.tlps").value == 3
-        assert telemetry.metrics.counter("pcie.device.down.tlps").value == 3
+        snap = telemetry.snapshot()
+        assert snap["pcie.host.up.tlps"] == 3
+        assert snap["pcie.device.down.tlps"] == 3
 
     def test_link_utilization_probe(self):
         telemetry = Telemetry(trace=False)
@@ -126,10 +126,10 @@ class TestEngineInstrumentation:
 
         sim.spawn(proc(sim), name="worker")
         sim.run()
-        metrics = telemetry.metrics
-        assert metrics.counter("sim.processes.spawned").value == 1
-        assert metrics.counter("sim.processes.finished").value == 1
-        assert metrics.counter("sim.events.processed").value >= 1
+        snap = telemetry.snapshot()
+        assert snap["sim.processes.spawned"] == 1
+        assert snap["sim.processes.finished"] == 1
+        assert snap["sim.events.processed"] >= 1
 
     def test_store_depth_gauge(self):
         telemetry = Telemetry(trace=False)
@@ -168,20 +168,169 @@ class TestEchoRunCounters:
                                  telemetry=telemetry)
         assert result["received"] == 20
         metrics = telemetry.metrics
-        assert metrics.counter("nic.client.nic.tx.wqes").value >= 20
-        assert metrics.counter("nic.server.nic.rx.packets").value >= 20
-        assert metrics.counter("nic.client.nic.cqes").value > 0
-        # FLD counted every echoed packet it transmitted.
         snap = metrics.snapshot()
+        assert snap["nic.client.nic.tx.wqes"] >= 20
+        assert snap["nic.server.nic.rx.packets"] >= 20
+        assert snap["nic.client.nic.cqes"] > 0
+        # FLD counted every echoed packet it transmitted.
         fld_tx = [name for name in snap.as_dict()
                   if name.startswith("fld.") and name.endswith("tx.packets")]
         assert fld_tx and all(snap[name] >= 20 for name in fld_tx)
         # Per-lane PCIe byte split is visible (Fig. 7a accounting).
-        assert metrics.counter("pcie.server.nic.up.header_bytes").value > 0
+        assert snap["pcie.server.nic.up.header_bytes"] > 0
         # Translation-table probes come back through the registry.
         sampled = metrics.sample_probes()
         assert any(".xlt." in name and name.endswith(".lookups")
                    for name in sampled)
+
+
+class TestPulledCounts:
+    """Components count in plain ints; the registry pulls them."""
+
+    def test_pulled_name_colliding_with_a_pushed_metric_raises(self):
+        # A pulled count is a counter: a gauge or histogram under its
+        # name is a type collision, raised at creation whichever side
+        # came first.
+        telemetry = Telemetry(trace=False)
+        Simulator(telemetry=telemetry)
+        for create in (telemetry.metrics.gauge, telemetry.metrics.histogram):
+            with pytest.raises(MetricsError):
+                create("sim.events.processed")
+        with pytest.raises(MetricsError):
+            telemetry.metrics.attach("sim.events.processed", Histogram())
+        telemetry = Telemetry(trace=False)
+        telemetry.metrics.gauge("sim.events.processed")
+        with pytest.raises(MetricsError):
+            Simulator(telemetry=telemetry)
+
+    def test_a_shard_merged_into_a_live_registry_adds_to_its_counts(self):
+        # ``merge_from`` pushes counters; under a pulled name they add
+        # up, like two sources sharing one (the sweep's direct-run
+        # reference merges into a registry whose simulator is alive).
+        telemetry = Telemetry(trace=False)
+        sim = Simulator(telemetry=telemetry)
+        sim.spawn(event for event in [sim.timeout(1e-6)])
+        sim.run()
+        own = telemetry.snapshot()["sim.processes.spawned"]
+        assert own == sim.stats_spawned == 1
+        telemetry.metrics.merge_from(
+            {"counters": {"sim.processes.spawned": 4, "other": 2}})
+        assert telemetry.snapshot()["sim.processes.spawned"] == own + 4
+        counters = telemetry.metrics.to_dict()["counters"]
+        assert counters["sim.processes.spawned"] == own + 4
+        assert counters["other"] == 2
+        assert telemetry.metrics.names().count("sim.processes.spawned") == 1
+
+    def test_a_late_key_colliding_with_a_pushed_metric_raises_at_export(self):
+        # A source may grow keys (the shaper's meters); one that lands
+        # on a pushed name cannot be refused earlier than the export.
+        telemetry = Telemetry(trace=False)
+        counts = {}
+        telemetry.register_counters("shaper", lambda: counts)
+        telemetry.metrics.gauge("shaper.slow.passed")
+        counts["slow.passed"] = 1
+        with pytest.raises(MetricsError):
+            telemetry.metrics.to_dict()
+        with pytest.raises(MetricsError):
+            telemetry.snapshot()
+
+    def test_exported_counters_are_the_owners_stats(self):
+        """The whole ``counters`` section of a metered FLD-E echo run:
+        the names the pushed counters carried (115 of them), each equal
+        to the ``stats_*`` int its owner keeps."""
+        from repro.experiments.echo import _run_loadgen_throughput
+        from repro.experiments.setups import flde_echo_remote
+
+        telemetry = Telemetry(trace=False)
+        sim = Simulator(telemetry=telemetry)
+        setup = flde_echo_remote(sim)
+        setup.server.nic.shaper.add_limiter("slow", 2e9,
+                                            burst_bits=8 * 1500)
+        setup.accel.tx_queue = setup.runtime.create_eth_tx_queue(
+            vport=2, meter="slow")
+        row = _run_loadgen_throughput(sim, setup.loadgen, 256, 30,
+                                      pace_bps=3e9)
+        assert row["received"] == 30
+
+        expected = {
+            "sim.events.processed": sim.stats_events,
+            "sim.processes.spawned": sim.stats_spawned,
+            "sim.processes.finished": sim.stats_finished,
+            "accel.echo.packets": setup.accel.stats_processed,
+            "accel.echo.bytes": setup.accel.stats_bytes,
+        }
+        fld = setup.runtime.fld
+        expected.update({
+            "fld.server.fld.tx.packets": fld.stats_tx_packets,
+            "fld.server.fld.tx.bytes": fld.stats_tx_bytes,
+            "fld.server.fld.cqe_writes": fld.stats_cqe_writes,
+            "fld.server.fld.rx.stream_pushes": fld.stats_rx_stream_pushes,
+        })
+        shaper = setup.server.nic.shaper
+        expected["shaper.slow.passed"] = shaper.stats_passed["slow"]
+        expected["shaper.slow.dropped"] = shaper.stats_dropped["slow"]
+        endpoints = {"client": ("cpu", "mem", "nic"),
+                     "server": ("cpu", "fld", "mem", "nic")}
+        # The one derived value (lane bytes minus payload), pinned to
+        # what the parent's per-TLP pushed counters read on this run.
+        header_bytes = {
+            "client.cpu": (720, 0), "client.mem": (640, 2232),
+            "client.nic": (2232, 1360), "server.cpu": (0, 0),
+            "server.fld": (1320, 2880), "server.mem": (20, 24),
+            "server.nic": (2904, 1340),
+        }
+        for node_name, node in (("client", setup.client),
+                                ("server", setup.server)):
+            nic = node.nic
+            prefix = f"nic.{node_name}.nic"
+            expected.update({
+                f"{prefix}.tx.wqes": nic.stats_tx_wqes,
+                f"{prefix}.tx.bytes": nic.stats_tx_bytes,
+                f"{prefix}.rx.packets": nic.stats_rx_packets,
+                f"{prefix}.rx.bytes": nic.stats_rx_bytes,
+                f"{prefix}.cqes": nic.stats_cqes,
+                f"{prefix}.rx.dropped_inbox": nic.stats_rx_dropped_inbox,
+                f"{prefix}.rx.dropped_no_desc": nic.stats_rx_dropped_no_desc,
+                f"{prefix}.meter_drops": nic.stats_meter_drops,
+            })
+            rdma = nic.rdma
+            prefix = f"{node_name}.nic.rdma"
+            expected.update({
+                f"{prefix}.segments_sent": rdma.stats_segments_sent,
+                f"{prefix}.segments_received": rdma.stats_segments_received,
+                f"{prefix}.retransmits": rdma.stats_retransmits,
+                f"{prefix}.duplicate_segments": rdma.stats_duplicate_segments,
+                f"{prefix}.acks_sent": rdma.stats_acks_sent,
+                f"{prefix}.acks_received": rdma.stats_acks_received,
+                f"{prefix}.injected_drops": rdma.stats_injected_drops,
+            })
+            wire = nic.port.link
+            expected[f"link.{node_name}.nic.port.wire.bits"] = wire.stats_bits
+            expected[f"link.{node_name}.nic.port.wire.messages"] = (
+                wire.stats_messages)
+            for endpoint in endpoints[node_name]:
+                name = f"{node_name}.{endpoint}"
+                port = nic.fabric._ports[name]
+                up_header, down_header = header_bytes[name]
+                for lane, link, payload, header in (
+                        ("up", port.up, port.up_payload_bytes, up_header),
+                        ("down", port.down, port.down_payload_bytes,
+                         down_header)):
+                    expected.update({
+                        f"link.{name}.{lane}.bits": link.stats_bits,
+                        f"link.{name}.{lane}.messages": link.stats_messages,
+                        f"pcie.{name}.{lane}.tlps": link.stats_messages,
+                        f"pcie.{name}.{lane}.payload_bytes": payload,
+                        f"pcie.{name}.{lane}.header_bytes": header,
+                    })
+        assert len(expected) == 115
+        assert telemetry.metrics.to_dict()["counters"] == expected
+        # Something moved on every layer the run touches.
+        for name in ("nic.server.nic.rx.bytes", "fld.server.fld.tx.bytes",
+                     "accel.echo.bytes", "shaper.slow.passed",
+                     "pcie.server.fld.up.payload_bytes",
+                     "link.client.nic.port.wire.bits"):
+            assert expected[name] > 0, name
 
 
 class TestTraceCli:

@@ -11,9 +11,6 @@ from repro.telemetry import (
     Histogram,
     MetricsError,
     MetricsRegistry,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     NULL_TELEMETRY,
     Snapshot,
     Telemetry,
@@ -155,6 +152,29 @@ class TestRegistry:
         assert registry.sample_probes() == {"queue.depth": 7}
         assert state["calls"] == 1
 
+    def test_pulled_counts_export_as_counters(self):
+        registry = MetricsRegistry()
+        owner = {"tx": 0}
+        registry.register_counters("nic.a", lambda: {"tx.wqes": owner["tx"]})
+        registry.counter("spans.sampler.sampled").inc()
+        before = registry.snapshot(include_probes=False)
+        owner["tx"] += 3
+        assert registry.snapshot().diff(before) == {"nic.a.tx.wqes": 3}
+        assert registry.to_dict()["counters"] == {
+            "nic.a.tx.wqes": 3, "spans.sampler.sampled": 1}
+        # ... so shards sum them like any pushed counter.
+        merged = MetricsRegistry()
+        merged.merge_from(registry.to_dict()).merge_from(registry.to_dict())
+        assert merged.counter("nic.a.tx.wqes").value == 6
+
+    def test_sources_sharing_a_name_add_up(self):
+        # A rebuilt component (or two with one name) reads as one
+        # monotone count, as a shared pushed counter did.
+        registry = MetricsRegistry()
+        registry.register_counters("link.wire", lambda: {"bits": 512})
+        registry.register_counters("link.wire", lambda: {"bits": 64})
+        assert registry.to_dict()["counters"] == {"link.wire.bits": 576}
+
     def test_snapshot_diff_reports_only_deltas(self):
         registry = MetricsRegistry()
         counter = registry.counter("tlps")
@@ -260,17 +280,14 @@ class TestMergeFrom:
 
 
 class TestNullSink:
-    def test_null_telemetry_hands_out_shared_noops(self):
+    def test_null_telemetry_hands_out_no_instruments(self):
+        # Components check ``enabled`` once at construction; there is
+        # no null object to call on the datapath.
         assert NULL_TELEMETRY.enabled is False
-        assert NULL_TELEMETRY.counter("any") is NULL_COUNTER
-        assert NULL_TELEMETRY.gauge("any") is NULL_GAUGE
-        assert NULL_TELEMETRY.histogram("any") is NULL_HISTOGRAM
-        NULL_COUNTER.inc(5)
-        assert NULL_COUNTER.value == 0
-        NULL_GAUGE.set(3)
-        assert NULL_GAUGE.peak == 0
-        NULL_HISTOGRAM.observe(1.0)
-        assert len(NULL_HISTOGRAM) == 0
+        assert NULL_TELEMETRY.metrics.enabled is False
+        for factory in ("counter", "gauge", "histogram"):
+            assert not hasattr(NULL_TELEMETRY, factory)
+            assert not hasattr(NULL_TELEMETRY.metrics, factory)
 
     def test_null_snapshot_is_empty(self):
         snap = NULL_TELEMETRY.snapshot()

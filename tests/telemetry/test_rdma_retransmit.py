@@ -67,9 +67,9 @@ class TestRetransmit:
         assert state["drops"] == 1
         assert received == [payload]  # eventual delivery
         assert cep.qp.stats_retransmits >= 1
-        metrics = telemetry.metrics
-        assert metrics.counter("client.nic.rdma.retransmits").value >= 1
-        assert metrics.counter("client.nic.rdma.injected_drops").value == 1
+        snap = telemetry.snapshot()
+        assert snap["client.nic.rdma.retransmits"] >= 1
+        assert snap["client.nic.rdma.injected_drops"] == 1
         assert client.nic.rdma.stats_injected_drops == 1
 
     def test_no_loss_no_retransmits(self):
@@ -90,8 +90,7 @@ class TestRetransmit:
         sim.run(until=0.05)
 
         assert received == [b"clean run"]
-        assert telemetry.metrics.counter(
-            "client.nic.rdma.retransmits").value == 0
+        assert telemetry.snapshot()["client.nic.rdma.retransmits"] == 0
         assert cep.qp.stats_retransmits == 0
 
     def test_multi_segment_message_recovers_from_mid_loss(self):
@@ -133,8 +132,8 @@ class TestRetransmit:
         assert cep.qp.stats_retransmits >= 1
         # The receiver saw at least one out-of-sequence segment (the one
         # after the hole) and counted it as a duplicate/out-of-order.
-        assert telemetry.metrics.counter(
-            "server.nic.rdma.duplicate_segments").value >= 1
+        assert telemetry.snapshot()[
+            "server.nic.rdma.duplicate_segments"] >= 1
 
     def test_dropped_ack_triggers_resend_not_duplication(self):
         """Losing the ACK retransmits data; the receiver discards the
@@ -169,8 +168,8 @@ class TestRetransmit:
         assert state["drops"] == 1
         assert received == [b"ack goes missing"]  # exactly once
         assert cep.qp.stats_retransmits >= 1
-        assert telemetry.metrics.counter(
-            "server.nic.rdma.duplicate_segments").value >= 1
+        assert telemetry.snapshot()[
+            "server.nic.rdma.duplicate_segments"] >= 1
 
 
 class TestRetransmitSpanPropagation:

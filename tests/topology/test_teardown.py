@@ -9,9 +9,11 @@ anything.
 
 import pytest
 
+from repro.experiments import scale_tenants
 from repro.experiments.scale_tenants import scale_tenants_spec
 from repro.sim import Simulator
 from repro.sw import FldRuntime
+from repro.telemetry import Telemetry
 from repro.testbed import make_local_node
 from repro.topology.build import build
 
@@ -23,6 +25,18 @@ def elaborate(tenants=TENANTS):
     sim = Simulator()
     testbed = build(sim, scale_tenants_spec(tenants))
     return sim, testbed
+
+
+def test_object_table_dump_lists_the_fldr_control_plane():
+    """``python -m repro objects fldr``: every resource the FLD-R
+    testbed uses was born through the command channel, so the dump
+    names each kind."""
+    from repro.telemetry.runner import run_objects
+    doc = run_objects("fldr")
+    assert doc["experiment"] == "fldr"
+    assert set(doc["nodes"]) == {"client", "server"}
+    kinds = {row["kind"] for rows in doc["nodes"].values() for row in rows}
+    assert {"cq", "qp", "vport", "rule"} <= kinds
 
 
 class TestTestbedTeardown:
@@ -75,6 +89,40 @@ class TestTestbedTeardown:
         sim, testbed = elaborate()
         testbed.teardown()
         testbed.assert_quiesced()
+
+
+    def test_exported_counts_survive_teardown(self):
+        """Counts are the devices', not their queues': tearing every
+        queue down leaves each exported counter where it was or higher,
+        and the per-device WQE totals exactly where they were."""
+        telemetry = Telemetry(trace=False)
+        setup = scale_tenants.build(2, telemetry=telemetry)
+        sim, loadgen = setup.sim, setup.loadgen
+
+        def run(sim):
+            yield from loadgen.run_open_loop_flows(
+                setup.flows, [256] * 40, rate_pps=1e6,
+                labels=["tenant0", "tenant1"])
+            yield from loadgen.drain()
+
+        sim.spawn(run(sim))
+        sim.run(until=0.01)
+        assert loadgen.stats_received == 40
+        before = telemetry.metrics.to_dict()["counters"]
+        assert before["nic.client.nic.tx.wqes"] == 40
+        assert before["nic.server.nic.tx.wqes"] == 40
+
+        setup.testbed.teardown()
+        sim.run(until=0.02)
+        after = telemetry.metrics.to_dict()["counters"]
+        assert set(after) == set(before)
+        shrunk = {name: (before[name], after[name]) for name in before
+                  if after[name] < before[name]}
+        assert shrunk == {}
+        for name in ("nic.client.nic.tx.wqes", "nic.server.nic.tx.wqes",
+                     "nic.server.nic.rx.packets", "accel.tenant0.packets",
+                     "fld.server.fld.tx.packets"):
+            assert after[name] == before[name], name
 
 
 class TestChurn:
