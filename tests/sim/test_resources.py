@@ -151,7 +151,7 @@ class TestLaneTraceRecords:
         records = [link.reserve(1000, float(t), t) for t in (1, 2, 3)]
         link.retire(records[-1], records[:-1])
         assert all(record.done for record in records)
-        assert link.busy_until == 4.0 and not link._lane_recs
+        assert link.busy_until == link.queue_delay() == 4.0
         assert len(self._spans(tracer)) == 3
 
 
