@@ -7,8 +7,6 @@ from .tlp import (
     COMPLETION_HEADER,
     DLLP_FRAMING,
     MEM_REQUEST_HEADER,
-    Tlp,
-    TlpType,
     read_wire_bytes,
     write_wire_bytes,
 )
@@ -26,8 +24,6 @@ __all__ = [
     "PcieError",
     "PcieFabric",
     "PcieLinkConfig",
-    "Tlp",
-    "TlpType",
     "read_wire_bytes",
     "write_wire_bytes",
 ]

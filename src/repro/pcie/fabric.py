@@ -19,20 +19,25 @@ from bisect import bisect_right
 from typing import Dict, List, Optional
 
 from ..sim import Event, Link, Simulator
+from ..sim.resources import ARRIVAL, DELIVERY, FINISH, SEQ, UPSTREAM
 from .config import PcieLinkConfig
 from .endpoint import Bar, PcieEndpoint, PcieError
 from .tlp import (
     COMPLETION_HEADER,
     DLLP_FRAMING,
-    Tlp,
-    TlpType,
+    MEM_REQUEST_HEADER,
     completion_chunks,
     split_write_bytes,
 )
 
+#: Link bits of a memory request's header and framing — all of an MRd,
+#: and what an MWr adds to its payload — and of a completion's.
+_REQUEST_BITS = (MEM_REQUEST_HEADER + DLLP_FRAMING) * 8
+_COMPLETION_BITS = (COMPLETION_HEADER + DLLP_FRAMING) * 8
+
 
 class _WriteCountdown:
-    """Completion countdown for a multi-TLP posted write."""
+    """Completion countdown for a traced or multi-TLP posted write."""
 
     __slots__ = ("remaining", "fabric", "span_id", "done")
 
@@ -40,30 +45,15 @@ class _WriteCountdown:
         self.remaining = remaining
         self.fabric = fabric
         self.span_id = span_id
-        self.done = done
+        self.done = done    # zero-argument completion callable
 
-    def __call__(self, _=None):
+    def __call__(self):
         self.remaining -= 1
         if self.remaining == 0:
             fabric = self.fabric
             if self.span_id is not None:
                 fabric._spans.exit(self.span_id, fabric.sim._now)
-            self.done.succeed()
-
-
-class _CallbackDone:
-    """Duck-typed stand-in for a completion :class:`Event`.
-
-    Flattened initiators pass ``on_done`` to :meth:`PcieFabric.post_write`
-    / :meth:`PcieFabric.read`; the transaction machinery only ever calls
-    ``done.succeed(...)``, so a bare callable slot replaces the Event
-    allocation on the hot path.
-    """
-
-    __slots__ = ("succeed",)
-
-    def __init__(self, callback):
-        self.succeed = callback
+            self.done()
 
 
 class DeferredWrite:
@@ -79,34 +69,35 @@ class DeferredWrite:
     closes then too, at the (by then final) ``delivery``.
     """
 
-    __slots__ = ("_fabric", "_tlp", "_link", "_record", "_span")
+    __slots__ = ("_fabric", "_entry", "_span")
 
-    def __init__(self, fabric, tlp, link, record, span):
+    def __init__(self, fabric, entry, span):
         self._fabric = fabric
-        self._tlp = tlp
-        self._link = link
-        self._record = record
-        self._span = span   # open span id when the TLP carries a context
+        self._entry = entry  # what _write_arrived lands
+        self._span = span    # open span id when the TLP carries a context
 
     @property
     def delivery(self) -> float:
-        return self._record.delivery
+        return self._entry[0][DELIVERY]
 
     def commit(self) -> None:
         fabric = self._fabric
-        fabric._retire_path(self._link, self._record)
         if self._span is not None:
-            fabric._spans.exit(self._span, self._record.delivery)
-        fabric._deliver_write(self._tlp)
+            fabric._spans.exit(self._span, self._entry[0][DELIVERY])
+        fabric._write_arrived(self._entry)
 
     def retire(self) -> None:
         """Release the lane reservation without running the handler —
         for owners that already applied the write's effects themselves
         (e.g. a CQE decoded at issue time)."""
-        fabric = self._fabric
-        fabric._retire_path(self._link, self._record)
+        entry = self._entry
+        record = entry[0]
+        upstream = record[UPSTREAM]
+        if upstream is not None:
+            upstream[0].retire(upstream[1])
+        entry[1].down.retire(record)
         if self._span is not None:
-            fabric._spans.exit(self._span, self._record.delivery)
+            self._fabric._spans.exit(self._span, record[DELIVERY])
 
 
 class _Port:
@@ -130,6 +121,12 @@ class _Port:
             lane.trace_name = "Tlp"
         self.up_payload_bytes = 0
         self.down_payload_bytes = 0
+        #: Routes this port has used: ``(base, end, endpoint, target
+        #: port)`` per BAR window, resolved on first use so a TLP only
+        #: range-checks the handful of windows its requester talks to.
+        #: The fabric drops them whenever its address map changes.
+        self.routes: List[tuple] = []
+        self.reads_pending = 0
         telemetry = sim.telemetry
         if telemetry.enabled:
             telemetry.register_counters(
@@ -169,8 +166,7 @@ class PcieFabric:
         self._bars: List[Bar] = []
         self._decode_bases: List[int] = []
         self._decode_bars: List[Bar] = []
-        self._pending_reads: Dict[int, dict] = {}
-        self.stats_tlps: Dict[str, int] = {}
+        self.stats_tlps: Dict[str, int] = {"MRd": 0, "MWr": 0, "CplD": 0}
         self._spans = sim.telemetry.spans
         prof = sim.profiler
         self._prof = prof if prof.enabled else None
@@ -241,6 +237,8 @@ class PcieFabric:
         ordered = sorted(self._bars, key=lambda bar: bar.base)
         self._decode_bases = [bar.base for bar in ordered]
         self._decode_bars = ordered
+        for port in self._ports.values():
+            port.routes.clear()
 
     def decode(self, address: int) -> Bar:
         index = bisect_right(self._decode_bases, address) - 1
@@ -260,17 +258,22 @@ class PcieFabric:
         except KeyError:
             raise PcieError(f"endpoint {endpoint.name!r} not attached") from None
 
-    def link_utilization_bits(self, endpoint_name: str) -> float:
-        """Total bits that have crossed this endpoint's two lanes."""
-        port = self._ports[endpoint_name]
-        return port.up.stats_bits + port.down.stats_bits
+    def reads_in_flight(self) -> Dict[str, int]:
+        """Reads still awaiting their completion, by requester name."""
+        return {name: port.reads_pending
+                for name, port in self._ports.items() if port.reads_pending}
 
     # -- transactions -------------------------------------------------------
+    #
+    # A transaction in flight is its downstream lane record plus the
+    # tuple its delivery event carries; there is no TLP object.  Wire
+    # occupancy comes from the header constants above, the route from
+    # the requester port's memo.
 
     def post_write(self, requester: PcieEndpoint, address: int,
                    data: bytes = None, length: int = None,
                    trace_ctx=None, trace_stage: str = "pcie.write",
-                   on_done=None) -> Event:
+                   on_done=None) -> Optional[Event]:
         """A posted memory write; the event fires when the last TLP lands.
 
         Pass ``data`` for functional writes or just ``length`` for
@@ -282,99 +285,108 @@ class PcieFabric:
         Flattened initiators that only need a completion *callback* pass
         ``on_done`` (a zero-argument callable) instead of chaining on
         the returned event: the write then skips the Event allocation
-        entirely and invokes the callback at the exact instant the
-        event would have fired (after the span, if any, has closed).
-        The return value is not an Event in that case and must be
-        ignored.
+        entirely, invokes the callback at the exact instant the event
+        would have fired (after the span, if any, has closed), and
+        returns None.
         """
-        port = self.port_of(requester)
+        port = (requester._port if requester.fabric is self
+                else self.port_of(requester))
         if data is None and length is None:
             raise PcieError("write needs data or length")
         total = len(data) if data is not None else length
         mps = port.config.max_payload_size
         span_id = (None if trace_ctx is None else
                    self._spans.enter(trace_ctx, trace_stage, self.sim._now))
-        done = Event(self.sim) if on_done is None else _CallbackDone(on_done)
+        if on_done is None:
+            done = Event(self.sim)
+            finish = done.succeed
+        else:
+            done = None
+            finish = on_done
+        sim = self.sim
 
         if 0 < total <= mps:
             # Single-TLP fast path — the common case for descriptors,
             # CQEs, doorbells and small-packet payloads.
-            tlp = Tlp(TlpType.MEM_WRITE, address, total, data,
-                      requester=requester.name)
-            tlp.trace_ctx = trace_ctx
-            if span_id is None:
-                tlp.on_delivered = done.succeed
-            else:
-                tlp.on_delivered = _WriteCountdown(1, self, span_id, done)
-            self._send(port, tlp)
+            if span_id is not None:
+                finish = _WriteCountdown(1, self, span_id, finish)
+            self.stats_tlps["MWr"] += 1
+            path = self._reserve_path(
+                port, address, total, _REQUEST_BITS + total * 8)
+            sim.call_later(path[0][DELIVERY] - sim._now, self._write_arrived,
+                           path + (data, trace_ctx, finish))
             return done
 
-        cursor = 0
         chunks = split_write_bytes(total, mps) or [0]
-        if self.decode(address).contains(address + max(total, 1) - 1):
+        route = self._route(port, address)
+        if address + max(total, 1) - 1 < route[1]:
             # Whole train decodes to one endpoint: reserve every TLP's
             # lane occupancy now and deliver the train in one aggregate
             # event at the last chunk's arrival (per-TLP stats stay
             # exact; nothing observes the target between chunk times —
             # any dependent TLP orders behind the last chunk on the
             # same lane anyway).
-            tlps = []
+            records = []
+            cursor = address
             for chunk in chunks:
-                payload = (data[cursor:cursor + chunk]
-                           if data is not None else None)
-                tlp = Tlp(TlpType.MEM_WRITE, address + cursor, chunk, payload,
-                          requester=requester.name)
-                tlp.trace_ctx = trace_ctx
+                self.stats_tlps["MWr"] += 1
+                records.append(self._reserve_path(
+                    port, cursor, chunk, _REQUEST_BITS + chunk * 8)[0])
                 cursor += chunk
-                tlps.append(tlp)
-            self._send_train(port, tlps, span_id, done)
+            sim.call_later(records[-1][DELIVERY] - sim._now,
+                           self._train_arrived,
+                           (records, route[3], route[2],
+                            address - route[0], chunks, data, trace_ctx,
+                            span_id, finish))
             return done
-        finish = _WriteCountdown(len(chunks), self, span_id, done)
+        finish = _WriteCountdown(len(chunks), self, span_id, finish)
+        cursor = 0
         for chunk in chunks:
-            payload = data[cursor:cursor + chunk] if data is not None else None
-            tlp = Tlp(TlpType.MEM_WRITE, address + cursor, chunk, payload,
-                      requester=requester.name)
-            tlp.trace_ctx = trace_ctx
+            self.stats_tlps["MWr"] += 1
+            path = self._reserve_path(
+                port, address + cursor, chunk, _REQUEST_BITS + chunk * 8)
+            sim.call_later(
+                path[0][DELIVERY] - sim._now, self._write_arrived,
+                path + (data[cursor:cursor + chunk] if data is not None
+                        else None, trace_ctx, finish))
             cursor += chunk
-            tlp.on_delivered = finish
-            self._send(port, tlp)
         return done
 
     def read(self, requester: PcieEndpoint, address: int,
              length: int, trace_ctx=None,
              trace_stage: str = "pcie.read",
-             on_done=None) -> Event:
+             on_done=None) -> Optional[Event]:
         """A memory read; the event fires with the data bytes.
 
         As with :meth:`post_write`, flattened initiators that only need
         the data pass ``on_done`` (called with the bytes at completion
-        time, after the span has closed) and the Event allocation is
-        skipped; the return value must then be ignored.
+        time, after the span has closed); the Event allocation is
+        skipped and None returned.
         """
         if length <= 0:
             raise PcieError("read length must be positive")
-        port = self.port_of(requester)
-        done = Event(self.sim) if on_done is None else _CallbackDone(on_done)
-        completion = done
+        port = (requester._port if requester.fabric is self
+                else self.port_of(requester))
+        if on_done is None:
+            done = Event(self.sim)
+            completion = done.succeed
+        else:
+            done = None
+            completion = on_done
+        sim = self.sim
         if trace_ctx is not None:
-            span_id = self._spans.enter(trace_ctx, trace_stage,
-                                        self.sim._now)
-            finish = done.succeed
+            span_id = self._spans.enter(trace_ctx, trace_stage, sim._now)
+            finish = completion
 
-            def close_span(data):
-                self._spans.exit(span_id, self.sim._now)
+            def completion(data):
+                self._spans.exit(span_id, sim._now)
                 finish(data)
 
-            completion = _CallbackDone(close_span)
-        request = Tlp(TlpType.MEM_READ, address, length,
-                      requester=requester.name)
-        request.trace_ctx = trace_ctx
-        self._pending_reads[request.tag] = {
-            "event": completion,
-            "requester": requester.name,
-            "chunks": [],
-        }
-        self._send(port, request)
+        port.reads_pending += 1
+        self.stats_tlps["MRd"] += 1
+        path = self._reserve_path(port, address, 0, _REQUEST_BITS)
+        sim.call_later(path[0][DELIVERY] - sim._now, self._read_arrived,
+                       path + (length, port, completion))
         return done
 
     def post_write_deferred(self, requester: PcieEndpoint, address: int,
@@ -388,19 +400,17 @@ class PcieFabric:
         exactly as :meth:`post_write`, but the caller owns delivery via
         the returned handle's ``commit()``.
         """
-        port = self.port_of(requester)
-        if not 0 < len(data) <= port.config.max_payload_size:
+        port = (requester._port if requester.fabric is self
+                else self.port_of(requester))
+        total = len(data)
+        if not 0 < total <= port.config.max_payload_size:
             raise PcieError("post_write_deferred needs a single-TLP payload")
-        tlp = Tlp(TlpType.MEM_WRITE, address, len(data), data,
-                  requester=requester.name)
-        stats = self.stats_tlps
-        stats["MWr"] = stats.get("MWr", 0) + 1
-        target, record = self._reserve_path(port, tlp)
-        span = None
-        if trace_ctx is not None:
-            tlp.trace_ctx = trace_ctx
-            span = self._spans.enter(trace_ctx, trace_stage, self.sim._now)
-        return DeferredWrite(self, tlp, target.down, record, span)
+        self.stats_tlps["MWr"] += 1
+        path = self._reserve_path(
+            port, address, total, _REQUEST_BITS + total * 8)
+        span = (None if trace_ctx is None else
+                self._spans.enter(trace_ctx, trace_stage, self.sim._now))
+        return DeferredWrite(self, path + (data, trace_ctx, None), span)
 
     def post_write_at(self, requester: PcieEndpoint, address: int,
                       data: bytes, arrival: float, trace_ctx=None,
@@ -415,69 +425,76 @@ class PcieFabric:
         arrival.  A traced write's span runs from ``arrival`` to that
         delivery.
         """
-        port = self.port_of(requester)
-        if not 0 < len(data) <= port.config.max_payload_size:
+        port = (requester._port if requester.fabric is self
+                else self.port_of(requester))
+        total = len(data)
+        if not 0 < total <= port.config.max_payload_size:
             raise PcieError("post_write_at needs a single-TLP payload")
         done = Event(self.sim)
-        tlp = Tlp(TlpType.MEM_WRITE, address, len(data), data,
-                  requester=requester.name)
-        if trace_ctx is None:
-            tlp.on_delivered = done.succeed
-        else:
-            tlp.trace_ctx = trace_ctx
-            tlp.on_delivered = _WriteCountdown(
+        finish = done.succeed
+        if trace_ctx is not None:
+            finish = _WriteCountdown(
                 1, self, self._spans.enter(trace_ctx, trace_stage, arrival),
-                done)
-        stats = self.stats_tlps
-        stats["MWr"] = stats.get("MWr", 0) + 1
-        target, record = self._reserve_path(port, tlp, arrival)
+                finish)
+        self.stats_tlps["MWr"] += 1
+        path = self._reserve_path(
+            port, address, total, _REQUEST_BITS + total * 8, arrival)
         sim = self.sim
-        sim.call_later(record.delivery - sim._now, self._arrive,
-                       (tlp, target.down, record))
+        sim.call_later(path[0][DELIVERY] - sim._now, self._write_arrived,
+                       path + (data, trace_ctx, finish))
         return done
 
     # -- internals -----------------------------------------------------------
 
-    def _send(self, port: _Port, tlp: Tlp) -> None:
-        kind = tlp.kind.value
-        stats = self.stats_tlps
-        stats[kind] = stats.get(kind, 0) + 1
-        target, record = self._reserve_path(port, tlp)
-        sim = self.sim
-        sim.call_later(record.delivery - sim._now, self._arrive,
-                       (tlp, target.down, record))
+    def _route(self, port: _Port, address: int) -> tuple:
+        """The route from ``port`` to whatever decodes ``address``,
+        resolved through the decode index once per BAR window."""
+        for route in port.routes:
+            if route[0] <= address < route[1]:
+                return route
+        bar = self.decode(address)
+        route = (bar.base, bar.base + bar.size, bar.endpoint,
+                 self.port_of(bar.endpoint))
+        port.routes.append(route)
+        return route
 
-    def _reserve_path(self, port: _Port, tlp: Tlp,
-                      arrival: Optional[float] = None):
-        """Resolve the route and reserve both lanes; returns the target
-        port and the downstream reservation (whose ``delivery`` is the
-        TLP's arrival at the endpoint, subject to repair).  ``arrival``
-        keys the upstream lane at a future instant for writes resolved
-        ahead of their issue time (:meth:`post_write_at`)."""
-        bar = self.decode(tlp.address)
-        target = self.port_of(bar.endpoint)
-        tlp.bar = bar
-        if tlp.kind is TlpType.MEM_WRITE:
-            port.up_payload_bytes += tlp.length
-            target.down_payload_bytes += tlp.length
-        bits = tlp.wire_bytes() * 8
+    def _reserve_path(self, port: _Port, address: int, payload: int,
+                      bits: int, arrival: Optional[float] = None):
+        """Resolve the route and reserve both lanes for one TLP of
+        ``bits`` carrying ``payload`` data bytes; returns what every
+        delivery tuple starts with: the downstream reservation (whose
+        ``DELIVERY`` is the TLP's arrival at the endpoint, subject to
+        repair), the target port, the endpoint and the BAR-relative
+        offset.  ``arrival`` keys the upstream lane at a future instant
+        for writes resolved ahead of their issue time
+        (:meth:`post_write_at`)."""
+        # _route's hit path, inline: one frame fewer per TLP.
+        for route in port.routes:
+            if route[0] <= address < route[1]:
+                break
+        else:
+            route = self._route(port, address)
+        target = route[3]
+        port.up_payload_bytes += payload
+        target.down_payload_bytes += payload
         seq = self._issue_seq
         self._issue_seq = seq + 1
         up = port.up
         if arrival is None:
-            now = self.sim._now
-            if not up._lane_keys or up._lane_keys[-1] <= (now, seq):
+            arrival = now = self.sim._now
+            lane = up._lane
+            last = lane[-1] if lane else None
+            if last is None or last[ARRIVAL] < now or (
+                    last[ARRIVAL] == now and last[SEQ] <= seq):
                 # Stable up lane (see Link.reserve): the occupancy
-                # recurrence runs inline with no Reservation handle —
+                # recurrence runs inline with no reservation record —
                 # retiring one would be a no-op prune anyway, so the
                 # downstream record carries no upstream pointer.
-                keys = up._lane_keys
-                if keys:
-                    up._busy_until = up._lane_fin[-1]
-                    keys.clear()
-                    up._lane_fin.clear()
-                    up._lane_recs.clear()
-                prev = up._busy_until
+                if last is None:
+                    prev = up._busy_until
+                else:
+                    prev = last[FINISH]
+                    lane.clear()
                 start = now if now > prev else prev
                 rate = up.rate_bps
                 finish = start if rate is None else start + bits / rate
@@ -486,167 +503,143 @@ class PcieFabric:
                 up.stats_messages += 1
                 if up._tracer is not None:
                     up.trace_slice(start, finish, bits)
-                return target, target.down.reserve(
-                    bits, finish + up.latency, seq)
-            arrival = now
+                return (target.down.reserve(bits, finish + up.latency, seq),
+                        target, route[2], address - route[0])
         up_record = up.reserve(bits, arrival, seq)
-        down = target.down.reserve(bits, up_record.delivery, seq)
-        down.upstream = (up, up_record)
-        return target, down
+        down = target.down.reserve(bits, up_record[DELIVERY], seq)
+        # By delivery time the upstream occupancy is strictly in the
+        # past (no later issue can precede it — arrival keys are >=
+        # now), so retiring it with the downstream record is pure
+        # pruning: without it the upstream pending lane only ever grows
+        # and every out-of-order insert degrades to a linear scan.
+        down[UPSTREAM] = (up, up_record)
+        return down, target, route[2], address - route[0]
 
-    @staticmethod
-    def _retire_path(link, record) -> None:
-        """Retire a delivered TLP's reservations on both lanes.
-
-        By delivery time the upstream occupancy is strictly in the past
-        (no later issue can precede it — arrival keys are >= now), so
-        retiring it is pure pruning: without this the upstream pending
-        lists only ever grow and every out-of-order insert degrades to
-        a linear scan."""
-        upstream = record.upstream
-        if upstream is not None:
-            upstream[0].retire(upstream[1])
-        link.retire(record)
-
-    def _send_train(self, port: _Port, tlps: List[Tlp], span_id,
-                    done: Event) -> None:
-        """Reserve a multi-TLP posted-write train; one delivery event."""
-        stats = self.stats_tlps
-        records = []
-        target = None
-        for tlp in tlps:
-            stats[tlp.kind.value] = stats.get(tlp.kind.value, 0) + 1
-            target, record = self._reserve_path(port, tlp)
-            records.append(record)
+    def _write_arrived(self, entry) -> None:
+        """A single-TLP write landed: run the endpoint's handler and the
+        completion callback."""
+        record, target, endpoint, offset, data, ctx, on_delivered = entry
         sim = self.sim
-        entry = (tlps, target.down, records, span_id, done)
-        sim.call_later(records[-1].delivery - sim._now,
-                       self._train_arrived, entry)
-
-    def _arrive(self, entry) -> None:
-        """Single-TLP delivery event."""
-        tlp, link, record = entry
-        sim = self.sim
-        if record.delivery > sim._now:
+        if record[DELIVERY] > sim._now:
             # An out-of-order arrival on the shared lane pushed this TLP
             # later after the event was scheduled; fire again on time.
-            sim.call_later(record.delivery - sim._now, self._arrive, entry)
-            return
-        self._retire_path(link, record)
-        kind = tlp.kind
-        if kind is TlpType.MEM_WRITE:
-            self._deliver_write(tlp)
-        elif kind is TlpType.MEM_READ:
-            self._read_arrived(tlp)
-        else:
-            raise PcieError(f"unroutable TLP {tlp!r}")
-
-    def _train_arrived(self, entry) -> None:
-        """Aggregate delivery of a posted-write train (last chunk lands)."""
-        tlps, link, records, span_id, done = entry
-        sim = self.sim
-        last = records[-1]
-        if last.delivery > sim._now:
-            sim.call_later(last.delivery - sim._now, self._train_arrived,
+            sim.call_later(record[DELIVERY] - sim._now, self._write_arrived,
                            entry)
             return
-        for record in records:
-            upstream = record.upstream
-            if upstream is not None:
-                upstream[0].retire(upstream[1])
-        link.retire(last, records[:-1])
-        for tlp in tlps:
-            self._deliver_write(tlp)
-        if span_id is not None:
-            self._spans.exit(span_id, sim._now)
-        done.succeed()
-
-    def _deliver_write(self, tlp: Tlp) -> None:
-        """Run a MEM_WRITE's endpoint handler and completion callback."""
-        bar = tlp.bar
-        offset = tlp.address - bar.base
-        if tlp.data is not None:
+        upstream = record[UPSTREAM]
+        if upstream is not None:
+            upstream[0].retire(upstream[1])
+        target.down.retire(record)
+        if data is not None:
             prof = self._prof
             # Work the handler pushes (and its own execution, for
             # wall-clock nesting) belongs to the receiving endpoint,
             # not to the fabric lane that carried the TLP.
             if prof is not None:
-                prof.current_tag = bar.endpoint.profile_tag
-            ctx = tlp.trace_ctx
+                prof.current_tag = endpoint.profile_tag
+            self._inbound_ctx = ctx
             try:
-                if ctx is None:
-                    bar.endpoint.handle_write(offset, tlp.data)
-                else:
-                    self._inbound_ctx = ctx
-                    try:
-                        bar.endpoint.handle_write(offset, tlp.data)
-                    finally:
-                        self._inbound_ctx = None
+                endpoint.handle_write(offset, data)
             finally:
+                self._inbound_ctx = None
                 if prof is not None:
                     prof.current_tag = "pcie"
-        on_delivered = tlp.on_delivered
         if on_delivered is not None:
             on_delivered()
 
-    def _read_arrived(self, tlp: Tlp) -> None:
+    def _train_arrived(self, entry) -> None:
+        """Aggregate delivery of a posted-write train (last chunk lands)."""
+        (records, target, endpoint, offset, chunks, data, ctx, span_id,
+         done) = entry
+        sim = self.sim
+        last = records[-1]
+        if last[DELIVERY] > sim._now:
+            sim.call_later(last[DELIVERY] - sim._now, self._train_arrived,
+                           entry)
+            return
+        for record in records:
+            upstream = record[UPSTREAM]
+            if upstream is not None:
+                upstream[0].retire(upstream[1])
+        target.down.retire(last, records[:-1])
+        if data is not None:
+            prof = self._prof
+            if prof is not None:
+                prof.current_tag = endpoint.profile_tag
+            self._inbound_ctx = ctx
+            try:
+                cursor = 0
+                for chunk in chunks:
+                    endpoint.handle_write(offset + cursor,
+                                          data[cursor:cursor + chunk])
+                    cursor += chunk
+            finally:
+                self._inbound_ctx = None
+                if prof is not None:
+                    prof.current_tag = "pcie"
+        if span_id is not None:
+            self._spans.exit(span_id, sim._now)
+        done()
+
+    def _read_arrived(self, entry) -> None:
         """A read request landed: run the handler and reserve the whole
         completion train, completing in one aggregate event."""
-        bar = tlp.bar
-        offset = tlp.address - bar.base
+        (record, completer_port, endpoint, offset, length, requester_port,
+         completion) = entry
+        sim = self.sim
+        now = sim._now
+        if record[DELIVERY] > now:
+            sim.call_later(record[DELIVERY] - now, self._read_arrived, entry)
+            return
+        upstream = record[UPSTREAM]
+        if upstream is not None:
+            upstream[0].retire(upstream[1])
+        completer_port.down.retire(record)
         prof = self._prof
         if prof is not None:
-            prof.current_tag = bar.endpoint.profile_tag
+            prof.current_tag = endpoint.profile_tag
         try:
-            data = bar.endpoint.handle_read(offset, tlp.length)
+            data = endpoint.handle_read(offset, length)
         finally:
             if prof is not None:
                 prof.current_tag = "pcie"
-        completer_port = self.port_of(bar.endpoint)
-        requester_port = self._ports[tlp.requester]
-        rcb = completer_port.config.read_completion_boundary
-        chunks = completion_chunks(tlp.length, rcb)
-        parts = self._pending_reads[tlp.tag]["chunks"]
-        sim = self.sim
-        now = sim._now
-        stats = self.stats_tlps
+        chunks = completion_chunks(
+            length, completer_port.config.read_completion_boundary)
         down = requester_port.down
         up = completer_port.up
-        completer_port.up_payload_bytes += tlp.length
-        requester_port.down_payload_bytes += tlp.length
+        completer_port.up_payload_bytes += length
+        requester_port.down_payload_bytes += length
         seq = self._issue_seq
         n = len(chunks)
         self._issue_seq = seq + n
-        stats["CplD"] = stats.get("CplD", 0) + n
-        # The completion TLPs are never routed or delivered as objects —
-        # only their lane occupancy and data slices matter — so none
-        # are allocated.
-        header_bits = (COMPLETION_HEADER + DLLP_FRAMING) * 8
-        append_part = parts.append
-        cursor = 0
-        if not up._lane_keys or up._lane_keys[-1] <= (now, seq):
+        self.stats_tlps["CplD"] += n
+        # The completion TLPs are never routed or delivered one by one —
+        # only their lane occupancy matters, the requester gets the
+        # handler's bytes whole — so nothing is built per chunk.
+        lane = up._lane
+        last = lane[-1] if lane else None
+        if last is None or last[ARRIVAL] < now or (
+                last[ARRIVAL] == now and last[SEQ] <= seq):
             # Fused fast path.  The up lane is keyed at (now, seq..):
             # provably stable (see Link.reserve), so its whole occupancy
-            # recurrence runs inline with no Reservation handles (and,
+            # recurrence runs inline with no reservation records (and,
             # the times being final, its Chrome-trace slices are written
-            # here); per-chunk reservations survive only on the shared
-            # down lane, where later-issued traffic can still interleave
+            # here); a reservation survives only on the shared down
+            # lane, where later-issued traffic can still interleave
             # with the train and force a replay.
-            up_keys = up._lane_keys
-            if up_keys:
-                up._busy_until = up._lane_fin[-1]
-                up_keys.clear()
-                up._lane_fin.clear()
-                up._lane_recs.clear()
+            if last is None:
+                prev = up._busy_until
+            else:
+                prev = last[FINISH]
+                lane.clear()
             rate_up = up.rate_bps
             lat_up = up.latency
-            prev = up._busy_until
             tracer = up._tracer
             bits_list = []
             arrivals = []
             total_bits = 0
-            for index, chunk in enumerate(chunks):
-                bits = header_bits + chunk * 8
+            for chunk in chunks:
+                bits = _COMPLETION_BITS + chunk * 8
                 bits_list.append(bits)
                 total_bits += bits
                 start = now if now > prev else prev
@@ -654,8 +647,6 @@ class PcieFabric:
                 if tracer is not None:
                     up.trace_slice(start, prev, bits)
                 arrivals.append(prev + lat_up)
-                append_part((index, data[cursor:cursor + chunk]))
-                cursor += chunk
             up._busy_until = prev
             up.stats_bits += total_bits
             up.stats_messages += n
@@ -669,32 +660,29 @@ class PcieFabric:
             # before it, chunk by chunk, on both lanes.
             records = []
             for index, chunk in enumerate(chunks):
-                bits = header_bits + chunk * 8
+                bits = _COMPLETION_BITS + chunk * 8
                 up_record = up.reserve(bits, now, seq + index)
-                down_record = down.reserve(bits, up_record.delivery,
+                down_record = down.reserve(bits, up_record[DELIVERY],
                                            seq + index)
-                down_record.upstream = (up, up_record)
+                down_record[UPSTREAM] = (up, up_record)
                 records.append(down_record)
-                append_part((index, data[cursor:cursor + chunk]))
-                cursor += chunk
-        sim.call_later(records[-1].delivery - now, self._read_completed,
-                       (tlp.tag, down, records))
+        sim.call_later(records[-1][DELIVERY] - now, self._read_completed,
+                       (records, requester_port, completion, data))
 
     def _read_completed(self, entry) -> None:
         """Aggregate arrival of a completion train (last chunk lands)."""
-        tag, link, records = entry
+        records, requester_port, completion, data = entry
         sim = self.sim
         last = records[-1]
-        if last.delivery > sim._now:
-            sim.call_later(last.delivery - sim._now, self._read_completed,
+        if last[DELIVERY] > sim._now:
+            sim.call_later(last[DELIVERY] - sim._now, self._read_completed,
                            entry)
             return
         # Batch retire: the lane prefix is pruned once, not per chunk.
         for record in records:
-            upstream = record.upstream
+            upstream = record[UPSTREAM]
             if upstream is not None:
                 upstream[0].retire(upstream[1])
-        link.retire(last, records[:-1])
-        state = self._pending_reads.pop(tag)
-        data = b"".join(part for _seq, part in sorted(state["chunks"]))
-        state["event"].succeed(data)
+        requester_port.down.retire(last, records[:-1])
+        requester_port.reads_pending -= 1
+        completion(data)

@@ -21,85 +21,9 @@ Sizing model (PCIe Gen 3):
 
 from __future__ import annotations
 
-import enum
-import itertools
-from typing import Optional
-
 DLLP_FRAMING = 8        # STP token + LCRC per TLP
 MEM_REQUEST_HEADER = 16  # 4 DW header (64-bit addressing)
 COMPLETION_HEADER = 12   # 3 DW header
-
-_sequence = itertools.count()
-
-
-class TlpType(enum.Enum):
-    MEM_READ = "MRd"
-    MEM_WRITE = "MWr"
-    COMPLETION_DATA = "CplD"
-    COMPLETION = "Cpl"
-
-
-class Tlp:
-    """One transaction-layer packet.
-
-    ``data`` is optional — timing-only simulations may carry just
-    ``length``.  ``tag`` matches completions to their read request.
-
-    The fields the fabric hangs on a TLP in flight (``trace_ctx``,
-    ``bar``, ``on_delivered``) are dedicated slots rather than a
-    side-band dict — a dict per TLP was measurable on the datapath.
-    """
-
-    __slots__ = ("kind", "address", "length", "data", "tag", "requester",
-                 "trace_ctx", "bar", "on_delivered", "_wire")
-
-    def __init__(self, kind: TlpType, address: int = 0, length: int = 0,
-                 data: Optional[bytes] = None, tag: Optional[int] = None,
-                 requester: str = ""):
-        if data is not None:
-            length = len(data)
-        self.kind = kind
-        self.address = address
-        self.length = length
-        self.data = data
-        self.tag = tag if tag is not None else next(_sequence)
-        self.requester = requester
-        self.trace_ctx = None    # span trace context riding this TLP
-        self.bar = None          # decoded target BAR (set by the switch)
-        self.on_delivered = None  # fabric write-completion callback
-        self._wire = None
-
-    def wire_bytes(self) -> int:
-        """Bytes this single TLP occupies on the link (cached)."""
-        wire = self._wire
-        if wire is None:
-            kind = self.kind
-            if kind is TlpType.MEM_READ:
-                wire = MEM_REQUEST_HEADER + DLLP_FRAMING
-            elif kind is TlpType.MEM_WRITE:
-                wire = MEM_REQUEST_HEADER + DLLP_FRAMING + self.length
-            elif kind is TlpType.COMPLETION_DATA:
-                wire = COMPLETION_HEADER + DLLP_FRAMING + self.length
-            else:
-                wire = COMPLETION_HEADER + DLLP_FRAMING
-            self._wire = wire
-        return wire
-
-    def payload_wire_bytes(self) -> int:
-        """The useful-payload share of :meth:`wire_bytes`."""
-        if self.kind in (TlpType.MEM_WRITE, TlpType.COMPLETION_DATA):
-            return self.length
-        return 0
-
-    def header_wire_bytes(self) -> int:
-        """The protocol-overhead share (header + framing) of the TLP."""
-        return self.wire_bytes() - self.payload_wire_bytes()
-
-    def __repr__(self) -> str:
-        return (
-            f"Tlp({self.kind.value}, addr={self.address:#x}, "
-            f"len={self.length}, tag={self.tag})"
-        )
 
 
 def split_write_bytes(length: int, mps: int) -> list:

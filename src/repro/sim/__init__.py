@@ -15,7 +15,6 @@ from .engine import (
 )
 from .resources import DuplexLink, Link, TokenBucket
 from .stats import (
-    Counter,
     Histogram,
     LatencyCollector,
     ThroughputMeter,
@@ -24,7 +23,6 @@ from .stats import (
 
 __all__ = [
     "Continuation",
-    "Counter",
     "DuplexLink",
     "Event",
     "Histogram",

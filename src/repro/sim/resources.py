@@ -8,13 +8,14 @@ fixed propagation latency before delivery.  Links are work-conserving FIFOs.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, List, Optional
 
 from .engine import Simulator
 
 
-class Reservation:
-    """One message's occupancy of a :class:`Link`, applied in arrival order.
+class Reservation(list):
+    """One message's — or one chunk train's — occupancy of a :class:`Link`.
 
     Links arbitrate strictly by arrival key ``(time, seq)``: the reference
     (pre-cut-through) model applied each reservation in a dedicated event
@@ -28,81 +29,45 @@ class Reservation:
     early.  This replays exactly the busy-until sequence the
     one-event-per-arrival model would have produced.
 
-    The record is a handle for the caller; the link's own lane state is
-    array-backed (see :class:`Link`), so searches and replays never
-    traverse these objects.
+    The record is a list, and it is both the lane entry and the caller's
+    handle: the first two slots are the arrival key, so ``bisect`` orders
+    a lane of records with C list comparisons that never look past them
+    (``seq`` is unique per lane); building one is a single C-level call
+    with no ``__init__`` frame; and a repair writes straight into the
+    object the owner holds.  Slots, by the constants below::
+
+        ARRIVAL SEQ BITS START FINISH DELIVERY DONE MESSAGE UPSTREAM
+        TRAIN PARTS
+
+    A chunk train (PCIe read completions: RCB-sized CplDs keyed
+    ``(arrivals[j], seq0 + j)``, of which only the *last* delivery
+    matters to the owner) is ONE record keyed and timed as its last
+    chunk, with ``TRAIN`` holding ``(bits_list, arrivals, finishes,
+    seq0)`` — a quarter the lane entries and one prune.  That stays exact
+    because a later-issued message keyed *inside* the train first splits
+    it (:meth:`Link._materialize`): the earlier chunks become records of
+    their own, listed in ``PARTS`` so they retire with the handle, and
+    the handle carries on as the plain record of the last chunk.
     """
 
-    __slots__ = ("key", "bits", "start", "finish", "delivery", "message",
-                 "done", "upstream")
+    __slots__ = ()
 
-    def __init__(self, key, bits, start, finish, delivery):
-        self.key = key
-        self.bits = bits
-        self.start = start
-        self.finish = finish
-        self.delivery = delivery
-        self.message: Any = None
-        self.done = False
-        #: Optional ``(link, record)`` of a first-hop reservation made by
-        #: the same multi-lane transit (PCIe cut-through reserves both
-        #: lanes at issue); the owner retires it with this record so the
-        #: first hop's pending list drains too.
-        self.upstream = None
-
-    def __lt__(self, other: "Reservation") -> bool:
-        return self.key < other.key
+    start = property(itemgetter(3))
+    finish = property(itemgetter(4))
+    delivery = property(itemgetter(5))
+    done = property(itemgetter(6))
 
 
-class TrainReservation:
-    """A back-to-back chunk train's occupancy of a :class:`Link`.
-
-    PCIe read completions arrive as a burst of RCB-sized CplDs keyed
-    ``(arrivals[j], seq0 + j)`` with strictly increasing arrivals; only
-    the *last* chunk's delivery matters to the owner.  Holding the train
-    as ONE lane entry (keyed by its last chunk) keeps the lane arrays a
-    quarter the length and retires in one prune, while staying exact:
-    a later-issued message keyed *inside* the train's range must
-    serialize between chunks, so such an insert first materializes the
-    train back into per-chunk :class:`Reservation` records (see
-    :meth:`Link._materialize`) and then proceeds as before.  After
-    materialization this handle delegates to its parts.
-    """
-
-    __slots__ = ("first_key", "key", "seq0", "bits_list", "arrivals",
-                 "finishes", "_delivery", "_done", "_parts", "message",
-                 "upstream")
-
-    def __init__(self, first_key, key, seq0, bits_list, arrivals,
-                 finishes, delivery):
-        self.first_key = first_key
-        self.key = key
-        self.seq0 = seq0
-        self.bits_list = bits_list
-        self.arrivals = arrivals
-        self.finishes = finishes
-        self._delivery = delivery
-        self._done = False
-        self._parts = None
-        self.message = None
-        self.upstream = None
-
-    @property
-    def delivery(self) -> float:
-        parts = self._parts
-        return parts[-1].delivery if parts is not None else self._delivery
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @done.setter
-    def done(self, value: bool) -> None:
-        self._done = value
-        parts = self._parts
-        if parts is not None:
-            for part in parts:
-                part.done = value
+ARRIVAL, SEQ, BITS, START, FINISH, DELIVERY, DONE = range(7)
+#: What :meth:`Link.send` carries to the sink.
+MESSAGE = 7
+#: Optional ``(link, record)`` of a first-hop reservation made by the
+#: same multi-lane transit (PCIe cut-through reserves both lanes at
+#: issue); the owner retires it with this record so the first hop's
+#: pending lane drains too.
+UPSTREAM = 8
+TRAIN = 9
+PARTS = 10
 
 
 class Link:
@@ -135,18 +100,11 @@ class Link:
         self.name = name
         self.sink: Optional[Callable[[Any], None]] = None
         self._busy_until = 0.0
-        #: Array-backed reservation lane: three parallel lists kept in
-        #: lockstep, sorted by arrival key.  ``_lane_keys`` drives every
-        #: search and ordering compare (plain tuple comparisons in C, no
-        #: ``Reservation.__lt__`` frames), ``_lane_fin`` every
-        #: previous-finish / busy-until read, and ``_lane_recs`` holds the
-        #: :class:`Reservation` handles callers keep.  Almost always
-        #: appended to (FIFO issue order); an out-of-order arrival
-        #: bisects into all three and replays the tail with index
-        #: arithmetic.  Entries are pruned once delivered.
-        self._lane_keys: List[Tuple[float, int]] = []
-        self._lane_fin: List[float] = []
-        self._lane_recs: List[Reservation] = []
+        #: The reservation lane: pending :class:`Reservation` records
+        #: sorted by arrival key.  Almost always appended to (FIFO issue
+        #: order); an out-of-order arrival bisects in and replays the
+        #: tail.  Entries are pruned once delivered.
+        self._lane: List[Reservation] = []
         self.stats_bits = 0
         self.stats_messages = 0
         # The trace process this link's occupancy spans file under and
@@ -197,55 +155,54 @@ class Link:
         """
         self.stats_bits += bits
         self.stats_messages += 1
-        keys = self._lane_keys
+        lane = self._lane
         rate = self.rate_bps
-        latency = self.latency
-        key = (arrival, seq)
-        if arrival <= self.sim._now and (not keys or keys[-1] <= key):
-            # Stable fast path: every reservation arrives no earlier
-            # than its issue instant and ``seq`` is globally monotonic,
-            # so once the lane's latest key is <= (now, seq) NO future
-            # issue can ever key before anything pending — the whole
-            # lane is permanently ordered.  Fold every pending finish
-            # into the busy floor (finishes are monotone along the
-            # lane, so the tail is the max) and run lane-free; retiring
-            # a folded record later is a no-op prune.
-            fins = self._lane_fin
-            if fins:
-                self._busy_until = fins[-1]
-                keys.clear()
-                fins.clear()
-                self._lane_recs.clear()
+        stable = arrival <= self.sim._now
+        if lane:
+            last = lane[-1]
+            if last[ARRIVAL] > arrival or (last[ARRIVAL] == arrival
+                                           and last[SEQ] > seq):
+                record = Reservation((arrival, seq, bits, 0.0, 0.0, 0.0,
+                                      False, None, None, None, ()))
+                index = bisect_left(lane, record)
+                train = lane[index][TRAIN]
+                if train is not None and (train[1][0], train[3]) < (arrival,
+                                                                    seq):
+                    # The new message serializes *between* this train's
+                    # chunks: split it back into per-chunk records, then
+                    # insert normally.
+                    self._materialize(index)
+                    index = bisect_left(lane, record)
+                lane.insert(index, record)
+                self._recompute(index)
+                return record
+            prev_finish = last[FINISH]
+            if stable:
+                # Stable fast path: every reservation arrives no earlier
+                # than its issue instant and ``seq`` is globally
+                # monotonic, so once the lane's latest key is <= (now,
+                # seq) NO future issue can ever key before anything
+                # pending — the whole lane is permanently ordered.  Fold
+                # every pending finish into the busy floor (finishes are
+                # monotone along the lane, so the tail is the max) and
+                # run lane-free; retiring a folded record later is a
+                # no-op prune.
+                lane.clear()
+        else:
             prev_finish = self._busy_until
-            start = arrival if arrival > prev_finish else prev_finish
-            finish = start if rate is None else start + bits / rate
+        start = arrival if arrival > prev_finish else prev_finish
+        finish = start if rate is None else start + bits / rate
+        record = Reservation((arrival, seq, bits, start, finish,
+                              finish + self.latency, False, None, None, None,
+                              ()))
+        if stable:
             self._busy_until = finish
-            return Reservation(key, bits, start, finish, finish + latency)
-        if not keys or keys[-1] <= key:
-            prev_finish = self._lane_fin[-1] if keys else self._busy_until
-            start = arrival if arrival > prev_finish else prev_finish
-            finish = start if rate is None else start + bits / rate
-            record = Reservation(key, bits, start, finish, finish + latency)
-            keys.append(key)
-            self._lane_fin.append(finish)
-            self._lane_recs.append(record)
-            return record
-        record = Reservation(key, bits, 0.0, 0.0, 0.0)
-        index = bisect_left(keys, key)
-        if type(self._lane_recs[index]) is TrainReservation \
-                and self._lane_recs[index].first_key < key:
-            # The new message serializes *between* this train's chunks:
-            # split it back into per-chunk records, then insert normally.
-            self._materialize(index)
-            index = bisect_left(keys, key)
-        keys.insert(index, key)
-        self._lane_fin.insert(index, 0.0)
-        self._lane_recs.insert(index, record)
-        self._recompute(index)
+        else:
+            lane.append(record)
         return record
 
     def reserve_train(self, bits_list: List[float], arrivals: List[float],
-                      seq0: int) -> TrainReservation:
+                      seq0: int) -> Reservation:
         """Occupy the link for a chunk train keyed ``(arrivals[j], seq0+j)``.
 
         Arrivals must be non-decreasing (a completion train's are — each
@@ -253,25 +210,25 @@ class Link:
         case appends ONE lane entry for the whole train; when earlier
         pending occupancy keys beyond the train's first chunk the train
         is kept as per-chunk reservations from the start (exactly the
-        chunk-wise :meth:`reserve` sequence).
+        chunk-wise :meth:`reserve` sequence).  Either way the handle is
+        the last chunk's record.
         """
         n = len(bits_list)
-        keys = self._lane_keys
-        first_key = (arrivals[0], seq0)
-        last_key = (arrivals[n - 1], seq0 + n - 1)
+        lane = self._lane
         rate = self.rate_bps
-        latency = self.latency
-        if keys and keys[-1] > first_key:
-            # Pending occupancy interleaves with the train: fall back to
-            # chunk-wise inserts, each counted by reserve().
-            parts = [self.reserve(bits_list[j], arrivals[j], seq0 + j)
-                     for j in range(n)]
-            train = TrainReservation(first_key, last_key, seq0, bits_list,
-                                     arrivals, [p.finish for p in parts],
-                                     parts[-1].delivery)
-            train._parts = parts
-            return train
-        prev = self._lane_fin[-1] if keys else self._busy_until
+        if lane:
+            last = lane[-1]
+            if (last[ARRIVAL], last[SEQ]) > (arrivals[0], seq0):
+                # Pending occupancy interleaves with the train: fall back
+                # to chunk-wise inserts, each counted by reserve().
+                parts = [self.reserve(bits_list[j], arrivals[j], seq0 + j)
+                         for j in range(n)]
+                handle = parts.pop()
+                handle[PARTS] = parts
+                return handle
+            prev = last[FINISH]
+        else:
+            prev = self._busy_until
         finishes = []
         total_bits = 0
         for j in range(n):
@@ -283,59 +240,57 @@ class Link:
             finishes.append(prev)
         self.stats_bits += total_bits
         self.stats_messages += n
-        train = TrainReservation(first_key, last_key, seq0, bits_list,
-                                 arrivals, finishes, prev + latency)
-        keys.append(last_key)
-        self._lane_fin.append(prev)
-        self._lane_recs.append(train)
+        train = Reservation((arrival, seq0 + n - 1, bits, start, prev,
+                             prev + self.latency, False, None, None,
+                             (bits_list, arrivals, finishes, seq0), ()))
+        lane.append(train)
         return train
 
     def _materialize(self, index: int) -> None:
         """Split the train at lane ``index`` into per-chunk records."""
-        train = self._lane_recs[index]
+        lane = self._lane
+        handle = lane[index]
+        bits_list, arrivals, finishes, seq0 = handle[TRAIN]
         rate = self.rate_bps
         latency = self.latency
-        seq0 = train.seq0
-        done = train._done
-        keys = []
-        fins = []
-        recs = []
-        for j, bits in enumerate(train.bits_list):
-            finish = train.finishes[j]
+        done = handle[DONE]
+        parts = []
+        for j in range(len(bits_list) - 1):
+            bits = bits_list[j]
+            finish = finishes[j]
             start = finish if rate is None else finish - bits / rate
-            record = Reservation((train.arrivals[j], seq0 + j), bits,
-                                 start, finish, finish + latency)
-            record.done = done
-            keys.append(record.key)
-            fins.append(finish)
-            recs.append(record)
-        self._lane_keys[index:index + 1] = keys
-        self._lane_fin[index:index + 1] = fins
-        self._lane_recs[index:index + 1] = recs
-        train._parts = recs
+            parts.append(Reservation((arrivals[j], seq0 + j, bits, start,
+                                      finish, finish + latency, done, None,
+                                      None, None, ())))
+        # The handle already carries the last chunk's key and times; it
+        # stays in the lane as that chunk.
+        handle[TRAIN] = None
+        handle[PARTS] = parts
+        lane[index:index] = parts
 
     def _recompute(self, index: int) -> None:
         """Replay reservations from ``index`` on, in arrival-key order.
 
-        Pure index arithmetic over the parallel lane arrays: arrivals
-        come from ``_lane_keys``, the running finish frontier lives in
-        ``_lane_fin``; the repaired times are written back to the caller-
-        held records (whose delivery events re-check on fire).
+        The running finish frontier is each record's own ``FINISH``; the
+        repaired times are written into the caller-held records (whose
+        delivery events re-check on fire).
         """
-        keys = self._lane_keys
-        fins = self._lane_fin
-        recs = self._lane_recs
-        prev_finish = fins[index - 1] if index > 0 else self._busy_until
+        lane = self._lane
+        prev_finish = lane[index - 1][FINISH] if index > 0 \
+            else self._busy_until
         rate = self.rate_bps
         latency = self.latency
-        for i in range(index, len(keys)):
-            record = recs[i]
-            if type(record) is TrainReservation:
+        for record in lane[index:]:
+            train = record[TRAIN]
+            if train is None:
+                arrival = record[ARRIVAL]
+                start = arrival if arrival > prev_finish else prev_finish
+                prev_finish = (start if rate is None
+                               else start + record[BITS] / rate)
+            else:
                 # Replay the train's chunk recurrence in place; only the
-                # final finish is lane state.
-                arrivals = record.arrivals
-                bits_list = record.bits_list
-                train_fins = record.finishes
+                # last chunk's times are lane state.
+                bits_list, arrivals, train_fins, _seq0 = train
                 for j in range(len(bits_list)):
                     arrival = arrivals[j]
                     start = (arrival if arrival > prev_finish
@@ -343,17 +298,9 @@ class Link:
                     prev_finish = (start if rate is None
                                    else start + bits_list[j] / rate)
                     train_fins[j] = prev_finish
-                fins[i] = prev_finish
-                record._delivery = prev_finish + latency
-                continue
-            arrival = keys[i][0]
-            start = arrival if arrival > prev_finish else prev_finish
-            finish = start if rate is None else start + record.bits / rate
-            fins[i] = finish
-            record.start = start
-            record.finish = finish
-            record.delivery = finish + latency
-            prev_finish = finish
+            record[START] = start
+            record[FINISH] = prev_finish
+            record[DELIVERY] = prev_finish + latency
         # Repairs only move reservations later, so any already-scheduled
         # delivery event fires early and re-pushes to the new time.
 
@@ -364,44 +311,43 @@ class Link:
         ``record`` (one aggregate event); they retire in the same prune.
         """
         for part in train:
-            part.done = True
-        record.done = True
+            part[DONE] = True
+            for chunk in part[PARTS]:
+                chunk[DONE] = True
+        record[DONE] = True
+        for chunk in record[PARTS]:
+            chunk[DONE] = True
         if self._tracer is not None:
             for part in train:
                 self._trace_occupancy(part)
             self._trace_occupancy(record)
-        recs = self._lane_recs
-        if not recs or not recs[0].done:
+        lane = self._lane
+        if not lane or not lane[0][DONE]:
             return
-        fins = self._lane_fin
         busy = self._busy_until
         drop = 0
-        for entry in recs:
-            if not entry.done:
+        for entry in lane:
+            if not entry[DONE]:
                 break
-            finish = fins[drop]
+            finish = entry[FINISH]
             if finish > busy:
                 busy = finish
             drop += 1
         self._busy_until = busy
-        del recs[:drop]
-        del fins[:drop]
-        del self._lane_keys[:drop]
+        del lane[:drop]
 
-    def _trace_occupancy(self, record) -> None:
+    def _trace_occupancy(self, record: Reservation) -> None:
         """Emit the Chrome-trace span(s) of a retiring reservation."""
-        if type(record) is not TrainReservation:
-            chunks = ((record.start, record.finish, record.bits),)
-        elif record._parts is not None:
-            chunks = [(p.start, p.finish, p.bits) for p in record._parts]
-        else:
-            rate = self.rate_bps
-            chunks = [(finish if rate is None else finish - bits / rate,
-                       finish, bits)
-                      for bits, finish in zip(record.bits_list,
-                                              record.finishes)]
-        for start, finish, bits in chunks:
-            self.trace_slice(start, finish, bits)
+        train = record[TRAIN]
+        if train is None:
+            for part in record[PARTS]:
+                self.trace_slice(part[START], part[FINISH], part[BITS])
+            self.trace_slice(record[START], record[FINISH], record[BITS])
+            return
+        rate = self.rate_bps
+        for bits, finish in zip(train[0], train[2]):
+            self.trace_slice(finish if rate is None else finish - bits / rate,
+                             finish, bits)
 
     def trace_slice(self, start: float, finish: float, bits: float) -> None:
         """One Chrome-trace occupancy span; only call when ``_tracer`` is
@@ -423,9 +369,10 @@ class Link:
         sim = self.sim
         now = sim._now
         record = self.reserve(bits, now, sim._seq)
-        record.message = message
-        sim.call_later(record.delivery - now, self._dispatch, record)
-        return record.delivery
+        record[MESSAGE] = message
+        delivery = record[DELIVERY]
+        sim.call_later(delivery - now, self._dispatch, record)
+        return delivery
 
     def send_at(self, message: Any, bits: float, arrival: float) -> float:
         """Like :meth:`send`, but arriving at future time ``arrival``.
@@ -439,20 +386,22 @@ class Link:
             raise RuntimeError(f"link {self.name!r} has no sink connected")
         sim = self.sim
         record = self.reserve(bits, arrival, sim._seq)
-        record.message = message
-        sim.call_later(record.delivery - sim._now, self._dispatch, record)
-        return record.delivery
+        record[MESSAGE] = message
+        delivery = record[DELIVERY]
+        sim.call_later(delivery - sim._now, self._dispatch, record)
+        return delivery
 
     def _dispatch(self, record: Reservation) -> None:
         """Deliver a sent message, honouring post-hoc repairs."""
         sim = self.sim
-        if record.delivery > sim._now:
+        if record[DELIVERY] > sim._now:
             # An out-of-order arrival pushed this message later after its
             # delivery event was scheduled; fire again at the final time.
-            sim.call_later(record.delivery - sim._now, self._dispatch, record)
+            sim.call_later(record[DELIVERY] - sim._now, self._dispatch,
+                           record)
             return
         self.retire(record)
-        self.sink(record.message)
+        self.sink(record[MESSAGE])
 
     def queue_delay(self) -> float:
         """Seconds until the link would start serializing a new message."""
@@ -460,8 +409,8 @@ class Link:
 
     @property
     def busy_until(self) -> float:
-        fins = self._lane_fin
-        return fins[-1] if fins else self._busy_until
+        lane = self._lane
+        return lane[-1][FINISH] if lane else self._busy_until
 
 
 class DuplexLink:

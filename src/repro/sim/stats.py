@@ -124,19 +124,3 @@ class ThroughputMeter:
         if self.duration <= 0:
             return 0.0
         return self.packets / self.duration / 1e6
-
-
-class Counter:
-    """A named bag of integer counters (drops, retransmits, stalls...)."""
-
-    def __init__(self):
-        self._counts: Dict[str, int] = {}
-
-    def inc(self, key: str, amount: int = 1) -> None:
-        self._counts[key] = self._counts.get(key, 0) + amount
-
-    def __getitem__(self, key: str) -> int:
-        return self._counts.get(key, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)

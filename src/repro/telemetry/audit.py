@@ -145,22 +145,17 @@ def audit_fabric(fabric) -> List[Violation]:
     A read request whose completion never came back means a requester
     stuck forever on a ``yield fabric.read(...)`` — the kind of lost
     wakeup the fused/cut-through transit paths could introduce.  The
-    fabric's pending-read table must therefore drain to empty with the
-    simulation.
+    fabric's in-flight read counts must therefore drain to zero with
+    the simulation.
     """
     violations: List[Violation] = []
-    pending = getattr(fabric, "_pending_reads", None)
+    pending = fabric.reads_in_flight()
     if pending:
-        by_requester: dict = {}
-        for state in pending.values():
-            requester = state.get("requester", "?") \
-                if isinstance(state, dict) else "?"
-            by_requester[requester] = by_requester.get(requester, 0) + 1
         detail = ", ".join(f"{count} from {requester}"
-                           for requester, count in sorted(by_requester.items()))
+                           for requester, count in sorted(pending.items()))
         violations.append(Violation(
             "read-in-flight", "pcie.fabric",
-            f"{len(pending)} read(s) still awaiting completion at "
+            f"{sum(pending.values())} read(s) still awaiting completion at "
             f"quiesce ({detail})"))
     return violations
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Snapshot
+from .metrics import Gauge, Histogram, MetricsRegistry, Snapshot
 from .profile import NULL_PROFILER, NullSimProfiler, SimProfiler
 from .spans import NULL_SPANS, NullSpanRecorder, SpanRecorder
 from .trace import NULL_TRACER, NullTracer, Tracer
@@ -87,10 +87,7 @@ class Telemetry:
             SimProfiler(wallclock=profile_wallclock, registry=self.metrics)
             if profile else NULL_PROFILER)
 
-    # Registry passthroughs, so call sites read `telemetry.counter(...)`.
-
-    def counter(self, name: str) -> Counter:
-        return self.metrics.counter(name)
+    # Registry passthroughs, so call sites read `telemetry.gauge(...)`.
 
     def gauge(self, name: str) -> Gauge:
         return self.metrics.gauge(name)

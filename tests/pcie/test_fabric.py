@@ -10,9 +10,13 @@ from repro.pcie import (
     PcieError,
     PcieFabric,
     PcieLinkConfig,
+    read_wire_bytes,
+    write_wire_bytes,
 )
+from repro.pcie.tlp import completion_chunks, split_write_bytes
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
+from repro.testbed import HOST_MEM_BASE, make_local_node
 
 
 def build_fabric(latency=0.0, telemetry=None):
@@ -26,6 +30,20 @@ def build_fabric(latency=0.0, telemetry=None):
     fabric.map_window(0x0000_0000, 1 << 20, host)
     fabric.map_window(0x1000_0000, 1 << 16, device)
     return sim, fabric, host, device
+
+
+def lane_ledger(fabric, *endpoints):
+    """(TLPs, payload bytes, header bytes) that crossed each lane."""
+    lanes = {}
+    for endpoint in endpoints:
+        port = fabric.port_of(endpoint)
+        for lane, link, payload in (
+                ("up", port.up, port.up_payload_bytes),
+                ("down", port.down, port.down_payload_bytes)):
+            lanes[endpoint.name, lane] = (
+                link.stats_messages, payload,
+                link.stats_bits // 8 - payload)
+    return lanes
 
 
 class TestAddressing:
@@ -195,16 +213,7 @@ class TestReadBehindAFutureKeyedWrite:
         else:
             sim.spawn(late_writer(sim))
         sim.run()
-        lanes = {}
-        for endpoint in (host, device):
-            port = fabric.port_of(endpoint)
-            for lane, link, payload in (
-                    ("up", port.up, port.up_payload_bytes),
-                    ("down", port.down, port.down_payload_bytes)):
-                lanes[endpoint.name, lane] = (
-                    link.stats_messages, payload,
-                    link.stats_bits // 8 - payload)
-        return seen, dict(fabric.stats_tlps), lanes
+        return seen, dict(fabric.stats_tlps), lane_ledger(fabric, host, device)
 
     def test_equals_the_stable_lane_run(self):
         seen, tlps, lanes = self._run(early=True)
@@ -217,6 +226,124 @@ class TestReadBehindAFutureKeyedWrite:
         assert lanes["device", "down"] == lanes["host", "up"]
         assert lanes["device", "up"] == lanes["host", "down"] == (1, 0, 24)
         assert (seen, tlps, lanes) == self._run(early=False)
+
+
+class TestWireBytesMatchTheModel:
+    """The fabric sizes TLPs inline from the header constants;
+    ``write_wire_bytes``/``read_wire_bytes`` are what ``models/perf.py``
+    budgets Fig. 7a with.  Each lane a transfer crosses must have carried
+    exactly the TLPs, payload and header bytes the analytic functions
+    say."""
+
+    @staticmethod
+    def _crossed(issue):
+        """Per lane, the ``lane_ledger`` entry ``issue`` added."""
+        sim = Simulator()
+        node = make_local_node(sim)
+        sim.run()
+        before = lane_ledger(node.fabric, node.nic, node.memory)
+        issue(node)
+        sim.run()
+        after = lane_ledger(node.fabric, node.nic, node.memory)
+        return node, {lane: tuple(b - a for a, b in zip(before[lane],
+                                                        after[lane]))
+                      for lane in after}
+
+    @pytest.mark.parametrize("length", [1, 64, 256, 257, 512, 1024, 1500])
+    def test_posted_write(self, length):
+        node, crossed = self._crossed(lambda node: node.fabric.post_write(
+            node.nic, HOST_MEM_BASE + 0x1000, data=bytes(length)))
+        nic, mem = node.nic.name, node.memory.name
+        mps = node.fabric.port_of(node.nic).config.max_payload_size
+        expected = (len(split_write_bytes(length, mps)), length,
+                    write_wire_bytes(length, mps) - length)
+        assert crossed[nic, "up"] == crossed[mem, "down"] == expected
+        assert crossed[mem, "up"] == crossed[nic, "down"] == (0, 0, 0)
+
+    # One MRd whatever the length: the fabric does not split at
+    # ``max_read_request`` (ROADMAP), so longer reads are not pinned.
+    @pytest.mark.parametrize("length", [1, 64, 256, 257, 512])
+    def test_read(self, length):
+        node, crossed = self._crossed(lambda node: node.fabric.read(
+            node.nic, HOST_MEM_BASE + 0x1000, length))
+        nic, mem = node.nic.name, node.memory.name
+        config = node.fabric.port_of(node.memory).config
+        rcb = config.read_completion_boundary
+        request, completion = read_wire_bytes(length, rcb,
+                                              config.max_read_request)
+        assert crossed[nic, "up"] == crossed[mem, "down"] == \
+            (1, 0, request)
+        assert crossed[mem, "up"] == crossed[nic, "down"] == \
+            (len(completion_chunks(length, rcb)), length,
+             completion - length)
+
+
+class TestRouteMemo:
+    """A requester port remembers the windows it has used; the memo must
+    never outlive the address map it was resolved against."""
+
+    @staticmethod
+    def _fabric():
+        sim = Simulator()
+        fabric = PcieFabric(sim)
+        regions = [MemoryRegion(name, 0x1000)
+                   for name in ("nic", "first", "second")]
+        for region in regions:
+            fabric.attach(region)
+        fabric.map_window(0x0, 0x1000, regions[1])
+        return (sim, fabric, *regions)
+
+    def test_remapped_window_redirects_the_next_transaction(self):
+        sim, fabric, nic, first, second = self._fabric()
+        fabric.post_write(nic, 0x40, b"old!")
+        sim.run()
+        assert first.handle_read(0x40, 4) == b"old!"
+        fabric.unmap_window(0x0)
+        fabric.map_window(0x0, 0x1000, second)
+        second.write_local(0x80, b"here")
+        got = []
+        fabric.post_write(nic, 0x40, b"new!")
+        fabric.read(nic, 0x80, 4, on_done=got.append)
+        sim.run()
+        assert second.handle_read(0x40, 4) == b"new!"
+        assert first.handle_read(0x40, 4) == b"old!"
+        assert got == [b"here"]
+
+    def test_unmapped_address_stops_decoding(self):
+        sim, fabric, nic, _first, _second = self._fabric()
+        fabric.post_write(nic, 0x40, b"warm")
+        fabric.read(nic, 0x40, 4)
+        sim.run()
+        fabric.unmap_window(0x0)
+        with pytest.raises(PcieError):
+            fabric.post_write(nic, 0x40, b"gone")
+        with pytest.raises(PcieError):
+            fabric.read(nic, 0x40, 4)
+
+    def test_straddling_write_lands_each_chunk_on_its_own_endpoint(self):
+        sim, fabric, nic, first, second = self._fabric()
+        fabric.map_window(0x1000, 0x1000, second)
+        fabric.post_write(nic, 0x40, b"warm")      # memoises `first` only
+        fabric.post_write(nic, 0x1000 - 256, bytes(range(256)) * 2)
+        sim.run()
+        assert first.handle_read(0x1000 - 256, 256) == bytes(range(256))
+        assert second.handle_read(0, 256) == bytes(range(256))
+        assert (first.stats_writes, second.stats_writes) == (2, 1)
+
+    def test_tlp_in_flight_keeps_the_endpoint_it_was_issued_to(self):
+        sim, fabric, nic, first, second = self._fabric()
+        first.write_local(0x80, b"data")
+        got = []
+        fabric.post_write(nic, 0x40, b"sent")
+        fabric.post_write(nic, 0x100, bytes(range(256)) * 2)   # a train
+        fabric.read(nic, 0x80, 4, on_done=got.append)
+        fabric.unmap_window(0x0)
+        fabric.map_window(0x0, 0x1000, second)
+        sim.run()
+        assert first.handle_read(0x40, 4) == b"sent"
+        assert first.handle_read(0x100, 512) == bytes(range(256)) * 2
+        assert got == [b"data"]
+        assert second.stats_writes == second.stats_reads == 0
 
 
 def test_every_tlp_leaves_a_lane_slice_on_both_hops():

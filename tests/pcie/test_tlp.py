@@ -1,13 +1,9 @@
 """Unit tests for TLP sizing."""
 
-import pytest
-
 from repro.pcie import (
     COMPLETION_HEADER,
     DLLP_FRAMING,
     MEM_REQUEST_HEADER,
-    Tlp,
-    TlpType,
     read_wire_bytes,
     write_wire_bytes,
 )
@@ -16,20 +12,16 @@ from repro.pcie.tlp import completion_chunks, split_write_bytes
 
 class TestTlpSizes:
     def test_read_request_is_header_only(self):
-        tlp = Tlp(TlpType.MEM_READ, 0x1000, length=4096)
-        assert tlp.wire_bytes() == MEM_REQUEST_HEADER + DLLP_FRAMING
+        request, _completion = read_wire_bytes(64, rcb=256)
+        assert request == MEM_REQUEST_HEADER + DLLP_FRAMING
 
     def test_write_carries_payload(self):
-        tlp = Tlp(TlpType.MEM_WRITE, 0x1000, data=b"x" * 64)
-        assert tlp.wire_bytes() == MEM_REQUEST_HEADER + DLLP_FRAMING + 64
+        assert write_wire_bytes(64, 256) == \
+            MEM_REQUEST_HEADER + DLLP_FRAMING + 64
 
     def test_completion_with_data(self):
-        tlp = Tlp(TlpType.COMPLETION_DATA, 0, data=b"x" * 128)
-        assert tlp.wire_bytes() == COMPLETION_HEADER + DLLP_FRAMING + 128
-
-    def test_data_sets_length(self):
-        tlp = Tlp(TlpType.MEM_WRITE, 0, data=b"abc")
-        assert tlp.length == 3
+        _request, completion = read_wire_bytes(128, rcb=256)
+        assert completion == COMPLETION_HEADER + DLLP_FRAMING + 128
 
 
 class TestSplitting:

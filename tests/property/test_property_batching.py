@@ -19,7 +19,15 @@ from repro.core import (
 )
 from repro.nic import CQE_SIZE, Cqe, RxDesc, TxWqe, WQE_SIZE
 from repro.nic.wqe import OP_ETH_SEND, OP_RDMA_SEND, RX_DESC_SIZE
-from repro.pcie.tlp import Tlp, TlpType
+from repro.pcie.tlp import (
+    COMPLETION_HEADER,
+    DLLP_FRAMING,
+    MEM_REQUEST_HEADER,
+    completion_chunks,
+    read_wire_bytes,
+    split_write_bytes,
+    write_wire_bytes,
+)
 
 u8 = st.integers(0, 0xFF)
 u16 = st.integers(0, 0xFFFF)
@@ -187,18 +195,22 @@ class TestCuckooBatchLookupProperties:
         in_both_modes(check)
 
 
-class TestTlpWireBytesCache:
-    @given(st.sampled_from(list(TlpType)), st.integers(0, 4096),
-           st.booleans())
+class TestTlpWireBytes:
+    @given(st.integers(0, 4096), st.sampled_from([128, 256, 512]),
+           st.sampled_from([64, 128, 256]))
     @settings(max_examples=80, deadline=None)
-    def test_cached_size_is_stable_and_consistent(self, kind, length,
-                                                  with_data):
-        data = bytes(length) if with_data else None
-        tlp = Tlp(kind, address=0x1000, length=length, data=data)
-        first = tlp.wire_bytes()
-        assert tlp.wire_bytes() == first  # cache returns the same size
-        assert first == (tlp.header_wire_bytes()
-                         + tlp.payload_wire_bytes())
-        twin = Tlp(kind, address=0x2000, length=length,
-                   data=bytes(length) if with_data else None)
-        assert twin.wire_bytes() == first
+    def test_wire_size_is_headers_plus_payload(self, length, mps, rcb):
+        """Every TLP pays its header and framing once; the payload is
+        carried exactly once however the transfer is split."""
+        writes = split_write_bytes(length, mps)
+        assert sum(writes) == length
+        assert all(0 < chunk <= mps for chunk in writes)
+        assert write_wire_bytes(length, mps) == (
+            length + len(writes) * (MEM_REQUEST_HEADER + DLLP_FRAMING))
+        requests = split_write_bytes(length, 512)
+        completions = [chunk for request in requests
+                       for chunk in completion_chunks(request, rcb)]
+        assert sum(completions) == length
+        assert read_wire_bytes(length, rcb, max_read_request=512) == (
+            len(requests) * (MEM_REQUEST_HEADER + DLLP_FRAMING),
+            length + len(completions) * (COMPLETION_HEADER + DLLP_FRAMING))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, LatencyCollector, ThroughputMeter, percentile
+from repro.sim import LatencyCollector, ThroughputMeter, percentile
 
 
 class TestPercentile:
@@ -81,13 +81,3 @@ class TestThroughputMeter:
         assert meter.gbps(wire_overhead_per_packet=24) == pytest.approx(
             (1000 + 24) * 8 / 1e9
         )
-
-
-class TestCounter:
-    def test_inc_and_read(self):
-        counter = Counter()
-        counter.inc("drops")
-        counter.inc("drops", 2)
-        assert counter["drops"] == 3
-        assert counter["missing"] == 0
-        assert counter.as_dict() == {"drops": 3}

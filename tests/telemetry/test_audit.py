@@ -107,10 +107,8 @@ class TestNicAudit:
 
 
 def _fake_fabric(pending=0, requester="nic"):
-    reads = {tag: {"event": object(), "requester": requester,
-                   "chunks": [], "remaining": None}
-             for tag in range(pending)}
-    return SimpleNamespace(_pending_reads=reads)
+    reads = {requester: pending} if pending else {}
+    return SimpleNamespace(reads_in_flight=lambda: reads)
 
 
 class TestFabricAudit:

@@ -297,7 +297,7 @@ class TestNullSink:
     def test_enabled_telemetry_records(self):
         telemetry = Telemetry(trace=False)
         assert telemetry.enabled is True
-        telemetry.counter("c").inc()
+        telemetry.metrics.counter("c").inc()
         assert telemetry.metrics.counter("c").value == 1
         assert telemetry.tracer.enabled is False  # trace=False
 
