@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from ..host import LoadGenerator
 from ..net import Flow
-from ..net.parse import parse_frame
+from ..net.parse import PAYLOAD, parse_layout
 from ..sim import LatencyCollector, Simulator, ThroughputMeter
 from ..sweep import SweepCache, SweepPoint, run_sweep
 from ..topology import (
@@ -107,9 +107,9 @@ class _TenantAccounting:
         loadgen.qp.on_receive = self._on_receive
 
     def _on_receive(self, data: bytes, cqe) -> None:
-        packet = parse_frame(data)
-        if len(packet.payload) >= 8:
-            (seq,) = struct.unpack_from("!Q", packet.payload, 0)
+        payload_at = parse_layout(data)[PAYLOAD]
+        if len(data) - payload_at >= 8:
+            (seq,) = struct.unpack_from("!Q", data, payload_at)
             sent = self.loadgen._sent_at.get(seq)
             tenant = seq % self.tenants
             now = self.loadgen.sim.now

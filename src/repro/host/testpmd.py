@@ -11,9 +11,11 @@ import struct
 from typing import Dict, List, Optional
 
 from .. import batching
-from ..net import Ethernet, Flow, Ipv4, Packet, Tcp, Udp
+from ..net import Flow, Packet
 from ..net.ip import PROTO_TCP
-from ..net.parse import parse_frame
+from ..net.parse import (
+    ETHERTYPE, L3, L4, PAYLOAD, parse_frame, parse_layout,
+)
 from ..sim import Event, LatencyCollector, Simulator, ThroughputMeter
 from .driver import EthQueuePair
 
@@ -28,16 +30,29 @@ _PAYLOAD_OFF = 42
 
 
 def swap_directions(packet: Packet) -> Packet:
-    """Reverse a frame's MACs/IPs/ports — the essence of an echo app."""
-    eth = packet.find(Ethernet)
-    if eth is not None:
-        eth.src, eth.dst = eth.dst, eth.src
-    ip = packet.find(Ipv4)
-    if ip is not None:
-        ip.src, ip.dst = ip.dst, ip.src
-    l4 = packet.find(Tcp) or packet.find(Udp)
+    """Reverse a frame's MACs/IPs/ports — the essence of an echo app.
+
+    A byte swap in place of the frame: one's-complement sums commute,
+    so no checksum moves.
+    """
+    layout = packet.layout or packet.fields()
+    if layout[ETHERTYPE] is None:
+        return packet
+    raw = packet.raw
+    frame = bytearray(raw)
+    frame[0:6], frame[6:12] = raw[6:12], raw[0:6]
+    l3 = layout[L3]
+    if l3 is not None:
+        frame[l3 + 12:l3 + 16], frame[l3 + 16:l3 + 20] = (
+            raw[l3 + 16:l3 + 20], raw[l3 + 12:l3 + 16])
+    l4 = layout[L4]
     if l4 is not None:
-        l4.src_port, l4.dst_port = l4.dst_port, l4.src_port
+        frame[l4:l4 + 2], frame[l4 + 2:l4 + 4] = (
+            raw[l4 + 2:l4 + 4], raw[l4:l4 + 2])
+    packet.raw = raw = bytes(frame)
+    # Swapped ports can change what the frame is (a tunnel or RoCE
+    # port moving into the destination slot).
+    packet.layout = parse_layout(raw)
     return packet
 
 
@@ -234,9 +249,9 @@ class LoadGenerator:
             spans.record(ctx, "host.tx", started, self.sim.now)
 
     def _on_receive(self, data: bytes, cqe) -> None:
-        packet = parse_frame(data)
-        if len(packet.payload) >= _SEQ_SIZE:
-            (seq,) = struct.unpack_from(_SEQ_FORMAT, packet.payload, 0)
+        payload_at = parse_layout(data)[PAYLOAD]
+        if len(data) - payload_at >= _SEQ_SIZE:
+            (seq,) = struct.unpack_from(_SEQ_FORMAT, data, payload_at)
             sent = self._sent_at.pop(seq, None)
             if sent is not None:
                 self.latency.add(self.sim.now - sent)

@@ -33,11 +33,6 @@ def internet_checksum(data: bytes, initial: int = 0) -> int:
     return (~_folded_sum(data, initial)) & 0xFFFF
 
 
-def ones_complement_add(data: bytes, initial: int = 0) -> int:
-    """Partial (non-inverted) one's-complement sum, for pseudo-headers."""
-    return _folded_sum(data, initial)
-
-
 def verify_checksum(data: bytes) -> bool:
     """True when ``data`` (checksum field included) sums to zero."""
     return internet_checksum(data) == 0

@@ -11,10 +11,11 @@ from __future__ import annotations
 import struct
 from typing import List, Optional, Tuple
 
-from .ip import Ipv4, PROTO_TCP, PROTO_UDP
-from .packet import Packet
-from .tcp import Tcp
-from .udp import Udp
+from .ip import PROTO_TCP, PROTO_UDP
+from .packet import (
+    DST_IP, DST_PORT, IS_FRAGMENT, L3, L4, PAYLOAD, PROTO, Packet, SRC_IP,
+    SRC_PORT,
+)
 
 # The canonical 40-byte Microsoft RSS key.
 DEFAULT_RSS_KEY = bytes([
@@ -44,12 +45,12 @@ def toeplitz_hash(data: bytes, key: bytes = DEFAULT_RSS_KEY) -> int:
     return result
 
 
-def rss_input_v4(src: Ipv4, ports: Optional[Tuple[int, int]]) -> bytes:
+def rss_input_v4(src_ip: int, dst_ip: int,
+                 ports: Optional[Tuple[int, int]]) -> bytes:
     """Build the RSS hash input: src/dst IP, optionally src/dst port."""
-    data = src.src.pack() + src.dst.pack()
-    if ports is not None:
-        data += struct.pack("!HH", ports[0], ports[1])
-    return data
+    if ports is None:
+        return struct.pack("!II", src_ip, dst_ip)
+    return struct.pack("!IIHH", src_ip, dst_ip, ports[0], ports[1])
 
 
 def extract_ports(packet: Packet) -> Optional[Tuple[int, int]]:
@@ -62,19 +63,16 @@ def extract_ports(packet: Packet) -> Optional[Tuple[int, int]]:
     datagram across cores, so NICs fall back to the 2-tuple for any frame
     with MF set or a nonzero offset.
     """
-    ip = packet.find(Ipv4)
-    if ip is None:
+    layout = packet.layout or packet.fields()
+    if layout[L3] is None or layout[IS_FRAGMENT]:
         return None
-    if ip.is_fragment:
-        return None
-    l4 = packet.find(Tcp) or packet.find(Udp)
-    if l4 is not None:
-        return (l4.src_port, l4.dst_port)
-    # Fragments carry L4 bytes opaquely in the payload; a whole
-    # (unfragmented or reassembled) datagram exposes them for parsing.
-    if ip.proto in (PROTO_TCP, PROTO_UDP) and len(packet.payload) >= 4:
-        src_port, dst_port = struct.unpack("!HH", packet.payload[:4])
-        return (src_port, dst_port)
+    if layout[L4] is not None:
+        return (layout[SRC_PORT], layout[DST_PORT])
+    # An L4 header too short to parse still leads with its ports.
+    raw = packet.raw
+    at = layout[PAYLOAD]
+    if layout[PROTO] in (PROTO_TCP, PROTO_UDP) and len(raw) - at >= 4:
+        return struct.unpack_from("!HH", raw, at)
     return None
 
 
@@ -99,13 +97,14 @@ class RssEngine:
         what concentrates fragmented traffic (same src/dst pair) onto one
         queue in the paper's defrag experiment.
         """
-        ip = packet.find(Ipv4)
-        if ip is None:
+        layout = packet.layout or packet.fields()
+        if layout[L3] is None:
             return self.indirection[0]
         ports = extract_ports(packet)
         if ports is None:
             self.stats_no_ports += 1
         self.stats_hashed += 1
-        value = toeplitz_hash(rss_input_v4(ip, ports), self.key)
+        value = toeplitz_hash(
+            rss_input_v4(layout[SRC_IP], layout[DST_IP], ports), self.key)
         packet.meta["rss_hash"] = value
         return self.indirection[value % len(self.indirection)]

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .ethernet import Ethernet, ETHERTYPE_IPV4
 from .ip import Ipv4, PROTO_UDP
-from .packet import Header, Packet
+from .packet import Header, Packet, VNI
 from .udp import Udp, VXLAN_PORT
 
 FLAG_VNI_VALID = 0x08
@@ -44,6 +44,11 @@ class Vxlan(Header):
         return cls(vni=vni_field >> 8, flags=flags)
 
 
+#: Where the inner frame starts: the first VXLAN header always sits
+#: behind the outermost Eth/IPv4/UDP.
+VXLAN_INNER = 14 + Ipv4.HEADER_LEN + Udp.HEADER_LEN + Vxlan.HEADER_LEN
+
+
 def vxlan_encapsulate(inner: Packet, vni: int, outer_src_mac, outer_dst_mac,
                       outer_src_ip, outer_dst_ip,
                       src_port: Optional[int] = None) -> Packet:
@@ -69,18 +74,17 @@ def vxlan_encapsulate(inner: Packet, vni: int, outer_src_mac, outer_dst_mac,
 def vxlan_decapsulate(packet: Packet) -> Packet:
     """Strip outer Eth/IP/UDP/VXLAN, returning the inner frame.
 
-    Raises ``ValueError`` when the packet is not a VXLAN encapsulation.
+    The inner frame is a new frozen packet over the same bytes past the
+    VXLAN header; no header is rebuilt.  Raises ``ValueError`` when the
+    packet is not a VXLAN encapsulation.
     """
-    vxlan = packet.find(Vxlan)
-    if vxlan is None:
+    # Circular: the parser knows the Vxlan header.
+    from .parse import parse_layout
+    vni = (packet.layout or packet.fields())[VNI]
+    if vni is None:
         raise ValueError("not a VXLAN packet")
-    udp = packet.find(Udp)
-    if udp is None or udp.dst_port != VXLAN_PORT:
-        raise ValueError("VXLAN header without UDP/4789 transport")
-    inner = packet.copy()
-    while inner.headers and not isinstance(inner.headers[0], Vxlan):
-        inner.pop()
-    inner.pop()  # the VXLAN header itself
-    inner.meta["vxlan_vni"] = vxlan.vni
+    raw = packet.raw[VXLAN_INNER:]
+    inner = Packet.frozen(raw, parse_layout(raw), dict(packet.meta))
+    inner.meta["vxlan_vni"] = vni
     inner.meta["decapsulated"] = True
     return inner

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Tuple
 
-from ..net import Bth, Packet
-from ..net.parse import parse_frame
+from ..net import Packet
+from ..net.parse import BTH, parse_frame
 from ..pcie import PcieEndpoint, PcieError, PcieFabric, PcieLinkConfig
 from ..sim import Simulator, Store
 # The NIC BAR's internal layout lives with the other physical address
@@ -424,7 +424,7 @@ class Nic(PcieEndpoint):
 
     def _pre_rx_hook(self, vport: VPort, packet: Packet) -> bool:
         """Transport interception: RoCE frames bypass guest steering."""
-        if packet.find(Bth) is not None:
+        if (packet.layout or packet.fields())[BTH] is not None:
             return self.rdma.on_ingress(packet)
         return False
 

@@ -31,6 +31,7 @@ from ..net import (
     send_opcode,
     write_opcode,
 )
+from ..net.parse import BTH, PAYLOAD, parse_layout
 from ..net.roce import ICRC_SIZE, OP_ACK
 from ..sim import Simulator
 from .wqe import (
@@ -41,6 +42,16 @@ from .wqe import (
     OP_RDMA_WRITE,
     TxWqe,
 )
+
+
+_ICRC = bytes(ICRC_SIZE)
+
+
+def _segment_payload(raw: bytes, layout: tuple) -> bytes:
+    """A received segment's data: past the transport headers, less the
+    ICRC."""
+    at = layout[PAYLOAD]
+    return raw[at:-ICRC_SIZE] if len(raw) - at >= ICRC_SIZE else b""
 
 
 class MemoryRegion:
@@ -117,6 +128,9 @@ class RcQp:
         self.remote_mac: Optional[MacAddress] = None
         self.remote_ip: Optional[IpAddress] = None
         self.remote_qpn: Optional[int] = None
+        # Packed Eth/IPv4/UDP head of this QP's frames by UDP length;
+        # valid while the remote endpoint stands.
+        self.frame_heads: Dict[int, bytes] = {}
         # Sender state.
         self.next_psn = 0
         self.consecutive_retries = 0
@@ -155,6 +169,7 @@ class RcQp:
                 f"QP {self.qpn}: illegal transition "
                 f"{self.state} -> {new_state}")
         if new_state == self.RTR:
+            self.frame_heads.clear()
             if remote_mac is not None:
                 self.remote_mac = MacAddress(remote_mac)
             if remote_ip is not None:
@@ -368,21 +383,11 @@ class RdmaEngine:
                      total_length: int = 0) -> Packet:
         opcode = (write_opcode(first, last) if is_write
                   else send_opcode(first, last))
-        bth = Bth(
-            opcode, dest_qp=qp.remote_qpn, psn=qp.next_psn,
-            ack_request=last,
-        )
-        packet = Packet(payload=payload + bytes(ICRC_SIZE))
-        packet.append(bth)
+        body = Bth(opcode, dest_qp=qp.remote_qpn, psn=qp.next_psn,
+                   ack_request=last).pack()
         if is_write and first:
-            packet.append(Reth(remote_addr, rkey, total_length))
-        udp = Udp(49152 + (qp.qpn & 0x3FFF), ROCE_V2_PORT)
-        udp.finalize(bth.size() + len(payload) + ICRC_SIZE)
-        packet.push(udp)
-        ip = Ipv4(qp.local_ip, qp.remote_ip, proto=PROTO_UDP)
-        ip.finalize(udp.length)
-        packet.push(ip)
-        packet.push(Ethernet(qp.local_mac, qp.remote_mac))
+            body += Reth(remote_addr, rkey, total_length).pack()
+        packet = self._frame(qp, body + payload)
         if wqe is not None:
             packet.meta["context_id"] = wqe.context_id
             if wqe.trace_ctx is not None:
@@ -390,6 +395,27 @@ class RdmaEngine:
                 # (Packet.copy preserves meta) stay on the original trace.
                 packet.meta["trace_ctx"] = wqe.trace_ctx
         return packet
+
+    @staticmethod
+    def _frame(qp: RcQp, body: bytes) -> Packet:
+        """A frozen RoCE frame: ``body`` (transport headers + payload)
+        and the ICRC behind the QP's Eth/IPv4/UDP head.
+
+        Every field of the head but the two lengths is fixed while the
+        QP stays connected, so it is packed through the header classes
+        once per UDP length.
+        """
+        udp_length = Udp.HEADER_LEN + len(body) + ICRC_SIZE
+        head = qp.frame_heads.get(udp_length)
+        if head is None:
+            udp = Udp(49152 + (qp.qpn & 0x3FFF), ROCE_V2_PORT, udp_length)
+            ip = Ipv4(qp.local_ip, qp.remote_ip, proto=PROTO_UDP)
+            ip.finalize(udp_length)
+            head = qp.frame_heads[udp_length] = (
+                Ethernet(qp.local_mac, qp.remote_mac).pack()
+                + ip.pack() + udp.pack())
+        raw = head + body + _ICRC
+        return Packet.frozen(raw, parse_layout(raw), {})
 
     def _arm_retransmit_timer(self, qp: RcQp) -> None:
         # A method bound to the engine, so the timer accounts to the
@@ -443,9 +469,10 @@ class RdmaEngine:
             prof.current_tag = prev
 
     def _on_ingress(self, packet: Packet) -> bool:
-        bth = packet.find(Bth)
-        if bth is None:
+        at = (packet.layout or packet.fields())[BTH]
+        if at is None:
             return False
+        bth = Bth.unpack(packet.raw[at:at + Bth.HEADER_LEN])
         qp = self.qps.get(bth.dest_qp)
         if qp is None:
             return False
@@ -469,10 +496,14 @@ class RdmaEngine:
             self.stats_duplicate_segments += 1
             self._send_ack(qp)
             return
-        payload = (packet.payload[:-ICRC_SIZE]
-                   if len(packet.payload) >= ICRC_SIZE else b"")
+        raw = packet.raw
+        layout = packet.layout
+        payload = _segment_payload(raw, layout)
         if bth.is_first:
-            reth = packet.find(Reth)
+            # The parser consumed a RETH iff the segment was long enough.
+            at = layout[BTH] + Bth.HEADER_LEN
+            reth = (Reth.unpack(raw[at:at + Reth.HEADER_LEN])
+                    if layout[PAYLOAD] > at else None)
             region = self._regions.get(reth.rkey) if reth else None
             if region is None or not region.contains(reth.virtual_address,
                                                      reth.length):
@@ -523,7 +554,7 @@ class RdmaEngine:
         self.stats_segments_received += 1
         if bth.is_last:
             qp.received_msn = (qp.received_msn + 1) & 0xFFFFFF
-        payload = packet.payload[:-ICRC_SIZE] if len(packet.payload) >= ICRC_SIZE else b""
+        payload = _segment_payload(packet.raw, packet.layout)
         flags = CQE_FLAG_MSG_LAST if bth.is_last else 0
         context = packet.meta.get("context_id", 0)
         self.inbound_trace_ctx = packet.meta.get("trace_ctx")
@@ -537,17 +568,9 @@ class RdmaEngine:
 
     def _send_ack(self, qp: RcQp) -> None:
         last_good = (qp.expected_psn - 1) & 0xFFFFFF
-        ack = Bth(OP_ACK, dest_qp=qp.remote_qpn, psn=last_good)
-        packet = Packet(payload=bytes(ICRC_SIZE))
-        packet.append(ack)
-        packet.append(Aeth(msn=qp.received_msn))
-        udp = Udp(49152 + (qp.qpn & 0x3FFF), ROCE_V2_PORT)
-        udp.finalize(ack.size() + Aeth.HEADER_LEN + ICRC_SIZE)
-        packet.push(udp)
-        ip = Ipv4(qp.local_ip, qp.remote_ip, proto=PROTO_UDP)
-        ip.finalize(udp.length)
-        packet.push(ip)
-        packet.push(Ethernet(qp.local_mac, qp.remote_mac))
+        packet = self._frame(
+            qp, Bth(OP_ACK, dest_qp=qp.remote_qpn, psn=last_good).pack()
+            + Aeth(msn=qp.received_msn).pack())
         self.stats_acks_sent += 1
         self._egress_frame(qp, packet)
 

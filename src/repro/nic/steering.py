@@ -17,7 +17,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..net import Ethernet, Ipv4, Packet, Tcp, Udp, Vxlan, vxlan_decapsulate
+from ..net import Packet, vxlan_decapsulate
+from ..net.parse import (
+    DST_IP, DST_MAC, DST_PORT, ETHERTYPE, IS_FRAGMENT, PROTO, SRC_IP,
+    SRC_PORT, VNI,
+)
 
 
 class SteeringError(RuntimeError):
@@ -56,41 +60,30 @@ class MatchSpec:
         )
 
     def matches(self, packet: Packet) -> bool:
-        headers = packet.headers
+        # An absent field reads None in the layout, and None equals no
+        # match value.
+        layout = packet.layout or packet.fields()
         if self._dst_mac_only:
-            if headers and headers[0].__class__ is Ethernet:
-                return headers[0].dst.value == self.dst_mac.value
-            eth = packet.find(Ethernet)
-            return eth is not None and eth.dst.value == self.dst_mac.value
-        eth = packet.find(Ethernet)
-        if self.dst_mac is not None and (eth is None or eth.dst != self.dst_mac):
+            return layout[DST_MAC] == self.dst_mac.value
+        if self.dst_mac is not None and layout[DST_MAC] != self.dst_mac.value:
             return False
-        if self.ethertype is not None and (
-            eth is None or eth.ethertype != self.ethertype
-        ):
+        if self.ethertype is not None and layout[ETHERTYPE] != self.ethertype:
             return False
-        ip = packet.find(Ipv4)
-        if self.src_ip is not None and (ip is None or ip.src != self.src_ip):
+        if self.src_ip is not None and layout[SRC_IP] != self.src_ip.value:
             return False
-        if self.dst_ip is not None and (ip is None or ip.dst != self.dst_ip):
+        if self.dst_ip is not None and layout[DST_IP] != self.dst_ip.value:
             return False
-        if self.ip_proto is not None and (ip is None or ip.proto != self.ip_proto):
+        if self.ip_proto is not None and layout[PROTO] != self.ip_proto:
             return False
-        if self.is_fragment is not None:
-            if ip is None or ip.is_fragment != self.is_fragment:
-                return False
-        if self.src_port is not None or self.dst_port is not None:
-            l4 = packet.find(Tcp) or packet.find(Udp)
-            if l4 is None:
-                return False
-            if self.src_port is not None and l4.src_port != self.src_port:
-                return False
-            if self.dst_port is not None and l4.dst_port != self.dst_port:
-                return False
-        if self.vni is not None:
-            vxlan = packet.find(Vxlan)
-            if vxlan is None or vxlan.vni != self.vni:
-                return False
+        if (self.is_fragment is not None
+                and layout[IS_FRAGMENT] != self.is_fragment):
+            return False
+        if self.src_port is not None and layout[SRC_PORT] != self.src_port:
+            return False
+        if self.dst_port is not None and layout[DST_PORT] != self.dst_port:
+            return False
+        if self.vni is not None and layout[VNI] != self.vni:
+            return False
         return True
 
 

@@ -10,6 +10,7 @@ heals, the connection carries traffic again without re-handshaking.
 
 from repro.core import FldError
 from repro.experiments.setups import fldr_echo
+from repro.net import IpAddress, MacAddress, verify_checksum
 from repro.net.roce import Bth
 from repro.nic import RcQp, RdmaEngine
 from repro.sim import Simulator
@@ -120,6 +121,28 @@ class TestQpRecovery:
         assert replies[0][1] == b"x" * 512
         # The healed wire acks everything; no further recoveries fire.
         assert kdriver.stats_recoveries == recoveries_while_faulted
+
+
+def test_reconnect_to_a_new_remote_readdresses_the_next_segment():
+    """The recovery walk (RESET→INIT→RTR→RTS through the command
+    channel) may land on a different peer; the QP's packed frame heads
+    must not outlive the remote they were packed for."""
+    sim, setup, server_qp, _kdriver = build()
+    rdma = setup.server.nic.rdma
+    sent = []
+    rdma.drop_filter = lambda qp, frame: sent.append(frame.to_bytes()) or True
+    rdma.send_message(server_qp, None, b"x" * 64)      # warms the head
+    new_mac, new_ip = MacAddress("02:00:00:00:0b:0b"), IpAddress("10.9.9.9")
+    assert (server_qp.remote_mac, server_qp.remote_ip) != (new_mac, new_ip)
+
+    setup.runtime.ctrl.connect_qp(server_qp, new_mac, new_ip,
+                                  server_qp.remote_qpn)
+    rdma.send_message(server_qp, None, b"x" * 64)
+    old, new = sent
+    assert len(old) == len(new)
+    assert new[0:6] == new_mac.pack() and new[30:34] == new_ip.pack()
+    assert new[6:12] == old[6:12] and new[26:30] == old[26:30]  # local end
+    assert verify_checksum(new[14:34])
 
 
 def test_engine_aggregates_outlive_the_qp():

@@ -190,3 +190,42 @@ class TestPacket:
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             Packet().pop()
+
+    def test_repr_names_a_frozen_packet_without_thawing_it(self):
+        packet = self._frame()
+        thawed_repr = repr(packet)
+        assert thawed_repr == "Packet(Ethernet/Ipv4/Udp, payload=4B)"
+        layout = packet.fields()
+        raw = packet.raw
+        assert repr(packet) == thawed_repr
+        assert packet.raw is raw and packet.layout is layout
+
+    def test_each_accessor_moves_the_packet_one_way(self):
+        packet = self._frame()
+        frame = packet.to_bytes()
+        assert packet.raw is None           # to_bytes does not freeze
+        packet.fields()
+        for read in (packet.to_bytes, packet.size, packet.wire_size,
+                     packet.header_size, packet.copy, packet.fields,
+                     lambda: packet.payload):
+            read()
+            assert packet.raw == frame      # readers leave it frozen
+        assert packet.find(Udp).dst_port == 2   # builders thaw it
+        assert packet.raw is None and packet.layout is None
+        assert packet.to_bytes() == frame
+
+    def test_a_headerless_packet_has_no_layers_whatever_its_bytes(self):
+        frame = self._frame().to_bytes()
+        packet = Packet(payload=frame)
+        assert set(packet.fields()[3:]) == {None}
+        assert packet.to_bytes() == frame
+        assert packet.headers == [] and packet.payload == frame
+
+    def test_a_stack_that_is_no_frame_raises_at_fields_and_stays_a_stack(
+            self):
+        eth = Ethernet("02:00:00:00:00:01", "02:00:00:00:00:02")
+        packet = Packet([eth], b"\x45\x00")     # IPv4 ethertype, 2 bytes
+        with pytest.raises(ValueError, match="truncated IPv4"):
+            packet.fields()
+        assert packet.raw is None and packet.headers == [eth]
+        assert packet.to_bytes() == eth.pack() + b"\x45\x00"

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.net import Flow, Ipv4, PROTO_TCP, PROTO_UDP, Tcp, Udp, \
-    fragment_packet
+from repro.net import Aeth, Bth, Ethernet, Flow, Ipv4, PROTO_TCP, \
+    PROTO_UDP, Packet, ROCE_V2_PORT, Reth, Tcp, Udp, fragment_packet, \
+    send_opcode, write_opcode
+from repro.net.roce import ICRC_SIZE, OP_ACK
 from repro.nic import CQE_FLAG_L3_OK, CQE_FLAG_L4_OK, ChecksumOffload, \
     Shaper
 from repro.nic.rdma import RcQp, RdmaEngine, RdmaError
-from repro.nic.wqe import OP_RDMA_SEND, TxWqe
+from repro.nic.wqe import OP_RDMA_SEND, OP_RDMA_WRITE, TxWqe
 from repro.sim import Simulator
 
 
@@ -242,3 +244,72 @@ class TestRdmaEngine:
                             complete_send=lambda *a: None)
         # eth 14 + ip 20 + udp 8 + bth 12 + icrc 4
         assert engine.per_packet_overhead() == 58
+
+
+def packed_by_header_classes(qp, transport, payload):
+    """The frame as the engine built it before frames were born frozen:
+    every header constructed, pushed and packed per frame."""
+    packet = Packet(transport, payload + bytes(ICRC_SIZE))
+    udp = Udp(49152 + (qp.qpn & 0x3FFF), ROCE_V2_PORT)
+    udp.finalize(sum(h.size() for h in transport) + len(payload) + ICRC_SIZE)
+    packet.push(udp)
+    packet.push(Ipv4(qp.local_ip, qp.remote_ip,
+                     proto=PROTO_UDP).finalize(udp.length))
+    packet.push(Ethernet(qp.local_mac, qp.remote_mac))
+    return packet.to_bytes()
+
+
+class TestRoceFrameHeads:
+    """Frames leave as cached head + transport + payload + ICRC; every
+    one must equal what the header classes pack for the same fields."""
+
+    @pytest.mark.parametrize("size", [1, 1024, 452])
+    @pytest.mark.parametrize("first,last", [
+        (True, False), (False, False), (False, True), (True, True)])
+    def test_send_segments(self, first, last, size):
+        loop = _Loopback(Simulator())
+        qp, payload = loop.qp_a, bytes(range(256)) * 4
+        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, size)
+        for psn in (5, 6):      # the second is built on a warm head
+            qp.next_psn = psn
+            frame = loop.a._build_frame(qp, payload[:size], first, last, wqe)
+            bth = Bth(send_opcode(first, last), qp.remote_qpn, psn,
+                      ack_request=last)
+            assert frame.to_bytes() == packed_by_header_classes(
+                qp, [bth], payload[:size])
+        assert list(qp.frame_heads) == [8 + 12 + size + ICRC_SIZE]
+
+    @pytest.mark.parametrize("size", [1, 1024, 452])
+    def test_write_first_carries_its_reth(self, size):
+        loop = _Loopback(Simulator())
+        qp = loop.qp_a
+        wqe = TxWqe(OP_RDMA_WRITE, 1, 0, 0, size)
+        frame = loop.a._build_frame(
+            qp, bytes(size), True, False, wqe, is_write=True,
+            remote_addr=0x1234_5678_9ABC, rkey=77, total_length=3000)
+        assert frame.to_bytes() == packed_by_header_classes(
+            qp, [Bth(write_opcode(True, False), qp.remote_qpn, 0),
+                 Reth(0x1234_5678_9ABC, 77, 3000)], bytes(size))
+
+    def test_ack(self):
+        loop = _Loopback(Simulator())
+        qp, sent = loop.qp_b, []
+        loop.b.egress = lambda qp, frame: sent.append(frame.to_bytes())
+        qp.expected_psn, qp.received_msn = 10, 3
+        loop.b._send_ack(qp)
+        loop.b._send_ack(qp)
+        expected = packed_by_header_classes(
+            qp, [Bth(OP_ACK, qp.remote_qpn, 9), Aeth(msn=3)], b"")
+        assert sent == [expected, expected]
+
+    def test_thawing_an_outstanding_frame_leaves_its_retransmission(self):
+        """A ``drop_filter`` may ``find(Bth)`` on the frame the QP keeps
+        for go-back-N; the retransmitted ``copy()`` is the same bytes."""
+        loop = _Loopback(Simulator())
+        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 100)
+        frame = loop.a._build_frame(loop.qp_a, bytes(100), True, True, wqe)
+        sent = frame.to_bytes()
+        assert frame.find(Bth).dest_qp == loop.qp_a.remote_qpn
+        again = frame.copy()
+        assert again.to_bytes() == sent
+        assert again.meta == frame.meta and again.meta is not frame.meta

@@ -1,18 +1,39 @@
 """Property-based tests for the packet library."""
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.accelerators.iot import CoapMessage, sign_token, verify_token
 from repro.accelerators.zuc import Zuc, eea3_decrypt, eea3_encrypt, eia3_mac
 from repro.net import (
+    Aeth,
+    Bth,
+    Ethernet,
     Flow,
     Ipv4,
     PROTO_TCP,
     PROTO_UDP,
+    Packet,
+    ROCE_V2_PORT,
     Reassembler,
+    Reth,
+    Tcp,
+    Udp,
+    VXLAN_PORT,
+    Vxlan,
     fragment_packet,
     internet_checksum,
     parse_frame,
+)
+from repro.net import parse as P
+from repro.net.ip import FLAG_MF
+from repro.net.roce import (
+    ICRC_SIZE,
+    OP_ACK,
+    OP_RDMA_WRITE_FIRST,
+    OP_RDMA_WRITE_ONLY,
+    OP_SEND_FIRST,
+    OP_SEND_ONLY,
 )
 
 from ..accelerators.zuc_oracle import OracleZuc
@@ -92,6 +113,202 @@ class TestFrameProperties:
         for fragment in fragments:
             ip = fragment.find(Ipv4)
             assert ip.HEADER_LEN + len(fragment.payload) <= mtu
+
+
+# -- frames for the layout-vs-object-parser property -------------------------
+
+macs = st.integers(0, (1 << 48) - 1)
+bodies = st.binary(max_size=64)
+
+
+def _ethernet(draw, ethertype, body):
+    return Ethernet(draw(macs), draw(macs), ethertype).pack() + body
+
+
+def _ipv4(draw, proto, body, flags=0, frag_offset=0):
+    ip = Ipv4(draw(ips), draw(ips), proto=proto, flags=flags,
+              frag_offset=frag_offset, ident=draw(st.integers(0, 0xFFFF)),
+              total_length=Ipv4.HEADER_LEN + len(body))
+    return _ethernet(draw, 0x0800, ip.pack() + body)
+
+
+def _udp(draw, dport, body):
+    return Udp(draw(ports), dport, Udp.HEADER_LEN + len(body)).pack() + body
+
+
+def _tcp(draw, body):
+    return Tcp(draw(ports), draw(ports),
+               seq=draw(st.integers(0, 0xFFFFFFFF))).pack() + body
+
+
+def _l4(draw, proto, body):
+    if proto == PROTO_TCP:
+        return _tcp(draw, body)
+    # Any port but the two the parser looks behind.
+    return _udp(draw, draw(ports.filter(
+        lambda p: p not in (VXLAN_PORT, ROCE_V2_PORT))), body)
+
+
+def _roce(draw, opcode, extension=b""):
+    bth = Bth(opcode, draw(st.integers(0, 0xFFFFFF)),
+              draw(st.integers(0, 0xFFFFFF)),
+              ack_request=draw(st.booleans()))
+    return _ipv4(draw, PROTO_UDP, _udp(
+        draw, ROCE_V2_PORT,
+        bth.pack() + extension + draw(bodies) + bytes(ICRC_SIZE)))
+
+
+def _reth(draw):
+    return Reth(draw(st.integers(0, (1 << 64) - 1)),
+                draw(st.integers(0, 0xFFFFFFFF)),
+                draw(st.integers(0, 0xFFFFFFFF))).pack()
+
+
+SHAPES = ["eth", "other-ethertype", "other-proto", "udp", "tcp",
+          "mf-fragment", "offset-fragment", "vxlan-udp", "vxlan-tcp",
+          "vxlan-roce", "roce-send", "roce-send-first", "roce-write-first",
+          "roce-write-only", "roce-ack"]
+
+
+@st.composite
+def canonical_frames(draw, shape=None):
+    """A frame of ``shape`` (default: any) as the header classes pack it."""
+    if shape is None:
+        shape = draw(st.sampled_from(SHAPES))
+    body = draw(bodies)
+    l4_proto = draw(st.sampled_from([PROTO_UDP, PROTO_TCP]))
+    if shape == "eth":
+        frame = _ethernet(draw, 0x0800, b"")[:14]
+    elif shape == "other-ethertype":
+        frame = _ethernet(draw, draw(st.sampled_from([0x0806, 0x86DD])), body)
+    elif shape == "other-proto":
+        frame = _ipv4(draw, draw(st.sampled_from([1, 47, 50])), body)
+    elif shape == "udp":
+        frame = _ipv4(draw, PROTO_UDP, _l4(draw, PROTO_UDP, body))
+    elif shape == "tcp":
+        frame = _ipv4(draw, PROTO_TCP, _tcp(draw, body))
+    elif shape == "mf-fragment":
+        frame = _ipv4(draw, l4_proto, _l4(draw, l4_proto, body),
+                      flags=FLAG_MF)
+    elif shape == "offset-fragment":
+        frame = _ipv4(draw, l4_proto, body,
+                      flags=draw(st.sampled_from([0, FLAG_MF])),
+                      frag_offset=draw(st.integers(1, 0x1FFF)))
+    elif shape.startswith("vxlan-"):
+        if shape == "vxlan-roce":
+            inner = _roce(draw, OP_SEND_ONLY)
+        else:
+            inner_proto = PROTO_UDP if shape == "vxlan-udp" else PROTO_TCP
+            inner = _ipv4(draw, inner_proto, _l4(draw, inner_proto, body))
+        vni = draw(st.integers(0, (1 << 24) - 1))
+        frame = _ipv4(draw, PROTO_UDP,
+                      _udp(draw, VXLAN_PORT, Vxlan(vni).pack() + inner))
+    elif shape == "roce-send":
+        frame = _roce(draw, OP_SEND_ONLY)
+    elif shape == "roce-send-first":
+        frame = _roce(draw, OP_SEND_FIRST)
+    elif shape == "roce-write-first":
+        frame = _roce(draw, OP_RDMA_WRITE_FIRST, _reth(draw))
+    elif shape == "roce-write-only":
+        frame = _roce(draw, OP_RDMA_WRITE_ONLY, _reth(draw))
+    else:
+        frame = _roce(draw, OP_ACK,
+                      Aeth(draw(st.integers(0, 0xFFFFFF))).pack())
+    return frame
+
+
+@st.composite
+def frames(draw, shape=None):
+    """Canonical frames, half of them with one byte overwritten."""
+    frame = draw(canonical_frames(shape))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(frame) - 1))
+        frame = (frame[:at] + bytes([draw(st.integers(0, 255))])
+                 + frame[at + 1:])
+    return frame
+
+
+def _outcome(parser, frame):
+    try:
+        return parser(frame)
+    except ValueError as error:
+        return type(error)
+
+
+def _cuts(frame):
+    """Every truncation of ``frame``, 0 … len bytes."""
+    return [frame[:cut] for cut in range(len(frame) + 1)]
+
+
+class TestLayoutMatchesObjectParser:
+    """``parse_layout`` against the object parser, which is the oracle."""
+
+    # Hypothesis samples shapes unevenly, so each takes its own tenth of
+    # the profile's example budget (10 in tier-1, 100 at CI depth) —
+    # every decision of the parser is then met at every cut, every run.
+    @pytest.mark.parametrize("shape", SHAPES)
+    @given(st.data())
+    @settings(max_examples=settings().max_examples // 10, deadline=None)
+    def test_same_errors_and_same_fields(self, shape, data):
+        for frame in _cuts(data.draw(frames(shape))):
+            layout = _outcome(P.parse_layout, frame)
+            parsed = _outcome(P.parse_headers, frame)
+            if isinstance(parsed, type):
+                assert layout is parsed     # the same exception type
+                continue
+            headers, payload = parsed
+            stack = Packet(headers, payload)
+            offset_of, offset = {}, 0
+            for header in headers:
+                offset_of.setdefault(type(header), offset)
+                offset += header.size()
+            eth, ip = stack.find(Ethernet), stack.find(Ipv4)
+            l4 = stack.find(Tcp) or stack.find(Udp)
+            vxlan = stack.find(Vxlan)
+            assert layout == (
+                offset_of.get(Ipv4),
+                offset_of[type(l4)] if l4 else None,
+                len(frame) - len(payload),
+                eth.dst.value, eth.ethertype,
+                ip.src.value if ip else None,
+                ip.dst.value if ip else None,
+                ip.proto if ip else None,
+                ip.is_fragment if ip else None,
+                {Tcp: PROTO_TCP, Udp: PROTO_UDP}[type(l4)] if l4 else None,
+                l4.src_port if l4 else None,
+                l4.dst_port if l4 else None,
+                vxlan.vni if vxlan else None,
+                offset_of.get(Bth),
+            )
+            assert P.layer_names(frame, layout) == [
+                type(h).__name__ for h in headers]
+
+    @given(frames())
+    @settings(deadline=None)
+    def test_a_parsed_frame_is_its_bytes(self, frame):
+        assume(not isinstance(_outcome(P.parse_layout, frame), type))
+        packet = parse_frame(frame)
+        assert packet.to_bytes() is frame
+        assert packet.size() == len(frame)
+        assert packet.payload == frame[packet.layout[P.PAYLOAD]:]
+        twin = packet.copy()
+        assert twin.raw is frame and twin.layout is packet.layout
+        twin.meta["mark"] = 1
+        assert "mark" not in packet.meta
+
+    @given(canonical_frames())
+    @settings(deadline=None)
+    def test_thaw_and_refreeze_is_the_identity_on_canonical_frames(
+            self, whole):
+        for frame in _cuts(whole):
+            if isinstance(_outcome(P.parse_layout, frame), type):
+                continue
+            packet = parse_frame(frame)
+            layout = packet.layout
+            assert packet.headers is packet.headers     # thawed once
+            assert packet.raw is None and packet.layout is None
+            assert packet.fields() == layout
+            assert packet.raw == frame
 
 
 class TestZucProperties:
