@@ -92,15 +92,15 @@ class Accelerator:
 
     def _trace_dequeue(self, meta: AxisMetadata) -> None:
         """Attribute the wait on the input stream as accel queueing."""
-        if meta.trace_ctx is not None and self.sim.now > meta.trace_enqueued:
+        if meta.trace_ctx is not None and self.sim._now > meta.trace_enqueued:
             self._spans.record(meta.trace_ctx, "accel", meta.trace_enqueued,
-                               self.sim.now, kind="queue")
+                               self.sim._now, kind="queue")
 
     def _trace_service(self, meta: AxisMetadata, started: float,
                        outputs: List[Output]) -> None:
         if meta.trace_ctx is None:
             return
-        self._spans.record(meta.trace_ctx, "accel", started, self.sim.now)
+        self._spans.record(meta.trace_ctx, "accel", started, self.sim._now)
         for _data, out_meta in outputs:
             if out_meta.trace_ctx is None:
                 out_meta.trace_ctx = meta.trace_ctx
@@ -109,7 +109,7 @@ class Accelerator:
         while True:
             data, meta = yield self._source()
             self._trace_dequeue(meta)
-            started = self.sim.now
+            started = self.sim._now
             yield self.sim.timeout(self.processing_time(data, meta))
             try:
                 outputs = list(self.process(data, meta))
@@ -149,7 +149,7 @@ class DroppingAccelerator(Accelerator):
         while True:
             data, meta = yield self._source()
             self._trace_dequeue(meta)
-            started = self.sim.now
+            started = self.sim._now
             yield self.sim.timeout(self.processing_time(data, meta))
             try:
                 outputs = list(self.process(data, meta))

@@ -78,13 +78,13 @@ class EchoApp:
         # Thread the trace context through the app queue alongside the
         # enqueue time, so the worker can split app-queueing from the
         # echo turnaround itself.
-        self._pending.try_put((data, cqe.trace_ctx, self.qp.sim.now))
+        self._pending.try_put((data, cqe.trace_ctx, self.qp.sim._now))
 
     def _worker(self):
         sim = self.qp.sim
         while True:
             data, ctx, enqueued = yield self._pending.get()
-            started = sim.now
+            started = sim._now
             if ctx is not None and started > enqueued:
                 self._spans.record(ctx, "host.tx", enqueued, started,
                                    kind="queue")
@@ -92,7 +92,7 @@ class EchoApp:
             yield from self.qp.wait_for_tx_space()
             self.qp.send(packet.to_bytes(), trace_ctx=ctx)
             if ctx is not None:
-                self._spans.record(ctx, "host.tx", started, sim.now)
+                self._spans.record(ctx, "host.tx", started, sim._now)
             self.stats_echoed += 1
 
 
@@ -239,14 +239,14 @@ class LoadGenerator:
     def _send_frame(self, frame_size: int) -> None:
         """Build one stamped frame, start its trace and hand it to the QP."""
         spans = self._spans
-        started = self.sim.now
+        started = self.sim._now
         ctx = (spans.start_trace(f"{self.trace_label}.seq{self._seq}",
                                  started)
                if spans.enabled else None)
         frame = self._make_frame(frame_size)
         self.qp.send(frame, trace_ctx=ctx)
         if ctx is not None:
-            spans.record(ctx, "host.tx", started, self.sim.now)
+            spans.record(ctx, "host.tx", started, self.sim._now)
 
     def _on_receive(self, data: bytes, cqe) -> None:
         payload_at = parse_layout(data)[PAYLOAD]
@@ -258,7 +258,7 @@ class LoadGenerator:
         self.stats_received += 1
         self.rx_meter.record(self.sim.now, len(data))
         if cqe.trace_ctx is not None:
-            self._spans.end_trace(cqe.trace_ctx, self.sim.now)
+            self._spans.end_trace(cqe.trace_ctx, self.sim._now)
 
     # -- traffic patterns --------------------------------------------------
 

@@ -60,7 +60,7 @@ class EthernetPort:
             # Stamp serialization start; the receiving port closes the
             # span.  Retransmitted copies carry their own stamp (meta is
             # copied per frame), so every wire crossing is recorded.
-            packet.meta["trace_wire_t0"] = self.sim.now
+            packet.meta["trace_wire_t0"] = self.sim._now
         self.link.send(packet, packet.wire_size() * 8)
 
     def send_at(self, packet: Packet, arrival: float) -> None:
@@ -82,7 +82,7 @@ class EthernetPort:
             if ctx is not None:
                 t0 = packet.meta.pop("trace_wire_t0", None)
                 if t0 is not None:
-                    self._spans.record(ctx, "wire", t0, self.sim.now)
+                    self._spans.record(ctx, "wire", t0, self.sim._now)
         if self.on_receive is not None:
             self.on_receive(packet)
 

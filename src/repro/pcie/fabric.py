@@ -37,7 +37,8 @@ _COMPLETION_BITS = (COMPLETION_HEADER + DLLP_FRAMING) * 8
 
 
 class _WriteCountdown:
-    """Completion countdown for a traced or multi-TLP posted write."""
+    """Completion countdown for a multi-TLP posted write (a single TLP's
+    delivery tuple carries its own span and callback)."""
 
     __slots__ = ("remaining", "fabric", "span_id", "done")
 
@@ -74,7 +75,7 @@ class DeferredWrite:
     def __init__(self, fabric, entry, span):
         self._fabric = fabric
         self._entry = entry  # what _write_arrived lands
-        self._span = span    # open span id when the TLP carries a context
+        self._span = span    # open span when the TLP carries a context
 
     @property
     def delivery(self) -> float:
@@ -308,13 +309,11 @@ class PcieFabric:
         if 0 < total <= mps:
             # Single-TLP fast path — the common case for descriptors,
             # CQEs, doorbells and small-packet payloads.
-            if span_id is not None:
-                finish = _WriteCountdown(1, self, span_id, finish)
             self.stats_tlps["MWr"] += 1
             path = self._reserve_path(
                 port, address, total, _REQUEST_BITS + total * 8)
             sim.call_later(path[0][DELIVERY] - sim._now, self._write_arrived,
-                           path + (data, trace_ctx, finish))
+                           path + (data, trace_ctx, span_id, finish))
             return done
 
         chunks = split_write_bytes(total, mps) or [0]
@@ -348,7 +347,7 @@ class PcieFabric:
             sim.call_later(
                 path[0][DELIVERY] - sim._now, self._write_arrived,
                 path + (data[cursor:cursor + chunk] if data is not None
-                        else None, trace_ctx, finish))
+                        else None, trace_ctx, None, finish))
             cursor += chunk
         return done
 
@@ -374,19 +373,13 @@ class PcieFabric:
             done = None
             completion = on_done
         sim = self.sim
-        if trace_ctx is not None:
-            span_id = self._spans.enter(trace_ctx, trace_stage, sim._now)
-            finish = completion
-
-            def completion(data):
-                self._spans.exit(span_id, sim._now)
-                finish(data)
-
+        span_id = (None if trace_ctx is None else
+                   self._spans.enter(trace_ctx, trace_stage, sim._now))
         port.reads_pending += 1
         self.stats_tlps["MRd"] += 1
         path = self._reserve_path(port, address, 0, _REQUEST_BITS)
         sim.call_later(path[0][DELIVERY] - sim._now, self._read_arrived,
-                       path + (length, port, completion))
+                       path + (length, port, span_id, completion))
         return done
 
     def post_write_deferred(self, requester: PcieEndpoint, address: int,
@@ -410,7 +403,7 @@ class PcieFabric:
             port, address, total, _REQUEST_BITS + total * 8)
         span = (None if trace_ctx is None else
                 self._spans.enter(trace_ctx, trace_stage, self.sim._now))
-        return DeferredWrite(self, path + (data, trace_ctx, None), span)
+        return DeferredWrite(self, path + (data, trace_ctx, None, None), span)
 
     def post_write_at(self, requester: PcieEndpoint, address: int,
                       data: bytes, arrival: float, trace_ctx=None,
@@ -431,17 +424,14 @@ class PcieFabric:
         if not 0 < total <= port.config.max_payload_size:
             raise PcieError("post_write_at needs a single-TLP payload")
         done = Event(self.sim)
-        finish = done.succeed
-        if trace_ctx is not None:
-            finish = _WriteCountdown(
-                1, self, self._spans.enter(trace_ctx, trace_stage, arrival),
-                finish)
+        span_id = (None if trace_ctx is None else
+                   self._spans.enter(trace_ctx, trace_stage, arrival))
         self.stats_tlps["MWr"] += 1
         path = self._reserve_path(
             port, address, total, _REQUEST_BITS + total * 8, arrival)
         sim = self.sim
         sim.call_later(path[0][DELIVERY] - sim._now, self._write_arrived,
-                       path + (data, trace_ctx, finish))
+                       path + (data, trace_ctx, span_id, done.succeed))
         return done
 
     # -- internals -----------------------------------------------------------
@@ -516,9 +506,10 @@ class PcieFabric:
         return down, target, route[2], address - route[0]
 
     def _write_arrived(self, entry) -> None:
-        """A single-TLP write landed: run the endpoint's handler and the
-        completion callback."""
-        record, target, endpoint, offset, data, ctx, on_delivered = entry
+        """A single-TLP write landed: run the endpoint's handler, close
+        the write's span and run the completion callback."""
+        (record, target, endpoint, offset, data, ctx, span_id,
+         on_delivered) = entry
         sim = self.sim
         if record[DELIVERY] > sim._now:
             # An out-of-order arrival on the shared lane pushed this TLP
@@ -544,6 +535,8 @@ class PcieFabric:
                 self._inbound_ctx = None
                 if prof is not None:
                     prof.current_tag = "pcie"
+        if span_id is not None:
+            self._spans.exit(span_id, sim._now)
         if on_delivered is not None:
             on_delivered()
 
@@ -585,7 +578,7 @@ class PcieFabric:
         """A read request landed: run the handler and reserve the whole
         completion train, completing in one aggregate event."""
         (record, completer_port, endpoint, offset, length, requester_port,
-         completion) = entry
+         span_id, completion) = entry
         sim = self.sim
         now = sim._now
         if record[DELIVERY] > now:
@@ -667,11 +660,11 @@ class PcieFabric:
                 down_record[UPSTREAM] = (up, up_record)
                 records.append(down_record)
         sim.call_later(records[-1][DELIVERY] - now, self._read_completed,
-                       (records, requester_port, completion, data))
+                       (records, requester_port, span_id, completion, data))
 
     def _read_completed(self, entry) -> None:
         """Aggregate arrival of a completion train (last chunk lands)."""
-        records, requester_port, completion, data = entry
+        records, requester_port, span_id, completion, data = entry
         sim = self.sim
         last = records[-1]
         if last[DELIVERY] > sim._now:
@@ -685,4 +678,6 @@ class PcieFabric:
                 upstream[0].retire(upstream[1])
         requester_port.down.retire(last, records[:-1])
         requester_port.reads_pending -= 1
+        if span_id is not None:
+            self._spans.exit(span_id, sim._now)
         completion(data)

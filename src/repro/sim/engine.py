@@ -591,7 +591,7 @@ class Store:
             return False
         held = self._held_until
         if held:
-            now = self.sim.now
+            now = self.sim._now
             while held and held[0] <= now:
                 held.popleft()
         return len(self._items) + len(held) >= self.capacity
@@ -650,7 +650,7 @@ class Store:
             event.succeed(self._items.popleft())
             if self._wait_hist is not None:
                 self._wait_hist.observe(
-                    self.sim.now - self._enqueued.popleft())
+                    self.sim._now - self._enqueued.popleft())
             self._admit_waiting_putter()
             if self._depth_gauge is not None:
                 self._depth_gauge.set(len(self._items))
@@ -664,7 +664,7 @@ class Store:
             return None
         item = self._items.popleft()
         if self._wait_hist is not None:
-            self._wait_hist.observe(self.sim.now - self._enqueued.popleft())
+            self._wait_hist.observe(self.sim._now - self._enqueued.popleft())
         self._admit_waiting_putter()
         if self._depth_gauge is not None:
             self._depth_gauge.set(len(self._items))
@@ -677,15 +677,16 @@ class Store:
             getters.popleft().succeed(item)
             if self._wait_hist is not None:
                 self._wait_hist.observe(0.0)
+                self._depth_gauge.set(len(self._items))
         else:
             items = self._items
             items.append(item)
-            if len(items) > self.stats_max_depth:
-                self.stats_max_depth = len(items)
+            depth = len(items)
+            if depth > self.stats_max_depth:
+                self.stats_max_depth = depth
             if self._wait_hist is not None:
-                self._enqueued.append(self.sim.now)
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(len(self._items))
+                self._enqueued.append(self.sim._now)
+                self._depth_gauge.set(depth)
 
     def _admit_waiting_putter(self) -> None:
         if self._putters and not self.is_full:

@@ -85,7 +85,8 @@ def build_report(spans: SpanRecorder,
     rendering.  ``reconciliation.max_error`` is the worst per-trace
     relative difference between the attributed stage sums and the
     end-to-end duration — by construction it should sit at float
-    epsilon, and the acceptance bar is 1%.
+    epsilon, and the acceptance bar is 1%.  ``registry`` is accepted so
+    callers can name the pairing; the recorder already fed it.
     """
     per_stage: Dict[Tuple[str, str], List[float]] = {}
     e2e: List[float] = []
@@ -156,11 +157,6 @@ def build_report(spans: SpanRecorder,
             "within_1pct": max_error <= 0.01,
         },
     }
-    if registry is not None:
-        # The recorder already fed spans.stage.* histograms if it was
-        # built with this registry; nothing further to do — but accept
-        # the argument so callers can be explicit about the pairing.
-        pass
     return report
 
 

@@ -110,7 +110,11 @@ class Histogram:
             self.underflow += 1
             return
         exponent = math.frexp(value)[1]
-        self.buckets[exponent] = self.buckets.get(exponent, 0) + 1
+        buckets = self.buckets
+        if exponent in buckets:
+            buckets[exponent] += 1
+        else:
+            buckets[exponent] = 1
 
     @property
     def mean(self) -> float:

@@ -11,10 +11,14 @@ the packet's trace.
 Design notes
 ------------
 
-* A context is a tiny value-object handle.  Components propagate it
-  side-band — in ``Packet.meta``, on live ``TxWqe``/``Cqe`` objects, in
-  TLP metadata — and hand it back to the recorder together with
-  timestamps.  Stages never mutate the trace directly.
+* The context a packet carries *is* its :class:`Trace`
+  (``TraceContext`` is the name instrumented code knows it by), so the
+  recorder reaches the span list without looking anything up, and the
+  handle :meth:`SpanRecorder.enter` returns is the open :class:`Span`
+  itself.  Components propagate the context side-band — in
+  ``Packet.meta``, on live ``TxWqe``/``Cqe`` objects, in TLP metadata —
+  and hand it back to the recorder together with timestamps.  Stages
+  never mutate the trace directly.
 * The datapath crosses two byte-serialization boundaries where object
   identity dies (WQEs packed into MMIO/host-memory rings, CQEs DMA-ed
   as bytes).  Two bridges survive them:
@@ -62,36 +66,19 @@ KIND_SERVICE = "service"
 KIND_QUEUE = "queue"
 
 
-class TraceContext:
-    """Opaque handle carried by one packet through the datapath."""
-
-    __slots__ = ("trace_id",)
-
-    def __init__(self, trace_id: int):
-        self.trace_id = trace_id
-
-    def __repr__(self) -> str:
-        return f"TraceContext({self.trace_id})"
-
-
 class Span:
     """One stage crossing: ``[start, end)`` at ``stage``.
 
     ``end`` is ``None`` while the packet is inside the stage; a span
     whose trace has ended but whose ``end`` is still ``None`` is an
     *orphan* — the invariant auditor reports it.
+
+    There is no ``__init__``: the recorder fills the six slots in its
+    own frame, so a span costs one Python call (``record``/``enter``),
+    not two.
     """
 
     __slots__ = ("span_id", "trace_id", "stage", "kind", "start", "end")
-
-    def __init__(self, span_id: int, trace_id: int, stage: str,
-                 kind: str, start: float, end: Optional[float] = None):
-        self.span_id = span_id
-        self.trace_id = trace_id
-        self.stage = stage
-        self.kind = kind
-        self.start = start
-        self.end = end
 
     @property
     def duration(self) -> Optional[float]:
@@ -153,6 +140,12 @@ class Trace:
         }
 
 
+#: What a sampled packet carries through the datapath: its trace.
+#: Instrumented code treats it as opaque and hands it back to the
+#: recorder.
+TraceContext = Trace
+
+
 def attribute_trace(trace: Trace) -> Tuple[Dict[Tuple[str, str], float],
                                            float]:
     """Partition the root interval among its spans.
@@ -170,42 +163,55 @@ def attribute_trace(trace: Trace) -> Tuple[Dict[Tuple[str, str], float],
     Spans are clamped to the root interval; an unfinished span is
     treated as ending at the root's end (the auditor reports it
     separately).
+
+    One sweep over the sorted span boundaries.  Every piece between two
+    neighbouring boundaries is added to its owner on its own, in time
+    order — never merged with the next piece of the same span — so each
+    float sum is the one a per-piece search over all spans arrives at
+    (``tests/telemetry/attribution_oracle.py`` is that search).
     """
     if trace.end is None:
         raise ValueError(f"trace {trace.trace_id} has not ended")
     root_start, root_end = trace.start, trace.end
-    clamped: List[Tuple[float, float, Span]] = []
-    for span in trace.spans:
-        end = span.end if span.end is not None else root_end
-        start = max(span.start, root_start)
-        end = min(end, root_end)
-        if end > start:
-            clamped.append((start, end, span))
+    # What the root interval leaves of each span.  (start, span_id)
+    # leads each entry: sorted, the spans stand in entry order, ties
+    # broken by creation order so back-to-back stages partition
+    # cleanly.  Ids are unique, so no comparison reads on.
+    clamped = sorted([
+        (start, span.span_id, end, span) for span in trace.spans
+        if (start := root_start if span.start < root_start else span.start)
+        < (end := root_end if span.end is None or span.end > root_end
+           else span.end)])
+    cuts = sorted({root_start, root_end, *[entry[0] for entry in clamped],
+                   *[entry[2] for entry in clamped]})
 
     totals: Dict[Tuple[str, str], float] = {}
     unattributed = 0.0
-    boundaries = {root_start, root_end}
-    for start, end, _span in clamped:
-        boundaries.add(start)
-        boundaries.add(end)
-    cuts = sorted(boundaries)
-    for left, right in zip(cuts, cuts[1:]):
-        # The innermost open span: latest entry wins; ties broken by
-        # creation order so back-to-back stages partition cleanly.
-        innermost: Optional[Span] = None
-        innermost_key = None
-        for start, end, span in clamped:
-            if start <= left and end >= right:
-                key = (start, span.span_id)
-                if innermost_key is None or key > innermost_key:
-                    innermost_key = key
-                    innermost = span
-        width = right - left
-        if innermost is None:
-            unattributed += width
-        else:
+    # The spans entered so far, in entry order: the innermost open span
+    # is the last one still running.  One that ended is dropped when it
+    # surfaces at the top; buried, it is just never the answer.
+    count = len(clamped)
+    entered: List[Optional[tuple]] = [None] * count
+    depth = 0
+    upcoming = 0
+    left = cuts[0]
+    for right in cuts[1:]:
+        while upcoming < count and clamped[upcoming][0] <= left:
+            entered[depth] = clamped[upcoming]
+            depth += 1
+            upcoming += 1
+        while depth and entered[depth - 1][2] <= left:
+            depth -= 1
+        if depth:
+            innermost = entered[depth - 1][3]
             stage_key = (innermost.stage, innermost.kind)
-            totals[stage_key] = totals.get(stage_key, 0.0) + width
+            if stage_key in totals:
+                totals[stage_key] += right - left
+            else:
+                totals[stage_key] = right - left
+        else:
+            unattributed += right - left
+        left = right
     return totals, unattributed
 
 
@@ -242,8 +248,15 @@ class SpanRecorder:
         self._next_trace = 1
         self._next_span = 1
         self._traces: Dict[int, Trace] = {}
-        self._spans: Dict[int, Span] = {}
         self._stash: Dict[Any, TraceContext] = {}
+        # Registry metrics, resolved by name once and held: the sampler
+        # counters from their first increment (a tally still at zero
+        # stays out of the export), the histograms from the first
+        # finished trace.
+        self._sampler_counters: Dict[str, Any] = {}
+        self._e2e_hist = None
+        self._unattributed_hist = None
+        self._stage_hists: Dict[Tuple[str, str], Any] = {}
 
     # -- trace lifecycle -------------------------------------------------
     def start_trace(self, name: str, now: float) -> Optional[TraceContext]:
@@ -256,22 +269,26 @@ class SpanRecorder:
         """
         self._seen += 1
         if (self._seen - 1) % self.sample_rate != 0:
+            outcome = "skipped"
             self.skipped += 1
-            if self.registry is not None:
-                self.registry.counter("spans.sampler.skipped").inc()
-            return None
-        if len(self._traces) >= self.max_traces:
+        elif len(self._traces) >= self.max_traces:
+            outcome = "dropped"
             self.dropped += 1
-            if self.registry is not None:
-                self.registry.counter("spans.sampler.dropped").inc()
-            return None
-        self.sampled += 1
+        else:
+            outcome = "sampled"
+            self.sampled += 1
         if self.registry is not None:
-            self.registry.counter("spans.sampler.sampled").inc()
+            held = self._sampler_counters
+            if outcome not in held:
+                held[outcome] = self.registry.counter(
+                    f"spans.sampler.{outcome}")
+            held[outcome].value += 1
+        if outcome != "sampled":
+            return None
         trace_id = self._next_trace
         self._next_trace += 1
-        self._traces[trace_id] = Trace(trace_id, name, now)
-        return TraceContext(trace_id)
+        trace = self._traces[trace_id] = Trace(trace_id, name, now)
+        return trace
 
     @property
     def seen(self) -> int:
@@ -279,37 +296,51 @@ class SpanRecorder:
         return self._seen
 
     def end_trace(self, ctx: Optional[TraceContext], now: float) -> None:
-        if ctx is None:
+        if ctx is None or ctx.end is not None:
             return
-        trace = self._traces.get(ctx.trace_id)
-        if trace is None or trace.end is not None:
+        ctx.end = now
+        if self.registry is None:
             return
-        trace.end = now
-        if self.registry is not None:
-            self._observe(trace)
+        # Feed the finished trace into the metrics registry.
+        totals, unattributed = attribute_trace(ctx)
+        if self._e2e_hist is None:
+            self._e2e_hist = self.registry.histogram("spans.e2e")
+            self._unattributed_hist = self.registry.histogram(
+                "spans.unattributed")
+        self._e2e_hist.observe(now - ctx.start)
+        self._unattributed_hist.observe(unattributed)
+        stage_hists = self._stage_hists
+        for stage_key, seconds in totals.items():
+            try:
+                histogram = stage_hists[stage_key]
+            except KeyError:
+                stage, kind = stage_key
+                histogram = stage_hists[stage_key] = self.registry.histogram(
+                    f"spans.stage.{stage}.{kind}")
+            histogram.observe(seconds)
 
     # -- span recording --------------------------------------------------
     def enter(self, ctx: Optional[TraceContext], stage: str, now: float,
-              kind: str = KIND_SERVICE) -> Optional[int]:
+              kind: str = KIND_SERVICE) -> Optional[Span]:
         """Open a span; returns a handle for :meth:`exit` (or None)."""
         if ctx is None:
             return None
-        trace = self._traces.get(ctx.trace_id)
-        if trace is None:
-            return None
-        span_id = self._next_span
+        span = Span()
+        span.span_id = self._next_span
         self._next_span += 1
-        span = Span(span_id, trace.trace_id, stage, kind, now)
-        trace.spans.append(span)
-        self._spans[span_id] = span
-        return span_id
+        span.trace_id = ctx.trace_id
+        span.stage = stage
+        span.kind = kind
+        span.start = now
+        span.end = None
+        ctx.spans.append(span)
+        return span
 
-    def exit(self, span_id: Optional[int], now: float) -> None:
-        if span_id is None:
-            return
-        span = self._spans.pop(span_id, None)
-        if span is not None and span.end is None:
-            span.end = now
+    def exit(self, span_id: Optional[Span], now: float) -> None:
+        """Close the span :meth:`enter` handed out (once; a late exit
+        after the root ended still stamps it, for the auditor)."""
+        if span_id is not None and span_id.end is None:
+            span_id.end = now
 
     def record(self, ctx: Optional[TraceContext], stage: str,
                start: float, end: float,
@@ -317,22 +348,21 @@ class SpanRecorder:
         """Record a closed span retroactively (start/end both known)."""
         if ctx is None:
             return
-        trace = self._traces.get(ctx.trace_id)
-        if trace is None:
-            return
-        span_id = self._next_span
+        span = Span()
+        span.span_id = self._next_span
         self._next_span += 1
-        trace.spans.append(
-            Span(span_id, trace.trace_id, stage, kind, start, end))
+        span.trace_id = ctx.trace_id
+        span.stage = stage
+        span.kind = kind
+        span.start = start
+        span.end = end
+        ctx.spans.append(span)
 
     def event(self, ctx: Optional[TraceContext], name: str,
               now: float) -> None:
         """Attach a point annotation (e.g. ``rdma.retransmit``)."""
-        if ctx is None:
-            return
-        trace = self._traces.get(ctx.trace_id)
-        if trace is not None:
-            trace.events.append((now, name))
+        if ctx is not None:
+            ctx.events.append((now, name))
 
     # -- serialization-boundary bridges ----------------------------------
     def stash(self, key: Any, ctx: Optional[TraceContext]) -> None:
@@ -392,17 +422,6 @@ class SpanRecorder:
                                        key=lambda t: t.trace_id)],
         }
 
-    # -- aggregation -----------------------------------------------------
-    def _observe(self, trace: Trace) -> None:
-        """Feed a finished trace into the metrics registry."""
-        totals, unattributed = attribute_trace(trace)
-        registry = self.registry
-        registry.histogram("spans.e2e").observe(trace.end - trace.start)
-        registry.histogram("spans.unattributed").observe(unattributed)
-        for (stage, kind), seconds in totals.items():
-            registry.histogram(f"spans.stage.{stage}.{kind}") \
-                .observe(seconds)
-
 
 class NullSpanRecorder:
     """No-op twin of :class:`SpanRecorder` — the disabled fast path.
@@ -428,7 +447,7 @@ class NullSpanRecorder:
         return None
 
     def enter(self, ctx, stage: str, now: float,
-              kind: str = KIND_SERVICE) -> Optional[int]:
+              kind: str = KIND_SERVICE) -> Optional[Span]:
         return None
 
     def exit(self, span_id, now: float) -> None:

@@ -1,0 +1,80 @@
+"""Deterministic cost gate: what it costs to watch a packet.
+
+Function calls under ``cProfile`` repeat to the digit, so a recorder
+that goes back to looking its trace up by id, building spans through a
+Python ``__init__`` or resolving histograms by name on every sample
+fails here, in tier-1, and not only in ``benchmarks/perf``'s
+``echo_small_spans`` row.  Shaped like ``tests/nic/test_rx_cost.py``: a
+warmed burst, only the steady state profiled — here the same paced 64 B
+burst through ``flde_echo_remote`` with every packet traced and with
+telemetry off.
+"""
+
+import cProfile
+import pstats
+import random
+
+from repro.experiments.setups import flde_echo_remote
+from repro.sim import Simulator
+from repro.telemetry import Span, Telemetry
+
+WARM = 32
+FRAMES = 128
+RATE_PPS = 12.8e6       # 64 B frames at 9 Gb/s wire-equivalent
+
+#: Calls the recorder's hot path used to make once per span, boundary or
+#: sample, by profile name; none may be charged to it in steady state.
+PER_SAMPLE_BUILTINS = (
+    "<built-in method builtins.max>", "<built-in method builtins.min>",
+    "<built-in method builtins.isinstance>",
+    "<method 'add' of 'set' objects>")
+RECORDER = ("telemetry/spans.py", "telemetry/metrics.py")
+
+
+def profiled_burst(telemetry):
+    random.seed(7)
+    sim = Simulator(telemetry=telemetry)
+    loadgen = flde_echo_remote(sim).loadgen
+
+    def burst(count):
+        def drive():
+            yield from loadgen.run_open_loop([64] * count,
+                                             rate_pps=RATE_PPS)
+            yield from loadgen.drain()
+        sim.spawn(drive())
+        sim.run()
+
+    burst(WARM)     # routes, frame template, every histogram by name
+    profile = cProfile.Profile()
+    profile.runcall(burst, FRAMES)
+    assert loadgen.stats_received == WARM + FRAMES
+    return pstats.Stats(profile)
+
+
+def test_watching_a_packet_costs_a_quarter_more_calls():
+    """750.8 calls a packet off, 898.1 traced (1.20x) here; 755.5 and
+    1206.3 (1.60x) when every span was a ``Span.__init__`` plus a trace
+    lookup and every trace a quadratic search.  The slack of two calls
+    a packet covers what a burst spends outside its packets (spawn,
+    drain polls), which the ratio should not scale."""
+    off = profiled_burst(None).total_calls / FRAMES
+    telemetry = Telemetry(trace=False, spans=True)
+    traced_stats = profiled_burst(telemetry)
+    traced = traced_stats.total_calls / FRAMES
+    assert len(telemetry.spans.finished_traces()) == WARM + FRAMES
+    assert traced <= 1.25 * off + 2.0, (off, traced)
+
+    for (filename, _line, name), entry in traced_stats.stats.items():
+        # Histograms are resolved by name once per recorder (and once
+        # per named Store, at construction): never in steady state.
+        assert not (filename.endswith("telemetry/metrics.py")
+                    and name in ("_get", "histogram")), name
+        if name in PER_SAMPLE_BUILTINS:
+            callers = [caller for caller in entry[4]
+                       if caller[0].endswith(RECORDER)]
+            assert not callers, (name, callers)
+
+
+def test_a_span_is_filled_in_the_recorders_frame():
+    assert "__init__" not in vars(Span)
+

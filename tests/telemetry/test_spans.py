@@ -7,8 +7,12 @@ from repro.telemetry import (
     MetricsRegistry,
     NULL_SPANS,
     NullSpanRecorder,
+    Span,
     SpanRecorder,
+    Trace,
+    TraceContext,
     attribute_trace,
+    audit_spans,
 )
 
 
@@ -41,6 +45,36 @@ class TestRecorderLifecycle:
         spans.end_trace(ctx, 2.0)
         assert len(spans.orphan_spans()) == 1
         assert spans.orphan_spans()[0].stage == "nic.rx"
+
+    def test_late_exit_stamps_the_orphan_without_feeding_histograms(self):
+        # The handle is the span itself: nothing but the trace holds an
+        # entered-but-never-exited span, the auditor still names it, and
+        # closing it after the root ended attributes nothing twice.
+        registry = MetricsRegistry()
+        spans = SpanRecorder(registry=registry)
+        ctx = spans.start_trace("pkt", 0.0)
+        handle = spans.enter(ctx, "nic.rx", 1.0)
+        spans.end_trace(ctx, 2.0)
+        assert spans.orphan_spans() == [handle]
+        assert [v.rule for v in audit_spans(spans)] == ["orphaned-span"]
+        fed = registry.to_dict()["histograms"]
+        spans.exit(handle, 5.0)
+        assert handle.end == 5.0 and spans.orphan_spans() == []
+        spans.exit(handle, 9.0)     # a second exit changes nothing
+        assert handle.end == 5.0
+        assert registry.to_dict()["histograms"] == fed
+        assert fed["spans.e2e"]["count"] == 1
+
+    def test_context_is_the_trace_under_its_exported_names(self):
+        from repro.telemetry.spans import SPAN_SCHEMA_VERSION
+        spans = SpanRecorder()
+        ctx = spans.start_trace("pkt", 0.0)
+        assert isinstance(ctx, TraceContext) and isinstance(ctx, Trace)
+        assert spans.get_trace(ctx) is ctx
+        assert spans.get_trace(ctx.trace_id) is ctx
+        handle = spans.enter(ctx, "wire", 1.0)
+        assert isinstance(handle, Span) and ctx.spans == [handle]
+        assert spans.to_dict()["schema"] == SPAN_SCHEMA_VERSION
 
     def test_double_end_is_idempotent(self):
         spans = SpanRecorder()
