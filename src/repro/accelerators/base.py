@@ -7,15 +7,17 @@ HMAC units) behind a front-end load balancer — transforms them, and
 pushes results back through FLD's credit-guarded transmit path.
 
 Subclasses implement :meth:`process` (the function) and
-:meth:`processing_time` (the per-packet latency of one unit).
+:meth:`processing_time` (the per-packet latency of one unit).  The
+units and the front end are flat stages parked on plain stores
+(:class:`_Unit`, :class:`~repro.sim.Pump`) — no process, no event.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..core import AxisMetadata, FlexDriver
-from ..sim import Simulator
+from ..sim import Pump, Simulator, Store
 
 Output = Tuple[bytes, AxisMetadata]
 
@@ -51,30 +53,26 @@ class Accelerator:
         # demultiplexer fills when several functions share one FLD
         # (see repro.topology.build).  Default: FLD's raw rx stream.
         self._upstream = source if source is not None else fld.rx_stream
+        unit_source = self._upstream
         if reassemble:
             # Front-end load balancer (the paper's ZUC/IoT designs): a
             # single stage reassembles multi-segment messages — required
             # because the shared MPRQ interleaves segments of different
             # queues (§6) — then hands whole messages to the units.
-            from ..sim import Store
-            self._messages = Store(sim, name=f"{name}.frontend")
+            unit_source = self._messages = Store(sim, name=f"{name}.frontend")
             self._assembly = {}
-            sim.spawn(self._front_end(), name=f"{name}.fe")
-            self._source = self._messages.get
-        else:
-            self._source = self._upstream.get
+            Pump(sim, self._upstream, self._reassemble, f"{name}.fe")
         for unit in range(units):
-            sim.spawn(self._unit_worker(unit), name=f"{name}.unit{unit}")
+            _Unit(self, unit_source, f"{name}.unit{unit}")
 
-    def _front_end(self):
-        while True:
-            data, meta = yield self._upstream.get()
-            key = (meta.queue_id, meta.src_qpn, meta.context_id)
-            parts = self._assembly.setdefault(key, [])
-            parts.append(data)
-            if meta.msg_last:
-                del self._assembly[key]
-                self._messages.try_put((b"".join(parts), meta))
+    def _reassemble(self, item) -> None:
+        data, meta = item
+        key = (meta.queue_id, meta.src_qpn, meta.context_id)
+        parts = self._assembly.setdefault(key, [])
+        parts.append(data)
+        if meta.msg_last:
+            del self._assembly[key]
+            self._messages.try_put((b"".join(parts), meta))
 
     # -- override points -----------------------------------------------------
 
@@ -90,40 +88,10 @@ class Accelerator:
 
     # -- the engine ------------------------------------------------------------
 
-    def _trace_dequeue(self, meta: AxisMetadata) -> None:
-        """Attribute the wait on the input stream as accel queueing."""
-        if meta.trace_ctx is not None and self.sim._now > meta.trace_enqueued:
-            self._spans.record(meta.trace_ctx, "accel", meta.trace_enqueued,
-                               self.sim._now, kind="queue")
-
-    def _trace_service(self, meta: AxisMetadata, started: float,
-                       outputs: List[Output]) -> None:
-        if meta.trace_ctx is None:
-            return
-        self._spans.record(meta.trace_ctx, "accel", started, self.sim._now)
-        for _data, out_meta in outputs:
-            if out_meta.trace_ctx is None:
-                out_meta.trace_ctx = meta.trace_ctx
-
-    def _unit_worker(self, unit: int):
-        while True:
-            data, meta = yield self._source()
-            self._trace_dequeue(meta)
-            started = self.sim._now
-            yield self.sim.timeout(self.processing_time(data, meta))
-            try:
-                outputs = list(self.process(data, meta))
-            except Exception:
-                self.stats_errors += 1
-                continue
-            self.stats_processed += 1
-            self.stats_bytes += len(data)
-            self._trace_service(meta, started, outputs)
-            for out_data, out_meta in outputs:
-                if out_meta.queue_id is None:
-                    out_meta.queue_id = self.tx_queue
-                yield from self.fld.send(out_data, out_meta)
-                self.stats_emitted += 1
+    def _emit(self, data: bytes, meta: AxisMetadata, sent) -> None:
+        """Transmit one output; ``sent(True)`` once FLD has taken it
+        (``sent(False)`` for an output shed instead)."""
+        self.fld.send_then(data, meta, sent, True)
 
     # -- helpers ------------------------------------------------------------------
 
@@ -145,24 +113,72 @@ class DroppingAccelerator(Accelerator):
     counted, mirroring 'selectively drop exceeding traffic on their own'.
     """
 
-    def _unit_worker(self, unit: int):
-        while True:
-            data, meta = yield self._source()
-            self._trace_dequeue(meta)
-            started = self.sim._now
-            yield self.sim.timeout(self.processing_time(data, meta))
-            try:
-                outputs = list(self.process(data, meta))
-            except Exception:
-                self.stats_errors += 1
-                continue
-            self.stats_processed += 1
-            self.stats_bytes += len(data)
-            self._trace_service(meta, started, outputs)
-            for out_data, out_meta in outputs:
-                if out_meta.queue_id is None:
-                    out_meta.queue_id = self.tx_queue
-                if self.fld.try_send(out_data, out_meta):
-                    self.stats_emitted += 1
-                else:
-                    self.stats_dropped += 1
+    def _emit(self, data: bytes, meta: AxisMetadata, sent) -> None:
+        sent(self.fld.try_send(data, meta))
+
+
+class _Unit:
+    """One processing unit, as continuations with a serial loop's event
+    structure: take a packet from the input stream (parking when it is
+    empty), one processing-time event, then the outputs one at a time
+    through the accelerator's ``_emit`` — each held for FLD's credit
+    and pipeline occupancy — and back to the stream."""
+
+    __slots__ = ("accel", "source", "profile_tag", "_outputs")
+
+    def __init__(self, accel: Accelerator, source, profile_tag: str):
+        self.accel = accel
+        self.source = source
+        self.profile_tag = profile_tag
+        self._outputs = iter(())
+        # Arm via a zero-delay step: the unit must not observe traffic
+        # before the simulation runs.
+        accel.sim.schedule(0.0, self._step)
+
+    def _step(self, taken: Optional[bool] = None) -> None:
+        """Count the output FLD just took (``True``) or shed (``False``),
+        emit the next one or, with none pending, take the next packet."""
+        accel = self.accel
+        if taken:
+            accel.stats_emitted += 1
+        elif taken is False:
+            accel.stats_dropped += 1
+        for out_data, out_meta in self._outputs:
+            if out_meta.queue_id is None:
+                out_meta.queue_id = accel.tx_queue
+            accel._emit(out_data, out_meta, self._step)
+            return
+        item = self.source.pop_or_park(self._begin)
+        if item is not None:
+            self._begin(item)
+
+    def _begin(self, item) -> None:
+        data, meta = item
+        accel = self.accel
+        sim = accel.sim
+        ctx = meta.trace_ctx
+        if ctx is not None and sim._now > meta.trace_enqueued:
+            # The wait on the input stream is accel queueing.
+            accel._spans.record(ctx, "accel", meta.trace_enqueued, sim._now,
+                                kind="queue")
+        sim.call_later(accel.processing_time(data, meta), self._service,
+                       (data, meta, sim._now))
+
+    def _service(self, entry) -> None:
+        data, meta, started = entry
+        accel = self.accel
+        try:
+            outputs = list(accel.process(data, meta))
+        except Exception:
+            accel.stats_errors += 1
+        else:
+            self._outputs = iter(outputs)
+            accel.stats_processed += 1
+            accel.stats_bytes += len(data)
+            ctx = meta.trace_ctx
+            if ctx is not None:
+                accel._spans.record(ctx, "accel", started, accel.sim._now)
+                for _data, out_meta in outputs:
+                    if out_meta.trace_ctx is None:
+                        out_meta.trace_ctx = ctx
+        self._step()

@@ -66,20 +66,28 @@ class AxisMetadata:
 
 
 class AxisStream:
-    """A unidirectional packet stream (data bytes + metadata)."""
+    """A unidirectional packet stream (data bytes + metadata).
+
+    The consumer side is the underlying store's: ``pop_or_park(func)``
+    returns the next ``(data, metadata)`` pair or leaves ``func`` parked
+    for it (what the accelerator stages use); :meth:`get` wraps the same
+    wait in an event for generator scripts.
+    """
 
     def __init__(self, sim: Simulator, name: str,
                  depth: Optional[int] = None):
         self.sim = sim
         self.name = name
         self._store = Store(sim, capacity=depth, name=name)
+        self.pop_or_park = self._store.pop_or_park
 
     def push(self, data: bytes, meta: AxisMetadata) -> bool:
         """Non-blocking enqueue; False = overflow drop."""
         return self._store.try_put((data, meta))
 
     def get(self):
-        """Event yielding the next (data, metadata) pair."""
+        """An event firing with the next (data, metadata) pair, for a
+        generator process to yield on."""
         return self._store.get()
 
     def __len__(self) -> int:
@@ -106,7 +114,7 @@ class CreditInterface:
         self.sim = sim
         self._credits: Dict[int, int] = {}
         self._capacity: Dict[int, int] = {}
-        self._waiters: Dict[int, list] = {}
+        self._waiters: Dict[int, list] = {}   # queue -> [(amount, func, arg)]
         self.stats_waits = 0
 
     def configure(self, queue_id: int, credits: int) -> None:
@@ -132,14 +140,20 @@ class CreditInterface:
             return True
         return False
 
+    def wait(self, queue_id: int, amount: int, func, arg=None) -> None:
+        """Park ``func(arg)`` until a refund covers ``amount`` credits
+        (consumed on the waiter's behalf, in FIFO order).  For callers
+        whose :meth:`try_consume` just failed."""
+        self.stats_waits += 1
+        self._waiters[queue_id].append((amount, func, arg))
+
     def acquire(self, queue_id: int, amount: int = 1):
         """Event firing once ``amount`` credits are consumed."""
         event = self.sim.event()
         if self.try_consume(queue_id, amount):
             event.succeed()
         else:
-            self.stats_waits += 1
-            self._waiters[queue_id].append((amount, event))
+            self.wait(queue_id, amount, event.succeed)
         return event
 
     def refund(self, queue_id: int, amount: int = 1) -> None:
@@ -150,8 +164,8 @@ class CreditInterface:
         self._credits[queue_id] += amount
         waiters = self._waiters[queue_id]
         while waiters and self._credits[queue_id] >= waiters[0][0]:
-            amount_needed, event = waiters.pop(0)
+            amount_needed, func, arg = waiters.pop(0)
             self._credits[queue_id] -= amount_needed
-            event.succeed()
+            func(arg)
         self._credits[queue_id] = min(self._capacity[queue_id],
                                       self._credits[queue_id])

@@ -33,6 +33,7 @@ _BANK_SALTS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
                0x165667B19E3779F9, 0x27D4EB2F165667C5)
 
 _SLOT_MULT = 0x2545F4914F6CDD1D
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # CPython's hash() is emulated in uint64 for the vectorized lookup path:
 # ints below the hash modulus hash to themselves, and tuples mix their
@@ -120,9 +121,14 @@ class CuckooHashTable:
 
     # -- hashing -----------------------------------------------------------
 
+    # A bank's slot for a key is ``((hash(key) ^ salt) * _SLOT_MULT &
+    # _MASK64) % bank_size``.  The single-key operations hash the key
+    # once and mix it per bank inline — a hardware probe reads all four
+    # banks in one cycle; one Python frame per bank is pure model cost.
+
     def _slot(self, bank: int, key: Hashable) -> int:
-        mixed = (hash(key) ^ _BANK_SALTS[bank]) * 0x2545F4914F6CDD1D
-        return (mixed & 0xFFFFFFFFFFFFFFFF) % self.bank_size
+        mixed = (hash(key) ^ _BANK_SALTS[bank]) * _SLOT_MULT
+        return (mixed & _MASK64) % self.bank_size
 
     # -- operations --------------------------------------------------------
 
@@ -130,15 +136,15 @@ class CuckooHashTable:
         return self._count
 
     def __contains__(self, key: Hashable) -> bool:
-        return self.lookup(key) is not None or any(
-            k == key for k, _v in self._stash
-        )
+        return self.lookup(key) is not None
 
     def lookup(self, key: Hashable) -> Optional[Any]:
         """Constant-time lookup: probe all banks + the stash."""
         self.stats_lookups += 1
-        for bank in range(NUM_BANKS):
-            entry = self._banks[bank][self._slot(bank, key)]
+        hashed = hash(key)
+        size = self.bank_size
+        for bank, salt in zip(self._banks, _BANK_SALTS):
+            entry = bank[((hashed ^ salt) * _SLOT_MULT & _MASK64) % size]
             if entry is not None and entry[0] == key:
                 return entry[1]
         for k, v in self._stash:
@@ -223,31 +229,46 @@ class CuckooHashTable:
         A stall (all banks colliding while the stash is full) raises,
         leaving the table unchanged; the caller retries after a release.
         """
-        if key in self:
-            raise KeyError(f"duplicate key {key!r}")
+        # The duplicate check is a lookup (and counts as one); it shares
+        # the probe with the search for an empty slot.
+        self.stats_lookups += 1
+        hashed = hash(key)
+        size = self.bank_size
+        free = None
+        for bank, salt in zip(self._banks, _BANK_SALTS):
+            slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) % size
+            entry = bank[slot]
+            if entry is None:
+                if free is None:
+                    free = (bank, slot)
+            elif entry[0] == key:
+                raise KeyError(f"duplicate key {key!r}")
+        for k, _v in self._stash:
+            if k == key:
+                raise KeyError(f"duplicate key {key!r}")
         if self._count >= self.capacity:
             self.stats_stalls += 1
             raise CuckooFullError("table at provisioned capacity")
         self.stats_inserts += 1
         item: Tuple[Hashable, Any] = (key, value)
-        # Fast path: an empty slot in any bank.
-        for bank in range(NUM_BANKS):
-            slot = self._slot(bank, key)
-            if self._banks[bank][slot] is None:
-                self._banks[bank][slot] = item
-                self._count += 1
+        if free is not None:
+            # Fast path: an empty slot in some bank (the first, in bank
+            # order).
+            free[0][free[1]] = item
+            self._count += 1
+            if self._stash:
                 self._drain_stash()
-                return
+            return
         # All banks collide: evict a rotating victim into the stash and
         # take its slot.
         if len(self._stash) >= STASH_SIZE:
             self.stats_stalls += 1
             raise CuckooFullError("stash full; insertion stalled")
-        bank = self.stats_kicks % NUM_BANKS
-        slot = self._slot(bank, key)
-        victim = self._banks[bank][slot]
-        self._banks[bank][slot] = item
-        self._stash.append(victim)
+        index = self.stats_kicks % NUM_BANKS
+        bank = self._banks[index]
+        slot = ((hashed ^ _BANK_SALTS[index]) * _SLOT_MULT & _MASK64) % size
+        self._stash.append(bank[slot])
+        bank[slot] = item
         self._count += 1
         self.stats_kicks += 1
         self.stats_stash_peak = max(self.stats_stash_peak, len(self._stash))
@@ -255,29 +276,30 @@ class CuckooHashTable:
 
     def _drain_stash(self) -> None:
         """Move stash entries back into any bank slot that opened up."""
-        if not self._stash:
-            return
         remaining: List[Tuple[Hashable, Any]] = []
-        for key, value in self._stash:
-            placed = False
-            for bank in range(NUM_BANKS):
-                slot = self._slot(bank, key)
-                if self._banks[bank][slot] is None:
-                    self._banks[bank][slot] = (key, value)
-                    placed = True
+        size = self.bank_size
+        for item in self._stash:
+            hashed = hash(item[0])
+            for bank, salt in zip(self._banks, _BANK_SALTS):
+                slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) % size
+                if bank[slot] is None:
+                    bank[slot] = item
                     break
-            if not placed:
-                remaining.append((key, value))
+            else:
+                remaining.append(item)
         self._stash = remaining
 
     def remove(self, key: Hashable) -> Any:
-        for bank in range(NUM_BANKS):
-            slot = self._slot(bank, key)
-            entry = self._banks[bank][slot]
+        hashed = hash(key)
+        size = self.bank_size
+        for bank, salt in zip(self._banks, _BANK_SALTS):
+            slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) % size
+            entry = bank[slot]
             if entry is not None and entry[0] == key:
-                self._banks[bank][slot] = None
+                bank[slot] = None
                 self._count -= 1
-                self._drain_stash()
+                if self._stash:
+                    self._drain_stash()
                 return entry[1]
         for index, (k, v) in enumerate(self._stash):
             if k == key:

@@ -30,8 +30,8 @@ from ..nic.wqe import (
     Cqe,
     OP_ETH_SEND,
 )
-from ..pcie import PcieEndpoint, PcieError
-from ..sim import Simulator
+from ..pcie import POSTED, PcieEndpoint, PcieError
+from ..sim import Event, Simulator
 from . import bar
 from .axis import AxisMetadata, AxisStream
 from .buffers import BufferPool
@@ -211,76 +211,62 @@ class FlexDriver(PcieEndpoint):
         return True
 
     def send(self, data: bytes, meta: AxisMetadata):
-        """Generator: wait for a credit, then transmit.
+        """Generator form of :meth:`send_then`, for scripts and tests."""
+        done = Event(self.sim)
+        self.send_then(data, meta, done.succeed)
+        yield done
+
+    def send_then(self, data: bytes, meta: AxisMetadata, func,
+                  arg=None) -> None:
+        """Wait for a credit, then transmit; ``func(arg)`` runs once the
+        pipeline has taken the packet.
 
         The caller is held only for the pipeline's *occupancy* (the
         datapath is 512 bits wide at the FLD clock, §9's 100 Gbps
         figure); the pipeline *latency* to the doorbell is modelled
         without blocking, so back-to-back sends stream at line rate.
+
+        The chain — credit, buffers, occupancy — holds the *sender*, so
+        its waits are module-level functions: an entry that is no
+        tagged component's bound method files under the profiler tag of
+        the context that pushed it.
         """
-        wait_started = self.sim._now
-        yield self.tx.credits.acquire(meta.queue_id)
-        needed = self.tx.buffers.chunks_for(len(data))
-        while not (
-            self.tx.buffers.free_chunks - self._pending_chunks >= needed
-            and self.tx.descriptors.free_slots > self._pending_chunks
-        ):
-            yield self.sim.timeout(self.config.cycles(16))
-        if meta.trace_ctx is not None and self.sim._now > wait_started:
-            self._spans.record(meta.trace_ctx, "fld.tx", wait_started,
-                               self.sim._now, kind="queue")
-        service_started = self.sim._now
-        self._pending_chunks += needed
-        yield self.sim.timeout(self.config.cycles(max(1, len(data) // 64)))
-        prof = self._prof
-        if prof is None:
-            self.sim.schedule(
-                self.config.pipeline_latency,
-                lambda: self._submit_now(data, meta, needed, service_started),
-            )
+        entry = (self, data, meta, func, arg, self.sim._now)
+        if self.tx.credits.try_consume(meta.queue_id, 1):
+            _send_credited(entry)
         else:
-            # The pipeline-latency hop is tx-engine work even though the
-            # accelerator's process is the one scheduling it.
-            prev = prof.current_tag
-            prof.current_tag = self._ptag_tx
-            self.sim.schedule(
-                self.config.pipeline_latency,
-                lambda: self._submit_now(data, meta, needed, service_started),
-            )
+            prof = self._prof
+            self.tx.credits.wait(meta.queue_id, 1, self._send_refunded,
+                                 (entry, prof and prof.current_tag))
+
+    def _send_refunded(self, waiter) -> None:
+        """A completion's refund covered a parked send: carry on under
+        the sender's profiler tag, not the refunding tx engine's."""
+        entry, tag = waiter
+        prof = self._prof
+        if prof is not None:
+            prev, prof.current_tag = prof.current_tag, tag
+        _send_credited(entry)
+        if prof is not None:
             prof.current_tag = prev
 
     def _submit(self, data: bytes, meta: AxisMetadata) -> None:
         self.tx.credits.try_consume(meta.queue_id, 1)
-        self._pending_chunks += self.tx.buffers.chunks_for(len(data))
-        started = self.sim._now
+        needed = self.tx.buffers.chunks_for(len(data))
+        self._pending_chunks += needed
+        self._launch(data, meta, needed, self.sim._now)
+
+    def _launch(self, data: bytes, meta: AxisMetadata, reserved_chunks: int,
+                started: float) -> None:
+        """Submit one pipeline latency from now.  The hop is tx-engine
+        work even though the sender's continuation schedules it."""
         prof = self._prof
-        prev = None
         if prof is not None:
-            prev = prof.current_tag
-            prof.current_tag = self._ptag_tx
-        self.sim.schedule(
-            self.config.pipeline_latency,
-            lambda: self._submit_now(
-                data, meta, self.tx.buffers.chunks_for(len(data)), started),
-        )
+            prev, prof.current_tag = prof.current_tag, self._ptag_tx
+        self.sim.call_later(self.config.pipeline_latency, _submit_now,
+                            (self, data, meta, reserved_chunks, started))
         if prof is not None:
             prof.current_tag = prev
-
-    def _submit_now(self, data: bytes, meta: AxisMetadata,
-                    reserved_chunks: int = 0,
-                    trace_started: Optional[float] = None) -> None:
-        self._pending_chunks -= reserved_chunks
-        if trace_started is not None and meta.trace_ctx is not None:
-            self._spans.record(meta.trace_ctx, "fld.tx", trace_started,
-                               self.sim._now)
-        if self.tx.submit(meta.queue_id, data, meta) is None:
-            return  # an egress program dropped it; credit already refunded
-        self.stats_tx_packets += 1
-        self.stats_tx_bytes += len(data)
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.instant(f"fld.{self.name}", f"txq{meta.queue_id}",
-                           "submit", self.sim._now, {"bytes": len(data)})
 
     def credits_available(self, queue_id: int) -> int:
         return self.tx.credits.available(queue_id)
@@ -370,7 +356,8 @@ class FlexDriver(PcieEndpoint):
         for addr, payload in recycles:
             self.fabric.post_write(self, addr, payload,
                                    trace_ctx=self.tx.outbound_trace_ctx,
-                                   trace_stage="pcie.doorbell")
+                                   trace_stage="pcie.doorbell",
+                                   on_done=POSTED)
 
     def _rx_cqe_arrive(self, handle) -> None:
         """Fallback continuation: land a deferred CQE write as the
@@ -445,7 +432,7 @@ class FlexDriver(PcieEndpoint):
         # None and go untraced.
         self.fabric.post_write(self, address, data,
                                trace_ctx=self.tx.outbound_trace_ctx,
-                               trace_stage="pcie.doorbell")
+                               trace_stage="pcie.doorbell", on_done=POSTED)
 
     def _emit_rx(self, data: bytes, meta: AxisMetadata) -> None:
         self.stats_rx_stream_pushes += 1
@@ -479,3 +466,45 @@ class FlexDriver(PcieEndpoint):
         )
         memory["total"] = sum(memory.values())
         return memory
+
+
+# -- send_then's continuations (module-level: see its docstring) ---------
+
+
+def _send_credited(entry) -> None:
+    fld, data, meta, func, arg, wait_started = entry
+    sim = fld.sim
+    needed = fld.tx.buffers.chunks_for(len(data))
+    if not (fld.tx.buffers.free_chunks - fld._pending_chunks >= needed
+            and fld.tx.descriptors.free_slots > fld._pending_chunks):
+        # Buffers or descriptor slots are short: look again shortly.
+        sim.call_later(fld.config.cycles(16), _send_credited, entry)
+        return
+    now = sim._now
+    if meta.trace_ctx is not None and now > wait_started:
+        fld._spans.record(meta.trace_ctx, "fld.tx", wait_started, now,
+                          kind="queue")
+    fld._pending_chunks += needed
+    sim.call_later(fld.config.cycles(max(1, len(data) // 64)),
+                   _send_occupied, (fld, data, meta, needed, now, func, arg))
+
+
+def _send_occupied(entry) -> None:
+    fld, data, meta, needed, started, func, arg = entry
+    fld._launch(data, meta, needed, started)
+    func(arg)
+
+
+def _submit_now(entry) -> None:
+    fld, data, meta, reserved_chunks, started = entry
+    fld._pending_chunks -= reserved_chunks
+    if meta.trace_ctx is not None:
+        fld._spans.record(meta.trace_ctx, "fld.tx", started, fld.sim._now)
+    if fld.tx.submit(meta.queue_id, data, meta) is None:
+        return  # an egress program dropped it; credit already refunded
+    fld.stats_tx_packets += 1
+    fld.stats_tx_bytes += len(data)
+    tracer = fld._tracer
+    if tracer.enabled:
+        tracer.instant(f"fld.{fld.name}", f"txq{meta.queue_id}",
+                       "submit", fld.sim._now, {"bytes": len(data)})

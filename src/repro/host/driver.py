@@ -37,7 +37,8 @@ from ..nic import (
 from ..nic import CommandChannel
 from ..nic.device import DOORBELL_STRIDE, _POISON
 from ..nic.queues import ReceiveQueue
-from ..sim import Event, Simulator, Store
+from ..pcie import POSTED
+from ..sim import Event, Pump, Simulator, Store
 from ..topology.addrmap import CMD_MAILBOX_OFFSET, NIC_CMD_DOORBELL
 from .cpu import CpuCore, HostCpuPort
 from .memory import BumpAllocator, HostMemory
@@ -105,10 +106,10 @@ class EthQueuePair:
         if self.core is not None:
             self.rx_cq.fused_rx = self._rx_fused
         else:
-            _CqConsumer(self.sim, self.rx_cq, self._receive,
-                        self.profile_tag)
-        _CqConsumer(self.sim, self.tx_cq, self._retire,
-                    f"ethqp{self.sq.qpn}.txc")
+            Pump(self.sim, self.rx_cq.notify, self._receive,
+                 self.profile_tag, stop=_POISON)
+        Pump(self.sim, self.tx_cq.notify, self._retire,
+             f"ethqp{self.sq.qpn}.txc", stop=_POISON)
         self._fused_planned = 0.0   # planned end of the dispatch chain
         self._fused_done = 0.0      # actual end (>= planned under repair)
         self._fused_queue = deque()
@@ -318,41 +319,6 @@ class EthQueuePair:
         self._receive(cqe)
 
 
-class _CqConsumer:
-    """The flat consumer of a completion queue's notify store.
-
-    Hands each CQE to ``handler`` in order, as a plain callback chain
-    with no process.  A handler that needs virtual time for a CQE
-    returns ``False`` and calls :meth:`resume` itself when done; any
-    other return value moves straight on to the next CQE.  Arming is
-    deferred through a zero-delay scheduled step: the consumer must not
-    observe completions before the simulation runs.
-    """
-
-    __slots__ = ("notify", "handler", "profile_tag")
-
-    def __init__(self, sim: Simulator, cq, handler, profile_tag: str):
-        self.notify = cq.notify
-        self.handler = handler
-        self.profile_tag = profile_tag
-        sim.schedule(0.0, self.resume)
-
-    def resume(self) -> None:
-        notify = self.notify
-        while True:
-            cqe = notify.try_get()
-            if cqe is None:
-                notify.get().add_callback(self._on_cqe)
-                return
-            if cqe is _POISON or self.handler(cqe) is False:
-                return
-
-    def _on_cqe(self, event) -> None:
-        cqe = event.value
-        if cqe is not _POISON and self.handler(cqe) is not False:
-            self.resume()
-
-
 class RcEndpoint:
     """A host-side RDMA RC endpoint: post_send + message reception."""
 
@@ -386,10 +352,10 @@ class RcEndpoint:
         # The per-packet core cost this endpoint schedules attributes
         # to its rx profiler stage.
         self.profile_tag = f"rc{self.qp.qpn}.rx"
-        self._rx = _CqConsumer(self.sim, self.rx_cq, self._rx_cqe,
-                               self.profile_tag)
-        _CqConsumer(self.sim, self.cq, self._tx_completion,
-                    f"rc{self.qp.qpn}.txc")
+        self._rx = Pump(self.sim, self.rx_cq.notify, self._rx_cqe,
+                        self.profile_tag, stop=_POISON)
+        Pump(self.sim, self.cq.notify, self._tx_completion,
+             f"rc{self.qp.qpn}.txc", stop=_POISON)
 
     @property
     def qpn(self) -> int:
@@ -589,12 +555,13 @@ class SoftwareDriver:
             self.cpu_port, self.nic_bar_base + qpn * DOORBELL_STRIDE,
             pi.to_bytes(4, "big"),
             trace_ctx=trace_ctx, trace_stage="pcie.doorbell",
+            on_done=POSTED,
         )
 
     def mmio_write(self, address: int, data: bytes, trace_ctx=None) -> None:
         self.fabric.post_write(self.cpu_port, address, data,
                                trace_ctx=trace_ctx,
-                               trace_stage="pcie.doorbell")
+                               trace_stage="pcie.doorbell", on_done=POSTED)
 
     # -- factories ----------------------------------------------------------
 

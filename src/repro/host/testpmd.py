@@ -16,7 +16,8 @@ from ..net.ip import PROTO_TCP
 from ..net.parse import (
     ETHERTYPE, L3, L4, PAYLOAD, parse_frame, parse_layout,
 )
-from ..sim import Event, LatencyCollector, Simulator, ThroughputMeter
+from ..sim import (Event, LatencyCollector, Pump, Simulator, Store,
+                   ThroughputMeter)
 from .driver import EthQueuePair
 
 _SEQ_FORMAT = "!Q"
@@ -56,11 +57,14 @@ def swap_directions(packet: Packet) -> Packet:
     return packet
 
 
+#: A full SQ is re-polled at ``EthQueuePair.wait_for_tx_space``'s default.
+_TX_POLL = 100e-9
+
+
 class EchoApp:
     """CPU echo server: receive, swap addresses, transmit back."""
 
     def __init__(self, qp: EthQueuePair):
-        from ..sim import Store
         self.qp = qp
         self.qp.on_receive = self._on_receive
         # Bounded app queue: a real run-to-completion PMD would stop
@@ -68,7 +72,10 @@ class EchoApp:
         self._pending = Store(qp.sim, capacity=4096, name="echo.pending")
         self._spans = qp.sim.telemetry.spans
         self.stats_echoed = 0
-        qp.sim.spawn(self._worker(), name="echo.tx")
+        # The tx-space polls this app schedules file under its stage.
+        self.profile_tag = "echo.tx"
+        self._pump = Pump(qp.sim, self._pending, self._echo,
+                          self.profile_tag)
 
     @property
     def stats_dropped(self) -> int:
@@ -80,20 +87,32 @@ class EchoApp:
         # echo turnaround itself.
         self._pending.try_put((data, cqe.trace_ctx, self.qp.sim._now))
 
-    def _worker(self):
-        sim = self.qp.sim
-        while True:
-            data, ctx, enqueued = yield self._pending.get()
-            started = sim._now
-            if ctx is not None and started > enqueued:
-                self._spans.record(ctx, "host.tx", enqueued, started,
-                                   kind="queue")
-            packet = swap_directions(parse_frame(data))
-            yield from self.qp.wait_for_tx_space()
-            self.qp.send(packet.to_bytes(), trace_ctx=ctx)
-            if ctx is not None:
-                self._spans.record(ctx, "host.tx", started, sim._now)
-            self.stats_echoed += 1
+    def _echo(self, item):
+        data, ctx, enqueued = item
+        started = self.qp.sim._now
+        if ctx is not None and started > enqueued:
+            self._spans.record(ctx, "host.tx", enqueued, started,
+                               kind="queue")
+        return self._transmit(
+            (swap_directions(parse_frame(data)), ctx, started))
+
+    def _transmit(self, entry):
+        """Post the echo; False (the pump pauses) while the SQ is full,
+        re-polled as ``wait_for_tx_space`` spins."""
+        qp = self.qp
+        if qp.tx_space() < 1:
+            qp.sim.call_later(_TX_POLL, self._retry, entry)
+            return False
+        packet, ctx, started = entry
+        qp.send(packet.to_bytes(), trace_ctx=ctx)
+        if ctx is not None:
+            self._spans.record(ctx, "host.tx", started, qp.sim._now)
+        self.stats_echoed += 1
+        return True
+
+    def _retry(self, entry) -> None:
+        if self._transmit(entry):
+            self._pump.resume()
 
 
 class _FlatPacer:
@@ -108,8 +127,6 @@ class _FlatPacer:
 
     __slots__ = ("gen", "sizes", "interval", "done", "flows", "labels",
                  "_index")
-
-    _TX_POLL = 100e-9  # EthQueuePair.wait_for_tx_space default
 
     def __init__(self, gen: "LoadGenerator", sizes: List[int],
                  interval: float, done: Event,
@@ -127,7 +144,7 @@ class _FlatPacer:
         gen = self.gen
         sim = gen.sim
         if gen.qp.tx_space() < 1:
-            sim.call_later(self._TX_POLL, self._tick, None)
+            sim.call_later(_TX_POLL, self._tick, None)
             return
         index = self._index
         flows = self.flows

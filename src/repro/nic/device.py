@@ -508,10 +508,10 @@ class Nic(PcieEndpoint):
                 self, cq.next_slot(), cqe.pack(), cqe.trace_ctx,
                 "pcie.cqe_write"), cqe)
             return
-        done = self.fabric.post_write(self, cq.next_slot(), cqe.pack(),
-                                      trace_ctx=cqe.trace_ctx,
-                                      trace_stage="pcie.cqe_write")
-        done.add_callback(lambda _event: cq.notify.try_put(cqe))
+        self.fabric.post_write(self, cq.next_slot(), cqe.pack(),
+                               trace_ctx=cqe.trace_ctx,
+                               trace_stage="pcie.cqe_write",
+                               on_done=partial(cq.notify.try_put, cqe))
 
     def _post_cqe_at(self, cq: CompletionQueue, cqe: Cqe,
                      when: float) -> None:
@@ -528,10 +528,9 @@ class Nic(PcieEndpoint):
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
                            f"cqe:{cqe.opcode}", when)
-        done = self.fabric.post_write_at(self, cq.next_slot(), cqe.pack(),
-                                         when, cqe.trace_ctx,
-                                         "pcie.cqe_write")
-        done.add_callback(lambda _event: cq.notify.try_put(cqe))
+        self.fabric.post_write_at(self, cq.next_slot(), cqe.pack(), when,
+                                  cqe.trace_ctx, "pcie.cqe_write",
+                                  on_done=partial(cq.notify.try_put, cqe))
 
     # ------------------------------------------------------------------
     # Telemetry probes
@@ -546,35 +545,6 @@ class Nic(PcieEndpoint):
             "write_protection_errors": sum(
                 q.stats_write_protection_errors for q in qps),
         }
-
-
-class _DataSlot:
-    """Holder for a WQE's data DMA read on its way through the window.
-
-    Filled by the fabric's ``on_done`` callback at the read's completion
-    instant; the transmit stage either finds it ``_fired`` when it pulls
-    the WQE or leaves one callback to be resumed by.  No
-    :class:`~repro.sim.Event` is allocated and no scheduler state is
-    touched.
-    """
-
-    __slots__ = ("_fired", "value", "_callback")
-
-    def __init__(self):
-        self._fired = False
-        self.value = None
-        self._callback = None
-
-    def _complete(self, data) -> None:
-        self._fired = True
-        self.value = data
-        callback = self._callback
-        if callback is not None:
-            self._callback = None
-            callback(self)
-
-    def add_callback(self, callback) -> None:
-        self._callback = callback
 
 
 class _RqFlatWorker:
@@ -610,16 +580,11 @@ class _RqFlatWorker:
         nic.sim.schedule(0.0, self._next)
 
     def _next(self) -> None:
-        """Pull the next inbox item, blocking (via a getter callback)
-        when the inbox is empty — the flat form of the loop head."""
-        item = self.inbox.try_get()
-        if item is None:
-            self.inbox.get().add_callback(self._on_item)
-            return
-        self._begin(item)
-
-    def _on_item(self, event) -> None:
-        self._begin(event.value)
+        """Pull the next inbox item, or park :meth:`_begin` for it when
+        the inbox is empty — the flat form of the loop head."""
+        item = self.inbox.pop_or_park(self._begin)
+        if item is not None:
+            self._begin(item)
 
     def _begin(self, item) -> None:
         if item is _POISON or self.rq.destroyed:
@@ -738,10 +703,12 @@ class _SqFlatPipeline:
     or not.
 
     * The fetch stage drains doorbells iteratively, pausing only on a
-      batched WQE fetch or a full window (resumed by the read's /
-      put's completion callback).
-    * The transmit stage pulls in order and waits for the data DMA via
-      its callback.  The per-WQE pipeline occupancy is a *virtual*
+      batched WQE fetch or a full window (resumed by the read's
+      completion callback / the window's admission callback).
+    * The transmit stage pulls in order; a window item is a list whose
+      data slot the WQE's DMA read fills when it lands
+      (:meth:`_data_landed`), resuming the stage if it is waiting on
+      that item.  The per-WQE pipeline occupancy is a *virtual*
       clock, ``stage_free``: for an unmetered Ethernet WQE bound for
       the uplink, steering resolves when the DMA data lands and the
       wire reservation and the signaled CQE are keyed at the stage's
@@ -798,26 +765,17 @@ class _SqFlatPipeline:
 
     def _fetch_idle(self) -> None:
         """Consume doorbells until one pauses the drain or none remain."""
-        doorbell = self.sq.doorbell
-        while True:
-            rung = doorbell.try_get()
-            if rung is None:
-                doorbell.get().add_callback(self._on_doorbell)
-                return
+        self._on_doorbell(self.sq.doorbell.pop_or_park(self._on_doorbell))
+
+    def _on_doorbell(self, rung) -> None:
+        while rung is not None:
             if rung is _POISON or self.sq.destroyed:
                 # Propagate teardown to the tx stage; no re-arm.
                 self.window.put(_POISON)
                 return
             if not self._drain():
                 return
-
-    def _on_doorbell(self, event) -> None:
-        rung = event.value
-        if rung is _POISON or self.sq.destroyed:
-            self.window.put(_POISON)
-            return
-        if self._drain():
-            self._fetch_idle()
+            rung = self.sq.doorbell.pop_or_park(self._on_doorbell)
 
     def _drain(self) -> bool:
         """Push WQEs up to the rung PI; False when paused on a wait."""
@@ -856,23 +814,20 @@ class _SqFlatPipeline:
 
     def _push(self, index: int, wqe: TxWqe) -> bool:
         """Launch the data DMA and queue the WQE on the window; False
-        when the window is full (the put's event resumes the drain)."""
+        when the window is full (its admission resumes the drain)."""
         nic = self.nic
+        # [index, wqe, data (None until the DMA read lands), enqueued]
+        item = [index, wqe, None, nic.sim._now]
         if wqe.byte_count > 0:
-            data_event = _DataSlot()
             nic.fabric.read(nic, wqe.buffer_addr, wqe.byte_count,
                             trace_ctx=wqe.trace_ctx,
                             trace_stage="pcie.dma_read",
-                            on_done=data_event._complete)
+                            on_done=partial(self._data_landed, item))
         else:
-            data_event = None
-        event = self.window.put((index, wqe, data_event, nic.sim._now))
-        if event._fired:
-            return True
-        event.add_callback(self._put_admitted)
-        return False
+            item[2] = b""
+        return self.window.put_or_park(item, self._put_admitted)
 
-    def _put_admitted(self, _event) -> None:
+    def _put_admitted(self, _item) -> None:
         if self._drain():
             self._fetch_idle()
 
@@ -887,42 +842,34 @@ class _SqFlatPipeline:
             held = bool(window._items) and self.stage_free > sim._now
             if held:
                 window.hold_slot(self.stage_free)
-            item = window.try_get()
-            if item is None:
-                window.get().add_callback(self._handover)
-                return
-            if item is _POISON:
-                return
-            if not self._tx_begin(item):
+            item = window.pop_or_park(self._handover)
+            if (item is None or item is _POISON
+                    or not self._tx_begin(item)):
                 return
 
-    def _handover(self, event) -> None:
+    def _handover(self, item) -> None:
         # Handed over while get-blocked, before the serial stage would
         # even be polling: the item would have sat in the window
         # (occupying its slot) until then.
         if self.nic.sim._now < self.stage_free:
             self.window.hold_slot(self.stage_free)
-        item = event.value
-        if item is _POISON:
-            return
-        if self._tx_begin(item):
+        if item is not _POISON and self._tx_begin(item):
             self._pull()
 
     def _tx_begin(self, item) -> bool:
-        index, wqe, data_event, enqueued = item
-        if data_event is None:
-            return self._tx_send(index, wqe, b"", enqueued)
-        if data_event._fired:
-            return self._tx_send(index, wqe, data_event.value, enqueued)
-        self._tx_pend = item
-        data_event.add_callback(self._data_ready)
-        return False
+        index, wqe, data, enqueued = item
+        if data is None:
+            self._tx_pend = item    # _data_landed resumes the stage
+            return False
+        return self._tx_send(index, wqe, data, enqueued)
 
-    def _data_ready(self, event) -> None:
-        index, wqe, _data_event, enqueued = self._tx_pend
-        self._tx_pend = None
-        if self._tx_send(index, wqe, event.value, enqueued):
-            self._pull()
+    def _data_landed(self, item, data) -> None:
+        """A WQE's data DMA read completed: fill its window item."""
+        item[2] = data
+        if self._tx_pend is item:
+            self._tx_pend = None
+            if self._tx_send(item[0], item[1], data, item[3]):
+                self._pull()
 
     def _tx_send(self, index: int, wqe: TxWqe, data: bytes,
                  enqueued: float) -> bool:

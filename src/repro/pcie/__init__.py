@@ -2,7 +2,7 @@
 
 from .config import GEN5_X16_LINK, INNOVA2_LINK, PcieLinkConfig
 from .endpoint import Bar, MemoryRegion, MmioRegion, PcieEndpoint, PcieError
-from .fabric import PcieFabric
+from .fabric import POSTED, PcieFabric
 from .tlp import (
     COMPLETION_HEADER,
     DLLP_FRAMING,
@@ -20,6 +20,7 @@ __all__ = [
     "MEM_REQUEST_HEADER",
     "MemoryRegion",
     "MmioRegion",
+    "POSTED",
     "PcieEndpoint",
     "PcieError",
     "PcieFabric",

@@ -36,6 +36,11 @@ _REQUEST_BITS = (MEM_REQUEST_HEADER + DLLP_FRAMING) * 8
 _COMPLETION_BITS = (COMPLETION_HEADER + DLLP_FRAMING) * 8
 
 
+#: ``post_write(..., on_done=POSTED)``: nobody waits for the write to
+#: land — no completion Event is built and nothing is called back.
+POSTED = object()
+
+
 class _WriteCountdown:
     """Completion countdown for a multi-TLP posted write (a single TLP's
     delivery tuple carries its own span and callback)."""
@@ -46,7 +51,7 @@ class _WriteCountdown:
         self.remaining = remaining
         self.fabric = fabric
         self.span_id = span_id
-        self.done = done    # zero-argument completion callable
+        self.done = done    # zero-argument completion callable, or None
 
     def __call__(self):
         self.remaining -= 1
@@ -54,7 +59,8 @@ class _WriteCountdown:
             fabric = self.fabric
             if self.span_id is not None:
                 fabric._spans.exit(self.span_id, fabric.sim._now)
-            self.done()
+            if self.done is not None:
+                self.done()
 
 
 class DeferredWrite:
@@ -288,7 +294,8 @@ class PcieFabric:
         the returned event: the write then skips the Event allocation
         entirely, invokes the callback at the exact instant the event
         would have fired (after the span, if any, has closed), and
-        returns None.
+        returns None.  Initiators that never look back — doorbells,
+        MMIO — pass ``on_done=POSTED``: no Event, no callback.
         """
         port = (requester._port if requester.fabric is self
                 else self.port_of(requester))
@@ -303,7 +310,7 @@ class PcieFabric:
             finish = done.succeed
         else:
             done = None
-            finish = on_done
+            finish = None if on_done is POSTED else on_done
         sim = self.sim
 
         if 0 < total <= mps:
@@ -407,7 +414,8 @@ class PcieFabric:
 
     def post_write_at(self, requester: PcieEndpoint, address: int,
                       data: bytes, arrival: float, trace_ctx=None,
-                      trace_stage: str = "pcie.write") -> Event:
+                      trace_stage: str = "pcie.write",
+                      on_done=None) -> Optional[Event]:
         """A single-TLP posted write arbitrating as if issued at ``arrival``.
 
         Fused pipeline stages resolve a future write early: both lanes
@@ -416,14 +424,20 @@ class PcieFabric:
         :class:`~repro.sim.resources.Reservation`) — and the write
         delivers through the normal delivery event at its computed
         arrival.  A traced write's span runs from ``arrival`` to that
-        delivery.
+        delivery.  ``on_done`` is :meth:`post_write`'s.
         """
         port = (requester._port if requester.fabric is self
                 else self.port_of(requester))
         total = len(data)
         if not 0 < total <= port.config.max_payload_size:
             raise PcieError("post_write_at needs a single-TLP payload")
-        done = Event(self.sim)
+        if on_done is None:
+            done = Event(self.sim)
+            on_done = done.succeed
+        else:
+            done = None
+            if on_done is POSTED:
+                on_done = None
         span_id = (None if trace_ctx is None else
                    self._spans.enter(trace_ctx, trace_stage, arrival))
         self.stats_tlps["MWr"] += 1
@@ -431,7 +445,7 @@ class PcieFabric:
             port, address, total, _REQUEST_BITS + total * 8, arrival)
         sim = self.sim
         sim.call_later(path[0][DELIVERY] - sim._now, self._write_arrived,
-                       path + (data, trace_ctx, span_id, done.succeed))
+                       path + (data, trace_ctx, span_id, on_done))
         return done
 
     # -- internals -----------------------------------------------------------
@@ -572,7 +586,8 @@ class PcieFabric:
                     prof.current_tag = "pcie"
         if span_id is not None:
             self._spans.exit(span_id, sim._now)
-        done()
+        if done is not None:
+            done()
 
     def _read_arrived(self, entry) -> None:
         """A read request landed: run the handler and reserve the whole

@@ -8,6 +8,7 @@ from .engine import (
     Continuation,
     Event,
     Process,
+    Pump,
     Resource,
     SimulationError,
     Simulator,
@@ -29,6 +30,7 @@ __all__ = [
     "LatencyCollector",
     "Link",
     "Process",
+    "Pump",
     "Resource",
     "SimulationError",
     "Simulator",

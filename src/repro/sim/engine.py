@@ -1,48 +1,45 @@
 """Discrete-event simulation engine.
 
-The engine is a small, dependency-free core in the style of SimPy:
-generator-based processes yield *events*, and the simulator advances a
-virtual clock from one scheduled event to the next.  Time is measured in
-**seconds** (floats); bandwidth in **bits per second**.
+The simulator advances a virtual clock from one scheduled entry to the
+next.  Time is measured in **seconds** (floats); bandwidth in **bits
+per second**.  PCIe links, NIC pipelines, accelerator units and host
+CPU threads are stages that hand work to each other through
+:class:`Store` queues and delay through the scheduler.
 
-The engine underpins every timed experiment in the reproduction: PCIe links,
-NIC pipelines, accelerator processing loops and host CPU threads are all
-processes exchanging work through :class:`Store` queues and delaying through
-:meth:`Simulator.timeout`.
+An entry is ``(time, seq, func, arg, tag)``, dispatched strictly by
+``(time, seq)``, and comes in three kinds:
 
-The hot path is batch-oriented: entries carry a ``(func, arg)`` pair
-instead of a closure, events have a single-callback fast slot, stores run on
-deques with bulk drains, and :meth:`Simulator.run` coalesces bursts of
-same-timestamp events into one scheduler pass.  None of this changes
-scheduling order — entries are still dispatched strictly by
-``(time, seq)`` — so results are bit-identical to the scalar engine.
+* a *plain continuation* (:meth:`Simulator.call_later` / ``schedule`` /
+  ``schedule_at``): the run loop calls ``func`` directly, nothing else
+  is allocated.  Every per-packet stage waits this way;
+* a *cancellable continuation* (:meth:`Simulator.defer` / ``defer_at``)
+  behind a :class:`Continuation` handle;
+* an *Event timeout* (:meth:`Simulator.timeout`) firing an
+  :class:`Event`, which generator processes (:class:`Process`) yield
+  on.  Processes are for code that is a script rather than a stage:
+  experiment drivers, the firmware command channel, teardown, tests.
 
-Besides generator processes (:class:`Process`) the engine dispatches
-*flat continuations*: a plain ``(callback, arg)`` pair invoked directly by the
-run loop with no generator resume, no :class:`Event` allocation and no
-trampoline frame.  :meth:`Simulator.call_later` / :meth:`Simulator.schedule`
-/ :meth:`Simulator.schedule_at` are the zero-overhead forms used by the
-steady-state datapath workers; :meth:`Simulator.defer` /
-:meth:`Simulator.defer_at` return a cancellable :class:`Continuation`
-handle for callers that may need to revoke the call before it fires.
-Under the profiler every form stamps the entry with its owner tag at push
-time (the callback's ``__self__.profile_tag`` when bound to a tagged
-component, else the dispatching context's tag), so flat and generator
-dispatch attribute identically.
+Stages rendezvous through :class:`Store`'s parked continuations: a
+consumer that finds a store empty leaves a plain callable there and the
+put that delivers the next item calls it, in the putter's frame.
+:class:`Pump` is the stock consumer stage: a store, a handler, no
+process.  Under the profiler every push stamps the entry with its owner
+tag (the callback's ``__self__.profile_tag`` when bound to a tagged
+component, else the dispatching context's tag), so a stage's
+continuations attribute to it wherever they were pushed from.
 
-Scheduling itself is two-tier: zero-delay pushes (store handoffs,
-fired-event callbacks, spawn steps) go to a FIFO *ready deque* with O(1)
-appends, timed pushes to the classic binary heap.  Because ``seq`` is
-globally monotonic and the deque is only appended to while simulation
-time is non-decreasing, the deque is always sorted by ``(time, seq)``;
-the run loop merges the two tiers by comparing heads, which reproduces
-the single-heap dispatch order exactly (see ``tests/sim/test_lockstep``
-for the machine-checked argument).  Entries may also be appended to the
-ready tier at a *future* timestamp (deferred continuations resolved
-early, e.g. by the PCIe cut-through fabric) — the merge dispatches them
-at their recorded time, still in exact ``(time, seq)`` order, as long as
-appends keep the deque sorted; :meth:`Simulator.schedule_at` guards
-this.
+Scheduling is two-tier: zero-delay pushes (store handoffs, stage arming
+steps) go to a FIFO *ready deque* with O(1) appends, timed pushes to
+the binary heap.  ``seq`` is globally monotonic and the deque is only
+appended to while simulation time is non-decreasing, so the deque is
+always sorted by ``(time, seq)``; the run loop merges the two tiers by
+comparing heads, which reproduces the single-heap dispatch order
+exactly (``tests/sim/test_lockstep`` is the machine-checked argument).
+Entries may also be appended to the ready tier at a *future* timestamp
+(continuations resolved early, e.g. by the PCIe cut-through fabric) as
+long as appends keep the deque sorted; :meth:`Simulator.schedule_at`
+guards this.  :meth:`Simulator.run` drains a burst of same-timestamp
+entries in one pass.
 
 Example
 -------
@@ -53,6 +50,7 @@ Example
 ...     log.append(sim.now)
 >>> _ = sim.spawn(proc(sim))
 >>> sim.run()
+1.0
 >>> log
 [1.0]
 """
@@ -550,12 +548,17 @@ class Simulator:
 
 
 class Store:
-    """An unbounded (or bounded) FIFO channel between processes.
+    """An unbounded (or bounded) FIFO channel between stages.
 
-    ``put`` succeeds immediately when below capacity; ``get`` blocks the
-    calling process until an item is available.  Items are delivered in
-    insertion order, one per waiting getter, preserving getter arrival
-    order.
+    One wake mechanism, a *parked continuation*: a consumer that finds
+    the store empty leaves a plain callable on the getter queue
+    (:meth:`pop_or_park`) and the put that delivers the next item calls
+    it with the item, synchronously, in the putter's frame; a producer
+    that finds a bounded store full parks ``(func, item)`` the same way
+    (:meth:`put_or_park`).  Items are delivered in insertion order, one
+    per parked getter, in getter arrival order.  :meth:`get` and
+    :meth:`put` wrap the mechanism in an :class:`Event` for generator
+    processes; nothing on a per-packet path uses them.
     """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
@@ -563,8 +566,8 @@ class Store:
         self.capacity = capacity
         self.name = name
         self._items: deque = deque()
-        self._getters: deque = deque()
-        self._putters: deque = deque()  # (event, item) waiting for space
+        self._getters: deque = deque()     # parked func(item) callables
+        self._putters: deque = deque()     # parked (func, item), no space yet
         self._held_until: deque = deque()  # hold_slot() deadlines, ascending
         self._hold_wake = False            # an _expire_holds wake is pending
         self.stats_put = 0
@@ -620,17 +623,22 @@ class Store:
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns ``False`` (drops) when full."""
-        if self.is_full and not self._getters:
+        # Unbounded, or a getter is parked (the item goes straight
+        # through): no fullness test.
+        if (self.capacity is not None and not self._getters
+                and self.is_full):
             self.stats_dropped += 1
             return False
         self._deliver(item)
         return True
 
-    def put(self, item: Any) -> Event:
-        """Blocking put; the returned event fires when the item is queued."""
-        event = Event(self.sim)
-        if self.is_full and not self._getters:
-            self._putters.append((event, item))
+    def put_or_park(self, item: Any, func: Callable[[Any], None]) -> bool:
+        """Put ``item`` now (``True``), or park ``(func, item)`` until a
+        slot frees: ``func(item)`` runs at the instant the item goes in.
+        """
+        if (self.capacity is not None and not self._getters
+                and self.is_full):
+            self._putters.append((func, item))
             if self._held_until and not self._hold_wake:
                 # Blocked at least partly against a virtual hold: no
                 # pop will happen at its deadline, so schedule the
@@ -638,24 +646,32 @@ class Store:
                 self._hold_wake = True
                 self.sim.schedule_at(self._held_until[0],
                                      self._expire_holds)
-        else:
-            self._deliver(item)
+            return False
+        self._deliver(item)
+        return True
+
+    def put(self, item: Any) -> Event:
+        """Blocking put; the returned event fires when the item is queued."""
+        event = Event(self.sim)
+        if self.put_or_park(item, event.succeed):
             event.succeed(item)
         return event
+
+    def pop_or_park(self, func: Callable[[Any], None]) -> Optional[Any]:
+        """Return the next item, or park ``func`` (and return ``None``):
+        the put that delivers the next item calls ``func(item)``."""
+        if self._items:
+            return self.try_get()
+        self._getters.append(func)
+        return None
 
     def get(self) -> Event:
         """An event that fires with the next item."""
         event = Event(self.sim)
         if self._items:
-            event.succeed(self._items.popleft())
-            if self._wait_hist is not None:
-                self._wait_hist.observe(
-                    self.sim._now - self._enqueued.popleft())
-            self._admit_waiting_putter()
-            if self._depth_gauge is not None:
-                self._depth_gauge.set(len(self._items))
+            event.succeed(self.try_get())
         else:
-            self._getters.append(event)
+            self._getters.append(event.succeed)
         return event
 
     def try_get(self) -> Optional[Any]:
@@ -665,7 +681,8 @@ class Store:
         item = self._items.popleft()
         if self._wait_hist is not None:
             self._wait_hist.observe(self.sim._now - self._enqueued.popleft())
-        self._admit_waiting_putter()
+        if self._putters:
+            self._admit_waiting_putter()
         if self._depth_gauge is not None:
             self._depth_gauge.set(len(self._items))
         return item
@@ -674,7 +691,7 @@ class Store:
         self.stats_put += 1
         getters = self._getters
         if getters:
-            getters.popleft().succeed(item)
+            getters.popleft()(item)
             if self._wait_hist is not None:
                 self._wait_hist.observe(0.0)
                 self._depth_gauge.set(len(self._items))
@@ -690,9 +707,40 @@ class Store:
 
     def _admit_waiting_putter(self) -> None:
         if self._putters and not self.is_full:
-            event, item = self._putters.popleft()
+            func, item = self._putters.popleft()
             self._deliver(item)
-            event.succeed(item)
+            func(item)
+
+
+class Pump:
+    """A flat consumer stage: hands each item of a :class:`Store` to
+    ``handler``, in order, as a plain callback chain with no process.
+
+    A handler that needs virtual time for an item returns ``False`` and
+    calls :meth:`resume` itself when done; any other return value moves
+    straight on to the next item.  The ``stop`` item, if given, ends the
+    stage.  Arming is deferred through a zero-delay scheduled step: the
+    stage must not observe items before the simulation runs.  An owner
+    whose handler schedules continuations carries ``profile_tag`` too.
+    """
+
+    __slots__ = ("source", "handler", "profile_tag", "stop")
+
+    def __init__(self, sim: Simulator, source, handler, profile_tag: str,
+                 stop=None):
+        self.source = source    # anything with Store.pop_or_park
+        self.handler = handler
+        self.profile_tag = profile_tag
+        self.stop = stop
+        sim.schedule(0.0, self.resume)
+
+    def resume(self) -> None:
+        self._on_item(self.source.pop_or_park(self._on_item))
+
+    def _on_item(self, item) -> None:
+        while (item is not None and item is not self.stop
+               and self.handler(item) is not False):
+            item = self.source.pop_or_park(self._on_item)
 
 
 class Resource:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..sim import Simulator
+from ..sim import Pump, Simulator
 from .client import FldRConnection
 from .cryptodev import CryptoOp, Cryptodev
 
@@ -56,7 +56,7 @@ class BatchingZucCryptodev(Cryptodev):
         self._flush_scheduled = False
         self.stats_batches_sent = 0
         self.stats_keys_installed = 0
-        sim.spawn(self._response_pump(), name=f"{name}.rx")
+        Pump(sim, connection.responses, self._on_response, f"{name}.rx")
 
     # -- key slots ---------------------------------------------------------
 
@@ -102,28 +102,25 @@ class BatchingZucCryptodev(Cryptodev):
 
     # -- responses -------------------------------------------------------------
 
-    def _response_pump(self):
-        CompactRequest = self._ext["CompactRequest"]
-        unpack_batch = self._ext["unpack_batch"]
-        while True:
-            message, _cqe = yield self.connection.responses.get()
-            entries = unpack_batch(message)
-            if entries is None:
-                entries = [message]
-            for entry in entries:
-                try:
-                    header = CompactRequest.unpack(entry)
-                except ValueError:
-                    continue
-                if header.op == self._ext["OP_SET_KEY"]:
-                    continue  # key-install ack
-                op = self._inflight.pop(header.request_id, None)
-                if op is None:
-                    continue
-                payload = entry[16:]
-                op.status = 0
-                if op.kind == CryptoOp.CIPHER:
-                    op.result = payload
-                else:
-                    op.mac = int.from_bytes(payload[:4], "big")
-                self._complete(op)
+    def _on_response(self, item) -> None:
+        message = item[0]
+        entries = self._ext["unpack_batch"](message)
+        if entries is None:
+            entries = [message]
+        for entry in entries:
+            try:
+                header = self._ext["CompactRequest"].unpack(entry)
+            except ValueError:
+                continue
+            if header.op == self._ext["OP_SET_KEY"]:
+                continue  # key-install ack
+            op = self._inflight.pop(header.request_id, None)
+            if op is None:
+                continue
+            payload = entry[16:]
+            op.status = 0
+            if op.kind == CryptoOp.CIPHER:
+                op.result = payload
+            else:
+                op.mac = int.from_bytes(payload[:4], "big")
+            self._complete(op)

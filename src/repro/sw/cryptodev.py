@@ -29,7 +29,7 @@ from ..accelerators.zuc.accel import (
 from ..accelerators.zuc.eea3 import eea3_encrypt
 from ..accelerators.zuc.eia3 import eia3_mac
 from ..host.cpu import CpuComputeCost
-from ..sim import Simulator, Store
+from ..sim import Pump, Simulator, Store
 from .client import FldRConnection
 
 
@@ -97,25 +97,30 @@ class SwZucCryptodev(Cryptodev):
         super().__init__(sim, name)
         self.compute = compute
         self._queue = Store(sim, name=f"{name}.queue")
-        sim.spawn(self._worker(), name=f"{name}.core")
+        # The compute time this driver schedules files under its core.
+        self.profile_tag = f"{name}.core"
+        self._pump = Pump(sim, self._queue, self._start, self.profile_tag)
 
     def submit(self, op: CryptoOp) -> None:
         op.submitted_at = self.sim.now
         self.stats_submitted += 1
         self._queue.try_put(op)
 
-    def _worker(self):
-        while True:
-            op = yield self._queue.get()
-            yield self.sim.timeout(self.compute.seconds_for(len(op.payload)))
-            if op.kind == CryptoOp.CIPHER:
-                op.result = eea3_encrypt(op.key, op.count, op.bearer,
-                                         op.direction, op.payload)
-            else:
-                op.mac = eia3_mac(op.key, op.count, op.bearer,
-                                  op.direction, op.payload)
-            op.status = STATUS_OK
-            self._complete(op)
+    def _start(self, op: CryptoOp) -> bool:
+        self.sim.call_later(self.compute.seconds_for(len(op.payload)),
+                            self._finish, op)
+        return False    # one op at a time: _finish resumes the pump
+
+    def _finish(self, op: CryptoOp) -> None:
+        if op.kind == CryptoOp.CIPHER:
+            op.result = eea3_encrypt(op.key, op.count, op.bearer,
+                                     op.direction, op.payload)
+        else:
+            op.mac = eia3_mac(op.key, op.count, op.bearer,
+                              op.direction, op.payload)
+        op.status = STATUS_OK
+        self._complete(op)
+        self._pump.resume()
 
 
 class FldRZucCryptodev(Cryptodev):
@@ -126,7 +131,7 @@ class FldRZucCryptodev(Cryptodev):
         super().__init__(sim, name)
         self.connection = connection
         self._inflight: Dict[int, CryptoOp] = {}
-        sim.spawn(self._response_pump(), name=f"{name}.rx")
+        Pump(sim, connection.responses, self._on_response, f"{name}.rx")
 
     def submit(self, op: CryptoOp) -> None:
         op.submitted_at = self.sim.now
@@ -139,17 +144,15 @@ class FldRZucCryptodev(Cryptodev):
         self._inflight[op.op_id & 0xFFFFFFFF] = op
         self.connection.post(message)
 
-    def _response_pump(self):
-        while True:
-            message, _cqe = yield self.connection.responses.get()
-            header, payload = parse_response(message)
-            op = self._inflight.pop(header.request_id, None)
-            if op is None:
-                continue  # stale or foreign response
-            op.status = header.status
-            if op.kind == CryptoOp.CIPHER:
-                op.result = payload
-            else:
-                op.mac = header.mac
-            self._complete(op)
+    def _on_response(self, item) -> None:
+        header, payload = parse_response(item[0])
+        op = self._inflight.pop(header.request_id, None)
+        if op is None:
+            return  # stale or foreign response
+        op.status = header.status
+        if op.kind == CryptoOp.CIPHER:
+            op.result = payload
+        else:
+            op.mac = header.mac
+        self._complete(op)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
-from ..sim import Simulator, Store
+from ..sim import Pump, Simulator, Store
 from .functions import make_accelerator
 from .node import Node, connect
 from .spec import AccelFnSpec, SpecError, TopologySpec
@@ -48,7 +48,8 @@ class RxFunctionDemux:
         self.name = name
         self._routes: dict = {}
         self.stats_unrouted = 0
-        sim.spawn(self._dispatch(), name=f"{name}.demux")
+        self._pump = Pump(sim, fld.rx_stream, self._dispatch,
+                          f"{name}.demux")
 
     def add_route(self, binding_id: int, fn_name: str) -> Store:
         store = Store(self.sim, capacity=self.fld.config.rx_stream_depth,
@@ -56,14 +57,16 @@ class RxFunctionDemux:
         self._routes[binding_id] = store
         return store
 
-    def _dispatch(self):
-        while True:
-            data, meta = yield self.fld.rx_stream.get()
-            store = self._routes.get(meta.queue_id)
-            if store is None:
-                self.stats_unrouted += 1
-                continue
-            yield store.put((data, meta))
+    def _dispatch(self, item):
+        store = self._routes.get(item[1].queue_id)
+        if store is None:
+            self.stats_unrouted += 1
+            return True
+        # False pauses the pump until the function's store has room.
+        return store.put_or_park(item, self._admitted)
+
+    def _admitted(self, _item) -> None:
+        self._pump.resume()
 
 
 @dataclass

@@ -21,6 +21,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
 
+
+def budget(tier1_examples: int) -> int:
+    """``max_examples`` for a lockstep case: shallow in tier-1, scaled
+    by the loaded hypothesis profile (``--hypothesis-profile=ci`` is ten
+    times tier-1's, see ``tests/conftest.py``)."""
+    scale = (settings.default.max_examples
+             / settings.get_profile("tier1").max_examples)
+    return max(1, round(tier1_examples * scale))
+
+
 #: Small delay alphabet with duplicates so same-timestamp bursts are
 #: common, not a corner case.
 DELAYS = [0.0, 0.0, 0.0, 1e-9, 1e-9, 2e-9, 5e-9, 1e-8]
@@ -99,7 +109,7 @@ def execute(sim, workload, log, label_path=()):
         schedule_node(node, label_path + (i,))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=budget(6), deadline=None)
 @given(workload=workloads, horizon=st.sampled_from([None, 0.0, 1.5e-9,
                                                     4e-9, 1e-7]))
 def test_lockstep_dispatch_order(workload, horizon):
@@ -114,7 +124,7 @@ def test_lockstep_dispatch_order(workload, horizon):
     assert real.now == ref.now
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=budget(4), deadline=None)
 @given(workload=workloads)
 def test_lockstep_resumed_runs(workload):
     """Multiple run(until=...) segments agree too — the ready tier must
@@ -246,7 +256,7 @@ def execute_mixed(sim, workload, log, is_real):
         schedule_node(node, (i,))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=budget(6), deadline=None)
 @given(workload=mixed_workloads, horizon=st.sampled_from([None, 0.0,
                                                           1.5e-9, 4e-9,
                                                           1e-7]))
@@ -264,7 +274,7 @@ def test_lockstep_mixed_kinds(workload, horizon):
     assert real.now == ref.now
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=budget(4), deadline=None)
 @given(workload=mixed_workloads)
 def test_lockstep_mixed_kinds_resumed_runs(workload):
     """Horizon-segmented runs agree for the mixed-kind alphabet too —

@@ -1,0 +1,192 @@
+"""Stateful oracle for ``Store``: parked continuations replay Events.
+
+``Store`` wakes its consumers and blocked producers through one
+mechanism, a parked callable called in the deliverer's frame.  The
+reference it must replay is the store it replaced
+(``tests/sim/store_oracle.py``): an :class:`~repro.sim.Event` per
+getter and per blocked putter, fired by ``_deliver``.  The machine
+drives both with the same random interleaving — ``try_put``/``put``,
+``try_get``/``get``, the flat workers' ``pop_or_park``/``put_or_park``
+(against the ``try_get`` + ``get().add_callback`` and ``put()`` +
+``add_callback`` idioms they replaced), ``hold_slot`` and time — on
+bounded and unbounded stores, and after every step holds the two sides
+to the same log: who got which item when, which put was admitted when,
+every depth-gauge and wait-histogram sample, the drop and depth
+counters, and the scheduler's event count (hold-expiry wakes).
+"""
+
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.sim import Simulator, Store
+from repro.telemetry import Telemetry
+
+from .store_oracle import OracleStore
+
+GAP = st.floats(0.0, 2.0, allow_nan=False)
+
+
+class _Samples:
+    """Stands in for the depth gauge and the wait histogram: every
+    sample goes to the side's log, in order, with its instant."""
+
+    def __init__(self, side, kind):
+        self.side = side
+        self.kind = kind
+
+    def set(self, value):
+        self.side.note(self.kind, value)
+
+    observe = set
+
+
+class _Side:
+    """One store, its simulator and everything observable about it."""
+
+    def __init__(self, store_class, capacity):
+        self.sim = Simulator(telemetry=Telemetry(trace=False))
+        self.store = store_class(self.sim, capacity=capacity, name="s")
+        self.store._depth_gauge = _Samples(self, "depth")
+        self.store._wait_hist = _Samples(self, "wait")
+        self.log = []
+
+    def note(self, what, *detail):
+        self.log.append((self.sim.now, what) + detail)
+
+    def state(self):
+        store = self.store
+        return (self.log, len(store), store.stats_put, store.stats_dropped,
+                store.stats_max_depth, len(store._getters),
+                len(store._putters), self.sim.now, self.sim.stats_events)
+
+    # -- operations both stores spell the same way ----------------------
+
+    def try_put(self, item):
+        self.note("try_put", item, self.store.try_put(item))
+
+    def try_get(self):
+        self.note("try_get", self.store.try_get())
+
+    def put(self, item):
+        self.store.put(item).add_callback(
+            lambda event: self.note("admitted", event.value))
+
+    def get(self, who):
+        self.store.get().add_callback(
+            lambda event: self.note("got", who, event.value))
+
+
+class _Parked(_Side):
+    """The flat workers' side: plain callables on the new store."""
+
+    def __init__(self, capacity):
+        super().__init__(Store, capacity)
+
+    def worker_get(self, who):
+        def got(item):
+            self.note("got", who, item)
+        item = self.store.pop_or_park(got)
+        if item is not None:
+            got(item)
+
+    def worker_put(self, item):
+        def admitted(admitted_item):
+            self.note("admitted", admitted_item)
+        if self.store.put_or_park(item, admitted):
+            admitted(item)
+
+
+class _Evented(_Side):
+    """The same workers as they were written against the Event store."""
+
+    def __init__(self, capacity):
+        super().__init__(OracleStore, capacity)
+
+    def worker_get(self, who):
+        item = self.store.try_get()
+        if item is None:
+            self.get(who)
+        else:
+            self.note("got", who, item)
+
+    worker_put = _Side.put
+
+
+class StoreMachine(RuleBasedStateMachine):
+    @initialize(capacity=st.sampled_from([None, 1, 2, 3]))
+    def build(self, capacity):
+        self.capacity = capacity
+        self.sides = (_Parked(capacity), _Evented(capacity))
+        self.items = 0
+        self.getters = 0
+        self.last_hold = 0.0
+
+    def _both(self, operation, *args):
+        for side in self.sides:
+            getattr(side, operation)(*args)
+
+    def _item(self):
+        self.items += 1
+        return self.items
+
+    def _getter(self):
+        self.getters += 1
+        return self.getters
+
+    # -- rules ------------------------------------------------------------
+
+    @rule()
+    def try_put(self):
+        self._both("try_put", self._item())
+
+    @rule()
+    def put(self):
+        self._both("put", self._item())
+
+    @rule()
+    def worker_put(self):
+        self._both("worker_put", self._item())
+
+    @rule()
+    def try_get(self):
+        self._both("try_get")
+
+    @rule()
+    def get(self):
+        self._both("get", self._getter())
+
+    @rule()
+    def worker_get(self):
+        self._both("worker_get", self._getter())
+
+    @precondition(lambda self: self.capacity is not None)
+    @rule(ahead=GAP)
+    def hold_slot(self, ahead):
+        """A fused consumer keeps its popped slot occupied a while;
+        deadlines are taken in nondecreasing order."""
+        until = max(self.last_hold, self.sides[0].sim.now + ahead)
+        self.last_hold = until
+        for side in self.sides:
+            side.store.hold_slot(until)
+
+    @rule(dt=GAP)
+    def advance(self, dt):
+        until = self.sides[0].sim.now + dt
+        for side in self.sides:
+            side.sim.run(until=until)
+
+    # -- the oracle ---------------------------------------------------------
+
+    @invariant()
+    def parked_continuations_replay_the_event_store(self):
+        parked, evented = self.sides
+        assert parked.state() == evented.state()
+
+
+TestStoreMachine = StoreMachine.TestCase

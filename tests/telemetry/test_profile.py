@@ -190,6 +190,33 @@ class TestNullProfiler:
         assert NULL_PROFILER.event_counts == {}
 
 
+class TestStageAttribution:
+    def test_echo_burst_files_every_event_under_its_stage(self):
+        """A continuation scheduled on behalf of a stage carries that
+        stage's tag wherever it is pushed from.  The counts are the
+        generator datapath's for this burst (units and ``fld.send`` as
+        processes): per packet 2 ``accel`` (processing time, FLD
+        pipeline occupancy), 1 ``fld.rx``, 1 ``fld.tx``, ~10 ``pcie``.
+        An occupancy wait bound to the FlexDriver instead of the
+        sending unit reads ``accel`` 258, ``fld.rx`` 512 here — and
+        would skew ``events_per_pkt.*`` in ``benchmarks/perf``."""
+        from repro.experiments.setups import flde_echo_remote
+        random.seed(7)
+        sim, telemetry = _profiled_sim()
+        loadgen = flde_echo_remote(sim).loadgen
+
+        def drive():
+            yield from loadgen.run_open_loop([64] * 256, rate_pps=12.8e6)
+            yield from loadgen.drain()
+
+        sim.spawn(drive())
+        sim.run()
+        assert loadgen.stats_received == 256
+        assert telemetry.profiler.stage_counts() == {
+            "pcie": 2553, "nic.queues": 518, "accel": 514, "wire": 512,
+            "app": 259, "host": 257, "fld.rx": 256, "fld.tx": 256}
+
+
 class TestProfiledRuns:
     """Integration: full experiments under ``run_profile``."""
 
