@@ -38,10 +38,14 @@ from ..nic import CommandChannel
 from ..nic.device import DOORBELL_STRIDE, _POISON
 from ..nic.queues import ReceiveQueue
 from ..pcie import POSTED
-from ..sim import Event, Pump, Simulator, Store
+from ..sim import Event, PollWait, Pump, Simulator, Store
 from ..topology.addrmap import CMD_MAILBOX_OFFSET, NIC_CMD_DOORBELL
 from .cpu import CpuCore, HostCpuPort
 from .memory import BumpAllocator, HostMemory
+
+
+#: How often a PMD facing a full SQ re-reads its completions.
+TX_POLL = 100e-9
 
 
 class QueueFullError(RuntimeError):
@@ -67,6 +71,7 @@ class EthQueuePair:
         # N WQEs; one completion retires the whole preceding batch.
         self.signal_interval = signal_interval
         self._tx_completed = 0
+        self._tx_waiters: List[tuple] = []   # parked (slots, PollWait)
         self._allocs: List[tuple] = []
         self._vport = vport
         self._registered_default = register_default
@@ -147,10 +152,21 @@ class EthQueuePair:
         """Free SQ slots, judged by retired (signalled) completions."""
         return self.sq.entries - (self._pi - self._tx_completed)
 
-    def wait_for_tx_space(self, slots: int = 1, poll: float = 100e-9):
+    def park_for_tx_space(self, func: Callable, arg=None,
+                          slots: int = 1) -> None:
+        """The SQ is short of ``slots``: run ``func(arg)`` at the poll (a
+        PMD spins every :data:`TX_POLL` from now) that first sees them
+        free.  ``func`` re-reads :meth:`tx_space` — another sender may
+        have polled first — and parks again if it lost."""
+        self._tx_waiters.append(
+            (slots, PollWait(self.sim, TX_POLL, func, arg)))
+
+    def wait_for_tx_space(self, slots: int = 1):
         """Generator: spin (as a PMD would) until the SQ has room."""
         while self.tx_space() < slots:
-            yield self.sim.timeout(poll)
+            polled = Event(self.sim)
+            self.park_for_tx_space(polled.succeed, slots=slots)
+            yield polled
 
     def send_tso(self, frame: bytes, mss: int,
                  signaled: bool = False) -> None:
@@ -217,6 +233,13 @@ class EthQueuePair:
         if completed < self._tx_completed:
             completed += 1 << 16
         self._tx_completed = completed + 1
+        waiters = self._tx_waiters
+        if waiters:
+            space = self.tx_space()
+            self._tx_waiters = [w for w in waiters if w[0] > space]
+            for slots, wait in waiters:
+                if slots <= space:
+                    wait.wake()
 
     # -- receive -----------------------------------------------------------
 

@@ -16,8 +16,8 @@ from ..net.ip import PROTO_TCP
 from ..net.parse import (
     ETHERTYPE, L3, L4, PAYLOAD, parse_frame, parse_layout,
 )
-from ..sim import (Event, LatencyCollector, Pump, Simulator, Store,
-                   ThroughputMeter)
+from ..sim import (Event, LatencyCollector, PollWait, Pump, Simulator,
+                   Store, ThroughputMeter)
 from .driver import EthQueuePair
 
 _SEQ_FORMAT = "!Q"
@@ -57,8 +57,10 @@ def swap_directions(packet: Packet) -> Packet:
     return packet
 
 
-#: A full SQ is re-polled at ``EthQueuePair.wait_for_tx_space``'s default.
-_TX_POLL = 100e-9
+#: How often the closed loop re-reads the receive count: while its
+#: window is full, and once everything is sent and it awaits the rest.
+_WINDOW_POLL = 200e-9
+_TAIL_POLL = 1e-6
 
 
 class EchoApp:
@@ -72,7 +74,7 @@ class EchoApp:
         self._pending = Store(qp.sim, capacity=4096, name="echo.pending")
         self._spans = qp.sim.telemetry.spans
         self.stats_echoed = 0
-        # The tx-space polls this app schedules file under its stage.
+        # The tx-space wakes this app parks for file under its stage.
         self.profile_tag = "echo.tx"
         self._pump = Pump(qp.sim, self._pending, self._echo,
                           self.profile_tag)
@@ -97,11 +99,10 @@ class EchoApp:
             (swap_directions(parse_frame(data)), ctx, started))
 
     def _transmit(self, entry):
-        """Post the echo; False (the pump pauses) while the SQ is full,
-        re-polled as ``wait_for_tx_space`` spins."""
+        """Post the echo; False (the pump pauses) while the SQ is full."""
         qp = self.qp
         if qp.tx_space() < 1:
-            qp.sim.call_later(_TX_POLL, self._retry, entry)
+            qp.park_for_tx_space(self._retry, entry)
             return False
         packet, ctx, started = entry
         qp.send(packet.to_bytes(), trace_ctx=ctx)
@@ -120,9 +121,8 @@ class _FlatPacer:
 
     Each tick builds and posts one frame through
     :meth:`LoadGenerator._send_frame` (which also starts the packet's
-    trace when spans are on) and schedules the next.  A full SQ is
-    re-polled at the 100 ns PMD granularity ``wait_for_tx_space`` spins
-    at.
+    trace when spans are on) and schedules the next; a tick that finds
+    the SQ full parks on the queue pair.
     """
 
     __slots__ = ("gen", "sizes", "interval", "done", "flows", "labels",
@@ -144,7 +144,7 @@ class _FlatPacer:
         gen = self.gen
         sim = gen.sim
         if gen.qp.tx_space() < 1:
-            sim.call_later(_TX_POLL, self._tick, None)
+            gen.qp.park_for_tx_space(self._tick)
             return
         index = self._index
         flows = self.flows
@@ -165,6 +165,52 @@ class _FlatPacer:
             sim.call_later(self.interval, self.done.succeed, None)
 
 
+class _FlatWindow:
+    """The closed-loop send loop, as one scheduler entry per wait.
+
+    :meth:`_fill` posts frames until ``window`` are outstanding, parking
+    on the queue pair when the SQ is full; the wait for the window to
+    open is parked on the generator's receive path; :meth:`_opened`
+    recounts what is outstanding when that wait ends and either fills
+    again or, with everything sent, awaits the remaining responses.
+    """
+
+    __slots__ = ("gen", "frame_size", "count", "window", "done", "_sent",
+                 "_outstanding")
+
+    def __init__(self, gen: "LoadGenerator", frame_size: int, count: int,
+                 window: int, done: Event):
+        self.gen = gen
+        self.frame_size = frame_size
+        self.count = count
+        self.window = window
+        self.done = done
+        self._sent = 0
+        self._outstanding = 0
+
+    def _fill(self, _arg=None) -> None:
+        gen = self.gen
+        qp = gen.qp
+        while self._outstanding < self.window and self._sent < self.count:
+            if qp.tx_space() < 1:
+                qp.park_for_tx_space(self._fill)
+                return
+            gen._send_frame(self.frame_size)
+            gen.stats_sent += 1
+            self._sent += 1
+            self._outstanding += 1
+        gen._when_received(self._sent - self.window + 1, _WINDOW_POLL,
+                           self._opened)
+
+    def _opened(self, _arg=None) -> None:
+        self._outstanding = self._sent - self.gen.stats_received
+        if self._sent < self.count:
+            self._fill()
+        else:
+            self.gen._when_received(self.count, _TAIL_POLL,
+                                    self.done.succeed)
+
+
 class LoadGenerator:
     """Sends sized frames on a flow and measures echoed responses."""
 
@@ -179,6 +225,8 @@ class LoadGenerator:
         self._seq = 0
         self.stats_sent = 0
         self.stats_received = 0
+        #: ``(target, PollWait)`` while the closed loop awaits responses.
+        self._awaiting: Optional[tuple] = None
         self._spans = sim.telemetry.spans
         #: Prefix for per-packet trace names (``<label>.seq<n>``); the
         #: N-tenant experiment swaps it per flow so the tenant's name
@@ -276,27 +324,34 @@ class LoadGenerator:
         self.rx_meter.record(self.sim.now, len(data))
         if cqe.trace_ctx is not None:
             self._spans.end_trace(cqe.trace_ctx, self.sim._now)
+        awaiting = self._awaiting
+        if awaiting is not None and self.stats_received >= awaiting[0]:
+            self._awaiting = None
+            awaiting[1].wake()
+
+    def _when_received(self, target: int, step: float, func) -> None:
+        """``func(None)`` once ``target`` responses are in: now, or at
+        the poll (every ``step`` from now) that first counts them."""
+        if self.stats_received >= target:
+            func(None)
+        else:
+            self._awaiting = (target, PollWait(self.sim, step, func))
 
     # -- traffic patterns --------------------------------------------------
 
     def run_closed_loop(self, frame_size: int, count: int, window: int = 1):
-        """Generator process: keep ``window`` requests in flight."""
+        """Generator process: keep ``window`` requests in flight.
+
+        The window is re-read every 200 ns while it is full and the last
+        responses every 1 us, as a PMD's poll loop would, but the loop
+        is parked between the polls that matter (:class:`_FlatWindow`).
+        It waits for every response: a run that loses one never
+        finishes this script.
+        """
         self.rx_meter.start(self.sim.now)
-        outstanding = 0
-        sent = 0
-        while sent < count:
-            while outstanding < window and sent < count:
-                yield from self.qp.wait_for_tx_space()
-                self._send_frame(frame_size)
-                self.stats_sent += 1
-                sent += 1
-                outstanding += 1
-            received_target = sent - window + 1
-            while self.stats_received < received_target:
-                yield self.sim.timeout(200e-9)  # poll loop granularity
-            outstanding = sent - self.stats_received
-        while self.stats_received < count and self.sim.now < 10.0:
-            yield self.sim.timeout(1e-6)
+        done = Event(self.sim)
+        _FlatWindow(self, frame_size, count, window, done)._fill()
+        yield done
 
     def run_open_loop(self, sizes: List[int], rate_pps: Optional[float] = None,
                       gap: Optional[float] = None):

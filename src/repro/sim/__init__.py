@@ -5,11 +5,10 @@ every timed experiment in the reproduction is built on.
 """
 
 from .engine import (
-    Continuation,
     Event,
+    PollWait,
     Process,
     Pump,
-    Resource,
     SimulationError,
     Simulator,
     Store,
@@ -23,15 +22,14 @@ from .stats import (
 )
 
 __all__ = [
-    "Continuation",
     "DuplexLink",
     "Event",
     "Histogram",
     "LatencyCollector",
     "Link",
+    "PollWait",
     "Process",
     "Pump",
-    "Resource",
     "SimulationError",
     "Simulator",
     "Store",

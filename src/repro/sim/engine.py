@@ -7,13 +7,11 @@ CPU threads are stages that hand work to each other through
 :class:`Store` queues and delay through the scheduler.
 
 An entry is ``(time, seq, func, arg, tag)``, dispatched strictly by
-``(time, seq)``, and comes in three kinds:
+``(time, seq)``, and comes in two kinds:
 
 * a *plain continuation* (:meth:`Simulator.call_later` / ``schedule`` /
   ``schedule_at``): the run loop calls ``func`` directly, nothing else
   is allocated.  Every per-packet stage waits this way;
-* a *cancellable continuation* (:meth:`Simulator.defer` / ``defer_at``)
-  behind a :class:`Continuation` handle;
 * an *Event timeout* (:meth:`Simulator.timeout`) firing an
   :class:`Event`, which generator processes (:class:`Process`) yield
   on.  Processes are for code that is a script rather than a stage:
@@ -23,10 +21,12 @@ Stages rendezvous through :class:`Store`'s parked continuations: a
 consumer that finds a store empty leaves a plain callable there and the
 put that delivers the next item calls it, in the putter's frame.
 :class:`Pump` is the stock consumer stage: a store, a handler, no
-process.  Under the profiler every push stamps the entry with its owner
-tag (the callback's ``__self__.profile_tag`` when bound to a tagged
-component, else the dispatching context's tag), so a stage's
-continuations attribute to it wherever they were pushed from.
+process.  A wait for anything else parks the same way, where the
+condition changes; :class:`PollWait` is the form for a wait the model
+quantises to a poll period.  Under the profiler every push stamps the
+entry with its owner tag (the callback's ``__self__.profile_tag`` when
+bound to a tagged component, else the dispatching context's tag), so a
+stage's continuations attribute to it wherever they were pushed from.
 
 Scheduling is two-tier: zero-delay pushes (store handoffs, stage arming
 steps) go to a FIFO *ready deque* with O(1) appends, timed pushes to
@@ -213,50 +213,6 @@ class Process:
             return
 
 
-class Continuation:
-    """A cancellable flat continuation: ``func(arg)`` at its ``(time, seq)``.
-
-    The lightweight third event kind next to :class:`Process` and
-    :class:`Event` timeouts.  A continuation occupies exactly one
-    scheduler entry; cancelling it does **not** remove the entry (the
-    reference single-heap model dispatches every pushed entry), it only
-    suppresses the callback — the dispatch still happens, as a no-op, at
-    the original ``(time, seq)`` slot.  Hot paths that never cancel use
-    :meth:`Simulator.call_later` directly and skip this handle entirely.
-    """
-
-    __slots__ = ("func", "arg", "_cancelled", "_fired")
-
-    def __init__(self, func: Callable[..., None], arg: Any):
-        self.func = func
-        self.arg = arg
-        self._cancelled = False
-        self._fired = False
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    def cancel(self) -> None:
-        """Suppress the callback; idempotent, a no-op once fired."""
-        if not self._fired:
-            self._cancelled = True
-
-    def fire(self) -> None:
-        if self._cancelled or self._fired:
-            return
-        self._fired = True
-        arg = self.arg
-        if arg is _NO_ARG:
-            self.func()
-        else:
-            self.func(arg)
-
-
 class Simulator:
     """The event loop: a priority queue of ``(time, seq, func, arg, tag)``
     entries.
@@ -385,51 +341,6 @@ class Simulator:
         _heappush(self._queue,
                   (self._now + delay, seq, event.succeed, value, tag))
         return event
-
-    def defer(self, delay: float, func: Callable[..., None],
-              arg: Any = _NO_ARG) -> Continuation:
-        """Schedule a cancellable flat continuation ``delay`` from now.
-
-        Like :meth:`call_later` but returns a :class:`Continuation`
-        handle whose :meth:`~Continuation.cancel` suppresses the call.
-        The scheduler entry itself is never removed — a cancelled
-        continuation still dispatches (as a no-op) at its original
-        ``(time, seq)``, matching the single-heap reference model.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        cont = Continuation(func, arg)
-        seq = self._seq
-        self._seq = seq + 1
-        # Attribute to the *wrapped* callable's owner (``cont.fire`` is
-        # bound to the untagged handle), so cancellable and plain
-        # continuations account identically.
-        tag = None if self._prof is None else self._owner_tag(func)
-        if delay == 0.0:
-            ready = self._ready
-            if not ready or ready[-1][0] <= self._now:
-                ready.append((self._now, seq, cont.fire, _NO_ARG, tag))
-                return cont
-        _heappush(self._queue,
-                  (self._now + delay, seq, cont.fire, _NO_ARG, tag))
-        return cont
-
-    def defer_at(self, time: float, func: Callable[..., None],
-                 arg: Any = _NO_ARG) -> Continuation:
-        """Like :meth:`defer`, at absolute time ``time`` (>= now)."""
-        if time < self._now:
-            raise SimulationError(
-                f"defer_at({time}) before now ({self._now})")
-        cont = Continuation(func, arg)
-        seq = self._seq
-        self._seq = seq + 1
-        tag = None if self._prof is None else self._owner_tag(func)
-        ready = self._ready
-        if not ready or ready[-1][0] <= time:
-            ready.append((time, seq, cont.fire, _NO_ARG, tag))
-        else:
-            _heappush(self._queue, (time, seq, cont.fire, _NO_ARG, tag))
-        return cont
 
     def event(self) -> Event:
         """A fresh pending event, fired manually via :meth:`Event.succeed`."""
@@ -608,16 +519,18 @@ class Store:
         reference consumer would have popped, so puts block — and
         blocked putters are admitted — at exactly the reference times.
         Holds expire lazily (``is_full`` purges past deadlines); a wake
-        is scheduled only when a put actually blocks against one, so an
-        uncontended hold costs no event at all.  Callers must take
-        holds in nondecreasing deadline order.
+        is scheduled only when a put actually blocks against one, and at
+        most one is pending, so an uncontended hold costs no event at
+        all.  Callers must take holds in nondecreasing deadline order.
         """
         self._held_until.append(until)
 
     def _expire_holds(self) -> None:
         self._hold_wake = False
         self._admit_waiting_putter()
-        if self._putters and self._held_until:
+        # The putter just admitted may have put again from its callback
+        # and armed the next wake already.
+        if self._putters and self._held_until and not self._hold_wake:
             self._hold_wake = True
             self.sim.schedule_at(self._held_until[0], self._expire_holds)
 
@@ -743,34 +656,42 @@ class Pump:
             item = self.source.pop_or_park(self._on_item)
 
 
-class Resource:
-    """A counting resource (e.g. DMA engines); acquire/release semantics."""
+class PollWait:
+    """A poll loop that is parked instead of running.
 
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError("resource capacity must be >= 1")
+    Stands for ``while not condition: yield sim.timeout(step)`` entered
+    now with the condition false.  Whoever makes the condition true
+    calls :meth:`wake`, once, and ``func(arg)`` runs at the instant the
+    loop's next poll would have: the poll period stays in simulated time
+    and the empty polls never reach the scheduler.  The poll instants
+    are the sums the loop's timeouts would have formed (``now + step``,
+    then that ``+ step``, ...), so a run reads the same floats as one
+    that polled.  A change landing exactly on a poll instant is seen by
+    that poll, as it was whenever the change had been scheduled more
+    than a period ahead (a CQE in flight, a core's packet cost).  The
+    wake files under the profiler tag ``func``'s polls would have.
+    """
+
+    __slots__ = ("sim", "step", "func", "arg", "profile_tag", "_poll")
+
+    def __init__(self, sim: Simulator, step: float,
+                 func: Callable[[Any], None], arg: Any = None):
         self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: deque = deque()
+        self.step = step
+        self.func = func
+        self.arg = arg
+        self.profile_tag = (None if sim._prof is None
+                            else sim._owner_tag(func))
+        self._poll = sim._now + step
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
+    def wake(self) -> None:
+        sim = self.sim
+        now = sim._now
+        step = self.step
+        poll = self._poll
+        while poll < now:
+            poll = poll + step
+        sim.schedule_at(poll, self._fire)
 
-    def acquire(self) -> Event:
-        event = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError("release without acquire")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
+    def _fire(self) -> None:
+        self.func(self.arg)

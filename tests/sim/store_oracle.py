@@ -5,8 +5,14 @@ continuations: every getter and every blocked putter is an
 :class:`~repro.sim.Event`, ``get()``/``put()`` build one per call and
 ``_deliver`` fires it.  The class body is copied verbatim, so
 ``tests/sim/test_store_machine.py`` can hold the rebuilt ``Store`` to
-the same deliveries, drops, admissions and telemetry samples.  It is a
-reference implementation: do not optimise it.
+the same deliveries, drops, admissions and telemetry samples.  One line
+is not as it stood: ``_expire_holds`` re-armed its wake without looking
+at ``_hold_wake``, so a putter that put again from its admission
+callback left two wakes pending for one deadline.  A duplicate wake is
+a fault of the reference, not behaviour to preserve; it is fixed here
+and in ``Store`` alike, so the machine's event-count equality keeps
+meaning one wake per deadline.  It is a reference implementation: do
+not optimise it.
 """
 
 from collections import deque
@@ -80,7 +86,7 @@ class OracleStore:
     def _expire_holds(self) -> None:
         self._hold_wake = False
         self._admit_waiting_putter()
-        if self._putters and self._held_until:
+        if self._putters and self._held_until and not self._hold_wake:
             self._hold_wake = True
             self.sim.schedule_at(self._held_until[0], self._expire_holds)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Resource, SimulationError, Simulator, Store
+from repro.sim import Event, SimulationError, Simulator, Store
 
 
 def test_timeout_advances_clock():
@@ -209,45 +209,3 @@ class TestStore:
         for i in range(7):
             store.try_put(i)
         assert store.stats_max_depth == 7
-
-
-class TestResource:
-    def test_exclusive_access(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-        timeline = []
-
-        def user(sim, name, hold):
-            yield resource.acquire()
-            timeline.append((name, "start", sim.now))
-            yield sim.timeout(hold)
-            resource.release()
-            timeline.append((name, "end", sim.now))
-
-        sim.spawn(user(sim, "a", 2.0))
-        sim.spawn(user(sim, "b", 1.0))
-        sim.run()
-        assert ("a", "end", 2.0) in timeline
-        assert ("b", "start", 2.0) in timeline
-
-    def test_release_without_acquire_raises(self):
-        sim = Simulator()
-        resource = Resource(sim)
-        with pytest.raises(SimulationError):
-            resource.release()
-
-    def test_capacity_allows_parallelism(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=2)
-        ends = []
-
-        def user(sim):
-            yield resource.acquire()
-            yield sim.timeout(1.0)
-            resource.release()
-            ends.append(sim.now)
-
-        for _ in range(4):
-            sim.spawn(user(sim))
-        sim.run()
-        assert ends == [1.0, 1.0, 2.0, 2.0]

@@ -140,29 +140,25 @@ def test_lockstep_resumed_runs(workload):
     assert real.now == ref.now
 
 
-# -- mixed-kind oracle: continuations, cancellations, processes ----------
+# -- mixed-kind oracle: continuations, Event timeouts, processes ---------
 #
-# The engine's three event kinds (plain entries, cancellable flat
-# continuations, generator processes) must interleave exactly as the
-# single-heap model dispatches the same pushes.  Each node is
+# The engine's event kinds (plain entries, Event timeouts, generator
+# processes) must interleave exactly as the single-heap model
+# dispatches the same pushes.  Each node is
 # (kind, delay_index, aux_index, children):
 #
 #   kind 0  schedule(d)
 #   kind 1  schedule_at(now + d)
 #   kind 2  timeout(d) + add_callback   (the generator-free Event idiom)
-#   kind 3  defer(d) / defer_at(now + d)        (aux parity picks which)
-#   kind 4  defer(d) raced against a cancel scheduled at aux delay
-#   kind 5  a spawned generator process: two timed resumes, children
+#   kind 3  a spawned generator process: two timed resumes, children
 #           scheduled from the first (pushes-during-resume)
 #
 # The reference mirrors each kind's *scheduler entry* sequence: spawn is
-# one zero-delay entry, every yield one timed entry, a cancelled
-# continuation still occupies (and no-op-dispatches at) its original
-# (time, seq) slot.
+# one zero-delay entry, every yield one timed entry.
 
 mixed_nodes = st.deferred(
     lambda: st.tuples(
-        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=3),
         st.integers(min_value=0, max_value=len(DELAYS) - 1),
         st.integers(min_value=0, max_value=len(DELAYS) - 1),
         st.lists(mixed_nodes, max_size=3),
@@ -195,41 +191,7 @@ def execute_mixed(sim, workload, log, is_real):
                 event.add_callback(lambda _e, n=node, p=path: fire(n, p))
             else:
                 sim.schedule(delay, lambda n=node, p=path: fire(n, p))
-        elif kind == 3:
-            if is_real:
-                if aux_index % 2:
-                    sim.defer_at(sim.now + delay,
-                                 lambda n=node, p=path: fire(n, p))
-                else:
-                    sim.defer(delay, lambda n=node, p=path: fire(n, p))
-            else:
-                if aux_index % 2:
-                    sim.schedule_at(sim.now + delay,
-                                    lambda n=node, p=path: fire(n, p))
-                else:
-                    sim.schedule(delay,
-                                 lambda n=node, p=path: fire(n, p))
-        elif kind == 4:
-            cancel_delay = DELAYS[aux_index]
-            if is_real:
-                cont = sim.defer(delay,
-                                 lambda n=node, p=path: fire(n, p))
-                sim.schedule(cancel_delay, cont.cancel)
-            else:
-                state = [False, False]  # fired, cancelled
-
-                def entry(n=node, p=path, s=state):
-                    if not s[0] and not s[1]:
-                        s[0] = True
-                        fire(n, p)
-
-                def cancel(s=state):
-                    if not s[0]:
-                        s[1] = True
-
-                sim.schedule(delay, entry)
-                sim.schedule(cancel_delay, cancel)
-        else:  # kind 5: generator process with two timed resumes
+        else:  # kind 3: generator process with two timed resumes
             second_delay = DELAYS[aux_index]
             if is_real:
                 def proc(n=node, p=path):
@@ -261,7 +223,7 @@ def execute_mixed(sim, workload, log, is_real):
                                                           1.5e-9, 4e-9,
                                                           1e-7]))
 def test_lockstep_mixed_kinds(workload, horizon):
-    """Continuations, cancellations and processes dispatch in exactly
+    """Continuations, Event timeouts and processes dispatch in exactly
     the single-heap order."""
     real, real_log = Simulator(), []
     ref, ref_log = PureHeapScheduler(), []
@@ -278,8 +240,8 @@ def test_lockstep_mixed_kinds(workload, horizon):
 @given(workload=mixed_workloads)
 def test_lockstep_mixed_kinds_resumed_runs(workload):
     """Horizon-segmented runs agree for the mixed-kind alphabet too —
-    suspended processes and pending cancellations must survive a
-    run(until=...) boundary without reordering."""
+    suspended processes must survive a run(until=...) boundary without
+    reordering."""
     real, real_log = Simulator(), []
     ref, ref_log = PureHeapScheduler(), []
     execute_mixed(real, workload, real_log, is_real=True)
@@ -289,20 +251,6 @@ def test_lockstep_mixed_kinds_resumed_runs(workload):
         ref.run(until=until)
         assert real_log == ref_log
     assert real.now == ref.now
-
-
-def test_cancelled_continuation_still_occupies_its_slot():
-    """Cancelling a deferred continuation must not unschedule it: the
-    entry dispatches (as a no-op) at its original (time, seq), so
-    everything behind it keeps its position."""
-    sim = Simulator()
-    log = []
-    cont = sim.defer(2e-9, lambda: log.append("cancelled"))
-    sim.schedule(2e-9, lambda: log.append("behind"))
-    cont.cancel()
-    sim.run()
-    assert log == ["behind"]
-    assert cont.cancelled and not cont.fired
 
 
 def test_ready_tier_used_for_zero_delay():

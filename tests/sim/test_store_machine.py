@@ -8,7 +8,8 @@ getter and per blocked putter, fired by ``_deliver``.  The machine
 drives both with the same random interleaving — ``try_put``/``put``,
 ``try_get``/``get``, the flat workers' ``pop_or_park``/``put_or_park``
 (against the ``try_get`` + ``get().add_callback`` and ``put()`` +
-``add_callback`` idioms they replaced), ``hold_slot`` and time — on
+``add_callback`` idioms they replaced), a producer that puts again from
+its admission callback, ``hold_slot`` and time — on
 bounded and unbounded stores, and after every step holds the two sides
 to the same log: who got which item when, which put was admitted when,
 every depth-gauge and wait-histogram sample, the drop and depth
@@ -101,6 +102,13 @@ class _Parked(_Side):
         if self.store.put_or_park(item, admitted):
             admitted(item)
 
+    def worker_put_again(self, item, following):
+        def admitted(admitted_item):
+            self.note("admitted", admitted_item)
+            self.worker_put(following)
+        if self.store.put_or_park(item, admitted):
+            admitted(item)
+
 
 class _Evented(_Side):
     """The same workers as they were written against the Event store."""
@@ -116,6 +124,12 @@ class _Evented(_Side):
             self.note("got", who, item)
 
     worker_put = _Side.put
+
+    def worker_put_again(self, item, following):
+        def admitted(event):
+            self.note("admitted", event.value)
+            self.put(following)
+        self.store.put(item).add_callback(admitted)
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -154,6 +168,16 @@ class StoreMachine(RuleBasedStateMachine):
         self._both("worker_put", self._item())
 
     @rule()
+    def worker_put_again(self):
+        """A producer that puts its next item from the callback that
+        admits this one, as a send queue's fetch stage does
+        (``_put_admitted`` → ``_drain`` → ``_push``).  Admitted by a
+        hold-expiry wake, its second put parks against the next hold
+        and arms that wake from inside ``_expire_holds`` — the one path
+        on which a store could arm two wakes for one deadline."""
+        self._both("worker_put_again", self._item(), self._item())
+
+    @rule()
     def try_get(self):
         self._both("try_get")
 
@@ -190,3 +214,19 @@ class StoreMachine(RuleBasedStateMachine):
 
 
 TestStoreMachine = StoreMachine.TestCase
+
+
+def test_a_putter_that_puts_again_arms_one_wake_per_deadline():
+    """The machine's shrunk counterexample for a store whose
+    ``_expire_holds`` re-arms without looking at ``_hold_wake``, run
+    here at any depth: two holds fill the store, the putter admitted at
+    the first deadline parks its next item against the second, and each
+    deadline costs one wake (the second cost two)."""
+    for side in (_Parked(2), _Evented(2)):
+        side.store.hold_slot(0.5)
+        side.store.hold_slot(1.0)
+        side.worker_put_again(1, 2)
+        side.sim.run()
+        assert side.log == [(0.5, "depth", 1), (0.5, "admitted", 1),
+                            (1.0, "depth", 2), (1.0, "admitted", 2)]
+        assert side.sim.stats_events == 2
