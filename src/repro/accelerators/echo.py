@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..core import AxisMetadata
-from ..host.testpmd import swap_directions
-from ..net.parse import parse_frame
+from ..host.testpmd import swap_frame
 from .base import Accelerator, Output
 
 
@@ -20,8 +19,7 @@ class EchoAccelerator(Accelerator):
     """FLD-E echo: reflect every Ethernet frame back to its sender."""
 
     def process(self, data: bytes, meta: AxisMetadata) -> Iterable[Output]:
-        packet = swap_directions(parse_frame(data))
-        yield packet.to_bytes(), self.reply_meta(meta)
+        yield swap_frame(data), self.reply_meta(meta)
 
 
 class RdmaEchoAccelerator(Accelerator):

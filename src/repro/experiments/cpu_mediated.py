@@ -94,11 +94,10 @@ class CpuMediatedEcho:
             # from the core's point of view)...
             result = yield fabric.read(cpu_port, ACCEL_BAR_BASE, len(data))
             # ...and transmits it (reusing the echo direction swap).
-            from ..host.testpmd import swap_directions
-            from ..net.parse import parse_frame
-            packet = swap_directions(parse_frame(result))
+            from ..host.testpmd import swap_frame
+            echo = swap_frame(result)
             yield from self.qp.wait_for_tx_space()
-            self.qp.send(packet.to_bytes())
+            self.qp.send(echo)
             self.stats_echoed += 1
             # The relay core spins for the whole turnaround: this is
             # the "CPU involved in every network transaction" cost.

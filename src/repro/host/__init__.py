@@ -3,7 +3,7 @@
 from .cpu import CpuComputeCost, CpuCore, HostCpuPort
 from .driver import EthQueuePair, RcEndpoint, SoftwareDriver
 from .memory import BumpAllocator, HostMemory, PAGE_SIZE
-from .testpmd import EchoApp, LoadGenerator, swap_directions
+from .testpmd import EchoApp, LoadGenerator, swap_directions, swap_frame
 
 __all__ = [
     "BumpAllocator",
@@ -18,4 +18,5 @@ __all__ = [
     "RcEndpoint",
     "SoftwareDriver",
     "swap_directions",
+    "swap_frame",
 ]

@@ -12,7 +12,9 @@ from typing import Dict
 
 from ..pcie.endpoint import PcieEndpoint, PcieError
 
-PAGE_SIZE = 4096
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
+_PAGE_MASK = PAGE_SIZE - 1
 
 
 class HostMemory(PcieEndpoint):
@@ -27,27 +29,29 @@ class HostMemory(PcieEndpoint):
         self.stats_reads = 0
         self.stats_writes = 0
 
-    def _check(self, address: int, length: int) -> None:
-        if address < 0 or address + length > self.size:
-            raise PcieError(
-                f"access [{address:#x}+{length}] outside {self.name}"
-            )
+    def _refuse(self, address: int, length: int) -> None:
+        raise PcieError(
+            f"access [{address:#x}+{length}] outside {self.name}"
+        )
 
     def handle_read(self, address: int, length: int) -> bytes:
-        self._check(address, length)
+        # Tested here: only a refused access pays a frame for it.
+        if address < 0 or address + length > self.size:
+            self._refuse(address, length)
         self.stats_reads += 1
-        page_no, offset = divmod(address, PAGE_SIZE)
+        offset = address & _PAGE_MASK
         if offset + length <= PAGE_SIZE:
             # Fast path: the access fits in one page (rings, MTU-sized
             # buffers) — a single slice, no chunking loop.
-            page = self._pages.get(page_no)
+            page = self._pages.get(address >> PAGE_SHIFT)
             if page is None:
                 return bytes(length)
             return bytes(page[offset:offset + length])
         out = bytearray(length)
         cursor = 0
         while cursor < length:
-            page_no, offset = divmod(address + cursor, PAGE_SIZE)
+            page_no = (address + cursor) >> PAGE_SHIFT
+            offset = (address + cursor) & _PAGE_MASK
             chunk = min(length - cursor, PAGE_SIZE - offset)
             page = self._pages.get(page_no)
             if page is not None:
@@ -57,10 +61,12 @@ class HostMemory(PcieEndpoint):
 
     def handle_write(self, address: int, data: bytes) -> None:
         length = len(data)
-        self._check(address, length)
+        if address < 0 or address + length > self.size:
+            self._refuse(address, length)
         self.stats_writes += 1
-        page_no, offset = divmod(address, PAGE_SIZE)
+        offset = address & _PAGE_MASK
         if offset + length <= PAGE_SIZE:
+            page_no = address >> PAGE_SHIFT
             page = self._pages.get(page_no)
             if page is None:
                 page = self._pages[page_no] = bytearray(PAGE_SIZE)
@@ -68,7 +74,8 @@ class HostMemory(PcieEndpoint):
             return
         cursor = 0
         while cursor < length:
-            page_no, offset = divmod(address + cursor, PAGE_SIZE)
+            page_no = (address + cursor) >> PAGE_SHIFT
+            offset = (address + cursor) & _PAGE_MASK
             chunk = min(length - cursor, PAGE_SIZE - offset)
             page = self._pages.get(page_no)
             if page is None:

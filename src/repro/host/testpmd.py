@@ -13,9 +13,7 @@ from typing import Dict, List, Optional
 from .. import batching
 from ..net import Flow, Packet
 from ..net.ip import PROTO_TCP
-from ..net.parse import (
-    ETHERTYPE, L3, L4, PAYLOAD, parse_frame, parse_layout,
-)
+from ..net.parse import ETHERTYPE, L3, L4, PAYLOAD, parse_layout
 from ..sim import (Event, LatencyCollector, PollWait, Pump, Simulator,
                    Store, ThroughputMeter)
 from .driver import EthQueuePair
@@ -30,30 +28,40 @@ _IP_CSUM_OFF = 24
 _PAYLOAD_OFF = 42
 
 
-def swap_directions(packet: Packet) -> Packet:
-    """Reverse a frame's MACs/IPs/ports — the essence of an echo app.
+def swap_frame(data: bytes, layout: Optional[tuple] = None) -> bytes:
+    """Reverse a frame's MACs/IPs/ports — the essence of an echo app —
+    bytes in, bytes out, parsed once (``layout`` is ``data``'s, for a
+    caller that already holds it).
 
     A byte swap in place of the frame: one's-complement sums commute,
     so no checksum moves.
     """
-    layout = packet.layout or packet.fields()
+    if layout is None:
+        layout = parse_layout(data)
     if layout[ETHERTYPE] is None:
-        return packet
-    raw = packet.raw
-    frame = bytearray(raw)
-    frame[0:6], frame[6:12] = raw[6:12], raw[0:6]
+        return data
+    frame = bytearray(data)
+    frame[0:6], frame[6:12] = data[6:12], data[0:6]
     l3 = layout[L3]
     if l3 is not None:
         frame[l3 + 12:l3 + 16], frame[l3 + 16:l3 + 20] = (
-            raw[l3 + 16:l3 + 20], raw[l3 + 12:l3 + 16])
+            data[l3 + 16:l3 + 20], data[l3 + 12:l3 + 16])
     l4 = layout[L4]
     if l4 is not None:
         frame[l4:l4 + 2], frame[l4 + 2:l4 + 4] = (
-            raw[l4 + 2:l4 + 4], raw[l4:l4 + 2])
-    packet.raw = raw = bytes(frame)
-    # Swapped ports can change what the frame is (a tunnel or RoCE
-    # port moving into the destination slot).
-    packet.layout = parse_layout(raw)
+            data[l4 + 2:l4 + 4], data[l4:l4 + 2])
+    return bytes(frame)
+
+
+def swap_directions(packet: Packet) -> Packet:
+    """:func:`swap_frame` on a packet the caller keeps."""
+    layout = packet.layout or packet.fields()
+    raw = swap_frame(packet.raw, layout)
+    if raw is not packet.raw:
+        packet.raw = raw
+        # Swapped ports can change what the frame is (a tunnel or RoCE
+        # port moving into the destination slot).
+        packet.layout = parse_layout(raw)
     return packet
 
 
@@ -95,8 +103,7 @@ class EchoApp:
         if ctx is not None and started > enqueued:
             self._spans.record(ctx, "host.tx", enqueued, started,
                                kind="queue")
-        return self._transmit(
-            (swap_directions(parse_frame(data)), ctx, started))
+        return self._transmit((swap_frame(data), ctx, started))
 
     def _transmit(self, entry):
         """Post the echo; False (the pump pauses) while the SQ is full."""
@@ -104,8 +111,8 @@ class EchoApp:
         if qp.tx_space() < 1:
             qp.park_for_tx_space(self._retry, entry)
             return False
-        packet, ctx, started = entry
-        qp.send(packet.to_bytes(), trace_ctx=ctx)
+        data, ctx, started = entry
+        qp.send(data, trace_ctx=ctx)
         if ctx is not None:
             self._spans.record(ctx, "host.tx", started, qp.sim._now)
         self.stats_echoed += 1

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from typing import Dict, List, Optional
 
 from ..sim import Event, Link, Simulator
-from ..sim.resources import ARRIVAL, DELIVERY, FINISH, SEQ, UPSTREAM
+from ..sim.resources import ARRIVAL, DELIVERY, FINISH, SEQ
 from .config import PcieLinkConfig
 from .endpoint import Bar, PcieEndpoint, PcieError
 from .tlp import (
@@ -39,6 +39,17 @@ _COMPLETION_BITS = (COMPLETION_HEADER + DLLP_FRAMING) * 8
 #: ``post_write(..., on_done=POSTED)``: nobody waits for the write to
 #: land — no completion Event is built and nothing is called back.
 POSTED = object()
+
+
+def _trace_tlps(lane: Link, records, first_hops) -> None:
+    """Write delivered TLPs' Chrome-trace lane slices (``lane._tracer``
+    is set): the downstream ones and, where a first hop took a record
+    of its own (``first_hops`` holds its ``(link, record)``, see
+    ``_reserve_path``), that one's.  All are final now."""
+    for up, up_record in first_hops:
+        up.trace_occupancy(up_record)
+    for record in records:
+        lane.trace_occupancy(record)
 
 
 class _WriteCountdown:
@@ -70,10 +81,10 @@ class DeferredWrite:
     ``delivery`` is the TLP's arrival time at the endpoint — re-read it
     at fire time, since shared-lane arbitration may repair it later.
     The owner must call :meth:`commit` from its continuation event at
-    (or after) ``delivery``; that retires the lane reservation and runs
-    the endpoint's write handler, exactly what the fabric's own delivery
-    event would have done.  A traced write's span, opened at issue,
-    closes then too, at the (by then final) ``delivery``.
+    (or after) ``delivery``; that runs the endpoint's write handler,
+    exactly what the fabric's own delivery event would have done.  A
+    traced write's span, opened at issue, closes then too, at the (by
+    then final) ``delivery``.
     """
 
     __slots__ = ("_fabric", "_entry", "_span")
@@ -94,15 +105,14 @@ class DeferredWrite:
         fabric._write_arrived(self._entry)
 
     def retire(self) -> None:
-        """Release the lane reservation without running the handler —
-        for owners that already applied the write's effects themselves
-        (e.g. a CQE decoded at issue time)."""
+        """Deliver without running the handler — for owners that
+        already applied the write's effects themselves (e.g. a CQE
+        decoded at issue time)."""
         entry = self._entry
         record = entry[0]
-        upstream = record[UPSTREAM]
-        if upstream is not None:
-            upstream[0].retire(upstream[1])
-        entry[1].down.retire(record)
+        down = entry[1].down
+        if down._tracer is not None:
+            _trace_tlps(down, (record,), entry[4])
         if self._span is not None:
             self._fabric._spans.exit(self._span, record[DELIVERY])
 
@@ -182,8 +192,8 @@ class PcieFabric:
         # one per multi-TLP train).  Lane arbitration is exact:
         # reservations apply in switch-arrival (time, seq) order (see
         # Link.reserve), ties broken by this monotonic per-TLP issue
-        # sequence.  The Chrome tracer's lane spans are emitted when a
-        # reservation retires, once repair can no longer move it.
+        # sequence.  The Chrome tracer's lane spans are written by the
+        # delivery handlers, once repair can no longer move them.
         self._issue_seq = 0
         # The trace context of the MEM_WRITE currently being delivered;
         # endpoints may claim it inside handle_write to re-associate a
@@ -333,15 +343,18 @@ class PcieFabric:
             # any dependent TLP orders behind the last chunk on the
             # same lane anyway).
             records = []
+            first_hops = []
             cursor = address
             for chunk in chunks:
                 self.stats_tlps["MWr"] += 1
-                records.append(self._reserve_path(
-                    port, cursor, chunk, _REQUEST_BITS + chunk * 8)[0])
+                path = self._reserve_path(
+                    port, cursor, chunk, _REQUEST_BITS + chunk * 8)
+                records.append(path[0])
+                first_hops += path[4]
                 cursor += chunk
             sim.call_later(records[-1][DELIVERY] - sim._now,
                            self._train_arrived,
-                           (records, route[3], route[2],
+                           (records, first_hops, route[3], route[2],
                             address - route[0], chunks, data, trace_ctx,
                             span_id, finish))
             return done
@@ -468,10 +481,12 @@ class PcieFabric:
         ``bits`` carrying ``payload`` data bytes; returns what every
         delivery tuple starts with: the downstream reservation (whose
         ``DELIVERY`` is the TLP's arrival at the endpoint, subject to
-        repair), the target port, the endpoint and the BAR-relative
-        offset.  ``arrival`` keys the upstream lane at a future instant
-        for writes resolved ahead of their issue time
-        (:meth:`post_write_at`)."""
+        repair), the target port, the endpoint, the BAR-relative offset
+        and, for the delivery handler to trace, the first hop's
+        ``((link, record),)`` when it had to take a record of its own
+        (empty when it ran inline).  ``arrival`` keys the upstream lane
+        at a future instant for writes resolved ahead of their issue
+        time (:meth:`post_write_at`)."""
         # _route's hit path, inline: one frame fewer per TLP.
         for route in port.routes:
             if route[0] <= address < route[1]:
@@ -490,10 +505,10 @@ class PcieFabric:
             last = lane[-1] if lane else None
             if last is None or last[ARRIVAL] < now or (
                     last[ARRIVAL] == now and last[SEQ] <= seq):
-                # Stable up lane (see Link.reserve): the occupancy
-                # recurrence runs inline with no reservation record —
-                # retiring one would be a no-op prune anyway, so the
-                # downstream record carries no upstream pointer.
+                # Settled up lane (see Link.reserve): nothing pending
+                # can key before this TLP, so the occupancy recurrence
+                # runs inline with no reservation record and its trace
+                # slice, final already, is written here.
                 if last is None:
                     prev = up._busy_until
                 else:
@@ -508,21 +523,15 @@ class PcieFabric:
                 if up._tracer is not None:
                     up.trace_slice(start, finish, bits)
                 return (target.down.reserve(bits, finish + up.latency, seq),
-                        target, route[2], address - route[0])
+                        target, route[2], address - route[0], ())
         up_record = up.reserve(bits, arrival, seq)
-        down = target.down.reserve(bits, up_record[DELIVERY], seq)
-        # By delivery time the upstream occupancy is strictly in the
-        # past (no later issue can precede it — arrival keys are >=
-        # now), so retiring it with the downstream record is pure
-        # pruning: without it the upstream pending lane only ever grows
-        # and every out-of-order insert degrades to a linear scan.
-        down[UPSTREAM] = (up, up_record)
-        return down, target, route[2], address - route[0]
+        return (target.down.reserve(bits, up_record[DELIVERY], seq),
+                target, route[2], address - route[0], ((up, up_record),))
 
     def _write_arrived(self, entry) -> None:
         """A single-TLP write landed: run the endpoint's handler, close
         the write's span and run the completion callback."""
-        (record, target, endpoint, offset, data, ctx, span_id,
+        (record, target, endpoint, offset, first_hops, data, ctx, span_id,
          on_delivered) = entry
         sim = self.sim
         if record[DELIVERY] > sim._now:
@@ -531,10 +540,8 @@ class PcieFabric:
             sim.call_later(record[DELIVERY] - sim._now, self._write_arrived,
                            entry)
             return
-        upstream = record[UPSTREAM]
-        if upstream is not None:
-            upstream[0].retire(upstream[1])
-        target.down.retire(record)
+        if target.down._tracer is not None:
+            _trace_tlps(target.down, (record,), first_hops)
         if data is not None:
             prof = self._prof
             # Work the handler pushes (and its own execution, for
@@ -556,19 +563,16 @@ class PcieFabric:
 
     def _train_arrived(self, entry) -> None:
         """Aggregate delivery of a posted-write train (last chunk lands)."""
-        (records, target, endpoint, offset, chunks, data, ctx, span_id,
-         done) = entry
+        (records, first_hops, target, endpoint, offset, chunks, data, ctx,
+         span_id, done) = entry
         sim = self.sim
         last = records[-1]
         if last[DELIVERY] > sim._now:
             sim.call_later(last[DELIVERY] - sim._now, self._train_arrived,
                            entry)
             return
-        for record in records:
-            upstream = record[UPSTREAM]
-            if upstream is not None:
-                upstream[0].retire(upstream[1])
-        target.down.retire(last, records[:-1])
+        if target.down._tracer is not None:
+            _trace_tlps(target.down, records, first_hops)
         if data is not None:
             prof = self._prof
             if prof is not None:
@@ -590,19 +594,18 @@ class PcieFabric:
             done()
 
     def _read_arrived(self, entry) -> None:
-        """A read request landed: run the handler and reserve the whole
-        completion train, completing in one aggregate event."""
-        (record, completer_port, endpoint, offset, length, requester_port,
-         span_id, completion) = entry
+        """A read request landed: run the handler and reserve the
+        completion's lane occupancy — one record, or one train when the
+        data spans several RCBs — completing in one aggregate event."""
+        (record, completer_port, endpoint, offset, first_hops, length,
+         requester_port, span_id, completion) = entry
         sim = self.sim
         now = sim._now
         if record[DELIVERY] > now:
             sim.call_later(record[DELIVERY] - now, self._read_arrived, entry)
             return
-        upstream = record[UPSTREAM]
-        if upstream is not None:
-            upstream[0].retire(upstream[1])
-        completer_port.down.retire(record)
+        if completer_port.down._tracer is not None:
+            _trace_tlps(completer_port.down, (record,), first_hops)
         prof = self._prof
         if prof is not None:
             prof.current_tag = endpoint.profile_tag
@@ -611,16 +614,12 @@ class PcieFabric:
         finally:
             if prof is not None:
                 prof.current_tag = "pcie"
-        chunks = completion_chunks(
-            length, completer_port.config.read_completion_boundary)
         down = requester_port.down
         up = completer_port.up
         completer_port.up_payload_bytes += length
         requester_port.down_payload_bytes += length
+        rcb = completer_port.config.read_completion_boundary
         seq = self._issue_seq
-        n = len(chunks)
-        self._issue_seq = seq + n
-        self.stats_tlps["CplD"] += n
         # The completion TLPs are never routed or delivered one by one —
         # only their lane occupancy matters, the requester gets the
         # handler's bytes whole — so nothing is built per chunk.
@@ -628,70 +627,88 @@ class PcieFabric:
         last = lane[-1] if lane else None
         if last is None or last[ARRIVAL] < now or (
                 last[ARRIVAL] == now and last[SEQ] <= seq):
-            # Fused fast path.  The up lane is keyed at (now, seq..):
-            # provably stable (see Link.reserve), so its whole occupancy
+            # Fused fast path.  The up lane is keyed at (now, seq..) and
+            # settled (see Link.reserve), so its whole occupancy
             # recurrence runs inline with no reservation records (and,
             # the times being final, its Chrome-trace slices are written
             # here); a reservation survives only on the shared down
-            # lane, where later-issued traffic can still interleave
-            # with the train and force a replay.
+            # lane, where later-issued traffic can still key ahead of
+            # the completion and force a replay.
             if last is None:
                 prev = up._busy_until
             else:
                 prev = last[FINISH]
                 lane.clear()
             rate_up = up.rate_bps
-            lat_up = up.latency
             tracer = up._tracer
-            bits_list = []
-            arrivals = []
-            total_bits = 0
-            for chunk in chunks:
-                bits = _COMPLETION_BITS + chunk * 8
-                bits_list.append(bits)
-                total_bits += bits
+            if length <= rcb:
+                # One completion TLP is not a train: a descriptor or a
+                # small payload comes back as a plain down-lane record.
+                n = 1
+                total_bits = _COMPLETION_BITS + length * 8
                 start = now if now > prev else prev
-                prev = start if rate_up is None else start + bits / rate_up
+                prev = (start if rate_up is None
+                        else start + total_bits / rate_up)
                 if tracer is not None:
-                    up.trace_slice(start, prev, bits)
-                arrivals.append(prev + lat_up)
+                    up.trace_slice(start, prev, total_bits)
+                records = (down.reserve(total_bits, prev + up.latency, seq),)
+            else:
+                chunks = completion_chunks(length, rcb)
+                n = len(chunks)
+                lat_up = up.latency
+                bits_list = []
+                arrivals = []
+                total_bits = 0
+                for chunk in chunks:
+                    bits = _COMPLETION_BITS + chunk * 8
+                    bits_list.append(bits)
+                    total_bits += bits
+                    start = now if now > prev else prev
+                    prev = (start if rate_up is None
+                            else start + bits / rate_up)
+                    if tracer is not None:
+                        up.trace_slice(start, prev, bits)
+                    arrivals.append(prev + lat_up)
+                # The whole completion burst is ONE down-lane entry; a
+                # later-issued message keying inside the train splits it
+                # back into per-chunk records (see Link.reserve_train).
+                records = (down.reserve_train(bits_list, arrivals, seq),)
+            first_hops = ()
             up._busy_until = prev
             up.stats_bits += total_bits
             up.stats_messages += n
-            # The whole completion burst is ONE down-lane entry; a
-            # later-issued message keying inside the train splits it
-            # back into per-chunk records (see Link.reserve_train).
-            records = (down.reserve_train(bits_list, arrivals, seq),)
         else:
             # The up lane holds a reservation keyed after now (a write
-            # resolved ahead of its issue time): the train must insert
-            # before it, chunk by chunk, on both lanes.
+            # resolved ahead of its issue time): the completions must
+            # insert before it, chunk by chunk, on both lanes.
+            chunks = completion_chunks(length, rcb)
+            n = len(chunks)
             records = []
+            first_hops = []
             for index, chunk in enumerate(chunks):
                 bits = _COMPLETION_BITS + chunk * 8
                 up_record = up.reserve(bits, now, seq + index)
-                down_record = down.reserve(bits, up_record[DELIVERY],
-                                           seq + index)
-                down_record[UPSTREAM] = (up, up_record)
-                records.append(down_record)
+                records.append(down.reserve(bits, up_record[DELIVERY],
+                                            seq + index))
+                first_hops.append((up, up_record))
+        self._issue_seq = seq + n
+        self.stats_tlps["CplD"] += n
         sim.call_later(records[-1][DELIVERY] - now, self._read_completed,
-                       (records, requester_port, span_id, completion, data))
+                       (records, first_hops, requester_port, span_id,
+                        completion, data))
 
     def _read_completed(self, entry) -> None:
         """Aggregate arrival of a completion train (last chunk lands)."""
-        records, requester_port, span_id, completion, data = entry
+        (records, first_hops, requester_port, span_id, completion,
+         data) = entry
         sim = self.sim
         last = records[-1]
         if last[DELIVERY] > sim._now:
             sim.call_later(last[DELIVERY] - sim._now, self._read_completed,
                            entry)
             return
-        # Batch retire: the lane prefix is pruned once, not per chunk.
-        for record in records:
-            upstream = record[UPSTREAM]
-            if upstream is not None:
-                upstream[0].retire(upstream[1])
-        requester_port.down.retire(last, records[:-1])
+        if requester_port.down._tracer is not None:
+            _trace_tlps(requester_port.down, records, first_hops)
         requester_port.reads_pending -= 1
         if span_id is not None:
             self._spans.exit(span_id, sim._now)

@@ -30,13 +30,8 @@ def split_write_bytes(length: int, mps: int) -> list:
     """TLP payload lengths for a write of ``length`` under MPS."""
     if length <= 0:
         return []
-    sizes = []
-    remaining = length
-    while remaining > 0:
-        chunk = min(remaining, mps)
-        sizes.append(chunk)
-        remaining -= chunk
-    return sizes
+    full, tail = divmod(length, mps)
+    return [mps] * full + [tail] if tail else [mps] * full
 
 
 def completion_chunks(length: int, rcb: int) -> list:

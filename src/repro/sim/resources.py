@@ -23,11 +23,15 @@ class Reservation(list):
     resolves occupancy at issue time, possibly before other traffic with
     earlier arrivals has issued) must yield to any later-issued,
     earlier-arriving message.  ``start``/``finish``/``delivery`` are
-    therefore mutable: an out-of-order insert recomputes every reservation
-    behind it (they only ever move *later*), and the owner of the delivery
-    event re-checks ``delivery`` when it fires, re-pushing if it fired
-    early.  This replays exactly the busy-until sequence the
-    one-event-per-arrival model would have produced.
+    therefore mutable while the record is *pending* — until the clock
+    passes its arrival key: an out-of-order insert recomputes the
+    reservations behind it (they only ever move *later*), and the owner
+    of the delivery event re-checks ``delivery`` when it fires,
+    re-pushing if it fired early.  This replays exactly the busy-until
+    sequence the one-event-per-arrival model would have produced.  Once
+    ``now`` reaches the arrival key the times are final, and the lane
+    drops the record the next time it is touched (:meth:`Link.reserve`);
+    the owner keeps reading the one it holds.
 
     The record is a list, and it is both the lane entry and the caller's
     handle: the first two slots are the arrival key, so ``bisect`` orders
@@ -36,18 +40,18 @@ class Reservation(list):
     with no ``__init__`` frame; and a repair writes straight into the
     object the owner holds.  Slots, by the constants below::
 
-        ARRIVAL SEQ BITS START FINISH DELIVERY DONE MESSAGE UPSTREAM
-        TRAIN PARTS
+        ARRIVAL SEQ BITS START FINISH DELIVERY MESSAGE TRAIN PARTS
 
     A chunk train (PCIe read completions: RCB-sized CplDs keyed
     ``(arrivals[j], seq0 + j)``, of which only the *last* delivery
     matters to the owner) is ONE record keyed and timed as its last
     chunk, with ``TRAIN`` holding ``(bits_list, arrivals, finishes,
-    seq0)`` — a quarter the lane entries and one prune.  That stays exact
-    because a later-issued message keyed *inside* the train first splits
-    it (:meth:`Link._materialize`): the earlier chunks become records of
-    their own, listed in ``PARTS`` so they retire with the handle, and
-    the handle carries on as the plain record of the last chunk.
+    seq0)`` — a quarter the lane entries.  That stays exact because a
+    later-issued message keyed *inside* the train first splits it
+    (:meth:`Link._materialize`): the earlier chunks become records of
+    their own, listed in ``PARTS`` so their trace slices are written
+    with the handle's, and the handle carries on as the plain record of
+    the last chunk.
     """
 
     __slots__ = ()
@@ -55,19 +59,13 @@ class Reservation(list):
     start = property(itemgetter(3))
     finish = property(itemgetter(4))
     delivery = property(itemgetter(5))
-    done = property(itemgetter(6))
 
 
-ARRIVAL, SEQ, BITS, START, FINISH, DELIVERY, DONE = range(7)
+ARRIVAL, SEQ, BITS, START, FINISH, DELIVERY = range(6)
 #: What :meth:`Link.send` carries to the sink.
-MESSAGE = 7
-#: Optional ``(link, record)`` of a first-hop reservation made by the
-#: same multi-lane transit (PCIe cut-through reserves both lanes at
-#: issue); the owner retires it with this record so the first hop's
-#: pending lane drains too.
-UPSTREAM = 8
-TRAIN = 9
-PARTS = 10
+MESSAGE = 6
+TRAIN = 7
+PARTS = 8
 
 
 class Link:
@@ -103,10 +101,14 @@ class Link:
         #: The reservation lane: pending :class:`Reservation` records
         #: sorted by arrival key.  Almost always appended to (FIFO issue
         #: order); an out-of-order arrival bisects in and replays the
-        #: tail.  Entries are pruned once delivered.
+        #: tail it moved.  The next reserve folds the prefix the clock
+        #: has passed into ``_busy_until``.
         self._lane: List[Reservation] = []
         self.stats_bits = 0
         self.stats_messages = 0
+        #: Out-of-order inserts, and the records recomputed behind them.
+        self.stats_repairs = 0
+        self.stats_replayed = 0
         # The trace process this link's occupancy spans file under and
         # the name they carry; owners (the PCIe fabric) override both
         # to group and label their lanes.
@@ -117,10 +119,12 @@ class Link:
             telemetry.register_counters(f"link.{name}", lambda: {
                 "bits": self.stats_bits,
                 "messages": self.stats_messages,
+                "repairs": self.stats_repairs,
+                "replayed": self.stats_replayed,
             })
-        # Occupancy spans are emitted when a reservation retires: only
-        # then are its start/finish final (a later-issued,
-        # earlier-arriving message may still repair a pending one).
+        # Occupancy spans are written at delivery, by whoever owns the
+        # delivery event (``trace_occupancy``): a later-issued,
+        # earlier-arriving message may still repair a pending record.
         tracer = telemetry.tracer
         self._tracer = tracer if tracer.enabled and name else None
 
@@ -157,13 +161,29 @@ class Link:
         self.stats_messages += 1
         lane = self._lane
         rate = self.rate_bps
-        stable = arrival <= self.sim._now
+        now = self.sim._now
+        if lane and lane[0][ARRIVAL] <= now:
+            # Settle by the clock: every reservation arrives no earlier
+            # than its issue instant and ``seq`` is globally monotonic,
+            # so NO future issue can key before an entry whose arrival
+            # is <= now.  Fold that prefix into the busy floor (finishes
+            # are monotone along the lane, so the last one is the max).
+            # This is ``_settle(now)``, copied into this frame on
+            # purpose: a call here is one more per TLP hop in
+            # ``calls_per_pkt``.
+            drop = 0
+            for entry in lane:
+                if entry[ARRIVAL] > now:
+                    break
+                drop += 1
+            self._busy_until = lane[drop - 1][FINISH]
+            del lane[:drop]
         if lane:
             last = lane[-1]
             if last[ARRIVAL] > arrival or (last[ARRIVAL] == arrival
                                            and last[SEQ] > seq):
                 record = Reservation((arrival, seq, bits, 0.0, 0.0, 0.0,
-                                      False, None, None, None, ()))
+                                      None, None, ()))
                 index = bisect_left(lane, record)
                 train = lane[index][TRAIN]
                 if train is not None and (train[1][0], train[3]) < (arrival,
@@ -177,28 +197,17 @@ class Link:
                 self._recompute(index)
                 return record
             prev_finish = last[FINISH]
-            if stable:
-                # Stable fast path: every reservation arrives no earlier
-                # than its issue instant and ``seq`` is globally
-                # monotonic, so once the lane's latest key is <= (now,
-                # seq) NO future issue can ever key before anything
-                # pending — the whole lane is permanently ordered.  Fold
-                # every pending finish into the busy floor (finishes are
-                # monotone along the lane, so the tail is the max) and
-                # run lane-free; retiring a folded record later is a
-                # no-op prune.
-                lane.clear()
         else:
             prev_finish = self._busy_until
         start = arrival if arrival > prev_finish else prev_finish
         finish = start if rate is None else start + bits / rate
         record = Reservation((arrival, seq, bits, start, finish,
-                              finish + self.latency, False, None, None, None,
-                              ()))
-        if stable:
-            self._busy_until = finish
-        else:
+                              finish + self.latency, None, None, ()))
+        if arrival > now:
             lane.append(record)
+        else:
+            # Keyed at now with nothing pending: final as computed.
+            self._busy_until = finish
         return record
 
     def reserve_train(self, bits_list: List[float], arrivals: List[float],
@@ -216,6 +225,9 @@ class Link:
         n = len(bits_list)
         lane = self._lane
         rate = self.rate_bps
+        now = self.sim._now
+        if lane and lane[0][ARRIVAL] <= now:
+            self._settle(now)
         if lane:
             last = lane[-1]
             if (last[ARRIVAL], last[SEQ]) > (arrivals[0], seq0):
@@ -241,7 +253,7 @@ class Link:
         self.stats_bits += total_bits
         self.stats_messages += n
         train = Reservation((arrival, seq0 + n - 1, bits, start, prev,
-                             prev + self.latency, False, None, None,
+                             prev + self.latency, None,
                              (bits_list, arrivals, finishes, seq0), ()))
         lane.append(train)
         return train
@@ -253,15 +265,14 @@ class Link:
         bits_list, arrivals, finishes, seq0 = handle[TRAIN]
         rate = self.rate_bps
         latency = self.latency
-        done = handle[DONE]
         parts = []
         for j in range(len(bits_list) - 1):
             bits = bits_list[j]
             finish = finishes[j]
             start = finish if rate is None else finish - bits / rate
             parts.append(Reservation((arrivals[j], seq0 + j, bits, start,
-                                      finish, finish + latency, done, None,
-                                      None, None, ())))
+                                      finish, finish + latency, None, None,
+                                      ())))
         # The handle already carries the last chunk's key and times; it
         # stays in the lane as that chunk.
         handle[TRAIN] = None
@@ -269,18 +280,23 @@ class Link:
         lane[index:index] = parts
 
     def _recompute(self, index: int) -> None:
-        """Replay reservations from ``index`` on, in arrival-key order.
+        """Replay reservations from the one just inserted at ``index``,
+        in arrival-key order, until one is found not to have moved.
 
         The running finish frontier is each record's own ``FINISH``; the
         repaired times are written into the caller-held records (whose
-        delivery events re-check on fire).
+        delivery events re-check on fire).  A record's times are a
+        function of its predecessor's finish, so the first one behind
+        the insert that still finishes when it did ends the replay.
         """
         lane = self._lane
         prev_finish = lane[index - 1][FINISH] if index > 0 \
             else self._busy_until
         rate = self.rate_bps
         latency = self.latency
+        replayed = -1       # the inserted record itself is not a replay
         for record in lane[index:]:
+            replayed += 1
             train = record[TRAIN]
             if train is None:
                 arrival = record[ARRIVAL]
@@ -298,46 +314,63 @@ class Link:
                     prev_finish = (start if rate is None
                                    else start + bits_list[j] / rate)
                     train_fins[j] = prev_finish
+            unmoved = replayed and prev_finish == record[FINISH]
             record[START] = start
             record[FINISH] = prev_finish
             record[DELIVERY] = prev_finish + latency
+            if unmoved:
+                break
+        self.stats_repairs += 1
+        self.stats_replayed += replayed
         # Repairs only move reservations later, so any already-scheduled
         # delivery event fires early and re-pushes to the new time.
 
     def retire(self, record: Reservation, train=()) -> None:
-        """Mark ``record`` delivered and prune the delivered lane prefix.
+        """Deliver ``record`` (and ``train``, the earlier records of its
+        burst, in any key order) for a caller whose clock stands still:
+        write the trace slices and settle the lane through the latest
+        arrival among them, as time passing it would have.  Nothing may
+        be issued later that keys before that arrival.
 
-        ``train`` lists the earlier records of a burst delivered with
-        ``record`` (one aggregate event); they retire in the same prune.
+        Nothing under ``src/`` calls this; it is here for
+        ``benchmarks/perf/micro.py``'s ``link_reserve*`` rows, whose
+        lanes would grow without bound at ``now == 0``, and goes when
+        they do (ROADMAP item 1(b)) — as does its own copy of the settle
+        loop, kept so those rows count the frames they did.
         """
-        for part in train:
-            part[DONE] = True
-            for chunk in part[PARTS]:
-                chunk[DONE] = True
-        record[DONE] = True
-        for chunk in record[PARTS]:
-            chunk[DONE] = True
         if self._tracer is not None:
             for part in train:
-                self._trace_occupancy(part)
-            self._trace_occupancy(record)
+                self.trace_occupancy(part)
+            self.trace_occupancy(record)
+        arrival = record[ARRIVAL]
+        for part in train:
+            if part[ARRIVAL] > arrival:
+                arrival = part[ARRIVAL]
         lane = self._lane
-        if not lane or not lane[0][DONE]:
-            return
-        busy = self._busy_until
         drop = 0
         for entry in lane:
-            if not entry[DONE]:
+            if entry[ARRIVAL] > arrival:
                 break
-            finish = entry[FINISH]
-            if finish > busy:
-                busy = finish
             drop += 1
-        self._busy_until = busy
+        if drop:
+            self._busy_until = lane[drop - 1][FINISH]
+            del lane[:drop]
+
+    def _settle(self, now: float) -> None:
+        """Fold the lane prefix the clock has passed into the busy floor
+        (:meth:`reserve_train`'s settle; :meth:`reserve` inlines it)."""
+        lane = self._lane
+        drop = 0
+        for entry in lane:
+            if entry[ARRIVAL] > now:
+                break
+            drop += 1
+        self._busy_until = lane[drop - 1][FINISH]
         del lane[:drop]
 
-    def _trace_occupancy(self, record: Reservation) -> None:
-        """Emit the Chrome-trace span(s) of a retiring reservation."""
+    def trace_occupancy(self, record: Reservation) -> None:
+        """Emit the Chrome-trace span(s) of a delivered reservation; only
+        call when ``_tracer`` is set."""
         train = record[TRAIN]
         if train is None:
             for part in record[PARTS]:
@@ -400,7 +433,8 @@ class Link:
             sim.call_later(record[DELIVERY] - sim._now, self._dispatch,
                            record)
             return
-        self.retire(record)
+        if self._tracer is not None:
+            self.trace_occupancy(record)
         self.sink(record[MESSAGE])
 
     def queue_delay(self) -> float:

@@ -1,8 +1,11 @@
 """Unit tests for testpmd helpers."""
 
-from repro.host import swap_directions
-from repro.net import Ethernet, Flow, Ipv4, PROTO_TCP, Tcp, Udp, \
+import pytest
+
+from repro.host import swap_directions, swap_frame
+from repro.net import Ethernet, Flow, Ipv4, PROTO_TCP, Packet, Tcp, Udp, \
     make_flows, round_robin_packets
+from repro.net.parse import parse_frame
 
 
 class TestSwapDirections:
@@ -30,6 +33,26 @@ class TestSwapDirections:
                     "1.1.1.1", "2.2.2.2", 1, 2)
         packet = swap_directions(flow.make_packet(b"payload!"))
         assert packet.payload == b"payload!"
+
+
+    @pytest.mark.parametrize("proto", [None, PROTO_TCP])
+    def test_swap_frame_is_the_same_swap_on_bytes(self, proto):
+        kwargs = {} if proto is None else {"proto": proto}
+        flow = Flow("02:00:00:00:00:01", "02:00:00:00:00:02",
+                    "10.0.0.1", "10.0.0.2", 1111, 2222, **kwargs)
+        data = flow.make_packet(b"payload!").to_bytes()
+        echoed = swap_frame(data)
+        assert echoed == swap_directions(parse_frame(data)).to_bytes()
+        assert echoed != data and swap_frame(echoed) == data
+
+    def test_a_non_ip_frame_swaps_its_macs_only(self):
+        data = bytes(range(1, 13)) + b"\x88\xb5" + b"opaque"
+        assert swap_frame(data) == data[6:12] + data[0:6] + data[12:]
+
+    def test_a_header_less_packet_comes_back_as_it_is(self):
+        packet = Packet(payload=b"opaque")
+        assert swap_directions(packet) is packet
+        assert packet.to_bytes() == b"opaque"
 
 
 class TestFlowHelpers:

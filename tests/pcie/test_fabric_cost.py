@@ -32,7 +32,10 @@ def _read(fabric, nic, address):
     fabric.read(nic, address, 64, on_done=_nothing)
 
 
-@pytest.mark.parametrize("issue,ceiling", [(_write, 20), (_read, 38)])
+# Measured 14.07 and 18.07; 17.07 and 31.07 while every delivery retired
+# its lane entries, memory checked bounds in a frame of its own and a
+# one-CplD completion was built as a train.
+@pytest.mark.parametrize("issue,ceiling", [(_write, 15), (_read, 19)])
 def test_warmed_transaction_cost(issue, ceiling):
     sim = Simulator()
     node = make_local_node(sim)
@@ -50,8 +53,13 @@ def test_warmed_transaction_cost(issue, ceiling):
     stats = pstats.Stats(profile)
     assert stats.total_calls / OPS <= ceiling
     # The steady state neither decodes an address nor searches a lane,
-    # and no fabric or lane object is built through a Python __init__.
+    # nobody retires a lane entry (lanes settle by the clock), memory
+    # tests its bounds in the handler's own frame, a 64 B completion is
+    # not chunked, and no fabric or lane object is built through a
+    # Python __init__.
     for filename, _line, name in stats.stats:
-        assert name not in ("decode", "port_of") and "bisect" not in name
+        assert name not in ("decode", "port_of", "retire", "_check",
+                            "completion_chunks")
+        assert "bisect" not in name
         assert not (name == "__init__"
                     and filename.endswith(("fabric.py", "resources.py")))

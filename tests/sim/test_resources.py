@@ -5,6 +5,8 @@ import pytest
 from repro.sim import DuplexLink, Link, Simulator, Store, TokenBucket
 from repro.telemetry import Telemetry
 
+from .test_lane_machine import lane_depth
+
 
 class TestLink:
     def test_serialization_delay(self):
@@ -93,8 +95,8 @@ class TestLink:
 
 
 class TestLaneTraceRecords:
-    """Chrome-trace occupancy spans are written when a reservation
-    retires, from its final start/finish."""
+    """Chrome-trace occupancy spans are written when a reservation is
+    delivered, from its final start/finish."""
 
     def _link(self):
         telemetry = Telemetry(trace=True)
@@ -150,7 +152,7 @@ class TestLaneTraceRecords:
         _sim, link, tracer = self._link()
         records = [link.reserve(1000, float(t), t) for t in (1, 2, 3)]
         link.retire(records[-1], records[:-1])
-        assert all(record.done for record in records)
+        assert lane_depth(link) == 0
         assert link.busy_until == link.queue_delay() == 4.0
         assert len(self._spans(tracer)) == 3
 
@@ -168,6 +170,138 @@ class TestDuplexLink:
         # Both finish at t=1: no contention between directions.
         assert tx_arrivals == [1.0]
         assert rx_arrivals == [1.0]
+
+
+class TestLanesSettleByTheClock:
+    """An entry is pending until the clock passes its arrival key; the
+    next reserve folds the settled prefix, nobody has to retire it."""
+
+    def test_prefix_folds_on_the_next_reserve(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=1000.0, latency=0.25)
+        first, second, third = (link.reserve(1000, float(t), t)
+                                for t in (1, 2, 3))
+        assert lane_depth(link) == 3
+        sim.run(until=2.5)
+        assert lane_depth(link) == 3        # time alone touches nothing
+        fourth = link.reserve(1000, 10.0, 3)
+        assert lane_depth(link) == 2        # the entries keyed 3 and 10
+        # Folded records keep the times their owners read at delivery.
+        assert (first.start, first.finish, first.delivery) == (1.0, 2.0, 2.25)
+        assert (second.start, second.finish) == (2.0, 3.0)
+        assert (third.start, third.finish) == (3.0, 4.0)
+        assert (fourth.start, fourth.finish) == (10.0, 11.0)
+        assert link.busy_until == 11.0
+
+    def test_an_entry_keyed_exactly_at_now_is_settled(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=1000.0)
+        link.reserve(1000, 2.0, 0)
+        sim.run(until=2.0)
+        later = link.reserve(500, 2.0, 1)   # same instant, issued after
+        assert (later.start, later.finish) == (3.0, 3.5)
+        assert lane_depth(link) == 0        # final as computed
+
+    def test_out_of_order_insert_after_a_fold_seeds_from_the_floor(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=1000.0)
+        early = link.reserve(2000, 1.0, 0)      # occupies 1.0 - 3.0
+        late = link.reserve(1000, 5.0, 1)       # 5.0 - 6.0, still pending
+        sim.run(until=2.0)
+        # Keyed at now, ahead of ``late``: ``early`` folds first, so the
+        # insert lands at the lane's head and starts from the busy floor
+        # the fold left (3.0), not from its own arrival.
+        wedge = link.reserve(1000, 2.0, 2)
+        assert early.finish == 3.0
+        assert (wedge.start, wedge.finish) == (3.0, 4.0)
+        assert (late.start, late.finish) == (5.0, 6.0)
+        # The wedge is itself settled: the next one folds it and queues
+        # behind it, and now ``late`` has to move.
+        second = link.reserve(1500, 2.0, 3)
+        assert (second.start, second.finish) == (4.0, 5.5)
+        assert (late.start, late.finish) == (5.5, 6.5)
+        assert lane_depth(link) == 2
+
+    def test_a_lane_that_only_carries_trains_settles_too(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=1000.0)
+        for round_ in range(50):
+            base = sim.now + 1.0
+            link.reserve_train([100, 100], [base, base + 0.5], 2 * round_)
+            sim.run(until=base + 1.0)
+        assert lane_depth(link) <= 1
+
+
+class TestRetire:
+    """The method the clock-less benchmark rows still call."""
+
+    def test_a_burst_settles_through_its_latest_key_in_any_order(self):
+        # Two deliveries that round to the same instant sort by seq, so
+        # the record handed over last need not be the latest-keyed one.
+        sim = Simulator()
+        link = Link(sim, rate_bps=1000.0)
+        first, second, third = (link.reserve(1000, float(t), t)
+                                for t in (1, 2, 3))
+        beyond = link.reserve(1000, 9.0, 3)
+        link.retire(first, [third, second])
+        assert lane_depth(link) == 1            # only ``beyond`` pends
+        assert link.busy_until == 10.0
+        wedge = link.reserve(1000, 3.5, 4)      # queues behind ``third``
+        assert (wedge.start, wedge.finish) == (4.0, 5.0)
+        assert (beyond.start, beyond.finish) == (9.0, 10.0)
+
+    def test_retiring_a_settled_record_is_a_no_op(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=1000.0)
+        early = link.reserve(1000, 1.0, 0)
+        late = link.reserve(1000, 5.0, 1)
+        sim.run(until=2.0)
+        link.reserve(1000, 6.0, 2)              # folds ``early``
+        link.retire(early)
+        assert lane_depth(link) == 2
+        assert (late.start, late.finish) == (5.0, 6.0)
+
+
+class TestRepairCost:
+    """An out-of-order insert replays the lane behind it only as far as
+    it moved anything: the first record that still finishes when it did
+    ends the replay."""
+
+    def _lane(self, gap):
+        sim = Simulator()
+        link = Link(sim, rate_bps=1000.0, latency=0.25)
+        # 200 future-keyed entries, each busy for one second.
+        pending = [link.reserve(1000, 10.0 + gap * index, index)
+                   for index in range(200)]
+        return link, pending
+
+    def test_a_write_ahead_of_spaced_entries_replays_at_most_two(self):
+        link, pending = self._lane(gap=2.0)
+        before = [(r.start, r.finish, r.delivery) for r in pending]
+        head = link.reserve(500, 1.0, 200)
+        assert (head.start, head.finish) == (1.0, 1.5)
+        assert [(r.start, r.finish, r.delivery) for r in pending] == before
+        assert link.stats_repairs == 1
+        assert link.stats_replayed <= 2        # 200 before the early stop
+
+    def test_a_write_that_pushes_entries_replays_just_those(self):
+        link, pending = self._lane(gap=2.0)
+        # Arrives at 9.5 and holds the lane for 3 s: the entries keyed
+        # 10, 12 and 14 move, the one keyed 16 starts on time again.
+        link.reserve(3000, 9.5, 200)
+        assert [(r.start, r.finish) for r in pending[:4]] == [
+            (12.5, 13.5), (13.5, 14.5), (14.5, 15.5), (16.0, 17.0)]
+        assert link.stats_replayed == 4
+
+    def test_back_to_back_entries_all_move(self):
+        link, pending = self._lane(gap=1.0)
+        link.reserve(500, 1.0, 200)             # absorbed by the gap ahead
+        assert link.stats_replayed == 1
+        link.reserve(500, 9.75, 201)            # 9.75 - 10.25: all shift
+        assert link.stats_replayed == 1 + 200
+        assert [r.start for r in pending[:3]] == [10.25, 11.25, 12.25]
+        assert pending[-1].finish == 10.25 + 200
+        assert link.stats_repairs == 2
 
 
 class TestTokenBucket:

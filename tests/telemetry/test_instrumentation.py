@@ -308,6 +308,10 @@ class TestPulledCounts:
             expected[f"link.{node_name}.nic.port.wire.bits"] = wire.stats_bits
             expected[f"link.{node_name}.nic.port.wire.messages"] = (
                 wire.stats_messages)
+            expected[f"link.{node_name}.nic.port.wire.repairs"] = (
+                wire.stats_repairs)
+            expected[f"link.{node_name}.nic.port.wire.replayed"] = (
+                wire.stats_replayed)
             for endpoint in endpoints[node_name]:
                 name = f"{node_name}.{endpoint}"
                 port = nic.fabric._ports[name]
@@ -319,11 +323,13 @@ class TestPulledCounts:
                     expected.update({
                         f"link.{name}.{lane}.bits": link.stats_bits,
                         f"link.{name}.{lane}.messages": link.stats_messages,
+                        f"link.{name}.{lane}.repairs": link.stats_repairs,
+                        f"link.{name}.{lane}.replayed": link.stats_replayed,
                         f"pcie.{name}.{lane}.tlps": link.stats_messages,
                         f"pcie.{name}.{lane}.payload_bytes": payload,
                         f"pcie.{name}.{lane}.header_bytes": header,
                     })
-        assert len(expected) == 115
+        assert len(expected) == 147
         assert telemetry.metrics.to_dict()["counters"] == expected
         # Something moved on every layer the run touches.
         for name in ("nic.server.nic.rx.bytes", "fld.server.fld.tx.bytes",
