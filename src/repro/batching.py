@@ -1,39 +1,6 @@
-"""Global scalar/batched datapath switch.
-
-The batched datapath (vectorized WQE/CQE codecs, cuckoo ``lookup_many``,
-template-based frame encoding, bulk store drains) is bit-identical to the
-scalar path by construction — every batched routine computes exactly the
-bytes/values its scalar twin would.  This module is the seam the
-differential test harness uses to *prove* that: ``tests/batching/`` runs
-every experiment once per mode and asserts fingerprint equality.
-
-Mode resolution:
-
-* the ``REPRO_BATCH`` environment variable at import time
-  (``0``/``off``/``false`` select the scalar path; default is batched);
-* :func:`set_batch_enabled` at runtime (tests flip modes in-process).
-
-Hot paths read :data:`BATCH_ENABLED` through the module attribute
-(``batching.BATCH_ENABLED``) so runtime flips are always observed.
-"""
-
-from __future__ import annotations
-
-import os
-
-#: True when the batched fast paths are active.
-BATCH_ENABLED = os.environ.get("REPRO_BATCH", "1").lower() not in (
-    "0", "off", "false", "no")
+"""There is one codec path; ``benchmarks/perf/run.py`` still records it."""
 
 
 def batch_enabled() -> bool:
-    """Current mode (True = batched fast paths, False = scalar)."""
-    return BATCH_ENABLED
-
-
-def set_batch_enabled(enabled: bool) -> bool:
-    """Switch modes at runtime; returns the previous mode."""
-    global BATCH_ENABLED
-    previous = BATCH_ENABLED
-    BATCH_ENABLED = bool(enabled)
-    return previous
+    """Always True: the datapath has no scalar/batched mode."""
+    return True

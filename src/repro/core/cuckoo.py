@@ -17,13 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
-from .. import batching
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 NUM_BANKS = 4
 STASH_SIZE = 4
 MAX_KICKS = 64  # safety bound on eviction chains per insertion
@@ -34,56 +27,6 @@ _BANK_SALTS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
 
 _SLOT_MULT = 0x2545F4914F6CDD1D
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# CPython's hash() is emulated in uint64 for the vectorized lookup path:
-# ints below the hash modulus hash to themselves, and tuples mix their
-# element hashes with the xxHash-style scheme below (pyhash constants).
-# Only the low 64 bits matter — the slot mix masks to 64 bits anyway.
-_HASH_MODULUS = (1 << 61) - 1
-_XXPRIME_1 = 11400714785074694791
-_XXPRIME_2 = 14029467366897019727
-_XXPRIME_5 = 2870177450012600261
-_TUPLE2_LEN_MANGLE = (2 ^ (_XXPRIME_5 ^ 3527539)) & 0xFFFFFFFFFFFFFFFF
-
-
-def _vector_hashes(keys: Sequence[Hashable]):
-    """uint64 array equal (mod 2**64) to ``hash(k)`` per key, or None.
-
-    Covers the two key shapes the datapath uses: plain non-negative
-    ints below the hash modulus, and 2-tuples of such ints (the
-    translation tables key by ``(queue, index)``).  Anything else
-    falls back to the scalar path.
-    """
-    first = keys[0]
-    if type(first) is int:
-        for k in keys:
-            if type(k) is not int or not 0 <= k < _HASH_MODULUS:
-                return None
-        return _np.array(keys, dtype=_np.uint64)
-    if type(first) is tuple and len(first) == 2:
-        left = []
-        right = []
-        for k in keys:
-            if type(k) is not tuple or len(k) != 2:
-                return None
-            a, b = k
-            if (type(a) is not int or not 0 <= a < _HASH_MODULUS
-                    or type(b) is not int or not 0 <= b < _HASH_MODULUS):
-                return None
-            left.append(a)
-            right.append(b)
-        acc = _np.full(len(keys), _XXPRIME_5, dtype=_np.uint64)
-        for lane in (_np.array(left, dtype=_np.uint64),
-                     _np.array(right, dtype=_np.uint64)):
-            acc += lane * _np.uint64(_XXPRIME_2)
-            acc = (acc << _np.uint64(31)) | (acc >> _np.uint64(33))
-            acc *= _np.uint64(_XXPRIME_1)
-        acc += _np.uint64(_TUPLE2_LEN_MANGLE)
-        # CPython maps the reserved -1 to 1546275796.
-        acc[acc == _np.uint64(0xFFFFFFFFFFFFFFFF)] = _np.uint64(1546275796)
-        return acc
-    return None
-
 
 class CuckooFullError(RuntimeError):
     """Raised when an insertion stalls: all banks and the stash are full."""
@@ -122,13 +65,9 @@ class CuckooHashTable:
     # -- hashing -----------------------------------------------------------
 
     # A bank's slot for a key is ``((hash(key) ^ salt) * _SLOT_MULT &
-    # _MASK64) % bank_size``.  The single-key operations hash the key
-    # once and mix it per bank inline — a hardware probe reads all four
-    # banks in one cycle; one Python frame per bank is pure model cost.
-
-    def _slot(self, bank: int, key: Hashable) -> int:
-        mixed = (hash(key) ^ _BANK_SALTS[bank]) * _SLOT_MULT
-        return (mixed & _MASK64) % self.bank_size
+    # _MASK64) % bank_size``.  Every operation hashes the key once and
+    # mixes it per bank inline — a hardware probe reads all four banks
+    # in one cycle; one Python frame per bank is pure model cost.
 
     # -- operations --------------------------------------------------------
 
@@ -153,72 +92,8 @@ class CuckooHashTable:
         return None
 
     def lookup_many(self, keys: Sequence[Hashable]) -> List[Optional[Any]]:
-        """Batch lookup: exactly ``[self.lookup(k) for k in keys]``.
-
-        With numpy and the batched datapath enabled, the per-bank slot
-        computation for the whole batch happens in four uint64 array
-        expressions (one per bank) instead of 4*N Python hash mixes.
-        The results — including every table counter — match the scalar
-        loop.
-        """
-        n = len(keys)
-        if n == 0:
-            return []
-        self.stats_lookups += n
-        hashes = None
-        if n >= 2 and _np is not None and batching.BATCH_ENABLED:
-            hashes = _vector_hashes(keys)
-        banks = self._banks
-        stash = self._stash
-        results: List[Optional[Any]] = []
-        if hashes is None:
-            slot = self._slot
-            for key in keys:
-                for bank in range(NUM_BANKS):
-                    entry = banks[bank][slot(bank, key)]
-                    if entry is not None and entry[0] == key:
-                        results.append(entry[1])
-                        break
-                else:
-                    for k, v in stash:
-                        if k == key:
-                            results.append(v)
-                            break
-                    else:
-                        results.append(None)
-            return results
-        size = _np.uint64(self.bank_size)
-        mult = _np.uint64(_SLOT_MULT)
-        slot_cols = [
-            (((hashes ^ _np.uint64(salt)) * mult) % size).tolist()
-            for salt in _BANK_SALTS
-        ]
-        c0, c1, c2, c3 = slot_cols
-        b0, b1, b2, b3 = banks
-        for i, key in enumerate(keys):
-            entry = b0[c0[i]]
-            if entry is not None and entry[0] == key:
-                results.append(entry[1])
-                continue
-            entry = b1[c1[i]]
-            if entry is not None and entry[0] == key:
-                results.append(entry[1])
-                continue
-            entry = b2[c2[i]]
-            if entry is not None and entry[0] == key:
-                results.append(entry[1])
-                continue
-            entry = b3[c3[i]]
-            if entry is not None and entry[0] == key:
-                results.append(entry[1])
-                continue
-            for k, v in stash:
-                if k == key:
-                    results.append(v)
-                    break
-            else:
-                results.append(None)
-        return results
+        """Batch lookup: exactly ``[self.lookup(k) for k in keys]``."""
+        return [self.lookup(key) for key in keys]
 
     def insert(self, key: Hashable, value: Any) -> None:
         """Insert; raises :class:`CuckooFullError` on a stash stall.

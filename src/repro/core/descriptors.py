@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import struct
 
-from .. import batching
 from ..nic.wqe import (
     Cqe,
     OP_ETH_SEND,
@@ -28,38 +27,12 @@ from ..nic.wqe import (
     WQE_FLAG_SIGNALED,
 )
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 COMPRESSED_TX_DESC_SIZE = 8
 COMPRESSED_CQE_SIZE = 15
 
 # Compressed opcodes (2 bits would do; we spend a byte for clarity).
 _OPCODES = {OP_ETH_SEND: 0, OP_RDMA_SEND: 1}
 _OPCODES_REVERSE = {v: k for k, v in _OPCODES.items()}
-
-# Structured dtypes for the batched codecs.  The 24-bit fields split
-# into a high byte + low u16 at adjacent offsets (big-endian, so the
-# concatenation reads back as the original 3-byte integer).
-if _np is not None:
-    _TX_DESC_DTYPE = _np.dtype({
-        "names": ["handle", "length", "ctx_hi", "ctx_lo", "op_flags"],
-        "offsets": [0, 2, 4, 5, 7],
-        "formats": [">u2", ">u2", ">u1", ">u2", ">u1"],
-        "itemsize": COMPRESSED_TX_DESC_SIZE,
-    })
-    _CCQE_DTYPE = _np.dtype({
-        "names": ["opcode", "flags", "wqe_counter", "qpn_hi", "qpn_lo",
-                  "byte_count", "flow_tag", "stride_index"],
-        "offsets": [0, 1, 2, 4, 5, 7, 9, 13],
-        "formats": [">u1", ">u1", ">u2", ">u1", ">u2", ">u2", ">u4",
-                    ">u2"],
-        "itemsize": COMPRESSED_CQE_SIZE,
-    })
-else:  # pragma: no cover
-    _TX_DESC_DTYPE = _CCQE_DTYPE = None
 
 
 class CompressedTxDescriptor:
@@ -105,49 +78,6 @@ class CompressedTxDescriptor:
             handle, length, int.from_bytes(context, "big"),
             _OPCODES_REVERSE[op_flags & 0x3], bool(op_flags & 0x4),
         )
-
-    @classmethod
-    def unpack_many(cls, data, count: int = None):
-        """Decode ``count`` consecutive 8 B descriptors, bit-identical
-        to per-record :meth:`unpack` calls."""
-        if count is None:
-            count = len(data) // COMPRESSED_TX_DESC_SIZE
-        if len(data) < count * COMPRESSED_TX_DESC_SIZE:
-            raise ValueError("truncated descriptor batch")
-        if count >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rows = _np.frombuffer(data, dtype=_TX_DESC_DTYPE,
-                                  count=count).tolist()
-            out = []
-            new = cls.__new__
-            reverse = _OPCODES_REVERSE
-            for handle, length, ctx_hi, ctx_lo, op_flags in rows:
-                desc = new(cls)
-                desc.handle = handle
-                desc.length = length
-                desc.context_id = (ctx_hi << 16) | ctx_lo
-                desc.opcode = reverse[op_flags & 0x3]
-                desc.signaled = bool(op_flags & 0x4)
-                out.append(desc)
-            return out
-        size = COMPRESSED_TX_DESC_SIZE
-        return [cls.unpack(data[i * size:(i + 1) * size])
-                for i in range(count)]
-
-    @classmethod
-    def pack_many(cls, descs) -> bytes:
-        """``b"".join(d.pack() for d in descs)``, vectorized."""
-        if len(descs) >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rec = _np.zeros(len(descs), dtype=_TX_DESC_DTYPE)
-            rec["handle"] = [d.handle for d in descs]
-            rec["length"] = [d.length for d in descs]
-            rec["ctx_hi"] = [d.context_id >> 16 for d in descs]
-            rec["ctx_lo"] = [d.context_id & 0xFFFF for d in descs]
-            rec["op_flags"] = [
-                _OPCODES[d.opcode] | (0x4 if d.signaled else 0)
-                for d in descs
-            ]
-            return rec.tobytes()
-        return b"".join(d.pack() for d in descs)
 
     def expand(self, qpn: int, wqe_index: int, buffer_addr: int) -> TxWqe:
         """Produce the 64 B NIC WQE the PCIe read expects.
@@ -213,48 +143,3 @@ class CompressedCqe:
         )
         return cls(opcode, int.from_bytes(qpn, "big"), counter, count,
                    flags, tag, stride)
-
-    @classmethod
-    def unpack_many(cls, data, count: int = None):
-        """Decode ``count`` consecutive 15 B records, bit-identical to
-        per-record :meth:`unpack` calls."""
-        if count is None:
-            count = len(data) // COMPRESSED_CQE_SIZE
-        if len(data) < count * COMPRESSED_CQE_SIZE:
-            raise ValueError("truncated compressed-CQE batch")
-        if count >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rows = _np.frombuffer(data, dtype=_CCQE_DTYPE,
-                                  count=count).tolist()
-            out = []
-            new = cls.__new__
-            for (opcode, flags, counter, qpn_hi, qpn_lo, nbytes, tag,
-                 stride) in rows:
-                cqe = new(cls)
-                cqe.opcode = opcode
-                cqe.flags = flags
-                cqe.wqe_counter = counter
-                cqe.qpn = (qpn_hi << 16) | qpn_lo
-                cqe.byte_count = nbytes
-                cqe.flow_tag = tag
-                cqe.stride_index = stride
-                out.append(cqe)
-            return out
-        size = COMPRESSED_CQE_SIZE
-        return [cls.unpack(data[i * size:(i + 1) * size])
-                for i in range(count)]
-
-    @classmethod
-    def pack_many(cls, cqes) -> bytes:
-        """``b"".join(c.pack() for c in cqes)``, vectorized."""
-        if len(cqes) >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rec = _np.zeros(len(cqes), dtype=_CCQE_DTYPE)
-            rec["opcode"] = [c.opcode for c in cqes]
-            rec["flags"] = [c.flags for c in cqes]
-            rec["wqe_counter"] = [c.wqe_counter for c in cqes]
-            rec["qpn_hi"] = [c.qpn >> 16 for c in cqes]
-            rec["qpn_lo"] = [c.qpn & 0xFFFF for c in cqes]
-            rec["byte_count"] = [c.byte_count for c in cqes]
-            rec["flow_tag"] = [c.flow_tag for c in cqes]
-            rec["stride_index"] = [c.stride_index for c in cqes]
-            return rec.tobytes()
-        return b"".join(c.pack() for c in cqes)

@@ -76,8 +76,7 @@ class DescriptorPool:
 
     def lookup_many(self, queue: int,
                     wqe_indices) -> List[CompressedTxDescriptor]:
-        """Batched :meth:`lookup` — one vectorized cuckoo probe for a
-        whole ring read."""
+        """:meth:`lookup` for each of a ring read's indices."""
         slots = self._xlt.lookup_many(
             [(queue, index) for index in wqe_indices])
         out = []

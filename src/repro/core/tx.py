@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .. import batching
 from ..nic.wqe import OP_ETH_SEND, TxWqe, WQE_SIZE
 from ..sim import Simulator
 from .axis import AxisMetadata, CreditInterface
@@ -237,43 +236,24 @@ class TxRingManager:
         state = self.queue(queue_id)
         if offset % WQE_SIZE or length % WQE_SIZE:
             raise TxQueueError("unaligned WQE ring read")
-        count = length // WQE_SIZE
         first_slot = offset // WQE_SIZE
-        if count >= 2 and batching.BATCH_ENABLED:
-            # Batched expansion: one vectorized translation probe for
-            # the burst, one vectorized WQE encode.  Byte-identical to
-            # the scalar loop below.
-            indices = [self._slot_to_index(state, first_slot + i)
-                       for i in range(count)]
-            descriptors = self.descriptors.lookup_many(queue_id, indices)
-            chunk_size = self.buffers.chunk_size
-            base = self.bar_base
-            wqes = []
-            for index, descriptor in zip(indices, descriptors):
-                _handles, virt_chunk, _count = state.outstanding[index]
-                wqes.append(descriptor.expand(
-                    state.qpn, index,
-                    base + tx_data_address(queue_id,
-                                           virt_chunk * chunk_size),
-                ))
-            self.stats_wqe_reads += count
-            return TxWqe.pack_many(wqes)
-        out = bytearray()
-        for i in range(count):
-            slot = first_slot + i
-            # The ring is virtual: resolve the slot to the outstanding
-            # wqe index that currently occupies it.
-            index = self._slot_to_index(state, slot)
-            descriptor = self.descriptors.lookup(queue_id, index)
+        # The ring is virtual: resolve each slot to the outstanding wqe
+        # index that currently occupies it.  A read that reaches an
+        # unposted slot raises here, before anything is counted.
+        indices = [self._slot_to_index(state, first_slot + i)
+                   for i in range(length // WQE_SIZE)]
+        descriptors = self.descriptors.lookup_many(queue_id, indices)
+        chunk_size = self.buffers.chunk_size
+        wqes = []
+        for index, descriptor in zip(indices, descriptors):
             _handles, virt_chunk, _count = state.outstanding[index]
-            wqe = descriptor.expand(
+            wqes.append(descriptor.expand(
                 state.qpn, index,
-                self.bar_base + tx_data_address(
-                    queue_id, virt_chunk * self.buffers.chunk_size),
-            )
-            out.extend(wqe.pack())
-            self.stats_wqe_reads += 1
-        return bytes(out)
+                self.bar_base + tx_data_address(queue_id,
+                                                virt_chunk * chunk_size),
+            ))
+        self.stats_wqe_reads += len(wqes)
+        return TxWqe.pack_many(wqes)
 
     @staticmethod
     def _slot_to_index(state: _TxQueueState, slot: int) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional
 
-from .. import batching
 from ..net import Flow, Packet
 from ..net.ip import PROTO_TCP
 from ..net.parse import ETHERTYPE, L3, L4, PAYLOAD, parse_layout
@@ -180,10 +179,12 @@ class _FlatWindow:
     open is parked on the generator's receive path; :meth:`_opened`
     recounts what is outstanding when that wait ends and either fills
     again or, with everything sent, awaits the remaining responses.
+    Responses are counted from the generator's total at loop entry: an
+    earlier loop's responses answer none of this loop's frames.
     """
 
     __slots__ = ("gen", "frame_size", "count", "window", "done", "_sent",
-                 "_outstanding")
+                 "_outstanding", "_base")
 
     def __init__(self, gen: "LoadGenerator", frame_size: int, count: int,
                  window: int, done: Event):
@@ -194,6 +195,7 @@ class _FlatWindow:
         self.done = done
         self._sent = 0
         self._outstanding = 0
+        self._base = gen.stats_received
 
     def _fill(self, _arg=None) -> None:
         gen = self.gen
@@ -206,16 +208,17 @@ class _FlatWindow:
             gen.stats_sent += 1
             self._sent += 1
             self._outstanding += 1
-        gen._when_received(self._sent - self.window + 1, _WINDOW_POLL,
-                           self._opened)
+        gen._when_received(self._base + self._sent - self.window + 1,
+                           _WINDOW_POLL, self._opened)
 
     def _opened(self, _arg=None) -> None:
-        self._outstanding = self._sent - self.gen.stats_received
+        gen = self.gen
+        self._outstanding = self._base + self._sent - gen.stats_received
         if self._sent < self.count:
             self._fill()
         else:
-            self.gen._when_received(self.count, _TAIL_POLL,
-                                    self.done.succeed)
+            gen._when_received(self._base + self.count, _TAIL_POLL,
+                               self.done.succeed)
 
 
 class LoadGenerator:
@@ -241,35 +244,37 @@ class LoadGenerator:
         self.trace_label = "echo"
 
     def _make_frame(self, frame_size: int) -> bytes:
-        if batching.BATCH_ENABLED:
+        """The next stamped frame.  A TCP flow's sequence number moves
+        with every payload byte, so its frames take the packet path."""
+        if self.flow.proto == PROTO_TCP:
+            frame = self._frame_from_packet(frame_size)
+        else:
             frame = self._frame_from_template(frame_size)
-            if frame is not None:
-                self._sent_at[self._seq] = self.sim.now
-                self._seq += 1
-                return frame
+        self._sent_at[self._seq] = self.sim.now
+        self._seq += 1
+        return frame
+
+    def _frame_from_packet(self, frame_size: int) -> bytes:
+        """Build the next frame through the packet path, sequence
+        number stamped at the head of the payload."""
         packet = self.flow.make_sized_packet(frame_size)
         payload = bytearray(packet.payload)
         if len(payload) < _SEQ_SIZE:
             payload.extend(bytes(_SEQ_SIZE - len(payload)))
         struct.pack_into(_SEQ_FORMAT, payload, 0, self._seq)
         packet.payload = bytes(payload)
-        self._sent_at[self._seq] = self.sim.now
-        self._seq += 1
         return packet.to_bytes()
 
-    def _frame_from_template(self, frame_size: int) -> Optional[bytes]:
+    def _frame_from_template(self, frame_size: int) -> bytes:
         """Stamp the next frame from a cached per-(flow, size) template.
 
         Consecutive frames on one UDP flow differ only in the IP ident,
-        the IP header checksum and the payload sequence stamp, so the
-        frame is built once through the ordinary packet path and the
-        three fields are patched in place — bit-identical to rebuilding
-        it.  TCP flows (whose seq advances with every payload byte)
-        return None and take the scalar builder.
+        the IP header checksum and the payload sequence stamp (the UDP
+        checksum is left zero), so the frame is built once through the
+        packet path and the three fields are patched in place —
+        bit-identical to building each frame.
         """
         flow = self.flow
-        if flow.proto == PROTO_TCP:
-            return None
         cache = getattr(flow, "_frame_templates", None)
         if cache is None:
             cache = flow._frame_templates = {}
@@ -279,8 +284,9 @@ class LoadGenerator:
         entry = cache.get(frame_size)
         if entry is None or entry[0] != identity:
             # Building the template consumes one ident on the flow;
-            # restore it so the build is invisible to the sequence the
-            # scalar path would produce.
+            # restore it so the build is invisible to the ident sequence.
+            # Built inline, not by _frame_from_packet: mixed-size traffic
+            # builds a template for about a third of its frames.
             saved_ident = flow._ident
             packet = flow.make_sized_packet(frame_size)
             flow._ident = saved_ident

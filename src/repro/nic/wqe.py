@@ -15,13 +15,6 @@ from __future__ import annotations
 
 import struct
 
-from .. import batching
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
 WQE_SIZE = 64
 RX_DESC_SIZE = 16
 CQE_SIZE = 64
@@ -49,40 +42,6 @@ CQE_FLAG_L4_OK = 0x02
 CQE_FLAG_VXLAN_DECAP = 0x04
 CQE_FLAG_MSG_LAST = 0x08   # last packet of an RDMA message
 
-# Record dtypes for the batched codecs: one numpy structured record per
-# wire descriptor, big-endian fields at their exact byte offsets (several
-# are unaligned on purpose — the wire layouts predate the codecs).  A
-# whole burst decodes with one ``frombuffer`` + ``tolist`` instead of a
-# struct call per record.
-if _np is not None:
-    _TX_WQE_DTYPE = _np.dtype({
-        "names": ["opcode", "flags", "wqe_index", "qpn", "buffer_addr",
-                  "byte_count", "lkey", "context_id", "ack_req",
-                  "remote_addr", "rkey", "mss"],
-        "offsets": [0, 1, 2, 4, 8, 16, 20, 24, 28, 29, 37, 41],
-        "formats": [">u1", ">u1", ">u2", ">u4", ">u8", ">u4", ">u4",
-                    ">u4", ">u1", ">u8", ">u4", ">u2"],
-        "itemsize": WQE_SIZE,
-    })
-    _RX_DESC_DTYPE = _np.dtype({
-        "names": ["buffer_addr", "byte_count", "lkey"],
-        "offsets": [0, 8, 12],
-        "formats": [">u8", ">u4", ">u4"],
-        "itemsize": RX_DESC_SIZE,
-    })
-    _CQE_DTYPE = _np.dtype({
-        "names": ["opcode", "flags", "wqe_counter", "qpn", "byte_count",
-                  "rss_hash", "flow_tag", "stride_index", "owner",
-                  "syndrome"],
-        "offsets": [0, 1, 2, 4, 8, 12, 16, 20, 22, 23],
-        "formats": [">u1", ">u1", ">u2", ">u4", ">u4", ">u4", ">u4",
-                    ">u2", ">u1", ">u1"],
-        "itemsize": CQE_SIZE,
-    })
-else:  # pragma: no cover
-    _TX_WQE_DTYPE = _RX_DESC_DTYPE = _CQE_DTYPE = None
-
-
 class TxWqe:
     """A 64 B transmit work-queue entry.
 
@@ -106,7 +65,8 @@ class TxWqe:
     _FORMAT = "!BBHIQIIIBQIH"
     _STRUCT = struct.Struct(_FORMAT)
     _PACKED = _STRUCT.size
-    _PAD = bytes(WQE_SIZE - _PACKED)
+    # The whole 64 B record: the fields, then the reserved zero bytes.
+    _RECORD = struct.Struct(f"{_FORMAT}{WQE_SIZE - _PACKED}x")
 
     __slots__ = ("opcode", "flags", "wqe_index", "qpn", "buffer_addr",
                  "byte_count", "lkey", "context_id", "ack_req",
@@ -140,13 +100,12 @@ class TxWqe:
         return bool(self.flags & WQE_FLAG_SIGNALED)
 
     def pack(self) -> bytes:
-        body = self._STRUCT.pack(
+        return self._RECORD.pack(
             self.opcode, self.flags, self.wqe_index, self.qpn,
             self.buffer_addr, self.byte_count, self.lkey, self.context_id,
             1 if self.ack_req else 0, self.remote_addr, self.rkey,
             self.mss,
         )
-        return body + self._PAD
 
     @classmethod
     def unpack(cls, data: bytes) -> "TxWqe":
@@ -158,63 +117,37 @@ class TxWqe:
                    context, bool(ack_req), remote_addr, rkey, mss)
 
     @classmethod
-    def unpack_many(cls, data, count: int = None) -> "list[TxWqe]":
-        """Decode ``count`` consecutive 64 B WQEs.
-
-        Bit-identical to ``[cls.unpack(data[i*WQE_SIZE:]) for i in
-        range(count)]``; with numpy and the batched datapath enabled the
-        whole burst decodes through one structured-array read.
-        """
-        if count is None:
-            count = len(data) // WQE_SIZE
+    def unpack_many(cls, data, count: int) -> "list[TxWqe]":
+        """Decode ``count`` consecutive 64 B WQEs (a ring fetch burst):
+        the fields :meth:`unpack` would read, one record a step."""
         if len(data) < count * WQE_SIZE:
             raise ValueError("truncated TxWqe batch")
-        if count >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rows = _np.frombuffer(data, dtype=_TX_WQE_DTYPE,
-                                  count=count).tolist()
-            out = []
-            new = cls.__new__
-            for (opcode, flags, wqe_index, qpn, addr, nbytes, lkey,
-                 context, ack_req, remote_addr, rkey, mss) in rows:
-                wqe = new(cls)
-                wqe.opcode = opcode
-                wqe.flags = flags
-                wqe.wqe_index = wqe_index
-                wqe.qpn = qpn
-                wqe.buffer_addr = addr
-                wqe.byte_count = nbytes
-                wqe.lkey = lkey
-                wqe.context_id = context
-                wqe.ack_req = bool(ack_req)
-                wqe.remote_addr = remote_addr
-                wqe.rkey = rkey
-                wqe.mss = mss
-                wqe.trace_ctx = None
-                out.append(wqe)
-            return out
-        return [cls.unpack(data[i * WQE_SIZE:(i + 1) * WQE_SIZE])
-                for i in range(count)]
+        out = []
+        new = cls.__new__
+        for (opcode, flags, wqe_index, qpn, addr, nbytes, lkey, context,
+             ack_req, remote_addr, rkey, mss) in cls._RECORD.iter_unpack(
+                memoryview(data)[:count * WQE_SIZE]):
+            wqe = new(cls)
+            wqe.opcode = opcode
+            wqe.flags = flags
+            wqe.wqe_index = wqe_index
+            wqe.qpn = qpn
+            wqe.buffer_addr = addr
+            wqe.byte_count = nbytes
+            wqe.lkey = lkey
+            wqe.context_id = context
+            wqe.ack_req = bool(ack_req)
+            wqe.remote_addr = remote_addr
+            wqe.rkey = rkey
+            wqe.mss = mss
+            wqe.trace_ctx = None
+            out.append(wqe)
+        return out
 
-    @classmethod
-    def pack_many(cls, wqes) -> bytes:
-        """Concatenated :meth:`pack` of ``wqes``, bit-identical to
-        ``b"".join(w.pack() for w in wqes)``."""
-        if len(wqes) >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rec = _np.zeros(len(wqes), dtype=_TX_WQE_DTYPE)
-            rec["opcode"] = [w.opcode for w in wqes]
-            rec["flags"] = [w.flags for w in wqes]
-            rec["wqe_index"] = [w.wqe_index for w in wqes]
-            rec["qpn"] = [w.qpn for w in wqes]
-            rec["buffer_addr"] = [w.buffer_addr for w in wqes]
-            rec["byte_count"] = [w.byte_count for w in wqes]
-            rec["lkey"] = [w.lkey for w in wqes]
-            rec["context_id"] = [w.context_id for w in wqes]
-            rec["ack_req"] = [1 if w.ack_req else 0 for w in wqes]
-            rec["remote_addr"] = [w.remote_addr for w in wqes]
-            rec["rkey"] = [w.rkey for w in wqes]
-            rec["mss"] = [w.mss for w in wqes]
-            return rec.tobytes()
-        return b"".join(w.pack() for w in wqes)
+    @staticmethod
+    def pack_many(wqes) -> bytes:
+        """Concatenated :meth:`pack` of ``wqes``."""
+        return b"".join(wqe.pack() for wqe in wqes)
 
     def __repr__(self) -> str:
         return (
@@ -248,38 +181,21 @@ class RxDesc:
         return cls(addr, count, lkey)
 
     @classmethod
-    def unpack_many(cls, data, count: int = None) -> "list[RxDesc]":
-        """Decode ``count`` consecutive 16 B descriptors (see
-        :meth:`TxWqe.unpack_many` for the equivalence contract)."""
-        if count is None:
-            count = len(data) // RX_DESC_SIZE
+    def unpack_many(cls, data, count: int) -> "list[RxDesc]":
+        """Decode ``count`` consecutive 16 B descriptors (a receive
+        descriptor burst)."""
         if len(data) < count * RX_DESC_SIZE:
             raise ValueError("truncated RxDesc batch")
-        if count >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rows = _np.frombuffer(data, dtype=_RX_DESC_DTYPE,
-                                  count=count).tolist()
-            out = []
-            new = cls.__new__
-            for addr, nbytes, lkey in rows:
-                desc = new(cls)
-                desc.buffer_addr = addr
-                desc.byte_count = nbytes
-                desc.lkey = lkey
-                out.append(desc)
-            return out
-        return [cls.unpack(data[i * RX_DESC_SIZE:(i + 1) * RX_DESC_SIZE])
-                for i in range(count)]
-
-    @classmethod
-    def pack_many(cls, descs) -> bytes:
-        """``b"".join(d.pack() for d in descs)``, vectorized."""
-        if len(descs) >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rec = _np.zeros(len(descs), dtype=_RX_DESC_DTYPE)
-            rec["buffer_addr"] = [d.buffer_addr for d in descs]
-            rec["byte_count"] = [d.byte_count for d in descs]
-            rec["lkey"] = [d.lkey for d in descs]
-            return rec.tobytes()
-        return b"".join(d.pack() for d in descs)
+        out = []
+        new = cls.__new__
+        for addr, nbytes, lkey in cls._STRUCT.iter_unpack(
+                memoryview(data)[:count * RX_DESC_SIZE]):
+            desc = new(cls)
+            desc.buffer_addr = addr
+            desc.byte_count = nbytes
+            desc.lkey = lkey
+            out.append(desc)
+        return out
 
     def __repr__(self) -> str:
         return f"RxDesc(addr={self.buffer_addr:#x}, len={self.byte_count})"
@@ -354,56 +270,6 @@ class Cqe:
          syndrome) = cls._STRUCT.unpack_from(data)
         return cls(opcode, qpn, counter, count, flags, rss, tag, stride,
                    owner, syndrome)
-
-    @classmethod
-    def unpack_many(cls, data, count: int = None) -> "list[Cqe]":
-        """Decode ``count`` consecutive 64 B CQEs (see
-        :meth:`TxWqe.unpack_many` for the equivalence contract)."""
-        if count is None:
-            count = len(data) // CQE_SIZE
-        if len(data) < count * CQE_SIZE:
-            raise ValueError("truncated Cqe batch")
-        if count >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rows = _np.frombuffer(data, dtype=_CQE_DTYPE,
-                                  count=count).tolist()
-            out = []
-            new = cls.__new__
-            for (opcode, flags, counter, qpn, nbytes, rss, tag, stride,
-                 owner, syndrome) in rows:
-                cqe = new(cls)
-                cqe.opcode = opcode
-                cqe.flags = flags
-                cqe.wqe_counter = counter
-                cqe.qpn = qpn
-                cqe.byte_count = nbytes
-                cqe.rss_hash = rss
-                cqe.flow_tag = tag
-                cqe.stride_index = stride
-                cqe.owner = owner
-                cqe.syndrome = syndrome
-                cqe.trace_ctx = None
-                out.append(cqe)
-            return out
-        return [cls.unpack(data[i * CQE_SIZE:(i + 1) * CQE_SIZE])
-                for i in range(count)]
-
-    @classmethod
-    def pack_many(cls, cqes) -> bytes:
-        """``b"".join(c.pack() for c in cqes)``, vectorized."""
-        if len(cqes) >= 2 and _np is not None and batching.BATCH_ENABLED:
-            rec = _np.zeros(len(cqes), dtype=_CQE_DTYPE)
-            rec["opcode"] = [c.opcode for c in cqes]
-            rec["flags"] = [c.flags for c in cqes]
-            rec["wqe_counter"] = [c.wqe_counter for c in cqes]
-            rec["qpn"] = [c.qpn for c in cqes]
-            rec["byte_count"] = [c.byte_count for c in cqes]
-            rec["rss_hash"] = [c.rss_hash for c in cqes]
-            rec["flow_tag"] = [c.flow_tag for c in cqes]
-            rec["stride_index"] = [c.stride_index for c in cqes]
-            rec["owner"] = [c.owner for c in cqes]
-            rec["syndrome"] = [c.syndrome for c in cqes]
-            return rec.tobytes()
-        return b"".join(c.pack() for c in cqes)
 
     def __repr__(self) -> str:
         return (

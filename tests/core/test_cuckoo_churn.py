@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro import batching
 from repro.core.cuckoo import CuckooFullError, CuckooHashTable
 
 
@@ -131,12 +130,6 @@ class TestBatchLookupUnderChurn:
     """``lookup_many`` in lockstep with the dict model while the table
     churns — misses, stash traffic and capacity pressure included."""
 
-    @pytest.fixture(params=[True, False], ids=["batched", "scalar"])
-    def mode(self, request):
-        previous = batching.set_batch_enabled(request.param)
-        yield request.param
-        batching.set_batch_enabled(previous)
-
     def _churn_with_batch_probes(self, table, key_fn, capacity_pressure):
         rng = random.Random(0xBA7C4 + table.capacity)
         key_space = table.capacity * (1 if capacity_pressure else 2)
@@ -163,27 +156,27 @@ class TestBatchLookupUnderChurn:
                     == [model.get(k) for k in probes]
         assert table.lookup_many(list(model)) == list(model.values())
 
-    def test_int_keys_lockstep(self, mode):
+    def test_int_keys_lockstep(self):
         self._churn_with_batch_probes(CuckooHashTable(256), int,
                                       capacity_pressure=False)
 
-    def test_int_keys_lockstep_under_capacity_pressure(self, mode):
+    def test_int_keys_lockstep_under_capacity_pressure(self):
         self._churn_with_batch_probes(CuckooHashTable(32), int,
                                       capacity_pressure=True)
 
-    def test_tuple_keys_lockstep(self, mode):
+    def test_tuple_keys_lockstep(self):
         """(queue, index) tuples — the translation-table key shape."""
         self._churn_with_batch_probes(
             CuckooHashTable(256), lambda n: (n % 7, n // 7),
             capacity_pressure=False)
 
-    def test_tuple_keys_lockstep_under_capacity_pressure(self, mode):
+    def test_tuple_keys_lockstep_under_capacity_pressure(self):
         self._churn_with_batch_probes(
             CuckooHashTable(32), lambda n: (n % 5, n // 5),
             capacity_pressure=True)
 
-    def test_lookup_many_counts_stats_like_scalar(self, mode):
-        """N batched probes bump ``stats_lookups`` by exactly N."""
+    def test_lookup_many_counts_one_lookup_per_key(self):
+        """N batch probes bump ``stats_lookups`` by exactly N."""
         table = CuckooHashTable(64)
         for i in range(20):
             table.insert(i, i)
@@ -193,7 +186,7 @@ class TestBatchLookupUnderChurn:
         assert table.lookup_many([]) == []
         assert table.stats_lookups == before + 40
 
-    def test_batch_probes_through_a_stall(self, mode):
+    def test_batch_probes_through_a_stall(self):
         """Fill a tiny table until insertion stalls; batch lookups still
         agree with the model, including entries living in the stash."""
         table = CuckooHashTable(16)

@@ -1,11 +1,16 @@
 """Unit tests for testpmd helpers."""
 
+import random
+import struct
+from types import SimpleNamespace
+
 import pytest
 
-from repro.host import swap_directions, swap_frame
-from repro.net import Ethernet, Flow, Ipv4, PROTO_TCP, Packet, Tcp, Udp, \
-    make_flows, round_robin_packets
+from repro.host import LoadGenerator, swap_directions, swap_frame
+from repro.net import Ethernet, Flow, Ipv4, PROTO_TCP, PROTO_UDP, Packet, \
+    Tcp, Udp, make_flows, round_robin_packets
 from repro.net.parse import parse_frame
+from repro.sim import Simulator
 
 
 class TestSwapDirections:
@@ -72,3 +77,63 @@ class TestFlowHelpers:
         flow = make_flows(1, seed=2)[0]
         for size in (64, 128, 1500):
             assert flow.make_sized_packet(size).size() == size
+
+
+def _packet_path_frames(flow, sizes):
+    """The oracle: each frame built through the packet path, sequence
+    number stamped at the head of the payload."""
+    frames = []
+    for seq, size in enumerate(sizes):
+        packet = flow.make_sized_packet(size)
+        payload = bytearray(packet.payload)
+        payload.extend(bytes(max(0, 8 - len(payload))))
+        struct.pack_into("!Q", payload, 0, seq)
+        packet.payload = bytes(payload)
+        frames.append(packet.to_bytes())
+    return frames
+
+
+def _flow(seed, proto=PROTO_UDP):
+    random.seed(seed)  # pins the flow's initial IP ident
+    return Flow("02:00:00:00:00:01", "02:00:00:00:ff:01",
+                "10.0.0.1", "10.0.1.1", 40000, 5201, proto=proto)
+
+
+def _loadgen(flow):
+    sim = Simulator()
+    return LoadGenerator(sim, SimpleNamespace(sim=sim, on_receive=None),
+                         flow)
+
+
+class TestLoadGenFrames:
+    """A UDP frame is stamped from the flow's template, a TCP frame is
+    built through the packet path; both are the packet path's bytes."""
+
+    @pytest.mark.parametrize("sizes", [
+        [64, 64, 64, 64],           # steady-state template reuse
+        [64, 128, 64, 1500, 42],    # size changes + minimum-frame edge
+        [40, 41, 50, 40],           # payload shorter than the seq stamp
+    ])
+    def test_template_frames_are_the_packet_path_frames(self, sizes):
+        gen = _loadgen(_flow(77))
+        oracle = _flow(77)
+        assert [gen._make_frame(size) for size in sizes] \
+            == _packet_path_frames(oracle, sizes)
+        assert gen._seq == len(sizes)
+        assert gen.flow._ident == oracle._ident
+
+    def test_tcp_frames_take_the_packet_path(self):
+        gen = _loadgen(_flow(5, PROTO_TCP))
+        frames = [gen._make_frame(256) for _ in range(3)]
+        assert frames == _packet_path_frames(_flow(5, PROTO_TCP), [256] * 3)
+        assert not hasattr(gen.flow, "_frame_templates")
+
+    def test_flow_mutation_invalidates_the_template(self):
+        gen = _loadgen(_flow(9))
+        first = gen._make_frame(128)
+        gen.flow.dst_port = 9999
+        mutated = gen._make_frame(128)
+        oracle = _flow(9)
+        oracle.dst_port = 9999
+        assert mutated == _packet_path_frames(oracle, [128, 128])[1]
+        assert first != mutated
