@@ -1,5 +1,11 @@
 """Echo microbenchmark experiments (§8.1: Fig. 7b, Fig. 7c, Table 6,
-and the mixed-size trace of §8.1.1)."""
+and the mixed-size trace of §8.1.1).
+
+``echo_throughput``, ``echo_latency``, ``trace_forwarding`` and
+``fldr_throughput`` each run one :mod:`repro.scenario` row, whose
+traffic is the ``drive_*`` function beside them; the observe CLIs run
+the same rows.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +15,7 @@ from ..models.perf import expected_echo_gbps
 from ..net import ImcDatacenterSizes
 from ..sim import LatencyCollector, Simulator
 from ..sweep import SweepCache, SweepPoint, run_sweep
-from .setups import Calibration, cpu_echo_remote, flde_echo_local, \
-    flde_echo_remote, fldr_echo
+from .setups import Calibration, fldr_echo
 
 
 def _run_loadgen_throughput(sim, loadgen, size: int, count: int,
@@ -35,31 +40,37 @@ def _run_loadgen_throughput(sim, loadgen, size: int, count: int,
     }
 
 
-def echo_throughput(mode: str, size: int, count: int = 2000,
-                    cal: Optional[Calibration] = None,
-                    telemetry=None) -> Dict:
-    """One point of Fig. 7b: echo goodput at ``size`` for a given mode.
+def _scenario_row(rows: Dict[str, str], kind: str, mode: str,
+                  **kwargs) -> Dict:
+    from ..scenario import run  # the registry imports this module
+    if mode not in rows:
+        raise ValueError(f"unknown {kind} mode {mode!r}")
+    return run(rows[mode], **kwargs)[0]
 
-    Modes: ``flde-remote``, ``flde-local``, ``cpu-remote``.  Pass a
-    :class:`repro.telemetry.Telemetry` to record metrics and a trace of
-    the run (``python -m repro trace fig7b``).
-    """
-    sim = Simulator(telemetry=telemetry)
-    cal = cal or Calibration()
-    if mode == "flde-remote":
-        setup = flde_echo_remote(sim, cal)
-    elif mode == "flde-local":
-        setup = flde_echo_local(sim, cal)
-    elif mode == "cpu-remote":
-        setup = cpu_echo_remote(sim, cal, jitter=False)
-    else:
-        raise ValueError(f"unknown echo mode {mode!r}")
+
+def drive_throughput(sim, setup, count: int, size: int, mode: str) -> Dict:
     line_bps = 25e9 if mode.endswith("remote") else 50e9
     result = _run_loadgen_throughput(sim, setup.loadgen, size, count,
                                      pace_bps=line_bps)
     result["mode"] = mode
     result["model_gbps"] = expected_echo_gbps(size, line_bps, 50e9)
     return result
+
+
+def echo_throughput(mode: str, size: int, count: int = 2000,
+                    cal: Optional[Calibration] = None,
+                    telemetry=None) -> Dict:
+    """One point of Fig. 7b: echo goodput at ``size`` for a given mode.
+
+    Modes: ``flde-remote``, ``flde-local``, ``cpu-remote`` (scenarios
+    ``fig7b``, ``fig7b-local``, ``fig7b-cpu``).  Pass a
+    :class:`repro.telemetry.Telemetry` to record metrics and a trace of
+    the run (``python -m repro trace fig7b``).
+    """
+    return _scenario_row(
+        {"flde-remote": "fig7b", "flde-local": "fig7b-local",
+         "cpu-remote": "fig7b-cpu"}, "echo", mode,
+        count=count, size=size, cal=cal, telemetry=telemetry)
 
 
 def fig7b_points(sizes: Optional[List[int]] = None, count: int = 1500,
@@ -76,30 +87,11 @@ def fig7b_points(sizes: Optional[List[int]] = None, count: int = 1500,
     ]
 
 
-def figure7b(sizes: Optional[List[int]] = None, count: int = 1500,
-             modes: Optional[List[str]] = None, jobs: int = 1,
-             cache: Optional[SweepCache] = None) -> List[Dict]:
-    """The Fig. 7b sweep: bandwidth vs packet size per mode."""
-    return run_sweep(fig7b_points(sizes, count, modes),
-                     jobs=jobs, cache=cache).rows
-
-
-def echo_latency(mode: str, count: int = 3000, frame_size: int = 64,
-                 cal: Optional[Calibration] = None,
-                 telemetry=None) -> Dict:
-    """Table 6: closed-loop 64 B echo round-trip statistics."""
-    sim = Simulator(telemetry=telemetry)
-    cal = cal or Calibration()
-    if mode == "flde":
-        setup = flde_echo_remote(sim, cal)
-    elif mode == "cpu":
-        setup = cpu_echo_remote(sim, cal, jitter=True)
-    else:
-        raise ValueError(f"unknown latency mode {mode!r}")
+def drive_closed_loop(sim, setup, count: int, size: int, mode: str) -> Dict:
     loadgen = setup.loadgen
 
     def run(sim):
-        yield from loadgen.run_closed_loop(frame_size, count, window=1)
+        yield from loadgen.run_closed_loop(size, count, window=1)
         yield from loadgen.drain()
 
     sim.spawn(run(sim))
@@ -115,6 +107,16 @@ def echo_latency(mode: str, count: int = 3000, frame_size: int = 64,
     }
 
 
+def echo_latency(mode: str, count: int = 3000, frame_size: int = 64,
+                 cal: Optional[Calibration] = None,
+                 telemetry=None) -> Dict:
+    """Table 6: closed-loop 64 B echo round-trip statistics (scenarios
+    ``table6`` and ``table6-cpu``)."""
+    return _scenario_row(
+        {"flde": "table6", "cpu": "table6-cpu"}, "latency", mode,
+        count=count, size=frame_size, cal=cal, telemetry=telemetry)
+
+
 def table6_points(count: int = 3000, frame_size: int = 64,
                   telemetry=False) -> List[SweepPoint]:
     return [
@@ -124,11 +126,6 @@ def table6_points(count: int = 3000, frame_size: int = 64,
                    telemetry=telemetry)
         for mode in ("flde", "cpu")
     ]
-
-
-def table6(count: int = 3000, jobs: int = 1,
-           cache: Optional[SweepCache] = None) -> List[Dict]:
-    return run_sweep(table6_points(count), jobs=jobs, cache=cache).rows
 
 
 def forwarding_points(count: int = 6000, seed: int = 7,
@@ -143,21 +140,9 @@ def forwarding_points(count: int = 6000, seed: int = 7,
     ]
 
 
-def trace_forwarding(mode: str, count: int = 6000, seed: int = 7,
-                     cal: Optional[Calibration] = None,
-                     telemetry=None) -> Dict:
-    """§8.1.1: forwarding the IMC-2010-like mixed-size trace.
-
-    Reports Mpps — the paper's 12.7 (FLD-E) vs 9.6 (one CPU core).
-    """
-    sim = Simulator(telemetry=telemetry)
-    cal = cal or Calibration()
-    if mode == "flde":
-        setup = flde_echo_remote(sim, cal, units=4)
-    elif mode == "cpu":
-        setup = cpu_echo_remote(sim, cal, jitter=False)
-    else:
-        raise ValueError(f"unknown trace mode {mode!r}")
+def drive_trace(sim, setup, count: int, size: Optional[int], mode: str,
+                seed: int = 7) -> Dict:
+    # ``size`` is unused: the trace draws every frame size.
     sizes = ImcDatacenterSizes(seed=seed).sizes(count)
     loadgen = setup.loadgen
 
@@ -174,6 +159,19 @@ def trace_forwarding(mode: str, count: int = 6000, seed: int = 7,
         "mpps": loadgen.rx_meter.mpps(),
         "gbps": loadgen.rx_meter.gbps(24),
     }
+
+
+def trace_forwarding(mode: str, count: int = 6000, seed: int = 7,
+                     cal: Optional[Calibration] = None,
+                     telemetry=None) -> Dict:
+    """§8.1.1: forwarding the IMC-2010-like mixed-size trace (scenarios
+    ``forwarding`` and ``forwarding-cpu``).
+
+    Reports Mpps — the paper's 12.7 (FLD-E) vs 9.6 (one CPU core).
+    """
+    return _scenario_row(
+        {"flde": "forwarding", "cpu": "forwarding-cpu"}, "trace", mode,
+        count=count, cal=cal, telemetry=telemetry, seed=seed)
 
 
 def fldr_load_point(rate: float, message_size: int = 1024,
@@ -259,17 +257,8 @@ def fldr_latency_vs_load(loads: Optional[List[float]] = None,
                      jobs=jobs, cache=cache).rows
 
 
-def fldr_throughput(size: int, count: int = 400, window: int = 64,
-                    local: bool = False,
-                    cal: Optional[Calibration] = None,
-                    telemetry=None) -> Dict:
-    """Fig. 7b's right column: FLD-R echo goodput at ``size``.
-
-    Messages above the 1024 B RoCE MTU exercise the NIC's hardware
-    segmentation — the transport offload FLD gets for free (§8.1.2).
-    """
-    sim = Simulator(telemetry=telemetry)
-    setup = fldr_echo(sim, cal, local=local)
+def drive_fldr(sim, setup, count: int, size: int, mode: str,
+               window: int = 64) -> Dict:
     connection = setup.connection
     # Application-layer flow control (§5.5): keep the outstanding bytes
     # within FLD's on-chip buffering so the no-backpressure rx stream is
@@ -298,12 +287,27 @@ def fldr_throughput(size: int, count: int = 400, window: int = 64,
             if duration > 0 else 0.0)
     segments = max(1, -(-size // 1024))
     return {
-        "mode": "fldr-local" if local else "fldr-remote",
+        "mode": mode,
         "size": size,
         "received": state["received"],
         "gbps": gbps,
         "segments_per_message": segments,
     }
+
+
+def fldr_throughput(size: int, count: int = 400, window: int = 64,
+                    local: bool = False,
+                    cal: Optional[Calibration] = None,
+                    telemetry=None) -> Dict:
+    """Fig. 7b's right column: FLD-R echo goodput at ``size`` (scenarios
+    ``fldr`` and ``fldr-local``).
+
+    Messages above the 1024 B RoCE MTU exercise the NIC's hardware
+    segmentation — the transport offload FLD gets for free (§8.1.2).
+    """
+    from ..scenario import run  # the registry imports this module
+    return run("fldr-local" if local else "fldr", count=count, size=size,
+               cal=cal, telemetry=telemetry, window=window)[0]
 
 
 def fldr_points(sizes: Optional[List[int]] = None, count: int = 400,

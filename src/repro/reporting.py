@@ -1,13 +1,17 @@
 """Regenerate the paper's tables and figures from the command line.
 
 ``python -m repro`` prints the analytical tables (instant) and, with
-``--full``, re-runs the simulated experiments too.  The same renderers
-back the benchmark suite's output.
+``--full``, re-runs the simulated experiments too; ``tables`` and
+``figures`` render one group.  The same renderers back the benchmark
+suite's output.
 
 Simulated sections execute through :mod:`repro.sweep`: ``--jobs N``
 fans their sweep points across a process pool (bit-identical output to
 ``--jobs 1``), and results are memoized under ``.repro-cache/`` unless
 ``--no-cache`` is given, so a re-run re-simulates nothing.
+
+``trace``, ``latency``, ``profile`` and ``objects`` observe one
+:mod:`repro.scenario` row (``--list`` names them).
 """
 
 from __future__ import annotations
@@ -175,16 +179,14 @@ def render_fig7a(ctx: Optional[RenderContext] = None) -> str:
     return format_table("Fig. 7a: PCIe model vs raw Ethernet (Gbps)", rows)
 
 
-def render_table6(ctx: Optional[RenderContext] = None) -> str:
+def render_table6(ctx: RenderContext) -> str:
     from .experiments.echo import table6_points
-    ctx = ctx or RenderContext()
     rows = ctx.sweep(table6_points(count=1500))
     return format_table("Table 6: 64 B echo RTT (simulated)", rows)
 
 
-def render_fig7b(ctx: Optional[RenderContext] = None) -> str:
+def render_fig7b(ctx: RenderContext) -> str:
     from .experiments.echo import fig7b_points
-    ctx = ctx or RenderContext()
     rows = ctx.sweep(fig7b_points(
         sizes=[64, 256, 1024, 1500], count=700,
         modes=["flde-remote", "cpu-remote", "flde-local"]))
@@ -193,27 +195,24 @@ def render_fig7b(ctx: Optional[RenderContext] = None) -> str:
         columns=["mode", "size", "gbps", "model_gbps", "mpps"])
 
 
-def render_fig8a(ctx: Optional[RenderContext] = None) -> str:
+def render_fig8a(ctx: RenderContext) -> str:
     from .experiments.zuc import fig8a_points
-    ctx = ctx or RenderContext()
     rows = ctx.sweep(fig8a_points(sizes=[64, 256, 512, 1024], count=200))
     return format_table(
         "Fig. 8a: ZUC throughput (simulated, Gbps)", rows,
         columns=["mode", "size", "gbps", "model_gbps"])
 
 
-def render_defrag(ctx: Optional[RenderContext] = None) -> str:
+def render_defrag(ctx: RenderContext) -> str:
     from .experiments.defrag import experiment_points
-    ctx = ctx or RenderContext()
     rows = ctx.sweep(experiment_points(rounds=40))
     return format_table(
         "§8.2.2: IP defragmentation (simulated)", rows,
         columns=["config", "goodput_gbps", "active_cores"])
 
 
-def render_iot(ctx: Optional[RenderContext] = None) -> str:
+def render_iot(ctx: RenderContext) -> str:
     from .experiments.iot import isolation_points
-    ctx = ctx or RenderContext()
     unshaped, shaped = ctx.sweep(isolation_points())
     rows = [dict(name="unshaped", **unshaped),
             dict(name="shaped 6G+6G", **shaped)]
@@ -251,7 +250,7 @@ _FIGURE_SECTIONS = ("fig4", "fig7a", "fig7b", "fig8a", "defrag", "iot")
 
 
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
-    """The sweep-execution knobs shared by every subcommand."""
+    """The sweep-execution knobs of every command that runs a sweep."""
     parser.add_argument(
         "-j", "--jobs", type=int, default=1, metavar="N",
         help="run simulated sweep points across N worker processes "
@@ -266,90 +265,71 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_context(args: argparse.Namespace) -> RenderContext:
-    cache = None
-    if not getattr(args, "no_cache", False):
-        cache = default_cache(getattr(args, "cache_dir", None))
-    return RenderContext(jobs=getattr(args, "jobs", 1), cache=cache)
+    cache = None if args.no_cache else default_cache(args.cache_dir)
+    return RenderContext(jobs=args.jobs, cache=cache)
 
 
-def _configure_tables(sub) -> None:
-    tables = sub.add_parser(
-        "tables", help="render the paper's tables (1-6)")
-    tables.add_argument("sections", nargs="*", metavar="SECTION",
-                        help=f"subset of: {', '.join(_TABLE_SECTIONS)}")
-    tables.add_argument("--full", action="store_true",
-                        help="include the simulated table (table6)")
-    _add_sweep_options(tables)
+def _configure_group(name: str, help: str, sections: Sequence[str],
+                     full_help: str):
+    def configure(sub) -> None:
+        group = sub.add_parser(name, help=help)
+        group.add_argument("sections", nargs="*", metavar="SECTION",
+                           help=f"subset of: {', '.join(sections)}")
+        group.add_argument("--full", action="store_true", help=full_help)
+        _add_sweep_options(group)
+    return configure
 
 
-def _configure_figures(sub) -> None:
-    figures = sub.add_parser(
-        "figures", help="render the paper's figures (4, 7a/b, 8a, ...)")
-    figures.add_argument("sections", nargs="*", metavar="SECTION",
-                         help=f"subset of: {', '.join(_FIGURE_SECTIONS)}")
-    figures.add_argument("--full", action="store_true",
-                         help="include the simulated figures")
-    _add_sweep_options(figures)
+def _observe_parser(sub, kind: str, help: str, output: str,
+                    output_help: str, sized: bool = True):
+    """What ``trace``, ``latency``, ``profile`` and ``objects`` share;
+    ``output`` is the long form of ``-o``."""
+    parser = sub.add_parser(kind, help=help)
+    parser.add_argument("experiment",
+                        help="scenario or alias to run (see --list)")
+    parser.add_argument("-o", output, dest="output", metavar="PATH",
+                        required=kind == "trace", help=output_help)
+    if sized:
+        parser.add_argument("--count", type=int, default=None,
+                            help="override the packet/message count")
+        parser.add_argument("--size", type=int, default=None,
+                            help="override the packet/message size (B)")
+    return parser
 
 
 def _configure_trace(sub) -> None:
-    trace = sub.add_parser(
-        "trace",
-        help="run one experiment with telemetry on; write a Chrome trace")
-    trace.add_argument("experiment",
-                       help="experiment to trace (see --list)")
-    trace.add_argument("-o", "--output", required=True,
-                       help="path for the chrome://tracing JSON file")
-    trace.add_argument("--count", type=int, default=None,
-                       help="override the experiment's packet/message count")
-    trace.add_argument("--size", type=int, default=None,
-                       help="override the packet/message size in bytes")
+    trace = _observe_parser(
+        sub, "trace",
+        "run one experiment with telemetry on; write a Chrome trace",
+        "--output", "path for the chrome://tracing JSON file")
     trace.add_argument("--metrics", default=None, metavar="PATH",
                        help="also dump the metrics registry as JSON")
-    _add_sweep_options(trace)
 
 
 def _configure_latency(sub) -> None:
-    latency = sub.add_parser(
-        "latency",
-        help="run one experiment with span tracing; print the "
-             "per-stage latency attribution (Table-6 style)")
-    latency.add_argument("experiment",
-                         help="experiment to attribute (see --list)")
-    latency.add_argument("-o", "--json", default=None, metavar="PATH",
-                         help="also write the report, violations and "
-                              "span trees as JSON")
-    latency.add_argument("--count", type=int, default=None,
-                         help="override the experiment's packet count")
-    latency.add_argument("--size", type=int, default=None,
-                         help="override the frame size in bytes")
-    latency.add_argument("--sample-rate", type=int, default=1,
-                         metavar="N", help="trace one in every N packets "
-                                           "(default: every packet)")
+    latency = _observe_parser(
+        sub, "latency",
+        "run one experiment with span tracing; print the per-stage "
+        "latency attribution (Table-6 style)",
+        "--json", "also write the report, violations and span trees")
+    latency.add_argument("--sample-rate", type=int, default=1, metavar="N",
+                         help="trace one in every N packets (default: 1)")
     latency.add_argument("--sweep", action="store_true",
-                         help="merge attribution across the experiment's "
+                         help="merge attribution across the scenario's "
                               "standard sweep via the result cache "
                               "(approximate log2-bucket percentiles)")
     _add_sweep_options(latency)
 
 
 def _configure_profile(sub) -> None:
-    profile = sub.add_parser(
-        "profile",
-        help="run one experiment under the simulator profiler; print "
-             "per-stage heap-event attribution and events per packet")
-    profile.add_argument("experiment",
-                         help="experiment to profile (see --list)")
-    profile.add_argument("-o", "--json", default=None, metavar="PATH",
-                         help="also write the full profile report as JSON")
-    profile.add_argument("--count", type=int, default=None,
-                         help="override the experiment's packet count")
-    profile.add_argument("--size", type=int, default=None,
-                         help="override the frame size in bytes")
+    profile = _observe_parser(
+        sub, "profile",
+        "run one experiment under the simulator profiler; print "
+        "per-stage heap-event attribution and events per packet",
+        "--json", "also write the full profile report as JSON")
     profile.add_argument("--wallclock", action="store_true",
                          help="also time handler execution per callsite "
-                              "(machine-local; excluded from the metrics "
-                              "registry)")
+                              "(machine-local; not in the metrics registry)")
     profile.add_argument("--collapsed", default=None, metavar="PATH",
                          help="write collapsed-stack lines for "
                               "flamegraph.pl / speedscope")
@@ -358,14 +338,11 @@ def _configure_profile(sub) -> None:
 
 
 def _configure_objects(sub) -> None:
-    objects = sub.add_parser(
-        "objects",
-        help="elaborate one experiment's testbed and dump each node's "
-             "firmware object table (no packets are sent)")
-    objects.add_argument("experiment",
-                         help="experiment testbed to dump (see --list)")
-    objects.add_argument("-o", "--json", default=None, metavar="PATH",
-                         help="also write the dump as JSON")
+    _observe_parser(
+        sub, "objects",
+        "elaborate one experiment's testbed and dump each node's "
+        "firmware object table (no packets are sent)",
+        "--json", "also write the dump as JSON", sized=False)
 
 
 def _configure_scale_tenants(sub) -> None:
@@ -404,164 +381,108 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's tables and figures, or "
-                    "record a telemetry trace of a simulated experiment.",
+                    "observe one simulated experiment.",
     )
     parser.add_argument("--list", action="store_true",
-                        help="list every section and traceable experiment")
+                        help="list every section and scenario")
     sub = parser.add_subparsers(dest="command")
     for command in SUBCOMMANDS.values():
         command.configure(sub)
     return parser
 
 
-def _render_sections(names: Sequence[str],
-                     ctx: Optional[RenderContext] = None) -> int:
-    everything = {**ANALYTICAL, **SIMULATED}
-    unknown = [n for n in names if n not in everything]
-    if unknown:
-        print(f"unknown sections: {', '.join(unknown)}; "
-              f"choose from {', '.join(everything)}")
-        return 2
-    ctx = ctx or RenderContext()
-    for name in names:
-        print(everything[name](ctx))
-    return 0
-
-
 def _cmd_group(sections: Sequence[str], full: bool,
-               ordered: Sequence[str],
-               ctx: Optional[RenderContext] = None) -> int:
-    ctx = ctx or RenderContext()
-    if sections:
-        bad = [s for s in sections if s not in ordered]
-        if bad:
-            print(f"unknown sections: {', '.join(bad)}; "
-                  f"choose from {', '.join(ordered)}")
-            return 2
-        code = _render_sections(sections, ctx)
-    else:
-        chosen = [name for name in ordered
-                  if name in ANALYTICAL or full]
-        code = _render_sections(chosen, ctx)
-        if not full:
-            simulated = [n for n in ordered if n in SIMULATED]
-            if simulated:
-                print(f"\n(add --full to also run: "
-                      f"{', '.join(simulated)})")
+               ordered: Sequence[str], ctx: RenderContext) -> int:
+    bad = [s for s in sections if s not in ordered]
+    if bad:
+        print(f"unknown sections: {', '.join(bad)}; "
+              f"choose from {', '.join(ordered)}")
+        return 2
+    everything = {**ANALYTICAL, **SIMULATED}
+    for name in sections or [n for n in ordered if n in ANALYTICAL or full]:
+        print(everything[name](ctx))
+    simulated = [n for n in ordered if n in SIMULATED]
+    if not sections and not full and simulated:
+        print(f"\n(add --full to also run: {', '.join(simulated)})")
     summary = ctx.summary()
     if summary:
         print(summary, file=sys.stderr)
-    return code
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .telemetry.runner import run_traced, traceable_experiments
-    if getattr(args, "jobs", 1) > 1:
-        print("note: trace records one instrumented run; "
-              "--jobs does not apply", file=sys.stderr)
-    try:
-        summary = run_traced(args.experiment, args.output,
-                             count=args.count, size=args.size,
-                             metrics_output=args.metrics)
-    except ValueError:
-        known = traceable_experiments()
-        print(f"unknown experiment {args.experiment!r}; choose from:")
-        for name, description in known.items():
-            print(f"  {name:12s} {description}")
-        return 2
-    print(f"traced {summary['experiment']}: "
-          f"{summary['trace_events']} events "
-          f"({summary['trace_dropped']} dropped), "
-          f"{summary['metrics']} metrics -> {summary['output']}")
-    for key, value in summary["result"].items():
-        print(f"  {key}: {_fmt(value)}")
-    if args.metrics:
-        print(f"  metrics json: {args.metrics}")
     return 0
 
 
-def _cmd_latency(args: argparse.Namespace) -> int:
-    from .telemetry.latency import render_report
-    from .telemetry.runner import (
-        latency_experiments,
-        run_latency,
-        run_latency_sweep,
-    )
-    if args.sweep:
-        cache_dir = None
-        if not args.no_cache:
-            cache_dir = default_cache(args.cache_dir).directory
-        try:
-            summary = run_latency_sweep(args.experiment, jobs=args.jobs,
-                                        cache_dir=cache_dir,
-                                        count=args.count)
-        except ValueError as exc:
-            print(exc)
-            return 2
+def _cmd_observe(args: argparse.Namespace) -> int:
+    """``trace``, ``latency``, ``profile`` and ``objects``: print one
+    :func:`repro.scenario.observe` run; exit 1 if its audit is dirty."""
+    from .scenario import observe, resolve, sweep_points
+    from .telemetry.latency import render_report, report_from_registry
+    kind, name = args.command, args.experiment
+    size = getattr(args, "size", None)
+    try:
+        target = resolve(kind, name, size)[0]
+        points = (sweep_points(target, args.count)
+                  if getattr(args, "sweep", False) else None)
+    except ValueError as exc:
+        print(exc)
+        return 2
+    if points is not None:
+        ctx = _make_context(args)
+        outcome = run_sweep(points, jobs=ctx.jobs, cache=ctx.cache)
         print(render_report(
-            summary["report"],
-            title=f"Latency attribution: {args.experiment} sweep "
-                  f"(merged across {summary['points']} points)"))
-        print(f"sweep: {summary['points']} points, "
-              f"{summary['computed']} simulated, "
-              f"{summary['cache_hits']} cached", file=sys.stderr)
+            report_from_registry(outcome.metrics),
+            title=f"Latency attribution: {name} sweep "
+                  f"(merged across {outcome.points} points)"))
+        print(f"sweep: {outcome.points} points, {outcome.computed} "
+              f"simulated, {outcome.cache_hits} cached", file=sys.stderr)
         return 0
-    try:
-        summary = run_latency(args.experiment, count=args.count,
-                              size=args.size,
-                              sample_rate=args.sample_rate,
-                              json_output=args.json)
-    except ValueError:
-        known = latency_experiments()
-        print(f"unknown experiment {args.experiment!r}; choose from:")
-        for name, description in known.items():
-            print(f"  {name:12s} {description}")
-        return 2
-    print(render_report(
-        summary["report"],
-        title=f"Latency attribution: {args.experiment}"))
-    sampler = summary["sampler"]
-    print(f"sampler: {sampler['sampled']}/{sampler['seen']} packets "
-          f"traced ({sampler['skipped']} skipped by 1-in-"
-          f"{args.sample_rate} sampling, {sampler['dropped']} dropped "
-          f"at the trace cap)")
-    violations = summary["violations"]
-    if violations:
-        print(f"\n{len(violations)} invariant violation(s):")
-        for violation in violations:
-            print(f"  [{violation['rule']}] {violation['subject']}: "
-                  f"{violation['detail']}")
+    summary = observe(
+        kind, name, getattr(args, "count", None), size, args.output,
+        metrics_output=getattr(args, "metrics", None),
+        sample_rate=getattr(args, "sample_rate", 1),
+        wallclock=getattr(args, "wallclock", False),
+        collapsed_output=getattr(args, "collapsed", None),
+        top=getattr(args, "top", 10))
+    if kind == "objects":
+        for node, rows in summary["nodes"].items():
+            print(format_table(
+                f"Firmware objects: {node} ({len(rows)} object(s))",
+                [{"handle": row["handle"], "kind": row["kind"],
+                  "label": row["label"], "refs": row["refcount"],
+                  "deps": " ".join(row["deps"]) or "-"}
+                 for row in rows]) if rows
+                else f"Firmware objects: {node} (empty table)")
+        if args.output:
+            print(f"json dump: {args.output}")
+        return 0
+    if kind == "latency":
+        print(render_report(summary["report"],
+                            title=f"Latency attribution: {name}"))
+        sampler = summary["sampler"]
+        print(f"sampler: {sampler['sampled']}/{sampler['seen']} packets "
+              f"traced ({sampler['skipped']} skipped by 1-in-"
+              f"{args.sample_rate} sampling, {sampler['dropped']} dropped "
+              f"at the trace cap)")
     else:
-        print("\ninvariant audit: clean")
-    if args.json:
-        print(f"json report: {args.json}")
+        print(f"traced {name}: {summary['trace_events']} events "
+              f"({summary['trace_dropped']} dropped), {summary['metrics']} "
+              f"metrics -> {args.output}" if kind == "trace"
+              else f"profiled {name}:")
+        for key, value in summary["result"].items():
+            print(f"  {key}: {_fmt(value)}")
+        if kind == "trace" and args.metrics:
+            print(f"  metrics json: {args.metrics}")
+        if kind == "profile":
+            print(f"\n{summary['rendered']}")
+    violations = summary["violations"]
+    print(f"\n{len(violations)} invariant violation(s):" if violations
+          else "\ninvariant audit: clean")
+    for violation in violations:
+        print(f"  [{violation['rule']}] {violation['subject']}: "
+              f"{violation['detail']}")
+    if kind != "trace" and args.output:
+        print(f"json report: {args.output}")
+    if getattr(args, "collapsed", None):
+        print(f"collapsed stacks: {args.collapsed}")
     return 1 if violations else 0
-
-
-def _cmd_objects(args: argparse.Namespace) -> int:
-    from .telemetry.runner import object_experiments, run_objects
-    try:
-        summary = run_objects(args.experiment)
-    except ValueError:
-        known = object_experiments()
-        print(f"unknown experiment {args.experiment!r}; choose from:")
-        for name, description in known.items():
-            print(f"  {name:12s} {description}")
-        return 2
-    for node, rows in summary["nodes"].items():
-        print(format_table(
-            f"Firmware objects: {node} ({len(rows)} object(s))",
-            [{"handle": row["handle"], "kind": row["kind"],
-              "label": row["label"], "refs": row["refcount"],
-              "deps": " ".join(row["deps"]) or "-"}
-             for row in rows]) if rows
-            else f"Firmware objects: {node} (empty table)")
-    if args.json:
-        import json
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-        print(f"json dump: {args.json}")
-    return 0
 
 
 def _cmd_scale_tenants(args: argparse.Namespace) -> int:
@@ -630,100 +551,24 @@ def _cmd_prog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from .telemetry.runner import profile_experiments, run_profile
-    try:
-        summary = run_profile(args.experiment, count=args.count,
-                              size=args.size, wallclock=args.wallclock,
-                              json_output=args.json,
-                              collapsed_output=args.collapsed,
-                              top=args.top)
-    except ValueError:
-        known = profile_experiments()
-        print(f"unknown experiment {args.experiment!r}; choose from:")
-        for name, description in known.items():
-            print(f"  {name:12s} {description}")
-        return 2
-    print(f"profiled {summary['experiment']}:")
-    for key, value in summary["result"].items():
-        print(f"  {key}: {_fmt(value)}")
-    print()
-    print(summary["rendered"])
-    profile = summary["profile"]
-    stage_sum = sum(s["events"] for s in profile["stages"].values())
-    assert stage_sum == summary["engine_events"], \
-        (stage_sum, summary["engine_events"])
-    violations = summary["violations"]
-    if violations:
-        print(f"\n{len(violations)} invariant violation(s):")
-        for violation in violations:
-            print(f"  [{violation['rule']}] {violation['subject']}: "
-                  f"{violation['detail']}")
-    else:
-        print("\ninvariant audit: clean")
-    if args.json:
-        print(f"json report: {args.json}")
-    if args.collapsed:
-        print(f"collapsed stacks: {args.collapsed}")
-    return 1 if violations else 0
-
-
-def _listing_sections() -> List[str]:
-    return ["analytical sections: " + ", ".join(ANALYTICAL),
-            "simulated sections:  " + ", ".join(SIMULATED)]
-
-
-def _listing_experiments(header: str, experiments: Dict[str, str]) -> \
-        List[str]:
-    return [header] + [f"  {name:12s} {description}"
-                       for name, description in experiments.items()]
-
-
-def _listing_trace() -> List[str]:
-    from .telemetry.runner import traceable_experiments
-    return _listing_experiments(
-        "traceable experiments (python -m repro trace <name> -o t.json):",
-        traceable_experiments())
-
-
-def _listing_latency() -> List[str]:
-    from .telemetry.runner import latency_experiments
-    return _listing_experiments(
-        "latency attribution (python -m repro latency <name>):",
-        latency_experiments())
-
-
-def _listing_profile() -> List[str]:
-    from .telemetry.runner import profile_experiments
-    return _listing_experiments(
-        "event profiles (python -m repro profile <name>):",
-        profile_experiments())
-
-
-def _listing_objects() -> List[str]:
-    from .telemetry.runner import object_experiments
-    return _listing_experiments(
-        "object-table dumps (python -m repro objects <name>):",
-        object_experiments())
-
-
-def _listing_scale_tenants() -> List[str]:
-    return ["multi-tenant scaling (python -m repro scale-tenants "
-            "--tenants N): per-tenant throughput/latency on one FLD"]
-
-
-def _listing_prog() -> List[str]:
-    return ["match-action programs (python -m repro prog [--scenario "
-            "firewall lb nat ddos]): verified datapath programs with "
-            "per-verdict counters"]
+def _listing_scenarios() -> List[str]:
+    from .scenario import ALIASES, SCENARIOS
+    return (["traceable scenarios (python -m repro trace|latency|profile|"
+             "objects <name>; trace also needs -o t.json):"]
+            + [f"  {name:14s} {row.description}"
+               for name, row in SCENARIOS.items()]
+            + ["aliases (command name -> scenario, default count):"]
+            + [f"  {command:8s} {name:10s} -> {target}"
+               + (f" ({count})" if count else "")
+               for (command, name), (target, count) in ALIASES.items()])
 
 
 class Subcommand(NamedTuple):
     """One CLI subcommand: parser wiring, dispatch and --list entry.
 
     The registry below is the single source of truth for the parser,
-    ``main``'s legacy-path detection, dispatch, and ``--list`` output —
-    adding a subcommand means adding one entry here, nothing else.
+    dispatch, and ``--list`` output — adding a subcommand means adding
+    one entry here, nothing else.
     """
 
     configure: Callable[[argparse._SubParsersAction], None]
@@ -733,76 +578,50 @@ class Subcommand(NamedTuple):
 
 SUBCOMMANDS: Dict[str, Subcommand] = {
     "tables": Subcommand(
-        _configure_tables,
+        _configure_group("tables", "render the paper's tables (1-6)",
+                         _TABLE_SECTIONS,
+                         "include the simulated table (table6)"),
         lambda args: _cmd_group(args.sections, args.full,
                                 _TABLE_SECTIONS, _make_context(args))),
     "figures": Subcommand(
-        _configure_figures,
+        _configure_group("figures",
+                         "render the paper's figures (4, 7a/b, 8a, ...)",
+                         _FIGURE_SECTIONS, "include the simulated figures"),
         lambda args: _cmd_group(args.sections, args.full,
                                 _FIGURE_SECTIONS, _make_context(args))),
-    "trace": Subcommand(_configure_trace, _cmd_trace, _listing_trace),
-    "latency": Subcommand(_configure_latency, _cmd_latency,
-                          _listing_latency),
-    "profile": Subcommand(_configure_profile, _cmd_profile,
-                          _listing_profile),
-    "objects": Subcommand(_configure_objects, _cmd_objects,
-                          _listing_objects),
-    "scale-tenants": Subcommand(_configure_scale_tenants,
-                                _cmd_scale_tenants,
-                                _listing_scale_tenants),
-    "prog": Subcommand(_configure_prog, _cmd_prog, _listing_prog),
+    "trace": Subcommand(_configure_trace, _cmd_observe, _listing_scenarios),
+    "latency": Subcommand(_configure_latency, _cmd_observe),
+    "profile": Subcommand(_configure_profile, _cmd_observe),
+    "objects": Subcommand(_configure_objects, _cmd_observe),
+    "scale-tenants": Subcommand(
+        _configure_scale_tenants, _cmd_scale_tenants,
+        lambda: ["multi-tenant scaling (python -m repro scale-tenants "
+                 "--tenants N): per-tenant throughput/latency on one FLD"]),
+    "prog": Subcommand(
+        _configure_prog, _cmd_prog,
+        lambda: ["match-action programs (python -m repro prog [--scenario "
+                 "firewall lb nat ddos]): verified datapath programs with "
+                 "per-verdict counters"]),
 }
-
-
-def _print_listing() -> None:
-    for line in _listing_sections():
-        print(line)
-    for command in SUBCOMMANDS.values():
-        if command.listing is not None:
-            for line in command.listing():
-                print(line)
-
-
-def _legacy_main(argv: List[str]) -> int:
-    """The original flat invocation: ``[--full] [section ...]``."""
-    full = "--full" in argv
-    requested = [a for a in argv if not a.startswith("-")]
-    sections = dict(ANALYTICAL)
-    if full:
-        sections.update(SIMULATED)
-    if requested:
-        everything = {**ANALYTICAL, **SIMULATED}
-        unknown = [r for r in requested if r not in everything]
-        if unknown:
-            print(f"unknown sections: {', '.join(unknown)}; "
-                  f"choose from {', '.join(everything)}")
-            return 2
-        sections = {name: everything[name] for name in requested}
-    for name, renderer in sections.items():
-        print(renderer())
-    if not full and not requested:
-        print("\n(analytical tables only; add --full to re-run the "
-              "simulated experiments, or name sections: "
-              f"{', '.join(SIMULATED)})")
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Pre-subcommand invocations (``python -m repro table3 --full``)
-    # keep working: anything that does not lead with a subcommand or a
-    # global flag takes the legacy flat path.
-    leading = argv[0] if argv else ""
-    if leading not in SUBCOMMANDS and leading not in ("--list", "-h",
-                                                      "--help"):
-        return _legacy_main(argv)
+    # ``python -m repro [--full] [section ...]``: every section, through
+    # the same path as ``tables`` and ``figures``.
+    if not argv or (argv[0] not in SUBCOMMANDS
+                    and argv[0] not in ("--list", "-h", "--help")):
+        return _cmd_group([a for a in argv if not a.startswith("-")],
+                          "--full" in argv,
+                          list(ANALYTICAL) + list(SIMULATED),
+                          RenderContext())
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.list:
-        _print_listing()
-        return 0
-    command = SUBCOMMANDS.get(args.command)
-    if command is not None:
-        return command.run(args)
-    parser.print_help()
+    if not args.list:
+        return SUBCOMMANDS[args.command].run(args)
+    print("analytical sections: " + ", ".join(ANALYTICAL))
+    print("simulated sections:  " + ", ".join(SIMULATED))
+    for command in SUBCOMMANDS.values():
+        if command.listing is not None:
+            print("\n".join(command.listing()))
     return 0

@@ -32,10 +32,10 @@ instrumented component lights up::
     telemetry.tracer.write("trace.json")       # open in ui.perfetto.dev
     print(telemetry.metrics.to_json())
 
-(:mod:`repro.telemetry.runner`, which drives whole experiments under a
-tracer for ``python -m repro trace``, is deliberately not imported here:
-it depends on the experiment layer, while this package must stay
-importable from the simulation core.)
+Whole experiments run observed through :func:`repro.scenario.observe`
+(``python -m repro trace|latency|profile|objects``), which lives outside
+this package: it depends on the experiment layer, while this package
+must stay importable from the simulation core.
 """
 
 from .audit import (

@@ -28,11 +28,11 @@ from repro.experiments.setups import (
 )
 from repro.experiments.zuc import _measure_throughput
 from repro.net import ImcDatacenterSizes
+from repro.scenario import observe
 from repro.sim import Simulator
 from repro.sw import FldRZucCryptodev
 from repro.telemetry import Telemetry
 from repro.telemetry.audit import audit_spans
-from repro.telemetry.runner import run_latency
 
 MODES = {
     "none": lambda: None,
@@ -203,8 +203,8 @@ def test_the_fabric_executes_the_same_calls_under_observation(experiment):
         assert _fabric_calls(experiment, mode) == reference, mode
 
 
-# Per-stage service figures of run_latency("echo", count=60) — 64 B
-# closed loop, window 1 — as the parent commit's generator datapath
+# Per-stage service figures of observe("latency", "echo", count=60) —
+# 64 B closed loop, window 1 — as the parent commit's generator datapath
 # reported them: (p50_us, p99_us).  The flat workers record the same
 # spans from their virtual instants, so nothing may move by 1%.
 ECHO_STAGES = {
@@ -225,7 +225,7 @@ ECHO_E2E = (4.668934774027501, 5.580001591461705)
 
 def test_echo_span_content_is_what_the_generator_path_recorded():
     random.seed(1)
-    summary = run_latency("echo", count=60)
+    summary = observe("latency", "echo", count=60)
     assert summary["violations"] == []
     report = summary["report"]
     assert report["traces"] == 60

@@ -9,21 +9,17 @@ queue residue — and (c) sampling and the disabled NULL path behave.
 
 import pytest
 
+from repro.scenario import observe
 from repro.telemetry import Telemetry
 from repro.telemetry.audit import assert_clean
 from repro.telemetry.latency import STAGE_ORDER
-from repro.telemetry.runner import (
-    LATENCY_TRACEABLE,
-    latency_experiments,
-    run_latency,
-)
 from repro.telemetry.spans import attribute_trace
 
 
 class TestEchoAttribution:
     @pytest.fixture(scope="class")
     def summary(self):
-        return run_latency("echo", count=60)
+        return observe("latency", "echo", count=60)
 
     def test_every_packet_reconciles_within_1pct(self, summary):
         reconciliation = summary["report"]["reconciliation"]
@@ -59,12 +55,12 @@ class TestEchoAttribution:
 
 class TestSamplingAndScope:
     def test_sample_rate_traces_one_in_n(self):
-        summary = run_latency("echo", count=60, sample_rate=10)
+        summary = observe("latency", "echo", count=60, sample_rate=10)
         assert summary["traces"] == 6
         assert summary["violations"] == []
 
     def test_cpu_echo_attributes_cleanly(self):
-        summary = run_latency("cpu-echo", count=40)
+        summary = observe("latency", "cpu-echo", count=40)
         assert summary["report"]["reconciliation"]["within_1pct"]
         assert summary["violations"] == []
         stages = {r["stage"] for r in summary["report"]["stages"]}
@@ -74,24 +70,21 @@ class TestSamplingAndScope:
 
     def test_unknown_experiment_lists_choices(self):
         with pytest.raises(ValueError, match="choose from"):
-            run_latency("nope")
-
-    def test_registry_names_every_experiment(self):
-        assert set(latency_experiments()) == set(LATENCY_TRACEABLE)
+            observe("latency", "nope")
 
     def test_json_export_round_trips(self, tmp_path):
         import json
         path = tmp_path / "latency.json"
-        summary = run_latency("echo", count=10, json_output=str(path))
+        summary = observe("latency", "echo", count=10, output=str(path))
         document = json.loads(path.read_text())
         assert document["experiment"] == "echo"
         assert document["spans"]["schema"] == 1
         assert len(document["spans"]["traces"]) == 10
-        assert summary["json_output"] == str(path)
+        assert summary["output"] == str(path)
 
     def test_exported_traces_reconcile_individually(self, tmp_path):
         """The 1% bar holds per packet, not just in aggregate."""
-        summary = run_latency("echo", count=20)
+        summary = observe("latency", "echo", count=20)
         del summary
         from repro.experiments.setups import Calibration, flde_echo_remote
         from repro.sim import Simulator

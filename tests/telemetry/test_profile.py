@@ -218,13 +218,13 @@ class TestStageAttribution:
 
 
 class TestProfiledRuns:
-    """Integration: full experiments under ``run_profile``."""
+    """Integration: full experiments under ``observe("profile", ...)``."""
 
     @pytest.fixture(scope="class")
     def echo_summary(self):
-        from repro.telemetry.runner import run_profile
+        from repro.scenario import observe
         random.seed(1234)
-        return run_profile("echo", count=200)
+        return observe("profile", "echo", count=200)
 
     def test_stage_sums_equal_engine_event_total(self, echo_summary):
         profile = echo_summary["profile"]
@@ -256,11 +256,11 @@ class TestProfiledRuns:
         assert echo_summary["violations"] == []
 
     def test_profiled_runs_are_deterministic(self):
-        from repro.telemetry.runner import run_profile
+        from repro.scenario import observe
         random.seed(77)
-        first = run_profile("echo", count=120)
+        first = observe("profile", "echo", count=120)
         random.seed(77)
-        second = run_profile("echo", count=120)
+        second = observe("profile", "echo", count=120)
         assert first["profile"] == second["profile"]
         assert first["result"] == second["result"]
 
@@ -282,9 +282,9 @@ class TestProfiledRuns:
         assert bare == profiled == wallclock
 
     def test_wallclock_mode_attributes_callsites(self):
-        from repro.telemetry.runner import run_profile
+        from repro.scenario import observe
         random.seed(5)
-        summary = run_profile("echo", count=100, wallclock=True)
+        summary = observe("profile", "echo", count=100, wallclock=True)
         wall = summary["profile"]["wall"]
         assert wall["seconds"] > 0
         assert wall["top"], "no callsites attributed"
@@ -297,18 +297,18 @@ class TestProfiledRuns:
             assert int(weight) > 0
 
     def test_unknown_experiment_is_rejected(self):
-        from repro.telemetry.runner import run_profile
-        with pytest.raises(ValueError, match="unknown profile"):
-            run_profile("nope")
+        from repro.scenario import observe
+        with pytest.raises(ValueError, match="unknown experiment"):
+            observe("profile", "nope")
 
     def test_artifacts_are_written(self, tmp_path):
-        from repro.telemetry.runner import run_profile
+        from repro.scenario import observe
         random.seed(9)
         out_json = tmp_path / "profile.json"
         out_folded = tmp_path / "profile.folded"
-        summary = run_profile("echo", count=100,
-                              json_output=str(out_json),
-                              collapsed_output=str(out_folded))
+        summary = observe("profile", "echo", count=100,
+                          output=str(out_json),
+                          collapsed_output=str(out_folded))
         document = json.loads(out_json.read_text())
         assert document["profile"]["total_events"] == \
             summary["profile"]["total_events"]

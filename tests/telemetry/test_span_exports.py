@@ -15,8 +15,8 @@ import json
 import random
 from pathlib import Path
 
+from repro.scenario import run
 from repro.telemetry import Telemetry
-from repro.telemetry.runner import LATENCY_TRACEABLE
 
 FIXTURE = Path(__file__).with_name("span_exports.json")
 COUNT = 30
@@ -26,8 +26,7 @@ def export():
     """What ``latency echo`` leaves in the recorder and the registry."""
     random.seed(7)
     telemetry = Telemetry(trace=False, spans=True)
-    runner, _count, size, _complete = LATENCY_TRACEABLE["echo"]
-    runner(telemetry, COUNT, size)
+    run("table6", COUNT, telemetry=telemetry)
     spans = telemetry.spans.to_dict()
     traces = spans.pop("traces")
     metrics = telemetry.metrics.to_dict()

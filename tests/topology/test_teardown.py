@@ -31,8 +31,8 @@ def test_object_table_dump_lists_the_fldr_control_plane():
     """``python -m repro objects fldr``: every resource the FLD-R
     testbed uses was born through the command channel, so the dump
     names each kind."""
-    from repro.telemetry.runner import run_objects
-    doc = run_objects("fldr")
+    from repro.scenario import observe
+    doc = observe("objects", "fldr")
     assert doc["experiment"] == "fldr"
     assert set(doc["nodes"]) == {"client", "server"}
     kinds = {row["kind"] for rows in doc["nodes"].values() for row in rows}
