@@ -19,13 +19,7 @@ from __future__ import annotations
 
 import struct
 
-from ..nic.wqe import (
-    Cqe,
-    OP_ETH_SEND,
-    OP_RDMA_SEND,
-    TxWqe,
-    WQE_FLAG_SIGNALED,
-)
+from ..nic.wqe import OP_ETH_SEND, OP_RDMA_SEND, TxWqe, WQE_FLAG_SIGNALED
 
 COMPRESSED_TX_DESC_SIZE = 8
 COMPRESSED_CQE_SIZE = 15
@@ -52,13 +46,13 @@ class CompressedTxDescriptor:
 
     def __init__(self, handle: int, length: int, context_id: int = 0,
                  opcode: int = OP_ETH_SEND, signaled: bool = True):
-        if not 0 <= handle < (1 << 16):
-            raise ValueError(f"buffer handle {handle} out of range")
-        if not 0 <= length < (1 << 16):
-            raise ValueError(f"length {length} out of range")
+        if not (0 <= handle < 1 << 16 and 0 <= length < 1 << 16
+                and 0 <= context_id < 1 << 24):
+            raise ValueError(f"handle {handle}, length {length} or context "
+                             f"{context_id:#x} out of range")
         self.handle = handle
         self.length = length
-        self.context_id = context_id & 0xFFFFFF
+        self.context_id = context_id
         self.opcode = opcode
         self.signaled = signaled
 
@@ -123,11 +117,6 @@ class CompressedCqe:
         self.byte_count = byte_count & 0xFFFF
         self.flow_tag = flow_tag
         self.stride_index = stride_index
-
-    @classmethod
-    def compress(cls, cqe: Cqe) -> "CompressedCqe":
-        return cls(cqe.opcode, cqe.qpn, cqe.wqe_counter, cqe.byte_count,
-                   cqe.flags, cqe.flow_tag, cqe.stride_index)
 
     def pack(self) -> bytes:
         return struct.pack(

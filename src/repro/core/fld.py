@@ -23,11 +23,12 @@ from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..nic.wqe import (
+    CQE,
     CQE_ERROR,
     CQE_RECV_COMPLETION,
     CQE_SEND_COMPLETION,
     CQE_SIZE,
-    Cqe,
+    CqeRecord,
     OP_ETH_SEND,
 )
 from ..pcie import POSTED, PcieEndpoint, PcieError
@@ -35,7 +36,7 @@ from ..sim import Event, Simulator
 from . import bar
 from .axis import AxisMetadata, AxisStream
 from .buffers import BufferPool
-from .descriptors import COMPRESSED_CQE_SIZE, CompressedCqe
+from .descriptors import COMPRESSED_CQE_SIZE
 from .errors import ErrorReporter, FldError
 from .rx import RxRingManager
 from .tx import TxRingManager
@@ -305,17 +306,20 @@ class FlexDriver(PcieEndpoint):
         """Fuse the NIC's rx-CQE delivery with the rx pipeline hop.
 
         The CQE's PCIe arrival event and the rx engine's
-        pipeline-latency push collapse into one: the CQE is decoded at
-        issue time (the packet data's write has already delivered — the
-        NIC posts the CQE from that write's completion callback, so the
-        receive SRAM holds the bytes), a single event at arrival +
-        pipeline latency pushes the packet onto the stream, and — when
-        a buffer closes — recycle doorbells issue from one continuation
-        at the CQE's arrival instant.
+        pipeline-latency push collapse into one.  The NIC hands over the
+        CQE write's :class:`~repro.pcie.fabric.DeferredWrite`; its bytes
+        are the ones that will land, and they are decoded at issue time
+        (the packet data's write has already delivered — the NIC posts
+        the CQE from that write's completion callback, so the receive
+        SRAM holds the bytes).  A single event at arrival + pipeline
+        latency pushes the packet onto the stream, and — when a buffer
+        closes — recycle doorbells issue from one continuation at the
+        CQE's arrival instant.
         """
         cq.fused_rx = partial(self._rx_cqe_fused, cq_index)
 
-    def _rx_cqe_fused(self, cq_index: int, handle, cqe) -> None:
+    def _rx_cqe_fused(self, cq_index: int, handle) -> None:
+        cqe = CqeRecord(CQE.unpack_from(handle.data) + (handle.trace_ctx,))
         route = self._cq_route.get(cq_index)
         if (route is None or route[0] != "rx"
                 or cqe.opcode != CQE_RECV_COMPLETION
@@ -329,8 +333,8 @@ class FlexDriver(PcieEndpoint):
         self.stats_cqe_writes += 1
         recycles: list = []
         self.rx.deliver(
-            route[1], self.rx.binding(route[1]), CompressedCqe.compress(cqe),
-            cqe.trace_ctx, partial(self._emit_rx_fused, handle),
+            route[1], self.rx.binding(route[1]), cqe,
+            partial(self._emit_rx_fused, handle),
             lambda addr, payload: recycles.append((addr, payload)))
         if recycles:
             # Recycle doorbells must be *issued* at the CQE's arrival
@@ -396,12 +400,10 @@ class FlexDriver(PcieEndpoint):
         if len(data) < CQE_SIZE:
             raise PcieError(f"{self.name}: short CQE write ({len(data)} B)")
         self.stats_cqe_writes += 1
-        # Claim the trace context riding the CQE's write TLP — the 64 B
-        # on the wire carry no room for it (object identity dies at the
-        # byte boundary).
-        trace_ctx = self.fabric.inbound_trace_ctx()
-        cqe = Cqe.unpack(data)
-        compressed = CompressedCqe.compress(cqe)
+        # The trace context rides the CQE's write TLP side band: the 64 B
+        # on the wire carry no room for it.
+        cqe = CqeRecord(CQE.unpack_from(data)
+                        + (self.fabric.inbound_trace_ctx(),))
         route = self._cq_route.get(cq_index)
         if route is None:
             self.errors.report(FldError.CQE_ERROR, cq_index,
@@ -419,8 +421,7 @@ class FlexDriver(PcieEndpoint):
                 self.tx.on_send_completion(cqe.qpn, cqe.wqe_counter)
         else:
             if cqe.opcode == CQE_RECV_COMPLETION:
-                self.rx.on_recv_completion(binding, compressed,
-                                           trace_ctx=trace_ctx)
+                self.rx.on_recv_completion(binding, cqe)
 
     # ------------------------------------------------------------------
     # Internals

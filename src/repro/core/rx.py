@@ -9,8 +9,9 @@ The receive side leans on three of the paper's memory optimizations:
   buffers in the order they were posted, so the descriptors are never
   modified and FLD keeps no descriptor copies at all (the "-" in
   Table 3's Rx-ring row);
-* **compressed completions** — the NIC's 64 B CQE is reduced to 15 B of
-  internal state the moment it lands.
+* **compressed completions** — FLD keeps 15 B of state per completion;
+  of the NIC's 64 B CQE it reads only the fields that record holds, off
+  the bytes as they land.
 
 On each receive completion FLD streams the packet (with metadata) to the
 accelerator and, when a buffer closes, returns it to the NIC by bumping
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..nic.wqe import CQE_FLAG_MSG_LAST
+from ..nic.wqe import CQE_FLAG_MSG_LAST, CqeRecord
 from ..sim import Simulator
 from .axis import AxisMetadata
-from .descriptors import COMPRESSED_CQE_SIZE, CompressedCqe
 
 
 class RxError(RuntimeError):
@@ -170,16 +170,16 @@ class RxRingManager:
         self._sram[offset:offset + len(data)] = data
         self.stats_sram_writes += 1
 
-    def on_recv_completion(self, binding_id: int, cqe: CompressedCqe,
-                           trace_ctx=None) -> None:
-        """Decode a receive CQE: stream the packet out, recycle buffers."""
-        self.deliver(binding_id, self.binding(binding_id), cqe, trace_ctx,
+    def on_recv_completion(self, binding_id: int, cqe: CqeRecord) -> None:
+        """Act on a landed receive CQE: stream the packet out, recycle
+        buffers."""
+        self.deliver(binding_id, self.binding(binding_id), cqe,
                      self.emit, self.mmio_writer)
 
     def deliver(self, binding_id: int, binding: _RxBinding,
-                cqe: CompressedCqe, trace_ctx, emit: Optional[Callable],
+                cqe: CqeRecord, emit: Optional[Callable],
                 recycle_writer: Optional[Callable]) -> None:
-        """The CQE decode: locate the packet in receive SRAM, hand it
+        """The receive completion: locate the packet in receive SRAM, hand it
         (with metadata) to ``emit`` — through the match-action hook when
         a program is attached — then return every buffer before the one
         now filling through ``recycle_writer(addr, payload)``.
@@ -205,7 +205,7 @@ class RxRingManager:
                 flags=cqe.flags,
                 msg_last=bool(cqe.flags & CQE_FLAG_MSG_LAST),
                 src_qpn=cqe.qpn,
-                trace_ctx=trace_ctx,
+                trace_ctx=cqe.trace_ctx,
             )
             hook = self.prog_hook
             if hook is None:

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from .buffers import BufferPool
 from .cuckoo import CuckooFullError, CuckooHashTable
-from .descriptors import COMPRESSED_TX_DESC_SIZE, CompressedTxDescriptor
+from .descriptors import COMPRESSED_TX_DESC_SIZE
 
 # Translation entry sizes (key + value + valid bits, rounded to bytes),
 # chosen to land at the paper's reported table overheads (~15.5 KiB for
@@ -34,11 +34,11 @@ class TranslationError(RuntimeError):
 
 
 class DescriptorPool:
-    """Shared pool of compressed Tx descriptors behind virtual rings."""
+    """Shared pool of compressed Tx descriptor tuples behind virtual rings."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._slots: List[Optional[CompressedTxDescriptor]] = [None] * capacity
+        self._slots: List[Optional[tuple]] = [None] * capacity
         self._free: List[int] = list(range(capacity))
         self._xlt = CuckooHashTable(capacity, load_factor=0.5,
                                     entry_size=DESC_XLT_ENTRY_SIZE)
@@ -50,7 +50,7 @@ class DescriptorPool:
         return len(self._free)
 
     def store(self, queue: int, wqe_index: int,
-              descriptor: CompressedTxDescriptor) -> Optional[int]:
+              descriptor: tuple) -> Optional[int]:
         """Place a descriptor for (queue, index); ``None`` when full."""
         if not self._free:
             self.stats_failures += 1
@@ -66,7 +66,7 @@ class DescriptorPool:
         self.stats_stored += 1
         return slot
 
-    def lookup(self, queue: int, wqe_index: int) -> CompressedTxDescriptor:
+    def lookup(self, queue: int, wqe_index: int) -> tuple:
         slot = self._xlt.lookup((queue, wqe_index))
         if slot is None:
             raise TranslationError(
@@ -75,7 +75,7 @@ class DescriptorPool:
         return self._slots[slot]
 
     def lookup_many(self, queue: int,
-                    wqe_indices) -> List[CompressedTxDescriptor]:
+                    wqe_indices) -> List[tuple]:
         """:meth:`lookup` for each of a ring read's indices."""
         slots = self._xlt.lookup_many(
             [(queue, index) for index in wqe_indices])
@@ -88,7 +88,7 @@ class DescriptorPool:
             out.append(self._slots[slot])
         return out
 
-    def remove(self, queue: int, wqe_index: int) -> CompressedTxDescriptor:
+    def remove(self, queue: int, wqe_index: int) -> tuple:
         slot = self._xlt.remove((queue, wqe_index))
         descriptor = self._slots[slot]
         self._slots[slot] = None

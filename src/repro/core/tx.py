@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..nic.wqe import OP_ETH_SEND, TxWqe, WQE_SIZE
+from ..nic.wqe import OP_ETH_SEND, TX_WQE, WQE_FLAG_SIGNALED, WQE_SIZE
 from ..sim import Simulator
 from .axis import AxisMetadata, CreditInterface
 from .bar import TX_DATA_SPAN, tx_data_address, tx_ring_address
 from .buffers import BufferPool
-from .descriptors import CompressedTxDescriptor
 from .translation import DataTranslationTable, DescriptorPool, TranslationError
 
 
@@ -69,6 +68,8 @@ class TxRingManager:
                  descriptor_pool_size: int = 4096,
                  mmio_writer: Optional[Callable] = None,
                  bar_base: int = 0):
+        if buffer_pool.num_chunks > 1 << 16:
+            raise ValueError("buffer handles must fit the 16-bit field")
         self.sim = sim
         self.buffers = buffer_pool
         self.descriptors = DescriptorPool(descriptor_pool_size)
@@ -157,7 +158,8 @@ class TxRingManager:
         An attached egress program runs before any resource is taken:
         a ``drop`` verdict refunds the caller's credit and returns
         ``None`` — the packet never existed as far as buffers,
-        descriptors and the NIC are concerned.
+        descriptors and the NIC are concerned.  A length or context too
+        wide for the compressed descriptor raises ``ValueError``.
         """
         state = self.queue(queue_id)
         hook = self.prog_hook
@@ -168,7 +170,12 @@ class TxRingManager:
                 return None
         if state.pi - state.ci >= state.entries:
             raise TxQueueError(f"queue {queue_id} ring overflow")
-        handles = self.buffers.alloc(len(data))
+        length = len(data)
+        context = meta.context_id
+        if not (length < 1 << 16 and 0 <= context < 1 << 24):
+            raise ValueError(f"{length} B with context {context:#x} does "
+                             "not fit a compressed descriptor")
+        handles = self.buffers.alloc(length)
         if handles is None:
             raise TxQueueError(
                 f"buffer pool exhausted for {len(data)} B on queue {queue_id}"
@@ -183,11 +190,8 @@ class TxRingManager:
         virt_offset = virt_chunk * self.buffers.chunk_size
         self.data_xlt.map_range(queue_id, virt_offset, handles)
 
-        descriptor = CompressedTxDescriptor(
-            handle=handles[0], length=len(data),
-            context_id=meta.context_id, opcode=state.opcode,
-            signaled=meta.signaled,
-        )
+        descriptor = (handles[0], length, context, state.opcode,
+                      meta.signaled)
         slot = self.descriptors.store(queue_id, index, descriptor)
         if slot is None:
             self.data_xlt.unmap_range(queue_id, virt_offset, len(handles))
@@ -201,18 +205,15 @@ class TxRingManager:
         return index
 
     def _ring_nic(self, state: _TxQueueState, index: int,
-                  descriptor: CompressedTxDescriptor, virt_offset: int,
+                  descriptor: tuple, virt_offset: int,
                   trace_ctx=None) -> None:
         if self.mmio_writer is None:
             return  # standalone/unit-test mode
         if state.use_mmio:
-            wqe = descriptor.expand(
-                state.qpn, index,
-                self.bar_base + tx_data_address(state.queue_id, virt_offset),
-            )
+            wqe = self._expand(state, index, descriptor, virt_offset)
             self.outbound_trace_ctx = trace_ctx
             try:
-                self.mmio_writer(state.mmio_addr, wqe.pack())
+                self.mmio_writer(state.mmio_addr, wqe)
             finally:
                 self.outbound_trace_ctx = None
         else:
@@ -227,6 +228,18 @@ class TxRingManager:
                                  (index + 1).to_bytes(4, "big"))
             finally:
                 self.outbound_trace_ctx = None
+
+    def _expand(self, state: _TxQueueState, index: int, descriptor: tuple,
+                virt_offset: int) -> bytes:
+        """The 64 B NIC WQE for a compressed descriptor: one pack.  Its
+        buffer address is the queue's virtual data window, which FLD
+        translates when the NIC's data read arrives."""
+        _handle, length, context, opcode, signaled = descriptor
+        return TX_WQE.pack(
+            opcode, WQE_FLAG_SIGNALED if signaled else 0, index & 0xFFFF,
+            state.qpn,
+            self.bar_base + tx_data_address(state.queue_id, virt_offset),
+            length, 0, context, 1, 0, 0, 0)
 
     # -- the NIC-facing PCIe handlers ------------------------------------------
 
@@ -244,16 +257,11 @@ class TxRingManager:
                    for i in range(length // WQE_SIZE)]
         descriptors = self.descriptors.lookup_many(queue_id, indices)
         chunk_size = self.buffers.chunk_size
-        wqes = []
-        for index, descriptor in zip(indices, descriptors):
-            _handles, virt_chunk, _count = state.outstanding[index]
-            wqes.append(descriptor.expand(
-                state.qpn, index,
-                self.bar_base + tx_data_address(queue_id,
-                                                virt_chunk * chunk_size),
-            ))
-        self.stats_wqe_reads += len(wqes)
-        return TxWqe.pack_many(wqes)
+        self.stats_wqe_reads += len(indices)
+        return b"".join(
+            self._expand(state, index, descriptor,
+                         state.outstanding[index][1] * chunk_size)
+            for index, descriptor in zip(indices, descriptors))
 
     @staticmethod
     def _slot_to_index(state: _TxQueueState, slot: int) -> int:

@@ -20,13 +20,10 @@ from typing import Callable, Dict, List, Optional
 
 from ..nic import (
     CQE_FLAG_MSG_LAST,
-    Cqe,
     Nic,
     OP_ETH_SEND,
     OP_RDMA_SEND,
     OP_RDMA_WRITE,
-    RxDesc,
-    TxWqe,
     WQE_FLAG_CSUM_L4,
     WQE_FLAG_LSO,
     WQE_FLAG_SIGNALED,
@@ -37,6 +34,7 @@ from ..nic import (
 from ..nic import CommandChannel
 from ..nic.device import DOORBELL_STRIDE, _POISON
 from ..nic.queues import ReceiveQueue
+from ..nic.wqe import CQE, RX_DESC, TX_WQE, CqeRecord
 from ..pcie import POSTED
 from ..sim import Event, PollWait, Pump, Simulator, Store
 from ..topology.addrmap import CMD_MAILBOX_OFFSET, NIC_CMD_DOORBELL
@@ -90,7 +88,7 @@ class EthQueuePair:
         self._tx_buffers = [self._take(buffer_size)
                             for _ in range(sq_entries)]
         self._rx_buffers: Dict[int, int] = {}
-        self.on_receive: Optional[Callable[[bytes, Cqe], None]] = None
+        self.on_receive: Optional[Callable[[bytes, CqeRecord], None]] = None
         self.received = Store(self.sim, name="ethqp.rx")
         self._pi = 0
         self.stats_tx = 0
@@ -100,7 +98,7 @@ class EthQueuePair:
         # attribute to the rx profiler stage.
         self.profile_tag = f"ethqp{self.sq.qpn}.rx"
         # Fused receive dispatch: a queue served by a core has the NIC
-        # hand rx CQEs (with their in-flight write handle) straight to
+        # hand each rx CQE's in-flight write handle straight to
         # _rx_fused, which folds PCIe delivery and the core's
         # per-packet processing delay into ONE event per packet — the
         # timing is a serial dispatcher's, starting each packet at
@@ -200,8 +198,8 @@ class EthQueuePair:
         if (index + 1) % self.signal_interval == 0:
             signaled = True
         flags = (WQE_FLAG_SIGNALED if signaled else 0) | extra_flags
-        wqe = TxWqe(OP_ETH_SEND, self.sq.qpn, index, buffer_addr,
-                    len(frame), flags, mss=mss)
+        wqe = TX_WQE.pack(OP_ETH_SEND, flags, index & 0xFFFF, self.sq.qpn,
+                          buffer_addr, len(frame), 0, 0, 1, 0, 0, mss)
         driver = self.driver
         driver.memory.write_local(buffer_addr - driver.mem_base, frame)
         if self.use_mmio_wqe:
@@ -210,7 +208,7 @@ class EthQueuePair:
             driver.mmio_write(
                 driver.nic_bar_base + WQE_MMIO_BASE
                 + self.sq.qpn * WQE_MMIO_STRIDE,
-                wqe.pack(), trace_ctx=trace_ctx,
+                wqe, trace_ctx=trace_ctx,
             )
         else:
             if trace_ctx is not None:
@@ -219,15 +217,17 @@ class EthQueuePair:
                 self._spans.stash(
                     ("wqe", driver.nic.name, self.sq.qpn, index), trace_ctx)
             driver.memory.write_local(
-                self.sq.slot_addr(index) - driver.mem_base, wqe.pack()
+                self.sq.slot_addr(index) - driver.mem_base, wqe
             )
             driver.ring_doorbell(self.sq.qpn, index + 1,
                                  trace_ctx=trace_ctx)
         self.stats_tx += 1
 
-    def _retire(self, cqe) -> None:
+    def _retire(self, landed) -> None:
         # Completions are cumulative under selective signalling: a CQE
         # for index i retires everything up to i (16-bit wrap aware).
+        data, ctx = landed
+        cqe = CqeRecord(CQE.unpack_from(data) + (ctx,))
         base = self._tx_completed & ~0xFFFF
         completed = base | cqe.wqe_counter
         if completed < self._tx_completed:
@@ -249,10 +249,9 @@ class EthQueuePair:
             index = self.rq.pi
             buffer_addr = self._take(self.buffer_size)
             self._rx_buffers[index % self.rq.entries] = buffer_addr
-            desc = RxDesc(buffer_addr, self.buffer_size)
             driver.memory.write_local(
-                self.rq.slot_addr(index) - driver.mem_base, desc.pack()
-            )
+                self.rq.slot_addr(index) - driver.mem_base,
+                RX_DESC.pack(buffer_addr, self.buffer_size, 0))
             self.rq.post(1)
 
     def _repost(self, index: int) -> None:
@@ -261,14 +260,16 @@ class EthQueuePair:
         buffer_addr = self._rx_buffers.pop(index % self.rq.entries)
         new_index = self.rq.pi
         self._rx_buffers[new_index % self.rq.entries] = buffer_addr
-        desc = RxDesc(buffer_addr, self.buffer_size)
         driver.memory.write_local(
-            self.rq.slot_addr(new_index) - driver.mem_base, desc.pack()
-        )
+            self.rq.slot_addr(new_index) - driver.mem_base,
+            RX_DESC.pack(buffer_addr, self.buffer_size, 0))
         self.rq.post(1)
 
-    def _receive(self, cqe) -> None:
-        """Hand one completed packet to the application."""
+    def _receive(self, landed) -> None:
+        """Hand one completed packet to the application.  ``landed`` is
+        the CQE as it arrived: its bytes and its write's trace context."""
+        data, ctx = landed
+        cqe = CqeRecord(CQE.unpack_from(data) + (ctx,))
         driver = self.driver
         slot = cqe.wqe_counter % self.rq.entries
         buffer_addr = self._rx_buffers[slot]
@@ -284,7 +285,7 @@ class EthQueuePair:
 
     # -- fused receive dispatch (queues served by a core) ------------------
 
-    def _rx_fused(self, handle, cqe) -> None:
+    def _rx_fused(self, handle) -> None:
         """NIC-side CQE issue: plan this packet's dispatch completion.
 
         The processing cost is drawn here — CQEs arrive (and are
@@ -294,32 +295,32 @@ class EthQueuePair:
         cost = self.core.packet_cost()
         planned = max(handle.delivery, self._fused_planned) + cost
         self._fused_planned = planned
-        # [handle, cqe, cost, committed, fired_early]
-        entry = [handle, cqe, cost, False, False]
+        # [handle, cost, committed, fired_early]
+        entry = [handle, cost, False, False]
         self._fused_queue.append(entry)
         sim = self.sim
         sim.call_later(planned - sim._now, self._rx_fused_fire, entry)
 
     def _rx_fused_fire(self, entry) -> None:
         """The per-packet dispatch event: delivery + processing done."""
-        if entry[3]:
+        if entry[2]:
             return
         queue = self._fused_queue
         if queue[0] is not entry:
             # A lane repair pushed an earlier packet past our planned
             # time; the head's commit re-drives us in order.
-            entry[4] = True
+            entry[3] = True
             return
         sim = self.sim
-        done = max(entry[0].delivery, self._fused_done) + entry[2]
+        done = max(entry[0].delivery, self._fused_done) + entry[1]
         if done > sim._now:
             sim.call_later(done - sim._now, self._rx_fused_fire, entry)
             return
         self._commit_fused(entry)
         # Re-drive any successors whose events fired early and bailed.
-        while queue and queue[0][4]:
+        while queue and queue[0][3]:
             head = queue[0]
-            done = max(head[0].delivery, self._fused_done) + head[2]
+            done = max(head[0].delivery, self._fused_done) + head[1]
             if done > sim._now:
                 sim.call_later(done - sim._now, self._rx_fused_fire, head)
                 return
@@ -327,11 +328,11 @@ class EthQueuePair:
 
     def _commit_fused(self, entry) -> None:
         """The packet's processing is done: land the CQE, deliver."""
-        handle, cqe = entry[0], entry[1]
-        entry[3] = True
+        handle = entry[0]
+        entry[2] = True
         self._fused_queue.popleft()
         now = self.sim._now
-        ctx = cqe.trace_ctx
+        ctx = handle.trace_ctx
         if ctx is not None:
             # The serial dispatcher picks a packet up once its CQE has
             # landed and the previous packet is done.
@@ -339,7 +340,7 @@ class EthQueuePair:
                                max(handle.delivery, self._fused_done), now)
         self._fused_done = now
         handle.commit()
-        self._receive(cqe)
+        self._receive((handle.data, ctx))
 
 
 class RcEndpoint:
@@ -416,10 +417,9 @@ class RcEndpoint:
             index = self.rq.pi
             buffer_addr = self._take(self.buffer_size)
             self._rx_buffers[index % self.rq.entries] = buffer_addr
-            desc = RxDesc(buffer_addr, self.buffer_size)
             driver.memory.write_local(
-                self.rq.slot_addr(index) - driver.mem_base, desc.pack()
-            )
+                self.rq.slot_addr(index) - driver.mem_base,
+                RX_DESC.pack(buffer_addr, self.buffer_size, 0))
             self.rq.post(1)
 
     def register_mr(self, size: int):
@@ -448,14 +448,14 @@ class RcEndpoint:
         driver = self.driver
         driver.memory.write_local(buffer_addr - driver.mem_base, data)
         flags = WQE_FLAG_SIGNALED if signaled else 0
-        wqe = TxWqe(OP_RDMA_WRITE, self.qp.qpn, index, buffer_addr,
-                    len(data), flags, remote_addr=remote_addr, rkey=rkey)
+        wqe = TX_WQE.pack(OP_RDMA_WRITE, flags, index & 0xFFFF, self.qp.qpn,
+                          buffer_addr, len(data), 0, 0, 1, remote_addr, rkey,
+                          0)
         if trace_ctx is not None:
             self._spans.stash(
                 ("wqe", driver.nic.name, self.qp.qpn, index), trace_ctx)
         driver.memory.write_local(
-            self.qp.sq.slot_addr(index) - driver.mem_base, wqe.pack()
-        )
+            self.qp.sq.slot_addr(index) - driver.mem_base, wqe)
         driver.ring_doorbell(self.qp.qpn, index + 1, trace_ctx=trace_ctx)
         done = Event(self.sim)
         if signaled:
@@ -474,14 +474,13 @@ class RcEndpoint:
         driver = self.driver
         driver.memory.write_local(buffer_addr - driver.mem_base, message)
         flags = WQE_FLAG_SIGNALED if signaled else 0
-        wqe = TxWqe(OP_RDMA_SEND, self.qp.qpn, index, buffer_addr,
-                    len(message), flags)
+        wqe = TX_WQE.pack(OP_RDMA_SEND, flags, index & 0xFFFF, self.qp.qpn,
+                          buffer_addr, len(message), 0, 0, 1, 0, 0, 0)
         if trace_ctx is not None:
             self._spans.stash(
                 ("wqe", driver.nic.name, self.qp.qpn, index), trace_ctx)
         driver.memory.write_local(
-            self.qp.sq.slot_addr(index) - driver.mem_base, wqe.pack()
-        )
+            self.qp.sq.slot_addr(index) - driver.mem_base, wqe)
         driver.ring_doorbell(self.qp.qpn, index + 1, trace_ctx=trace_ctx)
         done = Event(self.sim)
         if signaled:
@@ -491,14 +490,19 @@ class RcEndpoint:
         self.stats_messages_sent += 1
         return done
 
-    def _tx_completion(self, cqe) -> None:
+    def _tx_completion(self, landed) -> None:
+        data, ctx = landed
+        cqe = CqeRecord(CQE.unpack_from(data) + (ctx,))
         waiter = self._send_waiters.pop(cqe.wqe_counter, None)
         if waiter is not None:
             waiter.succeed(cqe)
 
-    def _rx_cqe(self, cqe) -> bool:
-        """One receive CQE: a core, when present, works
-        ``packet_cost()`` on it before the next is looked at."""
+    def _rx_cqe(self, landed) -> bool:
+        """One receive CQE (its landed bytes and trace context): a core,
+        when present, works ``packet_cost()`` on it before the next is
+        looked at."""
+        data, ctx = landed
+        cqe = CqeRecord(CQE.unpack_from(data) + (ctx,))
         core = self.driver.core
         pending = (cqe, self.sim._now)
         if core is None:
@@ -535,10 +539,9 @@ class RcEndpoint:
         buffer_addr = self._rx_buffers.pop(index % self.rq.entries)
         new_index = self.rq.pi
         self._rx_buffers[new_index % self.rq.entries] = buffer_addr
-        desc = RxDesc(buffer_addr, self.buffer_size)
         driver.memory.write_local(
-            self.rq.slot_addr(new_index) - driver.mem_base, desc.pack()
-        )
+            self.rq.slot_addr(new_index) - driver.mem_base,
+            RX_DESC.pack(buffer_addr, self.buffer_size, 0))
         self.rq.post(1)
 
 

@@ -51,16 +51,18 @@ from .rdma import RcQp, RdmaEngine
 from .shaper import Shaper
 from .steering import Disposition, Drop, SteeringPipeline
 from .wqe import (
+    CQE,
     CQE_ERROR,
     CQE_RECV_COMPLETION,
     CQE_SEND_COMPLETION,
-    Cqe,
+    RX_DESC,
     RX_DESC_SIZE,
-    RxDesc,
-    TxWqe,
+    TX_WQE,
+    TxWqeRecord,
     WQE_FLAG_CSUM_L3,
     WQE_FLAG_CSUM_L4,
     WQE_FLAG_LSO,
+    WQE_FLAG_SIGNALED,
     WQE_SIZE,
 )
 
@@ -144,7 +146,8 @@ class Nic(PcieEndpoint):
         # can find them.
         self._rx_flat: Dict[int, "_RqFlatWorker"] = {}
         self._tx_flat: Dict[int, "_SqFlatPipeline"] = {}
-        self._cached_rx_desc: Dict[Tuple[int, int], RxDesc] = {}
+        # (rqn, index) -> the landed descriptor's (addr, bytes, lkey).
+        self._cached_rx_desc: Dict[Tuple[int, int], tuple] = {}
         self._next_qpn = 1
         self._next_cqn = 1
         self._next_rqn = 1
@@ -330,10 +333,9 @@ class Nic(PcieEndpoint):
             sq = self.sqs.get(qpn)
             if sq is None:
                 raise PcieError(f"{self.name}: MMIO WQE for unknown SQ {qpn}")
-            wqe = TxWqe.unpack(data)
-            # Re-attach the packet's trace context across the pack()
-            # boundary: the MMIO write TLP carried it side-band.
-            wqe.trace_ctx = self.fabric.inbound_trace_ctx()
+            # The packet's trace context rode the MMIO write side band.
+            wqe = TxWqeRecord(TX_WQE.unpack_from(data)
+                              + (self.fabric.inbound_trace_ctx(),))
             sq.push_mmio_wqe(wqe)
             sq.ring_doorbell(wqe.wqe_index + 1)
             return
@@ -364,27 +366,27 @@ class Nic(PcieEndpoint):
     # Transmit path
     # ------------------------------------------------------------------
 
-    def _wqes_fetched(self, sq: SendQueue, batch: Dict[int, TxWqe],
+    def _wqes_fetched(self, sq: SendQueue, batch: Dict[int, TxWqeRecord],
                       index: int, burst: int, raw: bytes,
                       fetch_started: float) -> None:
         """A ring fetch of ``burst`` WQEs from ``index`` landed: decode
-        them into ``batch``, re-attaching trace contexts.
+        them into ``batch`` with their trace contexts.
 
-        Ring-mode WQEs lose their context at pack time; the producer
-        stashed it under the (nic, qpn, index) it rang for.
+        A ring read carries no context; the producer stashed it under
+        the (nic, qpn, index) it rang for.
         """
         sq.stats_wqe_fetches += burst
         spans = self._spans
-        for i, wqe in enumerate(TxWqe.unpack_many(raw, burst), index):
+        for i, fields in enumerate(TX_WQE.iter_unpack(raw), index):
+            ctx = None
             if spans.enabled:
                 ctx = spans.claim(("wqe", self.name, sq.qpn, i))
                 if ctx is not None:
-                    wqe.trace_ctx = ctx
                     spans.record(ctx, "pcie.wqe_fetch", fetch_started,
                                  self.sim._now)
-            batch[i] = wqe
+            batch[i] = TxWqeRecord(fields + (ctx,))
 
-    def _resolve_eth(self, sq: SendQueue, wqe: TxWqe, data: bytes):
+    def _resolve_eth(self, sq: SendQueue, wqe: TxWqeRecord, data: bytes):
         """Steer one Ethernet WQE: parse, offload, segment and classify,
         returning ``[(disposition, vport), ...]`` without applying
         anything.
@@ -479,41 +481,39 @@ class Nic(PcieEndpoint):
 
     def _rdma_qp_error(self, qp: RcQp, syndrome: int) -> None:
         """A QP dropped to ERR: post the error CQE software recovers from."""
-        cqe = Cqe(CQE_ERROR, qp.qpn, 0, 0, syndrome=syndrome)
-        self._post_cqe(qp.sq.cq, cqe)
+        self._post_cqe(qp.sq.cq, CQE.pack(CQE_ERROR, 0, 0, qp.qpn, 0, 0, 0,
+                                          0, 1, syndrome), None)
 
-    def _rdma_complete_send(self, qp: RcQp, wqe: TxWqe) -> None:
-        if wqe.signaled:
-            completion = Cqe(
-                CQE_SEND_COMPLETION, qp.qpn, wqe.wqe_index, wqe.byte_count,
-            )
-            completion.trace_ctx = wqe.trace_ctx
-            self._post_cqe(qp.sq.cq, completion)
+    def _rdma_complete_send(self, qp: RcQp, wqe: TxWqeRecord) -> None:
+        if wqe.flags & WQE_FLAG_SIGNALED:
+            self._post_cqe(qp.sq.cq, CQE.pack(
+                CQE_SEND_COMPLETION, 0, wqe.wqe_index, qp.qpn,
+                wqe.byte_count, 0, 0, 0, 1, 0), wqe.trace_ctx)
 
     # ------------------------------------------------------------------
     # Completion writes
     # ------------------------------------------------------------------
 
-    def _post_cqe(self, cq: CompletionQueue, cqe: Cqe) -> None:
+    def _post_cqe(self, cq: CompletionQueue, cqe: bytes, ctx) -> None:
+        """Write one packed CQE; ``ctx`` rides the write side band."""
         self.stats_cqes += 1
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
-                           f"cqe:{cqe.opcode}", self.sim._now)
+                           f"cqe:{cqe[0]}", self.sim._now)
         fused = cq.fused_rx
         if fused is not None:
             # The consumer folds the write's delivery into its own
             # per-packet event (see CompletionQueue.fused_rx).
             fused(self.fabric.post_write_deferred(
-                self, cq.next_slot(), cqe.pack(), cqe.trace_ctx,
-                "pcie.cqe_write"), cqe)
+                self, cq.next_slot(), cqe, ctx, "pcie.cqe_write"))
             return
-        self.fabric.post_write(self, cq.next_slot(), cqe.pack(),
-                               trace_ctx=cqe.trace_ctx,
+        self.fabric.post_write(self, cq.next_slot(), cqe, trace_ctx=ctx,
                                trace_stage="pcie.cqe_write",
-                               on_done=partial(cq.notify.try_put, cqe))
+                               on_done=partial(cq.notify.try_put,
+                                               (cqe, ctx)))
 
-    def _post_cqe_at(self, cq: CompletionQueue, cqe: Cqe,
+    def _post_cqe_at(self, cq: CompletionQueue, cqe: bytes, ctx,
                      when: float) -> None:
         """Post a send CQE resolved ahead of time (flat tx stage).
 
@@ -527,10 +527,11 @@ class Nic(PcieEndpoint):
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
-                           f"cqe:{cqe.opcode}", when)
-        self.fabric.post_write_at(self, cq.next_slot(), cqe.pack(), when,
-                                  cqe.trace_ctx, "pcie.cqe_write",
-                                  on_done=partial(cq.notify.try_put, cqe))
+                           f"cqe:{cqe[0]}", when)
+        self.fabric.post_write_at(self, cq.next_slot(), cqe, when, ctx,
+                                  "pcie.cqe_write",
+                                  on_done=partial(cq.notify.try_put,
+                                                  (cqe, ctx)))
 
     # ------------------------------------------------------------------
     # Telemetry probes
@@ -643,13 +644,12 @@ class _RqFlatWorker:
     def _mprq_desc_ready(self, raw) -> None:
         item, key, placement = self._pend
         self._pend = None
-        desc = RxDesc.unpack(raw)
+        desc = RX_DESC.unpack_from(raw)
         self.nic._cached_rx_desc[key] = desc
         self._mprq_finish(item, desc, placement)
 
     def _mprq_finish(self, item, desc, placement) -> None:
-        address = (desc.buffer_addr
-                   + placement["stride_index"] * self.rq.stride_size)
+        address = desc[0] + placement["stride_index"] * self.rq.stride_size
         self._complete(item, address, placement["desc_index"],
                        placement["stride_index"])
 
@@ -658,37 +658,35 @@ class _RqFlatWorker:
         self._pend = None
         nic = self.nic
         rqn = self.rq.rqn
-        for i, desc in enumerate(RxDesc.unpack_many(raw, burst)):
-            nic._cached_rx_desc[(rqn, index + i)] = desc
+        for i, desc in enumerate(RX_DESC.iter_unpack(raw), index):
+            nic._cached_rx_desc[(rqn, i)] = desc
         self._plain_finish(item, index,
                            nic._cached_rx_desc.pop((rqn, index)))
 
     def _plain_finish(self, item, index, desc) -> None:
-        nic = self.nic
-        if len(item.data) > desc.byte_count:
-            nic.stats_rx_dropped_no_desc += 1
+        buffer_addr, buffer_bytes, _lkey = desc
+        if len(item.data) > buffer_bytes:
+            self.nic.stats_rx_dropped_no_desc += 1
             self._next()
             return
-        self._complete(item, desc.buffer_addr, index, 0)
+        self._complete(item, buffer_addr, index, 0)
 
     def _complete(self, item, address, wqe_counter, stride_index) -> None:
         nic = self.nic
         nic.stats_rx_packets += 1
         nic.stats_rx_bytes += len(item.data)
-        cqe = Cqe(
-            CQE_RECV_COMPLETION, item.qpn, wqe_counter, len(item.data),
-            flags=item.flags, rss_hash=item.rss_hash,
-            flow_tag=item.context_id, stride_index=stride_index,
-        )
+        cqe = CQE.pack(CQE_RECV_COMPLETION, item.flags, wqe_counter & 0xFFFF,
+                       item.qpn, len(item.data), item.rss_hash & 0xFFFFFFFF,
+                       item.context_id, stride_index, 1, 0)
         ctx = item.trace_ctx
         if ctx is not None:
-            cqe.trace_ctx = ctx
             nic._spans.record(ctx, "nic.rx", item.started, nic.sim._now)
         # The CQE is ordered after the data write (PCIe posted-write
         # ordering); on_done fires at the write's delivery instant.
         nic.fabric.post_write(nic, address, item.data, trace_ctx=ctx,
                               trace_stage="pcie.dma_write",
-                              on_done=partial(nic._post_cqe, self.rq.cq, cqe))
+                              on_done=partial(nic._post_cqe, self.rq.cq, cqe,
+                                              ctx))
         tracer = nic._tracer
         if tracer.enabled:
             tracer.complete(f"nic.{nic.name}", f"rq{self.rq.rqn}",
@@ -749,7 +747,7 @@ class _SqFlatPipeline:
         self.window = window
         self.profile_tag = f"{nic.name}.sq{sq.qpn}.tx"
         self.stage_free = 0.0
-        self._wqe_batch: Dict[int, TxWqe] = {}
+        self._wqe_batch: Dict[int, TxWqeRecord] = {}
         self._fetch_pend = None
         self._tx_pend = None
         # Start via a zero-delay step: the pipeline must not observe
@@ -812,7 +810,7 @@ class _SqFlatPipeline:
         if self._push(index, batch.pop(index)) and self._drain():
             self._fetch_idle()
 
-    def _push(self, index: int, wqe: TxWqe) -> bool:
+    def _push(self, index: int, wqe: TxWqeRecord) -> bool:
         """Launch the data DMA and queue the WQE on the window; False
         when the window is full (its admission resumes the drain)."""
         nic = self.nic
@@ -871,7 +869,7 @@ class _SqFlatPipeline:
             if self._tx_send(item[0], item[1], data, item[3]):
                 self._pull()
 
-    def _tx_send(self, index: int, wqe: TxWqe, data: bytes,
+    def _tx_send(self, index: int, wqe: TxWqeRecord, data: bytes,
                  enqueued: float) -> bool:
         """Transmit one WQE whose data has landed; False when its
         completion is deferred to a continuation (which ends in
@@ -915,11 +913,10 @@ class _SqFlatPipeline:
         if all(d.kind == Disposition.UPLINK for d, _v in resolved):
             for d, vport in resolved:
                 eswitch.apply_at(d, vport, done)
-            if wqe.signaled:
-                completion = Cqe(CQE_SEND_COMPLETION, sq.qpn, index,
-                                 wqe.byte_count)
-                completion.trace_ctx = ctx
-                nic._post_cqe_at(sq.cq, completion, done)
+            if wqe.flags & WQE_FLAG_SIGNALED:
+                nic._post_cqe_at(sq.cq, CQE.pack(
+                    CQE_SEND_COMPLETION, 0, index & 0xFFFF, sq.qpn,
+                    wqe.byte_count, 0, 0, 0, 1, 0), ctx, done)
             return True
         # Local dispositions (loopback, queue delivery, drops) can race
         # receive-side state at the completion instant: realign and
@@ -941,11 +938,10 @@ class _SqFlatPipeline:
         eswitch = nic.eswitch
         for d, vport in resolved:
             eswitch._apply_fdb(d, from_vport=vport)
-        if wqe.signaled:
-            completion = Cqe(CQE_SEND_COMPLETION, self.sq.qpn, index,
-                             wqe.byte_count)
-            completion.trace_ctx = wqe.trace_ctx
-            nic._post_cqe(self.sq.cq, completion)
+        if wqe.flags & WQE_FLAG_SIGNALED:
+            nic._post_cqe(self.sq.cq, CQE.pack(
+                CQE_SEND_COMPLETION, 0, index & 0xFFFF, self.sq.qpn,
+                wqe.byte_count, 0, 0, 0, 1, 0), wqe.trace_ctx)
 
     # -- RC and metered WQEs: the deferred arm -------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..sim import Simulator, Store
-from .wqe import CQE_SIZE, RX_DESC_SIZE, TxWqe, WQE_SIZE
+from .wqe import CQE_SIZE, RX_DESC_SIZE, TxWqeRecord, WQE_SIZE
 
 
 class QueueError(RuntimeError):
@@ -28,7 +28,8 @@ def _power_of_two(value: int, what: str) -> int:
 class CompletionQueue:
     """A completion ring the NIC writes and a consumer polls.
 
-    ``notify`` is a simulation-side channel carrying each written CQE; it
+    ``notify`` is a simulation-side channel carrying each CQE that
+    landed, as its bytes and the trace context its write carried; it
     stands in for the consumer's poll loop discovering new entries (or an
     interrupt/event queue), without simulating busy-polling.
     """
@@ -42,9 +43,9 @@ class CompletionQueue:
         self.notify = Store(sim, name=f"cq{cqn}.notify")
         self.stats_cqes = 0
         # A consumer-installed fast path: when set, the NIC hands each
-        # CQE (plus its in-flight write handle) straight to the consumer
-        # instead of through the notify store, letting the consumer fuse
-        # PCIe delivery with its own processing delay in one event.
+        # CQE's in-flight write handle straight to the consumer instead
+        # of through the notify store, letting the consumer fuse PCIe
+        # delivery with its own processing delay in one event.
         self.fused_rx = None
 
     def next_slot(self) -> int:
@@ -82,7 +83,7 @@ class SendQueue:
         self._depth_gauge = (sim.telemetry.gauge(f"sq{qpn}.outstanding")
                              if sim.telemetry.enabled else None)
         # WQEs pushed by MMIO (WQE-by-MMIO / BlueFlame): index -> WQE.
-        self.mmio_wqes: Dict[int, TxWqe] = {}
+        self.mmio_wqes: Dict[int, TxWqeRecord] = {}
         #: Set by DESTROY_SQ; doorbells are rejected and the workers exit.
         self.destroyed = False
         self.stats_doorbells = 0
@@ -113,7 +114,7 @@ class SendQueue:
             self._depth_gauge.set(self.outstanding)
         self.doorbell.try_put(new_pi)
 
-    def push_mmio_wqe(self, wqe: TxWqe) -> None:
+    def push_mmio_wqe(self, wqe: TxWqeRecord) -> None:
         """Stage a WQE written directly through MMIO (saves a DMA read)."""
         self.mmio_wqes[wqe.wqe_index] = wqe
         self.stats_mmio_wqes += 1

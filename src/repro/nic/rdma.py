@@ -34,14 +34,7 @@ from ..net import (
 from ..net.parse import BTH, PAYLOAD, parse_layout
 from ..net.roce import ICRC_SIZE, OP_ACK
 from ..sim import Simulator
-from .wqe import (
-    CQE_FLAG_MSG_LAST,
-    CQE_RECV_COMPLETION,
-    CQE_SEND_COMPLETION,
-    Cqe,
-    OP_RDMA_WRITE,
-    TxWqe,
-)
+from .wqe import CQE_FLAG_MSG_LAST, OP_RDMA_WRITE, TxWqeRecord
 
 
 _ICRC = bytes(ICRC_SIZE)
@@ -86,7 +79,7 @@ class _Segment:
 
     __slots__ = ("frame", "wqe", "is_last", "sent_at", "span_id")
 
-    def __init__(self, frame: Packet, wqe: TxWqe, is_last: bool,
+    def __init__(self, frame: Packet, wqe: TxWqeRecord, is_last: bool,
                  sent_at: float):
         self.frame = frame
         self.wqe = wqe
@@ -326,7 +319,7 @@ class RdmaEngine:
         """Wire header bytes around each segment's payload."""
         return 14 + 20 + 8 + Bth.HEADER_LEN + ICRC_SIZE
 
-    def send_message(self, qp: RcQp, wqe: TxWqe, data: bytes,
+    def send_message(self, qp: RcQp, wqe: TxWqeRecord, data: bytes,
                      remote_addr: int = 0, rkey: int = 0,
                      on_done: Optional[Callable[[], None]] = None) -> None:
         """Segment and transmit one message.
@@ -378,7 +371,7 @@ class RdmaEngine:
                             (index + 1,) + state[1:])
 
     def _build_frame(self, qp: RcQp, payload: bytes, first: bool, last: bool,
-                     wqe: Optional[TxWqe], is_write: bool = False,
+                     wqe: Optional[TxWqeRecord], is_write: bool = False,
                      remote_addr: int = 0, rkey: int = 0,
                      total_length: int = 0) -> Packet:
         opcode = (write_opcode(first, last) if is_write

@@ -9,11 +9,17 @@ The layouts are ConnectX-*like*: field selection follows the mlx5
 programmer's model (control + data segments; completions carrying byte
 count, checksum status, RSS hash and flow tag) but the exact bit packing
 is ours.
+
+On the datapath a descriptor is its bytes: a producer packs the whole
+record with one :data:`TX_WQE`, :data:`RX_DESC` or :data:`CQE` call, and
+a consumer reads it with one ``unpack_from`` on the bytes that landed.
+The classes are codecs over the same layouts, for scripts and tests.
 """
 
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 
 WQE_SIZE = 64
 RX_DESC_SIZE = 16
@@ -42,6 +48,32 @@ CQE_FLAG_L4_OK = 0x02
 CQE_FLAG_VXLAN_DECAP = 0x04
 CQE_FLAG_MSG_LAST = 0x08   # last packet of an RDMA message
 
+#: The three records, reserved bytes included (field order: the layout
+#: tables in :class:`TxWqe`, :class:`RxDesc` and :class:`Cqe`).
+TX_WQE = struct.Struct("!BBHIQIIIBQIH21x")
+RX_DESC = struct.Struct("!QII")
+CQE = struct.Struct("!BBHIIIIHBB40x")
+
+
+def _record(name: str, fields: str) -> type:
+    """A tuple type naming a record's fields as ``unpack_from`` reads
+    them off the landed bytes, then the trace context its write carried
+    side band.  Reading a field is a C-level item get, and
+    ``Record(fields + (ctx,))`` runs no Python code."""
+    namespace = {"__slots__": (), "__doc__": _record.__doc__}
+    for i, field in enumerate(fields.split() + ["trace_ctx"]):
+        namespace[field] = property(itemgetter(i))
+    return type(name, (tuple,), namespace)
+
+
+TxWqeRecord = _record("TxWqeRecord", "opcode flags wqe_index qpn "
+                      "buffer_addr byte_count lkey context_id ack_req "
+                      "remote_addr rkey mss")
+TxWqeRecord.ack_req = property(lambda wqe: bool(wqe[8]))   # as the codec
+CqeRecord = _record("CqeRecord", "opcode flags wqe_counter qpn byte_count "
+                    "rss_hash flow_tag stride_index owner syndrome")
+
+
 class TxWqe:
     """A 64 B transmit work-queue entry.
 
@@ -62,15 +94,9 @@ class TxWqe:
         43  reserved      (21 B of zero padding to 64 B)
     """
 
-    _FORMAT = "!BBHIQIIIBQIH"
-    _STRUCT = struct.Struct(_FORMAT)
-    _PACKED = _STRUCT.size
-    # The whole 64 B record: the fields, then the reserved zero bytes.
-    _RECORD = struct.Struct(f"{_FORMAT}{WQE_SIZE - _PACKED}x")
-
     __slots__ = ("opcode", "flags", "wqe_index", "qpn", "buffer_addr",
                  "byte_count", "lkey", "context_id", "ack_req",
-                 "remote_addr", "rkey", "mss", "trace_ctx")
+                 "remote_addr", "rkey", "mss")
 
     def __init__(self, opcode: int, qpn: int, wqe_index: int,
                  buffer_addr: int, byte_count: int, flags: int = 0,
@@ -90,17 +116,13 @@ class TxWqe:
         self.rkey = rkey
         # Maximum segment size for LSO/TSO work requests.
         self.mss = mss
-        # Span trace context (sim-only side band, never serialized):
-        # re-attached after pack()/unpack() via the PCIe inbound-context
-        # bridge or the span recorder's stash/claim registry.
-        self.trace_ctx = None
 
     @property
     def signaled(self) -> bool:
         return bool(self.flags & WQE_FLAG_SIGNALED)
 
     def pack(self) -> bytes:
-        return self._RECORD.pack(
+        return TX_WQE.pack(
             self.opcode, self.flags, self.wqe_index, self.qpn,
             self.buffer_addr, self.byte_count, self.lkey, self.context_id,
             1 if self.ack_req else 0, self.remote_addr, self.rkey,
@@ -109,10 +131,10 @@ class TxWqe:
 
     @classmethod
     def unpack(cls, data: bytes) -> "TxWqe":
-        if len(data) < cls._PACKED:
+        if len(data) < WQE_SIZE:
             raise ValueError("truncated TxWqe")
         (opcode, flags, wqe_index, qpn, addr, count, lkey, context,
-         ack_req, remote_addr, rkey, mss) = cls._STRUCT.unpack_from(data)
+         ack_req, remote_addr, rkey, mss) = TX_WQE.unpack_from(data)
         return cls(opcode, qpn, wqe_index, addr, count, flags, lkey,
                    context, bool(ack_req), remote_addr, rkey, mss)
 
@@ -125,7 +147,7 @@ class TxWqe:
         out = []
         new = cls.__new__
         for (opcode, flags, wqe_index, qpn, addr, nbytes, lkey, context,
-             ack_req, remote_addr, rkey, mss) in cls._RECORD.iter_unpack(
+             ack_req, remote_addr, rkey, mss) in TX_WQE.iter_unpack(
                 memoryview(data)[:count * WQE_SIZE]):
             wqe = new(cls)
             wqe.opcode = opcode
@@ -140,7 +162,6 @@ class TxWqe:
             wqe.remote_addr = remote_addr
             wqe.rkey = rkey
             wqe.mss = mss
-            wqe.trace_ctx = None
             out.append(wqe)
         return out
 
@@ -159,9 +180,6 @@ class TxWqe:
 class RxDesc:
     """A 16 B receive descriptor: buffer address + length + lkey."""
 
-    _FORMAT = "!QII"
-    _STRUCT = struct.Struct(_FORMAT)
-
     __slots__ = ("buffer_addr", "byte_count", "lkey")
 
     def __init__(self, buffer_addr: int, byte_count: int, lkey: int = 0):
@@ -170,14 +188,13 @@ class RxDesc:
         self.lkey = lkey
 
     def pack(self) -> bytes:
-        return self._STRUCT.pack(self.buffer_addr, self.byte_count,
-                                 self.lkey)
+        return RX_DESC.pack(self.buffer_addr, self.byte_count, self.lkey)
 
     @classmethod
     def unpack(cls, data: bytes) -> "RxDesc":
         if len(data) < RX_DESC_SIZE:
             raise ValueError("truncated RxDesc")
-        addr, count, lkey = cls._STRUCT.unpack_from(data)
+        addr, count, lkey = RX_DESC.unpack_from(data)
         return cls(addr, count, lkey)
 
     @classmethod
@@ -188,7 +205,7 @@ class RxDesc:
             raise ValueError("truncated RxDesc batch")
         out = []
         new = cls.__new__
-        for addr, nbytes, lkey in cls._STRUCT.iter_unpack(
+        for addr, nbytes, lkey in RX_DESC.iter_unpack(
                 memoryview(data)[:count * RX_DESC_SIZE]):
             desc = new(cls)
             desc.buffer_addr = addr
@@ -219,14 +236,8 @@ class Cqe:
         24  reserved      (40 B of zero padding to 64 B)
     """
 
-    _FORMAT = "!BBHIIIIHBB"
-    _STRUCT = struct.Struct(_FORMAT)
-    _PACKED = _STRUCT.size
-    _PAD = bytes(CQE_SIZE - _PACKED)
-
     __slots__ = ("opcode", "flags", "wqe_counter", "qpn", "byte_count",
-                 "rss_hash", "flow_tag", "stride_index", "owner", "syndrome",
-                 "trace_ctx")
+                 "rss_hash", "flow_tag", "stride_index", "owner", "syndrome")
 
     def __init__(self, opcode: int, qpn: int, wqe_counter: int,
                  byte_count: int, flags: int = 0, rss_hash: int = 0,
@@ -242,9 +253,6 @@ class Cqe:
         self.stride_index = stride_index
         self.owner = owner
         self.syndrome = syndrome
-        # Sim-only span trace context; lost by pack(), re-attached by
-        # whoever unpacks (see repro.telemetry.spans).
-        self.trace_ctx = None
 
     @property
     def l4_ok(self) -> bool:
@@ -255,19 +263,18 @@ class Cqe:
         return self.opcode == CQE_ERROR
 
     def pack(self) -> bytes:
-        body = self._STRUCT.pack(
+        return CQE.pack(
             self.opcode, self.flags, self.wqe_counter,
             self.qpn, self.byte_count, self.rss_hash, self.flow_tag,
             self.stride_index, self.owner, self.syndrome,
         )
-        return body + self._PAD
 
     @classmethod
     def unpack(cls, data: bytes) -> "Cqe":
-        if len(data) < cls._PACKED:
+        if len(data) < CQE_SIZE:
             raise ValueError("truncated Cqe")
         (opcode, flags, counter, qpn, count, rss, tag, stride, owner,
-         syndrome) = cls._STRUCT.unpack_from(data)
+         syndrome) = CQE.unpack_from(data)
         return cls(opcode, qpn, counter, count, flags, rss, tag, stride,
                    owner, syndrome)
 

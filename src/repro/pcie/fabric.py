@@ -78,6 +78,8 @@ class DeferredWrite:
     """A posted write whose delivery the initiator folds into its own
     continuation event.
 
+    ``data`` is the payload that will land and ``trace_ctx`` the context
+    riding the TLP side band, so a consumer reads the write itself.
     ``delivery`` is the TLP's arrival time at the endpoint — re-read it
     at fire time, since shared-lane arbitration may repair it later.
     The owner must call :meth:`commit` from its continuation event at
@@ -87,32 +89,35 @@ class DeferredWrite:
     then final) ``delivery``.
     """
 
-    __slots__ = ("_fabric", "_entry", "_span")
+    __slots__ = ("_fabric", "_path", "data", "trace_ctx", "_span")
 
-    def __init__(self, fabric, entry, span):
+    def __init__(self, fabric, path, data, trace_ctx, span):
         self._fabric = fabric
-        self._entry = entry  # what _write_arrived lands
+        self._path = path    # _reserve_path's delivery-tuple head
+        self.data = data
+        self.trace_ctx = trace_ctx
         self._span = span    # open span when the TLP carries a context
 
     @property
     def delivery(self) -> float:
-        return self._entry[0][DELIVERY]
+        return self._path[0][DELIVERY]
 
     def commit(self) -> None:
         fabric = self._fabric
         if self._span is not None:
-            fabric._spans.exit(self._span, self._entry[0][DELIVERY])
-        fabric._write_arrived(self._entry)
+            fabric._spans.exit(self._span, self._path[0][DELIVERY])
+        fabric._write_arrived(
+            self._path + (self.data, self.trace_ctx, None, None))
 
     def retire(self) -> None:
         """Deliver without running the handler — for owners that
         already applied the write's effects themselves (e.g. a CQE
         decoded at issue time)."""
-        entry = self._entry
-        record = entry[0]
-        down = entry[1].down
+        path = self._path
+        record = path[0]
+        down = path[1].down
         if down._tracer is not None:
-            _trace_tlps(down, (record,), entry[4])
+            _trace_tlps(down, (record,), path[4])
         if self._span is not None:
             self._fabric._spans.exit(self._span, record[DELIVERY])
 
@@ -423,7 +428,7 @@ class PcieFabric:
             port, address, total, _REQUEST_BITS + total * 8)
         span = (None if trace_ctx is None else
                 self._spans.enter(trace_ctx, trace_stage, self.sim._now))
-        return DeferredWrite(self, path + (data, trace_ctx, None, None), span)
+        return DeferredWrite(self, path, data, trace_ctx, span)
 
     def post_write_at(self, requester: PcieEndpoint, address: int,
                       data: bytes, arrival: float, trace_ctx=None,

@@ -25,7 +25,6 @@ from ..nic import (
     OP_ETH_SEND,
     OP_RDMA_SEND,
     RcQp,
-    RxDesc,
     SendQueue,
 )
 from ..nic.device import (
@@ -34,6 +33,7 @@ from ..nic.device import (
     WQE_MMIO_BASE,
     WQE_MMIO_STRIDE,
 )
+from ..nic.wqe import RX_DESC
 from ..topology import FLD_BAR_BASE, NIC_BAR_BASE, Node
 from .control import ControlPlane
 
@@ -185,13 +185,10 @@ class FldRuntime:
         # FLD's buffer slice, and posts the full ring.
         buffer_size = strides_per_buffer * stride_size
         for i in range(ring_entries):
-            desc = RxDesc(
-                self.fld_bar_base + slice_offset + i * buffer_size,
-                buffer_size,
-            )
             self.node.memory.write_local(
-                rq.slot_addr(i) - self.node.driver.mem_base, desc.pack()
-            )
+                rq.slot_addr(i) - self.node.driver.mem_base,
+                RX_DESC.pack(self.fld_bar_base + slice_offset
+                             + i * buffer_size, buffer_size, 0))
         rq.post(ring_entries)
         self._rx_queues[rq.rqn] = {
             "binding_id": binding_id, "rq": rq, "cq": cq,

@@ -16,12 +16,12 @@ Design notes
   recorder reaches the span list without looking anything up, and the
   handle :meth:`SpanRecorder.enter` returns is the open :class:`Span`
   itself.  Components propagate the context side-band — in
-  ``Packet.meta``, on live ``TxWqe``/``Cqe`` objects, in TLP metadata —
-  and hand it back to the recorder together with timestamps.  Stages
-  never mutate the trace directly.
-* The datapath crosses two byte-serialization boundaries where object
-  identity dies (WQEs packed into MMIO/host-memory rings, CQEs DMA-ed
-  as bytes).  Two bridges survive them:
+  ``Packet.meta``, as the last field of a decoded WQE or CQE record, in
+  TLP metadata — and hand it back to the recorder together with
+  timestamps.  Stages never mutate the trace directly.
+* Descriptors cross every DMA as bytes (WQEs packed into MMIO/host-memory
+  rings, CQEs written by the NIC), which have no room for a context.
+  Two bridges carry it across:
 
   - a *stash/claim* registry keyed by ``(kind, scope, qpn, index)`` for
     descriptors fetched from host-memory rings, and

@@ -5,15 +5,20 @@ import pytest
 from repro.core import (
     AxisMetadata,
     BufferPool,
-    CompressedCqe,
     RxError,
     RxRingManager,
     TranslationError,
     TxQueueError,
     TxRingManager,
 )
-from repro.nic import CQE_RECV_COMPLETION, TxWqe, WQE_SIZE
+from repro.nic import CQE_RECV_COMPLETION, Cqe, TxWqe, WQE_SIZE
+from repro.nic.wqe import CQE, CqeRecord
 from repro.sim import Simulator
+
+
+def landed(cqe):
+    """``cqe`` as FLD reads it off the bytes that landed."""
+    return CqeRecord(CQE.unpack_from(cqe.pack()) + (None,))
 
 
 def make_tx(descriptors=64, buffer_bytes=16 * 1024, mmio_log=None):
@@ -33,8 +38,10 @@ class TestTxSubmit:
                      mmio_addr=0x20)
         index = tx.submit(0, b"frame" * 20, AxisMetadata(queue_id=0))
         assert index == 0
-        descriptor = tx.descriptors.lookup(0, 0)
-        assert descriptor.length == 100
+        handle, length, context, _opcode, signaled = \
+            tx.descriptors.lookup(0, 0)
+        assert (length, context, signaled) == (100, 0, True)
+        assert handle == tx.queue(0).outstanding[0][0][0]
 
     def test_mmio_doorbell_carries_expanded_wqe(self):
         log = []
@@ -222,9 +229,9 @@ class TestRxManager:
         _sim, rx = self.make_rx(emitted=emitted)
         rx.add_binding(0, 2, 8, 2048, 0x100)
         rx.handle_buffer_write(0, b"hello packet")
-        cqe = CompressedCqe(CQE_RECV_COMPLETION, qpn=1, wqe_counter=0,
-                            byte_count=12, flow_tag=0x77)
-        rx.on_recv_completion(0, cqe)
+        cqe = Cqe(CQE_RECV_COMPLETION, qpn=1, wqe_counter=0, byte_count=12,
+                  flow_tag=0x77)
+        rx.on_recv_completion(0, landed(cqe))
         assert emitted == [(b"hello packet", emitted[0][1])]
         assert emitted[0][1].context_id == 0x77
 
@@ -233,9 +240,9 @@ class TestRxManager:
         _sim, rx = self.make_rx(emitted=emitted)
         rx.add_binding(0, 2, 8, 2048, 0x100)
         rx.handle_buffer_write(3 * 2048, b"stride three")
-        cqe = CompressedCqe(CQE_RECV_COMPLETION, 1, wqe_counter=0,
-                            byte_count=12, stride_index=3)
-        rx.on_recv_completion(0, cqe)
+        cqe = Cqe(CQE_RECV_COMPLETION, 1, wqe_counter=0, byte_count=12,
+                  stride_index=3)
+        rx.on_recv_completion(0, landed(cqe))
         assert emitted[0][0] == b"stride three"
 
     def test_in_order_recycle_rings_doorbell(self):
@@ -243,9 +250,8 @@ class TestRxManager:
         _sim, rx = self.make_rx(doorbells=doorbells)
         rx.add_binding(0, 2, 8, 2048, 0x100)
         # A completion for descriptor 1 means buffer 0 is done.
-        cqe = CompressedCqe(CQE_RECV_COMPLETION, 1, wqe_counter=1,
-                            byte_count=0)
-        rx.on_recv_completion(0, cqe)
+        cqe = Cqe(CQE_RECV_COMPLETION, 1, wqe_counter=1, byte_count=0)
+        rx.on_recv_completion(0, landed(cqe))
         assert len(doorbells) == 1
         addr, data = doorbells[0]
         assert addr == 0x100
@@ -259,7 +265,7 @@ class TestRxManager:
     def test_unknown_binding_rejected(self):
         _sim, rx = self.make_rx()
         with pytest.raises(RxError):
-            rx.on_recv_completion(5, CompressedCqe(1, 1, 0, 0))
+            rx.on_recv_completion(5, landed(Cqe(1, 1, 0, 0)))
 
     def test_memory_accounting(self):
         _sim, rx = self.make_rx()

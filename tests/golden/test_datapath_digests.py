@@ -42,7 +42,7 @@ def _echo_local():
 
 def _echo_cpu_remote():
     # cpu-remote drives the NIC's WQE ring fetch and receive-descriptor
-    # bursts (TxWqe.unpack_many, RxDesc.unpack_many).
+    # bursts (`iter_unpack` of TX_WQE and RX_DESC).
     from repro.experiments.echo import echo_throughput
     random.seed(1234)
     return echo_throughput("cpu-remote", 512, count=150)

@@ -10,8 +10,10 @@ import pytest
 from repro.accelerators import EchoAccelerator, RdmaEchoAccelerator
 from repro.host import CpuCore, LoadGenerator
 from repro.net import Flow
+from repro.nic import ForwardToUplink, MatchSpec
 from repro.sim import Simulator
 from repro.sw import FldRuntime
+from repro.sw.flde import FldEControlPlane
 from repro.testbed import make_local_node, make_remote_pair
 
 CLIENT_MAC = "02:00:00:00:00:01"
@@ -132,6 +134,42 @@ class TestFldEEcho:
         sim.spawn(run(sim))
         sim.run(until=1.0)
         assert loadgen.rx_meter.gbps(24) > 15.0
+
+
+class TestFldEResume:
+    """The echo leaves through a resume table (§5.3): the NIC puts the
+    table's resume ID in bits 16+ of the context, the accelerator echoes
+    the context, and FLD's compressed descriptor has 24 bits for it."""
+
+    def _echo_one(self, first_resume_id):
+        sim = Simulator()
+        client, server = make_remote_pair(
+            sim, client_core=CpuCore(sim, os_jitter_probability=0.0))
+        client.add_vport_for_mac(1, CLIENT_MAC)
+        server.add_vport_for_mac(2, FLD_MAC)
+        runtime = FldRuntime(server)
+        rq = runtime.create_rx_queue(vport=2, set_default=False)
+        txq = runtime.create_eth_tx_queue(vport=2)
+        EchoAccelerator(sim, runtime.fld, units=1, tx_queue=txq)
+        server.nic._next_resume_id = first_resume_id
+        FldEControlPlane(runtime, vport=2).accelerate(
+            MatchSpec(), rq, resume_actions=[ForwardToUplink()])
+        client_qp = client.driver.create_eth_qp(vport=1)
+        client_qp.post_rx_buffers(8)
+        loadgen = LoadGenerator(sim, client_qp, Flow(
+            CLIENT_MAC, FLD_MAC, "10.0.0.1", "10.0.0.2", 7000, 7001))
+        sim.spawn(loadgen.run_closed_loop(frame_size=64, count=1))
+        sim.run(until=1e-3)
+        return loadgen
+
+    def test_echo_resumes_at_its_table(self):
+        assert self._echo_one(first_resume_id=1).stats_received == 1
+
+    def test_a_resume_id_past_24_bits_is_refused_not_misrouted(self):
+        """Resume IDs are never recycled: ID 257 masked to 24 bits of
+        context would come back as resume ID 1, another table's."""
+        with pytest.raises(ValueError, match="compressed descriptor"):
+            self._echo_one(first_resume_id=257)
 
 
 class TestFldRPath:

@@ -9,8 +9,15 @@ from repro.net.roce import ICRC_SIZE, OP_ACK
 from repro.nic import CQE_FLAG_L3_OK, CQE_FLAG_L4_OK, ChecksumOffload, \
     Shaper
 from repro.nic.rdma import RcQp, RdmaEngine, RdmaError
-from repro.nic.wqe import OP_RDMA_SEND, OP_RDMA_WRITE, TxWqe
+from repro.nic.wqe import (
+    OP_RDMA_SEND, OP_RDMA_WRITE, TX_WQE, TxWqe, TxWqeRecord)
 from repro.sim import Simulator
+
+
+def landed(wqe):
+    """``wqe`` as a send queue hands it to the engine: the record read
+    off its bytes, with no trace context."""
+    return TxWqeRecord(TX_WQE.unpack_from(wqe.pack()) + (None,))
 
 
 def tcp_packet(payload=b"data", checksum=True):
@@ -148,7 +155,7 @@ class TestRdmaEngine:
     def test_message_segmentation_and_delivery(self):
         sim = Simulator()
         loop = _Loopback(sim)
-        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 2500)
+        wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, 2500))
 
         loop.a.send_message(loop.qp_a, wqe, bytes(2500))
         sim.run(until=0.01)
@@ -160,7 +167,7 @@ class TestRdmaEngine:
     def test_one_segment_per_scheduler_pass_then_on_done(self):
         sim = Simulator()
         loop = _Loopback(sim)
-        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 2500)
+        wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, 2500))
         sent = []     # segments out, sampled between the engine's passes
         done = []     # how many samples had been taken when on_done ran
 
@@ -184,7 +191,7 @@ class TestRdmaEngine:
     def test_retransmission_recovers_loss(self):
         sim = Simulator()
         loop = _Loopback(sim, drop_first_n=1)
-        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 2048)
+        wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, 2048))
 
         loop.a.send_message(loop.qp_a, wqe, bytes(2048))
         sim.run(until=0.01)
@@ -195,7 +202,7 @@ class TestRdmaEngine:
     def test_duplicate_segment_reacked_not_redelivered(self):
         sim = Simulator()
         loop = _Loopback(sim)
-        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 100)
+        wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, 100))
         loop.a.send_message(loop.qp_a, wqe, b"x" * 100)
         # Duplicate the segment mid-flight (as a spurious retransmission
         # after a delayed ack would).
@@ -217,7 +224,7 @@ class TestRdmaEngine:
                             complete_send=lambda *a: None)
         qp = RcQp(3, _FakeSq(), None, _mac(3), _ip(3))
         engine.register_qp(qp)
-        wqe = TxWqe(OP_RDMA_SEND, 3, 0, 0, 10)
+        wqe = landed(TxWqe(OP_RDMA_SEND, 3, 0, 0, 10))
         with pytest.raises(RdmaError):
             engine.send_message(qp, wqe, b"x")
 
@@ -269,7 +276,7 @@ class TestRoceFrameHeads:
     def test_send_segments(self, first, last, size):
         loop = _Loopback(Simulator())
         qp, payload = loop.qp_a, bytes(range(256)) * 4
-        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, size)
+        wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, size))
         for psn in (5, 6):      # the second is built on a warm head
             qp.next_psn = psn
             frame = loop.a._build_frame(qp, payload[:size], first, last, wqe)
@@ -283,7 +290,7 @@ class TestRoceFrameHeads:
     def test_write_first_carries_its_reth(self, size):
         loop = _Loopback(Simulator())
         qp = loop.qp_a
-        wqe = TxWqe(OP_RDMA_WRITE, 1, 0, 0, size)
+        wqe = landed(TxWqe(OP_RDMA_WRITE, 1, 0, 0, size))
         frame = loop.a._build_frame(
             qp, bytes(size), True, False, wqe, is_write=True,
             remote_addr=0x1234_5678_9ABC, rkey=77, total_length=3000)
@@ -306,7 +313,7 @@ class TestRoceFrameHeads:
         """A ``drop_filter`` may ``find(Bth)`` on the frame the QP keeps
         for go-back-N; the retransmitted ``copy()`` is the same bytes."""
         loop = _Loopback(Simulator())
-        wqe = TxWqe(OP_RDMA_SEND, 1, 0, 0, 100)
+        wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, 100))
         frame = loop.a._build_frame(loop.qp_a, bytes(100), True, True, wqe)
         sent = frame.to_bytes()
         assert frame.find(Bth).dest_qp == loop.qp_a.remote_qpn

@@ -1,17 +1,51 @@
-"""Property tests for the burst decoders and the cuckoo batch probe.
+"""Property tests for the descriptor layouts, the burst decoders and
+the cuckoo batch probe.
 
 A burst decoder (``unpack_many``) must read every record exactly as the
 single-record ``unpack`` does, on arbitrary bytes — not just the values
 the experiments happen to produce — and a batch probe must answer like
-one ``lookup`` per key, whatever the key's type.
+one ``lookup`` per key, whatever the key's type.  The datapath's own
+packs and ``unpack_from`` reads must agree with the codec classes.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from types import SimpleNamespace
 
-from repro.core import CuckooHashTable
-from repro.nic import RxDesc, TxWqe, WQE_SIZE
-from repro.nic.wqe import RX_DESC_SIZE
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core import (
+    AxisMetadata,
+    BufferPool,
+    CompressedTxDescriptor,
+    CuckooHashTable,
+    TxRingManager,
+)
+from repro.net import Flow
+from repro.nic import (
+    CQE_RECV_COMPLETION,
+    CQE_SEND_COMPLETION,
+    CQE_SIZE,
+    Cqe,
+    OP_ETH_SEND,
+    OP_RDMA_SEND,
+    OP_RDMA_WRITE,
+    RxDesc,
+    TxWqe,
+    WQE_FLAG_CSUM_L4,
+    WQE_FLAG_LSO,
+    WQE_FLAG_SIGNALED,
+    WQE_SIZE,
+)
+from repro.nic.device import _RxItem
+from repro.nic.wqe import (
+    CQE,
+    CQE_ERROR,
+    RX_DESC,
+    RX_DESC_SIZE,
+    TX_WQE,
+    CqeRecord,
+    TxWqeRecord,
+)
 from repro.pcie.tlp import (
     COMPLETION_HEADER,
     DLLP_FRAMING,
@@ -21,6 +55,8 @@ from repro.pcie.tlp import (
     split_write_bytes,
     write_wire_bytes,
 )
+from repro.sim import Simulator
+from repro.testbed import make_local_node
 
 u8 = st.integers(0, 0xFF)
 u16 = st.integers(0, 0xFFFF)
@@ -146,3 +182,225 @@ class TestTlpWireBytes:
         assert read_wire_bytes(length, rcb, max_read_request=512) == (
             len(requests) * (MEM_REQUEST_HEADER + DLLP_FRAMING),
             length + len(completions) * (COMPLETION_HEADER + DLLP_FRAMING))
+
+
+# -- the datapath's layouts against the codecs --------------------------
+#
+# Producers pack a record with one ``Struct.pack`` of the values they
+# hold and consumers read it with one ``unpack_from``: both must agree
+# with the codec classes byte for byte and field for field, including
+# where the codec masks (a 16-bit counter, a 32-bit hash), normalises
+# (a truthy ack request) or refuses (a context wider than FLD's 24 bits).
+
+MAC = "02:00:00:00:00:99"
+u24 = st.integers(0, (1 << 24) - 1)
+wide_counters = st.integers(0, 1 << 20)
+wide_hashes = st.integers(0, 1 << 40)
+
+
+def node_with_queue(**qp_options):
+    sim = Simulator()
+    node = make_local_node(sim)
+    node.add_vport_for_mac(2, MAC)
+    return node, node.driver.create_eth_qp(2, **qp_options)
+
+
+def read_host(node, address, length):
+    return node.memory.read_local(address - node.driver.mem_base, length)
+
+
+class TestDatapathDecodesLikeTheCodecs:
+    @given(st.binary(min_size=WQE_SIZE, max_size=WQE_SIZE),
+           st.integers(1, 0xFF))
+    @settings(max_examples=80, deadline=None)
+    def test_wqe_record(self, blob, ack_req):
+        blob = blob[:28] + bytes([ack_req]) + blob[29:]   # truthy, not 1
+        record = TxWqeRecord(TX_WQE.unpack_from(blob) + ("ctx",))
+        codec = TxWqe.unpack(blob)
+        assert {name: getattr(record, name) for name in TxWqe.__slots__} \
+            == fields_of(codec)
+        assert record.ack_req is True and record.trace_ctx == "ctx"
+
+    @given(st.binary(min_size=CQE_SIZE, max_size=CQE_SIZE))
+    @settings(max_examples=80, deadline=None)
+    def test_cqe_record(self, blob):
+        record = CqeRecord(CQE.unpack_from(blob) + (None,))
+        assert {name: getattr(record, name) for name in Cqe.__slots__} \
+            == fields_of(Cqe.unpack(blob))
+
+    @given(st.binary(min_size=RX_DESC_SIZE, max_size=RX_DESC_SIZE))
+    @settings(max_examples=80, deadline=None)
+    def test_rx_descriptor(self, blob):
+        desc = RxDesc.unpack(blob)
+        assert RX_DESC.unpack_from(blob) \
+            == (desc.buffer_addr, desc.byte_count, desc.lkey)
+
+
+class TestDatapathPacksLikeTheCodecs:
+    @given(index=wide_counters, length=st.integers(1, 2048),
+           signaled=st.booleans(), tso=st.booleans(), mss=u16)
+    @example(index=0x10005, length=64, signaled=True, tso=False, mss=0)
+    @settings(max_examples=40, deadline=None)
+    def test_host_eth_wqe(self, index, length, signaled, tso, mss):
+        node, qp = node_with_queue()
+        qp._pi = qp._tx_completed = index
+        if tso:
+            qp.send_tso(bytes(length), mss, signaled)
+        else:
+            qp.send(bytes(length), signaled)
+        flags = (WQE_FLAG_SIGNALED
+                 if signaled or (index + 1) % qp.signal_interval == 0
+                 else 0)
+        if tso:
+            flags |= WQE_FLAG_LSO | WQE_FLAG_CSUM_L4
+        expected = TxWqe(OP_ETH_SEND, qp.sq.qpn, index,
+                         qp._tx_buffers[index % qp.sq.entries], length,
+                         flags, mss=mss if tso else 0).pack()
+        assert read_host(node, qp.sq.slot_addr(index), WQE_SIZE) == expected
+
+    @given(index=wide_counters, length=st.integers(0, 4096),
+           signaled=st.booleans(), write=st.booleans(),
+           remote_addr=u64, rkey=u32)
+    @example(index=0x1FFFF, length=1, signaled=False, write=True,
+             remote_addr=(1 << 64) - 1, rkey=(1 << 32) - 1)
+    @settings(max_examples=40, deadline=None)
+    def test_host_rc_wqe(self, index, length, signaled, write,
+                         remote_addr, rkey):
+        sim = Simulator()
+        node = make_local_node(sim)
+        node.add_vport_for_mac(2, MAC)
+        endpoint = node.driver.create_rc_endpoint(2, MAC, "10.0.0.9")
+        endpoint._pi = index
+        if write:
+            endpoint.post_write(bytes(length), remote_addr, rkey, signaled)
+        else:
+            endpoint.post_send(bytes(length), signaled)
+        sq = endpoint.qp.sq
+        expected = TxWqe(
+            OP_RDMA_WRITE if write else OP_RDMA_SEND, endpoint.qpn, index,
+            endpoint._tx_buffers[index % sq.entries], length,
+            WQE_FLAG_SIGNALED if signaled else 0,
+            remote_addr=remote_addr if write else 0,
+            rkey=rkey if write else 0).pack()
+        assert read_host(node, sq.slot_addr(index), WQE_SIZE) == expected
+
+    @given(buffer_size=st.integers(64, 16384))
+    @settings(max_examples=20, deadline=None)
+    def test_host_rx_descriptors(self, buffer_size):
+        node, qp = node_with_queue(buffer_size=buffer_size, rq_entries=4)
+        qp.post_rx_buffers(3)
+        qp._repost(0)       # its buffer moves to the ring's tail, index 3
+        for index in (1, 2, 3):
+            expected = RxDesc(qp._rx_buffers[index], buffer_size).pack()
+            assert read_host(node, qp.rq.slot_addr(index),
+                             RX_DESC_SIZE) == expected
+
+    @given(length=st.integers(1, 4096), context=u24, signaled=st.booleans(),
+           opcode=st.sampled_from([OP_ETH_SEND, OP_RDMA_SEND]),
+           qpn=st.integers(1, 0xFFFFFF), mmio=st.booleans())
+    @example(length=64, context=(1 << 24) - 1, signaled=True,
+             opcode=OP_ETH_SEND, qpn=1, mmio=True)
+    @settings(max_examples=60, deadline=None)
+    def test_fld_expansion(self, length, context, signaled, opcode, qpn,
+                           mmio):
+        """FLD's expansion, rung by MMIO or read off the virtual ring,
+        is the compressed descriptor codec's ``expand``."""
+        log = []
+        tx = TxRingManager(Simulator(), BufferPool(64 * 1024, 256),
+                           mmio_writer=lambda addr, data: log.append(data),
+                           bar_base=0x1000_0000)
+        tx.add_queue(0, qpn=qpn, entries=16, doorbell_addr=0, mmio_addr=0,
+                     use_mmio=mmio, opcode=opcode)
+        meta = AxisMetadata(queue_id=0, context_id=context, signaled=signaled)
+        index = tx.submit(0, bytes(length), meta)
+        raw = tx.handle_ring_read(0, 0, WQE_SIZE)
+        address = TxWqe.unpack(raw).buffer_addr
+        expected = CompressedTxDescriptor(
+            *tx.descriptors.lookup(0, index)).expand(qpn, index,
+                                                     address).pack()
+        assert raw == expected
+        assert expected == TxWqe(
+            opcode, qpn, index, address, length,
+            WQE_FLAG_SIGNALED if signaled else 0,
+            context_id=context).pack()
+        if mmio:
+            assert log == [expected]
+
+    @given(context=st.integers(1 << 24, 1 << 32))
+    @example(context=1 << 24)
+    @settings(max_examples=20, deadline=None)
+    def test_fld_refuses_a_context_wider_than_24_bits(self, context):
+        pool = BufferPool(64 * 1024, 256)
+        tx = TxRingManager(Simulator(), pool)
+        tx.add_queue(0, qpn=1, entries=16, doorbell_addr=0, mmio_addr=0)
+        with pytest.raises(ValueError):
+            tx.submit(0, bytes(64), AxisMetadata(queue_id=0,
+                                                 context_id=context))
+        with pytest.raises(ValueError):
+            CompressedTxDescriptor(0, 64, context)
+        # Refused before anything was taken.
+        assert pool.free_chunks == pool.num_chunks
+        assert tx.queue(0).pi == 0
+        assert tx.descriptors.free_slots == tx.descriptors.capacity
+
+    @given(counter=wide_counters, rss=wide_hashes, flags=u8, tag=u32,
+           stride=u16, qpn=u32, length=st.integers(1, 1500))
+    @example(counter=0x10000, rss=1 << 32, flags=0, tag=0, stride=0, qpn=1,
+             length=64)
+    @settings(max_examples=40, deadline=None)
+    def test_nic_receive_cqe(self, counter, rss, flags, tag, stride, qpn,
+                             length):
+        node, qp = node_with_queue()
+        nic = node.nic
+        posted = []
+        nic.fabric.post_write = (
+            lambda *args, on_done=None, **kwargs: posted.append(on_done))
+        item = _RxItem(bytes(length), flags, tag, qpn, rss)
+        nic._rx_flat[qp.rq.rqn]._complete(item, 0, counter, stride)
+        [on_done] = posted
+        assert on_done.args[1] == Cqe(
+            CQE_RECV_COMPLETION, qpn, counter, length, flags=flags,
+            rss_hash=rss, flow_tag=tag, stride_index=stride).pack()
+
+    @given(index=wide_counters, length=st.integers(0, 2048),
+           signaled=st.booleans())
+    @example(index=0x10001, length=64, signaled=True)
+    @settings(max_examples=40, deadline=None)
+    def test_nic_send_cqes(self, index, length, signaled):
+        """The uplink send completion (keyed ahead of time) and the
+        local one pack the same record as the codec."""
+        node, qp = node_with_queue()
+        nic = node.nic
+        written = []
+        nic._post_cqe_at = lambda cq, cqe, ctx, when: written.append(cqe)
+        nic._post_cqe = lambda cq, cqe, ctx: written.append(cqe)
+        nic.eswitch.apply_at = lambda *args: None   # no wire attached
+        frame = Flow("02:00:00:00:00:01", "02:00:00:00:00:02", "10.0.0.1",
+                     "10.0.0.2", 7000, 7001).make_sized_packet(
+                         max(length, 64)).to_bytes()
+        wqe = TxWqeRecord(TX_WQE.unpack_from(TxWqe(
+            OP_ETH_SEND, qp.sq.qpn, index, 0, len(frame),
+            WQE_FLAG_SIGNALED if signaled else 0).pack()) + (None,))
+        pipeline = nic._tx_flat[qp.sq.qpn]
+        pipeline._tx_send(index, wqe, frame, 0.0)
+        pipeline._apply_local(([], wqe, index))
+        expected = Cqe(CQE_SEND_COMPLETION, qp.sq.qpn, index,
+                       len(frame)).pack()
+        assert written == ([expected] * 2 if signaled else [])
+
+    @given(counter=u16, length=u32, syndrome=u8, qpn=u32)
+    @settings(max_examples=40, deadline=None)
+    def test_nic_rdma_cqes(self, counter, length, syndrome, qpn):
+        node, _qp = node_with_queue()
+        nic = node.nic
+        written = []
+        nic._post_cqe = lambda cq, cqe, ctx: written.append(cqe)
+        rc = SimpleNamespace(qpn=qpn, sq=SimpleNamespace(cq=None))
+        wqe = TxWqeRecord(TX_WQE.unpack_from(TxWqe(
+            OP_RDMA_SEND, qpn, counter, 0, length,
+            WQE_FLAG_SIGNALED).pack()) + (None,))
+        nic._rdma_complete_send(rc, wqe)
+        nic._rdma_qp_error(rc, syndrome)
+        assert written == [
+            Cqe(CQE_SEND_COMPLETION, qpn, counter, length).pack(),
+            Cqe(CQE_ERROR, qpn, 0, 0, syndrome=syndrome).pack()]

@@ -51,18 +51,19 @@ def profiled_burst(telemetry):
     return pstats.Stats(profile)
 
 
-def test_watching_a_packet_costs_a_quarter_more_calls():
-    """750.8 calls a packet off, 898.1 traced (1.20x) here; 755.5 and
-    1206.3 (1.60x) when every span was a ``Span.__init__`` plus a trace
-    lookup and every trace a quadratic search.  The slack of two calls
-    a packet covers what a burst spends outside its packets (spawn,
-    drain polls), which the ratio should not scale."""
+def test_watching_a_packet_costs_under_150_calls():
+    """562.4 calls a packet off, 709.7 traced here: 147.3 calls a packet
+    to watch it (1.26x); 450.8 (1.60x) when every span was a
+    ``Span.__init__`` plus a trace lookup and every trace a quadratic
+    search.  The bound is on the difference, which is the recorder's
+    own work: a ratio drifts up whenever the untraced datapath gets
+    cheaper (it read 1.20x at 750.8 calls off)."""
     off = profiled_burst(None).total_calls / FRAMES
     telemetry = Telemetry(trace=False, spans=True)
     traced_stats = profiled_burst(telemetry)
     traced = traced_stats.total_calls / FRAMES
     assert len(telemetry.spans.finished_traces()) == WARM + FRAMES
-    assert traced <= 1.25 * off + 2.0, (off, traced)
+    assert traced - off <= 150, (off, traced)
 
     for (filename, _line, name), entry in traced_stats.stats.items():
         # Histograms are resolved by name once per recorder (and once
