@@ -41,7 +41,7 @@ class IpDefragAccelerator(DroppingAccelerator):
         return self.fld.config.cycles(cycles)
 
     def process(self, data: bytes, meta: AxisMetadata) -> Iterable[Output]:
-        packet = parse_frame(data)
+        packet = parse_frame(data, meta.layout)
         ip = packet.find(Ipv4)
         if ip is None or not ip.is_fragment:
             # Shouldn't be steered here, but forward unharmed.

@@ -19,7 +19,7 @@ class EchoAccelerator(Accelerator):
     """FLD-E echo: reflect every Ethernet frame back to its sender."""
 
     def process(self, data: bytes, meta: AxisMetadata) -> Iterable[Output]:
-        yield swap_frame(data), self.reply_meta(meta)
+        yield swap_frame(data, meta.layout), self.reply_meta(meta)
 
 
 class RdmaEchoAccelerator(Accelerator):

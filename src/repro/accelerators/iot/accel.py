@@ -71,7 +71,7 @@ class IotAuthAccelerator(DroppingAccelerator):
         if key is None:
             self.stats_unknown_tenant += 1
             return  # unknown tenant: drop
-        packet = parse_frame(data)
+        packet = parse_frame(data, meta.layout)
         try:
             coap = CoapMessage.unpack(packet.payload)
         except CoapError:

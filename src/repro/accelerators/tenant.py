@@ -57,7 +57,7 @@ class ZucEchoAccelerator(Accelerator):
         return self.SETUP_SECONDS + 2 * len(data) * self.SECONDS_PER_BYTE
 
     def process(self, data: bytes, meta: AxisMetadata) -> Iterable[Output]:
-        packet = parse_frame(data)
+        packet = parse_frame(data, meta.layout)
         ciphertext = eea3_encrypt(self.key, 0, 0, 0, packet.payload)
         packet.payload = eea3_encrypt(self.key, 0, 0, 0, ciphertext)
         self.stats_cipher_bytes += 2 * len(ciphertext)
@@ -90,7 +90,7 @@ class IotEchoAccelerator(Accelerator):
                 + len(data) * self.SECONDS_PER_BYTE)
 
     def process(self, data: bytes, meta: AxisMetadata) -> Iterable[Output]:
-        packet = parse_frame(data)
+        packet = parse_frame(data, meta.layout)
         hmac.new(self.key, packet.payload, hashlib.sha256).digest()
         self.stats_authenticated += 1
         yield swap_directions(packet).to_bytes(), self.reply_meta(meta)

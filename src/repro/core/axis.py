@@ -24,19 +24,20 @@ class AxisMetadata:
     """Sideband metadata accompanying each packet on the streams.
 
     On receive it carries the completion-derived fields (§5.5): context
-    ID, offload flags (checksum ok...), RSS hash, message position.  On
+    ID, offload flags (checksum ok...), RSS hash, message position, and
+    the receiving NIC's layout of a frame FLD read back unchanged.  On
     transmit the accelerator sets the queue and context (the context's
     upper bits select the FLD-E resume table, §5.3).
     """
 
     __slots__ = ("queue_id", "context_id", "flags", "rss_hash", "msg_first",
                  "msg_last", "signaled", "src_qpn", "trace_ctx",
-                 "trace_enqueued", "prog_skip")
+                 "trace_enqueued", "prog_skip", "layout")
 
     def __init__(self, queue_id: int = 0, context_id: int = 0,
                  flags: int = 0, rss_hash: int = 0, msg_first: bool = True,
                  msg_last: bool = True, signaled: bool = True,
-                 src_qpn: int = 0, trace_ctx=None):
+                 src_qpn: int = 0, trace_ctx=None, layout=None):
         self.queue_id = queue_id
         self.context_id = context_id
         self.flags = flags
@@ -57,6 +58,7 @@ class AxisMetadata:
         # the egress hook runs a program at most once per packet (no
         # redirect ping-pong between attached programs).
         self.prog_skip = False
+        self.layout = layout
 
     def __repr__(self) -> str:
         return (

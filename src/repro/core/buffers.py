@@ -47,10 +47,6 @@ class BufferPool:
     def free_chunks(self) -> int:
         return len(self._free)
 
-    @property
-    def free_bytes(self) -> int:
-        return len(self._free) * self.chunk_size
-
     def chunks_for(self, nbytes: int) -> int:
         return max(1, -(-nbytes // self.chunk_size))
 
@@ -59,14 +55,16 @@ class BufferPool:
     def alloc(self, nbytes: int) -> Optional[List[int]]:
         """Allocate chunks covering ``nbytes``; ``None`` when exhausted."""
         needed = self.chunks_for(nbytes)
-        if needed > len(self._free):
+        free = self._free
+        if needed > len(free):
             self.stats_alloc_failures += 1
             return None
-        handles = [self._free.pop(0) for _ in range(needed)]
+        handles = free[:needed]
+        del free[:needed]
         for handle in handles:
             self._refcount[handle] = 1
         self.stats_allocs += 1
-        self.stats_min_free = min(self.stats_min_free, len(self._free))
+        self.stats_min_free = min(self.stats_min_free, len(free))
         return handles
 
     def add_ref(self, handle: int) -> None:
@@ -76,48 +74,53 @@ class BufferPool:
 
     def release(self, handle: int) -> None:
         """Drop one reference; the chunk returns to the pool at zero."""
-        count = self._refcount.get(handle)
-        if count is None:
-            raise BufferPoolError(f"release of free chunk {handle}")
-        if count == 1:
-            del self._refcount[handle]
-            self._free.append(handle)
-            self.stats_frees += 1
-        else:
-            self._refcount[handle] = count - 1
+        self.release_all((handle,))
 
     def release_all(self, handles: List[int]) -> None:
+        """:meth:`release` each handle in turn."""
+        refcount = self._refcount
         for handle in handles:
-            self.release(handle)
+            count = refcount.get(handle)
+            if count is None:
+                raise BufferPoolError(f"release of free chunk {handle}")
+            if count == 1:
+                del refcount[handle]
+                self._free.append(handle)
+                self.stats_frees += 1
+            else:
+                refcount[handle] = count - 1
 
     # -- data access ----------------------------------------------------------
-
-    def _bounds(self, handle: int) -> int:
-        if not 0 <= handle < self.num_chunks:
-            raise BufferPoolError(f"bad chunk handle {handle}")
-        return handle * self.chunk_size
 
     def write(self, handle: int, offset: int, data: bytes) -> None:
         if offset + len(data) > self.chunk_size:
             raise BufferPoolError("write crosses chunk boundary")
-        base = self._bounds(handle)
-        self._data[base + offset:base + offset + len(data)] = data
+        if not 0 <= handle < self.num_chunks:
+            raise BufferPoolError(f"bad chunk handle {handle}")
+        base = handle * self.chunk_size + offset
+        self._data[base:base + len(data)] = data
 
     def read(self, handle: int, offset: int, length: int) -> bytes:
         if offset + length > self.chunk_size:
             raise BufferPoolError("read crosses chunk boundary")
-        base = self._bounds(handle)
-        return bytes(self._data[base + offset:base + offset + length])
+        if not 0 <= handle < self.num_chunks:
+            raise BufferPoolError(f"bad chunk handle {handle}")
+        base = handle * self.chunk_size + offset
+        return bytes(self._data[base:base + length])
 
     def write_scattered(self, handles: List[int], data: bytes) -> None:
         """Spread ``data`` across an allocated chunk list."""
+        size = self.chunk_size
         cursor = 0
         for handle in handles:
-            chunk = data[cursor:cursor + self.chunk_size]
+            chunk = data[cursor:cursor + size]
             if not chunk:
                 break
-            self.write(handle, 0, chunk)
-            cursor += len(chunk)
+            if not 0 <= handle < self.num_chunks:
+                raise BufferPoolError(f"bad chunk handle {handle}")
+            base = handle * size
+            self._data[base:base + len(chunk)] = chunk
+            cursor += size
 
     def read_scattered(self, handles: List[int], length: int) -> bytes:
         out = bytearray()

@@ -319,7 +319,8 @@ class FlexDriver(PcieEndpoint):
         cq.fused_rx = partial(self._rx_cqe_fused, cq_index)
 
     def _rx_cqe_fused(self, cq_index: int, handle) -> None:
-        cqe = CqeRecord(CQE.unpack_from(handle.data) + (handle.trace_ctx,))
+        cqe = CqeRecord(CQE.unpack_from(handle.data)
+                        + (handle.trace_ctx, None))
         route = self._cq_route.get(cq_index)
         if (route is None or route[0] != "rx"
                 or cqe.opcode != CQE_RECV_COMPLETION
@@ -335,7 +336,8 @@ class FlexDriver(PcieEndpoint):
         self.rx.deliver(
             route[1], self.rx.binding(route[1]), cqe,
             partial(self._emit_rx_fused, handle),
-            lambda addr, payload: recycles.append((addr, payload)))
+            lambda addr, payload: recycles.append((addr, payload)),
+            handle.frame)
         if recycles:
             # Recycle doorbells must be *issued* at the CQE's arrival
             # instant, not merely keyed there: an early reservation
@@ -403,7 +405,7 @@ class FlexDriver(PcieEndpoint):
         # The trace context rides the CQE's write TLP side band: the 64 B
         # on the wire carry no room for it.
         cqe = CqeRecord(CQE.unpack_from(data)
-                        + (self.fabric.inbound_trace_ctx(),))
+                        + (self.fabric.inbound_trace_ctx(), None))
         route = self._cq_route.get(cq_index)
         if route is None:
             self.errors.report(FldError.CQE_ERROR, cq_index,

@@ -178,7 +178,8 @@ class RxRingManager:
 
     def deliver(self, binding_id: int, binding: _RxBinding,
                 cqe: CqeRecord, emit: Optional[Callable],
-                recycle_writer: Optional[Callable]) -> None:
+                recycle_writer: Optional[Callable],
+                frame: Optional[tuple] = None) -> None:
         """The receive completion: locate the packet in receive SRAM, hand it
         (with metadata) to ``emit`` — through the match-action hook when
         a program is attached — then return every buffer before the one
@@ -187,8 +188,11 @@ class RxRingManager:
         Recycling is strictly in posting order (§5.2 "Receive Ring in
         Host Memory"), which is what lets the host-memory descriptors
         stay immutable.  The fused rx engine calls this at CQE *issue*
-        time with its own continuation plumbing; :meth:`on_recv_completion`
-        passes the manager's ``emit`` / ``mmio_writer``.
+        time with its own continuation plumbing and the CQE's side-band
+        ``frame`` (never with a program attached), whose layout rides
+        the metadata if the bytes read back are the NIC's;
+        :meth:`on_recv_completion` passes the manager's ``emit`` /
+        ``mmio_writer``.
         """
         self.stats_cqes += 1
         desc_index = self._full_desc_index(binding, cqe.wqe_counter)
@@ -206,6 +210,8 @@ class RxRingManager:
                 msg_last=bool(cqe.flags & CQE_FLAG_MSG_LAST),
                 src_qpn=cqe.qpn,
                 trace_ctx=cqe.trace_ctx,
+                layout=(frame[1] if frame is not None and frame[0] == data
+                        else None),
             )
             hook = self.prog_hook
             if hook is None:

@@ -107,7 +107,7 @@ class _TenantAccounting:
         loadgen.qp.on_receive = self._on_receive
 
     def _on_receive(self, data: bytes, cqe) -> None:
-        payload_at = parse_layout(data)[PAYLOAD]
+        payload_at = (cqe.layout or parse_layout(data))[PAYLOAD]
         if len(data) - payload_at >= 8:
             (seq,) = struct.unpack_from("!Q", data, payload_at)
             sent = self.loadgen._sent_at.get(seq)

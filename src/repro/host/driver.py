@@ -34,7 +34,7 @@ from ..nic import (
 from ..nic import CommandChannel
 from ..nic.device import DOORBELL_STRIDE, _POISON
 from ..nic.queues import ReceiveQueue
-from ..nic.wqe import CQE, RX_DESC, TX_WQE, CqeRecord
+from ..nic.wqe import CQE, CQE_ERROR, RX_DESC, TX_WQE, CqeRecord
 from ..pcie import POSTED
 from ..sim import Event, PollWait, Pump, Simulator, Store
 from ..topology.addrmap import CMD_MAILBOX_OFFSET, NIC_CMD_DOORBELL
@@ -226,8 +226,8 @@ class EthQueuePair:
     def _retire(self, landed) -> None:
         # Completions are cumulative under selective signalling: a CQE
         # for index i retires everything up to i (16-bit wrap aware).
-        data, ctx = landed
-        cqe = CqeRecord(CQE.unpack_from(data) + (ctx,))
+        data, ctx, _frame = landed
+        cqe = CqeRecord(CQE.unpack_from(data) + (ctx, None))
         base = self._tx_completed & ~0xFFFF
         completed = base | cqe.wqe_counter
         if completed < self._tx_completed:
@@ -267,15 +267,23 @@ class EthQueuePair:
 
     def _receive(self, landed) -> None:
         """Hand one completed packet to the application.  ``landed`` is
-        the CQE as it arrived: its bytes and its write's trace context."""
-        data, ctx = landed
-        cqe = CqeRecord(CQE.unpack_from(data) + (ctx,))
+        the CQE as it arrived: its bytes, trace context and frame (the
+        NIC's ``(bytes, layout)``, whose layout the record keeps if the
+        frame read back is those bytes).  An error CQE only reposts."""
+        cqe_bytes, ctx, frame = landed
+        fields = CQE.unpack_from(cqe_bytes) + (ctx,)
+        cqe = CqeRecord(fields + (None,))
+        if cqe.opcode == CQE_ERROR:
+            self._repost(cqe.wqe_counter)
+            return
         driver = self.driver
         slot = cqe.wqe_counter % self.rq.entries
         buffer_addr = self._rx_buffers[slot]
         data = driver.memory.read_local(
             buffer_addr - driver.mem_base, cqe.byte_count
         )
+        if frame is not None and frame[0] == data:
+            cqe = CqeRecord(fields + (frame[1],))
         self._repost(cqe.wqe_counter)
         self.stats_rx += 1
         if self.on_receive is not None:
@@ -340,7 +348,7 @@ class EthQueuePair:
                                max(handle.delivery, self._fused_done), now)
         self._fused_done = now
         handle.commit()
-        self._receive((handle.data, ctx))
+        self._receive((handle.data, ctx, handle.frame))
 
 
 class RcEndpoint:
@@ -491,8 +499,8 @@ class RcEndpoint:
         return done
 
     def _tx_completion(self, landed) -> None:
-        data, ctx = landed
-        cqe = CqeRecord(CQE.unpack_from(data) + (ctx,))
+        data, ctx, _frame = landed
+        cqe = CqeRecord(CQE.unpack_from(data) + (ctx, None))
         waiter = self._send_waiters.pop(cqe.wqe_counter, None)
         if waiter is not None:
             waiter.succeed(cqe)
@@ -501,8 +509,8 @@ class RcEndpoint:
         """One receive CQE (its landed bytes and trace context): a core,
         when present, works ``packet_cost()`` on it before the next is
         looked at."""
-        data, ctx = landed
-        cqe = CqeRecord(CQE.unpack_from(data) + (ctx,))
+        data, ctx, _frame = landed
+        cqe = CqeRecord(CQE.unpack_from(data) + (ctx, None))
         core = self.driver.core
         pending = (cqe, self.sim._now)
         if core is None:
@@ -517,6 +525,9 @@ class RcEndpoint:
 
     def _rx_segment(self, pending) -> None:
         cqe, started = pending
+        if cqe.opcode == CQE_ERROR:     # a segment longer than its buffer
+            self._recycle(cqe.wqe_counter)
+            return
         driver = self.driver
         slot = cqe.wqe_counter % self.rq.entries
         buffer_addr = self._rx_buffers[slot]

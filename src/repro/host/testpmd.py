@@ -91,18 +91,19 @@ class EchoApp:
         return self._pending.stats_dropped
 
     def _on_receive(self, data: bytes, cqe) -> None:
-        # Thread the trace context through the app queue alongside the
-        # enqueue time, so the worker can split app-queueing from the
-        # echo turnaround itself.
-        self._pending.try_put((data, cqe.trace_ctx, self.qp.sim._now))
+        # Thread the frame's layout and trace context through the app
+        # queue alongside the enqueue time, so the worker can split
+        # app-queueing from the echo turnaround itself.
+        self._pending.try_put((data, cqe.layout, cqe.trace_ctx,
+                               self.qp.sim._now))
 
     def _echo(self, item):
-        data, ctx, enqueued = item
+        data, layout, ctx, enqueued = item
         started = self.qp.sim._now
         if ctx is not None and started > enqueued:
             self._spans.record(ctx, "host.tx", enqueued, started,
                                kind="queue")
-        return self._transmit((swap_frame(data), ctx, started))
+        return self._transmit((swap_frame(data, layout), ctx, started))
 
     def _transmit(self, entry):
         """Post the echo; False (the pump pauses) while the SQ is full."""
@@ -327,7 +328,7 @@ class LoadGenerator:
             spans.record(ctx, "host.tx", started, self.sim._now)
 
     def _on_receive(self, data: bytes, cqe) -> None:
-        payload_at = parse_layout(data)[PAYLOAD]
+        payload_at = (cqe.layout or parse_layout(data))[PAYLOAD]
         if len(data) - payload_at >= _SEQ_SIZE:
             (seq,) = struct.unpack_from(_SEQ_FORMAT, data, payload_at)
             sent = self._sent_at.pop(seq, None)

@@ -9,9 +9,10 @@ from __future__ import annotations
 import struct
 
 
-def _folded_sum(data: bytes, initial: int) -> int:
-    """One's-complement sum of ``data``'s 16-bit words plus ``initial``.
+def internet_checksum(data: bytes, initial: int = 0) -> int:
+    """One's-complement sum of 16-bit words, folded and inverted.
 
+    ``initial`` allows chaining (e.g. pseudo-header then payload).
     Since 2**16 == 1 (mod 0xFFFF), the word sum of an even-length buffer
     is congruent to the whole buffer taken as one big integer, and the
     RFC 1071 fold of a total T is 0 when T is 0 and ((T-1) % 0xFFFF) + 1
@@ -20,22 +21,16 @@ def _folded_sum(data: bytes, initial: int) -> int:
     if len(data) % 2:
         data = data + b"\x00"
     total = initial + int.from_bytes(data, "big")
-    if total == 0:
-        return 0
-    return (total - 1) % 0xFFFF + 1
-
-
-def internet_checksum(data: bytes, initial: int = 0) -> int:
-    """One's-complement sum of 16-bit words, folded and inverted.
-
-    ``initial`` allows chaining (e.g. pseudo-header then payload).
-    """
-    return (~_folded_sum(data, initial)) & 0xFFFF
+    return 0xFFFE - (total - 1) % 0xFFFF if total else 0xFFFF
 
 
 def verify_checksum(data: bytes) -> bool:
-    """True when ``data`` (checksum field included) sums to zero."""
-    return internet_checksum(data) == 0
+    """True when ``data`` (checksum field included) sums to zero: its
+    fold is 0xFFFF, so its total is a nonzero multiple of 0xFFFF."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = int.from_bytes(data, "big")
+    return total != 0 and total % 0xFFFF == 0
 
 
 def pseudo_header_v4(src: bytes, dst: bytes, proto: int, length: int) -> bytes:

@@ -2,9 +2,12 @@
 
 A :class:`Packet` on the datapath is *frozen*: the frame's bytes
 (``raw``) plus one immutable layout tuple (``layout``), computed once by
-:func:`repro.net.parse.parse_layout` where the frame enters the model.
-The NIC's steering, offloads, RSS and transport read that tuple; nothing
-per-packet is rebuilt or re-serialised.
+:func:`repro.net.parse.parse_layout` where bytes become a frame a NIC
+steers (its transmit path; a RoCE frame is born with its layout).  The
+NIC's steering, offloads, RSS and transport read that tuple; nothing
+per-packet is rebuilt or re-serialised.  A received frame's layout
+rides its completion's side band to the consumer, which reuses it only
+while the bytes it read back are ``raw`` and parses them otherwise.
 
 Code that *builds* frames works on the other form, an ordered stack of
 header objects plus a payload.  Headers are small structs with real
@@ -192,7 +195,9 @@ class Packet:
 
     def wire_size(self) -> int:
         """Bytes consumed on an Ethernet wire including overheads."""
-        return self.size() + ETHERNET_WIRE_OVERHEAD
+        raw = self.raw
+        size = len(raw) if raw is not None else self.size()
+        return size + ETHERNET_WIRE_OVERHEAD
 
     def to_bytes(self) -> bytes:
         raw = self.raw

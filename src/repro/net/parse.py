@@ -18,7 +18,7 @@ is property-tested against.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .ethernet import ETHERTYPE_IPV4, Ethernet
 from .ip import Ipv4, PROTO_TCP, PROTO_UDP
@@ -42,9 +42,10 @@ class ParseError(ValueError):
     """Raised on truncated or malformed frames."""
 
 
-def parse_frame(data: bytes) -> Packet:
-    """Parse a full Ethernet frame into a frozen packet."""
-    return Packet.frozen(data, parse_layout(data), {})
+def parse_frame(data: bytes, layout: Optional[tuple] = None) -> Packet:
+    """Parse a full Ethernet frame into a frozen packet (``layout`` is
+    ``data``'s, for a caller that already holds it)."""
+    return Packet.frozen(data, layout or parse_layout(data), {})
 
 
 def parse_layout(data: bytes, base: int = 0) -> tuple:

@@ -24,7 +24,7 @@ from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..net import Packet
-from ..net.parse import BTH, parse_frame
+from ..net.parse import BTH, NO_LAYERS, parse_layout
 from ..pcie import PcieEndpoint, PcieError, PcieFabric, PcieLinkConfig
 from ..sim import Simulator, Store
 # The NIC BAR's internal layout lives with the other physical address
@@ -55,6 +55,7 @@ from .wqe import (
     CQE_ERROR,
     CQE_RECV_COMPLETION,
     CQE_SEND_COMPLETION,
+    CQE_SYNDROME_LOCAL_LENGTH,
     RX_DESC,
     RX_DESC_SIZE,
     TX_WQE,
@@ -89,13 +90,15 @@ class NicConfig:
 
 
 class _RxItem:
-    """One unit of work for a receive-queue worker."""
+    """One unit of work for a receive-queue worker.  ``frame`` is the
+    steered frame's ``(data, layout)``, for the CQE's side band."""
 
     __slots__ = ("data", "flags", "context_id", "qpn", "rss_hash",
-                 "trace_ctx", "enqueued", "started")
+                 "trace_ctx", "enqueued", "started", "frame")
 
     def __init__(self, data: bytes, flags: int, context_id: int, qpn: int,
-                 rss_hash: int = 0, trace_ctx=None, enqueued: float = 0.0):
+                 rss_hash: int = 0, trace_ctx=None, enqueued: float = 0.0,
+                 frame: Optional[tuple] = None):
         self.data = data
         self.flags = flags
         self.context_id = context_id
@@ -104,6 +107,7 @@ class _RxItem:
         self.trace_ctx = trace_ctx
         self.enqueued = enqueued
         self.started = 0.0   # service start, stamped by the rq worker
+        self.frame = frame
 
 
 class Nic(PcieEndpoint):
@@ -162,6 +166,8 @@ class Nic(PcieEndpoint):
         self.stats_cqes = 0
         self.stats_rx_dropped_inbox = 0
         self.stats_rx_dropped_no_desc = 0
+        #: Frames longer than their receive buffer (local length errors).
+        self.stats_rx_dropped_oversize = 0
         self.stats_meter_drops = 0
         # The tracer and span recorder are guarded by their ``enabled``
         # flags at every use site.
@@ -336,8 +342,7 @@ class Nic(PcieEndpoint):
             # The packet's trace context rode the MMIO write side band.
             wqe = TxWqeRecord(TX_WQE.unpack_from(data)
                               + (self.fabric.inbound_trace_ctx(),))
-            sq.push_mmio_wqe(wqe)
-            sq.ring_doorbell(wqe.wqe_index + 1)
+            sq.ring_doorbell(wqe.wqe_index + 1, wqe)
             return
         if offset >= RQ_DOORBELL_BASE:
             rqn = (offset - RQ_DOORBELL_BASE) // DOORBELL_STRIDE
@@ -395,7 +400,7 @@ class Nic(PcieEndpoint):
         caller can resolve at data-ready time and defer the effect to
         the pipeline's completion instant.
         """
-        packet = parse_frame(data)
+        packet = Packet.frozen(data, parse_layout(data), {})
         if wqe.flags & (WQE_FLAG_CSUM_L3 | WQE_FLAG_CSUM_L4):
             self.checksum.fill(packet, l3=bool(wqe.flags & WQE_FLAG_CSUM_L3),
                                l4=bool(wqe.flags & WQE_FLAG_CSUM_L4))
@@ -441,15 +446,18 @@ class Nic(PcieEndpoint):
             rq = disposition.target.select(packet)
         else:  # DELIVER or ACCELERATOR
             rq = disposition.target
-        flags = self.checksum.validate(packet)
+        flags = self.checksum.validate(packet)   # freezes a thawed packet
         context = disposition.context_id & 0xFFFF
         if disposition.kind == Disposition.ACCELERATOR and disposition.next_table:
             resume_id = self._resume_id_for(disposition.next_table)
             context |= resume_id << 16
-        item = _RxItem(packet.to_bytes(), flags, context, rq.rqn,
+        raw, layout = packet.raw, packet.layout
+        item = _RxItem(raw, flags, context, rq.rqn,
                        packet.meta.get("rss_hash", 0),
                        trace_ctx=packet.meta.get("trace_ctx"),
-                       enqueued=self.sim._now)
+                       enqueued=self.sim._now,
+                       # A header-less payload's layout is no parse of raw.
+                       frame=None if layout is NO_LAYERS else (raw, layout))
         inbox = self._rx_inbox.get(rq.rqn)
         if inbox is None or not inbox.try_put(item):
             self.stats_rx_dropped_inbox += 1
@@ -494,8 +502,10 @@ class Nic(PcieEndpoint):
     # Completion writes
     # ------------------------------------------------------------------
 
-    def _post_cqe(self, cq: CompletionQueue, cqe: bytes, ctx) -> None:
-        """Write one packed CQE; ``ctx`` rides the write side band."""
+    def _post_cqe(self, cq: CompletionQueue, cqe: bytes, ctx,
+                  frame: Optional[tuple] = None) -> None:
+        """Write one packed CQE; ``ctx`` and ``frame`` (the received
+        frame's ``(bytes, layout)``) ride the write side band."""
         self.stats_cqes += 1
         tracer = self._tracer
         if tracer.enabled:
@@ -506,12 +516,12 @@ class Nic(PcieEndpoint):
             # The consumer folds the write's delivery into its own
             # per-packet event (see CompletionQueue.fused_rx).
             fused(self.fabric.post_write_deferred(
-                self, cq.next_slot(), cqe, ctx, "pcie.cqe_write"))
+                self, cq.next_slot(), cqe, ctx, "pcie.cqe_write", frame))
             return
         self.fabric.post_write(self, cq.next_slot(), cqe, trace_ctx=ctx,
                                trace_stage="pcie.cqe_write",
                                on_done=partial(cq.notify.try_put,
-                                               (cqe, ctx)))
+                                               (cqe, ctx, frame)))
 
     def _post_cqe_at(self, cq: CompletionQueue, cqe: bytes, ctx,
                      when: float) -> None:
@@ -531,7 +541,7 @@ class Nic(PcieEndpoint):
         self.fabric.post_write_at(self, cq.next_slot(), cqe, when, ctx,
                                   "pcie.cqe_write",
                                   on_done=partial(cq.notify.try_put,
-                                                  (cqe, ctx)))
+                                                  (cqe, ctx, None)))
 
     # ------------------------------------------------------------------
     # Telemetry probes
@@ -620,12 +630,12 @@ class _RqFlatWorker:
                 return
             self._mprq_finish(item, nic._cached_rx_desc[key], placement)
             return
-        if rq.available == 0:
+        index = rq.ci
+        if index == rq.pi:      # no descriptor posted
             rq.stats_drops_no_desc += 1
             nic.stats_rx_dropped_no_desc += 1
             self._next()
             return
-        index = rq.ci
         rq.ci = index + 1
         rq.stats_packets += 1
         desc = nic._cached_rx_desc.pop((rq.rqn, index), None)
@@ -666,7 +676,13 @@ class _RqFlatWorker:
     def _plain_finish(self, item, index, desc) -> None:
         buffer_addr, buffer_bytes, _lkey = desc
         if len(item.data) > buffer_bytes:
-            self.nic.stats_rx_dropped_no_desc += 1
+            # A local length error: no data write, and the descriptor
+            # completes in error so that software reposts its buffer.
+            nic = self.nic
+            nic.stats_rx_dropped_oversize += 1
+            nic._post_cqe(self.rq.cq, CQE.pack(
+                CQE_ERROR, 0, index & 0xFFFF, item.qpn, len(item.data), 0,
+                0, 0, 1, CQE_SYNDROME_LOCAL_LENGTH), item.trace_ctx)
             self._next()
             return
         self._complete(item, buffer_addr, index, 0)
@@ -686,7 +702,7 @@ class _RqFlatWorker:
         nic.fabric.post_write(nic, address, item.data, trace_ctx=ctx,
                               trace_stage="pcie.dma_write",
                               on_done=partial(nic._post_cqe, self.rq.cq, cqe,
-                                              ctx))
+                                              ctx, item.frame))
         tracer = nic._tracer
         if tracer.enabled:
             tracer.complete(f"nic.{nic.name}", f"rq{self.rq.rqn}",
@@ -909,8 +925,12 @@ class _SqFlatPipeline:
                                 popped, done,
                                 {"index": index, "bytes": wqe.byte_count})
         resolved = nic._resolve_eth(sq, wqe, data)
-        eswitch = nic.eswitch
-        if all(d.kind == Disposition.UPLINK for d, _v in resolved):
+        for d, _v in resolved:
+            if d.kind != Disposition.UPLINK:
+                break
+        else:
+            # All bound for the wire: keyed at ``done``, no event.
+            eswitch = nic.eswitch
             for d, vport in resolved:
                 eswitch.apply_at(d, vport, done)
             if wqe.flags & WQE_FLAG_SIGNALED:

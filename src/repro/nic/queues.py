@@ -29,7 +29,8 @@ class CompletionQueue:
     """A completion ring the NIC writes and a consumer polls.
 
     ``notify`` is a simulation-side channel carrying each CQE that
-    landed, as its bytes and the trace context its write carried; it
+    landed, as its bytes and what its write carried side band: the trace
+    context and the received frame's ``(bytes, layout)`` or ``None``; it
     stands in for the consumer's poll loop discovering new entries (or an
     interrupt/event queue), without simulating busy-polling.
     """
@@ -97,9 +98,15 @@ class SendQueue:
     def slot_addr(self, index: int) -> int:
         return self.ring_addr + (index % self.entries) * WQE_SIZE
 
-    def ring_doorbell(self, new_pi: int) -> None:
+    def ring_doorbell(self, new_pi: int,
+                      mmio_wqe: Optional[TxWqeRecord] = None) -> None:
         """Handle a doorbell MMIO: advance PI and wake the queue's fetch
-        stage (a getter callback on the ``doorbell`` store)."""
+        stage (a getter callback on the ``doorbell`` store).  A WQE
+        written by MMIO (BlueFlame) rides its own doorbell: ``mmio_wqe``
+        is staged, saving the fetch stage its DMA read."""
+        if mmio_wqe is not None:
+            self.mmio_wqes[mmio_wqe.wqe_index] = mmio_wqe
+            self.stats_mmio_wqes += 1
         if self.destroyed:
             raise QueueError(f"doorbell on destroyed SQ {self.qpn}")
         if new_pi < self.pi:
@@ -113,11 +120,6 @@ class SendQueue:
         if self._depth_gauge is not None:
             self._depth_gauge.set(self.outstanding)
         self.doorbell.try_put(new_pi)
-
-    def push_mmio_wqe(self, wqe: TxWqeRecord) -> None:
-        """Stage a WQE written directly through MMIO (saves a DMA read)."""
-        self.mmio_wqes[wqe.wqe_index] = wqe
-        self.stats_mmio_wqes += 1
 
     @property
     def outstanding(self) -> int:
@@ -206,7 +208,7 @@ class MultiPacketReceiveQueue(ReceiveQueue):
             raise QueueError(
                 f"packet of {length} B exceeds MPRQ buffer {self.buffer_size} B"
             )
-        if self.available == 0:
+        if self.ci == self.pi:      # no descriptor posted
             self.stats_drops_no_desc += 1
             return None
         if self.stride_cursor + needed > self.strides_per_buffer:
@@ -215,7 +217,7 @@ class MultiPacketReceiveQueue(ReceiveQueue):
                 self.strides_per_buffer - self.stride_cursor
             )
             self._advance_buffer()
-            if self.available == 0:
+            if self.ci == self.pi:
                 self.stats_drops_no_desc += 1
                 return None
         placement = {

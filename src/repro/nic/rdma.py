@@ -121,9 +121,10 @@ class RcQp:
         self.remote_mac: Optional[MacAddress] = None
         self.remote_ip: Optional[IpAddress] = None
         self.remote_qpn: Optional[int] = None
-        # Packed Eth/IPv4/UDP head of this QP's frames by UDP length;
-        # valid while the remote endpoint stands.
-        self.frame_heads: Dict[int, bytes] = {}
+        # Packed Eth/IPv4/UDP head of this QP's frames and the frame's
+        # layout, by (UDP length, BTH opcode); valid while the remote
+        # endpoint stands.
+        self.frame_heads: Dict[tuple, tuple] = {}
         # Sender state.
         self.next_psn = 0
         self.consecutive_retries = 0
@@ -395,20 +396,23 @@ class RdmaEngine:
         and the ICRC behind the QP's Eth/IPv4/UDP head.
 
         Every field of the head but the two lengths is fixed while the
-        QP stays connected, so it is packed through the header classes
-        once per UDP length.
+        QP stays connected, and the layout depends only on the head and
+        the BTH opcode (``body[0]``: the AETH/RETH extent), so both are
+        built once per (UDP length, opcode).
         """
         udp_length = Udp.HEADER_LEN + len(body) + ICRC_SIZE
-        head = qp.frame_heads.get(udp_length)
-        if head is None:
+        key = (udp_length, body[0])
+        cached = qp.frame_heads.get(key)
+        if cached is None:
             udp = Udp(49152 + (qp.qpn & 0x3FFF), ROCE_V2_PORT, udp_length)
             ip = Ipv4(qp.local_ip, qp.remote_ip, proto=PROTO_UDP)
             ip.finalize(udp_length)
-            head = qp.frame_heads[udp_length] = (
-                Ethernet(qp.local_mac, qp.remote_mac).pack()
-                + ip.pack() + udp.pack())
-        raw = head + body + _ICRC
-        return Packet.frozen(raw, parse_layout(raw), {})
+            head = (Ethernet(qp.local_mac, qp.remote_mac).pack()
+                    + ip.pack() + udp.pack())
+            cached = qp.frame_heads[key] = (
+                head, parse_layout(head + body + _ICRC))
+        head, layout = cached
+        return Packet.frozen(head + body + _ICRC, layout, {})
 
     def _arm_retransmit_timer(self, qp: RcQp) -> None:
         # A method bound to the engine, so the timer accounts to the

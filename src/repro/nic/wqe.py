@@ -41,6 +41,7 @@ WQE_FLAG_LSO = 0x10        # offload: TCP segmentation at wqe.mss
 CQE_SEND_COMPLETION = 0x01
 CQE_RECV_COMPLETION = 0x02
 CQE_ERROR = 0x0F
+CQE_SYNDROME_LOCAL_LENGTH = 0x01   # CQE_ERROR: frame longer than its buffer
 
 # CQE flags.
 CQE_FLAG_L3_OK = 0x01
@@ -57,21 +58,23 @@ CQE = struct.Struct("!BBHIIIIHBB40x")
 
 def _record(name: str, fields: str) -> type:
     """A tuple type naming a record's fields as ``unpack_from`` reads
-    them off the landed bytes, then the trace context its write carried
-    side band.  Reading a field is a C-level item get, and
-    ``Record(fields + (ctx,))`` runs no Python code."""
+    them off the landed bytes, then its write's side band: the trace
+    context and, on a CQE, the NIC's layout of a frame read back
+    unchanged.  Reading a field is a C-level item get, and
+    ``Record(fields + (ctx, ...))`` runs no Python code."""
     namespace = {"__slots__": (), "__doc__": _record.__doc__}
-    for i, field in enumerate(fields.split() + ["trace_ctx"]):
+    for i, field in enumerate(fields.split()):
         namespace[field] = property(itemgetter(i))
     return type(name, (tuple,), namespace)
 
 
 TxWqeRecord = _record("TxWqeRecord", "opcode flags wqe_index qpn "
                       "buffer_addr byte_count lkey context_id ack_req "
-                      "remote_addr rkey mss")
+                      "remote_addr rkey mss trace_ctx")
 TxWqeRecord.ack_req = property(lambda wqe: bool(wqe[8]))   # as the codec
 CqeRecord = _record("CqeRecord", "opcode flags wqe_counter qpn byte_count "
-                    "rss_hash flow_tag stride_index owner syndrome")
+                    "rss_hash flow_tag stride_index owner syndrome "
+                    "trace_ctx layout")
 
 
 class TxWqe:

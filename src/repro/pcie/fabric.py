@@ -79,7 +79,9 @@ class DeferredWrite:
     continuation event.
 
     ``data`` is the payload that will land and ``trace_ctx`` the context
-    riding the TLP side band, so a consumer reads the write itself.
+    riding the TLP side band, so a consumer reads the write itself.  A
+    receive CQE's side band also carries ``frame``, the ``(bytes,
+    layout)`` the NIC parsed of the frame it completes (else ``None``).
     ``delivery`` is the TLP's arrival time at the endpoint — re-read it
     at fire time, since shared-lane arbitration may repair it later.
     The owner must call :meth:`commit` from its continuation event at
@@ -89,13 +91,14 @@ class DeferredWrite:
     then final) ``delivery``.
     """
 
-    __slots__ = ("_fabric", "_path", "data", "trace_ctx", "_span")
+    __slots__ = ("_fabric", "_path", "data", "trace_ctx", "frame", "_span")
 
-    def __init__(self, fabric, path, data, trace_ctx, span):
+    def __init__(self, fabric, path, data, trace_ctx, frame, span):
         self._fabric = fabric
         self._path = path    # _reserve_path's delivery-tuple head
         self.data = data
         self.trace_ctx = trace_ctx
+        self.frame = frame
         self._span = span    # open span when the TLP carries a context
 
     @property
@@ -409,7 +412,8 @@ class PcieFabric:
 
     def post_write_deferred(self, requester: PcieEndpoint, address: int,
                             data: bytes, trace_ctx=None,
-                            trace_stage: str = "pcie.write") -> DeferredWrite:
+                            trace_stage: str = "pcie.write",
+                            frame=None) -> DeferredWrite:
         """A single-TLP posted write without its own delivery event.
 
         For initiators that already schedule a continuation at/after
@@ -428,7 +432,7 @@ class PcieFabric:
             port, address, total, _REQUEST_BITS + total * 8)
         span = (None if trace_ctx is None else
                 self._spans.enter(trace_ctx, trace_stage, self.sim._now))
-        return DeferredWrite(self, path, data, trace_ctx, span)
+        return DeferredWrite(self, path, data, trace_ctx, frame, span)
 
     def post_write_at(self, requester: PcieEndpoint, address: int,
                       data: bytes, arrival: float, trace_ctx=None,

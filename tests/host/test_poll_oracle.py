@@ -169,7 +169,8 @@ class _Loopback:
         self.on_receive(frame, _NO_TRACE)
 
 
-_NO_TRACE = SimpleNamespace(trace_ctx=None)   # all the loop reads of a CQE
+# All the loop reads of a CQE: no trace, no layout (it parses the frame).
+_NO_TRACE = SimpleNamespace(trace_ctx=None, layout=None)
 
 
 def _poll_instant(start, polls, step=200e-9):

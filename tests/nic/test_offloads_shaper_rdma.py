@@ -5,6 +5,7 @@ import pytest
 from repro.net import Aeth, Bth, Ethernet, Flow, Ipv4, PROTO_TCP, \
     PROTO_UDP, Packet, ROCE_V2_PORT, Reth, Tcp, Udp, fragment_packet, \
     send_opcode, write_opcode
+from repro.net.parse import parse_layout
 from repro.net.roce import ICRC_SIZE, OP_ACK
 from repro.nic import CQE_FLAG_L3_OK, CQE_FLAG_L4_OK, ChecksumOffload, \
     Shaper
@@ -266,9 +267,15 @@ def packed_by_header_classes(qp, transport, payload):
     return packet.to_bytes()
 
 
+def assert_born_parsed(frame):
+    """A frame leaves with its own parse, cached or not."""
+    assert frame.layout == parse_layout(frame.raw)
+
+
 class TestRoceFrameHeads:
-    """Frames leave as cached head + transport + payload + ICRC; every
-    one must equal what the header classes pack for the same fields."""
+    """Frames leave as cached head + transport + payload + ICRC with a
+    cached layout; every one must equal what the header classes pack
+    for the same fields, and carry the parse of those bytes."""
 
     @pytest.mark.parametrize("size", [1, 1024, 452])
     @pytest.mark.parametrize("first,last", [
@@ -284,30 +291,51 @@ class TestRoceFrameHeads:
                       ack_request=last)
             assert frame.to_bytes() == packed_by_header_classes(
                 qp, [bth], payload[:size])
-        assert list(qp.frame_heads) == [8 + 12 + size + ICRC_SIZE]
+            assert_born_parsed(frame)
+        assert list(qp.frame_heads) == [
+            (8 + 12 + size + ICRC_SIZE, send_opcode(first, last))]
 
     @pytest.mark.parametrize("size", [1, 1024, 452])
     def test_write_first_carries_its_reth(self, size):
         loop = _Loopback(Simulator())
         qp = loop.qp_a
         wqe = landed(TxWqe(OP_RDMA_WRITE, 1, 0, 0, size))
-        frame = loop.a._build_frame(
-            qp, bytes(size), True, False, wqe, is_write=True,
-            remote_addr=0x1234_5678_9ABC, rkey=77, total_length=3000)
-        assert frame.to_bytes() == packed_by_header_classes(
-            qp, [Bth(write_opcode(True, False), qp.remote_qpn, 0),
-                 Reth(0x1234_5678_9ABC, 77, 3000)], bytes(size))
+        for _ in range(2):      # the second is built on a warm head
+            frame = loop.a._build_frame(
+                qp, bytes(size), True, False, wqe, is_write=True,
+                remote_addr=0x1234_5678_9ABC, rkey=77, total_length=3000)
+            assert frame.to_bytes() == packed_by_header_classes(
+                qp, [Bth(write_opcode(True, False), qp.remote_qpn, 0),
+                     Reth(0x1234_5678_9ABC, 77, 3000)], bytes(size))
+            assert_born_parsed(frame)
+
+    def test_same_length_other_opcode_is_parsed_again(self):
+        """A WRITE_FIRST and a SEND body of one length share a UDP
+        length, but only the first carries a RETH."""
+        loop = _Loopback(Simulator())
+        qp = loop.qp_a
+        wqe = landed(TxWqe(OP_RDMA_WRITE, 1, 0, 0, 16))
+        write = loop.a._build_frame(
+            qp, bytes(16), True, False, wqe, is_write=True,
+            remote_addr=0x1000, rkey=7, total_length=16)
+        send = loop.a._build_frame(qp, bytes(32), True, False, wqe)
+        assert len(write.raw) == len(send.raw)
+        assert_born_parsed(write)
+        assert_born_parsed(send)
+        assert write.layout != send.layout
 
     def test_ack(self):
         loop = _Loopback(Simulator())
         qp, sent = loop.qp_b, []
-        loop.b.egress = lambda qp, frame: sent.append(frame.to_bytes())
+        loop.b.egress = lambda qp, frame: sent.append(frame)
         qp.expected_psn, qp.received_msn = 10, 3
         loop.b._send_ack(qp)
         loop.b._send_ack(qp)
         expected = packed_by_header_classes(
             qp, [Bth(OP_ACK, qp.remote_qpn, 9), Aeth(msn=3)], b"")
-        assert sent == [expected, expected]
+        assert [frame.to_bytes() for frame in sent] == [expected, expected]
+        for frame in sent:
+            assert_born_parsed(frame)
 
     def test_thawing_an_outstanding_frame_leaves_its_retransmission(self):
         """A ``drop_filter`` may ``find(Bth)`` on the frame the QP keeps

@@ -1,7 +1,7 @@
 """Property-based tests for the packet library."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.accelerators.iot import CoapMessage, sign_token, verify_token
 from repro.accelerators.zuc import Zuc, eea3_decrypt, eea3_encrypt, eia3_mac
@@ -24,6 +24,7 @@ from repro.net import (
     fragment_packet,
     internet_checksum,
     parse_frame,
+    verify_checksum,
 )
 from repro.net import parse as P
 from repro.net.ip import FLAG_MF
@@ -64,6 +65,29 @@ class TestChecksumProperties:
         corrupted = bytearray(data)
         corrupted[0] ^= 1 << bit
         assert internet_checksum(bytes(corrupted)) != checksum
+
+    @given(st.one_of(
+        st.binary(max_size=512),
+        st.tuples(st.binary(max_size=512), st.booleans()).map(
+            lambda drawn: _checksummed(*drawn))))
+    @example(b"")
+    @example(b"\x00")
+    @example(b"\xff")
+    @example(b"\xff\xff")
+    @example(b"\xff\xff\x00")
+    @settings(max_examples=200, deadline=None)
+    def test_verify_is_a_zero_checksum(self, data):
+        """``verify_checksum`` folds the sum itself; it must agree with
+        ``internet_checksum`` on every length, odd and even."""
+        assert verify_checksum(data) == (internet_checksum(data) == 0)
+
+
+def _checksummed(data, odd):
+    """``data`` made to verify: padded, its checksum appended, and (for
+    an odd length) a trailing zero byte, which pads to a zero word."""
+    padded = data + b"\x00" if len(data) % 2 else data
+    whole = padded + internet_checksum(data).to_bytes(2, "big")
+    return whole + b"\x00" if odd else whole
 
 
 class TestFrameProperties:
