@@ -342,7 +342,10 @@ class Nic(PcieEndpoint):
             # The packet's trace context rode the MMIO write side band.
             wqe = TxWqeRecord(TX_WQE.unpack_from(data)
                               + (self.fabric.inbound_trace_ctx(),))
-            sq.ring_doorbell(wqe.wqe_index + 1, wqe)
+            # The WQE carries its index's low 16 bits: ring the first PI
+            # at or past the queue's that ends in ``wqe_index + 1``.
+            pi = sq.pi
+            sq.ring_doorbell(pi + ((wqe.wqe_index + 1 - pi) & 0xFFFF), wqe)
             return
         if offset >= RQ_DOORBELL_BASE:
             rqn = (offset - RQ_DOORBELL_BASE) // DOORBELL_STRIDE
@@ -929,10 +932,14 @@ class _SqFlatPipeline:
             if d.kind != Disposition.UPLINK:
                 break
         else:
-            # All bound for the wire: keyed at ``done``, no event.
+            # All bound for the wire: each frame reserves the uplink
+            # under the key ``done`` right away (exact arbitration
+            # against concurrent senders), with no event of its own.
             eswitch = nic.eswitch
-            for d, vport in resolved:
-                eswitch.apply_at(d, vport, done)
+            port = eswitch.port
+            for d, _v in resolved:
+                eswitch.stats_to_uplink += 1
+                port.send_at(d.packet, done)
             if wqe.flags & WQE_FLAG_SIGNALED:
                 nic._post_cqe_at(sq.cq, CQE.pack(
                     CQE_SEND_COMPLETION, 0, index & 0xFFFF, sq.qpn,
@@ -957,7 +964,7 @@ class _SqFlatPipeline:
         nic = self.nic
         eswitch = nic.eswitch
         for d, vport in resolved:
-            eswitch._apply_fdb(d, from_vport=vport)
+            eswitch.forward(d.packet, d, vport)
         if wqe.flags & WQE_FLAG_SIGNALED:
             nic._post_cqe(self.sq.cq, CQE.pack(
                 CQE_SEND_COMPLETION, 0, index & 0xFFFF, self.sq.qpn,

@@ -11,12 +11,13 @@ experiments use.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
-from ..net import ETHERNET_WIRE_OVERHEAD, Packet
+from ..net import Packet
 from ..sim import Link, Simulator
-from .steering import Disposition, ForwardToUplink, SteeringPipeline
+from .steering import (
+    Disposition, ForwardToUplink, SteeringError, SteeringPipeline,
+)
 
 
 class EthernetPort:
@@ -148,22 +149,58 @@ class ESwitch:
         self.pipeline.remove_table(vport.rx_root)
         del self.vports[number]
 
-    # -- ingress (wire -> eSwitch -> vPort) ------------------------------
+    # -- one crossing: FDB verdict, then vPort receive tables -----------
 
-    def ingress_from_wire(self, packet: Packet) -> None:
-        disposition = self.pipeline.process(packet, self.FDB_ROOT)
-        if disposition.kind == Disposition.UPLINK:
-            # Split horizon: never hairpin a frame back out the port it
-            # arrived on; an FDB miss from the wire is a drop.
+    def forward(self, packet: Packet,
+                disposition: Optional[Disposition] = None,
+                from_vport: Optional[VPort] = None) -> None:
+        """Carry one frame across the switch in one pass: the FDB's
+        verdict, then each vPort receive table it forwards into (at most
+        ``MAX_HOPS``, each vPort offering the frame to ``pre_rx_hook``).
+
+        No ``disposition``: ``packet`` is off the wire and runs the FDB
+        here, a miss dropped (split horizon, no hairpin).  Otherwise it
+        is an egress verdict over ``packet`` from ``from_vport`` (None
+        for an FLD-E resume table).
+        """
+        if disposition is None:
+            disposition = self.pipeline.process(packet, self.FDB_ROOT)
+            if disposition.kind == Disposition.UPLINK:
+                self.stats_fdb_drops += 1
+                return
+        vport = from_vport
+        entered = 0
+        while disposition.kind == Disposition.VPORT:
+            if entered == SteeringPipeline.MAX_HOPS:
+                raise SteeringError("vPort forwarding loop exceeded MAX_HOPS")
+            if not entered and from_vport is not None:
+                self.stats_loopback += 1
+            entered += 1
+            vport = self.vports[disposition.target]
+            vport.stats_rx += 1
+            packet = disposition.packet
+            hook = self.pre_rx_hook
+            if hook is not None and hook(vport, packet):
+                return
+            disposition = self.pipeline.process(packet, vport.rx_root)
+        kind = disposition.kind
+        if kind == Disposition.UPLINK:
+            if not entered:
+                self.stats_to_uplink += 1
+            self.port.send(disposition.packet)
+        elif kind == Disposition.DROP:
             self.stats_fdb_drops += 1
-            return
-        self._apply_fdb(disposition, from_vport=None)
+        else:   # queue, RSS or accelerator, maybe straight off the FDB
+            self._deliver(vport, disposition)
+
+    #: The port's receive callback: a frame off the wire.
+    ingress_from_wire = forward
 
     # -- egress (vPort -> eSwitch -> wire or loopback) --------------------
 
     def egress_from_vport(self, vport_number: int, packet: Packet) -> None:
         disposition, vport = self.egress_resolve(vport_number, packet)
-        self._apply_fdb(disposition, from_vport=vport)
+        self.forward(packet, disposition, vport)
 
     def egress_resolve(self, vport_number: int,
                        packet: Packet) -> Tuple[Disposition, VPort]:
@@ -178,60 +215,3 @@ class ESwitch:
         else:
             disposition = self.pipeline.process(packet, self.FDB_ROOT)
         return disposition, vport
-
-    def apply_at(self, disposition: Disposition,
-                 from_vport: Optional[VPort], when: float) -> None:
-        """Apply a resolved egress at the future instant ``when``.
-
-        Wire-bound frames reserve the uplink under the future key right
-        away — exact arbitration against concurrent senders, no event of
-        their own.  Local dispositions (loopback, queue delivery, drops)
-        can gate on receive-side state, so they run in a single deferred
-        event at exactly ``when`` — the same cost as the pipeline
-        timeout they replace.
-        """
-        if disposition.kind == Disposition.UPLINK:
-            self.stats_to_uplink += 1
-            self.port.send_at(disposition.packet, when)
-            return
-        self.sim.schedule_at(
-            when, partial(self._apply_fdb, disposition, from_vport))
-
-    # -- shared -----------------------------------------------------------
-
-    def _apply_fdb(self, disposition: Disposition,
-                   from_vport: Optional[VPort]) -> None:
-        packet = disposition.packet
-        if disposition.kind == Disposition.UPLINK:
-            self.stats_to_uplink += 1
-            self.port.send(packet)
-            return
-        if disposition.kind == Disposition.VPORT:
-            if from_vport is not None:
-                self.stats_loopback += 1
-            self.ingress_to_vport(disposition.target, packet)
-            return
-        if disposition.kind == Disposition.DROP:
-            self.stats_fdb_drops += 1
-            return
-        # FDB resolved straight to a queue/RSS/accelerator (hypervisor
-        # rules may do that for FLD-E); hand to the device.
-        self._deliver(from_vport, disposition)
-
-    def ingress_to_vport(self, vport_number: int, packet: Packet) -> None:
-        """Run a packet through a vPort's guest receive pipeline."""
-        vport = self.vports[vport_number]
-        vport.stats_rx += 1
-        if self.pre_rx_hook is not None and self.pre_rx_hook(vport, packet):
-            return
-        disposition = self.pipeline.process(packet, vport.rx_root)
-        if disposition.kind == Disposition.DROP:
-            self.stats_fdb_drops += 1
-            return
-        if disposition.kind == Disposition.UPLINK:
-            self.port.send(disposition.packet)
-            return
-        if disposition.kind == Disposition.VPORT:
-            self.ingress_to_vport(disposition.target, disposition.packet)
-            return
-        self._deliver(vport, disposition)

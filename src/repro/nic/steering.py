@@ -15,7 +15,8 @@ while NIC offloads still run before and after it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from operator import itemgetter
+from typing import Dict, List, Optional
 
 from ..net import Packet, vxlan_decapsulate
 from ..net.parse import (
@@ -33,7 +34,7 @@ class MatchSpec:
 
     __slots__ = ("dst_mac", "ethertype", "src_ip", "dst_ip", "ip_proto",
                  "src_port", "dst_port", "vni", "is_fragment",
-                 "_dst_mac_only")
+                 "_pairs", "_dst_mac_only")
 
     def __init__(self, dst_mac=None, ethertype: Optional[int] = None,
                  src_ip=None, dst_ip=None, ip_proto: Optional[int] = None,
@@ -50,40 +51,29 @@ class MatchSpec:
         self.dst_port = dst_port
         self.vni = vni
         self.is_fragment = is_fragment
-        # FDB rules match on destination MAC alone; precomputing that
-        # shape lets `matches` skip the seven wildcard checks per packet.
-        self._dst_mac_only = (
-            self.dst_mac is not None and ethertype is None
-            and self.src_ip is None and self.dst_ip is None
-            and ip_proto is None and src_port is None and dst_port is None
-            and vni is None and is_fragment is None
-        )
+        # The (layout slot, value) pairs a packet must equal, built once
+        # so a table walk compares them and calls nothing.  An absent
+        # field reads None in the layout, which equals no match value.
+        self._pairs = tuple(
+            (slot, value) for slot, value in (
+                (DST_MAC, self.dst_mac and self.dst_mac.value),
+                (ETHERTYPE, ethertype),
+                (SRC_IP, self.src_ip and self.src_ip.value),
+                (DST_IP, self.dst_ip and self.dst_ip.value),
+                (PROTO, ip_proto), (IS_FRAGMENT, is_fragment),
+                (SRC_PORT, src_port), (DST_PORT, dst_port), (VNI, vni))
+            if value is not None)
+        # FDB rules match on destination MAC alone: the walk compares
+        # that one slot directly.  The MAC's value, else None.
+        pairs = self._pairs
+        self._dst_mac_only = (pairs[0][1] if len(pairs) == 1
+                              and pairs[0][0] == DST_MAC else None)
 
     def matches(self, packet: Packet) -> bool:
-        # An absent field reads None in the layout, and None equals no
-        # match value.
         layout = packet.layout or packet.fields()
-        if self._dst_mac_only:
-            return layout[DST_MAC] == self.dst_mac.value
-        if self.dst_mac is not None and layout[DST_MAC] != self.dst_mac.value:
-            return False
-        if self.ethertype is not None and layout[ETHERTYPE] != self.ethertype:
-            return False
-        if self.src_ip is not None and layout[SRC_IP] != self.src_ip.value:
-            return False
-        if self.dst_ip is not None and layout[DST_IP] != self.dst_ip.value:
-            return False
-        if self.ip_proto is not None and layout[PROTO] != self.ip_proto:
-            return False
-        if (self.is_fragment is not None
-                and layout[IS_FRAGMENT] != self.is_fragment):
-            return False
-        if self.src_port is not None and layout[SRC_PORT] != self.src_port:
-            return False
-        if self.dst_port is not None and layout[DST_PORT] != self.dst_port:
-            return False
-        if self.vni is not None and layout[VNI] != self.vni:
-            return False
+        for slot, value in self._pairs:
+            if layout[slot] != value:
+                return False
         return True
 
 
@@ -226,18 +216,16 @@ class FlowTable:
     def remove_rule(self, rule: Rule) -> None:
         self.rules.remove(rule)
 
-    def lookup(self, packet: Packet) -> List[Action]:
-        for rule in self.rules:
-            if rule.match.matches(packet):
-                return rule.actions
-        return self.default_actions
 
+class Disposition(tuple):
+    """The pipeline's verdict for one packet: ``(kind, target, packet,
+    context_id, next_table, meters)``.
 
-class Disposition:
-    """The pipeline's verdict for one packet."""
+    A tuple, so ``Disposition((...))`` runs no Python code; fields read
+    by name, like :class:`~repro.nic.wqe.TxWqeRecord`'s.
+    """
 
-    __slots__ = ("kind", "target", "packet", "context_id", "next_table",
-                 "meters")
+    __slots__ = ()
 
     DELIVER = "deliver"        # target: ReceiveQueue
     RSS = "rss"                # target: RssGroup
@@ -246,21 +234,18 @@ class Disposition:
     ACCELERATOR = "accelerator"  # target: ReceiveQueue owned by FLD
     DROP = "drop"
 
-    def __init__(self, kind: str, target: Any, packet: Packet,
-                 context_id: int = 0, next_table: str = "",
-                 meters: Optional[List[str]] = None):
-        self.kind = kind
-        self.target = target
-        self.packet = packet
-        self.context_id = context_id
-        self.next_table = next_table
-        self.meters = meters or []
+    kind = property(itemgetter(0))
+    target = property(itemgetter(1))
+    packet = property(itemgetter(2))
+    context_id = property(itemgetter(3))
+    next_table = property(itemgetter(4))
+    meters = property(itemgetter(5))
 
 
 class SteeringPipeline:
     """A named set of flow tables processed from a root (or resume) table."""
 
-    MAX_HOPS = 32  # guards against GotoTable loops
+    MAX_HOPS = 32  # guards against GotoTable and vPort forwarding loops
 
     def __init__(self):
         self.tables: Dict[str, FlowTable] = {}
@@ -284,39 +269,57 @@ class SteeringPipeline:
         del self.tables[name]
 
     def process(self, packet: Packet, root: str) -> Disposition:
-        """Run ``packet`` through the pipeline starting at table ``root``."""
-        if root not in self.tables:
-            raise SteeringError(f"no table named {root!r}")
-        current = self.tables[root]
-        context_id = packet.meta.get("context_id", 0)
+        """Run ``packet`` through the pipeline starting at table ``root``,
+        the whole chain in this one frame: a hop scans its table's rules
+        inline, then runs the first match's (or the miss) actions."""
+        tables = self.tables
+        try:
+            table = tables[root]
+        except KeyError:
+            raise SteeringError(f"no table named {root!r}") from None
+        meta = packet.meta
+        context_id = meta["context_id"] if "context_id" in meta else 0
         meters: List[str] = []
         for _hop in range(self.MAX_HOPS):
             self.stats_lookups += 1
-            actions = current.lookup(packet)
+            actions = table.default_actions
+            for rule in table.rules:
+                layout = packet.layout or packet.fields()
+                mac = rule.match._dst_mac_only
+                if mac is not None:
+                    if layout[DST_MAC] == mac:
+                        actions = rule.actions
+                        break
+                    continue
+                for slot, value in rule.match._pairs:
+                    if layout[slot] != value:
+                        break
+                else:
+                    actions = rule.actions
+                    break
             next_table: Optional[FlowTable] = None
             for action in actions:
                 code = action._code
                 if code == 1:  # Drop
-                    return Disposition(Disposition.DROP, None, packet,
-                                       context_id, meters=meters)
+                    return Disposition((Disposition.DROP, None, packet,
+                                        context_id, "", meters))
                 if code == 4:  # ForwardToQueue
-                    return Disposition(Disposition.DELIVER, action.rq, packet,
-                                       context_id, meters=meters)
+                    return Disposition((Disposition.DELIVER, action.rq,
+                                        packet, context_id, "", meters))
                 if code == 5:  # ForwardToRss
-                    return Disposition(Disposition.RSS, action.group, packet,
-                                       context_id, meters=meters)
+                    return Disposition((Disposition.RSS, action.group,
+                                        packet, context_id, "", meters))
                 if code == 2:  # ForwardToVport
-                    return Disposition(Disposition.VPORT, action.vport, packet,
-                                       context_id, meters=meters)
+                    return Disposition((Disposition.VPORT, action.vport,
+                                        packet, context_id, "", meters))
                 if code == 3:  # ForwardToUplink
-                    return Disposition(Disposition.UPLINK, None, packet,
-                                       context_id, meters=meters)
+                    return Disposition((Disposition.UPLINK, None, packet,
+                                        context_id, "", meters))
                 if code == 6:  # ToAccelerator
-                    return Disposition(
+                    return Disposition((
                         Disposition.ACCELERATOR, action.rq, packet,
-                        action.context_id or context_id,
-                        next_table=action.next_table, meters=meters,
-                    )
+                        action.context_id or context_id, action.next_table,
+                        meters))
                 if code == 7:  # DecapVxlan
                     packet = vxlan_decapsulate(packet)
                 elif code == 8:  # SetContextId
@@ -325,17 +328,18 @@ class SteeringPipeline:
                 elif code == 10:  # Meter
                     meters.append(action.meter_name)
                 elif code == 9:  # GotoTable
-                    if action.table not in self.tables:
+                    try:
+                        next_table = tables[action.table]
+                    except KeyError:
                         raise SteeringError(
                             f"GotoTable to unknown table {action.table!r}"
-                        )
-                    next_table = self.tables[action.table]
+                        ) from None
                 else:
                     raise SteeringError(f"unhandled action {action!r}")
             if next_table is None:
                 # Non-terminal actions exhausted without a verdict: drop,
                 # matching hardware behaviour for incomplete rule chains.
-                return Disposition(Disposition.DROP, None, packet,
-                                   context_id, meters=meters)
-            current = next_table
+                return Disposition((Disposition.DROP, None, packet,
+                                    context_id, "", meters))
+            table = next_table
         raise SteeringError("steering loop exceeded MAX_HOPS")

@@ -10,6 +10,8 @@ from repro.nic import (
     ForwardToQueue,
     ForwardToVport,
     MatchSpec,
+    SteeringError,
+    SteeringPipeline,
 )
 from repro.sim import Simulator
 
@@ -142,3 +144,29 @@ class TestESwitch:
             ForwardToQueue(marker)]
         eswitch.egress_from_vport(1, frame("02:00:00:00:99:99"))
         assert delivered and delivered[0][1].target is marker
+
+    def test_vport_forwarding_loop_is_bounded(self):
+        """Receive tables that forward to each other: at most MAX_HOPS
+        vPorts are entered per crossing, then a SteeringError (not a
+        Python stack overflow); a chain that ends delivers."""
+        sim = Simulator()
+        eswitch, _port, delivered = build_eswitch(sim)
+        vports = [eswitch.add_vport(n) for n in (1, 2, 3)]
+        eswitch.pipeline.table(ESwitch.FDB_ROOT).add_rule(
+            MatchSpec(dst_mac="02:00:00:00:00:02"), [ForwardToVport(1)],
+            priority=1)
+        rx = [eswitch.pipeline.table(v.rx_root) for v in vports]
+        rx[0].default_actions = [ForwardToVport(2)]
+        rx[1].default_actions = [ForwardToVport(1)]
+        with pytest.raises(SteeringError):
+            eswitch.ingress_from_wire(frame())
+        assert delivered == []
+        assert (vports[0].stats_rx + vports[1].stats_rx
+                == SteeringPipeline.MAX_HOPS)
+
+        marker = object()
+        rx[1].default_actions = [ForwardToVport(3)]
+        rx[2].default_actions = [ForwardToQueue(marker)]
+        eswitch.ingress_from_wire(frame())
+        assert [(v, d.target) for v, d in delivered] == [(vports[2], marker)]
+        assert eswitch.stats_loopback == 0

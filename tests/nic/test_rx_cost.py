@@ -57,8 +57,9 @@ def profiled(per_frame, data, between_bursts):
 
 def test_wire_to_receive_queue():
     """``parse_frame`` → FDB → vPort rx root → ``_deliver_disposition``
-    (checksum validate, ``_RxItem`` into the queue's inbox): 41.4 calls
-    a frame here, 94.4 when every stage looked its headers up again."""
+    (checksum validate, ``_RxItem`` into the queue's inbox): 29.0 calls
+    a frame here, 41.4 when each table hop and crossing chained its own
+    frames, 94.4 when every stage looked its headers up again."""
     sim = Simulator()
     node = make_local_node(sim)
     node.add_vport_for_mac(2, MAC)
@@ -71,7 +72,7 @@ def test_wire_to_receive_queue():
 
     cost = profiled(lambda frame: ingress(parse_frame(frame)), data, sim.run)
     assert got == data
-    assert cost <= 46
+    assert cost <= 32
 
 
 def test_echo_accelerator():

@@ -374,7 +374,7 @@ class TestDatapathPacksLikeTheCodecs:
         written = []
         nic._post_cqe_at = lambda cq, cqe, ctx, when: written.append(cqe)
         nic._post_cqe = lambda cq, cqe, ctx: written.append(cqe)
-        nic.eswitch.apply_at = lambda *args: None   # no wire attached
+        nic.port.send_at = lambda *args: None   # no wire attached
         frame = Flow("02:00:00:00:00:01", "02:00:00:00:00:02", "10.0.0.1",
                      "10.0.0.2", 7000, 7001).make_sized_packet(
                          max(length, 64)).to_bytes()
