@@ -79,10 +79,13 @@ class SendQueue:
         self.pi = 0            # producer index, advanced by doorbells
         self.ci = 0            # consumer index, advanced by the NIC
         self.doorbell = Store(sim, name=f"sq{qpn}.doorbell")
-        # Peak outstanding-WQE depth (the gauge records its high-water
-        # mark); refreshed at each doorbell, the producer-side event.
-        self._depth_gauge = (sim.telemetry.gauge(f"sq{qpn}.outstanding")
-                             if sim.telemetry.enabled else None)
+        # The ``sq<N>.outstanding`` gauge: WQEs outstanding at the last
+        # doorbell, the producer-side event, and their high-water mark.
+        self.doorbell_level = 0
+        self.doorbell_peak = 0
+        if sim.telemetry.enabled:
+            sim.telemetry.register_gauges(f"sq{qpn}", lambda: {
+                "outstanding": (self.doorbell_level, self.doorbell_peak)})
         # WQEs pushed by MMIO (WQE-by-MMIO / BlueFlame): index -> WQE.
         self.mmio_wqes: Dict[int, TxWqeRecord] = {}
         #: Set by DESTROY_SQ; doorbells are rejected and the workers exit.
@@ -117,8 +120,9 @@ class SendQueue:
             raise QueueError(f"SQ {self.qpn} overflow: pi={new_pi} ci={self.ci}")
         self.pi = new_pi
         self.stats_doorbells += 1
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(self.outstanding)
+        level = self.doorbell_level = new_pi - self.ci
+        if level > self.doorbell_peak:
+            self.doorbell_peak = level
         self.doorbell.try_put(new_pi)
 
     @property
@@ -149,8 +153,13 @@ class ReceiveQueue:
         self.destroyed = False
         self.stats_packets = 0
         self.stats_drops_no_desc = 0
-        self._avail_gauge = (sim.telemetry.gauge(f"rq{rqn}.posted")
-                             if sim.telemetry.enabled else None)
+        # The ``rq<N>.posted`` gauge: descriptors available at the last
+        # post and their high-water mark.
+        self.post_level = 0
+        self.post_peak = 0
+        if sim.telemetry.enabled:
+            sim.telemetry.register_gauges(f"rq{rqn}", lambda: {
+                "posted": (self.post_level, self.post_peak)})
 
     def slot_addr(self, index: int) -> int:
         return self.ring_addr + (index % self.entries) * RX_DESC_SIZE
@@ -162,8 +171,9 @@ class ReceiveQueue:
         if self.pi + count - self.ci > self.entries:
             raise QueueError(f"RQ {self.rqn} overposted")
         self.pi += count
-        if self._avail_gauge is not None:
-            self._avail_gauge.set(self.available)
+        level = self.post_level = self.pi - self.ci
+        if level > self.post_peak:
+            self.post_peak = level
 
     @property
     def available(self) -> int:

@@ -67,9 +67,9 @@ class _WriteCountdown:
     def __call__(self):
         self.remaining -= 1
         if self.remaining == 0:
-            fabric = self.fabric
-            if self.span_id is not None:
-                fabric._spans.exit(self.span_id, fabric.sim._now)
+            span_id = self.span_id
+            if span_id is not None and span_id.end is None:
+                span_id.end = self.fabric.sim._now
             if self.done is not None:
                 self.done()
 
@@ -106,10 +106,9 @@ class DeferredWrite:
         return self._path[0][DELIVERY]
 
     def commit(self) -> None:
-        fabric = self._fabric
-        if self._span is not None:
-            fabric._spans.exit(self._span, self._path[0][DELIVERY])
-        fabric._write_arrived(
+        if self._span is not None and self._span.end is None:
+            self._span.end = self._path[0][DELIVERY]
+        self._fabric._write_arrived(
             self._path + (self.data, self.trace_ctx, None, None))
 
     def retire(self) -> None:
@@ -121,8 +120,8 @@ class DeferredWrite:
         down = path[1].down
         if down._tracer is not None:
             _trace_tlps(down, (record,), path[4])
-        if self._span is not None:
-            self._fabric._spans.exit(self._span, record[DELIVERY])
+        if self._span is not None and self._span.end is None:
+            self._span.end = record[DELIVERY]
 
 
 class _Port:
@@ -565,8 +564,8 @@ class PcieFabric:
                 self._inbound_ctx = None
                 if prof is not None:
                     prof.current_tag = "pcie"
-        if span_id is not None:
-            self._spans.exit(span_id, sim._now)
+        if span_id is not None and span_id.end is None:
+            span_id.end = sim._now
         if on_delivered is not None:
             on_delivered()
 
@@ -597,8 +596,8 @@ class PcieFabric:
                 self._inbound_ctx = None
                 if prof is not None:
                     prof.current_tag = "pcie"
-        if span_id is not None:
-            self._spans.exit(span_id, sim._now)
+        if span_id is not None and span_id.end is None:
+            span_id.end = sim._now
         if done is not None:
             done()
 
@@ -719,6 +718,6 @@ class PcieFabric:
         if requester_port.down._tracer is not None:
             _trace_tlps(requester_port.down, records, first_hops)
         requester_port.reads_pending -= 1
-        if span_id is not None:
-            self._spans.exit(span_id, sim._now)
+        if span_id is not None and span_id.end is None:
+            span_id.end = sim._now
         completion(data)

@@ -484,16 +484,17 @@ class Store:
         self.stats_put = 0
         self.stats_dropped = 0
         self.stats_max_depth = 0
-        # Depth gauge and queue-wait histogram only exist when telemetry
-        # is live; disabled simulations pay a single None check per
-        # delivery.  The wait histogram is what splits queueing from
-        # service time in latency attribution reports.
+        # The depth gauge is pulled from the level and stats_max_depth at
+        # export.  The queue-wait histogram only exists when telemetry is
+        # live; disabled simulations pay a single None check per
+        # delivery.  It is what splits queueing from service time in
+        # latency attribution reports.
         if sim.telemetry.enabled and name:
-            self._depth_gauge = sim.telemetry.gauge(f"store.{name}.depth")
+            sim.telemetry.register_gauges(f"store.{name}", lambda: {
+                "depth": (len(self._items), self.stats_max_depth)})
             self._wait_hist = sim.telemetry.histogram(f"store.{name}.wait")
             self._enqueued: deque = deque()
         else:
-            self._depth_gauge = None
             self._wait_hist = None
 
     def __len__(self) -> int:
@@ -596,8 +597,6 @@ class Store:
             self._wait_hist.observe(self.sim._now - self._enqueued.popleft())
         if self._putters:
             self._admit_waiting_putter()
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(len(self._items))
         return item
 
     def _deliver(self, item: Any) -> None:
@@ -605,9 +604,17 @@ class Store:
         getters = self._getters
         if getters:
             getters.popleft()(item)
-            if self._wait_hist is not None:
-                self._wait_hist.observe(0.0)
-                self._depth_gauge.set(len(self._items))
+            wait = self._wait_hist
+            if wait is not None:
+                # A hand-off waited zero: what observe(0.0) files, in
+                # this frame.  The sum of waits (all >= +0.0) is
+                # unchanged by adding 0.0.
+                wait.count += 1
+                wait.underflow += 1
+                if wait.min is None or wait.min > 0.0:
+                    wait.min = 0.0
+                if wait.max is None or wait.max < 0.0:
+                    wait.max = 0.0
         else:
             items = self._items
             items.append(item)
@@ -616,7 +623,6 @@ class Store:
                 self.stats_max_depth = depth
             if self._wait_hist is not None:
                 self._enqueued.append(self.sim._now)
-                self._depth_gauge.set(depth)
 
     def _admit_waiting_putter(self) -> None:
         if self._putters and not self.is_full:

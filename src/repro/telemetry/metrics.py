@@ -18,10 +18,16 @@ for those numbers:
   at export time, under ``counters`` so shards still sum; a pushed
   :class:`Counter` is for what telemetry itself produces (span sampler,
   profiler flush, ``merge_from``);
+* component levels are pulled the same way: the owner keeps its level
+  and high-water mark as plain ints and registers a source
+  (``register_gauges``) of ``(value, peak)`` pairs, exported under
+  ``gauges``; a pushed :class:`Gauge` is only what ``merge_from`` makes;
 * *probes* publish point-in-time levels (cuckoo occupancy, free pool
-  slots) the same lazy way, outside the summable ``counters``;
-* gauges and histograms are pushed, by components that checked
-  ``telemetry.enabled`` once at construction.
+  slots) the same lazy way, outside ``counters`` and ``gauges``;
+* histograms are pushed, by components that checked
+  ``telemetry.enabled`` once at construction (the span recorder and
+  ``Store`` fold a sample in place, in their own frame, on their hot
+  paths).
 
 This module has no dependencies on the simulator so every layer of the
 stack can import it freely.
@@ -100,6 +106,9 @@ class Histogram:
         self.underflow = 0
 
     def observe(self, value: float) -> None:
+        # SpanRecorder.end_trace and a Store hand-off repeat this update
+        # inline, without the call; tests/property/test_property_fold.py
+        # holds them to it.
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
@@ -199,6 +208,11 @@ class Histogram:
         return f"Histogram({self.name!r}, n={self.count})"
 
 
+def _may_share(pulled: type, pushed: type) -> bool:
+    """A pulled name takes a pushed metric only as counts adding up."""
+    return pulled is Counter and issubclass(pushed, Counter)
+
+
 class Snapshot:
     """A frozen flat view of every scalar the registry knew at one instant."""
 
@@ -241,16 +255,23 @@ class MetricsRegistry:
         self._metrics: Dict[str, Any] = {}
         self._probes: Dict[str, Callable[[], Dict[str, float]]] = {}
         self._sources: List[Tuple[str, Callable[[], Dict[str, float]]]] = []
-        self._pulled_names: set = set()
+        self._gauge_sources: List[Tuple[str, Callable[[], Dict[str, Any]]]] = []
+        # Pulled name -> Counter or Gauge, the kind its sources publish.
+        self._pulled_names: Dict[str, type] = {}
 
     # -- creation ---------------------------------------------------------
+
+    def _check_pushable(self, name: str, cls) -> None:
+        pulled = self._pulled_names.get(name)
+        if pulled is not None and not _may_share(pulled, cls):
+            raise MetricsError(f"metric {name!r} already registered as a "
+                               f"pulled {pulled.__name__}, not "
+                               f"{cls.__name__}")
 
     def _get(self, name: str, cls):
         metric = self._metrics.get(name)
         if metric is None:
-            if cls is not Counter and name in self._pulled_names:
-                raise MetricsError(f"metric {name!r} already registered "
-                                   f"as a pulled Counter, not {cls.__name__}")
+            self._check_pushable(name, cls)
             metric = cls(name)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
@@ -276,10 +297,9 @@ class MetricsRegistry:
         a :class:`Histogram` while the run owns it, then attach it.
         """
         existing = self._metrics.get(name)
-        if (existing is not None and existing is not metric) or (
-                name in self._pulled_names
-                and not isinstance(metric, Counter)):
+        if existing is not None and existing is not metric:
             raise MetricsError(f"metric {name!r} already registered")
+        self._check_pushable(name, type(metric))
         metric.name = name
         self._metrics[name] = metric
 
@@ -307,15 +327,47 @@ class MetricsRegistry:
         self._pull(prefix, source, {})
         self._sources.append((prefix, source))
 
+    def register_gauges(self, prefix: str,
+                        source: Callable[[], Dict[str, Any]]) -> None:
+        """Register a callable returning the owner's levels.
+
+        ``source()`` maps each key to ``(value, peak)`` — the level now
+        and its high-water mark, plain ints the owner keeps — exported
+        as the gauge ``prefix.<key>``.  Sources publishing the same name
+        (two NICs' queues sharing a qpn) sum their values and take the
+        largest peak.  A pushed metric of a pulled gauge's name is a
+        collision, raised now whichever side came first.
+        """
+        self._pull_gauges(prefix, source, {})
+        self._gauge_sources.append((prefix, source))
+
+    def _claim(self, name: str, kind: type) -> None:
+        """Record ``name`` as pulled ``kind``, refusing a collision."""
+        pulled = self._pulled_names.get(name, kind)
+        held = self._metrics.get(name)
+        if pulled is not kind:
+            other = f"a pulled {pulled.__name__}"
+        elif held is not None and not _may_share(kind, type(held)):
+            other = type(held).__name__
+        else:
+            self._pulled_names[name] = kind
+            return
+        raise MetricsError(f"pulled {kind.__name__.lower()} {name!r} "
+                           f"already registered as {other}")
+
     def _pull(self, prefix: str, source, pulled: Dict[str, float]) -> None:
         for key, value in source().items():
             name = f"{prefix}.{key}"
-            held = self._metrics.get(name)
-            if held is not None and not isinstance(held, Counter):
-                raise MetricsError(f"pulled counter {name!r} already "
-                                   f"registered as {type(held).__name__}")
-            self._pulled_names.add(name)
+            self._claim(name, Counter)
             pulled[name] = pulled.get(name, 0) + value
+
+    def _pull_gauges(self, prefix: str, source,
+                     pulled: Dict[str, Tuple[float, float]]) -> None:
+        for key, (value, peak) in source().items():
+            name = f"{prefix}.{key}"
+            self._claim(name, Gauge)
+            other_value, other_peak = pulled.get(name, (0, peak))
+            pulled[name] = (other_value + value, max(other_peak, peak))
 
     # -- export -----------------------------------------------------------
 
@@ -323,6 +375,13 @@ class MetricsRegistry:
         pulled: Dict[str, float] = {}
         for prefix, source in self._sources:
             self._pull(prefix, source, pulled)
+        return pulled
+
+    def pulled_gauges(self) -> Dict[str, Tuple[float, float]]:
+        """Every pulled gauge as ``name -> (value, peak)``."""
+        pulled: Dict[str, Tuple[float, float]] = {}
+        for prefix, source in self._gauge_sources:
+            self._pull_gauges(prefix, source, pulled)
         return pulled
 
     def sample_probes(self) -> Dict[str, float]:
@@ -334,6 +393,9 @@ class MetricsRegistry:
 
     def _flat_values(self, include_probes: bool = True) -> Dict[str, float]:
         values: Dict[str, float] = self.pulled_counters()
+        for name, (value, peak) in self.pulled_gauges().items():
+            values[name] = value
+            values[f"{name}.peak"] = peak
         for name, metric in self._metrics.items():
             if isinstance(metric, Counter):
                 values[name] = values.get(name, 0) + metric.value
@@ -353,7 +415,9 @@ class MetricsRegistry:
     def to_dict(self) -> Dict[str, Any]:
         """Full structured export: metrics by kind, probes sampled now."""
         counters: Dict[str, float] = self.pulled_counters()
-        gauges: Dict[str, Dict[str, float]] = {}
+        gauges: Dict[str, Dict[str, float]] = {
+            name: {"value": value, "peak": peak}
+            for name, (value, peak) in self.pulled_gauges().items()}
         histograms: Dict[str, Dict[str, Any]] = {}
         for name, metric in sorted(self._metrics.items()):
             if isinstance(metric, Counter):
@@ -364,7 +428,7 @@ class MetricsRegistry:
                 histograms[name] = metric.to_dict()
         return {
             "counters": dict(sorted(counters.items())),
-            "gauges": gauges,
+            "gauges": dict(sorted(gauges.items())),
             "histograms": histograms,
             "probes": dict(sorted(self.sample_probes().items())),
         }
@@ -377,7 +441,9 @@ class MetricsRegistry:
 
         The aggregation story for sharded experiments (sweep workers,
         per-process benchmark shards): counters add, gauges keep the
-        last value but the maximum peak, histograms merge bucket-wise
+        last value but the maximum peak (a gauge a live component
+        publishes is a collision: merge into a fresh registry),
+        histograms merge bucket-wise
         via :meth:`Histogram.merge`.  Probe samples are point-in-time
         readings of live objects in the exporting process and have no
         meaningful aggregate, so they are ignored.
@@ -397,10 +463,12 @@ class MetricsRegistry:
         return self
 
     def names(self) -> List[str]:
-        return sorted({*self._metrics, *self.pulled_counters()})
+        return sorted({*self._metrics, *self.pulled_counters(),
+                       *self.pulled_gauges()})
 
     def __contains__(self, name: str) -> bool:
-        return name in self._metrics or name in self.pulled_counters()
+        return (name in self._metrics or name in self.pulled_counters()
+                or name in self.pulled_gauges())
 
     def __len__(self) -> int:
         return len(self.names())

@@ -8,17 +8,18 @@ with one :class:`~repro.telemetry.trace.Tracer`; it is handed to
 The default is :data:`NULL_TELEMETRY`, which hands out no instruments:
 components count in plain-int ``stats_*`` attributes, watched or not,
 and check ``telemetry.enabled`` once at construction — to register the
-source that publishes those ints (``register_counters``) and to create
-the gauges and histograms they otherwise hold as ``None``.  Nothing is
-called on a null instrument; the null tracer, span recorder and
-profiler are guarded by ``enabled`` at each use site.
+sources that publish those ints (``register_counters``, and
+``register_gauges`` for levels) and to create the histograms they
+otherwise hold as ``None``.  Nothing is called on a null instrument;
+the null tracer, span recorder and profiler are guarded by ``enabled``
+at each use site.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
-from .metrics import Gauge, Histogram, MetricsRegistry, Snapshot
+from .metrics import Histogram, MetricsRegistry, Snapshot
 from .profile import NULL_PROFILER, NullSimProfiler, SimProfiler
 from .spans import NULL_SPANS, NullSpanRecorder, SpanRecorder
 from .trace import NULL_TRACER, NullTracer, Tracer
@@ -87,10 +88,7 @@ class Telemetry:
             SimProfiler(wallclock=profile_wallclock, registry=self.metrics)
             if profile else NULL_PROFILER)
 
-    # Registry passthroughs, so call sites read `telemetry.gauge(...)`.
-
-    def gauge(self, name: str) -> Gauge:
-        return self.metrics.gauge(name)
+    # Registry passthroughs, so call sites read `telemetry.histogram(...)`.
 
     def histogram(self, name: str) -> Histogram:
         return self.metrics.histogram(name)
@@ -106,6 +104,10 @@ class Telemetry:
                           source: Callable[[], Dict[str, float]]) -> None:
         self.metrics.register_counters(prefix, source)
 
+    def register_gauges(self, prefix: str,
+                        source: Callable[[], Dict[str, Any]]) -> None:
+        self.metrics.register_gauges(prefix, source)
+
     def snapshot(self, include_probes: bool = True) -> Snapshot:
         return self.metrics.snapshot(include_probes)
 
@@ -113,7 +115,7 @@ class Telemetry:
 class NullTelemetry:
     """The disabled bundle: ``enabled`` is False and so is every part's.
 
-    It has no ``counter``/``gauge``/``histogram``: a component that
+    It has no ``histogram`` and no ``register_*``: a component that
     wants an instrument checks ``enabled`` at construction.
     """
 

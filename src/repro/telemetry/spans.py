@@ -46,6 +46,7 @@ Design notes
 
 from __future__ import annotations
 
+from math import frexp
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -251,12 +252,10 @@ class SpanRecorder:
         self._stash: Dict[Any, TraceContext] = {}
         # Registry metrics, resolved by name once and held: the sampler
         # counters from their first increment (a tally still at zero
-        # stays out of the export), the histograms from the first
-        # finished trace.
+        # stays out of the export), the histograms from their first
+        # sample — keyed "e2e", "unattributed" or (stage, kind).
         self._sampler_counters: Dict[str, Any] = {}
-        self._e2e_hist = None
-        self._unattributed_hist = None
-        self._stage_hists: Dict[Tuple[str, str], Any] = {}
+        self._hists: Dict[Any, Any] = {}
 
     # -- trace lifecycle -------------------------------------------------
     def start_trace(self, name: str, now: float) -> Optional[TraceContext]:
@@ -301,23 +300,34 @@ class SpanRecorder:
         ctx.end = now
         if self.registry is None:
             return
-        # Feed the finished trace into the metrics registry.
+        # Fold the finished trace into its histograms in this frame:
+        # each sample updates exactly what Histogram.observe would.
         totals, unattributed = attribute_trace(ctx)
-        if self._e2e_hist is None:
-            self._e2e_hist = self.registry.histogram("spans.e2e")
-            self._unattributed_hist = self.registry.histogram(
-                "spans.unattributed")
-        self._e2e_hist.observe(now - ctx.start)
-        self._unattributed_hist.observe(unattributed)
-        stage_hists = self._stage_hists
-        for stage_key, seconds in totals.items():
+        hists = self._hists
+        for key, value in (("e2e", now - ctx.start),
+                           ("unattributed", unattributed),
+                           *totals.items()):
             try:
-                histogram = stage_hists[stage_key]
+                histogram = hists[key]
             except KeyError:
-                stage, kind = stage_key
-                histogram = stage_hists[stage_key] = self.registry.histogram(
-                    f"spans.stage.{stage}.{kind}")
-            histogram.observe(seconds)
+                histogram = hists[key] = self.registry.histogram(
+                    f"spans.{key}" if isinstance(key, str)
+                    else "spans.stage.{}.{}".format(*key))
+            histogram.count += 1
+            histogram.total += value
+            if histogram.min is None or value < histogram.min:
+                histogram.min = value
+            if histogram.max is None or value > histogram.max:
+                histogram.max = value
+            if value <= 0:
+                histogram.underflow += 1
+                continue
+            exponent = frexp(value)[1]
+            buckets = histogram.buckets
+            if exponent in buckets:
+                buckets[exponent] += 1
+            else:
+                buckets[exponent] = 1
 
     # -- span recording --------------------------------------------------
     def enter(self, ctx: Optional[TraceContext], stage: str, now: float,

@@ -5,14 +5,17 @@ continuations: every getter and every blocked putter is an
 :class:`~repro.sim.Event`, ``get()``/``put()`` build one per call and
 ``_deliver`` fires it.  The class body is copied verbatim, so
 ``tests/sim/test_store_machine.py`` can hold the rebuilt ``Store`` to
-the same deliveries, drops, admissions and telemetry samples.  One line
-is not as it stood: ``_expire_holds`` re-armed its wake without looking
-at ``_hold_wake``, so a putter that put again from its admission
-callback left two wakes pending for one deadline.  A duplicate wake is
-a fault of the reference, not behaviour to preserve; it is fixed here
-and in ``Store`` alike, so the machine's event-count equality keeps
-meaning one wake per deadline.  It is a reference implementation: do
-not optimise it.
+the same deliveries, drops, admissions and telemetry samples.  Two
+lines are not as they stood.  ``_expire_holds`` re-armed its wake
+without looking at ``_hold_wake``, so a putter that put again from its
+admission callback left two wakes pending for one deadline.  A
+duplicate wake is a fault of the reference, not behaviour to preserve;
+it is fixed here and in ``Store`` alike, so the machine's event-count
+equality keeps meaning one wake per deadline.  And the depth gauge is
+taken from the registry (``Telemetry`` hands out no gauge since
+``Store`` publishes its depth as a pulled level); it is still pushed
+here, at every depth change, which is what the machine holds the pulled
+level to.  It is a reference implementation: do not optimise it.
 """
 
 from collections import deque
@@ -47,7 +50,8 @@ class OracleStore:
         # delivery.  The wait histogram is what splits queueing from
         # service time in latency attribution reports.
         if sim.telemetry.enabled and name:
-            self._depth_gauge = sim.telemetry.gauge(f"store.{name}.depth")
+            self._depth_gauge = sim.telemetry.metrics.gauge(
+                f"store.{name}.depth")
             self._wait_hist = sim.telemetry.histogram(f"store.{name}.wait")
             self._enqueued: deque = deque()
         else:

@@ -12,8 +12,12 @@ drives both with the same random interleaving — ``try_put``/``put``,
 its admission callback, ``hold_slot`` and time — on
 bounded and unbounded stores, and after every step holds the two sides
 to the same log: who got which item when, which put was admitted when,
-every depth-gauge and wait-histogram sample, the drop and depth
-counters, and the scheduler's event count (hold-expiry wakes).
+the drop and depth counters, the scheduler's event count (hold-expiry
+wakes) and the exported depth gauge and wait histogram — the level
+``Store`` publishes as a pulled ``(value, peak)`` against the gauge the
+reference pushes at every depth change, and the wait histogram its
+hand-offs fold in place against the one the reference fills through
+``observe``.
 """
 
 from hypothesis import strategies as st
@@ -33,38 +37,29 @@ from .store_oracle import OracleStore
 GAP = st.floats(0.0, 2.0, allow_nan=False)
 
 
-class _Samples:
-    """Stands in for the depth gauge and the wait histogram: every
-    sample goes to the side's log, in order, with its instant."""
-
-    def __init__(self, side, kind):
-        self.side = side
-        self.kind = kind
-
-    def set(self, value):
-        self.side.note(self.kind, value)
-
-    observe = set
-
-
 class _Side:
     """One store, its simulator and everything observable about it."""
 
     def __init__(self, store_class, capacity):
         self.sim = Simulator(telemetry=Telemetry(trace=False))
         self.store = store_class(self.sim, capacity=capacity, name="s")
-        self.store._depth_gauge = _Samples(self, "depth")
-        self.store._wait_hist = _Samples(self, "wait")
         self.log = []
 
     def note(self, what, *detail):
         self.log.append((self.sim.now, what) + detail)
 
+    def exported(self):
+        """The store's depth gauge and wait histogram as exported."""
+        export = self.sim.telemetry.metrics.to_dict()
+        return (export["gauges"]["store.s.depth"],
+                export["histograms"]["store.s.wait"])
+
     def state(self):
         store = self.store
         return (self.log, len(store), store.stats_put, store.stats_dropped,
                 store.stats_max_depth, len(store._getters),
-                len(store._putters), self.sim.now, self.sim.stats_events)
+                len(store._putters), self.sim.now, self.sim.stats_events,
+                self.exported())
 
     # -- operations both stores spell the same way ----------------------
 
@@ -227,6 +222,6 @@ def test_a_putter_that_puts_again_arms_one_wake_per_deadline():
         side.store.hold_slot(1.0)
         side.worker_put_again(1, 2)
         side.sim.run()
-        assert side.log == [(0.5, "depth", 1), (0.5, "admitted", 1),
-                            (1.0, "depth", 2), (1.0, "admitted", 2)]
+        assert side.log == [(0.5, "admitted", 1), (1.0, "admitted", 2)]
+        assert side.exported()[0] == {"value": 2, "peak": 2}
         assert side.sim.stats_events == 2

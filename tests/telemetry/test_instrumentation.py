@@ -137,8 +137,16 @@ class TestEngineInstrumentation:
         store = Store(sim, name="inbox")
         store.try_put("a")
         store.try_put("b")
-        gauge = telemetry.metrics.gauge("store.inbox.depth")
-        assert gauge.peak == 2
+        store.try_get()
+        snap = telemetry.snapshot()
+        assert snap["store.inbox.depth"] == 1
+        assert snap["store.inbox.depth.peak"] == 2
+        # A pulled level is a gauge: a pushed metric of its name is a
+        # collision, as it is for a pulled counter.
+        for create in (telemetry.metrics.gauge, telemetry.metrics.histogram,
+                       telemetry.metrics.counter):
+            with pytest.raises(MetricsError):
+                create("store.inbox.depth")
 
     def test_spawn_instants_traced(self):
         telemetry = Telemetry(trace=True)

@@ -175,6 +175,47 @@ class TestRegistry:
         registry.register_counters("link.wire", lambda: {"bits": 64})
         assert registry.to_dict()["counters"] == {"link.wire.bits": 576}
 
+    def test_pulled_levels_export_as_gauges(self):
+        registry = MetricsRegistry()
+        level = {"depth": (0, 0)}
+        registry.register_gauges("store.q", lambda: level)
+        level["depth"] = (2, 5)
+        assert registry.to_dict()["gauges"] == {
+            "store.q.depth": {"value": 2, "peak": 5}}
+        snap = registry.snapshot()
+        assert (snap["store.q.depth"], snap["store.q.depth.peak"]) == (2, 5)
+        assert "store.q.depth" in registry
+        assert registry.names() == ["store.q.depth"]
+        # A shard carries it as a gauge.
+        merged = MetricsRegistry().merge_from(registry.to_dict())
+        assert merged.to_dict()["gauges"] == registry.to_dict()["gauges"]
+
+    def test_gauge_sources_sharing_a_name_sum_values_and_keep_the_peak(self):
+        registry = MetricsRegistry()
+        registry.register_gauges("sq1", lambda: {"outstanding": (3, 4)})
+        registry.register_gauges("sq1", lambda: {"outstanding": (1, 9)})
+        assert registry.to_dict()["gauges"] == {
+            "sq1.outstanding": {"value": 4, "peak": 9}}
+
+    def test_a_pulled_gauge_collides_with_any_other_kind(self):
+        registry = MetricsRegistry()
+        registry.register_gauges("store.q", lambda: {"depth": (0, 0)})
+        for create in (registry.counter, registry.gauge, registry.histogram):
+            with pytest.raises(MetricsError):
+                create("store.q.depth")
+        with pytest.raises(MetricsError):
+            registry.attach("store.q.depth", Histogram())
+        with pytest.raises(MetricsError):
+            registry.register_counters("store.q", lambda: {"depth": 1})
+        registry = MetricsRegistry()
+        registry.register_counters("store.q", lambda: {"depth": 1})
+        with pytest.raises(MetricsError):
+            registry.register_gauges("store.q", lambda: {"depth": (0, 0)})
+        registry = MetricsRegistry()
+        registry.gauge("store.q.depth")
+        with pytest.raises(MetricsError):
+            registry.register_gauges("store.q", lambda: {"depth": (0, 0)})
+
     def test_snapshot_diff_reports_only_deltas(self):
         registry = MetricsRegistry()
         counter = registry.counter("tlps")
