@@ -16,6 +16,9 @@ global RNG seeded first.  ``cli_outputs.json`` holds, per pair:
   may grow keys; ``mode`` is the row's label, not a measurement, and is
   left out).
 
+``STDOUT_CASES`` pin the whole stdout of the commands that write no
+artifact (``prog``, ``scale-tenants``).
+
 A mismatch means an observed run simulated something else.  Regenerate
 only for an intentional change, and review the diff; naming cases
 rewrites only those, each under the result keys it is already pinned
@@ -56,6 +59,12 @@ CASES = {
     ("objects", "fldr"): None,
 }
 
+#: argv of each command pinned by its stdout alone.
+STDOUT_CASES = (
+    ("prog", "--count", "40"),
+    ("scale-tenants", "--tenants", "1", "3", "--count", "40", "--no-cache"),
+)
+
 #: Document keys pinned per command (``-o`` JSON).
 DOCUMENT_KEYS = {
     "latency": ("report", "violations", "sampler", "spans"),
@@ -81,6 +90,14 @@ def _printed_result(out: str) -> dict:
     return row
 
 
+def _stdout(argv) -> str:
+    random.seed(7)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(list(argv)) == 0
+    return stdout.getvalue()
+
+
 def observed(command, name, directory):
     """Run one case; return its artifact digests and result row."""
     out_json = os.path.join(directory, f"{command}-{name}.json")
@@ -93,11 +110,7 @@ def observed(command, name, directory):
     count = CASES[command, name]
     if count is not None:
         argv += ["--count", str(count)]
-    random.seed(7)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main(argv) == 0
-    out = stdout.getvalue()
+    out = _stdout(argv)
     with open(out_json, "rb") as handle:
         raw = handle.read()
     if command == "trace":
@@ -122,7 +135,9 @@ def pinned():
 
 
 def test_every_case_is_pinned(pinned):
-    assert sorted(pinned) == sorted(_case_id(case) for case in CASES)
+    assert sorted(pinned) == sorted(
+        [_case_id(case) for case in CASES]
+        + [_case_id(argv) for argv in STDOUT_CASES])
 
 
 @pytest.mark.parametrize("case", sorted(CASES), ids=_case_id)
@@ -135,12 +150,19 @@ def test_cli_output(pinned, case, tmp_path):
             expected["result"]
 
 
+@pytest.mark.parametrize("argv", STDOUT_CASES, ids=_case_id)
+def test_stdout(pinned, argv):
+    assert _sha256(_stdout(argv).encode()) == \
+        pinned[_case_id(argv)]["stdout"]
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
     with open(FIXTURE, encoding="utf-8") as handle:
         table = json.load(handle)
-    wanted = sys.argv[1:] or [_case_id(case) for case in CASES]
+    wanted = sys.argv[1:] or [_case_id(case)
+                              for case in list(CASES) + list(STDOUT_CASES)]
     with tempfile.TemporaryDirectory() as directory:
         for case in sorted(CASES):
             if _case_id(case) not in wanted:
@@ -150,6 +172,10 @@ if __name__ == "__main__":
                 keys = table.get(_case_id(case), {}).get("result") or result
                 result = {key: result[key] for key in keys if key != "mode"}
             table[_case_id(case)] = {"sha256": digests, "result": result}
+    for argv in STDOUT_CASES:
+        if _case_id(argv) in wanted:
+            digest = _sha256(_stdout(argv).encode())
+            table[_case_id(argv)] = {"stdout": digest}
     with open(FIXTURE, "w", encoding="utf-8") as handle:
         json.dump(table, handle, indent=1, sort_keys=True)
         handle.write("\n")
