@@ -21,17 +21,12 @@ from ..host import CpuCore, LoadGenerator
 from ..net import Flow
 from ..pcie import MemoryRegion
 from ..sim import Simulator, Store
-from ..sweep import SweepCache, SweepPoint, run_sweep
-from ..topology import (
-    ACCEL_BAR_BASE,
-    HostQpSpec,
-    LinkSpec,
-    NodeSpec,
-    TopologySpec,
-    VportSpec,
-)
+from ..sweep import SweepPoint
+from ..topology import ACCEL_BAR_BASE, HostQpSpec, VportSpec
 from ..topology import build as build_topology
-from .setups import CLIENT_MAC, CLIENT_IP, Calibration, SERVER_IP, SERVER_MAC
+from .echo import open_loop, scenario_row
+from .setups import (CLIENT_IP, CLIENT_MAC, SERVER_IP, SERVER_MAC,
+                     Calibration, remote_spec)
 
 
 class DumbAccelerator(MemoryRegion):
@@ -104,14 +99,10 @@ class CpuMediatedEcho:
             self.stats_cpu_seconds += self.sim.now - start
 
 
-def build(sim: Simulator, cal: Optional[Calibration] = None):
+def build(sim: Simulator, cal: Calibration):
     """Client + CPU-mediated echo server."""
-    cal = cal or Calibration()
-    spec = TopologySpec(
-        name="cpu-mediated-echo",
-        nodes=[NodeSpec(name="client", core="loadgen"),
-               NodeSpec(name="server", core="app-nojitter")],
-        links=[LinkSpec(a="client", b="server")],
+    spec = remote_spec(
+        "cpu-mediated-echo", "app-nojitter",
         vports=[VportSpec(node="client", vport=1, mac=CLIENT_MAC),
                 VportSpec(node="server", vport=1, mac=SERVER_MAC)],
         host_qps=[HostQpSpec(name="client", node="client", vport=1,
@@ -129,32 +120,24 @@ def build(sim: Simulator, cal: Optional[Calibration] = None):
                            loadgen=loadgen, testbed=testbed)
 
 
-def echo_throughput(size: int, count: int = 1200,
-                    cal: Optional[Calibration] = None) -> Dict:
-    """One throughput point for the mediated architecture."""
-    sim = Simulator()
-    setup = build(sim, cal)
-    loadgen = setup.loadgen
-    rate = 25e9 / ((size + 24) * 8)
-
-    def run(sim):
-        yield from loadgen.run_open_loop([size] * count, rate_pps=rate)
-        yield from loadgen.drain()
-
-    sim.spawn(run(sim))
-    sim.run(until=2.0)
-    duration = max(loadgen.rx_meter.duration, 1e-12)
+def drive(sim, setup, count: int, size: int) -> Dict:
+    """The paced echo, plus the relay's host CPU utilization."""
+    result = open_loop(sim, setup.loadgen, count, size)
+    duration = max(setup.loadgen.rx_meter.duration, 1e-12)
     return {
         "architecture": "cpu-mediated",
-        "size": size,
-        "gbps": loadgen.rx_meter.gbps(wire_overhead_per_packet=24),
-        "mpps": loadgen.rx_meter.mpps(),
-        "received": loadgen.stats_received,
-        "sent": loadgen.stats_sent,
+        **result,
         # Host CPU utilization of the relay alone (excludes the driver
         # rx path, which FLD also avoids).
         "host_cpu_utilization": setup.echo.stats_cpu_seconds / duration,
     }
+
+
+def echo_throughput(size: int, count: int = 1200,
+                    cal: Optional[Calibration] = None) -> Dict:
+    """One throughput point for the mediated architecture (scenario
+    ``cpu-mediated``)."""
+    return scenario_row("cpu-mediated", count, size, cal)
 
 
 def sweep_points(sizes=(64, 256, 1024, 1500),
@@ -166,9 +149,3 @@ def sweep_points(sizes=(64, 256, 1024, 1500),
                    {"size": size, "count": count})
         for size in sizes
     ]
-
-
-def sweep(sizes=(64, 256, 1024, 1500), count: int = 1200, jobs: int = 1,
-          cache: Optional[SweepCache] = None) -> List[Dict]:
-    return run_sweep(sweep_points(sizes, count),
-                     jobs=jobs, cache=cache).rows

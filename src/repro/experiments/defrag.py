@@ -28,10 +28,10 @@ from ..accelerators import IpDefragAccelerator
 from ..host import CpuCore
 from ..net import (
     Ipv4,
+    MacAddress,
     PROTO_TCP,
     Reassembler,
     RssEngine,
-    Udp,
     VXLAN_PORT,
     fragment_packet,
     make_flows,
@@ -48,37 +48,19 @@ from ..nic import (
 )
 from ..sim import Simulator, ThroughputMeter
 from ..sw import FldRuntime
-from ..sweep import SweepCache, SweepPoint, run_sweep
-from ..topology import (
-    LinkSpec,
-    NodeSpec,
-    TopologySpec,
-    VportSpec,
-)
+from ..sweep import SweepPoint
+from ..topology import VportSpec
 from ..topology import build as build_topology
-from .setups import CLIENT_MAC, CLIENT_IP, Calibration, SERVER_IP, SERVER_MAC
+from .echo import scenario_row
+from .setups import (CLIENT_IP, CLIENT_MAC, SERVER_IP, SERVER_MAC,
+                     Calibration, remote_spec)
 
 NUM_CORES = 8
 NUM_FLOWS = 60
 FULL_MTU = 1500
 SMALL_MTU = 1450
 VNI = 100
-
-
-class DefragCalibration(Calibration):
-    """Extra constants for this experiment (documented in EXPERIMENTS.md).
-
-    The receivers run a kernel TCP stack + iperf (not DPDK): the paper's
-    23.2 Gbps across many cores and 3.2 Gbps on one core imply a
-    per-packet receive cost of ~1.8 us and a software-reassembly cost of
-    a few hundred ns per fragment.  The sender fragments (and for VXLAN
-    encapsulates) in software.
-    """
-
-    kernel_rx_cycles = 4150        # ~1.8 us per packet at 2.3 GHz
-    sw_defrag_cycles = 600         # extra per fragment when defragging
-    client_frag_seconds = 50e-9    # software fragmentation, per packet
-    client_encap_seconds = 300e-9  # software VXLAN encap, per packet
+CONFIGS = ("nofrag", "sw-defrag", "hw-defrag", "vxlan-sw", "vxlan-hw")
 
 
 class _KernelReceiver:
@@ -115,22 +97,16 @@ class _KernelReceiver:
         self.meter.record(self.sim.now, max(0, payload_bytes))
 
 
-def build(config: str, cal: Optional[DefragCalibration] = None):
+def build(sim: Simulator, cal: Calibration, config: str = "hw-defrag"):
     """Assemble the testbed for one §8.2.2 configuration."""
-    if config not in ("nofrag", "sw-defrag", "hw-defrag", "vxlan-sw",
-                      "vxlan-hw"):
+    if config not in CONFIGS:
         raise ValueError(f"unknown defrag config {config!r}")
-    cal = cal or DefragCalibration()
-    sim = Simulator()
     # The spec covers the static topology; the 8 per-core receive QPs
     # (each with its own kernel CpuCore) and the conditional FLD must
     # keep their historical interleaved construction, so they stay
     # imperative below.
-    spec = TopologySpec(
-        name=f"defrag-{config}",
-        nodes=[NodeSpec(name="client", core="loadgen"),
-               NodeSpec(name="server")],
-        links=[LinkSpec(a="client", b="server")],
+    spec = remote_spec(
+        f"defrag-{config}",
         vports=[VportSpec(node="client", vport=1, mac=CLIENT_MAC),
                 VportSpec(node="server", vport=1, mac=SERVER_MAC)],
     )
@@ -189,59 +165,55 @@ def build(config: str, cal: Optional[DefragCalibration] = None):
     client_qp.post_rx_buffers(64)
     flows = make_flows(NUM_FLOWS, proto=PROTO_TCP, dst_ip=SERVER_IP,
                        seed=11)
-    from ..net import MacAddress
     for flow in flows:
         flow.src_mac = MacAddress(CLIENT_MAC)
         flow.dst_mac = MacAddress(SERVER_MAC)
-    return SimpleNamespace(sim=sim, client=client, server=server,
+    return SimpleNamespace(client=client, server=server,
                            client_qp=client_qp, flows=flows, meter=meter,
                            receivers=receivers, accel=accel, config=config,
-                           calibration=cal)
+                           calibration=cal, testbed=testbed)
 
 
-def _sender(sim, setup, packets_per_flow_round: int, rounds: int):
-    """Client process: 1500 B TCP packets, fragmented/encapsulated in
-    software as the configuration demands."""
+def _sender(sim, setup, count: int):
+    """Client process: ``count`` 1500 B TCP packets round-robin over the
+    flows, fragmented/encapsulated in software as the configuration
+    demands."""
     cal = setup.calibration
     config = setup.config
     qp = setup.client_qp
-    for _round in range(rounds):
-        for flow in setup.flows:
-            packet = flow.make_sized_packet(FULL_MTU + 14)
-            if config == "nofrag":
-                frames = [packet]
-            else:
-                frames = fragment_packet(packet, SMALL_MTU)
-            cost = 0.0
-            if config != "nofrag":
-                cost += cal.client_frag_seconds * len(frames)
-            if config.startswith("vxlan"):
-                frames = [
-                    vxlan_encapsulate(f, VNI, CLIENT_MAC, SERVER_MAC,
-                                      CLIENT_IP, SERVER_IP)
-                    for f in frames
-                ]
-                cost += cal.client_encap_seconds * len(frames)
-            if cost:
-                yield sim.timeout(cost)
-            for frame in frames:
-                yield from qp.wait_for_tx_space()
-                qp.send(frame.to_bytes())
-            # pace lightly so 60 flows interleave like parallel iperfs
-            yield sim.timeout(1e-9)
+    flows = setup.flows
+    for index in range(count):
+        packet = flows[index % len(flows)].make_sized_packet(FULL_MTU + 14)
+        frames, cost = [packet], 0.0
+        if config != "nofrag":
+            frames = fragment_packet(packet, SMALL_MTU)
+            cost += cal.client_frag_seconds * len(frames)
+        if config.startswith("vxlan"):
+            frames = [
+                vxlan_encapsulate(f, VNI, CLIENT_MAC, SERVER_MAC,
+                                  CLIENT_IP, SERVER_IP)
+                for f in frames
+            ]
+            cost += cal.client_encap_seconds * len(frames)
+        if cost:
+            yield sim.timeout(cost)
+        for frame in frames:
+            yield from qp.wait_for_tx_space()
+            qp.send(frame.to_bytes())
+        # pace lightly so 60 flows interleave like parallel iperfs
+        yield sim.timeout(1e-9)
 
 
-def run(config: str, rounds: int = 40,
-        cal: Optional[DefragCalibration] = None,
-        deadline: float = 0.05) -> Dict:
-    """Run one configuration; returns the measured goodput."""
-    setup = build(config, cal)
-    sim = setup.sim
-    sim.spawn(_sender(sim, setup, 1, rounds))
+def drive(sim, setup, count: int, size: Optional[int],
+          deadline: float = 0.05) -> Dict:
+    """``count`` datagrams round-robin over the 60 flows (``size`` is
+    unused: every datagram is a 1500 B TCP packet); returns the measured
+    goodput."""
+    sim.spawn(_sender(sim, setup, count))
     sim.run(until=deadline)
     queue_counts = [r.stats_packets for r in setup.receivers]
     return {
-        "config": config,
+        "config": setup.config,
         "goodput_gbps": setup.meter.gbps(),
         "datagrams": setup.meter.packets,
         "active_cores": sum(1 for c in queue_counts if c > 0),
@@ -251,7 +223,13 @@ def run(config: str, rounds: int = 40,
     }
 
 
-CONFIGS = ("nofrag", "sw-defrag", "hw-defrag", "vxlan-sw", "vxlan-hw")
+def run(config: str, rounds: int = 40,
+        cal: Optional[Calibration] = None,
+        deadline: float = 0.05) -> Dict:
+    """Run one configuration, ``rounds`` datagrams per flow (scenario
+    ``defrag``); returns the measured goodput."""
+    return scenario_row("defrag", rounds * NUM_FLOWS, cal=cal,
+                        shape={"config": config}, deadline=deadline)
 
 
 def experiment_points(rounds: int = 30,
@@ -262,10 +240,3 @@ def experiment_points(rounds: int = 30,
                    {"config": config, "rounds": rounds})
         for config in configs
     ]
-
-
-def experiment(rounds: int = 30, jobs: int = 1,
-               cache: Optional[SweepCache] = None) -> List[Dict]:
-    """The full §8.2.2 comparison."""
-    return run_sweep(experiment_points(rounds),
-                     jobs=jobs, cache=cache).rows

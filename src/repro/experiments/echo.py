@@ -1,36 +1,45 @@
 """Echo microbenchmark experiments (§8.1: Fig. 7b, Fig. 7c, Table 6,
 and the mixed-size trace of §8.1.1).
 
-``echo_throughput``, ``echo_latency``, ``trace_forwarding`` and
-``fldr_throughput`` each run one :mod:`repro.scenario` row, whose
-traffic is the ``drive_*`` function beside them; the observe CLIs run
-the same rows.
+``echo_throughput``, ``echo_latency``, ``trace_forwarding``,
+``fldr_throughput`` and ``fldr_load_point`` each run one
+:mod:`repro.scenario` row, whose traffic is the ``drive_*`` function
+beside them.  :func:`open_loop` (a paced echo) and :func:`windowed`
+(requests kept outstanding) drive the other families' rows too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..models.perf import expected_echo_gbps
 from ..net import ImcDatacenterSizes
-from ..sim import LatencyCollector, Simulator
-from ..sweep import SweepCache, SweepPoint, run_sweep
-from .setups import Calibration, fldr_echo
+from ..sim import LatencyCollector
+from ..sweep import SweepPoint
+from .setups import Calibration
 
 
-def _run_loadgen_throughput(sim, loadgen, size: int, count: int,
-                            deadline: float = 2.0,
-                            pace_bps: float = 25e9) -> Dict:
+def scenario_row(name: str, *args, **kwargs) -> Dict:
+    """The result row of one :func:`repro.scenario.run` of ``name``."""
+    from ..scenario import run  # the registry imports this module
+    return run(name, *args, **kwargs)[0]
+
+
+def open_loop(sim, loadgen, count: int, size: int, pace_bps: float = 25e9,
+              flows=None, labels=None) -> Dict:
+    """Offer ``count`` frames paced at ``pace_bps`` (frame ``i`` on
+    ``flows[i % len(flows)]``), drain, and measure the echo (2 s)."""
     # Offer exactly line rate for this size; the measured echo rate then
     # reflects the path's capacity, not transient queueing of a burst.
     rate_pps = pace_bps / ((size + 24) * 8)
 
     def run(sim):
-        yield from loadgen.run_open_loop([size] * count, rate_pps=rate_pps)
+        yield from loadgen.run_open_loop_flows(
+            flows, [size] * count, rate_pps=rate_pps, labels=labels)
         yield from loadgen.drain()
 
     sim.spawn(run(sim))
-    sim.run(until=deadline)
+    sim.run(until=2.0)
     return {
         "size": size,
         "sent": loadgen.stats_sent,
@@ -40,18 +49,45 @@ def _run_loadgen_throughput(sim, loadgen, size: int, count: int,
     }
 
 
+def windowed(sim, submit: Callable[[], None], completions, count: int,
+             window: int, size: int,
+             on_complete: Optional[Callable] = None) -> Tuple[int, float]:
+    """Keep ``window`` requests outstanding, submitting one more per
+    completion, until ``count`` complete (5 s); returns (completions,
+    Gb/s of the n - 1 between the first and the last, else 0)."""
+    times: List[float] = []   # completion instants
+
+    def runner(sim):
+        submitted = min(window, count)
+        for _ in range(submitted):
+            submit()
+        while len(times) < count:
+            item = yield completions.get()
+            if on_complete is not None:
+                on_complete(item)
+            times.append(sim.now)
+            if submitted < count:
+                submit()
+                submitted += 1
+
+    sim.spawn(runner(sim))
+    sim.run(until=5.0)
+    duration = times[-1] - times[0] if times else 0.0
+    if duration <= 0:
+        return len(times), 0.0
+    return len(times), (len(times) - 1) * size * 8 / duration / 1e9
+
+
 def _scenario_row(rows: Dict[str, str], kind: str, mode: str,
                   **kwargs) -> Dict:
-    from ..scenario import run  # the registry imports this module
     if mode not in rows:
         raise ValueError(f"unknown {kind} mode {mode!r}")
-    return run(rows[mode], **kwargs)[0]
+    return scenario_row(rows[mode], **kwargs)
 
 
 def drive_throughput(sim, setup, count: int, size: int, mode: str) -> Dict:
     line_bps = 25e9 if mode.endswith("remote") else 50e9
-    result = _run_loadgen_throughput(sim, setup.loadgen, size, count,
-                                     pace_bps=line_bps)
+    result = open_loop(sim, setup.loadgen, count, size, pace_bps=line_bps)
     result["mode"] = mode
     result["model_gbps"] = expected_echo_gbps(size, line_bps, 50e9)
     return result
@@ -174,16 +210,11 @@ def trace_forwarding(mode: str, count: int = 6000, seed: int = 7,
         count=count, cal=cal, telemetry=telemetry, seed=seed)
 
 
-def fldr_load_point(rate: float, message_size: int = 1024,
-                    local: bool = False, per_point: int = 800,
-                    cal: Optional[Calibration] = None) -> Dict:
-    """One Fig. 7c point: FLD-R latency at one offered request rate.
-
-    Runs an open-loop Poisson-ish arrival (fixed gap) and reports
-    median latency and achieved throughput.
-    """
-    sim = Simulator()
-    setup = fldr_echo(sim, cal, local=local)
+def drive_load(sim, setup, count: int, size: int,
+               rate: Optional[float] = None) -> Dict:
+    """Fig. 7c traffic: ``count`` messages at a fixed gap of 1/``rate``
+    (default: half the rough saturation rate of :func:`fig7c_points`)."""
+    rate = rate or 12.5e9 / ((size + 150) * 8)
     connection = setup.connection
     latency = LatencyCollector()
     sent_times: List[float] = []
@@ -203,21 +234,21 @@ def fldr_load_point(rate: float, message_size: int = 1024,
 
     def sender(sim):
         gap = 1.0 / rate
-        for _ in range(per_point):
+        for _ in range(count):
             sent_times.append(sim.now)
-            connection.post(bytes(message_size))
+            connection.post(bytes(size))
             yield sim.timeout(gap)
 
     sim.spawn(receiver(sim))
     sim.spawn(sender(sim))
-    sim.run(until=per_point / rate + 0.05)
+    sim.run(until=count / rate + 0.05)
     duration = ((state["last_rx"] or 0.0) - (state["first_rx"] or 0.0))
     achieved = state["received"] / duration if duration > 0 else 0.0
     return {
         "offered_mps": rate,
         "received": state["received"],
         "achieved_mps": achieved,
-        "achieved_gbps": achieved * message_size * 8 / 1e9,
+        "achieved_gbps": achieved * size * 8 / 1e9,
         "median_latency_us": (latency.median * 1e6
                               if len(latency) else None),
         "p99_latency_us": (latency.pct(99) * 1e6
@@ -225,9 +256,23 @@ def fldr_load_point(rate: float, message_size: int = 1024,
     }
 
 
+def fldr_load_point(rate: float, message_size: int = 1024,
+                    local: bool = False, per_point: int = 800,
+                    cal: Optional[Calibration] = None) -> Dict:
+    """One Fig. 7c point: FLD-R latency at one offered request rate
+    (scenarios ``fig7c`` and ``fig7c-local``).
+
+    Runs an open-loop Poisson-ish arrival (fixed gap) and reports
+    median latency and achieved throughput.
+    """
+    return scenario_row("fig7c-local" if local else "fig7c", per_point,
+                        message_size, cal, rate=rate)
+
+
 def fig7c_points(loads: Optional[List[float]] = None,
                  message_size: int = 1024, local: bool = False,
                  per_point: int = 800) -> List[SweepPoint]:
+    """Fig. 7c: FLD-R 1 KiB message latency as load increases."""
     if loads is None:
         peak = 25e9 / ((message_size + 150) * 8)  # rough saturation rate
         loads = [peak * f for f in (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)]
@@ -239,24 +284,6 @@ def fig7c_points(loads: Optional[List[float]] = None,
     ]
 
 
-def fldr_latency_vs_load(loads: Optional[List[float]] = None,
-                         message_size: int = 1024, local: bool = False,
-                         per_point: int = 800,
-                         cal: Optional[Calibration] = None,
-                         jobs: int = 1,
-                         cache: Optional[SweepCache] = None) -> List[Dict]:
-    """Fig. 7c: FLD-R 1 KiB message latency as load increases."""
-    if cal is not None:
-        # A custom calibration is not JSON-addressable; run directly.
-        if loads is None:
-            peak = 25e9 / ((message_size + 150) * 8)
-            loads = [peak * f for f in (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)]
-        return [fldr_load_point(rate, message_size, local, per_point, cal)
-                for rate in loads]
-    return run_sweep(fig7c_points(loads, message_size, local, per_point),
-                     jobs=jobs, cache=cache).rows
-
-
 def drive_fldr(sim, setup, count: int, size: int, mode: str,
                window: int = 64) -> Dict:
     connection = setup.connection
@@ -264,34 +291,14 @@ def drive_fldr(sim, setup, count: int, size: int, mode: str,
     # within FLD's on-chip buffering so the no-backpressure rx stream is
     # never overrun.
     window = max(4, min(window, (128 * 1024) // max(size, 1)))
-    state = {"received": 0, "first": None, "last": None}
-
-    def runner(sim):
-        sent = 0
-        for _ in range(min(window, count)):
-            connection.post(bytes(size))
-            sent += 1
-        while state["received"] < count:
-            _message, _cqe = yield connection.responses.get()
-            state["received"] += 1
-            state["first"] = state["first"] or sim.now
-            state["last"] = sim.now
-            if sent < count:
-                connection.post(bytes(size))
-                sent += 1
-
-    sim.spawn(runner(sim))
-    sim.run(until=5.0)
-    duration = (state["last"] or 1.0) - (state["first"] or 0.0)
-    gbps = ((state["received"] - 1) * size * 8 / duration / 1e9
-            if duration > 0 else 0.0)
-    segments = max(1, -(-size // 1024))
+    received, gbps = windowed(sim, lambda: connection.post(bytes(size)),
+                              connection.responses, count, window, size)
     return {
         "mode": mode,
         "size": size,
-        "received": state["received"],
+        "received": received,
         "gbps": gbps,
-        "segments_per_message": segments,
+        "segments_per_message": max(1, -(-size // 1024)),
     }
 
 
@@ -305,9 +312,8 @@ def fldr_throughput(size: int, count: int = 400, window: int = 64,
     Messages above the 1024 B RoCE MTU exercise the NIC's hardware
     segmentation — the transport offload FLD gets for free (§8.1.2).
     """
-    from ..scenario import run  # the registry imports this module
-    return run("fldr-local" if local else "fldr", count=count, size=size,
-               cal=cal, telemetry=telemetry, window=window)[0]
+    return scenario_row("fldr-local" if local else "fldr", count, size, cal,
+                        telemetry, window=window)
 
 
 def fldr_points(sizes: Optional[List[int]] = None, count: int = 400,

@@ -17,22 +17,14 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from ..accelerators.iot import CoapMessage, POST, sign_token
-from ..net import Flow, MacAddress
+from ..net import Flow
 from ..nic import ForwardToQueue, MatchSpec
-from ..sim import Simulator
 from ..sw import FldEControlPlane
-from ..sweep import SweepCache, SweepPoint, run_sweep
-from ..topology import (
-    AccelFnSpec,
-    FldSpec,
-    HostQpSpec,
-    LinkSpec,
-    NodeSpec,
-    TopologySpec,
-    VportSpec,
-)
+from ..sweep import SweepPoint
+from ..topology import AccelFnSpec, FldSpec, HostQpSpec, VportSpec
 from ..topology import build as build_topology
-from .setups import CLIENT_MAC, CLIENT_IP, Calibration, SERVER_IP, SERVER_MAC
+from .echo import scenario_row
+from .setups import CLIENT_MAC, SERVER_IP, SERVER_MAC, Calibration, remote_spec
 
 TENANT_A, TENANT_B = 1, 2
 KEY_A = b"tenant-a-secret-hmac-key"
@@ -53,17 +45,15 @@ def make_iot_frame(flow: Flow, key: bytes, frame_size: int,
     return packet.to_bytes()
 
 
-def build(cal: Optional[Calibration] = None,
-          capacity_gbps: Optional[float] = None,
-          tenant_limits_gbps: Optional[Dict[int, float]] = None):
-    """Server with the IoT offload; tenants classified by source IP."""
-    cal = cal or Calibration()
-    sim = Simulator()
-    spec = TopologySpec(
-        name="iot-auth",
-        nodes=[NodeSpec(name="client", core="loadgen"),
-               NodeSpec(name="server")],
-        links=[LinkSpec(a="client", b="server")],
+def build(sim, cal: Calibration, isolation: bool = False,
+          shaped: bool = False):
+    """Server with the IoT offload; tenants classified by source IP.
+
+    The isolation testbed caps the accelerator at 12 Gbps and, when
+    ``shaped``, each tenant at 6 Gbps on the NIC.
+    """
+    spec = remote_spec(
+        "iot-auth",
         vports=[VportSpec(node="client", vport=1, mac=CLIENT_MAC),
                 VportSpec(node="server", vport=1, mac=SERVER_MAC)],
         flds=[FldSpec(node="server")],
@@ -81,32 +71,25 @@ def build(cal: Optional[Calibration] = None,
     runtime, fld_rq, accel = fn.runtime, fn.rq, fn.accel
     accel.set_tenant_key(TENANT_A, KEY_A)
     accel.set_tenant_key(TENANT_B, KEY_B)
-    if capacity_gbps is not None:
-        accel.capacity_bps = capacity_gbps * 1e9
+    if isolation:
+        accel.capacity_bps = 12e9
 
     host_qp = testbed.host_qp("host")
     control = FldEControlPlane(runtime, vport=1)
-    limits = tenant_limits_gbps or {}
-    control.add_tenant(
-        TENANT_A, MatchSpec(src_ip="10.0.0.1"), fld_rq,
-        [ForwardToQueue(host_qp.rq)],
-        rate_bps=(limits.get(TENANT_A, 0) * 1e9 or None),
-    )
-    control.add_tenant(
-        TENANT_B, MatchSpec(src_ip="10.0.0.3"), fld_rq,
-        [ForwardToQueue(host_qp.rq)],
-        rate_bps=(limits.get(TENANT_B, 0) * 1e9 or None),
-    )
+    for tenant, src_ip in ((TENANT_A, "10.0.0.1"), (TENANT_B, "10.0.0.3")):
+        control.add_tenant(tenant, MatchSpec(src_ip=src_ip), fld_rq,
+                           [ForwardToQueue(host_qp.rq)],
+                           rate_bps=6e9 if shaped else None)
 
     client_qp = client.driver.create_eth_qp(vport=1, use_mmio_wqe=True,
                                             sq_entries=4096)
     client_qp.post_rx_buffers(64)
     flow_a = Flow(CLIENT_MAC, SERVER_MAC, "10.0.0.1", SERVER_IP, 5001, 5683)
     flow_b = Flow(CLIENT_MAC, SERVER_MAC, "10.0.0.3", SERVER_IP, 5002, 5683)
-    return SimpleNamespace(sim=sim, client=client, server=server,
+    return SimpleNamespace(client=client, server=server,
                            accel=accel, client_qp=client_qp,
                            flow_a=flow_a, flow_b=flow_b, host_qp=host_qp,
-                           control=control, testbed=testbed)
+                           control=control, shaped=shaped, testbed=testbed)
 
 
 def _paced_sender(sim, qp, frame: bytes, rate_bps: float, duration: float):
@@ -119,13 +102,12 @@ def _paced_sender(sim, qp, frame: bytes, rate_bps: float, duration: float):
         yield sim.timeout(gap)
 
 
-def line_rate_point(size: int, duration: float = 0.4e-3) -> Dict:
-    """One §8.2.3 line-rate point: valid-token traffic at one size."""
-    setup = build()
-    sim = setup.sim
+def drive_line_rate(sim, setup, count: Optional[int], size: int,
+                    duration: float = 0.1e-3) -> Dict:
+    """Valid-token traffic at 25 Gb/s for ``duration`` seconds (the
+    default is a short observed run; the §8.2.3 points take 0.4 ms)."""
     frame = make_iot_frame(setup.flow_a, KEY_A, size)
-    sim.spawn(_paced_sender(sim, setup.client_qp, frame, 25e9,
-                            duration))
+    sim.spawn(_paced_sender(sim, setup.client_qp, frame, 25e9, duration))
     sim.run(until=duration + 0.2e-3)
     valid_bytes = setup.accel.stats_tenant_valid_bytes.get(TENANT_A, 0)
     return {
@@ -136,8 +118,15 @@ def line_rate_point(size: int, duration: float = 0.4e-3) -> Dict:
     }
 
 
+def line_rate_point(size: int, duration: float = 0.4e-3) -> Dict:
+    """One §8.2.3 line-rate point: valid-token traffic at one size
+    (scenario ``iot-line-rate``)."""
+    return scenario_row("iot-line-rate", size=size, duration=duration)
+
+
 def line_rate_points(sizes: Optional[List[int]] = None,
                      duration: float = 0.4e-3) -> List[SweepPoint]:
+    """§8.2.3: the offload meets line rate for packets >= 256 B."""
     sizes = sizes or [256, 512, 1024, 1500]
     return [
         SweepPoint("iot-line-rate",
@@ -147,34 +136,32 @@ def line_rate_points(sizes: Optional[List[int]] = None,
     ]
 
 
-def line_rate_sweep(sizes: Optional[List[int]] = None,
-                    duration: float = 0.4e-3, jobs: int = 1,
-                    cache: Optional[SweepCache] = None) -> List[Dict]:
-    """§8.2.3: the offload meets line rate for packets >= 256 B."""
-    return run_sweep(line_rate_points(sizes, duration),
-                     jobs=jobs, cache=cache).rows
-
-
-def isolation(shaped: bool, duration: float = 4e-3,
-              frame_size: int = 1024) -> Dict:
-    """§8.2.3 isolation: 8 + 16 Gbps tenants, 12 Gbps accelerator."""
-    limits = {TENANT_A: 6.0, TENANT_B: 6.0} if shaped else None
-    setup = build(capacity_gbps=12.0, tenant_limits_gbps=limits)
-    sim = setup.sim
-    frame_a = make_iot_frame(setup.flow_a, KEY_A, frame_size)
-    frame_b = make_iot_frame(setup.flow_b, KEY_B, frame_size)
+def drive_isolation(sim, setup, count: Optional[int], size: int,
+                    duration: float = 0.5e-3) -> Dict:
+    """Tenant A at 8 Gbps and tenant B at 16 Gbps for ``duration`` (the
+    default is a short observed run; the §8.2.3 points take 4 ms)."""
+    frame_a = make_iot_frame(setup.flow_a, KEY_A, size)
+    frame_b = make_iot_frame(setup.flow_b, KEY_B, size)
     sim.spawn(_paced_sender(sim, setup.client_qp, frame_a, 8e9, duration))
     sim.spawn(_paced_sender(sim, setup.client_qp, frame_b, 16e9, duration))
     sim.run(until=duration + 1e-3)
     bytes_a = setup.accel.stats_tenant_valid_bytes.get(TENANT_A, 0)
     bytes_b = setup.accel.stats_tenant_valid_bytes.get(TENANT_B, 0)
     return {
-        "shaped": shaped,
+        "shaped": setup.shaped,
         "tenant_a_gbps": bytes_a * 8 / duration / 1e9,
         "tenant_b_gbps": bytes_b * 8 / duration / 1e9,
         "dropped": setup.accel.stats_dropped,
         "meter_drops": setup.server.nic.stats_meter_drops,
     }
+
+
+def isolation(shaped: bool, duration: float = 4e-3,
+              frame_size: int = 1024) -> Dict:
+    """§8.2.3 isolation: 8 + 16 Gbps tenants, 12 Gbps accelerator
+    (scenario ``iot-isolation``)."""
+    return scenario_row("iot-isolation", size=frame_size,
+                        shape={"shaped": shaped}, duration=duration)
 
 
 def isolation_points(duration: float = 4e-3,
@@ -190,8 +177,8 @@ def isolation_points(duration: float = 4e-3,
 
 def drop_invalid_tokens(count: int = 200, frame_size: int = 512) -> Dict:
     """The DDoS story: forged tokens die in the accelerator."""
-    setup = build()
-    sim = setup.sim
+    from ..scenario import elaborate  # the registry imports this module
+    sim, setup = elaborate("iot-line-rate")
     good = make_iot_frame(setup.flow_a, KEY_A, frame_size, valid=True)
     bad = make_iot_frame(setup.flow_a, KEY_A, frame_size, valid=False)
 

@@ -17,15 +17,19 @@ balancer) redirect re-injection through the eswitch:
   each flow's first ``burst`` packets pass, the rest drop, and the
   bucket state lives in firmware-owned cuckoo maps.
 
-Every scenario reports per-verdict counters (read back through
-``QueryObject``), per-program interpretation latency from the
-``prog.<name>`` spans, per-function accelerator counts, and the
-invariant-audit violation count — drops end their packet's trace, so a
-clean run audits complete even when most packets die in the program.
+Each scenario is a :mod:`repro.scenario` row (``prog-firewall`` ...)
+reporting per-verdict counters (read back through ``QueryObject``),
+per-function accelerator counts, map stats and the invariant-audit
+violation count — drops end their packet's trace, so a clean run audits
+complete even when most packets die in the program.  Per-program
+interpretation latency is read from the ``prog.<name>`` spans of a run
+under span telemetry (:func:`prog_latency_us`; ``python -m repro
+prog``).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from ..host import LoadGenerator
@@ -38,20 +42,10 @@ from ..prog.programs import (
     nat,
     passthrough,
 )
-from ..sim import Simulator
-from ..telemetry import Telemetry
-from ..telemetry.audit import audit_all
-from ..topology import (
-    AccelFnSpec,
-    FldSpec,
-    HostQpSpec,
-    LinkSpec,
-    NodeSpec,
-    TopologySpec,
-    VportSpec,
-)
+from ..topology import TopologySpec
 from ..topology import build as build_topology
-from .scale_tenants import tenant_mac
+from .echo import open_loop, scenario_row
+from .scale_tenants import tenant_fns_spec, tenant_mac
 from .setups import CLIENT_IP, CLIENT_MAC, Calibration, SERVER_IP
 
 SCENARIOS = ("firewall", "lb", "nat", "ddos")
@@ -81,26 +75,10 @@ def prog_spec(scenario: str) -> TopologySpec:
         # receive-SRAM budget is carved asymmetrically: half to the LB
         # binding, a quarter to each backend (which only ever sees its
         # share of the redirected traffic).
-        fns = (("lb", 32), ("b0", 16), ("b1", 16))
+        fns = (("lb", "echo", 32), ("b0", "echo", 16), ("b1", "echo", 16))
     else:
-        fns = (("tenant0", 64),)
-    return TopologySpec(
-        name=f"prog-{scenario}",
-        nodes=[NodeSpec(name="client", core="loadgen"),
-               NodeSpec(name="server")],
-        links=[LinkSpec(a="client", b="server")],
-        vports=([VportSpec(node="client", vport=1, mac=CLIENT_MAC)]
-                + [VportSpec(node="server", vport=2 + i,
-                             mac=tenant_mac(i))
-                   for i in range(len(fns))]),
-        flds=[FldSpec(node="server")],
-        accel_fns=[AccelFnSpec(name=name, fld="server.fld", kind="echo",
-                               vport=2 + i, units=2,
-                               rx_strides=rx_strides)
-                   for i, (name, rx_strides) in enumerate(fns)],
-        host_qps=[HostQpSpec(name="client", node="client", vport=1,
-                             use_mmio_wqe=True, post_rx=1024)],
-    )
+        fns = (("tenant0", "echo", 64),)
+    return tenant_fns_spec(f"prog-{scenario}", fns)
 
 
 def _scenario_flows(scenario: str) -> List[Flow]:
@@ -127,7 +105,7 @@ def _scenario_program(scenario: str):
                      f"(one of {', '.join(SCENARIOS)})")
 
 
-def _prog_latency_us(spans, name: str) -> Dict:
+def prog_latency_us(spans, name: str) -> Dict:
     """Mean/p99 of the ``prog.<name>`` span durations, in microseconds."""
     stage = f"prog.{name}"
     durations = sorted(
@@ -144,23 +122,17 @@ def _prog_latency_us(spans, name: str) -> Dict:
             "p99_us": p99 * 1e6}
 
 
-def run_scenario(scenario: str, size: int = 256, count: int = 400,
-                 cal: Optional[Calibration] = None) -> Dict:
-    """One scenario end-to-end: build, load, attach, measure, tear down.
+def build(sim, cal: Calibration, scenario: str = "firewall"):
+    """The scenario's testbed with its program loaded and attached.
 
-    The program and its maps are created, populated, attached, detached
-    and destroyed strictly through the firmware command channel — the
-    same lifecycle a real driver would drive — and the run finishes
-    with a full invariant audit plus testbed teardown.
+    The program and its maps are created, populated and attached (and,
+    by :func:`drive`, detached and destroyed) strictly through the
+    firmware command channel — the lifecycle a real driver would drive.
     """
     program, map_specs = _scenario_program(scenario)
-    cal = cal or Calibration()
-    telemetry = Telemetry(trace=False, spans=True, span_sample_rate=1)
-    sim = Simulator(telemetry=telemetry)
     testbed = build_topology(sim, prog_spec(scenario), cal=cal)
     runtime = testbed.fld("server.fld")
     ctrl = runtime.ctrl
-
     maps = []
     for capacity, entries in map_specs:
         prog_map = ctrl.create_prog_map(capacity=capacity)
@@ -171,82 +143,65 @@ def run_scenario(scenario: str, size: int = 256, count: int = 400,
     ingress = testbed.accel("lb" if scenario == "lb" else "tenant0")
     binding = runtime.rx_binding_of(ingress.rq)
     ctrl.attach_prog(runtime.fld, prog, "rx", binding)
-
     flows = _scenario_flows(scenario)
     loadgen = LoadGenerator(sim, testbed.host_qp("client"), flows[0])
+    return SimpleNamespace(scenario=scenario, program=program, prog=prog,
+                           maps=maps, runtime=runtime, binding=binding,
+                           flows=flows, loadgen=loadgen, testbed=testbed)
+
+
+def drive(sim, setup, count: int, size: int) -> Dict:
+    """Offer ``count`` frames round-robin over the scenario's flows, then
+    read the verdicts back, detach the program and destroy it."""
     # The lb hairpin sends every packet through the shared FLD twice
     # (LB binding, then backend binding), so its lossless offered load
     # is half the single-pass scenarios'.
-    offered_gbps = 12.5e9 if scenario == "lb" else 25e9
-    rate_pps = offered_gbps / ((size + 24) * 8)
-
-    def run(sim):
-        yield from loadgen.run_open_loop_flows(
-            flows, [size] * count, rate_pps=rate_pps)
-        yield from loadgen.drain()
-
-    sim.spawn(run(sim))
-    sim.run(until=2.0)
-
-    info = ctrl.query(prog)
-    latency = _prog_latency_us(telemetry.spans, program.name)
+    result = open_loop(sim, setup.loadgen, count, size,
+                       pace_bps=12.5e9 if setup.scenario == "lb" else 25e9,
+                       flows=setup.flows)
+    runtime, ctrl, testbed = setup.runtime, setup.runtime.ctrl, setup.testbed
+    info = ctrl.query(setup.prog)
     per_fn = [{"fn": fn_spec.name, "vport": fn_spec.vport,
                "accel_packets": testbed.accel(fn_spec.name)
                .accel.stats_processed}
               for fn_spec in testbed.spec.accel_fns]
-    map_stats = [prog_map.stats_dict() for prog_map in maps]
-
-    # Full firmware-path lifecycle: detach unpins the program, destroy
-    # order (program before maps) satisfies the dependency refcounts.
-    ctrl.detach_prog(runtime.fld, "rx", binding)
-    ctrl.destroy(prog)
-    for prog_map in maps:
+    map_stats = [prog_map.stats_dict() for prog_map in setup.maps]
+    # Detach unpins the program; destroy order (program before maps)
+    # satisfies the dependency refcounts.
+    ctrl.detach_prog(runtime.fld, "rx", setup.binding)
+    ctrl.destroy(setup.prog)
+    for prog_map in setup.maps:
         ctrl.destroy(prog_map)
-
-    lat = loadgen.latency
-    violations = (testbed.quiesce()
-                  + audit_all(spans=telemetry.spans))
-    testbed.teardown()
+    lat = setup.loadgen.latency
     return {
-        "scenario": scenario,
-        "program": program.name,
-        "size": size,
+        "scenario": setup.scenario,
+        "program": setup.program.name,
         "count": count,
-        "sent": loadgen.stats_sent,
-        "received": loadgen.stats_received,
-        "gbps": loadgen.rx_meter.gbps(wire_overhead_per_packet=24),
+        **result,
         "rtt_mean_us": lat.mean * 1e6 if len(lat) else None,
         "rtt_p99_us": lat.pct(99.0) * 1e6 if len(lat) else None,
         "verdicts": info["counters"],
-        "prog_latency": latency,
         "per_fn": per_fn,
         "maps": map_stats,
-        "violations": len(violations),
     }
 
 
-def run_all(size: int = 256, count: int = 400,
-            cal: Optional[Calibration] = None) -> List[Dict]:
-    return [run_scenario(scenario, size=size, count=count, cal=cal)
-            for scenario in SCENARIOS]
+def run_scenario(scenario: str, size: int = 256, count: int = 400,
+                 cal: Optional[Calibration] = None) -> Dict:
+    """One scenario end-to-end (scenario ``prog-<scenario>``): build,
+    load, attach, measure, detach, and count the audit's violations."""
+    return scenario_row(f"prog-{scenario}", count, size, cal)
 
 
 # -- NULL fast path ------------------------------------------------------
 
-def echo_fingerprint(size: int = 256, count: int = 200,
-                     touch_prog: bool = False,
-                     cal: Optional[Calibration] = None) -> Dict:
-    """A single-tenant echo run, fingerprinted for bit-identity checks.
+def build_null(sim, cal: Calibration, touch_prog: bool = False):
+    """The firewall testbed with no program attached.
 
-    With ``touch_prog=True`` the run creates, attaches, detaches and
-    destroys a passthrough program *before* any traffic.  Because the
-    engine restores the datapath hooks to ``None`` when the last
-    program detaches, the returned fingerprint — counts and exact float
-    timings — must equal the untouched run's bit for bit; the prog CI
-    job and ``tests/prog`` pin that.
+    With ``touch_prog=True`` a passthrough program is created, attached,
+    detached and destroyed *before* any traffic; the engine restores the
+    datapath hooks to ``None`` when the last program detaches.
     """
-    cal = cal or Calibration()
-    sim = Simulator()
     testbed = build_topology(sim, prog_spec("firewall"), cal=cal)
     runtime = testbed.fld("server.fld")
     if touch_prog:
@@ -258,25 +213,29 @@ def echo_fingerprint(size: int = 256, count: int = 200,
         runtime.ctrl.destroy(prog)
     flows = _scenario_flows("firewall")
     loadgen = LoadGenerator(sim, testbed.host_qp("client"), flows[0])
-    rate_pps = 25e9 / ((size + 24) * 8)
+    return SimpleNamespace(flows=flows, loadgen=loadgen, testbed=testbed)
 
-    def run(sim):
-        yield from loadgen.run_open_loop_flows(
-            flows, [size] * count, rate_pps=rate_pps)
-        yield from loadgen.drain()
 
-    sim.spawn(run(sim))
-    sim.run(until=2.0)
-    lat = loadgen.latency
-    fingerprint = {
-        "sent": loadgen.stats_sent,
-        "received": loadgen.stats_received,
-        "gbps": loadgen.rx_meter.gbps(wire_overhead_per_packet=24),
-        "mpps": loadgen.rx_meter.mpps(),
+def drive_null(sim, setup, count: int, size: int) -> Dict:
+    """A single-tenant echo run, fingerprinted for bit-identity checks."""
+    result = open_loop(sim, setup.loadgen, count, size, flows=setup.flows)
+    lat = setup.loadgen.latency
+    return {
+        "sent": result["sent"],
+        "received": result["received"],
+        "gbps": result["gbps"],
+        "mpps": result["mpps"],
         "rtt_mean": lat.mean if len(lat) else None,
         "rtt_p99": lat.pct(99.0) if len(lat) else None,
-        "accel_packets": testbed.accel("tenant0").accel.stats_processed,
-        "violations": len(testbed.quiesce()),
+        "accel_packets": setup.testbed.accel("tenant0").accel.stats_processed,
     }
-    testbed.teardown()
-    return fingerprint
+
+
+def echo_fingerprint(size: int = 256, count: int = 200,
+                     touch_prog: bool = False,
+                     cal: Optional[Calibration] = None) -> Dict:
+    """The ``prog-null`` row: its fingerprint — counts and exact float
+    timings — must equal the untouched run's bit for bit whatever
+    ``touch_prog`` is; the prog CI job and ``tests/prog`` pin that."""
+    return scenario_row("prog-null", count, size, cal,
+                        shape={"touch_prog": touch_prog})

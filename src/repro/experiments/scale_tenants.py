@@ -23,19 +23,18 @@ from typing import Dict, List, Optional
 from ..host import LoadGenerator
 from ..net import Flow
 from ..net.parse import PAYLOAD, parse_layout
-from ..sim import LatencyCollector, Simulator, ThroughputMeter
-from ..sweep import SweepCache, SweepPoint, run_sweep
+from ..sim import LatencyCollector, ThroughputMeter
+from ..sweep import SweepPoint
 from ..topology import (
     AccelFnSpec,
     FldSpec,
     HostQpSpec,
-    LinkSpec,
-    NodeSpec,
     TopologySpec,
     VportSpec,
 )
 from ..topology import build as build_topology
-from .setups import CLIENT_IP, CLIENT_MAC, Calibration, SERVER_IP
+from .echo import open_loop, scenario_row
+from .setups import CLIENT_IP, CLIENT_MAC, Calibration, SERVER_IP, remote_spec
 
 #: Tenant ``i`` gets kind ``TENANT_KINDS[i % 3]`` — a mix of pure
 #: forwarding and compute-heavy functions, so contention on the shared
@@ -54,35 +53,39 @@ def tenant_name(i: int) -> str:
     return f"tenant{i}"
 
 
+def tenant_fns_spec(name: str, fns, units: int = 2) -> TopologySpec:
+    """Accelerator functions on one FLD + NIC, function ``i`` of ``fns``
+    (``(name, kind, rx_strides)`` each) behind vPort ``2 + i`` and MAC
+    :func:`tenant_mac` ``(i)``, offered traffic by one client."""
+    return remote_spec(
+        name,
+        vports=([VportSpec(node="client", vport=1, mac=CLIENT_MAC)]
+                + [VportSpec(node="server", vport=2 + i,
+                             mac=tenant_mac(i))
+                   for i in range(len(fns))]),
+        flds=[FldSpec(node="server")],
+        accel_fns=[AccelFnSpec(name=fn, fld="server.fld", kind=kind,
+                               vport=2 + i, units=units,
+                               rx_strides=rx_strides)
+                   for i, (fn, kind, rx_strides) in enumerate(fns)],
+        host_qps=[HostQpSpec(name="client", node="client", vport=1,
+                             use_mmio_wqe=True, post_rx=1024)],
+    )
+
+
 def scale_tenants_spec(tenants: int, units: int = 2) -> TopologySpec:
     """N accelerator functions multiplexed on one FLD + NIC via vPorts."""
     if tenants < 1:
         raise ValueError("need at least one tenant")
-    # Each tenant's receive-SRAM slice must be a power-of-two stride
-    # count (MPRQ constraint): the largest one that still lets all N
-    # bindings fit in the 64-stride budget of FLD's 256 KiB.
+    # Carve FLD's 256 KiB receive SRAM evenly: each tenant's slice must
+    # be a power-of-two stride count (MPRQ constraint), the largest that
+    # still lets all N bindings fit in the 64-stride budget (the N=1
+    # geometry is the historical single-tenant default).
     rx_strides = 1 << max(0, (64 // tenants).bit_length() - 1)
-    return TopologySpec(
-        name=f"scale-tenants-{tenants}",
-        nodes=[NodeSpec(name="client", core="loadgen"),
-               NodeSpec(name="server")],
-        links=[LinkSpec(a="client", b="server")],
-        vports=([VportSpec(node="client", vport=1, mac=CLIENT_MAC)]
-                + [VportSpec(node="server", vport=2 + i,
-                             mac=tenant_mac(i))
-                   for i in range(tenants)]),
-        flds=[FldSpec(node="server")],
-        # Carve FLD's 256 KiB receive SRAM evenly: N tenants each get
-        # 64//N strides per buffer (the N=1 geometry is the historical
-        # single-tenant default).
-        accel_fns=[AccelFnSpec(name=tenant_name(i), fld="server.fld",
-                               kind=TENANT_KINDS[i % len(TENANT_KINDS)],
-                               vport=2 + i, units=units,
-                               rx_strides=rx_strides)
-                   for i in range(tenants)],
-        host_qps=[HostQpSpec(name="client", node="client", vport=1,
-                             use_mmio_wqe=True, post_rx=1024)],
-    )
+    return tenant_fns_spec(
+        f"scale-tenants-{tenants}",
+        [(tenant_name(i), TENANT_KINDS[i % len(TENANT_KINDS)], rx_strides)
+         for i in range(tenants)], units)
 
 
 class _TenantAccounting:
@@ -119,12 +122,9 @@ class _TenantAccounting:
         self._inner(data, cqe)
 
 
-def build(tenants: int, units: int = 2,
-          cal: Optional[Calibration] = None,
-          telemetry=None) -> SimpleNamespace:
+def build(sim, cal: Calibration, tenants: int = 4,
+          units: int = 2) -> SimpleNamespace:
     """Elaborate the N-tenant testbed plus its traffic generator."""
-    cal = cal or Calibration()
-    sim = Simulator(telemetry=telemetry)
     spec = scale_tenants_spec(tenants, units=units)
     testbed = build_topology(sim, spec, cal=cal)
     flows = [
@@ -134,34 +134,21 @@ def build(tenants: int, units: int = 2,
     ]
     loadgen = LoadGenerator(sim, testbed.host_qp("client"), flows[0])
     accounting = _TenantAccounting(loadgen, tenants)
-    return SimpleNamespace(sim=sim, spec=spec, testbed=testbed,
-                           flows=flows, loadgen=loadgen,
-                           accounting=accounting)
+    return SimpleNamespace(spec=spec, testbed=testbed, flows=flows,
+                           loadgen=loadgen, accounting=accounting)
 
 
-def throughput(tenants: int, size: int = 256, count: int = 400,
-               units: int = 2, cal: Optional[Calibration] = None,
-               telemetry=None) -> Dict:
-    """One scale-tenants point: aggregate + per-tenant echo metrics.
+def drive(sim, setup, count: int, size: int) -> Dict:
+    """Aggregate + per-tenant echo metrics.
 
-    Pacing and deadline mirror the single-tenant echo throughput
-    experiment (25 Gbps offered, 2 s simulated horizon); ``count``
+    Pacing and deadline are the single-tenant echo throughput
+    experiment's (25 Gbps offered, 2 s simulated horizon); ``count``
     frames are dealt round-robin across the tenants' flows.
     """
-    setup = build(tenants, units=units, cal=cal, telemetry=telemetry)
-    sim, loadgen = setup.sim, setup.loadgen
-    rate_pps = 25e9 / ((size + 24) * 8)
+    tenants = len(setup.flows)
     labels = [tenant_name(i) for i in range(tenants)]
-
-    def run(sim):
-        yield from loadgen.run_open_loop_flows(
-            setup.flows, [size] * count, rate_pps=rate_pps,
-            labels=labels if tenants > 1 else None)
-        yield from loadgen.drain()
-
-    sim.spawn(run(sim))
-    sim.run(until=2.0)
-
+    result = open_loop(sim, setup.loadgen, count, size, flows=setup.flows,
+                       labels=labels if tenants > 1 else None)
     acct = setup.accounting
     per_tenant: List[Dict] = []
     for i in range(tenants):
@@ -177,17 +164,16 @@ def throughput(tenants: int, size: int = 256, count: int = 400,
             "p99_us": lat.pct(99.0) * 1e6 if len(lat) else None,
             "accel_packets": fn.accel.stats_processed,
         })
-    violations = setup.testbed.quiesce()
-    return {
-        "tenants": tenants,
-        "size": size,
-        "sent": loadgen.stats_sent,
-        "received": loadgen.stats_received,
-        "gbps": loadgen.rx_meter.gbps(wire_overhead_per_packet=24),
-        "mpps": loadgen.rx_meter.mpps(),
-        "per_tenant": per_tenant,
-        "violations": len(violations),
-    }
+    return {"tenants": tenants, **result, "per_tenant": per_tenant}
+
+
+def throughput(tenants: int, size: int = 256, count: int = 400,
+               units: int = 2, cal: Optional[Calibration] = None,
+               telemetry=None) -> Dict:
+    """One scale-tenants point (scenario ``scale-tenants``), with the
+    testbed's invariant violation count."""
+    return scenario_row("scale-tenants", count, size, cal, telemetry,
+                        shape={"tenants": tenants, "units": units})
 
 
 def sweep_points(tenant_counts=(1, 2, 4), size: int = 256,
@@ -200,9 +186,3 @@ def sweep_points(tenant_counts=(1, 2, 4), size: int = 256,
                    topology=scale_tenants_spec(tenants).to_dict())
         for tenants in tenant_counts
     ]
-
-
-def sweep(tenant_counts=(1, 2, 4), size: int = 256, count: int = 400,
-          jobs: int = 1, cache: Optional[SweepCache] = None) -> List[Dict]:
-    return run_sweep(sweep_points(tenant_counts, size, count),
-                     jobs=jobs, cache=cache).rows

@@ -11,13 +11,12 @@ each with its own BAR window, PCIe x8 attachment and echo engine.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..host import LoadGenerator
 from ..net import Flow, RssEngine
 from ..nic import ForwardToRss, NicConfig, RssGroup
-from ..sim import Simulator
-from ..sweep import SweepCache, SweepPoint, run_sweep
+from ..sweep import SweepPoint
 from ..topology import (
     AccelFnSpec,
     FldSpec,
@@ -28,6 +27,7 @@ from ..topology import (
     VportSpec,
 )
 from ..topology import build as build_topology
+from .echo import open_loop, scenario_row
 from .setups import CLIENT_MAC, CLIENT_IP, Calibration, FLD_MAC, SERVER_IP
 
 
@@ -55,11 +55,10 @@ def scaling_spec(cores: int) -> TopologySpec:
     )
 
 
-def build(cores: int, port_rate_bps: float = 100e9,
-          cal: Optional[Calibration] = None) -> SimpleNamespace:
-    """A server with ``cores`` FLD instances behind one RSS group."""
-    cal = cal or Calibration()
-    sim = Simulator()
+def build(sim, cal: Calibration, cores: int = 4, flows: int = 32,
+          port_rate_bps: float = 100e9) -> SimpleNamespace:
+    """A server with ``cores`` FLD instances behind one RSS group, and a
+    client generator cycling ``flows`` flows."""
     nic_config = NicConfig(port_rate_bps=port_rate_bps,
                            port_latency=cal.wire_latency,
                            processing_delay=cal.nic_processing)
@@ -77,55 +76,41 @@ def build(cores: int, port_rate_bps: float = 100e9,
     server.nic.steering.table(vport.rx_root).default_actions = [
         ForwardToRss(group)]
 
-    return SimpleNamespace(sim=sim, client=client, server=server,
-                           runtimes=[fn.runtime for fn in fns],
-                           accelerators=[fn.accel for fn in fns],
-                           client_qp=testbed.host_qp("client"),
-                           testbed=testbed)
-
-
-def throughput(cores: int, frame_size: int = 1500, count: int = 2000,
-               flows: int = 32, port_rate_bps: float = 100e9) -> Dict:
-    """Echo throughput with ``cores`` FLD instances at ``port_rate``."""
-    setup = build(cores, port_rate_bps)
-    sim = setup.sim
     # Many flows so RSS can spread them; one aggregate latency/rx meter.
     flow_list = [
         Flow(CLIENT_MAC, FLD_MAC, CLIENT_IP, SERVER_IP, 40000 + i, 7001)
         for i in range(flows)
     ]
-    loadgen = LoadGenerator(sim, setup.client_qp, flow_list[0])
-    rate_pps = port_rate_bps / ((frame_size + 24) * 8)
+    loadgen = LoadGenerator(sim, testbed.host_qp("client"), flow_list[0])
+    return SimpleNamespace(client=client, server=server,
+                           runtimes=[fn.runtime for fn in fns],
+                           accelerators=[fn.accel for fn in fns],
+                           flows=flow_list, loadgen=loadgen,
+                           port_rate_bps=port_rate_bps, testbed=testbed)
 
-    def drive(sim):
-        gap = 1.0 / rate_pps
-        for i in range(count):
-            flow = flow_list[i % flows]
-            packet = flow.make_sized_packet(frame_size)
-            import struct
-            payload = bytearray(packet.payload)
-            struct.pack_into("!Q", payload, 0, i)
-            loadgen._sent_at[i] = sim.now
-            loadgen._seq = i + 1
-            packet.payload = bytes(payload)
-            yield from setup.client_qp.wait_for_tx_space()
-            setup.client_qp.send(packet.to_bytes())
-            loadgen.stats_sent += 1
-            yield sim.timeout(gap)
-        yield from loadgen.drain()
 
-    loadgen.rx_meter.start(0.0)
-    sim.spawn(drive(sim))
-    sim.run(until=2.0)
+def drive(sim, setup, count: int, size: int) -> Dict:
+    """Echo at the port's line rate, frames cycling over the flows."""
+    result = open_loop(sim, setup.loadgen, count, size,
+                       pace_bps=setup.port_rate_bps, flows=setup.flows)
     per_core = [a.stats_processed for a in setup.accelerators]
     return {
-        "cores": cores,
-        "gbps": loadgen.rx_meter.gbps(wire_overhead_per_packet=24),
-        "received": loadgen.stats_received,
-        "sent": loadgen.stats_sent,
+        "cores": len(per_core),
+        "gbps": result["gbps"],
+        "received": result["received"],
+        "sent": result["sent"],
         "per_core_packets": per_core,
         "active_cores": sum(1 for c in per_core if c > 0),
     }
+
+
+def throughput(cores: int, frame_size: int = 1500, count: int = 2000,
+               flows: int = 32, port_rate_bps: float = 100e9) -> Dict:
+    """Echo throughput with ``cores`` FLD instances at ``port_rate``
+    (scenario ``scaling``)."""
+    return scenario_row("scaling", count, frame_size,
+                        shape={"cores": cores, "flows": flows,
+                               "port_rate_bps": port_rate_bps})
 
 
 def core_sweep_points(core_counts=(1, 2, 4), frame_size: int = 1500,
@@ -137,10 +122,3 @@ def core_sweep_points(core_counts=(1, 2, 4), frame_size: int = 1500,
                     "count": count})
         for cores in core_counts
     ]
-
-
-def core_sweep(core_counts=(1, 2, 4), frame_size: int = 1500,
-               count: int = 1500, jobs: int = 1,
-               cache: Optional[SweepCache] = None) -> List[Dict]:
-    return run_sweep(core_sweep_points(core_counts, frame_size, count),
-                     jobs=jobs, cache=cache).rows

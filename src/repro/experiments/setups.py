@@ -72,6 +72,15 @@ class Calibration:
     # FLD's FPGA pipeline is clocked slower than the NIC ASIC: §8.1.1
     # attributes FLD-E's higher mean latency to it.
     fld_pipeline_latency: float = 300e-9
+    # §8.2.2's receivers run a kernel TCP stack + iperf (not DPDK): the
+    # paper's 23.2 Gbps across many cores and 3.2 Gbps on one core imply
+    # ~1.8 us per packet (4150 cycles at 2.3 GHz) and a few hundred ns
+    # per fragment reassembled in software.  Its sender fragments (and
+    # VXLAN-encapsulates) in software, per packet.
+    kernel_rx_cycles: int = 4150
+    sw_defrag_cycles: int = 600
+    client_frag_seconds: float = 50e-9
+    client_encap_seconds: float = 300e-9
 
     def client_core(self, sim: Simulator) -> CpuCore:
         return CpuCore(sim, self.cpu_frequency_hz,
@@ -94,13 +103,20 @@ class Calibration:
         return FldConfig(pipeline_latency=self.fld_pipeline_latency)
 
 
+def remote_spec(name: str, server: str = "default",
+                **parts) -> TopologySpec:
+    """A load-generating client and a server (core role ``server``)
+    back to back over 25 GbE, with ``parts`` (vports, flds, ...)."""
+    return TopologySpec(
+        name=name, links=[LinkSpec(a="client", b="server")],
+        nodes=[NodeSpec(name="client", core="loadgen"),
+               NodeSpec(name="server", core=server)], **parts)
+
+
 def flde_echo_remote_spec(units: int = 2) -> TopologySpec:
     """The remote FLD-E echo testbed, as data."""
-    return TopologySpec(
-        name="flde-echo-remote",
-        nodes=[NodeSpec(name="client", core="loadgen"),
-               NodeSpec(name="server")],
-        links=[LinkSpec(a="client", b="server")],
+    return remote_spec(
+        "flde-echo-remote",
         vports=[VportSpec(node="client", vport=1, mac=CLIENT_MAC),
                 VportSpec(node="server", vport=2, mac=FLD_MAC)],
         flds=[FldSpec(node="server")],
@@ -111,26 +127,29 @@ def flde_echo_remote_spec(units: int = 2) -> TopologySpec:
     )
 
 
+def _flde_echo(sim, cal, spec: TopologySpec, client: str,
+               server: str) -> SimpleNamespace:
+    testbed = build(sim, spec, cal=cal)
+    fn = testbed.accel("echo")
+    flow = Flow(CLIENT_MAC, FLD_MAC, CLIENT_IP, SERVER_IP, 7000, 7001)
+    loadgen = LoadGenerator(sim, testbed.host_qp(spec.host_qps[0].name),
+                            flow)
+    return SimpleNamespace(client=testbed.node(client),
+                           server=testbed.node(server),
+                           runtime=fn.runtime, accel=fn.accel,
+                           loadgen=loadgen, rq=fn.rq, testbed=testbed)
+
+
 def flde_echo_remote(sim: Simulator, cal: Optional[Calibration] = None,
                      units: int = 2) -> SimpleNamespace:
     """Remote FLD-E echo: client testpmd -> wire -> NIC -> FLD -> echo."""
-    cal = cal or Calibration()
-    spec = flde_echo_remote_spec(units)
-    testbed = build(sim, spec, cal=cal)
-    fn = testbed.accel("echo")
-    client_qp = testbed.host_qp("client")
-    flow = Flow(CLIENT_MAC, FLD_MAC, CLIENT_IP, SERVER_IP, 7000, 7001)
-    loadgen = LoadGenerator(sim, client_qp, flow)
-    return SimpleNamespace(client=testbed.node("client"),
-                           server=testbed.node("server"),
-                           runtime=fn.runtime, accel=fn.accel,
-                           loadgen=loadgen, rq=fn.rq, testbed=testbed)
+    return _flde_echo(sim, cal, flde_echo_remote_spec(units), "client",
+                      "server")
 
 
 def flde_echo_local(sim: Simulator, cal: Optional[Calibration] = None,
                     units: int = 2) -> SimpleNamespace:
     """Local FLD-E echo: one node, eSwitch loopback between vPorts."""
-    cal = cal or Calibration()
     spec = TopologySpec(
         name="flde-echo-local",
         nodes=[NodeSpec(name="local", core="loadgen")],
@@ -142,27 +161,14 @@ def flde_echo_local(sim: Simulator, cal: Optional[Calibration] = None,
         host_qps=[HostQpSpec(name="loadgen", node="local", vport=1,
                              use_mmio_wqe=True, post_rx=1024)],
     )
-    testbed = build(sim, spec, cal=cal)
-    fn = testbed.accel("echo")
-    qp = testbed.host_qp("loadgen")
-    flow = Flow(CLIENT_MAC, FLD_MAC, CLIENT_IP, SERVER_IP, 7000, 7001)
-    loadgen = LoadGenerator(sim, qp, flow)
-    node = testbed.node("local")
-    return SimpleNamespace(client=node, server=node, runtime=fn.runtime,
-                           accel=fn.accel, loadgen=loadgen, rq=fn.rq,
-                           testbed=testbed)
+    return _flde_echo(sim, cal, spec, "local", "local")
 
 
 def cpu_echo_remote(sim: Simulator, cal: Optional[Calibration] = None,
                     jitter: bool = True) -> SimpleNamespace:
     """The CPU baseline: DPDK testpmd echoing on the server host."""
-    cal = cal or Calibration()
-    spec = TopologySpec(
-        name="cpu-echo-remote",
-        nodes=[NodeSpec(name="client", core="loadgen"),
-               NodeSpec(name="server",
-                        core="app" if jitter else "app-nojitter")],
-        links=[LinkSpec(a="client", b="server")],
+    spec = remote_spec(
+        "cpu-echo-remote", "app" if jitter else "app-nojitter",
         vports=[VportSpec(node="client", vport=1, mac=CLIENT_MAC),
                 VportSpec(node="server", vport=1, mac=SERVER_MAC)],
         host_qps=[HostQpSpec(name="client", node="client", vport=1,
@@ -171,8 +177,7 @@ def cpu_echo_remote(sim: Simulator, cal: Optional[Calibration] = None,
                              use_mmio_wqe=True, post_rx=1024)],
     )
     testbed = build(sim, spec, cal=cal)
-    server_qp = testbed.host_qp("server")
-    echo = EchoApp(server_qp)
+    echo = EchoApp(testbed.host_qp("server"))
     flow = Flow(CLIENT_MAC, SERVER_MAC, CLIENT_IP, SERVER_IP, 7000, 7001)
     loadgen = LoadGenerator(sim, testbed.host_qp("client"), flow)
     return SimpleNamespace(client=testbed.node("client"),
@@ -180,70 +185,47 @@ def cpu_echo_remote(sim: Simulator, cal: Optional[Calibration] = None,
                            loadgen=loadgen, testbed=testbed)
 
 
+def _fldr_service(sim, cal, name: str, local: bool,
+                  accelerator) -> SimpleNamespace:
+    """A host RDMA client connected through FLD-R's control plane to the
+    engine ``accelerator(runtime, control)`` makes."""
+    client, server = ("local", "local") if local else ("client", "server")
+    parts = dict(vports=[VportSpec(node=client, vport=1, mac=CLIENT_MAC),
+                         VportSpec(node=server, vport=2, mac=FLD_MAC)],
+                 flds=[FldSpec(node=server)])
+    spec = (TopologySpec(name=name, nodes=[NodeSpec(name="local",
+                                                    core="loadgen")],
+                         **parts)
+            if local else remote_spec(name, **parts))
+    testbed = build(sim, spec, cal=cal)
+    runtime = testbed.fld(f"{server}.fld")
+    control = FldRControlPlane(runtime, vport=2, mac=FLD_MAC, ip=SERVER_IP)
+    accel = accelerator(runtime, control)
+    connection = FldRClient(testbed.node(client).driver, vport=1,
+                            mac=CLIENT_MAC, ip=CLIENT_IP,
+                            buffer_size=16 * 1024).connect(control)
+    return SimpleNamespace(client=testbed.node(client),
+                           server=testbed.node(server), runtime=runtime,
+                           accel=accel, connection=connection,
+                           control=control, testbed=testbed)
+
+
 def fldr_echo(sim: Simulator, cal: Optional[Calibration] = None,
               local: bool = False, units: int = 2) -> SimpleNamespace:
     """FLD-R echo: a host RDMA client against an FLD echo accelerator."""
-    cal = cal or Calibration()
-    if local:
-        spec = TopologySpec(
-            name="fldr-echo-local",
-            nodes=[NodeSpec(name="local", core="loadgen")],
-            vports=[VportSpec(node="local", vport=1, mac=CLIENT_MAC),
-                    VportSpec(node="local", vport=2, mac=FLD_MAC)],
-            flds=[FldSpec(node="local")],
-        )
-    else:
-        spec = TopologySpec(
-            name="fldr-echo-remote",
-            nodes=[NodeSpec(name="client", core="loadgen"),
-                   NodeSpec(name="server")],
-            links=[LinkSpec(a="client", b="server")],
-            vports=[VportSpec(node="client", vport=1, mac=CLIENT_MAC),
-                    VportSpec(node="server", vport=2, mac=FLD_MAC)],
-            flds=[FldSpec(node="server")],
-        )
-    testbed = build(sim, spec, cal=cal)
-    if local:
-        client = server = testbed.node("local")
-        runtime = testbed.fld("local.fld")
-    else:
-        client, server = testbed.node("client"), testbed.node("server")
-        runtime = testbed.fld("server.fld")
-    control = FldRControlPlane(runtime, vport=2, mac=FLD_MAC, ip=SERVER_IP)
-    accel = RdmaEchoAccelerator(sim, runtime.fld, units=units)
-    fld_client = FldRClient(client.driver, vport=1, mac=CLIENT_MAC,
-                            ip=CLIENT_IP, buffer_size=16 * 1024)
-    connection = fld_client.connect(control)
+    setup = _fldr_service(
+        sim, cal, "fldr-echo-local" if local else "fldr-echo-remote", local,
+        lambda runtime, _control: RdmaEchoAccelerator(sim, runtime.fld,
+                                                      units=units))
     # Point the echo at the connection's reply queue.
-    accel.tx_queue = connection.info.queue_id
-    return SimpleNamespace(client=client, server=server, runtime=runtime,
-                           accel=accel, connection=connection,
-                           control=control, testbed=testbed)
+    setup.accel.tx_queue = setup.connection.info.queue_id
+    return setup
 
 
 def zuc_service(sim: Simulator, cal: Optional[Calibration] = None,
                 units: int = 8) -> SimpleNamespace:
     """The disaggregated ZUC accelerator behind FLD-R (§8.2.1)."""
-    cal = cal or Calibration()
-    spec = TopologySpec(
-        name="zuc-service",
-        nodes=[NodeSpec(name="client", core="loadgen"),
-               NodeSpec(name="server")],
-        links=[LinkSpec(a="client", b="server")],
-        vports=[VportSpec(node="client", vport=1, mac=CLIENT_MAC),
-                VportSpec(node="server", vport=2, mac=FLD_MAC)],
-        flds=[FldSpec(node="server")],
-    )
-    testbed = build(sim, spec, cal=cal)
-    client, server = testbed.node("client"), testbed.node("server")
-    runtime = testbed.fld("server.fld")
-    control = FldRControlPlane(runtime, vport=2, mac=FLD_MAC, ip=SERVER_IP)
-    accel = ZucAccelerator(sim, runtime.fld, units=units,
-                           queue_map=control.queue_map)
-    fld_client = FldRClient(client.driver, vport=1, mac=CLIENT_MAC,
-                            ip=CLIENT_IP, buffer_size=16 * 1024)
-    connection = fld_client.connect(control)
-    return SimpleNamespace(client=client, server=server, runtime=runtime,
-                           accel=accel, connection=connection,
-                           control=control, calibration=cal,
-                           testbed=testbed)
+    return _fldr_service(
+        sim, cal, "zuc-service", False,
+        lambda runtime, control: ZucAccelerator(
+            sim, runtime.fld, units=units, queue_map=control.queue_map))

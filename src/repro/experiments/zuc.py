@@ -16,9 +16,10 @@ from typing import Dict, List, Optional
 from ..host import CpuComputeCost, CpuCore
 from ..models.perf import zuc_model_gbps
 from ..sim import LatencyCollector, Simulator
-from ..sweep import SweepCache, SweepPoint, run_sweep
+from ..sweep import SweepPoint
 from ..sw import CryptoOp, FldRZucCryptodev, SwZucCryptodev
-from .setups import Calibration, zuc_service
+from .echo import scenario_row, windowed
+from .setups import Calibration
 
 #: Software ZUC cost: Intel IPsec-MB class performance (§8.2.1's CPU
 #: baseline reaches ~1/4 of the accelerator at 512 B requests).
@@ -26,93 +27,59 @@ SW_CYCLES_PER_BYTE = 3.0
 SW_CYCLES_PER_OP = 600
 
 
-def _measure_throughput(sim, dev, key: bytes, size: int, count: int,
-                        window: int, deadline: float) -> Dict:
+def _cipher(sim, dev, count: int, size: int, window: int,
+            mode: str) -> Dict:
     """Closed-loop with ``window`` outstanding ops (test-crypto-perf)."""
-    state = {"completed": 0, "first": None, "last": None}
+    key = bytes(range(16))
     latency = LatencyCollector()
-
-    def runner(sim):
-        submitted = 0
-        for _ in range(min(window, count)):
-            dev.submit(CryptoOp(CryptoOp.CIPHER, key, bytes(size)))
-            submitted += 1
-        while state["completed"] < count:
-            op = yield dev.completions.get()
-            latency.add(op.latency)
-            state["completed"] += 1
-            if state["first"] is None:
-                state["first"] = sim.now
-            state["last"] = sim.now
-            if submitted < count:
-                dev.submit(CryptoOp(CryptoOp.CIPHER, key, bytes(size)))
-                submitted += 1
-
-    sim.spawn(runner(sim))
-    sim.run(until=deadline)
-    duration = (state["last"] or 0) - (state["first"] or 0)
-    completed = state["completed"]
-    gbps = (completed - 1) * size * 8 / duration / 1e9 if duration > 0 else 0
+    completed, gbps = windowed(
+        sim, lambda: dev.submit(CryptoOp(CryptoOp.CIPHER, key, bytes(size))),
+        dev.completions, count, window, size,
+        on_complete=lambda op: latency.add(op.latency))
     return {
         "size": size,
         "completed": completed,
         "gbps": gbps,
         "median_latency_us": latency.median * 1e6 if len(latency) else None,
         "p99_latency_us": latency.pct(99) * 1e6 if len(latency) else None,
+        "mode": mode,
+        "window": window,
+        "model_gbps": zuc_model_gbps(size),
     }
+
+
+def drive(sim, setup, count: int, size: int, window: int = 64) -> Dict:
+    """Fig. 8a traffic against :func:`~.setups.zuc_service`."""
+    return _cipher(sim, FldRZucCryptodev(sim, setup.connection), count,
+                   size, window, "fld")
 
 
 def fld_throughput(size: int, count: int = 400, window: int = 64,
                    cal: Optional[Calibration] = None) -> Dict:
-    """One Fig. 8a point for the remote accelerator."""
-    sim = Simulator()
-    setup = zuc_service(sim, cal)
-    dev = FldRZucCryptodev(sim, setup.connection)
-    result = _measure_throughput(sim, dev, bytes(range(16)), size, count,
-                                 window, deadline=5.0)
-    result["mode"] = "fld"
-    result["window"] = window
-    result["model_gbps"] = zuc_model_gbps(size)
-    return result
+    """One Fig. 8a point for the remote accelerator (scenario
+    ``fig8a``)."""
+    return scenario_row("fig8a", count, size, cal, window=window)
 
 
 def cpu_throughput(size: int, count: int = 400, window: int = 16,
                    cal: Optional[Calibration] = None) -> Dict:
-    """One Fig. 8a point for the single-core software baseline."""
+    """One Fig. 8a point for the single-core software baseline: one
+    core and a software cryptodev, no testbed."""
     sim = Simulator()
     cal = cal or Calibration()
     core = CpuCore(sim, cal.cpu_frequency_hz, os_jitter_probability=0.0)
     compute = CpuComputeCost(core, SW_CYCLES_PER_BYTE, SW_CYCLES_PER_OP)
-    dev = SwZucCryptodev(sim, compute)
-    result = _measure_throughput(sim, dev, bytes(range(16)), size, count,
-                                 window=window, deadline=5.0)
-    result["mode"] = "cpu"
-    result["window"] = window
-    result["model_gbps"] = zuc_model_gbps(size)
-    return result
+    return _cipher(sim, SwZucCryptodev(sim, compute), count, size, window,
+                   "cpu")
 
 
 def fig8a_points(sizes: Optional[List[int]] = None,
                  count: int = 300) -> List[SweepPoint]:
     """Fig. 8a as independent points: (implementation, request size)."""
-    sizes = sizes or [64, 128, 256, 512, 1024, 2048, 4096]
-    points = []
-    for size in sizes:
-        points.append(SweepPoint(
-            "fig8a", "repro.experiments.zuc:fld_throughput",
-            {"size": size, "count": count}))
-        points.append(SweepPoint(
-            "fig8a", "repro.experiments.zuc:cpu_throughput",
-            {"size": size, "count": count}))
-    return points
-
-
-def figure8a(sizes: Optional[List[int]] = None, count: int = 300,
-             jobs: int = 1,
-             cache: Optional[SweepCache] = None) -> List[Dict]:
-    """Fig. 8a: encryption throughput vs request size, FLD vs CPU."""
-    return run_sweep(fig8a_points(sizes, count),
-                     jobs=jobs, cache=cache).rows
+    return [SweepPoint("fig8a", f"repro.experiments.zuc:{impl}_throughput",
+                       {"size": size, "count": count})
+            for size in sizes or [64, 128, 256, 512, 1024, 2048, 4096]
+            for impl in ("fld", "cpu")]
 
 
 def fig8b_points(loads: Optional[List[int]] = None, size: int = 512,
@@ -122,21 +89,7 @@ def fig8b_points(loads: Optional[List[int]] = None, size: int = 512,
     ``loads`` are window sizes (outstanding requests) — the knob
     test-crypto-perf uses to raise utilization.
     """
-    loads = loads or [1, 2, 4, 8, 16, 32, 64]
-    points = []
-    for window in loads:
-        points.append(SweepPoint(
-            "fig8b", "repro.experiments.zuc:fld_throughput",
-            {"size": size, "count": count, "window": window}))
-        points.append(SweepPoint(
-            "fig8b", "repro.experiments.zuc:cpu_throughput",
-            {"size": size, "count": count, "window": window}))
-    return points
-
-
-def figure8b(loads: Optional[List[int]] = None, size: int = 512,
-             count: int = 300, jobs: int = 1,
-             cache: Optional[SweepCache] = None) -> List[Dict]:
-    """Fig. 8b: latency vs offered load for both implementations."""
-    return run_sweep(fig8b_points(loads, size, count),
-                     jobs=jobs, cache=cache).rows
+    return [SweepPoint("fig8b", f"repro.experiments.zuc:{impl}_throughput",
+                       {"size": size, "count": count, "window": window})
+            for window in loads or [1, 2, 4, 8, 16, 32, 64]
+            for impl in ("fld", "cpu")]

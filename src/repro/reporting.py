@@ -269,14 +269,19 @@ def _make_context(args: argparse.Namespace) -> RenderContext:
     return RenderContext(jobs=args.jobs, cache=cache)
 
 
+def _add_group_arguments(parser: argparse.ArgumentParser,
+                         sections: Sequence[str], full_help: str) -> None:
+    parser.add_argument("sections", nargs="*", metavar="SECTION",
+                        help=f"subset of: {', '.join(sections)}")
+    parser.add_argument("--full", action="store_true", help=full_help)
+    _add_sweep_options(parser)
+
+
 def _configure_group(name: str, help: str, sections: Sequence[str],
                      full_help: str):
     def configure(sub) -> None:
-        group = sub.add_parser(name, help=help)
-        group.add_argument("sections", nargs="*", metavar="SECTION",
-                           help=f"subset of: {', '.join(sections)}")
-        group.add_argument("--full", action="store_true", help=full_help)
-        _add_sweep_options(group)
+        _add_group_arguments(sub.add_parser(name, help=help), sections,
+                             full_help)
     return configure
 
 
@@ -472,17 +477,24 @@ def _cmd_observe(args: argparse.Namespace) -> int:
             print(f"  metrics json: {args.metrics}")
         if kind == "profile":
             print(f"\n{summary['rendered']}")
-    violations = summary["violations"]
-    print(f"\n{len(violations)} invariant violation(s):" if violations
-          else "\ninvariant audit: clean")
-    for violation in violations:
-        print(f"  [{violation['rule']}] {violation['subject']}: "
-              f"{violation['detail']}")
+    status = _audit_footer(len(summary["violations"]), summary["violations"])
     if kind != "trace" and args.output:
         print(f"json report: {args.output}")
     if getattr(args, "collapsed", None):
         print(f"collapsed stacks: {args.collapsed}")
-    return 1 if violations else 0
+    return status
+
+
+def _audit_footer(count: int, violations: Sequence[Dict] = ()) -> int:
+    """Print the invariant-audit verdict every running command ends
+    with (``count`` violations, detailed as far as ``violations`` go);
+    returns the exit status."""
+    print(f"\n{count} invariant violation(s):" if count
+          else "\ninvariant audit: clean")
+    for violation in violations:
+        print(f"  [{violation['rule']}] {violation['subject']}: "
+              f"{violation['detail']}")
+    return 1 if count else 0
 
 
 def _cmd_scale_tenants(args: argparse.Namespace) -> int:
@@ -491,11 +503,9 @@ def _cmd_scale_tenants(args: argparse.Namespace) -> int:
     rows = ctx.sweep(scale_tenants.sweep_points(
         tuple(args.tenants), size=args.size, count=args.count))
     print(format_table(
-        "Scale-tenants: aggregate echo (25 Gbps offered, one FLD)",
-        [{key: row[key] for key in ("tenants", "size", "sent",
-                                    "received", "gbps", "mpps",
-                                    "violations")}
-         for row in rows]))
+        "Scale-tenants: aggregate echo (25 Gbps offered, one FLD)", rows,
+        columns=["tenants", "size", "sent", "received", "gbps", "mpps",
+                 "violations"]))
     for row in rows:
         print(format_table(
             f"Per-tenant breakdown ({row['tenants']} tenant(s))",
@@ -503,52 +513,42 @@ def _cmd_scale_tenants(args: argparse.Namespace) -> int:
     summary = ctx.summary()
     if summary:
         print(summary, file=sys.stderr)
-    dirty = sum(row["violations"] for row in rows)
-    if dirty:
-        print(f"\ninvariant audit: {dirty} violation(s)")
-        return 1
-    print("\ninvariant audit: clean")
-    return 0
+    return _audit_footer(sum(row["violations"] for row in rows))
 
 
 def _cmd_prog(args: argparse.Namespace) -> int:
-    from .experiments import prog as prog_experiment
-    scenarios = list(args.scenario)
-    if scenarios == ["all"]:
-        scenarios = list(prog_experiment.SCENARIOS)
-    unknown = [s for s in scenarios if s not in prog_experiment.SCENARIOS]
+    """Each program's row, under span telemetry for its latency."""
+    from .experiments.prog import SCENARIOS, prog_latency_us
+    from .scenario import audit, run
+    from .telemetry import Telemetry
+    scenarios = SCENARIOS if args.scenario == ["all"] else args.scenario
+    unknown = [s for s in scenarios if s not in SCENARIOS]
     if unknown:
         print(f"unknown scenario(s): {', '.join(unknown)}; choose from "
-              f"{', '.join(prog_experiment.SCENARIOS)} or all")
+              f"{', '.join(SCENARIOS)} or all")
         return 2
-    rows = [prog_experiment.run_scenario(name, size=args.size,
-                                         count=args.count)
-            for name in scenarios]
+    rows, violations = [], []
+    for name in scenarios:
+        telemetry = Telemetry(trace=False, spans=True)
+        row, testbed = run(f"prog-{name}", args.count, args.size,
+                           telemetry=telemetry)
+        violations += [violation.to_dict() for violation
+                       in audit(f"prog-{name}", testbed, telemetry)]
+        rows.append(dict(row, prog_p99_us=prog_latency_us(
+            telemetry.spans, row["program"])["p99_us"]))
     print(format_table(
-        "Match-action programs in the FLD datapath",
-        [{"scenario": row["scenario"],
-          "sent": row["sent"], "received": row["received"],
-          "gbps": row["gbps"],
-          "rtt_p99_us": row["rtt_p99_us"],
-          "prog_p99_us": row["prog_latency"]["p99_us"],
-          "violations": row["violations"]}
-         for row in rows]))
+        "Match-action programs in the FLD datapath", rows,
+        columns=["scenario", "sent", "received", "gbps", "rtt_p99_us",
+                 "prog_p99_us", "violations"]))
     for row in rows:
-        verdicts = dict(row["verdicts"])
-        verdicts["scenario"] = row["scenario"]
         print(format_table(
             f"Verdict counters ({row['scenario']}, "
             f"{row['verdicts']['insns']} insns interpreted)",
-            [verdicts]))
+            [dict(row["verdicts"], scenario=row["scenario"])]))
         print(format_table(
             f"Per-function accelerator counts ({row['scenario']})",
             row["per_fn"]))
-    dirty = sum(row["violations"] for row in rows)
-    if dirty:
-        print(f"\ninvariant audit: {dirty} violation(s)")
-        return 1
-    print("\ninvariant audit: clean")
-    return 0
+    return _audit_footer(len(violations), violations)
 
 
 def _listing_scenarios() -> List[str]:
@@ -607,14 +607,17 @@ SUBCOMMANDS: Dict[str, Subcommand] = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # ``python -m repro [--full] [section ...]``: every section, through
-    # the same path as ``tables`` and ``figures``.
     if not argv or (argv[0] not in SUBCOMMANDS
                     and argv[0] not in ("--list", "-h", "--help")):
-        return _cmd_group([a for a in argv if not a.startswith("-")],
-                          "--full" in argv,
-                          list(ANALYTICAL) + list(SIMULATED),
-                          RenderContext())
+        # ``python -m repro [--full] [section ...]``: every section, with
+        # the options and the path of ``tables`` and ``figures``.
+        sections = list(ANALYTICAL) + list(SIMULATED)
+        bare = argparse.ArgumentParser(prog="python -m repro")
+        _add_group_arguments(bare, sections,
+                             "include the simulated sections")
+        args = bare.parse_args(argv)
+        return _cmd_group(args.sections, args.full, sections,
+                          _make_context(args))
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not args.list:

@@ -1,11 +1,13 @@
 """One declaration per experiment run, and the one driver that runs it.
 
-A :class:`Scenario` row builds a testbed (``build(sim, cal)``; the setup
-carries ``.testbed``) and drives it (``drive(sim, setup, count, size)``
-returns the result row).  :func:`run` executes a row.  The sweep entry
-points of :mod:`repro.experiments.echo` are calls of it, and so is
+A :class:`Scenario` row builds a testbed (``build(sim, cal, **shape)``;
+the setup carries ``.testbed``) and drives it (``drive(sim, setup,
+count, size, **traffic)`` returns the result row).  :func:`run`
+executes a row and is the only code that makes and drives a simulator
+for a testbed; every experiment family's entry points are calls of it.
 :func:`observe`, the body of ``python -m repro trace|latency|profile|
-objects``: an observed run is the sweep's own run, not a copy of it.
+objects``, runs and audits (:func:`audit`) the same rows: an observed
+run is the sweep's own run, not a copy of it.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ from __future__ import annotations
 import json
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Tuple)
 
-from .experiments import echo
+from .experiments import (cpu_mediated, defrag, echo, iot, prog, scaling,
+                          scale_tenants, zuc)
 from .experiments.setups import (
     Calibration,
     cpu_echo_remote,
     flde_echo_local,
     flde_echo_remote,
     fldr_echo,
+    zuc_service,
 )
 from .sim import Simulator
 from .telemetry import Telemetry, Violation, audit_spans, build_report
@@ -31,15 +36,24 @@ class Scenario(NamedTuple):
     """One experiment point: how it is built, driven and audited."""
 
     description: str
-    build: Callable[[Simulator, Calibration], SimpleNamespace]
+    build: Callable[..., SimpleNamespace]
     drive: Callable[..., Dict]
-    count: int
-    #: None when the traffic draws its own frame sizes (a trace).
+    #: None when the traffic is timed rather than counted.
+    count: Optional[int]
+    #: None when the traffic sets its own frame sizes (a trace).
     size: Optional[int]
     #: Closed loop: every packet's trace must finish by quiesce.
     drained: bool
     #: The standard sweep (``latency <name> --sweep``), as a points factory.
     sweep: Optional[Callable[..., List]] = None
+    #: The row reports its testbed's audit as a ``violations`` count.
+    audited: bool = False
+
+
+def _prog(program: str, description: str) -> Scenario:
+    return Scenario(f"match-action {program}: {description}",
+                    partial(prog.build, scenario=program), prog.drive,
+                    400, 256, True, audited=True)
 
 
 SCENARIOS: Dict[str, Scenario] = {
@@ -80,6 +94,44 @@ SCENARIOS: Dict[str, Scenario] = {
         "FLD-R RDMA echo throughput, one node (§8.1.2)",
         partial(fldr_echo, local=True),
         partial(echo.drive_fldr, mode="fldr-local"), 200, 1024, True),
+    "fig7c": Scenario(
+        "FLD-R echo latency at one offered load (one Fig. 7c point)",
+        fldr_echo, echo.drive_load, 800, 1024, True),
+    "fig7c-local": Scenario(
+        "FLD-R echo latency at one offered load, one node (Fig. 7c)",
+        partial(fldr_echo, local=True), echo.drive_load, 800, 1024, True),
+    "fig8a": Scenario(
+        "ZUC encryption over FLD-R, 8 units (one Fig. 8a point)",
+        zuc_service, zuc.drive, 300, 512, True),
+    "iot-line-rate": Scenario(
+        "IoT token authentication at 25 GbE line rate, timed (§8.2.3)",
+        iot.build, iot.drive_line_rate, None, 512, False),
+    "iot-isolation": Scenario(
+        "IoT tenants at 8 + 16 Gb/s on a 12 Gb/s accelerator, unshaped, "
+        "timed (§8.2.3)",
+        partial(iot.build, isolation=True), iot.drive_isolation, None, 1024,
+        False),
+    "defrag": Scenario(
+        "hw-defrag: IP reassembly of 60 TCP flows in FLD (§8.2.2)",
+        defrag.build, defrag.drive, 600, None, False),
+    "scale-tenants": Scenario(
+        "4 mixed-kind tenant accelerator functions on one FLD (§5.4)",
+        scale_tenants.build, scale_tenants.drive, 400, 256, False,
+        audited=True),
+    "prog-firewall": _prog("firewall", "a blocklist drops two of four "
+                                       "ports"),
+    "prog-lb": _prog("lb", "an L4 load balancer over two backends"),
+    "prog-nat": _prog("nat", "destination-port translation"),
+    "prog-ddos": _prog("ddos", "a token bucket per destination port"),
+    "prog-null": Scenario(
+        "single-tenant echo, no match-action program attached",
+        prog.build_null, prog.drive_null, 200, 256, True, audited=True),
+    "cpu-mediated": Scenario(
+        "echo through a host CPU relaying every packet (§3, Fig. 2a)",
+        cpu_mediated.build, cpu_mediated.drive, 1200, 256, False),
+    "scaling": Scenario(
+        "4 FLD cores behind NIC RSS at 100 GbE (§9)",
+        scaling.build, scaling.drive, 2000, 1500, False),
 }
 
 #: Command-specific names: (command, name) -> (scenario, default count;
@@ -96,10 +148,10 @@ ALIASES: Dict[Tuple[str, str], Tuple[str, Optional[int]]] = {
 }
 
 
-def resolve(kind: str, name: str,
-            size: Optional[int] = None) -> Tuple[str, Optional[int]]:
+def resolve(kind: str, name: str, size: Optional[int] = None,
+            count: Optional[int] = None) -> Tuple[str, Optional[int]]:
     """``kind``'s ``name`` -> (scenario name, default count or None)."""
-    target, count = ALIASES.get((kind, name), (name, None))
+    target, default = ALIASES.get((kind, name), (name, None))
     if target not in SCENARIOS:
         known = list(SCENARIOS) + [alias for command, alias in ALIASES
                                    if command == kind
@@ -107,32 +159,55 @@ def resolve(kind: str, name: str,
         raise ValueError(f"unknown experiment {name!r} for {kind}; "
                          f"choose from: {', '.join(known)}")
     if size is not None and SCENARIOS[target].size is None:
-        raise ValueError(f"{name} draws its frame sizes from a trace; "
+        raise ValueError(f"{name} sets its own frame sizes; "
                          f"a size does not apply")
-    return target, count
+    if count is not None and SCENARIOS[target].count is None:
+        raise ValueError(f"{name} runs timed traffic; "
+                         f"a count does not apply")
+    return target, default
 
 
 def elaborate(name: str, cal: Optional[Calibration] = None,
-              telemetry=None):
-    """Build ``name``'s testbed on a fresh simulator; nothing runs."""
+              telemetry=None, shape: Optional[Mapping] = None):
+    """Build ``name``'s testbed on a fresh simulator; nothing runs.
+
+    ``shape`` reaches the row's build (``tenants``, the defrag
+    ``config``, the FLD ``cores``, iot's ``shaped``, prog's
+    ``touch_prog``).
+    """
     sim = Simulator(telemetry=telemetry)
-    return sim, SCENARIOS[name].build(sim, cal or Calibration())
+    return sim, SCENARIOS[name].build(sim, cal or Calibration(),
+                                      **(shape or {}))
 
 
 def run(name: str, count: Optional[int] = None, size: Optional[int] = None,
-        cal: Optional[Calibration] = None, telemetry=None, **traffic):
+        cal: Optional[Calibration] = None, telemetry=None,
+        shape: Optional[Mapping] = None, **traffic):
     """Build and drive scenario ``name``; returns (result row, testbed).
 
-    ``traffic`` reaches the row's drive (``seed`` for a trace, ``window``
-    for FLD-R).
+    ``shape`` reaches the row's build (see :func:`elaborate`) and
+    ``traffic`` its drive (``seed`` for a trace, ``window`` for FLD-R,
+    ``rate`` for Fig. 7c, ``duration`` for timed traffic).
     """
-    resolve("run", name, size)
+    resolve("run", name, size, count)
     scenario = SCENARIOS[name]
-    sim, setup = elaborate(name, cal, telemetry)
+    sim, setup = elaborate(name, cal, telemetry, shape)
     row = scenario.drive(sim, setup,
                          scenario.count if count is None else count,
                          scenario.size if size is None else size, **traffic)
+    if scenario.audited:
+        row["violations"] = len(setup.testbed.quiesce())
     return row, setup.testbed
+
+
+def audit(name: str, testbed, telemetry=None) -> List[Violation]:
+    """Scenario ``name``'s testbed after quiesce, and its span stream
+    when spans are on."""
+    violations = testbed.quiesce()
+    if telemetry is not None and telemetry.spans.enabled:
+        violations += audit_spans(
+            telemetry.spans, expect_complete=SCENARIOS[name].drained)
+    return violations
 
 
 def sweep_points(name: str, count: Optional[int] = None) -> List:
@@ -164,7 +239,7 @@ def observe(kind: str, name: str, count: Optional[int] = None,
     audit covers the testbed after quiesce, the span stream when spans
     are on, and the profiler's stage sums.  Returns the summary.
     """
-    target, default_count = resolve(kind, name, size)
+    target, default_count = resolve(kind, name, size, count)
     summary: Dict = {"experiment": name}
     if kind == "objects":
         summary["nodes"] = elaborate(target)[1].testbed.objects()
@@ -180,11 +255,8 @@ def observe(kind: str, name: str, count: Optional[int] = None,
     }[kind]()
     result, testbed = run(target, default_count if count is None else count,
                           size, telemetry=telemetry)
-    violations: List[Violation] = testbed.quiesce()
+    violations = audit(target, testbed, telemetry)
     spans = telemetry.spans
-    if spans.enabled:
-        violations += audit_spans(
-            spans, expect_complete=SCENARIOS[target].drained)
     summary["result"] = result
     if kind == "trace":
         telemetry.tracer.write(output)

@@ -20,17 +20,15 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments.echo import _run_loadgen_throughput
+from repro.experiments import zuc
+from repro.experiments.echo import drive_throughput, drive_trace, open_loop
 from repro.experiments.setups import (
     cpu_echo_remote,
     flde_echo_remote,
     zuc_service,
 )
-from repro.experiments.zuc import _measure_throughput
-from repro.net import ImcDatacenterSizes
 from repro.scenario import observe
 from repro.sim import Simulator
-from repro.sw import FldRZucCryptodev
 from repro.telemetry import Telemetry
 from repro.telemetry.audit import audit_spans
 
@@ -51,14 +49,14 @@ def _flde_lossy(sim):
     # receive descriptors starve and same-instant tie order decides
     # which packets drop.
     setup = flde_echo_remote(sim)
-    row = _run_loadgen_throughput(sim, setup.loadgen, 64, 600)
+    row = drive_throughput(sim, setup, 600, 64, mode="flde-remote")
     assert row["received"] < row["sent"]
     return row, setup.testbed, False
 
 
 def _cpu(sim):
     setup = cpu_echo_remote(sim, jitter=False)
-    row = _run_loadgen_throughput(sim, setup.loadgen, 64, 400)
+    row = drive_throughput(sim, setup, 400, 64, mode="cpu-remote")
     return row, setup.testbed, True
 
 
@@ -66,17 +64,7 @@ def _forward_imc(sim):
     # Mixed sizes back-to-back through four units: multi-TLP trains,
     # deep backlogs, a full SQ re-polled by the pacer.
     setup = flde_echo_remote(sim, units=4)
-    loadgen = setup.loadgen
-    sizes = ImcDatacenterSizes(seed=7).sizes(400)
-
-    def run():
-        yield from loadgen.run_open_loop(sizes)
-        yield from loadgen.drain()
-
-    sim.spawn(run())
-    sim.run(until=5.0)
-    row = {"sent": loadgen.stats_sent, "received": loadgen.stats_received,
-           "mpps": loadgen.rx_meter.mpps(), "gbps": loadgen.rx_meter.gbps(24)}
+    row = drive_trace(sim, setup, 400, None, mode="flde")
     return row, setup.testbed, True
 
 
@@ -84,9 +72,7 @@ def _zuc_rdma(sim):
     # The RC transport: each WQE leaves the flat send pipeline through
     # the engine's one-segment-per-pass loop, acks retire it.
     setup = zuc_service(sim)
-    dev = FldRZucCryptodev(sim, setup.connection)
-    row = _measure_throughput(sim, dev, bytes(range(16)), 512, 80, 64,
-                              deadline=5.0)
+    row = zuc.drive(sim, setup, 80, 512, window=64)
     return row, setup.testbed, True
 
 
@@ -97,8 +83,7 @@ def _flde_metered(sim):
     setup.server.nic.shaper.add_limiter("slow", 2e9, burst_bits=8 * 1500)
     setup.accel.tx_queue = setup.runtime.create_eth_tx_queue(
         vport=2, meter="slow")
-    row = _run_loadgen_throughput(sim, setup.loadgen, 512, 150,
-                                  pace_bps=3e9)
+    row = open_loop(sim, setup.loadgen, 150, 512, pace_bps=3e9)
     assert row["received"] == row["sent"]
     return row, setup.testbed, True
 
@@ -249,8 +234,7 @@ def test_ring_mode_wqe_contexts_are_claimed_at_the_flat_fetch():
     setup = cpu_echo_remote(sim, jitter=False)
     for qp in (setup.loadgen.qp, setup.echo.qp):
         qp.use_mmio_wqe = False
-    row = _run_loadgen_throughput(sim, setup.loadgen, 64, 40,
-                                  pace_bps=2e9)
+    row = open_loop(sim, setup.loadgen, 40, 64, pace_bps=2e9)
     assert row["received"] == 40
     spans = telemetry.spans
     assert audit_spans(spans) == []          # no unclaimed stash

@@ -2,7 +2,7 @@
 
 For every :mod:`repro.scenario` row, under each observing command and
 under every command-specific alias, the result row of
-:func:`repro.scenario.observe` must equal (``==``) the row the sweep
+:func:`repro.scenario.observe` must equal (``==``) the row the family's
 entry point returns at the same count, size and seed, and a run with no
 telemetry at all must return that same row.  The audit of every
 observed run must be clean.
@@ -12,9 +12,19 @@ import random
 
 import pytest
 
+from repro.experiments import (
+    cpu_mediated,
+    defrag,
+    iot,
+    prog,
+    scale_tenants,
+    scaling,
+    zuc,
+)
 from repro.experiments.echo import (
     echo_latency,
     echo_throughput,
+    fldr_load_point,
     fldr_throughput,
     trace_forwarding,
 )
@@ -22,7 +32,18 @@ from repro.scenario import ALIASES, SCENARIOS, observe, run
 
 COUNT = 40
 
-#: Scenario -> its sweep entry point, called as (count, size).
+#: Rows run at another count: timed traffic takes none, and defrag's
+#: entry point counts rounds over its 60 flows.
+COUNTS = {"iot-line-rate": None, "iot-isolation": None, "defrag": 120}
+
+
+def _fig7c_rate(size):
+    """The Fig. 7c row's default offered load: half of saturation."""
+    return 12.5e9 / ((size + 150) * 8)
+
+
+#: Scenario -> its entry point, called as (count, size) with the row's
+#: default shape and traffic.
 ENTRY_POINTS = {
     "fig7b": lambda count, size: echo_throughput(
         "flde-remote", size, count=count),
@@ -40,6 +61,29 @@ ENTRY_POINTS = {
     "fldr": lambda count, size: fldr_throughput(size, count=count),
     "fldr-local": lambda count, size: fldr_throughput(
         size, count=count, local=True),
+    "fig7c": lambda count, size: fldr_load_point(
+        _fig7c_rate(size), size, per_point=count),
+    "fig7c-local": lambda count, size: fldr_load_point(
+        _fig7c_rate(size), size, local=True, per_point=count),
+    "fig8a": lambda count, size: zuc.fld_throughput(size, count=count),
+    "iot-line-rate": lambda count, size: iot.line_rate_point(
+        size, duration=0.1e-3),
+    "iot-isolation": lambda count, size: iot.isolation(
+        False, duration=0.5e-3, frame_size=size),
+    "defrag": lambda count, size: defrag.run(
+        "hw-defrag", rounds=count // defrag.NUM_FLOWS),
+    "scale-tenants": lambda count, size: scale_tenants.throughput(
+        4, size, count=count),
+    "prog-firewall": lambda count, size: prog.run_scenario(
+        "firewall", size, count),
+    "prog-lb": lambda count, size: prog.run_scenario("lb", size, count),
+    "prog-nat": lambda count, size: prog.run_scenario("nat", size, count),
+    "prog-ddos": lambda count, size: prog.run_scenario("ddos", size, count),
+    "prog-null": lambda count, size: prog.echo_fingerprint(size, count),
+    "cpu-mediated": lambda count, size: cpu_mediated.echo_throughput(
+        size, count=count),
+    "scaling": lambda count, size: scaling.throughput(
+        4, frame_size=size, count=count),
 }
 
 #: What each command-specific name observes: the sweep point it stands
@@ -69,18 +113,32 @@ def test_every_row_and_alias_has_an_entry_point():
                          ids=[" ".join(case) for case in OBSERVED])
 def test_observed_row_is_the_entry_points_row(kind, name, tmp_path):
     target = ALIAS_ROWS.get((kind, name), name)
-    size = SCENARIOS[target].size
+    count, size = COUNTS.get(target, COUNT), SCENARIOS[target].size
     random.seed(11)
-    expected = ENTRY_POINTS[target](COUNT, size)
+    expected = ENTRY_POINTS[target](count, size)
     random.seed(11)
     output = str(tmp_path / "trace.json") if kind == "trace" else None
-    summary = observe(kind, name, COUNT, output=output)
+    summary = observe(kind, name, count, output=output)
     assert summary["violations"] == []
     assert summary["result"] == expected
     random.seed(11)
-    assert run(target, COUNT)[0] == expected
+    assert run(target, count)[0] == expected
 
 
 def test_a_trace_sized_scenario_rejects_a_size():
     with pytest.raises(ValueError, match="size does not apply"):
         run("forwarding", COUNT, 256)
+
+
+def test_a_timed_scenario_rejects_a_count():
+    with pytest.raises(ValueError, match="count does not apply"):
+        run("iot-isolation", COUNT)
+    with pytest.raises(ValueError, match="count does not apply"):
+        observe("trace", "iot-line-rate", COUNT, output="unused.json")
+
+
+def test_a_shape_reaches_the_build():
+    row = run("scale-tenants", COUNT, shape={"tenants": 2})[0]
+    assert [tenant["tenant"] for tenant in row["per_tenant"]] == [
+        "tenant0", "tenant1"]
+    assert run("iot-isolation", shape={"shaped": True})[0]["shaped"]

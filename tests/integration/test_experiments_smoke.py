@@ -9,11 +9,13 @@ import pytest
 from repro.experiments.echo import (
     echo_latency,
     echo_throughput,
-    fldr_latency_vs_load,
+    fig7c_points,
+    fldr_throughput,
     trace_forwarding,
 )
 from repro.experiments.scaling import throughput as scaling_throughput
 from repro.experiments.zuc import cpu_throughput, fld_throughput
+from repro.sweep import run_sweep
 
 
 class TestEchoHarness:
@@ -39,10 +41,19 @@ class TestEchoHarness:
         assert flde["mpps"] > 0 and cpu["mpps"] > 0
 
     def test_latency_vs_load_monotone_queueing(self):
-        rows = fldr_latency_vs_load(loads=[2e5, 1.5e6], per_point=150)
+        rows = run_sweep(fig7c_points(loads=[2e5, 1.5e6],
+                                      per_point=150)).rows
         assert rows[0]["median_latency_us"] is not None
         assert (rows[1]["median_latency_us"]
                 >= rows[0]["median_latency_us"] * 0.9)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fldr_goodput_is_zero_without_two_responses(self, count):
+        # Goodput spans the first to the last response: with fewer than
+        # two there is no interval, and nothing was measured.
+        result = fldr_throughput(1024, count=count)
+        assert result["received"] == count
+        assert result["gbps"] == 0.0
 
 
 class TestScalingHarness:

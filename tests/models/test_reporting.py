@@ -68,6 +68,15 @@ class TestMain:
         assert "unknown sections" in capsys.readouterr().out
 
     def test_simulated_section_runs(self, capsys):
-        assert reporting.main(["iot"]) == 0
+        assert reporting.main(["iot", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "tenant isolation" in out
+
+    def test_bare_form_takes_the_sweep_options(self, capsys):
+        # The options ``tables`` and ``figures`` take, not sections.
+        assert reporting.main(["--jobs", "2", "table1"]) == 0
+        assert "Table 1" in capsys.readouterr().out
+        assert reporting.main(["--full", "-j", "2", "--no-cache",
+                               "table4"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 4" in out and "Table 1" not in out

@@ -13,6 +13,7 @@ from repro.experiments.prog import (
     DDOS_BURST,
     SCENARIOS,
     echo_fingerprint,
+    prog_latency_us,
     prog_spec,
     run_scenario,
 )
@@ -20,6 +21,7 @@ from repro.experiments.setups import CLIENT_MAC
 from repro.host import LoadGenerator
 from repro.net import Flow
 from repro.prog.programs import firewall
+from repro.scenario import audit, run
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
 from repro.telemetry.audit import audit_all
@@ -70,10 +72,13 @@ class TestScenarios:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_every_scenario_audits_clean(self, scenario):
-        row = run_scenario(scenario, count=40)
+        telemetry = Telemetry(trace=False, spans=True)
+        row, testbed = run(f"prog-{scenario}", 40, telemetry=telemetry)
         assert row["violations"] == 0
-        assert row["prog_latency"]["spans"] == row["verdicts"]["runs"]
-        assert row["prog_latency"]["mean_us"] > 0
+        assert audit(f"prog-{scenario}", testbed, telemetry) == []
+        latency = prog_latency_us(telemetry.spans, row["program"])
+        assert latency["spans"] == row["verdicts"]["runs"]
+        assert latency["mean_us"] > 0
 
 
 class TestTxDirection:

@@ -246,7 +246,7 @@ class TestPulledCounts:
         """The whole ``counters`` section of a metered FLD-E echo run:
         the names the pushed counters carried (115 of them), each equal
         to the ``stats_*`` int its owner keeps."""
-        from repro.experiments.echo import _run_loadgen_throughput
+        from repro.experiments.echo import open_loop
         from repro.experiments.setups import flde_echo_remote
 
         telemetry = Telemetry(trace=False)
@@ -256,8 +256,7 @@ class TestPulledCounts:
                                             burst_bits=8 * 1500)
         setup.accel.tx_queue = setup.runtime.create_eth_tx_queue(
             vport=2, meter="slow")
-        row = _run_loadgen_throughput(sim, setup.loadgen, 256, 30,
-                                      pace_bps=3e9)
+        row = open_loop(sim, setup.loadgen, 30, 256, pace_bps=3e9)
         assert row["received"] == 30
 
         expected = {

@@ -9,8 +9,8 @@ anything.
 
 import pytest
 
-from repro.experiments import scale_tenants
 from repro.experiments.scale_tenants import scale_tenants_spec
+from repro.scenario import elaborate as elaborate_row
 from repro.sim import Simulator
 from repro.sw import FldRuntime
 from repro.telemetry import Telemetry
@@ -96,8 +96,9 @@ class TestTestbedTeardown:
         queue down leaves each exported counter where it was or higher,
         and the per-device WQE totals exactly where they were."""
         telemetry = Telemetry(trace=False)
-        setup = scale_tenants.build(2, telemetry=telemetry)
-        sim, loadgen = setup.sim, setup.loadgen
+        sim, setup = elaborate_row("scale-tenants", telemetry=telemetry,
+                                   shape={"tenants": 2})
+        loadgen = setup.loadgen
 
         def run(sim):
             yield from loadgen.run_open_loop_flows(
