@@ -187,14 +187,15 @@ class EthQueuePair:
             raise QueueFullError(
                 f"SQ {self.sq.qpn} full: use wait_for_tx_space()"
             )
+        if len(frame) > self.buffer_size:
+            # Refused before it takes a slot: the next send rings no hole.
+            raise ValueError(
+                f"frame of {len(frame)} B exceeds buffer {self.buffer_size} B"
+            )
         index = self._pi
         self._pi += 1
         slot = index % self.sq.entries
         buffer_addr = self._tx_buffers[slot]
-        if len(frame) > self.buffer_size:
-            raise ValueError(
-                f"frame of {len(frame)} B exceeds buffer {self.buffer_size} B"
-            )
         if (index + 1) % self.signal_interval == 0:
             signaled = True
         flags = (WQE_FLAG_SIGNALED if signaled else 0) | extra_flags
@@ -371,7 +372,9 @@ class RcEndpoint:
             self._take(sq_entries * WQE_SIZE), sq_entries, self.cq,
             self.rq, vport, local_mac, local_ip,
         )
-        self._tx_buffers = [self._take(max(buffer_size, 16 * 1024))
+        #: Bytes one send or write may carry: its SQ slot's buffer.
+        self.tx_buffer_size = max(buffer_size, 16 * 1024)
+        self._tx_buffers = [self._take(self.tx_buffer_size)
                             for _ in range(sq_entries)]
         self._rx_buffers: Dict[int, int] = {}
         self._pi = 0
@@ -449,6 +452,9 @@ class RcEndpoint:
     def post_write(self, data: bytes, remote_addr: int, rkey: int,
                    signaled: bool = True, trace_ctx=None) -> Event:
         """One-sided RDMA WRITE of ``data`` to (remote_addr, rkey)."""
+        if len(data) > self.tx_buffer_size:
+            raise ValueError(f"write of {len(data)} B exceeds buffer "
+                             f"{self.tx_buffer_size} B")
         index = self._pi
         self._pi += 1
         slot = index % self.qp.sq.entries
@@ -475,6 +481,9 @@ class RcEndpoint:
     def post_send(self, message: bytes, signaled: bool = True,
                   trace_ctx=None) -> Event:
         """Send a message; the returned event fires on the remote ack."""
+        if len(message) > self.tx_buffer_size:
+            raise ValueError(f"message of {len(message)} B exceeds buffer "
+                             f"{self.tx_buffer_size} B")
         index = self._pi
         self._pi += 1
         slot = index % self.qp.sq.entries

@@ -26,9 +26,7 @@ from .packet import (  # noqa: F401  (the slot names are re-exported)
     BTH, DST_IP, DST_MAC, DST_PORT, ETHERTYPE, Header, IS_FRAGMENT, L3, L4,
     L4_PROTO, NO_LAYERS, PAYLOAD, PROTO, Packet, SRC_IP, SRC_PORT, VNI,
 )
-from .roce import (
-    Aeth, Bth, OP_ACK, OP_RDMA_WRITE_FIRST, OP_RDMA_WRITE_ONLY, Reth,
-)
+from .roce import ACK, FIRST, OPCODE_CLASS, WRITE, Aeth, Bth, Reth
 from .tcp import Tcp
 from .udp import ROCE_V2_PORT, Udp, VXLAN_PORT
 from .vxlan import VXLAN_INNER, Vxlan
@@ -100,14 +98,13 @@ def parse_layout(data: bytes, base: int = 0) -> tuple:
                     src_port, dst_port = inner[SRC_PORT], inner[DST_PORT]
         elif dst_port == ROCE_V2_PORT and left >= 12:
             bth = offset
-            opcode = data[offset]
+            kind = OPCODE_CLASS[data[offset]]
             offset += 12
             left -= 12
-            if opcode == OP_ACK:
+            if kind & ACK:
                 if left >= 4:
                     offset += 4
-            elif (opcode == OP_RDMA_WRITE_FIRST
-                  or opcode == OP_RDMA_WRITE_ONLY) and left >= 16:
+            elif kind & (WRITE | FIRST) == WRITE | FIRST and left >= 16:
                 offset += 16
     return (l3, l4, offset, dst_mac, ethertype, src_ip, dst_ip, proto,
             is_fragment, l4_proto, src_port, dst_port, vni, bth)

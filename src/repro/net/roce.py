@@ -25,15 +25,42 @@ OP_RDMA_READ_REQUEST = 0x0C
 OP_RDMA_READ_RESPONSE_ONLY = 0x10
 OP_ACK = 0x11
 
-_SEND_OPS = {OP_SEND_FIRST, OP_SEND_MIDDLE, OP_SEND_LAST, OP_SEND_ONLY}
-_WRITE_OPS = {
-    OP_RDMA_WRITE_FIRST, OP_RDMA_WRITE_MIDDLE,
-    OP_RDMA_WRITE_LAST, OP_RDMA_WRITE_ONLY,
-}
-_FIRST_OPS = {OP_SEND_FIRST, OP_RDMA_WRITE_FIRST, OP_SEND_ONLY, OP_RDMA_WRITE_ONLY}
-_LAST_OPS = {OP_SEND_LAST, OP_RDMA_WRITE_LAST, OP_SEND_ONLY, OP_RDMA_WRITE_ONLY}
+#: Opcode classes, one bit each.
+LAST, FIRST, WRITE, SEND, ACK = 1, 2, 4, 8, 16
+#: The AckReq bit of BTH byte 4, clear of the class bits so a receiver
+#: can OR it into the opcode's class.  IBTA puts AckReq at byte 8 bit 7;
+#: the model keeps byte 4 bit 6 until the wire-reference work.
+ACK_REQUEST = 0x40
+#: BTH byte 1: the SE/migreq/pad/tver defaults.
+BTH_FLAGS = 0x40
+DEFAULT_PARTITION = 0xFFFF
 
-# Invariant CRC trailing each RoCE packet on the wire.
+_CLASSES = {
+    OP_SEND_FIRST: SEND | FIRST, OP_SEND_MIDDLE: SEND,
+    OP_SEND_LAST: SEND | LAST, OP_SEND_ONLY: SEND | FIRST | LAST,
+    OP_RDMA_WRITE_FIRST: WRITE | FIRST, OP_RDMA_WRITE_MIDDLE: WRITE,
+    OP_RDMA_WRITE_LAST: WRITE | LAST,
+    OP_RDMA_WRITE_ONLY: WRITE | FIRST | LAST,
+    OP_ACK: ACK,
+}
+#: The class bits of every opcode byte, built once.
+OPCODE_CLASS = tuple(_CLASSES.get(opcode, 0) for opcode in range(256))
+#: The SEND/RDMA WRITE segment opcode by its ``WRITE | FIRST | LAST`` bits.
+_SEGMENT = {kind & ~SEND: opcode for opcode, kind in _CLASSES.items()
+            if kind & (SEND | WRITE)}
+SEGMENT_OPCODE = tuple(_SEGMENT[bits] for bits in range(8))
+
+#: The wire formats: BTH (opcode, flags, partition, AckReq byte | dest
+#: QP, PSN), AETH (syndrome byte | MSN) and RETH (VA, rkey, length), and
+#: a BTH with its AETH or RETH behind it, packed or read in one call.
+BTH_WIRE = struct.Struct("!BBHII")
+AETH_WIRE = struct.Struct("!I")
+RETH_WIRE = struct.Struct("!QII")
+BTH_AETH_WIRE = struct.Struct(BTH_WIRE.format + AETH_WIRE.format[1:])
+BTH_RETH_WIRE = struct.Struct(BTH_WIRE.format + RETH_WIRE.format[1:])
+
+# Invariant CRC trailing each RoCE packet on the wire: four zero bytes
+# in the model until the wire-reference work computes it.
 ICRC_SIZE = 4
 
 
@@ -41,10 +68,11 @@ class Bth(Header):
     """Base Transport Header (12 bytes)."""
 
     name = "bth"
-    HEADER_LEN = 12
+    HEADER_LEN = BTH_WIRE.size
 
     def __init__(self, opcode: int, dest_qp: int, psn: int,
-                 ack_request: bool = False, partition: int = 0xFFFF):
+                 ack_request: bool = False,
+                 partition: int = DEFAULT_PARTITION):
         self.opcode = opcode
         self.dest_qp = dest_qp & 0xFFFFFF
         self.psn = psn & 0xFFFFFF
@@ -55,28 +83,22 @@ class Bth(Header):
         return self.HEADER_LEN
 
     def pack(self) -> bytes:
-        flags = 0x40 if self.ack_request else 0  # AckReq bit in byte 4
-        return struct.pack(
-            "!BBHII",
-            self.opcode,
-            0x40,  # SE/migreq/pad/tver defaults
-            self.partition,
-            (flags << 24) | self.dest_qp,
-            self.psn,
-        )
+        return BTH_WIRE.pack(
+            self.opcode, BTH_FLAGS, self.partition,
+            (ACK_REQUEST << 24 if self.ack_request else 0) | self.dest_qp,
+            self.psn)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Bth":
         if len(data) < cls.HEADER_LEN:
             raise ValueError("truncated BTH")
-        opcode, _flags, partition, qp_field, psn_field = struct.unpack(
-            "!BBHII", data[:12]
-        )
+        opcode, _flags, partition, qp_field, psn_field = (
+            BTH_WIRE.unpack_from(data))
         return cls(
             opcode=opcode,
-            dest_qp=qp_field & 0xFFFFFF,
-            psn=psn_field & 0xFFFFFF,
-            ack_request=bool((qp_field >> 24) & 0x40),
+            dest_qp=qp_field,
+            psn=psn_field,
+            ack_request=qp_field >> 24 & ACK_REQUEST != 0,
             partition=partition,
         )
 
@@ -84,30 +106,30 @@ class Bth(Header):
 
     @property
     def is_send(self) -> bool:
-        return self.opcode in _SEND_OPS
+        return OPCODE_CLASS[self.opcode] & SEND != 0
 
     @property
     def is_write(self) -> bool:
-        return self.opcode in _WRITE_OPS
+        return OPCODE_CLASS[self.opcode] & WRITE != 0
 
     @property
     def is_first(self) -> bool:
-        return self.opcode in _FIRST_OPS
+        return OPCODE_CLASS[self.opcode] & FIRST != 0
 
     @property
     def is_last(self) -> bool:
-        return self.opcode in _LAST_OPS
+        return OPCODE_CLASS[self.opcode] & LAST != 0
 
     @property
     def is_ack(self) -> bool:
-        return self.opcode == OP_ACK
+        return OPCODE_CLASS[self.opcode] & ACK != 0
 
 
 class Aeth(Header):
     """ACK Extended Transport Header (4 bytes): syndrome + MSN."""
 
     name = "aeth"
-    HEADER_LEN = 4
+    HEADER_LEN = AETH_WIRE.size
 
     def __init__(self, msn: int, syndrome: int = 0):
         self.msn = msn & 0xFFFFFF
@@ -117,19 +139,19 @@ class Aeth(Header):
         return self.HEADER_LEN
 
     def pack(self) -> bytes:
-        return struct.pack("!I", (self.syndrome << 24) | self.msn)
+        return AETH_WIRE.pack((self.syndrome << 24) | self.msn)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Aeth":
-        (word,) = struct.unpack("!I", data[:4])
-        return cls(msn=word & 0xFFFFFF, syndrome=word >> 24)
+        (word,) = AETH_WIRE.unpack_from(data)
+        return cls(msn=word, syndrome=word >> 24)
 
 
 class Reth(Header):
     """RDMA Extended Transport Header (16 bytes): VA, rkey, length."""
 
     name = "reth"
-    HEADER_LEN = 16
+    HEADER_LEN = RETH_WIRE.size
 
     def __init__(self, virtual_address: int, rkey: int, length: int):
         self.virtual_address = virtual_address
@@ -140,31 +162,19 @@ class Reth(Header):
         return self.HEADER_LEN
 
     def pack(self) -> bytes:
-        return struct.pack("!QII", self.virtual_address, self.rkey, self.length)
+        return RETH_WIRE.pack(self.virtual_address, self.rkey, self.length)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Reth":
-        va, rkey, length = struct.unpack("!QII", data[:16])
-        return cls(va, rkey, length)
+        return cls(*RETH_WIRE.unpack_from(data))
 
 
 def send_opcode(first: bool, last: bool) -> int:
     """BTH opcode for a SEND segment at the given message position."""
-    if first and last:
-        return OP_SEND_ONLY
-    if first:
-        return OP_SEND_FIRST
-    if last:
-        return OP_SEND_LAST
-    return OP_SEND_MIDDLE
+    return SEGMENT_OPCODE[(FIRST if first else 0) | (LAST if last else 0)]
 
 
 def write_opcode(first: bool, last: bool) -> int:
     """BTH opcode for an RDMA WRITE segment at the given message position."""
-    if first and last:
-        return OP_RDMA_WRITE_ONLY
-    if first:
-        return OP_RDMA_WRITE_FIRST
-    if last:
-        return OP_RDMA_WRITE_LAST
-    return OP_RDMA_WRITE_MIDDLE
+    return SEGMENT_OPCODE[
+        WRITE | (FIRST if first else 0) | (LAST if last else 0)]

@@ -17,8 +17,6 @@ from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
 from ..net import (
-    Aeth,
-    Bth,
     Ethernet,
     IpAddress,
     Ipv4,
@@ -26,25 +24,19 @@ from ..net import (
     PROTO_UDP,
     Packet,
     ROCE_V2_PORT,
-    Reth,
     Udp,
-    send_opcode,
-    write_opcode,
 )
 from ..net.parse import BTH, PAYLOAD, parse_layout
-from ..net.roce import ICRC_SIZE, OP_ACK
+from ..net.roce import (
+    ACK, ACK_REQUEST, BTH_AETH_WIRE, BTH_FLAGS, BTH_RETH_WIRE, BTH_WIRE,
+    DEFAULT_PARTITION, FIRST, ICRC_SIZE, LAST, OP_ACK, OPCODE_CLASS,
+    RETH_WIRE, SEGMENT_OPCODE, WRITE,
+)
 from ..sim import Simulator
 from .wqe import CQE_FLAG_MSG_LAST, OP_RDMA_WRITE, TxWqeRecord
 
 
 _ICRC = bytes(ICRC_SIZE)
-
-
-def _segment_payload(raw: bytes, layout: tuple) -> bytes:
-    """A received segment's data: past the transport headers, less the
-    ICRC."""
-    at = layout[PAYLOAD]
-    return raw[at:-ICRC_SIZE] if len(raw) - at >= ICRC_SIZE else b""
 
 
 class MemoryRegion:
@@ -318,7 +310,7 @@ class RdmaEngine:
 
     def per_packet_overhead(self) -> int:
         """Wire header bytes around each segment's payload."""
-        return 14 + 20 + 8 + Bth.HEADER_LEN + ICRC_SIZE
+        return 14 + 20 + 8 + BTH_WIRE.size + ICRC_SIZE
 
     def send_message(self, qp: RcQp, wqe: TxWqeRecord, data: bytes,
                      remote_addr: int = 0, rkey: int = 0,
@@ -337,7 +329,7 @@ class RdmaEngine:
         if not chunks:
             chunks = [b""]
         ctx = wqe.trace_ctx if wqe is not None else None
-        rdma_span = self._spans.enter(ctx, "rdma", self.sim.now)
+        rdma_span = self._spans.enter(ctx, "rdma", self.sim._now)
         self._send_segment((0, len(chunks) - 1, chunks, qp, wqe, len(data),
                             remote_addr, rkey, rdma_span, on_done))
 
@@ -348,7 +340,7 @@ class RdmaEngine:
             # Sent — or the QP was destroyed mid-message, and nothing
             # more of it leaves.
             if index <= final:
-                self._spans.exit(rdma_span, self.sim.now)
+                self._spans.exit(rdma_span, self.sim._now)
             if on_done is not None:
                 on_done()
             return
@@ -358,7 +350,7 @@ class RdmaEngine:
             is_write=wqe is not None and wqe.opcode == OP_RDMA_WRITE,
             remote_addr=remote_addr, rkey=rkey, total_length=length,
         )
-        segment = _Segment(frame, wqe, last, self.sim.now)
+        segment = _Segment(frame, wqe, last, self.sim._now)
         if last:
             segment.span_id = rdma_span
         qp.outstanding[qp.next_psn] = segment
@@ -375,12 +367,19 @@ class RdmaEngine:
                      wqe: Optional[TxWqeRecord], is_write: bool = False,
                      remote_addr: int = 0, rkey: int = 0,
                      total_length: int = 0) -> Packet:
-        opcode = (write_opcode(first, last) if is_write
-                  else send_opcode(first, last))
-        body = Bth(opcode, dest_qp=qp.remote_qpn, psn=qp.next_psn,
-                   ack_request=last).pack()
+        opcode = SEGMENT_OPCODE[(WRITE if is_write else 0)
+                                | (FIRST if first else 0)
+                                | (LAST if last else 0)]
+        qp_field = ((ACK_REQUEST << 24 if last else 0)
+                    | qp.remote_qpn & 0xFFFFFF)
+        psn = qp.next_psn & 0xFFFFFF
         if is_write and first:
-            body += Reth(remote_addr, rkey, total_length).pack()
+            body = BTH_RETH_WIRE.pack(
+                opcode, BTH_FLAGS, DEFAULT_PARTITION, qp_field, psn,
+                remote_addr, rkey, total_length)
+        else:
+            body = BTH_WIRE.pack(opcode, BTH_FLAGS, DEFAULT_PARTITION,
+                                 qp_field, psn)
         packet = self._frame(qp, body + payload)
         if wqe is not None:
             packet.meta["context_id"] = wqe.context_id
@@ -424,7 +423,7 @@ class RdmaEngine:
         if not qp.outstanding:
             return
         oldest = next(iter(qp.outstanding.values()))
-        age = self.sim.now - oldest.sent_at
+        age = self.sim._now - oldest.sent_at
         if age + 1e-12 >= self.retransmit_timeout:
             self._retransmit(qp)
             self._arm_retransmit_timer(qp)
@@ -441,76 +440,81 @@ class RdmaEngine:
             return
         spans = self._spans
         for psn, segment in qp.outstanding.items():
-            segment.sent_at = self.sim.now
+            segment.sent_at = self.sim._now
             qp.stats_retransmits += 1
             self.stats_retransmits += 1
             ctx = segment.frame.meta.get("trace_ctx")
             if ctx is not None:
-                spans.event(ctx, f"rdma.retransmit:psn={psn}", self.sim.now)
+                spans.event(ctx, f"rdma.retransmit:psn={psn}", self.sim._now)
             self._egress_frame(qp, segment.frame.copy())
 
     # -- receive ----------------------------------------------------------
 
     def on_ingress(self, packet: Packet) -> bool:
-        """Process a RoCE frame; returns False when it is not for us."""
-        prof = self._prof
-        if prof is None:
-            return self._on_ingress(packet)
-        # Runs synchronously inside the wire-delivery dispatch; scope
-        # anything it schedules (acks, DMA) to the rdma stage.
-        prev = prof.current_tag
-        prof.current_tag = self.profile_tag
-        try:
-            return self._on_ingress(packet)
-        finally:
-            prof.current_tag = prev
+        """Process a RoCE frame; returns False when it is not for us.
 
-    def _on_ingress(self, packet: Packet) -> bool:
+        One read of the BTH: the opcode's class bits, with the AckReq
+        bit ORed in, are the ``flags`` the handlers branch on.
+        """
+        prof = self._prof
+        if prof is not None and prof.current_tag != self.profile_tag:
+            # Runs synchronously inside the wire-delivery dispatch; scope
+            # anything it schedules (acks, DMA) to the rdma stage.
+            prev = prof.current_tag
+            prof.current_tag = self.profile_tag
+            try:
+                return self.on_ingress(packet)
+            finally:
+                prof.current_tag = prev
         at = (packet.layout or packet.fields())[BTH]
         if at is None:
             return False
-        bth = Bth.unpack(packet.raw[at:at + Bth.HEADER_LEN])
-        qp = self.qps.get(bth.dest_qp)
+        opcode, _flags, _partition, qp_field, psn = BTH_WIRE.unpack_from(
+            packet.raw, at)
+        qp = self.qps.get(qp_field & 0xFFFFFF)
         if qp is None:
             return False
-        if bth.is_ack:
-            self._handle_ack(qp, packet, bth)
-            return True
-        if bth.is_write:
-            self._handle_write(qp, packet, bth)
-            return True
-        self._handle_data(qp, packet, bth)
+        flags = OPCODE_CLASS[opcode] | qp_field >> 24 & ACK_REQUEST
+        psn &= 0xFFFFFF
+        if flags & ACK:
+            self._handle_ack(qp, psn)
+        elif flags & WRITE:
+            self._handle_write(qp, packet, flags, psn)
+        else:
+            self._handle_data(qp, packet, flags, psn)
         return True
 
-    def _handle_write(self, qp: RcQp, packet: Packet, bth: Bth) -> None:
+    def _handle_write(self, qp: RcQp, packet: Packet, flags: int,
+                      psn: int) -> None:
         """Inbound RDMA WRITE: place payload directly at the target VA.
 
         No receive descriptor is consumed and no receive completion is
         generated — the one-sided semantics that make WRITE cheap.
         """
-        if bth.psn != qp.expected_psn:
+        if psn != qp.expected_psn:
             qp.stats_duplicate_segments += 1
             self.stats_duplicate_segments += 1
             self._send_ack(qp)
             return
         raw = packet.raw
         layout = packet.layout
-        payload = _segment_payload(raw, layout)
-        if bth.is_first:
+        at = layout[PAYLOAD]
+        payload = raw[at:-ICRC_SIZE] if len(raw) - at >= ICRC_SIZE else b""
+        if flags & FIRST:
             # The parser consumed a RETH iff the segment was long enough.
-            at = layout[BTH] + Bth.HEADER_LEN
-            reth = (Reth.unpack(raw[at:at + Reth.HEADER_LEN])
-                    if layout[PAYLOAD] > at else None)
-            region = self._regions.get(reth.rkey) if reth else None
-            if region is None or not region.contains(reth.virtual_address,
-                                                     reth.length):
+            reth_at = layout[BTH] + BTH_WIRE.size
+            region = None
+            if at > reth_at:
+                address, rkey, length = RETH_WIRE.unpack_from(raw, reth_at)
+                region = self._regions.get(rkey)
+            if region is None or not region.contains(address, length):
                 # Protection error: NAK by not advancing; real NICs move
                 # the QP to an error state, which software must recover.
                 qp.stats_write_protection_errors += 1
                 self._send_ack(qp)
                 return
             qp.write_region = region
-            qp.write_cursor = reth.virtual_address
+            qp.write_cursor = address
         if qp.write_cursor is None or qp.write_region is None:
             qp.stats_write_protection_errors += 1
             self._send_ack(qp)
@@ -530,15 +534,16 @@ class RdmaEngine:
             finally:
                 self.inbound_trace_ctx = None
         qp.write_cursor += len(payload)
-        if bth.is_last:
+        if flags & LAST:
             qp.received_msn = (qp.received_msn + 1) & 0xFFFFFF
             qp.write_cursor = None
             qp.write_region = None
-        if bth.ack_request or bth.is_last:
+        if flags & (ACK_REQUEST | LAST):
             self._send_ack(qp)
 
-    def _handle_data(self, qp: RcQp, packet: Packet, bth: Bth) -> None:
-        if bth.psn != qp.expected_psn:
+    def _handle_data(self, qp: RcQp, packet: Packet, flags: int,
+                     psn: int) -> None:
+        if psn != qp.expected_psn:
             # Duplicate (retransmission already seen) or out-of-order
             # (a gap after loss).  Either way: re-ack the last good PSN
             # so the sender resynchronizes; do not deliver.
@@ -549,31 +554,33 @@ class RdmaEngine:
         qp.expected_psn = (qp.expected_psn + 1) & 0xFFFFFF
         qp.stats_received_segments += 1
         self.stats_segments_received += 1
-        if bth.is_last:
+        last = flags & LAST != 0
+        if last:
             qp.received_msn = (qp.received_msn + 1) & 0xFFFFFF
-        payload = _segment_payload(packet.raw, packet.layout)
-        flags = CQE_FLAG_MSG_LAST if bth.is_last else 0
-        context = packet.meta.get("context_id", 0)
-        self.inbound_trace_ctx = packet.meta.get("trace_ctx")
+        raw = packet.raw
+        at = packet.layout[PAYLOAD]
+        payload = raw[at:-ICRC_SIZE] if len(raw) - at >= ICRC_SIZE else b""
+        meta = packet.meta
+        self.inbound_trace_ctx = meta.get("trace_ctx")
         try:
-            self.deliver_segment(qp, payload, flags, context,
-                                 first=bth.is_first, last=bth.is_last)
+            self.deliver_segment(qp, payload,
+                                 CQE_FLAG_MSG_LAST if last else 0,
+                                 meta.get("context_id", 0),
+                                 first=flags & FIRST != 0, last=last)
         finally:
             self.inbound_trace_ctx = None
-        if bth.ack_request or bth.is_last:
+        if flags & (ACK_REQUEST | LAST):
             self._send_ack(qp)
 
     def _send_ack(self, qp: RcQp) -> None:
-        last_good = (qp.expected_psn - 1) & 0xFFFFFF
-        packet = self._frame(
-            qp, Bth(OP_ACK, dest_qp=qp.remote_qpn, psn=last_good).pack()
-            + Aeth(msn=qp.received_msn).pack())
+        packet = self._frame(qp, BTH_AETH_WIRE.pack(
+            OP_ACK, BTH_FLAGS, DEFAULT_PARTITION, qp.remote_qpn & 0xFFFFFF,
+            (qp.expected_psn - 1) & 0xFFFFFF, qp.received_msn))
         self.stats_acks_sent += 1
         self._egress_frame(qp, packet)
 
-    def _handle_ack(self, qp: RcQp, packet: Packet, bth: Bth) -> None:
+    def _handle_ack(self, qp: RcQp, acked_psn: int) -> None:
         self.stats_acks_received += 1
-        acked_psn = bth.psn
         while qp.outstanding:
             psn = next(iter(qp.outstanding))
             # Handle 24-bit wraparound with a signed window comparison.
@@ -583,7 +590,7 @@ class RdmaEngine:
             segment = qp.outstanding.pop(psn)
             qp.consecutive_retries = 0  # the wire is moving again
             if segment.span_id is not None:
-                self._spans.exit(segment.span_id, self.sim.now)
+                self._spans.exit(segment.span_id, self.sim._now)
             if segment.is_last and segment.wqe is not None:
                 self.complete_send(qp, segment.wqe)
 
@@ -602,7 +609,7 @@ class RdmaEngine:
         spans = self._spans
         for segment in qp.outstanding.values():
             if segment.span_id is not None:
-                spans.exit(segment.span_id, self.sim.now)
+                spans.exit(segment.span_id, self.sim._now)
         qp.outstanding.clear()
         qp.error_syndrome = syndrome
         qp.modify(RcQp.ERR)

@@ -2,6 +2,7 @@
 
 Each is what the header-object datapath did, so fixing one moves
 simulated behaviour; they wait for the wire-reference work (ROADMAP 5c).
+The RoCE ones (AckReq's bit, the zero ICRC) wait for ROADMAP 7(b).
 These tests pin them so a change is a decision and not an accident.
 """
 
@@ -21,10 +22,14 @@ from repro.net import (
     Udp,
     vxlan_encapsulate,
 )
-from repro.net.parse import L4, L4_PROTO, parse_frame
+from repro.net.parse import BTH, L4, L4_PROTO, parse_frame
 from repro.net.roce import ICRC_SIZE, OP_SEND_ONLY
 from repro.nic import CQE_FLAG_L3_OK, CQE_FLAG_L4_OK, ChecksumOffload
 from repro.nic.steering import MatchSpec
+from repro.nic.wqe import OP_RDMA_SEND, TxWqe
+from repro.sim import Simulator
+
+from ..nic.test_offloads_shaper_rdma import _Loopback, landed
 
 OUTER_UDP, INNER_L4 = 34, 50 + 34
 
@@ -117,3 +122,35 @@ def test_thawing_a_non_canonical_frame_is_lossy(proto, at, value, what):
     assert packet.to_bytes() == frame, "frozen, it is its bytes"
     packet.headers
     assert packet.to_bytes() == canonical, what
+
+
+def engine_frames():
+    """A last SEND segment and an ACK, as the RC engine puts them on
+    the wire, with the offset of their BTH."""
+    loop = _Loopback(Simulator())
+    wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, 100))
+    sent = []
+    loop.b.egress = lambda qp, frame: sent.append(frame)
+    loop.b._send_ack(loop.qp_b)
+    return [loop.a._build_frame(loop.qp_a, b"m" * 100, True, True, wqe),
+            sent[0]]
+
+
+def test_ack_request_sits_at_bth_byte_4_bit_6():
+    """IBTA puts AckReq at BTH byte 8 bit 7 (the top bit of the PSN
+    word); the model sets bit 6 of byte 4, the dest-QP word's top byte."""
+    bth = Bth(OP_SEND_ONLY, 7, 0x123456, ack_request=True).pack()
+    assert bth[4] == 0x40 and bth[8:12] == bytes.fromhex("00123456")
+    plain = Bth(OP_SEND_ONLY, 7, 0x123456).pack()
+    assert plain[4] == 0 and bth[:4] + bth[5:] == plain[:4] + plain[5:]
+    last, ack = engine_frames()
+    at = parse_frame(last.raw).layout[BTH]
+    assert last.raw[at + 4] == 0x40 and last.raw[at + 8] & 0x80 == 0
+    assert ack.raw[at + 4] == 0
+
+
+def test_icrc_is_four_zero_bytes():
+    """A real NIC computes the invariant CRC; the model sends zeros."""
+    for frame in engine_frames():
+        assert frame.raw[-ICRC_SIZE:] == bytes(4)
+    assert ICRC_SIZE == 4
