@@ -14,6 +14,9 @@ RX buffers            0x80_0000   real on-die SRAM the NIC DMA-writes
 CQs                   0xC0_0000   decoded on write, stored compressed
 Producer indices      0xE0_0000   per-queue PI registers
 ====================  ==========  ====================================
+
+``FlexDriver.handle_read``/``handle_write`` decode an access against
+these constants in their own frame, as the pipeline's first stage does.
 """
 
 from __future__ import annotations
@@ -31,40 +34,6 @@ TX_DATA_SPAN = 0x8_0000   # 512 KiB virtual data window per queue
 
 # CQ sub-layout: tx CQ ring first, rx CQ ring after.
 CQ_SPAN = 0x1_0000
-
-
-class BarRegion:
-    """A decoded BAR access."""
-
-    __slots__ = ("region", "queue", "offset")
-
-    def __init__(self, region: str, queue: int, offset: int):
-        self.region = region
-        self.queue = queue
-        self.offset = offset
-
-    def __repr__(self) -> str:
-        return f"BarRegion({self.region}, q={self.queue}, off={self.offset:#x})"
-
-
-def decode(address: int) -> BarRegion:
-    """Classify a BAR-relative address."""
-    if address < TX_DATA_REGION:
-        offset = address - TX_RING_REGION
-        return BarRegion("tx_ring", offset // TX_RING_SPAN,
-                         offset % TX_RING_SPAN)
-    if address < RX_BUFFER_REGION:
-        offset = address - TX_DATA_REGION
-        return BarRegion("tx_data", offset // TX_DATA_SPAN,
-                         offset % TX_DATA_SPAN)
-    if address < CQ_REGION:
-        return BarRegion("rx_buffer", 0, address - RX_BUFFER_REGION)
-    if address < PI_REGION:
-        offset = address - CQ_REGION
-        return BarRegion("cq", offset // CQ_SPAN, offset % CQ_SPAN)
-    if address < FLD_BAR_SIZE:
-        return BarRegion("pi", 0, address - PI_REGION)
-    raise ValueError(f"address {address:#x} outside the FLD BAR")
 
 
 def tx_ring_address(queue: int, wqe_index: int = 0, entries: int = 1024) -> int:

@@ -48,23 +48,27 @@ class BufferPool:
         return len(self._free)
 
     def chunks_for(self, nbytes: int) -> int:
-        return max(1, -(-nbytes // self.chunk_size))
+        return -(-nbytes // self.chunk_size) or 1
 
     # -- allocation ---------------------------------------------------------
 
-    def alloc(self, nbytes: int) -> Optional[List[int]]:
-        """Allocate chunks covering ``nbytes``; ``None`` when exhausted."""
-        needed = self.chunks_for(nbytes)
+    def alloc(self, nbytes: int, chunks: int = 0) -> Optional[List[int]]:
+        """Allocate chunks covering ``nbytes`` (``chunks`` of them, when
+        the caller has counted); ``None`` when exhausted."""
+        needed = chunks or -(-nbytes // self.chunk_size) or 1
         free = self._free
-        if needed > len(free):
+        left = len(free) - needed
+        if left < 0:
             self.stats_alloc_failures += 1
             return None
         handles = free[:needed]
         del free[:needed]
+        refcount = self._refcount
         for handle in handles:
-            self._refcount[handle] = 1
+            refcount[handle] = 1
         self.stats_allocs += 1
-        self.stats_min_free = min(self.stats_min_free, len(free))
+        if left < self.stats_min_free:
+            self.stats_min_free = left
         return handles
 
     def add_ref(self, handle: int) -> None:
@@ -80,9 +84,11 @@ class BufferPool:
         """:meth:`release` each handle in turn."""
         refcount = self._refcount
         for handle in handles:
-            count = refcount.get(handle)
-            if count is None:
-                raise BufferPoolError(f"release of free chunk {handle}")
+            try:
+                count = refcount[handle]
+            except KeyError:
+                raise BufferPoolError(
+                    f"release of free chunk {handle}") from None
             if count == 1:
                 del refcount[handle]
                 self._free.append(handle)
@@ -111,16 +117,19 @@ class BufferPool:
     def write_scattered(self, handles: List[int], data: bytes) -> None:
         """Spread ``data`` across an allocated chunk list."""
         size = self.chunk_size
+        sram = self._data
+        remaining = len(data)
         cursor = 0
         for handle in handles:
-            chunk = data[cursor:cursor + size]
-            if not chunk:
+            if remaining <= 0:
                 break
             if not 0 <= handle < self.num_chunks:
                 raise BufferPoolError(f"bad chunk handle {handle}")
+            take = size if remaining > size else remaining
             base = handle * size
-            self._data[base:base + len(chunk)] = chunk
-            cursor += size
+            sram[base:base + take] = data[cursor:cursor + take]
+            cursor += take
+            remaining -= take
 
     def read_scattered(self, handles: List[int], length: int) -> bytes:
         out = bytearray()

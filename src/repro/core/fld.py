@@ -33,12 +33,14 @@ from ..nic.wqe import (
 )
 from ..pcie import POSTED, PcieEndpoint, PcieError
 from ..sim import Event, Simulator
-from . import bar
 from .axis import AxisMetadata, AxisStream
+from .bar import (CQ_REGION, CQ_SPAN, FLD_BAR_SIZE, PI_REGION,
+                  RX_BUFFER_REGION, TX_DATA_REGION, TX_DATA_SPAN,
+                  TX_RING_REGION, TX_RING_SPAN)
 from .buffers import BufferPool
 from .descriptors import COMPRESSED_CQE_SIZE
 from .errors import ErrorReporter, FldError
-from .rx import RxRingManager
+from .rx import RxError, RxRingManager
 from .tx import TxRingManager
 
 
@@ -98,9 +100,11 @@ class FlexDriver(PcieEndpoint):
         # the tx queue bound for it, resolving redirect verdicts.
         self.prog = None
         self.vport_tx_routes: Dict[int, int] = {}
-        # Chunks promised to sends that passed the resource check but
-        # whose pipeline-latency submission has not landed yet.
+        # Chunks and descriptor slots promised to sends that passed the
+        # resource check but whose pipeline-latency submission has not
+        # landed yet: a send holds one slot however many chunks it spans.
         self._pending_chunks = 0
+        self._pending_sends = 0
         self.stats_cqe_writes = 0
         self.stats_tx_packets = 0
         self.stats_tx_bytes = 0
@@ -166,7 +170,7 @@ class FlexDriver(PcieEndpoint):
             rq_doorbell_addr,
         )
         self._cq_route[cq_index] = ("rx", binding_id)
-        return bar.RX_BUFFER_REGION + offset
+        return RX_BUFFER_REGION + offset
 
     def unbind_tx_queue(self, queue_id: int) -> None:
         """Tear down a tx queue binding and its CQE route."""
@@ -197,18 +201,23 @@ class FlexDriver(PcieEndpoint):
     # ------------------------------------------------------------------
 
     def try_send(self, data: bytes, meta: AxisMetadata) -> bool:
-        """Non-blocking transmit; False when the queue has no credit.
+        """Non-blocking transmit; False when the queue has no credit or
+        ring slot, or the pools cannot cover the packet.
 
         Drop-capable accelerators use this directly (§5.5 lets them shed
         load); others use :meth:`send` to wait for credit.
         """
-        needed = self.tx.buffers.chunks_for(len(data))
-        if not self.tx.can_submit(meta.queue_id, len(data)):
+        tx = self.tx
+        state = tx.queue(meta.queue_id)
+        needed = -(-len(data) // tx.buffers.chunk_size) or 1
+        if not (state.pi - state.ci < state.entries
+                and len(tx.buffers._free) - self._pending_chunks >= needed
+                and len(tx.descriptors._free) > self._pending_sends
+                and tx.credits.try_consume(meta.queue_id, 1)):
             return False
-        if (self.tx.buffers.free_chunks - self._pending_chunks < needed
-                or self.tx.descriptors.free_slots <= self._pending_chunks):
-            return False
-        self._submit(data, meta)
+        self._pending_chunks += needed
+        self._pending_sends += 1
+        _send_occupied((self, data, meta, needed, self.sim._now, None, None))
         return True
 
     def send(self, data: bytes, meta: AxisMetadata):
@@ -251,24 +260,6 @@ class FlexDriver(PcieEndpoint):
         if prof is not None:
             prof.current_tag = prev
 
-    def _submit(self, data: bytes, meta: AxisMetadata) -> None:
-        self.tx.credits.try_consume(meta.queue_id, 1)
-        needed = self.tx.buffers.chunks_for(len(data))
-        self._pending_chunks += needed
-        self._launch(data, meta, needed, self.sim._now)
-
-    def _launch(self, data: bytes, meta: AxisMetadata, reserved_chunks: int,
-                started: float) -> None:
-        """Submit one pipeline latency from now.  The hop is tx-engine
-        work even though the sender's continuation schedules it."""
-        prof = self._prof
-        if prof is not None:
-            prev, prof.current_tag = prof.current_tag, self._ptag_tx
-        self.sim.call_later(self.config.pipeline_latency, _submit_now,
-                            (self, data, meta, reserved_chunks, started))
-        if prof is not None:
-            prof.current_tag = prev
-
     def credits_available(self, queue_id: int) -> int:
         return self.tx.credits.available(queue_id)
 
@@ -277,30 +268,43 @@ class FlexDriver(PcieEndpoint):
     # ------------------------------------------------------------------
 
     def handle_read(self, offset: int, length: int) -> bytes:
+        """A NIC read of the virtual tx ring (WQEs generated from the
+        compressed pool) or of a queue's virtual data window (gathered
+        through the data translation table)."""
         prof = self._prof
         if prof is not None:
             # Ring/data reads are the NIC DMAing from the tx engine.
             prof.current_tag = self._ptag_tx
-        region = bar.decode(offset)
-        if region.region == "tx_ring":
-            return self.tx.handle_ring_read(region.queue, region.offset,
-                                            length)
-        if region.region == "tx_data":
-            return self.tx.handle_data_read(region.queue, region.offset,
-                                            length)
-        raise PcieError(f"{self.name}: unreadable region {region!r}")
+        tx = self.tx
+        if offset < TX_DATA_REGION:
+            offset -= TX_RING_REGION
+            return tx.handle_ring_read(offset // TX_RING_SPAN,
+                                       offset % TX_RING_SPAN, length)
+        if offset < RX_BUFFER_REGION:
+            offset -= TX_DATA_REGION
+            tx.stats_data_read_bytes += length
+            return tx.data_xlt.read_virtual(offset // TX_DATA_SPAN,
+                                            offset % TX_DATA_SPAN, length)
+        raise PcieError(f"{self.name}: unreadable BAR offset {offset:#x}")
 
     def handle_write(self, offset: int, data: bytes) -> None:
-        region = bar.decode(offset)
-        if region.region == "rx_buffer":
-            self.rx.handle_buffer_write(region.offset, data)
+        """A NIC write: packet data into receive SRAM, a CQE, or a
+        producer-index mirror (accepted, uninterpreted)."""
+        if RX_BUFFER_REGION <= offset < CQ_REGION:
+            rx = self.rx
+            offset -= RX_BUFFER_REGION
+            end = offset + len(data)
+            if end > rx.capacity_bytes:
+                raise RxError(f"rx buffer write beyond SRAM: {offset:#x}")
+            rx._sram[offset:end] = data
+            rx.stats_sram_writes += 1
             return
-        if region.region == "cq":
-            self._on_cqe_write(region.queue, data)
+        if CQ_REGION <= offset < PI_REGION:
+            self._on_cqe_write((offset - CQ_REGION) // CQ_SPAN, data)
             return
-        if region.region == "pi":
-            return  # producer-index mirror writes: accepted, uninterpreted
-        raise PcieError(f"{self.name}: unwritable region {region!r}")
+        if PI_REGION <= offset < FLD_BAR_SIZE:
+            return
+        raise PcieError(f"{self.name}: unwritable BAR offset {offset:#x}")
 
     def install_rx_fastpath(self, cq, cq_index: int) -> None:
         """Fuse the NIC's rx-CQE delivery with the rx pipeline hop.
@@ -334,8 +338,7 @@ class FlexDriver(PcieEndpoint):
         self.stats_cqe_writes += 1
         recycles: list = []
         self.rx.deliver(
-            route[1], self.rx.binding(route[1]), cqe,
-            partial(self._emit_rx_fused, handle),
+            route[1], cqe, partial(self._emit_rx_fused, handle),
             lambda addr, payload: recycles.append((addr, payload)),
             handle.frame)
         if recycles:
@@ -472,38 +475,59 @@ class FlexDriver(PcieEndpoint):
 
 
 # -- send_then's continuations (module-level: see its docstring) ---------
+# Each computes its own bookkeeping: the chunk count is taken once at
+# admission and rides the entry to the submit, and a delay of n FLD
+# cycles is ``n / clock_hz`` (``FldConfig.cycles``' float, with no frame).
 
 
 def _send_credited(entry) -> None:
+    """Admission: wait until the pools cover the packet — its chunks
+    and one descriptor slot — beyond what earlier admitted sends have
+    promised, then hold the sender for the pipeline's occupancy."""
     fld, data, meta, func, arg, wait_started = entry
     sim = fld.sim
-    needed = fld.tx.buffers.chunks_for(len(data))
-    if not (fld.tx.buffers.free_chunks - fld._pending_chunks >= needed
-            and fld.tx.descriptors.free_slots > fld._pending_chunks):
+    tx = fld.tx
+    length = len(data)
+    needed = -(-length // tx.buffers.chunk_size) or 1
+    if not (len(tx.buffers._free) - fld._pending_chunks >= needed
+            and len(tx.descriptors._free) > fld._pending_sends):
         # Buffers or descriptor slots are short: look again shortly.
-        sim.call_later(fld.config.cycles(16), _send_credited, entry)
+        sim.call_later(16 / fld.config.clock_hz, _send_credited, entry)
         return
     now = sim._now
     if meta.trace_ctx is not None and now > wait_started:
         fld._spans.record(meta.trace_ctx, "fld.tx", wait_started, now,
                           kind="queue")
     fld._pending_chunks += needed
-    sim.call_later(fld.config.cycles(max(1, len(data) // 64)),
+    fld._pending_sends += 1
+    sim.call_later((length // 64 or 1) / fld.config.clock_hz,
                    _send_occupied, (fld, data, meta, needed, now, func, arg))
 
 
 def _send_occupied(entry) -> None:
+    """The sender is free: the submit lands one pipeline latency from
+    now.  The hop is tx-engine work even though the sender's
+    continuation schedules it; ``func(arg)`` (when given) then resumes
+    the sender."""
     fld, data, meta, needed, started, func, arg = entry
-    fld._launch(data, meta, needed, started)
-    func(arg)
+    prof = fld._prof
+    if prof is not None:
+        prev, prof.current_tag = prof.current_tag, fld._ptag_tx
+    fld.sim.call_later(fld.config.pipeline_latency, _submit_now,
+                       (fld, data, meta, needed, started))
+    if prof is not None:
+        prof.current_tag = prev
+    if func is not None:
+        func(arg)
 
 
 def _submit_now(entry) -> None:
-    fld, data, meta, reserved_chunks, started = entry
-    fld._pending_chunks -= reserved_chunks
+    fld, data, meta, needed, started = entry
+    fld._pending_chunks -= needed
+    fld._pending_sends -= 1
     if meta.trace_ctx is not None:
         fld._spans.record(meta.trace_ctx, "fld.tx", started, fld.sim._now)
-    if fld.tx.submit(meta.queue_id, data, meta) is None:
+    if fld.tx.submit(meta.queue_id, data, meta, needed) is None:
         return  # an egress program dropped it; credit already refunded
     fld.stats_tx_packets += 1
     fld.stats_tx_bytes += len(data)

@@ -35,9 +35,9 @@ class _RxBinding:
     """One receive queue's buffer slice and recycle state."""
 
     __slots__ = ("binding_id", "ring_entries", "strides_per_buffer",
-                 "stride_size", "sram_offset", "rq_doorbell_addr", "pi",
-                 "recycled", "stats_packets", "stats_bytes",
-                 "stats_recycled")
+                 "stride_size", "buffer_size", "sram_offset",
+                 "rq_doorbell_addr", "pi", "recycled", "stats_packets",
+                 "stats_bytes", "stats_recycled")
 
     def __init__(self, binding_id: int, ring_entries: int,
                  strides_per_buffer: int, stride_size: int,
@@ -46,6 +46,7 @@ class _RxBinding:
         self.ring_entries = ring_entries
         self.strides_per_buffer = strides_per_buffer
         self.stride_size = stride_size
+        self.buffer_size = strides_per_buffer * stride_size
         self.sram_offset = sram_offset
         self.rq_doorbell_addr = rq_doorbell_addr
         self.pi = ring_entries       # software posts the full ring at setup
@@ -53,14 +54,6 @@ class _RxBinding:
         self.stats_packets = 0
         self.stats_bytes = 0
         self.stats_recycled = 0
-
-    @property
-    def buffer_size(self) -> int:
-        return self.strides_per_buffer * self.stride_size
-
-    @property
-    def slice_bytes(self) -> int:
-        return self.ring_entries * self.buffer_size
 
 
 class RxRingManager:
@@ -152,7 +145,8 @@ class RxRingManager:
         """Release a binding's SRAM slice back to the allocator."""
         binding = self.binding(binding_id)
         del self._bindings[binding_id]
-        self._free_sram(binding.sram_offset, binding.slice_bytes)
+        self._free_sram(binding.sram_offset,
+                        binding.ring_entries * binding.buffer_size)
         return binding
 
     def binding(self, binding_id: int) -> _RxBinding:
@@ -163,21 +157,13 @@ class RxRingManager:
 
     # -- NIC-facing PCIe handlers ----------------------------------------------
 
-    def handle_buffer_write(self, offset: int, data: bytes) -> None:
-        """The NIC DMA-writing packet data into receive SRAM."""
-        if offset + len(data) > self.capacity_bytes:
-            raise RxError(f"rx buffer write beyond SRAM: {offset:#x}")
-        self._sram[offset:offset + len(data)] = data
-        self.stats_sram_writes += 1
-
     def on_recv_completion(self, binding_id: int, cqe: CqeRecord) -> None:
         """Act on a landed receive CQE: stream the packet out, recycle
         buffers."""
-        self.deliver(binding_id, self.binding(binding_id), cqe,
-                     self.emit, self.mmio_writer)
+        self.deliver(binding_id, cqe, self.emit, self.mmio_writer)
 
-    def deliver(self, binding_id: int, binding: _RxBinding,
-                cqe: CqeRecord, emit: Optional[Callable],
+    def deliver(self, binding_id: int, cqe: CqeRecord,
+                emit: Optional[Callable],
                 recycle_writer: Optional[Callable],
                 frame: Optional[tuple] = None) -> None:
         """The receive completion: locate the packet in receive SRAM, hand it
@@ -192,10 +178,19 @@ class RxRingManager:
         ``frame`` (never with a program attached), whose layout rides
         the metadata if the bytes read back are the NIC's;
         :meth:`on_recv_completion` passes the manager's ``emit`` /
-        ``mmio_writer``.
+        ``mmio_writer``.  The packet's SRAM data was written by
+        ``FlexDriver.handle_write``.
         """
+        try:
+            binding = self._bindings[binding_id]
+        except KeyError:
+            raise RxError(f"unknown rx binding {binding_id}") from None
         self.stats_cqes += 1
-        desc_index = self._full_desc_index(binding, cqe.wqe_counter)
+        # The full descriptor index from the CQE's 16-bit counter.
+        recycled = binding.recycled
+        desc_index = (recycled & ~0xFFFF) | cqe.wqe_counter
+        if desc_index < recycled:
+            desc_index += 1 << 16
         slot = desc_index % binding.ring_entries
         offset = (binding.sram_offset + slot * binding.buffer_size
                   + cqe.stride_index * binding.stride_size)
@@ -225,13 +220,6 @@ class RxRingManager:
             if recycle_writer is not None:
                 recycle_writer(binding.rq_doorbell_addr,
                                (binding.pi & 0xFFFFFFFF).to_bytes(4, "big"))
-
-    def _full_desc_index(self, binding: _RxBinding, counter16: int) -> int:
-        base = binding.recycled & ~0xFFFF
-        index = base | counter16
-        if index < binding.recycled:
-            index += 1 << 16
-        return index
 
     # -- accounting ---------------------------------------------------------------
 

@@ -16,7 +16,8 @@ Two layers, both from §5.2:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import List, Optional
 
 from .buffers import BufferPool
 from .cuckoo import CuckooFullError, CuckooHashTable
@@ -39,7 +40,8 @@ class DescriptorPool:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._slots: List[Optional[tuple]] = [None] * capacity
-        self._free: List[int] = list(range(capacity))
+        # Free slots, reused first-in first-out.
+        self._free = deque(range(capacity))
         self._xlt = CuckooHashTable(capacity, load_factor=0.5,
                                     entry_size=DESC_XLT_ENTRY_SIZE)
         self.stats_stored = 0
@@ -55,11 +57,11 @@ class DescriptorPool:
         if not self._free:
             self.stats_failures += 1
             return None
-        slot = self._free.pop(0)
+        slot = self._free.popleft()
         try:
             self._xlt.insert((queue, wqe_index), slot)
         except CuckooFullError:
-            self._free.insert(0, slot)
+            self._free.appendleft(slot)
             self.stats_failures += 1
             return None
         self._slots[slot] = descriptor
@@ -118,14 +120,12 @@ class DataTranslationTable:
             raise ValueError("window must be a multiple of the chunk size")
         self.pool = pool
         self.window_bytes = window_bytes
+        self.chunks_per_window = window_bytes // pool.chunk_size
         capacity = max_mappings or pool.num_chunks
         self._xlt = CuckooHashTable(capacity, load_factor=0.5,
                                     entry_size=DATA_XLT_ENTRY_SIZE)
         self.stats_mappings = 0
         self.stats_failures = 0
-
-    def chunks_per_window(self) -> int:
-        return self.window_bytes // self.pool.chunk_size
 
     def map_range(self, queue: int, virt_offset: int,
                   handles: List[int]) -> None:
@@ -133,27 +133,25 @@ class DataTranslationTable:
         if virt_offset % self.pool.chunk_size:
             raise TranslationError("virtual offset must be chunk-aligned")
         start = virt_offset // self.pool.chunk_size
-        inserted = []
+        chunks = self.chunks_per_window
+        mapped = 0
         try:
-            for i, handle in enumerate(handles):
-                chunk = (start + i) % self.chunks_per_window()
-                self._xlt.insert((queue, chunk), handle)
-                inserted.append((queue, chunk))
+            for handle in handles:
+                self._xlt.insert((queue, (start + mapped) % chunks), handle)
+                mapped += 1
         except (CuckooFullError, KeyError):
-            for key in inserted:
-                self._xlt.remove(key)
+            for i in range(mapped):
+                self._xlt.remove((queue, (start + i) % chunks))
             self.stats_failures += 1
             raise
-        self.stats_mappings += len(handles)
+        self.stats_mappings += mapped
 
     def unmap_range(self, queue: int, virt_offset: int, count: int) -> List[int]:
         """Remove ``count`` chunk mappings, returning the handles."""
         start = virt_offset // self.pool.chunk_size
-        handles = []
-        for i in range(count):
-            chunk = (start + i) % self.chunks_per_window()
-            handles.append(self._xlt.remove((queue, chunk)))
-        return handles
+        chunks = self.chunks_per_window
+        return [self._xlt.remove((queue, (start + i) % chunks))
+                for i in range(count)]
 
     def cuckoo_stats(self) -> dict:
         """Translation-table counters (telemetry probe)."""
@@ -162,29 +160,34 @@ class DataTranslationTable:
         stats["failures"] = self.stats_failures
         return stats
 
-    def resolve(self, queue: int, virt_offset: int) -> Tuple[int, int]:
-        """(chunk handle, offset inside the chunk) for a virtual address."""
-        window_offset = virt_offset % self.window_bytes
-        chunk = window_offset // self.pool.chunk_size
-        handle = self._xlt.lookup((queue, chunk))
-        if handle is None:
-            raise TranslationError(
-                f"queue {queue} virt {virt_offset:#x} not mapped"
-            )
-        return handle, window_offset % self.pool.chunk_size
-
     def read_virtual(self, queue: int, virt_offset: int, length: int) -> bytes:
-        """Gather a read that may span several translated chunks."""
-        out = bytearray()
-        cursor = virt_offset
-        remaining = length
-        while remaining > 0:
-            handle, inner = self.resolve(queue, cursor)
-            take = min(remaining, self.pool.chunk_size - inner)
-            out.extend(self.pool.read(handle, inner, take))
-            cursor += take
-            remaining -= take
-        return bytes(out)
+        """Gather a read that may span several translated chunks: one
+        translation (a cuckoo lookup) per chunk touched, the window
+        wrapping at its end."""
+        pool = self.pool
+        size = pool.chunk_size
+        sram = pool._data
+        lookup = self._xlt.lookup
+        window_offset = virt_offset % self.window_bytes
+        chunk = window_offset // size
+        inner = window_offset % size
+        out = b""
+        while length > 0:
+            handle = lookup((queue, chunk))
+            if handle is None:
+                raise TranslationError(f"queue {queue} virt "
+                                       f"{chunk * size + inner:#x} not mapped")
+            base = handle * size + inner
+            take = size - inner
+            if take > length:
+                take = length
+            out += sram[base:base + take]
+            length -= take
+            inner = 0
+            chunk += 1
+            if chunk == self.chunks_per_window:
+                chunk = 0
+        return out
 
     @property
     def memory_bytes(self) -> int:

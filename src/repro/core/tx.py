@@ -15,8 +15,10 @@ pushes it:
 When the NIC does read the virtual ring (plain doorbell mode, or
 re-fetch), :meth:`handle_ring_read` *generates* the 64 B WQEs on the fly
 from the compressed pool — the core idea of §5.2.  Data reads gather
-through the translation table.  Send completions retire descriptors
-cumulatively, recycle chunks and refund credits.
+through the translation table
+(:meth:`~repro.core.translation.DataTranslationTable.read_virtual`,
+straight from ``FlexDriver.handle_read``).  Send completions retire
+descriptors cumulatively, recycle chunks and refund credits.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..nic.wqe import OP_ETH_SEND, TX_WQE, WQE_FLAG_SIGNALED, WQE_SIZE
 from ..sim import Simulator
 from .axis import AxisMetadata, CreditInterface
-from .bar import TX_DATA_SPAN, tx_data_address, tx_ring_address
+from .bar import TX_DATA_SPAN, tx_data_address
 from .buffers import BufferPool
 from .translation import DataTranslationTable, DescriptorPool, TranslationError
 
@@ -38,12 +40,13 @@ class TxQueueError(RuntimeError):
 class _TxQueueState:
     __slots__ = ("queue_id", "qpn", "entries", "pi", "ci", "data_cursor",
                  "doorbell_addr", "mmio_addr", "use_mmio", "window_chunks",
-                 "opcode", "outstanding", "stats_submitted",
+                 "data_base", "opcode", "outstanding", "stats_submitted",
                  "stats_completed")
 
     def __init__(self, queue_id: int, qpn: int, entries: int,
                  doorbell_addr: int, mmio_addr: int, use_mmio: bool,
-                 window_chunks: int, opcode: int = OP_ETH_SEND):
+                 window_chunks: int, data_base: int,
+                 opcode: int = OP_ETH_SEND):
         self.queue_id = queue_id
         self.qpn = qpn
         self.entries = entries
@@ -54,6 +57,9 @@ class _TxQueueState:
         self.mmio_addr = mmio_addr
         self.use_mmio = use_mmio
         self.window_chunks = window_chunks
+        # Fabric address of the queue's virtual data window: a WQE's
+        # buffer address is this plus the packet's window offset.
+        self.data_base = data_base
         self.opcode = opcode
         # wqe_index -> (chunk handles, virt chunk offset, chunk count)
         self.outstanding: Dict[int, Tuple[List[int], int, int]] = {}
@@ -106,6 +112,7 @@ class TxRingManager:
         state = _TxQueueState(
             queue_id, qpn, entries, doorbell_addr, mmio_addr, use_mmio,
             window_chunks=TX_DATA_SPAN // self.buffers.chunk_size,
+            data_base=self.bar_base + tx_data_address(queue_id),
             opcode=opcode,
         )
         self._queues[queue_id] = state
@@ -140,34 +147,32 @@ class TxRingManager:
 
     # -- the accelerator-facing submit path -----------------------------------
 
-    def can_submit(self, queue_id: int, nbytes: int) -> bool:
-        state = self.queue(queue_id)
-        return (
-            self.credits.available(queue_id) >= 1
-            and self.buffers.free_chunks >= self.buffers.chunks_for(nbytes)
-            and self.descriptors.free_slots >= 1
-            and state.pi - state.ci < state.entries
-        )
-
-    def submit(self, queue_id: int, data: bytes,
-               meta: AxisMetadata) -> Optional[int]:
-        """Enqueue one packet/message; returns its wqe index.
+    def submit(self, queue_id: int, data: bytes, meta: AxisMetadata,
+               chunks: int = 0) -> Optional[int]:
+        """Enqueue one packet/message and ring the NIC; returns its wqe
+        index.
 
         The caller (FLD top) is responsible for holding a credit; this
         method asserts physical resources, which credits guarantee.
+        ``chunks`` is the payload's chunk count when the caller has
+        already taken it (0: count here).
         An attached egress program runs before any resource is taken:
         a ``drop`` verdict refunds the caller's credit and returns
         ``None`` — the packet never existed as far as buffers,
         descriptors and the NIC are concerned.  A length or context too
         wide for the compressed descriptor raises ``ValueError``.
         """
-        state = self.queue(queue_id)
+        try:
+            state = self._queues[queue_id]
+        except KeyError:
+            raise TxQueueError(f"unknown tx queue {queue_id}") from None
         hook = self.prog_hook
         if hook is not None:
             data = hook(queue_id, data, meta)
             if data is None:
                 self.credits.refund(queue_id, 1)
                 return None
+            chunks = 0  # the program may have resized the payload
         if state.pi - state.ci >= state.entries:
             raise TxQueueError(f"queue {queue_id} ring overflow")
         length = len(data)
@@ -175,59 +180,56 @@ class TxRingManager:
         if not (length < 1 << 16 and 0 <= context < 1 << 24):
             raise ValueError(f"{length} B with context {context:#x} does "
                              "not fit a compressed descriptor")
-        handles = self.buffers.alloc(length)
+        buffers = self.buffers
+        handles = buffers.alloc(length, chunks)
         if handles is None:
             raise TxQueueError(
-                f"buffer pool exhausted for {len(data)} B on queue {queue_id}"
+                f"buffer pool exhausted for {length} B on queue {queue_id}"
             )
-        self.buffers.write_scattered(handles, data)
+        buffers.write_scattered(handles, data)
+        count = len(handles)
 
         index = state.pi
         state.pi += 1
         # Chunk-aligned virtual placement at the rotating cursor.
         virt_chunk = state.data_cursor
-        state.data_cursor = (state.data_cursor + len(handles)) % state.window_chunks
-        virt_offset = virt_chunk * self.buffers.chunk_size
+        state.data_cursor = (virt_chunk + count) % state.window_chunks
+        virt_offset = virt_chunk * buffers.chunk_size
         self.data_xlt.map_range(queue_id, virt_offset, handles)
 
         descriptor = (handles[0], length, context, state.opcode,
                       meta.signaled)
         slot = self.descriptors.store(queue_id, index, descriptor)
         if slot is None:
-            self.data_xlt.unmap_range(queue_id, virt_offset, len(handles))
-            self.buffers.release_all(handles)
+            self.data_xlt.unmap_range(queue_id, virt_offset, count)
+            buffers.release_all(handles)
             state.pi -= 1
             raise TxQueueError("descriptor pool exhausted")
-        state.outstanding[index] = (handles, virt_chunk, len(handles))
+        state.outstanding[index] = (handles, virt_chunk, count)
         state.stats_submitted += 1
-        self._ring_nic(state, index, descriptor, virt_offset,
-                       trace_ctx=meta.trace_ctx)
-        return index
 
-    def _ring_nic(self, state: _TxQueueState, index: int,
-                  descriptor: tuple, virt_offset: int,
-                  trace_ctx=None) -> None:
-        if self.mmio_writer is None:
-            return  # standalone/unit-test mode
+        # Ring the NIC (a standalone manager has no writer).
+        writer = self.mmio_writer
+        if writer is None:
+            return index
+        trace_ctx = meta.trace_ctx
         if state.use_mmio:
-            wqe = self._expand(state, index, descriptor, virt_offset)
-            self.outbound_trace_ctx = trace_ctx
-            try:
-                self.mmio_writer(state.mmio_addr, wqe)
-            finally:
-                self.outbound_trace_ctx = None
+            address = state.mmio_addr
+            payload = self._expand(state, index, descriptor, virt_offset)
         else:
             if trace_ctx is not None and self.trace_scope is not None:
                 # The NIC will fetch this WQE from the virtual ring later;
                 # park the context where its fetch loop can claim it.
                 self._spans.stash(
                     ("wqe", self.trace_scope, state.qpn, index), trace_ctx)
-            self.outbound_trace_ctx = trace_ctx
-            try:
-                self.mmio_writer(state.doorbell_addr,
-                                 (index + 1).to_bytes(4, "big"))
-            finally:
-                self.outbound_trace_ctx = None
+            address = state.doorbell_addr
+            payload = (index + 1).to_bytes(4, "big")
+        self.outbound_trace_ctx = trace_ctx
+        try:
+            writer(address, payload)
+        finally:
+            self.outbound_trace_ctx = None
+        return index
 
     def _expand(self, state: _TxQueueState, index: int, descriptor: tuple,
                 virt_offset: int) -> bytes:
@@ -237,8 +239,7 @@ class TxRingManager:
         _handle, length, context, opcode, signaled = descriptor
         return TX_WQE.pack(
             opcode, WQE_FLAG_SIGNALED if signaled else 0, index & 0xFFFF,
-            state.qpn,
-            self.bar_base + tx_data_address(state.queue_id, virt_offset),
+            state.qpn, state.data_base + virt_offset,
             length, 0, context, 1, 0, 0, 0)
 
     # -- the NIC-facing PCIe handlers ------------------------------------------
@@ -246,7 +247,10 @@ class TxRingManager:
     def handle_ring_read(self, queue_id: int, offset: int,
                          length: int) -> bytes:
         """Generate WQE bytes for a NIC read of the virtual ring."""
-        state = self.queue(queue_id)
+        try:
+            state = self._queues[queue_id]
+        except KeyError:
+            raise TxQueueError(f"unknown tx queue {queue_id}") from None
         if offset % WQE_SIZE or length % WQE_SIZE:
             raise TxQueueError("unaligned WQE ring read")
         first_slot = offset // WQE_SIZE
@@ -276,12 +280,6 @@ class TxRingManager:
             )
         return index
 
-    def handle_data_read(self, queue_id: int, offset: int,
-                         length: int) -> bytes:
-        """Gather a NIC data read through the translation table."""
-        self.stats_data_read_bytes += length
-        return self.data_xlt.read_virtual(queue_id, offset, length)
-
     # -- completion handling -----------------------------------------------------
 
     def on_send_completion(self, qpn: int, wqe_counter: int) -> int:
@@ -289,9 +287,11 @@ class TxRingManager:
 
         Returns the number of descriptors retired.
         """
-        queue_id = self._qpn_to_queue.get(qpn)
-        if queue_id is None:
-            raise TxQueueError(f"send completion for unknown qpn {qpn}")
+        try:
+            queue_id = self._qpn_to_queue[qpn]
+        except KeyError:
+            raise TxQueueError(
+                f"send completion for unknown qpn {qpn}") from None
         state = self._queues[queue_id]
         # Recover the full index from the 16-bit CQE counter.
         target = (state.ci & ~0xFFFF) | wqe_counter

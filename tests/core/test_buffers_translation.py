@@ -6,6 +6,7 @@ from repro.core import (
     BufferPool,
     BufferPoolError,
     CompressedTxDescriptor,
+    CuckooFullError,
     DataTranslationTable,
     DescriptorPool,
     TranslationError,
@@ -89,6 +90,31 @@ class TestDescriptorPool:
         assert pool.store(9, 0, self._descriptor()) is None
         assert pool.stats_failures == 1
 
+    def test_free_slots_are_reused_first_in_first_out(self):
+        pool = DescriptorPool(4)
+        assert [pool.store(0, i, self._descriptor()) for i in range(3)] \
+            == [0, 1, 2]
+        pool.remove(0, 1)
+        pool.remove(0, 0)
+        # Slot 3 was never used; the released ones queue behind it in
+        # release order.
+        assert [pool.store(1, i, self._descriptor()) for i in range(3)] \
+            == [3, 1, 0]
+
+    def test_stalled_store_keeps_its_slot_at_the_head(self):
+        pool = DescriptorPool(4)
+        pool.store(0, 0, self._descriptor())
+        insert = pool._xlt.insert
+
+        def stall(key, value):
+            raise CuckooFullError("stash full; insertion stalled")
+
+        pool._xlt.insert = stall
+        assert pool.store(0, 1, self._descriptor()) is None
+        assert pool.free_slots == 3
+        pool._xlt.insert = insert
+        assert pool.store(0, 1, self._descriptor()) == 1
+
     def test_slot_recycled_after_remove(self):
         pool = DescriptorPool(1)
         pool.store(0, 0, self._descriptor())
@@ -108,13 +134,15 @@ class TestDataTranslation:
         xlt = DataTranslationTable(pool, window_bytes=16 * 1024)
         return pool, xlt
 
-    def test_map_resolve(self):
+    def test_map_translates(self):
         pool, xlt = self._setup()
-        handles = pool.alloc(700)
+        data = bytes(range(256)) * 2 + bytes(188)
+        handles = pool.alloc(len(data))
+        pool.write_scattered(handles, data)
         xlt.map_range(queue=0, virt_offset=0, handles=handles)
-        handle, inner = xlt.resolve(0, 300)
-        assert handle == handles[1]
-        assert inner == 44
+        # Window byte 300 is byte 44 of the second chunk.
+        assert xlt.read_virtual(0, 300, 10) == bytes(range(44, 54))
+        assert xlt.read_virtual(0, 300, 10) == pool.read(handles[1], 44, 10)
 
     def test_read_virtual_gathers_chunks(self):
         pool, xlt = self._setup()
@@ -124,28 +152,40 @@ class TestDataTranslation:
         xlt.map_range(0, 512, handles)
         assert xlt.read_virtual(0, 512, len(data)) == data
 
-    def test_unmapped_resolve_raises(self):
+    def test_unmapped_read_raises(self):
         _pool, xlt = self._setup()
         with pytest.raises(TranslationError):
-            xlt.resolve(0, 0)
+            xlt.read_virtual(0, 0, 1)
+
+    def test_read_into_an_unmapped_chunk_raises(self):
+        pool, xlt = self._setup()
+        xlt.map_range(0, 0, pool.alloc(256))
+        with pytest.raises(TranslationError):
+            xlt.read_virtual(0, 200, 100)
 
     def test_per_queue_isolation(self):
         pool, xlt = self._setup()
         a = pool.alloc(100)
         b = pool.alloc(100)
+        pool.write_scattered(a, b"a" * 100)
+        pool.write_scattered(b, b"b" * 100)
         xlt.map_range(0, 0, a)
         xlt.map_range(1, 0, b)
-        assert xlt.resolve(0, 0)[0] == a[0]
-        assert xlt.resolve(1, 0)[0] == b[0]
+        assert xlt.read_virtual(0, 0, 100) == b"a" * 100
+        assert xlt.read_virtual(1, 0, 100) == b"b" * 100
 
     def test_window_wraparound(self):
         pool, xlt = self._setup()
-        handles = pool.alloc(512)
+        data = bytes(range(256)) + bytes(range(255, -1, -1))
+        handles = pool.alloc(len(data))
+        pool.write_scattered(handles, data)
         # Map at the last chunk of the window: wraps to chunk 0.
         last_chunk_offset = 16 * 1024 - 256
         xlt.map_range(0, last_chunk_offset, handles)
-        assert xlt.resolve(0, last_chunk_offset)[0] == handles[0]
-        assert xlt.resolve(0, 0)[0] == handles[1]
+        assert xlt.read_virtual(0, last_chunk_offset, 512) == data
+        assert xlt.read_virtual(0, 0, 256) == data[256:]
+        # A virtual address past the window end aliases its start.
+        assert xlt.read_virtual(0, 16 * 1024, 256) == data[256:]
 
     def test_unmap_returns_handles(self):
         pool, xlt = self._setup()

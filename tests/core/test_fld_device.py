@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core import AxisMetadata, FlexDriver, FldConfig, FldError, bar
+from repro.core import (
+    AxisMetadata,
+    FlexDriver,
+    FldConfig,
+    FldError,
+    RxError,
+    bar,
+)
 from repro.nic import CQE_RECV_COMPLETION, CQE_SEND_COMPLETION, Cqe
 from repro.nic.wqe import CQE_ERROR
 from repro.pcie import PcieError, PcieFabric
@@ -58,6 +65,12 @@ class TestBarHandling:
         _sim, fld = make_fld()
         fld.handle_write(bar.PI_REGION, b"\x00\x00\x00\x01")  # no raise
 
+    def test_out_of_range_buffer_write_rejected(self):
+        _sim, fld = make_fld(rx_buffer_bytes=64 * 1024)
+        with pytest.raises(RxError):
+            fld.handle_write(bar.rx_buffer_address(64 * 1024 - 4),
+                             b"too long")
+
     def test_unreadable_region_rejected(self):
         _sim, fld = make_fld()
         with pytest.raises(PcieError):
@@ -80,6 +93,51 @@ class TestSendPath:
         fld.bind_tx_queue(0, 5, entries=4, doorbell_addr=0, mmio_addr=0,
                           cq_index=0, credits=2)
         fld.tx.mmio_writer = lambda a, d: None
+        assert fld.try_send(b"a", AxisMetadata(queue_id=0))
+        assert fld.try_send(b"b", AxisMetadata(queue_id=0))
+        assert not fld.try_send(b"c", AxisMetadata(queue_id=0))
+        sim.run()
+        assert fld.stats_tx_packets == 2
+
+    def small_slot_pool(self, slots):
+        """An FLD with ``slots`` descriptor slots and 64 B chunks, whose
+        submits record the instant they land."""
+        sim, fld = make_fld(descriptor_pool_size=slots, chunk_size=64)
+        fld.bind_tx_queue(0, 5, entries=16, doorbell_addr=0, mmio_addr=0,
+                          cq_index=0)
+        fld.tx.mmio_writer = lambda a, d: None
+        landed = []
+        submit = fld.tx.submit
+
+        def recording(queue_id, data, meta, *rest):
+            landed.append(sim.now)
+            return submit(queue_id, data, meta, *rest)
+
+        fld.tx.submit = recording
+        return sim, fld, landed
+
+    def test_send_admission_counts_sends_not_chunks(self):
+        """Two 256 B sends (four chunks each) and four descriptor slots:
+        each send holds one slot, so neither waits for the other."""
+        sim, fld, landed = self.small_slot_pool(4)
+        done = []
+        for _ in range(2):
+            fld.send_then(bytes(256), AxisMetadata(queue_id=0),
+                          done.append, sim.now)
+        sim.run()
+        # 4 cycles of occupancy (256 B at 64 B a cycle) + 200 ns latency.
+        assert landed == [pytest.approx(216e-9)] * 2
+        assert fld.stats_tx_packets == 2
+
+    def test_try_send_admission_counts_sends_not_chunks(self):
+        sim, fld, landed = self.small_slot_pool(4)
+        assert fld.try_send(bytes(256), AxisMetadata(queue_id=0))
+        assert fld.try_send(bytes(256), AxisMetadata(queue_id=0))
+        sim.run()
+        assert fld.stats_tx_packets == 2
+
+    def test_try_send_refuses_past_the_free_slots(self):
+        sim, fld, _landed = self.small_slot_pool(2)
         assert fld.try_send(b"a", AxisMetadata(queue_id=0))
         assert fld.try_send(b"b", AxisMetadata(queue_id=0))
         assert not fld.try_send(b"c", AxisMetadata(queue_id=0))

@@ -66,9 +66,10 @@ def test_no_whole_frame_parse_or_checksum_chain_runs():
 
 
 def test_calls_per_echoed_frame():
-    """496.4 calls a frame here (524.4 before steering was one pass,
-    ``tests/nic/test_steering_cost.py``); 562.4 when the echo unit and
-    the load generator each parsed the frame again and the frame helpers
-    chained (``parse_frame``, ``size``, ``internet_checksum``/
-    ``_folded_sum``)."""
+    """458.4 calls a frame here (496.4 before FLD's per-packet
+    bookkeeping folded, ``tests/core/test_fld_cost.py``; 524.4 before
+    steering was one pass, ``tests/nic/test_steering_cost.py``); 562.4
+    when the echo unit and the load generator each parsed the frame
+    again and the frame helpers chained (``parse_frame``, ``size``,
+    ``internet_checksum``/``_folded_sum``)."""
     assert profiled_echo().total_calls / FRAMES <= 528

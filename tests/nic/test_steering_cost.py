@@ -41,7 +41,8 @@ def test_one_process_per_table_crossed(stats):
 
 
 def test_calls_per_echoed_frame(stats):
-    """496.4 calls a frame here; 524.4 when each table hop asked
+    """458.4 calls a frame here (496.4 before FLD's per-packet
+    bookkeeping folded into its stages); 524.4 when each table hop asked
     ``FlowTable.lookup`` → ``MatchSpec.matches``, each verdict ran
     ``Disposition.__init__``, and a crossing chained ``_apply_fdb`` →
     ``ingress_to_vport`` (``apply_at`` on transmit)."""

@@ -6,7 +6,7 @@ across arbitrary submit/complete interleavings, and MPRQ stride
 placement never overlaps.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import AxisMetadata, BufferPool, TxRingManager
 from repro.nic import CompletionQueue, MultiPacketReceiveQueue
@@ -66,7 +66,77 @@ class TestTxManagerConservation:
             wqe = TxWqe.unpack(raw)
             assert wqe.byte_count == len(data)
             virt = (wqe.buffer_addr - 0x1000_0000) & 0x7_FFFF
-            assert tx.handle_data_read(0, virt, len(data)) == data
+            assert tx.data_xlt.read_virtual(0, virt, len(data)) == data
+
+
+#: 256 B chunks: sizes one byte either side of a chunk boundary.
+STRADDLING = st.builds(lambda chunks, skew: chunks * 256 + skew,
+                       st.integers(1, 35), st.integers(-1, 1))
+
+
+class TestFldRoundTrip:
+    """Through the BAR: what the accelerator sends is what the NIC's
+    data read at the WQE's address returns, and cumulative completions
+    give every resource back."""
+
+    BAR_BASE = 0x1000_0000
+    QPN = 9
+
+    @given(sizes=st.lists(st.one_of(st.integers(1, 9000), STRADDLING),
+                          min_size=1, max_size=12),
+           at_window_end=st.booleans(),
+           cuts=st.lists(st.integers(0, 11), max_size=4),
+           split=st.integers(0, 9000))
+    @example(sizes=[257, 9000], at_window_end=True, cuts=[0], split=300)
+    @example(sizes=[256, 1, 513], at_window_end=False, cuts=[], split=0)
+    @settings(deadline=None)
+    def test_send_read_back_retire(self, sizes, at_window_end, cuts,
+                                   split):
+        """Each packet is read whole, and again as two reads split at a
+        drawn byte (the second starting inside a chunk, at the window
+        address the split lands on: the window is circular)."""
+        from repro.core import FlexDriver, bar
+        from repro.nic import CQE_SEND_COMPLETION, Cqe, TxWqe
+        from repro.pcie import PcieFabric
+        from repro.telemetry import audit_fld
+        sim = Simulator()
+        fld = FlexDriver(sim, PcieFabric(sim), bar_base=self.BAR_BASE)
+        fld.bind_tx_queue(0, self.QPN, entries=32, doorbell_addr=0,
+                          mmio_addr=0, cq_index=0)
+        wqes = []
+        fld.tx.mmio_writer = lambda _addr, wqe: wqes.append(wqe)
+        state = fld.tx.queue(0)
+        if at_window_end:
+            # The first packet's chunks wrap the virtual window's end.
+            state.data_cursor = state.window_chunks - 1
+        payloads = [bytes((i * 7 + j) & 0xFF for j in range(size))
+                    for i, size in enumerate(sizes)]
+        for data in payloads:
+            assert fld.try_send(data, AxisMetadata(queue_id=0))
+        sim.run()
+        assert len(wqes) == len(payloads)
+        for raw, data in zip(wqes, payloads):
+            wqe = TxWqe.unpack(raw)
+            assert wqe.byte_count == len(data)
+            offset = wqe.buffer_addr - self.BAR_BASE
+            assert bar.TX_DATA_REGION <= offset < bar.RX_BUFFER_REGION
+            assert fld.handle_read(offset, len(data)) == data
+            window = offset - (offset - bar.TX_DATA_REGION) % bar.TX_DATA_SPAN
+            cut = split % len(data)
+            rest = window + (offset - window + cut) % bar.TX_DATA_SPAN
+            assert fld.handle_read(offset, cut) \
+                + fld.handle_read(rest, len(data) - cut) == data
+        for counter in sorted(set(cuts)) + [len(payloads) - 1]:
+            if counter < len(payloads):
+                fld.handle_write(bar.cq_address(0), Cqe(
+                    CQE_SEND_COMPLETION, self.QPN, counter, 0).pack())
+        tx = fld.tx
+        assert tx.buffers.free_chunks == tx.buffers.num_chunks
+        assert tx.descriptors.free_slots == tx.descriptors.capacity
+        assert tx.descriptors.cuckoo_stats()["entries"] == 0
+        assert tx.data_xlt.cuckoo_stats()["entries"] == 0
+        assert state.stats_completed == len(payloads)
+        assert audit_fld(fld) == []
 
 
 class TestMprqPlacement:

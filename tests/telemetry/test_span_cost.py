@@ -69,7 +69,7 @@ def _called_from(caller, site):
 
 
 def test_watching_a_packet_costs_under_105_calls():
-    """496.4 calls a packet off, 591.6 traced here: 95.2 calls a packet
+    """458.4 calls a packet off, 553.5 traced here: 95.1 calls a packet
     to watch it.  It was 147.3 while every named ``Store`` and queue
     pushed a ``Gauge.set`` per level change, every finished trace called
     ``Histogram.observe`` per stage, a hand-off observed its zero wait
