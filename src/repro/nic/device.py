@@ -24,7 +24,7 @@ from functools import partial
 from typing import Dict, Optional, Tuple
 
 from ..net import Packet
-from ..net.parse import BTH, NO_LAYERS, parse_layout
+from ..net.parse import NO_LAYERS, parse_layout
 from ..pcie import PcieEndpoint, PcieError, PcieFabric, PcieLinkConfig
 from ..sim import Simulator, Store
 # The NIC BAR's internal layout lives with the other physical address
@@ -55,6 +55,7 @@ from .wqe import (
     CQE_ERROR,
     CQE_RECV_COMPLETION,
     CQE_SEND_COMPLETION,
+    CQE_SIZE,
     CQE_SYNDROME_LOCAL_LENGTH,
     RX_DESC,
     RX_DESC_SIZE,
@@ -89,27 +90,6 @@ class NicConfig:
     rx_desc_batch: int = 16          # rx descriptors prefetched per read
 
 
-class _RxItem:
-    """One unit of work for a receive-queue worker.  ``frame`` is the
-    steered frame's ``(data, layout)``, for the CQE's side band."""
-
-    __slots__ = ("data", "flags", "context_id", "qpn", "rss_hash",
-                 "trace_ctx", "enqueued", "started", "frame")
-
-    def __init__(self, data: bytes, flags: int, context_id: int, qpn: int,
-                 rss_hash: int = 0, trace_ctx=None, enqueued: float = 0.0,
-                 frame: Optional[tuple] = None):
-        self.data = data
-        self.flags = flags
-        self.context_id = context_id
-        self.qpn = qpn
-        self.rss_hash = rss_hash
-        self.trace_ctx = trace_ctx
-        self.enqueued = enqueued
-        self.started = 0.0   # service start, stamped by the rq worker
-        self.frame = frame
-
-
 class Nic(PcieEndpoint):
     """A NIC ASIC on the PCIe fabric."""
 
@@ -128,7 +108,6 @@ class Nic(PcieEndpoint):
                                  self.config.port_rate_bps,
                                  self.config.port_latency)
         self.eswitch = ESwitch(sim, self.port, self._deliver_disposition)
-        self.eswitch.pre_rx_hook = self._pre_rx_hook
         self.checksum = ChecksumOffload()
         self.lso = SegmentationOffload()
         self.shaper = Shaper(sim)
@@ -145,9 +124,8 @@ class Nic(PcieEndpoint):
         self.rqs: Dict[int, ReceiveQueue] = {}
         self.cqs: Dict[int, CompletionQueue] = {}
         self._qp_by_sqn: Dict[int, RcQp] = {}
-        self._rx_inbox: Dict[int, Store] = {}
-        # Flat per-queue workers, keyed like _rx_inbox / sqs so teardown
-        # can find them.
+        # Flat per-queue workers, keyed like rqs / sqs so teardown can
+        # find them.
         self._rx_flat: Dict[int, "_RqFlatWorker"] = {}
         self._tx_flat: Dict[int, "_SqFlatPipeline"] = {}
         # (rqn, index) -> the landed descriptor's (addr, bytes, lkey).
@@ -196,6 +174,8 @@ class Nic(PcieEndpoint):
         # QP transport failures surface as error CQEs on the QP's send
         # CQ — the §5.3 path the kernel driver's recovery hook watches.
         self.rdma.on_qp_error = self._rdma_qp_error
+        # RoCE frames (the eSwitch offers only those) skip guest steering.
+        self.eswitch.pre_rx_hook = self.rdma.on_ingress
         # The firmware command unit: object table + command executors.
         self.cmd = CommandUnit(self)
 
@@ -240,9 +220,9 @@ class Nic(PcieEndpoint):
     def _register_rq(self, rq: ReceiveQueue) -> None:
         self.rqs[rq.rqn] = rq
         self._next_rqn += 1
-        inbox = Store(self.sim, capacity=self.config.rx_inbox_depth,
-                      name=f"{self.name}.rq{rq.rqn}.inbox")
-        self._rx_inbox[rq.rqn] = inbox
+        inbox = rq.inbox = Store(self.sim,
+                                 capacity=self.config.rx_inbox_depth,
+                                 name=f"{self.name}.rq{rq.rqn}.inbox")
         self._rx_flat[rq.rqn] = _RqFlatWorker(self, rq, inbox)
 
     def create_rc_qp(self, ring_addr: int, entries: int,
@@ -301,9 +281,9 @@ class Nic(PcieEndpoint):
         rq.destroyed = True
         self.rqs.pop(rq.rqn, None)
         self._rx_flat.pop(rq.rqn, None)
-        inbox = self._rx_inbox.pop(rq.rqn, None)
-        if inbox is not None:
-            self._poison(inbox)
+        if rq.inbox is not None:
+            self._poison(rq.inbox)
+            rq.inbox = None     # later frames count as inbox drops
         for key in [k for k in self._cached_rx_desc if k[0] == rq.rqn]:
             del self._cached_rx_desc[key]
 
@@ -403,40 +383,32 @@ class Nic(PcieEndpoint):
         caller can resolve at data-ready time and defer the effect to
         the pipeline's completion instant.
         """
-        packet = Packet.frozen(data, parse_layout(data), {})
+        ctx = wqe.trace_ctx
+        meta = {"context_id": wqe.context_id & 0xFFFF}
+        if ctx is not None:
+            meta["trace_ctx"] = ctx
+        packet = Packet.frozen(data, parse_layout(data), meta)
         if wqe.flags & (WQE_FLAG_CSUM_L3 | WQE_FLAG_CSUM_L4):
             self.checksum.fill(packet, l3=bool(wqe.flags & WQE_FLAG_CSUM_L3),
                                l4=bool(wqe.flags & WQE_FLAG_CSUM_L4))
         if wqe.flags & WQE_FLAG_LSO and wqe.mss:
-            packets = self.lso.segment(packet, wqe.mss)
+            resolved = self.lso.segment(packet, wqe.mss)  # copies meta
         else:
-            packets = [packet]
+            resolved = [packet]     # each verdict takes its frame's place
         resume_id = wqe.context_id >> 16
-        ctx = wqe.trace_ctx
-        resolved = []
-        for packet in packets:
-            packet.meta["context_id"] = wqe.context_id & 0xFFFF
-            if ctx is not None:
-                packet.meta["trace_ctx"] = ctx
-            if resume_id and resume_id in self._resume_tables:
-                # FLD-E return path: resume steering mid-pipeline (§5.3).
-                table = self._resume_tables[resume_id]
-                resolved.append(
-                    (self.steering.process(packet, table), None))
-            else:
-                resolved.append(
-                    self.eswitch.egress_resolve(sq.vport, packet))
+        if resume_id in self._resume_tables:
+            # FLD-E return path: resume steering mid-pipeline (§5.3).
+            table = self._resume_tables[resume_id]
+            for i, packet in enumerate(resolved):
+                resolved[i] = (self.steering.process(packet, table), None)
+        else:
+            for i, packet in enumerate(resolved):
+                resolved[i] = self.eswitch.egress_resolve(sq.vport, packet)
         return resolved
 
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-
-    def _pre_rx_hook(self, vport: VPort, packet: Packet) -> bool:
-        """Transport interception: RoCE frames bypass guest steering."""
-        if (packet.layout or packet.fields())[BTH] is not None:
-            return self.rdma.on_ingress(packet)
-        return False
 
     def _deliver_disposition(self, vport: Optional[VPort],
                              disposition: Disposition) -> None:
@@ -454,15 +426,14 @@ class Nic(PcieEndpoint):
         if disposition.kind == Disposition.ACCELERATOR and disposition.next_table:
             resume_id = self._resume_id_for(disposition.next_table)
             context |= resume_id << 16
-        raw, layout = packet.raw, packet.layout
-        item = _RxItem(raw, flags, context, rq.rqn,
-                       packet.meta.get("rss_hash", 0),
-                       trace_ctx=packet.meta.get("trace_ctx"),
-                       enqueued=self.sim._now,
-                       # A header-less payload's layout is no parse of raw.
-                       frame=None if layout is NO_LAYERS else (raw, layout))
-        inbox = self._rx_inbox.get(rq.rqn)
-        if inbox is None or not inbox.try_put(item):
+        raw, layout, meta = packet.raw, packet.layout, packet.meta
+        inbox = rq.inbox
+        # An rx record (see _RqFlatWorker); a header-less payload's
+        # layout is no parse of raw, so it rides no frame.
+        if inbox is None or not inbox.try_put([
+                raw, flags, context, rq.rqn, meta.get("rss_hash", 0),
+                meta.get("trace_ctx"), self.sim._now,
+                None if layout is NO_LAYERS else (raw, layout), 0.0]):
             self.stats_rx_dropped_inbox += 1
 
     def _resume_id_for(self, table_name: str) -> int:
@@ -483,11 +454,10 @@ class Nic(PcieEndpoint):
         # The deliver callback's signature is frozen (tests construct
         # plain 6-arg callables), so the engine exposes the delivered
         # segment's trace context as a transient attribute instead.
-        item = _RxItem(payload, flags, context, qp.qpn,
-                       trace_ctx=self.rdma.inbound_trace_ctx,
-                       enqueued=self.sim._now)
-        inbox = self._rx_inbox.get(qp.rq.rqn)
-        if inbox is None or not inbox.try_put(item):
+        inbox = qp.rq.inbox
+        if inbox is None or not inbox.try_put([
+                payload, flags, context, qp.qpn, 0,
+                self.rdma.inbound_trace_ctx, self.sim._now, None, 0.0]):
             self.stats_rx_dropped_inbox += 1
 
     def _rdma_qp_error(self, qp: RcQp, syndrome: int) -> None:
@@ -510,6 +480,10 @@ class Nic(PcieEndpoint):
         """Write one packed CQE; ``ctx`` and ``frame`` (the received
         frame's ``(bytes, layout)``) ride the write side band."""
         self.stats_cqes += 1
+        pi = cq.pi      # the CQ's next slot
+        cq.pi = pi + 1
+        cq.stats_cqes += 1
+        address = cq.ring_addr + (pi % cq.entries) * CQE_SIZE
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
@@ -519,9 +493,9 @@ class Nic(PcieEndpoint):
             # The consumer folds the write's delivery into its own
             # per-packet event (see CompletionQueue.fused_rx).
             fused(self.fabric.post_write_deferred(
-                self, cq.next_slot(), cqe, ctx, "pcie.cqe_write", frame))
+                self, address, cqe, ctx, "pcie.cqe_write", frame))
             return
-        self.fabric.post_write(self, cq.next_slot(), cqe, trace_ctx=ctx,
+        self.fabric.post_write(self, address, cqe, trace_ctx=ctx,
                                trace_stage="pcie.cqe_write",
                                on_done=partial(cq.notify.try_put,
                                                (cqe, ctx, frame)))
@@ -537,11 +511,16 @@ class Nic(PcieEndpoint):
         target a fused-rx CQ.
         """
         self.stats_cqes += 1
+        pi = cq.pi
+        cq.pi = pi + 1
+        cq.stats_cqes += 1
         tracer = self._tracer
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
                            f"cqe:{cqe[0]}", when)
-        self.fabric.post_write_at(self, cq.next_slot(), cqe, when, ctx,
+        self.fabric.post_write_at(self, cq.ring_addr
+                                  + (pi % cq.entries) * CQE_SIZE,
+                                  cqe, when, ctx,
                                   "pcie.cqe_write",
                                   on_done=partial(cq.notify.try_put,
                                                   (cqe, ctx, None)))
@@ -574,12 +553,20 @@ class _RqFlatWorker:
     * the data write's CQE chained through the fabric's ``on_done``
       callback (PCIe posted-write ordering), while the worker moves on.
 
-    A sampled packet's trace context rides its :class:`_RxItem`: the
-    queue wait and the service interval are recorded as ``nic.rx``
-    spans, and the context is handed on to the data write and the CQE.
+    An inbox item is a list record (built with no ``__init__`` frame)::
+
+        [data, flags, context_id, qpn, rss_hash, trace_ctx, enqueued,
+         frame, started]
+
+    ``frame`` is the steered frame's ``(data, layout)`` for the CQE's
+    side band, ``started`` the service start :meth:`_begin` stamps.  A
+    sampled packet's trace context rides the record: the queue wait and
+    the service interval are recorded as ``nic.rx`` spans, and the
+    context is handed on to the data write and the CQE.
     """
 
-    __slots__ = ("nic", "rq", "inbox", "profile_tag", "_mprq", "_pend")
+    __slots__ = ("nic", "rq", "inbox", "profile_tag", "_mprq_bytes",
+                 "_stride", "_pend")
 
     def __init__(self, nic: Nic, rq: ReceiveQueue, inbox: Store):
         self.nic = nic
@@ -587,15 +574,19 @@ class _RqFlatWorker:
         self.inbox = inbox
         # Events this worker schedules attribute to this stage.
         self.profile_tag = f"{nic.name}.rq{rq.rqn}"
-        self._mprq = isinstance(rq, MultiPacketReceiveQueue)
+        # An MPRQ's buffer (0 for a plain RQ): the longest frame it
+        # places, ``stride_index`` strides into the buffer.
+        mprq = isinstance(rq, MultiPacketReceiveQueue)
+        self._mprq_bytes = rq.buffer_size if mprq else 0
+        self._stride = rq.stride_size if mprq else 0
         self._pend = None
         # Arm via a zero-delay step: the worker must not observe traffic
         # (or unit tests poking handle_write) before the simulation runs.
         nic.sim.schedule(0.0, self._next)
 
     def _next(self) -> None:
-        """Pull the next inbox item, or park :meth:`_begin` for it when
-        the inbox is empty — the flat form of the loop head."""
+        """Pull the next inbox item, or park :meth:`_begin` for it: the
+        loop head after a drop (:meth:`_complete` runs its own)."""
         item = self.inbox.pop_or_park(self._begin)
         if item is not None:
             self._begin(item)
@@ -604,34 +595,40 @@ class _RqFlatWorker:
         if item is _POISON or self.rq.destroyed:
             return
         nic = self.nic
-        started = item.started = nic.sim._now
-        ctx = item.trace_ctx
+        started = item[8] = nic.sim._now
+        ctx = item[5]
         if ctx is not None:
-            nic._spans.record(ctx, "nic.rx", item.enqueued, started,
-                              kind="queue")
+            nic._spans.record(ctx, "nic.rx", item[6], started, kind="queue")
         nic.sim.call_later(nic.config.processing_delay, self._service, item)
 
-    def _service(self, item: _RxItem) -> None:
-        """The post-delay body: place the packet, fetch its descriptor
-        (from cache or DMA), DMA the data and chain the CQE."""
+    def _service(self, item) -> None:
+        """The post-delay body: place the packet and fetch its
+        descriptor (from cache or DMA) for :meth:`_complete`."""
         nic = self.nic
         rq = self.rq
-        if self._mprq:
-            placement = rq.place(len(item.data))
+        if self._mprq_bytes:
+            length = len(item[0])
+            if length > self._mprq_bytes:
+                # Longer than a whole buffer: no stride and no
+                # descriptor are taken, so there is no CQE to write.
+                nic.stats_rx_dropped_oversize += 1
+                self._next()
+                return
+            placement = rq.place(length)
             if placement is None:
                 nic.stats_rx_dropped_no_desc += 1
                 self._next()
                 return
-            key = (rq.rqn, placement["desc_index"] % rq.entries)
-            if (placement["stride_index"] == 0
-                    or key not in nic._cached_rx_desc):
-                self._pend = (item, key, placement)
-                nic.fabric.read(
-                    nic, rq.slot_addr(placement["desc_index"]),
-                    RX_DESC_SIZE, on_done=self._mprq_desc_ready,
-                )
+            index = placement["desc_index"]
+            stride = placement["stride_index"]
+            key = (rq.rqn, index % rq.entries)
+            cached = nic._cached_rx_desc
+            if stride and key in cached:
+                self._complete(item, cached[key], index, stride)
                 return
-            self._mprq_finish(item, nic._cached_rx_desc[key], placement)
+            self._pend = (item, key, index, stride)
+            nic.fabric.read(nic, rq.slot_addr(index), RX_DESC_SIZE,
+                            on_done=self._mprq_desc_ready)
             return
         index = rq.ci
         if index == rq.pi:      # no descriptor posted
@@ -652,66 +649,67 @@ class _RqFlatWorker:
                 on_done=self._plain_desc_ready,
             )
             return
-        self._plain_finish(item, index, desc)
+        self._complete(item, desc, index, 0)
 
     def _mprq_desc_ready(self, raw) -> None:
-        item, key, placement = self._pend
+        item, key, index, stride = self._pend
         self._pend = None
-        desc = RX_DESC.unpack_from(raw)
-        self.nic._cached_rx_desc[key] = desc
-        self._mprq_finish(item, desc, placement)
-
-    def _mprq_finish(self, item, desc, placement) -> None:
-        address = desc[0] + placement["stride_index"] * self.rq.stride_size
-        self._complete(item, address, placement["desc_index"],
-                       placement["stride_index"])
+        desc = self.nic._cached_rx_desc[key] = RX_DESC.unpack_from(raw)
+        self._complete(item, desc, index, stride)
 
     def _plain_desc_ready(self, raw) -> None:
         item, index, burst = self._pend
         self._pend = None
-        nic = self.nic
+        cached = self.nic._cached_rx_desc
         rqn = self.rq.rqn
         for i, desc in enumerate(RX_DESC.iter_unpack(raw), index):
-            nic._cached_rx_desc[(rqn, i)] = desc
-        self._plain_finish(item, index,
-                           nic._cached_rx_desc.pop((rqn, index)))
+            cached[(rqn, i)] = desc
+        self._complete(item, cached.pop((rqn, index)), index, 0)
 
-    def _plain_finish(self, item, index, desc) -> None:
-        buffer_addr, buffer_bytes, _lkey = desc
-        if len(item.data) > buffer_bytes:
-            # A local length error: no data write, and the descriptor
-            # completes in error so that software reposts its buffer.
-            nic = self.nic
-            nic.stats_rx_dropped_oversize += 1
-            nic._post_cqe(self.rq.cq, CQE.pack(
-                CQE_ERROR, 0, index & 0xFFFF, item.qpn, len(item.data), 0,
-                0, 0, 1, CQE_SYNDROME_LOCAL_LENGTH), item.trace_ctx)
-            self._next()
-            return
-        self._complete(item, buffer_addr, index, 0)
-
-    def _complete(self, item, address, wqe_counter, stride_index) -> None:
+    def _complete(self, item, desc, index: int, stride_index: int) -> None:
+        """Write ``item`` ``stride_index`` strides into the buffer of
+        descriptor ``desc`` (ring ``index``), chain its CQE on the write
+        and take the next inbox item.  A frame longer than the buffer is
+        a local length error: the buffer takes its first bytes and the
+        CQE, chained the same way so it cannot overtake an earlier
+        frame's, completes the descriptor in error for software to
+        repost.  (An MPRQ placement always fits.)"""
         nic = self.nic
-        nic.stats_rx_packets += 1
-        nic.stats_rx_bytes += len(item.data)
-        cqe = CQE.pack(CQE_RECV_COMPLETION, item.flags, wqe_counter & 0xFFFF,
-                       item.qpn, len(item.data), item.rss_hash & 0xFFFFFFFF,
-                       item.context_id, stride_index, 1, 0)
-        ctx = item.trace_ctx
-        if ctx is not None:
-            nic._spans.record(ctx, "nic.rx", item.started, nic.sim._now)
-        # The CQE is ordered after the data write (PCIe posted-write
-        # ordering); on_done fires at the write's delivery instant.
-        nic.fabric.post_write(nic, address, item.data, trace_ctx=ctx,
-                              trace_stage="pcie.dma_write",
-                              on_done=partial(nic._post_cqe, self.rq.cq, cqe,
-                                              ctx, item.frame))
-        tracer = nic._tracer
-        if tracer.enabled:
-            tracer.complete(f"nic.{nic.name}", f"rq{self.rq.rqn}",
-                            "rx_packet", item.started, nic.sim._now,
-                            {"bytes": len(item.data)})
-        self._next()
+        rq = self.rq
+        data, flags, context, qpn, rss_hash, ctx, _enq, frame, started = item
+        length = len(data)
+        address, buffer_bytes, _lkey = desc
+        if length > buffer_bytes:
+            nic.stats_rx_dropped_oversize += 1
+            nic.fabric.post_write(
+                nic, address, data[:buffer_bytes], trace_ctx=ctx,
+                trace_stage="pcie.dma_write",
+                on_done=partial(nic._post_cqe, rq.cq, CQE.pack(
+                    CQE_ERROR, 0, index & 0xFFFF, qpn, length, 0, 0, 0, 1,
+                    CQE_SYNDROME_LOCAL_LENGTH), ctx))
+        else:
+            nic.stats_rx_packets += 1
+            nic.stats_rx_bytes += length
+            cqe = CQE.pack(CQE_RECV_COMPLETION, flags, index & 0xFFFF, qpn,
+                           length, rss_hash & 0xFFFFFFFF, context,
+                           stride_index, 1, 0)
+            if ctx is not None:
+                nic._spans.record(ctx, "nic.rx", started, nic.sim._now)
+            # The CQE is ordered after the data write (PCIe posted-write
+            # ordering); on_done fires at the write's delivery instant.
+            nic.fabric.post_write(nic, address + stride_index * self._stride,
+                                  data, trace_ctx=ctx,
+                                  trace_stage="pcie.dma_write",
+                                  on_done=partial(nic._post_cqe, rq.cq, cqe,
+                                                  ctx, frame))
+            tracer = nic._tracer
+            if tracer.enabled:
+                tracer.complete(f"nic.{nic.name}", f"rq{rq.rqn}",
+                                "rx_packet", started, nic.sim._now,
+                                {"bytes": length})
+        item = self.inbox.pop_or_park(self._begin)
+        if item is not None:
+            self._begin(item)
 
 
 class _SqFlatPipeline:
@@ -794,17 +792,40 @@ class _SqFlatPipeline:
                 return
             rung = self.sq.doorbell.pop_or_park(self._on_doorbell)
 
-    def _drain(self) -> bool:
-        """Push WQEs up to the rung PI; False when paused on a wait."""
+    def _drain(self, fetched: Optional[bytes] = None) -> bool:
+        """Queue WQEs up to the rung PI on the window, launching each
+        one's data DMA; False when paused on a ring fetch or a full
+        window.  ``fetched`` is a landed ring fetch, whose first WQE's
+        index (``sq.ci``) was taken when the fetch was issued."""
         nic = self.nic
         sq = self.sq
         batch = self._wqe_batch
-        while sq.ci < sq.pi:
+        wqe = None
+        if fetched is not None:
+            index, burst, fetch_started = self._fetch_pend
+            self._fetch_pend = None
+            nic._wqes_fetched(sq, batch, index, burst, fetched, fetch_started)
+            wqe = batch.pop(index)
+        while True:
+            if wqe is not None:
+                # [index, wqe, data (None until the DMA read lands),
+                #  enqueued]
+                item = [index, wqe, None, nic.sim._now]
+                if wqe.byte_count > 0:
+                    nic.fabric.read(nic, wqe.buffer_addr, wqe.byte_count,
+                                    trace_ctx=wqe.trace_ctx,
+                                    trace_stage="pcie.dma_read",
+                                    on_done=partial(self._data_landed, item))
+                else:
+                    item[2] = b""
+                if not self.window.put_or_park(item, self._put_admitted):
+                    return False
             index = sq.ci
+            if index >= sq.pi:
+                return True
             sq.ci = index + 1
-            wqe = sq.mmio_wqes.pop(index & 0xFFFF, None)
-            if wqe is None:
-                wqe = batch.pop(index, None)
+            wqe = (sq.mmio_wqes.pop(index & 0xFFFF, None)
+                   or batch.pop(index, None))
             if wqe is None:
                 # Fetch a contiguous batch (bounded by the ring edge).
                 slot = index % sq.entries
@@ -816,33 +837,10 @@ class _SqFlatPipeline:
                     on_done=self._wqes_ready,
                 )
                 return False
-            if not self._push(index, wqe):
-                return False
-        return True
 
     def _wqes_ready(self, raw) -> None:
-        index, burst, fetch_started = self._fetch_pend
-        self._fetch_pend = None
-        batch = self._wqe_batch
-        self.nic._wqes_fetched(self.sq, batch, index, burst, raw,
-                               fetch_started)
-        if self._push(index, batch.pop(index)) and self._drain():
+        if self._drain(raw):
             self._fetch_idle()
-
-    def _push(self, index: int, wqe: TxWqeRecord) -> bool:
-        """Launch the data DMA and queue the WQE on the window; False
-        when the window is full (its admission resumes the drain)."""
-        nic = self.nic
-        # [index, wqe, data (None until the DMA read lands), enqueued]
-        item = [index, wqe, None, nic.sim._now]
-        if wqe.byte_count > 0:
-            nic.fabric.read(nic, wqe.buffer_addr, wqe.byte_count,
-                            trace_ctx=wqe.trace_ctx,
-                            trace_stage="pcie.dma_read",
-                            on_done=partial(self._data_landed, item))
-        else:
-            item[2] = b""
-        return self.window.put_or_park(item, self._put_admitted)
 
     def _put_admitted(self, _item) -> None:
         if self._drain():
@@ -856,12 +854,15 @@ class _SqFlatPipeline:
         window = self.window
         sim = self.nic.sim
         while True:
-            held = bool(window._items) and self.stage_free > sim._now
-            if held:
+            if window._items and self.stage_free > sim._now:
                 window.hold_slot(self.stage_free)
             item = window.pop_or_park(self._handover)
-            if (item is None or item is _POISON
-                    or not self._tx_begin(item)):
+            if item is None or item is _POISON:
+                return
+            if item[2] is None:
+                self._tx_pend = item    # _data_landed resumes the stage
+                return
+            if not self._tx_send(*item):
                 return
 
     def _handover(self, item) -> None:
@@ -870,15 +871,12 @@ class _SqFlatPipeline:
         # (occupying its slot) until then.
         if self.nic.sim._now < self.stage_free:
             self.window.hold_slot(self.stage_free)
-        if item is not _POISON and self._tx_begin(item):
+        if item is _POISON:
+            return
+        if item[2] is None:
+            self._tx_pend = item        # _data_landed resumes the stage
+        elif self._tx_send(*item):
             self._pull()
-
-    def _tx_begin(self, item) -> bool:
-        index, wqe, data, enqueued = item
-        if data is None:
-            self._tx_pend = item    # _data_landed resumes the stage
-            return False
-        return self._tx_send(index, wqe, data, enqueued)
 
     def _data_landed(self, item, data) -> None:
         """A WQE's data DMA read completed: fill its window item."""

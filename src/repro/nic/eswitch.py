@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from ..net import Packet
+from ..net.parse import BTH
 from ..sim import Link, Simulator
 from .steering import (
     Disposition, ForwardToUplink, SteeringError, SteeringPipeline,
@@ -119,10 +120,10 @@ class ESwitch:
         self.port = port
         self.port.on_receive = self.ingress_from_wire
         self._deliver = deliver
-        # Optional transport interception run before a vPort's guest
-        # pipeline (the device uses it to catch RoCE frames); returns
-        # True when the packet was consumed.
-        self.pre_rx_hook = None
+        # Optional RoCE interception (the device's RC transport): each
+        # frame with a BTH, before a vPort's guest pipeline; True when
+        # it consumed the frame.
+        self.pre_rx_hook: Optional[Callable[[Packet], bool]] = None
         self.pipeline = SteeringPipeline()
         # Default FDB behaviour: send everything out the wire.
         self.pipeline.table(self.FDB_ROOT, default_actions=[ForwardToUplink()])
@@ -156,7 +157,8 @@ class ESwitch:
                 from_vport: Optional[VPort] = None) -> None:
         """Carry one frame across the switch in one pass: the FDB's
         verdict, then each vPort receive table it forwards into (at most
-        ``MAX_HOPS``, each vPort offering the frame to ``pre_rx_hook``).
+        ``MAX_HOPS``, each vPort offering a RoCE frame to
+        ``pre_rx_hook``).
 
         No ``disposition``: ``packet`` is off the wire and runs the FDB
         here, a miss dropped (split horizon, no hairpin).  Otherwise it
@@ -180,7 +182,9 @@ class ESwitch:
             vport.stats_rx += 1
             packet = disposition.packet
             hook = self.pre_rx_hook
-            if hook is not None and hook(vport, packet):
+            if (hook is not None
+                    and (packet.layout or packet.fields())[BTH] is not None
+                    and hook(packet)):
                 return
             disposition = self.pipeline.process(packet, vport.rx_root)
         kind = disposition.kind

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..sim import Simulator, Store
-from .wqe import CQE_SIZE, RX_DESC_SIZE, TxWqeRecord, WQE_SIZE
+from .wqe import RX_DESC_SIZE, TxWqeRecord, WQE_SIZE
 
 
 class QueueError(RuntimeError):
@@ -40,7 +40,7 @@ class CompletionQueue:
         self.cqn = cqn
         self.ring_addr = ring_addr
         self.entries = _power_of_two(entries, "CQ entries")
-        self.pi = 0
+        self.pi = 0     # advanced by the NIC as it writes each CQE
         self.notify = Store(sim, name=f"cq{cqn}.notify")
         self.stats_cqes = 0
         # A consumer-installed fast path: when set, the NIC hands each
@@ -48,13 +48,6 @@ class CompletionQueue:
         # of through the notify store, letting the consumer fuse PCIe
         # delivery with its own processing delay in one event.
         self.fused_rx = None
-
-    def next_slot(self) -> int:
-        """Fabric address of the slot for the next CQE, advancing the PI."""
-        address = self.ring_addr + (self.pi % self.entries) * CQE_SIZE
-        self.pi += 1
-        self.stats_cqes += 1
-        return address
 
 
 class SendQueue:
@@ -151,6 +144,9 @@ class ReceiveQueue:
         self.ci = 0
         #: Set by DESTROY_RQ; posts are rejected and the worker exits.
         self.destroyed = False
+        #: The NIC worker's inbox: set when the NIC registers the queue,
+        #: None again once it is destroyed.
+        self.inbox = None
         self.stats_packets = 0
         self.stats_drops_no_desc = 0
         # The ``rq<N>.posted`` gauge: descriptors available at the last
@@ -204,16 +200,13 @@ class MultiPacketReceiveQueue(ReceiveQueue):
     def buffer_size(self) -> int:
         return self.strides_per_buffer * self.stride_size
 
-    def strides_for(self, length: int) -> int:
-        return max(1, -(-length // self.stride_size))
-
     def place(self, length: int) -> Optional[dict]:
         """Allocate strides for a packet of ``length`` bytes.
 
         Returns placement info (descriptor index, stride index, whether the
         buffer was closed) or ``None`` when no descriptor is available.
         """
-        needed = self.strides_for(length)
+        needed = -(-length // self.stride_size) or 1
         if needed > self.strides_per_buffer:
             raise QueueError(
                 f"packet of {length} B exceeds MPRQ buffer {self.buffer_size} B"

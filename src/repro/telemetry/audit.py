@@ -121,11 +121,11 @@ def audit_nic(nic, retransmit_ratio: float = 0.1,
               retransmit_floor: int = 20) -> List[Violation]:
     """NIC queue residue and RDMA retransmit-storm checks."""
     violations: List[Violation] = []
-    for rqn, inbox in getattr(nic, "_rx_inbox", {}).items():
-        if len(inbox) > 0:
+    for rqn, rq in getattr(nic, "rqs", {}).items():
+        if len(rq.inbox) > 0:
             violations.append(Violation(
                 "queue-residue", f"{nic.name}.rq{rqn}",
-                f"{len(inbox)} items still queued at quiesce"))
+                f"{len(rq.inbox)} items still queued at quiesce"))
     rdma = getattr(nic, "rdma", None)
     if rdma is not None:
         sent = rdma.stats_segments_sent

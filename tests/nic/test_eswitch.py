@@ -3,6 +3,9 @@
 import pytest
 
 from repro.net import Flow, Packet
+from repro.net.parse import BTH, parse_frame
+from repro.net.roce import OP_SEND_ONLY, Bth
+from repro.net.udp import ROCE_V2_PORT
 from repro.nic import (
     Disposition,
     ESwitch,
@@ -49,6 +52,15 @@ class TestEthernetPort:
         sim.run()
         wire_time = frame().wire_size() * 8 / 1e9
         assert times[1] - times[0] == pytest.approx(wire_time)
+
+
+def roce_frame(dst_mac="02:00:00:00:00:02"):
+    """A RoCE v2 SEND: a BTH behind UDP port 4791."""
+    flow = Flow("02:00:00:00:00:01", dst_mac, "10.0.0.1", "10.0.0.2",
+                49152, ROCE_V2_PORT)
+    packet = flow.make_packet(Bth(OP_SEND_ONLY, dest_qp=5, psn=0).pack()
+                              + bytes(64), fill_checksums=False)
+    return parse_frame(packet.to_bytes())
 
 
 def build_eswitch(sim):
@@ -120,15 +132,39 @@ class TestESwitch:
         assert len(received) == 1
         assert eswitch.stats_to_uplink == 1
 
-    def test_pre_rx_hook_consumes(self):
-        sim = Simulator()
+    def _delivering_vport(self, sim):
+        """An eSwitch whose vPort 1 takes every frame off the wire and
+        delivers it to a queue."""
         eswitch, _port, delivered = build_eswitch(sim)
-        eswitch.add_vport(1)
+        vport = eswitch.add_vport(1)
         eswitch.pipeline.table(ESwitch.FDB_ROOT).add_rule(
             MatchSpec(), [ForwardToVport(1)], priority=1)
-        eswitch.pre_rx_hook = lambda vport, packet: True
-        eswitch.ingress_from_wire(frame())
+        eswitch.pipeline.table(vport.rx_root).default_actions = [
+            ForwardToQueue(object())]
+        return eswitch, delivered
+
+    def test_pre_rx_hook_consumes(self):
+        sim = Simulator()
+        eswitch, delivered = self._delivering_vport(sim)
+        offered = []
+        eswitch.pre_rx_hook = lambda packet: offered.append(packet) or True
+        assert roce_frame().layout[BTH] is not None
+        eswitch.ingress_from_wire(roce_frame())
+        assert len(offered) == 1
         assert delivered == []  # the hook ate it
+        # Declined, the same frame goes on to the vPort's queue.
+        eswitch.pre_rx_hook = lambda packet: False
+        eswitch.ingress_from_wire(roce_frame())
+        assert len(delivered) == 1
+
+    def test_pre_rx_hook_never_sees_a_plain_frame(self):
+        sim = Simulator()
+        eswitch, delivered = self._delivering_vport(sim)
+        offered = []
+        eswitch.pre_rx_hook = lambda packet: offered.append(packet) or True
+        eswitch.ingress_from_wire(frame())
+        assert offered == []
+        assert len(delivered) == 1
 
     def test_guest_tx_table(self):
         """A vPort's egress pipeline can override the FDB."""

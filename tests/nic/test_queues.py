@@ -12,6 +12,7 @@ from repro.nic import (
     SendQueue,
 )
 from repro.sim import Simulator
+from repro.testbed import make_local_node
 
 
 def sim_and_cq():
@@ -20,14 +21,25 @@ def sim_and_cq():
 
 
 class TestCompletionQueue:
-    def test_slots_advance_and_wrap(self):
-        sim, cq = sim_and_cq()
-        first = cq.next_slot()
-        second = cq.next_slot()
-        assert second == first + 64
-        for _ in range(254):
-            cq.next_slot()
-        assert cq.next_slot() == first  # wrapped around the ring
+    def test_the_nic_advances_and_wraps_the_slots(self):
+        """Receive (``_post_cqe``) and send (``_post_cqe_at``) CQEs take
+        the CQ's slots in turn, wrapping at the ring's end."""
+        sim = Simulator()
+        nic = make_local_node(sim).nic
+        cq = nic.create_cq(0x1000, 256)
+        slots = []
+        nic.fabric.post_write = (
+            lambda _src, address, *args, **kwargs: slots.append(address))
+        nic.fabric.post_write_at = (
+            lambda _src, address, *args, **kwargs: slots.append(address))
+        for i in range(257):
+            if i % 2:
+                nic._post_cqe_at(cq, bytes(64), None, 0.0)
+            else:
+                nic._post_cqe(cq, bytes(64), None)
+        assert slots[:3] == [0x1000, 0x1040, 0x1080]
+        assert slots[256] == 0x1000  # wrapped around the ring
+        assert cq.pi == cq.stats_cqes == 257
 
     def test_entries_must_be_power_of_two(self):
         sim = Simulator()

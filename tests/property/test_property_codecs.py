@@ -36,7 +36,6 @@ from repro.nic import (
     WQE_FLAG_SIGNALED,
     WQE_SIZE,
 )
-from repro.nic.device import _RxItem
 from repro.nic.wqe import (
     CQE,
     CQE_ERROR,
@@ -355,8 +354,12 @@ class TestDatapathPacksLikeTheCodecs:
         posted = []
         nic.fabric.post_write = (
             lambda *args, on_done=None, **kwargs: posted.append(on_done))
-        item = _RxItem(bytes(length), flags, tag, qpn, rss)
-        nic._rx_flat[qp.rq.rqn]._complete(item, 0, counter, stride)
+        # The rx record as the device's deliver callbacks build it:
+        # [data, flags, context_id, qpn, rss_hash, trace_ctx, enqueued,
+        #  frame, started], landed in a buffer that holds it.
+        item = [bytes(length), flags, tag, qpn, rss, None, 0.0, None, 0.0]
+        nic._rx_flat[qp.rq.rqn]._complete(item, (0, length, 0), counter,
+                                          stride)
         [on_done] = posted
         assert on_done.args[1] == Cqe(
             CQE_RECV_COMPLETION, qpn, counter, length, flags=flags,

@@ -182,7 +182,7 @@ class TestMprqPlacement:
             if rq.place(size) is None:
                 break
         if rq.stats_buffers_closed:
-            max_strides = max(rq.strides_for(s) for s in sizes)
+            max_strides = max(-(-s // rq.stride_size) for s in sizes)
             waste_per_buffer = (rq.stats_wasted_strides
                                 / rq.stats_buffers_closed)
             assert waste_per_buffer < max_strides

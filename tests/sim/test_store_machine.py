@@ -166,7 +166,7 @@ class StoreMachine(RuleBasedStateMachine):
     def worker_put_again(self):
         """A producer that puts its next item from the callback that
         admits this one, as a send queue's fetch stage does
-        (``_put_admitted`` → ``_drain`` → ``_push``).  Admitted by a
+        (``_put_admitted`` → ``_drain``).  Admitted by a
         hold-expiry wake, its second put parks against the next hold
         and arms that wake from inside ``_expire_holds`` — the one path
         on which a store could arm two wakes for one deadline."""

@@ -86,7 +86,8 @@ class TestFldAudit:
 def _fake_nic(residue=0, sent=1000, retx=0):
     rdma = SimpleNamespace(stats_segments_sent=sent, stats_retransmits=retx)
     return SimpleNamespace(name="nic", rdma=rdma,
-                           _rx_inbox={0: [object()] * residue})
+                           rqs={0: SimpleNamespace(
+                               inbox=[object()] * residue)})
 
 
 class TestNicAudit:
