@@ -32,6 +32,10 @@ FLD_BAR_SIZE = 0x100_0000  # 16 MiB of address space (not of SRAM!)
 TX_RING_SPAN = 0x1_0000   # 64 KiB: up to 1024 WQEs of 64 B
 TX_DATA_SPAN = 0x8_0000   # 512 KiB virtual data window per queue
 
+#: Transmit queues one FLD can bind: the data windows that fit in the
+#: TX data region (the ring region and the tx CQ indices hold more).
+MAX_TX_QUEUES = (RX_BUFFER_REGION - TX_DATA_REGION) // TX_DATA_SPAN
+
 # CQ sub-layout: tx CQ ring first, rx CQ ring after.
 CQ_SPAN = 0x1_0000
 

@@ -1,7 +1,7 @@
 """Match-action programs in the FLD datapath (repro.prog, ISSUE 6).
 
 Four example programs run against declarative testbeds, exercising the
-whole stack: verifier + loader through the firmware command channel,
+whole stack: verifier + loader through the firmware command unit,
 rx-hook interpretation ahead of the accelerator, and (for the load
 balancer) redirect re-injection through the eswitch:
 
@@ -127,7 +127,7 @@ def build(sim, cal: Calibration, scenario: str = "firewall"):
 
     The program and its maps are created, populated and attached (and,
     by :func:`drive`, detached and destroyed) strictly through the
-    firmware command channel — the lifecycle a real driver would drive.
+    firmware command unit — the lifecycle a real driver would drive.
     """
     program, map_specs = _scenario_program(scenario)
     testbed = build_topology(sim, prog_spec(scenario), cal=cal)

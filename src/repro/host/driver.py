@@ -31,13 +31,11 @@ from ..nic import (
     WQE_MMIO_STRIDE,
     WQE_SIZE,
 )
-from ..nic import CommandChannel
 from ..nic.device import DOORBELL_STRIDE, _POISON
 from ..nic.queues import ReceiveQueue
 from ..nic.wqe import CQE, CQE_ERROR, RX_DESC, TX_WQE, CqeRecord
 from ..pcie import POSTED
 from ..sim import Event, PollWait, Pump, Simulator, Store
-from ..topology.addrmap import CMD_MAILBOX_OFFSET, NIC_CMD_DOORBELL
 from .cpu import CpuCore, HostCpuPort
 from .memory import BumpAllocator, HostMemory
 
@@ -124,7 +122,7 @@ class EthQueuePair:
         return addr
 
     def close(self) -> None:
-        """Destroy the queue pair through the command channel.
+        """Destroy the queue pair through the command unit.
 
         Releases the NIC objects (default route, RQ, SQ, both CQs) and
         returns every host ring and buffer to the driver allocator.
@@ -581,18 +579,10 @@ class SoftwareDriver:
         self.cpu_port = HostCpuPort(name)
         fabric.attach(self.cpu_port)
         self.allocator = BumpAllocator(mem_base + (1 << 20), (1 << 30))
-        # The firmware command channel: mailbox in host DRAM (below the
-        # allocator arena), doorbell at the base of the NIC BAR.
-        self.channel = CommandChannel(
-            nic, memory=memory, mem_base=mem_base,
-            mailbox_offset=CMD_MAILBOX_OFFSET,
-            doorbell_addr=nic_bar_base + NIC_CMD_DOORBELL,
-            fabric=fabric, requester=self.cpu_port,
-        )
         # Deferred import: repro.sw pulls in the topology layer, which
         # imports this module while repro.host is still initializing.
         from ..sw.control import ControlPlane
-        self.ctrl = ControlPlane(self.channel)
+        self.ctrl = ControlPlane(nic)
 
     # -- PCIe initiators ---------------------------------------------------
 

@@ -1,42 +1,31 @@
-"""Firmware command interface: mailbox, doorbell, object lifecycle.
+"""Firmware command interface: typed commands, object lifecycle.
 
-Real mlx5 drivers configure the device through a command interface: the
-host writes a typed command into a mailbox in host memory, rings a
-doorbell register on the BAR, and firmware DMA-reads the mailbox,
-executes, and DMA-writes a status/handle response back.  This module
-reifies that interface for the simulated NIC:
+Real mlx5 drivers configure the device through a command interface;
+here the host's control plane (:class:`repro.sw.ControlPlane`) calls
+the NIC-resident :class:`CommandUnit` directly.  A command is a typed
+dataclass carrying scalars and live simulation objects (queues, match
+specs, action lists); ``CommandUnit.execute`` dispatches it to one
+executor, which drives the device's internal create/modify/destroy
+machinery and answers with a :class:`CmdResult` (status, handle,
+syndrome and the live object).  A command takes no simulated time.
+Executors signal failure by raising :class:`CmdError` (or a device
+error ``execute`` maps onto a status), so no exception escapes the
+firmware: every failure is a typed :class:`CmdStatus`.
 
-* :class:`CommandUnit` — the NIC-resident executor.  It owns the
-  :class:`ObjectTable` of handle-addressed resources (PD, CQ, SQ, RQ,
-  MPRQ, RC QP, vPort, steering rule, resume table) and maps typed
-  commands onto the device's internal create/modify/destroy machinery.
-* :class:`CommandChannel` — the host-side endpoint (owned by the
-  software driver).  ``execute`` runs a command synchronously (the
-  zero-latency path every control plane uses during bring-up, which
-  keeps simulated schedules identical to the historical direct method
-  calls); ``call`` is the timed generator path that exercises the full
-  doorbell → mailbox DMA → firmware delay → response DMA round trip.
-
-Commands are dataclasses; scalars are packed into the mailbox wire
-format, while live simulation objects (queues, match specs, action
-lists) travel side-band as "extended" references — the stand-in for the
-pointer-carrying mailbox pages of the real interface.
-
-Every object is created against the table with explicit dependencies
-(an SQ holds its CQ, a QP holds its CQ and RQ, a vPort default holds
-its RQ, a steering rule holds the queues it forwards to); destroying a
-referenced object fails with ``CmdStatus.IN_USE``, and destroys that
-succeed actually tear the resource down — workers exit, doorbells are
-rejected, and the owning layers can release rings, SRAM slices and
-address-map windows.
+Every object is created against the :class:`ObjectTable` with explicit
+dependencies (an SQ holds its CQ, a QP holds its CQ and RQ, a vPort
+default holds its RQ, a steering rule holds the queues it forwards to);
+destroying a referenced object fails with ``CmdStatus.IN_USE``, and
+destroys that succeed actually tear the resource down — workers exit,
+doorbells are rejected, and the owning layers can release rings, SRAM
+slices and address-map windows.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from .queues import QueueError
 from .rdma import QpStateError, RcQp
@@ -46,27 +35,6 @@ from .steering import (
     SteeringError,
     ToAccelerator,
 )
-
-#: Firmware execution time per command (mailbox decode + context
-#: update inside the device; the paper-scale constant, not measured).
-FIRMWARE_EXEC_DELAY = 1e-6
-
-CMD_MAGIC = 0xF1D0
-RSP_MAGIC = 0xF1D1
-
-#: Mailbox layout: the command occupies [0, RESPONSE_OFFSET); firmware
-#: writes the response at RESPONSE_OFFSET within the same mailbox.
-RESPONSE_OFFSET = 384
-
-_HEADER = struct.Struct("!HHII")      # magic, opcode, seq, payload_len
-_RESPONSE = struct.Struct("!HHIQI")   # magic, status, seq, handle, syndrome
-_DOORBELL = struct.Struct("!IQI")     # seq, mailbox_addr, total_len
-
-RESPONSE_SIZE = _RESPONSE.size
-DOORBELL_SIZE = _DOORBELL.size
-
-# Payload field tags.
-_TAG_NONE, _TAG_INT, _TAG_STR, _TAG_EXT = 0, 1, 2, 3
 
 
 class CmdStatus(enum.IntEnum):
@@ -86,7 +54,7 @@ class CmdStatus(enum.IntEnum):
 class CmdError(RuntimeError):
     """Raised by executors to return a specific non-OK status.
 
-    ``syndrome`` rides the response's syndrome field — the program
+    ``syndrome`` rides the result's syndrome field — the program
     verifier uses it to report *which* rule a rejected program broke
     (the ``E_*`` sub-codes of :mod:`repro.prog.verifier`).
     """
@@ -105,26 +73,22 @@ class CmdError(RuntimeError):
 
 @dataclass
 class Command:
-    """Base class; subclasses define OPCODE and their typed fields."""
-
-    OPCODE = 0x00
+    """Base class; subclasses define their typed fields."""
 
 
 @dataclass
 class AllocPd(Command):
-    OPCODE = 0x01
+    """Allocate a protection domain."""
 
 
 @dataclass
 class CreateCq(Command):
-    OPCODE = 0x10
     ring_addr: int = 0
     entries: int = 0
 
 
 @dataclass
 class CreateSq(Command):
-    OPCODE = 0x11
     ring_addr: int = 0
     entries: int = 0
     cq: Any = None
@@ -135,7 +99,6 @@ class CreateSq(Command):
 
 @dataclass
 class CreateRq(Command):
-    OPCODE = 0x12
     ring_addr: int = 0
     entries: int = 0
     cq: Any = None
@@ -144,7 +107,6 @@ class CreateRq(Command):
 
 @dataclass
 class CreateMprq(Command):
-    OPCODE = 0x13
     ring_addr: int = 0
     entries: int = 0
     cq: Any = None
@@ -154,7 +116,6 @@ class CreateMprq(Command):
 
 @dataclass
 class CreateRcQp(Command):
-    OPCODE = 0x14
     ring_addr: int = 0
     entries: int = 0
     cq: Any = None
@@ -169,7 +130,6 @@ class ModifyQp(Command):
     """One verbs state transition; attributes ride the edge that
     consumes them (remote endpoint + rq_psn at RTR, sq_psn at RTS)."""
 
-    OPCODE = 0x20
     qp: Any = None
     state: str = ""
     remote_mac: Any = None
@@ -181,44 +141,37 @@ class ModifyQp(Command):
 
 @dataclass
 class QueryObject(Command):
-    OPCODE = 0x21
     handle: int = 0
 
 
 @dataclass
 class DestroyObject(Command):
-    OPCODE = 0x22
     handle: int = 0
 
 
 @dataclass
 class CreateVport(Command):
-    OPCODE = 0x30
     vport: int = 0
 
 
 @dataclass
 class SetVportDefault(Command):
-    OPCODE = 0x31
     vport: int = 0
     rq: Any = None
 
 
 @dataclass
 class ClearVportDefault(Command):
-    OPCODE = 0x32
     vport: int = 0
 
 
 @dataclass
 class RegisterResumeTable(Command):
-    OPCODE = 0x40
     table_name: str = ""
 
 
 @dataclass
 class InstallRule(Command):
-    OPCODE = 0x41
     table_name: str = ""
     match: Any = None
     actions: Any = None
@@ -229,7 +182,6 @@ class InstallRule(Command):
 class CreateProgMap(Command):
     """Allocate a cuckoo-backed program map (``repro.prog.maps``)."""
 
-    OPCODE = 0x50
     capacity: int = 64
 
 
@@ -243,7 +195,6 @@ class CreateProg(Command):
     VERIFY_FAILED and the ``E_*`` sub-code in the syndrome).
     """
 
-    OPCODE = 0x51
     program: Any = None
     maps: Any = None
 
@@ -257,7 +208,6 @@ class AttachProg(Command):
     an existing attachment is BAD_STATE.
     """
 
-    OPCODE = 0x52
     prog: Any = None
     fld: Any = None
     direction: str = "rx"
@@ -266,7 +216,6 @@ class AttachProg(Command):
 
 @dataclass
 class DetachProg(Command):
-    OPCODE = 0x53
     fld: Any = None
     direction: str = "rx"
     target: int = 0
@@ -276,7 +225,6 @@ class DetachProg(Command):
 class SetMapEntry(Command):
     """Control-path map write (insert or replace); full = NO_RESOURCES."""
 
-    OPCODE = 0x54
     map: Any = None
     key: int = 0
     value: int = 0
@@ -284,102 +232,18 @@ class SetMapEntry(Command):
 
 @dataclass
 class DelMapEntry(Command):
-    OPCODE = 0x55
     map: Any = None
     key: int = 0
 
 
 @dataclass
 class QueryMapEntry(Command):
-    OPCODE = 0x56
     map: Any = None
     key: int = 0
 
 
-OPCODES: Dict[int, type] = {
-    cls.OPCODE: cls
-    for cls in (AllocPd, CreateCq, CreateSq, CreateRq, CreateMprq,
-                CreateRcQp, ModifyQp, QueryObject, DestroyObject,
-                CreateVport, SetVportDefault, ClearVportDefault,
-                RegisterResumeTable, InstallRule, CreateProgMap,
-                CreateProg, AttachProg, DetachProg, SetMapEntry,
-                DelMapEntry, QueryMapEntry)
-}
-
-
-# ---------------------------------------------------------------------------
-# Wire format
-# ---------------------------------------------------------------------------
-
-
-def pack_command(cmd: Command, seq: int) -> Tuple[bytes, List[Any]]:
-    """Serialize ``cmd`` for the mailbox.
-
-    Returns the mailbox bytes and the side-band list of extended
-    (live-object) references the payload indexes into.
-    """
-    payload = bytearray()
-    ext: List[Any] = []
-    for field in fields(cmd):
-        value = getattr(cmd, field.name)
-        if value is None:
-            payload.append(_TAG_NONE)
-        elif isinstance(value, bool):
-            payload.append(_TAG_INT)
-            payload += int(value).to_bytes(8, "big", signed=True)
-        elif isinstance(value, int):
-            payload.append(_TAG_INT)
-            payload += value.to_bytes(8, "big", signed=True)
-        elif isinstance(value, str):
-            raw = value.encode("utf-8")
-            payload.append(_TAG_STR)
-            payload += len(raw).to_bytes(2, "big")
-            payload += raw
-        else:
-            payload.append(_TAG_EXT)
-            payload += len(ext).to_bytes(2, "big")
-            ext.append(value)
-    header = _HEADER.pack(CMD_MAGIC, cmd.OPCODE, seq, len(payload))
-    return header + bytes(payload), ext
-
-
-def unpack_command(raw: bytes, ext: List[Any]) -> Tuple[Command, int]:
-    """Inverse of :func:`pack_command` (``ext`` from the side band)."""
-    magic, opcode, seq, payload_len = _HEADER.unpack_from(raw, 0)
-    if magic != CMD_MAGIC:
-        raise CmdError(CmdStatus.BAD_OPCODE, f"bad magic {magic:#x}")
-    cls = OPCODES.get(opcode)
-    if cls is None:
-        raise CmdError(CmdStatus.BAD_OPCODE, f"unknown opcode {opcode:#x}")
-    payload = raw[_HEADER.size:_HEADER.size + payload_len]
-    values = []
-    cursor = 0
-    for _field in fields(cls):
-        tag = payload[cursor]
-        cursor += 1
-        if tag == _TAG_NONE:
-            values.append(None)
-        elif tag == _TAG_INT:
-            values.append(
-                int.from_bytes(payload[cursor:cursor + 8], "big",
-                               signed=True))
-            cursor += 8
-        elif tag == _TAG_STR:
-            length = int.from_bytes(payload[cursor:cursor + 2], "big")
-            cursor += 2
-            values.append(payload[cursor:cursor + length].decode("utf-8"))
-            cursor += length
-        elif tag == _TAG_EXT:
-            index = int.from_bytes(payload[cursor:cursor + 2], "big")
-            cursor += 2
-            values.append(ext[index])
-        else:
-            raise CmdError(CmdStatus.BAD_PARAM, f"bad field tag {tag}")
-    return cls(*values), seq
-
-
 class CmdResult:
-    """A decoded command response (+ the created object, side-band)."""
+    """A command's outcome (+ the created or addressed live object)."""
 
     __slots__ = ("status", "handle", "syndrome", "obj", "info")
 
@@ -537,58 +401,19 @@ class ObjectTable:
 class CommandUnit:
     """The firmware executor embedded in the NIC.
 
-    ``execute`` applies one command immediately (the host channel calls
-    it directly on the synchronous path); ``handle_doorbell`` starts the
-    timed path, a firmware process that DMA-reads the mailbox, burns
-    :data:`FIRMWARE_EXEC_DELAY`, executes and DMA-writes the response.
+    ``execute`` applies one command immediately and returns its
+    :class:`CmdResult`; it works both before ``sim.run`` and from
+    inside running processes.
     """
 
     def __init__(self, nic):
         self.nic = nic
         self.table = ObjectTable()
-        self.exec_delay = FIRMWARE_EXEC_DELAY
-        #: Completion callback ``(seq, CmdResult)`` — the host channel's
-        #: stand-in for a command-completion event queue entry.
-        self.on_response: Optional[Callable[[int, CmdResult], None]] = None
-        # Side-band extended references per in-flight seq (models the
-        # pointer-carrying mailbox pages of the real interface).
-        self._staged_ext: Dict[int, List[Any]] = {}
         # (id(fld), direction, target) -> prog handle, so detach can
         # unpin the program the firmware attached there.
         self._prog_attachments: Dict[Tuple[int, str, int], int] = {}
         self.stats_commands = 0
         self.stats_failures = 0
-
-    # -- doorbell / timed path ------------------------------------------
-
-    def stage_ext(self, seq: int, ext: List[Any]) -> None:
-        self._staged_ext[seq] = ext
-
-    def handle_doorbell(self, data: bytes) -> None:
-        seq, mailbox_addr, total_len = _DOORBELL.unpack_from(data, 0)
-        self.nic.sim.spawn(
-            self._firmware(seq, mailbox_addr, total_len),
-            name=f"{self.nic.name}.fw.cmd{seq}")
-
-    def _firmware(self, seq: int, mailbox_addr: int, total_len: int):
-        nic = self.nic
-        raw = yield nic.fabric.read(nic, mailbox_addr, total_len)
-        try:
-            cmd, wire_seq = unpack_command(raw, self._staged_ext.pop(seq, []))
-        except CmdError as exc:
-            result = CmdResult(exc.status)
-        else:
-            yield nic.sim.timeout(self.exec_delay)
-            result = self.execute(cmd)
-        response = _RESPONSE.pack(RSP_MAGIC, int(result.status), seq,
-                                  result.handle, result.syndrome)
-        done = nic.fabric.post_write(nic, mailbox_addr + RESPONSE_OFFSET,
-                                     response)
-        yield done
-        if self.on_response is not None:
-            self.on_response(seq, result)
-
-    # -- execution ------------------------------------------------------
 
     def execute(self, cmd: Command) -> CmdResult:
         self.stats_commands += 1
@@ -912,96 +737,3 @@ class CommandUnit:
         QueryObject: _exec_query,
         DestroyObject: _exec_destroy,
     }
-
-
-# ---------------------------------------------------------------------------
-# Host-side channel
-# ---------------------------------------------------------------------------
-
-
-class CommandChannel:
-    """The host driver's end of the firmware command interface.
-
-    ``execute`` is synchronous: the command is serialized into the
-    mailbox and applied immediately — it works both before ``sim.run``
-    and from inside running processes, and adds no simulated latency
-    (bring-up stays schedule-identical to the historical direct calls).
-    ``call`` is a generator that performs the timed round trip: mailbox
-    write, doorbell TLP over the fabric, firmware mailbox DMA read,
-    execution delay, response DMA write.
-    """
-
-    def __init__(self, nic, memory=None, mem_base: int = 0,
-                 mailbox_offset: int = 0x1000,
-                 doorbell_addr: Optional[int] = None,
-                 fabric=None, requester=None):
-        self.nic = nic
-        self.unit = nic.cmd
-        self.memory = memory
-        self.mailbox_offset = mailbox_offset
-        self.mailbox_addr = mem_base + mailbox_offset
-        self.doorbell_addr = doorbell_addr
-        self.fabric = fabric
-        self.requester = requester
-        self.unit.on_response = self._on_response
-        self._pending: Dict[int, Any] = {}       # seq -> completion Event
-        self._next_seq = 1
-        self.stats_sync = 0
-        self.stats_timed = 0
-
-    def _write_mailbox(self, raw: bytes) -> None:
-        if len(raw) > RESPONSE_OFFSET:
-            raise CmdError(CmdStatus.BAD_PARAM,
-                           f"command of {len(raw)} B overflows the mailbox")
-        if self.memory is not None:
-            self.memory.write_local(self.mailbox_offset, raw)
-
-    def execute(self, cmd: Command) -> CmdResult:
-        """Synchronous command execution (zero simulated latency)."""
-        seq = self._next_seq
-        self._next_seq += 1
-        raw, _ext = pack_command(cmd, seq)
-        self._write_mailbox(raw)
-        result = self.unit.execute(cmd)
-        if self.memory is not None:
-            response = _RESPONSE.pack(RSP_MAGIC, int(result.status), seq,
-                                      result.handle, result.syndrome)
-            self.memory.write_local(
-                self.mailbox_offset + RESPONSE_OFFSET, response)
-        self.stats_sync += 1
-        return result
-
-    def call(self, cmd: Command):
-        """Generator: the timed doorbell/DMA round trip.
-
-        Yields until the firmware's response lands; returns the
-        :class:`CmdResult`.
-        """
-        if self.fabric is None or self.requester is None \
-                or self.doorbell_addr is None:
-            raise CmdError(CmdStatus.INTERNAL,
-                           "channel has no fabric path for timed calls")
-        seq = self._next_seq
-        self._next_seq += 1
-        raw, ext = pack_command(cmd, seq)
-        self._write_mailbox(raw)
-        self.unit.stage_ext(seq, ext)
-        done = self.nic.sim.event()
-        self._pending[seq] = done
-        self.fabric.post_write(
-            self.requester, self.doorbell_addr,
-            _DOORBELL.pack(seq, self.mailbox_addr, len(raw)))
-        result = yield done
-        self.stats_timed += 1
-        return result
-
-    def _on_response(self, seq: int, result: CmdResult) -> None:
-        event = self._pending.pop(seq, None)
-        if event is not None:
-            event.succeed(result)
-
-    def check(self, result: CmdResult, what: str = "command") -> CmdResult:
-        if not result.ok:
-            raise CmdError(result.status,
-                           f"{what} failed: {result.status.name}")
-        return result

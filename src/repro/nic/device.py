@@ -10,8 +10,8 @@ identical to it, which is precisely the property FlexDriver exploits.
 Control-plane operations (queue creation, steering rule installation,
 QP connection) run through the firmware command interface in
 :mod:`repro.nic.cmd`: the software control planes in :mod:`repro.sw`
-and :mod:`repro.host` submit typed commands over the command channel,
-and the NIC's :class:`~repro.nic.cmd.CommandUnit` maps them onto the
+and :mod:`repro.host` hand typed commands to the NIC's
+:class:`~repro.nic.cmd.CommandUnit`, which maps them onto the
 ``create_*``/``destroy_*`` machinery here.  Only the command unit (and
 this module) may call those methods directly — a conformance test
 enforces it.
@@ -335,11 +335,6 @@ class Nic(PcieEndpoint):
             new_pi = int.from_bytes(data[:4], "big")
             if new_pi > rq.pi:
                 rq.post(new_pi - rq.pi)
-            return
-        if offset < DOORBELL_STRIDE:
-            # The firmware command doorbell (qpn 0 is never allocated,
-            # so the first stride belongs to the command interface).
-            self.cmd.handle_doorbell(data)
             return
         qpn = offset // DOORBELL_STRIDE
         sq = self.sqs.get(qpn)
@@ -1009,7 +1004,7 @@ class _SqFlatPipeline:
                 return
             # The QP dropped to ERR (or is being torn down): queued
             # WQEs are flushed, not sent (verbs flush semantics) —
-            # software recovers via the command channel.
+            # software recovers via the command unit.
             sq.stats_flushed += 1
         self._tx_done()
 

@@ -602,7 +602,7 @@ class RdmaEngine:
         Flushing empties ``qp.outstanding``, so the armed retransmit
         timer sees nothing left and dies on its next check.  Lost
         in-flight messages stay lost — recovery is a software-driven
-        reset-and-reconnect through the command channel (Table 4).
+        reset-and-reconnect through the command unit (Table 4).
         """
         if qp.state == RcQp.ERR:
             return

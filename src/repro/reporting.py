@@ -423,7 +423,7 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     kind, name = args.command, args.experiment
     size = getattr(args, "size", None)
     try:
-        target = resolve(kind, name, size)[0]
+        target = resolve(kind, name, size, getattr(args, "count", None))[0]
         points = (sweep_points(target, args.count)
                   if getattr(args, "sweep", False) else None)
     except ValueError as exc:
@@ -498,7 +498,13 @@ def _audit_footer(count: int, violations: Sequence[Dict] = ()) -> int:
 
 
 def _cmd_scale_tenants(args: argparse.Namespace) -> int:
+    from .core.bar import MAX_TX_QUEUES
     from .experiments import scale_tenants
+    bad = [n for n in args.tenants if not 1 <= n <= MAX_TX_QUEUES]
+    if bad:
+        print(f"--tenants must be 1..{MAX_TX_QUEUES} (one FLD tx queue "
+              f"each); got {' '.join(map(str, bad))}")
+        return 2
     ctx = _make_context(args)
     rows = ctx.sweep(scale_tenants.sweep_points(
         tuple(args.tenants), size=args.size, count=args.count))

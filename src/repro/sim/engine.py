@@ -15,7 +15,7 @@ An entry is ``(time, seq, func, arg, tag)``, dispatched strictly by
 * an *Event timeout* (:meth:`Simulator.timeout`) firing an
   :class:`Event`, which generator processes (:class:`Process`) yield
   on.  Processes are for code that is a script rather than a stage:
-  experiment drivers, the firmware command channel, teardown, tests.
+  experiment drivers, teardown, tests.
 
 Stages rendezvous through :class:`Store`'s parked continuations: a
 consumer that finds a store empty leaves a plain callable there and the

@@ -2,7 +2,7 @@
 
 from .client import FldRClient, FldRClientError, FldRConnection
 from .batching import BatchingZucCryptodev
-from .control import ControlPlane, ControlPlaneError
+from .control import ControlPlane
 from .cryptodev import CryptoOp, Cryptodev, FldRZucCryptodev, SwZucCryptodev
 from .flde import FldEControlPlane, FldEPolicyError
 from .fldr import FldRConnectionInfo, FldRControlPlane
@@ -12,7 +12,6 @@ from .runtime import FldRuntime, FldRuntimeError
 __all__ = [
     "BatchingZucCryptodev",
     "ControlPlane",
-    "ControlPlaneError",
     "CryptoOp",
     "Cryptodev",
     "FldEControlPlane",

@@ -2,10 +2,10 @@
 
 Every layer that used to reach into the NIC object and call
 ``create_*`` directly now goes through a :class:`ControlPlane`: a thin,
-verbs-flavoured wrapper over the firmware command channel
-(:mod:`repro.nic.cmd`).  Each method packs a typed command, executes it
-through the channel (synchronously — schedule-identical to the
-historical direct calls), checks the typed status, and returns the live
+verbs-flavoured wrapper over the NIC's firmware command unit
+(:mod:`repro.nic.cmd`).  Each method builds a typed command, calls
+``CommandUnit.execute`` (no simulated time passes), raises
+:class:`repro.nic.CmdError` on a non-OK status, and returns the live
 object for the data path to use.
 
 The facade also keeps the handle bookkeeping callers need for teardown:
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from ..nic import CmdResult, CmdStatus, CommandChannel
+from ..nic import CmdError, CmdResult, CmdStatus
 from ..nic.cmd import (
     AttachProg,
     ClearVportDefault,
@@ -44,33 +44,25 @@ from ..nic.cmd import (
 from ..nic.rdma import RcQp
 
 
-class ControlPlaneError(RuntimeError):
-    """A control-plane command failed; carries the typed status."""
-
-    def __init__(self, status: CmdStatus, message: str = ""):
-        super().__init__(message or status.name)
-        self.status = status
-
-
 class ControlPlane:
-    """Verbs-like resource management over the firmware command channel."""
+    """Verbs-like resource management over the firmware command unit."""
 
-    def __init__(self, channel: CommandChannel):
-        self.channel = channel
-        self.nic = channel.nic
+    def __init__(self, nic):
+        self.nic = nic
+        self.unit = nic.cmd
 
     # -- plumbing --------------------------------------------------------
 
     def _run(self, cmd: Command, what: str) -> CmdResult:
-        result = self.channel.execute(cmd)
+        result = self.unit.execute(cmd)
         if not result.ok:
-            raise ControlPlaneError(
-                result.status, f"{what} failed: {result.status.name}")
+            raise CmdError(result.status,
+                           f"{what} failed: {result.status.name}")
         return result
 
     def handle_of(self, obj: Any) -> Optional[int]:
         """The firmware handle of a live object (None if unregistered)."""
-        return self.channel.unit.table.handle_of(obj)
+        return self.unit.table.handle_of(obj)
 
     # -- allocation ------------------------------------------------------
 
@@ -143,7 +135,7 @@ class ControlPlane:
     def create_prog(self, program, maps=()):
         """Verify + load a program against its maps; returns the loaded
         program object.  Verifier rejections surface as
-        ``ControlPlaneError`` with status ``VERIFY_FAILED``."""
+        ``CmdError`` with status ``VERIFY_FAILED``."""
         return self._run(CreateProg(program=program, maps=list(maps)),
                          "create-prog").obj
 
@@ -173,7 +165,7 @@ class ControlPlane:
     # -- QP lifecycle ----------------------------------------------------
 
     def modify_qp(self, qp, state: str, **attrs) -> None:
-        """One verbs state transition through the command channel."""
+        """One verbs state transition through the command unit."""
         self._run(ModifyQp(qp=qp, state=state, **attrs),
                   f"modify-qp({state})")
 
@@ -207,12 +199,12 @@ class ControlPlane:
             handle = self.handle_of(obj_or_handle)
             if handle is None:
                 return False
-        result = self.channel.execute(DestroyObject(handle=handle))
+        result = self.unit.execute(DestroyObject(handle=handle))
         if result.status == CmdStatus.BAD_HANDLE:
             return False
         if not result.ok:
-            raise ControlPlaneError(
-                result.status, f"destroy failed: {result.status.name}")
+            raise CmdError(result.status,
+                           f"destroy failed: {result.status.name}")
         return True
 
     def _resolve(self, obj_or_handle) -> int:
@@ -220,7 +212,6 @@ class ControlPlane:
             return obj_or_handle
         handle = self.handle_of(obj_or_handle)
         if handle is None:
-            raise ControlPlaneError(
-                CmdStatus.BAD_HANDLE,
-                f"{obj_or_handle!r} is not a firmware object")
+            raise CmdError(CmdStatus.BAD_HANDLE,
+                           f"{obj_or_handle!r} is not a firmware object")
         return handle

@@ -77,7 +77,7 @@ class FldEControlPlane:
 
     def _install(self, match: MatchSpec, actions: List[Action],
                  priority: int) -> Rule:
-        """Install a rule on the vPort root through the command channel."""
+        """Install a rule on the vPort root through the command unit."""
         rule = self.ctrl.install_rule(self._vport.rx_root, match, actions,
                                       priority)
         self._rules.append(rule)

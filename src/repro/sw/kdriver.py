@@ -6,7 +6,7 @@ asynchronous error notifications to registered handlers, keeping a log
 for diagnostics.  Recovery policy stays with the application, as in
 RDMA Verbs — but the driver ships one canned policy,
 :meth:`FldKernelDriver.enable_qp_recovery`, which walks an ERR'd FLD-R
-QP back to RTS through the firmware command channel (the Table 4
+QP back to RTS through the firmware command unit (the Table 4
 reset-and-reconnect flow).
 """
 
@@ -64,7 +64,7 @@ class FldKernelDriver:
         When a QP exhausts its retransmit budget the NIC flushes it to
         ERR and posts an error CQE onto its FLD completion ring; that
         surfaces here as a ``cqe_error``.  The recovery handler walks
-        the QP RESET→INIT→RTR→RTS through the command channel against
+        the QP RESET→INIT→RTR→RTS through the command unit against
         its previous remote endpoint (fresh PSNs), then invokes
         ``on_recovered`` so the application can resynchronize the peer.
         """

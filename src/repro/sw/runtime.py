@@ -19,7 +19,6 @@ from typing import Any, Dict, Optional, Tuple
 from ..core import FlexDriver, bar as fld_bar
 from ..core.fld import FldConfig
 from ..nic import (
-    CommandChannel,
     MultiPacketReceiveQueue,
     Nic,
     OP_ETH_SEND,
@@ -56,12 +55,12 @@ class FldRuntime:
         self.nic_bar_base = nic_bar_base
         # All NIC resources go through the verbs-style control plane;
         # shared with the node's software driver when it has one (bare
-        # fabric-holder stand-ins in tests get a local channel).
+        # fabric-holder stand-ins in tests get their own).
         driver = getattr(node, "driver", None)
         if driver is not None and getattr(driver, "ctrl", None) is not None:
             self.ctrl: ControlPlane = driver.ctrl
         else:
-            self.ctrl = ControlPlane(CommandChannel(self.nic))
+            self.ctrl = ControlPlane(self.nic)
         if fld_name is None:
             fld_name = f"{node.name}.fld"
             if fld_bar_base != FLD_BAR_BASE:
@@ -109,8 +108,9 @@ class FldRuntime:
         else:
             queue_id = self._next_tx_queue
             self._next_tx_queue += 1
-        if queue_id >= FlexDriver.RX_CQ_BASE:
-            raise FldRuntimeError("out of FLD tx queue slots")
+        if queue_id >= fld_bar.MAX_TX_QUEUES:
+            raise FldRuntimeError(
+                f"out of FLD tx queue slots ({fld_bar.MAX_TX_QUEUES})")
         return queue_id, queue_id  # (queue id, tx cq index)
 
     def create_eth_tx_queue(self, vport: int, entries: int = 1024,

@@ -17,19 +17,15 @@ from .addrmap import (
     AddressMap,
     AddressMapError,
     BAR_SIZE,
-    CMD_MAILBOX_OFFSET,
-    CMD_MAILBOX_SIZE,
     DOORBELL_STRIDE,
     FLD_BAR_BASE,
     HOST_MEM_BASE,
     HOST_MEM_SIZE,
     NIC_BAR_BASE,
-    NIC_CMD_DOORBELL,
     RQ_DOORBELL_BASE,
     WQE_MMIO_BASE,
     WQE_MMIO_STRIDE,
     Window,
-    nic_bar_layout,
 )
 from .spec import (
     AccelFnSpec,
@@ -74,8 +70,6 @@ __all__ = [
     "AddressMap",
     "AddressMapError",
     "BAR_SIZE",
-    "CMD_MAILBOX_OFFSET",
-    "CMD_MAILBOX_SIZE",
     "CORE_ROLES",
     "DOORBELL_STRIDE",
     "FLD_BAR_BASE",
@@ -85,7 +79,6 @@ __all__ = [
     "HostQpSpec",
     "LinkSpec",
     "NIC_BAR_BASE",
-    "NIC_CMD_DOORBELL",
     "Node",
     "NodeSpec",
     "RQ_DOORBELL_BASE",
@@ -100,6 +93,5 @@ __all__ = [
     "build",
     "connect",
     "make_accelerator",
-    "nic_bar_layout",
     "register_kind",
 ]

@@ -34,14 +34,11 @@ ACCEL_BAR_BASE = 0x20_0000_0000
 # writes against these, ``sw/runtime.py`` and ``host/driver.py`` compute
 # doorbell/MMIO addresses from them).  Regions, low to high:
 #
-#   [0x00_0000)            firmware command doorbell (qpn 0 is never
-#                          allocated, so SQ doorbells never land here)
-#   [0x00_0040, 0x08_0000) per-SQ doorbells, one 64 B stride per qpn
+#   [0x00_0000, 0x08_0000) per-SQ doorbells, one 64 B stride per qpn
+#                          (qpn 0 is never allocated)
 #   [0x08_0000, 0x10_0000) per-RQ doorbells
 #   [0x10_0000, 0x20_0000) MMIO WQE slots, 256 B per qpn
 
-#: Firmware command doorbell (offset within the NIC BAR).
-NIC_CMD_DOORBELL = 0x0
 #: Bytes between consecutive SQ doorbell registers.
 DOORBELL_STRIDE = 64
 #: Start of the receive-queue doorbell region.
@@ -53,27 +50,6 @@ WQE_MMIO_STRIDE = 256
 #: Total NIC BAR size.
 BAR_SIZE = 0x20_0000
 
-#: Firmware command mailbox: a fixed scratch buffer in host DRAM, below
-#: the software driver's allocator arena (which starts 1 MiB up).
-CMD_MAILBOX_OFFSET = 0x1000
-CMD_MAILBOX_SIZE = 512
-
-
-def nic_bar_layout() -> "AddressMap":
-    """The NIC BAR's internal regions as an overlap-checked map.
-
-    Built fresh on each call; importing modules use the module-level
-    constants, this exists so a test (and the CI conformance job) can
-    assert the regions never alias as the layout evolves.
-    """
-    layout = AddressMap("nic-bar")
-    layout.reserve("cmd-doorbell", NIC_CMD_DOORBELL, DOORBELL_STRIDE)
-    layout.reserve("sq-doorbells", DOORBELL_STRIDE,
-                   RQ_DOORBELL_BASE - DOORBELL_STRIDE)
-    layout.reserve("rq-doorbells", RQ_DOORBELL_BASE,
-                   WQE_MMIO_BASE - RQ_DOORBELL_BASE)
-    layout.reserve("mmio-wqe", WQE_MMIO_BASE, BAR_SIZE - WQE_MMIO_BASE)
-    return layout
 
 
 class AddressMapError(ValueError):

@@ -126,7 +126,7 @@ class Testbed:
 
     def teardown(self) -> None:
         """Destroy every constructed NIC resource, in reverse build
-        order, through the firmware command channel.
+        order, through the firmware command unit.
 
         After teardown the object tables are empty and the devices are
         clean to audit: host QPs close (releasing rings and buffers),

@@ -4,7 +4,7 @@ A lossy wire starves the FLD QP of acknowledgements until its retry
 budget runs out; the NIC flushes the QP to ERR and posts an error CQE
 on its FLD completion ring.  The kernel driver dispatches it, and the
 ``enable_qp_recovery`` hook walks the QP RESET→INIT→RTR→RTS back to
-its old remote through the firmware command channel.  Once the wire
+its old remote through the firmware command unit.  Once the wire
 heals, the connection carries traffic again without re-handshaking.
 """
 

@@ -1,11 +1,12 @@
 """The N-tenant scaling experiment (one FLD, N accelerator functions).
 
-Three contracts: with one tenant the composed testbed is bit-identical
+Four contracts: with one tenant the composed testbed is bit-identical
 to the historical single-tenant FLD-E remote echo; with several
 tenants every packet reaches exactly its own tenant's engine and the
-invariant auditor stays clean; and the sweep points carry their
-topology into the cache key (shape-addressed results) while the frozen
-seed contract keeps the simulated bytes stable.
+invariant auditor stays clean; the sweep points carry their topology
+into the cache key (shape-addressed results) while the frozen seed
+contract keeps the simulated bytes stable; and a tenant count past the
+FLD's tx queue limit is refused before any packet is sent.
 """
 
 import json
@@ -14,8 +15,13 @@ import random
 
 import pytest
 
+from repro.core.bar import MAX_TX_QUEUES
 from repro.experiments import scale_tenants
+from repro.reporting import main
+from repro.sim import Simulator
+from repro.sw import FldRuntimeError
 from repro.sweep import SweepPoint
+from repro.topology import build as build_topology
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "golden",
                        "topology_identity.json")
@@ -90,3 +96,27 @@ class TestSweepPoints:
         bare = SweepPoint(point.experiment, point.target, point.params)
         assert point.seed() == bare.seed()
         assert point.key() != bare.key()
+
+
+class TestTenantLimit:
+    """One tx queue per tenant: the FLD BAR's TX data region holds
+    ``MAX_TX_QUEUES`` data windows, so that many tenants fit."""
+
+    def test_limit_tenants_audit_clean(self):
+        random.seed(1234)
+        result = scale_tenants.throughput(MAX_TX_QUEUES, 256, count=400)
+        assert result["received"] == 400
+        assert result["violations"] == 0
+
+    def test_one_more_tenant_fails_at_build(self):
+        spec = scale_tenants.scale_tenants_spec(MAX_TX_QUEUES + 1)
+        with pytest.raises(FldRuntimeError, match="tx queue slots"):
+            build_topology(Simulator(), spec)
+
+    @pytest.mark.parametrize("tenants", [0, MAX_TX_QUEUES + 1])
+    def test_cli_rejects_out_of_range_counts(self, tenants, capsys):
+        assert main(["scale-tenants", "--tenants", str(tenants),
+                     "--no-cache"]) == 2
+        out = capsys.readouterr().out
+        assert out == (f"--tenants must be 1..{MAX_TX_QUEUES} (one FLD tx "
+                       f"queue each); got {tenants}\n")

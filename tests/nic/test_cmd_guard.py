@@ -1,11 +1,11 @@
-"""Conformance guard: NIC resources are born through the command
-channel, nowhere else.
+"""Conformance guard: NIC resources are born through the firmware
+command unit, nowhere else.
 
 The device's raw constructors (``create_cq`` & co.) are firmware
 implementation detail; every other module must go through
-:class:`repro.sw.ControlPlane` / :class:`repro.nic.CommandChannel` so
-that each resource has a handle, a lifecycle state and a refcounted
-table entry.  This AST scan keeps the discipline honest — a direct
+:class:`repro.sw.ControlPlane`, which calls
+:class:`repro.nic.CommandUnit`, so that each resource has a handle, a
+lifecycle state and a refcounted table entry.  This AST scan keeps the discipline honest — a direct
 call anywhere outside the allowlist fails CI.
 
 The match-action program subsystem (``repro.prog``) extends the rule:
@@ -58,7 +58,7 @@ def direct_calls(path: Path):
             yield func.id, node.lineno
 
 
-class TestCommandChannelGuard:
+class TestCommandUnitGuard:
     def test_source_tree_exists(self):
         assert SRC.is_dir(), f"source tree not found at {SRC}"
         assert (SRC / "nic" / "cmd.py").is_file()
@@ -73,7 +73,7 @@ class TestCommandChannelGuard:
             offenders += [f"{rel}:{line} calls {name}() directly"
                           for name, line in direct_calls(path)]
         assert not offenders, (
-            "NIC resources must be created through the command channel "
+            "NIC resources must be created through the command unit "
             "(repro.sw.ControlPlane); direct constructor calls found:\n  "
             + "\n  ".join(offenders))
 

@@ -1,4 +1,4 @@
-"""Object lifecycle state machines behind the command channel.
+"""Object lifecycle state machines behind the firmware command unit.
 
 Verbs semantics, enforced by the firmware: QPs walk RESET→INIT→RTR→RTS
 (any state may drop to ERR or be torn back to RESET); destroys are
@@ -9,10 +9,9 @@ escaping the device.
 
 import pytest
 
-from repro.nic import CmdStatus, RcQp
+from repro.nic import CmdError, CmdStatus, ForwardToVport, MatchSpec, RcQp
 from repro.nic.cmd import DestroyObject, ModifyQp, QueryObject
 from repro.sim import Simulator
-from repro.sw import ControlPlaneError
 from repro.testbed import HOST_MEM_BASE, make_local_node
 
 FLD_MAC = "02:00:00:00:00:99"
@@ -117,9 +116,15 @@ class TestHandleDiscipline:
             result = node.nic.cmd.execute(cmd)
             assert result.status == CmdStatus.BAD_HANDLE
 
+    def test_failure_status_is_returned_not_raised(self):
+        sim, node, ctrl = make_ctrl()
+        result = node.nic.cmd.execute(ModifyQp(qp=object(), state="rts"))
+        assert not result.ok
+        assert result.status == CmdStatus.BAD_HANDLE
+
     def test_unregistered_object_is_bad_handle(self):
         sim, node, ctrl = make_ctrl()
-        with pytest.raises(ControlPlaneError) as err:
+        with pytest.raises(CmdError) as err:
             ctrl.modify_qp(object(), RcQp.INIT)
         assert err.value.status == CmdStatus.BAD_HANDLE
 
@@ -137,7 +142,7 @@ class TestRefcountedDestroy:
         sim, node, ctrl = make_ctrl()
         cq = ctrl.alloc_cq(HOST_MEM_BASE + 0x20000, 64)
         sq = ctrl.alloc_sq(HOST_MEM_BASE + 0x21000, 64, cq, vport=2)
-        with pytest.raises(ControlPlaneError) as err:
+        with pytest.raises(CmdError) as err:
             ctrl.destroy(cq)
         assert err.value.status == CmdStatus.IN_USE
         # Dependency order: SQ first, then the CQ goes quietly.
@@ -153,7 +158,7 @@ class TestRefcountedDestroy:
         qp = ctrl.alloc_rc_qp(HOST_MEM_BASE + 0x23000, 64, cq, rq, 2,
                               FLD_MAC, FLD_IP)
         for pinned in (cq, rq):
-            with pytest.raises(ControlPlaneError) as err:
+            with pytest.raises(CmdError) as err:
                 ctrl.destroy(pinned)
             assert err.value.status == CmdStatus.IN_USE
         ctrl.destroy(qp)
@@ -165,7 +170,7 @@ class TestRefcountedDestroy:
         cq = ctrl.alloc_cq(HOST_MEM_BASE + 0x20000, 64)
         rq = ctrl.alloc_rq(HOST_MEM_BASE + 0x21000, 64, cq)
         ctrl.set_default_queue(2, rq)
-        with pytest.raises(ControlPlaneError) as err:
+        with pytest.raises(CmdError) as err:
             ctrl.destroy(rq)
         assert err.value.status == CmdStatus.IN_USE
         ctrl.clear_default_queue(2)
@@ -176,8 +181,24 @@ class TestRefcountedDestroy:
         sim, node, ctrl = make_ctrl()
         cq = ctrl.alloc_cq(HOST_MEM_BASE + 0x20000, 64)
         ctrl.destroy(cq)
-        with pytest.raises(ControlPlaneError) as err:
+        with pytest.raises(CmdError) as err:
             ctrl.destroy(cq)
         assert err.value.status == CmdStatus.BAD_HANDLE
         # ... but try_destroy shrugs it off (teardown paths lean on it).
         assert ctrl.try_destroy(cq) is False
+
+
+class TestRuleCommands:
+    def test_install_rule_references_its_vport(self):
+        sim, node, ctrl = make_ctrl()
+        vport = ctrl.ensure_vport(4)
+        rule = ctrl.install_rule(
+            "fdb", MatchSpec(dst_mac="02:00:00:00:00:04"),
+            [ForwardToVport(4)], priority=10)
+        vport_handle = ctrl.handle_of(vport)
+        rule_handle = ctrl.handle_of(rule)
+        entry = node.nic.cmd.table.get(rule_handle)
+        assert vport_handle in entry.deps
+        # The vPort is pinned while the rule stands.
+        result = node.nic.cmd.execute(DestroyObject(handle=vport_handle))
+        assert result.status == CmdStatus.IN_USE

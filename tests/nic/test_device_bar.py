@@ -1,7 +1,9 @@
-"""Unit tests for the NIC device's BAR decoding and control interface."""
+"""Unit tests for the NIC device's BAR decoding and control interface,
+and for the FLD BAR windows the NIC's queues point into."""
 
 import pytest
 
+from repro.core import FlexDriver, bar as fld_bar
 from repro.nic import Nic, NicConfig
 from repro.nic.device import (
     DOORBELL_STRIDE,
@@ -33,6 +35,14 @@ class TestDoorbellDecode:
         _sim, nic = make_nic()
         with pytest.raises(PcieError):
             nic.handle_write(42 * DOORBELL_STRIDE, (1).to_bytes(4, "big"))
+
+    @pytest.mark.parametrize("offset", [0, DOORBELL_STRIDE - 1])
+    def test_first_stride_is_an_unknown_sq(self, offset):
+        """qpn 0 is never allocated, and no command doorbell sits in its
+        stride: a write there is refused like any unknown SQ's."""
+        _sim, nic = make_nic()
+        with pytest.raises(PcieError, match="unknown SQ 0"):
+            nic.handle_write(offset, (1).to_bytes(4, "big"))
 
     def test_rq_doorbell_posts_descriptors(self):
         sim, nic = make_nic()
@@ -107,3 +117,22 @@ class TestControlInterface:
         config = NicConfig()
         assert config.port_rate_bps == 25e9
         assert config.rdma_mtu == 1024
+
+
+class TestFldTxWindows:
+    """Every tx queue id the runtime can hand out owns a ring window, a
+    data window and a tx CQ slot inside their FLD BAR regions."""
+
+    @pytest.mark.parametrize("queue", range(fld_bar.MAX_TX_QUEUES))
+    def test_windows_inside_their_regions(self, queue):
+        ring = fld_bar.tx_ring_address(queue)
+        assert fld_bar.TX_RING_REGION <= ring
+        assert ring + fld_bar.TX_RING_SPAN <= fld_bar.TX_DATA_REGION
+        data = fld_bar.tx_data_address(queue)
+        assert fld_bar.TX_DATA_REGION <= data
+        assert data + fld_bar.TX_DATA_SPAN <= fld_bar.RX_BUFFER_REGION
+        assert queue < FlexDriver.RX_CQ_BASE
+
+    def test_limit_fills_the_data_region(self):
+        assert (fld_bar.tx_data_address(fld_bar.MAX_TX_QUEUES - 1)
+                + fld_bar.TX_DATA_SPAN == fld_bar.RX_BUFFER_REGION)

@@ -1,4 +1,4 @@
-"""Program/map object lifecycle through the firmware command channel.
+"""Program/map object lifecycle through the firmware command unit.
 
 Pins the ownership story: maps and programs are firmware objects with
 handles and refcounts; attaching pins the program, a program pins its
@@ -13,15 +13,12 @@ from repro.experiments.prog import prog_spec
 from repro.nic import CmdStatus
 from repro.nic.cmd import (
     AttachProg,
-    CreateProg,
     CreateProgMap,
     DelMapEntry,
     DetachProg,
     QueryMapEntry,
-    QueryObject,
     SetMapEntry,
 )
-from repro.prog.isa import ACT_PASS, Program, Ret
 from repro.prog.programs import firewall, passthrough
 from repro.sim import Simulator
 from repro.topology import build as build_topology
@@ -42,7 +39,7 @@ def env(testbed):
     return {
         "runtime": runtime,
         "fld": runtime.fld,
-        "channel": runtime.ctrl.channel,
+        "unit": runtime.nic.cmd,
         "ctrl": runtime.ctrl,
         "binding": runtime.rx_binding_of(fn.rq),
         "txq": fn.txq,
@@ -69,29 +66,29 @@ class TestObjectLifecycle:
         ctrl.destroy(prog_map)
 
     def test_program_pins_its_maps(self, env):
-        channel, ctrl = env["channel"], env["ctrl"]
+        unit, ctrl = env["unit"], env["ctrl"]
         prog_map = ctrl.create_prog_map()
         prog = ctrl.create_prog(firewall(), [prog_map])
         # The map is referenced by the program: destroy must refuse.
         handle = ctrl.handle_of(prog_map)
         from repro.nic.cmd import DestroyObject
-        assert channel.execute(
+        assert unit.execute(
             DestroyObject(handle=handle)).status == CmdStatus.IN_USE
         ctrl.destroy(prog)
         ctrl.destroy(prog_map)      # unpinned now
 
     def test_attach_pins_the_program(self, env):
-        channel, ctrl = env["channel"], env["ctrl"]
+        unit, ctrl = env["unit"], env["ctrl"]
         prog = ctrl.create_prog(passthrough(), [])
         ctrl.attach_prog(env["fld"], prog, "rx", env["binding"])
         from repro.nic.cmd import DestroyObject
-        assert channel.execute(DestroyObject(
+        assert unit.execute(DestroyObject(
             handle=ctrl.handle_of(prog))).status == CmdStatus.IN_USE
         ctrl.detach_prog(env["fld"], "rx", env["binding"])
         ctrl.destroy(prog)
 
     def test_bad_capacity_is_bad_param(self, env):
-        assert env["channel"].execute(
+        assert env["unit"].execute(
             CreateProgMap(capacity=0)).status == CmdStatus.BAD_PARAM
 
 
@@ -117,10 +114,10 @@ class TestAttachDetach:
         ctrl.destroy(prog)
 
     def test_double_attach_is_bad_state(self, env):
-        channel, ctrl = env["channel"], env["ctrl"]
+        unit, ctrl = env["unit"], env["ctrl"]
         prog = ctrl.create_prog(passthrough(), [])
         ctrl.attach_prog(env["fld"], prog, "rx", env["binding"])
-        result = channel.execute(AttachProg(
+        result = unit.execute(AttachProg(
             prog=prog, fld=env["fld"], direction="rx",
             target=env["binding"]))
         assert result.status == CmdStatus.BAD_STATE
@@ -128,27 +125,27 @@ class TestAttachDetach:
         ctrl.destroy(prog)
 
     def test_detach_nothing_is_bad_state(self, env):
-        assert env["channel"].execute(DetachProg(
+        assert env["unit"].execute(DetachProg(
             fld=env["fld"], direction="rx",
             target=env["binding"])).status == CmdStatus.BAD_STATE
 
     def test_attach_to_unknown_target_is_bad_param(self, env):
-        channel, ctrl = env["channel"], env["ctrl"]
+        unit, ctrl = env["unit"], env["ctrl"]
         prog = ctrl.create_prog(passthrough(), [])
         for direction, target in (("rx", 77), ("tx", 77)):
-            assert channel.execute(AttachProg(
+            assert unit.execute(AttachProg(
                 prog=prog, fld=env["fld"], direction=direction,
                 target=target)).status == CmdStatus.BAD_PARAM
-        assert channel.execute(AttachProg(
+        assert unit.execute(AttachProg(
             prog=prog, fld=env["fld"], direction="sideways",
             target=0)).status == CmdStatus.BAD_PARAM
-        assert channel.execute(AttachProg(
+        assert unit.execute(AttachProg(
             prog=prog, fld=None, direction="rx",
             target=0)).status == CmdStatus.BAD_PARAM
         ctrl.destroy(prog)
 
     def test_attach_requires_a_prog_handle(self, env):
-        assert env["channel"].execute(AttachProg(
+        assert env["unit"].execute(AttachProg(
             prog=object(), fld=env["fld"], direction="rx",
             target=env["binding"])).status == CmdStatus.BAD_HANDLE
 
@@ -166,21 +163,21 @@ class TestMapCommands:
         ctrl.destroy(prog_map)
 
     def test_query_map_entry_presence(self, env):
-        channel, ctrl = env["channel"], env["ctrl"]
+        unit, ctrl = env["unit"], env["ctrl"]
         prog_map = ctrl.create_prog_map()
         ctrl.map_set(prog_map, 1, 10)
-        info = channel.execute(QueryMapEntry(map=prog_map, key=1)).info
+        info = unit.execute(QueryMapEntry(map=prog_map, key=1)).info
         assert info == {"present": True, "value": 10}
-        info = channel.execute(QueryMapEntry(map=prog_map, key=2)).info
+        info = unit.execute(QueryMapEntry(map=prog_map, key=2)).info
         assert info == {"present": False, "value": None}
         ctrl.destroy(prog_map)
 
     def test_full_map_is_no_resources(self, env):
-        channel, ctrl = env["channel"], env["ctrl"]
+        unit, ctrl = env["unit"], env["ctrl"]
         prog_map = ctrl.create_prog_map(capacity=2)
         ctrl.map_set(prog_map, 1, 1)
         ctrl.map_set(prog_map, 2, 2)
-        result = channel.execute(SetMapEntry(map=prog_map, key=3,
+        result = unit.execute(SetMapEntry(map=prog_map, key=3,
                                              value=3))
         assert result.status == CmdStatus.NO_RESOURCES
         # Replacing an existing key still works at capacity.
@@ -189,29 +186,16 @@ class TestMapCommands:
         ctrl.destroy(prog_map)
 
     def test_delete_missing_key_is_bad_param(self, env):
-        channel, ctrl = env["channel"], env["ctrl"]
+        unit, ctrl = env["unit"], env["ctrl"]
         prog_map = ctrl.create_prog_map()
-        assert channel.execute(DelMapEntry(
+        assert unit.execute(DelMapEntry(
             map=prog_map, key=9)).status == CmdStatus.BAD_PARAM
         ctrl.destroy(prog_map)
 
     def test_map_commands_require_map_handles(self, env):
-        channel = env["channel"]
+        unit = env["unit"]
         for cmd in (SetMapEntry(map=object(), key=1, value=1),
                     DelMapEntry(map=object(), key=1),
                     QueryMapEntry(map=object(), key=1)):
-            assert channel.execute(cmd).status == CmdStatus.BAD_HANDLE
+            assert unit.execute(cmd).status == CmdStatus.BAD_HANDLE
 
-
-class TestWireFormat:
-    def test_program_rides_the_ext_sideband(self):
-        """Programs (frozen dataclass trees) cross the mailbox as live
-        references on the ext side band, like CQ/RQ handles do."""
-        from repro.nic.cmd import pack_command, unpack_command
-        prog = Program("p", (Ret(ACT_PASS),))
-        cmd = CreateProg(program=prog, maps=[])
-        raw, ext = pack_command(cmd, seq=3)
-        assert prog in ext
-        decoded, seq = unpack_command(raw, ext)
-        assert seq == 3
-        assert decoded.program is prog

@@ -1,8 +1,8 @@
 """Verifier rejection matrix: every bad program dies at load time.
 
-Each invalid program is submitted through the firmware command channel
+Each invalid program is submitted to the firmware command unit
 (``CreateProg``) and must come back ``VERIFY_FAILED`` with the typed
-``E_*`` sub-code in the response syndrome — and, crucially, with the
+``E_*`` sub-code in the result's syndrome — and, crucially, with the
 ``ObjectTable`` untouched: a rejected load leaves no handle, no
 refcount, no partial state.  Dangling map references are a separate
 failure class (``BAD_HANDLE``): they are reported before verification
@@ -105,10 +105,10 @@ MATRIX = [
 
 
 @pytest.fixture()
-def channel():
+def unit():
     sim = Simulator()
     node = make_local_node(sim)
-    return node.driver.channel
+    return node.nic.cmd
 
 
 class TestVerifierUnit:
@@ -132,53 +132,53 @@ class TestVerifierUnit:
 
 
 class TestRejectionThroughFirmware:
-    """The command channel surfaces typed statuses and stays clean."""
+    """The command unit surfaces typed statuses and stays clean."""
 
     @pytest.mark.parametrize("name,program,code",
                              MATRIX, ids=[m[0] for m in MATRIX])
-    def test_verify_failed_with_syndrome_and_no_state(self, channel,
+    def test_verify_failed_with_syndrome_and_no_state(self, unit,
                                                       name, program,
                                                       code):
-        table = channel.unit.table
+        table = unit.table
         before = table.rows()
-        result = channel.execute(CreateProg(program=program, maps=[]))
+        result = unit.execute(CreateProg(program=program, maps=[]))
         assert result.status == CmdStatus.VERIFY_FAILED
         assert result.syndrome == code
         assert table.rows() == before
 
-    def test_dangling_map_is_bad_handle_not_verify(self, channel):
+    def test_dangling_map_is_bad_handle_not_verify(self, unit):
         """An unregistered map object fails handle resolution before
         the verifier ever runs — even with an invalid program."""
-        table = channel.unit.table
+        table = unit.table
         before = table.rows()
         good = Program("ok", (Ret(ACT_PASS),))
-        result = channel.execute(CreateProg(program=good,
+        result = unit.execute(CreateProg(program=good,
                                             maps=[object()]))
         assert result.status == CmdStatus.BAD_HANDLE
         assert table.rows() == before
         bad = Program("noret", (Mov(0, imm=1),))
-        result = channel.execute(CreateProg(program=bad, maps=[object()]))
+        result = unit.execute(CreateProg(program=bad, maps=[object()]))
         assert result.status == CmdStatus.BAD_HANDLE
         assert table.rows() == before
 
-    def test_destroyed_map_is_dangling(self, channel):
-        prog_map = channel.execute(CreateProgMap(capacity=8)).obj
-        handle = channel.unit.table.handle_of(prog_map)
-        assert channel.execute(DestroyObject(handle=handle)).ok
-        before = channel.unit.table.rows()
-        result = channel.execute(CreateProg(
+    def test_destroyed_map_is_dangling(self, unit):
+        prog_map = unit.execute(CreateProgMap(capacity=8)).obj
+        handle = unit.table.handle_of(prog_map)
+        assert unit.execute(DestroyObject(handle=handle)).ok
+        before = unit.table.rows()
+        result = unit.execute(CreateProg(
             program=Program("ok", (Ret(ACT_PASS),)), maps=[prog_map]))
         assert result.status == CmdStatus.BAD_HANDLE
-        assert channel.unit.table.rows() == before
+        assert unit.table.rows() == before
 
-    def test_map_index_checked_against_bound_maps(self, channel):
+    def test_map_index_checked_against_bound_maps(self, unit):
         """A program touching map 1 loads with two maps, not with one."""
         prog = Program("two", (Mov(1, imm=0), MapLookup(0, 1, key=1),
                                Ret(ACT_PASS)))
-        m0 = channel.execute(CreateProgMap()).obj
-        result = channel.execute(CreateProg(program=prog, maps=[m0]))
+        m0 = unit.execute(CreateProgMap()).obj
+        result = unit.execute(CreateProg(program=prog, maps=[m0]))
         assert result.status == CmdStatus.VERIFY_FAILED
         assert result.syndrome == E_MAP
-        m1 = channel.execute(CreateProgMap()).obj
-        assert channel.execute(CreateProg(program=prog,
+        m1 = unit.execute(CreateProgMap()).obj
+        assert unit.execute(CreateProg(program=prog,
                                           maps=[m0, m1])).ok

@@ -12,6 +12,7 @@ from repro.accelerators.zuc import (
     parse_response,
 )
 from repro.core import FldError
+from repro.core.bar import MAX_TX_QUEUES
 from repro.nic import (
     Drop,
     ForwardToQueue,
@@ -67,8 +68,10 @@ class TestFldRuntime:
         assert runtime.fld.tx.queue(queue_id).opcode == OP_RDMA_SEND
 
     def test_tx_queue_slots_bounded(self):
+        # One data window per queue: the TX data region holds eight.
         _sim, _node, runtime = make_runtime()
-        for _ in range(16):
+        assert MAX_TX_QUEUES == 8
+        for _ in range(MAX_TX_QUEUES):
             runtime.create_eth_tx_queue(vport=2)
         with pytest.raises(FldRuntimeError):
             runtime.create_eth_tx_queue(vport=2)

@@ -376,6 +376,14 @@ class TestTraceCli:
         assert exported["counters"]
         assert any(name.startswith("pcie.") for name in exported["counters"])
 
+    @pytest.mark.parametrize("command", ["latency", "profile", "trace"])
+    def test_count_on_timed_scenario_is_refused(self, command, tmp_path,
+                                                capsys):
+        argv = [command, "iot-isolation", "--count", "60",
+                "-o", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        assert "runs timed traffic" in capsys.readouterr().out
+
     def test_trace_unknown_experiment(self, tmp_path, capsys):
         rc = main(["trace", "nope", "-o", str(tmp_path / "x.json")])
         assert rc == 2

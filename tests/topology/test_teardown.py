@@ -29,7 +29,7 @@ def elaborate(tenants=TENANTS):
 
 def test_object_table_dump_lists_the_fldr_control_plane():
     """``python -m repro objects fldr``: every resource the FLD-R
-    testbed uses was born through the command channel, so the dump
+    testbed uses was born through the command unit, so the dump
     names each kind."""
     from repro.scenario import observe
     doc = observe("objects", "fldr")
