@@ -44,6 +44,8 @@ SERVER_MAC = "02:00:00:00:00:02"
 FLD_MAC = "02:00:00:00:00:99"
 CLIENT_IP = "10.0.0.1"
 SERVER_IP = "10.0.0.2"
+#: The FLD-R client's message buffer: the largest message it posts.
+FLDR_BUFFER = 16 * 1024
 
 
 @dataclass
@@ -203,7 +205,7 @@ def _fldr_service(sim, cal, name: str, local: bool,
     accel = accelerator(runtime, control)
     connection = FldRClient(testbed.node(client).driver, vport=1,
                             mac=CLIENT_MAC, ip=CLIENT_IP,
-                            buffer_size=16 * 1024).connect(control)
+                            buffer_size=FLDR_BUFFER).connect(control)
     return SimpleNamespace(client=testbed.node(client),
                            server=testbed.node(server), runtime=runtime,
                            accel=accel, connection=connection,

@@ -417,7 +417,8 @@ def _cmd_group(sections: Sequence[str], full: bool,
 
 def _cmd_observe(args: argparse.Namespace) -> int:
     """``trace``, ``latency``, ``profile`` and ``objects``: print one
-    :func:`repro.scenario.observe` run; exit 1 if its audit is dirty."""
+    :func:`repro.scenario.observe` run; exit 1 if its audit is dirty, 2
+    if ``latency`` finished no trace to attribute."""
     from .scenario import observe, resolve, sweep_points
     from .telemetry.latency import render_report, report_from_registry
     kind, name = args.command, args.experiment
@@ -482,6 +483,9 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         print(f"json report: {args.output}")
     if getattr(args, "collapsed", None):
         print(f"collapsed stacks: {args.collapsed}")
+    if kind == "latency" and not summary["report"]["traces"]:
+        print(f"no {name} packet finished a trace: nothing to attribute")
+        return 2
     return status
 
 

@@ -18,9 +18,11 @@ from types import SimpleNamespace
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Tuple)
 
+from .accelerators.zuc import HEADER_SIZE as ZUC_HEADER
 from .experiments import (cpu_mediated, defrag, echo, iot, prog, scaling,
                           scale_tenants, zuc)
 from .experiments.setups import (
+    FLDR_BUFFER,
     Calibration,
     cpu_echo_remote,
     flde_echo_local,
@@ -30,6 +32,13 @@ from .experiments.setups import (
 )
 from .sim import Simulator
 from .telemetry import Telemetry, Violation, audit_spans, build_report
+
+
+#: The ``size`` a row can carry, inclusive: an Ethernet frame from the
+#: 64 B minimum to the 2048 B host receive buffer, an FLD-R message up
+#: to the client's buffer, a ZUC payload up to that less its header.
+FRAME_SIZES = (64, 2048)
+MESSAGE_SIZES = (0, FLDR_BUFFER)
 
 
 class Scenario(NamedTuple):
@@ -48,6 +57,8 @@ class Scenario(NamedTuple):
     sweep: Optional[Callable[..., List]] = None
     #: The row reports its testbed's audit as a ``violations`` count.
     audited: bool = False
+    #: The smallest and largest ``size`` the row carries.
+    sizes: Tuple[int, int] = FRAME_SIZES
 
 
 def _prog(program: str, description: str) -> Scenario:
@@ -89,20 +100,23 @@ SCENARIOS: Dict[str, Scenario] = {
     "fldr": Scenario(
         "FLD-R RDMA echo throughput (§8.1.2)",
         fldr_echo, partial(echo.drive_fldr, mode="fldr-remote"),
-        200, 1024, True),
+        200, 1024, True, sizes=MESSAGE_SIZES),
     "fldr-local": Scenario(
         "FLD-R RDMA echo throughput, one node (§8.1.2)",
         partial(fldr_echo, local=True),
-        partial(echo.drive_fldr, mode="fldr-local"), 200, 1024, True),
+        partial(echo.drive_fldr, mode="fldr-local"), 200, 1024, True,
+        sizes=MESSAGE_SIZES),
     "fig7c": Scenario(
         "FLD-R echo latency at one offered load (one Fig. 7c point)",
-        fldr_echo, echo.drive_load, 800, 1024, True),
+        fldr_echo, echo.drive_load, 800, 1024, True, sizes=MESSAGE_SIZES),
     "fig7c-local": Scenario(
         "FLD-R echo latency at one offered load, one node (Fig. 7c)",
-        partial(fldr_echo, local=True), echo.drive_load, 800, 1024, True),
+        partial(fldr_echo, local=True), echo.drive_load, 800, 1024, True,
+        sizes=MESSAGE_SIZES),
     "fig8a": Scenario(
         "ZUC encryption over FLD-R, 8 units (one Fig. 8a point)",
-        zuc_service, zuc.drive, 300, 512, True),
+        zuc_service, zuc.drive, 300, 512, True,
+        sizes=(0, FLDR_BUFFER - ZUC_HEADER)),
     "iot-line-rate": Scenario(
         "IoT token authentication at 25 GbE line rate, timed (§8.2.3)",
         iot.build, iot.drive_line_rate, None, 512, False),
@@ -164,6 +178,13 @@ def resolve(kind: str, name: str, size: Optional[int] = None,
     if count is not None and SCENARIOS[target].count is None:
         raise ValueError(f"{name} runs timed traffic; "
                          f"a count does not apply")
+    # A library run may send nothing; an observed run needs packets.
+    if kind != "run" and count is not None and count < 1:
+        raise ValueError(f"{name} needs a count of at least 1; got {count}")
+    low, high = SCENARIOS[target].sizes
+    if size is not None and not low <= size <= high:
+        raise ValueError(f"{name} carries sizes of {low} to {high} B; "
+                         f"got {size}")
     return target, default
 
 

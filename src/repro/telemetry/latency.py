@@ -271,7 +271,9 @@ def render_report(report: Dict[str, Any], title: str = "Latency "
         })
     lines = [format_table(title, rows)]
     reconciliation = report.get("reconciliation")
-    if reconciliation is not None:
+    if reconciliation is not None and not report.get("traces"):
+        lines.append("reconciliation: no packet traced")
+    elif reconciliation is not None:
         lines.append(
             f"reconciliation: max per-packet error "
             f"{reconciliation['max_error'] * 100:.4f}% "

@@ -1,0 +1,389 @@
+"""One cost ledger: each warmed burst is profiled once, and every
+deterministic cost gate is a row of :data:`GATES` over those profiles,
+checked by ``tests/test_costs.py``.  To print each row's headroom::
+
+    PYTHONPATH=src python -m tests.costs
+"""
+
+import cProfile
+import operator
+import pstats
+import random
+from collections import Counter
+from fnmatch import fnmatchcase
+from functools import lru_cache
+
+from repro.core import AxisMetadata
+from repro.experiments.setups import flde_echo_local, flde_echo_remote, fldr_echo
+from repro.host import LoadGenerator
+from repro.net import Flow
+from repro.net.parse import parse_frame
+from repro.nic import EthernetPort
+from repro.sim import Event, Process, Simulator
+from repro.telemetry import Telemetry
+from repro.testbed import HOST_MEM_BASE, make_local_node
+
+#: ``pstats``' file name for builtins, and the split's entry for the
+#: builtin calls no profiled function made.
+BUILTIN, REMAINDER = "~", "(no profiled caller)"
+
+
+def _match(path, name, site):
+    """Whether ``site`` (``"path fragment:glob|glob..."``) matches."""
+    fragment, _, patterns = site.partition(":")
+    return fragment in path and any(fnmatchcase(name, pattern)
+                                    for pattern in patterns.split("|"))
+
+
+class Ledger:
+    """One profiled burst: ``total`` calls over ``per`` units.  ``split``
+    charges each call to one file: a function's to its own, a builtin's to
+    its caller's or else to :data:`REMAINDER`.  (``pstats`` keys by file,
+    line and name: put two profiled lambdas on two lines.)"""
+
+    def __init__(self, stats: pstats.Stats, per: int):
+        self.per, self.total, self.stats = per, stats.total_calls, stats.stats
+        self.seen = {(path, name) for path, _line, name in self.stats}
+        self.split = Counter()
+        for (path, _line, _name), (_cc, ncalls, _tt, _ct, callers) \
+                in self.stats.items():
+            if path == BUILTIN:
+                for caller, counts in callers.items():
+                    self.split[caller[0]] += counts[0]
+                    ncalls -= counts[0]
+                path = REMAINDER
+            self.split[path] += ncalls
+        assert sum(self.split.values()) == self.total, self.split
+
+    def calls(self, site) -> int:
+        """Calls of a function, of every function a site matches, or of a
+        ``(site, callers)`` pair's only from those callers."""
+        if isinstance(site, tuple):
+            return sum(self.callers(*site).values())
+        if callable(site):
+            return self.stats.get(cProfile.label(site.__code__), (0, 0))[1]
+        return sum(entry[1] for (path, _line, name), entry
+                   in self.stats.items() if _match(path, name, site))
+
+    def callers(self, site, only=None) -> Counter:
+        """``(path, name) -> calls`` into ``site``, of callers matching
+        an ``only`` site if given."""
+        edges = Counter()
+        for (path, _line, name), entry in self.stats.items():
+            if _match(path, name, site):
+                for (where, _line, caller), counts in entry[4].items():
+                    if only is None or any(_match(where, caller, pattern)
+                                           for pattern in only):
+                        edges[where, caller] += counts[0]
+        return edges
+
+    def charged(self, scope: str) -> int:
+        """Calls of functions under ``scope`` and of builtins they call."""
+        return sum(calls for path, calls in self.split.items()
+                   if scope in path)
+
+
+# Bursts: each builds and warms its setup, then profiles its steady state.
+WARM, FRAMES, RATE_PPS = 32, 128, 12.8e6    # 64 B at 9 Gb/s on the wire
+TRIPS, REQUESTS, OPS, BURST = 64, 64, 256, 16
+MAC, PEER_MAC = "02:00:00:00:00:99", "02:00:00:00:00:01"
+PAYLOAD = bytes(range(64))
+
+
+def paced_echo(profile, spans=False):
+    random.seed(7)
+    telemetry = Telemetry(trace=False, spans=True) if spans else None
+    sim = Simulator(telemetry=telemetry)
+    loadgen = flde_echo_remote(sim).loadgen
+
+    def burst(count):
+        def drive():
+            yield from loadgen.run_open_loop([64] * count, rate_pps=RATE_PPS)
+            yield from loadgen.drain()
+        sim.spawn(drive())
+        sim.run()
+
+    burst(WARM)     # routes, frame template, descriptor prefetch
+    profile.runcall(burst, FRAMES)
+    assert loadgen.stats_received == WARM + FRAMES
+    assert not spans or len(telemetry.spans.finished_traces()) == WARM + FRAMES
+
+
+def closed_loop(profile):
+    random.seed(7)
+    telemetry = Telemetry(trace=False, profile=True)
+    sim = Simulator(telemetry=telemetry)
+    warm = flde_echo_remote(sim).loadgen
+    stages = telemetry.profiler.stage_counts
+
+    def burst(loadgen, count):
+        def drive():
+            yield from loadgen.run_closed_loop(64, count, window=1)
+        sim.spawn(drive())
+        sim.run()
+
+    burst(warm, 16)
+    # A fresh generator: the loop counts responses from its generator's
+    # first.  One app event a round trip, plus the spawn of ``drive``.
+    loadgen = LoadGenerator(sim, warm.qp, warm.flow)
+    before = stages().get("app", 0)
+    profile.runcall(burst, loadgen, TRIPS)
+    assert loadgen.stats_received == TRIPS
+    assert stages().get("app", 0) - before == TRIPS + 1
+
+
+def fldr_requests(profile):
+    random.seed(7)
+    sim = Simulator()
+    setup = fldr_echo(sim)
+
+    def burst(count):
+        replies = []
+
+        def drive():
+            for _ in range(count):
+                setup.connection.post(bytes(512))
+            for _ in range(count):
+                replies.append((yield setup.connection.responses.get())[0])
+        sim.spawn(drive())
+        sim.run()
+        assert replies == [bytes(512)] * count
+
+    burst(16)   # QP frame heads, routes, descriptor prefetch
+    profile.runcall(burst, REQUESTS)
+    assert setup.client.nic.rdma.stats_retransmits == 0
+
+
+def in_bursts(profile, per_frame, settle=None, src=PEER_MAC, dst=MAC,
+              settle_profiled=True):
+    """Hand 128 64 B frames to ``per_frame``, ``settle()`` every 16; the
+    first 16 warm caches, the rest are profiled (``settle`` if asked)."""
+    flow = Flow(src, dst, "10.0.0.1", "10.0.0.2", 7000, 7001)
+    data = [flow.make_sized_packet(64).to_bytes() for _ in range(8 * BURST)]
+    for start in range(0, len(data), BURST):
+        if start:
+            profile.enable()
+        for frame in data[start:start + BURST]:
+            per_frame(frame)
+        if not settle_profiled:
+            profile.disable()
+        if settle:
+            settle()
+        profile.disable()
+    return data
+
+
+def host_queue(**qp_options):
+    sim = Simulator()
+    node = make_local_node(sim)
+    node.add_vport_for_mac(2, MAC)
+    return sim, node, node.driver.create_eth_qp(2, **qp_options)
+
+
+def nic_send(profile):
+    sim, node, qp = host_queue(use_mmio_wqe=True)
+    peer = EthernetPort(sim, "peer")
+    node.nic.port.connect(peer)
+    wire = []
+    peer.on_receive = wire.append
+    data = in_bursts(profile, qp.send, sim.run, src=MAC, dst=PEER_MAC)
+    assert [packet.raw for packet in wire] == data
+    assert qp.sq.stats_wqe_fetches == 0     # every WQE came by MMIO
+
+
+def wire_to_queue(settle_profiled):
+    def burst(profile):
+        sim, node, qp = host_queue()
+        qp.post_rx_buffers(8 * BURST)
+        got = []
+        qp.on_receive = lambda data, cqe: got.append(data)
+        ingress = node.nic.eswitch.ingress_from_wire
+        assert got == in_bursts(
+            profile, lambda frame: ingress(parse_frame(frame)), sim.run,
+            settle_profiled=settle_profiled)
+    return burst
+
+
+def echo_accelerator(profile):
+    accel, meta, echoed = flde_echo_local(Simulator()).accel, AxisMetadata(), []
+    data = in_bursts(profile,
+                     lambda frame: echoed.extend(accel.process(frame, meta)))
+    assert [len(out) for out, _meta in echoed] == [64] * len(data)
+    assert echoed[0][0][0:6] == data[0][6:12]
+
+
+def _nothing(_data=None):
+    pass
+
+
+def _write(node, address):
+    node.fabric.post_write(node.nic, address, data=PAYLOAD, on_done=_nothing)
+
+
+def _read(node, address):
+    node.fabric.read(node.nic, address, 64, on_done=_nothing)
+
+
+def fabric(issue):
+    def burst(profile):
+        sim = Simulator()
+        node = make_local_node(sim)
+
+        def bursts(ops):
+            for base in range(0, ops, BURST):
+                for slot in range(BURST):
+                    issue(node, HOST_MEM_BASE + 64 * (base + slot))
+                sim.run()
+        bursts(BURST)   # the first use of the window resolves the route
+        profile.runcall(bursts, OPS)
+    return burst
+
+
+#: name -> (burst(profile), units profiled)
+BURSTS = {
+    # 64 B FLD-E echoes paced (untraced or every packet traced) or in a
+    # window-1 closed loop; 512 B FLD-R echo requests.
+    "echo": (paced_echo, FRAMES),
+    "echo-spans": (lambda profile: paced_echo(profile, spans=True), FRAMES),
+    "closed-loop": (closed_loop, TRIPS),
+    "fldr": (fldr_requests, REQUESTS),
+    # 64 B frames on a local node: MMIO WQE doorbells to the wire, the wire
+    # to a host queue's CQE (or its inbox), the echo accelerator.
+    "nic-send": (nic_send, 7 * BURST),
+    "nic-receive": (wire_to_queue(settle_profiled=True), 7 * BURST),
+    "wire-to-queue": (wire_to_queue(settle_profiled=False), 7 * BURST),
+    "echo-accelerator": (echo_accelerator, 7 * BURST),
+    "fabric-write": (fabric(_write), OPS),
+    "fabric-read": (fabric(_read), OPS),
+}
+
+
+@lru_cache(maxsize=None)
+def ledger(burst: str) -> Ledger:
+    """``burst`` run and profiled, once per process."""
+    run, per = BURSTS[burst]
+    profile = cProfile.Profile()
+    run(profile)
+    return Ledger(pstats.Stats(profile), per)
+
+
+SEND = "~:<method 'send' of 'generator' objects>"
+DRIVE, CORE, NIC = "tests/costs.py:drive", "/repro/core/", "/repro/nic/"
+THAWED = ("/packet.py:find|append|_thaw|<genexpr>|<listcomp>",
+          "/parse.py:parse_headers", "/ethernet.py:unpack", "/ip.py:unpack|pack",
+          "/udp.py:unpack")
+NIC_FOLDED = (NIC + "device.py:_pre_rx_hook|_plain_finish|_tx_begin|_push"
+              "|__init__", NIC + "queues.py:next_slot")
+PER_TLP = (":decode|port_of|retire|_check|completion_chunks|*bisect*",
+           "fabric.py:__init__", "resources.py:__init__")
+
+#: Rows ``(name, burst, per, scope, bound, never, counts)``: ``burst`` or
+#: ``(burst, baseline)`` to measure the difference; calls a ``per`` unit
+#: of a path ``scope`` with the builtins it calls (``None``: all), at most
+#: ``bound``; ``never``: sites, or ``(site, callers)``; ``counts``: ``(site,
+#: op, value)``, ``value`` a number or a site, both calls a unit.
+GATES = (
+    # A received frame keeps its parse: only each transmitting NIC
+    # parses; no whole-frame parse, size helper or checksum chain.
+    ("echo", "echo", "frame", None, 448,
+         ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
+          "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),)),
+    # A descriptor is its bytes: one pack and one unpack_from, no codec.
+    ("echo.descriptors", "echo", "frame", None, None,
+         ("nic/wqe.py:*", "core/descriptors.py:*"), ()),
+    # A steered frame is one pass: one process per table crossed, one
+    # forward per eSwitch crossing, no per-rule or per-verdict frame.
+    ("echo.steering", "echo", "frame", None, None,
+         ("/steering.py:lookup|matches|__init__",
+          "/eswitch.py:_apply_fdb|ingress_to_vport|apply_at"),
+         (("nic/steering.py:process", "==", 6),
+          ("nic/eswitch.py:forward", "==", 2))),
+    # An FLD packet pays only for its translations: no BAR object, no
+    # helper folded into a stage, no cycle count through its config;
+    # two maps at submit, one translation by the NIC's read, two unmaps.
+    ("echo.core", "echo", "frame", CORE, 63,
+         (CORE + "bar.py:*", ("core/fld.py:cycles", (CORE + ":*",)),
+          *(CORE + site for site in (
+              "fld.py:_launch|_submit", "tx.py:queue|_ring_nic|handle_data_read",
+              "rx.py:binding|buffer_size|_full_desc_index|handle_buffer_write",
+              "translation.py:resolve|chunks_per_window|free_slots",
+              "buffers.py:free_chunks|chunks_for|read"))),
+         (("core/cuckoo.py:insert", "==", 2), ("core/cuckoo.py:lookup", "==", 1),
+          ("core/cuckoo.py:remove", "==", 2))),
+    # A hand-off is a parked continuation: a packet builds no engine
+    # object and steps no generator; only the burst's driver is stepped.
+    ("echo.rendezvous", "echo", "frame", None, None, (),
+         (("sim/engine.py:__init__", "<", 1), ("sim/engine.py:is_full", "<=", 4),
+          ((DRIVE, (SEND,)), "==", SEND), (SEND, "==", DRIVE),
+          ("sim/engine.py:_step", "<=", DRIVE))),
+    # Watching a packet: levels are pulled, a finished trace and a
+    # hand-off fold their samples in place, the fabric stamps a TLP's
+    # span end itself, histograms are resolved once, and the recorder
+    # makes no per-sample builtin call.
+    ("echo.spans", ("echo-spans", "echo"), "frame", None, 105,
+         ("telemetry/metrics.py:set|_get|histogram",
+          ("telemetry/metrics.py:observe",
+           ("telemetry/spans.py:end_trace", "sim/engine.py:_deliver")),
+          ("telemetry/spans.py:exit", ("pcie/fabric.py:*",)),
+          ("~:<built-in method builtins.max>|<built-in method builtins.min>"
+           "|<built-in method builtins.isinstance>"
+           "|<method 'add' of 'set' objects>",
+           ("telemetry/spans.py:*", "telemetry/metrics.py:*"))), ()),
+    # A wait is parked where its condition changes: no poll timeout, and
+    # over the whole burst two Events, one Process, two driver steps.
+    ("closed-loop", "closed-loop", "round trip", None, None,
+         ("sim/engine.py:timeout",),
+         ((Event.__init__, "==", 2 / TRIPS), (Process.__init__, "==", 1 / TRIPS),
+          (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND))),
+    # An RC segment is its bytes: no net/roce.py frame, one BTH read per
+    # segment received (a data segment each way and an ACK for each).
+    ("fldr", "fldr", "request", None, 623, ("net/roce.py:*",),
+         (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4))),
+    # A NIC frame is one pass per direction: no helper folded into a
+    # stage, no per-frame device object.
+    ("nic.send", "nic-send", "frame", NIC, 18, NIC_FOLDED, ()),
+    ("nic.receive", "nic-receive", "frame", NIC, 17, NIC_FOLDED, ()),
+    # A frame is steered off its layout: never thawed, rebuilt, re-packed.
+    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 26, THAWED, ()),
+    ("rx.echo-accelerator", "echo-accelerator", "frame", None, 14, THAWED, ()),
+    # A TLP is its lane entry: no address decode, lane search or retire,
+    # bounds-check frame, chunked completion, fabric or lane object.
+    ("fabric.write", "fabric-write", "op", None, 15, PER_TLP, ()),
+    ("fabric.read", "fabric-read", "op", None, 19, PER_TLP, ()),
+)
+
+
+def check(gate):
+    """``gate``'s calls a unit (less its baseline's), and why it fails:
+    its bound, each ``never`` site that ran, each count off its value."""
+    _name, bursts, per, scope, bound, never, counts = gate
+    led, *baseline = (ledger(burst) for burst in (
+        bursts if isinstance(bursts, tuple) else (bursts,)))
+    value = sum(sign * (part.charged(scope) if scope else part.total)
+                for sign, part in zip((1, -1), (led, *baseline))) / led.per
+    found = [f"{value:.2f} calls a {per} > bound {bound}"] \
+        if bound is not None and value > bound else []
+    for site in never:
+        hits = (led.callers(*site) if isinstance(site, tuple) else
+                [key for key in led.seen if _match(*key, site)])
+        if hits:
+            found.append(f"never {site} ran: {sorted(hits)}")
+    for site, op, want in counts:
+        got = led.calls(site) / led.per
+        if not isinstance(want, (int, float)):
+            want = led.calls(want) / led.per
+        if not {"==": operator.eq, "<=": operator.le, "<": operator.lt}[op](
+                got, want):
+            found.append(f"{getattr(site, '__qualname__', site)}: {got:g} a "
+                         f"{per}, want {op} {want:g}")
+    return value, found
+
+
+if __name__ == "__main__":
+    print(f"{'gate':<22}{'measured':>9}{'bound':>7}{'headroom':>10}")
+    for gate in GATES:
+        (value, found), bound, room = check(gate), gate[4], "-"
+        if bound is not None:
+            room = f"{100 * (bound - value) / bound:.1f}%"
+        print(f"{gate[0]:<22}{value:>9.2f}{bound or '-':>7}{room:>10}  a "
+              f"{gate[2]}: {'; '.join(found) or 'ok'}")

@@ -1,8 +1,14 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro.experiments.setups import flde_echo_remote
 from repro.sim import Event, SimulationError, Simulator, Store
+
+from ..costs import paced_echo
 
 
 def test_timeout_advances_clock():
@@ -209,3 +215,86 @@ class TestStore:
         for i in range(7):
             store.try_put(i)
         assert store.stats_max_depth == 7
+
+
+def test_fullness_is_asked_only_where_a_put_could_be_refused(monkeypatch):
+    """``try_put`` on an unbounded store, or on one with a consumer
+    parked (the item goes straight through), skips ``is_full``."""
+    asked = []
+    is_full = Store.is_full
+
+    def recording(store):
+        asked.append((store.capacity, len(store._getters)))
+        return is_full.fget(store)
+
+    monkeypatch.setattr(Store, "is_full", property(recording))
+    paced_echo(SimpleNamespace(runcall=lambda burst, *args: burst(*args)))
+    assert asked
+    assert all(capacity is not None and parked == 0
+               for capacity, parked in asked)
+
+
+def test_a_backpressured_send_queue_wakes_once_per_deadline(monkeypatch):
+    """256 back-to-back 64 B frames against the 32-deep ``dma_window``:
+    the fetch stage is parked on the window for most of the burst and
+    every slot the transmit stage pops early is a hold.
+    ``_expire_holds`` dispatches at most once per instant per store,
+    only at hold deadlines, and no more often than deadlines pass while
+    (or at the instant) a putter is parked: 232 wakes against 234 such
+    deadlines, where the re-arm that did not look for a pending wake
+    dispatched 24767 — every deadline inheriting its predecessor's
+    duplicates and adding one."""
+    wakes = []          # (store, now)
+    deadlines = {}      # store -> hold deadlines
+    parked = {}         # store -> [(parked_at, admitted_at or None)]
+
+    expire_holds = Store._expire_holds
+    hold_slot = Store.hold_slot
+    put_or_park = Store.put_or_park
+
+    def counting_expire(store):
+        wakes.append((store, store.sim.now))
+        expire_holds(store)
+
+    def recording_hold(store, until):
+        deadlines.setdefault(store, set()).add(until)
+        hold_slot(store, until)
+
+    def recording_put(store, item, func):
+        spans = parked.setdefault(store, [])
+
+        def admitted(admitted_item):
+            spans[-1][1] = store.sim.now
+            func(admitted_item)
+
+        if put_or_park(store, item, admitted):
+            return True
+        spans.append([store.sim.now, None])
+        return False
+
+    monkeypatch.setattr(Store, "_expire_holds", counting_expire)
+    monkeypatch.setattr(Store, "hold_slot", recording_hold)
+    monkeypatch.setattr(Store, "put_or_park", recording_put)
+
+    random.seed(7)
+    sim = Simulator()
+    loadgen = flde_echo_remote(sim).loadgen
+
+    def drive():
+        yield from loadgen.run_open_loop([64] * 256)
+        yield from loadgen.drain()
+
+    sim.spawn(drive())
+    sim.run()
+    assert loadgen.stats_sent == 256
+
+    assert wakes and len(set(wakes)) == len(wakes)
+    passed_while_parked = 0
+    for store, held in deadlines.items():
+        spans = parked.get(store, ())
+        passed_while_parked += sum(
+            any(start <= deadline and (end is None or deadline <= end)
+                for start, end in spans)
+            for deadline in held)
+    assert all(now in deadlines[store] for store, now in wakes)
+    assert len(wakes) <= passed_while_parked

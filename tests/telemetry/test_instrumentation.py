@@ -384,6 +384,30 @@ class TestTraceCli:
         assert main(argv) == 2
         assert "runs timed traffic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,message", [
+        ("latency echo --count 0", "echo needs a count of at least 1; got 0"),
+        ("profile echo --count -3",
+         "echo needs a count of at least 1; got -3"),
+        ("latency echo --size 100000",
+         "echo carries sizes of 64 to 2048 B; got 100000"),
+        ("latency echo --size 9000",
+         "echo carries sizes of 64 to 2048 B; got 9000"),
+        ("latency echo --size 0", "echo carries sizes of 64 to 2048 B; got 0"),
+        ("trace fldr --size 16385 -o unused.json",
+         "fldr carries sizes of 0 to 16384 B; got 16385"),
+    ])
+    def test_out_of_range_count_or_size_is_refused(self, argv, message,
+                                                   capsys):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().out == message + "\n"
+
+    def test_latency_with_no_packet_traced_is_refused(self, capsys):
+        assert main(["latency", "fldr", "--count", "5"]) == 2
+        out = capsys.readouterr().out
+        assert "reconciliation: no packet traced" in out and "OK" not in out
+        assert out.endswith("no fldr packet finished a trace: "
+                            "nothing to attribute\n")
+
     def test_trace_unknown_experiment(self, tmp_path, capsys):
         rc = main(["trace", "nope", "-o", str(tmp_path / "x.json")])
         assert rc == 2

@@ -271,3 +271,7 @@ class TestNullRecorder:
         export = NULL_SPANS.to_dict()
         assert export["traces"] == []
         assert "schema" in export
+
+
+def test_a_span_is_filled_in_the_recorders_frame():
+    assert "__init__" not in vars(Span)
