@@ -33,6 +33,7 @@ from ..nic.wqe import (
 )
 from ..pcie import POSTED, PcieEndpoint, PcieError
 from ..sim import Event, Simulator
+from ..sim.resources import DELIVERY
 from .axis import AxisMetadata, AxisStream
 from .bar import (CQ_REGION, CQ_SPAN, FLD_BAR_SIZE, PI_REGION,
                   RX_BUFFER_REGION, TX_DATA_REGION, TX_DATA_SPAN,
@@ -332,7 +333,7 @@ class FlexDriver(PcieEndpoint):
             # Rare/slow cases (unbound ring, error CQEs, match-action
             # programs): land the write in its own event at its
             # arrival; _on_cqe_write handles it from the bytes.
-            self.sim.call_later(handle.delivery - self.sim._now,
+            self.sim.call_later(handle[0][DELIVERY] - self.sim._now,
                                 self._rx_cqe_arrive, handle)
             return
         self.stats_cqe_writes += 1
@@ -349,16 +350,16 @@ class FlexDriver(PcieEndpoint):
             # receive inbox is dropping).  Buffers close on a fraction
             # of CQEs under MPRQ, so this event is the exception, not
             # the per-packet cost.
-            self.sim.call_later(handle.delivery - self.sim._now,
+            self.sim.call_later(handle[0][DELIVERY] - self.sim._now,
                                 partial(self._recycle_at_arrival, handle,
                                         recycles), None)
 
     def _recycle_at_arrival(self, handle, recycles, _arg) -> None:
         sim = self.sim
-        if handle.delivery > sim._now:
+        if handle[0][DELIVERY] > sim._now:
             # Shared-lane arbitration repaired the CQE's arrival after
             # this continuation was scheduled; fire again on time.
-            sim.call_later(handle.delivery - sim._now,
+            sim.call_later(handle[0][DELIVERY] - sim._now,
                            partial(self._recycle_at_arrival, handle,
                                    recycles), None)
             return
@@ -372,23 +373,23 @@ class FlexDriver(PcieEndpoint):
         """Fallback continuation: land a deferred CQE write as the
         fabric's own delivery event would."""
         sim = self.sim
-        if handle.delivery > sim._now:
-            sim.call_later(handle.delivery - sim._now, self._rx_cqe_arrive,
-                           handle)
+        if handle[0][DELIVERY] > sim._now:
+            sim.call_later(handle[0][DELIVERY] - sim._now,
+                           self._rx_cqe_arrive, handle)
             return
         handle.commit()
 
     def _emit_rx_fused(self, handle, data: bytes, meta: AxisMetadata) -> None:
         self.stats_rx_stream_pushes += 1
         sim = self.sim
-        done = handle.delivery + self.config.pipeline_latency
+        done = handle[0][DELIVERY] + self.config.pipeline_latency
         sim.call_later(done - sim._now, self._rx_push_fused,
                        (handle, data, meta))
 
     def _rx_push_fused(self, entry) -> None:
         handle, data, meta = entry
         sim = self.sim
-        done = handle.delivery + self.config.pipeline_latency
+        done = handle[0][DELIVERY] + self.config.pipeline_latency
         if done > sim._now:
             # Shared-lane arbitration repaired the CQE's arrival after
             # this continuation was scheduled; fire again on time.
@@ -397,7 +398,7 @@ class FlexDriver(PcieEndpoint):
         handle.retire()
         ctx = meta.trace_ctx
         if ctx is not None:
-            self._spans.record(ctx, "fld.rx", handle.delivery, sim._now)
+            self._spans.record(ctx, "fld.rx", handle[0][DELIVERY], sim._now)
             meta.trace_enqueued = sim._now
         self.rx_stream.push(data, meta)
 
@@ -408,7 +409,7 @@ class FlexDriver(PcieEndpoint):
         # The trace context rides the CQE's write TLP side band: the 64 B
         # on the wire carry no room for it.
         cqe = CqeRecord(CQE.unpack_from(data)
-                        + (self.fabric.inbound_trace_ctx(), None))
+                        + (self.fabric.inbound_trace_ctx, None))
         route = self._cq_route.get(cq_index)
         if route is None:
             self.errors.report(FldError.CQE_ERROR, cq_index,

@@ -53,7 +53,7 @@ class CpuCore:
     def packet_cost(self) -> float:
         """Per-packet software time, occasionally hit by OS interference."""
         self.stats_packets += 1
-        cost = self.per_packet_seconds
+        cost = self.per_packet_cycles / self.frequency_hz
         if self._rng.random() < self.os_jitter_probability:
             self.stats_jitter_events += 1
             cost += self._rng.expovariate(1.0 / self.os_jitter_scale)

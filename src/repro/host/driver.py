@@ -36,6 +36,7 @@ from ..nic.queues import ReceiveQueue
 from ..nic.wqe import CQE, CQE_ERROR, RX_DESC, TX_WQE, CqeRecord
 from ..pcie import POSTED
 from ..sim import Event, PollWait, Pump, Simulator, Store
+from ..sim.resources import DELIVERY
 from .cpu import CpuCore, HostCpuPort
 from .memory import BumpAllocator, HostMemory
 
@@ -171,17 +172,14 @@ class EthQueuePair:
         The host pays ONE descriptor and one doorbell for the whole
         burst — the CPU saving TSO exists for.
         """
-        self._post(frame, signaled,
-                   extra_flags=WQE_FLAG_LSO | WQE_FLAG_CSUM_L4, mss=mss)
+        self.send(frame, signaled, extra_flags=WQE_FLAG_LSO | WQE_FLAG_CSUM_L4,
+                  mss=mss)
 
-    def send(self, frame: bytes, signaled: bool = False,
-             trace_ctx=None) -> None:
-        """Queue one frame for transmission (CPU side, non-blocking)."""
-        self._post(frame, signaled, trace_ctx=trace_ctx)
-
-    def _post(self, frame: bytes, signaled: bool,
-              extra_flags: int = 0, mss: int = 0, trace_ctx=None) -> None:
-        if self.tx_space() < 1:
+    def send(self, frame: bytes, signaled: bool = False, trace_ctx=None,
+             extra_flags: int = 0, mss: int = 0) -> None:
+        """Queue one frame for transmission (CPU side, non-blocking);
+        ``extra_flags`` and ``mss`` are :meth:`send_tso`'s."""
+        if self.sq.entries - (self._pi - self._tx_completed) < 1:
             raise QueueFullError(
                 f"SQ {self.sq.qpn} full: use wait_for_tx_space()"
             )
@@ -300,7 +298,7 @@ class EthQueuePair:
         the per-queue draw order of a serial dispatcher.
         """
         cost = self.core.packet_cost()
-        planned = max(handle.delivery, self._fused_planned) + cost
+        planned = max(handle[0][DELIVERY], self._fused_planned) + cost
         self._fused_planned = planned
         # [handle, cost, committed, fired_early]
         entry = [handle, cost, False, False]
@@ -319,7 +317,7 @@ class EthQueuePair:
             entry[3] = True
             return
         sim = self.sim
-        done = max(entry[0].delivery, self._fused_done) + entry[1]
+        done = max(entry[0][0][DELIVERY], self._fused_done) + entry[1]
         if done > sim._now:
             sim.call_later(done - sim._now, self._rx_fused_fire, entry)
             return
@@ -327,7 +325,7 @@ class EthQueuePair:
         # Re-drive any successors whose events fired early and bailed.
         while queue and queue[0][3]:
             head = queue[0]
-            done = max(head[0].delivery, self._fused_done) + head[1]
+            done = max(head[0][0][DELIVERY], self._fused_done) + head[1]
             if done > sim._now:
                 sim.call_later(done - sim._now, self._rx_fused_fire, head)
                 return
@@ -344,7 +342,7 @@ class EthQueuePair:
             # The serial dispatcher picks a packet up once its CQE has
             # landed and the previous packet is done.
             self._spans.record(ctx, "host.rx",
-                               max(handle.delivery, self._fused_done), now)
+                               max(handle[0][DELIVERY], self._fused_done), now)
         self._fused_done = now
         handle.commit()
         self._receive((handle.data, ctx, handle.frame))

@@ -251,7 +251,7 @@ class LoadGenerator:
             frame = self._frame_from_packet(frame_size)
         else:
             frame = self._frame_from_template(frame_size)
-        self._sent_at[self._seq] = self.sim.now
+        self._sent_at[self._seq] = self.sim._now
         self._seq += 1
         return frame
 
@@ -333,9 +333,9 @@ class LoadGenerator:
             (seq,) = struct.unpack_from(_SEQ_FORMAT, data, payload_at)
             sent = self._sent_at.pop(seq, None)
             if sent is not None:
-                self.latency.add(self.sim.now - sent)
+                self.latency.add(self.sim._now - sent)
         self.stats_received += 1
-        self.rx_meter.record(self.sim.now, len(data))
+        self.rx_meter.record(self.sim._now, len(data))
         if cqe.trace_ctx is not None:
             self._spans.end_trace(cqe.trace_ctx, self.sim._now)
         awaiting = self._awaiting
@@ -362,7 +362,7 @@ class LoadGenerator:
         It waits for every response: a run that loses one never
         finishes this script.
         """
-        self.rx_meter.start(self.sim.now)
+        self.rx_meter.start(self.sim._now)
         done = Event(self.sim)
         _FlatWindow(self, frame_size, count, window, done)._fill()
         yield done
@@ -390,7 +390,7 @@ class LoadGenerator:
         that for its N=1 equivalence to the single-tenant echo.
         ``labels`` (parallel to ``flows``) names each flow's traces.
         """
-        self.rx_meter.start(self.sim.now)
+        self.rx_meter.start(self.sim._now)
         if not sizes:
             return
         interval = gap if gap is not None else (
@@ -407,8 +407,8 @@ class LoadGenerator:
     def drain(self, quiet_period: float = 50e-6, limit: float = 1.0):
         """Generator: wait until responses stop arriving."""
         last = -1
-        start = self.sim.now
-        while self.sim.now - start < limit:
+        start = self.sim._now
+        while self.sim._now - start < limit:
             if self.stats_received == last:
                 return
             last = self.stats_received

@@ -321,7 +321,7 @@ class Nic(PcieEndpoint):
                 raise PcieError(f"{self.name}: MMIO WQE for unknown SQ {qpn}")
             # The packet's trace context rode the MMIO write side band.
             wqe = TxWqeRecord(TX_WQE.unpack_from(data)
-                              + (self.fabric.inbound_trace_ctx(),))
+                              + (self.fabric.inbound_trace_ctx,))
             # The WQE carries its index's low 16 bits: ring the first PI
             # at or past the queue's that ends in ``wqe_index + 1``.
             pi = sq.pi

@@ -75,7 +75,7 @@ class EthernetPort:
         self.stats_tx_packets += 1
         if self._spans.enabled and "trace_ctx" in packet.meta:
             packet.meta["trace_wire_t0"] = arrival
-        self.link.send_at(packet, packet.wire_size() * 8, arrival)
+        self.link.send(packet, packet.wire_size() * 8, arrival)
 
     def _receive(self, packet: Packet) -> None:
         self.stats_rx_packets += 1

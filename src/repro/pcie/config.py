@@ -37,6 +37,12 @@ class PcieLinkConfig:
             raise ValueError(f"unsupported PCIe generation {self.generation}")
         if self.lanes not in (1, 2, 4, 8, 16):
             raise ValueError(f"invalid lane count {self.lanes}")
+        for field in ("max_payload_size", "read_completion_boundary",
+                      "max_read_request"):
+            if getattr(self, field) <= 0:
+                raise ValueError(f"{field} must be positive")
+        if self.latency < 0:
+            raise ValueError("latency must be non-negative")
 
     @property
     def raw_bps(self) -> float:

@@ -16,10 +16,11 @@ them, and every TLP pays serialization on both lanes it crosses.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from ..sim import Event, Link, Simulator
-from ..sim.resources import ARRIVAL, DELIVERY, FINISH, SEQ
+from ..sim.resources import ARRIVAL, DELIVERY, FINISH, SEQ, Reservation
 from .config import PcieLinkConfig
 from .endpoint import Bar, PcieEndpoint, PcieError
 from .tlp import (
@@ -43,9 +44,10 @@ POSTED = object()
 
 def _trace_tlps(lane: Link, records, first_hops) -> None:
     """Write delivered TLPs' Chrome-trace lane slices (``lane._tracer``
-    is set): the downstream ones and, where a first hop took a record
-    of its own (``first_hops`` holds its ``(link, record)``, see
-    ``_reserve_path``), that one's.  All are final now."""
+    is set): first each ``(link, record)`` of ``first_hops`` — a first
+    hop that took a record of its own (see ``_reserve_path``), a write
+    train's earlier chunks — then the downstream ``records``.  All are
+    final now."""
     for up, up_record in first_hops:
         up.trace_occupancy(up_record)
     for record in records:
@@ -74,54 +76,51 @@ class _WriteCountdown:
                 self.done()
 
 
-class DeferredWrite:
+class DeferredWrite(list):
     """A posted write whose delivery the initiator folds into its own
     continuation event.
 
-    ``data`` is the payload that will land and ``trace_ctx`` the context
-    riding the TLP side band, so a consumer reads the write itself.  A
-    receive CQE's side band also carries ``frame``, the ``(bytes,
-    layout)`` the NIC parsed of the frame it completes (else ``None``).
-    ``delivery`` is the TLP's arrival time at the endpoint — re-read it
-    at fire time, since shared-lane arbitration may repair it later.
-    The owner must call :meth:`commit` from its continuation event at
-    (or after) ``delivery``; that runs the endpoint's write handler,
-    exactly what the fabric's own delivery event would have done.  A
-    traced write's span, opened at issue, closes then too, at the (by
-    then final) ``delivery``.
+    A list, built in one C-level call like a lane
+    :class:`~repro.sim.resources.Reservation`: ``_reserve_path``'s
+    delivery-tuple head, then the side band, by slot::
+
+        RECORD TARGET ENDPOINT OFFSET FIRST_HOPS DATA TRACE_CTX SPAN
+        FRAME FABRIC
+
+    ``data`` is the payload that will land and ``trace_ctx`` the TLP's
+    context, so a consumer reads the write itself; a receive CQE's
+    ``frame`` is the ``(bytes, layout)`` the NIC parsed of the frame it
+    completes (else ``None``).  ``handle[0][DELIVERY]`` is the TLP's
+    arrival at the endpoint: re-read it at fire time, since shared-lane
+    arbitration may repair it.  The owner calls :meth:`commit` from its
+    continuation at (or after) that arrival, which runs the endpoint's
+    write handler as the fabric's own delivery event would have; a
+    traced write's span, opened at issue, closes at the arrival.
     """
 
-    __slots__ = ("_fabric", "_path", "data", "trace_ctx", "frame", "_span")
+    __slots__ = ()
 
-    def __init__(self, fabric, path, data, trace_ctx, frame, span):
-        self._fabric = fabric
-        self._path = path    # _reserve_path's delivery-tuple head
-        self.data = data
-        self.trace_ctx = trace_ctx
-        self.frame = frame
-        self._span = span    # open span when the TLP carries a context
-
-    @property
-    def delivery(self) -> float:
-        return self._path[0][DELIVERY]
+    data = property(itemgetter(5))
+    trace_ctx = property(itemgetter(6))
+    frame = property(itemgetter(8))
 
     def commit(self) -> None:
-        if self._span is not None and self._span.end is None:
-            self._span.end = self._path[0][DELIVERY]
-        self._fabric._write_arrived(
-            self._path + (self.data, self.trace_ctx, None, None))
+        span_id = self[7]
+        if span_id is not None and span_id.end is None:
+            span_id.end = self[0][DELIVERY]
+        self[9]._write_arrived(self[:7] + [None, None, None])
 
     def retire(self) -> None:
         """Deliver without running the handler — for owners that
         already applied the write's effects themselves (e.g. a CQE
         decoded at issue time)."""
-        path = self._path
-        record = path[0]
-        down = path[1].down
+        record = self[0]
+        down = self[1].down
         if down._tracer is not None:
-            _trace_tlps(down, (record,), path[4])
-        if self._span is not None and self._span.end is None:
-            self._span.end = record[DELIVERY]
+            _trace_tlps(down, (record,), self[4])
+        span_id = self[7]
+        if span_id is not None and span_id.end is None:
+            span_id.end = record[DELIVERY]
 
 
 class _Port:
@@ -202,15 +201,11 @@ class PcieFabric:
         # sequence.  The Chrome tracer's lane spans are written by the
         # delivery handlers, once repair can no longer move them.
         self._issue_seq = 0
-        # The trace context of the MEM_WRITE currently being delivered;
-        # endpoints may claim it inside handle_write to re-associate a
-        # packed descriptor with its packet (object identity dies at
-        # the byte boundary).
-        self._inbound_ctx = None
-
-    def inbound_trace_ctx(self):
-        """Context of the write TLP being delivered right now (or None)."""
-        return self._inbound_ctx
+        # The trace context of the MEM_WRITE currently being delivered
+        # (else None); endpoints may read it inside handle_write to
+        # re-associate a packed descriptor with its packet (object
+        # identity dies at the byte boundary).
+        self.inbound_trace_ctx = None
 
     # -- topology ---------------------------------------------------------
 
@@ -337,7 +332,7 @@ class PcieFabric:
             path = self._reserve_path(
                 port, address, total, _REQUEST_BITS + total * 8)
             sim.call_later(path[0][DELIVERY] - sim._now, self._write_arrived,
-                           path + (data, trace_ctx, span_id, finish))
+                           path + (data, trace_ctx, span_id, finish, None))
             return done
 
         chunks = split_write_bytes(total, mps) or [0]
@@ -349,21 +344,24 @@ class PcieFabric:
             # exact; nothing observes the target between chunk times —
             # any dependent TLP orders behind the last chunk on the
             # same lane anyway).
-            records = []
+            # The earlier chunks' down-lane records ride with the first
+            # hops, to be traced with them.
             first_hops = []
+            down_hops = []
+            down = route[3].down
             cursor = address
             for chunk in chunks:
                 self.stats_tlps["MWr"] += 1
                 path = self._reserve_path(
                     port, cursor, chunk, _REQUEST_BITS + chunk * 8)
-                records.append(path[0])
                 first_hops += path[4]
+                down_hops.append((down, path[0]))
                 cursor += chunk
-            sim.call_later(records[-1][DELIVERY] - sim._now,
-                           self._train_arrived,
-                           (records, first_hops, route[3], route[2],
-                            address - route[0], chunks, data, trace_ctx,
-                            span_id, finish))
+            record = path[0]
+            sim.call_later(record[DELIVERY] - sim._now, self._write_arrived,
+                           (record, route[3], route[2], address - route[0],
+                            first_hops + down_hops[:-1], data, trace_ctx,
+                            span_id, finish, chunks))
             return done
         finish = _WriteCountdown(len(chunks), self, span_id, finish)
         cursor = 0
@@ -374,7 +372,7 @@ class PcieFabric:
             sim.call_later(
                 path[0][DELIVERY] - sim._now, self._write_arrived,
                 path + (data[cursor:cursor + chunk] if data is not None
-                        else None, trace_ctx, None, finish))
+                        else None, trace_ctx, None, finish, None))
             cursor += chunk
         return done
 
@@ -429,9 +427,9 @@ class PcieFabric:
         self.stats_tlps["MWr"] += 1
         path = self._reserve_path(
             port, address, total, _REQUEST_BITS + total * 8)
-        span = (None if trace_ctx is None else
-                self._spans.enter(trace_ctx, trace_stage, self.sim._now))
-        return DeferredWrite(self, path, data, trace_ctx, frame, span)
+        span_id = (None if trace_ctx is None else
+                   self._spans.enter(trace_ctx, trace_stage, self.sim._now))
+        return DeferredWrite(path + (data, trace_ctx, span_id, frame, self))
 
     def post_write_at(self, requester: PcieEndpoint, address: int,
                       data: bytes, arrival: float, trace_ctx=None,
@@ -466,7 +464,7 @@ class PcieFabric:
             port, address, total, _REQUEST_BITS + total * 8, arrival)
         sim = self.sim
         sim.call_later(path[0][DELIVERY] - sim._now, self._write_arrived,
-                       path + (data, trace_ctx, span_id, on_done))
+                       path + (data, trace_ctx, span_id, on_done, None))
         return done
 
     # -- internals -----------------------------------------------------------
@@ -506,41 +504,70 @@ class PcieFabric:
         target.down_payload_bytes += payload
         seq = self._issue_seq
         self._issue_seq = seq + 1
-        up = port.up
-        if arrival is None:
-            arrival = now = self.sim._now
-            lane = up._lane
-            last = lane[-1] if lane else None
-            if last is None or last[ARRIVAL] < now or (
-                    last[ARRIVAL] == now and last[SEQ] <= seq):
-                # Settled up lane (see Link.reserve): nothing pending
-                # can key before this TLP, so the occupancy recurrence
-                # runs inline with no reservation record and its trace
-                # slice, final already, is written here.
-                if last is None:
-                    prev = up._busy_until
+        now = self.sim._now
+        key = now if arrival is None else arrival
+        first_hops = ()
+        up = link = port.up
+        # Each hop is Link.reserve's in-order path, in this frame: settle
+        # the prefix the clock has passed, and append one record for a
+        # key at or past the lane tail.  Only a key before the tail calls
+        # Link.reserve, for its repair (bisect, train split, replay).
+        while True:
+            lane = link._lane
+            record = None
+            if lane:
+                last = lane[-1]
+                if last[ARRIVAL] <= now:
+                    # The clock has passed the whole lane: it is final.
+                    link._busy_until = prev = last[FINISH]
+                    del lane[:]     # a statement: no builtin call
+                elif last[ARRIVAL] > key or (last[ARRIVAL] == key
+                                             and last[SEQ] > seq):
+                    record = link.reserve(bits, key, seq)
                 else:
+                    if lane[0][ARRIVAL] <= now:
+                        # The tail keys after now: the scan stops there.
+                        drop = 1
+                        while lane[drop][ARRIVAL] <= now:
+                            drop += 1
+                        link._busy_until = lane[drop - 1][FINISH]
+                        del lane[:drop]
                     prev = last[FINISH]
-                    lane.clear()
-                start = now if now > prev else prev
-                rate = up.rate_bps
+            else:
+                prev = link._busy_until
+            if record is None:
+                start = key if key > prev else prev
+                rate = link.rate_bps
                 finish = start if rate is None else start + bits / rate
-                up._busy_until = finish
-                up.stats_bits += bits
-                up.stats_messages += 1
-                if up._tracer is not None:
-                    up.trace_slice(start, finish, bits)
-                return (target.down.reserve(bits, finish + up.latency, seq),
-                        target, route[2], address - route[0], ())
-        up_record = up.reserve(bits, arrival, seq)
-        return (target.down.reserve(bits, up_record[DELIVERY], seq),
-                target, route[2], address - route[0], ((up, up_record),))
+                link.stats_bits += bits
+                link.stats_messages += 1
+                if link is up and arrival is None:
+                    # Issued now on a settled lane: final, so the first
+                    # hop takes no record; its trace slice is written here.
+                    up._busy_until = finish
+                    if up._tracer is not None:
+                        up.trace_slice(start, finish, bits)
+                    key = finish + up.latency
+                    link = target.down
+                    continue
+                record = Reservation((key, seq, bits, start, finish,
+                                      finish + link.latency, None, None, ()))
+                if key > now:
+                    lane.append(record)
+                else:
+                    link._busy_until = finish
+            if link is not up:
+                return record, target, route[2], address - route[0], first_hops
+            first_hops = ((up, record),)
+            key = record[DELIVERY]
+            link = target.down
 
     def _write_arrived(self, entry) -> None:
-        """A single-TLP write landed: run the endpoint's handler, close
-        the write's span and run the completion callback."""
+        """A write landed — one TLP, or the last of a train (``chunks``,
+        the sizes of its TLPs): run the endpoint's handler, close the
+        write's span and run the completion callback."""
         (record, target, endpoint, offset, first_hops, data, ctx, span_id,
-         on_delivered) = entry
+         on_delivered, chunks) = entry
         sim = self.sim
         if record[DELIVERY] > sim._now:
             # An out-of-order arrival on the shared lane pushed this TLP
@@ -557,49 +584,24 @@ class PcieFabric:
             # not to the fabric lane that carried the TLP.
             if prof is not None:
                 prof.current_tag = endpoint.profile_tag
-            self._inbound_ctx = ctx
+            self.inbound_trace_ctx = ctx
             try:
-                endpoint.handle_write(offset, data)
+                if chunks is None:
+                    endpoint.handle_write(offset, data)
+                else:
+                    cursor = 0
+                    for chunk in chunks:
+                        endpoint.handle_write(offset + cursor,
+                                              data[cursor:cursor + chunk])
+                        cursor += chunk
             finally:
-                self._inbound_ctx = None
+                self.inbound_trace_ctx = None
                 if prof is not None:
                     prof.current_tag = "pcie"
         if span_id is not None and span_id.end is None:
             span_id.end = sim._now
         if on_delivered is not None:
             on_delivered()
-
-    def _train_arrived(self, entry) -> None:
-        """Aggregate delivery of a posted-write train (last chunk lands)."""
-        (records, first_hops, target, endpoint, offset, chunks, data, ctx,
-         span_id, done) = entry
-        sim = self.sim
-        last = records[-1]
-        if last[DELIVERY] > sim._now:
-            sim.call_later(last[DELIVERY] - sim._now, self._train_arrived,
-                           entry)
-            return
-        if target.down._tracer is not None:
-            _trace_tlps(target.down, records, first_hops)
-        if data is not None:
-            prof = self._prof
-            if prof is not None:
-                prof.current_tag = endpoint.profile_tag
-            self._inbound_ctx = ctx
-            try:
-                cursor = 0
-                for chunk in chunks:
-                    endpoint.handle_write(offset + cursor,
-                                          data[cursor:cursor + chunk])
-                    cursor += chunk
-            finally:
-                self._inbound_ctx = None
-                if prof is not None:
-                    prof.current_tag = "pcie"
-        if span_id is not None and span_id.end is None:
-            span_id.end = sim._now
-        if done is not None:
-            done()
 
     def _read_arrived(self, entry) -> None:
         """A read request landed: run the handler and reserve the
@@ -646,7 +648,7 @@ class PcieFabric:
                 prev = up._busy_until
             else:
                 prev = last[FINISH]
-                lane.clear()
+                del lane[:]
             rate_up = up.rate_bps
             tracer = up._tracer
             if length <= rcb:

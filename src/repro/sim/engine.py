@@ -380,13 +380,16 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Process events until the queue drains or ``until`` is reached.
 
-        Returns the simulation time when execution stopped.
+        Returns the simulation time when execution stopped.  The clock
+        never rewinds: an ``until`` already passed dispatches nothing.
 
         Bursts of same-timestamp entries — a WQE batch fetch fanning out,
         zero-delay store handoffs — drain in one pass: the ``until``
         horizon is checked once per timestamp, not once per event.
         Dispatch order is still strictly ``(time, seq)``.
         """
+        if until is not None and until < self._now:
+            return self._now
         prof = self._prof
         processed = 0
         queue = self._queue
@@ -450,7 +453,7 @@ class Simulator:
                     if entry[0] != time:
                         break
             if until is not None:
-                self._now = max(self._now, until)
+                self._now = until
             return self._now
         finally:
             self.stats_events += processed
@@ -500,17 +503,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        if self.capacity is None:
-            return False
-        held = self._held_until
-        if held:
-            now = self.sim._now
-            while held and held[0] <= now:
-                held.popleft()
-        return len(self._items) + len(held) >= self.capacity
-
     def hold_slot(self, until: float) -> None:
         """Count one slot against ``capacity`` until time ``until``.
 
@@ -519,12 +511,15 @@ class Store:
         from the producers' point of view until the instant the
         reference consumer would have popped, so puts block — and
         blocked putters are admitted — at exactly the reference times.
-        Holds expire lazily (``is_full`` purges past deadlines); a wake
-        is scheduled only when a put actually blocks against one, and at
-        most one is pending, so an uncontended hold costs no event at
-        all.  Callers must take holds in nondecreasing deadline order.
+        Holds expire lazily, purged by the fullness test of a put and of
+        an admission; a wake is scheduled only when a put actually
+        blocks against one, and at most one is pending, so an
+        uncontended hold costs no event at all.  An unbounded store has
+        no slot to hold.  Callers must take holds in nondecreasing
+        deadline order.
         """
-        self._held_until.append(until)
+        if self.capacity is not None:
+            self._held_until.append(until)
 
     def _expire_holds(self) -> None:
         self._hold_wake = False
@@ -535,34 +530,40 @@ class Store:
             self._hold_wake = True
             self.sim.schedule_at(self._held_until[0], self._expire_holds)
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns ``False`` (drops) when full."""
+    def put_or_park(self, item: Any,
+                    func: Optional[Callable[[Any], None]] = None) -> bool:
+        """Put ``item`` now (``True``), or, when the store is full, park
+        ``(func, item)`` until a slot frees — ``func(item)`` runs at the
+        instant the item goes in — or, with no ``func``, drop it
+        (``False`` either way).
+        """
         # Unbounded, or a getter is parked (the item goes straight
-        # through): no fullness test.
-        if (self.capacity is not None and not self._getters
-                and self.is_full):
-            self.stats_dropped += 1
-            return False
+        # through): no fullness test.  Else past holds expire, then the
+        # items and the live holds are counted against capacity.
+        capacity = self.capacity
+        if capacity is not None and not self._getters:
+            held = self._held_until
+            if held:
+                now = self.sim._now
+                while held and held[0] <= now:
+                    held.popleft()
+            if len(self._items) + len(held) >= capacity:
+                if func is None:
+                    self.stats_dropped += 1
+                    return False
+                self._putters.append((func, item))
+                if held and not self._hold_wake:
+                    # Blocked at least partly against a virtual hold: no
+                    # pop will happen at its deadline, so schedule the
+                    # admission check ourselves.
+                    self._hold_wake = True
+                    self.sim.schedule_at(held[0], self._expire_holds)
+                return False
         self._deliver(item)
         return True
 
-    def put_or_park(self, item: Any, func: Callable[[Any], None]) -> bool:
-        """Put ``item`` now (``True``), or park ``(func, item)`` until a
-        slot frees: ``func(item)`` runs at the instant the item goes in.
-        """
-        if (self.capacity is not None and not self._getters
-                and self.is_full):
-            self._putters.append((func, item))
-            if self._held_until and not self._hold_wake:
-                # Blocked at least partly against a virtual hold: no
-                # pop will happen at its deadline, so schedule the
-                # admission check ourselves.
-                self._hold_wake = True
-                self.sim.schedule_at(self._held_until[0],
-                                     self._expire_holds)
-            return False
-        self._deliver(item)
-        return True
+    #: Non-blocking put: ``False`` (drops) when full.
+    try_put = put_or_park
 
     def put(self, item: Any) -> Event:
         """Blocking put; the returned event fires when the item is queued."""
@@ -574,30 +575,29 @@ class Store:
     def pop_or_park(self, func: Callable[[Any], None]) -> Optional[Any]:
         """Return the next item, or park ``func`` (and return ``None``):
         the put that delivers the next item calls ``func(item)``."""
-        if self._items:
-            return self.try_get()
-        self._getters.append(func)
-        return None
+        items = self._items
+        if not items:
+            self._getters.append(func)
+            return None
+        item = items.popleft()
+        if self._wait_hist is not None:
+            self._wait_hist.observe(self.sim._now - self._enqueued.popleft())
+        if self._putters:
+            self._admit_waiting_putter()
+        return item
 
     def get(self) -> Event:
         """An event that fires with the next item."""
         event = Event(self.sim)
         if self._items:
-            event.succeed(self.try_get())
+            event.succeed(self.pop_or_park(None))
         else:
             self._getters.append(event.succeed)
         return event
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking get; returns ``None`` when empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        if self._wait_hist is not None:
-            self._wait_hist.observe(self.sim._now - self._enqueued.popleft())
-        if self._putters:
-            self._admit_waiting_putter()
-        return item
+        return self.pop_or_park(None) if self._items else None
 
     def _deliver(self, item: Any) -> None:
         self.stats_put += 1
@@ -625,8 +625,16 @@ class Store:
                 self._enqueued.append(self.sim._now)
 
     def _admit_waiting_putter(self) -> None:
-        if self._putters and not self.is_full:
-            func, item = self._putters.popleft()
+        putters = self._putters
+        if not putters:
+            return
+        held = self._held_until
+        if held:
+            now = self.sim._now
+            while held and held[0] <= now:
+                held.popleft()
+        if len(self._items) + len(held) < self.capacity:
+            func, item = putters.popleft()
             self._deliver(item)
             func(item)
 

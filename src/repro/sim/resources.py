@@ -92,6 +92,8 @@ class Link:
     ):
         if rate_bps is not None and rate_bps <= 0:
             raise ValueError("rate_bps must be positive")
+        if latency < 0:
+            raise ValueError("latency must be non-negative")
         self.sim = sim
         self.rate_bps = rate_bps
         self.latency = latency
@@ -142,11 +144,6 @@ class Link:
             return getattr(owner, "profile_tag", None)
         return None
 
-    def serialization_time(self, bits: float) -> float:
-        if self.rate_bps is None:
-            return 0.0
-        return bits / self.rate_bps
-
     def reserve(self, bits: float, arrival: float, seq: int) -> Reservation:
         """Occupy the link for ``bits`` arriving at key ``(arrival, seq)``.
 
@@ -164,13 +161,14 @@ class Link:
         now = self.sim._now
         if lane and lane[0][ARRIVAL] <= now:
             # Settle by the clock: every reservation arrives no earlier
-            # than its issue instant and ``seq`` is globally monotonic,
-            # so NO future issue can key before an entry whose arrival
-            # is <= now.  Fold that prefix into the busy floor (finishes
-            # are monotone along the lane, so the last one is the max).
-            # This is ``_settle(now)``, copied into this frame on
-            # purpose: a call here is one more per TLP hop in
-            # ``calls_per_pkt``.
+            # than its issue instant (latencies are non-negative) and
+            # ``seq`` is globally monotonic, so NO future issue can key
+            # before an entry whose arrival is <= now.  Fold that prefix
+            # into the busy floor (finishes are monotone along the lane,
+            # so the last one is the max).  This is ``_settle(now)`` in
+            # this frame, a call fewer a message; the PCIe fabric's
+            # ``_reserve_path`` runs this in-order path inline for both
+            # hops of a TLP and comes here only to repair.
             drop = 0
             for entry in lane:
                 if entry[ARRIVAL] > now:
@@ -358,7 +356,7 @@ class Link:
 
     def _settle(self, now: float) -> None:
         """Fold the lane prefix the clock has passed into the busy floor
-        (:meth:`reserve_train`'s settle; :meth:`reserve` inlines it)."""
+        (:meth:`reserve_train`'s; ``reserve``, ``_reserve_path`` inline it)."""
         lane = self._lane
         drop = 0
         for entry in lane:
@@ -390,38 +388,24 @@ class Link:
                                   self.trace_name, start, finish,
                                   {"bits": bits})
 
-    def send(self, message: Any, bits: float) -> float:
-        """Enqueue ``message`` of ``bits``; returns its delivery time.
-
-        The caller does not block; backpressure, when needed, is modelled by
-        the caller checking :meth:`queue_delay`.
+    def send(self, message: Any, bits: float,
+             arrival: Optional[float] = None) -> float:
+        """Enqueue ``message`` of ``bits``, handed over now or at the
+        future instant ``arrival`` (a fused stage's early resolution,
+        arbitrated exactly: see :class:`Reservation`); returns its
+        delivery time.  The caller does not block; backpressure, when
+        needed, is modelled by the caller checking :meth:`queue_delay`.
         """
         sink = self.sink
         if sink is None:
             raise RuntimeError(f"link {self.name!r} has no sink connected")
         sim = self.sim
         now = sim._now
-        record = self.reserve(bits, now, sim._seq)
+        record = self.reserve(bits, now if arrival is None else arrival,
+                              sim._seq)
         record[MESSAGE] = message
         delivery = record[DELIVERY]
         sim.call_later(delivery - now, self._dispatch, record)
-        return delivery
-
-    def send_at(self, message: Any, bits: float, arrival: float) -> float:
-        """Like :meth:`send`, but arriving at future time ``arrival``.
-
-        Used by fused pipeline stages that resolved a future transmission
-        early; arbitration against messages issued later with earlier
-        arrivals is exact (see :class:`Reservation`).
-        """
-        sink = self.sink
-        if sink is None:
-            raise RuntimeError(f"link {self.name!r} has no sink connected")
-        sim = self.sim
-        record = self.reserve(bits, arrival, sim._seq)
-        record[MESSAGE] = message
-        delivery = record[DELIVERY]
-        sim.call_later(delivery - sim._now, self._dispatch, record)
         return delivery
 
     def _dispatch(self, record: Reservation) -> None:

@@ -77,10 +77,12 @@ class Ledger:
                         edges[where, caller] += counts[0]
         return edges
 
-    def charged(self, scope: str) -> int:
-        """Calls of functions under ``scope`` and of builtins they call."""
+    def charged(self, scope) -> int:
+        """Calls of functions under ``scope`` (a path fragment, or a tuple
+        of them) and of builtins they call."""
+        scopes = (scope,) if isinstance(scope, str) else scope
         return sum(calls for path, calls in self.split.items()
-                   if scope in path)
+                   if any(fragment in path for fragment in scopes))
 
 
 # Bursts: each builds and warms its setup, then profiles its steady state.
@@ -269,6 +271,7 @@ def ledger(burst: str) -> Ledger:
 
 SEND = "~:<method 'send' of 'generator' objects>"
 DRIVE, CORE, NIC = "tests/costs.py:drive", "/repro/core/", "/repro/nic/"
+HOST = "/repro/host/:*"
 THAWED = ("/packet.py:find|append|_thaw|<genexpr>|<listcomp>",
           "/parse.py:parse_headers", "/ethernet.py:unpack", "/ip.py:unpack|pack",
           "/udp.py:unpack")
@@ -279,13 +282,14 @@ PER_TLP = (":decode|port_of|retire|_check|completion_chunks|*bisect*",
 
 #: Rows ``(name, burst, per, scope, bound, never, counts)``: ``burst`` or
 #: ``(burst, baseline)`` to measure the difference; calls a ``per`` unit
-#: of a path ``scope`` with the builtins it calls (``None``: all), at most
-#: ``bound``; ``never``: sites, or ``(site, callers)``; ``counts``: ``(site,
-#: op, value)``, ``value`` a number or a site, both calls a unit.
+#: of a path ``scope`` (or of any of a tuple of paths) with the builtins
+#: it calls (``None``: all), at most ``bound``; ``never``: sites, or
+#: ``(site, callers)``; ``counts``: ``(site, op, value)``, ``value`` a
+#: number or a site, both calls a unit.
 GATES = (
     # A received frame keeps its parse: only each transmitting NIC
     # parses; no whole-frame parse, size helper or checksum chain.
-    ("echo", "echo", "frame", None, 448,
+    ("echo", "echo", "frame", None, 406,
          ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
           "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),)),
     # A descriptor is its bytes: one pack and one unpack_from, no codec.
@@ -313,9 +317,19 @@ GATES = (
     # A hand-off is a parked continuation: a packet builds no engine
     # object and steps no generator; only the burst's driver is stepped.
     ("echo.rendezvous", "echo", "frame", None, None, (),
-         (("sim/engine.py:__init__", "<", 1), ("sim/engine.py:is_full", "<=", 4),
+         (("sim/engine.py:__init__", "<", 1),
           ((DRIVE, (SEND,)), "==", SEND), (SEND, "==", DRIVE),
           ("sim/engine.py:_step", "<=", DRIVE))),
+    # The scheduler, the lanes and the fabric: a put tests fullness and
+    # a pop pops in their own frames, the host reads the clock's slot, a
+    # deferred write is a list read by slot, and a TLP's in-order lane
+    # appends run in _reserve_path, which calls Link.reserve only to
+    # repair.
+    ("echo.stack", "echo", "frame", ("/repro/sim/", "/repro/pcie/"), 186,
+         ("sim/engine.py:is_full|try_get", ("sim/engine.py:now", (HOST,)),
+          "pcie/fabric.py:inbound_trace_ctx|__init__|delivery"),
+         ((("sim/resources.py:reserve", ("pcie/fabric.py:_reserve_path",)),
+           "<=", "sim/resources.py:_recompute"),)),
     # Watching a packet: levels are pulled, a finished trace and a
     # hand-off fold their samples in place, the fabric stamps a TLP's
     # span end itself, histograms are resolved once, and the recorder

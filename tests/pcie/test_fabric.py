@@ -15,6 +15,7 @@ from repro.pcie import (
 )
 from repro.pcie.tlp import completion_chunks, split_write_bytes
 from repro.sim import Simulator
+from repro.sim.resources import DELIVERY
 from repro.telemetry import Telemetry
 from repro.testbed import HOST_MEM_BASE, make_local_node
 
@@ -444,7 +445,7 @@ class TestTracedCallbacks:
         (span,) = spans.get_trace(ctx).spans
         assert span.stage == "pcie.cqe_write"
         assert span.start == 0.0
-        assert span.end == handle.delivery < 5e-6
+        assert span.end == handle[0][DELIVERY] < 5e-6
 
     def test_future_keyed_write_span_starts_at_its_arrival(self):
         sim, fabric, host, spans, ctx = self._traced()
@@ -515,3 +516,16 @@ class TestLinkConfig:
     def test_invalid_lanes(self):
         with pytest.raises(ValueError):
             PcieLinkConfig(lanes=3)
+
+    def test_negative_latency_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="latency"):
+            PcieLinkConfig(latency=-1e-9)
+        assert PcieLinkConfig(latency=0.0).latency == 0.0
+
+    @pytest.mark.parametrize("field", ["max_payload_size",
+                                       "read_completion_boundary",
+                                       "max_read_request"])
+    @pytest.mark.parametrize("size", [0, -64])
+    def test_tlp_sizes_must_be_positive(self, field, size):
+        with pytest.raises(ValueError, match=field):
+            PcieLinkConfig(**{field: size})

@@ -2,10 +2,12 @@
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.pcie import MemoryRegion, PcieFabric, PcieLinkConfig
+from repro.pcie import POSTED, MemoryRegion, PcieFabric, PcieLinkConfig
 from repro.pcie.tlp import completion_chunks, read_wire_bytes, \
     split_write_bytes, write_wire_bytes
 from repro.sim import Link, Simulator, Store
+from repro.sim.resources import (ARRIVAL, BITS, DELIVERY, FINISH, PARTS,
+                                 SEQ, START, TRAIN)
 
 
 class TestTlpProperties:
@@ -86,6 +88,103 @@ class TestFabricProperties:
         # Same-size reads issued together complete in order; globally
         # every read completes exactly once.
         assert sorted(order) == list(range(len(sizes)))
+
+
+class _LoggedLane(list):
+    """A lane that logs each record as it enters: its chunks'
+    ``(bits, arrival, seq)``, read before any split or repair."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def _enter(self, record):
+        train = record[TRAIN]
+        chunks = ([(record[BITS], record[ARRIVAL], record[SEQ])]
+                  if train is None else
+                  [(bits, arrival, train[3] + j) for j, (bits, arrival)
+                   in enumerate(zip(train[0], train[1]))])
+        self.log.append((record, chunks))
+
+    def append(self, record):
+        self._enter(record)
+        super().append(record)
+
+    def insert(self, index, record):
+        self._enter(record)
+        super().insert(index, record)
+
+
+def _final_chunks(record, count, latency):
+    """``(start, finish, delivery)`` of each chunk a logged record holds,
+    as the run left them (``None`` for a start nothing stores: a split
+    chunk's and an unsplit train's earlier ones)."""
+    last = (record[START], record[FINISH], record[DELIVERY])
+    if count == 1:
+        return [last]
+    if record[TRAIN] is not None:
+        finishes = record[TRAIN][2]
+        return [(None, finish, finish + latency)
+                for finish in finishes[:-1]] + [last]
+    return [(None, part[FINISH], part[DELIVERY])
+            for part in record[PARTS]] + [last]
+
+
+OPS = st.lists(st.tuples(
+    st.sampled_from(["post_write", "post_write_at", "read"]),
+    st.integers(0, 2),                          # who issues
+    st.integers(1, 4096),                       # bytes
+    st.floats(0.0, 2e-6),                       # post_write_at: key ahead
+    st.sampled_from([0.0, 0.0, 10e-9, 100e-9, 1e-6])), max_size=40)
+
+
+class TestLaneFoldProperties:
+    @given(ops=OPS, lanes=st.sampled_from([1, 8]),
+           latency=st.sampled_from([0.0, 100e-9, 500e-9]))
+    @settings(deadline=None)
+    def test_down_lanes_replay_through_link_reserve(self, ops, lanes,
+                                                     latency):
+        """The fabric's in-order down-lane append, its repairs and its
+        completion trains leave every TLP the times a fresh ``Link``
+        gives the same ``(bits, arrival, seq)`` sequence."""
+        sim = Simulator()
+        fabric = PcieFabric(sim)
+        config = PcieLinkConfig(lanes=lanes, latency=latency)
+        memory = MemoryRegion("memory", 1 << 16)
+        peers = [MemoryRegion(f"peer{i}", 1 << 12) for i in range(2)]
+        logs = {}
+        for index, endpoint in enumerate([memory] + peers):
+            fabric.attach(endpoint, config)
+            fabric.map_window(index << 16, endpoint.size, endpoint)
+            port = fabric.port_of(endpoint)
+            port.down._lane = _LoggedLane(logs.setdefault(port.down, []))
+        delivered = []
+        for kind, who, size, ahead, gap in ops:
+            issuer = peers[who % 2]
+            if kind == "post_write":
+                fabric.post_write(issuer, 64 * who, bytes(size),
+                                  on_done=POSTED)
+            elif kind == "post_write_at":
+                fabric.post_write_at(issuer, 64 * who, bytes(min(size, 256)),
+                                     sim.now + ahead, on_done=POSTED)
+            elif who == 2:      # the completion lands on memory's lane
+                fabric.read(memory, 1 << 16, min(size, 1 << 12),
+                            on_done=delivered.append)
+            else:
+                fabric.read(issuer, 0, size, on_done=delivered.append)
+            sim.run(until=sim.now + gap)
+        sim.run()
+        assert len(delivered) == sum(kind == "read" for kind, *_ in ops)
+        for lane, log in logs.items():
+            replay = Link(Simulator(), lane.rate_bps, lane.latency)
+            wants = [[replay.reserve(*chunk) for chunk in chunks]
+                     for _record, chunks in log]
+            for (record, chunks), want in zip(log, wants):
+                got = _final_chunks(record, len(chunks), lane.latency)
+                for (start, finish, delivery), ref in zip(got, want):
+                    assert (finish, delivery) == (ref[FINISH], ref[DELIVERY])
+                    assert start in (None, ref[START])
+            assert lane.stats_messages == sum(len(c) for _r, c in log)
 
 
 class TestEngineProperties:

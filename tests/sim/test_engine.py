@@ -1,14 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments.setups import flde_echo_remote
 from repro.sim import Event, SimulationError, Simulator, Store
-
-from ..costs import paced_echo
 
 
 def test_timeout_advances_clock():
@@ -54,6 +51,22 @@ def test_run_until_stops_early():
     assert not fired
     sim.run()
     assert fired
+
+
+def test_run_until_a_passed_time_leaves_the_clock_and_the_queue():
+    """The clock never rewinds, with entries pending or not: a horizon
+    already passed dispatches nothing."""
+    for pending in (True, False):
+        sim = Simulator()
+        fired = []
+        if pending:
+            sim.schedule(5.0, lambda: fired.append(sim.now))
+        assert sim.run(until=2.0) == 2.0
+        sim.schedule(0.0, lambda: fired.append(sim.now))
+        assert sim.run(until=1.0) == 2.0
+        assert sim.now == 2.0 and not fired
+        sim.run()
+        assert fired == ([2.0, 5.0] if pending else [2.0])
 
 
 def test_negative_delay_rejected():
@@ -217,21 +230,53 @@ class TestStore:
         assert store.stats_max_depth == 7
 
 
-def test_fullness_is_asked_only_where_a_put_could_be_refused(monkeypatch):
-    """``try_put`` on an unbounded store, or on one with a consumer
-    parked (the item goes straight through), skips ``is_full``."""
-    asked = []
-    is_full = Store.is_full
+class _Unread:
+    """Hold deadlines no put may look at."""
 
-    def recording(store):
-        asked.append((store.capacity, len(store._getters)))
-        return is_full.fget(store)
+    def _read(self, *_args):
+        raise AssertionError("a put read the hold deadlines")
 
-    monkeypatch.setattr(Store, "is_full", property(recording))
-    paced_echo(SimpleNamespace(runcall=lambda burst, *args: burst(*args)))
-    assert asked
-    assert all(capacity is not None and parked == 0
-               for capacity, parked in asked)
+    __bool__ = __len__ = __getitem__ = __iter__ = _read
+
+    def __getattr__(self, name):
+        self._read()
+
+
+def _refused(_item):
+    raise AssertionError("the put was parked")
+
+
+def test_fullness_is_asked_only_where_a_put_could_be_refused():
+    """A put to an unbounded store, or to a full one with a getter
+    parked (the item goes straight through), is never refused and reads
+    no hold deadline."""
+    sim = Simulator()
+    unbounded = Store(sim)
+    unbounded._held_until = _Unread()
+    for item in range(3):
+        assert unbounded.try_put(item)
+        assert unbounded.put_or_park(item, _refused)
+    assert list(unbounded._items) == [0, 0, 1, 1, 2, 2]
+
+    full = Store(sim, capacity=1)
+    full.hold_slot(1.0)
+    assert not full.try_put("dropped")
+    got = []
+    assert full.pop_or_park(got.append) is None
+    full._held_until = _Unread()
+    assert full.try_put("a")
+    assert full.pop_or_park(got.append) is None
+    assert full.put_or_park("b", _refused)
+    assert got == ["a", "b"] and full.stats_dropped == 1
+
+
+def test_a_hold_on_an_unbounded_store_keeps_no_deadline():
+    sim = Simulator()
+    store = Store(sim)
+    for until in range(10_000):
+        store.hold_slot(float(until))
+    assert not store._held_until
+    assert store.try_put("item")
 
 
 def test_a_backpressured_send_queue_wakes_once_per_deadline(monkeypatch):

@@ -18,6 +18,13 @@ class TestLink:
         sim.run()
         assert arrivals == [(0.5, "m")]
 
+    def test_negative_latency_is_refused_at_construction(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="latency"):
+            Link(sim, rate_bps=1000.0, latency=-1e-6)
+        with pytest.raises(ValueError, match="latency"):
+            DuplexLink(sim, rate_bps=1000.0, latency=-1e-6)
+
     def test_propagation_latency_added(self):
         sim = Simulator()
         link = Link(sim, rate_bps=1000.0, latency=0.25)
