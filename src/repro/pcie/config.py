@@ -39,9 +39,9 @@ class PcieLinkConfig:
             raise ValueError(f"invalid lane count {self.lanes}")
         for field in ("max_payload_size", "read_completion_boundary",
                       "max_read_request"):
-            if getattr(self, field) <= 0:
+            if not getattr(self, field) > 0:
                 raise ValueError(f"{field} must be positive")
-        if self.latency < 0:
+        if not self.latency >= 0:
             raise ValueError("latency must be non-negative")
 
     @property

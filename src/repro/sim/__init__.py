@@ -15,7 +15,6 @@ from .engine import (
 )
 from .resources import DuplexLink, Link, TokenBucket
 from .stats import (
-    Histogram,
     LatencyCollector,
     ThroughputMeter,
     percentile,
@@ -24,7 +23,6 @@ from .stats import (
 __all__ = [
     "DuplexLink",
     "Event",
-    "Histogram",
     "LatencyCollector",
     "Link",
     "PollWait",

@@ -270,8 +270,8 @@ class Simulator:
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Run ``action()`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:     # negative, or NaN
+            raise SimulationError(f"delay {delay}: must be >= 0")
         seq = self._seq
         self._seq = seq + 1
         tag = None if self._prof is None else self._owner_tag(action)
@@ -291,7 +291,7 @@ class Simulator:
         common case for a FIFO transaction stream — and fall back to the
         heap otherwise.  Dispatch order is identical either way.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"schedule_at({time}) before now ({self._now})")
         seq = self._seq
@@ -310,8 +310,8 @@ class Simulator:
         The one-argument twin of :meth:`schedule`; hot callers use it to
         avoid allocating a closure per scheduled call.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:     # negative, or NaN
+            raise SimulationError(f"delay {delay}: must be >= 0")
         seq = self._seq
         self._seq = seq + 1
         tag = None if self._prof is None else self._owner_tag(func)
@@ -324,8 +324,8 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:     # negative, or NaN
+            raise SimulationError(f"delay {delay}: must be >= 0")
         event = Event(self)
         seq = self._seq
         self._seq = seq + 1
@@ -388,7 +388,9 @@ class Simulator:
         horizon is checked once per timestamp, not once per event.
         Dispatch order is still strictly ``(time, seq)``.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
+            if until != until:
+                raise SimulationError("run(until=nan)")
             return self._now
         prof = self._prof
         processed = 0
@@ -465,43 +467,48 @@ class Store:
     """An unbounded (or bounded) FIFO channel between stages.
 
     One wake mechanism, a *parked continuation*: a consumer that finds
-    the store empty leaves a plain callable on the getter queue
-    (:meth:`pop_or_park`) and the put that delivers the next item calls
-    it with the item, synchronously, in the putter's frame; a producer
-    that finds a bounded store full parks ``(func, item)`` the same way
+    the store empty leaves a plain callable (:meth:`pop_or_park`) and the
+    put that delivers the next item calls it with the item,
+    synchronously, in the put's own frame; a producer that finds a
+    bounded store full parks ``(func, item)`` the same way
     (:meth:`put_or_park`).  Items are delivered in insertion order, one
-    per parked getter, in getter arrival order.  :meth:`get` and
-    :meth:`put` wrap the mechanism in an :class:`Event` for generator
-    processes; nothing on a per-packet path uses them.
+    per parked getter, in getter arrival order: the first waits in a
+    slot, as :class:`Event`'s first callback does.  ``None`` is not an
+    item (:meth:`pop_or_park` returns it to mean *parked*).  :meth:`get`
+    and :meth:`put` wrap the mechanism in an :class:`Event` for
+    generator processes; nothing on a per-packet path uses them.
     """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
+        if capacity is not None and not capacity >= 1:
+            raise SimulationError(f"store capacity {capacity}: must be >= 1")
         self.sim = sim
         self.capacity = capacity
         self.name = name
         self._items: deque = deque()
-        self._getters: deque = deque()     # parked func(item) callables
+        self._depth = 0                    # len(_items)
+        self._getter = None                # the first parked func(item)
+        self._getters: deque = deque()     # the parked getters behind it
         self._putters: deque = deque()     # parked (func, item), no space yet
-        self._held_until: deque = deque()  # hold_slot() deadlines, ascending
+        self._held_until: deque = deque()  # live hold_slot() deadlines, ascending
+        self._held = 0                     # len(_held_until)
         self._hold_wake = False            # an _expire_holds wake is pending
         self.stats_put = 0
         self.stats_dropped = 0
         self.stats_max_depth = 0
-        # The depth gauge is pulled from the level and stats_max_depth at
-        # export.  The queue-wait histogram only exists when telemetry is
-        # live; disabled simulations pay a single None check per
-        # delivery.  It is what splits queueing from service time in
-        # latency attribution reports.
+        # The depth gauge is pulled at export.  The queue-wait histogram
+        # (queueing vs. service time in latency attribution) exists only
+        # when telemetry is live: else one None check per delivery.
         if sim.telemetry.enabled and name:
             sim.telemetry.register_gauges(f"store.{name}", lambda: {
-                "depth": (len(self._items), self.stats_max_depth)})
+                "depth": (self._depth, self.stats_max_depth)})
             self._wait_hist = sim.telemetry.histogram(f"store.{name}.wait")
             self._enqueued: deque = deque()
         else:
             self._wait_hist = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._depth
 
     def hold_slot(self, until: float) -> None:
         """Count one slot against ``capacity`` until time ``until``.
@@ -515,18 +522,22 @@ class Store:
         an admission; a wake is scheduled only when a put actually
         blocks against one, and at most one is pending, so an
         uncontended hold costs no event at all.  An unbounded store has
-        no slot to hold.  Callers must take holds in nondecreasing
-        deadline order.
+        no slot to hold.  Deadlines must be nondecreasing: the purge
+        stops at the first live one.
         """
         if self.capacity is not None:
-            self._held_until.append(until)
+            held = self._held_until
+            if not until >= (held[-1] if held else 0.0):
+                raise SimulationError(f"hold_slot({until}) out of order")
+            held.append(until)
+            self._held += 1
 
     def _expire_holds(self) -> None:
         self._hold_wake = False
         self._admit_waiting_putter()
         # The putter just admitted may have put again from its callback
         # and armed the next wake already.
-        if self._putters and self._held_until and not self._hold_wake:
+        if self._putters and self._held and not self._hold_wake:
             self._hold_wake = True
             self.sim.schedule_at(self._held_until[0], self._expire_holds)
 
@@ -537,17 +548,36 @@ class Store:
         instant the item goes in — or, with no ``func``, drop it
         (``False`` either way).
         """
-        # Unbounded, or a getter is parked (the item goes straight
-        # through): no fullness test.  Else past holds expire, then the
-        # items and the live holds are counted against capacity.
+        if item is None:
+            raise SimulationError("None is not a store item")
+        getter = self._getter
+        if getter is not None:     # straight through: never refused
+            getters = self._getters
+            self._getter = getters.popleft() if getters else None
+            self.stats_put += 1
+            getter(item)
+            wait = self._wait_hist
+            if wait is not None:
+                # observe(0.0) in place: the sum of waits is unchanged.
+                wait.count += 1
+                wait.underflow += 1
+                if wait.min is None or wait.min > 0.0:
+                    wait.min = 0.0
+                if wait.max is None or wait.max < 0.0:
+                    wait.max = 0.0
+            return True
         capacity = self.capacity
-        if capacity is not None and not self._getters:
-            held = self._held_until
+        if capacity is not None:
+            # Past holds expire; items and live holds count against it.
+            held = self._held
             if held:
+                deadlines = self._held_until
                 now = self.sim._now
-                while held and held[0] <= now:
-                    held.popleft()
-            if len(self._items) + len(held) >= capacity:
+                while held and deadlines[0] <= now:
+                    deadlines.popleft()
+                    held -= 1
+                self._held = held
+            if self._depth + held >= capacity:
                 if func is None:
                     self.stats_dropped += 1
                     return False
@@ -557,9 +587,16 @@ class Store:
                     # pop will happen at its deadline, so schedule the
                     # admission check ourselves.
                     self._hold_wake = True
-                    self.sim.schedule_at(held[0], self._expire_holds)
+                    self.sim.schedule_at(self._held_until[0], self._expire_holds)
                 return False
-        self._deliver(item)
+        self.stats_put += 1
+        self._items.append(item)
+        depth = self._depth + 1
+        self._depth = depth
+        if depth > self.stats_max_depth:
+            self.stats_max_depth = depth
+        if self._wait_hist is not None:
+            self._enqueued.append(self.sim._now)
         return True
 
     #: Non-blocking put: ``False`` (drops) when full.
@@ -575,11 +612,14 @@ class Store:
     def pop_or_park(self, func: Callable[[Any], None]) -> Optional[Any]:
         """Return the next item, or park ``func`` (and return ``None``):
         the put that delivers the next item calls ``func(item)``."""
-        items = self._items
-        if not items:
-            self._getters.append(func)
+        if not self._depth:
+            if self._getter is None:
+                self._getter = func
+            else:
+                self._getters.append(func)
             return None
-        item = items.popleft()
+        item = self._items.popleft()
+        self._depth -= 1
         if self._wait_hist is not None:
             self._wait_hist.observe(self.sim._now - self._enqueued.popleft())
         if self._putters:
@@ -589,53 +629,31 @@ class Store:
     def get(self) -> Event:
         """An event that fires with the next item."""
         event = Event(self.sim)
-        if self._items:
-            event.succeed(self.pop_or_park(None))
-        else:
-            self._getters.append(event.succeed)
+        item = self.pop_or_park(event.succeed)
+        if item is not None:
+            event.succeed(item)
         return event
 
     def try_get(self) -> Optional[Any]:
         """Non-blocking get; returns ``None`` when empty."""
-        return self.pop_or_park(None) if self._items else None
-
-    def _deliver(self, item: Any) -> None:
-        self.stats_put += 1
-        getters = self._getters
-        if getters:
-            getters.popleft()(item)
-            wait = self._wait_hist
-            if wait is not None:
-                # A hand-off waited zero: what observe(0.0) files, in
-                # this frame.  The sum of waits (all >= +0.0) is
-                # unchanged by adding 0.0.
-                wait.count += 1
-                wait.underflow += 1
-                if wait.min is None or wait.min > 0.0:
-                    wait.min = 0.0
-                if wait.max is None or wait.max < 0.0:
-                    wait.max = 0.0
-        else:
-            items = self._items
-            items.append(item)
-            depth = len(items)
-            if depth > self.stats_max_depth:
-                self.stats_max_depth = depth
-            if self._wait_hist is not None:
-                self._enqueued.append(self.sim._now)
+        return self.pop_or_park(None) if self._depth else None
 
     def _admit_waiting_putter(self) -> None:
+        # A free slot is admitted through put_or_park, whose test passes.
         putters = self._putters
         if not putters:
             return
-        held = self._held_until
+        held = self._held
         if held:
+            deadlines = self._held_until
             now = self.sim._now
-            while held and held[0] <= now:
-                held.popleft()
-        if len(self._items) + len(held) < self.capacity:
+            while held and deadlines[0] <= now:
+                deadlines.popleft()
+                held -= 1
+            self._held = held
+        if self._depth + held < self.capacity:
             func, item = putters.popleft()
-            self._deliver(item)
+            self.put_or_park(item)
             func(item)
 
 
@@ -690,6 +708,8 @@ class PollWait:
 
     def __init__(self, sim: Simulator, step: float,
                  func: Callable[[Any], None], arg: Any = None):
+        if not step > 0:
+            raise SimulationError(f"poll step {step}: must be > 0")
         self.sim = sim
         self.step = step
         self.func = func

@@ -90,9 +90,9 @@ class Link:
         latency: float = 0.0,
         name: str = "",
     ):
-        if rate_bps is not None and rate_bps <= 0:
+        if rate_bps is not None and not rate_bps > 0:
             raise ValueError("rate_bps must be positive")
-        if latency < 0:
+        if not latency >= 0:
             raise ValueError("latency must be non-negative")
         self.sim = sim
         self.rate_bps = rate_bps
@@ -459,7 +459,7 @@ class TokenBucket:
     """
 
     def __init__(self, sim: Simulator, rate_bps: float, burst_bits: float):
-        if rate_bps <= 0:
+        if not rate_bps > 0:
             raise ValueError("rate_bps must be positive")
         self.sim = sim
         self.rate_bps = rate_bps

@@ -2,21 +2,12 @@
 
 Latency collectors with percentile queries and throughput meters; all pure
 Python so they can run inside tight simulation loops.
-
-:class:`Histogram` (re-exported from :mod:`repro.telemetry.metrics`) is
-the bridge between experiment-local collectors and the telemetry
-registry: it buckets at power-of-two boundaries, supports ``merge()``
-across shards and ``to_dict()`` export, and can be attached to a
-:class:`~repro.telemetry.metrics.MetricsRegistry` without copying any
-samples (``registry.attach(name, histogram)``).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List, Sequence
-
-from ..telemetry.metrics import Histogram
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -74,17 +65,6 @@ class LatencyCollector:
             "p99": self.pct(99.0),
             "p99.9": self.pct(99.9),
         }
-
-    def to_histogram(self, name: str = "") -> Histogram:
-        """Bucket the collected samples into a mergeable :class:`Histogram`.
-
-        The exact samples stay here; the histogram is the fixed-size
-        summary experiment shards hand to the telemetry registry.
-        """
-        histogram = Histogram(name or self.name)
-        for sample in self.samples:
-            histogram.observe(sample)
-        return histogram
 
 
 class ThroughputMeter:

@@ -289,7 +289,7 @@ PER_TLP = (":decode|port_of|retire|_check|completion_chunks|*bisect*",
 GATES = (
     # A received frame keeps its parse: only each transmitting NIC
     # parses; no whole-frame parse, size helper or checksum chain.
-    ("echo", "echo", "frame", None, 406,
+    ("echo", "echo", "frame", None, 382,
          ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
           "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),)),
     # A descriptor is its bytes: one pack and one unpack_from, no codec.
@@ -321,12 +321,14 @@ GATES = (
           ((DRIVE, (SEND,)), "==", SEND), (SEND, "==", DRIVE),
           ("sim/engine.py:_step", "<=", DRIVE))),
     # The scheduler, the lanes and the fabric: a put tests fullness and
-    # a pop pops in their own frames, the host reads the clock's slot, a
-    # deferred write is a list read by slot, and a TLP's in-order lane
-    # appends run in _reserve_path, which calls Link.reserve only to
-    # repair.
-    ("echo.stack", "echo", "frame", ("/repro/sim/", "/repro/pcie/"), 186,
-         ("sim/engine.py:is_full|try_get", ("sim/engine.py:now", (HOST,)),
+    # hands off in its own frame against counted occupancy, a pop pops
+    # in its own, the host reads the clock's slot, a deferred write is a
+    # list read by slot, and a TLP's in-order lane appends run in
+    # _reserve_path, which calls Link.reserve only to repair.
+    ("echo.stack", "echo", "frame", ("/repro/sim/", "/repro/pcie/"), 161,
+         ("sim/engine.py:is_full|try_get|_deliver",
+          ("~:<built-in method builtins.len>", ("sim/engine.py:*",)),
+          ("sim/engine.py:now", (HOST,)),
           "pcie/fabric.py:inbound_trace_ctx|__init__|delivery"),
          ((("sim/resources.py:reserve", ("pcie/fabric.py:_reserve_path",)),
            "<=", "sim/resources.py:_recompute"),)),
@@ -337,7 +339,7 @@ GATES = (
     ("echo.spans", ("echo-spans", "echo"), "frame", None, 105,
          ("telemetry/metrics.py:set|_get|histogram",
           ("telemetry/metrics.py:observe",
-           ("telemetry/spans.py:end_trace", "sim/engine.py:_deliver")),
+           ("telemetry/spans.py:end_trace", "sim/engine.py:put_or_park")),
           ("telemetry/spans.py:exit", ("pcie/fabric.py:*",)),
           ("~:<built-in method builtins.max>|<built-in method builtins.min>"
            "|<built-in method builtins.isinstance>"
@@ -351,14 +353,14 @@ GATES = (
           (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND))),
     # An RC segment is its bytes: no net/roce.py frame, one BTH read per
     # segment received (a data segment each way and an ACK for each).
-    ("fldr", "fldr", "request", None, 623, ("net/roce.py:*",),
+    ("fldr", "fldr", "request", None, 555, ("net/roce.py:*",),
          (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4))),
     # A NIC frame is one pass per direction: no helper folded into a
     # stage, no per-frame device object.
     ("nic.send", "nic-send", "frame", NIC, 18, NIC_FOLDED, ()),
     ("nic.receive", "nic-receive", "frame", NIC, 17, NIC_FOLDED, ()),
     # A frame is steered off its layout: never thawed, rebuilt, re-packed.
-    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 26, THAWED, ()),
+    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 21.4, THAWED, ()),
     ("rx.echo-accelerator", "echo-accelerator", "frame", None, 14, THAWED, ()),
     # A TLP is its lane entry: no address decode, lane search or retire,
     # bounds-check frame, chunked completion, fabric or lane object.

@@ -522,6 +522,10 @@ class TestLinkConfig:
             PcieLinkConfig(latency=-1e-9)
         assert PcieLinkConfig(latency=0.0).latency == 0.0
 
+    def test_a_nan_latency_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="latency"):
+            PcieLinkConfig(latency=float("nan"))
+
     @pytest.mark.parametrize("field", ["max_payload_size",
                                        "read_completion_boundary",
                                        "max_read_request"])

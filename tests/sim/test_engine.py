@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.experiments.setups import flde_echo_remote
-from repro.sim import Event, SimulationError, Simulator, Store
+from repro.sim import Event, PollWait, Pump, SimulationError, Simulator, Store
+
+NAN = float("nan")
 
 
 def test_timeout_advances_clock():
@@ -73,6 +75,25 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.schedule(-1.0, lambda: None)
+
+
+@pytest.mark.parametrize("push", [
+    lambda sim: sim.schedule(NAN, lambda: None),
+    lambda sim: sim.call_later(NAN, print, None),
+    lambda sim: sim.timeout(NAN),
+    lambda sim: sim.schedule_at(NAN, lambda: None),
+    lambda sim: sim.run(until=NAN),
+], ids=["schedule", "call_later", "timeout", "schedule_at", "run"])
+def test_a_nan_time_is_refused(push):
+    """A NaN compares false both ways: pushed, it dispatched ahead of
+    every real entry with ``now`` reading NaN, and ``run(until=nan)``
+    ran everything and returned NaN."""
+    sim = Simulator()
+    fired = []
+    sim.call_later(0.5, fired.append, "real")
+    with pytest.raises(SimulationError):
+        push(sim)
+    assert sim.run() == 0.5 and fired == ["real"]
 
 
 def test_process_return_value_via_done_event():
@@ -230,6 +251,75 @@ class TestStore:
         assert store.stats_max_depth == 7
 
 
+@pytest.mark.parametrize("capacity", [0, -1, NAN])
+def test_a_store_with_no_slot_is_refused(capacity):
+    """It would refuse every put."""
+    with pytest.raises(SimulationError, match="capacity"):
+        Store(Simulator(), capacity=capacity)
+
+
+def test_none_is_not_a_store_item():
+    """``pop_or_park`` returns ``None`` to mean parked: a queued
+    ``None`` stopped a ``Pump`` and stranded the items behind it."""
+    sim = Simulator()
+    store = Store(sim)
+    seen = []
+    Pump(sim, store, seen.append, "consumer")
+    for put in (store.try_put, store.put_or_park, store.put):
+        with pytest.raises(SimulationError, match="None"):
+            put(None)
+    for item in (1, 2):
+        assert store.try_put(item)
+    sim.run()
+    assert seen == [1, 2] and len(store) == 0 and store.stats_put == 2
+
+
+@pytest.mark.parametrize("late", [1.0, NAN])
+def test_a_hold_deadline_out_of_order_is_refused(late):
+    """The purge stops at the first live deadline: holds ``[5.0, 1.0]``
+    on two slots, read at t=2, refused both puts with one slot free."""
+    sim = Simulator()
+    store = Store(sim, capacity=2)
+    store.hold_slot(5.0)
+    with pytest.raises(SimulationError, match="hold_slot"):
+        store.hold_slot(late)
+    sim.run(until=2.0)
+    assert store.try_put("a") and not store.try_put("b")
+    store.hold_slot(5.0)        # equal deadlines are in order
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-9, NAN])
+def test_a_poll_wait_that_never_advances_is_refused(step):
+    """``wake`` steps the poll instant up to now: a zero step looped
+    forever."""
+    with pytest.raises(SimulationError, match="step"):
+        PollWait(Simulator(), step, print)
+
+
+def test_parked_getters_are_served_in_arrival_order():
+    """The first parked getter waits in the slot and the rest queue
+    behind it; a getter that parks again from its own hand-off goes to
+    the back."""
+    sim = Simulator()
+    store = Store(sim, capacity=2)
+    got = []
+
+    def getter(name, again=False):
+        def take(item):
+            got.append((name, item))
+            if again:
+                store.pop_or_park(getter(name))
+        return take
+
+    assert store.pop_or_park(getter("a", again=True)) is None
+    assert store.pop_or_park(getter("b")) is None
+    assert store.pop_or_park(getter("c")) is None
+    for item in range(4):
+        assert store.try_put(item)
+    assert got == [("a", 0), ("b", 1), ("c", 2), ("a", 3)]
+    assert len(store) == 0 and store.stats_max_depth == 0
+
+
 class _Unread:
     """Hold deadlines no put may look at."""
 
@@ -305,7 +395,9 @@ def test_a_backpressured_send_queue_wakes_once_per_deadline(monkeypatch):
         deadlines.setdefault(store, set()).add(until)
         hold_slot(store, until)
 
-    def recording_put(store, item, func):
+    def recording_put(store, item, func=None):
+        # An admission puts its item again with no continuation; the
+        # store has room for it then, so it is never parked here.
         spans = parked.setdefault(store, [])
 
         def admitted(admitted_item):

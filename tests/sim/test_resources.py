@@ -25,6 +25,15 @@ class TestLink:
         with pytest.raises(ValueError, match="latency"):
             DuplexLink(sim, rate_bps=1000.0, latency=-1e-6)
 
+    def test_a_nan_latency_or_rate_is_refused_at_construction(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="latency"):
+            Link(sim, rate_bps=1000.0, latency=float("nan"))
+        with pytest.raises(ValueError, match="rate_bps"):
+            Link(sim, rate_bps=float("nan"))
+        with pytest.raises(ValueError, match="rate_bps"):
+            TokenBucket(sim, rate_bps=float("nan"), burst_bits=1.0)
+
     def test_propagation_latency_added(self):
         sim = Simulator()
         link = Link(sim, rate_bps=1000.0, latency=0.25)

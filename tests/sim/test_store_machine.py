@@ -9,11 +9,14 @@ drives both with the same random interleaving — ``try_put``/``put``,
 ``try_get``/``get``, the flat workers' ``pop_or_park``/``put_or_park``
 (against the ``try_get`` + ``get().add_callback`` and ``put()`` +
 ``add_callback`` idioms they replaced), a producer that puts again from
-its admission callback, ``hold_slot`` and time — on
+its admission callback, ``hold_slot``, a second and third parked
+getter (the first waits in ``Store``'s slot, the rest in its overflow
+queue), a getter parked behind holds that fill the store, and time — on
 bounded and unbounded stores, and after every step holds the two sides
 to the same log: who got which item when, which put was admitted when,
-the drop and depth counters, the scheduler's event count (hold-expiry
-wakes) and the exported depth gauge and wait histogram — the level
+the drop and depth counters, how many getters are parked, the
+scheduler's event count (hold-expiry wakes) and the exported depth
+gauge and wait histogram — the level
 ``Store`` publishes as a pulled ``(value, peak)`` against the gauge the
 reference pushes at every depth change, and the wait histogram its
 hand-offs fold in place against the one the reference fills through
@@ -57,7 +60,7 @@ class _Side:
     def state(self):
         store = self.store
         return (self.log, len(store), store.stats_put, store.stats_dropped,
-                store.stats_max_depth, len(store._getters),
+                store.stats_max_depth, self.parked_getters(),
                 len(store._putters), self.sim.now, self.sim.stats_events,
                 self.exported())
 
@@ -83,6 +86,10 @@ class _Parked(_Side):
 
     def __init__(self, capacity):
         super().__init__(Store, capacity)
+
+    def parked_getters(self):
+        store = self.store
+        return (store._getter is not None) + len(store._getters)
 
     def worker_get(self, who):
         def got(item):
@@ -110,6 +117,9 @@ class _Evented(_Side):
 
     def __init__(self, capacity):
         super().__init__(OracleStore, capacity)
+
+    def parked_getters(self):
+        return len(self.store._getters)
 
     def worker_get(self, who):
         item = self.store.try_get()
@@ -184,6 +194,14 @@ class StoreMachine(RuleBasedStateMachine):
     def worker_get(self):
         self._both("worker_get", self._getter())
 
+    @rule(getters=st.integers(2, 3))
+    def worker_gets(self, getters):
+        """Consumers that share one store, as an accelerator's units
+        share its front end: on an empty store the first parks in the
+        slot and the rest queue behind it, to be served in order."""
+        for _ in range(getters):
+            self._both("worker_get", self._getter())
+
     @precondition(lambda self: self.capacity is not None)
     @rule(ahead=GAP)
     def hold_slot(self, ahead):
@@ -193,6 +211,16 @@ class StoreMachine(RuleBasedStateMachine):
         self.last_hold = until
         for side in self.sides:
             side.store.hold_slot(until)
+
+    @precondition(lambda self: self.capacity is not None
+                  and not len(self.sides[0].store))
+    @rule(ahead=GAP)
+    def getter_behind_holds(self, ahead):
+        """Holds fill an empty store and a consumer parks on it: a put
+        then goes straight through to the getter, never refused."""
+        for _ in range(self.capacity):
+            self.hold_slot(ahead)
+        self._both("worker_get", self._getter())
 
     @rule(dt=GAP)
     def advance(self, dt):
