@@ -6,9 +6,12 @@ defrag 3.2 (RSS broken, one core); fragmented + hardware defrag 22.4
 *sender* becomes the bottleneck).
 """
 
+import random
+
 import pytest
 
-from repro.experiments.defrag import CONFIGS, experiment_points
+from repro.experiments.defrag import CONFIGS, NUM_FLOWS, experiment_points
+from repro.scenario import run
 
 from .conftest import print_table, run_once, run_points
 
@@ -54,3 +57,16 @@ def test_defrag_experiment(benchmark):
     assert 4.0 < vxlan_hw / vxlan_sw < 7.5
     # Every fragment that reached the accelerator was reassembled.
     assert results["hw-defrag"]["accel_reassembled"] > 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Flow.__init__ draws each flow's IP ident from the global RNG; the 60 "
+    "flows share src, dst and proto, which with the ident make up the "
+    "software reassembler's key, so vxlan-sw goodput moves with the seed"))
+def test_goodput_does_not_depend_on_the_global_rng():
+    goodput = []
+    for seed in (0, 1):
+        random.seed(seed)
+        row = run("defrag", 30 * NUM_FLOWS, shape={"config": "vxlan-sw"})[0]
+        goodput.append(row["goodput_gbps"])
+    assert goodput[0] == goodput[1]

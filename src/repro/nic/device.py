@@ -25,7 +25,8 @@ from typing import Dict, Optional, Tuple
 
 from ..net import Packet
 from ..net.parse import NO_LAYERS, parse_layout
-from ..pcie import PcieEndpoint, PcieError, PcieFabric, PcieLinkConfig
+from ..pcie import (POSTED, PcieEndpoint, PcieError, PcieFabric,
+                    PcieLinkConfig)
 from ..sim import Simulator, Store
 # The NIC BAR's internal layout lives with the other physical address
 # constants in the overlap-checked address map.
@@ -165,12 +166,13 @@ class Nic(PcieEndpoint):
             })
             tele.register_probe(f"nic.{name}.rdma", self._rdma_probe)
         fabric.attach(self, link_config)
-        # Inbound RDMA WRITEs DMA straight to the target fabric address.
+        # Inbound RDMA WRITEs DMA straight to the target fabric address,
+        # posted: nothing waits for the payload to land.
         self.rdma.dma_write = (
             lambda va, data: self.fabric.post_write(
                 self, va, data,
                 trace_ctx=self.rdma.inbound_trace_ctx,
-                trace_stage="pcie.dma_write"))
+                trace_stage="pcie.dma_write", on_done=POSTED))
         # QP transport failures surface as error CQEs on the QP's send
         # CQ — the §5.3 path the kernel driver's recovery hook watches.
         self.rdma.on_qp_error = self._rdma_qp_error

@@ -501,6 +501,20 @@ def _audit_footer(count: int, violations: Sequence[Dict] = ()) -> int:
     return 1 if count else 0
 
 
+def _usage_error(kind: str, names: Sequence[str], size: Optional[int],
+                 count: Optional[int]) -> bool:
+    """Print the first of ``names`` that ``kind`` cannot run at ``size``
+    and ``count`` (see :func:`repro.scenario.resolve`)."""
+    from .scenario import resolve
+    try:
+        for name in names:
+            resolve(kind, name, size, count)
+    except ValueError as exc:
+        print(exc)
+        return True
+    return False
+
+
 def _cmd_scale_tenants(args: argparse.Namespace) -> int:
     from .core.bar import MAX_TX_QUEUES
     from .experiments import scale_tenants
@@ -508,6 +522,8 @@ def _cmd_scale_tenants(args: argparse.Namespace) -> int:
     if bad:
         print(f"--tenants must be 1..{MAX_TX_QUEUES} (one FLD tx queue "
               f"each); got {' '.join(map(str, bad))}")
+        return 2
+    if _usage_error(args.command, ["scale-tenants"], args.size, args.count):
         return 2
     ctx = _make_context(args)
     rows = ctx.sweep(scale_tenants.sweep_points(
@@ -536,6 +552,9 @@ def _cmd_prog(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown scenario(s): {', '.join(unknown)}; choose from "
               f"{', '.join(SCENARIOS)} or all")
+        return 2
+    if _usage_error(args.command, [f"prog-{name}" for name in scenarios],
+                    args.size, args.count):
         return 2
     rows, violations = [], []
     for name in scenarios:

@@ -26,8 +26,9 @@ SWEEP_SCHEMA_VERSION = 3
 
 #: The schema the RNG *seed* derivation is frozen at.  Seeds must stay
 #: stable across cache-schema bumps — they define the simulated bytes,
-#: and the golden fixtures (tests/golden/) pin results produced under
-#: schema 2.  Cache addressing evolves; the seed payload does not.
+#: and the ``golden/*`` fingerprints (tests/golden/fingerprints.json)
+#: pin results produced under schema 2.  Cache addressing evolves; the
+#: seed payload does not.
 SEED_SCHEMA_VERSION = 2
 
 

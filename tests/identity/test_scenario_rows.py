@@ -1,11 +1,12 @@
 """An observed run is the sweep's own run, not a copy of it.
 
-For every :mod:`repro.scenario` row, under each observing command and
-under every command-specific alias, the result row of
-:func:`repro.scenario.observe` must equal (``==``) the row the family's
-entry point returns at the same count, size and seed, and a run with no
-telemetry at all must return that same row.  The audit of every
-observed run must be clean.
+For every :mod:`repro.scenario` row, the family's entry point must
+return the row's fingerprint entry (``row/<name>`` in
+``tests/golden/fingerprints.json``: the row under
+:func:`repro.scenario.run` at the case's count and seed), and so must
+:func:`repro.scenario.observe` under each observing command and under
+every command-specific alias.  The audit of every observed run must be
+clean.
 """
 
 import random
@@ -30,11 +31,8 @@ from repro.experiments.echo import (
 )
 from repro.scenario import ALIASES, SCENARIOS, observe, run
 
-COUNT = 40
-
-#: Rows run at another count: timed traffic takes none, and defrag's
-#: entry point counts rounds over its 60 flows.
-COUNTS = {"iot-line-rate": None, "iot-isolation": None, "defrag": 120}
+from ..golden.fingerprints import (ROW_COUNT, ROW_SEED, as_json, entries,
+                                   report, row_count)
 
 
 def _fig7c_rate(size):
@@ -109,36 +107,42 @@ def test_every_row_and_alias_has_an_entry_point():
                                if case[0] != "objects"}
 
 
+def _moved(name, result):
+    return report(name, entries()[f"row/{name}"], as_json(result))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_entry_point_returns_the_rows_entry(name):
+    random.seed(ROW_SEED)
+    assert not _moved(name, ENTRY_POINTS[name](row_count(name),
+                                               SCENARIOS[name].size))
+
+
 @pytest.mark.parametrize("kind,name", OBSERVED,
                          ids=[" ".join(case) for case in OBSERVED])
 def test_observed_row_is_the_entry_points_row(kind, name, tmp_path):
     target = ALIAS_ROWS.get((kind, name), name)
-    count, size = COUNTS.get(target, COUNT), SCENARIOS[target].size
-    random.seed(11)
-    expected = ENTRY_POINTS[target](count, size)
-    random.seed(11)
+    random.seed(ROW_SEED)
     output = str(tmp_path / "trace.json") if kind == "trace" else None
-    summary = observe(kind, name, count, output=output)
+    summary = observe(kind, name, row_count(target), output=output)
     assert summary["violations"] == []
-    assert summary["result"] == expected
-    random.seed(11)
-    assert run(target, count)[0] == expected
+    assert not _moved(target, summary["result"])
 
 
 def test_a_trace_sized_scenario_rejects_a_size():
     with pytest.raises(ValueError, match="size does not apply"):
-        run("forwarding", COUNT, 256)
+        run("forwarding", ROW_COUNT, 256)
 
 
 def test_a_timed_scenario_rejects_a_count():
     with pytest.raises(ValueError, match="count does not apply"):
-        run("iot-isolation", COUNT)
+        run("iot-isolation", ROW_COUNT)
     with pytest.raises(ValueError, match="count does not apply"):
-        observe("trace", "iot-line-rate", COUNT, output="unused.json")
+        observe("trace", "iot-line-rate", ROW_COUNT, output="unused.json")
 
 
 def test_a_shape_reaches_the_build():
-    row = run("scale-tenants", COUNT, shape={"tenants": 2})[0]
+    row = run("scale-tenants", ROW_COUNT, shape={"tenants": 2})[0]
     assert [tenant["tenant"] for tenant in row["per_tenant"]] == [
         "tenant0", "tenant1"]
     assert run("iot-isolation", shape={"shaped": True})[0]["shaped"]

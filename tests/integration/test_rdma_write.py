@@ -7,7 +7,7 @@ memory region — no receive descriptor, no receive CQE, no remote CPU.
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.testbed import make_remote_pair
 
 CLIENT_MAC = "02:00:00:00:00:01"
@@ -42,6 +42,36 @@ class TestRdmaWrite:
         sim.spawn(proc(sim))
         sim.run(until=0.01)
         assert read(len(payload)) == payload
+
+    def test_inbound_write_dma_builds_no_event(self, monkeypatch):
+        """Nobody waits for the DMA of an inbound segment's payload: it
+        is a posted write, with no completion Event."""
+        sim = Simulator()
+        _c, server, cep, sep = build(sim)
+        addr, rkey, read = sep.register_mr(8192)
+        built, per_segment = [], []
+        init, dma_write = Event.__init__, server.nic.rdma.dma_write
+
+        def counted_init(event, sim):
+            built.append(event)
+            init(event, sim)
+
+        def counted_dma_write(va, data):
+            before = len(built)
+            dma_write(va, data)
+            per_segment.append(len(built) - before)
+
+        monkeypatch.setattr(Event, "__init__", counted_init)
+        server.nic.rdma.dma_write = counted_dma_write
+        payload = bytes(range(256)) * 20  # 5120 B -> 5 segments
+
+        def proc(sim):
+            yield cep.post_write(payload, addr, rkey)
+
+        sim.spawn(proc(sim))
+        sim.run(until=0.01)
+        assert read(len(payload)) == payload
+        assert per_segment == [0] * 5
 
     def test_multi_segment_write(self):
         sim = Simulator()

@@ -9,8 +9,6 @@ contract keeps the simulated bytes stable; and a tenant count past the
 FLD's tx queue limit is refused before any packet is sent.
 """
 
-import json
-import os
 import random
 
 import pytest
@@ -23,13 +21,11 @@ from repro.sw import FldRuntimeError
 from repro.sweep import SweepPoint
 from repro.topology import build as build_topology
 
-FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir, "golden",
-                       "topology_identity.json")
+from ..golden.fingerprints import entries
 
 
 def test_single_tenant_bit_identical_to_flde_remote():
-    with open(FIXTURE, encoding="utf-8") as fh:
-        golden = json.load(fh)["flde_echo_remote"]
+    golden = entries()["topology/flde_echo_remote"]
     random.seed(1234)
     result = scale_tenants.throughput(1, 256, count=400)
     for key in ("sent", "received", "gbps", "mpps"):
@@ -120,3 +116,14 @@ class TestTenantLimit:
         out = capsys.readouterr().out
         assert out == (f"--tenants must be 1..{MAX_TX_QUEUES} (one FLD tx "
                        f"queue each); got {tenants}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        ("--size 9000 --count 5",
+         "scale-tenants carries sizes of 64 to 2048 B; got 9000"),
+        ("--count -3", "scale-tenants needs a count of at least 1; got -3"),
+    ], ids=["size", "count"])
+    def test_cli_refuses_a_size_or_count_before_running(self, argv, message,
+                                                         capsys):
+        assert main(["scale-tenants", "--tenants", "2", "--no-cache",
+                     *argv.split()]) == 2
+        assert capsys.readouterr().out == message + "\n"

@@ -21,6 +21,7 @@ from repro.experiments.setups import CLIENT_MAC
 from repro.host import LoadGenerator
 from repro.net import Flow
 from repro.prog.programs import firewall
+from repro.reporting import main
 from repro.scenario import audit, run
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
@@ -132,3 +133,13 @@ class TestNullFastPath:
         assert touched == untouched
         assert untouched["received"] == 100
         assert untouched["violations"] == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("prog --scenario firewall --size 10 --count 5",
+     "prog-firewall carries sizes of 64 to 2048 B; got 10"),
+    ("prog --count -3", "prog-firewall needs a count of at least 1; got -3"),
+], ids=["size", "count"])
+def test_cli_refuses_a_size_or_count_before_running(argv, message, capsys):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().out == message + "\n"
