@@ -24,6 +24,7 @@ from ..nic import (
     OP_ETH_SEND,
     OP_RDMA_SEND,
     OP_RDMA_WRITE,
+    RX_DESC_SIZE,
     WQE_FLAG_CSUM_L4,
     WQE_FLAG_LSO,
     WQE_FLAG_SIGNALED,
@@ -43,6 +44,9 @@ from .memory import BumpAllocator, HostMemory
 
 #: How often a PMD facing a full SQ re-reads its completions.
 TX_POLL = 100e-9
+
+#: The shortest frame a queue pair sends: an Ethernet header.
+ETH_HEADER = 14
 
 
 class QueueFullError(RuntimeError):
@@ -79,6 +83,9 @@ class EthQueuePair:
         self.rx_cq = ctrl.alloc_cq(self._take(rq_entries * 64), rq_entries)
         self.sq = ctrl.alloc_sq(self._take(sq_entries * WQE_SIZE),
                                 sq_entries, self.tx_cq, vport=vport)
+        #: Free SQ slots, judged by retired (signalled) completions;
+        #: send takes one, a retired completion recounts them.
+        self.tx_free = self.sq.entries
         self.rq = ctrl.alloc_rq(self._take(rq_entries * 16), rq_entries,
                                 self.rx_cq)
         if register_default:
@@ -145,22 +152,18 @@ class EthQueuePair:
 
     # -- transmit ----------------------------------------------------------
 
-    def tx_space(self) -> int:
-        """Free SQ slots, judged by retired (signalled) completions."""
-        return self.sq.entries - (self._pi - self._tx_completed)
-
     def park_for_tx_space(self, func: Callable, arg=None,
                           slots: int = 1) -> None:
         """The SQ is short of ``slots``: run ``func(arg)`` at the poll (a
         PMD spins every :data:`TX_POLL` from now) that first sees them
-        free.  ``func`` re-reads :meth:`tx_space` — another sender may
+        free.  ``func`` re-reads :attr:`tx_free` — another sender may
         have polled first — and parks again if it lost."""
         self._tx_waiters.append(
             (slots, PollWait(self.sim, TX_POLL, func, arg)))
 
     def wait_for_tx_space(self, slots: int = 1):
         """Generator: spin (as a PMD would) until the SQ has room."""
-        while self.tx_space() < slots:
+        while self.tx_free < slots:
             polled = Event(self.sim)
             self.park_for_tx_space(polled.succeed, slots=slots)
             yield polled
@@ -179,45 +182,47 @@ class EthQueuePair:
              extra_flags: int = 0, mss: int = 0) -> None:
         """Queue one frame for transmission (CPU side, non-blocking);
         ``extra_flags`` and ``mss`` are :meth:`send_tso`'s."""
-        if self.sq.entries - (self._pi - self._tx_completed) < 1:
+        if self.tx_free < 1:
             raise QueueFullError(
                 f"SQ {self.sq.qpn} full: use wait_for_tx_space()"
             )
-        if len(frame) > self.buffer_size:
+        length = len(frame)
+        if not ETH_HEADER <= length <= self.buffer_size:
             # Refused before it takes a slot: the next send rings no hole.
             raise ValueError(
-                f"frame of {len(frame)} B exceeds buffer {self.buffer_size} B"
+                f"frame of {length} B: a frame is an Ethernet header "
+                f"({ETH_HEADER} B) up to its buffer ({self.buffer_size} B)"
             )
+        sq = self.sq
         index = self._pi
-        self._pi += 1
-        slot = index % self.sq.entries
-        buffer_addr = self._tx_buffers[slot]
+        self._pi = index + 1
+        self.tx_free -= 1
+        buffer_addr = self._tx_buffers[index % sq.entries]
         if (index + 1) % self.signal_interval == 0:
             signaled = True
         flags = (WQE_FLAG_SIGNALED if signaled else 0) | extra_flags
-        wqe = TX_WQE.pack(OP_ETH_SEND, flags, index & 0xFFFF, self.sq.qpn,
-                          buffer_addr, len(frame), 0, 0, 1, 0, 0, mss)
+        wqe = TX_WQE.pack(OP_ETH_SEND, flags, index & 0xFFFF, sq.qpn,
+                          buffer_addr, length, 0, 0, 1, 0, 0, mss)
         driver = self.driver
         driver.memory.write_local(buffer_addr - driver.mem_base, frame)
         if self.use_mmio_wqe:
             # WQE-by-MMIO: push the whole descriptor through the doorbell
             # window, saving the NIC's descriptor DMA read (§6).
-            driver.mmio_write(
-                driver.nic_bar_base + WQE_MMIO_BASE
-                + self.sq.qpn * WQE_MMIO_STRIDE,
-                wqe, trace_ctx=trace_ctx,
-            )
+            driver.fabric.post_write(
+                driver.cpu_port, driver.nic_bar_base + WQE_MMIO_BASE
+                + sq.qpn * WQE_MMIO_STRIDE, wqe,
+                trace_ctx=trace_ctx, trace_stage="pcie.doorbell",
+                on_done=POSTED)
         else:
             if trace_ctx is not None:
                 # The NIC fetches this WQE from host memory later; park
                 # the context for its fetch loop to claim.
                 self._spans.stash(
-                    ("wqe", driver.nic.name, self.sq.qpn, index), trace_ctx)
+                    ("wqe", driver.nic.name, sq.qpn, index), trace_ctx)
             driver.memory.write_local(
-                self.sq.slot_addr(index) - driver.mem_base, wqe
+                sq.slot_addr(index) - driver.mem_base, wqe
             )
-            driver.ring_doorbell(self.sq.qpn, index + 1,
-                                 trace_ctx=trace_ctx)
+            driver.ring_doorbell(sq.qpn, index + 1, trace_ctx=trace_ctx)
         self.stats_tx += 1
 
     def _retire(self, landed) -> None:
@@ -229,10 +234,10 @@ class EthQueuePair:
         completed = base | cqe.wqe_counter
         if completed < self._tx_completed:
             completed += 1 << 16
-        self._tx_completed = completed + 1
+        self._tx_completed = completed = completed + 1
+        space = self.tx_free = self.sq.entries - (self._pi - completed)
         waiters = self._tx_waiters
         if waiters:
-            space = self.tx_space()
             self._tx_waiters = [w for w in waiters if w[0] > space]
             for slots, wait in waiters:
                 if slots <= space:
@@ -251,37 +256,40 @@ class EthQueuePair:
                 RX_DESC.pack(buffer_addr, self.buffer_size, 0))
             self.rq.post(1)
 
-    def _repost(self, index: int) -> None:
-        """Recycle the consumed descriptor's buffer at the ring tail."""
-        driver = self.driver
-        buffer_addr = self._rx_buffers.pop(index % self.rq.entries)
-        new_index = self.rq.pi
-        self._rx_buffers[new_index % self.rq.entries] = buffer_addr
-        driver.memory.write_local(
-            self.rq.slot_addr(new_index) - driver.mem_base,
-            RX_DESC.pack(buffer_addr, self.buffer_size, 0))
-        self.rq.post(1)
-
     def _receive(self, landed) -> None:
-        """Hand one completed packet to the application.  ``landed`` is
-        the CQE as it arrived: its bytes, trace context and frame (the
-        NIC's ``(bytes, layout)``, whose layout the record keeps if the
-        frame read back is those bytes).  An error CQE only reposts."""
+        """Hand one completed packet to the application and recycle its
+        buffer at the ring tail.  ``landed`` is the CQE as it arrived:
+        its bytes, trace context and frame (the NIC's ``(bytes,
+        layout)``, whose layout the record keeps if the frame read back
+        is those bytes).  An error CQE only recycles."""
         cqe_bytes, ctx, frame = landed
-        fields = CQE.unpack_from(cqe_bytes) + (ctx,)
-        cqe = CqeRecord(fields + (None,))
-        if cqe.opcode == CQE_ERROR:
-            self._repost(cqe.wqe_counter)
-            return
+        fields = CQE.unpack_from(cqe_bytes)
+        # fields[0] is the opcode, [2] the WQE counter, [4] the length.
+        rq = self.rq
+        entries = rq.entries
+        slot = fields[2] % entries
+        buffers = self._rx_buffers
+        buffer_addr = buffers[slot]
         driver = self.driver
-        slot = cqe.wqe_counter % self.rq.entries
-        buffer_addr = self._rx_buffers[slot]
-        data = driver.memory.read_local(
-            buffer_addr - driver.mem_base, cqe.byte_count
-        )
-        if frame is not None and frame[0] == data:
-            cqe = CqeRecord(fields + (frame[1],))
-        self._repost(cqe.wqe_counter)
+        memory = driver.memory
+        received = fields[0] != CQE_ERROR
+        if received:
+            data = memory.read_local(buffer_addr - driver.mem_base,
+                                     fields[4])
+        # The buffer moves to the ring tail: its own slot while the ring
+        # is kept full, as the datapath keeps it.
+        tail = rq.pi % entries
+        if tail != slot:
+            del buffers[slot]
+            buffers[tail] = buffer_addr
+        memory.write_local(
+            rq.ring_addr + tail * RX_DESC_SIZE - driver.mem_base,
+            RX_DESC.pack(buffer_addr, self.buffer_size, 0))
+        rq.post(1)
+        if not received:
+            return
+        cqe = CqeRecord(fields + (ctx, frame[1] if frame is not None
+                                  and frame[0] == data else None))
         self.stats_rx += 1
         if self.on_receive is not None:
             self.on_receive(data, cqe)
@@ -298,7 +306,9 @@ class EthQueuePair:
         the per-queue draw order of a serial dispatcher.
         """
         cost = self.core.packet_cost()
-        planned = max(handle[0][DELIVERY], self._fused_planned) + cost
+        arrival = handle[0][DELIVERY]
+        planned = self._fused_planned
+        planned = (planned if planned > arrival else arrival) + cost
         self._fused_planned = planned
         # [handle, cost, committed, fired_early]
         entry = [handle, cost, False, False]
@@ -307,7 +317,12 @@ class EthQueuePair:
         sim.call_later(planned - sim._now, self._rx_fused_fire, entry)
 
     def _rx_fused_fire(self, entry) -> None:
-        """The per-packet dispatch event: delivery + processing done."""
+        """The per-packet dispatch event: delivery + processing done.
+
+        Commits the packet (lands its CQE, delivers it), then re-drives
+        each successor whose event fired early and bailed, in order,
+        until one is not done yet: that one fires again when it is.
+        """
         if entry[2]:
             return
         queue = self._fused_queue
@@ -317,35 +332,31 @@ class EthQueuePair:
             entry[3] = True
             return
         sim = self.sim
-        done = max(entry[0][0][DELIVERY], self._fused_done) + entry[1]
-        if done > sim._now:
-            sim.call_later(done - sim._now, self._rx_fused_fire, entry)
-            return
-        self._commit_fused(entry)
-        # Re-drive any successors whose events fired early and bailed.
-        while queue and queue[0][3]:
-            head = queue[0]
-            done = max(head[0][0][DELIVERY], self._fused_done) + head[1]
-            if done > sim._now:
-                sim.call_later(done - sim._now, self._rx_fused_fire, head)
-                return
-            self._commit_fused(head)
-
-    def _commit_fused(self, entry) -> None:
-        """The packet's processing is done: land the CQE, deliver."""
-        handle = entry[0]
-        entry[2] = True
-        self._fused_queue.popleft()
-        now = self.sim._now
-        ctx = handle.trace_ctx
-        if ctx is not None:
+        spans = self._spans
+        while True:
+            handle = entry[0]
             # The serial dispatcher picks a packet up once its CQE has
             # landed and the previous packet is done.
-            self._spans.record(ctx, "host.rx",
-                               max(handle[0][DELIVERY], self._fused_done), now)
-        self._fused_done = now
-        handle.commit()
-        self._receive((handle.data, ctx, handle.frame))
+            started = self._fused_done
+            arrival = handle[0][DELIVERY]
+            if arrival > started:
+                started = arrival
+            now = sim._now
+            done = started + entry[1]
+            if done > now:
+                sim.call_later(done - now, self._rx_fused_fire, entry)
+                return
+            entry[2] = True
+            queue.popleft()
+            ctx = handle.trace_ctx
+            if ctx is not None:
+                spans.record(ctx, "host.rx", started, now)
+            self._fused_done = now
+            handle.commit()
+            self._receive((handle.data, ctx, handle.frame))
+            if not queue or not queue[0][3]:
+                return
+            entry = queue[0]
 
 
 class RcEndpoint:
@@ -591,11 +602,6 @@ class SoftwareDriver:
             trace_ctx=trace_ctx, trace_stage="pcie.doorbell",
             on_done=POSTED,
         )
-
-    def mmio_write(self, address: int, data: bytes, trace_ctx=None) -> None:
-        self.fabric.post_write(self.cpu_port, address, data,
-                               trace_ctx=trace_ctx,
-                               trace_stage="pcie.doorbell", on_done=POSTED)
 
     # -- factories ----------------------------------------------------------
 

@@ -1,20 +1,31 @@
 """Host DRAM: a sparse, page-backed PCIe-addressable memory.
 
 Big enough for driver rings and DPDK-style buffer pools without
-allocating gigabytes of real Python memory — pages materialize on first
-touch.  Includes a bump allocator for carving rings and pools out of the
-region.
+allocating gigabytes of real Python memory — a page materializes on a
+write's first touch of it, and a read of an untouched page returns
+zeros.  Includes a bump allocator for carving rings and pools out of
+the region.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from ..pcie.endpoint import PcieEndpoint, PcieError
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 _PAGE_MASK = PAGE_SIZE - 1
+
+
+class _Pages(dict):
+    """Page number -> page.  Subscripting a missing page creates it, so
+    only writes subscript blindly; a read tests ``in`` first and leaves
+    an untouched page absent."""
+
+    __slots__ = ()
+
+    def __missing__(self, page_no: int) -> bytearray:
+        page = self[page_no] = bytearray(PAGE_SIZE)
+        return page
 
 
 class HostMemory(PcieEndpoint):
@@ -25,7 +36,7 @@ class HostMemory(PcieEndpoint):
         if size <= 0:
             raise PcieError("memory size must be positive")
         self.size = size
-        self._pages: Dict[int, bytearray] = {}
+        self._pages = _Pages()
         self.stats_reads = 0
         self.stats_writes = 0
 
@@ -36,26 +47,27 @@ class HostMemory(PcieEndpoint):
 
     def handle_read(self, address: int, length: int) -> bytes:
         # Tested here: only a refused access pays a frame for it.
-        if address < 0 or address + length > self.size:
+        if address < 0 or length < 0 or address + length > self.size:
             self._refuse(address, length)
         self.stats_reads += 1
+        pages = self._pages
         offset = address & _PAGE_MASK
         if offset + length <= PAGE_SIZE:
             # Fast path: the access fits in one page (rings, MTU-sized
             # buffers) — a single slice, no chunking loop.
-            page = self._pages.get(address >> PAGE_SHIFT)
-            if page is None:
-                return bytes(length)
-            return bytes(page[offset:offset + length])
+            page_no = address >> PAGE_SHIFT
+            if page_no in pages:
+                return bytes(pages[page_no][offset:offset + length])
+            return bytes(length)
         out = bytearray(length)
         cursor = 0
         while cursor < length:
             page_no = (address + cursor) >> PAGE_SHIFT
             offset = (address + cursor) & _PAGE_MASK
             chunk = min(length - cursor, PAGE_SIZE - offset)
-            page = self._pages.get(page_no)
-            if page is not None:
-                out[cursor:cursor + chunk] = page[offset:offset + chunk]
+            if page_no in pages:
+                out[cursor:cursor + chunk] = \
+                    pages[page_no][offset:offset + chunk]
             cursor += chunk
         return bytes(out)
 
@@ -65,22 +77,16 @@ class HostMemory(PcieEndpoint):
             self._refuse(address, length)
         self.stats_writes += 1
         offset = address & _PAGE_MASK
-        if offset + length <= PAGE_SIZE:
-            page_no = address >> PAGE_SHIFT
-            page = self._pages.get(page_no)
-            if page is None:
-                page = self._pages[page_no] = bytearray(PAGE_SIZE)
-            page[offset:offset + length] = data
+        if length and offset + length <= PAGE_SIZE:
+            self._pages[address >> PAGE_SHIFT][offset:offset + length] = data
             return
+        # Straddling pages, or empty: an empty write touches no page.
         cursor = 0
         while cursor < length:
-            page_no = (address + cursor) >> PAGE_SHIFT
             offset = (address + cursor) & _PAGE_MASK
             chunk = min(length - cursor, PAGE_SIZE - offset)
-            page = self._pages.get(page_no)
-            if page is None:
-                page = self._pages[page_no] = bytearray(PAGE_SIZE)
-            page[offset:offset + chunk] = data[cursor:cursor + chunk]
+            self._pages[(address + cursor) >> PAGE_SHIFT][
+                offset:offset + chunk] = data[cursor:cursor + chunk]
             cursor += chunk
 
     # CPU-local access: same operation, but models no PCIe traffic.
@@ -140,16 +146,27 @@ class BumpAllocator:
         return start
 
     def free(self, addr: int, size: int) -> None:
-        """Return [addr, addr+size) to the allocator."""
+        """Return [addr, addr+size) to the allocator.  A range outside
+        ``[base, cursor)`` or overlapping a free block (a double free)
+        raises ``ValueError`` and changes nothing."""
         if size <= 0:
             return
+        end = addr + size
+        if addr < self.base or end > self._cursor:
+            raise ValueError(
+                f"free of [{addr:#x}+{size}] outside the allocated window "
+                f"[{self.base:#x}, {self._cursor:#x})")
+        for start, block in self._free:
+            if start < end and addr < start + block:
+                raise ValueError(
+                    f"free of [{addr:#x}+{size}] overlaps free block "
+                    f"[{start:#x}+{block}]")
         self._free.append((addr, size))
         self._free.sort()
         merged: list = []
         for start, block in self._free:
-            if merged and merged[-1][0] + merged[-1][1] >= start:
-                merged[-1] = (merged[-1][0],
-                              max(merged[-1][1], start + block - merged[-1][0]))
+            if merged and merged[-1][0] + merged[-1][1] == start:
+                merged[-1] = (merged[-1][0], merged[-1][1] + block)
             else:
                 merged.append((start, block))
         # Retract the cursor over a trailing free block.

@@ -108,7 +108,7 @@ class EchoApp:
     def _transmit(self, entry):
         """Post the echo; False (the pump pauses) while the SQ is full."""
         qp = self.qp
-        if qp.tx_space() < 1:
+        if qp.tx_free < 1:
             qp.park_for_tx_space(self._retry, entry)
             return False
         data, ctx, started = entry
@@ -150,7 +150,7 @@ class _FlatPacer:
     def _tick(self, _arg=None) -> None:
         gen = self.gen
         sim = gen.sim
-        if gen.qp.tx_space() < 1:
+        if gen.qp.tx_free < 1:
             gen.qp.park_for_tx_space(self._tick)
             return
         index = self._index
@@ -202,7 +202,7 @@ class _FlatWindow:
         gen = self.gen
         qp = gen.qp
         while self._outstanding < self.window and self._sent < self.count:
-            if qp.tx_space() < 1:
+            if qp.tx_free < 1:
                 qp.park_for_tx_space(self._fill)
                 return
             gen._send_frame(self.frame_size)
@@ -244,17 +244,6 @@ class LoadGenerator:
         #: flows into the span layer.
         self.trace_label = "echo"
 
-    def _make_frame(self, frame_size: int) -> bytes:
-        """The next stamped frame.  A TCP flow's sequence number moves
-        with every payload byte, so its frames take the packet path."""
-        if self.flow.proto == PROTO_TCP:
-            frame = self._frame_from_packet(frame_size)
-        else:
-            frame = self._frame_from_template(frame_size)
-        self._sent_at[self._seq] = self.sim._now
-        self._seq += 1
-        return frame
-
     def _frame_from_packet(self, frame_size: int) -> bytes:
         """Build the next frame through the packet path, sequence
         number stamped at the head of the payload."""
@@ -266,76 +255,84 @@ class LoadGenerator:
         packet.payload = bytes(payload)
         return packet.to_bytes()
 
-    def _frame_from_template(self, frame_size: int) -> bytes:
-        """Stamp the next frame from a cached per-(flow, size) template.
-
-        Consecutive frames on one UDP flow differ only in the IP ident,
-        the IP header checksum and the payload sequence stamp (the UDP
-        checksum is left zero), so the frame is built once through the
-        packet path and the three fields are patched in place —
-        bit-identical to building each frame.
-        """
-        flow = self.flow
-        cache = getattr(flow, "_frame_templates", None)
-        if cache is None:
-            cache = flow._frame_templates = {}
-        identity = (flow.src_mac.value, flow.dst_mac.value,
-                    flow.src_ip.value, flow.dst_ip.value,
-                    flow.src_port, flow.dst_port, flow.proto)
-        entry = cache.get(frame_size)
-        if entry is None or entry[0] != identity:
-            # Building the template consumes one ident on the flow;
-            # restore it so the build is invisible to the ident sequence.
-            # Built inline, not by _frame_from_packet: mixed-size traffic
-            # builds a template for about a third of its frames.
-            saved_ident = flow._ident
-            packet = flow.make_sized_packet(frame_size)
-            flow._ident = saved_ident
-            payload = bytearray(packet.payload)
-            if len(payload) < _SEQ_SIZE:
-                payload.extend(bytes(_SEQ_SIZE - len(payload)))
-            packet.payload = bytes(payload)
-            template = bytearray(packet.to_bytes())
-            # One's-complement sum of the IP header words minus the
-            # ident and checksum fields; each frame's checksum is then
-            # ~fold(base + ident), exactly what Ipv4.pack computes.
-            base = 0
-            for off in range(14, 34, 2):
-                if off != _IP_IDENT_OFF and off != _IP_CSUM_OFF:
-                    base += (template[off] << 8) | template[off + 1]
-            entry = (identity, template, base)
-            cache[frame_size] = entry
-        template = entry[1]
-        ident = flow.next_ident()
-        total = entry[2] + ident
-        while total >> 16:
-            total = (total & 0xFFFF) + (total >> 16)
-        struct.pack_into("!H", template, _IP_IDENT_OFF, ident)
-        struct.pack_into("!H", template, _IP_CSUM_OFF, (~total) & 0xFFFF)
-        struct.pack_into(_SEQ_FORMAT, template, _PAYLOAD_OFF, self._seq)
-        return bytes(template)
-
     def _send_frame(self, frame_size: int) -> None:
-        """Build one stamped frame, start its trace and hand it to the QP."""
+        """Build the next stamped frame, start its trace and hand it to
+        the QP.
+
+        A TCP flow's sequence number moves with every payload byte, so
+        its frames take the packet path.  Consecutive frames on one UDP
+        flow differ only in the IP ident, the IP header checksum and the
+        payload sequence stamp (the UDP checksum is left zero), so the
+        frame is built once per (flow, size) through the packet path
+        and cached on the flow, and the three fields are patched in
+        place — bit-identical to building each frame.
+        """
         spans = self._spans
         started = self.sim._now
-        ctx = (spans.start_trace(f"{self.trace_label}.seq{self._seq}",
-                                 started)
+        seq = self._seq
+        ctx = (spans.start_trace(f"{self.trace_label}.seq{seq}", started)
                if spans.enabled else None)
-        frame = self._make_frame(frame_size)
+        flow = self.flow
+        if flow.proto == PROTO_TCP:
+            frame = self._frame_from_packet(frame_size)
+        else:
+            try:
+                cache = flow._frame_templates
+            except AttributeError:
+                cache = flow._frame_templates = {}
+            identity = (flow.src_mac.value, flow.dst_mac.value,
+                        flow.src_ip.value, flow.dst_ip.value,
+                        flow.src_port, flow.dst_port, flow.proto)
+            entry = cache.get(frame_size)
+            if entry is None or entry[0] != identity:
+                # Building the template consumes one ident on the flow;
+                # restore it so the build is invisible to the ident
+                # sequence.  Built inline, not by _frame_from_packet:
+                # mixed-size traffic builds a template for about a third
+                # of its frames.
+                saved_ident = flow._ident
+                packet = flow.make_sized_packet(frame_size)
+                flow._ident = saved_ident
+                payload = bytearray(packet.payload)
+                if len(payload) < _SEQ_SIZE:
+                    payload.extend(bytes(_SEQ_SIZE - len(payload)))
+                packet.payload = bytes(payload)
+                template = bytearray(packet.to_bytes())
+                # One's-complement sum of the IP header words minus the
+                # ident and checksum fields; each frame's checksum is
+                # then ~fold(base + ident), exactly what Ipv4.pack
+                # computes.
+                base = 0
+                for off in range(14, 34, 2):
+                    if off != _IP_IDENT_OFF and off != _IP_CSUM_OFF:
+                        base += (template[off] << 8) | template[off + 1]
+                entry = (identity, template, base)
+                cache[frame_size] = entry
+            template = entry[1]
+            ident = flow.next_ident()
+            total = entry[2] + ident
+            while total >> 16:
+                total = (total & 0xFFFF) + (total >> 16)
+            struct.pack_into("!H", template, _IP_IDENT_OFF, ident)
+            struct.pack_into("!H", template, _IP_CSUM_OFF, (~total) & 0xFFFF)
+            struct.pack_into(_SEQ_FORMAT, template, _PAYLOAD_OFF, seq)
+            frame = bytes(template)
+        self._sent_at[seq] = started
+        self._seq = seq + 1
         self.qp.send(frame, trace_ctx=ctx)
         if ctx is not None:
             spans.record(ctx, "host.tx", started, self.sim._now)
 
     def _on_receive(self, data: bytes, cqe) -> None:
+        length = len(data)
         payload_at = (cqe.layout or parse_layout(data))[PAYLOAD]
-        if len(data) - payload_at >= _SEQ_SIZE:
+        if length - payload_at >= _SEQ_SIZE:
             (seq,) = struct.unpack_from(_SEQ_FORMAT, data, payload_at)
             sent = self._sent_at.pop(seq, None)
             if sent is not None:
                 self.latency.add(self.sim._now - sent)
         self.stats_received += 1
-        self.rx_meter.record(self.sim._now, len(data))
+        self.rx_meter.record(self.sim._now, length)
         if cqe.trace_ctx is not None:
             self._spans.end_trace(cqe.trace_ctx, self.sim._now)
         awaiting = self._awaiting

@@ -11,10 +11,11 @@ import pstats
 import random
 from collections import Counter
 from fnmatch import fnmatchcase
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from repro.core import AxisMetadata
-from repro.experiments.setups import flde_echo_local, flde_echo_remote, fldr_echo
+from repro.experiments.setups import (cpu_echo_remote, flde_echo_local,
+                                     flde_echo_remote, fldr_echo)
 from repro.host import LoadGenerator
 from repro.net import Flow
 from repro.net.parse import parse_frame
@@ -87,20 +88,21 @@ class Ledger:
 
 # Bursts: each builds and warms its setup, then profiles its steady state.
 WARM, FRAMES, RATE_PPS = 32, 128, 12.8e6    # 64 B at 9 Gb/s on the wire
+CPU_RATE_PPS = 8.5e6                        # 64 B at 6 Gb/s on the wire
 TRIPS, REQUESTS, OPS, BURST = 64, 64, 256, 16
 MAC, PEER_MAC = "02:00:00:00:00:99", "02:00:00:00:00:01"
 PAYLOAD = bytes(range(64))
 
 
-def paced_echo(profile, spans=False):
+def paced_echo(profile, spans=False, setup=flde_echo_remote, rate=RATE_PPS):
     random.seed(7)
     telemetry = Telemetry(trace=False, spans=True) if spans else None
     sim = Simulator(telemetry=telemetry)
-    loadgen = flde_echo_remote(sim).loadgen
+    loadgen = setup(sim).loadgen
 
     def burst(count):
         def drive():
-            yield from loadgen.run_open_loop([64] * count, rate_pps=RATE_PPS)
+            yield from loadgen.run_open_loop([64] * count, rate_pps=rate)
             yield from loadgen.drain()
         sim.spawn(drive())
         sim.run()
@@ -244,9 +246,12 @@ def fabric(issue):
 #: name -> (burst(profile), units profiled)
 BURSTS = {
     # 64 B FLD-E echoes paced (untraced or every packet traced) or in a
-    # window-1 closed loop; 512 B FLD-R echo requests.
+    # window-1 closed loop; 64 B CPU (testpmd) echoes paced; 512 B FLD-R
+    # echo requests.
     "echo": (paced_echo, FRAMES),
     "echo-spans": (lambda profile: paced_echo(profile, spans=True), FRAMES),
+    "cpu-echo": (partial(paced_echo, rate=CPU_RATE_PPS,
+                         setup=partial(cpu_echo_remote, jitter=False)), FRAMES),
     "closed-loop": (closed_loop, TRIPS),
     "fldr": (fldr_requests, REQUESTS),
     # 64 B frames on a local node: MMIO WQE doorbells to the wire, the wire
@@ -289,7 +294,7 @@ PER_TLP = (":decode|port_of|retire|_check|completion_chunks|*bisect*",
 GATES = (
     # A received frame keeps its parse: only each transmitting NIC
     # parses; no whole-frame parse, size helper or checksum chain.
-    ("echo", "echo", "frame", None, 382,
+    ("echo", "echo", "frame", None, 361,
          ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
           "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),)),
     # A descriptor is its bytes: one pack and one unpack_from, no codec.
@@ -345,6 +350,16 @@ GATES = (
            "|<built-in method builtins.isinstance>"
            "|<method 'add' of 'set' objects>",
            ("telemetry/spans.py:*", "telemetry/metrics.py:*"))), ()),
+    # The host side of the CPU echo: a one-page access is one frame (a
+    # write subscripts a page dict that makes a page on first touch, a
+    # read tests ``in``), the fused receive dispatch commits in its own
+    # loop, an MMIO WQE goes straight to the fabric, and testpmd reads
+    # SQ space off an attribute.
+    ("host", "cpu-echo", "frame", "/repro/host/", 62,
+         (("~:<method 'get' of 'dict' objects>", ("host/memory.py:*",)),
+          "host/driver.py:_commit_fused|_repost",
+          ("host/driver.py:mmio_write", ("host/driver.py:send",)),
+          ("host/driver.py:tx_space", ("host/testpmd.py:*",))), ()),
     # A wait is parked where its condition changes: no poll timeout, and
     # over the whole burst two Events, one Process, two driver steps.
     ("closed-loop", "closed-loop", "round trip", None, None,

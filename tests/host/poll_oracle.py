@@ -19,7 +19,7 @@ TX_POLL = 100e-9
 
 def wait_for_tx_space(self, slots: int = 1, poll: float = 100e-9):
     """Generator: spin (as a PMD would) until the SQ has room."""
-    while self.tx_space() < slots:
+    while self.tx_free < slots:
         yield self.sim.timeout(poll)
 
 
@@ -46,5 +46,5 @@ def run_closed_loop(self, frame_size: int, count: int, window: int = 1):
 
 def poll_for_tx_space(self, func, arg=None, slots: int = 1):
     """``func`` found the SQ full: call it again one poll period on (it
-    re-reads ``tx_space`` and lands here again while there is none)."""
+    re-reads ``tx_free`` and lands here again while there is none)."""
     self.sim.call_later(TX_POLL, func, arg)

@@ -60,6 +60,32 @@ class TestBumpAllocator:
         with pytest.raises(ValueError):
             BumpAllocator(0, 128).alloc(0)
 
+    def test_double_free_is_refused_and_hands_out_nothing_live(self):
+        alloc = BumpAllocator(0, 4096)
+        x = alloc.alloc(100)
+        alloc.alloc(100)
+        alloc.free(x, 100)
+        with pytest.raises(ValueError, match="overlaps free block"):
+            alloc.free(x, 100)
+        # Once part of the block is live again, freeing the whole of it
+        # a second time would hand that live part out.
+        c = alloc.alloc(50)
+        assert c == x
+        with pytest.raises(ValueError, match="overlaps free block"):
+            alloc.free(x, 100)
+        d = alloc.alloc(100)
+        assert d >= c + 50
+        assert alloc.used == 250
+
+    def test_free_outside_the_allocated_window_is_refused(self):
+        alloc = BumpAllocator(0, 4096)
+        alloc.alloc(100)
+        for addr, size in ((4000, 10), (90, 20), (-10, 20)):
+            with pytest.raises(ValueError, match="outside the allocated"):
+                alloc.free(addr, size)
+        assert alloc.used == 100
+        assert alloc.alloc(100) == 128
+
 
 class TestCpuCore:
     def test_per_packet_time(self):
@@ -123,7 +149,7 @@ class TestEthQueuePair:
             qp.send(frame)
         sim.run(until=0.01)
         assert qp.tx_cq.stats_cqes == 2  # two signalled batches of 8
-        assert qp.tx_space() == qp.sq.entries
+        assert qp.tx_free == qp.sq.entries
 
     def test_rx_buffer_recycling_sustains(self):
         sim, node = self._node()

@@ -79,3 +79,20 @@ def test_access_that_exactly_fills_a_page_takes_the_one_page_path(memory):
     assert memory.resident_bytes == PAGE_SIZE
     assert memory.handle_read(PAGE_SIZE, PAGE_SIZE) == page
     assert memory.handle_read(2 * PAGE_SIZE - 1, 1) == page[-1:]
+
+
+@pytest.mark.parametrize("address", [2, 10])
+def test_negative_length_read_raises_the_bounds_text(memory, address):
+    memory.handle_write(0, b"abcdef")
+    with pytest.raises(PcieError) as error:
+        memory.read_local(address, -1)
+    assert str(error.value) == f"access [{address:#x}+-1] outside dram"
+    assert memory.stats_reads == 0
+
+
+def test_empty_write_touches_no_page(memory):
+    memory.write_local(PAGE_SIZE - 2, b"")
+    memory.write_local(0, b"")
+    assert memory.resident_bytes == 0
+    assert memory.stats_writes == 2
+    assert memory.read_local(PAGE_SIZE - 2, 0) == b""

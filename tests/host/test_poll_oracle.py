@@ -159,8 +159,8 @@ class _Loopback:
         self.deliver = deliver
         self.on_receive = None
 
-    def tx_space(self):
-        return 1
+    #: One free slot, always.
+    tx_free = 1
 
     def send(self, frame, trace_ctx=None):
         self.deliver(self.sim, partial(self._receive, frame))

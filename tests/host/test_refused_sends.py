@@ -19,27 +19,50 @@ SERVER_MAC = "02:00:00:00:00:02"
 RC_SLOT = 16 * 1024
 
 
+def eth_pair(buffer_size=2048):
+    """A sending queue pair and a sink for its frames on one node."""
+    sim = Simulator()
+    node = make_local_node(sim)
+    node.add_vport_for_mac(1, CLIENT_MAC)
+    node.add_vport_for_mac(2, SERVER_MAC)
+    sink = node.driver.create_eth_qp(vport=2)
+    sink.post_rx_buffers(8)
+    return sim, sink, node.driver.create_eth_qp(vport=1,
+                                                buffer_size=buffer_size)
+
+
+def leaves_once(sim, sink, qp, frame):
+    """``frame`` is sent on the SQ's first index and arrives alone."""
+    qp.send(frame)
+    sim.run(until=0.01)
+    assert qp.sq.pi == 1        # the doorbell rang index 0, no hole
+    assert qp.stats_tx == 1
+    assert sink.stats_rx == 1
+    data, _cqe = sink.received.try_get()
+    assert data == frame
+    assert sink.received.try_get() is None
+
+
 class TestEthQueuePair:
     def test_good_send_after_a_refused_one_leaves_once(self):
-        sim = Simulator()
-        node = make_local_node(sim)
-        node.add_vport_for_mac(1, CLIENT_MAC)
-        node.add_vport_for_mac(2, SERVER_MAC)
-        sink = node.driver.create_eth_qp(vport=2)
-        sink.post_rx_buffers(8)
-        qp = node.driver.create_eth_qp(vport=1, buffer_size=256)
+        sim, sink, qp = eth_pair(buffer_size=256)
         frame = Flow(CLIENT_MAC, SERVER_MAC, "1.1.1.1", "2.2.2.2", 1, 2
                      ).make_packet(b"w" * 64, fill_checksums=False
                                    ).to_bytes()
         with pytest.raises(ValueError):
             qp.send(bytes(257))
-        qp.send(frame)
-        sim.run(until=0.01)
-        assert qp.stats_tx == 1
-        assert sink.stats_rx == 1
-        data, _cqe = sink.received.try_get()
-        assert data == frame
-        assert sink.received.try_get() is None
+        leaves_once(sim, sink, qp, frame)
+
+    @pytest.mark.parametrize("size", [0, 10, 13])
+    def test_good_send_after_a_refused_runt_leaves_once(self, size):
+        """A frame shorter than an Ethernet header is refused before it
+        takes a slot, so the NIC never parses a runt."""
+        sim, sink, qp = eth_pair()
+        with pytest.raises(ValueError):
+            qp.send(b"\x02" * size)
+        assert qp.tx_free == qp.sq.entries
+        header = bytes.fromhex("020000000002" "020000000001" "88b5")
+        leaves_once(sim, sink, qp, header)
 
 
 def rc_pair(sim):

@@ -100,9 +100,20 @@ def _flow(seed, proto=PROTO_UDP):
 
 
 def _loadgen(flow):
+    """A generator over a queue pair that keeps what it is sent."""
     sim = Simulator()
-    return LoadGenerator(sim, SimpleNamespace(sim=sim, on_receive=None),
-                         flow)
+    sent = []
+    qp = SimpleNamespace(sim=sim, on_receive=None, sent=sent,
+                         send=lambda frame, trace_ctx=None: sent.append(frame))
+    return LoadGenerator(sim, qp, flow)
+
+
+def _send(gen, sizes):
+    """The frames ``gen`` hands its queue pair for ``sizes``."""
+    before = len(gen.qp.sent)
+    for size in sizes:
+        gen._send_frame(size)
+    return gen.qp.sent[before:]
 
 
 class TestLoadGenFrames:
@@ -117,22 +128,21 @@ class TestLoadGenFrames:
     def test_template_frames_are_the_packet_path_frames(self, sizes):
         gen = _loadgen(_flow(77))
         oracle = _flow(77)
-        assert [gen._make_frame(size) for size in sizes] \
-            == _packet_path_frames(oracle, sizes)
+        assert _send(gen, sizes) == _packet_path_frames(oracle, sizes)
         assert gen._seq == len(sizes)
         assert gen.flow._ident == oracle._ident
 
     def test_tcp_frames_take_the_packet_path(self):
         gen = _loadgen(_flow(5, PROTO_TCP))
-        frames = [gen._make_frame(256) for _ in range(3)]
+        frames = _send(gen, [256] * 3)
         assert frames == _packet_path_frames(_flow(5, PROTO_TCP), [256] * 3)
         assert not hasattr(gen.flow, "_frame_templates")
 
     def test_flow_mutation_invalidates_the_template(self):
         gen = _loadgen(_flow(9))
-        first = gen._make_frame(128)
+        [first] = _send(gen, [128])
         gen.flow.dst_port = 9999
-        mutated = gen._make_frame(128)
+        [mutated] = _send(gen, [128])
         oracle = _flow(9)
         oracle.dst_port = 9999
         assert mutated == _packet_path_frames(oracle, [128, 128])[1]

@@ -20,6 +20,7 @@ from repro.core import (
     CuckooHashTable,
     TxRingManager,
 )
+from repro.host.driver import ETH_HEADER
 from repro.net import Flow
 from repro.nic import (
     CQE_RECV_COMPLETION,
@@ -236,7 +237,7 @@ class TestDatapathDecodesLikeTheCodecs:
 
 
 class TestDatapathPacksLikeTheCodecs:
-    @given(index=wide_counters, length=st.integers(1, 2048),
+    @given(index=wide_counters, length=st.integers(ETH_HEADER, 2048),
            signaled=st.booleans(), tso=st.booleans(), mss=u16)
     @example(index=0x10005, length=64, signaled=True, tso=False, mss=0)
     @settings(max_examples=40, deadline=None)
@@ -288,7 +289,10 @@ class TestDatapathPacksLikeTheCodecs:
     def test_host_rx_descriptors(self, buffer_size):
         node, qp = node_with_queue(buffer_size=buffer_size, rq_entries=4)
         qp.post_rx_buffers(3)
-        qp._repost(0)       # its buffer moves to the ring's tail, index 3
+        # An error CQE for index 0 only recycles: its buffer moves to the
+        # ring's tail, index 3.
+        qp._receive((CQE.pack(CQE_ERROR, 0, 0, qp.sq.qpn, 0, 0, 0, 0, 1, 0),
+                     None, None))
         for index in (1, 2, 3):
             expected = RxDesc(qp._rx_buffers[index], buffer_size).pack()
             assert read_host(node, qp.rq.slot_addr(index),
