@@ -28,18 +28,13 @@ entry with its owner tag (the callback's ``__self__.profile_tag`` when
 bound to a tagged component, else the dispatching context's tag), so a
 stage's continuations attribute to it wherever they were pushed from.
 
-Scheduling is two-tier: zero-delay pushes (store handoffs, stage arming
-steps) go to a FIFO *ready deque* with O(1) appends, timed pushes to
-the binary heap.  ``seq`` is globally monotonic and the deque is only
-appended to while simulation time is non-decreasing, so the deque is
-always sorted by ``(time, seq)``; the run loop merges the two tiers by
-comparing heads, which reproduces the single-heap dispatch order
-exactly (``tests/sim/test_lockstep`` is the machine-checked argument).
-Entries may also be appended to the ready tier at a *future* timestamp
-(continuations resolved early, e.g. by the PCIe cut-through fabric) as
-long as appends keep the deque sorted; :meth:`Simulator.schedule_at`
-guards this.  :meth:`Simulator.run` drains a burst of same-timestamp
-entries in one pass.
+Scheduling is one tier: every push, zero-delay or timed, relative or
+absolute, goes on one binary heap, and :meth:`Simulator.run` is one
+loop that peeks the top, stops at the horizon, pops and dispatches.
+``seq`` is globally monotonic, so entries due at one instant dispatch
+in push order (``tests/sim/test_lockstep`` checks the loop against a
+naive heap).  ``run`` refuses the two times the clock could never
+leave: an entry at infinite time and ``until=inf``.
 
 Example
 -------
@@ -58,6 +53,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -69,6 +65,9 @@ _heappop = heapq.heappop
 
 #: Sentinel ``arg`` for heap entries whose callable takes no argument.
 _NO_ARG = object()
+
+#: ``run``'s horizon with no ``until``: an entry past it is at ``inf``.
+_LAST_TIME = sys.float_info.max
 
 
 class SimulationError(RuntimeError):
@@ -214,10 +213,13 @@ class Process:
 
 
 class Simulator:
-    """The event loop: a priority queue of ``(time, seq, func, arg, tag)``
+    """The event loop: one heap of ``(time, seq, func, arg, tag)``
     entries.
 
-    There is one set of scheduling entry points and one run loop.  The
+    There is one set of scheduling entry points, each a push onto the
+    heap, and one run loop, which pops an entry at a time up to its
+    horizon and refuses, leaving it queued, an entry at infinite time or
+    one past ``max_events``.  The
     ``tag`` slot is the profiler's owner tag: with a live profiler
     (``Telemetry(profile=True)`` or an explicit ``profiler=``) each push
     fills it — the callback's owning component, else the dispatching
@@ -231,8 +233,6 @@ class Simulator:
     def __init__(self, telemetry=None, profiler=None):
         self._now = 0.0
         self._queue: List = []
-        #: Ready tier: entries sorted by (time, seq), appended O(1).
-        self._ready: deque = deque()
         self._seq = 0
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         if profiler is None:
@@ -275,21 +275,14 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         tag = None if self._prof is None else self._owner_tag(action)
-        if delay == 0.0:
-            ready = self._ready
-            if not ready or ready[-1][0] <= self._now:
-                ready.append((self._now, seq, action, _NO_ARG, tag))
-                return
         _heappush(self._queue, (self._now + delay, seq, action, _NO_ARG, tag))
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Run ``action()`` at absolute time ``time`` (>= now).
 
-        Deferred-continuation entry point: callers that resolved a future
-        occurrence *now* (cut-through deliveries, fused pipeline stages)
-        land on the ready tier when their times arrive in order — the
-        common case for a FIFO transaction stream — and fall back to the
-        heap otherwise.  Dispatch order is identical either way.
+        For callers that resolved a future occurrence *now* (cut-through
+        deliveries, fused pipeline stages, parked waits): the entry is
+        pushed as a relative one is, and dispatches by ``(time, seq)``.
         """
         if not time >= self._now:
             raise SimulationError(
@@ -297,11 +290,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         tag = None if self._prof is None else self._owner_tag(action)
-        ready = self._ready
-        if not ready or ready[-1][0] <= time:
-            ready.append((time, seq, action, _NO_ARG, tag))
-        else:
-            _heappush(self._queue, (time, seq, action, _NO_ARG, tag))
+        _heappush(self._queue, (time, seq, action, _NO_ARG, tag))
 
     def call_later(self, delay: float, func: Callable[[Any], None],
                    arg: Any) -> None:
@@ -315,11 +304,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         tag = None if self._prof is None else self._owner_tag(func)
-        if delay == 0.0:
-            ready = self._ready
-            if not ready or ready[-1][0] <= self._now:
-                ready.append((self._now, seq, func, arg, tag))
-                return
         _heappush(self._queue, (self._now + delay, seq, func, arg, tag))
 
     def timeout(self, delay: float, value: Any = None) -> Event:
@@ -333,11 +317,6 @@ class Simulator:
         # the timeout attributes to whoever asked for it.
         prof = self._prof
         tag = None if prof is None else prof.current_tag
-        if delay == 0.0:
-            ready = self._ready
-            if not ready or ready[-1][0] <= self._now:
-                ready.append((self._now, seq, event.succeed, value, tag))
-                return event
         _heappush(self._queue,
                   (self._now + delay, seq, event.succeed, value, tag))
         return event
@@ -378,82 +357,54 @@ class Simulator:
     # -- execution -------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
-        """Process events until the queue drains or ``until`` is reached.
+        """Dispatch entries by ``(time, seq)`` until the heap drains or its
+        top lies past ``until``; returns the clock, which is then
+        ``until`` if given.
 
-        Returns the simulation time when execution stopped.  The clock
-        never rewinds: an ``until`` already passed dispatches nothing.
-
-        Bursts of same-timestamp entries — a WQE batch fetch fanning out,
-        zero-delay store handoffs — drain in one pass: the ``until``
-        horizon is checked once per timestamp, not once per event.
-        Dispatch order is still strictly ``(time, seq)``.
+        One loop: peek the top, stop at the horizon (``until``, else the
+        largest finite time), pop, count, dispatch.  The clock never
+        rewinds: an ``until`` already passed dispatches nothing.  Refused
+        with :class:`SimulationError`, the entry left queued: an entry at
+        infinite time (the clock would read ``inf`` for good), and the
+        ``max_events + 1``-th of one run (a livelock).  ``until`` NaN or
+        infinite is refused too.  An entry whose handler raises is
+        counted in ``stats_events``.
         """
-        if until is not None and not until >= self._now:
-            if until != until:
-                raise SimulationError("run(until=nan)")
-            return self._now
+        if until is None:
+            horizon = _LAST_TIME
+        else:
+            if not until <= _LAST_TIME:     # NaN, or infinite
+                raise SimulationError(f"run(until={until})")
+            if until < self._now:
+                return self._now
+            horizon = until
         prof = self._prof
         processed = 0
         queue = self._queue
-        ready = self._ready
         try:
-            while True:
-                # Peek the earliest entry across both tiers.  ``seq`` is
-                # unique, so comparing (time, seq) fully orders entries.
-                if ready:
-                    # (time, seq) orders entries and seq is unique, so a
-                    # direct tuple compare never reaches the callables.
-                    entry = ready[0]
-                    from_ready = True
-                    if queue:
-                        top = queue[0]
-                        if top < entry:
-                            entry = top
-                            from_ready = False
-                elif queue:
-                    entry = queue[0]
-                    from_ready = False
-                else:
-                    break
+            while queue:
+                entry = queue[0]
                 time = entry[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return until
-                self._now = time
-                # Coalesced drain of the same-timestamp burst.
-                while True:
-                    if from_ready:
-                        ready.popleft()
-                    else:
-                        _heappop(queue)
-                    func = entry[2]
-                    arg = entry[3]
-                    if prof is not None:
-                        prof.account(entry[4], func, len(queue) + len(ready))
-                    if arg is _NO_ARG:
-                        func()
-                    else:
-                        func(arg)
-                    processed += 1
-                    if processed > max_events:
+                if time > horizon:
+                    if until is None:
                         raise SimulationError(
-                            f"exceeded {max_events} events; likely a livelock"
-                        )
-                    if ready:
-                        entry = ready[0]
-                        from_ready = True
-                        if queue:
-                            top = queue[0]
-                            if top < entry:
-                                entry = top
-                                from_ready = False
-                    elif queue:
-                        entry = queue[0]
-                        from_ready = False
-                    else:
-                        break
-                    if entry[0] != time:
-                        break
+                            f"{entry[2]!r} scheduled at time {time}, "
+                            "past every finite time")
+                    break
+                if processed == max_events:
+                    raise SimulationError(
+                        f"exceeded {max_events} events; likely a livelock")
+                _heappop(queue)
+                processed += 1
+                self._now = time
+                func = entry[2]
+                arg = entry[3]
+                if prof is not None:
+                    prof.account(entry[4], func, len(queue))
+                if arg is _NO_ARG:
+                    func()
+                else:
+                    func(arg)
             if until is not None:
                 self._now = until
             return self._now

@@ -6,8 +6,9 @@ import pytest
 
 from repro.experiments.setups import flde_echo_remote
 from repro.sim import Event, PollWait, Pump, SimulationError, Simulator, Store
+from repro.telemetry import Telemetry
 
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 def test_timeout_advances_clock():
@@ -94,6 +95,71 @@ def test_a_nan_time_is_refused(push):
     with pytest.raises(SimulationError):
         push(sim)
     assert sim.run() == 0.5 and fired == ["real"]
+
+
+@pytest.mark.parametrize("push, name", [
+    (lambda sim: sim.timeout(INF), "Event.succeed"),
+    (lambda sim: sim.call_later(INF, print, None), "print"),
+    (lambda sim: PollWait(sim, INF, print).wake(), "PollWait._fire"),
+], ids=["timeout", "call_later", "poll_wait"])
+def test_an_entry_at_infinite_time_is_refused_and_stays_queued(push, name):
+    """It used to run, and left the clock at ``inf``, where every later
+    time read ``inf`` too.  A finite horizon stops short of it."""
+    sim = Simulator()
+    fired = []
+    sim.call_later(0.5, fired.append, "real")
+    push(sim)
+    for _ in range(2):
+        with pytest.raises(SimulationError, match=f"{name}.* at time inf"):
+            sim.run()
+        assert sim.now == 0.5 and fired == ["real"]
+    assert sim.run(until=2.0) == 2.0 == sim.now
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["empty", "pending"])
+def test_an_infinite_horizon_is_refused(pending):
+    """``run(until=inf)`` ran everything and set the clock to ``inf``,
+    on an empty queue too."""
+    sim = Simulator()
+    fired = []
+    if pending:
+        sim.call_later(0.5, fired.append, "real")
+    with pytest.raises(SimulationError, match="until=inf"):
+        sim.run(until=INF)
+    assert sim.now == 0.0 and not fired
+    assert sim.run() == (0.5 if pending else 0.0)
+
+
+def test_an_entry_whose_handler_raises_is_counted():
+    """The engine and the profiler count the same dispatches: the
+    entry that raised read 1 against the profiler's 2."""
+    sim = Simulator(telemetry=Telemetry(trace=False, profile=True))
+
+    def fail():
+        raise ValueError("handler failed")
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, fail)
+    with pytest.raises(ValueError):
+        sim.run()
+    assert sim.stats_events == sim.profiler.total_events == 2
+
+
+def test_max_events_dispatches_at_most_that_many():
+    """The guard refuses the sixth entry before popping it; it used to
+    dispatch six, then raise.  The refused one stays queued."""
+    sim = Simulator()
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        sim.schedule(1.0, tick)
+    sim.schedule(1.0, tick)
+    with pytest.raises(SimulationError, match="exceeded 5 events"):
+        sim.run(max_events=5)
+    assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0] and sim.stats_events == 5
+    assert sim.now == 5.0
+    sim.run(until=6.0)
+    assert ticks[-1] == 6.0 and sim.stats_events == 6
 
 
 def test_process_return_value_via_done_event():

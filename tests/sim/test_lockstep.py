@@ -1,18 +1,18 @@
-"""Lockstep oracle: two-tier scheduler vs a reference pure-heap engine.
+"""Lockstep oracle: the engine's scheduler vs a naive pure-heap one.
 
-The engine v2 split scheduling into a FIFO ready-deque (zero-delay and
-in-order future appends) plus the classic binary heap, merged at
-dispatch time by ``(time, seq)``.  The claim is that this is *exactly*
-the single-heap dispatch order — not approximately, not "up to ties".
+The engine pushes through four entry points (relative, absolute,
+one-argument, Event timeouts), resumes processes through Events, and
+stops its run loop at a horizon.  The claim is that it dispatches in
+*exactly* ``(time, seq)`` order — not approximately, not "up to ties".
 
 This suite machine-checks the claim: hypothesis generates random
 workload trees (mixed zero-delay and timed pushes, same-timestamp
 bursts, pushes-during-dispatch, absolute-time ``schedule_at`` entries,
 ``run(until=...)`` horizons) and executes each one through the real
 :class:`repro.sim.engine.Simulator` and through ``PureHeapScheduler``, a
-deliberately naive reimplementation of the pre-v2 engine that pushes
-*every* entry through ``heapq``.  The dispatch logs — ``(time, node)``
-per fired entry — and the final clocks must be identical.
+deliberately naive scheduler that pushes every entry through ``heapq``
+as a ``(time, seq, action)`` triple.  The dispatch logs — ``(time,
+node)`` per fired entry — and the final clocks must be identical.
 """
 
 import heapq
@@ -37,7 +37,7 @@ DELAYS = [0.0, 0.0, 0.0, 1e-9, 1e-9, 2e-9, 5e-9, 1e-8]
 
 
 class PureHeapScheduler:
-    """The pre-v2 engine, minimized: one heap, strict (time, seq) pops."""
+    """A scheduler minimized: one heap, strict (time, seq) pops."""
 
     def __init__(self):
         self.now = 0.0
@@ -127,8 +127,8 @@ def test_lockstep_dispatch_order(workload, horizon):
 @settings(max_examples=budget(4), deadline=None)
 @given(workload=workloads)
 def test_lockstep_resumed_runs(workload):
-    """Multiple run(until=...) segments agree too — the ready tier must
-    drain correctly at every horizon, not just at quiesce."""
+    """Multiple run(until=...) segments agree too — the run loop must
+    stop and resume correctly at every horizon, not just at quiesce."""
     real, real_log = Simulator(), []
     ref, ref_log = PureHeapScheduler(), []
     execute(real, workload, real_log)
@@ -252,26 +252,3 @@ def test_lockstep_mixed_kinds_resumed_runs(workload):
         assert real_log == ref_log
     assert real.now == ref.now
 
-
-def test_ready_tier_used_for_zero_delay():
-    """Sanity: zero-delay pushes actually land on the O(1) tier."""
-    sim = Simulator()
-    sim.schedule(0.0, lambda: None)
-    sim.schedule(0.0, lambda: None)
-    sim.schedule(1e-9, lambda: None)
-    assert len(sim._ready) == 2
-    assert len(sim._queue) == 1
-    sim.run()
-    assert not sim._ready and not sim._queue
-
-
-def test_out_of_order_future_append_falls_back_to_heap():
-    """schedule_at keeps the deque sorted: a time before the deque tail
-    must take the heap path, and dispatch order stays (time, seq)."""
-    sim = Simulator()
-    log = []
-    sim.schedule_at(5e-9, lambda: log.append("late"))
-    sim.schedule_at(2e-9, lambda: log.append("early"))  # tail is later
-    assert len(sim._ready) == 1 and len(sim._queue) == 1
-    sim.run()
-    assert log == ["early", "late"]
