@@ -41,12 +41,15 @@ from repro.reporting import main
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "cli_outputs.json")
 
-#: (command, name) -> --count
+#: (command, name) -> --count, or (--count, --size)
 CASES = {
     ("trace", "fig7b"): 40,
     ("trace", "table6"): 30,
     ("trace", "forwarding"): 60,
     ("trace", "fldr"): 20,
+    # 1 KiB ZUC requests: write and completion trains that a later TLP
+    # keys inside, so the lanes split and repair them.
+    ("trace", "fig8a"): (80, 1024),
     ("latency", "echo"): 30,
     ("latency", "cpu-echo"): 30,
     ("latency", "forwarding"): 60,
@@ -108,6 +111,9 @@ def observed(command, name, directory):
     else:
         argv += ["-o", out_json]
     count = CASES[command, name]
+    if isinstance(count, tuple):
+        count, size = count
+        argv += ["--size", str(size)]
     if count is not None:
         argv += ["--count", str(count)]
     out = _stdout(argv)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from . import costs
 from .costs import BURSTS, GATES, OPS_GATES, OPS_SKIP, check, check_ops, ledger
 
 
@@ -29,3 +30,16 @@ def test_ops_gate(gate):
         pytest.skip(OPS_SKIP)
     _value, found = check_ops(gate)
     assert not found, f"{gate[0]}: " + "; ".join(found)
+
+
+def test_report_exits_1_naming_each_failing_row(monkeypatch, capsys):
+    """``python -m tests.costs`` fails a CI step when a row fails."""
+    write = next(gate for gate in GATES if gate[0] == "fabric.write")
+    monkeypatch.setattr(costs, "GATES", (
+        write, ("tight.calls", *write[1:4], 1, (), ()),
+        ("tight.never", *write[1:5], ("pcie/fabric.py:post_write",), ())))
+    assert costs.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "failing: tight.calls, tight.never"
+    monkeypatch.setattr(costs, "GATES", (write,))
+    assert costs.main() == 0
