@@ -324,8 +324,8 @@ class TestPulledCounts:
                 port = nic.fabric._ports[name]
                 up_header, down_header = header_bytes[name]
                 for lane, link, payload, header in (
-                        ("up", port.up, port.up_payload_bytes, up_header),
-                        ("down", port.down, port.down_payload_bytes,
+                        ("up", port.up, port.up.payload_bytes, up_header),
+                        ("down", port.down, port.down.payload_bytes,
                          down_header)):
                     expected.update({
                         f"link.{name}.{lane}.bits": link.stats_bits,
