@@ -34,6 +34,7 @@ from ..nic.wqe import (
 from ..pcie import POSTED, PcieEndpoint, PcieError
 from ..sim import Event, Simulator
 from ..sim.resources import DELIVERY
+from ..telemetry.profile import owner_tag
 from .axis import AxisMetadata, AxisStream
 from .bar import (CQ_REGION, CQ_SPAN, FLD_BAR_SIZE, PI_REGION,
                   RX_BUFFER_REGION, TX_DATA_REGION, TX_DATA_SPAN,
@@ -116,15 +117,13 @@ class FlexDriver(PcieEndpoint):
         self._tracer = tele.tracer
         self._spans = tele.spans
         # Profiler stage tags: the tx and rx engines account separately.
-        # Inbound fabric deliveries (rx-buffer DMA, CQEs) default to the
-        # rx engine; handle_read and the tx-CQE route refine to tx.
+        # FLD's own continuations are the rx engine's; a send's submit
+        # files under the tx engine (``_Submit``).
         prof = sim.profiler
-        self._prof = prof if prof.enabled else None
         self._ptag_tx = f"{name}.tx"
-        self._ptag_rx = f"{name}.rx"
-        self.profile_tag = self._ptag_rx
+        self.profile_tag = f"{name}.rx"
         prof.declare(self._ptag_tx, "fld.tx")
-        prof.declare(self._ptag_rx, "fld.rx")
+        prof.declare(self.profile_tag, "fld.rx")
         if tele.enabled:
             tele.register_counters(f"fld.{name}", lambda: {
                 "tx.packets": self.stats_tx_packets,
@@ -218,7 +217,9 @@ class FlexDriver(PcieEndpoint):
             return False
         self._pending_chunks += needed
         self._pending_sends += 1
-        _send_occupied((self, data, meta, needed, self.sim._now, None, None))
+        self.sim.schedule(self.config.pipeline_latency,
+                          _Submit((self, data, meta, needed,
+                                   self.sim._now)).land)
         return True
 
     def send(self, data: bytes, meta: AxisMetadata):
@@ -238,28 +239,14 @@ class FlexDriver(PcieEndpoint):
         without blocking, so back-to-back sends stream at line rate.
 
         The chain — credit, buffers, occupancy — holds the *sender*, so
-        its waits are module-level functions: an entry that is no
-        tagged component's bound method files under the profiler tag of
-        the context that pushed it.
+        its waits are a :class:`_Send`'s, which files under the owner of
+        ``func``.
         """
-        entry = (self, data, meta, func, arg, self.sim._now)
+        entry = _Send((self, data, meta, func, arg, self.sim._now))
         if self.tx.credits.try_consume(meta.queue_id, 1):
-            _send_credited(entry)
+            entry.credited()
         else:
-            prof = self._prof
-            self.tx.credits.wait(meta.queue_id, 1, self._send_refunded,
-                                 (entry, prof and prof.current_tag))
-
-    def _send_refunded(self, waiter) -> None:
-        """A completion's refund covered a parked send: carry on under
-        the sender's profiler tag, not the refunding tx engine's."""
-        entry, tag = waiter
-        prof = self._prof
-        if prof is not None:
-            prev, prof.current_tag = prof.current_tag, tag
-        _send_credited(entry)
-        if prof is not None:
-            prof.current_tag = prev
+            self.tx.credits.wait(meta.queue_id, 1, _Send.credited, entry)
 
     def credits_available(self, queue_id: int) -> int:
         return self.tx.credits.available(queue_id)
@@ -272,10 +259,6 @@ class FlexDriver(PcieEndpoint):
         """A NIC read of the virtual tx ring (WQEs generated from the
         compressed pool) or of a queue's virtual data window (gathered
         through the data translation table)."""
-        prof = self._prof
-        if prof is not None:
-            # Ring/data reads are the NIC DMAing from the tx engine.
-            prof.current_tag = self._ptag_tx
         tx = self.tx
         if offset < TX_DATA_REGION:
             offset -= TX_RING_REGION
@@ -351,23 +334,7 @@ class FlexDriver(PcieEndpoint):
             # of CQEs under MPRQ, so this event is the exception, not
             # the per-packet cost.
             self.sim.call_later(handle[0][DELIVERY] - self.sim._now,
-                                partial(self._recycle_at_arrival, handle,
-                                        recycles), None)
-
-    def _recycle_at_arrival(self, handle, recycles, _arg) -> None:
-        sim = self.sim
-        if handle[0][DELIVERY] > sim._now:
-            # Shared-lane arbitration repaired the CQE's arrival after
-            # this continuation was scheduled; fire again on time.
-            sim.call_later(handle[0][DELIVERY] - sim._now,
-                           partial(self._recycle_at_arrival, handle,
-                                   recycles), None)
-            return
-        for addr, payload in recycles:
-            self.fabric.post_write(self, addr, payload,
-                                   trace_ctx=self.tx.outbound_trace_ctx,
-                                   trace_stage="pcie.doorbell",
-                                   on_done=POSTED)
+                                handle.post_on_arrival, (self, recycles))
 
     def _rx_cqe_arrive(self, handle) -> None:
         """Fallback continuation: land a deferred CQE write as the
@@ -420,9 +387,6 @@ class FlexDriver(PcieEndpoint):
             return
         kind, binding = route
         if kind == "tx":
-            prof = self._prof
-            if prof is not None:
-                prof.current_tag = self._ptag_tx
             if cqe.opcode == CQE_SEND_COMPLETION:
                 self.tx.on_send_completion(cqe.qpn, cqe.wqe_counter)
         else:
@@ -443,20 +407,17 @@ class FlexDriver(PcieEndpoint):
 
     def _emit_rx(self, data: bytes, meta: AxisMetadata) -> None:
         self.stats_rx_stream_pushes += 1
-        if meta.trace_ctx is not None:
-            started = self.sim._now
+        self.sim.call_later(self.config.pipeline_latency, self._rx_push,
+                            (data, meta, self.sim._now))
 
-            def push(ctx=meta.trace_ctx):
-                self._spans.record(ctx, "fld.rx", started, self.sim._now)
-                meta.trace_enqueued = self.sim._now
-                self.rx_stream.push(data, meta)
-
-            self.sim.schedule(self.config.pipeline_latency, push)
-        else:
-            self.sim.schedule(
-                self.config.pipeline_latency,
-                lambda: self.rx_stream.push(data, meta),
-            )
+    def _rx_push(self, entry) -> None:
+        data, meta, started = entry
+        ctx = meta.trace_ctx
+        if ctx is not None:
+            now = self.sim._now
+            self._spans.record(ctx, "fld.rx", started, now)
+            meta.trace_enqueued = now
+        self.rx_stream.push(data, meta)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -475,64 +436,80 @@ class FlexDriver(PcieEndpoint):
         return memory
 
 
-# -- send_then's continuations (module-level: see its docstring) ---------
-# Each computes its own bookkeeping: the chunk count is taken once at
-# admission and rides the entry to the submit, and a delay of n FLD
-# cycles is ``n / clock_hz`` (``FldConfig.cycles``' float, with no frame).
+# -- a send's records: the stages of send_then/try_send, each filing
+# under whoever the stage holds.  Each computes its own bookkeeping: the
+# chunk count is taken once at admission and rides the record to the
+# submit, and a delay of n FLD cycles is ``n / clock_hz``
+# (``FldConfig.cycles``' float, with no frame).
 
 
-def _send_credited(entry) -> None:
-    """Admission: wait until the pools cover the packet — its chunks
-    and one descriptor slot — beyond what earlier admitted sends have
-    promised, then hold the sender for the pipeline's occupancy."""
-    fld, data, meta, func, arg, wait_started = entry
-    sim = fld.sim
-    tx = fld.tx
-    length = len(data)
-    needed = -(-length // tx.buffers.chunk_size) or 1
-    if not (len(tx.buffers._free) - fld._pending_chunks >= needed
-            and len(tx.descriptors._free) > fld._pending_sends):
-        # Buffers or descriptor slots are short: look again shortly.
-        sim.call_later(16 / fld.config.clock_hz, _send_credited, entry)
-        return
-    now = sim._now
-    if meta.trace_ctx is not None and now > wait_started:
-        fld._spans.record(meta.trace_ctx, "fld.tx", wait_started, now,
-                          kind="queue")
-    fld._pending_chunks += needed
-    fld._pending_sends += 1
-    sim.call_later((length // 64 or 1) / fld.config.clock_hz,
-                   _send_occupied, (fld, data, meta, needed, now, func, arg))
+class _Send(tuple):
+    """``(fld, data, meta, func, arg, started[, needed])``: a send that
+    holds its sender, so its waits file under the owner of the sender's
+    continuation ``func``."""
 
+    __slots__ = ()
 
-def _send_occupied(entry) -> None:
-    """The sender is free: the submit lands one pipeline latency from
-    now.  The hop is tx-engine work even though the sender's
-    continuation schedules it; ``func(arg)`` (when given) then resumes
-    the sender."""
-    fld, data, meta, needed, started, func, arg = entry
-    prof = fld._prof
-    if prof is not None:
-        prev, prof.current_tag = prof.current_tag, fld._ptag_tx
-    fld.sim.call_later(fld.config.pipeline_latency, _submit_now,
-                       (fld, data, meta, needed, started))
-    if prof is not None:
-        prof.current_tag = prev
-    if func is not None:
+    @property
+    def profile_tag(self) -> str:
+        return owner_tag(self[3])
+
+    def credited(self) -> None:
+        """Admission: wait until the pools cover the packet — its
+        chunks and one descriptor slot — beyond what earlier admitted
+        sends have promised, then hold the sender for the pipeline's
+        occupancy."""
+        fld, data, meta, func, arg, wait_started = self
+        sim = fld.sim
+        tx = fld.tx
+        length = len(data)
+        needed = -(-length // tx.buffers.chunk_size) or 1
+        if not (len(tx.buffers._free) - fld._pending_chunks >= needed
+                and len(tx.descriptors._free) > fld._pending_sends):
+            # Buffers or descriptor slots are short: look again shortly.
+            sim.schedule(16 / fld.config.clock_hz, self.credited)
+            return
+        now = sim._now
+        if meta.trace_ctx is not None and now > wait_started:
+            fld._spans.record(meta.trace_ctx, "fld.tx", wait_started, now,
+                              kind="queue")
+        fld._pending_chunks += needed
+        fld._pending_sends += 1
+        sim.schedule((length // 64 or 1) / fld.config.clock_hz,
+                     _Send((fld, data, meta, func, arg, now,
+                            needed)).occupied)
+
+    def occupied(self) -> None:
+        """The sender is free: the submit lands one pipeline latency
+        from now, and ``func(arg)`` resumes the sender."""
+        fld, data, meta, func, arg, started, needed = self
+        fld.sim.schedule(fld.config.pipeline_latency,
+                         _Submit((fld, data, meta, needed, started)).land)
         func(arg)
 
 
-def _submit_now(entry) -> None:
-    fld, data, meta, needed, started = entry
-    fld._pending_chunks -= needed
-    fld._pending_sends -= 1
-    if meta.trace_ctx is not None:
-        fld._spans.record(meta.trace_ctx, "fld.tx", started, fld.sim._now)
-    if fld.tx.submit(meta.queue_id, data, meta, needed) is None:
-        return  # an egress program dropped it; credit already refunded
-    fld.stats_tx_packets += 1
-    fld.stats_tx_bytes += len(data)
-    tracer = fld._tracer
-    if tracer.enabled:
-        tracer.instant(f"fld.{fld.name}", f"txq{meta.queue_id}",
-                       "submit", fld.sim._now, {"bytes": len(data)})
+class _Submit(tuple):
+    """``(fld, data, meta, needed, started)``: a send in FLD's tx
+    pipeline, filed under the tx engine."""
+
+    __slots__ = ()
+
+    @property
+    def profile_tag(self) -> str:
+        return self[0]._ptag_tx
+
+    def land(self) -> None:
+        fld, data, meta, needed, started = self
+        fld._pending_chunks -= needed
+        fld._pending_sends -= 1
+        if meta.trace_ctx is not None:
+            fld._spans.record(meta.trace_ctx, "fld.tx", started,
+                              fld.sim._now)
+        if fld.tx.submit(meta.queue_id, data, meta, needed) is None:
+            return  # an egress program dropped it; credit already refunded
+        fld.stats_tx_packets += 1
+        fld.stats_tx_bytes += len(data)
+        tracer = fld._tracer
+        if tracer.enabled:
+            tracer.instant(f"fld.{fld.name}", f"txq{meta.queue_id}",
+                           "submit", fld.sim._now, {"bytes": len(data)})

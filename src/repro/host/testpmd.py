@@ -147,6 +147,12 @@ class _FlatPacer:
         self.labels = labels
         self._index = 0
 
+    @property
+    def profile_tag(self):
+        # The loop is its caller's: it files under whoever waits on
+        # ``done`` (the driving process).
+        return self.done.profile_tag
+
     def _tick(self, _arg=None) -> None:
         gen = self.gen
         sim = gen.sim
@@ -197,6 +203,8 @@ class _FlatWindow:
         self._sent = 0
         self._outstanding = 0
         self._base = gen.stats_received
+
+    profile_tag = _FlatPacer.profile_tag
 
     def _fill(self, _arg=None) -> None:
         gen = self.gen

@@ -253,8 +253,6 @@ class RdmaEngine:
         #: pipeline passes account to the rdma stage, not the SQ worker
         #: that drove them.
         self.profile_tag = name
-        prof = sim.profiler
-        self._prof = prof if prof.enabled else None
         if tele.enabled:
             tele.register_counters(name, lambda: {
                 "segments_sent": self.stats_segments_sent,
@@ -456,16 +454,6 @@ class RdmaEngine:
         One read of the BTH: the opcode's class bits, with the AckReq
         bit ORed in, are the ``flags`` the handlers branch on.
         """
-        prof = self._prof
-        if prof is not None and prof.current_tag != self.profile_tag:
-            # Runs synchronously inside the wire-delivery dispatch; scope
-            # anything it schedules (acks, DMA) to the rdma stage.
-            prev = prof.current_tag
-            prof.current_tag = self.profile_tag
-            try:
-                return self.on_ingress(packet)
-            finally:
-                prof.current_tag = prev
         at = (packet.layout or packet.fields())[BTH]
         if at is None:
             return False

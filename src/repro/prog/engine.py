@@ -99,6 +99,11 @@ class ProgEngine:
         self._tx: Dict[int, LoadedProgram] = {}   # tx queue id -> program
         self._spans = fld.sim.telemetry.spans
 
+    @property
+    def profile_tag(self) -> str:
+        # A verdict's delayed emit or redirect is the FLD rx engine's.
+        return self.fld.profile_tag
+
     # -- attachment ---------------------------------------------------------
 
     def attached(self, direction: str, target: int) -> Optional[LoadedProgram]:
@@ -166,15 +171,14 @@ class ProgEngine:
                 loaded.stats_modify += 1
             else:
                 loaded.stats_pass += 1
-            fld.sim.schedule(lat, lambda: emit(out, meta))
+            fld.sim.call_later(lat, self._emit, (emit, out, meta))
         elif action == ACT_DROP:
             loaded.stats_drop += 1
             if ctx is not None:
                 self._spans.end_trace(ctx, now + lat)
         else:  # redirect
             loaded.stats_redirect += 1
-            fld.sim.schedule(
-                lat, lambda: self._redirect(loaded, out, meta, vport))
+            fld.sim.call_later(lat, self._redirect, (loaded, out, meta, vport))
 
     def on_tx_packet(self, queue_id: int, data: bytes,
                      meta: AxisMetadata) -> Optional[bytes]:
@@ -207,12 +211,17 @@ class ProgEngine:
                 self._spans.end_trace(ctx, now)
             return None
         loaded.stats_redirect += 1
-        self._redirect(loaded, out, meta, vport)
+        self._redirect((loaded, out, meta, vport))
         return None                            # original submission dropped
 
-    def _redirect(self, loaded: LoadedProgram, data: bytes,
-                  meta: AxisMetadata, vport: int) -> None:
-        """Re-inject a packet on the tx queue bound to ``vport``."""
+    def _emit(self, entry) -> None:
+        emit, data, meta = entry
+        emit(data, meta)
+
+    def _redirect(self, entry) -> None:
+        """Re-inject a packet on the tx queue bound to ``vport``:
+        ``entry`` is ``(loaded, data, meta, vport)``."""
+        loaded, data, meta, vport = entry
         fld = self.fld
         ctx = meta.trace_ctx
         txq = fld.vport_tx_routes.get(vport)

@@ -6,7 +6,7 @@ per second**.  PCIe links, NIC pipelines, accelerator units and host
 CPU threads are stages that hand work to each other through
 :class:`Store` queues and delay through the scheduler.
 
-An entry is ``(time, seq, func, arg, tag)``, dispatched strictly by
+An entry is ``(time, seq, func, arg)``, dispatched strictly by
 ``(time, seq)``, and comes in two kinds:
 
 * a *plain continuation* (:meth:`Simulator.call_later` / ``schedule`` /
@@ -23,10 +23,13 @@ put that delivers the next item calls it, in the putter's frame.
 :class:`Pump` is the stock consumer stage: a store, a handler, no
 process.  A wait for anything else parks the same way, where the
 condition changes; :class:`PollWait` is the form for a wait the model
-quantises to a poll period.  Under the profiler every push stamps the
-entry with its owner tag (the callback's ``__self__.profile_tag`` when
-bound to a tagged component, else the dispatching context's tag), so a
-stage's continuations attribute to it wherever they were pushed from.
+quantises to a poll period.  Under the profiler each dispatch files
+under its callable's owner (``func.__self__.profile_tag``, see
+:func:`~repro.telemetry.profile.owner_tag`), so a stage's continuations
+attribute to it wherever they were pushed from: a continuation pushed
+on a stage's behalf is a bound method of that stage, or of an object
+that resolves its tag through a callable it carries (an :class:`Event`
+through its waiter, a :class:`PollWait` through ``func``).
 
 Scheduling is one tier: every push, zero-delay or timed, relative or
 absolute, goes on one binary heap, and :meth:`Simulator.run` is one
@@ -58,7 +61,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..telemetry import NULL_TELEMETRY
-from ..telemetry.profile import NULL_PROFILER
+from ..telemetry.profile import NULL_PROFILER, owner_tag
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -97,6 +100,13 @@ class Event:
     @property
     def fired(self) -> bool:
         return self._fired
+
+    @property
+    def profile_tag(self) -> Optional[str]:
+        # A timeout's firing is its waiter's work: it files under the
+        # owner of the first callback (a process's resume).
+        cb = self._cb
+        return None if cb is None else owner_tag(cb)
 
     @property
     def value(self) -> Any:
@@ -165,19 +175,7 @@ class Process:
         return self._done.fired
 
     def _on_event(self, event: Event) -> None:
-        prof = self.sim._prof
-        if prof is None:
-            self._step(event._value)
-            return
-        # Re-establish this process's tag before stepping: a store
-        # handoff can resume us synchronously from inside another
-        # component's dispatch.
-        prev = prof.current_tag
-        prof.current_tag = self.profile_tag
-        try:
-            self._step(event._value)
-        finally:
-            prof.current_tag = prev
+        self._step(event._value)
 
     def _step(self, value: Any = None) -> None:
         # Trampoline: when the yielded event has already fired, resume the
@@ -213,21 +211,19 @@ class Process:
 
 
 class Simulator:
-    """The event loop: one heap of ``(time, seq, func, arg, tag)``
-    entries.
+    """The event loop: one heap of ``(time, seq, func, arg)`` entries.
 
     There is one set of scheduling entry points, each a push onto the
     heap, and one run loop, which pops an entry at a time up to its
     horizon and refuses, leaving it queued, an entry at infinite time or
-    one past ``max_events``.  The
-    ``tag`` slot is the profiler's owner tag: with a live profiler
-    (``Telemetry(profile=True)`` or an explicit ``profiler=``) each push
-    fills it — the callback's owning component, else the dispatching
-    context — and :meth:`run` hands it to the profiler before each
-    dispatch.  With the default
-    :data:`~repro.telemetry.profile.NULL_PROFILER` the slot is ``None``
-    and each push and each dispatch pays one ``is None`` test; the
-    ``(time, seq)`` schedule is the same either way.
+    one past ``max_events``.  With a live profiler
+    (``Telemetry(profile=True)`` or an explicit ``profiler=``)
+    :meth:`run` hands each ``func`` to it before the dispatch, and the
+    profiler files the event under ``func``'s owner; a push never looks
+    at the profiler.  With the default
+    :data:`~repro.telemetry.profile.NULL_PROFILER` each dispatch pays
+    one ``is None`` test; the ``(time, seq)`` schedule is the same
+    either way.
     """
 
     def __init__(self, telemetry=None, profiler=None):
@@ -256,26 +252,13 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _owner_tag(self, func) -> str:
-        """The profiler tag an entry belongs to: the callable's owning
-        component when it is a bound method of something tagged
-        (``profile_tag``), else the tag of the currently dispatching
-        context."""
-        owner = getattr(func, "__self__", None)
-        if owner is not None:
-            tag = getattr(owner, "profile_tag", None)
-            if tag is not None:
-                return tag
-        return self._prof.current_tag
-
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Run ``action()`` after ``delay`` seconds of virtual time."""
         if not delay >= 0:     # negative, or NaN
             raise SimulationError(f"delay {delay}: must be >= 0")
         seq = self._seq
         self._seq = seq + 1
-        tag = None if self._prof is None else self._owner_tag(action)
-        _heappush(self._queue, (self._now + delay, seq, action, _NO_ARG, tag))
+        _heappush(self._queue, (self._now + delay, seq, action, _NO_ARG))
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Run ``action()`` at absolute time ``time`` (>= now).
@@ -289,8 +272,7 @@ class Simulator:
                 f"schedule_at({time}) before now ({self._now})")
         seq = self._seq
         self._seq = seq + 1
-        tag = None if self._prof is None else self._owner_tag(action)
-        _heappush(self._queue, (time, seq, action, _NO_ARG, tag))
+        _heappush(self._queue, (time, seq, action, _NO_ARG))
 
     def call_later(self, delay: float, func: Callable[[Any], None],
                    arg: Any) -> None:
@@ -303,8 +285,7 @@ class Simulator:
             raise SimulationError(f"delay {delay}: must be >= 0")
         seq = self._seq
         self._seq = seq + 1
-        tag = None if self._prof is None else self._owner_tag(func)
-        _heappush(self._queue, (self._now + delay, seq, func, arg, tag))
+        _heappush(self._queue, (self._now + delay, seq, func, arg))
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` seconds from now."""
@@ -313,12 +294,7 @@ class Simulator:
         event = Event(self)
         seq = self._seq
         self._seq = seq + 1
-        # ``event.succeed`` is owned by the Event, which carries no tag;
-        # the timeout attributes to whoever asked for it.
-        prof = self._prof
-        tag = None if prof is None else prof.current_tag
-        _heappush(self._queue,
-                  (self._now + delay, seq, event.succeed, value, tag))
+        _heappush(self._queue, (self._now + delay, seq, event.succeed, value))
         return event
 
     def event(self) -> Event:
@@ -400,7 +376,7 @@ class Simulator:
                 func = entry[2]
                 arg = entry[3]
                 if prof is not None:
-                    prof.account(entry[4], func, len(queue))
+                    prof.account(func, len(queue))
                 if arg is _NO_ARG:
                     func()
                 else:
@@ -652,10 +628,10 @@ class PollWait:
     that polled.  A change landing exactly on a poll instant is seen by
     that poll, as it was whenever the change had been scheduled more
     than a period ahead (a CQE in flight, a core's packet cost).  The
-    wake files under the profiler tag ``func``'s polls would have.
+    wake files under ``func``'s owner, as its polls would have.
     """
 
-    __slots__ = ("sim", "step", "func", "arg", "profile_tag", "_poll")
+    __slots__ = ("sim", "step", "func", "arg", "_poll")
 
     def __init__(self, sim: Simulator, step: float,
                  func: Callable[[Any], None], arg: Any = None):
@@ -665,9 +641,11 @@ class PollWait:
         self.step = step
         self.func = func
         self.arg = arg
-        self.profile_tag = (None if sim._prof is None
-                            else sim._owner_tag(func))
         self._poll = sim._now + step
+
+    @property
+    def profile_tag(self) -> str:
+        return owner_tag(self.func)
 
     def wake(self) -> None:
         sim = self.sim

@@ -9,16 +9,16 @@ Design mirrors the rest of the telemetry stack:
 * :class:`SimProfiler` is handed to the engine through
   ``Telemetry(profile=True)``; :data:`NULL_PROFILER` is the shared no-op
   twin.  The engine has one set of scheduling entry points and one run
-  loop: with the null profiler an entry's tag slot stays ``None`` and
-  :meth:`SimProfiler.account` is never called, so profiled, disabled
-  and untraced runs share one ``(time, seq)`` schedule (pinned by
-  ``tests/identity``).
-* **Event accounting** is deterministic: every heap entry is tagged at
-  push time with its owning component (``func.__self__.profile_tag`` when
-  the callable is a bound method of a tagged component, else the tag of
-  the dispatch context that scheduled it).  Dispatch bumps one counter
-  per tag, so per-tag counts sum *exactly* to the engine's total event
-  count.
+  loop: with the null profiler :meth:`SimProfiler.account` is never
+  called, so profiled, disabled and untraced runs share one
+  ``(time, seq)`` schedule (pinned by ``tests/identity``).
+* **Event accounting** is deterministic: each dispatch files under its
+  callable's owner, ``func.__self__.profile_tag`` (:func:`owner_tag`),
+  read when the entry is dispatched — a component's tag is fixed when
+  it is built, so nothing is worked out per push.  A callable with no
+  tagged owner files under ``unowned:<its __qualname__>``, whoever
+  pushed it.  Dispatch bumps one counter per tag, so per-tag counts sum
+  *exactly* to the engine's total event count.
 * **Stage classification** maps tags onto the paper's pipeline stages
   (host driver, PCIe fabric, NIC queues/rdma/shaper, wire, FLD tx/rx,
   accelerator, application).  Components may :meth:`declare` explicit
@@ -59,11 +59,25 @@ _BUILTIN_FRAGMENTS: Tuple[Tuple[str, str], ...] = (
     (".nic", "nic.queues"),
 )
 
+#: Prefix of the tag an owner-less callable files under.
+UNOWNED = "unowned:"
+
 #: Process names spawned by experiment drivers / load generators.
 _APP_NAMES = frozenset({
     "run", "runner", "drive", "sender", "receiver", "_sender",
     "put", "process", "echo.tx", "mediated.relay",
 })
+
+
+def owner_tag(func) -> str:
+    """The tag a dispatch of ``func`` files under: its owner's
+    ``profile_tag`` (``func.__self__``; an owner may resolve it through
+    a callable it carries), else ``unowned:`` + ``func``'s qualname."""
+    tag = getattr(getattr(func, "__self__", None), "profile_tag", None)
+    if tag is None:
+        return UNOWNED + getattr(func, "__qualname__",
+                                 type(func).__qualname__)
+    return tag
 
 
 class SimProfiler:
@@ -77,9 +91,6 @@ class SimProfiler:
                  registry=None):
         self.wallclock = wallclock
         self.registry = registry
-        #: Tag of the code currently executing; events pushed by untagged
-        #: callables inherit it.  ``setup`` covers pre-run construction.
-        self.current_tag: str = "setup"
         self.total_events = 0
         self.event_counts: Dict[str, int] = {}
         #: ``(tag, callsite) -> [seconds, events]`` — wallclock mode only.
@@ -122,6 +133,8 @@ class SimProfiler:
         return stage
 
     def _classify_uncached(self, tag: str) -> str:
+        if tag.startswith(UNOWNED):
+            return "other"
         for prefix, stage in self._rules:
             if tag.startswith(prefix):
                 return stage
@@ -140,16 +153,16 @@ class SimProfiler:
 
     # -- recording (called from the engine's run loop) -------------------
 
-    def account(self, tag: str, func, depth: int) -> None:
-        """The engine is about to dispatch ``func`` for ``tag`` with
-        ``depth`` entries still pending.
+    def account(self, func, depth: int) -> None:
+        """The engine is about to dispatch ``func`` with ``depth``
+        entries still pending.
 
-        Counts the event, makes ``tag`` the current one so nested pushes
-        inherit it, samples the heap depth on a fixed event cadence and
-        (wallclock mode) times the dispatch: its interval runs until the
-        next :meth:`account` or :meth:`end_run`.
+        Counts the event under ``func``'s :func:`owner_tag`, samples the
+        heap depth on a fixed event cadence and (wallclock mode) times
+        the dispatch: its interval runs until the next :meth:`account`
+        or :meth:`end_run`.
         """
-        self.current_tag = tag
+        tag = owner_tag(func)
         counts = self.event_counts
         counts[tag] = counts.get(tag, 0) + 1
         self.total_events = index = self.total_events + 1
@@ -346,7 +359,6 @@ class NullSimProfiler:
     enabled = False
     wallclock = False
     registry = None
-    current_tag = "setup"
     total_events = 0
     event_counts: Dict[str, int] = {}
     wall_times: Dict[Tuple[str, str], List[float]] = {}
@@ -360,7 +372,7 @@ class NullSimProfiler:
     def classify(self, tag: str) -> str:
         return "other"
 
-    def account(self, tag: str, func, depth: int) -> None:
+    def account(self, func, depth: int) -> None:
         pass
 
     def end_run(self) -> None:
