@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.pcie.tlp import COMPLETION_HEADER, DLLP_FRAMING, MEM_REQUEST_HEADER
 from repro.sim import DuplexLink, Link, Simulator, Store, TokenBucket
 from repro.telemetry import Telemetry
 
@@ -395,37 +396,48 @@ class _Slices:
 
 
 ISSUES = st.lists(st.tuples(
-    st.lists(st.integers(1, 4000), min_size=1, max_size=4),   # chunk bits
+    st.integers(1, 1024),       # bytes the transaction carries
     st.floats(0.0, 3.0),        # the first chunk's key ahead of now
     st.floats(0.0, 1.0),        # spacing of the chunks' keys
     st.floats(0.0, 2.0)),       # time to run after the issue
     min_size=1, max_size=24)
 
+#: A PCIe train's TLPs, as ``PcieFabric._train`` cuts them: header bits
+#: and the payload bytes each TLP carries (MPS for a write, RCB for a
+#: read's completions; a 64 B RCB makes long completion trains).
+TRAIN_KINDS = {
+    "write": ((MEM_REQUEST_HEADER + DLLP_FRAMING) * 8, 256),
+    "completion": ((COMPLETION_HEADER + DLLP_FRAMING) * 8, 64),
+}
 
+
+@pytest.mark.parametrize("kind", sorted(TRAIN_KINDS))
 class TestAWriteTrainIsItsChunks:
-    """A write train (``reserve_train(..., write=True)``) is one lane
-    entry standing for what its chunks reserved one by one would be:
-    every chunk's times, the trace slices, the bits, messages, repairs
-    and replayed records of the lane all come out the same, through
-    settling, out-of-order inserts before a train and wedges that split
-    one."""
+    """A train — a posted write's requests or a read's completions — is
+    one lane entry standing for what its chunks reserved one by one
+    would be: every chunk's times, the trace slices, the bits, messages,
+    repairs and replayed records of the lane all come out the same,
+    through settling, out-of-order inserts before a train and wedges
+    that split one."""
 
     @given(issues=ISSUES, rate=st.sampled_from([1000.0, 3333.0, None]))
-    def test_same_lane_as_the_chunks_reserved_one_by_one(self, issues,
+    def test_same_lane_as_the_chunks_reserved_one_by_one(self, kind, issues,
                                                           rate):
+        header, size = TRAIN_KINDS[kind]
         sim = Simulator()
         trains, chunks = (Link(sim, rate, latency=0.25) for _ in range(2))
         trains._tracer, chunks._tracer = _Slices(), _Slices()
         seq = 0
         issued = []
-        for bits_list, ahead, spacing, gap in issues:
-            arrivals = [sim.now + ahead + j * spacing
-                        for j in range(len(bits_list))]
-            if len(bits_list) == 1:
+        for length, ahead, spacing, gap in issues:
+            count = (length - 1) // size + 1
+            bits_list = ([header + size * 8] * (count - 1)
+                         + [header + (length - (count - 1) * size) * 8])
+            arrivals = [sim.now + ahead + j * spacing for j in range(count)]
+            if count == 1:
                 handle = trains.reserve(bits_list[0], arrivals[0], seq)
             else:
-                handle = trains.reserve_train(bits_list, arrivals, seq,
-                                              write=True)
+                handle = trains.reserve_train(bits_list, arrivals, seq)
             issued.append((handle, [
                 chunks.reserve(bits, arrival, seq + j) for j, (bits, arrival)
                 in enumerate(zip(bits_list, arrivals))]))
