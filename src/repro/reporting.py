@@ -424,6 +424,10 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     kind, name = args.command, args.experiment
     size = getattr(args, "size", None)
     try:
+        for flag, value in (("--top", getattr(args, "top", 1)),
+                            ("--sample-rate", getattr(args, "sample_rate", 1))):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1; got {value}")
         target = resolve(kind, name, size, getattr(args, "count", None))[0]
         points = (sweep_points(target, args.count)
                   if getattr(args, "sweep", False) else None)

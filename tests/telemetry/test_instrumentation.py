@@ -395,6 +395,9 @@ class TestTraceCli:
         ("latency echo --size 0", "echo carries sizes of 64 to 2048 B; got 0"),
         ("trace fldr --size 16385 -o unused.json",
          "fldr carries sizes of 0 to 16384 B; got 16385"),
+        ("profile echo --count 40 --top -3", "--top must be at least 1; got -3"),
+        ("latency echo --count 5 --sample-rate 0",
+         "--sample-rate must be at least 1; got 0"),
     ])
     def test_out_of_range_count_or_size_is_refused(self, argv, message,
                                                    capsys):
