@@ -43,19 +43,21 @@ def _match(path, name, site):
 
 
 class OpCounter:
-    """Bytecode instructions executed under :meth:`runcall`, per function
-    (``ops``, keyed as ``pstats`` keys).  Each traced frame counts into
-    its own closure and adds to ``ops`` when it returns, yields or
-    raises: a dictionary update per instruction would cost four times
-    the run.  The collector is off meanwhile: a collection runs the
-    process's ``gc.callbacks`` (hypothesis installs one) wherever it
-    falls."""
+    """Bytecode instructions executed between :meth:`enable` and
+    :meth:`disable` (or under :meth:`runcall`), per function (``ops``,
+    keyed as ``pstats`` keys): the calls made meanwhile, as
+    ``cProfile.Profile`` counts them.  Each traced frame counts into its
+    own closure and adds to ``ops`` when it returns, yields or raises: a
+    dictionary update per instruction would cost four times the run.
+    The collector is off meanwhile: a collection runs the process's
+    ``gc.callbacks`` (hypothesis installs one) wherever it falls."""
 
     def __init__(self):
         self.ops = Counter()
+        self._by_code = None
 
-    def runcall(self, func, *args):
-        by_code = Counter()
+    def enable(self):
+        by_code = self._by_code = Counter()
 
         def call(frame, _event, _arg):
             frame.f_trace_lines = False
@@ -72,17 +74,26 @@ class OpCounter:
                 return step
             return step
 
-        previous, collecting = sys.gettrace(), gc.isenabled()
+        self._previous, self._collecting = sys.gettrace(), gc.isenabled()
         gc.disable()
         sys.settrace(call)
+
+    def disable(self):
+        by_code, self._by_code = self._by_code, None
+        if by_code is None:
+            return
+        sys.settrace(self._previous)
+        if self._collecting:
+            gc.enable()
+        for code, count in by_code.items():
+            self.ops[cProfile.label(code)] += count
+
+    def runcall(self, func, *args):
+        self.enable()
         try:
             return func(*args)
         finally:
-            sys.settrace(previous)
-            if collecting:
-                gc.enable()
-            for code, count in by_code.items():
-                self.ops[cProfile.label(code)] += count
+            self.disable()
 
 
 class Ledger:
@@ -370,7 +381,7 @@ GATES = (
     ("echo", "echo", "frame", None, 361,
          ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
           "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),),
-         14_620),
+         14_400),
     # A descriptor is its bytes: one pack and one unpack_from, no codec.
     ("echo.descriptors", "echo", "frame", None, None,
          ("nic/wqe.py:*", "core/descriptors.py:*"), ()),
@@ -392,7 +403,7 @@ GATES = (
               "translation.py:resolve|chunks_per_window|free_slots",
               "buffers.py:free_chunks|chunks_for|read"))),
          (("core/cuckoo.py:insert", "==", 2), ("core/cuckoo.py:lookup", "==", 1),
-          ("core/cuckoo.py:remove", "==", 2)), 2_120),
+          ("core/cuckoo.py:remove", "==", 2)), 2_110),
     # A hand-off is a parked continuation: a packet builds no engine
     # object and steps no generator; only the burst's driver is stepped.
     ("echo.rendezvous", "echo", "frame", None, None, (),
@@ -410,11 +421,11 @@ GATES = (
           ("sim/engine.py:now", (HOST,)),
           "pcie/fabric.py:inbound_trace_ctx|__init__|delivery"),
          ((("sim/resources.py:reserve", ("pcie/fabric.py:_reserve_path",)),
-           "<=", "sim/resources.py:_recompute"),), 7_560),
+           "<=", "sim/resources.py:_recompute"),), 7_355),
     # The scheduler's own work: its pushes, its run loop and the Store
     # hand-offs, in bytecode instructions.
     ("echo.engine", "echo", "frame", "/repro/sim/engine.py", None, (), (),
-         2_325),
+         2_185),
     # Watching a packet: levels are pulled, a finished trace and a
     # hand-off fold their samples in place, the fabric stamps a TLP's
     # span end itself, histograms are resolved once, and the recorder
@@ -440,10 +451,11 @@ GATES = (
           ("host/driver.py:tx_space", ("host/testpmd.py:*",))), (), 2_035),
     # A wait is parked where its condition changes: no poll timeout, and
     # over the whole burst two Events, one Process, two driver steps.
+    # The burst runs profiled, so its ops count the profiler's filing.
     ("closed-loop", "closed-loop", "round trip", None, None,
          ("sim/engine.py:timeout",),
          ((Event.__init__, "==", 2 / TRIPS), (Process.__init__, "==", 1 / TRIPS),
-          (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND))),
+          (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 15_230),
     # An RC segment is its bytes: no net/roce.py frame, one BTH read per
     # segment received (a data segment each way and an ACK for each).  A
     # multi-TLP write or read is sized by arithmetic: no chunk list, and
@@ -452,23 +464,25 @@ GATES = (
          ("net/roce.py:*", "pcie/tlp.py:split_write_bytes|completion_chunks",
           ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",))),
          (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4)),
-         18_540),
+         18_230),
     # The PCIe accounting: the fabric's transactions and the lanes they
     # reserve, in bytecode instructions, for 512 B requests (write and
     # completion trains) and for 64 B echoes (single TLPs).
-    ("fldr.pcie", "fldr", "request", PCIE, 76, (), (), 6_050),
-    ("echo.pcie", "echo", "frame", PCIE, 67.6, (), (), 5_160),
+    ("fldr.pcie", "fldr", "request", PCIE, 76, (), (), 6_000),
+    ("echo.pcie", "echo", "frame", PCIE, 67.6, (), (), 5_140),
     # A NIC frame is one pass per direction: no helper folded into a
     # stage, no per-frame device object.
-    ("nic.send", "nic-send", "frame", NIC, 18, NIC_FOLDED, ()),
-    ("nic.receive", "nic-receive", "frame", NIC, 17, NIC_FOLDED, ()),
+    ("nic.send", "nic-send", "frame", NIC, 18, NIC_FOLDED, (), 726),
+    ("nic.receive", "nic-receive", "frame", NIC, 17, NIC_FOLDED, (), 775),
     # A frame is steered off its layout: never thawed, rebuilt, re-packed.
-    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 21.4, THAWED, ()),
-    ("rx.echo-accelerator", "echo-accelerator", "frame", None, 14, THAWED, ()),
+    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 21.4, THAWED, (),
+     720),
+    ("rx.echo-accelerator", "echo-accelerator", "frame", None, 14, THAWED, (),
+     352),
     # A TLP is its lane entry: no address decode, lane search or retire,
     # bounds-check frame, chunked completion, fabric or lane object.
-    ("fabric.write", "fabric-write", "op", None, 15, PER_TLP, (), 562),
-    ("fabric.read", "fabric-read", "op", None, 19, PER_TLP, (), 900),
+    ("fabric.write", "fabric-write", "op", None, 15, PER_TLP, (), 548),
+    ("fabric.read", "fabric-read", "op", None, 19, PER_TLP, (), 877),
 )
 OPS_GATES = tuple(gate for gate in GATES if len(gate) > 7)
 
