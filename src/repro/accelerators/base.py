@@ -37,7 +37,6 @@ class Accelerator:
         self.tx_queue = tx_queue
         self.stats_processed = 0
         self.stats_bytes = 0
-        self.stats_emitted = 0
         self.stats_dropped = 0
         self.stats_errors = 0
         self._spans = sim.telemetry.spans
@@ -136,12 +135,10 @@ class _Unit:
         accel.sim.schedule(0.0, self._step)
 
     def _step(self, taken: Optional[bool] = None) -> None:
-        """Count the output FLD just took (``True``) or shed (``False``),
-        emit the next one or, with none pending, take the next packet."""
+        """Count an output FLD shed (``taken`` is ``False``), emit the
+        next one or, with none pending, take the next packet."""
         accel = self.accel
-        if taken:
-            accel.stats_emitted += 1
-        elif taken is False:
+        if taken is False:
             accel.stats_dropped += 1
         for out_data, out_meta in self._outputs:
             if out_meta.queue_id is None:

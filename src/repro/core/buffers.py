@@ -34,8 +34,6 @@ class BufferPool:
         self._data = bytearray(capacity_bytes)
         self._free: List[int] = list(range(self.num_chunks))
         self._refcount: Dict[int, int] = {}
-        self.stats_allocs = 0
-        self.stats_frees = 0
         self.stats_alloc_failures = 0
         self.stats_min_free = self.num_chunks
 
@@ -66,7 +64,6 @@ class BufferPool:
         refcount = self._refcount
         for handle in handles:
             refcount[handle] = 1
-        self.stats_allocs += 1
         if left < self.stats_min_free:
             self.stats_min_free = left
         return handles
@@ -92,7 +89,6 @@ class BufferPool:
             if count == 1:
                 del refcount[handle]
                 self._free.append(handle)
-                self.stats_frees += 1
             else:
                 refcount[handle] = count - 1
 

@@ -87,7 +87,6 @@ class RssEngine:
         self.indirection: List[int] = [
             queues[i % len(queues)] for i in range(table_size)
         ]
-        self.stats_hashed = 0
         self.stats_no_ports = 0
 
     def queue_for(self, packet: Packet) -> int:
@@ -103,7 +102,6 @@ class RssEngine:
         ports = extract_ports(packet)
         if ports is None:
             self.stats_no_ports += 1
-        self.stats_hashed += 1
         value = toeplitz_hash(
             rss_input_v4(layout[SRC_IP], layout[DST_IP], ports), self.key)
         packet.meta["rss_hash"] = value

@@ -270,7 +270,8 @@ class Nic(PcieEndpoint):
     def destroy_cq(self, cq: CompletionQueue) -> None:
         self.cqs.pop(cq.cqn, None)
         # Unwind any dispatcher blocked on the notify channel.
-        self._poison(cq.notify)
+        if cq.notify is not None:
+            self._poison(cq.notify)
 
     def destroy_sq(self, sq: SendQueue) -> None:
         sq.destroyed = True
@@ -492,17 +493,18 @@ class Nic(PcieEndpoint):
             fused(self.fabric.post_write_deferred(
                 self, address, cqe, ctx, "pcie.cqe_write", frame))
             return
+        notify = cq.notify
         self.fabric.post_write(self, address, cqe, trace_ctx=ctx,
                                trace_stage="pcie.cqe_write",
-                               on_done=partial(cq.notify.try_put,
-                                               (cqe, ctx, frame)))
+                               on_done=POSTED if notify is None else
+                               partial(notify.try_put, (cqe, ctx, frame)))
 
     def _post_cqe_at(self, cq: CompletionQueue, cqe: bytes, ctx,
                      when: float) -> None:
         """Post a send CQE resolved ahead of time (flat tx stage).
 
         The write TLP arbitrates for the PCIe lane as if issued at
-        ``when`` — same delivery instant, same notify callback as
+        ``when`` — same delivery instant, same notify callback (if any) as
         :meth:`_post_cqe`, without the pipeline-occupancy event that
         posting at ``when`` would ride on.  Send completions never
         target a fused-rx CQ.
@@ -515,12 +517,13 @@ class Nic(PcieEndpoint):
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
                            f"cqe:{cqe[0]}", when)
+        notify = cq.notify
         self.fabric.post_write_at(self, cq.ring_addr
                                   + (pi % cq.entries) * CQE_SIZE,
                                   cqe, when, ctx,
                                   "pcie.cqe_write",
-                                  on_done=partial(cq.notify.try_put,
-                                                  (cqe, ctx, None)))
+                                  on_done=POSTED if notify is None else
+                                  partial(notify.try_put, (cqe, ctx, None)))
 
     # ------------------------------------------------------------------
     # Telemetry probes

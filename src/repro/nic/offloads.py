@@ -24,9 +24,7 @@ class ChecksumOffload:
     """Validate (rx) and fill (tx) L3/L4 checksums."""
 
     def __init__(self):
-        self.stats_rx_validated = 0
         self.stats_rx_l4_skipped = 0
-        self.stats_tx_filled = 0
 
     # -- receive side ------------------------------------------------------
 
@@ -57,7 +55,6 @@ class ChecksumOffload:
                     ok = self._l4_verify(Tcp, raw, layout, l4)
                 if ok:
                     flags |= CQE_FLAG_L4_OK
-        self.stats_rx_validated += 1
         return flags
 
     @staticmethod
@@ -82,7 +79,6 @@ class ChecksumOffload:
                 l4_header.fill_checksum(ip.src, ip.dst, packet.payload)
         # IPv4 header checksum is recomputed by Ipv4.pack() itself; the
         # l3 flag exists for symmetry with real WQE flag bits.
-        self.stats_tx_filled += 1
 
 
 class SegmentationOffload:

@@ -32,7 +32,10 @@ class CompletionQueue:
     landed, as its bytes and what its write carried side band: the trace
     context and the received frame's ``(bytes, layout)`` or ``None``; it
     stands in for the consumer's poll loop discovering new entries (or an
-    interrupt/event queue), without simulating busy-polling.
+    interrupt/event queue), without simulating busy-polling.  A consumer
+    that sees each CQE land in its own memory (FLD, whose completion
+    rings are in its BAR) sets ``notify`` to ``None``: the NIC then
+    posts the CQE write with no callback, and nothing is queued.
     """
 
     def __init__(self, sim: Simulator, cqn: int, ring_addr: int, entries: int):

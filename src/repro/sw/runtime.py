@@ -113,6 +113,20 @@ class FldRuntime:
                 f"out of FLD tx queue slots ({fld_bar.MAX_TX_QUEUES})")
         return queue_id, queue_id  # (queue id, tx cq index)
 
+    def _alloc_cq(self, cq_index: int):
+        """A NIC completion queue whose ring is FLD cq ``cq_index``.
+
+        FLD reads each CQE as its write lands in the BAR, so the CQ has
+        no notify consumer: the NIC posts its CQE writes with no
+        callback.
+        """
+        cq = self.ctrl.alloc_cq(
+            self.fld_bar_base + fld_bar.cq_address(cq_index),
+            self.fld.config.cq_entries,
+        )
+        cq.notify = None
+        return cq
+
     def create_eth_tx_queue(self, vport: int, entries: int = 1024,
                             use_mmio: bool = True,
                             meter: Optional[str] = None,
@@ -124,10 +138,7 @@ class FldRuntime:
         depth.
         """
         queue_id, cq_index = self._alloc_tx_ids()
-        cq = self.ctrl.alloc_cq(
-            self.fld_bar_base + fld_bar.cq_address(cq_index),
-            self.fld.config.cq_entries,
-        )
+        cq = self._alloc_cq(cq_index)
         sq = self.ctrl.alloc_sq(
             self.fld_bar_base + fld_bar.tx_ring_address(queue_id, 0, entries),
             entries, cq, vport=vport, meter=meter,
@@ -166,10 +177,7 @@ class FldRuntime:
             binding_id = self._next_rx_binding
             self._next_rx_binding += 1
         cq_index = FlexDriver.RX_CQ_BASE + binding_id
-        cq = self.ctrl.alloc_cq(
-            self.fld_bar_base + fld_bar.cq_address(cq_index),
-            self.fld.config.cq_entries,
-        )
+        cq = self._alloc_cq(cq_index)
         # The receive descriptor ring lives in HOST memory (§5.2).
         ring_addr = self.node.driver.allocator.alloc(ring_entries * 16)
         rq = self.ctrl.alloc_mprq(ring_addr, ring_entries, cq,
@@ -207,10 +215,7 @@ class FldRuntime:
         """An FLD-R RDMA QP (§5.3): FLD owns the data path, software the
         transport endpoint.  Returns (qp, fld queue id)."""
         queue_id, cq_index = self._alloc_tx_ids()
-        cq = self.ctrl.alloc_cq(
-            self.fld_bar_base + fld_bar.cq_address(cq_index),
-            self.fld.config.cq_entries,
-        )
+        cq = self._alloc_cq(cq_index)
         if rq is None:
             rq = self.create_rx_queue(vport, set_default=False)
         qp = self.ctrl.alloc_rc_qp(

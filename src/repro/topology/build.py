@@ -113,7 +113,6 @@ class Testbed:
         for fn in self.accel_fns.values():
             accel = fn.accel
             accel.stats_processed = 0
-            accel.stats_emitted = 0
             accel.stats_dropped = 0
             accel.stats_errors = 0
         for node in self.nodes.values():

@@ -341,7 +341,7 @@ def ledger(burst: str) -> Ledger:
     profile = cProfile.Profile()
     run(profile)
     ops = None
-    if burst in {gate[1] for gate in OPS_GATES}:
+    if burst in OPS_BURSTS:
         counter = OpCounter()
         run(counter)
         ops = counter.ops
@@ -374,14 +374,14 @@ PER_TLP = (":decode|port_of|retire|_check|completion_chunks|*bisect*",
 #: the builtins it calls (``None``: all), at most ``bound``; ``never``:
 #: sites, or ``(site, callers)``; ``counts``: ``(site, op, value)``,
 #: ``value`` a number or a site, both calls a unit; ``ops``: at most that
-#: many bytecode instructions a unit in ``scope`` (one burst only).
+#: many bytecode instructions a unit in ``scope``, less the baseline's.
 GATES = (
     # A received frame keeps its parse: only each transmitting NIC
     # parses; no whole-frame parse, size helper or checksum chain.
-    ("echo", "echo", "frame", None, 361,
+    ("echo", "echo", "frame", None, 356,
          ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
           "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),),
-         14_400),
+         14_080),
     # A descriptor is its bytes: one pack and one unpack_from, no codec.
     ("echo.descriptors", "echo", "frame", None, None,
          ("nic/wqe.py:*", "core/descriptors.py:*"), ()),
@@ -395,7 +395,7 @@ GATES = (
     # An FLD packet pays only for its translations: no BAR object, no
     # helper folded into a stage, no cycle count through its config;
     # two maps at submit, one translation by the NIC's read, two unmaps.
-    ("echo.core", "echo", "frame", CORE, 63,
+    ("echo.core", "echo", "frame", CORE, 60,
          (CORE + "bar.py:*", ("core/fld.py:cycles", (CORE + ":*",)),
           *(CORE + site for site in (
               "fld.py:_launch|_submit", "tx.py:queue|_ring_nic|handle_data_read",
@@ -403,7 +403,15 @@ GATES = (
               "translation.py:resolve|chunks_per_window|free_slots",
               "buffers.py:free_chunks|chunks_for|read"))),
          (("core/cuckoo.py:insert", "==", 2), ("core/cuckoo.py:lookup", "==", 1),
-          ("core/cuckoo.py:remove", "==", 2)), 2_110),
+          ("core/cuckoo.py:remove", "==", 2)), 1_865),
+    # A cuckoo table finds a key where it put it: a lookup or a remove
+    # reads the key's slot off the index and hashes nothing; an insert
+    # hashes once and mixes per bank only until a slot is free.
+    ("echo.cuckoo", "echo", "frame", "core/cuckoo.py", 7,
+         (("~:<built-in method builtins.hash>",
+           ("core/cuckoo.py:lookup|remove",)),),
+         ((("~:<built-in method builtins.hash>", ("core/cuckoo.py:*",)),
+           "==", 2),), 274),
     # A hand-off is a parked continuation: a packet builds no engine
     # object and steps no generator; only the burst's driver is stepped.
     ("echo.rendezvous", "echo", "frame", None, None, (),
@@ -415,17 +423,17 @@ GATES = (
     # in its own, the host reads the clock's slot, a deferred write is a
     # list read by slot, and a TLP's in-order lane appends run in
     # _reserve_path, which calls Link.reserve only to repair.
-    ("echo.stack", "echo", "frame", ("/repro/sim/", "/repro/pcie/"), 161,
+    ("echo.stack", "echo", "frame", ("/repro/sim/", "/repro/pcie/"), 159,
          ("sim/engine.py:is_full|try_get|_deliver",
           ("~:<built-in method builtins.len>", ("sim/engine.py:*",)),
           ("sim/engine.py:now", (HOST,)),
           "pcie/fabric.py:inbound_trace_ctx|__init__|delivery"),
          ((("sim/resources.py:reserve", ("pcie/fabric.py:_reserve_path",)),
-           "<=", "sim/resources.py:_recompute"),), 7_355),
+           "<=", "sim/resources.py:_recompute"),), 7_305),
     # The scheduler's own work: its pushes, its run loop and the Store
     # hand-offs, in bytecode instructions.
     ("echo.engine", "echo", "frame", "/repro/sim/engine.py", None, (), (),
-         2_185),
+         2_135),
     # Watching a packet: levels are pulled, a finished trace and a
     # hand-off fold their samples in place, the fabric stamps a TLP's
     # span end itself, histograms are resolved once, and the recorder
@@ -438,7 +446,7 @@ GATES = (
           ("~:<built-in method builtins.max>|<built-in method builtins.min>"
            "|<built-in method builtins.isinstance>"
            "|<method 'add' of 'set' objects>",
-           ("telemetry/spans.py:*", "telemetry/metrics.py:*"))), ()),
+           ("telemetry/spans.py:*", "telemetry/metrics.py:*"))), (), 6_455),
     # The host side of the CPU echo: a one-page access is one frame (a
     # write subscripts a page dict that makes a page on first touch, a
     # read tests ``in``), the fused receive dispatch commits in its own
@@ -455,16 +463,16 @@ GATES = (
     ("closed-loop", "closed-loop", "round trip", None, None,
          ("sim/engine.py:timeout",),
          ((Event.__init__, "==", 2 / TRIPS), (Process.__init__, "==", 1 / TRIPS),
-          (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 15_230),
+          (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 14_895),
     # An RC segment is its bytes: no net/roce.py frame, one BTH read per
     # segment received (a data segment each way and an ACK for each).  A
     # multi-TLP write or read is sized by arithmetic: no chunk list, and
     # a write train finds its route without a frame.
-    ("fldr", "fldr", "request", None, 517,
+    ("fldr", "fldr", "request", None, 510,
          ("net/roce.py:*", "pcie/tlp.py:split_write_bytes|completion_chunks",
           ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",))),
          (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4)),
-         18_230),
+         17_780),
     # The PCIe accounting: the fabric's transactions and the lanes they
     # reserve, in bytecode instructions, for 512 B requests (write and
     # completion trains) and for 64 B echoes (single TLPs).
@@ -473,10 +481,10 @@ GATES = (
     # A NIC frame is one pass per direction: no helper folded into a
     # stage, no per-frame device object.
     ("nic.send", "nic-send", "frame", NIC, 18, NIC_FOLDED, (), 726),
-    ("nic.receive", "nic-receive", "frame", NIC, 17, NIC_FOLDED, (), 775),
+    ("nic.receive", "nic-receive", "frame", NIC, 17, NIC_FOLDED, (), 769),
     # A frame is steered off its layout: never thawed, rebuilt, re-packed.
     ("rx.wire-to-queue", "wire-to-queue", "frame", None, 21.4, THAWED, (),
-     720),
+     713),
     ("rx.echo-accelerator", "echo-accelerator", "frame", None, 14, THAWED, (),
      352),
     # A TLP is its lane entry: no address decode, lane search or retire,
@@ -485,16 +493,25 @@ GATES = (
     ("fabric.read", "fabric-read", "op", None, 19, PER_TLP, (), 877),
 )
 OPS_GATES = tuple(gate for gate in GATES if len(gate) > 7)
+OPS_BURSTS = {burst for gate in OPS_GATES for burst in
+              (gate[1] if isinstance(gate[1], tuple) else (gate[1],))}
+
+
+def _charged(gate, ops=False):
+    """``gate``'s burst ledger and its calls (``ops``: bytecode
+    instructions) a unit in its scope, less its baseline's."""
+    bursts, scope = gate[1], gate[3]
+    led, *baseline = (ledger(burst) for burst in (
+        bursts if isinstance(bursts, tuple) else (bursts,)))
+    return led, sum(sign * part.charged(scope, ops) for sign, part
+                    in zip((1, -1), (led, *baseline))) / led.per
 
 
 def check(gate):
     """``gate``'s calls a unit (less its baseline's), and why it fails:
     its bound, each ``never`` site that ran, each count off its value."""
-    _name, bursts, per, scope, bound, never, counts = gate[:7]
-    led, *baseline = (ledger(burst) for burst in (
-        bursts if isinstance(bursts, tuple) else (bursts,)))
-    value = sum(sign * part.charged(scope)
-                for sign, part in zip((1, -1), (led, *baseline))) / led.per
+    _name, _bursts, per, _scope, bound, never, counts = gate[:7]
+    led, value = _charged(gate)
     found = [f"{value:.2f} calls a {per} > bound {bound}"] \
         if bound is not None and value > bound else []
     for site in never:
@@ -514,10 +531,10 @@ def check(gate):
 
 
 def check_ops(gate):
-    """``gate``'s ops a unit, and why it fails: its ops bound."""
-    _name, burst, per, scope, *_calls, bound = gate
-    led = ledger(burst)
-    value = led.charged(scope, ops=True) / led.per
+    """``gate``'s ops a unit (less its baseline's), and why it fails: its
+    ops bound."""
+    per, bound = gate[2], gate[7]
+    _led, value = _charged(gate, ops=True)
     return value, ([f"{value:.0f} ops a {per} > bound {bound}"]
                    if value > bound else [])
 
