@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 
 from ..sim import Event, Link, Simulator
 from ..sim.resources import ARRIVAL, DELIVERY, FINISH, PARTS, SEQ, Reservation
+from ..telemetry.spans import OPEN
 from .config import PcieLinkConfig
 from .endpoint import Bar, PcieEndpoint, PcieError
 from .tlp import COMPLETION_HEADER, DLLP_FRAMING, MEM_REQUEST_HEADER
@@ -68,9 +69,10 @@ class _WriteCountdown:
     def __call__(self):
         self.remaining -= 1
         if self.remaining == 0:
-            span_id = self.span_id
-            if span_id is not None and span_id.end is None:
-                span_id.end = self.fabric.sim._now
+            if self.span_id is not None:
+                rows, at = self.span_id
+                if rows[at] == OPEN:
+                    rows[at] = self.fabric.sim._now
             if self.done is not None:
                 self.done()
 
@@ -107,9 +109,10 @@ class DeferredWrite(list):
     frame = property(itemgetter(8))
 
     def commit(self) -> None:
-        span_id = self[7]
-        if span_id is not None and span_id.end is None:
-            span_id.end = self[0][DELIVERY]
+        if self[7] is not None:
+            rows, at = self[7]
+            if rows[at] == OPEN:
+                rows[at] = self[0][DELIVERY]
         self[9]._write_arrived(self[:7] + [None, None, None])
 
     def post_on_arrival(self, entry) -> None:
@@ -137,9 +140,10 @@ class DeferredWrite(list):
         down = self[1].down
         if down._tracer is not None:
             _trace_tlps(down, record, self[4])
-        span_id = self[7]
-        if span_id is not None and span_id.end is None:
-            span_id.end = record[DELIVERY]
+        if self[7] is not None:
+            rows, at = self[7]
+            if rows[at] == OPEN:
+                rows[at] = record[DELIVERY]
 
 
 class _Lane(Link):
@@ -702,8 +706,10 @@ class PcieFabric:
                                               data[cursor:cursor + size])
             finally:
                 self.inbound_trace_ctx = None
-        if span_id is not None and span_id.end is None:
-            span_id.end = sim._now
+        if span_id is not None:
+            rows, at = span_id
+            if rows[at] == OPEN:
+                rows[at] = sim._now
         if on_delivered is not None:
             on_delivered()
 
@@ -771,6 +777,8 @@ class PcieFabric:
         if requester_port.down._tracer is not None:
             _trace_tlps(requester_port.down, record, first_hops)
         requester_port.reads_pending -= 1
-        if span_id is not None and span_id.end is None:
-            span_id.end = sim._now
+        if span_id is not None:
+            rows, at = span_id
+            if rows[at] == OPEN:
+                rows[at] = sim._now
         completion(data)

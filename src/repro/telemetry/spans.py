@@ -5,17 +5,19 @@ end-to-end latency decomposes into doorbell, descriptor fetch, DMA,
 wire, and completion stages.  This module provides the mechanism for
 making that decomposition observable in the simulator: each sampled
 packet carries a :class:`TraceContext` through the datapath, and every
-stage it crosses records a :class:`Span` (enter/exit timestamps) into
-the packet's trace.
+stage it crosses records a span (enter/exit timestamps) into the
+packet's trace.
 
 Design notes
 ------------
 
 * The context a packet carries *is* its :class:`Trace`
-  (``TraceContext`` is the name instrumented code knows it by), so the
-  recorder reaches the span list without looking anything up, and the
-  handle :meth:`SpanRecorder.enter` returns is the open :class:`Span`
-  itself.  Components propagate the context side-band — in
+  (``TraceContext`` is the name instrumented code knows it by), and a
+  trace is its span table: one row of floats a span plus a column of
+  stage codes, so the recorder reaches it without looking anything up
+  and a span leaves no object behind.  The handle
+  :meth:`SpanRecorder.enter` returns names the open span's end in that
+  table.  Components propagate the context side-band — in
   ``Packet.meta``, as the last field of a decoded WQE or CQE record, in
   TLP metadata — and hand it back to the recorder together with
   timestamps.  Stages never mutate the trace directly.
@@ -46,8 +48,9 @@ Design notes
 
 from __future__ import annotations
 
-from math import frexp
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from array import array
+from math import frexp, inf
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -56,6 +59,7 @@ __all__ = [
     "SpanRecorder",
     "NullSpanRecorder",
     "NULL_SPANS",
+    "OPEN",
     "attribute_trace",
     "SPAN_SCHEMA_VERSION",
 ]
@@ -67,19 +71,24 @@ KIND_SERVICE = "service"
 KIND_QUEUE = "queue"
 
 
-class Span:
-    """One stage crossing: ``[start, end)`` at ``stage``.
+class Span(NamedTuple):
+    """One stage crossing: ``[start, end)`` at ``stage``, as read back.
 
     ``end`` is ``None`` while the packet is inside the stage; a span
     whose trace has ended but whose ``end`` is still ``None`` is an
     *orphan* — the invariant auditor reports it.
 
-    There is no ``__init__``: the recorder fills the six slots in its
-    own frame, so a span costs one Python call (``record``/``enter``),
-    not two.
+    The recorder keeps no ``Span``: a trace holds its spans as columns
+    (see :class:`Trace`), and a ``Span`` is built only when something
+    reads :attr:`Trace.spans` or :meth:`Trace.orphan_spans`.
     """
 
-    __slots__ = ("span_id", "trace_id", "stage", "kind", "start", "end")
+    span_id: int
+    trace_id: int
+    stage: str
+    kind: str
+    start: float
+    end: Optional[float]
 
     @property
     def duration(self) -> Optional[float]:
@@ -101,18 +110,51 @@ class Span:
                 f"[{self.start}, {self.end}])")
 
 
-class Trace:
-    """The span tree of one packet: a root interval plus stage spans."""
+#: An open span's end.  Simulated time is finite, so no stamped end
+#: equals it, and it lies past every root end, so attribution's clamp
+#: ends an open span at its root's end with no test of its own.
+OPEN = inf
 
-    __slots__ = ("trace_id", "name", "start", "end", "spans", "events")
 
-    def __init__(self, trace_id: int, name: str, start: float):
-        self.trace_id = trace_id
-        self.name = name
-        self.start = start
-        self.end: Optional[float] = None
-        self.spans: List[Span] = []
-        self.events: List[Tuple[float, str]] = []
+class Trace(array):
+    """The span tree of one packet: a root interval plus stage spans.
+
+    A trace *is* its span table, an ``array('d')`` of one row per span
+    in recording order — ``span_id, start, end`` — with the row's
+    ``(stage, kind)`` code in the :attr:`stages` column (a
+    ``bytearray`` of two bytes a span); ``stage_keys[code]`` is the
+    pair, in the recorder's table.  An open span's end is
+    :data:`OPEN`.  A recorded span is 26 bytes of the two columns and
+    no Python object, so a finished trace leaves one object for the
+    garbage collector to track (the trace), whatever its span count.
+
+    ``events`` is ``()`` until the first :meth:`SpanRecorder.event`.
+    Identity is by object, not by row contents.
+
+    There is no constructor of its own: :meth:`SpanRecorder.start_trace`
+    makes an empty ``Trace("d")`` and fills the slots in its own frame,
+    so a trace costs no Python call of its own.
+    """
+
+    __slots__ = ("trace_id", "name", "start", "end", "stages",
+                 "stage_keys", "span_count", "events")
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    # An array pickles and copies its items and __dict__, not a
+    # subclass's slots: copy through pickling's reduction, which keeps
+    # both.
+    __copy__ = __deepcopy__ = None
+
+    def __reduce_ex__(self, protocol):
+        return _rebuild_trace, (self.tobytes(), {
+            name: getattr(self, name) for name in Trace.__slots__})
+
+    def __repr__(self) -> str:
+        return (f"Trace({self.trace_id}, {self.name!r}, "
+                f"[{self.start}, {self.end}], {self.span_count} spans)")
 
     @property
     def finished(self) -> bool:
@@ -124,21 +166,53 @@ class Trace:
             return None
         return self.end - self.start
 
+    def _rows(self):
+        """``(span_id, start, end, stage code)`` of every span."""
+        return zip(self[0::3], self[1::3], self[2::3],
+                   array("H", self.stages))
+
+    @property
+    def spans(self) -> List[Span]:
+        """The spans in recording order, built on each read (a copy:
+        the trace does not change through it)."""
+        trace_id, keys = self.trace_id, self.stage_keys
+        return [Span(int(span_id), trace_id, *keys[code], start,
+                     None if end == OPEN else end)
+                for span_id, start, end, code in self._rows()]
+
     def orphan_spans(self) -> List[Span]:
         """Spans never exited although the root interval has ended."""
         if self.end is None:
             return []
-        return [span for span in self.spans if span.end is None]
+        trace_id, keys = self.trace_id, self.stage_keys
+        return [Span(int(span_id), trace_id, *keys[code], start, None)
+                for span_id, start, end, code in self._rows()
+                if end == OPEN]
 
     def to_dict(self) -> Dict[str, Any]:
+        keys = self.stage_keys
         return {
             "trace_id": self.trace_id,
             "name": self.name,
             "start": self.start,
             "end": self.end,
-            "spans": [span.to_dict() for span in self.spans],
+            "spans": [{"span_id": int(span_id),
+                       "stage": keys[code][0],
+                       "kind": keys[code][1],
+                       "start": start,
+                       "end": None if end == OPEN else end}
+                      for span_id, start, end, code in self._rows()],
             "events": [{"time": t, "name": n} for t, n in self.events],
         }
+
+
+def _rebuild_trace(rows: bytes, slots: Dict[str, Any]) -> Trace:
+    """Unpickle a :class:`Trace`: its rows, then its slots."""
+    trace = Trace("d")
+    trace.frombytes(rows)
+    for name, value in slots.items():
+        setattr(trace, name, value)
+    return trace
 
 
 #: What a sampled packet carries through the datapath: its trace.
@@ -177,12 +251,16 @@ def attribute_trace(trace: Trace) -> Tuple[Dict[Tuple[str, str], float],
     # What the root interval leaves of each span.  (start, span_id)
     # leads each entry: sorted, the spans stand in entry order, ties
     # broken by creation order so back-to-back stages partition
-    # cleanly.  Ids are unique, so no comparison reads on.
+    # cleanly.  Ids are unique, so no comparison reads on.  An open end
+    # is OPEN, past the root's end, so the clamp closes it there.
+    # The rows are read as Trace._rows reads them, inline: no call.
+    keys = trace.stage_keys
     clamped = sorted([
-        (start, span.span_id, end, span) for span in trace.spans
-        if (start := root_start if span.start < root_start else span.start)
-        < (end := root_end if span.end is None or span.end > root_end
-           else span.end)])
+        (start, span_id, end, keys[code])
+        for span_id, begin, finish, code in zip(
+            trace[0::3], trace[1::3], trace[2::3], array("H", trace.stages))
+        if (start := root_start if begin < root_start else begin)
+        < (end := root_end if finish > root_end else finish)])
     cuts = sorted({root_start, root_end, *[entry[0] for entry in clamped],
                    *[entry[2] for entry in clamped]})
 
@@ -204,8 +282,7 @@ def attribute_trace(trace: Trace) -> Tuple[Dict[Tuple[str, str], float],
         while depth and entered[depth - 1][2] <= left:
             depth -= 1
         if depth:
-            innermost = entered[depth - 1][3]
-            stage_key = (innermost.stage, innermost.kind)
+            stage_key = entered[depth - 1][3]
             if stage_key in totals:
                 totals[stage_key] += right - left
             else:
@@ -256,6 +333,12 @@ class SpanRecorder:
         # sample — keyed "e2e", "unattributed" or (stage, kind).
         self._sampler_counters: Dict[str, Any] = {}
         self._hists: Dict[Any, Any] = {}
+        # (stage, kind) pairs, interned: a trace's stage column holds a
+        # pair's code, ``_stage_keys[code]`` is the pair, and
+        # ``_stage_codes[stage, kind]`` is the code as the two bytes the
+        # column appends.
+        self._stage_keys: List[Tuple[str, str]] = []
+        self._stage_codes: Dict[Tuple[str, str], bytes] = {}
 
     # -- trace lifecycle -------------------------------------------------
     def start_trace(self, name: str, now: float) -> Optional[TraceContext]:
@@ -286,7 +369,15 @@ class SpanRecorder:
             return None
         trace_id = self._next_trace
         self._next_trace += 1
-        trace = self._traces[trace_id] = Trace(trace_id, name, now)
+        trace = self._traces[trace_id] = Trace("d")
+        trace.trace_id = trace_id
+        trace.name = name
+        trace.start = now
+        trace.end = None
+        trace.stages = bytearray()
+        trace.stage_keys = self._stage_keys
+        trace.span_count = 0     # rows in the table
+        trace.events = ()
         return trace
 
     @property
@@ -330,27 +421,43 @@ class SpanRecorder:
                 buckets[exponent] = 1
 
     # -- span recording --------------------------------------------------
+    # A span is one row appended to its trace — one builtin call (the
+    # ``extend``); its stage code goes on by ``+=``, which calls nothing.
+    def _stage_code(self, stage: str, kind: str) -> bytes:
+        """Intern a pair no span has used yet; its column bytes."""
+        code = self._stage_codes[stage, kind] = array(
+            "H", [len(self._stage_keys)]).tobytes()
+        self._stage_keys.append((stage, kind))
+        return code
+
     def enter(self, ctx: Optional[TraceContext], stage: str, now: float,
-              kind: str = KIND_SERVICE) -> Optional[Span]:
-        """Open a span; returns a handle for :meth:`exit` (or None)."""
+              kind: str = KIND_SERVICE) -> Optional[Tuple[Trace, int]]:
+        """Open a span; returns a handle for :meth:`exit` (or None).
+
+        The handle is ``(trace, index of the span's end in it)``: whoever
+        holds it may close the span in place (``if trace[at] == OPEN:
+        trace[at] = now``), as :meth:`exit` does.
+        """
         if ctx is None:
             return None
-        span = Span()
-        span.span_id = self._next_span
-        self._next_span += 1
-        span.trace_id = ctx.trace_id
-        span.stage = stage
-        span.kind = kind
-        span.start = now
-        span.end = None
-        ctx.spans.append(span)
-        return span
+        span_id = self._next_span
+        self._next_span = span_id + 1
+        ctx.extend((span_id, now, OPEN))
+        try:
+            ctx.stages += self._stage_codes[stage, kind]
+        except KeyError:
+            ctx.stages += self._stage_code(stage, kind)
+        count = ctx.span_count
+        ctx.span_count = count + 1
+        return ctx, 3 * count + 2
 
-    def exit(self, span_id: Optional[Span], now: float) -> None:
+    def exit(self, span_id: Optional[Tuple[Trace, int]], now: float) -> None:
         """Close the span :meth:`enter` handed out (once; a late exit
         after the root ended still stamps it, for the auditor)."""
-        if span_id is not None and span_id.end is None:
-            span_id.end = now
+        if span_id is not None:
+            trace, at = span_id
+            if trace[at] == OPEN:
+                trace[at] = now
 
     def record(self, ctx: Optional[TraceContext], stage: str,
                start: float, end: float,
@@ -358,21 +465,23 @@ class SpanRecorder:
         """Record a closed span retroactively (start/end both known)."""
         if ctx is None:
             return
-        span = Span()
-        span.span_id = self._next_span
-        self._next_span += 1
-        span.trace_id = ctx.trace_id
-        span.stage = stage
-        span.kind = kind
-        span.start = start
-        span.end = end
-        ctx.spans.append(span)
+        span_id = self._next_span
+        self._next_span = span_id + 1
+        ctx.extend((span_id, start, end))
+        try:
+            ctx.stages += self._stage_codes[stage, kind]
+        except KeyError:
+            ctx.stages += self._stage_code(stage, kind)
+        ctx.span_count += 1
 
     def event(self, ctx: Optional[TraceContext], name: str,
               now: float) -> None:
         """Attach a point annotation (e.g. ``rdma.retransmit``)."""
         if ctx is not None:
-            ctx.events.append((now, name))
+            if ctx.events:
+                ctx.events.append((now, name))
+            else:
+                ctx.events = [(now, name)]
 
     # -- serialization-boundary bridges ----------------------------------
     def stash(self, key: Any, ctx: Optional[TraceContext]) -> None:
@@ -457,7 +566,7 @@ class NullSpanRecorder:
         return None
 
     def enter(self, ctx, stage: str, now: float,
-              kind: str = KIND_SERVICE) -> Optional[Span]:
+              kind: str = KIND_SERVICE) -> Optional[Tuple[Trace, int]]:
         return None
 
     def exit(self, span_id, now: float) -> None:

@@ -436,17 +436,18 @@ GATES = (
          2_135),
     # Watching a packet: levels are pulled, a finished trace and a
     # hand-off fold their samples in place, the fabric stamps a TLP's
-    # span end itself, histograms are resolved once, and the recorder
-    # makes no per-sample builtin call.
-    ("echo.spans", ("echo-spans", "echo"), "frame", None, 105,
+    # span end itself, histograms are resolved once, the recorder makes
+    # no per-sample builtin call, and no Span is built from the columns.
+    ("echo.spans", ("echo-spans", "echo"), "frame", None, 91,
          ("telemetry/metrics.py:set|_get|histogram",
+          "telemetry/spans.py:spans|orphan_spans|to_dict",
           ("telemetry/metrics.py:observe",
            ("telemetry/spans.py:end_trace", "sim/engine.py:put_or_park")),
           ("telemetry/spans.py:exit", ("pcie/fabric.py:*",)),
           ("~:<built-in method builtins.max>|<built-in method builtins.min>"
            "|<built-in method builtins.isinstance>"
            "|<method 'add' of 'set' objects>",
-           ("telemetry/spans.py:*", "telemetry/metrics.py:*"))), (), 6_455),
+           ("telemetry/spans.py:*", "telemetry/metrics.py:*"))), (), 6_415),
     # The host side of the CPU echo: a one-page access is one frame (a
     # write subscripts a page dict that makes a page on first touch, a
     # read tests ``in``), the fused receive dispatch commits in its own

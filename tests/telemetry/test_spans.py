@@ -1,6 +1,8 @@
 """Unit tests for the causal span layer: recorder lifecycle, sampling,
 serialization-boundary bridges, and attribution exactness."""
 
+import gc
+
 import pytest
 
 from repro.telemetry import (
@@ -14,6 +16,7 @@ from repro.telemetry import (
     attribute_trace,
     audit_spans,
 )
+from repro.telemetry.spans import OPEN
 
 
 class TestRecorderLifecycle:
@@ -47,21 +50,23 @@ class TestRecorderLifecycle:
         assert spans.orphan_spans()[0].stage == "nic.rx"
 
     def test_late_exit_stamps_the_orphan_without_feeding_histograms(self):
-        # The handle is the span itself: nothing but the trace holds an
-        # entered-but-never-exited span, the auditor still names it, and
-        # closing it after the root ended attributes nothing twice.
+        # The handle names the span's end in its trace: nothing but the
+        # trace holds an entered-but-never-exited span, the auditor
+        # still names it, and closing it after the root ended attributes
+        # nothing twice.
         registry = MetricsRegistry()
         spans = SpanRecorder(registry=registry)
         ctx = spans.start_trace("pkt", 0.0)
         handle = spans.enter(ctx, "nic.rx", 1.0)
         spans.end_trace(ctx, 2.0)
-        assert spans.orphan_spans() == [handle]
+        assert spans.orphan_spans() == [Span(1, 1, "nic.rx", "service",
+                                             1.0, None)]
         assert [v.rule for v in audit_spans(spans)] == ["orphaned-span"]
         fed = registry.to_dict()["histograms"]
         spans.exit(handle, 5.0)
-        assert handle.end == 5.0 and spans.orphan_spans() == []
+        assert ctx.spans[0].end == 5.0 and spans.orphan_spans() == []
         spans.exit(handle, 9.0)     # a second exit changes nothing
-        assert handle.end == 5.0
+        assert ctx.spans[0].end == 5.0
         assert registry.to_dict()["histograms"] == fed
         assert fed["spans.e2e"]["count"] == 1
 
@@ -73,8 +78,25 @@ class TestRecorderLifecycle:
         assert spans.get_trace(ctx) is ctx
         assert spans.get_trace(ctx.trace_id) is ctx
         handle = spans.enter(ctx, "wire", 1.0)
-        assert isinstance(handle, Span) and ctx.spans == [handle]
+        assert handle == (ctx, 2) and ctx[2] == OPEN
+        assert ctx.spans == [Span(1, 1, "wire", "service", 1.0, None)]
         assert spans.to_dict()["schema"] == SPAN_SCHEMA_VERSION
+
+    def test_a_recorder_pickles_and_copies_whole(self):
+        import copy
+        import pickle
+        spans = SpanRecorder()
+        ctx = spans.start_trace("pkt", 0.0)
+        spans.record(ctx, "wire", 1.0, 2.0)
+        spans.enter(ctx, "nic.rx", 2.5, kind="queue")
+        spans.event(ctx, "drop", 3.0)
+        spans.end_trace(ctx, 4.0)
+        for clone in (pickle.loads(pickle.dumps(spans)),
+                      copy.deepcopy(spans)):
+            assert clone.to_dict() == spans.to_dict()
+            trace = clone.get_trace(1)
+            assert trace.stage_keys is clone._stage_keys
+            assert [v.rule for v in audit_spans(clone)] == ["orphaned-span"]
 
     def test_double_end_is_idempotent(self):
         spans = SpanRecorder()
@@ -273,5 +295,20 @@ class TestNullRecorder:
         assert "schema" in export
 
 
-def test_a_span_is_filled_in_the_recorders_frame():
-    assert "__init__" not in vars(Span)
+def test_a_recorded_span_is_a_row_of_its_trace_not_an_object():
+    spans = SpanRecorder()
+    ctx = spans.start_trace("pkt", 0.0)
+    spans.record(ctx, "wire", 1.0, 2.0)
+    handle = spans.enter(ctx, "nic.rx", 2.5, kind="queue")
+    spans.record(ctx, "wire", 3.0, 4.0)
+    assert list(ctx) == [1.0, 1.0, 2.0, 2.0, 2.5, OPEN, 3.0, 3.0, 4.0]
+    assert ctx.span_count == 3 and len(ctx.stages) == 6
+    spans.exit(handle, 3.5)
+    assert ctx[5] == 3.5
+    # Besides its class and the recorder's table of stage keys, what
+    # the trace holds is floats, bytes and strings: nothing the
+    # collector tracks, however many spans it has.
+    assert not any(gc.is_tracked(held) for held in gc.get_referents(ctx)
+                   if held is not Trace and held is not ctx.stage_keys)
+    assert [(s.stage, s.kind) for s in ctx.spans] == [
+        ("wire", "service"), ("nic.rx", "queue"), ("wire", "service")]
