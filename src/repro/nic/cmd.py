@@ -85,6 +85,7 @@ class AllocPd(Command):
 class CreateCq(Command):
     ring_addr: int = 0
     entries: int = 0
+    notify: bool = True     # False: the consumer reads CQEs as they land
 
 
 @dataclass
@@ -443,7 +444,7 @@ class CommandUnit:
         return CmdResult(CmdStatus.OK, handle, obj=pd)
 
     def _exec_create_cq(self, cmd: CreateCq) -> CmdResult:
-        cq = self.nic.create_cq(cmd.ring_addr, cmd.entries)
+        cq = self.nic.create_cq(cmd.ring_addr, cmd.entries, cmd.notify)
         handle = self.table.insert("cq", cq, label=f"cq{cq.cqn}")
         return CmdResult(CmdStatus.OK, handle, obj=cq)
 

@@ -185,8 +185,10 @@ class Nic(PcieEndpoint):
     # Control interface (firmware commands)
     # ------------------------------------------------------------------
 
-    def create_cq(self, ring_addr: int, entries: int) -> CompletionQueue:
-        cq = CompletionQueue(self.sim, self._next_cqn, ring_addr, entries)
+    def create_cq(self, ring_addr: int, entries: int,
+                  notify: bool = True) -> CompletionQueue:
+        cq = CompletionQueue(self.sim, self._next_cqn, ring_addr, entries,
+                             notify)
         self.cqs[cq.cqn] = cq
         self._next_cqn += 1
         return cq

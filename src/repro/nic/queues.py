@@ -34,17 +34,19 @@ class CompletionQueue:
     stands in for the consumer's poll loop discovering new entries (or an
     interrupt/event queue), without simulating busy-polling.  A consumer
     that sees each CQE land in its own memory (FLD, whose completion
-    rings are in its BAR) sets ``notify`` to ``None``: the NIC then
-    posts the CQE write with no callback, and nothing is queued.
+    rings are in its BAR) creates its CQ with ``notify=False``: ``notify``
+    is then ``None``, the NIC posts the CQE write with no callback, and
+    no store exists to queue, gauge or export anything.
     """
 
-    def __init__(self, sim: Simulator, cqn: int, ring_addr: int, entries: int):
+    def __init__(self, sim: Simulator, cqn: int, ring_addr: int, entries: int,
+                 notify: bool = True):
         self.sim = sim
         self.cqn = cqn
         self.ring_addr = ring_addr
         self.entries = _power_of_two(entries, "CQ entries")
         self.pi = 0     # advanced by the NIC as it writes each CQE
-        self.notify = Store(sim, name=f"cq{cqn}.notify")
+        self.notify = Store(sim, name=f"cq{cqn}.notify") if notify else None
         self.stats_cqes = 0
         # A consumer-installed fast path: when set, the NIC hands each
         # CQE's in-flight write handle straight to the consumer instead

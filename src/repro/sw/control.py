@@ -66,9 +66,9 @@ class ControlPlane:
 
     # -- allocation ------------------------------------------------------
 
-    def alloc_cq(self, ring_addr: int, entries: int):
-        return self._run(CreateCq(ring_addr=ring_addr, entries=entries),
-                         "create-cq").obj
+    def alloc_cq(self, ring_addr: int, entries: int, notify: bool = True):
+        return self._run(CreateCq(ring_addr=ring_addr, entries=entries,
+                                  notify=notify), "create-cq").obj
 
     def alloc_sq(self, ring_addr: int, entries: int, cq, vport: int = 0,
                  transport: str = "eth", meter: Optional[str] = None):

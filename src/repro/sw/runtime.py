@@ -117,15 +117,12 @@ class FldRuntime:
         """A NIC completion queue whose ring is FLD cq ``cq_index``.
 
         FLD reads each CQE as its write lands in the BAR, so the CQ has
-        no notify consumer: the NIC posts its CQE writes with no
-        callback.
+        no notify store: the NIC posts its CQE writes with no callback.
         """
-        cq = self.ctrl.alloc_cq(
+        return self.ctrl.alloc_cq(
             self.fld_bar_base + fld_bar.cq_address(cq_index),
-            self.fld.config.cq_entries,
+            self.fld.config.cq_entries, notify=False,
         )
-        cq.notify = None
-        return cq
 
     def create_eth_tx_queue(self, vport: int, entries: int = 1024,
                             use_mmio: bool = True,
