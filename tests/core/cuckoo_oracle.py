@@ -52,9 +52,9 @@ class OracleCuckooTable:
     # -- hashing -----------------------------------------------------------
 
     # A bank's slot for a key is ``((hash(key) ^ salt) * _SLOT_MULT &
-    # _MASK64) % bank_size``.  Every operation hashes the key once and
-    # mixes it per bank inline — a hardware probe reads all four banks
-    # in one cycle; one Python frame per bank is pure model cost.
+    # _MASK64) * bank_size >> 64``.  Every operation hashes the key once
+    # and mixes it per bank inline — a hardware probe reads all four
+    # banks in one cycle; one Python frame per bank is pure model cost.
 
     # -- operations --------------------------------------------------------
 
@@ -70,7 +70,7 @@ class OracleCuckooTable:
         hashed = hash(key)
         size = self.bank_size
         for bank, salt in zip(self._banks, _BANK_SALTS):
-            entry = bank[((hashed ^ salt) * _SLOT_MULT & _MASK64) % size]
+            entry = bank[((hashed ^ salt) * _SLOT_MULT & _MASK64) * size >> 64]
             if entry is not None and entry[0] == key:
                 return entry[1]
         for k, v in self._stash:
@@ -98,7 +98,7 @@ class OracleCuckooTable:
         size = self.bank_size
         free = None
         for bank, salt in zip(self._banks, _BANK_SALTS):
-            slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) % size
+            slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) * size >> 64
             entry = bank[slot]
             if entry is None:
                 if free is None:
@@ -128,7 +128,8 @@ class OracleCuckooTable:
             raise CuckooFullError("stash full; insertion stalled")
         index = self.stats_kicks % NUM_BANKS
         bank = self._banks[index]
-        slot = ((hashed ^ _BANK_SALTS[index]) * _SLOT_MULT & _MASK64) % size
+        slot = ((hashed ^ _BANK_SALTS[index]) * _SLOT_MULT
+                & _MASK64) * size >> 64
         self._stash.append(bank[slot])
         bank[slot] = item
         self._count += 1
@@ -143,7 +144,7 @@ class OracleCuckooTable:
         for item in self._stash:
             hashed = hash(item[0])
             for bank, salt in zip(self._banks, _BANK_SALTS):
-                slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) % size
+                slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) * size >> 64
                 if bank[slot] is None:
                     bank[slot] = item
                     break
@@ -155,7 +156,7 @@ class OracleCuckooTable:
         hashed = hash(key)
         size = self.bank_size
         for bank, salt in zip(self._banks, _BANK_SALTS):
-            slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) % size
+            slot = ((hashed ^ salt) * _SLOT_MULT & _MASK64) * size >> 64
             entry = bank[slot]
             if entry is not None and entry[0] == key:
                 bank[slot] = None

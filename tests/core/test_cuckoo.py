@@ -89,6 +89,21 @@ class TestCapacityBehaviour:
         assert 0 < table.occupancy <= 0.5
 
 
+class TestBankIndependence:
+    def test_a_power_of_two_bank_size_spreads_keys_of_one_low_bit_class(self):
+        # A slot is the high bits of the key's mixed hash.  Taken modulo
+        # a power-of-two bank size it was the low bits, which depend only
+        # on the key's low bits: at bank size 4 every multiple of 4 had
+        # the slots (1, 3, 1, 1), so the ninth of them stalled a
+        # 16-entry table on its full stash.
+        table = CuckooHashTable(capacity=16, load_factor=1.0)
+        assert table.bank_size == 4
+        for key in range(0, 64, 4):
+            table.insert(key, key)
+        assert len(table) == 16 and table.stats_stalls == 0
+        assert table.stats_kicks <= 1
+
+
 class TestStash:
     def test_stash_peak_recorded_under_pressure(self):
         """At high load factors collisions spill to the stash."""

@@ -24,10 +24,12 @@ from repro.core.cuckoo import CuckooHashTable
 
 from .cuckoo_oracle import OracleCuckooTable
 
-# Multiples of 4 share every bank's slot at bank sizes 1, 2 and 4 (at a
-# power-of-two bank size a slot depends only on the hash's low bits), so
-# they kick, fill the stash and stall on it well under capacity.
-CLUSTERED = st.integers(0, 11).map(lambda k: 4 * k)
+# Keys that share every bank's slot at bank sizes 1, 2 and 4 — slot
+# (2, 1, 1, 3) at bank size 4 (a slot is the high bits of the key's
+# mixed hash, so sharing at 4 means sharing at 2 and 1) — so they kick,
+# fill the stash and stall on it well under capacity.
+CLASS = (53, 217, 253, 320, 409, 538, 561, 574, 652, 1352, 1484, 1581)
+CLUSTERED = st.sampled_from(CLASS)
 KEYS = (CLUSTERED | st.integers(0, 40)
         | st.tuples(st.integers(0, 3), st.integers(0, 9)))
 VALUES = st.none() | st.integers(0, 9)
@@ -93,11 +95,11 @@ TestCuckooMachine = CuckooMachine.TestCase
 
 def test_a_tiny_table_kicks_drains_and_stalls_both_ways():
     """A fixed history, the two tables agreeing at every step.  At bank
-    size 4 (16 entries at load factor 1) the multiples of 4 share every
-    bank's slot: four fill the banks, four are kicked into the stash, a
-    ninth stalls on the full stash, and a remove drains the stash into
-    the slot it frees.  Other keys then fill the table until the
-    capacity refuses, and it empties."""
+    size 4 (16 entries at load factor 1) the keys of ``CLASS`` share
+    every bank's slot: four fill the banks, four are kicked into the
+    stash, a ninth stalls on the full stash, and a remove drains the
+    stash into the slot it frees.  Other keys then fill the table until
+    the capacity refuses, and it empties."""
     machine = CuckooMachine()
     machine.build(capacity=16, load_factor=1.0)
     table = machine.tables[0]
@@ -106,16 +108,16 @@ def test_a_tiny_table_kicks_drains_and_stalls_both_ways():
         getattr(machine, operation)(*args)
         machine.the_index_replays_the_probes()
 
-    for key in range(0, 36, 4):
+    for key in CLASS[:9]:
         step("insert", key, key)
     assert (table.stats_kicks, len(table._stash), table.stats_stalls,
             len(table)) == (4, 4, 1, 8)
-    step("remove", 0)
+    step("remove", CLASS[0])
     assert len(table._stash) == 3 and len(table) == 7
     for key in range(1, 100):
         if len(table) == 16:
             break
-        if key % 4:
+        if key not in CLASS:
             step("insert", key, key)
     step("insert", 100, 100)
     assert table.stats_stalls == 2 and len(table) == 16
@@ -129,17 +131,18 @@ def test_a_tiny_table_kicks_drains_and_stalls_both_ways():
 
 
 def test_a_kicked_victim_drains_into_its_first_free_bank():
-    """At bank size 3 (12 entries at load factor 1) 9 hashes to slot 0
-    in every bank, and 11, 18, 4 and 28, inserted first, land there in
-    banks 0 to 3.  Inserting 9 kicks 11 out of bank 0; of 11's other
-    slots, those in banks 1 and 3 are free, and it drains into bank 1,
-    the first in bank order — as the probing table places it."""
+    """At bank size 3 (12 entries at load factor 1) 0 hashes to slots
+    (2, 0, 0, 1), and 21, 6, 61 and 68, inserted first, land there in
+    banks 0 to 3.  Inserting 0 kicks 21 out of bank 0; 21's slots are
+    (2, 1, 0, 0), so of its other slots those in banks 1 and 3 are
+    free, and it drains into bank 1, the first in bank order — as the
+    probing table places it."""
     machine = CuckooMachine()
     machine.build(capacity=12, load_factor=1.0)
     table = machine.tables[0]
-    for key in (11, 18, 4, 28, 9):
+    for key in (21, 6, 61, 68, 0):
         machine.insert(key, key)
         machine.the_index_replays_the_probes()
     assert table.stats_kicks == 1 and not table._stash
-    bank, slot = table._where[11]
-    assert bank is table._banks[1] and bank[slot] == (11, 11)
+    bank, slot = table._where[21]
+    assert bank is table._banks[1] and bank[slot] == (21, 21)
