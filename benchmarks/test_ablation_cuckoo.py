@@ -6,6 +6,10 @@ and stalls under an FLD-like insert/remove churn — showing why the 2x
 provisioning (and the 4-entry stash) is the right spend.
 """
 
+import os
+import subprocess
+import sys
+
 from repro.core import CuckooFullError, CuckooHashTable
 
 from .conftest import print_table, run_once
@@ -65,20 +69,38 @@ def test_ablation_cuckoo_load_factor(benchmark):
     assert sum(r["stalls"] for r in rows[2:]) >= 0  # tight tables may stall
 
 
+def _fill_burst():
+    """Insert into a 512-entry table at load factor 0.98 until it
+    refuses.  The keys are tuples of ints, whose hash is the same in
+    every process (a str's is salted per process: ``PYTHONHASHSEED``)."""
+    table = CuckooHashTable(capacity=512, load_factor=0.98)
+    placed = 0
+    try:
+        for i in range(512):
+            table.insert((1, i), i)
+            placed += 1
+    except CuckooFullError:
+        pass
+    return {"placed": placed, "stash_peak": table.stats_stash_peak,
+            "kicks": table.stats_kicks}
+
+
 def test_ablation_stash_usage(benchmark):
     """The 4-entry stash absorbs collision bursts at high pressure."""
-    def run():
-        table = CuckooHashTable(capacity=512, load_factor=0.98)
-        placed = 0
-        try:
-            for i in range(512):
-                table.insert(("burst", i), i)
-                placed += 1
-        except CuckooFullError:
-            pass
-        return {"placed": placed, "stash_peak": table.stats_stash_peak,
-                "kicks": table.stats_kicks}
-
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, _fill_burst)
     print_table("Ablation: stash under a fill burst", [result])
     assert result["placed"] > 256  # the stash keeps the fill going deep
+
+
+def test_fill_burst_row_does_not_depend_on_the_hash_seed():
+    """The burst's row, run in a fresh process under ``PYTHONHASHSEED``
+    0 and under 1, is the same."""
+    rows = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        rows.append(subprocess.run(
+            [sys.executable, "-c", "from benchmarks.test_ablation_cuckoo "
+             "import _fill_burst; print(_fill_burst())"],
+            env=env, capture_output=True, text=True, check=True).stdout)
+    assert rows[0] == rows[1], rows

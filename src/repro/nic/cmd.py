@@ -340,12 +340,6 @@ class ObjectTable:
     def get(self, handle: int) -> Optional[ObjectEntry]:
         return self._entries.get(handle)
 
-    def kind_of(self, handle: int) -> Optional[str]:
-        code = handle >> self._KIND_SHIFT
-        if not 1 <= code <= len(self.KINDS):
-            return None
-        return self.KINDS[code - 1]
-
     def handle_of(self, obj: Any) -> Optional[int]:
         return self._by_obj.get(id(obj))
 

@@ -20,6 +20,9 @@ from .steering import (
     Disposition, ForwardToUplink, SteeringError, SteeringPipeline,
 )
 
+DROP, UPLINK, VPORT = Disposition.DROP, Disposition.UPLINK, Disposition.VPORT
+MAX_HOPS = SteeringPipeline.MAX_HOPS
+
 
 class EthernetPort:
     """A MAC serializing frames onto a wire at the port's line rate."""
@@ -56,26 +59,20 @@ class EthernetPort:
         self.peer = peer
         peer.peer = self
 
-    def send(self, packet: Packet) -> None:
+    def send(self, packet: Packet, arrival: Optional[float] = None) -> None:
+        """Serialize ``packet`` onto the wire, handed over now or, for an
+        egress stage that resolves a transmit before its pipeline
+        occupancy has elapsed, at the future instant ``arrival``."""
         self.stats_tx_packets += 1
         if self._spans.enabled and "trace_ctx" in packet.meta:
             # Stamp serialization start; the receiving port closes the
             # span.  Retransmitted copies carry their own stamp (meta is
             # copied per frame), so every wire crossing is recorded.
-            packet.meta["trace_wire_t0"] = self.sim._now
-        self.link.send(packet, packet.wire_size() * 8)
-
-    def send_at(self, packet: Packet, arrival: float) -> None:
-        """Like :meth:`send`, arbitrating for the wire as if the frame
-        were handed over at the future instant ``arrival``.
-
-        Used by egress stages that resolve a transmit before its
-        pipeline occupancy has elapsed.
-        """
-        self.stats_tx_packets += 1
-        if self._spans.enabled and "trace_ctx" in packet.meta:
-            packet.meta["trace_wire_t0"] = arrival
+            packet.meta["trace_wire_t0"] = (
+                self.sim._now if arrival is None else arrival)
         self.link.send(packet, packet.wire_size() * 8, arrival)
+
+    send_at = send
 
     def _receive(self, packet: Packet) -> None:
         self.stats_rx_packets += 1
@@ -125,6 +122,7 @@ class ESwitch:
         # it consumed the frame.
         self.pre_rx_hook: Optional[Callable[[Packet], bool]] = None
         self.pipeline = SteeringPipeline()
+        self._index = self.pipeline.index
         # Default FDB behaviour: send everything out the wire.
         self.pipeline.table(self.FDB_ROOT, default_actions=[ForwardToUplink()])
         self.vports: Dict[int, VPort] = {}
@@ -158,44 +156,71 @@ class ESwitch:
         """Carry one frame across the switch in one pass: the FDB's
         verdict, then each vPort receive table it forwards into (at most
         ``MAX_HOPS``, each vPort offering a RoCE frame to
-        ``pre_rx_hook``).
+        ``pre_rx_hook``).  A table in the pipeline's ``index`` is looked
+        up here, in this frame; any other runs its lowered form.
 
         No ``disposition``: ``packet`` is off the wire and runs the FDB
         here, a miss dropped (split horizon, no hairpin).  Otherwise it
-        is an egress verdict over ``packet`` from ``from_vport`` (None
-        for an FLD-E resume table).
+        is an egress verdict, over its own packet, from ``from_vport``
+        (None for an FLD-E resume table).
         """
-        if disposition is None:
-            disposition = self.pipeline.process(packet, self.FDB_ROOT)
-            if disposition.kind == Disposition.UPLINK:
-                self.stats_fdb_drops += 1
-                return
+        index = self._index
         vport = from_vport
         entered = 0
-        while disposition.kind == Disposition.VPORT:
-            if entered == SteeringPipeline.MAX_HOPS:
-                raise SteeringError("vPort forwarding loop exceeded MAX_HOPS")
-            if not entered and from_vport is not None:
+        if disposition is None:
+            root = self.FDB_ROOT
+        else:
+            root = None
+            verdict = disposition
+            packet = disposition[2]
+        while True:
+            if root is not None:
+                try:
+                    key_of, hits, verdict = index[root]
+                except KeyError:    # not indexed: its lowered form
+                    verdict = self.pipeline.process(packet, root)
+                    packet = verdict[2]
+                else:
+                    if key_of is not None:
+                        key = key_of(packet.layout or packet.fields())
+                        if key in hits:
+                            verdict = hits[key]
+            kind = verdict[0]
+            if kind != VPORT:
+                break
+            if entered:
+                if entered == MAX_HOPS:
+                    raise SteeringError(
+                        "vPort forwarding loop exceeded MAX_HOPS")
+            elif from_vport is not None:
                 self.stats_loopback += 1
             entered += 1
-            vport = self.vports[disposition.target]
+            vport = self.vports[verdict[1]]
             vport.stats_rx += 1
-            packet = disposition.packet
             hook = self.pre_rx_hook
             if (hook is not None
                     and (packet.layout or packet.fields())[BTH] is not None
                     and hook(packet)):
                 return
-            disposition = self.pipeline.process(packet, vport.rx_root)
-        kind = disposition.kind
-        if kind == Disposition.UPLINK:
+            root = vport.rx_root
+        if kind == UPLINK:
             if not entered:
+                if disposition is None:
+                    self.stats_fdb_drops += 1
+                    return
                 self.stats_to_uplink += 1
-            self.port.send(disposition.packet)
-        elif kind == Disposition.DROP:
+            self.port.send(packet)
+        elif kind == DROP:
             self.stats_fdb_drops += 1
-        else:   # queue, RSS or accelerator, maybe straight off the FDB
-            self._deliver(vport, disposition)
+        elif verdict.__class__ is Disposition:
+            self._deliver(vport, verdict)
+        else:   # an index's verdict prefix for a queue, RSS or accelerator
+            kind, target, context_id, next_table = verdict
+            meta = packet.meta
+            self._deliver(vport, Disposition((
+                kind, target, packet, context_id or (
+                    meta["context_id"] if "context_id" in meta else 0),
+                next_table, [])))
 
     #: The port's receive callback: a frame off the wire.
     ingress_from_wire = forward
@@ -214,8 +239,18 @@ class ESwitch:
         """
         vport = self.vports[vport_number]
         vport.stats_tx += 1
-        if vport.tx_root is not None:
-            disposition = self.pipeline.process(packet, vport.tx_root)
-        else:
-            disposition = self.pipeline.process(packet, self.FDB_ROOT)
-        return disposition, vport
+        root = vport.tx_root or self.FDB_ROOT
+        try:
+            key_of, hits, verdict = self._index[root]
+        except KeyError:    # not indexed: its lowered form
+            return self.pipeline.process(packet, root), vport
+        if key_of is not None:
+            key = key_of(packet.layout or packet.fields())
+            if key in hits:
+                verdict = hits[key]
+        kind, target, context_id, next_table = verdict
+        meta = packet.meta
+        return Disposition((
+            kind, target, packet, context_id or (
+                meta["context_id"] if "context_id" in meta else 0),
+            next_table, [])), vport

@@ -99,7 +99,8 @@ def test_a_tiny_table_kicks_drains_and_stalls_both_ways():
     every bank's slot: four fill the banks, four are kicked into the
     stash, a ninth stalls on the full stash, and a remove drains the
     stash into the slot it frees.  Other keys then fill the table until
-    the capacity refuses, and it empties."""
+    the capacity refuses, and it empties.  Each value is ``~key``: a
+    drain that hashed the value would put its entry in another slot."""
     machine = CuckooMachine()
     machine.build(capacity=16, load_factor=1.0)
     table = machine.tables[0]
@@ -109,7 +110,7 @@ def test_a_tiny_table_kicks_drains_and_stalls_both_ways():
         machine.the_index_replays_the_probes()
 
     for key in CLASS[:9]:
-        step("insert", key, key)
+        step("insert", key, ~key)
     assert (table.stats_kicks, len(table._stash), table.stats_stalls,
             len(table)) == (4, 4, 1, 8)
     step("remove", CLASS[0])
@@ -118,8 +119,8 @@ def test_a_tiny_table_kicks_drains_and_stalls_both_ways():
         if len(table) == 16:
             break
         if key not in CLASS:
-            step("insert", key, key)
-    step("insert", 100, 100)
+            step("insert", key, ~key)
+    step("insert", 100, ~100)
     assert table.stats_stalls == 2 and len(table) == 16
     for key in list(table._where):
         step("lookup", key)
@@ -141,8 +142,8 @@ def test_a_kicked_victim_drains_into_its_first_free_bank():
     machine.build(capacity=12, load_factor=1.0)
     table = machine.tables[0]
     for key in (21, 6, 61, 68, 0):
-        machine.insert(key, key)
+        machine.insert(key, ~key)
         machine.the_index_replays_the_probes()
     assert table.stats_kicks == 1 and not table._stash
     bank, slot = table._where[21]
-    assert bank is table._banks[1] and bank[slot] == (21, 21)
+    assert bank is table._banks[1] and bank[slot] == (21, ~21)

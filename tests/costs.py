@@ -360,6 +360,7 @@ SEND = "~:<method 'send' of 'generator' objects>"
 DRIVE, CORE, NIC = "tests/costs.py:drive", "/repro/core/", "/repro/nic/"
 HOST = "/repro/host/:*"
 PCIE = ("/repro/pcie/", "sim/resources.py")
+STEERING = ("nic/steering.py", "nic/eswitch.py")
 THAWED = ("/packet.py:find|append|_thaw|<genexpr>|<listcomp>",
           "/parse.py:parse_headers", "/ethernet.py:unpack", "/ip.py:unpack|pack",
           "/udp.py:unpack")
@@ -378,20 +379,22 @@ PER_TLP = (":decode|port_of|retire|_check|completion_chunks|*bisect*",
 GATES = (
     # A received frame keeps its parse: only each transmitting NIC
     # parses; no whole-frame parse, size helper or checksum chain.
-    ("echo", "echo", "frame", None, 356,
+    ("echo", "echo", "frame", None, 352,
          ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
           "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),),
-         14_080),
+         13_680),
     # A descriptor is its bytes: one pack and one unpack_from, no codec.
     ("echo.descriptors", "echo", "frame", None, None,
          ("nic/wqe.py:*", "core/descriptors.py:*"), ()),
-    # A steered frame is one pass: one process per table crossed, one
-    # forward per eSwitch crossing, no per-rule or per-verdict frame.
-    ("echo.steering", "echo", "frame", None, None,
-         ("/steering.py:lookup|matches|__init__",
+    # A steered frame reads each table's verdict off its index in the
+    # eSwitch's frame: one forward per eSwitch crossing and one
+    # egress_resolve per transmit, and no steering.py frame (no process,
+    # lowered table or action list, no per-rule or per-verdict frame).
+    ("echo.steering", "echo", "frame", STEERING, None,
+         ("nic/steering.py:*",
           "/eswitch.py:_apply_fdb|ingress_to_vport|apply_at"),
-         (("nic/steering.py:process", "==", 6),
-          ("nic/eswitch.py:forward", "==", 2))),
+         (("nic/eswitch.py:forward", "==", 2),
+          ("nic/eswitch.py:egress_resolve", "==", 2)), 567),
     # An FLD packet pays only for its translations: no BAR object, no
     # helper folded into a stage, no cycle count through its config;
     # two maps at submit, one translation by the NIC's read, two unmaps.
@@ -464,16 +467,21 @@ GATES = (
     ("closed-loop", "closed-loop", "round trip", None, None,
          ("sim/engine.py:timeout",),
          ((Event.__init__, "==", 2 / TRIPS), (Process.__init__, "==", 1 / TRIPS),
-          (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 14_895),
+          (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 14_505),
     # An RC segment is its bytes: no net/roce.py frame, one BTH read per
     # segment received (a data segment each way and an ACK for each).  A
     # multi-TLP write or read is sized by arithmetic: no chunk list, and
     # a write train finds its route without a frame.
-    ("fldr", "fldr", "request", None, 510,
+    ("fldr", "fldr", "request", None, 501,
          ("net/roce.py:*", "pcie/tlp.py:split_write_bytes|completion_chunks",
           ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",))),
          (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4)),
-         17_780),
+         17_220),
+    # The same for RC segments: each crosses its eSwitch in one forward.
+    ("fldr.steering", "fldr", "request", STEERING, None,
+         ("nic/steering.py:*",),
+         (("nic/eswitch.py:forward", "==", 8),
+          ("nic/eswitch.py:egress_resolve", "==", 4)), 1_149),
     # The PCIe accounting: the fabric's transactions and the lanes they
     # reserve, in bytecode instructions, for 512 B requests (write and
     # completion trains) and for 64 B echoes (single TLPs).
@@ -481,11 +489,11 @@ GATES = (
     ("echo.pcie", "echo", "frame", PCIE, 67.6, (), (), 5_140),
     # A NIC frame is one pass per direction: no helper folded into a
     # stage, no per-frame device object.
-    ("nic.send", "nic-send", "frame", NIC, 18, NIC_FOLDED, (), 726),
-    ("nic.receive", "nic-receive", "frame", NIC, 17, NIC_FOLDED, (), 769),
+    ("nic.send", "nic-send", "frame", NIC, 16.3, NIC_FOLDED, (), 662),
+    ("nic.receive", "nic-receive", "frame", NIC, 13.5, NIC_FOLDED, (), 638),
     # A frame is steered off its layout: never thawed, rebuilt, re-packed.
-    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 21.4, THAWED, (),
-     713),
+    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 19.3, THAWED, (),
+     581),
     ("rx.echo-accelerator", "echo-accelerator", "frame", None, 14, THAWED, (),
      352),
     # A TLP is its lane entry: no address decode, lane search or retire,
