@@ -10,25 +10,22 @@ Benches hold **no state at module scope**: each test builds its own
 :class:`~repro.experiments.setups.Calibration` (via the ``calibration``
 fixture) and its own testbed, so pool workers / parallel pytest runs
 cannot cross-contaminate.  Sweep-shaped benches execute through
-:func:`repro.sweep.run_sweep` via :func:`run_points`:
+:func:`repro.sweep.run_sweep` via :func:`run_points`.
 
-* ``REPRO_JOBS=N``      runs each sweep across N worker processes
-                        (bit-identical results — CI diffs them);
-* ``REPRO_CACHE_DIR=d`` memoizes sweep points in ``d`` across runs
-                        (off by default: a benchmark that reads cached
-                        results would time nothing).
+``REPRO_JOBS=N`` runs each sweep across N worker processes
+(bit-identical results — CI diffs them).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import pytest
 
 from repro.experiments.setups import Calibration
 from repro.reporting import format_table
-from repro.sweep import SweepCache, SweepPoint, default_cache, run_sweep
+from repro.sweep import SweepPoint, run_sweep
 
 
 def sweep_jobs() -> int:
@@ -36,15 +33,9 @@ def sweep_jobs() -> int:
     return max(1, int(os.environ.get("REPRO_JOBS", "1")))
 
 
-def sweep_cache() -> Optional[SweepCache]:
-    """A shared result cache, only when REPRO_CACHE_DIR is set."""
-    directory = os.environ.get("REPRO_CACHE_DIR")
-    return default_cache(directory) if directory else None
-
-
 def run_points(points: Sequence[SweepPoint]) -> List:
     """Execute a benchmark's sweep under the environment's knobs."""
-    return run_sweep(points, jobs=sweep_jobs(), cache=sweep_cache()).rows
+    return run_sweep(points, jobs=sweep_jobs()).rows
 
 
 @pytest.fixture

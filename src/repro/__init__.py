@@ -1,8 +1,8 @@
 """FlexDriver (ASPLOS 2022) reproduction.
 
-``__version__`` participates in every sweep-cache key
-(:mod:`repro.sweep`): bumping it retires all memoized experiment
-results, so bump it whenever simulation behaviour changes.
+``__version__`` is the package release and feeds nothing simulated:
+sweep seeds hash the frozen :data:`repro.sweep.points.SEED_VERSION`,
+so a release bump moves no simulated byte.
 """
 
 __version__ = "1.1.0"

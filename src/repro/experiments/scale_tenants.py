@@ -178,11 +178,10 @@ def throughput(tenants: int, size: int = 256, count: int = 400,
 
 def sweep_points(tenant_counts=(1, 2, 4), size: int = 256,
                  count: int = 400) -> List[SweepPoint]:
-    """One point per tenant count; the spec joins each cache key."""
+    """One point per tenant count."""
     return [
         SweepPoint("scale-tenants",
                    "repro.experiments.scale_tenants:throughput",
-                   {"tenants": tenants, "size": size, "count": count},
-                   topology=scale_tenants_spec(tenants).to_dict())
+                   {"tenants": tenants, "size": size, "count": count})
         for tenants in tenant_counts
     ]

@@ -195,7 +195,11 @@ class ESwitch:
             elif from_vport is not None:
                 self.stats_loopback += 1
             entered += 1
-            vport = self.vports[verdict[1]]
+            try:
+                vport = self.vports[verdict[1]]
+            except KeyError:    # no such vPort: dropped, not raised
+                self.stats_fdb_drops += 1
+                return
             vport.stats_rx += 1
             hook = self.pre_rx_hook
             if (hook is not None

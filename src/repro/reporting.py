@@ -7,8 +7,7 @@ suite's output.
 
 Simulated sections execute through :mod:`repro.sweep`: ``--jobs N``
 fans their sweep points across a process pool (bit-identical output to
-``--jobs 1``), and results are memoized under ``.repro-cache/`` unless
-``--no-cache`` is given, so a re-run re-simulates nothing.
+``--jobs 1``).
 
 ``trace``, ``latency``, ``profile`` and ``objects`` observe one
 :mod:`repro.scenario` row (``--list`` names them).
@@ -31,40 +30,30 @@ from .models.memory import (
     table3,
 )
 from .models.perf import figure7a
-from .sweep import SweepCache, SweepPoint, default_cache, run_sweep
+from .sweep import SweepPoint, run_sweep
 
 
 @dataclass
 class RenderContext:
     """How simulated renderers execute their sweeps.
 
-    Carries the parallelism/caching knobs from the CLI into each
-    renderer and accumulates where the work actually happened, for the
-    end-of-run summary (printed to stderr — stdout stays byte-identical
-    across ``--jobs`` values and cache states).
+    Carries ``--jobs`` from the CLI into each renderer and counts the
+    points run, for the end-of-run summary (printed to stderr — stdout
+    stays byte-identical across ``--jobs`` values).
     """
 
     jobs: int = 1
-    cache: Optional[SweepCache] = None
     points: int = 0
-    computed: int = 0
-    cache_hits: int = 0
 
     def sweep(self, points: Sequence[SweepPoint]) -> List:
-        outcome = run_sweep(points, jobs=self.jobs, cache=self.cache)
+        outcome = run_sweep(points, jobs=self.jobs)
         self.points += outcome.points
-        self.computed += outcome.computed
-        self.cache_hits += outcome.cache_hits
         return outcome.rows
 
     def summary(self) -> Optional[str]:
         if not self.points:
             return None
-        where = (self.cache.directory if self.cache is not None
-                 else "disabled")
-        return (f"sweep: {self.points} points, {self.computed} simulated, "
-                f"{self.cache_hits} cached (jobs={self.jobs}, "
-                f"cache={where})")
+        return f"sweep: {self.points} points (jobs={self.jobs})"
 
 
 def format_table(title: str, rows: List[Dict], columns=None) -> str:
@@ -250,23 +239,11 @@ _FIGURE_SECTIONS = ("fig4", "fig7a", "fig7b", "fig8a", "defrag", "iot")
 
 
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
-    """The sweep-execution knobs of every command that runs a sweep."""
+    """The sweep-execution knob of every command that runs a sweep."""
     parser.add_argument(
         "-j", "--jobs", type=int, default=1, metavar="N",
         help="run simulated sweep points across N worker processes "
              "(output is bit-identical to --jobs 1)")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="do not read or write the sweep result cache")
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="sweep cache location (default: .repro-cache/, or "
-             "$REPRO_CACHE_DIR)")
-
-
-def _make_context(args: argparse.Namespace) -> RenderContext:
-    cache = None if args.no_cache else default_cache(args.cache_dir)
-    return RenderContext(jobs=args.jobs, cache=cache)
 
 
 def _add_group_arguments(parser: argparse.ArgumentParser,
@@ -321,8 +298,8 @@ def _configure_latency(sub) -> None:
                          help="trace one in every N packets (default: 1)")
     latency.add_argument("--sweep", action="store_true",
                          help="merge attribution across the scenario's "
-                              "standard sweep via the result cache "
-                              "(approximate log2-bucket percentiles)")
+                              "standard sweep (approximate log2-bucket "
+                              "percentiles)")
     _add_sweep_options(latency)
 
 
@@ -397,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_group(sections: Sequence[str], full: bool,
-               ordered: Sequence[str], ctx: RenderContext) -> int:
+               ordered: Sequence[str], jobs: int) -> int:
+    ctx = RenderContext(jobs=jobs)
     bad = [s for s in sections if s not in ordered]
     if bad:
         print(f"unknown sections: {', '.join(bad)}; "
@@ -435,14 +413,13 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         print(exc)
         return 2
     if points is not None:
-        ctx = _make_context(args)
-        outcome = run_sweep(points, jobs=ctx.jobs, cache=ctx.cache)
+        outcome = run_sweep(points, jobs=args.jobs)
         print(render_report(
             report_from_registry(outcome.metrics),
             title=f"Latency attribution: {name} sweep "
                   f"(merged across {outcome.points} points)"))
-        print(f"sweep: {outcome.points} points, {outcome.computed} "
-              f"simulated, {outcome.cache_hits} cached", file=sys.stderr)
+        print(f"sweep: {outcome.points} points (jobs={args.jobs})",
+              file=sys.stderr)
         return 0
     summary = observe(
         kind, name, getattr(args, "count", None), size, args.output,
@@ -529,7 +506,7 @@ def _cmd_scale_tenants(args: argparse.Namespace) -> int:
         return 2
     if _usage_error(args.command, ["scale-tenants"], args.size, args.count):
         return 2
-    ctx = _make_context(args)
+    ctx = RenderContext(jobs=args.jobs)
     rows = ctx.sweep(scale_tenants.sweep_points(
         tuple(args.tenants), size=args.size, count=args.count))
     print(format_table(
@@ -615,13 +592,13 @@ SUBCOMMANDS: Dict[str, Subcommand] = {
                          _TABLE_SECTIONS,
                          "include the simulated table (table6)"),
         lambda args: _cmd_group(args.sections, args.full,
-                                _TABLE_SECTIONS, _make_context(args))),
+                                _TABLE_SECTIONS, args.jobs)),
     "figures": Subcommand(
         _configure_group("figures",
                          "render the paper's figures (4, 7a/b, 8a, ...)",
                          _FIGURE_SECTIONS, "include the simulated figures"),
         lambda args: _cmd_group(args.sections, args.full,
-                                _FIGURE_SECTIONS, _make_context(args))),
+                                _FIGURE_SECTIONS, args.jobs)),
     "trace": Subcommand(_configure_trace, _cmd_observe, _listing_scenarios),
     "latency": Subcommand(_configure_latency, _cmd_observe),
     "profile": Subcommand(_configure_profile, _cmd_observe),
@@ -649,8 +626,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _add_group_arguments(bare, sections,
                              "include the simulated sections")
         args = bare.parse_args(argv)
-        return _cmd_group(args.sections, args.full, sections,
-                          _make_context(args))
+        return _cmd_group(args.sections, args.full, sections, args.jobs)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not args.list:

@@ -1,18 +1,17 @@
-"""Parallel sweep execution with a deterministic result cache.
+"""Parallel sweep execution.
 
 Every figure and table in the reproduction is an aggregation over
 *sweep points*: independent (experiment, parameters, seed) simulations
-that share no state.  This package exploits that structure three ways:
+that share no state.  :func:`run_sweep` is a seeded parallel map over
+them:
 
-* :func:`run_sweep` fans points out across a ``multiprocessing`` pool
-  (``jobs=N``) — results are bit-identical to a serial run because each
-  point is seeded deterministically from its own identity, never from
-  global interpreter state;
-* :class:`SweepCache` memoizes results on disk under ``.repro-cache/``,
-  content-addressed by (experiment name, canonicalized params, repro
-  version), so unchanged points are never re-simulated;
-* per-point telemetry exports are merged back into one
-  :class:`~repro.telemetry.metrics.MetricsRegistry` via
+* each point reseeds the global ``random`` module from its own
+  identity, never from interpreter state, so a run is a pure function
+  of the point list;
+* ``jobs=N`` fans the points out across a ``multiprocessing`` pool,
+  bit-identical to a serial run;
+* per-point telemetry exports are merged back, in point order, into
+  one :class:`~repro.telemetry.metrics.MetricsRegistry` via
   ``Histogram.merge``/``MetricsRegistry.merge_from``.
 
 Experiment modules declare their sweeps as picklable
@@ -21,13 +20,11 @@ Experiment modules declare their sweeps as picklable
 regression tests all consume the same lists through the same runner.
 """
 
-from .cache import CacheEntry, SweepCache, default_cache
 from .points import (
     SEED_SCHEMA_VERSION,
-    SWEEP_SCHEMA_VERSION,
+    SEED_VERSION,
     SweepError,
     SweepPoint,
-    cache_key,
     canonical_params,
     point_seed,
     resolve_target,
@@ -36,16 +33,12 @@ from .points import (
 from .runner import SweepResult, run_sweep
 
 __all__ = [
-    "CacheEntry",
-    "SweepCache",
     "SweepError",
     "SweepPoint",
     "SweepResult",
     "SEED_SCHEMA_VERSION",
-    "SWEEP_SCHEMA_VERSION",
-    "cache_key",
+    "SEED_VERSION",
     "canonical_params",
-    "default_cache",
     "point_seed",
     "resolve_target",
     "run_sweep",

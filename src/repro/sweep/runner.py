@@ -5,11 +5,10 @@ function of the point list**.  Guarantees, in order of load-bearing:
 
 * results come back in point order, regardless of completion order;
 * each point runs with the global ``random`` module seeded from the
-  point's own content address (:func:`repro.sweep.points.point_seed`),
+  point's own identity (:meth:`repro.sweep.points.SweepPoint.seed`),
   so a worker process and an in-process run produce identical bytes;
-* results are canonicalized through a JSON round-trip before anyone
-  sees them, so a cache hit (JSON from disk) and a fresh computation
-  (live Python objects) are indistinguishable;
+* results are canonicalized through a JSON round-trip, so a point that
+  returns something JSON cannot hold fails loudly;
 * telemetry exports merge in point order, keeping float accumulation
   deterministic even though workers finish in arbitrary order.
 """
@@ -20,10 +19,9 @@ import json
 import multiprocessing
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry.metrics import MetricsRegistry
-from .cache import CacheEntry, SweepCache
 from .points import SweepPoint, resolve_target
 
 
@@ -41,24 +39,25 @@ def _execute_point(point: SweepPoint) -> Tuple[Any, Optional[Dict]]:
     if point.telemetry:
         from ..telemetry.sink import Telemetry
         # "spans" turns on per-packet span trees; finished traces feed
-        # spans.* histograms in the registry, so the export (and hence
-        # the cache entry) carries the latency attribution.  "profile"
-        # turns on the simulator profiler; event counts flush into
-        # profile.* counters (wall-clock timing stays off — registry
-        # exports must be machine-independent).
+        # spans.* histograms in the registry, so the export carries the
+        # latency attribution.  "profile" turns on the simulator
+        # profiler; event counts flush into profile.* counters
+        # (wall-clock timing stays off — registry exports must be
+        # machine-independent).
         telemetry = Telemetry(trace=False,
                               spans=(point.telemetry == "spans"),
                               profile=(point.telemetry == "profile"))
         kwargs["telemetry"] = telemetry
     # Deterministic per-point seeding: the global RNG is the only
     # simulator-visible nondeterminism (e.g. Flow IP idents), and it is
-    # reset from the point's identity so serial == parallel == cached.
+    # reset from the point's identity so serial == parallel.
     random.seed(point.seed())
     result = func(**kwargs)
     if telemetry is not None:
         metrics_export = telemetry.metrics.to_dict()
-    # JSON round-trip: tuples become lists, NaN is rejected — exactly
-    # what a later cache hit would return.
+    # JSON round-trip: tuples become lists and NaN or a non-JSON value
+    # is rejected, so every row is plain data that pickles back from a
+    # worker and renders the same from --jobs 1 and --jobs N.
     try:
         result = json.loads(json.dumps(result, allow_nan=False))
     except (TypeError, ValueError) as exc:
@@ -68,21 +67,11 @@ def _execute_point(point: SweepPoint) -> Tuple[Any, Optional[Dict]]:
     return result, metrics_export
 
 
-def _pool_worker(payload: Tuple[int, SweepPoint]
-                 ) -> Tuple[int, Any, Optional[Dict]]:
-    index, point = payload
-    result, metrics = _execute_point(point)
-    return index, result, metrics
-
-
 @dataclass
 class SweepResult:
-    """What a sweep produced, plus where the work actually happened."""
+    """What a sweep produced: rows in point order, merged telemetry."""
 
     rows: List[Any] = field(default_factory=list)
-    computed: int = 0
-    cache_hits: int = 0
-    jobs: int = 1
     metrics: Optional[MetricsRegistry] = None
 
     @property
@@ -108,78 +97,36 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-def run_sweep(points: Sequence[SweepPoint], jobs: int = 1,
-              cache: Optional[SweepCache] = None,
-              registry: Optional[MetricsRegistry] = None,
-              progress: Optional[Callable[[str], None]] = None
-              ) -> SweepResult:
+def run_sweep(points: Sequence[SweepPoint], jobs: int = 1) -> SweepResult:
     """Run ``points``, returning results in point order.
 
     ``jobs``
-        1 runs in-process; N > 1 fans cache misses out over a
+        1 runs in-process; N > 1 fans the points out over a
         ``multiprocessing`` pool of N workers.  The output is
         bit-identical either way.
-    ``cache``
-        A :class:`SweepCache`; hits skip simulation entirely, misses
-        are stored after computing.  None disables caching.
-    ``registry``
-        Destination for merged per-point telemetry.  When None and at
-        least one point exports metrics, a fresh registry is created;
-        either way it is returned as ``SweepResult.metrics``.
+
+    When at least one point exports metrics, their exports merge into
+    a fresh registry, returned as ``SweepResult.metrics``.
     """
     points = list(points)
     jobs = max(1, int(jobs))
-    result = SweepResult(rows=[None] * len(points), jobs=jobs)
-    metric_exports: List[Optional[Dict]] = [None] * len(points)
+    if jobs == 1 or len(points) <= 1:
+        outcomes = [_execute_point(point) for point in points]
+    else:
+        pool = _pool_context().Pool(processes=min(jobs, len(points)))
+        try:
+            # map returns in point order whatever order workers finish.
+            outcomes = pool.map(_execute_point, points, chunksize=1)
+        finally:
+            pool.close()
+            pool.join()
 
-    # Phase 1: satisfy what we can from the cache (in the parent, so
-    # `computed` is exact and workers only ever see real work).
-    pending: List[Tuple[int, SweepPoint]] = []
-    for index, point in enumerate(points):
-        entry = cache.load(point.key()) if cache is not None else None
-        if entry is not None:
-            result.rows[index] = entry.result
-            metric_exports[index] = entry.metrics
-            result.cache_hits += 1
-            if progress is not None:
-                progress(f"cache hit: {point.label()}")
-        else:
-            pending.append((index, point))
-
-    # Phase 2: compute the misses, serially or across the pool.
-    if pending:
-        if jobs == 1 or len(pending) == 1:
-            computed = (_pool_worker(item) for item in pending)
-        else:
-            ctx = _pool_context()
-            pool = ctx.Pool(processes=min(jobs, len(pending)))
-            try:
-                computed = pool.imap_unordered(_pool_worker, pending,
-                                               chunksize=1)
-                computed = list(computed)
-            finally:
-                pool.close()
-                pool.join()
-        for index, row, metrics in computed:
-            point = points[index]
-            result.rows[index] = row
-            metric_exports[index] = metrics
-            result.computed += 1
-            if cache is not None:
-                cache.store(CacheEntry(
-                    key=point.key(), experiment=point.experiment,
-                    target=point.target, params=dict(point.params),
-                    seed=point.seed(), result=row, metrics=metrics,
-                    topology=point.topology))
-            if progress is not None:
-                progress(f"computed: {point.label()}")
-
-    # Phase 3: merge telemetry in point order (commutative counters,
-    # but float addition order still matters for bit-identity).
-    if any(export for export in metric_exports):
-        registry = registry if registry is not None else MetricsRegistry()
-        for export in metric_exports:
-            if export:
-                registry.merge_from(export)
-    result.metrics = registry
-    return result
+    # Merge telemetry in point order (commutative counters, but float
+    # addition order still matters for bit-identity).
+    registry = None
+    exports = [export for _, export in outcomes if export]
+    if exports:
+        registry = MetricsRegistry()
+        for export in exports:
+            registry.merge_from(export)
+    return SweepResult(rows=[row for row, _ in outcomes], metrics=registry)

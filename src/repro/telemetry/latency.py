@@ -17,7 +17,7 @@ Two sources feed the same report shape:
   percentiles), from the ``spans.stage.*`` histograms a run feeds into
   its metrics registry.  Because those histograms ride the standard
   :meth:`MetricsRegistry.merge_from` aggregation, this path merges
-  attribution across sweep points through the PR 2 result cache.
+  attribution across sweep points (:func:`repro.sweep.run_sweep`).
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def report_from_registry(registry: MetricsRegistry) -> Dict[str, Any]:
     ``spans.stage.<stage>.<kind>`` histogram (plus ``spans.e2e`` and
     ``spans.unattributed``) and estimates percentiles with
     :meth:`Histogram.percentile`.  Works on a registry assembled by
-    ``run_sweep`` — i.e. merged across sweep points and cache hits.
+    ``run_sweep`` — i.e. merged across sweep points.
     """
     keys: List[Tuple[str, str]] = []
     for name in registry.names():

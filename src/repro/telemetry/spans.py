@@ -43,7 +43,7 @@ Design notes
   across its spans (see :func:`attribute_trace`) and feeds per-stage
   log2 histograms in the attached metrics registry under
   ``spans.stage.<stage>.<kind>`` — which makes stage latencies merge
-  across sweep points through the PR 2 result cache for free.
+  across sweep points (:func:`repro.sweep.run_sweep`) for free.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ accelerator functions behind them, and host queue pairs.  The
 simulation objects in a fixed, documented order, so two runs of the
 same spec construct (and therefore schedule) identically.
 
-Because a spec round-trips through JSON canonically
-(:meth:`TopologySpec.to_dict`), it can join a sweep point's cache key:
-cached results are addressed by the shape they ran on.
+A spec round-trips through JSON canonically
+(:meth:`TopologySpec.to_dict`).
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ CASES = {
 #: argv of each command pinned by its stdout alone.
 STDOUT_CASES = (
     ("prog", "--count", "40"),
-    ("scale-tenants", "--tenants", "1", "3", "--count", "40", "--no-cache"),
+    ("scale-tenants", "--tenants", "1", "3", "--count", "40"),
 )
 
 #: Document keys pinned per command (``-o`` JSON).

@@ -104,6 +104,19 @@ class TestESwitch:
         assert port.stats_tx_packets == 0
         assert eswitch.stats_fdb_drops == 1
 
+    def test_forward_to_a_missing_vport_is_dropped(self):
+        sim = Simulator()
+        eswitch, port, delivered = build_eswitch(sim)
+        vport = eswitch.add_vport(1)
+        eswitch.pipeline.table(ESwitch.FDB_ROOT).add_rule(
+            MatchSpec(dst_mac="02:00:00:00:00:02"), [ForwardToVport(9)],
+            priority=1)
+        eswitch.ingress_from_wire(frame())
+        assert delivered == []
+        assert eswitch.stats_fdb_drops == 1
+        assert vport.stats_rx == 0
+        assert port.stats_tx_packets == 0
+
     def test_vport_to_vport_loopback(self):
         sim = Simulator()
         eswitch, _port, delivered = build_eswitch(sim)

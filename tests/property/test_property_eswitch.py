@@ -140,6 +140,9 @@ class OracleSwitch:
             if not entered and from_vport is not None:
                 self.loopback += 1
             entered += 1
+            if disposition[1] not in self.vports:
+                self.fdb_drops += 1
+                return ("dropped",)
             vport = self.vports[disposition[1]]
             self.rx[vport] += 1
             disposition = oracle.process(self.tables, disposition[2],

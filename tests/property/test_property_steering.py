@@ -1,7 +1,9 @@
 """The one-frame table walk against the rule-by-rule walk it replaced.
 
-``SteeringPipeline.process`` scans each table's rules inline over the
-``(slot, value)`` pairs a :class:`MatchSpec` builds once; the oracle in
+``SteeringPipeline.process`` runs each table as it was lowered when it
+last changed: a table in ``SteeringPipeline.index`` is looked up by its
+key, any other runs its lowered form, a scan over the ``(slot, value)``
+pairs each :class:`MatchSpec` builds once.  The oracle in
 ``tests/nic/steering_oracle.py`` asks each rule's match field by field
 through ``lookup``/``matches``.  Over random rule tables (field subsets,
 priorities, ``GotoTable`` chains, decap, context tags, meters, miss
