@@ -5,12 +5,14 @@ Demonstrates the transport offload class that FLD (unlike BITW designs)
 can reach: a client registers nothing, the server registers a memory
 region, and the client's NIC writes bulk data straight into it — no
 server CPU, no receive descriptors, no receive completions — then posts
-a tiny SEND as a doorbell message.
+a tiny SEND as a doorbell message.  The WRITE is traced: its span tree
+shows where its time went, stage by stage.
 
 Run:  python examples/rdma_remote_memory.py
 """
 
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 from repro.testbed import make_remote_pair
 
 CLIENT_MAC = "02:00:00:00:00:01"
@@ -18,7 +20,8 @@ SERVER_MAC = "02:00:00:00:00:02"
 
 
 def main():
-    sim = Simulator()
+    telemetry = Telemetry(trace=False, spans=True)
+    sim = Simulator(telemetry=telemetry)
     client, server = make_remote_pair(sim)
     client.add_vport_for_mac(1, CLIENT_MAC)
     server.add_vport_for_mac(1, SERVER_MAC)
@@ -47,7 +50,9 @@ def main():
 
     def client_proc(sim):
         rq_before = sep.rq.available
-        cep.post_write(bulk, addr, rkey, signaled=False)
+        log["trace"] = telemetry.spans.start_trace("write", sim.now)
+        cep.post_write(bulk, addr, rkey, signaled=False,
+                       trace_ctx=log["trace"])
         yield cep.post_send(b"wrote 6 KiB at offset 0")
         log["rq_consumed"] = rq_before - sep.rq.available
 
@@ -62,6 +67,10 @@ def main():
           "(only the notification SEND; the 6 KiB WRITE used none)")
     print(f"segments on the wire       : {sep.qp.stats_writes_received} "
           "writes + 1 send")
+    print("the WRITE's spans (stage: start .. end, us):")
+    for span in telemetry.spans.get_trace(log["trace"]).spans:
+        print(f"  {span.stage:<24s} {span.start * 1e6:7.3f} .. "
+              f"{span.end * 1e6:7.3f}")
     assert log["data"] == bulk
     print("OK")
 

@@ -55,9 +55,6 @@ class IotAuthAccelerator(DroppingAccelerator):
             raise ValueError(f"tenant id {tenant_id} out of table range")
         self._keys[tenant_id] = key
 
-    def clear_tenant(self, tenant_id: int) -> None:
-        self._keys[tenant_id] = None
-
     # -- data plane --------------------------------------------------------------
 
     def processing_time(self, data: bytes, meta: AxisMetadata) -> float:

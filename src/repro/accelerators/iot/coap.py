@@ -2,13 +2,12 @@
 
 The IoT authentication offload (§7) extracts JSON Web Tokens from
 CoAP-encoded UDP messages; this module implements the subset of CoAP the
-offload parses: the 4-byte fixed header, token, options with extended
-deltas/lengths, and the 0xFF payload marker.
+offload parses: the 4-byte fixed header, token, and the 0xFF payload
+marker.  A message carrying options is refused (:class:`CoapError`), so
+the offload counts it invalid; the tenants' devices send none.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List, Optional, Tuple
 
 VERSION = 1
 
@@ -20,10 +19,6 @@ TYPE_RESET = 3
 # Method codes (class 0).
 GET, POST, PUT, DELETE = 1, 2, 3, 4
 
-OPTION_URI_PATH = 11
-OPTION_CONTENT_FORMAT = 12
-OPTION_URI_QUERY = 15
-
 PAYLOAD_MARKER = 0xFF
 
 
@@ -31,33 +26,11 @@ class CoapError(ValueError):
     """Raised on malformed CoAP messages."""
 
 
-def _encode_option_part(value: int) -> Tuple[int, bytes]:
-    """(nibble, extended bytes) for an option delta or length."""
-    if value < 13:
-        return value, b""
-    if value < 269:
-        return 13, bytes([value - 13])
-    if value < 65805:
-        return 14, (value - 269).to_bytes(2, "big")
-    raise CoapError(f"option field {value} too large")
-
-
-def _decode_option_part(nibble: int, data: bytes, offset: int) -> Tuple[int, int]:
-    if nibble < 13:
-        return nibble, offset
-    if nibble == 13:
-        return data[offset] + 13, offset + 1
-    if nibble == 14:
-        return int.from_bytes(data[offset:offset + 2], "big") + 269, offset + 2
-    raise CoapError("reserved option nibble 15")
-
-
 class CoapMessage:
-    """A CoAP message: header, token, options, payload."""
+    """A CoAP message: header, token, payload."""
 
     def __init__(self, code: int = POST, mtype: int = TYPE_NON_CONFIRMABLE,
                  message_id: int = 0, token: bytes = b"",
-                 options: Optional[List[Tuple[int, bytes]]] = None,
                  payload: bytes = b""):
         if len(token) > 8:
             raise CoapError("token longer than 8 bytes")
@@ -65,19 +38,7 @@ class CoapMessage:
         self.mtype = mtype
         self.message_id = message_id & 0xFFFF
         self.token = token
-        self.options = sorted(options or [], key=lambda o: o[0])
         self.payload = payload
-
-    def add_option(self, number: int, value: bytes) -> "CoapMessage":
-        self.options.append((number, value))
-        self.options.sort(key=lambda o: o[0])
-        return self
-
-    def option(self, number: int) -> Optional[bytes]:
-        for num, value in self.options:
-            if num == number:
-                return value
-        return None
 
     def pack(self) -> bytes:
         out = bytearray()
@@ -85,15 +46,6 @@ class CoapMessage:
         out.append(self.code)
         out.extend(self.message_id.to_bytes(2, "big"))
         out.extend(self.token)
-        previous = 0
-        for number, value in self.options:
-            delta_nibble, delta_ext = _encode_option_part(number - previous)
-            length_nibble, length_ext = _encode_option_part(len(value))
-            out.append((delta_nibble << 4) | length_nibble)
-            out.extend(delta_ext)
-            out.extend(length_ext)
-            out.extend(value)
-            previous = number
         if self.payload:
             out.append(PAYLOAD_MARKER)
             out.extend(self.payload)
@@ -117,23 +69,10 @@ class CoapMessage:
             raise CoapError("truncated token")
         token = data[offset:offset + token_length]
         offset += token_length
-        options: List[Tuple[int, bytes]] = []
-        number = 0
-        while offset < len(data):
-            if data[offset] == PAYLOAD_MARKER:
-                offset += 1
-                if offset >= len(data):
-                    raise CoapError("payload marker with empty payload")
-                break
-            byte = data[offset]
-            offset += 1
-            delta, offset = _decode_option_part(byte >> 4, data, offset)
-            length, offset = _decode_option_part(byte & 0xF, data, offset)
-            number += delta
-            if len(data) < offset + length:
-                raise CoapError("truncated option value")
-            options.append((number, data[offset:offset + length]))
-            offset += length
-        else:
-            return cls(code, mtype, message_id, token, options, b"")
-        return cls(code, mtype, message_id, token, options, data[offset:])
+        if offset == len(data):
+            return cls(code, mtype, message_id, token)
+        if data[offset] != PAYLOAD_MARKER:
+            raise CoapError("options are not parsed")
+        if offset + 1 == len(data):
+            raise CoapError("payload marker with empty payload")
+        return cls(code, mtype, message_id, token, data[offset + 1:])

@@ -22,13 +22,13 @@ from .accel import (
     parse_response,
 )
 from .eea3 import DOWNLINK, UPLINK, eea3_decrypt, eea3_encrypt
-from .eia3 import eia3_mac, eia3_verify
+from .eia3 import eia3_mac
 from .zuc_core import Zuc
 
 __all__ = [
     "CachedKeyZucAccelerator", "CompactRequest", "DOWNLINK", "HEADER_SIZE", "OP_EEA3", "OP_EIA3", "STATUS_OK", "UPLINK",
     "Zuc", "ZucAccelerator", "ZucRequest", "eea3_decrypt", "eea3_encrypt",
-    "eia3_mac", "eia3_verify", "make_compact_request", "make_request",
+    "eia3_mac", "make_compact_request", "make_request",
     "make_set_key", "OP_EEA3_CACHED", "OP_EIA3_CACHED", "OP_SET_KEY",
     "pack_batch", "parse_response", "unpack_batch",
 ]

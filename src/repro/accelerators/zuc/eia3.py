@@ -57,8 +57,3 @@ def eia3_mac(key: bytes, count: int, bearer: int, direction: int,
         tag ^= acc
         acc >>= 32
     return tag & 0xFFFFFFFF
-
-
-def eia3_verify(key: bytes, count: int, bearer: int, direction: int,
-                message: bytes, mac: int, nbits: int = None) -> bool:
-    return eia3_mac(key, count, bearer, direction, message, nbits) == mac

@@ -5,10 +5,10 @@ from .axis import AxisMetadata, AxisStream, CreditInterface
 from .buffers import BufferPool, BufferPoolError
 from .cuckoo import CuckooFullError, CuckooHashTable, NUM_BANKS, STASH_SIZE
 from .descriptors import (
+    COMPRESSED_CQE,
     COMPRESSED_CQE_SIZE,
+    COMPRESSED_TX_DESC,
     COMPRESSED_TX_DESC_SIZE,
-    CompressedCqe,
-    CompressedTxDescriptor,
 )
 from .errors import ErrorReporter, FldError
 from .fld import FldConfig, FlexDriver
@@ -22,8 +22,8 @@ from .tx import TxQueueError, TxRingManager
 
 __all__ = [
     "AxisMetadata", "AxisStream", "BufferPool", "BufferPoolError",
-    "COMPRESSED_CQE_SIZE", "COMPRESSED_TX_DESC_SIZE", "CompressedCqe",
-    "CompressedTxDescriptor", "CreditInterface", "CuckooFullError",
+    "COMPRESSED_CQE", "COMPRESSED_CQE_SIZE", "COMPRESSED_TX_DESC",
+    "COMPRESSED_TX_DESC_SIZE", "CreditInterface", "CuckooFullError",
     "CuckooHashTable", "DataTranslationTable", "DescriptorPool",
     "ErrorReporter", "FldConfig", "FldError", "FlexDriver", "NUM_BANKS",
     "RxError", "RxRingManager", "STASH_SIZE", "TranslationError",

@@ -72,8 +72,7 @@ class AxisStream:
 
     The consumer side is the underlying store's: ``pop_or_park(func)``
     returns the next ``(data, metadata)`` pair or leaves ``func`` parked
-    for it (what the accelerator stages use); :meth:`get` wraps the same
-    wait in an event for generator scripts.
+    for it (what the accelerator stages use).
     """
 
     def __init__(self, sim: Simulator, name: str,
@@ -87,21 +86,12 @@ class AxisStream:
         """Non-blocking enqueue; False = overflow drop."""
         return self._store.try_put((data, meta))
 
-    def get(self):
-        """An event firing with the next (data, metadata) pair, for a
-        generator process to yield on."""
-        return self._store.get()
-
     def __len__(self) -> int:
         return len(self._store)
 
     @property
     def stats_dropped(self) -> int:
         return self._store.stats_dropped
-
-    @property
-    def stats_delivered(self) -> int:
-        return self._store.stats_put
 
 
 class CreditInterface:
@@ -148,15 +138,6 @@ class CreditInterface:
         whose :meth:`try_consume` just failed."""
         self.stats_waits += 1
         self._waiters[queue_id].append((amount, func, arg))
-
-    def acquire(self, queue_id: int, amount: int = 1):
-        """Event firing once ``amount`` credits are consumed."""
-        event = self.sim.event()
-        if self.try_consume(queue_id, amount):
-            event.succeed()
-        else:
-            self.wait(queue_id, amount, event.succeed)
-        return event
 
     def refund(self, queue_id: int, amount: int = 1) -> None:
         if queue_id not in self._credits:

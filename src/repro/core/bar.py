@@ -53,7 +53,3 @@ def tx_data_address(queue: int, virt_offset: int = 0) -> int:
 def cq_address(cq_index: int) -> int:
     """BAR offset of a completion ring (0 = tx CQ, 1 = rx CQ, ...)."""
     return CQ_REGION + cq_index * CQ_SPAN
-
-
-def rx_buffer_address(offset: int = 0) -> int:
-    return RX_BUFFER_REGION + offset

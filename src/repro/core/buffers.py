@@ -45,9 +45,6 @@ class BufferPool:
     def free_chunks(self) -> int:
         return len(self._free)
 
-    def chunks_for(self, nbytes: int) -> int:
-        return -(-nbytes // self.chunk_size) or 1
-
     # -- allocation ---------------------------------------------------------
 
     def alloc(self, nbytes: int, chunks: int = 0) -> Optional[List[int]]:
@@ -68,17 +65,9 @@ class BufferPool:
             self.stats_min_free = left
         return handles
 
-    def add_ref(self, handle: int) -> None:
-        if handle not in self._refcount:
-            raise BufferPoolError(f"add_ref on free chunk {handle}")
-        self._refcount[handle] += 1
-
-    def release(self, handle: int) -> None:
-        """Drop one reference; the chunk returns to the pool at zero."""
-        self.release_all((handle,))
-
     def release_all(self, handles: List[int]) -> None:
-        """:meth:`release` each handle in turn."""
+        """Drop one reference to each handle; a chunk returns to the pool
+        at zero."""
         refcount = self._refcount
         for handle in handles:
             try:
@@ -93,14 +82,6 @@ class BufferPool:
                 refcount[handle] = count - 1
 
     # -- data access ----------------------------------------------------------
-
-    def write(self, handle: int, offset: int, data: bytes) -> None:
-        if offset + len(data) > self.chunk_size:
-            raise BufferPoolError("write crosses chunk boundary")
-        if not 0 <= handle < self.num_chunks:
-            raise BufferPoolError(f"bad chunk handle {handle}")
-        base = handle * self.chunk_size + offset
-        self._data[base:base + len(data)] = data
 
     def read(self, handle: int, offset: int, length: int) -> bytes:
         if offset + length > self.chunk_size:

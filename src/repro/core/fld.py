@@ -6,7 +6,7 @@ accelerator-facing streams, the credit interface and the error channel.
 
 Data flow:
 
-* **transmit** — the accelerator calls :meth:`send` (credits permitting);
+* **transmit** — the accelerator calls :meth:`send_then` (credits permitting);
   the Tx manager buffers the payload on-die and rings the NIC; the NIC's
   PCIe reads of descriptors and data arrive at :meth:`handle_read` and are
   answered from compressed state on the fly.
@@ -32,7 +32,7 @@ from ..nic.wqe import (
     OP_ETH_SEND,
 )
 from ..pcie import POSTED, PcieEndpoint, PcieError
-from ..sim import Event, Simulator
+from ..sim import Simulator
 from ..sim.resources import DELIVERY
 from ..telemetry.profile import owner_tag
 from .axis import AxisMetadata, AxisStream
@@ -122,8 +122,9 @@ class FlexDriver(PcieEndpoint):
         prof = sim.profiler
         self._ptag_tx = f"{name}.tx"
         self.profile_tag = f"{name}.rx"
-        prof.declare(self._ptag_tx, "fld.tx")
-        prof.declare(self.profile_tag, "fld.rx")
+        if prof.enabled:
+            prof.declare(self._ptag_tx, "fld.tx")
+            prof.declare(self.profile_tag, "fld.rx")
         if tele.enabled:
             tele.register_counters(f"fld.{name}", lambda: {
                 "tx.packets": self.stats_tx_packets,
@@ -205,7 +206,7 @@ class FlexDriver(PcieEndpoint):
         ring slot, or the pools cannot cover the packet.
 
         Drop-capable accelerators use this directly (§5.5 lets them shed
-        load); others use :meth:`send` to wait for credit.
+        load); others use :meth:`send_then` to wait for credit.
         """
         tx = self.tx
         state = tx.queue(meta.queue_id)
@@ -221,12 +222,6 @@ class FlexDriver(PcieEndpoint):
                           _Submit((self, data, meta, needed,
                                    self.sim._now)).land)
         return True
-
-    def send(self, data: bytes, meta: AxisMetadata):
-        """Generator form of :meth:`send_then`, for scripts and tests."""
-        done = Event(self.sim)
-        self.send_then(data, meta, done.succeed)
-        yield done
 
     def send_then(self, data: bytes, meta: AxisMetadata, func,
                   arg=None) -> None:
@@ -247,9 +242,6 @@ class FlexDriver(PcieEndpoint):
             entry.credited()
         else:
             self.tx.credits.wait(meta.queue_id, 1, _Send.credited, entry)
-
-    def credits_available(self, queue_id: int) -> int:
-        return self.tx.credits.available(queue_id)
 
     # ------------------------------------------------------------------
     # PCIe BAR handlers

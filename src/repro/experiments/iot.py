@@ -84,6 +84,7 @@ def build(sim, cal: Calibration, isolation: bool = False,
     client_qp = client.driver.create_eth_qp(vport=1, use_mmio_wqe=True,
                                             sq_entries=4096)
     client_qp.post_rx_buffers(64)
+    testbed.host_qps["client"] = client_qp   # closed by Testbed.teardown
     flow_a = Flow(CLIENT_MAC, SERVER_MAC, "10.0.0.1", SERVER_IP, 5001, 5683)
     flow_b = Flow(CLIENT_MAC, SERVER_MAC, "10.0.0.3", SERVER_IP, 5002, 5683)
     return SimpleNamespace(client=client, server=server,

@@ -30,7 +30,7 @@ prog``).
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..host import LoadGenerator
 from ..net import Flow
@@ -44,7 +44,7 @@ from ..prog.programs import (
 )
 from ..topology import TopologySpec
 from ..topology import build as build_topology
-from .echo import open_loop, scenario_row
+from .echo import open_loop
 from .scale_tenants import tenant_fns_spec, tenant_mac
 from .setups import CLIENT_IP, CLIENT_MAC, Calibration, SERVER_IP
 
@@ -186,13 +186,6 @@ def drive(sim, setup, count: int, size: int) -> Dict:
     }
 
 
-def run_scenario(scenario: str, size: int = 256, count: int = 400,
-                 cal: Optional[Calibration] = None) -> Dict:
-    """One scenario end-to-end (scenario ``prog-<scenario>``): build,
-    load, attach, measure, detach, and count the audit's violations."""
-    return scenario_row(f"prog-{scenario}", count, size, cal)
-
-
 # -- NULL fast path ------------------------------------------------------
 
 def build_null(sim, cal: Calibration, touch_prog: bool = False):
@@ -229,13 +222,3 @@ def drive_null(sim, setup, count: int, size: int) -> Dict:
         "rtt_p99": lat.pct(99.0) if len(lat) else None,
         "accel_packets": setup.testbed.accel("tenant0").accel.stats_processed,
     }
-
-
-def echo_fingerprint(size: int = 256, count: int = 200,
-                     touch_prog: bool = False,
-                     cal: Optional[Calibration] = None) -> Dict:
-    """The ``prog-null`` row: its fingerprint — counts and exact float
-    timings — must equal the untouched run's bit for bit whatever
-    ``touch_prog`` is; the prog CI job and ``tests/prog`` pin that."""
-    return scenario_row("prog-null", count, size, cal,
-                        shape={"touch_prog": touch_prog})

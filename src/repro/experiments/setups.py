@@ -206,6 +206,7 @@ def _fldr_service(sim, cal, name: str, local: bool,
     connection = FldRClient(testbed.node(client).driver, vport=1,
                             mac=CLIENT_MAC, ip=CLIENT_IP,
                             buffer_size=FLDR_BUFFER).connect(control)
+    testbed.host_qps["client"] = connection.endpoint   # closed by teardown
     return SimpleNamespace(client=testbed.node(client),
                            server=testbed.node(server), runtime=runtime,
                            accel=accel, connection=connection,

@@ -43,10 +43,6 @@ class CpuCore:
         self.stats_packets = 0
         self.stats_jitter_events = 0
 
-    @property
-    def per_packet_seconds(self) -> float:
-        return self.per_packet_cycles / self.frequency_hz
-
     def seconds_for_cycles(self, cycles: float) -> float:
         return cycles / self.frequency_hz
 
@@ -58,11 +54,6 @@ class CpuCore:
             self.stats_jitter_events += 1
             cost += self._rng.expovariate(1.0 / self.os_jitter_scale)
         return cost
-
-    def work(self, packets: int = 1):
-        """An event that fires after processing ``packets`` packets."""
-        total = sum(self.packet_cost() for _ in range(packets))
-        return self.sim.timeout(total)
 
 
 class CpuComputeCost:
@@ -81,7 +72,3 @@ class CpuComputeCost:
     def seconds_for(self, nbytes: int) -> float:
         cycles = self.cycles_per_call + self.cycles_per_byte * nbytes
         return self.core.seconds_for_cycles(cycles)
-
-    def throughput_bps(self, nbytes: int) -> float:
-        """Steady-state one-core throughput for requests of ``nbytes``."""
-        return nbytes * 8 / self.seconds_for(nbytes)

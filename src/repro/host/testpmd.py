@@ -86,10 +86,6 @@ class EchoApp:
         self._pump = Pump(qp.sim, self._pending, self._echo,
                           self.profile_tag)
 
-    @property
-    def stats_dropped(self) -> int:
-        return self._pending.stats_dropped
-
     def _on_receive(self, data: bytes, cqe) -> None:
         # Thread the frame's layout and trace context through the app
         # queue alongside the enqueue time, so the worker can split

@@ -115,23 +115,3 @@ def nica_comparison() -> Dict[str, float]:
         "bram_overhead": nica.bram / ours.bram - 1.0,
         "nica_slowdown": 5.7,  # measured in the NICA paper's workload
     }
-
-
-def area_per_feature() -> List[Dict]:
-    """Table 1 normalized: area of each design vs its feature coverage."""
-    rows = []
-    for arch in TABLE1:
-        features = sum([
-            arch.stateless_offloads,
-            arch.tunneling == "yes",
-            arch.hardware_transport == "yes",
-        ])
-        rows.append({
-            "solution": arch.solution,
-            "category": arch.category,
-            "lut": arch.utilization.lut,
-            "ff": arch.utilization.ff,
-            "bram": arch.utilization.bram,
-            "full_features": features,
-        })
-    return rows

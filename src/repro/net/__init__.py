@@ -8,7 +8,7 @@ from .ethernet import (
     Ethernet,
     MacAddress,
 )
-from .flows import Flow, make_flows, round_robin_packets
+from .flows import Flow, make_flows
 from .fragment import FragmentError, Reassembler, fragment_packet, parse_l4
 from .ip import FLAG_DF, FLAG_MF, IpAddress, Ipv4, PROTO_TCP, PROTO_UDP
 from .packet import ETHERNET_WIRE_OVERHEAD, Header, Packet
@@ -28,7 +28,7 @@ __all__ = [
     "PROTO_UDP", "Packet", "PacketSizeDistribution", "ParseError", "parse_frame", "ROCE_V2_PORT",
     "Reassembler", "Reth", "RssEngine", "Tcp", "Udp", "UniformSizes",
     "VXLAN_PORT", "Vxlan", "fragment_packet", "internet_checksum",
-    "make_flows", "parse_l4", "round_robin_packets", "send_opcode",
+    "make_flows", "parse_l4", "send_opcode",
     "toeplitz_hash", "verify_checksum", "vxlan_decapsulate",
     "vxlan_encapsulate", "write_opcode",
 ]

@@ -8,7 +8,7 @@ UDP/CoAP IoT traffic (§8.2.3) and raw Ethernet load-gen frames (§8.1.1).
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from .ethernet import Ethernet, ETHERTYPE_IPV4, MacAddress
 from .ip import IpAddress, Ipv4, PROTO_TCP, PROTO_UDP
@@ -103,11 +103,3 @@ def make_flows(count: int, proto: int = PROTO_TCP,
             proto=proto,
         ))
     return flows
-
-
-def round_robin_packets(flows: List[Flow], payload_size: int,
-                        count: int) -> Iterator[Packet]:
-    """``count`` packets cycling across ``flows`` with fixed payloads."""
-    for i in range(count):
-        yield flows[i % len(flows)].make_packet(bytes(payload_size),
-                                                fill_checksums=False)

@@ -173,9 +173,6 @@ class Packet:
                 return header
         return None
 
-    def find_all(self, header_type: Type[H]) -> List[H]:
-        return [h for h in self.headers if isinstance(h, header_type)]
-
     def index_of(self, header: Header) -> int:
         return self.headers.index(header)
 

@@ -13,7 +13,7 @@ under test.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 MIN_ETHERNET_FRAME = 64
 DEFAULT_MTU_FRAME = 1500
@@ -48,10 +48,6 @@ class PacketSizeDistribution:
     def sizes(self, count: int) -> List[int]:
         return [self.sample() for _ in range(count)]
 
-    def mean(self) -> float:
-        """Exact expected frame size of the mixture."""
-        return sum(w * (lo + hi) / 2.0 for lo, hi, w in self.buckets)
-
 
 class ImcDatacenterSizes(PacketSizeDistribution):
     """Bimodal datacenter packet sizes after Benson et al. (IMC 2010).
@@ -82,9 +78,3 @@ class UniformSizes(PacketSizeDistribution):
 
     def __init__(self, size: int, seed: int = 0):
         super().__init__(buckets=[(size, size, 1.0)], seed=seed)
-
-
-def frame_sizes(distribution: PacketSizeDistribution,
-                count: int) -> Iterator[int]:
-    for _ in range(count):
-        yield distribution.sample()

@@ -47,12 +47,10 @@ from .wqe import (
     CQE_RECV_COMPLETION,
     CQE_SEND_COMPLETION,
     CQE_SIZE,
-    Cqe,
     OP_ETH_SEND,
     OP_RDMA_SEND,
     OP_RDMA_WRITE,
     RX_DESC_SIZE,
-    RxDesc,
     TxWqe,
     WQE_FLAG_CSUM_L3,
     WQE_FLAG_CSUM_L4,
@@ -67,12 +65,12 @@ __all__ = [
     "CQE_SEND_COMPLETION", "CQE_SIZE", "ChecksumOffload",
     "CmdError", "CmdResult", "CmdStatus", "CommandUnit",
     "ObjectTable", "CompletionQueue",
-    "Cqe", "DOORBELL_STRIDE", "DecapVxlan", "Disposition", "Drop", "ESwitch",
+    "DOORBELL_STRIDE", "DecapVxlan", "Disposition", "Drop", "ESwitch",
     "EthernetPort", "FlowTable", "ForwardToQueue", "ForwardToRss",
     "ForwardToUplink", "ForwardToVport", "GotoTable", "MatchSpec", "Meter",
     "MultiPacketReceiveQueue", "Nic", "NicConfig", "OP_ETH_SEND",
     "OP_RDMA_SEND", "OP_RDMA_WRITE", "QueueError", "RX_DESC_SIZE", "RcQp", "RdmaEngine",
-    "RdmaError", "ReceiveQueue", "RssGroup", "Rule", "RxDesc", "SendQueue",
+    "RdmaError", "ReceiveQueue", "RssGroup", "Rule", "SendQueue",
     "SegmentationOffload", "SetContextId", "Shaper", "SteeringError", "SteeringPipeline",
     "ToAccelerator", "TxWqe", "VPort", "WQE_FLAG_CSUM_L3", "WQE_FLAG_CSUM_L4",
     "WQE_FLAG_LSO", "WQE_FLAG_SIGNALED", "WQE_MMIO_BASE", "WQE_MMIO_STRIDE", "WQE_SIZE",

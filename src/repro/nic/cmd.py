@@ -77,11 +77,6 @@ class Command:
 
 
 @dataclass
-class AllocPd(Command):
-    """Allocate a protection domain."""
-
-
-@dataclass
 class CreateCq(Command):
     ring_addr: int = 0
     entries: int = 0
@@ -271,15 +266,6 @@ class CmdResult:
 # ---------------------------------------------------------------------------
 
 
-class Pd:
-    """A protection domain: the allocation anchor verbs hangs QPs off."""
-
-    __slots__ = ("pdn",)
-
-    def __init__(self, pdn: int):
-        self.pdn = pdn
-
-
 class ResumeTable:
     """A registered FLD-E resume target (handle-addressed)."""
 
@@ -312,9 +298,11 @@ class ObjectTable:
     depend on it — destroy order is enforced, not assumed.
     """
 
-    KINDS = ("pd", "cq", "sq", "rq", "mprq", "qp", "vport", "rule",
+    KINDS = ("cq", "sq", "rq", "mprq", "qp", "vport", "rule",
              "resume", "prog", "map")
-    _KIND_CODE = {kind: code for code, kind in enumerate(KINDS, start=1)}
+    # Codes start at 2 so handles keep the values that object-table
+    # dumps (tests/golden/cli_outputs.json) pin.
+    _KIND_CODE = {kind: code for code, kind in enumerate(KINDS, start=2)}
     _KIND_SHIFT = 20
 
     def __init__(self):
@@ -432,11 +420,6 @@ class CommandUnit:
 
     # -- executors ------------------------------------------------------
 
-    def _exec_alloc_pd(self, cmd: AllocPd) -> CmdResult:
-        pd = Pd(len(self.table) + 1)
-        handle = self.table.insert("pd", pd, label=f"pd{pd.pdn}")
-        return CmdResult(CmdStatus.OK, handle, obj=pd)
-
     def _exec_create_cq(self, cmd: CreateCq) -> CmdResult:
         cq = self.nic.create_cq(cmd.ring_addr, cmd.entries, cmd.notify)
         handle = self.table.insert("cq", cq, label=f"cq{cq.cqn}")
@@ -546,8 +529,10 @@ class CommandUnit:
                 deps.append(self.table.require(action.rq, ("rq", "mprq")))
             elif isinstance(action, ForwardToVport):
                 vport = self.nic.eswitch.vports.get(action.vport)
-                handle = (self.table.handle_of(vport)
-                          if vport is not None else None)
+                if vport is None:
+                    raise CmdError(CmdStatus.BAD_HANDLE,
+                                   f"vport {action.vport} does not exist")
+                handle = self.table.handle_of(vport)
                 if handle is not None:
                     deps.append(handle)
         table = self.nic.steering.table(cmd.table_name)
@@ -704,13 +689,12 @@ class CommandUnit:
             nic.steering.table(entry.label).remove_rule(obj)
         elif entry.kind == "resume":
             nic.unregister_resume_table(obj.resume_id)
-        # "pd", "prog" and "map" have no device-side state beyond their
+        # "prog" and "map" have no device-side state beyond their
         # table entry: an attached prog is pinned (IN_USE above), and a
         # detached one is just interpreter bytecode.
         return CmdResult(CmdStatus.OK, cmd.handle)
 
     _EXEC = {
-        AllocPd: _exec_alloc_pd,
         CreateCq: _exec_create_cq,
         CreateSq: _exec_create_sq,
         CreateRq: _exec_create_rq,

@@ -85,10 +85,6 @@ class EthernetPort:
         if self.on_receive is not None:
             self.on_receive(packet)
 
-    @property
-    def rate_bps(self) -> float:
-        return self.link.rate_bps
-
 
 class VPort:
     """A virtual port: the eSwitch-facing side of a vNIC."""

@@ -187,16 +187,6 @@ class RcQp:
         self.write_cursor = None
         self.write_region = None
 
-    def connect(self, remote_mac, remote_ip, remote_qpn: int,
-                initial_psn: int = 0) -> None:
-        """Bring-up sugar: walk RESET→INIT→RTR→RTS in one call."""
-        if self.state != self.RESET:
-            self.modify(self.RESET)
-        self.modify(self.INIT)
-        self.modify(self.RTR, remote_mac=remote_mac, remote_ip=remote_ip,
-                    remote_qpn=remote_qpn, rq_psn=initial_psn)
-        self.modify(self.RTS, sq_psn=initial_psn)
-
 
 class RdmaEngine:
     """The device-resident transport processor.
@@ -306,10 +296,6 @@ class RdmaEngine:
             return
         self.egress(qp, frame)
 
-    def per_packet_overhead(self) -> int:
-        """Wire header bytes around each segment's payload."""
-        return 14 + 20 + 8 + BTH_WIRE.size + ICRC_SIZE
-
     def send_message(self, qp: RcQp, wqe: TxWqeRecord, data: bytes,
                      remote_addr: int = 0, rkey: int = 0,
                      on_done: Optional[Callable[[], None]] = None) -> None:
@@ -327,7 +313,8 @@ class RdmaEngine:
         if not chunks:
             chunks = [b""]
         ctx = wqe.trace_ctx if wqe is not None else None
-        rdma_span = self._spans.enter(ctx, "rdma", self.sim._now)
+        rdma_span = (None if ctx is None else
+                     self._spans.enter(ctx, "rdma", self.sim._now))
         self._send_segment((0, len(chunks) - 1, chunks, qp, wqe, len(data),
                             remote_addr, rkey, rdma_span, on_done))
 
@@ -337,7 +324,7 @@ class RdmaEngine:
         if index > final or qp.qpn not in self.qps:
             # Sent — or the QP was destroyed mid-message, and nothing
             # more of it leaves.
-            if index <= final:
+            if index <= final and rdma_span is not None:
                 self._spans.exit(rdma_span, self.sim._now)
             if on_done is not None:
                 on_done()

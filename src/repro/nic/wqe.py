@@ -10,10 +10,12 @@ programmer's model (control + data segments; completions carrying byte
 count, checksum status, RSS hash and flow tag) but the exact bit packing
 is ours.
 
-On the datapath a descriptor is its bytes: a producer packs the whole
-record with one :data:`TX_WQE`, :data:`RX_DESC` or :data:`CQE` call, and
-a consumer reads it with one ``unpack_from`` on the bytes that landed.
-The classes are codecs over the same layouts, for scripts and tests.
+A descriptor is its bytes: a producer packs the whole record with one
+:data:`TX_WQE`, :data:`RX_DESC` or :data:`CQE` call, and a consumer reads
+it with one ``unpack_from`` on the bytes that landed, into a
+:data:`TxWqeRecord` or :data:`CqeRecord` tuple.  :class:`TxWqe` is the
+one object form, kept for the ring-fetch burst decoder
+(:meth:`TxWqe.unpack_many`) and its encoder.
 """
 
 from __future__ import annotations
@@ -49,8 +51,15 @@ CQE_FLAG_L4_OK = 0x02
 CQE_FLAG_VXLAN_DECAP = 0x04
 CQE_FLAG_MSG_LAST = 0x08   # last packet of an RDMA message
 
-#: The three records, reserved bytes included (field order: the layout
-#: tables in :class:`TxWqe`, :class:`RxDesc` and :class:`Cqe`).
+#: The three records, reserved bytes included.  The transmit WQE's
+#: fields are laid out in :class:`TxWqe`; the others are:
+#:
+#: * receive descriptor (16 B): buffer_addr u64, byte_count u32, lkey u32;
+#: * CQE (64 B): opcode u8, flags u8, wqe_counter u16, qpn u32,
+#:   byte_count u32, rss_hash u32, flow_tag u32 (context ID stamped by
+#:   steering, §5.4), stride_index u16 (MPRQ stride), owner u8
+#:   (ownership/phase bit), syndrome u8 (error code when opcode is
+#:   ``CQE_ERROR``), then 40 B of zero padding.
 TX_WQE = struct.Struct("!BBHIQIIIBQIH21x")
 RX_DESC = struct.Struct("!QII")
 CQE = struct.Struct("!BBHIIIIHBB40x")
@@ -120,10 +129,6 @@ class TxWqe:
         # Maximum segment size for LSO/TSO work requests.
         self.mss = mss
 
-    @property
-    def signaled(self) -> bool:
-        return bool(self.flags & WQE_FLAG_SIGNALED)
-
     def pack(self) -> bytes:
         return TX_WQE.pack(
             self.opcode, self.flags, self.wqe_index, self.qpn,
@@ -177,112 +182,4 @@ class TxWqe:
         return (
             f"TxWqe(op={self.opcode:#x}, qpn={self.qpn}, idx={self.wqe_index}, "
             f"addr={self.buffer_addr:#x}, len={self.byte_count})"
-        )
-
-
-class RxDesc:
-    """A 16 B receive descriptor: buffer address + length + lkey."""
-
-    __slots__ = ("buffer_addr", "byte_count", "lkey")
-
-    def __init__(self, buffer_addr: int, byte_count: int, lkey: int = 0):
-        self.buffer_addr = buffer_addr
-        self.byte_count = byte_count
-        self.lkey = lkey
-
-    def pack(self) -> bytes:
-        return RX_DESC.pack(self.buffer_addr, self.byte_count, self.lkey)
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "RxDesc":
-        if len(data) < RX_DESC_SIZE:
-            raise ValueError("truncated RxDesc")
-        addr, count, lkey = RX_DESC.unpack_from(data)
-        return cls(addr, count, lkey)
-
-    @classmethod
-    def unpack_many(cls, data, count: int) -> "list[RxDesc]":
-        """Decode ``count`` consecutive 16 B descriptors (a receive
-        descriptor burst)."""
-        if len(data) < count * RX_DESC_SIZE:
-            raise ValueError("truncated RxDesc batch")
-        out = []
-        new = cls.__new__
-        for addr, nbytes, lkey in RX_DESC.iter_unpack(
-                memoryview(data)[:count * RX_DESC_SIZE]):
-            desc = new(cls)
-            desc.buffer_addr = addr
-            desc.byte_count = nbytes
-            desc.lkey = lkey
-            out.append(desc)
-        return out
-
-    def __repr__(self) -> str:
-        return f"RxDesc(addr={self.buffer_addr:#x}, len={self.byte_count})"
-
-
-class Cqe:
-    """A 64 B completion-queue entry.
-
-    Layout (big-endian)::
-
-        0   opcode        u8
-        1   flags         u8
-        2   wqe_counter   u16
-        4   qpn           u32
-        8   byte_count    u32
-        12  rss_hash      u32
-        16  flow_tag      u32   context ID stamped by steering (§5.4)
-        20  stride_index  u16   MPRQ stride within the receive buffer
-        22  owner         u8    ownership/phase bit for poll-mode drivers
-        23  syndrome      u8    error code when opcode is CQE_ERROR
-        24  reserved      (40 B of zero padding to 64 B)
-    """
-
-    __slots__ = ("opcode", "flags", "wqe_counter", "qpn", "byte_count",
-                 "rss_hash", "flow_tag", "stride_index", "owner", "syndrome")
-
-    def __init__(self, opcode: int, qpn: int, wqe_counter: int,
-                 byte_count: int, flags: int = 0, rss_hash: int = 0,
-                 flow_tag: int = 0, stride_index: int = 0, owner: int = 1,
-                 syndrome: int = 0):
-        self.opcode = opcode
-        self.flags = flags
-        self.wqe_counter = wqe_counter & 0xFFFF
-        self.qpn = qpn
-        self.byte_count = byte_count
-        self.rss_hash = rss_hash & 0xFFFFFFFF
-        self.flow_tag = flow_tag
-        self.stride_index = stride_index
-        self.owner = owner
-        self.syndrome = syndrome
-
-    @property
-    def l4_ok(self) -> bool:
-        return bool(self.flags & CQE_FLAG_L4_OK)
-
-    @property
-    def is_error(self) -> bool:
-        return self.opcode == CQE_ERROR
-
-    def pack(self) -> bytes:
-        return CQE.pack(
-            self.opcode, self.flags, self.wqe_counter,
-            self.qpn, self.byte_count, self.rss_hash, self.flow_tag,
-            self.stride_index, self.owner, self.syndrome,
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "Cqe":
-        if len(data) < CQE_SIZE:
-            raise ValueError("truncated Cqe")
-        (opcode, flags, counter, qpn, count, rss, tag, stride, owner,
-         syndrome) = CQE.unpack_from(data)
-        return cls(opcode, qpn, counter, count, flags, rss, tag, stride,
-                   owner, syndrome)
-
-    def __repr__(self) -> str:
-        return (
-            f"Cqe(op={self.opcode:#x}, qpn={self.qpn}, "
-            f"wqe={self.wqe_counter}, len={self.byte_count})"
         )

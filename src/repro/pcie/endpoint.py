@@ -53,9 +53,6 @@ class Bar:
         self.size = size
         self.endpoint = endpoint
 
-    def contains(self, address: int) -> bool:
-        return self.base <= address < self.base + self.size
-
     def overlaps(self, other: "Bar") -> bool:
         return self.base < other.base + other.size and other.base < self.base + self.size
 

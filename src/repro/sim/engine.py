@@ -58,7 +58,7 @@ from __future__ import annotations
 import heapq
 import sys
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..telemetry import NULL_TELEMETRY
 from ..telemetry.profile import NULL_PROFILER, owner_tag
@@ -98,21 +98,11 @@ class Event:
         self._cbs: Optional[List[Callable[["Event"], None]]] = None
 
     @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
     def profile_tag(self) -> Optional[str]:
         # A timeout's firing is its waiter's work: it files under the
         # owner of the first callback (a process's resume).
         cb = self._cb
         return None if cb is None else owner_tag(cb)
-
-    @property
-    def value(self) -> Any:
-        if not self._fired:
-            raise SimulationError("event value read before it fired")
-        return self._value
 
     def succeed(self, value: Any = None) -> "Event":
         if self._fired:
@@ -165,14 +155,6 @@ class Process:
         # One bound method reused for every yield; a per-yield lambda would
         # allocate a closure each time the process blocks.
         self._resume = self._on_event
-
-    @property
-    def done(self) -> Event:
-        return self._done
-
-    @property
-    def finished(self) -> bool:
-        return self._done.fired
 
     def _on_event(self, event: Event) -> None:
         self._step(event._value)
@@ -297,10 +279,6 @@ class Simulator:
         _heappush(self._queue, (self._now + delay, seq, event.succeed, value))
         return event
 
-    def event(self) -> Event:
-        """A fresh pending event, fired manually via :meth:`Event.succeed`."""
-        return Event(self)
-
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a generator as a process on the next event-loop pass."""
         process = Process(self, gen, name)
@@ -311,24 +289,6 @@ class Simulator:
                            self._now)
         self.schedule(0.0, process._step)
         return process
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires once every event in ``events`` has fired."""
-        events = list(events)
-        combined = Event(self)
-        remaining = len(events)
-        if remaining == 0:
-            return combined.succeed([])
-
-        def on_fire(_event: Event) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                combined.succeed([e.value for e in events])
-
-        for event in events:
-            event.add_callback(on_fire)
-        return combined
 
     # -- execution -------------------------------------------------------
 

@@ -457,10 +457,6 @@ class DuplexLink:
         self.rx = Link(sim, rate_bps, latency, name=f"{name}.rx")
         self.name = name
 
-    @property
-    def rate_bps(self) -> Optional[float]:
-        return self.tx.rate_bps
-
 
 class TokenBucket:
     """A token-bucket rate limiter (used by the NIC traffic shaper).
@@ -485,11 +481,6 @@ class TokenBucket:
             self.burst_bits, self._tokens + (now - self._last) * self.rate_bps
         )
         self._last = now
-
-    @property
-    def tokens(self) -> float:
-        self._refill()
-        return self._tokens
 
     def try_consume(self, bits: float) -> bool:
         self._refill()

@@ -26,7 +26,6 @@ class FldRConnection:
         self.sim = sim
         self.endpoint = endpoint
         self.info = info
-        self.stats_calls = 0
 
     @property
     def responses(self) -> Store:
@@ -36,17 +35,6 @@ class FldRConnection:
     def post(self, message: bytes) -> Event:
         """Fire a request; event fires when the send is acked."""
         return self.endpoint.post_send(message)
-
-    def call(self, message: bytes):
-        """Generator: send a request and return the response message.
-
-        Only valid when the caller is the sole consumer of responses
-        (the cryptodev driver pipelines via :meth:`post` + ``responses``).
-        """
-        self.stats_calls += 1
-        yield self.endpoint.post_send(message, signaled=False)
-        response, _cqe = yield self.endpoint.messages.get()
-        return response
 
 
 class FldRClient:

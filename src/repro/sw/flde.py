@@ -19,7 +19,6 @@ from typing import Dict, List, Optional
 from ..nic import (
     Action,
     DecapVxlan,
-    ForwardToQueue,
     ForwardToRss,
     MatchSpec,
     Meter,
@@ -55,26 +54,6 @@ class FldEControlPlane:
     # Acceleration rules
     # ------------------------------------------------------------------
 
-    def accelerate(self, match: MatchSpec, accel_rq: ReceiveQueue,
-                   resume_actions: List[Action],
-                   context_id: int = 0, priority: int = 0,
-                   pre_actions: Optional[List[Action]] = None,
-                   resume_table: Optional[str] = None) -> Rule:
-        """Send matching packets through the accelerator and resume.
-
-        ``pre_actions`` run before the detour (e.g. VXLAN decap — the
-        §8.2.2 pattern); ``resume_actions`` populate the resume table's
-        default entry (e.g. RSS delivery after defragmentation).
-        """
-        name = resume_table or f"vport{self.vport}.resume{self.stats_rules}"
-        table = self.nic.steering.table(name)
-        table.default_actions = resume_actions
-        self._resume_tables.append(self.ctrl.add_resume_table(name))
-        actions: List[Action] = list(pre_actions or [])
-        actions.append(ToAccelerator(accel_rq, name, context_id))
-        rule = self._install(match, actions, priority)
-        return rule
-
     def _install(self, match: MatchSpec, actions: List[Action],
                  priority: int) -> Rule:
         """Install a rule on the vPort root through the command unit."""
@@ -83,11 +62,6 @@ class FldEControlPlane:
         self._rules.append(rule)
         self.stats_rules += 1
         return rule
-
-    def deliver(self, match: MatchSpec, rq: ReceiveQueue,
-                priority: int = 0) -> Rule:
-        """Plain delivery rule (no acceleration)."""
-        return self._install(match, [ForwardToQueue(rq)], priority)
 
     # ------------------------------------------------------------------
     # Virtualization (§5.4)
@@ -116,9 +90,6 @@ class FldEControlPlane:
         actions.append(ToAccelerator(accel_rq, name, tenant_id))
         rule = self._install(match, actions, priority)
         return rule
-
-    def set_tenant_rate(self, tenant_id: int, rate_bps: float) -> None:
-        self.nic.shaper.add_limiter(f"tenant{tenant_id}", rate_bps)
 
     def validate_tenant_rule(self, actions: List[Action]) -> None:
         """Reject untrusted rules that set context IDs (§5.4).

@@ -61,11 +61,3 @@ class FldRControlPlane:
         self.queue_map[qp.qpn] = queue_id
         self.stats_connections += 1
         return FldRConnectionInfo(qp.qpn, queue_id, self.mac, self.ip)
-
-    def close(self) -> None:
-        """Tear down every accepted connection and the shared MPRQ."""
-        for qp in reversed(self.qps):
-            queue_id = self.queue_map.pop(qp.qpn)
-            self.runtime.destroy_tx_queue(queue_id)
-        self.qps.clear()
-        self.runtime.destroy_rx_queue(self.shared_rq)

@@ -4,7 +4,7 @@ Three pieces:
 
 * :mod:`repro.telemetry.metrics` — the :class:`MetricsRegistry` of
   hierarchically-named counters, gauges and log-bucketed histograms,
-  with JSON export and snapshot-diff;
+  with JSON export and snapshots;
 * :mod:`repro.telemetry.trace` — the :class:`Tracer` recording spans and
   instants against the simulator clock, exported as Chrome
   ``chrome://tracing`` / Perfetto JSON;

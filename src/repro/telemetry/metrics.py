@@ -224,26 +224,8 @@ class Snapshot:
     def __getitem__(self, name: str) -> float:
         return self.values[name]
 
-    def get(self, name: str, default: float = 0.0) -> float:
-        return self.values.get(name, default)
-
     def __contains__(self, name: str) -> bool:
         return name in self.values
-
-    def diff(self, earlier: "Snapshot") -> Dict[str, float]:
-        """What moved between ``earlier`` and this snapshot (delta != 0)."""
-        deltas: Dict[str, float] = {}
-        for name, value in self.values.items():
-            delta = value - earlier.get(name, 0.0)
-            if delta:
-                deltas[name] = delta
-        for name, value in earlier.values.items():
-            if name not in self.values and value:
-                deltas[name] = -value
-        return deltas
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.values)
 
 
 class MetricsRegistry:
@@ -289,19 +271,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def attach(self, name: str, metric) -> None:
-        """Adopt an externally-built metric (no copying) under ``name``.
-
-        This is how experiment-local collectors feed the registry: build
-        a :class:`Histogram` while the run owns it, then attach it.
-        """
-        existing = self._metrics.get(name)
-        if existing is not None and existing is not metric:
-            raise MetricsError(f"metric {name!r} already registered")
-        self._check_pushable(name, type(metric))
-        metric.name = name
-        self._metrics[name] = metric
 
     def register_probe(self, name: str,
                        probe: Callable[[], Dict[str, float]]) -> None:

@@ -354,53 +354,10 @@ class SimProfiler:
 
 
 class NullSimProfiler:
-    """The disabled profiler: API parity, does nothing, shared singleton."""
+    """The disabled profiler: ``enabled`` is False, so the engine
+    dispatches with no profiler at all."""
 
     enabled = False
-    wallclock = False
-    registry = None
-    total_events = 0
-    event_counts: Dict[str, int] = {}
-    wall_times: Dict[Tuple[str, str], List[float]] = {}
-    depth_samples: List[Tuple[int, int]] = []
-    depth_every = 0
-    max_depth_samples = 0
-
-    def declare(self, prefix: str, stage: str) -> None:
-        pass
-
-    def classify(self, tag: str) -> str:
-        return "other"
-
-    def account(self, func, depth: int) -> None:
-        pass
-
-    def end_run(self) -> None:
-        pass
-
-    def record_depth(self, index: int, depth: int) -> None:
-        pass
-
-    def stage_counts(self) -> Dict[str, int]:
-        return {}
-
-    def top_tags(self, n: int = 20) -> List[Tuple[str, int]]:
-        return []
-
-    def top_callsites(self, n: int = 20) -> List[Dict[str, Any]]:
-        return []
-
-    def collapsed_stacks(self) -> List[str]:
-        return []
-
-    def flush(self) -> None:
-        pass
-
-    def report(self, delivered: Optional[int] = None) -> Dict[str, Any]:
-        return {}
-
-    def render(self, delivered: Optional[int] = None, top: int = 10) -> str:
-        return ""
 
 
 NULL_PROFILER = NullSimProfiler()

@@ -10,9 +10,10 @@ components count in plain-int ``stats_*`` attributes, watched or not,
 and check ``telemetry.enabled`` once at construction — to register the
 sources that publish those ints (``register_counters``, and
 ``register_gauges`` for levels) and to create the histograms they
-otherwise hold as ``None``.  Nothing is called on a null instrument;
-the null tracer, span recorder and profiler are guarded by ``enabled``
-at each use site.
+otherwise hold as ``None``.  The null bundle and its registry, tracer,
+span recorder and profiler are ``enabled = False`` holders with no
+methods: every use site checks ``enabled`` (a span site, that its
+trace context is not ``None``) before it records.
 """
 
 from __future__ import annotations
@@ -26,30 +27,9 @@ from .trace import NULL_TRACER, NullTracer, Tracer
 
 
 class NullRegistry:
-    """The read side of a registry nothing was ever registered with."""
+    """The registry of the disabled bundle: nothing registers with it."""
 
     enabled = False
-
-    def sample_probes(self) -> Dict[str, float]:
-        return {}
-
-    def snapshot(self, include_probes: bool = True) -> Snapshot:
-        return Snapshot({})
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-    def to_json(self, indent: int = 2) -> str:
-        return "{}"
-
-    def names(self):
-        return []
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0
 
 
 NULL_REGISTRY = NullRegistry()
@@ -93,9 +73,6 @@ class Telemetry:
     def histogram(self, name: str) -> Histogram:
         return self.metrics.histogram(name)
 
-    def attach(self, name: str, metric) -> None:
-        self.metrics.attach(name, metric)
-
     def register_probe(self, name: str,
                        probe: Callable[[], Dict[str, float]]) -> None:
         self.metrics.register_probe(name, probe)
@@ -124,9 +101,6 @@ class NullTelemetry:
     tracer: NullTracer = NULL_TRACER
     spans: NullSpanRecorder = NULL_SPANS
     profiler: NullSimProfiler = NULL_PROFILER
-
-    def snapshot(self, include_probes: bool = True) -> Snapshot:
-        return Snapshot({})
 
 
 NULL_TELEMETRY = NullTelemetry()

@@ -96,15 +96,6 @@ class Span(NamedTuple):
             return None
         return self.end - self.start
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "stage": self.stage,
-            "kind": self.kind,
-            "start": self.start,
-            "end": self.end,
-        }
-
     def __repr__(self) -> str:
         return (f"Span({self.stage!r}, kind={self.kind}, "
                 f"[{self.start}, {self.end}])")
@@ -543,74 +534,10 @@ class SpanRecorder:
 
 
 class NullSpanRecorder:
-    """No-op twin of :class:`SpanRecorder` — the disabled fast path.
-
-    ``start_trace`` returns ``None``, so every downstream guard
-    (``ctx is not None``) short-circuits and no per-packet state is
-    kept.  Mirrors the full public API (see the shared-interface test).
-    """
+    """The disabled recorder: ``enabled`` is False, and every site that
+    would start or extend a trace checks it first."""
 
     enabled = False
-    sample_rate = 0
-    max_traces = 0
-    registry = None
-    seen = 0
-    sampled = 0
-    skipped = 0
-    dropped = 0
-
-    def start_trace(self, name: str, now: float) -> Optional[TraceContext]:
-        return None
-
-    def end_trace(self, ctx, now: float) -> None:
-        return None
-
-    def enter(self, ctx, stage: str, now: float,
-              kind: str = KIND_SERVICE) -> Optional[Tuple[Trace, int]]:
-        return None
-
-    def exit(self, span_id, now: float) -> None:
-        return None
-
-    def record(self, ctx, stage: str, start: float, end: float,
-               kind: str = KIND_SERVICE) -> None:
-        return None
-
-    def event(self, ctx, name: str, now: float) -> None:
-        return None
-
-    def stash(self, key, ctx) -> None:
-        return None
-
-    def claim(self, key) -> Optional[TraceContext]:
-        return None
-
-    def pending_stashes(self) -> List[Any]:
-        return []
-
-    @property
-    def traces(self) -> List[Trace]:
-        return []
-
-    def get_trace(self, ctx_or_id) -> Optional[Trace]:
-        return None
-
-    def finished_traces(self) -> List[Trace]:
-        return []
-
-    def unfinished_traces(self) -> List[Trace]:
-        return []
-
-    def orphan_spans(self) -> List[Span]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"schema": SPAN_SCHEMA_VERSION, "sample_rate": 0,
-                "seen": 0, "sampled": 0, "skipped": 0, "dropped": 0,
-                "traces": []}
 
 
 #: Shared no-op recorder used when span tracing is disabled.

@@ -1,14 +1,12 @@
 """Event tracing with Chrome ``chrome://tracing`` / Perfetto JSON export.
 
-The tracer records three event shapes keyed to the *simulator* clock
+The tracer records two event shapes keyed to the *simulator* clock
 (seconds, converted to the microseconds Chrome expects):
 
 * **complete spans** (``ph: "X"``) — an interval with a duration: a TLP
   occupying a PCIe lane, a WQE moving through a NIC send queue;
 * **instants** (``ph: "i"``) — a point event: a retransmission firing, a
-  process spawning;
-* **counter series** (``ph: "C"``) — a value over time: receive-inbox
-  depth, credits outstanding.
+  process spawning.
 
 Naming follows the trace-viewer model: one *process* per simulated
 component ("pcie", "server.nic", "fld"), one *thread* per queue or link
@@ -97,17 +95,6 @@ class Tracer:
             event["args"] = args
         self._push(event)
 
-    def counter(self, process: str, name: str, ts: float,
-                values: Dict[str, float]) -> None:
-        """A sample of one or more series plotted as a stacked counter."""
-        self._push({
-            "name": name,
-            "ph": "C",
-            "ts": ts * SECONDS_TO_US,
-            "pid": self._pid(process),
-            "args": dict(values),
-        })
-
     # -- export -----------------------------------------------------------
 
     def _metadata_events(self) -> List[Dict[str, Any]]:
@@ -149,50 +136,14 @@ class Tracer:
 
 
 class NullTracer:
-    """The disabled tracer: every recording call is a no-op.
-
-    ``enabled`` is False so callers can skip building argument dicts
-    entirely — the pattern every hot path in the simulator uses:
+    """The disabled tracer: ``enabled`` is False, and every recording
+    site checks it before building its arguments::
 
         if tracer.enabled:
             tracer.complete(...)
-
-    Mirrors the full public surface of :class:`Tracer` — including the
-    ``max_events``/``dropped`` bookkeeping attributes — so code written
-    against either class never needs an ``isinstance`` check (the
-    shared-interface test enforces this).
     """
 
     enabled = False
-    max_events = 0
-    dropped = 0
-
-    def complete(self, process, thread, name, start, end, args=None) -> None:
-        pass
-
-    def instant(self, process, thread, name, ts, args=None) -> None:
-        pass
-
-    def counter(self, process, name, ts, values) -> None:
-        pass
-
-    def chrome_trace(self) -> Dict[str, Any]:
-        return {"traceEvents": [], "displayTimeUnit": "ns",
-                "otherData": {"droppedEvents": 0}}
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.chrome_trace(), indent=indent)
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-
-    @property
-    def events(self):
-        return []
-
-    def __len__(self) -> int:
-        return 0
 
 
 NULL_TRACER = NullTracer()

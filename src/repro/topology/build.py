@@ -108,21 +108,6 @@ class Testbed:
 
     # -- lifecycle -------------------------------------------------------
 
-    def reset(self) -> None:
-        """Zero measurement statistics (between measurement phases)."""
-        for fn in self.accel_fns.values():
-            accel = fn.accel
-            accel.stats_processed = 0
-            accel.stats_dropped = 0
-            accel.stats_errors = 0
-        for node in self.nodes.values():
-            port = node.nic.port
-            port.stats_tx_packets = 0
-            port.stats_rx_packets = 0
-            for vport in node.nic.eswitch.vports.values():
-                vport.stats_rx = 0
-                vport.stats_tx = 0
-
     def teardown(self) -> None:
         """Destroy every constructed NIC resource, in reverse build
         order, through the firmware command unit.

@@ -1,19 +1,16 @@
 """Declarative testbed descriptions: topology as data, not code.
 
-A :class:`TopologySpec` is a JSON-able description of a testbed —
+A :class:`TopologySpec` is a plain-data description of a testbed —
 nodes, links, vPorts with their steered MACs, FLD instances, the
 accelerator functions behind them, and host queue pairs.  The
 :func:`repro.topology.build.build` elaborator turns a spec into live
 simulation objects in a fixed, documented order, so two runs of the
 same spec construct (and therefore schedule) identically.
-
-A spec round-trips through JSON canonically
-(:meth:`TopologySpec.to_dict`).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Core roles a NodeSpec may request; mapped to CpuCore factories on
@@ -213,30 +210,3 @@ class TopologySpec:
                     f"{self.name}: duplicate host qp name {qp.name!r}")
             qp_names.add(qp.name)
         return self
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-able dict (canonical under ``canonical_params``)."""
-        return {
-            "name": self.name,
-            "nodes": [asdict(n) for n in self.nodes],
-            "links": [asdict(link) for link in self.links],
-            "vports": [asdict(v) for v in self.vports],
-            "flds": [asdict(f) for f in self.flds],
-            "accel_fns": [asdict(a) for a in self.accel_fns],
-            "host_qps": [asdict(q) for q in self.host_qps],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TopologySpec":
-        return cls(
-            name=data["name"],
-            nodes=[NodeSpec(**n) for n in data.get("nodes", [])],
-            links=[LinkSpec(**link) for link in data.get("links", [])],
-            vports=[VportSpec(**v) for v in data.get("vports", [])],
-            flds=[FldSpec(**f) for f in data.get("flds", [])],
-            accel_fns=[AccelFnSpec(**a)
-                       for a in data.get("accel_fns", [])],
-            host_qps=[HostQpSpec(**q) for q in data.get("host_qps", [])],
-        )

@@ -7,7 +7,6 @@ from repro.accelerators.zuc import (
     eea3_decrypt,
     eea3_encrypt,
     eia3_mac,
-    eia3_verify,
 )
 
 
@@ -127,13 +126,11 @@ class TestEia3:
         assert eia3_mac(ik, 0xA94059DA, 0xA, 1, message,
                         nbits=577) == 0xFAE8FF0B
 
-    def test_verify_accepts_and_rejects(self):
+    def test_a_changed_message_changes_the_mac(self):
         key = bytes(range(16))
         message = b"authenticated message"
         mac = eia3_mac(key, 5, 1, 0, message)
-        assert eia3_verify(key, 5, 1, 0, message, mac)
-        assert not eia3_verify(key, 5, 1, 0, message + b"!", mac)
-        assert not eia3_verify(key, 5, 1, 0, message, mac ^ 1)
+        assert eia3_mac(key, 5, 1, 0, message + b"!") != mac
 
     def test_key_matters(self):
         message = b"m" * 32

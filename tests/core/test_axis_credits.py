@@ -7,19 +7,14 @@ from repro.sim import Simulator
 
 
 class TestAxisStream:
-    def test_push_and_get(self):
+    def test_a_parked_consumer_takes_the_next_push(self):
         sim = Simulator()
         stream = AxisStream(sim, "s")
         got = []
-
-        def consumer(sim):
-            data, meta = yield stream.get()
-            got.append((data, meta.queue_id))
-
+        assert stream.pop_or_park(got.append) is None
         stream.push(b"abc", AxisMetadata(queue_id=3))
-        sim.spawn(consumer(sim))
-        sim.run()
-        assert got == [(b"abc", 3)]
+        [(data, meta)] = got
+        assert (data, meta.queue_id) == (b"abc", 3)
 
     def test_bounded_stream_drops_on_overflow(self):
         """The no-backpressure rule: a slow accelerator loses packets."""
@@ -29,22 +24,14 @@ class TestAxisStream:
         assert stream.push(b"2", AxisMetadata())
         assert not stream.push(b"3", AxisMetadata())
         assert stream.stats_dropped == 1
-        assert stream.stats_delivered == 2
+        assert stream._store.stats_put == 2
 
     def test_fifo_order(self):
         sim = Simulator()
         stream = AxisStream(sim, "s")
         for i in range(5):
             stream.push(bytes([i]), AxisMetadata())
-        got = []
-
-        def consumer(sim):
-            for _ in range(5):
-                data, _meta = yield stream.get()
-                got.append(data[0])
-
-        sim.spawn(consumer(sim))
-        sim.run()
+        got = [stream.pop_or_park(None)[0][0] for _ in range(5)]
         assert got == [0, 1, 2, 3, 4]
 
 
@@ -78,26 +65,19 @@ class TestCreditInterface:
         credits.refund(0, 10)
         assert credits.available(0) == 4
 
-    def test_acquire_blocks_until_refund(self):
+    def test_a_waiter_is_served_by_the_refund_that_covers_it(self):
         sim = Simulator()
         credits = CreditInterface(sim)
         credits.configure(0, 1)
-        order = []
-
-        def consumer(sim):
-            yield credits.acquire(0)
-            order.append(("first", sim.now))
-            yield credits.acquire(0)
-            order.append(("second", sim.now))
-
-        def producer(sim):
-            yield sim.timeout(1.0)
-            credits.refund(0, 1)
-
-        sim.spawn(consumer(sim))
-        sim.spawn(producer(sim))
-        sim.run()
-        assert order == [("first", 0.0), ("second", 1.0)]
+        served = []
+        assert credits.try_consume(0)
+        assert not credits.try_consume(0)
+        credits.wait(0, 1, served.append, "second")
+        assert served == []
+        credits.refund(0, 1)
+        # The refund's credit went to the waiter, not to the balance.
+        assert served == ["second"]
+        assert credits.available(0) == 0
         assert credits.stats_waits == 1
 
     def test_per_queue_isolation(self):
@@ -119,20 +99,9 @@ class TestCreditInterface:
         credits = CreditInterface(sim)
         credits.configure(0, 0)
         order = []
-
-        def waiter(sim, tag):
-            yield credits.acquire(0)
-            order.append(tag)
-
-        sim.spawn(waiter(sim, "a"))
-        sim.spawn(waiter(sim, "b"))
-
-        def refunder(sim):
-            yield sim.timeout(1.0)
-            credits.refund(0, 1)
-            yield sim.timeout(1.0)
-            credits.refund(0, 1)
-
-        sim.spawn(refunder(sim))
-        sim.run()
+        credits.wait(0, 1, order.append, "a")
+        credits.wait(0, 1, order.append, "b")
+        credits.refund(0, 1)
+        assert order == ["a"]
+        credits.refund(0, 1)
         assert order == ["a", "b"]

@@ -18,7 +18,7 @@ COUNT = 8
 SIZE = 64
 RATE_PPS = 1e6
 
-#: Field offsets in the 64 B CQE (see ``repro.nic.wqe.Cqe``).
+#: Field offsets in the 64 B CQE (see ``repro.nic.wqe.CQE``).
 BYTE_COUNT = slice(8, 12)
 FLOW_TAG = slice(16, 20)
 

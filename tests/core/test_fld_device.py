@@ -10,10 +10,11 @@ from repro.core import (
     RxError,
     bar,
 )
-from repro.nic import CQE_RECV_COMPLETION, CQE_SEND_COMPLETION, Cqe
+from repro.nic import CQE_RECV_COMPLETION, CQE_SEND_COMPLETION
 from repro.nic.wqe import CQE_ERROR
 from repro.pcie import PcieError, PcieFabric
 from repro.sim import Simulator
+from tests.cqe import cqe_bytes
 
 
 def make_fld(**config):
@@ -27,17 +28,17 @@ class TestBarHandling:
     def test_rx_buffer_write_lands_in_sram(self):
         _sim, fld = make_fld()
         fld.bind_rx_queue(0, FlexDriver.RX_CQ_BASE, 2, 8, 2048, 0x100)
-        fld.handle_write(bar.rx_buffer_address(0), b"packet bytes")
-        cqe = Cqe(CQE_RECV_COMPLETION, 1, 0, 12)
-        fld.handle_write(bar.cq_address(FlexDriver.RX_CQ_BASE), cqe.pack())
+        fld.handle_write(bar.RX_BUFFER_REGION, b"packet bytes")
+        cqe = cqe_bytes(CQE_RECV_COMPLETION, 1, 0, 12)
+        fld.handle_write(bar.cq_address(FlexDriver.RX_CQ_BASE), cqe)
         # rx_stream receives the packet after the pipeline latency.
         _sim.run()
         assert len(fld.rx_stream) == 1
 
     def test_cqe_on_unbound_ring_reports_error(self):
         _sim, fld = make_fld()
-        cqe = Cqe(CQE_RECV_COMPLETION, 1, 0, 0)
-        fld.handle_write(bar.cq_address(7), cqe.pack())
+        cqe = cqe_bytes(CQE_RECV_COMPLETION, 1, 0, 0)
+        fld.handle_write(bar.cq_address(7), cqe)
         assert fld.errors.stats_reported == 1
 
     def test_error_cqe_reported_to_channel(self):
@@ -50,8 +51,8 @@ class TestBarHandling:
             errors.append(error)
 
         sim.spawn(drain(sim))
-        cqe = Cqe(CQE_ERROR, 5, 0, 0, syndrome=9)
-        fld.handle_write(bar.cq_address(0), cqe.pack())
+        cqe = cqe_bytes(CQE_ERROR, 5, 0, 0, syndrome=9)
+        fld.handle_write(bar.cq_address(0), cqe)
         sim.run()
         assert errors and errors[0].kind == FldError.CQE_ERROR
         assert errors[0].syndrome == 9
@@ -68,13 +69,13 @@ class TestBarHandling:
     def test_out_of_range_buffer_write_rejected(self):
         _sim, fld = make_fld(rx_buffer_bytes=64 * 1024)
         with pytest.raises(RxError):
-            fld.handle_write(bar.rx_buffer_address(64 * 1024 - 4),
+            fld.handle_write(bar.RX_BUFFER_REGION + 64 * 1024 - 4,
                              b"too long")
 
     def test_unreadable_region_rejected(self):
         _sim, fld = make_fld()
         with pytest.raises(PcieError):
-            fld.handle_read(bar.rx_buffer_address(0), 64)
+            fld.handle_read(bar.RX_BUFFER_REGION, 64)
 
     def test_send_completion_routes_to_tx(self):
         _sim, fld = make_fld()
@@ -82,8 +83,8 @@ class TestBarHandling:
                           mmio_addr=0, cq_index=0, use_mmio=False)
         fld.tx.mmio_writer = lambda a, d: None  # detach PCIe
         fld.tx.submit(0, b"x" * 64, AxisMetadata(queue_id=0))
-        cqe = Cqe(CQE_SEND_COMPLETION, 5, 0, 64)
-        fld.handle_write(bar.cq_address(0), cqe.pack())
+        cqe = cqe_bytes(CQE_SEND_COMPLETION, 5, 0, 64)
+        fld.handle_write(bar.cq_address(0), cqe)
         assert fld.tx.descriptors.free_slots == fld.tx.descriptors.capacity
 
 
@@ -151,18 +152,17 @@ class TestSendPath:
         fld.tx.mmio_writer = lambda a, d: None
         sent = []
 
-        def sender(sim):
-            yield from fld.send(b"first", AxisMetadata(queue_id=0))
-            sent.append(("first", sim.now))
-            yield from fld.send(b"second", AxisMetadata(queue_id=0))
-            sent.append(("second", sim.now))
+        def taken(tag):
+            sent.append((tag, sim.now))
+
+        fld.send_then(b"first", AxisMetadata(queue_id=0), taken, "first")
+        fld.send_then(b"second", AxisMetadata(queue_id=0), taken, "second")
 
         def completer(sim):
             yield sim.timeout(1.0)
             fld.tx.on_send_completion(5, 0)
             fld.tx.credits.refund(0, 0)  # no-op; credits refunded above
 
-        sim.spawn(sender(sim))
         sim.spawn(completer(sim))
         sim.run(until=2.0)
         assert sent[0][0] == "first"

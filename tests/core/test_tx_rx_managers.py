@@ -11,14 +11,15 @@ from repro.core import (
     TxQueueError,
     TxRingManager,
 )
-from repro.nic import CQE_RECV_COMPLETION, Cqe, TxWqe, WQE_SIZE
+from repro.nic import CQE_RECV_COMPLETION, TxWqe, WQE_SIZE
 from repro.nic.wqe import CQE, CqeRecord
 from repro.sim import Simulator
+from tests.cqe import cqe_bytes
 
 
 def landed(cqe):
-    """``cqe`` as FLD reads it off the bytes that landed."""
-    return CqeRecord(CQE.unpack_from(cqe.pack()) + (None,))
+    """The CQE bytes ``cqe`` as FLD reads them off where they landed."""
+    return CqeRecord(CQE.unpack_from(cqe) + (None,))
 
 
 def land(rx, offset, data):
@@ -235,8 +236,8 @@ class TestRxManager:
         _sim, rx = self.make_rx(emitted=emitted)
         rx.add_binding(0, 2, 8, 2048, 0x100)
         land(rx, 0, b"hello packet")
-        cqe = Cqe(CQE_RECV_COMPLETION, qpn=1, wqe_counter=0, byte_count=12,
-                  flow_tag=0x77)
+        cqe = cqe_bytes(CQE_RECV_COMPLETION, qpn=1, wqe_counter=0,
+                        byte_count=12, flow_tag=0x77)
         rx.on_recv_completion(0, landed(cqe))
         assert emitted == [(b"hello packet", emitted[0][1])]
         assert emitted[0][1].context_id == 0x77
@@ -246,8 +247,8 @@ class TestRxManager:
         _sim, rx = self.make_rx(emitted=emitted)
         rx.add_binding(0, 2, 8, 2048, 0x100)
         land(rx, 3 * 2048, b"stride three")
-        cqe = Cqe(CQE_RECV_COMPLETION, 1, wqe_counter=0, byte_count=12,
-                  stride_index=3)
+        cqe = cqe_bytes(CQE_RECV_COMPLETION, 1, wqe_counter=0, byte_count=12,
+                        stride_index=3)
         rx.on_recv_completion(0, landed(cqe))
         assert emitted[0][0] == b"stride three"
 
@@ -256,7 +257,7 @@ class TestRxManager:
         _sim, rx = self.make_rx(doorbells=doorbells)
         rx.add_binding(0, 2, 8, 2048, 0x100)
         # A completion for descriptor 1 means buffer 0 is done.
-        cqe = Cqe(CQE_RECV_COMPLETION, 1, wqe_counter=1, byte_count=0)
+        cqe = cqe_bytes(CQE_RECV_COMPLETION, 1, wqe_counter=1, byte_count=0)
         rx.on_recv_completion(0, landed(cqe))
         assert len(doorbells) == 1
         addr, data = doorbells[0]
@@ -266,7 +267,7 @@ class TestRxManager:
     def test_unknown_binding_rejected(self):
         _sim, rx = self.make_rx()
         with pytest.raises(RxError):
-            rx.on_recv_completion(5, landed(Cqe(1, 1, 0, 0)))
+            rx.on_recv_completion(5, landed(cqe_bytes(1, 1, 0, 0)))
 
     def test_memory_accounting(self):
         _sim, rx = self.make_rx()

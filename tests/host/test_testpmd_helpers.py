@@ -8,7 +8,7 @@ import pytest
 
 from repro.host import LoadGenerator, swap_directions, swap_frame
 from repro.net import Ethernet, Flow, Ipv4, PROTO_TCP, PROTO_UDP, Packet, \
-    Tcp, Udp, make_flows, round_robin_packets
+    Tcp, Udp, make_flows
 from repro.net.parse import parse_frame
 from repro.sim import Simulator
 
@@ -65,13 +65,6 @@ class TestFlowHelpers:
         flows = make_flows(50, seed=3)
         tuples = {f.tuple5() for f in flows}
         assert len(tuples) >= 45  # random ports may rarely collide
-
-    def test_round_robin_cycles(self):
-        flows = make_flows(3, seed=1)
-        packets = list(round_robin_packets(flows, 100, 7))
-        assert len(packets) == 7
-        sources = [p.meta["flow"][2] for p in packets]
-        assert sources[0] == sources[3] == sources[6]
 
     def test_sized_packet_exact_size(self):
         flow = make_flows(1, seed=2)[0]

@@ -17,7 +17,6 @@ from repro.experiments import (
     cpu_mediated,
     defrag,
     iot,
-    prog,
     scale_tenants,
     scaling,
     zuc,
@@ -72,12 +71,10 @@ ENTRY_POINTS = {
         "hw-defrag", rounds=count // defrag.NUM_FLOWS),
     "scale-tenants": lambda count, size: scale_tenants.throughput(
         4, size, count=count),
-    "prog-firewall": lambda count, size: prog.run_scenario(
-        "firewall", size, count),
-    "prog-lb": lambda count, size: prog.run_scenario("lb", size, count),
-    "prog-nat": lambda count, size: prog.run_scenario("nat", size, count),
-    "prog-ddos": lambda count, size: prog.run_scenario("ddos", size, count),
-    "prog-null": lambda count, size: prog.echo_fingerprint(size, count),
+    # ``python -m repro prog`` runs each prog row through scenario.run.
+    **{f"prog-{name}": (lambda count, size, name=name:
+                        run(f"prog-{name}", count, size)[0])
+       for name in ("firewall", "lb", "nat", "ddos", "null")},
     "cpu-mediated": lambda count, size: cpu_mediated.echo_throughput(
         size, count=count),
     "scaling": lambda count, size: scaling.throughput(

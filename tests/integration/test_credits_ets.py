@@ -50,6 +50,23 @@ def build(sim, limited_rate_bps=1e9):
     return server, runtime, slow_q, fast_q, counts
 
 
+def send_in_turn(fld, data, metas, taken=None):
+    """Offer ``data`` once for each metadata ``metas`` yields, each send
+    when the pipeline has taken the one before, as a blocking send loop
+    does: ``FlexDriver.send_then`` calls back once it has taken a packet
+    (``taken()`` then runs), and only then is the next metadata drawn."""
+    metas = iter(metas)
+
+    def send_next(first):
+        if not first and taken is not None:
+            taken()
+        meta = next(metas, None)
+        if meta is not None:
+            fld.send_then(data, meta, send_next, False)
+
+    send_next(True)
+
+
 def frame(src_port):
     flow = Flow(FLD_MAC, CLIENT_MAC, "10.0.0.2", "10.0.0.1",
                 src_port, 2000)
@@ -63,14 +80,14 @@ class TestCreditBackpressure:
         fld = runtime.fld
         progress = {"slow": 0, "fast": 0}
 
-        def producer(sim, queue_id, tag, count):
-            data = frame(1000 if tag == "slow" else 2000)
-            for _ in range(count):
-                yield from fld.send(data, AxisMetadata(queue_id=queue_id))
+        def producer(queue_id, tag, count):
+            def taken():
                 progress[tag] += 1
+            send_in_turn(fld, frame(1000 if tag == "slow" else 2000),
+                         [AxisMetadata(queue_id=queue_id)] * count, taken)
 
-        sim.spawn(producer(sim, slow_q, "slow", 60))
-        sim.spawn(producer(sim, fast_q, "fast", 60))
+        producer(slow_q, "slow", 60)
+        producer(fast_q, "fast", 60)
         sim.run(until=100e-6)
 
         # The fast queue finished its work long ago; the slow queue is
@@ -79,7 +96,8 @@ class TestCreditBackpressure:
         assert progress["fast"] == 60
         assert progress["slow"] < 40
         # Credits reflect it: the slow queue is starved of credits.
-        assert fld.credits_available(fast_q) > fld.credits_available(slow_q)
+        credits = fld.tx.credits
+        assert credits.available(fast_q) > credits.available(slow_q)
 
         sim.run(until=1.0)
         # Eventually the shaper admits everything; nothing was lost.
@@ -91,16 +109,12 @@ class TestCreditBackpressure:
         server, runtime, slow_q, _fast_q, counts = build(
             sim, limited_rate_bps=2e9)
         fld = runtime.fld
-        times = {}
-
-        def producer(sim):
-            data = frame(1000)
-            for _ in range(100):
-                yield from fld.send(data, AxisMetadata(queue_id=slow_q))
-            times["done_producing"] = sim.now
-
-        sim.spawn(producer(sim))
+        taken = []
+        send_in_turn(fld, frame(1000), [AxisMetadata(queue_id=slow_q)] * 100,
+                     lambda: taken.append(sim.now))
         sim.run(until=1.0)
+        assert len(taken) == 100
+        times = {"done_producing": taken[-1]}
         assert counts["slow"] == 100
         # With 8 credits the producer tracks the 2 Gbps shaped rate:
         # ~92 completions at 4.8 us each before the last credit frees.

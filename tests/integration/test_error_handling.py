@@ -8,11 +8,11 @@ inject faults at different layers and check the channel end to end.
 import pytest
 
 from repro.core import FldError, bar
-from repro.nic import Cqe
 from repro.nic.wqe import CQE_ERROR
 from repro.sim import Simulator
 from repro.sw import FldKernelDriver, FldRuntime
 from repro.testbed import make_local_node
+from tests.cqe import cqe_bytes
 
 FLD_MAC = "02:00:00:00:00:99"
 
@@ -37,10 +37,10 @@ class TestErrorChannel:
         # FLD BAR's completion ring (injected via the fabric, as the
         # real device would write it).
         qpn = runtime.fld.tx.queue(txq).qpn
-        error_cqe = Cqe(CQE_ERROR, qpn, 0, 0, syndrome=0x22)
+        error_cqe = cqe_bytes(CQE_ERROR, qpn, 0, 0, syndrome=0x22)
         node.fabric.post_write(
             node.nic, runtime.fld_bar_base + bar.cq_address(txq),
-            error_cqe.pack(),
+            error_cqe,
         )
         sim.run(until=0.001)
         assert len(handled) == 1
@@ -51,10 +51,10 @@ class TestErrorChannel:
     def test_unbound_cq_write_is_reported_not_fatal(self):
         sim = Simulator()
         node, runtime, kdriver = build(sim)
-        stray = Cqe(1, 1, 0, 0)
+        stray = cqe_bytes(1, 1, 0, 0)
         node.fabric.post_write(
             node.nic, runtime.fld_bar_base + bar.cq_address(9),
-            stray.pack(),
+            stray,
         )
         sim.run(until=0.001)
         assert len(kdriver.errors_of_kind(FldError.CQE_ERROR)) == 1
@@ -88,7 +88,7 @@ class TestErrorChannel:
             setup.server.fabric.post_write(
                 setup.server.nic,
                 setup.runtime.fld_bar_base + bar.cq_address(0),
-                Cqe(CQE_ERROR, qpn, 0, 0, syndrome=1).pack(),
+                cqe_bytes(CQE_ERROR, qpn, 0, 0, syndrome=1),
             )
             yield from loadgen.run_closed_loop(frame_size=256, count=10)
             yield from loadgen.drain()

@@ -152,8 +152,8 @@ class TestFldEResume:
         txq = runtime.create_eth_tx_queue(vport=2)
         EchoAccelerator(sim, runtime.fld, units=1, tx_queue=txq)
         server.nic._next_resume_id = first_resume_id
-        FldEControlPlane(runtime, vport=2).accelerate(
-            MatchSpec(), rq, resume_actions=[ForwardToUplink()])
+        FldEControlPlane(runtime, vport=2).add_tenant(
+            1, MatchSpec(), rq, [ForwardToUplink()])
         client_qp = client.driver.create_eth_qp(vport=1)
         client_qp.post_rx_buffers(8)
         loadgen = LoadGenerator(sim, client_qp, Flow(
@@ -185,7 +185,7 @@ class TestFldRPath:
                                                buffer_size=4096)
         cep.post_rx_buffers(256)
         cep.connect(FLD_MAC, "10.0.0.2", qp.qpn)
-        qp.connect(CLIENT_MAC, "10.0.0.1", cep.qpn)
+        runtime.ctrl.connect_qp(qp, CLIENT_MAC, "10.0.0.1", cep.qpn)
         return runtime, accel, cep, qp
 
     def test_single_segment_message_roundtrip(self):

@@ -74,9 +74,10 @@ class TestAreaModel:
         assert fld.ff < nica.utilization.ff
 
     def test_fld_only_full_feature_design(self):
-        rows = area.area_per_feature()
-        full = [r for r in rows if r["full_features"] == 3]
-        assert [r["solution"] for r in full] == ["FLD"]
+        full = [arch.solution for arch in area.TABLE1
+                if arch.stateless_offloads and arch.tunneling == "yes"
+                and arch.hardware_transport == "yes"]
+        assert full == ["FLD"]
 
     def test_nica_comparison_direction(self):
         """§7: NICA needs more of every resource than FLD + IoT."""

@@ -202,3 +202,22 @@ class TestRuleCommands:
         # The vPort is pinned while the rule stands.
         result = node.nic.cmd.execute(DestroyObject(handle=vport_handle))
         assert result.status == CmdStatus.IN_USE
+
+    def test_install_rule_refuses_a_missing_vport(self):
+        sim, node, ctrl = make_ctrl()
+        objects = len(node.nic.cmd.table)
+        rules = len(node.nic.steering.table("fdb").rules)
+        with pytest.raises(CmdError) as err:
+            ctrl.install_rule("fdb", MatchSpec(dst_mac="02:00:00:00:00:07"),
+                              [ForwardToVport(7)], priority=10)
+        assert err.value.status == CmdStatus.BAD_HANDLE
+        assert len(node.nic.cmd.table) == objects
+        assert len(node.nic.steering.table("fdb").rules) == rules
+
+    def test_a_vport_with_no_firmware_handle_stays_unpinned(self):
+        sim, node, ctrl = make_ctrl()
+        node.nic.eswitch.add_vport(7)
+        rule = ctrl.install_rule(
+            "fdb", MatchSpec(dst_mac="02:00:00:00:00:07"),
+            [ForwardToVport(7)], priority=10)
+        assert node.nic.cmd.table.get(ctrl.handle_of(rule)).deps == []

@@ -19,7 +19,11 @@ from repro.telemetry import Telemetry
 from repro.telemetry.audit import audit_spans
 from repro.topology import LinkSpec, NodeSpec, TopologySpec, build
 
-from ..integration.test_credits_ets import build as build_metered, frame
+from ..integration.test_credits_ets import (
+    build as build_metered,
+    frame,
+    send_in_turn,
+)
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -55,14 +59,10 @@ class TestMeteredQueueUnderObservation:
         spans = telemetry.spans
         _server, runtime, slow_q, _fast_q, counts = build_metered(sim)
 
-        def producer(sim):
-            data = frame(1000)
-            for i in range(20):
-                ctx = spans.start_trace(f"slow.{i}", sim.now)
-                yield from runtime.fld.send(
-                    data, AxisMetadata(queue_id=slow_q, trace_ctx=ctx))
-
-        sim.spawn(producer(sim))
+        send_in_turn(runtime.fld, frame(1000), (
+            AxisMetadata(queue_id=slow_q,
+                         trace_ctx=spans.start_trace(f"slow.{i}", sim.now))
+            for i in range(20)))
         sim.run(until=1.0)
         assert counts["slow"] == 20
 
@@ -131,6 +131,26 @@ class TestTeardownMidWqe:
         assert testbed.quiesce() == []
         assert audit_spans(telemetry.spans, expect_complete=False) == []
 
+    def test_destroying_an_untraced_rc_qp_mid_message(self):
+        """The same teardown with telemetry off: the message has no
+        span to close, and the null recorder has nothing to call."""
+        sim = Simulator()
+        testbed, client, _server, cep, _sep = rc_pair(sim)
+        seen = []
+
+        def close_on_third_segment(qp, frame):
+            seen.append(frame)
+            if len(seen) == 3:
+                cep.close()
+            return False
+
+        client.nic.rdma.drop_filter = close_on_third_segment
+        cep.post_send(bytes(12 * 1024))
+        sim.run(until=0.05)
+        assert len(seen) == 3
+        assert cep.qp.sq.destroyed and not cep.qp.outstanding
+        assert testbed.quiesce() == []
+
     def test_destroying_a_metered_sq_mid_pause(self):
         telemetry = Telemetry(trace=False, profile=True)
         sim = Simulator(telemetry=telemetry)
@@ -144,16 +164,11 @@ class TestTeardownMidWqe:
         assert sq.meter == "slow"
         fld = setup.runtime.fld
 
-        def producer(sim):
-            for _ in range(2):
-                yield from fld.send(frame(1000),
-                                    AxisMetadata(queue_id=slow_q))
-
         def pauses():
             return telemetry.profiler.event_counts.get(
                 f"{nic.name}.shaper", 0)
 
-        sim.spawn(producer(sim))
+        send_in_turn(fld, frame(1000), [AxisMetadata(queue_id=slow_q)] * 2)
         while sq.stats_wqes < 2:
             sim.run(until=sim.now + 1e-6)
         sim.run(until=sim.now + 5e-6)

@@ -565,7 +565,7 @@ class TestTracedCallbacks:
         done = fabric.post_write_at(host, 0x1000_0000, bytes(64), 3e-6,
                                     ctx, "pcie.cqe_write")
         sim.run()
-        assert done.fired
+        assert done._fired
         (span,) = spans.get_trace(ctx).spans
         assert span.start == 3e-6
         assert span.end == sim.now > 4e-6

@@ -12,10 +12,8 @@ from repro.experiments.prog import (
     BLOCKED_PORTS,
     DDOS_BURST,
     SCENARIOS,
-    echo_fingerprint,
     prog_latency_us,
     prog_spec,
-    run_scenario,
 )
 from repro.experiments.setups import CLIENT_MAC
 from repro.host import LoadGenerator
@@ -33,7 +31,7 @@ COUNT = 120     # multiple of 4 flows: exact per-flow arithmetic below
 
 class TestScenarios:
     def test_firewall_drops_exactly_the_blocklist(self):
-        row = run_scenario("firewall", count=COUNT)
+        row = run("prog-firewall", COUNT, 256)[0]
         verdicts = row["verdicts"]
         per_flow = COUNT // 4
         assert row["sent"] == COUNT
@@ -44,7 +42,7 @@ class TestScenarios:
         assert row["violations"] == 0
 
     def test_nat_modifies_every_packet(self):
-        row = run_scenario("nat", count=COUNT)
+        row = run("prog-nat", COUNT, 256)[0]
         verdicts = row["verdicts"]
         assert verdicts["modify"] == COUNT
         assert verdicts["pass"] == verdicts["drop"] == 0
@@ -52,7 +50,7 @@ class TestScenarios:
         assert row["violations"] == 0
 
     def test_lb_redirects_and_splits_backends(self):
-        row = run_scenario("lb", count=COUNT)
+        row = run("prog-lb", COUNT, 256)[0]
         verdicts = row["verdicts"]
         assert verdicts["redirect"] == COUNT
         assert verdicts["redirect_drops"] == 0
@@ -63,7 +61,7 @@ class TestScenarios:
         assert row["violations"] == 0
 
     def test_ddos_passes_one_burst_per_flow(self):
-        row = run_scenario("ddos", count=COUNT)
+        row = run("prog-ddos", COUNT, 256)[0]
         verdicts = row["verdicts"]
         flows = 2
         assert verdicts["pass"] == flows * DDOS_BURST
@@ -128,8 +126,8 @@ class TestNullFastPath:
         """Create/attach/detach/destroy a passthrough program before
         traffic: every count and float in the fingerprint must equal
         the run that never touched the prog subsystem."""
-        untouched = echo_fingerprint(count=100)
-        touched = echo_fingerprint(count=100, touch_prog=True)
+        untouched = run("prog-null", 100, 256)[0]
+        touched = run("prog-null", 100, 256, shape={"touch_prog": True})[0]
         assert touched == untouched
         assert untouched["received"] == 100
         assert untouched["violations"] == 0

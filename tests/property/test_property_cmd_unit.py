@@ -193,10 +193,15 @@ class CmdUnitMachine(RuleBasedStateMachine):
 
     @rule(vport=VPORTS)
     def install_fdb_rule(self, vport):
-        result = self._create(InstallRule(
+        cmd = InstallRule(
             table_name="fdb",
             match=MatchSpec(dst_mac=f"02:00:00:00:00:0{vport}"),
-            actions=[ForwardToVport(vport)]), "rule")
+            actions=[ForwardToVport(vport)])
+        if vport not in self.nic.eswitch.vports:
+            # A rule to a vPort that does not exist is refused.
+            assert self._execute(cmd).status == CmdStatus.BAD_HANDLE
+            return
+        result = self._create(cmd, "rule")
         # The rule pins its target vPort when the firmware knows it.
         targets = [h for h in self._handles("vport")
                    if self.table.get(h).obj.number == vport]

@@ -5,7 +5,8 @@ A burst decoder (``unpack_many``) must read every record exactly as the
 single-record ``unpack`` does, on arbitrary bytes — not just the values
 the experiments happen to produce — and a batch probe must answer like
 one ``lookup`` per key, whatever the key's type.  The datapath's own
-packs and ``unpack_from`` reads must agree with the codec classes.
+packs and ``unpack_from`` reads must agree with :class:`TxWqe` and with
+the layouts packed field by field.
 """
 
 from types import SimpleNamespace
@@ -16,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core import (
     AxisMetadata,
     BufferPool,
-    CompressedTxDescriptor,
     CuckooHashTable,
     TxRingManager,
 )
@@ -25,12 +25,9 @@ from repro.net import Flow
 from repro.nic import (
     CQE_RECV_COMPLETION,
     CQE_SEND_COMPLETION,
-    CQE_SIZE,
-    Cqe,
     OP_ETH_SEND,
     OP_RDMA_SEND,
     OP_RDMA_WRITE,
-    RxDesc,
     TxWqe,
     WQE_FLAG_CSUM_L4,
     WQE_FLAG_LSO,
@@ -43,7 +40,6 @@ from repro.nic.wqe import (
     RX_DESC,
     RX_DESC_SIZE,
     TX_WQE,
-    CqeRecord,
     TxWqeRecord,
 )
 from repro.pcie.tlp import (
@@ -57,6 +53,7 @@ from repro.pcie.tlp import (
 )
 from repro.sim import Simulator
 from repro.testbed import make_local_node
+from tests.cqe import cqe_bytes
 
 u8 = st.integers(0, 0xFF)
 u16 = st.integers(0, 0xFFFF)
@@ -68,13 +65,9 @@ tx_wqes = st.builds(
     byte_count=u32, flags=u8, lkey=u32, context_id=u32,
     ack_req=st.booleans(), remote_addr=u64, rkey=u32, mss=u16,
 )
-rx_descs = st.builds(RxDesc, buffer_addr=u64, byte_count=u32, lkey=u32)
-
-#: The formats the NIC decodes in bursts: class, record size, records.
+#: The format the NIC decodes in bursts: class, record size, records.
 BURST_CODECS = pytest.mark.parametrize(
-    "cls, size, records",
-    [(TxWqe, WQE_SIZE, tx_wqes), (RxDesc, RX_DESC_SIZE, rx_descs)],
-    ids=["TxWqe", "RxDesc"])
+    "cls, size, records", [(TxWqe, WQE_SIZE, tx_wqes)], ids=["TxWqe"])
 
 
 def fields_of(obj):
@@ -221,20 +214,6 @@ class TestDatapathDecodesLikeTheCodecs:
             == fields_of(codec)
         assert record.ack_req is True and record.trace_ctx == "ctx"
 
-    @given(st.binary(min_size=CQE_SIZE, max_size=CQE_SIZE))
-    @settings(max_examples=80, deadline=None)
-    def test_cqe_record(self, blob):
-        record = CqeRecord(CQE.unpack_from(blob) + (None,))
-        assert {name: getattr(record, name) for name in Cqe.__slots__} \
-            == fields_of(Cqe.unpack(blob))
-
-    @given(st.binary(min_size=RX_DESC_SIZE, max_size=RX_DESC_SIZE))
-    @settings(max_examples=80, deadline=None)
-    def test_rx_descriptor(self, blob):
-        desc = RxDesc.unpack(blob)
-        assert RX_DESC.unpack_from(blob) \
-            == (desc.buffer_addr, desc.byte_count, desc.lkey)
-
 
 class TestDatapathPacksLikeTheCodecs:
     @given(index=wide_counters, length=st.integers(ETH_HEADER, 2048),
@@ -294,7 +273,7 @@ class TestDatapathPacksLikeTheCodecs:
         qp._receive((CQE.pack(CQE_ERROR, 0, 0, qp.sq.qpn, 0, 0, 0, 0, 1, 0),
                      None, None))
         for index in (1, 2, 3):
-            expected = RxDesc(qp._rx_buffers[index], buffer_size).pack()
+            expected = RX_DESC.pack(qp._rx_buffers[index], buffer_size, 0)
             assert read_host(node, qp.rq.slot_addr(index),
                              RX_DESC_SIZE) == expected
 
@@ -307,7 +286,7 @@ class TestDatapathPacksLikeTheCodecs:
     def test_fld_expansion(self, length, context, signaled, opcode, qpn,
                            mmio):
         """FLD's expansion, rung by MMIO or read off the virtual ring,
-        is the compressed descriptor codec's ``expand``."""
+        is the 64 B WQE of the descriptor it queued."""
         log = []
         tx = TxRingManager(Simulator(), BufferPool(64 * 1024, 256),
                            mmio_writer=lambda addr, data: log.append(data),
@@ -318,14 +297,11 @@ class TestDatapathPacksLikeTheCodecs:
         index = tx.submit(0, bytes(length), meta)
         raw = tx.handle_ring_read(0, 0, WQE_SIZE)
         address = TxWqe.unpack(raw).buffer_addr
-        expected = CompressedTxDescriptor(
-            *tx.descriptors.lookup(0, index)).expand(qpn, index,
-                                                     address).pack()
-        assert raw == expected
-        assert expected == TxWqe(
+        expected = TxWqe(
             opcode, qpn, index, address, length,
             WQE_FLAG_SIGNALED if signaled else 0,
             context_id=context).pack()
+        assert raw == expected
         if mmio:
             assert log == [expected]
 
@@ -339,8 +315,6 @@ class TestDatapathPacksLikeTheCodecs:
         with pytest.raises(ValueError):
             tx.submit(0, bytes(64), AxisMetadata(queue_id=0,
                                                  context_id=context))
-        with pytest.raises(ValueError):
-            CompressedTxDescriptor(0, 64, context)
         # Refused before anything was taken.
         assert pool.free_chunks == pool.num_chunks
         assert tx.queue(0).pi == 0
@@ -365,9 +339,9 @@ class TestDatapathPacksLikeTheCodecs:
         nic._rx_flat[qp.rq.rqn]._complete(item, (0, length, 0), counter,
                                           stride)
         [on_done] = posted
-        assert on_done.args[1] == Cqe(
+        assert on_done.args[1] == cqe_bytes(
             CQE_RECV_COMPLETION, qpn, counter, length, flags=flags,
-            rss_hash=rss, flow_tag=tag, stride_index=stride).pack()
+            rss_hash=rss, flow_tag=tag, stride_index=stride)
 
     @given(index=wide_counters, length=st.integers(0, 2048),
            signaled=st.booleans())
@@ -375,7 +349,7 @@ class TestDatapathPacksLikeTheCodecs:
     @settings(max_examples=40, deadline=None)
     def test_nic_send_cqes(self, index, length, signaled):
         """The uplink send completion (keyed ahead of time) and the
-        local one pack the same record as the codec."""
+        local one pack the same record."""
         node, qp = node_with_queue()
         nic = node.nic
         written = []
@@ -391,8 +365,8 @@ class TestDatapathPacksLikeTheCodecs:
         pipeline = nic._tx_flat[qp.sq.qpn]
         pipeline._tx_send(index, wqe, frame, 0.0)
         pipeline._apply_local(([], wqe, index))
-        expected = Cqe(CQE_SEND_COMPLETION, qp.sq.qpn, index,
-                       len(frame)).pack()
+        expected = cqe_bytes(CQE_SEND_COMPLETION, qp.sq.qpn, index,
+                             len(frame))
         assert written == ([expected] * 2 if signaled else [])
 
     @given(counter=u16, length=u32, syndrome=u8, qpn=u32)
@@ -409,5 +383,5 @@ class TestDatapathPacksLikeTheCodecs:
         nic._rdma_complete_send(rc, wqe)
         nic._rdma_qp_error(rc, syndrome)
         assert written == [
-            Cqe(CQE_SEND_COMPLETION, qpn, counter, length).pack(),
-            Cqe(CQE_ERROR, qpn, 0, 0, syndrome=syndrome).pack()]
+            cqe_bytes(CQE_SEND_COMPLETION, qpn, counter, length),
+            cqe_bytes(CQE_ERROR, qpn, 0, 0, syndrome=syndrome)]

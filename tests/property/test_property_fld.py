@@ -29,7 +29,7 @@ class TestTxManagerConservation:
         for is_submit, size in operations:
             if is_submit:
                 if (outstanding < 32
-                        and pool.free_chunks >= pool.chunks_for(size)
+                        and pool.free_chunks >= max(1, -(-size // pool.chunk_size))
                         and tx.descriptors.free_slots > 0):
                     tx.submit(0, bytes(size), AxisMetadata(queue_id=0))
                     outstanding += 1
@@ -96,7 +96,8 @@ class TestFldRoundTrip:
         drawn byte (the second starting inside a chunk, at the window
         address the split lands on: the window is circular)."""
         from repro.core import FlexDriver, bar
-        from repro.nic import CQE_SEND_COMPLETION, Cqe, TxWqe
+        from repro.nic import CQE_SEND_COMPLETION, TxWqe
+        from tests.cqe import cqe_bytes
         from repro.pcie import PcieFabric
         from repro.telemetry import audit_fld
         sim = Simulator()
@@ -128,8 +129,8 @@ class TestFldRoundTrip:
                 + fld.handle_read(rest, len(data) - cut) == data
         for counter in sorted(set(cuts)) + [len(payloads) - 1]:
             if counter < len(payloads):
-                fld.handle_write(bar.cq_address(0), Cqe(
-                    CQE_SEND_COMPLETION, self.QPN, counter, 0).pack())
+                fld.handle_write(bar.cq_address(0), cqe_bytes(
+                    CQE_SEND_COMPLETION, self.QPN, counter, 0))
         tx = fld.tx
         assert tx.buffers.free_chunks == tx.buffers.num_chunks
         assert tx.descriptors.free_slots == tx.descriptors.capacity

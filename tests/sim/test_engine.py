@@ -181,36 +181,10 @@ def test_process_return_value_via_done_event():
 
 def test_event_fires_once_only():
     sim = Simulator()
-    event = sim.event()
+    event = Event(sim)
     event.succeed(1)
     with pytest.raises(SimulationError):
         event.succeed(2)
-
-
-def test_event_value_before_fire_raises():
-    sim = Simulator()
-    event = sim.event()
-    with pytest.raises(SimulationError):
-        _ = event.value
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    seen = []
-
-    def proc(sim):
-        done = yield sim.all_of([sim.timeout(1, "a"), sim.timeout(3, "b")])
-        seen.append((sim.now, done))
-
-    sim.spawn(proc(sim))
-    sim.run()
-    assert seen == [(3.0, ["a", "b"])]
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    event = sim.all_of([])
-    assert event.fired and event.value == []
 
 
 def test_yielding_non_event_raises():

@@ -6,18 +6,18 @@ from repro.sim import SimulationError, Simulator, Store
 
 
 class TestProcessComposition:
-    def test_process_finished_flag(self):
+    def test_a_finished_process_counts(self):
         sim = Simulator()
 
         def worker(sim):
             yield sim.timeout(1.0)
 
-        process = sim.spawn(worker(sim))
-        assert not process.finished
+        sim.spawn(worker(sim))
+        assert sim.stats_finished == 0
         sim.run()
-        assert process.finished
+        assert sim.stats_finished == 1
 
-    def test_all_of_with_processes(self):
+    def test_a_process_waits_on_processes(self):
         sim = Simulator()
         results = []
 
@@ -28,7 +28,7 @@ class TestProcessComposition:
         def parent(sim):
             a = sim.spawn(worker(sim, 1.0, "a"))
             b = sim.spawn(worker(sim, 2.0, "b"))
-            values = yield sim.all_of([a.done, b.done])
+            values = [(yield a), (yield b)]
             results.append((sim.now, values))
 
         sim.spawn(parent(sim))

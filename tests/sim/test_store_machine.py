@@ -74,11 +74,11 @@ class _Side:
 
     def put(self, item):
         self.store.put(item).add_callback(
-            lambda event: self.note("admitted", event.value))
+            lambda event: self.note("admitted", event._value))
 
     def get(self, who):
         self.store.get().add_callback(
-            lambda event: self.note("got", who, event.value))
+            lambda event: self.note("got", who, event._value))
 
 
 class _Parked(_Side):
@@ -132,7 +132,7 @@ class _Evented(_Side):
 
     def worker_put_again(self, item, following):
         def admitted(event):
-            self.note("admitted", event.value)
+            self.note("admitted", event._value)
             self.put(following)
         self.store.put(item).add_callback(admitted)
 

@@ -40,26 +40,17 @@ class TestFldRClient:
         assert server_qp.remote_qpn == connection.endpoint.qpn
         assert connection.endpoint.qp.remote_qpn == server_qp.qpn
 
-    def test_call_roundtrip(self):
+    def test_post_roundtrip(self):
         sim = Simulator()
         _node, _runtime, control, accel, client = build(sim)
         connection = client.connect(control)
         accel.tx_queue = connection.info.queue_id
-        result = {}
-
-        def proc(sim):
-            response = yield sim.spawn(
-                _call(sim, connection, b"echo me"))
-            result["response"] = response
-
-        def _call(sim, connection, message):
-            response = yield from connection.call(message)
-            return response
-
-        sim.spawn(proc(sim))
+        responses = []
+        assert connection.responses.pop_or_park(responses.append) is None
+        connection.post(b"echo me")
         sim.run(until=0.05)
-        assert result["response"] == b"echo me"
-        assert connection.stats_calls == 1
+        [(response, _cqe)] = responses
+        assert response == b"echo me"
 
     def test_multiple_connections_isolated(self):
         sim = Simulator()

@@ -55,9 +55,10 @@ class TestFldRuntime:
         assert rq.ring_addr < FLD_BAR_BASE
         # It is fully posted and its descriptors point at FLD SRAM.
         assert rq.available == rq.entries
-        from repro.nic import RxDesc
-        desc = RxDesc.unpack(node.memory.read_local(rq.slot_addr(0), 16))
-        assert desc.buffer_addr >= FLD_BAR_BASE
+        from repro.nic.wqe import RX_DESC
+        buffer_addr, _length, _lkey = RX_DESC.unpack_from(
+            node.memory.read_local(rq.slot_addr(0), 16))
+        assert buffer_addr >= FLD_BAR_BASE
 
     def test_fldr_qp_uses_rdma_opcode(self):
         _sim, node, runtime = make_runtime()
@@ -78,15 +79,14 @@ class TestFldRuntime:
 
 
 class TestFldEControlPlane:
-    def test_accelerate_installs_resume_table(self):
+    def test_a_tenant_installs_its_resume_table(self):
         _sim, node, runtime = make_runtime()
         control = FldEControlPlane(runtime, vport=2)
         rq = runtime.create_rx_queue(vport=2, set_default=False)
         marker = object()
-        control.accelerate(MatchSpec(ip_proto=17), rq,
-                           resume_actions=[ForwardToQueue(marker)],
-                           resume_table="resume-x")
-        assert "resume-x" in node.nic.steering.tables
+        control.add_tenant(3, MatchSpec(ip_proto=17), rq,
+                           [ForwardToQueue(marker)])
+        assert "vport2.tenant3.resume" in node.nic.steering.tables
         assert node.nic._resume_tables  # registered for tx-side resume
 
     def test_untrusted_context_forgery_rejected(self):

@@ -51,7 +51,7 @@ def with_telemetry(n: int, telemetry=None) -> Dict:
 
 def with_spans(n: int, telemetry=None) -> Dict:
     """A target that records span traces into the injected telemetry."""
-    if telemetry is not None:
+    if telemetry is not None and telemetry.spans.enabled:
         spans = telemetry.spans
         for i in range(n):
             ctx = spans.start_trace(f"t{i}", 0.0)

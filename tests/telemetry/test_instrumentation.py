@@ -9,7 +9,7 @@ from repro.pcie import MemoryRegion, PcieFabric, PcieLinkConfig
 from repro.pcie.tlp import read_wire_bytes, write_wire_bytes
 from repro.reporting import main
 from repro.sim import Simulator, Store
-from repro.telemetry import Histogram, MetricsError, Telemetry
+from repro.telemetry import MetricsError, Telemetry
 
 
 def build_fabric(telemetry):
@@ -165,7 +165,10 @@ class TestEngineInstrumentation:
         sim = Simulator()  # NULL_TELEMETRY
         store = Store(sim, name="inbox")
         store.try_put("x")
-        assert sim.telemetry.snapshot().as_dict() == {}
+        # The null registry is an ``enabled = False`` holder: nothing
+        # was set on it.
+        assert not sim.telemetry.metrics.enabled
+        assert vars(sim.telemetry.metrics) == {}
 
 
 class TestEchoRunCounters:
@@ -181,7 +184,7 @@ class TestEchoRunCounters:
         assert snap["nic.server.nic.rx.packets"] >= 20
         assert snap["nic.client.nic.cqes"] > 0
         # FLD counted every echoed packet it transmitted.
-        fld_tx = [name for name in snap.as_dict()
+        fld_tx = [name for name in snap.values
                   if name.startswith("fld.") and name.endswith("tx.packets")]
         assert fld_tx and all(snap[name] >= 20 for name in fld_tx)
         # Per-lane PCIe byte split is visible (Fig. 7a accounting).
@@ -204,8 +207,6 @@ class TestPulledCounts:
         for create in (telemetry.metrics.gauge, telemetry.metrics.histogram):
             with pytest.raises(MetricsError):
                 create("sim.events.processed")
-        with pytest.raises(MetricsError):
-            telemetry.metrics.attach("sim.events.processed", Histogram())
         telemetry = Telemetry(trace=False)
         telemetry.metrics.gauge("sim.events.processed")
         with pytest.raises(MetricsError):

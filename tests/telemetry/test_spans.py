@@ -7,8 +7,6 @@ import pytest
 
 from repro.telemetry import (
     MetricsRegistry,
-    NULL_SPANS,
-    NullSpanRecorder,
     Span,
     SpanRecorder,
     Trace,
@@ -264,35 +262,6 @@ class TestRegistryFeed:
             pytest.approx(2.0)
         assert registry.histogram("spans.unattributed").total == \
             pytest.approx(2.0)
-
-
-class TestNullRecorder:
-    def test_start_trace_returns_none(self):
-        assert NULL_SPANS.start_trace("pkt", 0.0) is None
-        assert not NULL_SPANS.enabled
-        assert len(NULL_SPANS) == 0
-
-    def test_mirrors_real_recorder_interface(self):
-        """Introspective parity: every public method/property of the real
-        recorder exists on the null twin with a compatible signature."""
-        import inspect
-        for name, member in inspect.getmembers(SpanRecorder):
-            if name.startswith("_"):
-                continue
-            twin = getattr(NullSpanRecorder, name, None)
-            assert twin is not None, f"NullSpanRecorder missing {name!r}"
-            if callable(member) and callable(twin):
-                real_params = list(
-                    inspect.signature(member).parameters)
-                null_params = list(
-                    inspect.signature(twin).parameters)
-                assert real_params == null_params, \
-                    f"signature drift on {name!r}"
-
-    def test_exports_empty_schema(self):
-        export = NULL_SPANS.to_dict()
-        assert export["traces"] == []
-        assert "schema" in export
 
 
 def test_a_recorded_span_is_a_row_of_its_trace_not_an_object():

@@ -1,10 +1,10 @@
-"""Unit tests for the Chrome-trace tracer and its null twin."""
+"""Unit tests for the Chrome-trace tracer."""
 
 import json
 
 import pytest
 
-from repro.telemetry import NULL_TRACER, Tracer
+from repro.telemetry import Tracer
 
 
 class TestTracer:
@@ -18,12 +18,11 @@ class TestTracer:
         assert event["dur"] == pytest.approx(2.0)
         assert event["args"] == {"bits": 800}
 
-    def test_instant_and_counter(self):
+    def test_instant(self):
         tracer = Tracer()
         tracer.instant("sim", "processes", "spawn", 0.5)
-        tracer.counter("nic", "inbox", 0.5, {"depth": 3})
         phases = [e["ph"] for e in tracer.events]
-        assert phases == ["i", "C"]
+        assert phases == ["i"]
 
     def test_ids_stable_per_process_and_thread(self):
         tracer = Tracer()
@@ -73,49 +72,3 @@ class TestTracer:
         tracer = Tracer()
         tracer.complete("p", "t", "odd", 2.0, 1.0)
         assert tracer.events[0]["dur"] == 0.0
-
-
-class TestNullTracer:
-    def test_records_nothing(self):
-        NULL_TRACER.complete("p", "t", "x", 0, 1)
-        NULL_TRACER.instant("p", "t", "x", 0)
-        NULL_TRACER.counter("p", "x", 0, {"v": 1})
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.events == []
-        assert NULL_TRACER.enabled is False
-
-    def test_chrome_trace_still_valid(self):
-        parsed = json.loads(NULL_TRACER.to_json())
-        assert parsed["traceEvents"] == []
-
-    def test_write_valid_empty_trace(self, tmp_path):
-        path = tmp_path / "null.json"
-        NULL_TRACER.write(str(path))
-        assert json.loads(path.read_text())["traceEvents"] == []
-
-
-class TestTracerApiParity:
-    def test_null_tracer_mirrors_tracer_interface(self):
-        """Introspective shared-interface check: every public method of
-        the real tracer exists on the null twin with the same parameter
-        names, so call sites can hold either without branching."""
-        import inspect
-
-        from repro.telemetry.trace import NullTracer
-
-        for name, member in inspect.getmembers(Tracer):
-            if name.startswith("_") or not callable(member):
-                continue
-            twin = getattr(NullTracer, name, None)
-            assert twin is not None, f"NullTracer missing {name!r}"
-            real = [p for p in inspect.signature(member).parameters]
-            null = [p for p in inspect.signature(twin).parameters]
-            assert real == null, f"signature drift on {name!r}"
-
-    def test_null_tracer_mirrors_properties(self):
-        from repro.telemetry.trace import NullTracer
-
-        tracer, null = Tracer(), NullTracer()
-        assert hasattr(null, "events")
-        assert hasattr(null, "enabled")
-        assert type(len(null)) is type(len(tracer))

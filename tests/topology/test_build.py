@@ -39,15 +39,6 @@ class TestBuildQueries:
         fn = self.testbed.accel("echo")
         assert fn.accel._upstream is fn.runtime.fld.rx_stream
 
-    def test_reset_zeroes_measurement_stats(self):
-        fn = self.testbed.accel("echo")
-        fn.accel.stats_processed = 7
-        port = self.testbed.node("server").nic.port
-        port.stats_rx_packets = 9
-        self.testbed.reset()
-        assert fn.accel.stats_processed == 0
-        assert port.stats_rx_packets == 0
-
     def test_quiesce_clean_on_idle_testbed(self):
         assert self.testbed.quiesce() == []
         self.testbed.assert_quiesced()

@@ -123,22 +123,7 @@ class TestValidate:
             spec.validate()
 
 
-class TestSerialization:
-    @pytest.mark.parametrize("spec", [
-        flde_echo_remote_spec(),
-        scale_tenants_spec(1),
-        scale_tenants_spec(4),
-    ], ids=["flde-remote", "tenants-1", "tenants-4"])
-    def test_round_trip(self, spec):
-        clone = TopologySpec.from_dict(spec.to_dict())
-        assert clone == spec
-        assert clone.to_dict() == spec.to_dict()
-
-    def test_dict_is_json_canonical(self):
-        import json
-        data = scale_tenants_spec(2).to_dict()
-        assert json.loads(json.dumps(data, sort_keys=True)) == data
-
+class TestFldNames:
     def test_fld_resolved_name(self):
         assert FldSpec(node="n").resolved_name() == "n.fld"
         assert FldSpec(node="n", index=2).resolved_name() == "n.fld2"
