@@ -62,6 +62,15 @@ class TestCoap:
         with pytest.raises(CoapError):
             CoapMessage.unpack(data)
 
+    @pytest.mark.parametrize("options", [
+        b"\xb4auth",                       # an option and no payload
+        b"\xd1\x00x\xffdata",               # delta nibble 13: one more byte
+        b"\x1e\x00\x00" + b"v" * 269,       # length nibble 14: two more
+    ], ids=["no-payload", "extended-delta", "extended-length"])
+    def test_each_option_encoding_is_refused(self, options):
+        with pytest.raises(CoapError):
+            CoapMessage.unpack(CoapMessage(token=b"t").pack() + options)
+
     def test_long_token_rejected(self):
         with pytest.raises(CoapError):
             CoapMessage(token=b"123456789")

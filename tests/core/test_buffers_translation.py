@@ -42,6 +42,35 @@ class TestBufferPool:
         pool.write_scattered(handles, data)
         assert pool.read_scattered(handles, len(data)) == data
 
+    def test_chunk_boundary_enforced(self):
+        pool = BufferPool(1024, chunk_size=256)
+        with pytest.raises(BufferPoolError):
+            pool.read(0, 250, 10)
+
+    @pytest.mark.parametrize("handle", [-1, 4])
+    def test_a_handle_outside_the_pool_is_refused(self, handle):
+        pool = BufferPool(1024, chunk_size=256)
+        with pytest.raises(BufferPoolError):
+            pool.read(handle, 0, 8)
+        with pytest.raises(BufferPoolError):
+            pool.write_scattered([handle], b"x" * 8)
+
+    def test_a_counted_alloc_takes_the_chunks_it_was_told(self):
+        """The tx path counts a payload's chunks once, ahead of ``alloc``."""
+        pool = BufferPool(2048, chunk_size=256)
+        assert len(pool.alloc(10, chunks=3)) == 3
+        assert len(pool.alloc(0)) == 1      # an empty payload takes one
+        assert pool.free_chunks == 4
+
+    def test_released_chunks_are_reused_after_the_free_ones(self):
+        pool = BufferPool(1024, chunk_size=256)
+        first = pool.alloc(256)
+        rest = pool.alloc(768)
+        pool.release_all(first)
+        assert pool.alloc(1024) is None
+        assert pool.alloc(256) == first
+        assert sorted(first + rest) == [0, 1, 2, 3]
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BufferPool(1000, chunk_size=256)  # not a multiple

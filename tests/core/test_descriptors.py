@@ -7,11 +7,16 @@ from repro.core import (
     COMPRESSED_CQE_SIZE,
     COMPRESSED_TX_DESC,
     COMPRESSED_TX_DESC_SIZE,
+    AxisMetadata,
+    BufferPool,
+    FldConfig,
     FlexDriver,
     RxError,
+    TxRingManager,
     bar,
 )
-from repro.nic import WQE_SIZE
+from repro.experiments.setups import Calibration
+from repro.nic import WQE_SIZE, TxWqe
 from repro.pcie import PcieError, PcieFabric
 from repro.sim import Simulator
 
@@ -24,6 +29,60 @@ class TestCompressedLayouts:
     def test_compression_ratio_vs_nic_format(self):
         """The headline 64 B -> 8 B descriptor compression (Table 2b)."""
         assert WQE_SIZE / COMPRESSED_TX_DESC_SIZE == 8.0
+
+
+BAR_BASE = 0x1000_0000
+
+
+def fld_tx(pool_bytes=64 * 1024):
+    """A standalone FLD transmit ring manager with one queue, 1."""
+    tx = TxRingManager(Simulator(), BufferPool(pool_bytes, 256),
+                       bar_base=BAR_BASE)
+    tx.add_queue(1, qpn=9, entries=16, doorbell_addr=0, mmio_addr=0)
+    return tx
+
+
+class TestFldFitsTheCompressedLayout:
+    """What FLD queues must fit the 8 B descriptor: the handle field is
+    16 bits, the length 16 bits and the context 24 bits."""
+
+    @pytest.mark.parametrize("config", [FldConfig(),
+                                        Calibration().fld_config()],
+                             ids=["prototype", "calibrated"])
+    def test_handle_range_checked(self, config):
+        fld = FlexDriver(Simulator(), PcieFabric(Simulator()),
+                         config=config)
+        assert fld.tx.buffers.num_chunks <= 1 << 16
+
+    def test_length_range_checked(self):
+        tx = fld_tx(pool_bytes=128 * 1024)
+        with pytest.raises(ValueError):
+            tx.submit(1, bytes(1 << 16), AxisMetadata(queue_id=1))
+        assert tx.buffers.free_chunks == tx.buffers.num_chunks
+        index = tx.submit(1, bytes((1 << 16) - 1), AxisMetadata(queue_id=1))
+        assert tx.descriptors.lookup(1, index)[1] == (1 << 16) - 1
+
+    @pytest.mark.parametrize("context", [-1, 1 << 24])
+    def test_context_range_checked(self, context):
+        tx = fld_tx()
+        with pytest.raises(ValueError):
+            tx.submit(1, bytes(64), AxisMetadata(queue_id=1,
+                                                 context_id=context))
+        assert tx.queue(1).pi == 0
+
+    def test_expand_to_nic_wqe(self):
+        """The expanded WQE points the NIC into the queue's data window,
+        and a read there returns the payload, however many chunks it
+        spans."""
+        tx = fld_tx()
+        payload = bytes(range(256)) * 3 + b"tail"
+        index = tx.submit(1, payload, AxisMetadata(queue_id=1))
+        wqe = TxWqe.unpack(tx.handle_ring_read(1, 0, WQE_SIZE))
+        offset = wqe.buffer_addr - BAR_BASE - bar.tx_data_address(1)
+        assert 0 <= offset < bar.TX_DATA_SPAN
+        assert (wqe.qpn, wqe.wqe_index, wqe.byte_count) == (
+            9, index, len(payload))
+        assert tx.data_xlt.read_virtual(1, offset, len(payload)) == payload
 
 
 def bar_fld():

@@ -101,6 +101,13 @@ class TestCpuCore:
         assert 100 < core.stats_jitter_events < 320
         assert max(costs) > core.per_packet_cycles / core.frequency_hz * 10
 
+    def test_the_cpu_port_is_no_read_target(self):
+        """The CPU only initiates on PCIe (MMIO doorbells); nothing
+        reads from it."""
+        node = make_local_node(Simulator())
+        with pytest.raises(NotImplementedError):
+            node.driver.cpu_port.handle_read(0, 64)
+
     def test_compute_cost_model(self):
         sim = Simulator()
         core = CpuCore(sim, frequency_hz=2e9, os_jitter_probability=0.0)

@@ -3,15 +3,20 @@
 import pytest
 
 from repro.net import (
+    Aeth,
+    Bth,
     Ethernet,
+    Flow,
     IpAddress,
     Ipv4,
     MacAddress,
     PROTO_TCP,
     PROTO_UDP,
     Packet,
+    Reth,
     Tcp,
     Udp,
+    Vxlan,
     internet_checksum,
     verify_checksum,
 )
@@ -40,6 +45,10 @@ class TestMacAddress:
     def test_hashable(self):
         assert len({MacAddress(1), MacAddress(1), MacAddress(2)}) == 2
 
+    def test_repr_rebuilds_the_address(self):
+        mac = MacAddress("02:aa:bb:cc:dd:ee")
+        assert eval(repr(mac), {"MacAddress": MacAddress}) == mac
+
 
 class TestIpAddress:
     def test_string_roundtrip(self):
@@ -57,6 +66,18 @@ class TestIpAddress:
         with pytest.raises(ValueError):
             IpAddress("1.2.3.999")
 
+    def test_hashable(self):
+        """Equal addresses are one key, however each was built."""
+        table = {IpAddress("10.0.0.1"): "a"}
+        table[IpAddress(0x0A000001)] = "b"
+        table[IpAddress(IpAddress("10.0.0.2"))] = "c"
+        assert table == {IpAddress("10.0.0.1"): "b",
+                         IpAddress("10.0.0.2"): "c"}
+
+    def test_repr_rebuilds_the_address(self):
+        ip = IpAddress("192.168.1.10")
+        assert eval(repr(ip), {"IpAddress": IpAddress}) == ip
+
 
 class TestChecksum:
     def test_rfc1071_example(self):
@@ -70,6 +91,33 @@ class TestChecksum:
 
     def test_odd_length_padded(self):
         assert internet_checksum(b"\x01") == internet_checksum(b"\x01\x00")
+
+
+@pytest.mark.parametrize("cls, args, fields", [
+    (Ethernet, ("02:00:00:00:00:01", "02:00:00:00:00:02", 0x86DD), {}),
+    (Ipv4, ("10.0.0.1", "10.0.0.2"),
+     dict(proto=PROTO_TCP, ttl=9, ident=7, flags=2, total_length=100)),
+    (Udp, (4791, 7000), dict(length=40)),
+    (Tcp, (80, 8080), dict(seq=5, ack=6, flags=0x18)),
+    (Vxlan, (0xABCDE,), {}),
+    (Bth, (0x04,), dict(dest_qp=0x123456, psn=77, ack_request=True)),
+    (Aeth, (), dict(msn=3, syndrome=0x60)),
+    (Reth, (0x1000_2000_3000,), dict(rkey=9, length=4096)),
+], ids=["Ethernet", "Ipv4", "Udp", "Tcp", "Vxlan", "Bth", "Aeth", "Reth"])
+def test_a_header_repr_rebuilds_it(cls, args, fields):
+    """A header's repr names every field it packs: evaluated, it packs
+    the same bytes."""
+    header = cls(*args, **fields)
+    names = {kind.__name__: kind for kind in (
+        Aeth, Bth, Ethernet, IpAddress, Ipv4, MacAddress, Reth, Tcp, Udp,
+        Vxlan)}
+    assert eval(repr(header), names).pack() == header.pack()
+
+
+def test_a_flow_repr_is_its_five_tuple():
+    flow = Flow("02:00:00:00:00:01", "02:00:00:00:00:02", "10.0.0.1",
+                "10.0.0.2", 7000, 7001, proto=PROTO_UDP)
+    assert repr(flow) == "Flow(10.0.0.1:7000 -> 10.0.0.2:7001/udp)"
 
 
 class TestEthernet:

@@ -122,6 +122,11 @@ class TestHandleDiscipline:
         assert not result.ok
         assert result.status == CmdStatus.BAD_HANDLE
 
+    def test_a_result_repr_names_its_status_and_handle(self):
+        sim, node, ctrl = make_ctrl()
+        result = node.nic.cmd.execute(ModifyQp(qp=object(), state="rts"))
+        assert repr(result).startswith("CmdResult(BAD_HANDLE, handle=0x")
+
     def test_unregistered_object_is_bad_handle(self):
         sim, node, ctrl = make_ctrl()
         with pytest.raises(CmdError) as err:

@@ -14,9 +14,11 @@ from pathlib import Path
 from repro.core import AxisMetadata
 from repro.experiments.setups import flde_echo_remote
 from repro.nic import NicConfig, RcQp, RdmaEngine
-from repro.sim import Simulator
+from repro.nic.device import _POISON
+from repro.sim import Simulator, Store
 from repro.telemetry import Telemetry
 from repro.telemetry.audit import audit_spans
+from repro.testbed import make_local_node
 from repro.topology import LinkSpec, NodeSpec, TopologySpec, build
 
 from ..integration.test_credits_ets import (
@@ -180,6 +182,32 @@ class TestTeardownMidWqe:
         assert pauses() == 1 and setup.loadgen.stats_received == 2
         assert sq.qpn not in nic._tx_flat
         assert setup.testbed.quiesce() == []
+
+
+class TestPoisonSpill:
+    """A destroyed queue unwinds its worker with a poison item; the
+    poison never drops, even into a full store."""
+
+    def store(self, sim, items):
+        store = Store(sim, capacity=1, name="inbox")
+        for item in items:
+            assert store.try_put(item)
+        return store
+
+    def test_a_store_with_room_takes_the_poison_at_once(self):
+        sim = Simulator()
+        store = self.store(sim, [])
+        make_local_node(sim).nic._poison(store)
+        assert store.try_get() is _POISON
+
+    def test_a_full_store_takes_the_poison_once_a_slot_frees(self):
+        sim = Simulator()
+        store = self.store(sim, ["frame"])
+        make_local_node(sim).nic._poison(store)
+        sim.run()
+        assert store.try_get() == "frame"
+        sim.run()
+        assert store.try_get() is _POISON
 
 
 class TestRdmaInboxOverflow:

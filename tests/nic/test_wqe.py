@@ -42,6 +42,12 @@ class TestTxWqe:
         with pytest.raises(ValueError):
             TxWqe.unpack(b"\x00" * 8)
 
+    def test_repr_names_the_queue_index_and_buffer(self):
+        wqe = TxWqe(OP_ETH_SEND, qpn=42, wqe_index=77, buffer_addr=0x1000,
+                    byte_count=1500)
+        assert repr(wqe) == ("TxWqe(op=0x1, qpn=42, idx=77, addr=0x1000, "
+                             "len=1500)")
+
 
 class TestLayouts:
     def test_sizes(self):

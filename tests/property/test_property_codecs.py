@@ -10,6 +10,7 @@ the layouts packed field by field.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from repro.net import Flow
 from repro.nic import (
     CQE_RECV_COMPLETION,
     CQE_SEND_COMPLETION,
+    CQE_SIZE,
     OP_ETH_SEND,
     OP_RDMA_SEND,
     OP_RDMA_WRITE,
@@ -40,6 +42,7 @@ from repro.nic.wqe import (
     RX_DESC,
     RX_DESC_SIZE,
     TX_WQE,
+    CqeRecord,
     TxWqeRecord,
 )
 from repro.pcie.tlp import (
@@ -189,6 +192,12 @@ MAC = "02:00:00:00:00:99"
 u24 = st.integers(0, (1 << 24) - 1)
 wide_counters = st.integers(0, 1 << 20)
 wide_hashes = st.integers(0, 1 << 40)
+#: The 64 B CQE's fields: byte offset and width, as the NIC lays them out.
+CQE_FIELDS = {
+    "opcode": (0, 1), "flags": (1, 1), "wqe_counter": (2, 2), "qpn": (4, 4),
+    "byte_count": (8, 4), "rss_hash": (12, 4), "flow_tag": (16, 4),
+    "stride_index": (20, 2), "owner": (22, 1), "syndrome": (23, 1),
+}
 
 
 def node_with_queue(**qp_options):
@@ -213,6 +222,40 @@ class TestDatapathDecodesLikeTheCodecs:
         assert {name: getattr(record, name) for name in TxWqe.__slots__} \
             == fields_of(codec)
         assert record.ack_req is True and record.trace_ctx == "ctx"
+
+    @given(st.binary(min_size=CQE_SIZE, max_size=CQE_SIZE))
+    @settings(max_examples=80, deadline=None)
+    def test_cqe_record(self, blob):
+        """Each :class:`CqeRecord` field reads the bytes the CQE layout
+        gives it (offset, width), and the side band follows them."""
+        record = CqeRecord(CQE.unpack_from(blob) + ("ctx", "layout"))
+        assert {name: getattr(record, name) for name in CQE_FIELDS} == {
+            name: int.from_bytes(blob[at:at + width], "big")
+            for name, (at, width) in CQE_FIELDS.items()}
+        assert (record.trace_ctx, record.layout) == ("ctx", "layout")
+
+    @given(st.integers(0, 0xFFFF),
+           st.lists(st.binary(min_size=RX_DESC_SIZE, max_size=RX_DESC_SIZE),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_rx_descriptor(self, index, records):
+        """The NIC's burst fetch of host receive descriptors places the
+        first and caches the rest, each read as the layout gives it:
+        buffer address u64, byte count u32, lkey u32."""
+        node, qp = node_with_queue()
+        rqn = qp.rq.rqn
+        stage = node.nic._rx_flat[rqn]
+        placed = []
+        with mock.patch.object(type(stage), "_complete",
+                               lambda self, *args: placed.append(args)):
+            stage._pend = ("item", index, len(records))
+            stage._plain_desc_ready(b"".join(records))
+        laid_out = [(int.from_bytes(r[:8], "big"),
+                     int.from_bytes(r[8:12], "big"),
+                     int.from_bytes(r[12:], "big")) for r in records]
+        assert placed == [("item", laid_out[0], index, 0)]
+        assert [node.nic._cached_rx_desc[(rqn, index + i)]
+                for i in range(1, len(records))] == laid_out[1:]
 
 
 class TestDatapathPacksLikeTheCodecs:

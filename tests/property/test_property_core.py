@@ -2,9 +2,26 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import BufferPool, CuckooFullError, CuckooHashTable
+from repro.core import (
+    COMPRESSED_CQE,
+    COMPRESSED_TX_DESC,
+    AxisMetadata,
+    BufferPool,
+    CuckooFullError,
+    CuckooHashTable,
+    TxRingManager,
+)
 from repro.nic import TxWqe
-from repro.nic.wqe import OP_ETH_SEND
+from repro.nic.wqe import (
+    CQE,
+    CqeRecord,
+    OP_ETH_SEND,
+    OP_RDMA_SEND,
+    WQE_FLAG_SIGNALED,
+    WQE_SIZE,
+)
+from repro.sim import Simulator
+from tests.cqe import cqe_bytes
 
 
 class TestCuckooProperties:
@@ -68,8 +85,71 @@ class TestBufferPoolProperties:
         pool.write_scattered(handles, data)
         assert pool.read_scattered(handles, len(data)) == data
 
+    @given(st.integers(0, 8 * 1024))
+    @settings(max_examples=50, deadline=None)
+    def test_chunks_for_covers_size(self, nbytes):
+        """``alloc`` takes the fewest chunks that hold ``nbytes`` (one
+        for an empty payload)."""
+        pool = BufferPool(8 * 1024, chunk_size=256)
+        chunks = len(pool.alloc(nbytes))
+        assert chunks * 256 >= nbytes
+        assert chunks == 1 or (chunks - 1) * 256 < nbytes
+
+
+def fld_tx(opcode=OP_ETH_SEND):
+    """A standalone FLD transmit ring manager with one queue, 0."""
+    tx = TxRingManager(Simulator(), BufferPool(64 * 1024, 256),
+                       bar_base=0x1000_0000)
+    tx.add_queue(0, qpn=3, entries=16, doorbell_addr=0, mmio_addr=0,
+                 opcode=opcode)
+    return tx
+
 
 class TestDescriptorFormatProperties:
+    @given(length=st.integers(0, 0xFFFF), context=st.integers(0, 0xFFFFFF),
+           opcode=st.sampled_from([OP_ETH_SEND, OP_RDMA_SEND]),
+           signaled=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_compressed_descriptor_roundtrip(self, length, context, opcode,
+                                             signaled):
+        """Every descriptor FLD queues fits the 8 B layout of Table 2b:
+        packed into it and read back, it is the descriptor queued."""
+        tx = fld_tx(opcode)
+        index = tx.submit(0, bytes(length), AxisMetadata(
+            queue_id=0, context_id=context, signaled=signaled))
+        handle, *queued = tx.descriptors.lookup(0, index)
+        assert queued == [length, context, opcode, signaled]
+        packed = COMPRESSED_TX_DESC.pack(
+            handle, length, context.to_bytes(3, "big"),
+            opcode | signaled << 2)
+        again, size, wide, bits = COMPRESSED_TX_DESC.unpack(packed)
+        assert (again, size, int.from_bytes(wide, "big"), bits & 3,
+                bool(bits & 4)) == (handle, length, context, opcode,
+                                    signaled)
+
+    @given(opcode=st.integers(0, 255), qpn=st.integers(0, 0xFFFFFF),
+           counter=st.integers(0, 0xFFFF), count=st.integers(0, 0xFFFF),
+           flags=st.integers(0, 255), tag=st.integers(0, 0xFFFFFFFF),
+           stride=st.integers(0, 0xFFFF))
+    @settings(max_examples=100, deadline=None)
+    def test_compressed_cqe_roundtrip(self, opcode, qpn, counter, count,
+                                      flags, tag, stride):
+        """What FLD reads off the NIC's 64 B CQE fits the 15 B layout of
+        Table 2b and reads back unchanged."""
+        cqe = CqeRecord(CQE.unpack_from(cqe_bytes(
+            opcode, qpn, counter, count, flags=flags, flow_tag=tag,
+            stride_index=stride)) + (None, None))
+        packed = COMPRESSED_CQE.pack(
+            cqe.opcode, cqe.flags, cqe.wqe_counter, cqe.qpn.to_bytes(3, "big"),
+            cqe.byte_count, cqe.flow_tag, cqe.stride_index)
+        assert len(packed) == 15
+        (again_opcode, again_flags, again_counter, wide, again_count,
+         again_tag, again_stride) = COMPRESSED_CQE.unpack(packed)
+        assert (again_opcode, again_flags, again_counter,
+                int.from_bytes(wide, "big"), again_count, again_tag,
+                again_stride) == (opcode, flags, counter, qpn, count, tag,
+                                  stride)
+
     @given(qpn=st.integers(0, 0xFFFFFF), counter=st.integers(0, 0xFFFF),
            addr=st.integers(0, (1 << 64) - 1),
            count=st.integers(0, 0xFFFFFFFF), flags=st.integers(0, 255),
@@ -83,3 +163,18 @@ class TestDescriptorFormatProperties:
         assert (again.qpn, again.wqe_index, again.buffer_addr,
                 again.byte_count, again.flags, again.context_id) == (
             qpn, counter & 0xFFFF, addr, count, flags, context)
+
+    def test_compression_expansion_inverse(self):
+        """The 64 B WQE FLD expands from a queued descriptor carries every
+        field the descriptor holds."""
+        tx = fld_tx(OP_RDMA_SEND)
+        index = tx.submit(0, bytes(1200), AxisMetadata(
+            queue_id=0, context_id=0x1234, signaled=True))
+        _handle, length, context, opcode, signaled = \
+            tx.descriptors.lookup(0, index)
+        wqe = TxWqe.unpack(tx.handle_ring_read(0, 0, WQE_SIZE))
+        assert (wqe.opcode, wqe.byte_count, wqe.context_id,
+                bool(wqe.flags & WQE_FLAG_SIGNALED)) == (
+            opcode, length, context, signaled) == (
+            OP_RDMA_SEND, 1200, 0x1234, True)
+        assert (wqe.qpn, wqe.wqe_index) == (3, index)

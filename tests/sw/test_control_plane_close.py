@@ -35,3 +35,36 @@ def test_fldr_plane_needs_no_close_of_its_own():
     assert setup.control.qps
     setup.testbed.teardown()
     assert_torn_down(setup)
+
+
+def iot_plane_after_traffic():
+    sim, setup = elaborate("iot-line-rate")
+    drive_line_rate(sim, setup, None, 256, duration=2e-6)
+    return setup, setup.control
+
+
+def server_objects(setup, *kinds):
+    return [row for row in setup.testbed.objects()["server"]
+            if row["kind"] in kinds]
+
+
+def test_after_flde_close_only_the_nodes_fdb_rule_pins_the_vport():
+    """Close leaves the vPort's tables rule-free: once the node drops
+    its FDB rule, the vPort itself can be destroyed."""
+    setup, control = iot_plane_after_traffic()
+    control.close()
+    [fdb] = server_objects(setup, "rule")
+    assert fdb["deps"] == [hex(control.ctrl.handle_of(control._vport))]
+    control.ctrl.destroy(int(fdb["handle"], 16))
+    control.ctrl.destroy(control._vport)
+    assert server_objects(setup, "rule", "vport", "resume") == []
+
+
+def test_flde_close_twice_is_a_no_op():
+    setup, control = iot_plane_after_traffic()
+    control.close()
+    tables = set(setup.server.nic.steering.tables)
+    control.close()
+    assert set(setup.server.nic.steering.tables) == tables
+    setup.testbed.teardown()
+    assert_torn_down(setup)

@@ -37,6 +37,17 @@ class TestSpanAudit:
         spans.end_trace(ctx, 1.0)
         assert _rules(audit_spans(spans)) == ["orphaned-span"]
 
+    def test_a_violation_repr_names_its_rule_and_subject(self):
+        spans = SpanRecorder()
+        ctx = spans.start_trace("pkt", 0.0)
+        spans.enter(ctx, "nic.rx", 0.5)  # never exited
+        spans.end_trace(ctx, 1.0)
+        (violation,) = audit_spans(spans)
+        assert repr(violation) == (f"Violation(orphaned-span: "
+                                   f"{violation.subject}: "
+                                   f"{violation.detail})")
+        assert "nic.rx" in repr(violation)
+
     def test_unfinished_trace_only_when_expected_complete(self):
         spans = SpanRecorder()
         spans.start_trace("pkt", 0.0)  # root never ends

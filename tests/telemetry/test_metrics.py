@@ -35,6 +35,20 @@ class TestGauge:
         assert gauge.peak == 10
 
 
+def test_each_instrument_repr_names_it_and_its_reading():
+    counter, gauge, histogram = Counter("rx"), Gauge("depth"), \
+        Histogram("lat")
+    counter.inc(3)
+    gauge.set(5)
+    gauge.set(2)
+    for value in (1.0, 2.0):
+        histogram.observe(value)
+    assert len(histogram) == histogram.count == 2
+    assert [repr(i) for i in (counter, gauge, histogram)] == [
+        "Counter('rx', 3)", "Gauge('depth', 2, peak=5)",
+        "Histogram('lat', n=2)"]
+
+
 class TestHistogram:
     def test_log2_bucketing(self):
         histogram = Histogram("lat")

@@ -39,6 +39,18 @@ class TestRecorderLifecycle:
         assert (span.start, span.end) == (1.0, 3.0)
         assert span.duration == pytest.approx(2.0)
 
+    def test_reprs_name_the_stage_and_the_span_count(self):
+        spans = SpanRecorder()
+        ctx = spans.start_trace("pkt7", 0.0)
+        spans.record(ctx, "wire", 1.0, 2.0)
+        spans.end_trace(ctx, 5.0)
+        trace = spans.get_trace(ctx)
+        (span,) = trace.spans
+        assert repr(span).startswith("Span('wire', kind=")
+        assert repr(span).endswith("[1.0, 2.0])")
+        assert repr(trace) == (f"Trace({trace.trace_id}, 'pkt7', "
+                               "[0.0, 5.0], 1 spans)")
+
     def test_orphan_detection(self):
         spans = SpanRecorder()
         ctx = spans.start_trace("pkt", 0.0)

@@ -99,3 +99,57 @@ def test_the_enumerator_counts_methods_and_nested_defs_only(tmp_path):
         "fixture:top",
         "fixture:top.<locals>.nested",
     ]
+
+
+def test_the_ledger_adds_up():
+    with open(ledger.LEDGER, encoding="utf-8") as handle:
+        book = json.load(handle)
+    modules = book["modules"].values()
+    assert sum(m["functions"] for m in modules) == book["functions"]
+    assert sum(m["run_by_results"] for m in modules) \
+        == book["run_by_results"]
+    assert all(m["run_by_results"] <= m["functions"] for m in modules)
+    assert len(book["not_run_by_results"]) \
+        == book["functions"] - book["run_by_results"]
+
+
+def test_each_first_test_is_a_tier1_node_id():
+    with open(ledger.LEDGER, encoding="utf-8") as handle:
+        named = json.load(handle)["not_run_by_results"]
+    for key, entry in named.items():
+        test = entry["test"]
+        assert test is None or test == "collection" or (
+            test.startswith("tests/") and ".py::" in test), (key, test)
+
+
+def test_a_programs_own_profiler_still_sees_its_calls(tmp_path):
+    out = run_hooked(tmp_path, (
+        "import sys; from repro.core import bar\n"
+        "seen = []\n"
+        "sys.setprofile(lambda frame, event, arg: seen.append(\n"
+        "    frame.f_code.co_name) if event == 'call' else None)\n"
+        "bar.cq_address(0); sys.setprofile(None)\n"
+        "assert 'cq_address' in seen, seen\n"))
+    assert "repro.core.bar:cq_address" in ledger.collect(str(out))
+
+
+def test_only_named_functions_under_src_are_kept(tmp_path):
+    """A lambda in ``src`` (a record's ``ack_req`` property) and a
+    function outside it run, and neither is a key."""
+    out = run_hooked(tmp_path, (
+        "from repro.nic.wqe import TxWqeRecord\n"
+        "def outside():\n"
+        "    return TxWqeRecord((0,) * 13).ack_req\n"
+        "outside()\n"))
+    found = ledger.collect(str(out))
+    assert found and all(key.startswith("repro") for key in found)
+    assert not [key for key in found if "<" in key or "outside" in key]
+
+
+def test_a_package_function_is_keyed_by_its_package(tmp_path):
+    """``repro/topology/__init__.py``'s lazy ``__getattr__`` is
+    ``repro.topology:__getattr__`` to both the hook and the enumerator."""
+    out = run_hooked(tmp_path, "import repro.topology as t; t.Node\n")
+    assert "repro.topology:__getattr__" in ledger.collect(str(out))
+    assert "repro.topology:__getattr__" in ledger.enumerate_src()[
+        "repro.topology"]

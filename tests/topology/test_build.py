@@ -1,7 +1,10 @@
 """Elaborator tests: spec -> Testbed, lifecycle, demux wiring."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core import AxisMetadata
 from repro.experiments.scale_tenants import scale_tenants_spec
 from repro.experiments.setups import flde_echo_remote_spec
 from repro.sim import Simulator, Store
@@ -13,6 +16,7 @@ from repro.topology import (
     accel_kinds,
     build,
 )
+from repro.topology.build import RxFunctionDemux
 
 
 class TestBuildQueries:
@@ -61,6 +65,46 @@ class TestMultiFunctionDemux:
         testbed = build(sim, scale_tenants_spec(4))
         for i in range(4):
             assert testbed.accel(f"tenant{i}").spec.rx_strides == 16
+
+
+    def demux(self, depth=2):
+        """A demux over a bare rx stream, two functions on bindings 0
+        and 1, each with a ``depth``-slot store."""
+        sim = Simulator()
+        fld = SimpleNamespace(rx_stream=Store(sim, name="fld.rx_stream"),
+                              config=SimpleNamespace(rx_stream_depth=depth))
+        demux = RxFunctionDemux(sim, fld, "fld")
+        return sim, fld.rx_stream, demux, [demux.add_route(binding, name)
+                                           for binding, name in
+                                           ((0, "slow"), (1, "fast"))]
+
+    @staticmethod
+    def packet(binding, n):
+        return (n, AxisMetadata(queue_id=binding))
+
+    def test_a_full_function_store_pauses_the_demux_until_it_drains(self):
+        """Backpressure: the slow function's full store holds back the
+        packets behind its own, and a free slot resumes the demux."""
+        sim, stream, _demux, (slow, fast) = self.demux()
+        for n in range(3):
+            stream.put(self.packet(0, n))
+        stream.put(self.packet(1, 3))
+        sim.run()
+        assert [item[0] for item in slow._items] == [0, 1]
+        assert len(fast) == 0 and len(stream) == 1
+        assert slow.try_get()[0] == 0
+        sim.run()
+        assert [item[0] for item in slow._items] == [1, 2]
+        assert [item[0] for item in fast._items] == [3]
+        assert len(stream) == 0
+
+    def test_an_unrouted_packet_is_counted_and_skipped(self):
+        sim, stream, demux, (slow, fast) = self.demux()
+        stream.put(self.packet(7, 0))
+        stream.put(self.packet(1, 1))
+        sim.run()
+        assert demux.stats_unrouted == 1
+        assert len(slow) == 0 and [item[0] for item in fast._items] == [1]
 
 
 class TestBuildErrors:
