@@ -27,12 +27,12 @@ def main():
     sim = Simulator()
     testbed = build(sim, prog_spec("firewall"))
     runtime = testbed.fld("server.fld")
-    ctrl = runtime.ctrl
+    cmd = runtime.nic.cmd
     fn = testbed.accel("tenant0")
-    blocklist = ctrl.create_prog_map()
-    ctrl.map_set(blocklist, BLOCKED, 1)
-    prog = ctrl.create_prog(firewall(), [blocklist])
-    ctrl.attach_prog(runtime.fld, prog, "tx", fn.txq)
+    blocklist = cmd.create_prog_map()
+    cmd.map_set(blocklist, BLOCKED, 1)
+    prog = cmd.create_prog(firewall(), [blocklist])
+    cmd.attach_prog(runtime.fld, prog, "tx", fn.txq)
 
     # The echo swaps ports, so a reply goes to the request's source port.
     flows = [Flow(CLIENT_MAC, FLD_MAC, "10.0.0.1", "10.0.0.2", port, 7001)
@@ -55,14 +55,14 @@ def main():
           f"(to port {OPEN})")
     print(f"replies the client received      : {loadgen.stats_received}")
     print(f"blocklist entry for {BLOCKED}         : "
-          f"{ctrl.map_get(blocklist, BLOCKED)}")
-    ctrl.map_del(blocklist, BLOCKED)
+          f"{cmd.map_get(blocklist, BLOCKED)}")
+    cmd.map_del(blocklist, BLOCKED)
     print(f"after removing it                : "
-          f"{ctrl.map_get(blocklist, BLOCKED)}")
+          f"{cmd.map_get(blocklist, BLOCKED)}")
     assert counters["drop"] == loadgen.stats_received == 20
-    ctrl.detach_prog(runtime.fld, "tx", fn.txq)
-    ctrl.destroy(prog)
-    ctrl.destroy(blocklist)
+    cmd.detach_prog(runtime.fld, "tx", fn.txq)
+    cmd.destroy(prog)
+    cmd.destroy(blocklist)
     assert testbed.quiesce() == []
     print("OK")
 

@@ -1,9 +1,9 @@
-"""On-chip buffer pools with reference counting (§5.1).
+"""On-chip buffer pools (§5.1).
 
 FLD's Tx and Rx data buffers are small on-die SRAMs divided into
 fixed-size *chunks*.  The ring managers allocate chunks per packet (a
-packet may span several), keep reference counts, and recycle chunks when
-the NIC's completion or the accelerator's consumption releases them.
+packet may span several) and recycle them when the NIC's completion or
+the accelerator's consumption releases them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class BufferPool:
         self.num_chunks = capacity_bytes // chunk_size
         self._data = bytearray(capacity_bytes)
         self._free: List[int] = list(range(self.num_chunks))
-        self._refcount: Dict[int, int] = {}
+        self._live: Dict[int, bool] = {}     # allocated chunks
         self.stats_alloc_failures = 0
         self.stats_min_free = self.num_chunks
 
@@ -58,28 +58,24 @@ class BufferPool:
             return None
         handles = free[:needed]
         del free[:needed]
-        refcount = self._refcount
+        live = self._live
         for handle in handles:
-            refcount[handle] = 1
+            live[handle] = True
         if left < self.stats_min_free:
             self.stats_min_free = left
         return handles
 
     def release_all(self, handles: List[int]) -> None:
-        """Drop one reference to each handle; a chunk returns to the pool
-        at zero."""
-        refcount = self._refcount
+        """Return each handle's chunk to the pool."""
+        live = self._live
+        free = self._free
         for handle in handles:
             try:
-                count = refcount[handle]
+                del live[handle]
             except KeyError:
                 raise BufferPoolError(
                     f"release of free chunk {handle}") from None
-            if count == 1:
-                del refcount[handle]
-                self._free.append(handle)
-            else:
-                refcount[handle] = count - 1
+            free.append(handle)
 
     # -- data access ----------------------------------------------------------
 

@@ -146,7 +146,7 @@ def build(sim: Simulator, cal: Calibration, config: str = "hw-defrag"):
                                     tx_queue=txq)
         resume = server.nic.steering.table("post-defrag")
         resume.default_actions = [ForwardToRss(group)]
-        runtime.ctrl.add_resume_table("post-defrag")
+        runtime.nic.cmd.add_resume_table("post-defrag")
         frag_actions = [ToAccelerator(fld_rq, "post-defrag")]
     else:
         frag_actions = [ForwardToRss(group)]

@@ -18,7 +18,7 @@ balancer) redirect re-injection through the eswitch:
   bucket state lives in firmware-owned cuckoo maps.
 
 Each scenario is a :mod:`repro.scenario` row (``prog-firewall`` ...)
-reporting per-verdict counters (read back through ``QueryObject``),
+reporting per-verdict counters (read back through the ``query`` verb),
 per-function accelerator counts, map stats and the invariant-audit
 violation count — drops end their packet's trace, so a clean run audits
 complete even when most packets die in the program.  Per-program
@@ -132,17 +132,17 @@ def build(sim, cal: Calibration, scenario: str = "firewall"):
     program, map_specs = _scenario_program(scenario)
     testbed = build_topology(sim, prog_spec(scenario), cal=cal)
     runtime = testbed.fld("server.fld")
-    ctrl = runtime.ctrl
+    cmd = runtime.nic.cmd
     maps = []
     for capacity, entries in map_specs:
-        prog_map = ctrl.create_prog_map(capacity=capacity)
+        prog_map = cmd.create_prog_map(capacity=capacity)
         for key, value in entries.items():
-            ctrl.map_set(prog_map, key, value)
+            cmd.map_set(prog_map, key, value)
         maps.append(prog_map)
-    prog = ctrl.create_prog(program, maps)
+    prog = cmd.create_prog(program, maps)
     ingress = testbed.accel("lb" if scenario == "lb" else "tenant0")
     binding = runtime.rx_binding_of(ingress.rq)
-    ctrl.attach_prog(runtime.fld, prog, "rx", binding)
+    cmd.attach_prog(runtime.fld, prog, "rx", binding)
     flows = _scenario_flows(scenario)
     loadgen = LoadGenerator(sim, testbed.host_qp("client"), flows[0])
     return SimpleNamespace(scenario=scenario, program=program, prog=prog,
@@ -159,8 +159,9 @@ def drive(sim, setup, count: int, size: int) -> Dict:
     result = open_loop(sim, setup.loadgen, count, size,
                        pace_bps=12.5e9 if setup.scenario == "lb" else 25e9,
                        flows=setup.flows)
-    runtime, ctrl, testbed = setup.runtime, setup.runtime.ctrl, setup.testbed
-    info = ctrl.query(setup.prog)
+    runtime, testbed = setup.runtime, setup.testbed
+    cmd = runtime.nic.cmd
+    info = cmd.query(setup.prog)
     per_fn = [{"fn": fn_spec.name, "vport": fn_spec.vport,
                "accel_packets": testbed.accel(fn_spec.name)
                .accel.stats_processed}
@@ -168,10 +169,10 @@ def drive(sim, setup, count: int, size: int) -> Dict:
     map_stats = [prog_map.stats_dict() for prog_map in setup.maps]
     # Detach unpins the program; destroy order (program before maps)
     # satisfies the dependency refcounts.
-    ctrl.detach_prog(runtime.fld, "rx", setup.binding)
-    ctrl.destroy(setup.prog)
+    cmd.detach_prog(runtime.fld, "rx", setup.binding)
+    cmd.destroy(setup.prog)
     for prog_map in setup.maps:
-        ctrl.destroy(prog_map)
+        cmd.destroy(prog_map)
     lat = setup.loadgen.latency
     return {
         "scenario": setup.scenario,
@@ -200,10 +201,11 @@ def build_null(sim, cal: Calibration, touch_prog: bool = False):
     if touch_prog:
         fn = testbed.accel("tenant0")
         binding = runtime.rx_binding_of(fn.rq)
-        prog = runtime.ctrl.create_prog(passthrough(), [])
-        runtime.ctrl.attach_prog(runtime.fld, prog, "rx", binding)
-        runtime.ctrl.detach_prog(runtime.fld, "rx", binding)
-        runtime.ctrl.destroy(prog)
+        cmd = runtime.nic.cmd
+        prog = cmd.create_prog(passthrough(), [])
+        cmd.attach_prog(runtime.fld, prog, "rx", binding)
+        cmd.detach_prog(runtime.fld, "rx", binding)
+        cmd.destroy(prog)
     flows = _scenario_flows("firewall")
     loadgen = LoadGenerator(sim, testbed.host_qp("client"), flows[0])
     return SimpleNamespace(flows=flows, loadgen=loadgen, testbed=testbed)

@@ -77,19 +77,19 @@ class EthQueuePair:
         self._vport = vport
         self._registered_default = register_default
         self._closed = False
-        ctrl = driver.ctrl
+        cmd = driver.nic.cmd
 
-        self.tx_cq = ctrl.alloc_cq(self._take(sq_entries * 64), sq_entries)
-        self.rx_cq = ctrl.alloc_cq(self._take(rq_entries * 64), rq_entries)
-        self.sq = ctrl.alloc_sq(self._take(sq_entries * WQE_SIZE),
-                                sq_entries, self.tx_cq, vport=vport)
+        self.tx_cq = cmd.alloc_cq(self._take(sq_entries * 64), sq_entries)
+        self.rx_cq = cmd.alloc_cq(self._take(rq_entries * 64), rq_entries)
+        self.sq = cmd.alloc_sq(self._take(sq_entries * WQE_SIZE),
+                               sq_entries, self.tx_cq, vport=vport)
         #: Free SQ slots, judged by retired (signalled) completions;
         #: send takes one, a retired completion recounts them.
         self.tx_free = self.sq.entries
-        self.rq = ctrl.alloc_rq(self._take(rq_entries * 16), rq_entries,
-                                self.rx_cq)
+        self.rq = cmd.alloc_rq(self._take(rq_entries * 16), rq_entries,
+                               self.rx_cq)
         if register_default:
-            ctrl.set_default_queue(vport, self.rq)
+            cmd.set_default_queue(vport, self.rq)
         # Transmit buffers: one slot per WQE (DPDK-style worst case).
         self._tx_buffers = [self._take(buffer_size)
                             for _ in range(sq_entries)]
@@ -138,13 +138,13 @@ class EthQueuePair:
         if self._closed:
             return
         self._closed = True
-        ctrl = self.driver.ctrl
+        cmd = self.driver.nic.cmd
         if self._registered_default:
-            ctrl.clear_default_queue(self._vport)
-        ctrl.destroy(self.rq)
-        ctrl.destroy(self.sq)
-        ctrl.destroy(self.rx_cq)
-        ctrl.destroy(self.tx_cq)
+            cmd.clear_default_queue(self._vport)
+        cmd.destroy(self.rq)
+        cmd.destroy(self.sq)
+        cmd.destroy(self.rx_cq)
+        cmd.destroy(self.tx_cq)
         alloc = self.driver.allocator
         for addr, size in self._allocs:
             alloc.free(addr, size)
@@ -370,12 +370,12 @@ class RcEndpoint:
         self.buffer_size = buffer_size
         self._allocs: List[tuple] = []
         self._closed = False
-        ctrl = driver.ctrl
-        self.cq = ctrl.alloc_cq(self._take(sq_entries * 64), sq_entries)
-        self.rx_cq = ctrl.alloc_cq(self._take(rq_entries * 64), rq_entries)
-        self.rq = ctrl.alloc_rq(self._take(rq_entries * 16), rq_entries,
-                                self.rx_cq)
-        self.qp = ctrl.alloc_rc_qp(
+        cmd = driver.nic.cmd
+        self.cq = cmd.alloc_cq(self._take(sq_entries * 64), sq_entries)
+        self.rx_cq = cmd.alloc_cq(self._take(rq_entries * 64), rq_entries)
+        self.rq = cmd.alloc_rq(self._take(rq_entries * 16), rq_entries,
+                               self.rx_cq)
+        self.qp = cmd.alloc_rc_qp(
             self._take(sq_entries * WQE_SIZE), sq_entries, self.cq,
             self.rq, vport, local_mac, local_ip,
         )
@@ -411,19 +411,19 @@ class RcEndpoint:
 
     def connect(self, remote_mac, remote_ip, remote_qpn: int) -> None:
         """Walk the QP to RTS against the remote (verbs state machine)."""
-        self.driver.ctrl.connect_qp(self.qp, remote_mac, remote_ip,
-                                    remote_qpn)
+        self.driver.nic.cmd.connect_qp(self.qp, remote_mac, remote_ip,
+                                       remote_qpn)
 
     def close(self) -> None:
         """Destroy the endpoint's QP, RQ and CQs; free host memory."""
         if self._closed:
             return
         self._closed = True
-        ctrl = self.driver.ctrl
-        ctrl.destroy(self.qp)
-        ctrl.destroy(self.rq)
-        ctrl.destroy(self.rx_cq)
-        ctrl.destroy(self.cq)
+        cmd = self.driver.nic.cmd
+        cmd.destroy(self.qp)
+        cmd.destroy(self.rq)
+        cmd.destroy(self.rx_cq)
+        cmd.destroy(self.cq)
         alloc = self.driver.allocator
         for addr, size in self._allocs:
             alloc.free(addr, size)
@@ -588,10 +588,6 @@ class SoftwareDriver:
         self.cpu_port = HostCpuPort(name)
         fabric.attach(self.cpu_port)
         self.allocator = BumpAllocator(mem_base + (1 << 20), (1 << 30))
-        # Deferred import: repro.sw pulls in the topology layer, which
-        # imports this module while repro.host is still initializing.
-        from ..sw.control import ControlPlane
-        self.ctrl = ControlPlane(nic)
 
     # -- PCIe initiators ---------------------------------------------------
 

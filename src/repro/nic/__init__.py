@@ -2,7 +2,6 @@
 
 from .cmd import (
     CmdError,
-    CmdResult,
     CmdStatus,
     CommandUnit,
     ObjectTable,
@@ -63,7 +62,7 @@ __all__ = [
     "Action", "BAR_SIZE", "CQE_FLAG_L3_OK", "CQE_FLAG_L4_OK",
     "CQE_FLAG_MSG_LAST", "CQE_FLAG_VXLAN_DECAP", "CQE_RECV_COMPLETION",
     "CQE_SEND_COMPLETION", "CQE_SIZE", "ChecksumOffload",
-    "CmdError", "CmdResult", "CmdStatus", "CommandUnit",
+    "CmdError", "CmdStatus", "CommandUnit",
     "ObjectTable", "CompletionQueue",
     "DOORBELL_STRIDE", "DecapVxlan", "Disposition", "Drop", "ESwitch",
     "EthernetPort", "FlowTable", "ForwardToQueue", "ForwardToRss",

@@ -1,16 +1,15 @@
-"""Firmware command interface: typed commands, object lifecycle.
+"""Firmware command interface: the command unit's verbs, object lifecycle.
 
 Real mlx5 drivers configure the device through a command interface;
-here the host's control plane (:class:`repro.sw.ControlPlane`) calls
-the NIC-resident :class:`CommandUnit` directly.  A command is a typed
-dataclass carrying scalars and live simulation objects (queues, match
-specs, action lists); ``CommandUnit.execute`` dispatches it to one
-executor, which drives the device's internal create/modify/destroy
-machinery and answers with a :class:`CmdResult` (status, handle,
-syndrome and the live object).  A command takes no simulated time.
-Executors signal failure by raising :class:`CmdError` (or a device
-error ``execute`` maps onto a status), so no exception escapes the
-firmware: every failure is a typed :class:`CmdStatus`.
+here the host's control planes (the host driver, the FLD runtime and
+the FLD-E/FLD-R planes in :mod:`repro.sw`) call the verbs of the
+NIC-resident :class:`CommandUnit` directly: ``alloc_cq``,
+``install_rule``, ``create_prog``, ``destroy`` and the rest.  A verb
+drives the device's internal create/modify/destroy machinery and
+returns the live object it created or addressed; it takes no simulated
+time.  Every failure raises one exception type, :class:`CmdError`,
+carrying a typed :class:`CmdStatus` (a device error is mapped onto
+one), and leaves the object table as it was.
 
 Every object is created against the :class:`ObjectTable` with explicit
 dependencies (an SQ holds its CQ, a QP holds its CQ and RQ, a vPort
@@ -24,7 +23,7 @@ slices and address-map windows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
 from typing import Any, Dict, List, Optional, Tuple
 
 from .queues import QueueError
@@ -38,10 +37,8 @@ from .steering import (
 
 
 class CmdStatus(enum.IntEnum):
-    """Typed command completion statuses (the mlx5 syndrome analogue)."""
+    """Typed statuses of a failed command (the mlx5 syndrome analogue)."""
 
-    OK = 0
-    BAD_OPCODE = 1
     BAD_PARAM = 2
     BAD_HANDLE = 3
     BAD_STATE = 4
@@ -52,213 +49,15 @@ class CmdStatus(enum.IntEnum):
 
 
 class CmdError(RuntimeError):
-    """Raised by executors to return a specific non-OK status.
-
-    ``syndrome`` rides the result's syndrome field — the program
-    verifier uses it to report *which* rule a rejected program broke
-    (the ``E_*`` sub-codes of :mod:`repro.prog.verifier`).
-    """
+    """A failed command: its typed status and, for a program the
+    verifier rejects, the ``E_*`` sub-code of the rule it broke
+    (:mod:`repro.prog.verifier`) as ``syndrome``."""
 
     def __init__(self, status: CmdStatus, message: str = "",
                  syndrome: int = 0):
         super().__init__(message or status.name)
         self.status = status
         self.syndrome = syndrome
-
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Command:
-    """Base class; subclasses define their typed fields."""
-
-
-@dataclass
-class CreateCq(Command):
-    ring_addr: int = 0
-    entries: int = 0
-    notify: bool = True     # False: the consumer reads CQEs as they land
-
-
-@dataclass
-class CreateSq(Command):
-    ring_addr: int = 0
-    entries: int = 0
-    cq: Any = None
-    vport: int = 0
-    transport: str = "eth"
-    meter: Optional[str] = None
-
-
-@dataclass
-class CreateRq(Command):
-    ring_addr: int = 0
-    entries: int = 0
-    cq: Any = None
-    shared: int = 0
-
-
-@dataclass
-class CreateMprq(Command):
-    ring_addr: int = 0
-    entries: int = 0
-    cq: Any = None
-    strides_per_buffer: int = 64
-    stride_size: int = 2048
-
-
-@dataclass
-class CreateRcQp(Command):
-    ring_addr: int = 0
-    entries: int = 0
-    cq: Any = None
-    rq: Any = None
-    vport: int = 0
-    local_mac: Any = None
-    local_ip: Any = None
-
-
-@dataclass
-class ModifyQp(Command):
-    """One verbs state transition; attributes ride the edge that
-    consumes them (remote endpoint + rq_psn at RTR, sq_psn at RTS)."""
-
-    qp: Any = None
-    state: str = ""
-    remote_mac: Any = None
-    remote_ip: Any = None
-    remote_qpn: Optional[int] = None
-    rq_psn: Optional[int] = None
-    sq_psn: Optional[int] = None
-
-
-@dataclass
-class QueryObject(Command):
-    handle: int = 0
-
-
-@dataclass
-class DestroyObject(Command):
-    handle: int = 0
-
-
-@dataclass
-class CreateVport(Command):
-    vport: int = 0
-
-
-@dataclass
-class SetVportDefault(Command):
-    vport: int = 0
-    rq: Any = None
-
-
-@dataclass
-class ClearVportDefault(Command):
-    vport: int = 0
-
-
-@dataclass
-class RegisterResumeTable(Command):
-    table_name: str = ""
-
-
-@dataclass
-class InstallRule(Command):
-    table_name: str = ""
-    match: Any = None
-    actions: Any = None
-    priority: int = 0
-
-
-@dataclass
-class CreateProgMap(Command):
-    """Allocate a cuckoo-backed program map (``repro.prog.maps``)."""
-
-    capacity: int = 64
-
-
-@dataclass
-class CreateProg(Command):
-    """Verify and load a match-action program against ``maps``.
-
-    ``program`` is a :class:`repro.prog.isa.Program`; ``maps`` a list of
-    map objects previously created by :class:`CreateProgMap` (dangling
-    references fail with BAD_HANDLE, verifier rejections with
-    VERIFY_FAILED and the ``E_*`` sub-code in the syndrome).
-    """
-
-    program: Any = None
-    maps: Any = None
-
-
-@dataclass
-class AttachProg(Command):
-    """Attach a loaded program to an FLD datapath hook.
-
-    ``direction`` is ``"rx"`` (target = receive binding id) or ``"tx"``
-    (target = transmit queue id).  One program per hook: attaching over
-    an existing attachment is BAD_STATE.
-    """
-
-    prog: Any = None
-    fld: Any = None
-    direction: str = "rx"
-    target: int = 0
-
-
-@dataclass
-class DetachProg(Command):
-    fld: Any = None
-    direction: str = "rx"
-    target: int = 0
-
-
-@dataclass
-class SetMapEntry(Command):
-    """Control-path map write (insert or replace); full = NO_RESOURCES."""
-
-    map: Any = None
-    key: int = 0
-    value: int = 0
-
-
-@dataclass
-class DelMapEntry(Command):
-    map: Any = None
-    key: int = 0
-
-
-@dataclass
-class QueryMapEntry(Command):
-    map: Any = None
-    key: int = 0
-
-
-class CmdResult:
-    """A command's outcome (+ the created or addressed live object)."""
-
-    __slots__ = ("status", "handle", "syndrome", "obj", "info")
-
-    def __init__(self, status: CmdStatus, handle: int = 0,
-                 syndrome: int = 0, obj: Any = None,
-                 info: Optional[dict] = None):
-        self.status = status
-        self.handle = handle
-        self.syndrome = syndrome
-        self.obj = obj
-        self.info = info
-
-    @property
-    def ok(self) -> bool:
-        return self.status == CmdStatus.OK
-
-    def __repr__(self) -> str:
-        return (f"CmdResult({self.status.name}, handle={self.handle:#x}, "
-                f"syndrome={self.syndrome})")
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +175,38 @@ class ObjectTable:
         return out
 
 
+
+
 # ---------------------------------------------------------------------------
 # NIC-side command unit
 # ---------------------------------------------------------------------------
 
 
-class CommandUnit:
-    """The firmware executor embedded in the NIC.
+def _verb(method):
+    """Make ``method`` a firmware command: a device error escaping it
+    becomes a :class:`CmdError` with the status that error maps to."""
 
-    ``execute`` applies one command immediately and returns its
-    :class:`CmdResult`; it works both before ``sim.run`` and from
-    inside running processes.
+    @functools.wraps(method)
+    def verb(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except CmdError:
+            raise
+        except QpStateError as exc:
+            raise CmdError(CmdStatus.BAD_STATE, str(exc)) from exc
+        except (QueueError, SteeringError, ValueError) as exc:
+            raise CmdError(CmdStatus.BAD_PARAM, str(exc)) from exc
+        except Exception as exc:
+            raise CmdError(CmdStatus.INTERNAL, repr(exc)) from exc
+    return verb
+
+
+class CommandUnit:
+    """The firmware embedded in the NIC: one verb a command.
+
+    A verb applies its command immediately, both before ``sim.run`` and
+    from inside running processes, and returns the live object it
+    created or addressed.
     """
 
     def __init__(self, nic):
@@ -395,136 +215,134 @@ class CommandUnit:
         # (id(fld), direction, target) -> prog handle, so detach can
         # unpin the program the firmware attached there.
         self._prog_attachments: Dict[Tuple[int, str, int], int] = {}
-        self.stats_commands = 0
-        self.stats_failures = 0
 
-    def execute(self, cmd: Command) -> CmdResult:
-        self.stats_commands += 1
-        handler = self._EXEC.get(type(cmd))
-        try:
-            if handler is None:
-                raise CmdError(CmdStatus.BAD_OPCODE,
-                               f"unhandled command {type(cmd).__name__}")
-            result = handler(self, cmd)
-        except CmdError as exc:
-            result = CmdResult(exc.status, syndrome=exc.syndrome)
-        except QpStateError:
-            result = CmdResult(CmdStatus.BAD_STATE)
-        except (QueueError, SteeringError, ValueError):
-            result = CmdResult(CmdStatus.BAD_PARAM)
-        except Exception:
-            result = CmdResult(CmdStatus.INTERNAL)
-        if not result.ok:
-            self.stats_failures += 1
-        return result
+    def handle_of(self, obj: Any) -> Optional[int]:
+        """The firmware handle of a live object (None if unregistered)."""
+        return self.table.handle_of(obj)
 
-    # -- executors ------------------------------------------------------
+    # -- queues ---------------------------------------------------------
 
-    def _exec_create_cq(self, cmd: CreateCq) -> CmdResult:
-        cq = self.nic.create_cq(cmd.ring_addr, cmd.entries, cmd.notify)
-        handle = self.table.insert("cq", cq, label=f"cq{cq.cqn}")
-        return CmdResult(CmdStatus.OK, handle, obj=cq)
+    @_verb
+    def alloc_cq(self, ring_addr: int, entries: int, notify: bool = True):
+        cq = self.nic.create_cq(ring_addr, entries, notify)
+        self.table.insert("cq", cq, label=f"cq{cq.cqn}")
+        return cq
 
-    def _exec_create_sq(self, cmd: CreateSq) -> CmdResult:
-        cq_handle = self.table.require(cmd.cq, ("cq",))
-        sq = self.nic.create_sq(cmd.ring_addr, cmd.entries, cmd.cq,
-                                vport=cmd.vport, transport=cmd.transport,
-                                meter=cmd.meter)
-        handle = self.table.insert("sq", sq, deps=(cq_handle,),
-                                   label=f"sq{sq.qpn}")
-        return CmdResult(CmdStatus.OK, handle, obj=sq)
+    @_verb
+    def alloc_sq(self, ring_addr: int, entries: int, cq, vport: int = 0,
+                 transport: str = "eth", meter: Optional[str] = None):
+        cq_handle = self.table.require(cq, ("cq",))
+        sq = self.nic.create_sq(ring_addr, entries, cq, vport=vport,
+                                transport=transport, meter=meter)
+        self.table.insert("sq", sq, deps=(cq_handle,), label=f"sq{sq.qpn}")
+        return sq
 
-    def _exec_create_rq(self, cmd: CreateRq) -> CmdResult:
-        cq_handle = self.table.require(cmd.cq, ("cq",))
-        rq = self.nic.create_rq(cmd.ring_addr, cmd.entries, cmd.cq,
-                                shared=bool(cmd.shared))
-        handle = self.table.insert("rq", rq, deps=(cq_handle,),
-                                   label=f"rq{rq.rqn}")
-        return CmdResult(CmdStatus.OK, handle, obj=rq)
+    @_verb
+    def alloc_rq(self, ring_addr: int, entries: int, cq,
+                 shared: bool = False):
+        cq_handle = self.table.require(cq, ("cq",))
+        rq = self.nic.create_rq(ring_addr, entries, cq, shared=shared)
+        self.table.insert("rq", rq, deps=(cq_handle,), label=f"rq{rq.rqn}")
+        return rq
 
-    def _exec_create_mprq(self, cmd: CreateMprq) -> CmdResult:
-        cq_handle = self.table.require(cmd.cq, ("cq",))
-        rq = self.nic.create_mprq(
-            cmd.ring_addr, cmd.entries, cmd.cq,
-            strides_per_buffer=cmd.strides_per_buffer,
-            stride_size=cmd.stride_size)
-        handle = self.table.insert("mprq", rq, deps=(cq_handle,),
-                                   label=f"mprq{rq.rqn}")
-        return CmdResult(CmdStatus.OK, handle, obj=rq)
+    @_verb
+    def alloc_mprq(self, ring_addr: int, entries: int, cq,
+                   strides_per_buffer: int = 64, stride_size: int = 2048):
+        cq_handle = self.table.require(cq, ("cq",))
+        rq = self.nic.create_mprq(ring_addr, entries, cq,
+                                  strides_per_buffer=strides_per_buffer,
+                                  stride_size=stride_size)
+        self.table.insert("mprq", rq, deps=(cq_handle,),
+                          label=f"mprq{rq.rqn}")
+        return rq
 
-    def _exec_create_rc_qp(self, cmd: CreateRcQp) -> CmdResult:
-        cq_handle = self.table.require(cmd.cq, ("cq",))
-        rq_handle = self.table.require(cmd.rq, ("rq", "mprq"))
-        qp = self.nic.create_rc_qp(cmd.ring_addr, cmd.entries, cmd.cq,
-                                   cmd.rq, cmd.vport, cmd.local_mac,
-                                   cmd.local_ip)
-        handle = self.table.insert("qp", qp, deps=(cq_handle, rq_handle),
-                                   label=f"qp{qp.qpn}")
-        return CmdResult(CmdStatus.OK, handle, obj=qp)
+    @_verb
+    def alloc_rc_qp(self, ring_addr: int, entries: int, cq, rq,
+                    vport: int, local_mac, local_ip):
+        cq_handle = self.table.require(cq, ("cq",))
+        rq_handle = self.table.require(rq, ("rq", "mprq"))
+        qp = self.nic.create_rc_qp(ring_addr, entries, cq, rq, vport,
+                                   local_mac, local_ip)
+        self.table.insert("qp", qp, deps=(cq_handle, rq_handle),
+                          label=f"qp{qp.qpn}")
+        return qp
 
-    def _exec_modify_qp(self, cmd: ModifyQp) -> CmdResult:
-        handle = self.table.require(cmd.qp, ("qp",))
-        if cmd.state not in (RcQp.RESET, RcQp.INIT, RcQp.RTR, RcQp.RTS,
-                             RcQp.ERR):
+    # -- QP lifecycle ---------------------------------------------------
+
+    @_verb
+    def modify_qp(self, qp, state: str, **attrs) -> None:
+        """One verbs state transition; attributes ride the edge that
+        consumes them (``remote_mac``/``remote_ip``/``remote_qpn`` and
+        ``rq_psn`` at RTR, ``sq_psn`` at RTS)."""
+        self.table.require(qp, ("qp",))
+        if state not in (RcQp.RESET, RcQp.INIT, RcQp.RTR, RcQp.RTS,
+                         RcQp.ERR):
             raise CmdError(CmdStatus.BAD_PARAM,
-                           f"unknown QP state {cmd.state!r}")
-        cmd.qp.modify(cmd.state, remote_mac=cmd.remote_mac,
-                      remote_ip=cmd.remote_ip, remote_qpn=cmd.remote_qpn,
-                      rq_psn=cmd.rq_psn, sq_psn=cmd.sq_psn)
-        return CmdResult(CmdStatus.OK, handle, obj=cmd.qp)
+                           f"unknown QP state {state!r}")
+        qp.modify(state, **attrs)
 
-    def _exec_create_vport(self, cmd: CreateVport) -> CmdResult:
+    @_verb
+    def connect_qp(self, qp, remote_mac, remote_ip, remote_qpn: int,
+                   rq_psn: int = 0, sq_psn: int = 0) -> None:
+        """Walk a QP RESET→INIT→RTR→RTS against a remote endpoint."""
+        if qp.state != RcQp.RESET:
+            self.modify_qp(qp, RcQp.RESET)
+        self.modify_qp(qp, RcQp.INIT)
+        self.modify_qp(qp, RcQp.RTR, remote_mac=remote_mac,
+                       remote_ip=remote_ip, remote_qpn=remote_qpn,
+                       rq_psn=rq_psn)
+        self.modify_qp(qp, RcQp.RTS, sq_psn=sq_psn)
+
+    # -- vPorts and steering --------------------------------------------
+
+    @_verb
+    def ensure_vport(self, vport: int):
+        """Create (or fetch) the firmware object for a vPort."""
         eswitch = self.nic.eswitch
-        vport = eswitch.vports.get(cmd.vport)
-        if vport is None:
-            vport = eswitch.add_vport(cmd.vport)
-        existing = self.table.handle_of(vport)
-        if existing is not None:
-            return CmdResult(CmdStatus.OK, existing, obj=vport)
-        handle = self.table.insert("vport", vport,
-                                   label=f"vport{vport.number}")
-        return CmdResult(CmdStatus.OK, handle, obj=vport)
+        obj = eswitch.vports.get(vport)
+        if obj is None:
+            obj = eswitch.add_vport(vport)
+        if self.table.handle_of(obj) is None:
+            self.table.insert("vport", obj, label=f"vport{obj.number}")
+        return obj
 
-    def _vport_entry(self, number: int) -> ObjectEntry:
-        vport = self.nic.eswitch.vports.get(number)
-        handle = (self.table.handle_of(vport)
-                  if vport is not None else None)
+    @_verb
+    def set_default_queue(self, vport: int, rq) -> None:
+        """Deliver a vPort's unmatched traffic to ``rq``, which the
+        default route pins (in place of any queue it pinned before)."""
+        rq_handle = self.table.require(rq, ("rq", "mprq"))
+        handle = self.table.handle_of(self.ensure_vport(vport))
+        self.nic.set_vport_default_queue(vport, rq)
+        for dep in list(self.table.get(handle).deps):
+            self.table.drop_dep(handle, dep)
+        self.table.add_dep(handle, rq_handle)
+
+    @_verb
+    def clear_default_queue(self, vport: int) -> None:
+        handle = self.table.handle_of(self.nic.eswitch.vports.get(vport))
         if handle is None:
             raise CmdError(CmdStatus.BAD_HANDLE,
-                           f"vport {number} is not a firmware object")
-        return self.table.get(handle)
+                           f"vport {vport} is not a firmware object")
+        self.nic.clear_vport_default_queue(vport)
+        for dep in list(self.table.get(handle).deps):
+            self.table.drop_dep(handle, dep)
 
-    def _exec_set_vport_default(self, cmd: SetVportDefault) -> CmdResult:
-        rq_handle = self.table.require(cmd.rq, ("rq", "mprq"))
-        result = self._exec_create_vport(CreateVport(vport=cmd.vport))
-        entry = self.table.get(result.handle)
-        self.nic.set_vport_default_queue(cmd.vport, cmd.rq)
-        # The default route pins the RQ: drop any previous pin first.
-        for dep in list(entry.deps):
-            self.table.drop_dep(entry.handle, dep)
-        self.table.add_dep(entry.handle, rq_handle)
-        return CmdResult(CmdStatus.OK, entry.handle, obj=entry.obj)
+    @_verb
+    def add_resume_table(self, table_name: str) -> ResumeTable:
+        """Register an FLD-E resume table (``.resume_id``,
+        ``.table_name``)."""
+        resume_id = self.nic.register_resume_table(table_name)
+        resume = ResumeTable(resume_id, table_name)
+        self.table.insert("resume", resume, label=table_name)
+        return resume
 
-    def _exec_clear_vport_default(self, cmd: ClearVportDefault) -> CmdResult:
-        entry = self._vport_entry(cmd.vport)
-        self.nic.clear_vport_default_queue(cmd.vport)
-        for dep in list(entry.deps):
-            self.table.drop_dep(entry.handle, dep)
-        return CmdResult(CmdStatus.OK, entry.handle, obj=entry.obj)
-
-    def _exec_register_resume_table(
-            self, cmd: RegisterResumeTable) -> CmdResult:
-        resume_id = self.nic.register_resume_table(cmd.table_name)
-        resume = ResumeTable(resume_id, cmd.table_name)
-        handle = self.table.insert("resume", resume,
-                                   label=cmd.table_name)
-        return CmdResult(CmdStatus.OK, handle, obj=resume)
-
-    def _exec_install_rule(self, cmd: InstallRule) -> CmdResult:
-        if not cmd.actions:
+    @_verb
+    def install_rule(self, table_name: str, match, actions: List[Any],
+                     priority: int = 0):
+        if not actions:
             raise CmdError(CmdStatus.BAD_PARAM, "rule with no actions")
         deps = []
-        for action in cmd.actions:
+        for action in actions:
             if isinstance(action, (ForwardToQueue, ToAccelerator)):
                 deps.append(self.table.require(action.rq, ("rq", "mprq")))
             elif isinstance(action, ForwardToVport):
@@ -535,106 +353,124 @@ class CommandUnit:
                 handle = self.table.handle_of(vport)
                 if handle is not None:
                     deps.append(handle)
-        table = self.nic.steering.table(cmd.table_name)
-        rule = table.add_rule(cmd.match, list(cmd.actions),
-                              priority=cmd.priority)
-        handle = self.table.insert("rule", rule, deps=tuple(deps),
-                                   label=cmd.table_name)
-        return CmdResult(CmdStatus.OK, handle, obj=rule)
+        table = self.nic.steering.table(table_name)
+        rule = table.add_rule(match, list(actions), priority=priority)
+        self.table.insert("rule", rule, deps=tuple(deps), label=table_name)
+        return rule
 
     # -- match-action programs (repro.prog) -----------------------------
     # The prog modules are imported lazily: the command unit is the only
     # module-level bridge between repro.nic and repro.prog, and deferring
     # the import keeps the package import graph acyclic.
 
-    def _exec_create_prog_map(self, cmd: CreateProgMap) -> CmdResult:
+    @_verb
+    def create_prog_map(self, capacity: int = 64):
+        """Allocate a cuckoo-backed program map (``repro.prog.maps``)."""
         from ..prog.maps import ProgMap
-        prog_map = ProgMap(cmd.capacity)        # ValueError -> BAD_PARAM
-        handle = self.table.insert("map", prog_map,
-                                   label=f"map/{cmd.capacity}")
-        return CmdResult(CmdStatus.OK, handle, obj=prog_map)
+        prog_map = ProgMap(capacity)        # ValueError -> BAD_PARAM
+        self.table.insert("map", prog_map, label=f"map/{capacity}")
+        return prog_map
 
-    def _exec_create_prog(self, cmd: CreateProg) -> CmdResult:
+    @_verb
+    def create_prog(self, program, maps=()):
+        """Verify and load ``program`` (a :class:`repro.prog.isa.Program`)
+        against ``maps``, each made by :meth:`create_prog_map`.
+
+        A dangling map is ``BAD_HANDLE``, reported before verification;
+        a verifier rejection is ``VERIFY_FAILED`` with the ``E_*``
+        sub-code as the error's syndrome.
+        """
         from ..prog.engine import load_program
         from ..prog.verifier import ProgVerifyError
-        maps = list(cmd.maps or ())
-        # Resolve map references first: a dangling map is a handle
-        # error, reported before (and regardless of) verification.
+        maps = list(maps)
         dep_handles = tuple(self.table.require(m, ("map",)) for m in maps)
         try:
-            loaded = load_program(cmd.program, maps)
+            loaded = load_program(program, maps)
         except ProgVerifyError as exc:
             raise CmdError(CmdStatus.VERIFY_FAILED, str(exc),
                            syndrome=exc.code)
-        handle = self.table.insert("prog", loaded, deps=dep_handles,
-                                   label=f"prog/{loaded.name}")
-        return CmdResult(CmdStatus.OK, handle, obj=loaded)
+        self.table.insert("prog", loaded, deps=dep_handles,
+                          label=f"prog/{loaded.name}")
+        return loaded
 
-    def _exec_attach_prog(self, cmd: AttachProg) -> CmdResult:
-        handle = self.table.require(cmd.prog, ("prog",))
-        if cmd.fld is None or not hasattr(cmd.fld, "prog_engine"):
+    @_verb
+    def attach_prog(self, fld, prog, direction: str = "rx",
+                    target: int = 0) -> None:
+        """Attach a loaded program to an FLD datapath hook and pin it.
+
+        ``direction`` is ``"rx"`` (target = receive binding id) or
+        ``"tx"`` (target = transmit queue id).  One program a hook:
+        attaching over an existing attachment is ``BAD_STATE``.
+        """
+        handle = self.table.require(prog, ("prog",))
+        if fld is None or not hasattr(fld, "prog_engine"):
             raise CmdError(CmdStatus.BAD_PARAM, "attach needs an FLD")
-        if cmd.direction not in ("rx", "tx"):
+        if direction not in ("rx", "tx"):
             raise CmdError(CmdStatus.BAD_PARAM,
-                           f"direction must be rx or tx, "
-                           f"got {cmd.direction!r}")
-        engine = cmd.fld.prog_engine()
-        if engine.attached(cmd.direction, cmd.target) is not None:
-            raise CmdError(
-                CmdStatus.BAD_STATE,
-                f"{cmd.direction} {cmd.target} already has a program")
-        engine.attach(cmd.direction, cmd.target, cmd.prog)
+                           f"direction must be rx or tx, got {direction!r}")
+        engine = fld.prog_engine()
+        if engine.attached(direction, target) is not None:
+            raise CmdError(CmdStatus.BAD_STATE,
+                           f"{direction} {target} already has a program")
+        engine.attach(direction, target, prog)
         # The attachment pins the program (and transitively its maps).
         self.table.get(handle).refcount += 1
-        key = (id(cmd.fld), cmd.direction, cmd.target)
-        self._prog_attachments[key] = handle
-        return CmdResult(CmdStatus.OK, handle, obj=cmd.prog)
+        self._prog_attachments[id(fld), direction, target] = handle
 
-    def _exec_detach_prog(self, cmd: DetachProg) -> CmdResult:
-        key = (id(cmd.fld), cmd.direction, cmd.target)
+    @_verb
+    def detach_prog(self, fld, direction: str = "rx",
+                    target: int = 0) -> None:
+        key = (id(fld), direction, target)
         handle = self._prog_attachments.get(key)
         if handle is None:
-            raise CmdError(
-                CmdStatus.BAD_STATE,
-                f"no program attached to {cmd.direction} {cmd.target}")
-        cmd.fld.prog_engine().detach(cmd.direction, cmd.target)
+            raise CmdError(CmdStatus.BAD_STATE,
+                           f"no program attached to {direction} {target}")
+        fld.prog_engine().detach(direction, target)
         del self._prog_attachments[key]
         entry = self.table.get(handle)
         if entry is not None:
             entry.refcount -= 1
-        return CmdResult(CmdStatus.OK, handle)
 
-    def _require_map(self, obj) -> Tuple[int, Any]:
-        handle = self.table.require(obj, ("map",))
-        return handle, self.table.get(handle).obj
+    def _map(self, prog_map):
+        return self.table.get(self.table.require(prog_map, ("map",))).obj
 
-    def _exec_set_map_entry(self, cmd: SetMapEntry) -> CmdResult:
+    @_verb
+    def map_set(self, prog_map, key: int, value: int) -> None:
+        """Control-path map write (insert or replace); full is
+        ``NO_RESOURCES``."""
         from ..core.cuckoo import CuckooFullError
-        handle, prog_map = self._require_map(cmd.map)
         try:
-            prog_map.set(cmd.key, cmd.value)
+            self._map(prog_map).set(key, value)
         except CuckooFullError as exc:
             raise CmdError(CmdStatus.NO_RESOURCES, str(exc))
-        return CmdResult(CmdStatus.OK, handle, obj=prog_map)
 
-    def _exec_del_map_entry(self, cmd: DelMapEntry) -> CmdResult:
-        handle, prog_map = self._require_map(cmd.map)
-        if not prog_map.delete(cmd.key):
-            raise CmdError(CmdStatus.BAD_PARAM,
-                           f"no entry for key {cmd.key:#x}")
-        return CmdResult(CmdStatus.OK, handle, obj=prog_map)
+    @_verb
+    def map_del(self, prog_map, key: int) -> None:
+        if not self._map(prog_map).delete(key):
+            raise CmdError(CmdStatus.BAD_PARAM, f"no entry for key {key:#x}")
 
-    def _exec_query_map_entry(self, cmd: QueryMapEntry) -> CmdResult:
-        handle, prog_map = self._require_map(cmd.map)
-        value = prog_map.get(cmd.key)
-        info = {"present": value is not None, "value": value}
-        return CmdResult(CmdStatus.OK, handle, obj=prog_map, info=info)
+    @_verb
+    def map_get(self, prog_map, key: int) -> Optional[int]:
+        return self._map(prog_map).get(key)
 
-    def _exec_query(self, cmd: QueryObject) -> CmdResult:
-        entry = self.table.get(cmd.handle)
-        if entry is None:
+    # -- query / teardown -----------------------------------------------
+
+    def _resolve(self, obj_or_handle) -> int:
+        if isinstance(obj_or_handle, int):
+            return obj_or_handle
+        handle = self.table.handle_of(obj_or_handle)
+        if handle is None:
             raise CmdError(CmdStatus.BAD_HANDLE,
-                           f"no object {cmd.handle:#x}")
+                           f"{obj_or_handle!r} is not a firmware object")
+        return handle
+
+    @_verb
+    def query(self, obj_or_handle) -> dict:
+        """An object's table row and live state, by object or handle."""
+        handle = self._resolve(obj_or_handle)
+        entry = self.table.get(handle)
+        if entry is None:
+            raise CmdError(CmdStatus.BAD_HANDLE, f"no object {handle:#x}")
         info = {"handle": entry.handle, "kind": entry.kind,
                 "label": entry.label, "refcount": entry.refcount}
         obj = entry.obj
@@ -654,16 +490,18 @@ class CommandUnit:
                         maps=len(obj.maps), counters=obj.counters())
         elif entry.kind == "map":
             info.update(capacity=obj.capacity, entries=len(obj))
-        return CmdResult(CmdStatus.OK, entry.handle, obj=obj, info=info)
+        return info
 
-    def _exec_destroy(self, cmd: DestroyObject) -> CmdResult:
-        entry = self.table.get(cmd.handle)
+    @_verb
+    def destroy(self, obj_or_handle) -> None:
+        """Destroy by live object or handle; ``IN_USE`` while pinned."""
+        handle = self._resolve(obj_or_handle)
+        entry = self.table.get(handle)
         if entry is None:
-            raise CmdError(CmdStatus.BAD_HANDLE,
-                           f"no object {cmd.handle:#x}")
+            raise CmdError(CmdStatus.BAD_HANDLE, f"no object {handle:#x}")
         if entry.refcount:
             raise CmdError(CmdStatus.IN_USE,
-                           f"{entry.kind} {cmd.handle:#x} is referenced")
+                           f"{entry.kind} {handle:#x} is referenced")
         nic = self.nic
         obj = entry.obj
         if entry.kind == "vport":
@@ -673,10 +511,10 @@ class CommandUnit:
                                f"vport {obj.number} still has rules")
             # deps == a pinned default RQ; release it with the vPort.
             nic.clear_vport_default_queue(obj.number)
-            self.table.remove(cmd.handle)
+            self.table.remove(handle)
             nic.remove_vport(obj.number)
-            return CmdResult(CmdStatus.OK, cmd.handle)
-        self.table.remove(cmd.handle)
+            return
+        self.table.remove(handle)
         if entry.kind == "cq":
             nic.destroy_cq(obj)
         elif entry.kind == "sq":
@@ -692,27 +530,13 @@ class CommandUnit:
         # "prog" and "map" have no device-side state beyond their
         # table entry: an attached prog is pinned (IN_USE above), and a
         # detached one is just interpreter bytecode.
-        return CmdResult(CmdStatus.OK, cmd.handle)
 
-    _EXEC = {
-        CreateCq: _exec_create_cq,
-        CreateSq: _exec_create_sq,
-        CreateRq: _exec_create_rq,
-        CreateMprq: _exec_create_mprq,
-        CreateRcQp: _exec_create_rc_qp,
-        ModifyQp: _exec_modify_qp,
-        CreateVport: _exec_create_vport,
-        SetVportDefault: _exec_set_vport_default,
-        ClearVportDefault: _exec_clear_vport_default,
-        RegisterResumeTable: _exec_register_resume_table,
-        InstallRule: _exec_install_rule,
-        CreateProgMap: _exec_create_prog_map,
-        CreateProg: _exec_create_prog,
-        AttachProg: _exec_attach_prog,
-        DetachProg: _exec_detach_prog,
-        SetMapEntry: _exec_set_map_entry,
-        DelMapEntry: _exec_del_map_entry,
-        QueryMapEntry: _exec_query_map_entry,
-        QueryObject: _exec_query,
-        DestroyObject: _exec_destroy,
-    }
+    def try_destroy(self, obj_or_handle) -> bool:
+        """Destroy, tolerating an already-gone object (teardown paths)."""
+        try:
+            self.destroy(obj_or_handle)
+        except CmdError as exc:
+            if exc.status != CmdStatus.BAD_HANDLE:
+                raise
+            return False
+        return True

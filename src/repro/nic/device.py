@@ -10,8 +10,8 @@ identical to it, which is precisely the property FlexDriver exploits.
 Control-plane operations (queue creation, steering rule installation,
 QP connection) run through the firmware command interface in
 :mod:`repro.nic.cmd`: the software control planes in :mod:`repro.sw`
-and :mod:`repro.host` hand typed commands to the NIC's
-:class:`~repro.nic.cmd.CommandUnit`, which maps them onto the
+and :mod:`repro.host` call the verbs of the NIC's
+:class:`~repro.nic.cmd.CommandUnit`, which drive the
 ``create_*``/``destroy_*`` machinery here.  Only the command unit (and
 this module) may call those methods directly — a conformance test
 enforces it.
@@ -72,6 +72,10 @@ from .wqe import (
 #: Sentinel pushed through a destroyed queue's stores so its workers
 #: unwind instead of waiting forever.
 _POISON = object()
+
+
+def _admitted(_poison) -> None:
+    """A parked poison needs nothing done when a slot admits it."""
 
 
 @dataclass
@@ -260,14 +264,11 @@ class Nic(PcieEndpoint):
         self._resume_tables[resume_id] = table_name
         return resume_id
 
-    # -- teardown (driven by DESTROY commands) --------------------------
+    # -- teardown (driven by the destroy verb) ---------------------------
 
     def _poison(self, store: Store) -> None:
-        """Push the poison sentinel, spilling to a process when full."""
-        if not store.try_put(_POISON):
-            def put():
-                yield store.put(_POISON)
-            self.sim.spawn(put(), name=f"{self.name}.poison")
+        """Put the poison sentinel, parked until a slot frees when full."""
+        store.put_or_park(_POISON, _admitted)
 
     def destroy_cq(self, cq: CompletionQueue) -> None:
         self.cqs.pop(cq.cqn, None)

@@ -11,7 +11,7 @@ The subsystem, bottom to top:
 * :mod:`repro.prog.programs` — the four example programs.
 
 Programs and maps are firmware objects: create them through the
-command unit (``repro.sw.ControlPlane.create_prog`` & co.), never by
+command unit's verbs (``nic.cmd.create_prog`` & co.), never by
 constructing these classes directly — the AST conformance guard
 enforces it.
 """

@@ -2,7 +2,7 @@
 
 A :class:`ProgMap` is a firmware object (kind ``"map"`` in the
 ``ObjectTable``) shared between the control plane — which populates it
-through ``SetMapEntry``/``DelMapEntry`` commands — and attached
+through the ``map_set``/``map_del`` verbs — and attached
 programs, which read and write it per packet.  The storage is the same
 :class:`~repro.core.cuckoo.CuckooHashTable` the steering engine uses,
 so the capacity/occupancy behaviour the NIC model exhibits for flow

@@ -17,7 +17,7 @@ All programs declare ``min_packet_len=42`` (full headers present), so
 the verifier admits the header accesses and runts bypass the program.
 State lives in firmware-owned maps, referenced by position: the builder
 documents what each map index must contain and the experiment populates
-them through ``SetMapEntry`` commands.
+them through the ``map_set`` verb.
 """
 
 from __future__ import annotations

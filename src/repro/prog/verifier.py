@@ -39,7 +39,7 @@ __all__ = [
     "ProgVerifyError", "verify",
 ]
 
-#: Verifier rejection sub-codes (surface as the CmdResult syndrome).
+#: Verifier rejection sub-codes (surface as the CmdError syndrome).
 E_BUDGET = 1        # empty program or instruction budget exceeded
 E_TERMINATION = 2   # last instruction is not a Ret
 E_JUMP = 3          # backward or out-of-range branch target

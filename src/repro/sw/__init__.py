@@ -2,7 +2,6 @@
 
 from .client import FldRClient, FldRClientError, FldRConnection
 from .batching import BatchingZucCryptodev
-from .control import ControlPlane
 from .cryptodev import CryptoOp, Cryptodev, FldRZucCryptodev, SwZucCryptodev
 from .flde import FldEControlPlane, FldEPolicyError
 from .fldr import FldRConnectionInfo, FldRControlPlane
@@ -11,7 +10,6 @@ from .runtime import FldRuntime, FldRuntimeError
 
 __all__ = [
     "BatchingZucCryptodev",
-    "ControlPlane",
     "CryptoOp",
     "Cryptodev",
     "FldEControlPlane",

@@ -40,9 +40,8 @@ class FldEControlPlane:
     def __init__(self, runtime: FldRuntime, vport: int):
         self.runtime = runtime
         self.nic = runtime.nic
-        self.ctrl = runtime.ctrl
         self.vport = vport
-        self._vport = self.ctrl.ensure_vport(vport)
+        self._vport = self.nic.cmd.ensure_vport(vport)
         self.table = self.nic.steering.table(self._vport.rx_root)
         self.stats_rules = 0
         # Teardown bookkeeping: rules and resume tables this control
@@ -57,8 +56,8 @@ class FldEControlPlane:
     def _install(self, match: MatchSpec, actions: List[Action],
                  priority: int) -> Rule:
         """Install a rule on the vPort root through the command unit."""
-        rule = self.ctrl.install_rule(self._vport.rx_root, match, actions,
-                                      priority)
+        rule = self.nic.cmd.install_rule(self._vport.rx_root, match,
+                                         actions, priority)
         self._rules.append(rule)
         self.stats_rules += 1
         return rule
@@ -81,7 +80,7 @@ class FldEControlPlane:
         name = f"vport{self.vport}.tenant{tenant_id}.resume"
         table = self.nic.steering.table(name)
         table.default_actions = resume_actions
-        self._resume_tables.append(self.ctrl.add_resume_table(name))
+        self._resume_tables.append(self.nic.cmd.add_resume_table(name))
         actions: List[Action] = [SetContextId(tenant_id)]
         if rate_bps is not None:
             meter_name = f"tenant{tenant_id}"
@@ -122,9 +121,9 @@ class FldEControlPlane:
         destroy the vPort without tripping ``IN_USE``.
         """
         for rule in reversed(self._rules):
-            self.ctrl.try_destroy(rule)
+            self.nic.cmd.try_destroy(rule)
         self._rules.clear()
         for resume in reversed(self._resume_tables):
-            self.ctrl.try_destroy(resume)
+            self.nic.cmd.try_destroy(resume)
             self.nic.steering.remove_table(resume.table_name)
         self._resume_tables.clear()

@@ -56,7 +56,7 @@ class FldRControlPlane:
             self.vport, local_mac=self.mac, local_ip=self.ip,
             rq=self.shared_rq,
         )
-        self.runtime.ctrl.connect_qp(qp, client_mac, client_ip, client_qpn)
+        self.runtime.nic.cmd.connect_qp(qp, client_mac, client_ip, client_qpn)
         self.qps.append(qp)
         self.queue_map[qp.qpn] = queue_id
         self.stats_connections += 1

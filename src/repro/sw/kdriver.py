@@ -78,7 +78,7 @@ class FldKernelDriver:
             remote = (qp.remote_mac, qp.remote_ip, qp.remote_qpn)
             if remote[2] is None:
                 return  # never connected; nothing to restore
-            runtime.ctrl.connect_qp(qp, *remote)
+            runtime.nic.cmd.connect_qp(qp, *remote)
             self.stats_recoveries += 1
             if on_recovered is not None:
                 on_recovered(qp)

@@ -34,7 +34,6 @@ from ..nic.device import (
 )
 from ..nic.wqe import RX_DESC
 from ..topology import FLD_BAR_BASE, NIC_BAR_BASE, Node
-from .control import ControlPlane
 
 
 class FldRuntimeError(RuntimeError):
@@ -53,14 +52,6 @@ class FldRuntime:
         self.nic: Nic = node.nic
         self.fld_bar_base = fld_bar_base
         self.nic_bar_base = nic_bar_base
-        # All NIC resources go through the verbs-style control plane;
-        # shared with the node's software driver when it has one (bare
-        # fabric-holder stand-ins in tests get their own).
-        driver = getattr(node, "driver", None)
-        if driver is not None and getattr(driver, "ctrl", None) is not None:
-            self.ctrl: ControlPlane = driver.ctrl
-        else:
-            self.ctrl = ControlPlane(self.nic)
         if fld_name is None:
             fld_name = f"{node.name}.fld"
             if fld_bar_base != FLD_BAR_BASE:
@@ -119,7 +110,7 @@ class FldRuntime:
         FLD reads each CQE as its write lands in the BAR, so the CQ has
         no notify store: the NIC posts its CQE writes with no callback.
         """
-        return self.ctrl.alloc_cq(
+        return self.nic.cmd.alloc_cq(
             self.fld_bar_base + fld_bar.cq_address(cq_index),
             self.fld.config.cq_entries, notify=False,
         )
@@ -136,7 +127,7 @@ class FldRuntime:
         """
         queue_id, cq_index = self._alloc_tx_ids()
         cq = self._alloc_cq(cq_index)
-        sq = self.ctrl.alloc_sq(
+        sq = self.nic.cmd.alloc_sq(
             self.fld_bar_base + fld_bar.tx_ring_address(queue_id, 0, entries),
             entries, cq, vport=vport, meter=meter,
         )
@@ -177,8 +168,8 @@ class FldRuntime:
         cq = self._alloc_cq(cq_index)
         # The receive descriptor ring lives in HOST memory (§5.2).
         ring_addr = self.node.driver.allocator.alloc(ring_entries * 16)
-        rq = self.ctrl.alloc_mprq(ring_addr, ring_entries, cq,
-                                  strides_per_buffer, stride_size)
+        rq = self.nic.cmd.alloc_mprq(ring_addr, ring_entries, cq,
+                                     strides_per_buffer, stride_size)
         slice_offset = self.fld.bind_rx_queue(
             binding_id, cq_index, ring_entries, strides_per_buffer,
             stride_size,
@@ -201,7 +192,7 @@ class FldRuntime:
             "vport": vport,
         }
         if set_default:
-            self.ctrl.set_default_queue(vport, rq)
+            self.nic.cmd.set_default_queue(vport, rq)
             self._default_rq[vport] = rq.rqn
         return rq
 
@@ -215,7 +206,7 @@ class FldRuntime:
         cq = self._alloc_cq(cq_index)
         if rq is None:
             rq = self.create_rx_queue(vport, set_default=False)
-        qp = self.ctrl.alloc_rc_qp(
+        qp = self.nic.cmd.alloc_rc_qp(
             self.fld_bar_base + fld_bar.tx_ring_address(queue_id, 0, entries),
             entries, cq, rq, vport, local_mac, local_ip,
         )
@@ -245,8 +236,8 @@ class FldRuntime:
         """Unbind an FLD tx queue and destroy its SQ (or QP) and CQ."""
         owner, cq = self._tx_queues.pop(queue_id)
         self.fld.unbind_tx_queue(queue_id)
-        self.ctrl.destroy(owner)
-        self.ctrl.destroy(cq)
+        self.nic.cmd.destroy(owner)
+        self.nic.cmd.destroy(cq)
         for cq_index, qp in list(self._qp_by_cq.items()):
             if qp is owner:
                 del self._qp_by_cq[cq_index]
@@ -259,11 +250,11 @@ class FldRuntime:
         info = self._rx_queues.pop(rq.rqn)
         vport = info["vport"]
         if self._default_rq.get(vport) == rq.rqn:
-            self.ctrl.clear_default_queue(vport)
+            self.nic.cmd.clear_default_queue(vport)
             del self._default_rq[vport]
         self.fld.unbind_rx_queue(info["binding_id"])
-        self.ctrl.destroy(rq)
-        self.ctrl.destroy(info["cq"])
+        self.nic.cmd.destroy(rq)
+        self.nic.cmd.destroy(info["cq"])
         self.node.driver.allocator.free(info["ring_addr"],
                                         info["ring_bytes"])
         self._free_rx_bindings.append(info["binding_id"])

@@ -76,9 +76,9 @@ class Node:
                     f"{self.name}: mac {key} already steered to vport "
                     f"{owner}, cannot re-steer to vport {vport}")
             return
-        ctrl = self.driver.ctrl
-        ctrl.ensure_vport(vport)
-        rule = ctrl.install_rule(
+        cmd = self.nic.cmd
+        cmd.ensure_vport(vport)
+        rule = cmd.install_rule(
             "fdb", MatchSpec(dst_mac=mac), [ForwardToVport(vport)],
             priority=10,
         )
@@ -92,15 +92,15 @@ class Node:
         vport = self._fdb_macs.pop(key, None)
         if vport is None:
             return
-        ctrl = self.driver.ctrl
+        cmd = self.nic.cmd
         rule = self._fdb_rules.pop(key, None)
         if rule is not None:
-            ctrl.try_destroy(rule)
+            cmd.try_destroy(rule)
         if vport in (v for v in self._fdb_macs.values()):
             return  # another MAC still steers here
         vport_obj = self.nic.eswitch.vports.get(vport)
-        if vport_obj is not None and ctrl.handle_of(vport_obj) is not None:
-            ctrl.destroy(vport_obj)
+        if vport_obj is not None:
+            cmd.try_destroy(vport_obj)
 
     def teardown(self) -> None:
         """Remove every vPort this node steered (reverse add order)."""

@@ -15,9 +15,11 @@ import operator
 import pstats
 import random
 import sys
+import types
 from collections import Counter
 from fnmatch import fnmatchcase
 from functools import lru_cache, partial
+from pathlib import Path
 
 from repro.core import AxisMetadata
 from repro.experiments.setups import (cpu_echo_remote, flde_echo_local,
@@ -364,9 +366,9 @@ STEERING = ("nic/steering.py", "nic/eswitch.py")
 THAWED = ("/packet.py:find|append|_thaw|<genexpr>|<listcomp>",
           "/parse.py:parse_headers", "/ethernet.py:unpack", "/ip.py:unpack|pack",
           "/udp.py:unpack")
-NIC_FOLDED = (NIC + "device.py:_pre_rx_hook|_plain_finish|_tx_begin|_push"
-              "|__init__", NIC + "queues.py:next_slot")
-PER_TLP = (":decode|port_of|retire|_check|completion_chunks|*bisect*",
+NIC_OBJECT = (NIC + "device.py:__init__",)
+PER_TLP = (":decode|port_of|retire|completion_chunks"
+           "|<built-in method _bisect.*>",
            "fabric.py:__init__", "resources.py:__init__")
 
 #: Rows ``(name, burst, per, scope, bound, never, counts[, ops])``:
@@ -384,15 +386,13 @@ GATES = (
           "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),),
          13_680),
     # A descriptor is its bytes: one pack and one unpack_from, no codec.
-    ("echo.descriptors", "echo", "frame", None, None,
-         ("nic/wqe.py:*", "core/descriptors.py:*"), ()),
+    ("echo.descriptors", "echo", "frame", None, None, ("nic/wqe.py:*",), ()),
     # A steered frame reads each table's verdict off its index in the
     # eSwitch's frame: one forward per eSwitch crossing and one
     # egress_resolve per transmit, and no steering.py frame (no process,
     # lowered table or action list, no per-rule or per-verdict frame).
     ("echo.steering", "echo", "frame", STEERING, None,
-         ("nic/steering.py:*",
-          "/eswitch.py:_apply_fdb|ingress_to_vport|apply_at"),
+         ("nic/steering.py:*",),
          (("nic/eswitch.py:forward", "==", 2),
           ("nic/eswitch.py:egress_resolve", "==", 2)), 567),
     # An FLD packet pays only for its translations: no BAR object, no
@@ -401,10 +401,8 @@ GATES = (
     ("echo.core", "echo", "frame", CORE, 60,
          (CORE + "bar.py:*", ("core/fld.py:cycles", (CORE + ":*",)),
           *(CORE + site for site in (
-              "fld.py:_launch|_submit", "tx.py:queue|_ring_nic|handle_data_read",
-              "rx.py:binding|buffer_size|_full_desc_index|handle_buffer_write",
-              "translation.py:resolve|chunks_per_window|free_slots",
-              "buffers.py:free_chunks|chunks_for|read"))),
+              "tx.py:queue", "rx.py:binding", "translation.py:free_slots",
+              "buffers.py:free_chunks|read"))),
          (("core/cuckoo.py:insert", "==", 2), ("core/cuckoo.py:lookup", "==", 1),
           ("core/cuckoo.py:remove", "==", 2)), 1_865),
     # A cuckoo table finds a key where it put it: a lookup or a remove
@@ -427,10 +425,10 @@ GATES = (
     # list read by slot, and a TLP's in-order lane appends run in
     # _reserve_path, which calls Link.reserve only to repair.
     ("echo.stack", "echo", "frame", ("/repro/sim/", "/repro/pcie/"), 159,
-         ("sim/engine.py:is_full|try_get|_deliver",
+         ("sim/engine.py:try_get",
           ("~:<built-in method builtins.len>", ("sim/engine.py:*",)),
           ("sim/engine.py:now", (HOST,)),
-          "pcie/fabric.py:inbound_trace_ctx|__init__|delivery"),
+          "pcie/fabric.py:__init__"),
          ((("sim/resources.py:reserve", ("pcie/fabric.py:_reserve_path",)),
            "<=", "sim/resources.py:_recompute"),), 7_305),
     # The scheduler's own work: its pushes, its run loop and the Store
@@ -453,14 +451,10 @@ GATES = (
            ("telemetry/spans.py:*", "telemetry/metrics.py:*"))), (), 6_415),
     # The host side of the CPU echo: a one-page access is one frame (a
     # write subscripts a page dict that makes a page on first touch, a
-    # read tests ``in``), the fused receive dispatch commits in its own
-    # loop, an MMIO WQE goes straight to the fabric, and testpmd reads
-    # SQ space off an attribute.
+    # read tests ``in``).
     ("host", "cpu-echo", "frame", "/repro/host/", 62,
-         (("~:<method 'get' of 'dict' objects>", ("host/memory.py:*",)),
-          "host/driver.py:_commit_fused|_repost",
-          ("host/driver.py:mmio_write", ("host/driver.py:send",)),
-          ("host/driver.py:tx_space", ("host/testpmd.py:*",))), (), 2_035),
+         (("~:<method 'get' of 'dict' objects>", ("host/memory.py:*",)),),
+         (), 2_035),
     # A wait is parked where its condition changes: no poll timeout, and
     # over the whole burst two Events, one Process, two driver steps.
     # The burst runs profiled, so its ops count the profiler's filing.
@@ -487,10 +481,9 @@ GATES = (
     # completion trains) and for 64 B echoes (single TLPs).
     ("fldr.pcie", "fldr", "request", PCIE, 76, (), (), 6_000),
     ("echo.pcie", "echo", "frame", PCIE, 67.6, (), (), 5_140),
-    # A NIC frame is one pass per direction: no helper folded into a
-    # stage, no per-frame device object.
-    ("nic.send", "nic-send", "frame", NIC, 16.3, NIC_FOLDED, (), 662),
-    ("nic.receive", "nic-receive", "frame", NIC, 13.5, NIC_FOLDED, (), 638),
+    # A NIC frame is one pass per direction: no per-frame device object.
+    ("nic.send", "nic-send", "frame", NIC, 16.3, NIC_OBJECT, (), 662),
+    ("nic.receive", "nic-receive", "frame", NIC, 13.5, NIC_OBJECT, (), 638),
     # A frame is steered off its layout: never thawed, rebuilt, re-packed.
     ("rx.wire-to-queue", "wire-to-queue", "frame", None, 19.3, THAWED, (),
      581),
@@ -546,6 +539,50 @@ def check_ops(gate):
     _led, value = _charged(gate, ops=True)
     return value, ([f"{value:.0f} ops a {per} > bound {bound}"]
                    if value > bound else [])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+@lru_cache(maxsize=None)
+def source_functions() -> frozenset:
+    """``(path, name)`` of every function under ``src/repro``, named as
+    ``pstats`` names it (``<genexpr>`` and the like included; a module's
+    body runs at import, never in a burst)."""
+    found = set()
+    for path in SRC.rglob("*.py"):
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(const for const in code.co_consts
+                         if isinstance(const, types.CodeType))
+            if code.co_name != "<module>":
+                found.add((str(path), code.co_name))
+    return frozenset(found)
+
+
+def stale_sites(gates=None):
+    """``never`` sites of ``gates`` (default :data:`GATES`), callers'
+    sites included, naming a pattern that no function under
+    ``src/repro`` matches: such a site passes whatever the datapath
+    does.  A builtin's pattern (``<built-in ...>``, ``<method ...>``)
+    stands where its path fragment can match ``pstats``' builtin file."""
+    stale = []
+    for gate in GATES if gates is None else gates:
+        for never in gate[5]:
+            for site in ((never[0], *never[1]) if isinstance(never, tuple)
+                         else (never,)):
+                fragment, _, patterns = site.partition(":")
+                for pattern in patterns.split("|"):
+                    if pattern.startswith(("<built-in", "<method")):
+                        live = fragment in BUILTIN
+                    else:
+                        live = any(fragment in path
+                                   and fnmatchcase(name, pattern)
+                                   for path, name in source_functions())
+                    if not live:
+                        stale.append(f"{gate[0]}: {site!r} ({pattern})")
+    return stale
 
 
 def _headroom(value, bound, digits):

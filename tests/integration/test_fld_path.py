@@ -185,7 +185,7 @@ class TestFldRPath:
                                                buffer_size=4096)
         cep.post_rx_buffers(256)
         cep.connect(FLD_MAC, "10.0.0.2", qp.qpn)
-        runtime.ctrl.connect_qp(qp, CLIENT_MAC, "10.0.0.1", cep.qpn)
+        runtime.nic.cmd.connect_qp(qp, CLIENT_MAC, "10.0.0.1", cep.qpn)
         return runtime, accel, cep, qp
 
     def test_single_segment_message_roundtrip(self):

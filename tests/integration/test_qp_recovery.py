@@ -135,8 +135,8 @@ def test_reconnect_to_a_new_remote_readdresses_the_next_segment():
     new_mac, new_ip = MacAddress("02:00:00:00:0b:0b"), IpAddress("10.9.9.9")
     assert (server_qp.remote_mac, server_qp.remote_ip) != (new_mac, new_ip)
 
-    setup.runtime.ctrl.connect_qp(server_qp, new_mac, new_ip,
-                                  server_qp.remote_qpn)
+    setup.runtime.nic.cmd.connect_qp(server_qp, new_mac, new_ip,
+                                     server_qp.remote_qpn)
     rdma.send_message(server_qp, None, b"x" * 64)
     old, new = sent
     assert len(old) == len(new)

@@ -2,16 +2,16 @@
 command unit, nowhere else.
 
 The device's raw constructors (``create_cq`` & co.) are firmware
-implementation detail; every other module must go through
-:class:`repro.sw.ControlPlane`, which calls
-:class:`repro.nic.CommandUnit`, so that each resource has a handle, a
-lifecycle state and a refcounted table entry.  This AST scan keeps the discipline honest — a direct
-call anywhere outside the allowlist fails CI.
+implementation detail; every other module must call the verbs of
+:class:`repro.nic.CommandUnit` (``nic.cmd.alloc_cq`` & co.), so that
+each resource has a handle, a lifecycle state and a refcounted table
+entry.  This AST scan keeps the discipline honest — a direct call
+anywhere outside the allowlist fails CI.
 
 The match-action program subsystem (``repro.prog``) extends the rule:
 ``ProgMap`` and ``load_program`` are firmware-only constructors too —
-a program that did not pass through ``CreateProg`` never met the
-verifier, and a map created outside ``CreateProgMap`` has no handle and
+a program that did not pass through ``create_prog`` never met the
+verifier, and a map created outside ``create_prog_map`` has no handle and
 no refcount pinning it to the programs that use it.  Those names are
 plain functions/classes (called by name, not as attributes), so the
 scanner matches both ``ast.Attribute`` and ``ast.Name`` call forms.
@@ -74,7 +74,7 @@ class TestCommandUnitGuard:
                           for name, line in direct_calls(path)]
         assert not offenders, (
             "NIC resources must be created through the command unit "
-            "(repro.sw.ControlPlane); direct constructor calls found:\n  "
+            "verbs (nic.cmd); direct constructor calls found:\n  "
             + "\n  ".join(offenders))
 
     def test_guard_catches_a_direct_call(self):

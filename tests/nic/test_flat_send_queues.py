@@ -208,6 +208,7 @@ class TestPoisonSpill:
         assert store.try_get() == "frame"
         sim.run()
         assert store.try_get() is _POISON
+        assert store.stats_dropped == 0
 
 
 class TestRdmaInboxOverflow:
@@ -246,9 +247,12 @@ def spawn_sites(path: Path):
 
 
 class TestNoQueueWorkerIsAProcess:
-    def test_device_spawns_only_the_poison_spill(self):
-        sites = spawn_sites(SRC / "nic" / "device.py")
-        assert sites and {name for name, _ in sites} == {"_poison"}, sites
+    def test_device_spawns_nothing_and_defines_no_generator(self):
+        path = SRC / "nic" / "device.py"
+        assert spawn_sites(path) == []
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, (ast.Yield, ast.YieldFrom))]
 
     def test_rdma_engine_and_host_driver_spawn_nothing(self):
         for rel in ("nic/rdma.py", "host/driver.py"):

@@ -89,12 +89,12 @@ class TestTxDirection:
         sim = Simulator(telemetry=telemetry)
         testbed = build_topology(sim, prog_spec("firewall"))
         runtime = testbed.fld("server.fld")
-        ctrl = runtime.ctrl
+        cmd = runtime.nic.cmd
         fn = testbed.accel("tenant0")
-        blocklist = ctrl.create_prog_map()
-        ctrl.map_set(blocklist, 7000, 1)
-        prog = ctrl.create_prog(firewall(), [blocklist])
-        ctrl.attach_prog(runtime.fld, prog, "tx", fn.txq)
+        blocklist = cmd.create_prog_map()
+        cmd.map_set(blocklist, 7000, 1)
+        prog = cmd.create_prog(firewall(), [blocklist])
+        cmd.attach_prog(runtime.fld, prog, "tx", fn.txq)
 
         flows = [Flow(CLIENT_MAC, "02:00:00:00:00:99",
                       "10.0.0.1", "10.0.0.2", 7000, 7001)]
@@ -113,9 +113,9 @@ class TestTxDirection:
         assert prog.counters()["drop"] == 50
         assert fn.accel.stats_processed == 50   # accel ran; tx dropped
 
-        ctrl.detach_prog(runtime.fld, "tx", fn.txq)
-        ctrl.destroy(prog)
-        ctrl.destroy(blocklist)
+        cmd.detach_prog(runtime.fld, "tx", fn.txq)
+        cmd.destroy(prog)
+        cmd.destroy(blocklist)
         violations = testbed.quiesce() + audit_all(spans=telemetry.spans)
         assert violations == []
         testbed.teardown()

@@ -10,15 +10,7 @@ NULL fast path (``prog_hook is None``) when the last program detaches.
 import pytest
 
 from repro.experiments.prog import prog_spec
-from repro.nic import CmdStatus
-from repro.nic.cmd import (
-    AttachProg,
-    CreateProgMap,
-    DelMapEntry,
-    DetachProg,
-    QueryMapEntry,
-    SetMapEntry,
-)
+from repro.nic import CmdError, CmdStatus
 from repro.prog.programs import firewall, passthrough
 from repro.sim import Simulator
 from repro.topology import build as build_topology
@@ -39,163 +31,155 @@ def env(testbed):
     return {
         "runtime": runtime,
         "fld": runtime.fld,
-        "unit": runtime.nic.cmd,
-        "ctrl": runtime.ctrl,
+        "cmd": runtime.nic.cmd,
         "binding": runtime.rx_binding_of(fn.rq),
         "txq": fn.txq,
     }
 
 
+def status_of(verb, *args, **kwargs):
+    """The status a verb that must fail raises."""
+    with pytest.raises(CmdError) as err:
+        verb(*args, **kwargs)
+    return err.value.status
+
+
 class TestObjectLifecycle:
     def test_create_query_destroy_round_trip(self, env):
-        ctrl = env["ctrl"]
-        prog_map = ctrl.create_prog_map(capacity=16)
-        ctrl.map_set(prog_map, 7001, 1)
-        prog = ctrl.create_prog(firewall(), [prog_map])
-        info = ctrl.query(prog)
+        cmd = env["cmd"]
+        prog_map = cmd.create_prog_map(capacity=16)
+        cmd.map_set(prog_map, 7001, 1)
+        prog = cmd.create_prog(firewall(), [prog_map])
+        info = cmd.query(prog)
         assert info["kind"] == "prog"
         assert info["name"] == "firewall"
         assert info["insns"] == 4
         assert info["maps"] == 1
         assert info["counters"]["runs"] == 0
-        map_info = ctrl.query(prog_map)
+        map_info = cmd.query(prog_map)
         assert map_info["kind"] == "map"
         assert map_info["capacity"] == 16
         assert map_info["entries"] == 1
-        ctrl.destroy(prog)
-        ctrl.destroy(prog_map)
+        cmd.destroy(prog)
+        cmd.destroy(prog_map)
 
     def test_program_pins_its_maps(self, env):
-        unit, ctrl = env["unit"], env["ctrl"]
-        prog_map = ctrl.create_prog_map()
-        prog = ctrl.create_prog(firewall(), [prog_map])
+        cmd = env["cmd"]
+        prog_map = cmd.create_prog_map()
+        prog = cmd.create_prog(firewall(), [prog_map])
         # The map is referenced by the program: destroy must refuse.
-        handle = ctrl.handle_of(prog_map)
-        from repro.nic.cmd import DestroyObject
-        assert unit.execute(
-            DestroyObject(handle=handle)).status == CmdStatus.IN_USE
-        ctrl.destroy(prog)
-        ctrl.destroy(prog_map)      # unpinned now
+        handle = cmd.handle_of(prog_map)
+        assert status_of(cmd.destroy, handle) == CmdStatus.IN_USE
+        cmd.destroy(prog)
+        cmd.destroy(prog_map)      # unpinned now
 
     def test_attach_pins_the_program(self, env):
-        unit, ctrl = env["unit"], env["ctrl"]
-        prog = ctrl.create_prog(passthrough(), [])
-        ctrl.attach_prog(env["fld"], prog, "rx", env["binding"])
-        from repro.nic.cmd import DestroyObject
-        assert unit.execute(DestroyObject(
-            handle=ctrl.handle_of(prog))).status == CmdStatus.IN_USE
-        ctrl.detach_prog(env["fld"], "rx", env["binding"])
-        ctrl.destroy(prog)
+        cmd = env["cmd"]
+        prog = cmd.create_prog(passthrough(), [])
+        cmd.attach_prog(env["fld"], prog, "rx", env["binding"])
+        assert status_of(cmd.destroy,
+                         cmd.handle_of(prog)) == CmdStatus.IN_USE
+        cmd.detach_prog(env["fld"], "rx", env["binding"])
+        cmd.destroy(prog)
 
     def test_bad_capacity_is_bad_param(self, env):
-        assert env["unit"].execute(
-            CreateProgMap(capacity=0)).status == CmdStatus.BAD_PARAM
+        assert status_of(env["cmd"].create_prog_map,
+                         capacity=0) == CmdStatus.BAD_PARAM
 
 
 class TestAttachDetach:
     def test_rx_hook_set_and_restored(self, env):
-        fld, ctrl = env["fld"], env["ctrl"]
+        fld, cmd = env["fld"], env["cmd"]
         assert fld.rx.prog_hook is None          # NULL fast path
-        prog = ctrl.create_prog(passthrough(), [])
-        ctrl.attach_prog(fld, prog, "rx", env["binding"])
+        prog = cmd.create_prog(passthrough(), [])
+        cmd.attach_prog(fld, prog, "rx", env["binding"])
         assert fld.rx.prog_hook is not None
-        ctrl.detach_prog(fld, "rx", env["binding"])
+        cmd.detach_prog(fld, "rx", env["binding"])
         assert fld.rx.prog_hook is None          # restored on detach
-        ctrl.destroy(prog)
+        cmd.destroy(prog)
 
     def test_tx_hook_set_and_restored(self, env):
-        fld, ctrl = env["fld"], env["ctrl"]
+        fld, cmd = env["fld"], env["cmd"]
         assert fld.tx.prog_hook is None
-        prog = ctrl.create_prog(passthrough(), [])
-        ctrl.attach_prog(fld, prog, "tx", env["txq"])
+        prog = cmd.create_prog(passthrough(), [])
+        cmd.attach_prog(fld, prog, "tx", env["txq"])
         assert fld.tx.prog_hook is not None
-        ctrl.detach_prog(fld, "tx", env["txq"])
+        cmd.detach_prog(fld, "tx", env["txq"])
         assert fld.tx.prog_hook is None
-        ctrl.destroy(prog)
+        cmd.destroy(prog)
 
     def test_double_attach_is_bad_state(self, env):
-        unit, ctrl = env["unit"], env["ctrl"]
-        prog = ctrl.create_prog(passthrough(), [])
-        ctrl.attach_prog(env["fld"], prog, "rx", env["binding"])
-        result = unit.execute(AttachProg(
-            prog=prog, fld=env["fld"], direction="rx",
-            target=env["binding"]))
-        assert result.status == CmdStatus.BAD_STATE
-        ctrl.detach_prog(env["fld"], "rx", env["binding"])
-        ctrl.destroy(prog)
+        cmd = env["cmd"]
+        prog = cmd.create_prog(passthrough(), [])
+        cmd.attach_prog(env["fld"], prog, "rx", env["binding"])
+        assert status_of(cmd.attach_prog, env["fld"], prog, "rx",
+                         env["binding"]) == CmdStatus.BAD_STATE
+        cmd.detach_prog(env["fld"], "rx", env["binding"])
+        cmd.destroy(prog)
 
     def test_detach_nothing_is_bad_state(self, env):
-        assert env["unit"].execute(DetachProg(
-            fld=env["fld"], direction="rx",
-            target=env["binding"])).status == CmdStatus.BAD_STATE
+        assert status_of(env["cmd"].detach_prog, env["fld"], "rx",
+                         env["binding"]) == CmdStatus.BAD_STATE
 
     def test_attach_to_unknown_target_is_bad_param(self, env):
-        unit, ctrl = env["unit"], env["ctrl"]
-        prog = ctrl.create_prog(passthrough(), [])
+        cmd = env["cmd"]
+        prog = cmd.create_prog(passthrough(), [])
         for direction, target in (("rx", 77), ("tx", 77)):
-            assert unit.execute(AttachProg(
-                prog=prog, fld=env["fld"], direction=direction,
-                target=target)).status == CmdStatus.BAD_PARAM
-        assert unit.execute(AttachProg(
-            prog=prog, fld=env["fld"], direction="sideways",
-            target=0)).status == CmdStatus.BAD_PARAM
-        assert unit.execute(AttachProg(
-            prog=prog, fld=None, direction="rx",
-            target=0)).status == CmdStatus.BAD_PARAM
-        ctrl.destroy(prog)
+            assert status_of(cmd.attach_prog, env["fld"], prog, direction,
+                             target) == CmdStatus.BAD_PARAM
+        assert status_of(cmd.attach_prog, env["fld"], prog, "sideways",
+                         0) == CmdStatus.BAD_PARAM
+        assert status_of(cmd.attach_prog, None, prog, "rx",
+                         0) == CmdStatus.BAD_PARAM
+        cmd.destroy(prog)
 
     def test_attach_requires_a_prog_handle(self, env):
-        assert env["unit"].execute(AttachProg(
-            prog=object(), fld=env["fld"], direction="rx",
-            target=env["binding"])).status == CmdStatus.BAD_HANDLE
+        assert status_of(env["cmd"].attach_prog, env["fld"], object(), "rx",
+                         env["binding"]) == CmdStatus.BAD_HANDLE
 
 
 class TestMapCommands:
     def test_set_get_del_round_trip(self, env):
-        ctrl = env["ctrl"]
-        prog_map = ctrl.create_prog_map(capacity=8)
-        ctrl.map_set(prog_map, 5, 50)
-        assert ctrl.map_get(prog_map, 5) == 50
-        ctrl.map_set(prog_map, 5, 51)        # replace in place
-        assert ctrl.map_get(prog_map, 5) == 51
-        ctrl.map_del(prog_map, 5)
-        assert ctrl.map_get(prog_map, 5) is None
-        ctrl.destroy(prog_map)
+        cmd = env["cmd"]
+        prog_map = cmd.create_prog_map(capacity=8)
+        cmd.map_set(prog_map, 5, 50)
+        assert cmd.map_get(prog_map, 5) == 50
+        cmd.map_set(prog_map, 5, 51)        # replace in place
+        assert cmd.map_get(prog_map, 5) == 51
+        cmd.map_del(prog_map, 5)
+        assert cmd.map_get(prog_map, 5) is None
+        cmd.destroy(prog_map)
 
-    def test_query_map_entry_presence(self, env):
-        unit, ctrl = env["unit"], env["ctrl"]
-        prog_map = ctrl.create_prog_map()
-        ctrl.map_set(prog_map, 1, 10)
-        info = unit.execute(QueryMapEntry(map=prog_map, key=1)).info
-        assert info == {"present": True, "value": 10}
-        info = unit.execute(QueryMapEntry(map=prog_map, key=2)).info
-        assert info == {"present": False, "value": None}
-        ctrl.destroy(prog_map)
+    def test_get_map_entry_presence(self, env):
+        cmd = env["cmd"]
+        prog_map = cmd.create_prog_map()
+        cmd.map_set(prog_map, 1, 10)
+        assert cmd.map_get(prog_map, 1) == 10
+        assert cmd.map_get(prog_map, 2) is None
+        cmd.destroy(prog_map)
 
     def test_full_map_is_no_resources(self, env):
-        unit, ctrl = env["unit"], env["ctrl"]
-        prog_map = ctrl.create_prog_map(capacity=2)
-        ctrl.map_set(prog_map, 1, 1)
-        ctrl.map_set(prog_map, 2, 2)
-        result = unit.execute(SetMapEntry(map=prog_map, key=3,
-                                             value=3))
-        assert result.status == CmdStatus.NO_RESOURCES
+        cmd = env["cmd"]
+        prog_map = cmd.create_prog_map(capacity=2)
+        cmd.map_set(prog_map, 1, 1)
+        cmd.map_set(prog_map, 2, 2)
+        assert status_of(cmd.map_set, prog_map, 3,
+                         3) == CmdStatus.NO_RESOURCES
         # Replacing an existing key still works at capacity.
-        ctrl.map_set(prog_map, 1, 100)
-        assert ctrl.map_get(prog_map, 1) == 100
-        ctrl.destroy(prog_map)
+        cmd.map_set(prog_map, 1, 100)
+        assert cmd.map_get(prog_map, 1) == 100
+        cmd.destroy(prog_map)
 
     def test_delete_missing_key_is_bad_param(self, env):
-        unit, ctrl = env["unit"], env["ctrl"]
-        prog_map = ctrl.create_prog_map()
-        assert unit.execute(DelMapEntry(
-            map=prog_map, key=9)).status == CmdStatus.BAD_PARAM
-        ctrl.destroy(prog_map)
+        cmd = env["cmd"]
+        prog_map = cmd.create_prog_map()
+        assert status_of(cmd.map_del, prog_map, 9) == CmdStatus.BAD_PARAM
+        cmd.destroy(prog_map)
 
     def test_map_commands_require_map_handles(self, env):
-        unit = env["unit"]
-        for cmd in (SetMapEntry(map=object(), key=1, value=1),
-                    DelMapEntry(map=object(), key=1),
-                    QueryMapEntry(map=object(), key=1)):
-            assert unit.execute(cmd).status == CmdStatus.BAD_HANDLE
+        cmd = env["cmd"]
+        for verb, *args in ((cmd.map_set, object(), 1, 1),
+                            (cmd.map_del, object(), 1),
+                            (cmd.map_get, object(), 1)):
+            assert status_of(verb, *args) == CmdStatus.BAD_HANDLE
 

@@ -1,8 +1,8 @@
 """Verifier rejection matrix: every bad program dies at load time.
 
 Each invalid program is submitted to the firmware command unit
-(``CreateProg``) and must come back ``VERIFY_FAILED`` with the typed
-``E_*`` sub-code in the result's syndrome — and, crucially, with the
+(``create_prog``) and must raise ``VERIFY_FAILED`` with the typed
+``E_*`` sub-code as the error's syndrome — and, crucially, with the
 ``ObjectTable`` untouched: a rejected load leaves no handle, no
 refcount, no partial state.  Dangling map references are a separate
 failure class (``BAD_HANDLE``): they are reported before verification
@@ -11,8 +11,7 @@ even runs.
 
 import pytest
 
-from repro.nic import CmdStatus
-from repro.nic.cmd import CreateProg, CreateProgMap, DestroyObject
+from repro.nic import CmdError, CmdStatus
 from repro.prog.isa import (
     ACT_PASS,
     Alu,
@@ -141,9 +140,10 @@ class TestRejectionThroughFirmware:
                                                       code):
         table = unit.table
         before = table.rows()
-        result = unit.execute(CreateProg(program=program, maps=[]))
-        assert result.status == CmdStatus.VERIFY_FAILED
-        assert result.syndrome == code
+        with pytest.raises(CmdError) as err:
+            unit.create_prog(program, [])
+        assert err.value.status == CmdStatus.VERIFY_FAILED
+        assert err.value.syndrome == code
         assert table.rows() == before
 
     def test_dangling_map_is_bad_handle_not_verify(self, unit):
@@ -152,33 +152,30 @@ class TestRejectionThroughFirmware:
         table = unit.table
         before = table.rows()
         good = Program("ok", (Ret(ACT_PASS),))
-        result = unit.execute(CreateProg(program=good,
-                                            maps=[object()]))
-        assert result.status == CmdStatus.BAD_HANDLE
-        assert table.rows() == before
         bad = Program("noret", (Mov(0, imm=1),))
-        result = unit.execute(CreateProg(program=bad, maps=[object()]))
-        assert result.status == CmdStatus.BAD_HANDLE
-        assert table.rows() == before
+        for program in (good, bad):
+            with pytest.raises(CmdError) as err:
+                unit.create_prog(program, [object()])
+            assert err.value.status == CmdStatus.BAD_HANDLE
+            assert table.rows() == before
 
     def test_destroyed_map_is_dangling(self, unit):
-        prog_map = unit.execute(CreateProgMap(capacity=8)).obj
-        handle = unit.table.handle_of(prog_map)
-        assert unit.execute(DestroyObject(handle=handle)).ok
+        prog_map = unit.create_prog_map(capacity=8)
+        unit.destroy(unit.handle_of(prog_map))
         before = unit.table.rows()
-        result = unit.execute(CreateProg(
-            program=Program("ok", (Ret(ACT_PASS),)), maps=[prog_map]))
-        assert result.status == CmdStatus.BAD_HANDLE
+        with pytest.raises(CmdError) as err:
+            unit.create_prog(Program("ok", (Ret(ACT_PASS),)), [prog_map])
+        assert err.value.status == CmdStatus.BAD_HANDLE
         assert unit.table.rows() == before
 
     def test_map_index_checked_against_bound_maps(self, unit):
         """A program touching map 1 loads with two maps, not with one."""
         prog = Program("two", (Mov(1, imm=0), MapLookup(0, 1, key=1),
                                Ret(ACT_PASS)))
-        m0 = unit.execute(CreateProgMap()).obj
-        result = unit.execute(CreateProg(program=prog, maps=[m0]))
-        assert result.status == CmdStatus.VERIFY_FAILED
-        assert result.syndrome == E_MAP
-        m1 = unit.execute(CreateProgMap()).obj
-        assert unit.execute(CreateProg(program=prog,
-                                          maps=[m0, m1])).ok
+        m0 = unit.create_prog_map()
+        with pytest.raises(CmdError) as err:
+            unit.create_prog(prog, [m0])
+        assert err.value.status == CmdStatus.VERIFY_FAILED
+        assert err.value.syndrome == E_MAP
+        m1 = unit.create_prog_map()
+        assert unit.create_prog(prog, [m0, m1]).name == "two"

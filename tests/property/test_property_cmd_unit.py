@@ -1,9 +1,9 @@
 """Stateful oracle for the firmware command unit's object table.
 
-The machine drives ``nic.cmd.execute`` directly: it creates CQs, SQs,
-RQs, MPRQs and RC QPs, creates vPorts and sets or clears their default
-queue, installs steering rules, destroys any handle (live or long
-gone), and submits commands naming objects the firmware never saw.
+The machine drives the command unit's verbs directly: it creates CQs,
+SQs, RQs, MPRQs and RC QPs, creates vPorts and sets or clears their
+default queue, installs steering rules, destroys any handle (live or
+long gone), and calls verbs naming objects the firmware never saw.
 After every step it checks the table against the reference counting
 it promises:
 
@@ -11,13 +11,13 @@ it promises:
   list it in ``deps``, and no entry depends on a dead handle;
 * the NIC's ``sqs``/``rqs``/``cqs`` hold exactly the queues the table
   holds;
-* a destroy of a pinned handle returns ``IN_USE`` and a failed command
-  of any kind leaves the table unchanged;
-* no exception escapes ``execute``: every outcome is a status.
+* a destroy of a pinned handle raises ``IN_USE`` and a failed verb of
+  any kind leaves the table unchanged;
+* every failure is a :class:`CmdError` carrying a :class:`CmdStatus`.
 
 Tearing down in reverse dependency order (the newest handle nothing
-pins, first) must succeed command by command and leave the table and
-the NIC's queue maps empty.
+pins, first) must succeed verb by verb and leave the table and the
+NIC's queue maps empty.
 """
 
 from hypothesis import strategies as st
@@ -30,23 +30,12 @@ from hypothesis.stateful import (
 )
 
 from repro.nic import (
+    CmdError,
     CmdStatus,
     ForwardToQueue,
     ForwardToVport,
     MatchSpec,
     Nic,
-)
-from repro.nic.cmd import (
-    ClearVportDefault,
-    CreateCq,
-    CreateMprq,
-    CreateRcQp,
-    CreateRq,
-    CreateSq,
-    CreateVport,
-    DestroyObject,
-    InstallRule,
-    SetVportDefault,
 )
 from repro.pcie import PcieFabric
 from repro.sim import Simulator
@@ -82,22 +71,25 @@ class CmdUnitMachine(RuleBasedStateMachine):
         self.ring += 0x1_0000
         return self.ring
 
-    def _execute(self, cmd):
-        """Run ``cmd``; a failure must leave the table as it was."""
+    def _run(self, verb, *args):
+        """Call ``verb``: ``(its result, None)``, or ``(None, status)``
+        when it fails, which must leave the table as it was."""
         before = self.table.rows()
-        result = self.unit.execute(cmd)
-        assert isinstance(result.status, CmdStatus)
-        if not result.ok:
-            assert self.table.rows() == before, (cmd, result)
-        return result
+        try:
+            return verb(*args), None
+        except CmdError as err:
+            assert isinstance(err.status, CmdStatus)
+            assert self.table.rows() == before, (verb.__name__, err)
+            return None, err.status
 
-    def _create(self, cmd, kind):
+    def _create(self, kind, verb, *args):
         count = len(self.table)
-        result = self._execute(cmd)
-        assert result.ok, (cmd, result)
-        assert self.table.get(result.handle).kind == kind
+        obj, status = self._run(verb, *args)
+        assert status is None, (verb.__name__, status)
+        handle = self.table.handle_of(obj)
+        assert self.table.get(handle).kind == kind
         assert len(self.table) == count + 1
-        return result
+        return handle
 
     def _pinned(self, handle) -> bool:
         entry = self.table.get(handle)
@@ -112,100 +104,94 @@ class CmdUnitMachine(RuleBasedStateMachine):
     def _destroy(self, handle):
         entry = self.table.get(handle)
         pinned = entry is not None and self._pinned(handle)
-        result = self._execute(DestroyObject(handle=handle))
+        _, status = self._run(self.unit.destroy, handle)
         if entry is None:
-            assert result.status == CmdStatus.BAD_HANDLE
+            assert status == CmdStatus.BAD_HANDLE
         elif pinned:
-            assert result.status == CmdStatus.IN_USE
+            assert status == CmdStatus.IN_USE
         else:
-            assert result.ok, (entry.kind, result)
+            assert status is None, (entry.kind, status)
             assert self.table.get(handle) is None
             self.dead.append(handle)
-        return result
 
     # -- queues -----------------------------------------------------------
 
     @rule(entries=ENTRIES)
     def create_cq(self, entries):
-        self._create(CreateCq(ring_addr=self._next_ring(), entries=entries),
-                     "cq")
+        self._create("cq", self.unit.alloc_cq, self._next_ring(), entries)
 
     @precondition(lambda self: self._handles("cq"))
     @rule(data=st.data(), vport=st.integers(0, 3), entries=ENTRIES)
     def create_sq(self, data, vport, entries):
-        self._create(CreateSq(ring_addr=self._next_ring(), entries=entries,
-                              cq=self._obj(data, "cq"), vport=vport), "sq")
+        self._create("sq", self.unit.alloc_sq, self._next_ring(), entries,
+                     self._obj(data, "cq"), vport)
 
     @precondition(lambda self: self._handles("cq"))
     @rule(data=st.data(), shared=st.booleans())
     def create_rq(self, data, shared):
-        self._create(CreateRq(ring_addr=self._next_ring(), entries=64,
-                              cq=self._obj(data, "cq"), shared=int(shared)),
-                     "rq")
+        self._create("rq", self.unit.alloc_rq, self._next_ring(), 64,
+                     self._obj(data, "cq"), shared)
 
     @precondition(lambda self: self._handles("cq"))
     @rule(data=st.data())
     def create_mprq(self, data):
-        self._create(CreateMprq(ring_addr=self._next_ring(), entries=16,
-                                cq=self._obj(data, "cq")), "mprq")
+        self._create("mprq", self.unit.alloc_mprq, self._next_ring(), 16,
+                     self._obj(data, "cq"))
 
     @precondition(lambda self: self._handles("rq", "mprq"))
     @rule(data=st.data(), vport=VPORTS)
     def create_qp(self, data, vport):
-        self._create(CreateRcQp(ring_addr=self._next_ring(), entries=64,
-                                cq=self._obj(data, "cq"),
-                                rq=self._obj(data, "rq", "mprq"),
-                                vport=vport, local_mac=QP_MAC,
-                                local_ip=QP_IP), "qp")
+        self._create("qp", self.unit.alloc_rc_qp, self._next_ring(), 64,
+                     self._obj(data, "cq"), self._obj(data, "rq", "mprq"),
+                     vport, QP_MAC, QP_IP)
 
     # -- vPorts and steering ----------------------------------------------
 
     @rule(vport=VPORTS)
     def create_vport(self, vport):
-        result = self._execute(CreateVport(vport=vport))
-        assert result.ok
-        assert self.table.get(result.handle).obj.number == vport
+        obj, status = self._run(self.unit.ensure_vport, vport)
+        assert status is None
+        assert obj.number == vport
+        assert self.table.handle_of(obj) is not None
 
     @precondition(lambda self: self._handles("rq", "mprq"))
     @rule(data=st.data(), vport=VPORTS)
     def set_vport_default(self, data, vport):
         rq = self._obj(data, "rq", "mprq")
-        result = self._execute(SetVportDefault(vport=vport, rq=rq))
-        assert result.ok
-        assert self.table.get(result.handle).deps == [
-            self.table.handle_of(rq)]
+        _, status = self._run(self.unit.set_default_queue, vport, rq)
+        assert status is None
+        handle = self.table.handle_of(self.nic.eswitch.vports[vport])
+        assert self.table.get(handle).deps == [self.table.handle_of(rq)]
 
     @precondition(lambda self: self._handles("vport"))
     @rule(data=st.data())
     def clear_vport_default(self, data):
         vport = self._obj(data, "vport")
-        result = self._execute(ClearVportDefault(vport=vport.number))
-        assert result.ok
-        assert self.table.get(result.handle).deps == []
+        _, status = self._run(self.unit.clear_default_queue, vport.number)
+        assert status is None
+        assert self.table.get(self.table.handle_of(vport)).deps == []
 
     @precondition(lambda self: self._handles("rq", "mprq"))
     @rule(data=st.data(), vport=VPORTS, port=st.integers(1, 3))
     def install_queue_rule(self, data, vport, port):
-        self._create(InstallRule(
-            table_name=f"vport{vport}.rx", match=MatchSpec(dst_port=port),
-            actions=[ForwardToQueue(self._obj(data, "rq", "mprq"))]),
-            "rule")
+        self._create("rule", self.unit.install_rule, f"vport{vport}.rx",
+                     MatchSpec(dst_port=port),
+                     [ForwardToQueue(self._obj(data, "rq", "mprq"))])
 
     @rule(vport=VPORTS)
     def install_fdb_rule(self, vport):
-        cmd = InstallRule(
-            table_name="fdb",
-            match=MatchSpec(dst_mac=f"02:00:00:00:00:0{vport}"),
-            actions=[ForwardToVport(vport)])
+        args = ("fdb", MatchSpec(dst_mac=f"02:00:00:00:00:0{vport}"),
+                [ForwardToVport(vport)])
         if vport not in self.nic.eswitch.vports:
             # A rule to a vPort that does not exist is refused.
-            assert self._execute(cmd).status == CmdStatus.BAD_HANDLE
+            _, status = self._run(self.unit.install_rule, *args)
+            assert status == CmdStatus.BAD_HANDLE
             return
-        result = self._create(cmd, "rule")
+        handle = self._create("rule", self.unit.install_rule, *args)
         # The rule pins its target vPort when the firmware knows it.
         targets = [h for h in self._handles("vport")
                    if self.table.get(h).obj.number == vport]
-        assert self.table.get(result.handle).deps == targets
+        assert self.table.get(handle).deps == targets
 
     # -- failures ---------------------------------------------------------
 
@@ -217,16 +203,15 @@ class CmdUnitMachine(RuleBasedStateMachine):
 
     @rule(which=st.integers(0, 5))
     def unregistered_reference(self, which):
-        stranger = object()
-        cmd = [CreateSq(ring_addr=1, entries=16, cq=stranger),
-               CreateRq(ring_addr=1, entries=16, cq=stranger),
-               SetVportDefault(vport=1, rq=stranger),
-               ClearVportDefault(vport=9),
-               InstallRule(table_name="fdb", match=MatchSpec(),
-                           actions=[ForwardToQueue(stranger)]),
-               InstallRule(table_name="fdb", match=MatchSpec(),
-                           actions=[])][which]
-        assert not self._execute(cmd).ok
+        stranger, unit = object(), self.unit
+        verb, *args = [(unit.alloc_sq, 1, 16, stranger),
+                       (unit.alloc_rq, 1, 16, stranger),
+                       (unit.set_default_queue, 1, stranger),
+                       (unit.clear_default_queue, 9),
+                       (unit.install_rule, "fdb", MatchSpec(),
+                        [ForwardToQueue(stranger)]),
+                       (unit.install_rule, "fdb", MatchSpec(), [])][which]
+        assert self._run(verb, *args)[1] is not None
 
     # -- teardown ---------------------------------------------------------
 

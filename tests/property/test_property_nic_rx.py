@@ -78,12 +78,12 @@ def mprq_queue(node, entries, strides, stride_size, posted):
     """An MPRQ whose completions the test reads off the CQ's notify
     channel; returns (rq, collect) where ``collect()`` reads back every
     frame completed so far."""
-    ctrl = node.driver.ctrl
+    cmd = node.nic.cmd
     alloc = node.driver.allocator.alloc
-    cq = ctrl.alloc_cq(alloc(256 * CQE.size), 256)
-    rq = ctrl.alloc_mprq(alloc(entries * RX_DESC.size), entries, cq,
-                         strides, stride_size)
-    ctrl.set_default_queue(2, rq)
+    cq = cmd.alloc_cq(alloc(256 * CQE.size), 256)
+    rq = cmd.alloc_mprq(alloc(entries * RX_DESC.size), entries, cq,
+                        strides, stride_size)
+    cmd.set_default_queue(2, rq)
     buffer_bytes = strides * stride_size
     buffers = [alloc(buffer_bytes) for _ in range(entries)]
     for index, address in enumerate(buffers[:posted]):

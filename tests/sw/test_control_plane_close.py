@@ -54,9 +54,9 @@ def test_after_flde_close_only_the_nodes_fdb_rule_pins_the_vport():
     setup, control = iot_plane_after_traffic()
     control.close()
     [fdb] = server_objects(setup, "rule")
-    assert fdb["deps"] == [hex(control.ctrl.handle_of(control._vport))]
-    control.ctrl.destroy(int(fdb["handle"], 16))
-    control.ctrl.destroy(control._vport)
+    assert fdb["deps"] == [hex(control.nic.cmd.handle_of(control._vport))]
+    control.nic.cmd.destroy(int(fdb["handle"], 16))
+    control.nic.cmd.destroy(control._vport)
     assert server_objects(setup, "rule", "vport", "resume") == []
 
 

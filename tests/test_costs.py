@@ -3,7 +3,8 @@
 import pytest
 
 from . import costs
-from .costs import BURSTS, GATES, OPS_GATES, OPS_SKIP, check, check_ops, ledger
+from .costs import (BURSTS, GATES, OPS_GATES, OPS_SKIP, check, check_ops,
+                    ledger, stale_sites)
 
 
 @pytest.mark.parametrize("burst", BURSTS)
@@ -43,3 +44,21 @@ def test_report_exits_1_naming_each_failing_row(monkeypatch, capsys):
         "failing: tight.calls, tight.never"
     monkeypatch.setattr(costs, "GATES", (write,))
     assert costs.main() == 0
+
+
+def test_every_never_site_names_a_source_function():
+    """A ``never`` pattern that names no function under ``src/repro``
+    passes whatever runs: deleting a function must not silently disable
+    the gate that names it."""
+    assert stale_sites() == []
+
+
+def test_a_site_naming_a_deleted_function_is_stale():
+    row = ("probe", "echo", "frame", None, None,
+           ("core/buffers.py:free_chunks|chunks_for", "core/descriptors.py:*",
+            ("~:<built-in method builtins.len>", ("sim/engine.py:gone",)),
+            ":<built-in method _bisect.*>"), ())
+    assert stale_sites([row]) == [
+        "probe: 'core/buffers.py:free_chunks|chunks_for' (chunks_for)",
+        "probe: 'core/descriptors.py:*' (*)",
+        "probe: 'sim/engine.py:gone' (gone)"]
