@@ -190,6 +190,26 @@ def collect(out: str) -> set:
     return found
 
 
+def reasons(unrun: set, ran: set, old: dict) -> dict:
+    """``{key: reason}`` for each function no result runs: the reason
+    ``old`` (the last ledger) wrote, else ``"dunder"`` for a dunder of a
+    class that a result runs another function of, else ``None``.  A
+    ``"dunder"`` is earned again on each run, never carried over."""
+    used_classes = {owner for owner, _, _ in (
+        key.rpartition(".") for key in ran) if ":" in owner}
+    found = {}
+    for key in sorted(unrun):
+        owner, _, name = key.rpartition(".")
+        reason = old.get(key, {}).get("reason")
+        if reason == "dunder":
+            reason = None
+        if (reason is None and name.startswith("__") and name.endswith("__")
+                and owner in used_classes):
+            reason = "dunder"
+        found[key] = reason
+    return found
+
+
 def main() -> int:
     modules = enumerate_src()
     every = {key for keys in modules.values() for key in keys}
@@ -221,11 +241,7 @@ def main() -> int:
         with open(LEDGER, encoding="utf-8") as handle:
             old = json.load(handle)["not_run_by_results"]
     unrun, missing = {}, []
-    for key in sorted(every - ran):
-        name = key.rpartition(".")[2].rpartition(":")[2]
-        reason = old.get(key, {}).get("reason")
-        if reason is None and name.startswith("__") and name.endswith("__"):
-            reason = "dunder"
+    for key, reason in reasons(every - ran, ran, old).items():
         if not (reason or "").startswith(REASONS):
             missing.append(key)
         unrun[key] = {"test": first.get(key), "reason": reason}

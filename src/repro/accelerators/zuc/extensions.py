@@ -23,16 +23,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ...core import AxisMetadata
 from ..base import Output
-from .accel import (
-    HEADER_SIZE,
-    OP_EEA3,
-    OP_EIA3,
-    STATUS_BAD_OP,
-    STATUS_BAD_REQUEST,
-    STATUS_OK,
-    ZucAccelerator,
-    ZucRequest,
-)
+from .accel import STATUS_BAD_REQUEST, ZucAccelerator
 from .eea3 import eea3_encrypt
 from .eia3 import eia3_mac
 

@@ -7,8 +7,6 @@ RDMA Verbs, recovery is left to the control-plane application.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Simulator, Store
 
 

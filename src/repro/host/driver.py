@@ -33,7 +33,6 @@ from ..nic import (
     WQE_SIZE,
 )
 from ..nic.device import DOORBELL_STRIDE, _POISON
-from ..nic.queues import ReceiveQueue
 from ..nic.wqe import CQE, CQE_ERROR, RX_DESC, TX_WQE, CqeRecord
 from ..pcie import POSTED
 from ..sim import Event, PollWait, Pump, Simulator, Store

@@ -9,7 +9,7 @@ architectures per feature set (Table 1), the per-module breakdown
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -13,7 +13,7 @@ With the default parameters the model reproduces the paper's numbers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 KIB = 1024

@@ -16,7 +16,7 @@ from .parse import ParseError, parse_frame
 from .roce import Aeth, Bth, Reth, send_opcode, write_opcode
 from .rss import DEFAULT_RSS_KEY, RssEngine, toeplitz_hash
 from .tcp import Tcp
-from .trace import ImcDatacenterSizes, PacketSizeDistribution, UniformSizes
+from .trace import ImcDatacenterSizes, PacketSizeDistribution
 from .udp import COAP_PORT, ROCE_V2_PORT, Udp, VXLAN_PORT
 from .vxlan import Vxlan, vxlan_decapsulate, vxlan_encapsulate
 
@@ -26,7 +26,7 @@ __all__ = [
     "Ethernet", "FLAG_DF", "FLAG_MF", "Flow", "FragmentError", "Header",
     "ImcDatacenterSizes", "IpAddress", "Ipv4", "MacAddress", "PROTO_TCP",
     "PROTO_UDP", "Packet", "PacketSizeDistribution", "ParseError", "parse_frame", "ROCE_V2_PORT",
-    "Reassembler", "Reth", "RssEngine", "Tcp", "Udp", "UniformSizes",
+    "Reassembler", "Reth", "RssEngine", "Tcp", "Udp",
     "VXLAN_PORT", "Vxlan", "fragment_packet", "internet_checksum",
     "make_flows", "parse_l4", "send_opcode",
     "toeplitz_hash", "verify_checksum", "vxlan_decapsulate",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import struct
-
 from .packet import Header
 
 ETHERTYPE_IPV4 = 0x0800

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .ethernet import Ethernet
 from .ip import FLAG_MF, Ipv4
 from .packet import Packet
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import struct
 
-from .checksum import internet_checksum
 from .packet import Header
 
 PROTO_ICMP = 1

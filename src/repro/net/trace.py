@@ -71,10 +71,3 @@ class ImcDatacenterSizes(PacketSizeDistribution):
             ],
             seed=seed,
         )
-
-
-class UniformSizes(PacketSizeDistribution):
-    """Single fixed or uniform size, for fixed-size sweeps."""
-
-    def __init__(self, size: int, seed: int = 0):
-        super().__init__(buckets=[(size, size, 1.0)], seed=seed)

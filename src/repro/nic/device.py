@@ -43,9 +43,7 @@ from .offloads import ChecksumOffload, SegmentationOffload
 from .queues import (
     CompletionQueue,
     MultiPacketReceiveQueue,
-    QueueError,
     ReceiveQueue,
-    RssGroup,
     SendQueue,
 )
 from .rdma import RcQp, RdmaEngine
@@ -281,7 +279,12 @@ class Nic(PcieEndpoint):
         self.sqs.pop(sq.qpn, None)
         self._tx_flat.pop(sq.qpn, None)
         sq.mmio_wqes.clear()
-        self._poison(sq.doorbell)
+        # The path of a doorbell: an idle fetch stage ends the tx stage
+        # now, a paused (or unstarted) one once it next drains.
+        fetch = sq.fetch
+        if fetch is not None:
+            sq.fetch = None
+            fetch()
 
     def destroy_rq(self, rq: ReceiveQueue) -> None:
         rq.destroyed = True
@@ -720,9 +723,12 @@ class _SqFlatPipeline:
     continuations.  Every send queue runs one — Ethernet or RC, metered
     or not.
 
-    * The fetch stage drains doorbells iteratively, pausing only on a
-      batched WQE fetch or a full window (resumed by the read's
-      completion callback / the window's admission callback).
+    * The fetch stage drains to the doorbell's PI register: a doorbell
+      drains it at once when it is idle (``sq.fetch``); it pauses only
+      on a batched WQE fetch or a full window, and the read's
+      completion callback / the window's admission callback resumes the
+      drain, which reads the PI again and so takes in every doorbell
+      rung during the pause.
     * The transmit stage pulls in order; a window item is a list whose
       data slot the WQE's DMA read fills when it lands
       (:meth:`_data_landed`), resuming the stage if it is waiting on
@@ -742,8 +748,8 @@ class _SqFlatPipeline:
       metered queue asks the shaper there and, told to wait, schedules
       a second continuation through :meth:`Shaper.pause`; an RC queue
       hands the message to :meth:`RdmaEngine.send_message`, which
-      emits one segment per scheduler pass and calls back after the
-      last.  While a WQE is deferred the stage pulls nothing, so
+      emits one segment per scheduler pass and calls back in the pass
+      of the last.  While a WQE is deferred the stage pulls nothing, so
       ``stage_free`` is simply set to the instant it finished.
 
     Spans and Chrome-trace records are written from those same instants
@@ -779,27 +785,18 @@ class _SqFlatPipeline:
 
     def _start(self) -> None:
         self.nic.sim.schedule(0.0, self._pull)
-        self._fetch_idle()
+        if self.sq.destroyed:
+            self.window.put(_POISON)
+        else:
+            self._drain()
 
-    def _fetch_idle(self) -> None:
-        """Consume doorbells until one pauses the drain or none remain."""
-        self._on_doorbell(self.sq.doorbell.pop_or_park(self._on_doorbell))
-
-    def _on_doorbell(self, rung) -> None:
-        while rung is not None:
-            if rung is _POISON or self.sq.destroyed:
-                # Propagate teardown to the tx stage; no re-arm.
-                self.window.put(_POISON)
-                return
-            if not self._drain():
-                return
-            rung = self.sq.doorbell.pop_or_park(self._on_doorbell)
-
-    def _drain(self, fetched: Optional[bytes] = None) -> bool:
-        """Queue WQEs up to the rung PI on the window, launching each
-        one's data DMA; False when paused on a ring fetch or a full
-        window.  ``fetched`` is a landed ring fetch, whose first WQE's
-        index (``sq.ci``) was taken when the fetch was issued."""
+    def _drain(self, fetched: Optional[bytes] = None) -> None:
+        """Queue WQEs up to the PI on the window, launching each one's
+        data DMA, until paused on a ring fetch or a full window; drained,
+        the stage is idle (``sq.fetch``), or ends the tx stage if the
+        queue was destroyed.  ``fetched`` is a landed ring fetch, whose
+        first WQE's index (``sq.ci``) was taken when the fetch was
+        issued."""
         nic = self.nic
         sq = self.sq
         batch = self._wqe_batch
@@ -822,10 +819,15 @@ class _SqFlatPipeline:
                 else:
                     item[2] = b""
                 if not self.window.put_or_park(item, self._put_admitted):
-                    return False
+                    return
             index = sq.ci
             if index >= sq.pi:
-                return True
+                if sq.destroyed:
+                    # Propagate teardown to the tx stage.
+                    self.window.put(_POISON)
+                else:
+                    sq.fetch = self._drain
+                return
             sq.ci = index + 1
             wqe = (sq.mmio_wqes.pop(index & 0xFFFF, None)
                    or batch.pop(index, None))
@@ -837,17 +839,12 @@ class _SqFlatPipeline:
                 self._fetch_pend = (index, burst, nic.sim._now)
                 nic.fabric.read(
                     nic, sq.slot_addr(index), burst * WQE_SIZE,
-                    on_done=self._wqes_ready,
+                    on_done=self._drain,
                 )
-                return False
-
-    def _wqes_ready(self, raw) -> None:
-        if self._drain(raw):
-            self._fetch_idle()
+                return
 
     def _put_admitted(self, _item) -> None:
-        if self._drain():
-            self._fetch_idle()
+        self._drain()
 
     # -- transmit stage ------------------------------------------------
 
@@ -912,7 +909,8 @@ class _SqFlatPipeline:
             self._tx_pend = (index, wqe, data, enqueued,
                              enqueued if enqueued > stage_free
                              else stage_free, service_started)
-            sim.schedule(done - now, self._tx_paced)
+            sim.schedule(done - now, self._tx_emit if sq.meter is None
+                         else self._tx_paced)
             return False
         ctx = wqe.trace_ctx
         tracer = nic._tracer
@@ -976,12 +974,8 @@ class _SqFlatPipeline:
     def _tx_paced(self) -> None:
         """At ``done``: a metered queue waits out its shaper first."""
         nic = self.nic
-        meter = self.sq.meter
-        if meter is None:
-            self._tx_emit()
-            return
         _index, wqe, data = self._tx_pend[:3]
-        delay = nic.shaper.delay_for(meter, len(data) * 8)
+        delay = nic.shaper.delay_for(self.sq.meter, len(data) * 8)
         if delay > 0:
             if wqe.trace_ctx is not None:
                 now = nic.sim._now
@@ -1004,8 +998,8 @@ class _SqFlatPipeline:
         else:
             qp = nic._qp_by_sqn.get(sq.qpn)
             if qp is not None and qp.state == RcQp.READY:
-                # One segment per scheduler pass; the send CQE arrives
-                # later, on the remote ack.
+                # One segment per scheduler pass, _tx_done in the last
+                # one's; the send CQE arrives later, on the remote ack.
                 nic.rdma.send_message(qp, wqe, data,
                                       remote_addr=wqe.remote_addr,
                                       rkey=wqe.rkey, on_done=self._tx_done)

@@ -9,7 +9,7 @@ repairs in §8.2.2.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..net import (
     Ethernet, IpAddress, Ipv4, PROTO_UDP, Packet, Tcp, Udp, verify_checksum,

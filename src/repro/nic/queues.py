@@ -76,7 +76,10 @@ class SendQueue:
         self.max_inline = max_inline
         self.pi = 0            # producer index, advanced by doorbells
         self.ci = 0            # consumer index, advanced by the NIC
-        self.doorbell = Store(sim, name=f"sq{qpn}.doorbell")
+        #: The NIC fetch stage's drain while the stage is idle, ``None``
+        #: while it is paused on a ring fetch or a full window (or not
+        #: started): a paused stage drains to ``pi`` when it resumes.
+        self.fetch = None
         # The ``sq<N>.outstanding`` gauge: WQEs outstanding at the last
         # doorbell, the producer-side event, and their high-water mark.
         self.doorbell_level = 0
@@ -101,10 +104,11 @@ class SendQueue:
 
     def ring_doorbell(self, new_pi: int,
                       mmio_wqe: Optional[TxWqeRecord] = None) -> None:
-        """Handle a doorbell MMIO: advance PI and wake the queue's fetch
-        stage (a getter callback on the ``doorbell`` store).  A WQE
-        written by MMIO (BlueFlame) rides its own doorbell: ``mmio_wqe``
-        is staged, saving the fetch stage its DMA read."""
+        """Handle a doorbell MMIO: the doorbell is the PI register.
+        Advance PI and, when the queue's fetch stage is idle, drain it
+        at once.  A WQE written by MMIO (BlueFlame) rides its own
+        doorbell: ``mmio_wqe`` is staged, saving the fetch stage its DMA
+        read."""
         if mmio_wqe is not None:
             self.mmio_wqes[mmio_wqe.wqe_index] = mmio_wqe
             self.stats_mmio_wqes += 1
@@ -121,7 +125,10 @@ class SendQueue:
         level = self.doorbell_level = new_pi - self.ci
         if level > self.doorbell_peak:
             self.doorbell_peak = level
-        self.doorbell.try_put(new_pi)
+        fetch = self.fetch
+        if fetch is not None:
+            self.fetch = None
+            fetch()
 
     @property
     def outstanding(self) -> int:

@@ -305,7 +305,8 @@ class RdmaEngine:
         (remote VA, rkey) in the first segment's RETH.  The first
         segment leaves now and each further one on its own scheduler
         pass (the engine pipelines one segment per pass); ``on_done()``
-        is called on the pass after the last segment.
+        is called in the last segment's pass, or in the pass that finds
+        the QP destroyed mid-message.
         """
         if qp.state != RcQp.READY:
             raise RdmaError(f"QP {qp.qpn} not connected")
@@ -321,10 +322,9 @@ class RdmaEngine:
     def _send_segment(self, state) -> None:
         (index, final, chunks, qp, wqe, length, remote_addr, rkey, rdma_span,
          on_done) = state
-        if index > final or qp.qpn not in self.qps:
-            # Sent — or the QP was destroyed mid-message, and nothing
-            # more of it leaves.
-            if index <= final and rdma_span is not None:
+        if qp.qpn not in self.qps:
+            # The QP was destroyed mid-message: nothing more of it leaves.
+            if rdma_span is not None:
                 self._spans.exit(rdma_span, self.sim._now)
             if on_done is not None:
                 on_done()
@@ -345,8 +345,11 @@ class RdmaEngine:
         self._egress_frame(qp, frame)
         if len(qp.outstanding) == 1:
             self._arm_retransmit_timer(qp)
-        self.sim.call_later(0.0, self._send_segment,
-                            (index + 1,) + state[1:])
+        if not last:
+            self.sim.call_later(0.0, self._send_segment,
+                                (index + 1,) + state[1:])
+        elif on_done is not None:
+            on_done()
 
     def _build_frame(self, qp: RcQp, payload: bytes, first: bool, last: bool,
                      wqe: Optional[TxWqeRecord], is_write: bool = False,

@@ -8,8 +8,6 @@ by address.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class PcieError(RuntimeError):
     """Raised on bad fabric addressing or endpoint misuse."""

@@ -54,29 +54,6 @@ def _trace_tlps(lane: Link, record, first_hops) -> None:
     lane.trace_occupancy(record)
 
 
-class _WriteCountdown:
-    """Completion countdown for a multi-TLP posted write (a single TLP's
-    delivery tuple carries its own span and callback)."""
-
-    __slots__ = ("remaining", "fabric", "span_id", "done")
-
-    def __init__(self, remaining, fabric, span_id, done):
-        self.remaining = remaining
-        self.fabric = fabric
-        self.span_id = span_id
-        self.done = done    # zero-argument completion callable, or None
-
-    def __call__(self):
-        self.remaining -= 1
-        if self.remaining == 0:
-            if self.span_id is not None:
-                rows, at = self.span_id
-                if rows[at] == OPEN:
-                    rows[at] = self.fabric.sim._now
-            if self.done is not None:
-                self.done()
-
-
 class DeferredWrite(list):
     """A posted write whose delivery the initiator folds into its own
     continuation event.
@@ -349,7 +326,9 @@ class PcieFabric:
         Pass ``data`` for functional writes or just ``length`` for
         timing-only traffic (``length`` may repeat ``len(data)``).  A
         longer write than MPS is a train of MPS-sized TLPs, delivered in
-        one event when it decodes to one endpoint.  With ``trace_ctx``
+        one event; it must decode to one endpoint (a write that
+        straddles two windows raises :class:`PcieError` before it counts
+        a TLP or reserves a lane).  With ``trace_ctx``
         the write is recorded as a ``trace_stage`` span on the packet's
         trace, and the context rides the TLPs so the endpoint can claim it
         (``inbound_trace_ctx``) across the byte boundary.
@@ -376,8 +355,6 @@ class PcieFabric:
         if total < 0:
             raise PcieError(f"write length {total!r} is negative")
         mps = port.config.max_payload_size
-        span_id = (None if trace_ctx is None else
-                   self._spans.enter(trace_ctx, trace_stage, self.sim._now))
         if on_done is None:
             done = Event(self.sim)
             finish = done.succeed
@@ -389,6 +366,8 @@ class PcieFabric:
         if total <= mps:
             # One TLP — the common case for descriptors, CQEs, doorbells
             # and small-packet payloads.
+            span_id = (None if trace_ctx is None else
+                       self._spans.enter(trace_ctx, trace_stage, sim._now))
             self.stats_tlps["MWr"] += 1
             path = self._reserve_path(port, address, total)
             sim.call_later(path[0][DELIVERY] - sim._now, self._write_arrived,
@@ -398,29 +377,21 @@ class PcieFabric:
         route = port.route
         if not route[0] <= address < route[1]:
             route = self._route(port, address)
+        if address + total > route[1]:
+            # No one endpoint takes it: a write is one window's.
+            raise PcieError(f"write of {total} B at {address:#x} straddles "
+                            f"the window end {route[1]:#x}")
+        # One endpoint: deliver the train in one event at its last TLP's
+        # arrival (any dependent TLP orders behind it anyway).
+        span_id = (None if trace_ctx is None else
+                   self._spans.enter(trace_ctx, trace_stage, sim._now))
         target = route[3]
-        if address + total <= route[1]:
-            # One endpoint: deliver the train in one event at its last
-            # TLP's arrival (any dependent TLP orders behind it anyway).
-            record, first_hops = self._train(port, target, total, mps,
-                                             _REQUEST_BITS, "MWr")
-            sim.call_later(record[DELIVERY] - sim._now, self._write_arrived,
-                           (record, target, route[2], address - route[0],
-                            first_hops, data, trace_ctx, span_id, finish,
-                            range(0, total, mps)))
-            return done
-        # A write straddling windows: each TLP routes and lands alone.
-        finish = _WriteCountdown((total - 1) // mps + 1, self, span_id,
-                                 finish)
-        for cursor in range(0, total, mps):
-            self.stats_tlps["MWr"] += 1
-            path = self._reserve_path(
-                port, address + cursor,
-                mps if total - cursor > mps else total - cursor)
-            sim.call_later(
-                path[0][DELIVERY] - sim._now, self._write_arrived,
-                path + (data[cursor:cursor + mps] if data is not None
-                        else None, trace_ctx, None, finish, None))
+        record, first_hops = self._train(port, target, total, mps,
+                                         _REQUEST_BITS, "MWr")
+        sim.call_later(record[DELIVERY] - sim._now, self._write_arrived,
+                       (record, target, route[2], address - route[0],
+                        first_hops, data, trace_ctx, span_id, finish,
+                        range(0, total, mps)))
         return done
 
     def read(self, requester: PcieEndpoint, address: int,

@@ -38,9 +38,9 @@ from typing import Dict, Optional, Tuple
 
 from ..core.axis import AxisMetadata
 from .isa import (
-    ACT_DROP, ACT_PASS, ACT_REDIRECT, Alu, Jmp, JmpIf, LdMeta, LdPkt,
-    LdStack, MapDelete, MapLookup, MapUpdate, Mov, NUM_REGS, Program,
-    Ret, STACK_BYTES, StPkt, StStack,
+    ACT_DROP, ACT_PASS, Alu, Jmp, JmpIf, LdMeta, LdPkt, LdStack,
+    MapDelete, MapLookup, MapUpdate, Mov, NUM_REGS, Program, STACK_BYTES,
+    StPkt, StStack,
 )
 from .isa import M64
 from .maps import ProgMap

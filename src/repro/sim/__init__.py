@@ -13,7 +13,7 @@ from .engine import (
     Simulator,
     Store,
 )
-from .resources import DuplexLink, Link, TokenBucket
+from .resources import Link, TokenBucket
 from .stats import (
     LatencyCollector,
     ThroughputMeter,
@@ -21,7 +21,6 @@ from .stats import (
 )
 
 __all__ = [
-    "DuplexLink",
     "Event",
     "LatencyCollector",
     "Link",

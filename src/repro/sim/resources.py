@@ -443,21 +443,6 @@ class Link:
         return lane[-1][FINISH] if lane else self._busy_until
 
 
-class DuplexLink:
-    """A full-duplex link: independent TX and RX unidirectional lanes."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        rate_bps: Optional[float],
-        latency: float = 0.0,
-        name: str = "",
-    ):
-        self.tx = Link(sim, rate_bps, latency, name=f"{name}.tx")
-        self.rx = Link(sim, rate_bps, latency, name=f"{name}.rx")
-        self.name = name
-
-
 class TokenBucket:
     """A token-bucket rate limiter (used by the NIC traffic shaper).
 

@@ -7,8 +7,6 @@ RPC pattern — the building block of the DPDK cryptodev driver (§7).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ..host.driver import RcEndpoint, SoftwareDriver
 from ..sim import Event, Simulator, Store
 from .fldr import FldRControlPlane, FldRConnectionInfo

@@ -18,11 +18,9 @@ import itertools
 from typing import Dict, Optional
 
 from ..accelerators.zuc.accel import (
-    HEADER_SIZE,
     OP_EEA3,
     OP_EIA3,
     STATUS_OK,
-    ZucRequest,
     make_request,
     parse_response,
 )
@@ -79,7 +77,7 @@ class Cryptodev:
         raise NotImplementedError
 
     def _complete(self, op: CryptoOp) -> None:
-        op.completed_at = self.sim.now
+        op.completed_at = self.sim._now
         self.stats_completed += 1
         self.completions.try_put(op)
 
@@ -102,7 +100,7 @@ class SwZucCryptodev(Cryptodev):
         self._pump = Pump(sim, self._queue, self._start, self.profile_tag)
 
     def submit(self, op: CryptoOp) -> None:
-        op.submitted_at = self.sim.now
+        op.submitted_at = self.sim._now
         self.stats_submitted += 1
         self._queue.try_put(op)
 
@@ -134,7 +132,7 @@ class FldRZucCryptodev(Cryptodev):
         Pump(sim, connection.responses, self._on_response, f"{name}.rx")
 
     def submit(self, op: CryptoOp) -> None:
-        op.submitted_at = self.sim.now
+        op.submitted_at = self.sim._now
         self.stats_submitted += 1
         wire_op = OP_EEA3 if op.kind == CryptoOp.CIPHER else OP_EIA3
         message = make_request(

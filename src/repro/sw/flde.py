@@ -14,12 +14,10 @@ the NIC's shaper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..nic import (
     Action,
-    DecapVxlan,
-    ForwardToRss,
     MatchSpec,
     Meter,
     Rule,

@@ -9,7 +9,7 @@ path to the accelerator's reply queue.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..nic import RcQp
 from .runtime import FldRuntime

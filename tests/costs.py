@@ -367,6 +367,10 @@ THAWED = ("/packet.py:find|append|_thaw|<genexpr>|<listcomp>",
           "/parse.py:parse_headers", "/ethernet.py:unpack", "/ip.py:unpack|pack",
           "/udp.py:unpack")
 NIC_OBJECT = (NIC + "device.py:__init__",)
+#: A doorbell is the SQ's PI register: nothing in nic/queues.py puts to
+#: or pops a Store, and the fetch stage pops none.
+DOORBELL_STORE = (("sim/engine.py:put_or_park|pop_or_park", ("nic/queues.py:*",)),
+                  ("sim/engine.py:pop_or_park", ("nic/device.py:_drain",)))
 PER_TLP = (":decode|port_of|retire|completion_chunks"
            "|<built-in method _bisect.*>",
            "fabric.py:__init__", "resources.py:__init__")
@@ -464,13 +468,15 @@ GATES = (
           (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 14_505),
     # An RC segment is its bytes: no net/roce.py frame, one BTH read per
     # segment received (a data segment each way and an ACK for each).  A
-    # multi-TLP write or read is sized by arithmetic: no chunk list, and
+    # one-segment message is one _send_segment pass, which calls on_done.
+    # A multi-TLP write or read is sized by arithmetic: no chunk list, and
     # a write train finds its route without a frame.
-    ("fldr", "fldr", "request", None, 501,
+    ("fldr", "fldr", "request", None, 481,
          ("net/roce.py:*", "pcie/tlp.py:split_write_bytes|completion_chunks",
           ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",))),
-         (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4)),
-         17_220),
+         (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4),
+          ("nic/rdma.py:_send_segment", "==", 2)),
+         16_760),
     # The same for RC segments: each crosses its eSwitch in one forward.
     ("fldr.steering", "fldr", "request", STEERING, None,
          ("nic/steering.py:*",),
@@ -481,8 +487,10 @@ GATES = (
     # completion trains) and for 64 B echoes (single TLPs).
     ("fldr.pcie", "fldr", "request", PCIE, 76, (), (), 6_000),
     ("echo.pcie", "echo", "frame", PCIE, 67.6, (), (), 5_140),
-    # A NIC frame is one pass per direction: no per-frame device object.
-    ("nic.send", "nic-send", "frame", NIC, 16.3, NIC_OBJECT, (), 662),
+    # A NIC frame is one pass per direction: no per-frame device object,
+    # and a doorbell reaches no Store.
+    ("nic.send", "nic-send", "frame", NIC, 16.3, NIC_OBJECT + DOORBELL_STORE,
+     (), 662),
     ("nic.receive", "nic-receive", "frame", NIC, 13.5, NIC_OBJECT, (), 638),
     # A frame is steered off its layout: never thawed, rebuilt, re-packed.
     ("rx.wire-to-queue", "wire-to-queue", "frame", None, 19.3, THAWED, (),

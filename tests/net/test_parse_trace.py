@@ -12,7 +12,6 @@ from repro.net import (
     PacketSizeDistribution,
     Tcp,
     Udp,
-    UniformSizes,
     Vxlan,
     fragment_packet,
     parse_frame,
@@ -121,9 +120,6 @@ class TestTraceDistributions:
         empirical = sum(dist.sizes(20000)) / 20000
         exact = sum(w * (lo + hi) / 2.0 for lo, hi, w in dist.buckets)
         assert empirical == pytest.approx(exact, rel=0.05)
-
-    def test_uniform_sizes(self):
-        assert set(UniformSizes(700).sizes(50)) == {700}
 
     def test_invalid_buckets_rejected(self):
         with pytest.raises(ValueError):

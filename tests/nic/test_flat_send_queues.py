@@ -13,7 +13,8 @@ from pathlib import Path
 
 from repro.core import AxisMetadata
 from repro.experiments.setups import flde_echo_remote
-from repro.nic import NicConfig, RcQp, RdmaEngine
+from repro.net import Flow
+from repro.nic import EthernetPort, NicConfig, RcQp, RdmaEngine
 from repro.nic.device import _POISON
 from repro.sim import Simulator, Store
 from repro.telemetry import Telemetry
@@ -182,6 +183,74 @@ class TestTeardownMidWqe:
         assert pauses() == 1 and setup.loadgen.stats_received == 2
         assert sq.qpn not in nic._tx_flat
         assert setup.testbed.quiesce() == []
+
+
+class TestDoorbellRegister:
+    """A doorbell is the SQ's PI register: it drains an idle fetch stage
+    at once, and a paused stage reads it again when it resumes."""
+
+    def host_queue(self):
+        sim = Simulator()
+        node = make_local_node(sim)
+        node.add_vport_for_mac(2, CLIENT_MAC)
+        peer = EthernetPort(sim, "peer")
+        node.nic.port.connect(peer)
+        wire = []
+        peer.on_receive = wire.append
+        qp = node.driver.create_eth_qp(2)
+        return sim, node.nic, qp, node.nic._tx_flat[qp.sq.qpn], wire
+
+    def send(self, qp, tag):
+        flow = Flow(CLIENT_MAC, SERVER_MAC, "10.0.0.1", "10.0.0.2", 1, 2)
+        qp.send(flow.make_packet(bytes([tag]) * 18,
+                                 fill_checksums=False).to_bytes())
+
+    def until(self, sim, condition):
+        while not condition():
+            sim.run(until=sim.now + 1e-9)
+
+    def test_a_rung_during_a_ring_fetch_is_drained_on_resume(self):
+        sim, _nic, qp, pipe, wire = self.host_queue()
+        sq = qp.sq
+        self.send(qp, 1)
+        self.until(sim, lambda: pipe._fetch_pend is not None)
+        assert sq.fetch is None          # paused on the ring fetch
+        self.send(qp, 2)
+        self.until(sim, lambda: sq.pi == 2)
+        assert pipe._fetch_pend is not None and sq.ci == 1
+        sim.run()
+        assert sq.ci == sq.pi == 2 and sq.fetch is not None
+        assert sq.stats_wqe_fetches == 2
+        assert [packet.raw[-1] for packet in wire] == [1, 2]
+
+    def ended(self, pipe):
+        window = pipe.window
+        return window._getter is None and not window._getters \
+            and not len(window)
+
+    def test_destroy_ends_an_idle_tx_stage(self):
+        sim, nic, qp, pipe, _wire = self.host_queue()
+        sim.run()
+        assert qp.sq.fetch is not None and not self.ended(pipe)
+        nic.destroy_sq(qp.sq)
+        sim.run()
+        assert self.ended(pipe) and qp.sq.fetch is None
+
+    def test_destroy_ends_a_paused_tx_stage(self):
+        sim, nic, qp, pipe, _wire = self.host_queue()
+        self.send(qp, 1)
+        self.until(sim, lambda: pipe._fetch_pend is not None)
+        nic.destroy_sq(qp.sq)
+        assert not self.ended(pipe)      # ends once the fetch lands
+        sim.run()
+        assert self.ended(pipe) and qp.sq.fetch is None
+
+    def test_destroy_before_the_stage_starts_ends_it(self):
+        sim, nic, qp, pipe, _wire = self.host_queue()
+        qp.sq.ring_doorbell(1)           # the register, before any pass
+        nic.destroy_sq(qp.sq)
+        sim.run()
+        assert self.ended(pipe) and qp.sq.stats_wqe_fetches == 0
 
 
 class TestPoisonSpill:

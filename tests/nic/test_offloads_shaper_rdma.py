@@ -13,6 +13,8 @@ from repro.nic.rdma import RcQp, RdmaEngine, RdmaError
 from repro.nic.wqe import (
     OP_RDMA_SEND, OP_RDMA_WRITE, TX_WQE, TxWqe, TxWqeRecord)
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
+from repro.telemetry.audit import audit_spans
 
 
 def landed(wqe):
@@ -186,9 +188,29 @@ class TestRdmaEngine:
         sim.schedule(0.0, probe)
         sim.run(until=0.01)
         assert sent == [2, 3, 3, 3]
-        # Once, on the pass after the last segment's.
-        assert done == [2]
+        # Once, in the last segment's pass: no pass follows it.
+        assert done == [1]
         assert loop.completed == [0]
+
+    def test_a_qp_destroyed_between_segments_ends_its_message_once(self):
+        telemetry = Telemetry(trace=False, spans=True)
+        sim = Simulator(telemetry=telemetry)
+        loop = _Loopback(sim)
+        ctx = telemetry.spans.start_trace("torn", sim.now)
+        wqe = TxWqeRecord(TX_WQE.unpack_from(
+            TxWqe(OP_RDMA_SEND, 1, 0, 0, 2500).pack()) + (ctx,))
+        done = []
+        loop.a.send_message(loop.qp_a, wqe, bytes(2500),
+                            on_done=lambda: done.append(sim.now))
+        # The first segment left inside the call; the QP goes before the
+        # second segment's pass.
+        loop.a.unregister_qp(loop.qp_a.qpn)
+        sim.run(until=0.01)
+        assert loop.qp_a.stats_sent_segments == 1
+        assert done == [0.0]
+        (rdma,) = [span for span in ctx.spans if span.stage == "rdma"]
+        assert rdma.end == 0.0
+        assert audit_spans(telemetry.spans, expect_complete=False) == []
 
     def test_retransmission_recovers_loss(self):
         sim = Simulator()

@@ -57,7 +57,6 @@ class TestSendQueue:
         sq.ring_doorbell(3)
         assert sq.pi == 3
         assert sq.outstanding == 3
-        assert len(sq.doorbell) == 1
 
     def test_backwards_doorbell_rejected(self):
         _sim, sq = self._sq()

@@ -334,6 +334,20 @@ class TestRefusedBeforeAnyLaneIsTouched:
                               on_done=POSTED)
         assert self._state(sim, fabric, host, device) == before
 
+    def test_post_write_refuses_a_write_straddling_two_windows(self):
+        sim, fabric, host, device = self._busy()
+        above = MemoryRegion("above", 0x1000)
+        fabric.attach(above)
+        fabric.map_window(0x1001_0000, 0x1000, above)
+        trace_ctx = sim.telemetry.spans.start_trace("refused", sim.now)
+        before = self._state(sim, fabric, host, device)
+        with pytest.raises(PcieError, match="straddles the window end "
+                                            "0x10010000"):
+            fabric.post_write(host, 0x1001_0000 - 256, bytes(512),
+                              trace_ctx=trace_ctx, on_done=POSTED)
+        assert self._state(sim, fabric, host, device) == before
+        assert above.stats_writes == device.stats_writes == 0
+
     def test_post_write_takes_a_length_that_is_the_data_s(self):
         sim, fabric, host, device = build_fabric()
         fabric.post_write(host, 0x1000_0000, data=bytes(range(64)),
@@ -434,16 +448,6 @@ class TestRouteMemo:
         with pytest.raises(PcieError):
             fabric.read(nic, 0x40, 4)
 
-    def test_straddling_write_lands_each_chunk_on_its_own_endpoint(self):
-        sim, fabric, nic, first, second = self._fabric()
-        fabric.map_window(0x1000, 0x1000, second)
-        fabric.post_write(nic, 0x40, b"warm")      # memoises `first` only
-        fabric.post_write(nic, 0x1000 - 256, bytes(range(256)) * 2)
-        sim.run()
-        assert first.handle_read(0x1000 - 256, 256) == bytes(range(256))
-        assert second.handle_read(0, 256) == bytes(range(256))
-        assert (first.stats_writes, second.stats_writes) == (2, 1)
-
     def test_tlp_in_flight_keeps_the_endpoint_it_was_issued_to(self):
         sim, fabric, nic, first, second = self._fabric()
         first.write_local(0x80, b"data")
@@ -527,27 +531,6 @@ class TestTracedCallbacks:
         now, nbytes, end = fired[0]
         assert nbytes == length
         assert end == now >= 2e-6
-
-    def test_write_straddling_two_windows_completes_once(self):
-        # The train does not decode to one endpoint, so each TLP is
-        # delivered on its own and a countdown fires the completion.
-        telemetry = Telemetry(trace=False, spans=True)
-        sim = Simulator(telemetry=telemetry)
-        fabric = PcieFabric(sim)
-        low = MemoryRegion("low", 0x1000)
-        high = MemoryRegion("high", 0x1000)
-        for region, base in ((low, 0x0), (high, 0x1000)):
-            fabric.attach(region)
-            fabric.map_window(base, 0x1000, region)
-        ctx = telemetry.spans.start_trace("t", 0.0)
-        fired = []
-        fabric.post_write(low, 0x1000 - 256, bytes(range(256)) * 2,
-                          trace_ctx=ctx, on_done=lambda: fired.append(1))
-        sim.run()
-        assert fired == [1]
-        assert low.handle_read(0x1000 - 256, 256) == bytes(range(256))
-        assert high.handle_read(0, 256) == bytes(range(256))
-        assert telemetry.spans.get_trace(ctx).spans[0].end == sim.now
 
     def test_deferred_write_span_ends_at_delivery_not_commit(self):
         sim, fabric, host, spans, ctx = self._traced()

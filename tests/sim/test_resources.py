@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.pcie.tlp import COMPLETION_HEADER, DLLP_FRAMING, MEM_REQUEST_HEADER
-from repro.sim import DuplexLink, Link, Simulator, Store, TokenBucket
+from repro.sim import Link, Simulator, Store, TokenBucket
 from repro.telemetry import Telemetry
 
 from .test_lane_machine import lane_depth
@@ -25,8 +25,6 @@ class TestLink:
         sim = Simulator()
         with pytest.raises(ValueError, match="latency"):
             Link(sim, rate_bps=1000.0, latency=-1e-6)
-        with pytest.raises(ValueError, match="latency"):
-            DuplexLink(sim, rate_bps=1000.0, latency=-1e-6)
 
     def test_a_nan_latency_or_rate_is_refused_at_construction(self):
         sim = Simulator()
@@ -193,21 +191,6 @@ class TestLaneTraceRecords:
         assert lane_depth(link) == 0
         assert link.busy_until == link.queue_delay() == 4.0
         assert len(self._spans(tracer)) == 3
-
-
-class TestDuplexLink:
-    def test_independent_directions(self):
-        sim = Simulator()
-        duplex = DuplexLink(sim, rate_bps=1000.0)
-        tx_arrivals, rx_arrivals = [], []
-        duplex.tx.connect(lambda m: tx_arrivals.append(sim.now))
-        duplex.rx.connect(lambda m: rx_arrivals.append(sim.now))
-        duplex.tx.send("a", bits=1000)
-        duplex.rx.send("b", bits=1000)
-        sim.run()
-        # Both finish at t=1: no contention between directions.
-        assert tx_arrivals == [1.0]
-        assert rx_arrivals == [1.0]
 
 
 class TestLanesSettleByTheClock:

@@ -101,6 +101,20 @@ def test_the_enumerator_counts_methods_and_nested_defs_only(tmp_path):
     ]
 
 
+def test_a_dunder_is_excused_only_in_a_class_a_result_runs():
+    unrun = {"m:Used.__init__", "m:Unused.__init__", "m:Unused.__repr__",
+             "m:Used.helper", "m:__getattr__"}
+    old = {"m:Unused.__init__": {"reason": "dunder"},
+           "m:Unused.__repr__": {"reason": "error path: a refused thing"}}
+    assert ledger.reasons(unrun, {"m:Used.run", "m:Unused"}, old) == {
+        "m:Unused.__init__": None,
+        "m:Unused.__repr__": "error path: a refused thing",
+        "m:Used.__init__": "dunder",
+        "m:Used.helper": None,
+        "m:__getattr__": None,
+    }
+
+
 def test_the_ledger_adds_up():
     with open(ledger.LEDGER, encoding="utf-8") as handle:
         book = json.load(handle)
