@@ -67,6 +67,10 @@ class Accelerator:
     def _reassemble(self, item) -> None:
         data, meta = item
         key = (meta.queue_id, meta.src_qpn, meta.context_id)
+        if meta.msg_last and key not in self._assembly:
+            # A one-segment message: to the units as it came.
+            self._messages.try_put(item)
+            return
         parts = self._assembly.setdefault(key, [])
         parts.append(data)
         if meta.msg_last:

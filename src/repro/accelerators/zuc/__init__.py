@@ -17,7 +17,7 @@ from .accel import (
     OP_EIA3,
     STATUS_OK,
     ZucAccelerator,
-    ZucRequest,
+    ZucHeader,
     make_request,
     parse_response,
 )
@@ -27,7 +27,7 @@ from .zuc_core import Zuc
 
 __all__ = [
     "CachedKeyZucAccelerator", "CompactRequest", "DOWNLINK", "HEADER_SIZE", "OP_EEA3", "OP_EIA3", "STATUS_OK", "UPLINK",
-    "Zuc", "ZucAccelerator", "ZucRequest", "eea3_decrypt", "eea3_encrypt",
+    "Zuc", "ZucAccelerator", "ZucHeader", "eea3_decrypt", "eea3_encrypt",
     "eia3_mac", "make_compact_request", "make_request",
     "make_set_key", "OP_EEA3_CACHED", "OP_EIA3_CACHED", "OP_SET_KEY",
     "pack_batch", "parse_response", "unpack_batch",

@@ -15,6 +15,7 @@ import struct
 from typing import Dict, Iterable, Optional
 
 from ...core import AxisMetadata
+from ...nic.wqe import record
 from ..base import Accelerator, Output
 from .eea3 import eea3_encrypt
 from .eia3 import eia3_mac
@@ -31,58 +32,27 @@ STATUS_BAD_REQUEST = 1
 STATUS_BAD_OP = 2
 
 
-class ZucRequest:
-    """The 64 B request/response header (paper: key + IV + metadata)."""
+#: The header as ``_HEADER.unpack_from`` reads it (paper: key + IV +
+#: metadata); a field read is a C-level item get.
+ZucHeader = record("ZucHeader", "version op bearer direction count "
+                   "length_bits request_id key iv mac status")
 
-    __slots__ = ("version", "op", "bearer", "direction", "count",
-                 "length_bits", "request_id", "key", "iv", "mac", "status")
-
-    def __init__(self, op: int, key: bytes, count: int = 0, bearer: int = 0,
-                 direction: int = 0, length_bits: int = 0,
-                 request_id: int = 0, iv: bytes = bytes(16), mac: int = 0,
-                 status: int = STATUS_OK, version: int = 1):
-        self.version = version
-        self.op = op
-        self.bearer = bearer
-        self.direction = direction
-        self.count = count
-        self.length_bits = length_bits
-        self.request_id = request_id
-        self.key = key
-        self.iv = iv
-        self.mac = mac
-        self.status = status
-
-    def pack(self) -> bytes:
-        return _HEADER.pack(
-            self.version, self.op, self.bearer, self.direction, self.count,
-            self.length_bits, self.request_id, self.key, self.iv, self.mac,
-            self.status,
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "ZucRequest":
-        if len(data) < HEADER_SIZE:
-            raise ValueError("truncated ZUC request header")
-        (version, op, bearer, direction, count, length_bits, request_id,
-         key, iv, mac, status) = _HEADER.unpack_from(data)
-        return cls(op, key, count, bearer, direction, length_bits,
-                   request_id, iv, mac, status, version)
+_ZERO16 = bytes(16)     # an all-zero key or IV field
 
 
 def make_request(op: int, key: bytes, payload: bytes, count: int = 0,
                  bearer: int = 0, direction: int = 0,
                  request_id: int = 0) -> bytes:
     """A complete request message: header + payload."""
-    header = ZucRequest(op, key, count, bearer, direction,
-                        length_bits=len(payload) * 8, request_id=request_id)
-    return header.pack() + payload
+    return _HEADER.pack(1, op, bearer, direction, count, len(payload) * 8,
+                        request_id, key, _ZERO16, 0, STATUS_OK) + payload
 
 
 def parse_response(message: bytes):
-    """(header, payload) of a response message."""
-    header = ZucRequest.unpack(message)
-    return header, message[HEADER_SIZE:]
+    """(header, payload) of a response message, the header a
+    :data:`ZucHeader`; ``struct.error`` if it is shorter than one."""
+    return (ZucHeader(_HEADER.unpack_from(message)),
+            message[HEADER_SIZE:])
 
 
 class ZucAccelerator(Accelerator):
@@ -110,28 +80,26 @@ class ZucAccelerator(Accelerator):
     def process(self, data: bytes, meta: AxisMetadata) -> Iterable[Output]:
         reply_queue = self.queue_map.get(meta.src_qpn, self.tx_queue)
         try:
-            request = ZucRequest.unpack(data)
-        except ValueError:
+            (version, op, bearer, direction, count, length_bits, request_id,
+             key, iv, mac, _status) = _HEADER.unpack_from(data)
+        except struct.error:
             self.stats_bad_requests += 1
-            error = ZucRequest(OP_EEA3, bytes(16), status=STATUS_BAD_REQUEST)
-            yield error.pack(), self.reply_meta(meta, reply_queue)
+            yield (_HEADER.pack(1, OP_EEA3, 0, 0, 0, 0, 0, _ZERO16, _ZERO16,
+                                0, STATUS_BAD_REQUEST),
+                   self.reply_meta(meta, reply_queue))
             return
         payload = data[HEADER_SIZE:]
-        if request.op == OP_EEA3:
-            nbits = min(request.length_bits, len(payload) * 8)
-            result = eea3_encrypt(request.key, request.count,
-                                  request.bearer, request.direction,
-                                  payload, nbits=nbits)
-            request.status = STATUS_OK
-            yield request.pack() + result, self.reply_meta(meta, reply_queue)
-        elif request.op == OP_EIA3:
-            nbits = min(request.length_bits, len(payload) * 8)
-            request.mac = eia3_mac(request.key, request.count,
-                                   request.bearer, request.direction,
-                                   payload, nbits=nbits)
-            request.status = STATUS_OK
-            yield request.pack(), self.reply_meta(meta, reply_queue)
+        nbits = min(length_bits, len(payload) * 8)
+        result = b""
+        status = STATUS_OK
+        if op == OP_EEA3:
+            result = eea3_encrypt(key, count, bearer, direction, payload,
+                                  nbits=nbits)
+        elif op == OP_EIA3:
+            mac = eia3_mac(key, count, bearer, direction, payload, nbits=nbits)
         else:
             self.stats_bad_requests += 1
-            request.status = STATUS_BAD_OP
-            yield request.pack(), self.reply_meta(meta, reply_queue)
+            status = STATUS_BAD_OP
+        yield (_HEADER.pack(version, op, bearer, direction, count,
+                            length_bits, request_id, key, iv, mac, status)
+               + result, self.reply_meta(meta, reply_queue))

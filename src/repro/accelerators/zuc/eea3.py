@@ -39,19 +39,20 @@ def eea3_encrypt(key: bytes, count: int, bearer: int, direction: int,
     ``nbits`` defaults to the full byte length; when given, trailing bits
     beyond ``nbits`` are zeroed per the specification.
     """
+    size = len(message)
     if nbits is None:
-        nbits = len(message) * 8
-    if nbits > len(message) * 8:
+        nbits = size * 8
+    elif nbits > size * 8:
         raise ValueError("nbits exceeds the message length")
     keystream = eea3_keystream(key, count, bearer, direction, nbits)
     # One XOR over the ceil(nbits / 8) bytes the bit length covers (the
     # keystream is at least that long), the bits past nbits in the last
     # of them zeroed, whole bytes beyond it returned as zeros.
     nbytes = -(-nbits // 8)
-    out = (int.from_bytes(message[:nbytes], "big")
-           ^ int.from_bytes(keystream[:nbytes], "big"))
-    out &= -1 << (-nbits % 8)
-    return out.to_bytes(nbytes, "big") + bytes(len(message) - nbytes)
+    out = ((int.from_bytes(message[:nbytes], "big")
+            ^ int.from_bytes(keystream[:nbytes], "big"))
+           & -1 << (-nbits % 8)).to_bytes(nbytes, "big")
+    return out if nbytes == size else out + bytes(size - nbytes)
 
 
 eea3_decrypt = eea3_encrypt  # stream cipher: same operation

@@ -793,8 +793,8 @@ class _SqFlatPipeline:
     def _drain(self, fetched: Optional[bytes] = None) -> None:
         """Queue WQEs up to the PI on the window, launching each one's
         data DMA, until paused on a ring fetch or a full window; drained,
-        the stage is idle (``sq.fetch``), or ends the tx stage if the
-        queue was destroyed.  ``fetched`` is a landed ring fetch, whose
+        the stage is idle (``sq.fetch``), or flushes (:meth:`_flush`) if
+        the queue was destroyed.  ``fetched`` is a landed ring fetch, whose
         first WQE's index (``sq.ci``) was taken when the fetch was
         issued."""
         nic = self.nic
@@ -805,6 +805,9 @@ class _SqFlatPipeline:
             index, burst, fetch_started = self._fetch_pend
             self._fetch_pend = None
             nic._wqes_fetched(sq, batch, index, burst, fetched, fetch_started)
+            if sq.destroyed:
+                self._flush(index)
+                return
             wqe = batch.pop(index)
         while True:
             if wqe is not None:
@@ -823,8 +826,7 @@ class _SqFlatPipeline:
             index = sq.ci
             if index >= sq.pi:
                 if sq.destroyed:
-                    # Propagate teardown to the tx stage.
-                    self.window.put(_POISON)
+                    self._flush(index)
                 else:
                     sq.fetch = self._drain
                 return
@@ -844,7 +846,24 @@ class _SqFlatPipeline:
                 return
 
     def _put_admitted(self, _item) -> None:
-        self._drain()
+        if self.sq.destroyed:
+            self._flush(self.sq.ci)
+        else:
+            self._drain()
+
+    def _flush(self, first: int) -> None:
+        """End a destroyed queue's stages: each WQE from index ``first``
+        to the PI was never queued and is flushed once, fetched or not,
+        its data unread and its stashed context dropped; the tx stage
+        ends behind the queued ones."""
+        sq, nic = self.sq, self.nic
+        sq.stats_flushed += sq.pi - first
+        if nic._spans.enabled:
+            for i in range(first, sq.pi):
+                nic._spans.claim(("wqe", nic.name, sq.qpn, i))
+        sq.ci = sq.pi
+        self._wqe_batch.clear()
+        self.window.put(_POISON)
 
     # -- transmit stage ------------------------------------------------
 

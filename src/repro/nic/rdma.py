@@ -310,17 +310,16 @@ class RdmaEngine:
         """
         if qp.state != RcQp.READY:
             raise RdmaError(f"QP {qp.qpn} not connected")
-        chunks = [data[i:i + self.mtu] for i in range(0, len(data), self.mtu)]
-        if not chunks:
-            chunks = [b""]
+        length = len(data)
+        final = (length - 1) // self.mtu if length else 0   # last index
         ctx = wqe.trace_ctx if wqe is not None else None
         rdma_span = (None if ctx is None else
                      self._spans.enter(ctx, "rdma", self.sim._now))
-        self._send_segment((0, len(chunks) - 1, chunks, qp, wqe, len(data),
+        self._send_segment((0, final, data, qp, wqe, length,
                             remote_addr, rkey, rdma_span, on_done))
 
     def _send_segment(self, state) -> None:
-        (index, final, chunks, qp, wqe, length, remote_addr, rkey, rdma_span,
+        (index, final, data, qp, wqe, length, remote_addr, rkey, rdma_span,
          on_done) = state
         if qp.qpn not in self.qps:
             # The QP was destroyed mid-message: nothing more of it leaves.
@@ -331,7 +330,8 @@ class RdmaEngine:
             return
         last = index == final
         frame = self._build_frame(
-            qp, chunks[index], index == 0, last, wqe,
+            qp, data[index * self.mtu:(index + 1) * self.mtu], index == 0,
+            last, wqe,
             is_write=wqe is not None and wqe.opcode == OP_RDMA_WRITE,
             remote_addr=remote_addr, rkey=rkey, total_length=length,
         )
@@ -558,15 +558,19 @@ class RdmaEngine:
         self._egress_frame(qp, packet)
 
     def _handle_ack(self, qp: RcQp, acked_psn: int) -> None:
+        """A cumulative ACK: count the acked prefix of the outstanding
+        segments (a signed 24-bit PSN window), then pop it."""
         self.stats_acks_received += 1
-        while qp.outstanding:
-            psn = next(iter(qp.outstanding))
-            # Handle 24-bit wraparound with a signed window comparison.
-            delta = (acked_psn - psn) & 0xFFFFFF
-            if delta >= (1 << 23):
-                break  # psn is after acked_psn
-            segment = qp.outstanding.pop(psn)
+        outstanding = qp.outstanding
+        acked = 0
+        for psn in outstanding:
+            if (acked_psn - psn) & 0xFFFFFF >= 0x800000:
+                break   # psn is after acked_psn
+            acked += 1
+        if acked:
             qp.consecutive_retries = 0  # the wire is moving again
+        for _ in range(acked):
+            segment = outstanding.popitem(False)[1]
             if segment.span_id is not None:
                 self._spans.exit(segment.span_id, self.sim._now)
             if segment.is_last and segment.wqe is not None:

@@ -65,25 +65,25 @@ RX_DESC = struct.Struct("!QII")
 CQE = struct.Struct("!BBHIIIIHBB40x")
 
 
-def _record(name: str, fields: str) -> type:
+def record(name: str, fields: str) -> type:
     """A tuple type naming a record's fields as ``unpack_from`` reads
-    them off the landed bytes, then its write's side band: the trace
-    context and, on a CQE, the NIC's layout of a frame read back
-    unchanged.  Reading a field is a C-level item get, and
+    them off its bytes, then any side band (a descriptor's: its write's
+    trace context and, on a CQE, the NIC's layout of a frame read back
+    unchanged).  Reading a field is a C-level item get, and
     ``Record(fields + (ctx, ...))`` runs no Python code."""
-    namespace = {"__slots__": (), "__doc__": _record.__doc__}
+    namespace = {"__slots__": (), "__doc__": record.__doc__}
     for i, field in enumerate(fields.split()):
         namespace[field] = property(itemgetter(i))
     return type(name, (tuple,), namespace)
 
 
-TxWqeRecord = _record("TxWqeRecord", "opcode flags wqe_index qpn "
-                      "buffer_addr byte_count lkey context_id ack_req "
-                      "remote_addr rkey mss trace_ctx")
+TxWqeRecord = record("TxWqeRecord", "opcode flags wqe_index qpn "
+                     "buffer_addr byte_count lkey context_id ack_req "
+                     "remote_addr rkey mss trace_ctx")
 TxWqeRecord.ack_req = property(lambda wqe: bool(wqe[8]))   # as the codec
-CqeRecord = _record("CqeRecord", "opcode flags wqe_counter qpn byte_count "
-                    "rss_hash flow_tag stride_index owner syndrome "
-                    "trace_ctx layout")
+CqeRecord = record("CqeRecord", "opcode flags wqe_counter qpn byte_count "
+                   "rss_hash flow_tag stride_index owner syndrome "
+                   "trace_ctx layout")
 
 
 class TxWqe:

@@ -134,12 +134,11 @@ class FldRZucCryptodev(Cryptodev):
     def submit(self, op: CryptoOp) -> None:
         op.submitted_at = self.sim._now
         self.stats_submitted += 1
-        wire_op = OP_EEA3 if op.kind == CryptoOp.CIPHER else OP_EIA3
+        request_id = op.op_id & 0xFFFFFFFF
         message = make_request(
-            wire_op, op.key, op.payload, op.count, op.bearer,
-            op.direction, request_id=op.op_id & 0xFFFFFFFF,
-        )
-        self._inflight[op.op_id & 0xFFFFFFFF] = op
+            OP_EEA3 if op.kind == CryptoOp.CIPHER else OP_EIA3, op.key,
+            op.payload, op.count, op.bearer, op.direction, request_id)
+        self._inflight[request_id] = op
         self.connection.post(message)
 
     def _on_response(self, item) -> None:

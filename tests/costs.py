@@ -21,14 +21,16 @@ from fnmatch import fnmatchcase
 from functools import lru_cache, partial
 from pathlib import Path
 
+from repro.accelerators.zuc import eea3_encrypt
 from repro.core import AxisMetadata
 from repro.experiments.setups import (cpu_echo_remote, flde_echo_local,
-                                     flde_echo_remote, fldr_echo)
+                                     flde_echo_remote, fldr_echo, zuc_service)
 from repro.host import LoadGenerator
 from repro.net import Flow
 from repro.net.parse import parse_frame
 from repro.nic import EthernetPort
 from repro.sim import Event, Process, Simulator
+from repro.sw import CryptoOp, FldRZucCryptodev
 from repro.telemetry import Telemetry
 from repro.testbed import HOST_MEM_BASE, make_local_node
 
@@ -228,6 +230,32 @@ def fldr_requests(profile):
     assert setup.client.nic.rdma.stats_retransmits == 0
 
 
+def zuc_requests(profile):
+    random.seed(7)
+    sim = Simulator()
+    dev = FldRZucCryptodev(sim, zuc_service(sim).connection)
+    key = bytes(range(16))
+
+    def burst(ops):
+        def drive():
+            for op in ops:
+                dev.submit(op)
+            for _ in ops:
+                yield dev.completions.get()
+        sim.spawn(drive())
+        sim.run()
+
+    def cipher(count):
+        return [CryptoOp(CryptoOp.CIPHER, key, bytes([i]) * 512, count=i)
+                for i in range(count)]
+
+    burst(cipher(16))   # QP frame heads, routes, the cipher's tables
+    ops = cipher(REQUESTS)
+    profile.runcall(burst, ops)
+    assert all(op.result == eea3_encrypt(key, op.count, 0, 0, op.payload)
+               for op in ops)
+
+
 def in_bursts(profile, per_frame, settle=None, src=PEER_MAC, dst=MAC,
               settle_profiled=True):
     """Hand 128 64 B frames to ``per_frame``, ``settle()`` every 16; the
@@ -317,13 +345,14 @@ def fabric(issue):
 BURSTS = {
     # 64 B FLD-E echoes paced (untraced or every packet traced) or in a
     # window-1 closed loop; 64 B CPU (testpmd) echoes paced; 512 B FLD-R
-    # echo requests.
+    # echo requests and 512 B cryptodev cipher requests.
     "echo": (paced_echo, FRAMES),
     "echo-spans": (lambda profile: paced_echo(profile, spans=True), FRAMES),
     "cpu-echo": (partial(paced_echo, rate=CPU_RATE_PPS,
                          setup=partial(cpu_echo_remote, jitter=False)), FRAMES),
     "closed-loop": (closed_loop, TRIPS),
     "fldr": (fldr_requests, REQUESTS),
+    "zuc": (zuc_requests, REQUESTS),
     # 64 B frames on a local node: MMIO WQE doorbells to the wire, the wire
     # to a host queue's CQE (or its inbox), the echo accelerator.
     "nic-send": (nic_send, 7 * BURST),
@@ -468,15 +497,26 @@ GATES = (
           (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 14_505),
     # An RC segment is its bytes: no net/roce.py frame, one BTH read per
     # segment received (a data segment each way and an ACK for each).  A
-    # one-segment message is one _send_segment pass, which calls on_done.
-    # A multi-TLP write or read is sized by arithmetic: no chunk list, and
+    # message is sliced a segment at a time (no chunk list), and a
+    # one-segment one is one _send_segment pass, which calls on_done.  A
+    # multi-TLP write or read is sized by arithmetic: no chunk list, and
     # a write train finds its route without a frame.
-    ("fldr", "fldr", "request", None, 481,
+    ("fldr", "fldr", "request", None, 467,
          ("net/roce.py:*", "pcie/tlp.py:split_write_bytes|completion_chunks",
           ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",))),
          (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4),
           ("nic/rdma.py:_send_segment", "==", 2)),
-         16_760),
+         16_720),
+    # A cipher request pays for its bytes: the header is packed and
+    # unpacked once a side, the keystream is one kernel pass (the
+    # constructor runs no round), and a one-segment message reaches the
+    # units without the front end's assembly dict.  No ops bound: a
+    # request's ops are the cipher's.
+    ("zuc", "zuc", "request", None, 508,
+         (("~:<method 'setdefault' of 'dict' objects>|"
+           "<method 'join' of 'bytes' objects>",
+           ("accelerators/base.py:_reassemble",)),),
+         (("accelerators/zuc/zuc_core.py:_clock", "==", 1),)),
     # The same for RC segments: each crosses its eSwitch in one forward.
     ("fldr.steering", "fldr", "request", STEERING, None,
          ("nic/steering.py:*",),

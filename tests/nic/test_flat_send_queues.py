@@ -154,6 +154,29 @@ class TestTeardownMidWqe:
         assert cep.qp.sq.destroyed and not cep.qp.outstanding
         assert testbed.quiesce() == []
 
+    def test_destroying_an_rc_qp_during_a_ring_fetch(self):
+        """Every WQE posted behind an in-flight ring read is flushed once,
+        and the contexts stashed for the unfetched ones are dropped."""
+        telemetry = Telemetry(trace=False, spans=True)
+        sim = Simulator(telemetry=telemetry)
+        testbed, client, _server, cep, _sep = rc_pair(sim)
+        sim.run(until=1e-5)
+        sq = cep.qp.sq
+        pipe = client.nic._tx_flat[sq.qpn]
+        for i in range(24):
+            cep.post_send(b"never leaves",
+                          trace_ctx=telemetry.spans.start_trace(i, sim.now))
+        while not (pipe._fetch_pend is not None and sq.pi == 24):
+            sim.run(until=sim.now + 1e-9)
+        cep.close()
+        sim.run(until=0.05)
+        assert sq.stats_flushed == 24 and sq.stats_wqes == 0
+        assert sq.stats_wqe_fetches == 1 and sq.ci == sq.pi == 24
+        assert cep.qp.stats_sent_segments == 0
+        assert telemetry.spans.pending_stashes() == []
+        assert testbed.quiesce() == []
+        assert audit_spans(telemetry.spans, expect_complete=False) == []
+
     def test_destroying_a_metered_sq_mid_pause(self):
         telemetry = Telemetry(trace=False, profile=True)
         sim = Simulator(telemetry=telemetry)
@@ -189,9 +212,11 @@ class TestDoorbellRegister:
     """A doorbell is the SQ's PI register: it drains an idle fetch stage
     at once, and a paused stage reads it again when it resumes."""
 
-    def host_queue(self):
+    def host_queue(self, dma_window=None):
         sim = Simulator()
         node = make_local_node(sim)
+        if dma_window is not None:
+            node.nic.config.dma_window = dma_window
         node.add_vport_for_mac(2, CLIENT_MAC)
         peer = EthernetPort(sim, "peer")
         node.nic.port.connect(peer)
@@ -237,13 +262,50 @@ class TestDoorbellRegister:
         assert self.ended(pipe) and qp.sq.fetch is None
 
     def test_destroy_ends_a_paused_tx_stage(self):
-        sim, nic, qp, pipe, _wire = self.host_queue()
+        sim, nic, qp, pipe, wire = self.host_queue()
         self.send(qp, 1)
         self.until(sim, lambda: pipe._fetch_pend is not None)
         nic.destroy_sq(qp.sq)
         assert not self.ended(pipe)      # ends once the fetch lands
         sim.run()
         assert self.ended(pipe) and qp.sq.fetch is None
+        # The fetched WQE is flushed: its data is never read, nothing
+        # reaches the wire, and the tx stage took one poison.
+        assert wire == [] and qp.sq.stats_flushed == 1
+        assert qp.sq.stats_wqes == 0 and not pipe._wqe_batch
+
+    def test_destroy_flushes_what_a_full_window_kept_out(self):
+        sim, nic, qp, pipe, wire = self.host_queue(dma_window=8)
+        sq = qp.sq
+        for tag in range(24):
+            self.send(qp, tag)
+        self.until(sim, lambda: pipe.window._putters and sq.pi == 24)
+        queued = sq.ci                   # the window's and the parked one
+        fetched = len(pipe._wqe_batch)
+        assert fetched and queued + fetched < 24     # some never fetched
+        nic.destroy_sq(sq)
+        sim.run()
+        # What the window held and the parked WQE leave; the rest of
+        # the fetched batch and every WQE no fetch reached are flushed,
+        # each once, and the tx stage ends.
+        assert [packet.raw[-1] for packet in wire] == list(range(queued))
+        assert sq.stats_flushed == 24 - queued and self.ended(pipe)
+        assert sq.ci == sq.pi == 24
+
+    def test_destroy_flushes_the_wqes_no_ring_fetch_reached(self):
+        sim, nic, qp, pipe, wire = self.host_queue()
+        sq = qp.sq
+        for tag in range(24):            # more than one fetch batch
+            self.send(qp, tag)
+        self.until(sim, lambda: pipe._fetch_pend is not None
+                   and sq.pi == 24)
+        nic.destroy_sq(sq)
+        sim.run()
+        # One WQE was in flight on the ring read: it and the 23 posted
+        # behind it are flushed, none read or sent.
+        assert sq.stats_wqe_fetches == 1 and wire == []
+        assert sq.stats_flushed == 24 and sq.stats_wqes == 0
+        assert sq.ci == sq.pi == 24 and self.ended(pipe)
 
     def test_destroy_before_the_stage_starts_ends_it(self):
         sim, nic, qp, pipe, _wire = self.host_queue()

@@ -13,6 +13,7 @@ regenerates it from a checkout that has this file:
 import hashlib
 import json
 import random
+import subprocess
 from pathlib import Path
 
 from repro.scenario import run
@@ -68,13 +69,46 @@ def test_latency_echo_exports_equal_the_pinned_ones():
             "store.server.fld.rx_stream.wait"} <= set(got["histograms"])
 
 
+def source_revision(root=Path(__file__).resolve().parents[2]) -> str:
+    """The commit ``root``'s ``src/`` is at, marked when ``src/`` has
+    uncommitted changes: a fixture written from such a tree pins code
+    that no commit holds."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    commit = git("rev-parse", "HEAD")
+    if git("status", "--porcelain", "--", "src"):
+        return f"{commit} plus uncommitted changes to src/"
+    return commit
+
+
+def test_a_tree_with_uncommitted_source_is_marked(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args], cwd=tmp_path,
+                       capture_output=True, check=True)
+    source = tmp_path / "src" / "module.py"
+    source.parent.mkdir()
+    source.write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "source")
+    commit = source_revision(tmp_path)
+    assert len(commit) == 40
+    (tmp_path / "notes.txt").write_text("outside src/")
+    assert source_revision(tmp_path) == commit
+    source.write_text("x = 2\n")
+    assert source_revision(tmp_path) == \
+        f"{commit} plus uncommitted changes to src/"
+    source.write_text("x = 1\n")
+    (source.parent / "new.py").write_text("")
+    assert source_revision(tmp_path) != commit
+
+
 if __name__ == "__main__":
-    import subprocess
-    commit = subprocess.run(
-        ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-        check=True).stdout.strip()
     document = {"generated": f"by tests/telemetry/test_span_exports.py "
-                             f"export() against src/ at commit {commit}"}
+                             f"export() against src/ at commit "
+                             f"{source_revision()}"}
     document.update(export())
     FIXTURE.write_text(json.dumps(document, indent=1) + "\n",
                        encoding="utf-8")
