@@ -26,20 +26,13 @@ class RdmaEchoAccelerator(Accelerator):
     """FLD-R echo: send each received message back on the reply queue.
 
     Messages may arrive as multiple interleaved segments (the shared
-    MPRQ delivers per-packet completions, §6); the echo reassembles per
-    context before replying.
+    MPRQ delivers per-packet completions, §6); the front end reassembles
+    them, so each unit echoes whole messages, in the order their last
+    segments arrived.
     """
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._assembly = {}
+        super().__init__(*args, reassemble=True, **kwargs)
 
     def process(self, data: bytes, meta: AxisMetadata) -> Iterable[Output]:
-        key = (meta.queue_id, meta.src_qpn, meta.context_id)
-        parts = self._assembly.setdefault(key, [])
-        parts.append(data)
-        if not meta.msg_last:
-            return
-        message = b"".join(parts)
-        del self._assembly[key]
-        yield message, self.reply_meta(meta)
+        yield data, self.reply_meta(meta)

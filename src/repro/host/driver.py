@@ -32,10 +32,10 @@ from ..nic import (
     WQE_MMIO_STRIDE,
     WQE_SIZE,
 )
-from ..nic.device import DOORBELL_STRIDE, _POISON
+from ..nic.device import DOORBELL_STRIDE
 from ..nic.wqe import CQE, CQE_ERROR, RX_DESC, TX_WQE, CqeRecord
 from ..pcie import POSTED
-from ..sim import Event, PollWait, Pump, Simulator, Store
+from ..sim import Event, PollWait, Simulator, Store
 from ..sim.resources import DELIVERY
 from .cpu import CpuCore, HostCpuPort
 from .memory import BumpAllocator, HostMemory
@@ -52,7 +52,140 @@ class QueueFullError(RuntimeError):
     """Raised when a send queue has no free slots."""
 
 
-class EthQueuePair:
+class _HostQueue:
+    """What a host queue pair and an RC endpoint share: the host memory
+    they take (rings and buffers, returned on :meth:`close`), their
+    receive buffers, and the one receive dispatcher of a host queue.
+
+    The dispatcher is a serial per-queue loop over the receive CQ: a
+    CQE is picked up once it has landed and the previous one is done,
+    and the queue's core works ``packet_cost()`` seconds on it (none
+    without a core).  The NIC hands each receive CQE's in-flight write
+    handle to :meth:`_rx_fused` at issue, which plans the CQE's done
+    instant and schedules ONE event for it: PCIe delivery and the core's
+    work fold into it.  At done, :meth:`_rx_fused_fire` lands the CQE
+    and runs the subclass's receive body, ``_receive(handle)``.
+    """
+
+    def __init__(self, driver: "SoftwareDriver", buffer_size: int, core):
+        self.driver = driver
+        self.sim = driver.sim
+        self.buffer_size = buffer_size
+        # The core servicing this queue's receive path (None: no cost).
+        self.core = core
+        self._allocs: List[tuple] = []
+        self._closed = False
+        self._rx_buffers: Dict[int, int] = {}
+        self._pi = 0
+        self._spans = self.sim.telemetry.spans
+        self._fused_planned = 0.0   # planned end of the dispatch chain
+        self._fused_done = 0.0      # actual end (>= planned under repair)
+        self._fused_queue = deque()
+
+    def _take(self, size: int) -> int:
+        """Allocate host memory, remembered for release on close()."""
+        addr = self.driver.allocator.alloc(size)
+        self._allocs.append((addr, size))
+        return addr
+
+    def close(self) -> None:
+        """Destroy the queues through the command unit and return every
+        host ring and buffer to the driver allocator.  A CQE still in
+        flight lands for no consumer, and the trace contexts stashed for
+        WQEs whose doorbells the NIC never took are dropped."""
+        if self._closed:
+            return
+        self._closed = True
+        self._destroy(self.driver.nic.cmd)
+        for entry in self._fused_queue:
+            entry[2] = True
+            entry[0].retire()
+        self._fused_queue.clear()
+        spans = self._spans
+        if spans.enabled:
+            name, sq = self.driver.nic.name, self.sq
+            for index in range(sq.pi, self._pi):
+                spans.claim(("wqe", name, sq.qpn, index))
+        alloc = self.driver.allocator
+        for addr, size in self._allocs:
+            alloc.free(addr, size)
+        self._allocs.clear()
+
+    def post_rx_buffers(self, count: int) -> None:
+        driver = self.driver
+        rq = self.rq
+        for _ in range(count):
+            index = rq.pi
+            buffer_addr = self._take(self.buffer_size)
+            self._rx_buffers[index % rq.entries] = buffer_addr
+            driver.memory.write_local(
+                rq.slot_addr(index) - driver.mem_base,
+                RX_DESC.pack(buffer_addr, self.buffer_size, 0))
+            rq.post(1)
+
+    def _rx_fused(self, handle) -> None:
+        """NIC-side CQE issue: plan this CQE's dispatch completion.
+
+        The processing cost is drawn here — CQEs arrive (and are
+        consumed) in issue order on the host's down lane, so this is
+        the per-queue draw order of a serial dispatcher.
+        """
+        core = self.core
+        cost = 0.0 if core is None else core.packet_cost()
+        arrival = handle[0][DELIVERY]
+        planned = self._fused_planned
+        planned = (planned if planned > arrival else arrival) + cost
+        self._fused_planned = planned
+        # [handle, cost, committed, fired_early]
+        entry = [handle, cost, False, False]
+        self._fused_queue.append(entry)
+        sim = self.sim
+        sim.call_later(planned - sim._now, self._rx_fused_fire, entry)
+
+    def _rx_fused_fire(self, entry) -> None:
+        """The per-CQE dispatch event: delivery + processing done.
+
+        Lands the CQE and runs the receive body, then re-drives each
+        successor whose event fired early and bailed, in order, until
+        one is not done yet: that one fires again when it is.
+        """
+        if entry[2]:
+            return
+        queue = self._fused_queue
+        if queue[0] is not entry:
+            # A lane repair pushed an earlier CQE past our planned
+            # time; the head's commit re-drives us in order.
+            entry[3] = True
+            return
+        sim = self.sim
+        spans = self._spans
+        while True:
+            handle = entry[0]
+            # The serial dispatcher picks a CQE up once it has landed
+            # and the previous one is done.
+            started = self._fused_done
+            arrival = handle[0][DELIVERY]
+            if arrival > started:
+                started = arrival
+            now = sim._now
+            done = started + entry[1]
+            if done > now:
+                sim.call_later(done - now, self._rx_fused_fire, entry)
+                return
+            entry[2] = True
+            queue.popleft()
+            ctx = handle.trace_ctx
+            if ctx is not None:
+                spans.record(ctx, "host.rx", started, now)
+            self._fused_done = now
+            handle.commit()
+            self._receive(handle)
+            if not queue or not queue[0][3]:
+                return
+            entry = queue[0]
+
+
+class EthQueuePair(_HostQueue):
     """A raw Ethernet send/receive queue pair over host-memory rings."""
 
     def __init__(self, driver: "SoftwareDriver", vport: int,
@@ -60,22 +193,17 @@ class EthQueuePair:
                  buffer_size: int = 2048, use_mmio_wqe: bool = False,
                  signal_interval: int = 16, core=None,
                  register_default: bool = True):
-        self.driver = driver
-        self.sim = driver.sim
-        self.buffer_size = buffer_size
+        # Multi-queue apps (RSS experiments) give each queue its own core.
+        super().__init__(driver, buffer_size,
+                         core if core is not None else driver.core)
         self.use_mmio_wqe = use_mmio_wqe
-        # The core servicing this queue's receive path; multi-queue apps
-        # (RSS experiments) give each queue its own core.
-        self.core = core if core is not None else driver.core
         # Selective completion signalling (§6): request a CQE only every
         # N WQEs; one completion retires the whole preceding batch.
         self.signal_interval = signal_interval
         self._tx_completed = 0
         self._tx_waiters: List[tuple] = []   # parked (slots, PollWait)
-        self._allocs: List[tuple] = []
         self._vport = vport
         self._registered_default = register_default
-        self._closed = False
         cmd = driver.nic.cmd
 
         self.tx_cq = cmd.alloc_cq(self._take(sq_entries * 64), sq_entries)
@@ -92,65 +220,26 @@ class EthQueuePair:
         # Transmit buffers: one slot per WQE (DPDK-style worst case).
         self._tx_buffers = [self._take(buffer_size)
                             for _ in range(sq_entries)]
-        self._rx_buffers: Dict[int, int] = {}
         self.on_receive: Optional[Callable[[bytes, CqeRecord], None]] = None
         self.received = Store(self.sim, name="ethqp.rx")
-        self._pi = 0
         self.stats_tx = 0
         self.stats_rx = 0
-        self._spans = self.sim.telemetry.spans
-        # Events this queue pair schedules directly (fused rx dispatch)
-        # attribute to the rx profiler stage.
+        # The receive dispatcher's events attribute to the rx profiler
+        # stage.
         self.profile_tag = f"ethqp{self.sq.qpn}.rx"
-        # Fused receive dispatch: a queue served by a core has the NIC
-        # hand each rx CQE's in-flight write handle straight to
-        # _rx_fused, which folds PCIe delivery and the core's
-        # per-packet processing delay into ONE event per packet — the
-        # timing is a serial dispatcher's, starting each packet at
-        # max(cqe_arrival, previous_done) and working packet_cost()
-        # seconds.  A coreless queue (zero processing time) has nothing
-        # to fold: its CQEs come through the notify store, like the
-        # send completions (pure bookkeeping) of either kind.
-        if self.core is not None:
-            self.rx_cq.fused_rx = self._rx_fused
-        else:
-            Pump(self.sim, self.rx_cq.notify, self._receive,
-                 self.profile_tag, stop=_POISON)
-        Pump(self.sim, self.tx_cq.notify, self._retire,
-             f"ethqp{self.sq.qpn}.txc", stop=_POISON)
-        self._fused_planned = 0.0   # planned end of the dispatch chain
-        self._fused_done = 0.0      # actual end (>= planned under repair)
-        self._fused_queue = deque()
+        self.rx_cq.fused_rx = self._rx_fused
+        self.tx_cq.on_cqe = self._retire
 
-    def _take(self, size: int) -> int:
-        """Allocate host memory, remembered for release on close()."""
-        addr = self.driver.allocator.alloc(size)
-        self._allocs.append((addr, size))
-        return addr
-
-    def close(self) -> None:
-        """Destroy the queue pair through the command unit.
-
-        Releases the NIC objects (default route, RQ, SQ, both CQs) and
-        returns every host ring and buffer to the driver allocator.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        cmd = self.driver.nic.cmd
+    def _destroy(self, cmd) -> None:
+        # The default route, the RQ, the SQ and both CQs.
         if self._registered_default:
             cmd.clear_default_queue(self._vport)
         cmd.destroy(self.rq)
         cmd.destroy(self.sq)
         cmd.destroy(self.rx_cq)
         cmd.destroy(self.tx_cq)
-        alloc = self.driver.allocator
-        for addr, size in self._allocs:
-            alloc.free(addr, size)
-        self._allocs.clear()
 
     # -- transmit ----------------------------------------------------------
-
     def park_for_tx_space(self, func: Callable, arg=None,
                           slots: int = 1) -> None:
         """The SQ is short of ``slots``: run ``func(arg)`` at the poll (a
@@ -224,13 +313,13 @@ class EthQueuePair:
             driver.ring_doorbell(sq.qpn, index + 1, trace_ctx=trace_ctx)
         self.stats_tx += 1
 
-    def _retire(self, landed) -> None:
+    def _retire(self, cqe: bytes, _ctx) -> None:
         # Completions are cumulative under selective signalling: a CQE
         # for index i retires everything up to i (16-bit wrap aware).
-        data, ctx, _frame = landed
-        cqe = CqeRecord(CQE.unpack_from(data) + (ctx, None))
+        if self._closed:
+            return
         base = self._tx_completed & ~0xFFFF
-        completed = base | cqe.wqe_counter
+        completed = base | CQE.unpack_from(cqe)[2]   # the WQE counter
         if completed < self._tx_completed:
             completed += 1 << 16
         self._tx_completed = completed = completed + 1
@@ -244,25 +333,13 @@ class EthQueuePair:
 
     # -- receive -----------------------------------------------------------
 
-    def post_rx_buffers(self, count: int) -> None:
-        driver = self.driver
-        for _ in range(count):
-            index = self.rq.pi
-            buffer_addr = self._take(self.buffer_size)
-            self._rx_buffers[index % self.rq.entries] = buffer_addr
-            driver.memory.write_local(
-                self.rq.slot_addr(index) - driver.mem_base,
-                RX_DESC.pack(buffer_addr, self.buffer_size, 0))
-            self.rq.post(1)
-
-    def _receive(self, landed) -> None:
+    def _receive(self, handle) -> None:
         """Hand one completed packet to the application and recycle its
-        buffer at the ring tail.  ``landed`` is the CQE as it arrived:
+        buffer at the ring tail.  ``handle`` is the CQE's landed write:
         its bytes, trace context and frame (the NIC's ``(bytes,
         layout)``, whose layout the record keeps if the frame read back
         is those bytes).  An error CQE only recycles."""
-        cqe_bytes, ctx, frame = landed
-        fields = CQE.unpack_from(cqe_bytes)
+        fields = CQE.unpack_from(handle.data)
         # fields[0] is the opcode, [2] the WQE counter, [4] the length.
         rq = self.rq
         entries = rq.entries
@@ -287,7 +364,9 @@ class EthQueuePair:
         rq.post(1)
         if not received:
             return
-        cqe = CqeRecord(fields + (ctx, frame[1] if frame is not None
+        frame = handle.frame
+        cqe = CqeRecord(fields + (handle.trace_ctx,
+                                  frame[1] if frame is not None
                                   and frame[0] == data else None))
         self.stats_rx += 1
         if self.on_receive is not None:
@@ -295,80 +374,14 @@ class EthQueuePair:
         else:
             self.received.try_put((data, cqe))
 
-    # -- fused receive dispatch (queues served by a core) ------------------
 
-    def _rx_fused(self, handle) -> None:
-        """NIC-side CQE issue: plan this packet's dispatch completion.
-
-        The processing cost is drawn here — CQEs arrive (and are
-        consumed) in issue order on the host's down lane, so this is
-        the per-queue draw order of a serial dispatcher.
-        """
-        cost = self.core.packet_cost()
-        arrival = handle[0][DELIVERY]
-        planned = self._fused_planned
-        planned = (planned if planned > arrival else arrival) + cost
-        self._fused_planned = planned
-        # [handle, cost, committed, fired_early]
-        entry = [handle, cost, False, False]
-        self._fused_queue.append(entry)
-        sim = self.sim
-        sim.call_later(planned - sim._now, self._rx_fused_fire, entry)
-
-    def _rx_fused_fire(self, entry) -> None:
-        """The per-packet dispatch event: delivery + processing done.
-
-        Commits the packet (lands its CQE, delivers it), then re-drives
-        each successor whose event fired early and bailed, in order,
-        until one is not done yet: that one fires again when it is.
-        """
-        if entry[2]:
-            return
-        queue = self._fused_queue
-        if queue[0] is not entry:
-            # A lane repair pushed an earlier packet past our planned
-            # time; the head's commit re-drives us in order.
-            entry[3] = True
-            return
-        sim = self.sim
-        spans = self._spans
-        while True:
-            handle = entry[0]
-            # The serial dispatcher picks a packet up once its CQE has
-            # landed and the previous packet is done.
-            started = self._fused_done
-            arrival = handle[0][DELIVERY]
-            if arrival > started:
-                started = arrival
-            now = sim._now
-            done = started + entry[1]
-            if done > now:
-                sim.call_later(done - now, self._rx_fused_fire, entry)
-                return
-            entry[2] = True
-            queue.popleft()
-            ctx = handle.trace_ctx
-            if ctx is not None:
-                spans.record(ctx, "host.rx", started, now)
-            self._fused_done = now
-            handle.commit()
-            self._receive((handle.data, ctx, handle.frame))
-            if not queue or not queue[0][3]:
-                return
-            entry = queue[0]
-
-
-class RcEndpoint:
+class RcEndpoint(_HostQueue):
     """A host-side RDMA RC endpoint: post_send + message reception."""
 
     def __init__(self, driver: "SoftwareDriver", vport: int,
                  local_mac, local_ip, sq_entries: int = 1024,
                  rq_entries: int = 1024, buffer_size: int = 2048):
-        self.driver = driver
-        self.sim = driver.sim
-        self.buffer_size = buffer_size
-        self._allocs: List[tuple] = []
-        self._closed = False
+        super().__init__(driver, buffer_size, driver.core)
         cmd = driver.nic.cmd
         self.cq = cmd.alloc_cq(self._take(sq_entries * 64), sq_entries)
         self.rx_cq = cmd.alloc_cq(self._take(rq_entries * 64), rq_entries)
@@ -378,66 +391,37 @@ class RcEndpoint:
             self._take(sq_entries * WQE_SIZE), sq_entries, self.cq,
             self.rq, vport, local_mac, local_ip,
         )
+        self.sq = self.qp.sq
         #: Bytes one send or write may carry: its SQ slot's buffer.
         self.tx_buffer_size = max(buffer_size, 16 * 1024)
         self._tx_buffers = [self._take(self.tx_buffer_size)
                             for _ in range(sq_entries)]
-        self._rx_buffers: Dict[int, int] = {}
-        self._pi = 0
         self._send_waiters: Dict[int, Event] = {}
         self.messages = Store(self.sim, name=f"rc{self.qp.qpn}.messages")
         self._assembly: List[bytes] = []
         self.stats_messages_sent = 0
         self.stats_messages_received = 0
-        self._spans = self.sim.telemetry.spans
-        # The per-packet core cost this endpoint schedules attributes
-        # to its rx profiler stage.
+        # The receive dispatcher's events attribute to the rx profiler
+        # stage.
         self.profile_tag = f"rc{self.qp.qpn}.rx"
-        self._rx = Pump(self.sim, self.rx_cq.notify, self._rx_cqe,
-                        self.profile_tag, stop=_POISON)
-        Pump(self.sim, self.cq.notify, self._tx_completion,
-             f"rc{self.qp.qpn}.txc", stop=_POISON)
+        self.rx_cq.fused_rx = self._rx_fused
+        self.cq.on_cqe = self._tx_completion
 
     @property
     def qpn(self) -> int:
         return self.qp.qpn
-
-    def _take(self, size: int) -> int:
-        """Allocate host memory, remembered for release on close()."""
-        addr = self.driver.allocator.alloc(size)
-        self._allocs.append((addr, size))
-        return addr
 
     def connect(self, remote_mac, remote_ip, remote_qpn: int) -> None:
         """Walk the QP to RTS against the remote (verbs state machine)."""
         self.driver.nic.cmd.connect_qp(self.qp, remote_mac, remote_ip,
                                        remote_qpn)
 
-    def close(self) -> None:
-        """Destroy the endpoint's QP, RQ and CQs; free host memory."""
-        if self._closed:
-            return
-        self._closed = True
-        cmd = self.driver.nic.cmd
+    def _destroy(self, cmd) -> None:
+        # The QP, the RQ and both CQs.
         cmd.destroy(self.qp)
         cmd.destroy(self.rq)
         cmd.destroy(self.rx_cq)
         cmd.destroy(self.cq)
-        alloc = self.driver.allocator
-        for addr, size in self._allocs:
-            alloc.free(addr, size)
-        self._allocs.clear()
-
-    def post_rx_buffers(self, count: int) -> None:
-        driver = self.driver
-        for _ in range(count):
-            index = self.rq.pi
-            buffer_addr = self._take(self.buffer_size)
-            self._rx_buffers[index % self.rq.entries] = buffer_addr
-            driver.memory.write_local(
-                self.rq.slot_addr(index) - driver.mem_base,
-                RX_DESC.pack(buffer_addr, self.buffer_size, 0))
-            self.rq.post(1)
 
     def register_mr(self, size: int):
         """Register a host buffer as an RDMA WRITE target.
@@ -458,88 +442,58 @@ class RcEndpoint:
     def post_write(self, data: bytes, remote_addr: int, rkey: int,
                    signaled: bool = True, trace_ctx=None) -> Event:
         """One-sided RDMA WRITE of ``data`` to (remote_addr, rkey)."""
-        if len(data) > self.tx_buffer_size:
-            raise ValueError(f"write of {len(data)} B exceeds buffer "
-                             f"{self.tx_buffer_size} B")
-        index = self._pi
-        self._pi += 1
-        slot = index % self.qp.sq.entries
-        buffer_addr = self._tx_buffers[slot]
-        driver = self.driver
-        driver.memory.write_local(buffer_addr - driver.mem_base, data)
-        flags = WQE_FLAG_SIGNALED if signaled else 0
-        wqe = TX_WQE.pack(OP_RDMA_WRITE, flags, index & 0xFFFF, self.qp.qpn,
-                          buffer_addr, len(data), 0, 0, 1, remote_addr, rkey,
-                          0)
-        if trace_ctx is not None:
-            self._spans.stash(
-                ("wqe", driver.nic.name, self.qp.qpn, index), trace_ctx)
-        driver.memory.write_local(
-            self.qp.sq.slot_addr(index) - driver.mem_base, wqe)
-        driver.ring_doorbell(self.qp.qpn, index + 1, trace_ctx=trace_ctx)
-        done = Event(self.sim)
-        if signaled:
-            self._send_waiters[index & 0xFFFF] = done
-        else:
-            done.succeed()
-        return done
+        return self._post(OP_RDMA_WRITE, data, signaled, trace_ctx,
+                          remote_addr, rkey)
 
     def post_send(self, message: bytes, signaled: bool = True,
                   trace_ctx=None) -> Event:
         """Send a message; the returned event fires on the remote ack."""
-        if len(message) > self.tx_buffer_size:
-            raise ValueError(f"message of {len(message)} B exceeds buffer "
-                             f"{self.tx_buffer_size} B")
+        done = self._post(OP_RDMA_SEND, message, signaled, trace_ctx)
+        self.stats_messages_sent += 1
+        return done
+
+    def _post(self, opcode: int, data: bytes, signaled: bool, trace_ctx,
+              remote_addr: int = 0, rkey: int = 0) -> Event:
+        """Write ``data`` and its WQE to the next SQ slot and ring the
+        doorbell; the returned event fires on the send's completion."""
+        if len(data) > self.tx_buffer_size:
+            raise ValueError(f"{len(data)} B exceeds the send buffer "
+                             f"of {self.tx_buffer_size} B")
+        qpn = self.qp.qpn
         index = self._pi
         self._pi += 1
-        slot = index % self.qp.sq.entries
-        buffer_addr = self._tx_buffers[slot]
+        buffer_addr = self._tx_buffers[index % self.sq.entries]
         driver = self.driver
-        driver.memory.write_local(buffer_addr - driver.mem_base, message)
-        flags = WQE_FLAG_SIGNALED if signaled else 0
-        wqe = TX_WQE.pack(OP_RDMA_SEND, flags, index & 0xFFFF, self.qp.qpn,
-                          buffer_addr, len(message), 0, 0, 1, 0, 0, 0)
+        driver.memory.write_local(buffer_addr - driver.mem_base, data)
+        wqe = TX_WQE.pack(opcode, WQE_FLAG_SIGNALED if signaled else 0,
+                          index & 0xFFFF, qpn, buffer_addr, len(data), 0, 0,
+                          1, remote_addr, rkey, 0)
         if trace_ctx is not None:
-            self._spans.stash(
-                ("wqe", driver.nic.name, self.qp.qpn, index), trace_ctx)
-        driver.memory.write_local(
-            self.qp.sq.slot_addr(index) - driver.mem_base, wqe)
-        driver.ring_doorbell(self.qp.qpn, index + 1, trace_ctx=trace_ctx)
+            self._spans.stash(("wqe", driver.nic.name, qpn, index),
+                              trace_ctx)
+        driver.memory.write_local(self.sq.slot_addr(index) - driver.mem_base,
+                                  wqe)
+        driver.ring_doorbell(qpn, index + 1, trace_ctx=trace_ctx)
         done = Event(self.sim)
         if signaled:
             self._send_waiters[index & 0xFFFF] = done
         else:
             done.succeed()
-        self.stats_messages_sent += 1
         return done
 
-    def _tx_completion(self, landed) -> None:
-        data, ctx, _frame = landed
+    def _tx_completion(self, data: bytes, ctx) -> None:
+        if self._closed:
+            return
         cqe = CqeRecord(CQE.unpack_from(data) + (ctx, None))
         waiter = self._send_waiters.pop(cqe.wqe_counter, None)
         if waiter is not None:
             waiter.succeed(cqe)
 
-    def _rx_cqe(self, landed) -> bool:
-        """One receive CQE (its landed bytes and trace context): a core,
-        when present, works ``packet_cost()`` on it before the next is
-        looked at."""
-        data, ctx, _frame = landed
-        cqe = CqeRecord(CQE.unpack_from(data) + (ctx, None))
-        core = self.driver.core
-        pending = (cqe, self.sim._now)
-        if core is None:
-            self._rx_segment(pending)
-            return True
-        self.sim.call_later(core.packet_cost(), self._rx_worked, pending)
-        return False
-
-    def _rx_worked(self, pending) -> None:
-        self._rx_segment(pending)
-        self._rx.resume()
-
-    def _rx_segment(self, pending) -> None:
-        cqe, started = pending
+    def _receive(self, handle) -> None:
+        """One landed receive CQE: a segment's data is read and its
+        buffer recycled; the last segment of a message completes it."""
+        cqe = CqeRecord(CQE.unpack_from(handle.data)
+                        + (handle.trace_ctx, None))
         if cqe.opcode == CQE_ERROR:     # a segment longer than its buffer
             self._recycle(cqe.wqe_counter)
             return
@@ -549,9 +503,6 @@ class RcEndpoint:
         data = driver.memory.read_local(
             buffer_addr - driver.mem_base, cqe.byte_count
         )
-        if cqe.trace_ctx is not None:
-            self._spans.record(cqe.trace_ctx, "host.rx", started,
-                               self.sim._now)
         self._recycle(cqe.wqe_counter)
         self._assembly.append(data)
         if cqe.flags & CQE_FLAG_MSG_LAST:

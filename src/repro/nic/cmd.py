@@ -223,8 +223,8 @@ class CommandUnit:
     # -- queues ---------------------------------------------------------
 
     @_verb
-    def alloc_cq(self, ring_addr: int, entries: int, notify: bool = True):
-        cq = self.nic.create_cq(ring_addr, entries, notify)
+    def alloc_cq(self, ring_addr: int, entries: int):
+        cq = self.nic.create_cq(ring_addr, entries)
         self.table.insert("cq", cq, label=f"cq{cq.cqn}")
         return cq
 

@@ -150,6 +150,8 @@ class Nic(PcieEndpoint):
         #: Frames longer than their receive buffer (local length errors).
         self.stats_rx_dropped_oversize = 0
         self.stats_meter_drops = 0
+        #: Doorbells and MMIO WQEs for a queue that does not exist.
+        self.stats_dropped_doorbells = 0
         # The tracer and span recorder are guarded by their ``enabled``
         # flags at every use site.
         tele = sim.telemetry
@@ -165,6 +167,7 @@ class Nic(PcieEndpoint):
                 "rx.dropped_inbox": self.stats_rx_dropped_inbox,
                 "rx.dropped_no_desc": self.stats_rx_dropped_no_desc,
                 "meter_drops": self.stats_meter_drops,
+                "dropped_doorbells": self.stats_dropped_doorbells,
             })
             tele.register_probe(f"nic.{name}.rdma", self._rdma_probe)
         fabric.attach(self, link_config)
@@ -187,10 +190,8 @@ class Nic(PcieEndpoint):
     # Control interface (firmware commands)
     # ------------------------------------------------------------------
 
-    def create_cq(self, ring_addr: int, entries: int,
-                  notify: bool = True) -> CompletionQueue:
-        cq = CompletionQueue(self.sim, self._next_cqn, ring_addr, entries,
-                             notify)
+    def create_cq(self, ring_addr: int, entries: int) -> CompletionQueue:
+        cq = CompletionQueue(self.sim, self._next_cqn, ring_addr, entries)
         self.cqs[cq.cqn] = cq
         self._next_cqn += 1
         return cq
@@ -270,9 +271,8 @@ class Nic(PcieEndpoint):
 
     def destroy_cq(self, cq: CompletionQueue) -> None:
         self.cqs.pop(cq.cqn, None)
-        # Unwind any dispatcher blocked on the notify channel.
-        if cq.notify is not None:
-            self._poison(cq.notify)
+        # A CQE still in flight lands in the ring, for no consumer.
+        cq.fused_rx = cq.on_cqe = None
 
     def destroy_sq(self, sq: SendQueue) -> None:
         sq.destroyed = True
@@ -323,11 +323,15 @@ class Nic(PcieEndpoint):
     # ------------------------------------------------------------------
 
     def handle_write(self, offset: int, data: bytes) -> None:
+        """A write to a queue's PI register (an SQ or RQ doorbell) or a
+        WQE by MMIO.  One for a queue that does not exist — destroyed
+        while the write was in flight, or never made — is dropped and
+        counted in ``stats_dropped_doorbells``."""
         if offset >= WQE_MMIO_BASE:
-            qpn = (offset - WQE_MMIO_BASE) // WQE_MMIO_STRIDE
-            sq = self.sqs.get(qpn)
+            sq = self.sqs.get((offset - WQE_MMIO_BASE) // WQE_MMIO_STRIDE)
             if sq is None:
-                raise PcieError(f"{self.name}: MMIO WQE for unknown SQ {qpn}")
+                self.stats_dropped_doorbells += 1
+                return
             # The packet's trace context rode the MMIO write side band.
             wqe = TxWqeRecord(TX_WQE.unpack_from(data)
                               + (self.fabric.inbound_trace_ctx,))
@@ -337,18 +341,18 @@ class Nic(PcieEndpoint):
             sq.ring_doorbell(pi + ((wqe.wqe_index + 1 - pi) & 0xFFFF), wqe)
             return
         if offset >= RQ_DOORBELL_BASE:
-            rqn = (offset - RQ_DOORBELL_BASE) // DOORBELL_STRIDE
-            rq = self.rqs.get(rqn)
+            rq = self.rqs.get((offset - RQ_DOORBELL_BASE) // DOORBELL_STRIDE)
             if rq is None:
-                raise PcieError(f"{self.name}: doorbell for unknown RQ {rqn}")
+                self.stats_dropped_doorbells += 1
+                return
             new_pi = int.from_bytes(data[:4], "big")
             if new_pi > rq.pi:
                 rq.post(new_pi - rq.pi)
             return
-        qpn = offset // DOORBELL_STRIDE
-        sq = self.sqs.get(qpn)
+        sq = self.sqs.get(offset // DOORBELL_STRIDE)
         if sq is None:
-            raise PcieError(f"{self.name}: doorbell for unknown SQ {qpn}")
+            self.stats_dropped_doorbells += 1
+            return
         sq.ring_doorbell(int.from_bytes(data[:4], "big"))
 
     def handle_read(self, offset: int, length: int) -> bytes:
@@ -495,22 +499,22 @@ class Nic(PcieEndpoint):
         fused = cq.fused_rx
         if fused is not None:
             # The consumer folds the write's delivery into its own
-            # per-packet event (see CompletionQueue.fused_rx).
+            # per-CQE event (see CompletionQueue).
             fused(self.fabric.post_write_deferred(
                 self, address, cqe, ctx, "pcie.cqe_write", frame))
             return
-        notify = cq.notify
+        on_cqe = cq.on_cqe
         self.fabric.post_write(self, address, cqe, trace_ctx=ctx,
                                trace_stage="pcie.cqe_write",
-                               on_done=POSTED if notify is None else
-                               partial(notify.try_put, (cqe, ctx, frame)))
+                               on_done=POSTED if on_cqe is None else
+                               partial(on_cqe, cqe, ctx))
 
     def _post_cqe_at(self, cq: CompletionQueue, cqe: bytes, ctx,
                      when: float) -> None:
         """Post a send CQE resolved ahead of time (flat tx stage).
 
         The write TLP arbitrates for the PCIe lane as if issued at
-        ``when`` — same delivery instant, same notify callback (if any) as
+        ``when`` — same delivery instant, same ``on_cqe`` call (if any) as
         :meth:`_post_cqe`, without the pipeline-occupancy event that
         posting at ``when`` would ride on.  Send completions never
         target a fused-rx CQ.
@@ -523,13 +527,13 @@ class Nic(PcieEndpoint):
         if tracer.enabled:
             tracer.instant(f"nic.{self.name}", f"cq{cq.cqn}",
                            f"cqe:{cqe[0]}", when)
-        notify = cq.notify
+        on_cqe = cq.on_cqe
         self.fabric.post_write_at(self, cq.ring_addr
                                   + (pi % cq.entries) * CQE_SIZE,
                                   cqe, when, ctx,
                                   "pcie.cqe_write",
-                                  on_done=POSTED if notify is None else
-                                  partial(notify.try_put, (cqe, ctx, None)))
+                                  on_done=POSTED if on_cqe is None else
+                                  partial(on_cqe, cqe, ctx))
 
     # ------------------------------------------------------------------
     # Telemetry probes

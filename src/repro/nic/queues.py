@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..sim import Simulator, Store
+from ..sim import Simulator
 from .wqe import RX_DESC_SIZE, TxWqeRecord, WQE_SIZE
 
 
@@ -28,31 +28,34 @@ def _power_of_two(value: int, what: str) -> int:
 class CompletionQueue:
     """A completion ring the NIC writes and a consumer polls.
 
-    ``notify`` is a simulation-side channel carrying each CQE that
-    landed, as its bytes and what its write carried side band: the trace
-    context and the received frame's ``(bytes, layout)`` or ``None``; it
-    stands in for the consumer's poll loop discovering new entries (or an
-    interrupt/event queue), without simulating busy-polling.  A consumer
-    that sees each CQE land in its own memory (FLD, whose completion
-    rings are in its BAR) creates its CQ with ``notify=False``: ``notify``
-    is then ``None``, the NIC posts the CQE write with no callback, and
-    no store exists to queue, gauge or export anything.
+    A CQE is a posted write into the consumer's memory, and its consumer
+    acts on it as it lands (§5.1–5.2): no channel stands between the
+    NIC and the consumer.  The consumer installs one of two hooks:
+
+    * ``fused_rx(handle)``, for a receive consumer: the NIC hands it
+      each CQE write's :class:`~repro.pcie.fabric.DeferredWrite` at
+      issue, and the consumer delivers the write from its own per-CQE
+      event, which also does its processing (a host queue's receive
+      dispatcher, FLD's receive path);
+    * ``on_cqe(cqe, trace_ctx)``, for a send-completion consumer: the
+      write's delivery calls it with the CQE's bytes and its side-band
+      trace context.
+
+    With neither, the CQE lands in the ring and nothing is called.  A
+    destroyed CQ drops its hooks, so a CQE that lands after the destroy
+    reaches no consumer.
     """
 
-    def __init__(self, sim: Simulator, cqn: int, ring_addr: int, entries: int,
-                 notify: bool = True):
+    def __init__(self, sim: Simulator, cqn: int, ring_addr: int,
+                 entries: int):
         self.sim = sim
         self.cqn = cqn
         self.ring_addr = ring_addr
         self.entries = _power_of_two(entries, "CQ entries")
         self.pi = 0     # advanced by the NIC as it writes each CQE
-        self.notify = Store(sim, name=f"cq{cqn}.notify") if notify else None
         self.stats_cqes = 0
-        # A consumer-installed fast path: when set, the NIC hands each
-        # CQE's in-flight write handle straight to the consumer instead
-        # of through the notify store, letting the consumer fuse PCIe
-        # delivery with its own processing delay in one event.
         self.fused_rx = None
+        self.on_cqe = None
 
 
 class SendQueue:

@@ -72,8 +72,9 @@ class DeferredWrite(list):
     arrival at the endpoint: re-read it at fire time, since shared-lane
     arbitration may repair it.  The owner calls :meth:`commit` from its
     continuation at (or after) that arrival, which runs the endpoint's
-    write handler as the fabric's own delivery event would have; a
-    traced write's span, opened at issue, closes at the arrival.
+    write handler in its own frame, as the fabric's own delivery event
+    would have; a traced write's span, opened at issue, closes at the
+    arrival.
     Work scheduled on the handle is the fabric's, and files under it.
     """
 
@@ -86,11 +87,19 @@ class DeferredWrite(list):
     frame = property(itemgetter(8))
 
     def commit(self) -> None:
-        if self[7] is not None:
-            rows, at = self[7]
+        (record, target, endpoint, offset, first_hops, data, ctx, span_id,
+         _frame, fabric) = self
+        if span_id is not None:
+            rows, at = span_id
             if rows[at] == OPEN:
-                rows[at] = self[0][DELIVERY]
-        self[9]._write_arrived(self[:7] + [None, None, None])
+                rows[at] = record[DELIVERY]
+        if target.down._tracer is not None:
+            _trace_tlps(target.down, record, first_hops)
+        fabric.inbound_trace_ctx = ctx
+        try:
+            endpoint.handle_write(offset, data)
+        finally:
+            fabric.inbound_trace_ctx = None
 
     def post_on_arrival(self, entry) -> None:
         """``entry`` is ``(requester, writes)``: post each ``(address,

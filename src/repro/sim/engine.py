@@ -406,8 +406,9 @@ class Store:
         reference consumer would have popped, so puts block — and
         blocked putters are admitted — at exactly the reference times.
         Holds expire lazily, purged by the fullness test of a put and of
-        an admission; a wake is scheduled only when a put actually
-        blocks against one, and at most one is pending, so an
+        an admission; a wake is scheduled only when a put blocks, or the
+        pop that empties the store is refused an admission, against one,
+        and at most one is pending, so an
         uncontended hold costs no event at all.  An unbounded store has
         no slot to hold.  Deadlines must be nondecreasing: the purge
         stops at the first live one.
@@ -542,6 +543,11 @@ class Store:
             func, item = putters.popleft()
             self.put_or_park(item)
             func(item)
+        elif held and not self._depth and not self._hold_wake:
+            # Refused against a live hold with nothing left to pop: no
+            # pop can admit the putter, so its deadline does.
+            self._hold_wake = True
+            self.sim.schedule_at(self._held_until[0], self._expire_holds)
 
 
 class Pump:
@@ -550,28 +556,25 @@ class Pump:
 
     A handler that needs virtual time for an item returns ``False`` and
     calls :meth:`resume` itself when done; any other return value moves
-    straight on to the next item.  The ``stop`` item, if given, ends the
-    stage.  Arming is deferred through a zero-delay scheduled step: the
-    stage must not observe items before the simulation runs.  An owner
-    whose handler schedules continuations carries ``profile_tag`` too.
+    straight on to the next item.  Arming is deferred through a
+    zero-delay scheduled step: the stage must not observe items before
+    the simulation runs.  An owner whose handler schedules continuations
+    carries ``profile_tag`` too.
     """
 
-    __slots__ = ("source", "handler", "profile_tag", "stop")
+    __slots__ = ("source", "handler", "profile_tag")
 
-    def __init__(self, sim: Simulator, source, handler, profile_tag: str,
-                 stop=None):
+    def __init__(self, sim: Simulator, source, handler, profile_tag: str):
         self.source = source    # anything with Store.pop_or_park
         self.handler = handler
         self.profile_tag = profile_tag
-        self.stop = stop
         sim.schedule(0.0, self.resume)
 
     def resume(self) -> None:
         self._on_item(self.source.pop_or_park(self._on_item))
 
     def _on_item(self, item) -> None:
-        while (item is not None and item is not self.stop
-               and self.handler(item) is not False):
+        while item is not None and self.handler(item) is not False:
             item = self.source.pop_or_park(self._on_item)
 
 

@@ -105,15 +105,11 @@ class FldRuntime:
         return queue_id, queue_id  # (queue id, tx cq index)
 
     def _alloc_cq(self, cq_index: int):
-        """A NIC completion queue whose ring is FLD cq ``cq_index``.
-
-        FLD reads each CQE as its write lands in the BAR, so the CQ has
-        no notify store: the NIC posts its CQE writes with no callback.
-        """
+        """A NIC completion queue whose ring is FLD cq ``cq_index``
+        (FLD reads each CQE as its write lands in the BAR)."""
         return self.nic.cmd.alloc_cq(
             self.fld_bar_base + fld_bar.cq_address(cq_index),
-            self.fld.config.cq_entries, notify=False,
-        )
+            self.fld.config.cq_entries)
 
     def create_eth_tx_queue(self, vport: int, entries: int = 1024,
                             use_mmio: bool = True,

@@ -501,18 +501,18 @@ GATES = (
     # one-segment one is one _send_segment pass, which calls on_done.  A
     # multi-TLP write or read is sized by arithmetic: no chunk list, and
     # a write train finds its route without a frame.
-    ("fldr", "fldr", "request", None, 467,
+    ("fldr", "fldr", "request", None, 460,
          ("net/roce.py:*", "pcie/tlp.py:split_write_bytes|completion_chunks",
           ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",))),
          (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4),
           ("nic/rdma.py:_send_segment", "==", 2)),
-         16_720),
+         16_580),
     # A cipher request pays for its bytes: the header is packed and
     # unpacked once a side, the keystream is one kernel pass (the
     # constructor runs no round), and a one-segment message reaches the
     # units without the front end's assembly dict.  No ops bound: a
     # request's ops are the cipher's.
-    ("zuc", "zuc", "request", None, 508,
+    ("zuc", "zuc", "request", None, 500,
          (("~:<method 'setdefault' of 'dict' objects>|"
            "<method 'join' of 'bytes' objects>",
            ("accelerators/base.py:_reassemble",)),),

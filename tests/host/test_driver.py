@@ -12,6 +12,7 @@ from repro.host import (
 from repro.host.driver import QueueFullError
 from repro.net import Flow
 from repro.sim import Simulator
+from repro.sim.resources import DELIVERY
 from repro.testbed import make_local_node
 
 
@@ -178,16 +179,24 @@ class TestEthQueuePair:
         sim.run(until=0.01)
         assert receiver.stats_rx == 64
 
-    def test_coreless_queue_receives_through_the_notify_store(self):
-        # Without a core there is no processing delay to fold the CQE's
-        # delivery into, so the NIC posts it the ordinary way.
+    def test_a_coreless_queue_receives_through_the_dispatcher_at_no_cost(self):
+        # Every host receive CQ has the one dispatcher; without a core
+        # it works no time, so each frame reaches the application at
+        # its CQE's arrival.
         sim, node = self._node()
         node.add_vport_for_mac(2, "02:00:00:00:00:02")
         sender = node.driver.create_eth_qp(vport=1)
         node.driver.core = None
         receiver = node.driver.create_eth_qp(vport=2)
-        assert receiver.rx_cq.fused_rx is None
-        assert sender.rx_cq.fused_rx is not None
+        assert receiver.core is None and sender.core is not None
+        assert receiver.rx_cq.fused_rx == receiver._rx_fused
+        assert sender.rx_cq.fused_rx == sender._rx_fused
+        handles = []
+        dispatch = receiver.rx_cq.fused_rx
+        receiver.rx_cq.fused_rx = lambda handle: (handles.append(handle),
+                                                  dispatch(handle))
+        got = []
+        receiver.on_receive = lambda data, _cqe: got.append((sim.now, data))
         receiver.post_rx_buffers(8)
         frame = Flow("02:00:00:00:00:01", "02:00:00:00:00:02",
                      "1.1.1.1", "2.2.2.2", 1, 2).make_packet(
@@ -196,8 +205,7 @@ class TestEthQueuePair:
             sender.send(frame)
         sim.run(until=0.01)
         assert receiver.stats_rx == 4
-        data, _cqe = receiver.received.try_get()
-        assert data == frame
+        assert got == [(handle[0][DELIVERY], frame) for handle in handles]
 
     def test_memory_footprint_reported(self):
         _sim, node = self._node()

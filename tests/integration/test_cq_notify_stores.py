@@ -1,16 +1,18 @@
-"""A completion queue has a notify store only if something consumes it.
+"""A completion queue builds no store: a CQE lands in its consumer.
 
-Host drivers pump each CQ's ``notify`` store; FLD reads each CQE as its
-write lands in FLD's BAR, so FLD's CQs are created without one.  (They
-used to build the store and drop it, and under telemetry its depth gauge
-and wait histogram stayed registered: every export carried
-``store.cq<N>.notify.*`` at 0 for each FLD CQ.)
+FLD reads each CQE as its write lands in FLD's BAR; a host queue's
+receive CQEs go to its dispatcher and its send completions to a
+callback, each as the write lands.  No CQ owns a ``Store``, so no export
+carries a ``store.cq<N>.notify.*`` gauge or histogram.  (Each host CQ
+used to feed a ``notify`` store that a pump drained, and FLD's CQs built
+one and dropped it, leaving its metrics in every export at 0.)
 """
 
 import pytest
 
 from repro.core.bar import FLD_BAR_SIZE
 from repro.scenario import run
+from repro.sim import Store
 from repro.telemetry import Telemetry
 
 
@@ -32,16 +34,17 @@ def _cqs(testbed):
 # FLD CQs are cq1 and cq4 beside the host's cq2 and cq3; scale-tenants
 # gives FLD eight.
 @pytest.mark.parametrize("name", ["fig7b", "fig7c-local", "scale-tenants"])
-def test_fld_cqs_export_no_notify_store_and_host_cqs_keep_theirs(name):
+def test_no_cq_builds_a_store_and_no_export_has_a_notify_store(name):
     telemetry = Telemetry(trace=False)
     _row, testbed = run(name, 8, telemetry=telemetry)
     fld, host = _cqs(testbed)
     assert fld and host
-    assert [cq.notify for cq in fld] == [None] * len(fld)
-    assert [cq.notify.name for cq in host] == [
-        f"cq{cq.cqn}.notify" for cq in host]
+    for cq in fld + host:
+        assert not any(isinstance(value, Store)
+                       for value in vars(cq).values())
+    # Each host CQ has its consumer: the receive dispatcher or the send
+    # completion callback.
+    assert all((cq.fused_rx is None) != (cq.on_cqe is None) for cq in host)
     export = telemetry.metrics.to_dict()
-    exported = {name for section in ("gauges", "histograms")
-                for name in export[section] if ".notify." in name}
-    assert exported == {f"store.cq{cq.cqn}.notify.{metric}"
-                        for cq in host for metric in ("depth", "wait")}
+    assert [name for section in ("gauges", "histograms")
+            for name in export[section] if name.startswith("store.cq")] == []

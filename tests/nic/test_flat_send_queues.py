@@ -11,6 +11,8 @@ semantics for a QP in ERR, and teardown in the middle of either wait.
 import ast
 from pathlib import Path
 
+import pytest
+
 from repro.core import AxisMetadata
 from repro.experiments.setups import flde_echo_remote
 from repro.net import Flow
@@ -155,8 +157,9 @@ class TestTeardownMidWqe:
         assert testbed.quiesce() == []
 
     def test_destroying_an_rc_qp_during_a_ring_fetch(self):
-        """Every WQE posted behind an in-flight ring read is flushed once,
-        and the contexts stashed for the unfetched ones are dropped."""
+        """Every WQE rung behind an in-flight ring read is flushed once,
+        a doorbell still in flight at the destroy is dropped, and the
+        contexts stashed for the unfetched WQEs are dropped."""
         telemetry = Telemetry(trace=False, spans=True)
         sim = Simulator(telemetry=telemetry)
         testbed, client, _server, cep, _sep = rc_pair(sim)
@@ -166,12 +169,15 @@ class TestTeardownMidWqe:
         for i in range(24):
             cep.post_send(b"never leaves",
                           trace_ctx=telemetry.spans.start_trace(i, sim.now))
-        while not (pipe._fetch_pend is not None and sq.pi == 24):
+        while pipe._fetch_pend is None:
             sim.run(until=sim.now + 1e-9)
+        rung = sq.pi
+        assert rung < 24                # doorbells still in flight
         cep.close()
         sim.run(until=0.05)
-        assert sq.stats_flushed == 24 and sq.stats_wqes == 0
-        assert sq.stats_wqe_fetches == 1 and sq.ci == sq.pi == 24
+        assert client.nic.stats_dropped_doorbells == 24 - rung
+        assert sq.stats_flushed == rung and sq.stats_wqes == 0
+        assert sq.stats_wqe_fetches == 1 and sq.ci == sq.pi == rung
         assert cep.qp.stats_sent_segments == 0
         assert telemetry.spans.pending_stashes() == []
         assert testbed.quiesce() == []
@@ -247,6 +253,22 @@ class TestDoorbellRegister:
         assert sq.ci == sq.pi == 2 and sq.fetch is not None
         assert sq.stats_wqe_fetches == 2
         assert [packet.raw[-1] for packet in wire] == [1, 2]
+
+    @pytest.mark.parametrize("frames", [8, 16])
+    @pytest.mark.parametrize("window", [2, 3, 4, 8])
+    def test_every_frame_leaves_a_window_smaller_than_the_burst(
+            self, window, frames):
+        """The transmit stage holds the slot of each WQE it pops ahead
+        of the serial schedule; a fetch stage parked on the full window
+        is admitted when that hold expires, so a burst larger than the
+        window drains.  (A pop refused against a live hold armed no
+        wake: only ``window + 2`` frames ever left.)"""
+        sim, _nic, qp, _pipe, wire = self.host_queue(dma_window=window)
+        for tag in range(frames):
+            self.send(qp, tag)
+        sim.run()
+        assert [packet.raw[-1] for packet in wire] == list(range(frames))
+        assert qp.sq.ci == qp.sq.pi == frames
 
     def ended(self, pipe):
         window = pipe.window

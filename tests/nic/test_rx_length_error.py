@@ -34,7 +34,7 @@ def frame(size):
 
 
 @pytest.mark.parametrize("served_by_core", [False, True],
-                         ids=["notify-store", "fused"])
+                         ids=["coreless", "core"])
 def test_oversize_frames_leave_the_ring_whole(served_by_core):
     sim = Simulator()
     node = make_local_node(sim)
@@ -42,7 +42,9 @@ def test_oversize_frames_leave_the_ring_whole(served_by_core):
         node.driver.core = None
     node.add_vport_for_mac(2, MAC)
     qp = node.driver.create_eth_qp(2, rq_entries=RING, buffer_size=BUFFER)
-    assert (qp.rx_cq.fused_rx is not None) == served_by_core
+    # One dispatcher, with or without a core to work the frames.
+    assert qp.rx_cq.fused_rx == qp._rx_fused
+    assert (qp.core is not None) == served_by_core
     qp.post_rx_buffers(RING)
     got = []
     qp.on_receive = lambda data, cqe: got.append(data)
@@ -58,7 +60,7 @@ def test_oversize_frames_leave_the_ring_whole(served_by_core):
 
 
 @pytest.mark.parametrize("served_by_core", [False, True],
-                         ids=["notify-store", "fused"])
+                         ids=["coreless", "core"])
 def test_an_oversize_frame_completes_after_the_frames_before_it(
         served_by_core):
     """Back to back, frames that fit and frames that do not: each error

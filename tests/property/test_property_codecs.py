@@ -45,6 +45,7 @@ from repro.nic.wqe import (
     CqeRecord,
     TxWqeRecord,
 )
+from repro.pcie.fabric import DeferredWrite
 from repro.pcie.tlp import (
     COMPLETION_HEADER,
     DLLP_FRAMING,
@@ -312,9 +313,11 @@ class TestDatapathPacksLikeTheCodecs:
         node, qp = node_with_queue(buffer_size=buffer_size, rq_entries=4)
         qp.post_rx_buffers(3)
         # An error CQE for index 0 only recycles: its buffer moves to the
-        # ring's tail, index 3.
-        qp._receive((CQE.pack(CQE_ERROR, 0, 0, qp.sq.qpn, 0, 0, 0, 0, 1, 0),
-                     None, None))
+        # ring's tail, index 3.  The receive body takes the CQE's landed
+        # write: its bytes, no trace context, no frame.
+        cqe = CQE.pack(CQE_ERROR, 0, 0, qp.sq.qpn, 0, 0, 0, 0, 1, 0)
+        qp._receive(DeferredWrite([None] * 5 + [cqe, None, None, None,
+                                                None]))
         for index in (1, 2, 3):
             expected = RX_DESC.pack(qp._rx_buffers[index], buffer_size, 0)
             assert read_host(node, qp.rq.slot_addr(index),

@@ -5,13 +5,18 @@ continuations: every getter and every blocked putter is an
 :class:`~repro.sim.Event`, ``get()``/``put()`` build one per call and
 ``_deliver`` fires it.  The class body is copied verbatim, so
 ``tests/sim/test_store_machine.py`` can hold the rebuilt ``Store`` to
-the same deliveries, drops, admissions and telemetry samples.  Two
-lines are not as they stood.  ``_expire_holds`` re-armed its wake
+the same deliveries, drops, admissions and telemetry samples.  Three
+places are not as they stood.  ``_expire_holds`` re-armed its wake
 without looking at ``_hold_wake``, so a putter that put again from its
 admission callback left two wakes pending for one deadline.  A
 duplicate wake is a fault of the reference, not behaviour to preserve;
 it is fixed here and in ``Store`` alike, so the machine's event-count
-equality keeps meaning one wake per deadline.  And the depth gauge is
+equality keeps meaning one wake per deadline.  ``_admit_waiting_putter``
+armed no wake when a pop's admission was refused against a live hold,
+so a putter refused by the pop that emptied the store stayed parked for
+good (a send queue whose window was smaller than its burst stalled); it
+now arms the wake a blocked put arms when that pop left nothing to pop,
+here and in ``Store`` alike.  And the depth gauge is
 taken from the registry (``Telemetry`` hands out no gauge since
 ``Store`` publishes its depth as a pulled level); it is still pushed
 here, at every depth change, which is what the machine holds the pulled
@@ -169,3 +174,7 @@ class OracleStore:
             event, item = self._putters.popleft()
             self._deliver(item)
             event.succeed(item)
+        elif (self._putters and self._held_until and not self._items
+              and not self._hold_wake):
+            self._hold_wake = True
+            self.sim.schedule_at(self._held_until[0], self._expire_holds)

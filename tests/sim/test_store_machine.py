@@ -9,10 +9,11 @@ drives both with the same random interleaving — ``try_put``/``put``,
 ``try_get``/``get``, the flat workers' ``pop_or_park``/``put_or_park``
 (against the ``try_get`` + ``get().add_callback`` and ``put()`` +
 ``add_callback`` idioms they replaced), a producer that puts again from
-its admission callback, ``hold_slot``, a second and third parked
-getter (the first waits in ``Store``'s slot, the rest in its overflow
-queue), a getter parked behind holds that fill the store, and time — on
-bounded and unbounded stores, and after every step holds the two sides
+its admission callback, ``hold_slot``, a hold taken just before a pop,
+a second and third parked getter (the first waits in ``Store``'s slot,
+the rest in its overflow queue), a getter parked behind holds that fill
+the store, and time — on bounded and unbounded stores, and after every
+step holds the two sides
 to the same log: who got which item when, which put was admitted when,
 the drop and depth counters, how many getters are parked, the
 scheduler's event count (hold-expiry wakes) and the exported depth
@@ -212,6 +213,17 @@ class StoreMachine(RuleBasedStateMachine):
         for side in self.sides:
             side.store.hold_slot(until)
 
+    @precondition(lambda self: self.capacity is not None)
+    @rule(ahead=GAP)
+    def hold_then_pop(self, ahead):
+        """A fused consumer holds the slot of the item it pops next, as
+        a send queue's transmit stage does (``_pull``): a putter parked
+        on a store full of items is refused against the live hold, and
+        once a pop has emptied the store it must be admitted when the
+        hold expires."""
+        self.hold_slot(ahead)
+        self._both("try_get")
+
     @precondition(lambda self: self.capacity is not None
                   and not len(self.sides[0].store))
     @rule(ahead=GAP)
@@ -253,3 +265,23 @@ def test_a_putter_that_puts_again_arms_one_wake_per_deadline():
         assert side.log == [(0.5, "admitted", 1), (1.0, "admitted", 2)]
         assert side.exported()[0] == {"value": 2, "peak": 2}
         assert side.sim.stats_events == 2
+
+
+def test_a_putter_refused_against_a_hold_is_admitted_at_its_deadline():
+    """The machine's ``hold_then_pop`` path at any depth: a putter parks
+    on a store full of items (no hold, so no wake), and a consumer
+    holding a slot before each pop empties the store; each admission the
+    pops try is refused against the live holds.  With nothing left to
+    pop, the putter is admitted at the holds' deadline, by one wake;
+    before the fix it stayed parked for good."""
+    for side in (_Parked(2), _Evented(2)):
+        side.try_put(1)
+        side.try_put(2)
+        side.worker_put(3)
+        for _ in range(2):
+            side.store.hold_slot(0.5)
+            side.try_get()
+        side.sim.run()
+        assert side.log[-1] == (0.5, "admitted", 3)
+        assert len(side.store) == 1 and not side.store._putters
+        assert side.sim.stats_events == 1

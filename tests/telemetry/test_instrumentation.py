@@ -300,6 +300,7 @@ class TestPulledCounts:
                 f"{prefix}.rx.dropped_inbox": nic.stats_rx_dropped_inbox,
                 f"{prefix}.rx.dropped_no_desc": nic.stats_rx_dropped_no_desc,
                 f"{prefix}.meter_drops": nic.stats_meter_drops,
+                f"{prefix}.dropped_doorbells": nic.stats_dropped_doorbells,
             })
             rdma = nic.rdma
             prefix = f"{node_name}.nic.rdma"
@@ -337,7 +338,7 @@ class TestPulledCounts:
                         f"pcie.{name}.{lane}.payload_bytes": payload,
                         f"pcie.{name}.{lane}.header_bytes": header,
                     })
-        assert len(expected) == 147
+        assert len(expected) == 149
         assert telemetry.metrics.to_dict()["counters"] == expected
         # Something moved on every layer the run touches.
         for name in ("nic.server.nic.rx.bytes", "fld.server.fld.tx.bytes",
