@@ -8,7 +8,7 @@ workloads, each dispatching a known number of events:
 
 * ``ready``  — an in-order continuation stream (monotone
   ``schedule_at`` deadlines), the cut-through fabric's pattern: each
-  push lands at the heap's tail, so its sift is the shortest;
+  push replaces the entry being dispatched, in a heap of one;
 * ``heap``   — interleaved out-of-order timers, the worst case: each
   push and pop sifts through a deep heap;
 * ``store``  — producer/consumer pairs over bounded :class:`Store`
@@ -16,11 +16,14 @@ workloads, each dispatching a known number of events:
 * ``generator`` and ``flat`` — one tick a dispatch, as a generator
   process and as a continuation chain.
 
-Output is a JSON report (schema 1) with events/sec per workload and
-the heap pushes per dispatch, counted by a heappush spy: every entry
-goes through the heap, so ``ready``'s share is 100 % by construction
-(``store`` counts three dispatches a hand-off, an estimate).  The report
-is a diagnostic artifact (uploaded from CI), not a committed baseline:
+Output is a JSON report (schema 2) with events/sec per workload and,
+per dispatch, the heap *holds* (a handler's first push, which replaces
+the entry it was dispatched from in one ``heapreplace``) and the plain
+``heappush`` pushes, counted by spies on both.  A continuation chain
+is all holds (``ready``, ``flat``, ``generator``); timers scheduled
+ahead of the run are all pushes (``heap``).  A dispatch is one the
+engine counted (``Simulator.stats_events``).  The report is a
+diagnostic artifact (uploaded from CI), not a committed baseline:
 wall-clock on shared runners is too noisy to gate on, unlike the
 deterministic per-packet counts ``benchmarks/perf`` reports.
 
@@ -45,17 +48,31 @@ from repro.sim import engine as _engine  # noqa: E402
 TICK = 1e-9
 
 
-def _count_heap_pushes(sim):
-    """Wrap the module-level heappush to count the scheduler's pushes."""
-    counter = {"pushes": 0}
-    original = _engine._heappush
+def _measure(sim, work):
+    """Time ``work()`` with the scheduler's ``heappush`` and
+    ``heapreplace`` counted; ``(dispatches, wall, pushes, holds)``."""
+    counts = {"_heappush": 0, "_heapreplace": 0}
+    originals = {name: getattr(_engine, name) for name in counts}
 
-    def spy(heap, entry):
-        counter["pushes"] += 1
-        original(heap, entry)
+    def spy(name):
+        original = originals[name]
 
-    _engine._heappush = spy
-    return counter, lambda: setattr(_engine, "_heappush", original)
+        def counted(heap, entry):
+            counts[name] += 1
+            return original(heap, entry)
+        return counted
+
+    for name in counts:
+        setattr(_engine, name, spy(name))
+    try:
+        started = time.perf_counter()
+        work()
+        wall = time.perf_counter() - started
+    finally:
+        for name, original in originals.items():
+            setattr(_engine, name, original)
+    return (sim.stats_events, wall, counts["_heappush"],
+            counts["_heapreplace"])
 
 
 def bench_ready(events):
@@ -69,44 +86,31 @@ def bench_ready(events):
             sim.schedule_at(sim.now + TICK, hop)
 
     sim.schedule_at(0.0, hop)
-    counter, restore = _count_heap_pushes(sim)
-    try:
-        started = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - started
-    finally:
-        restore()
-    return events + 1, wall, counter["pushes"]
+    return _measure(sim, sim.run)
 
 
 def bench_heap(events):
     """Out-of-order timers: successive deadlines alternate earlier and
     later, so pushes sift through the heap rather than append."""
     sim = Simulator()
-    # Two interleaved arithmetic deadline streams with incommensurate
-    # strides: successive schedules alternate earlier/later without
-    # needing a random source.
-    n = 0
 
     def noop():
         pass
 
-    # The heap cost is paid at schedule time, so the spy and the clock
-    # both cover the scheduling loop as well as the drain.
-    counter, restore = _count_heap_pushes(sim)
-    try:
-        started = time.perf_counter()
+    # Two interleaved arithmetic deadline streams with incommensurate
+    # strides: successive schedules alternate earlier/later without
+    # needing a random source.  The heap cost is paid at schedule time,
+    # so the spies and the clock cover the scheduling loop as well as
+    # the drain.
+    def work():
         for i in range(events):
             if i % 2:
-                sim.schedule(1.0 + (i % 1000) * 3e-6, noop)
+                sim.call_later(1.0 + (i % 1000) * 3e-6, noop)
             else:
-                sim.schedule(2.0 - (i % 1000) * 2e-6, noop)
-            n += 1
+                sim.call_later(2.0 - (i % 1000) * 2e-6, noop)
         sim.run()
-        wall = time.perf_counter() - started
-    finally:
-        restore()
-    return n, wall, counter["pushes"]
+
+    return _measure(sim, work)
 
 
 def bench_store(events, pairs=4):
@@ -127,15 +131,7 @@ def bench_store(events, pairs=4):
         store = Store(sim, capacity=8, name=f"bench{p}")
         sim.spawn(producer(store), name=f"prod{p}")
         sim.spawn(consumer(store), name=f"cons{p}")
-    counter, restore = _count_heap_pushes(sim)
-    try:
-        started = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - started
-    finally:
-        restore()
-    # Each handoff costs roughly a put-wake + get-wake + timer.
-    return per_pair * pairs * 3, wall, counter["pushes"]
+    return _measure(sim, sim.run)
 
 
 def bench_generator(events):
@@ -149,14 +145,7 @@ def bench_generator(events):
             yield sim.timeout(TICK)
 
     sim.spawn(worker())
-    counter, restore = _count_heap_pushes(sim)
-    try:
-        started = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - started
-    finally:
-        restore()
-    return events + 1, wall, counter["pushes"]
+    return _measure(sim, sim.run)
 
 
 def bench_flat(events):
@@ -173,14 +162,7 @@ def bench_flat(events):
             sim.call_later(TICK, hop, None)
 
     sim.call_later(0.0, hop, None)
-    counter, restore = _count_heap_pushes(sim)
-    try:
-        started = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - started
-    finally:
-        restore()
-    return events + 1, wall, counter["pushes"]
+    return _measure(sim, sim.run)
 
 
 WORKLOADS = [("ready", bench_ready), ("heap", bench_heap),
@@ -199,20 +181,23 @@ def main(argv=None):
 
     rows = []
     for name, fn in WORKLOADS:
-        dispatched, wall, heap_pushes = fn(args.events)
+        dispatched, wall, pushes, holds = fn(args.events)
         rows.append({
             "workload": name,
             "dispatched": dispatched,
             "wall_seconds": wall,
             "events_per_second": dispatched / wall if wall else None,
-            "heap_pushes": heap_pushes,
-            "heap_share": heap_pushes / dispatched if dispatched else None,
+            "heap_pushes": pushes,
+            "heap_holds": holds,
+            "pushes_per_dispatch": pushes / dispatched,
+            "holds_per_dispatch": holds / dispatched,
         })
-        print(f"{name:>6}: {dispatched} dispatches in {wall:.3f}s "
-              f"({dispatched / wall:,.0f} ev/s, "
-              f"{heap_pushes / dispatched:.1%} heap pushes a dispatch)")
+        print(f"{name:>9}: {dispatched} dispatches in {wall:.3f}s "
+              f"({dispatched / wall:,.0f} ev/s; a dispatch: "
+              f"{holds / dispatched:.2f} holds, "
+              f"{pushes / dispatched:.2f} pushes)")
 
-    report = {"bench": "engine_dispatch", "schema": 1,
+    report = {"bench": "engine_dispatch", "schema": 2,
               "events": args.events, "rows": rows}
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -136,7 +136,7 @@ class _Unit:
         self._outputs = iter(())
         # Arm via a zero-delay step: the unit must not observe traffic
         # before the simulation runs.
-        accel.sim.schedule(0.0, self._step)
+        accel.sim.call_later(0.0, self._step)
 
     def _step(self, taken: Optional[bool] = None) -> None:
         """Count an output FLD shed (``taken`` is ``False``), emit the

@@ -218,9 +218,9 @@ class FlexDriver(PcieEndpoint):
             return False
         self._pending_chunks += needed
         self._pending_sends += 1
-        self.sim.schedule(self.config.pipeline_latency,
-                          _Submit((self, data, meta, needed,
-                                   self.sim._now)).land)
+        self.sim.call_later(self.config.pipeline_latency,
+                            _Submit((self, data, meta, needed,
+                                     self.sim._now)).land)
         return True
 
     def send_then(self, data: bytes, meta: AxisMetadata, func,
@@ -459,7 +459,7 @@ class _Send(tuple):
         if not (len(tx.buffers._free) - fld._pending_chunks >= needed
                 and len(tx.descriptors._free) > fld._pending_sends):
             # Buffers or descriptor slots are short: look again shortly.
-            sim.schedule(16 / fld.config.clock_hz, self.credited)
+            sim.call_later(16 / fld.config.clock_hz, self.credited)
             return
         now = sim._now
         if meta.trace_ctx is not None and now > wait_started:
@@ -467,16 +467,16 @@ class _Send(tuple):
                               kind="queue")
         fld._pending_chunks += needed
         fld._pending_sends += 1
-        sim.schedule((length // 64 or 1) / fld.config.clock_hz,
-                     _Send((fld, data, meta, func, arg, now,
-                            needed)).occupied)
+        sim.call_later((length // 64 or 1) / fld.config.clock_hz,
+                       _Send((fld, data, meta, func, arg, now,
+                              needed)).occupied)
 
     def occupied(self) -> None:
         """The sender is free: the submit lands one pipeline latency
         from now, and ``func(arg)`` resumes the sender."""
         fld, data, meta, func, arg, started, needed = self
-        fld.sim.schedule(fld.config.pipeline_latency,
-                         _Submit((fld, data, meta, needed, started)).land)
+        fld.sim.call_later(fld.config.pipeline_latency,
+                           _Submit((fld, data, meta, needed, started)).land)
         func(arg)
 
 

@@ -592,7 +592,7 @@ class _RqFlatWorker:
         self._pend = None
         # Arm via a zero-delay step: the worker must not observe traffic
         # (or unit tests poking handle_write) before the simulation runs.
-        nic.sim.schedule(0.0, self._next)
+        nic.sim.call_later(0.0, self._next)
 
     def _next(self) -> None:
         """Pull the next inbox item, or park :meth:`_begin` for it: the
@@ -783,12 +783,12 @@ class _SqFlatPipeline:
         # Start via a zero-delay step: the pipeline must not observe
         # doorbells (or unit tests poking handle_write) before the
         # simulation runs.
-        nic.sim.schedule(0.0, self._start)
+        nic.sim.call_later(0.0, self._start)
 
     # -- fetch stage ---------------------------------------------------
 
     def _start(self) -> None:
-        self.nic.sim.schedule(0.0, self._pull)
+        self.nic.sim.call_later(0.0, self._pull)
         if self.sq.destroyed:
             self.window.put(_POISON)
         else:
@@ -932,8 +932,8 @@ class _SqFlatPipeline:
             self._tx_pend = (index, wqe, data, enqueued,
                              enqueued if enqueued > stage_free
                              else stage_free, service_started)
-            sim.schedule(done - now, self._tx_emit if sq.meter is None
-                         else self._tx_paced)
+            sim.call_later(done - now, self._tx_emit if sq.meter is None
+                           else self._tx_paced)
             return False
         ctx = wqe.trace_ctx
         tracer = nic._tracer

@@ -9,7 +9,7 @@ CPU threads are stages that hand work to each other through
 An entry is ``(time, seq, func, arg)``, dispatched strictly by
 ``(time, seq)``, and comes in two kinds:
 
-* a *plain continuation* (:meth:`Simulator.call_later` / ``schedule`` /
+* a *plain continuation* (:meth:`Simulator.call_later` /
   ``schedule_at``): the run loop calls ``func`` directly, nothing else
   is allocated.  Every per-packet stage waits this way;
 * an *Event timeout* (:meth:`Simulator.timeout`) firing an
@@ -33,11 +33,16 @@ through its waiter, a :class:`PollWait` through ``func``).
 
 Scheduling is one tier: every push, zero-delay or timed, relative or
 absolute, goes on one binary heap, and :meth:`Simulator.run` is one
-loop that peeks the top, stops at the horizon, pops and dispatches.
-``seq`` is globally monotonic, so entries due at one instant dispatch
-in push order (``tests/sim/test_lockstep`` checks the loop against a
-naive heap).  ``run`` refuses the two times the clock could never
-leave: an entry at infinite time and ``until=inf``.
+loop that peeks the top, stops at the horizon and dispatches the top
+where it lies.  Most handlers push their successor, so the event set
+does a *hold* (delete-min, then insert): the first push a handler makes
+replaces its own entry in one ``heapreplace``, and only a handler that
+pushed nothing pops its entry after it returns.  ``seq`` is globally
+monotonic and keys are unique, so entries due at one instant dispatch
+in push order whatever the heap's layout (``tests/sim/test_lockstep``
+checks the loop against a naive heap).  ``run`` refuses the two times
+the clock could never leave: an entry at infinite time and
+``until=inf``.
 
 Example
 -------
@@ -65,6 +70,7 @@ from ..telemetry.profile import NULL_PROFILER, owner_tag
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_heapreplace = heapq.heapreplace
 
 #: Sentinel ``arg`` for heap entries whose callable takes no argument.
 _NO_ARG = object()
@@ -196,13 +202,16 @@ class Simulator:
     """The event loop: one heap of ``(time, seq, func, arg)`` entries.
 
     There is one set of scheduling entry points, each a push onto the
-    heap, and one run loop, which pops an entry at a time up to its
-    horizon and refuses, leaving it queued, an entry at infinite time or
-    one past ``max_events``.  With a live profiler
-    (``Telemetry(profile=True)`` or an explicit ``profiler=``)
-    :meth:`run` hands each ``func`` to it before the dispatch, and the
-    profiler files the event under ``func``'s owner; a push never looks
-    at the profiler.  With the default
+    heap, and one run loop, which dispatches an entry at a time up to
+    its horizon and refuses, leaving it queued, an entry at infinite
+    time or one past ``max_events``.  While a handler runs its entry
+    stays at ``queue[0]`` (``_dispatching``): the handler's first push
+    replaces it, and a handler that pushed nothing has it popped after
+    it returns.  With a live profiler (``Telemetry(profile=True)`` or
+    an explicit ``profiler=``) :meth:`run` hands each ``func`` to it
+    before the dispatch, and the profiler files the event under
+    ``func``'s owner, with the heap's depth less the held entry; a push
+    never looks at the profiler.  With the default
     :data:`~repro.telemetry.profile.NULL_PROFILER` each dispatch pays
     one ``is None`` test; the ``(time, seq)`` schedule is the same
     either way.
@@ -212,6 +221,7 @@ class Simulator:
         self._now = 0.0
         self._queue: List = []
         self._seq = 0
+        self._dispatching = False     # queue[0] is being dispatched
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         if profiler is None:
             profiler = getattr(self.telemetry, "profiler", NULL_PROFILER)
@@ -234,14 +244,6 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        """Run ``action()`` after ``delay`` seconds of virtual time."""
-        if not delay >= 0:     # negative, or NaN
-            raise SimulationError(f"delay {delay}: must be >= 0")
-        seq = self._seq
-        self._seq = seq + 1
-        _heappush(self._queue, (self._now + delay, seq, action, _NO_ARG))
-
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Run ``action()`` at absolute time ``time`` (>= now).
 
@@ -254,20 +256,29 @@ class Simulator:
                 f"schedule_at({time}) before now ({self._now})")
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._queue, (time, seq, action, _NO_ARG))
+        if self._dispatching:
+            self._dispatching = False
+            _heapreplace(self._queue, (time, seq, action, _NO_ARG))
+        else:
+            _heappush(self._queue, (time, seq, action, _NO_ARG))
 
-    def call_later(self, delay: float, func: Callable[[Any], None],
-                   arg: Any) -> None:
-        """Run ``func(arg)`` after ``delay`` seconds of virtual time.
+    def call_later(self, delay: float, func: Callable[..., None],
+                   arg: Any = _NO_ARG) -> None:
+        """Run ``func(arg)``, or ``func()`` with no ``arg``, after
+        ``delay`` seconds of virtual time.
 
-        The one-argument twin of :meth:`schedule`; hot callers use it to
-        avoid allocating a closure per scheduled call.
+        Hot callers pass ``arg`` instead of allocating a closure per
+        scheduled call.
         """
         if not delay >= 0:     # negative, or NaN
             raise SimulationError(f"delay {delay}: must be >= 0")
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._queue, (self._now + delay, seq, func, arg))
+        if self._dispatching:
+            self._dispatching = False
+            _heapreplace(self._queue, (self._now + delay, seq, func, arg))
+        else:
+            _heappush(self._queue, (self._now + delay, seq, func, arg))
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires ``delay`` seconds from now."""
@@ -276,7 +287,12 @@ class Simulator:
         event = Event(self)
         seq = self._seq
         self._seq = seq + 1
-        _heappush(self._queue, (self._now + delay, seq, event.succeed, value))
+        entry = (self._now + delay, seq, event.succeed, value)
+        if self._dispatching:
+            self._dispatching = False
+            _heapreplace(self._queue, entry)
+        else:
+            _heappush(self._queue, entry)
         return event
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
@@ -287,7 +303,7 @@ class Simulator:
         if tracer.enabled:
             tracer.instant("sim", "processes", f"spawn:{process.name}",
                            self._now)
-        self.schedule(0.0, process._step)
+        self.call_later(0.0, process._step)
         return process
 
     # -- execution -------------------------------------------------------
@@ -298,13 +314,22 @@ class Simulator:
         ``until`` if given.
 
         One loop: peek the top, stop at the horizon (``until``, else the
-        largest finite time), pop, count, dispatch.  The clock never
-        rewinds: an ``until`` already passed dispatches nothing.  Refused
-        with :class:`SimulationError`, the entry left queued: an entry at
-        infinite time (the clock would read ``inf`` for good), and the
-        ``max_events + 1``-th of one run (a livelock).  ``until`` NaN or
-        infinite is refused too.  An entry whose handler raises is
-        counted in ``stats_events``.
+        largest finite time), count, dispatch in place.  The entry stays
+        at ``queue[0]`` while its handler runs; the handler's first push
+        (``call_later``, ``schedule_at`` or ``timeout``) replaces it with
+        one ``heapreplace``, and an entry whose handler pushed nothing
+        is popped after it returns.  The profiler is handed
+        ``len(queue) - 1``, the depth once the entry is gone.  The clock
+        never rewinds: an ``until`` already passed dispatches nothing.
+        Refused with :class:`SimulationError` before anything is
+        dispatched, the entry left queued: an entry at infinite time (the
+        clock would read ``inf`` for good), and the ``max_events + 1``-th
+        of one run (a livelock).  ``until`` NaN or infinite is refused
+        too.  An entry whose handler raises is popped (if it pushed
+        nothing) and counted in ``stats_events``.  A ``run`` entered from
+        a handler first pops that handler's entry if it is still held,
+        so the nested loop starts from the heap the handler would see
+        had its entry been popped before it ran.
         """
         if until is None:
             horizon = _LAST_TIME
@@ -314,37 +339,43 @@ class Simulator:
             if until < self._now:
                 return self._now
             horizon = until
+        queue = self._queue
+        if self._dispatching:     # run from a handler: retire its entry
+            self._dispatching = False
+            _heappop(queue)
         prof = self._prof
         processed = 0
-        queue = self._queue
         try:
             while queue:
-                entry = queue[0]
-                time = entry[0]
+                time, _seq, func, arg = queue[0]
                 if time > horizon:
                     if until is None:
                         raise SimulationError(
-                            f"{entry[2]!r} scheduled at time {time}, "
+                            f"{func!r} scheduled at time {time}, "
                             "past every finite time")
                     break
                 if processed == max_events:
                     raise SimulationError(
                         f"exceeded {max_events} events; likely a livelock")
-                _heappop(queue)
                 processed += 1
                 self._now = time
-                func = entry[2]
-                arg = entry[3]
+                self._dispatching = True
                 if prof is not None:
-                    prof.account(func, len(queue))
+                    prof.account(func, len(queue) - 1)
                 if arg is _NO_ARG:
                     func()
                 else:
                     func(arg)
+                if self._dispatching:     # it pushed nothing
+                    self._dispatching = False
+                    _heappop(queue)
             if until is not None:
                 self._now = until
             return self._now
         finally:
+            if self._dispatching:     # its handler raised
+                self._dispatching = False
+                _heappop(queue)
             self.stats_events += processed
             if prof is not None:
                 prof.end_run()
@@ -568,7 +599,7 @@ class Pump:
         self.source = source    # anything with Store.pop_or_park
         self.handler = handler
         self.profile_tag = profile_tag
-        sim.schedule(0.0, self.resume)
+        sim.call_later(0.0, self.resume)
 
     def resume(self) -> None:
         self._on_item(self.source.pop_or_park(self._on_item))

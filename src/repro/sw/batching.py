@@ -88,7 +88,7 @@ class BatchingZucCryptodev(Cryptodev):
             self._flush()
         elif not self._flush_scheduled:
             self._flush_scheduled = True
-            self.sim.schedule(self.batch_delay, self._deadline_flush)
+            self.sim.call_later(self.batch_delay, self._deadline_flush)
 
     def _deadline_flush(self) -> None:
         self._flush_scheduled = False

@@ -414,7 +414,7 @@ PER_TLP = (":decode|port_of|retire|completion_chunks"
 GATES = (
     # A received frame keeps its parse: only each transmitting NIC
     # parses; no whole-frame parse, size helper or checksum chain.
-    ("echo", "echo", "frame", None, 352,
+    ("echo", "echo", "frame", None, 328.6,
          ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
           "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),),
          13_680),
@@ -457,7 +457,7 @@ GATES = (
     # in its own, the host reads the clock's slot, a deferred write is a
     # list read by slot, and a TLP's in-order lane appends run in
     # _reserve_path, which calls Link.reserve only to repair.
-    ("echo.stack", "echo", "frame", ("/repro/sim/", "/repro/pcie/"), 159,
+    ("echo.stack", "echo", "frame", ("/repro/sim/", "/repro/pcie/"), 137.6,
          ("sim/engine.py:try_get",
           ("~:<built-in method builtins.len>", ("sim/engine.py:*",)),
           ("sim/engine.py:now", (HOST,)),
@@ -465,9 +465,10 @@ GATES = (
          ((("sim/resources.py:reserve", ("pcie/fabric.py:_reserve_path",)),
            "<=", "sim/resources.py:_recompute"),), 7_305),
     # The scheduler's own work: its pushes, its run loop and the Store
-    # hand-offs, in bytecode instructions.
-    ("echo.engine", "echo", "frame", "/repro/sim/engine.py", None, (), (),
-         2_135),
+    # hand-offs.  A handler's first push replaces the entry it was
+    # dispatched from, so only a dispatch that pushed nothing pops.
+    ("echo.engine", "echo", "frame", "/repro/sim/engine.py", 67.9, (),
+         (("~:<built-in method _heapq.heappop>", "<=", 3.2),), 2_035),
     # Watching a packet: levels are pulled, a finished trace and a
     # hand-off fold their samples in place, the fabric stamps a TLP's
     # span end itself, histograms are resolved once, the recorder makes
@@ -491,7 +492,7 @@ GATES = (
     # A wait is parked where its condition changes: no poll timeout, and
     # over the whole burst two Events, one Process, two driver steps.
     # The burst runs profiled, so its ops count the profiler's filing.
-    ("closed-loop", "closed-loop", "round trip", None, None,
+    ("closed-loop", "closed-loop", "round trip", None, 452.8,
          ("sim/engine.py:timeout",),
          ((Event.__init__, "==", 2 / TRIPS), (Process.__init__, "==", 1 / TRIPS),
           (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 14_505),
@@ -501,7 +502,7 @@ GATES = (
     # one-segment one is one _send_segment pass, which calls on_done.  A
     # multi-TLP write or read is sized by arithmetic: no chunk list, and
     # a write train finds its route without a frame.
-    ("fldr", "fldr", "request", None, 460,
+    ("fldr", "fldr", "request", None, 440.8,
          ("net/roce.py:*", "pcie/tlp.py:split_write_bytes|completion_chunks",
           ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",))),
          (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4),
@@ -512,7 +513,7 @@ GATES = (
     # constructor runs no round), and a one-segment message reaches the
     # units without the front end's assembly dict.  No ops bound: a
     # request's ops are the cipher's.
-    ("zuc", "zuc", "request", None, 500,
+    ("zuc", "zuc", "request", None, 480.7,
          (("~:<method 'setdefault' of 'dict' objects>|"
            "<method 'join' of 'bytes' objects>",
            ("accelerators/base.py:_reassemble",)),),

@@ -128,7 +128,7 @@ class _Loopback:
                     return  # lost on the wire
             peer = self.b if peer_name == "b" else self.a
             # Deliver with a small wire delay.
-            self.sim.schedule(1e-6, lambda: peer.on_ingress(frame))
+            self.sim.call_later(1e-6, lambda: peer.on_ingress(frame))
 
         def deliver(qp, payload, flags, context, first, last,
                     name=name):
@@ -178,14 +178,14 @@ class TestRdmaEngine:
         def probe():
             sent.append(loop.qp_a.stats_sent_segments)
             if len(sent) < 4:
-                sim.schedule(0.0, probe)
+                sim.call_later(0.0, probe)
 
         loop.a.send_message(loop.qp_a, wqe, bytes(2500),
                             on_done=lambda: done.append(len(sent)))
         # The first segment leaves inside the call; every further one
         # on its own zero-delay pass, which the probe interleaves with.
         assert loop.qp_a.stats_sent_segments == 1 and not done
-        sim.schedule(0.0, probe)
+        sim.call_later(0.0, probe)
         sim.run(until=0.01)
         assert sent == [2, 3, 3, 3]
         # Once, in the last segment's pass: no pass follows it.

@@ -194,7 +194,7 @@ class TestEngineProperties:
         sim = Simulator()
         fired = []
         for delay in delays:
-            sim.schedule(delay, lambda d=delay: fired.append(sim.now))
+            sim.call_later(delay, lambda d=delay: fired.append(sim.now))
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.setups import flde_echo_remote
 from repro.sim import Event, PollWait, Pump, SimulationError, Simulator, Store
+from repro.sim import engine
 from repro.telemetry import Telemetry
 
 NAN, INF = float("nan"), float("inf")
@@ -29,9 +30,9 @@ def test_timeout_advances_clock():
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule(3.0, lambda: order.append("c"))
-    sim.schedule(1.0, lambda: order.append("a"))
-    sim.schedule(2.0, lambda: order.append("b"))
+    sim.call_later(3.0, lambda: order.append("c"))
+    sim.call_later(1.0, lambda: order.append("a"))
+    sim.call_later(2.0, lambda: order.append("b"))
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -40,7 +41,7 @@ def test_same_time_events_fifo():
     sim = Simulator()
     order = []
     for tag in "abc":
-        sim.schedule(1.0, lambda t=tag: order.append(t))
+        sim.call_later(1.0, lambda t=tag: order.append(t))
     sim.run()
     assert order == ["a", "b", "c"]
 
@@ -48,7 +49,7 @@ def test_same_time_events_fifo():
 def test_run_until_stops_early():
     sim = Simulator()
     fired = []
-    sim.schedule(5.0, lambda: fired.append(True))
+    sim.call_later(5.0, lambda: fired.append(True))
     end = sim.run(until=2.0)
     assert end == 2.0
     assert not fired
@@ -63,9 +64,9 @@ def test_run_until_a_passed_time_leaves_the_clock_and_the_queue():
         sim = Simulator()
         fired = []
         if pending:
-            sim.schedule(5.0, lambda: fired.append(sim.now))
+            sim.call_later(5.0, lambda: fired.append(sim.now))
         assert sim.run(until=2.0) == 2.0
-        sim.schedule(0.0, lambda: fired.append(sim.now))
+        sim.call_later(0.0, lambda: fired.append(sim.now))
         assert sim.run(until=1.0) == 2.0
         assert sim.now == 2.0 and not fired
         sim.run()
@@ -75,16 +76,15 @@ def test_run_until_a_passed_time_leaves_the_clock_and_the_queue():
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule(-1.0, lambda: None)
+        sim.call_later(-1.0, lambda: None)
 
 
 @pytest.mark.parametrize("push", [
-    lambda sim: sim.schedule(NAN, lambda: None),
     lambda sim: sim.call_later(NAN, print, None),
     lambda sim: sim.timeout(NAN),
     lambda sim: sim.schedule_at(NAN, lambda: None),
     lambda sim: sim.run(until=NAN),
-], ids=["schedule", "call_later", "timeout", "schedule_at", "run"])
+], ids=["call_later", "timeout", "schedule_at", "run"])
 def test_a_nan_time_is_refused(push):
     """A NaN compares false both ways: pushed, it dispatched ahead of
     every real entry with ``now`` reading NaN, and ``run(until=nan)``
@@ -137,11 +137,59 @@ def test_an_entry_whose_handler_raises_is_counted():
 
     def fail():
         raise ValueError("handler failed")
-    sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, fail)
+    sim.call_later(1.0, lambda: None)
+    sim.call_later(2.0, fail)
     with pytest.raises(ValueError):
         sim.run()
     assert sim.stats_events == sim.profiler.total_events == 2
+
+
+def test_a_chain_of_continuations_holds_its_entry(monkeypatch):
+    """Each handler's push replaces the entry it was dispatched from:
+    a chain of N makes one push (from outside the run), N - 1 replaces
+    and one pop (the last handler pushes nothing)."""
+    calls = {"_heappush": 0, "_heappop": 0, "_heapreplace": 0}
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(engine, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(engine, name, spy)
+    sim = Simulator()
+    left = [9]
+
+    def hop(_arg):
+        left[0] -= 1
+        if left[0]:
+            sim.call_later(1.0, hop, None)
+    sim.call_later(1.0, hop, None)
+    assert sim.run() == 9.0 and sim.stats_events == 9
+    assert calls == {"_heappush": 1, "_heappop": 1, "_heapreplace": 8}
+    assert not sim._queue
+
+
+@pytest.mark.parametrize("pushes_first", [False, True],
+                         ids=["held", "replaced"])
+def test_a_run_from_a_handler_retires_its_entry(pushes_first):
+    """A nested ``run`` pops the entry its caller was dispatched from
+    (unless the caller's push already replaced it), so both loops keep
+    the naive heap's order and every entry is dispatched once."""
+    sim = Simulator()
+    log = []
+
+    def outer():
+        log.append(("outer", sim.now))
+        if pushes_first:
+            sim.call_later(0.5, log.append, ("pushed", 1.5))
+        sim.run(until=2.5)
+        log.append(("resumed", sim.now))
+        sim.call_later(0.0, log.append, ("after", 2.5))
+    sim.call_later(1.0, outer)
+    sim.call_later(2.0, log.append, ("b", 2.0))
+    sim.call_later(3.0, log.append, ("c", 3.0))
+    assert sim.run() == 3.0 and not sim._queue
+    assert log == [("outer", 1.0)] + [("pushed", 1.5)] * pushes_first + [
+        ("b", 2.0), ("resumed", 2.5), ("after", 2.5), ("c", 3.0)]
+    assert sim.stats_events == len(log) - 1
 
 
 def test_max_events_dispatches_at_most_that_many():
@@ -152,8 +200,8 @@ def test_max_events_dispatches_at_most_that_many():
 
     def tick():
         ticks.append(sim.now)
-        sim.schedule(1.0, tick)
-    sim.schedule(1.0, tick)
+        sim.call_later(1.0, tick)
+    sim.call_later(1.0, tick)
     with pytest.raises(SimulationError, match="exceeded 5 events"):
         sim.run(max_events=5)
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0] and sim.stats_events == 5

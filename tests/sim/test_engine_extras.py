@@ -67,8 +67,8 @@ class TestProcessComposition:
     def test_run_is_resumable_after_until(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(3.0, lambda: fired.append(3))
+        sim.call_later(1.0, lambda: fired.append(1))
+        sim.call_later(3.0, lambda: fired.append(3))
         sim.run(until=2.0)
         assert fired == [1]
         assert sim.now == 2.0

@@ -1,25 +1,32 @@
 """Lockstep oracle: the engine's scheduler vs a naive pure-heap one.
 
-The engine pushes through four entry points (relative, absolute,
-one-argument, Event timeouts), resumes processes through Events, and
-stops its run loop at a horizon.  The claim is that it dispatches in
-*exactly* ``(time, seq)`` order — not approximately, not "up to ties".
+The engine pushes through three entry points (relative, with or
+without an argument; absolute; Event timeouts), resumes processes
+through Events, and stops its run loop at a horizon.  It dispatches an
+entry where it lies at the heap's top, and the handler's first push
+replaces it (a *hold*).  The claim is that it dispatches in *exactly*
+``(time, seq)`` order — not approximately, not "up to ties" — whether a
+handler pushes nothing, one entry or several, or raises.
 
 This suite machine-checks the claim: hypothesis generates random
 workload trees (mixed zero-delay and timed pushes, same-timestamp
 bursts, pushes-during-dispatch, absolute-time ``schedule_at`` entries,
-``run(until=...)`` horizons) and executes each one through the real
-:class:`repro.sim.engine.Simulator` and through ``PureHeapScheduler``, a
-deliberately naive scheduler that pushes every entry through ``heapq``
-as a ``(time, seq, action)`` triple.  The dispatch logs — ``(time,
-node)`` per fired entry — and the final clocks must be identical.
+``run(until=...)`` horizons, raising handlers) and executes each one
+through the real :class:`repro.sim.engine.Simulator` and through
+``PureHeapScheduler``, a deliberately naive scheduler that pushes every
+entry through ``heapq`` as a ``(time, seq, action)`` triple and pops it
+before dispatching it.  The dispatch logs — ``(time, node)`` per fired
+entry — the final clocks, the heap lengths and the profiler's depth
+samples must be identical.
 """
 
 import heapq
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Simulator
+from repro.telemetry.profile import SimProfiler
 
 
 def budget(tier1_examples: int) -> int:
@@ -43,9 +50,11 @@ class PureHeapScheduler:
         self.now = 0.0
         self._queue = []
         self._seq = 0
+        self.depths = []     # the heap's length after each pop
 
-    def schedule(self, delay, action):
-        heapq.heappush(self._queue, (self.now + delay, self._seq, action))
+    def call_later(self, delay, action, *arg):
+        heapq.heappush(self._queue, (self.now + delay, self._seq,
+                                     partial(action, *arg)))
         self._seq += 1
 
     def schedule_at(self, time, action):
@@ -61,6 +70,7 @@ class PureHeapScheduler:
                 self.now = until
                 return self.now
             heapq.heappop(queue)
+            self.depths.append(len(queue))
             self.now = time
             action()
         if until is not None:
@@ -70,8 +80,9 @@ class PureHeapScheduler:
 
 # A workload is a tree of nodes.  Each node carries (delay_index,
 # via_timeout, children); firing a node logs its identity and schedules
-# its children — pushes-during-dispatch by construction.  ``delay_index``
-# < 0 means schedule_at(now + |delay|) instead of a relative push.
+# its children — pushes-during-dispatch by construction, none, one or
+# several of them.  ``delay_index`` < 0 means schedule_at(now + |delay|)
+# instead of a relative push, which is one-argument ``call_later``.
 workload_nodes = st.deferred(
     lambda: st.tuples(
         st.integers(min_value=-len(DELAYS), max_value=len(DELAYS) - 1),
@@ -83,14 +94,27 @@ workload_nodes = st.deferred(
 workloads = st.lists(workload_nodes, min_size=1, max_size=6)
 
 
-def execute(sim, workload, log, label_path=()):
-    """Schedule ``workload``'s roots; children recurse on fire."""
+class HandlerFailed(Exception):
+    """Raised by the handler a lockstep case chose to fail."""
+
+
+def execute(sim, workload, log, label_path=(), raise_at=None):
+    """Schedule ``workload``'s roots; children recurse on fire.  With
+    ``raise_at=(fire, pushed)``, the ``fire``-th handler pushes its first
+    ``pushed`` children only, then raises :class:`HandlerFailed`."""
 
     def fire(node, path):
         delay_index, via_timeout, children = node
         log.append((round(sim.now, 15), path))
-        for i, child in enumerate(children):
+        fails = raise_at is not None and len(log) - 1 == raise_at[0]
+        for i, child in enumerate(children[:raise_at[1]] if fails
+                                  else children):
             schedule_node(child, path + (i,))
+        if fails:
+            raise HandlerFailed(path)
+
+    def fire_entry(node_path):
+        fire(*node_path)
 
     def schedule_node(node, path):
         delay_index, via_timeout, children = node
@@ -102,8 +126,7 @@ def execute(sim, workload, log, label_path=()):
             event = sim.timeout(DELAYS[delay_index])
             event.add_callback(lambda _e, n=node, p=path: fire(n, p))
         else:
-            sim.schedule(DELAYS[delay_index],
-                         lambda n=node, p=path: fire(n, p))
+            sim.call_later(DELAYS[delay_index], fire_entry, (node, path))
 
     for i, node in enumerate(workload):
         schedule_node(node, label_path + (i,))
@@ -140,6 +163,40 @@ def test_lockstep_resumed_runs(workload):
     assert real.now == ref.now
 
 
+def run_to_failure(sim):
+    """``sim.run()``; whether a handler raised :class:`HandlerFailed`."""
+    try:
+        sim.run()
+    except HandlerFailed:
+        return True
+    return False
+
+
+@settings(max_examples=budget(6), deadline=None)
+@given(workload=workloads, fire=st.integers(min_value=0, max_value=8),
+       pushed=st.integers(min_value=0, max_value=3))
+def test_lockstep_a_raising_handler(workload, fire, pushed):
+    """A handler that raises takes its entry with it, whether it pushed
+    nothing first (its entry still held at the top, popped by ``run``'s
+    ``finally``) or some of its children (the first push replaced it).
+    The entry is counted, and the next run dispatches the rest in
+    ``(time, seq)`` order."""
+    real, real_log = Simulator(), []
+    ref, ref_log = PureHeapScheduler(), []
+    execute(real, workload, real_log, raise_at=(fire, pushed))
+    execute(ref, workload, ref_log, raise_at=(fire, pushed))
+    raised = run_to_failure(real)
+    assert raised == run_to_failure(ref)
+    assert real_log == ref_log and real.now == ref.now
+    assert real.stats_events == len(real_log)
+    assert len(real._queue) == len(ref._queue)
+    if raised:
+        real.run()
+        ref.run()
+        assert real_log == ref_log and real.now == ref.now
+        assert real.stats_events == len(real_log) and not real._queue
+
+
 # -- mixed-kind oracle: continuations, Event timeouts, processes ---------
 #
 # The engine's event kinds (plain entries, Event timeouts, generator
@@ -147,7 +204,7 @@ def test_lockstep_resumed_runs(workload):
 # dispatches the same pushes.  Each node is
 # (kind, delay_index, aux_index, children):
 #
-#   kind 0  schedule(d)
+#   kind 0  call_later(d)
 #   kind 1  schedule_at(now + d)
 #   kind 2  timeout(d) + add_callback   (the generator-free Event idiom)
 #   kind 3  a spawned generator process: two timed resumes, children
@@ -181,7 +238,7 @@ def execute_mixed(sim, workload, log, is_real):
         kind, delay_index, aux_index, _children = node
         delay = DELAYS[delay_index]
         if kind == 0:
-            sim.schedule(delay, lambda n=node, p=path: fire(n, p))
+            sim.call_later(delay, lambda n=node, p=path: fire(n, p))
         elif kind == 1:
             sim.schedule_at(sim.now + delay,
                             lambda n=node, p=path: fire(n, p))
@@ -190,7 +247,7 @@ def execute_mixed(sim, workload, log, is_real):
                 event = sim.timeout(delay)
                 event.add_callback(lambda _e, n=node, p=path: fire(n, p))
             else:
-                sim.schedule(delay, lambda n=node, p=path: fire(n, p))
+                sim.call_later(delay, lambda n=node, p=path: fire(n, p))
         else:  # kind 3: generator process with two timed resumes
             second_delay = DELAYS[aux_index]
             if is_real:
@@ -207,12 +264,12 @@ def execute_mixed(sim, workload, log, is_real):
 
                 def resume1(n=node, p=path):
                     fire(n, p + ("r1",))
-                    sim.schedule(second_delay, resume2)
+                    sim.call_later(second_delay, resume2)
 
                 def step(n=node):
-                    sim.schedule(DELAYS[n[1]], resume1)
+                    sim.call_later(DELAYS[n[1]], resume1)
 
-                sim.schedule(0.0, step)
+                sim.call_later(0.0, step)
 
     for i, node in enumerate(workload):
         schedule_node(node, (i,))
@@ -252,3 +309,20 @@ def test_lockstep_mixed_kinds_resumed_runs(workload):
         assert real_log == ref_log
     assert real.now == ref.now
 
+
+
+@settings(max_examples=budget(4), deadline=None)
+@given(workload=mixed_workloads)
+def test_lockstep_profiler_depth(workload):
+    """The profiler samples the heap's depth less the entry it is about
+    to dispatch, which the engine holds at the top: the naive heap's
+    length after its pop."""
+    profiler = SimProfiler(depth_sample_every=1)
+    real, real_log = Simulator(profiler=profiler), []
+    ref, ref_log = PureHeapScheduler(), []
+    execute_mixed(real, workload, real_log, is_real=True)
+    execute_mixed(ref, workload, ref_log, is_real=False)
+    real.run()
+    ref.run()
+    assert real_log == ref_log
+    assert [depth for _index, depth in profiler.depth_samples] == ref.depths

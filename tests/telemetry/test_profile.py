@@ -49,7 +49,7 @@ class TestTagOwnership:
                 self.hits += 1
 
         widget = Widget()
-        sim.schedule(0.5, widget.poke)
+        sim.call_later(0.5, widget.poke)
         sim.run()
         assert widget.hits == 1
         assert telemetry.profiler.event_counts == {"gadget": 1}
@@ -61,7 +61,7 @@ class TestTagOwnership:
         def proc(sim):
             # A bare closure scheduled from inside the process has no
             # owner: it files under its own name, not the process's.
-            sim.schedule(0.1, lambda: fired.append(sim.now))
+            sim.call_later(0.1, lambda: fired.append(sim.now))
             yield sim.timeout(1.0)
 
         sim.spawn(proc(sim), name="origin")
@@ -84,8 +84,8 @@ class TestTagOwnership:
                 pass
 
         fired = []
-        sim.schedule(1.0, Widget().poke)
-        sim.schedule(1.0, partial(fired.append, 1))
+        sim.call_later(1.0, Widget().poke)
+        sim.call_later(1.0, partial(fired.append, 1))
         sim.timeout(2.0)    # nobody waits on it
         sim.run()
         assert fired == [1]
@@ -199,7 +199,7 @@ class TestNullProfiler:
         assert sim.profiler is NULL_PROFILER
         assert sim._prof is None
         # The profiled run loop is not reachable without a profiler.
-        sim.schedule(1.0, lambda: None)
+        sim.call_later(1.0, lambda: None)
         sim.run()
         assert sim.stats_events == 1
 
