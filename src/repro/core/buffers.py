@@ -87,11 +87,13 @@ class BufferPool:
         base = handle * self.chunk_size + offset
         return bytes(self._data[base:base + length])
 
-    def write_scattered(self, handles: List[int], data: bytes) -> None:
-        """Spread ``data`` across an allocated chunk list."""
+    def write_scattered(self, handles: List[int], data: bytes,
+                        length: Optional[int] = None) -> None:
+        """Spread ``data`` (``length`` bytes, when the caller has
+        measured it) across an allocated chunk list."""
         size = self.chunk_size
         sram = self._data
-        remaining = len(data)
+        remaining = len(data) if length is None else length
         cursor = 0
         for handle in handles:
             if remaining <= 0:

@@ -109,7 +109,6 @@ class FlexDriver(PcieEndpoint):
         self._pending_sends = 0
         self.stats_cqe_writes = 0
         self.stats_tx_packets = 0
-        self.stats_tx_bytes = 0
         self.stats_rx_stream_pushes = 0
         # Counts and probes are sampled only at export time (§5.2's
         # translation tables and pools cost nothing to watch).
@@ -146,6 +145,11 @@ class FlexDriver(PcieEndpoint):
                 "cqes": self.rx.stats_cqes,
                 "sram_writes": self.rx.stats_sram_writes,
             })
+
+    @property
+    def stats_tx_bytes(self) -> int:
+        """Payload bytes submitted, as an egress program left them."""
+        return self.tx.stats_tx_bytes
 
     # ------------------------------------------------------------------
     # Configuration (called by the FLD runtime library, §5.3)
@@ -210,7 +214,8 @@ class FlexDriver(PcieEndpoint):
         """
         tx = self.tx
         state = tx.queue(meta.queue_id)
-        needed = -(-len(data) // tx.buffers.chunk_size) or 1
+        length = len(data)
+        needed = -(-length // tx.buffers.chunk_size) or 1
         if not (state.pi - state.ci < state.entries
                 and len(tx.buffers._free) - self._pending_chunks >= needed
                 and len(tx.descriptors._free) > self._pending_sends
@@ -219,7 +224,7 @@ class FlexDriver(PcieEndpoint):
         self._pending_chunks += needed
         self._pending_sends += 1
         self.sim.call_later(self.config.pipeline_latency,
-                            _Submit((self, data, meta, needed,
+                            _Submit((self, data, meta, needed, length,
                                      self.sim._now)).land)
         return True
 
@@ -237,7 +242,8 @@ class FlexDriver(PcieEndpoint):
         its waits are a :class:`_Send`'s, which files under the owner of
         ``func``.
         """
-        entry = _Send((self, data, meta, func, arg, self.sim._now))
+        entry = _Send((self, data, meta, func, arg, self.sim._now,
+                       len(data)))
         if self.tx.credits.try_consume(meta.queue_id, 1):
             entry.credited()
         else:
@@ -430,15 +436,16 @@ class FlexDriver(PcieEndpoint):
 
 # -- a send's records: the stages of send_then/try_send, each filing
 # under whoever the stage holds.  Each computes its own bookkeeping: the
-# chunk count is taken once at admission and rides the record to the
-# submit, and a delay of n FLD cycles is ``n / clock_hz``
-# (``FldConfig.cycles``' float, with no frame).
+# payload is measured once when the send starts and its chunk count once
+# at admission, and both ride the record to the submit; a delay of n FLD
+# cycles is ``n / clock_hz`` (``FldConfig.cycles``' float, with no
+# frame).
 
 
 class _Send(tuple):
-    """``(fld, data, meta, func, arg, started[, needed])``: a send that
-    holds its sender, so its waits file under the owner of the sender's
-    continuation ``func``."""
+    """``(fld, data, meta, func, arg, started, length[, needed])``: a
+    send that holds its sender, so its waits file under the owner of the
+    sender's continuation ``func``."""
 
     __slots__ = ()
 
@@ -451,10 +458,9 @@ class _Send(tuple):
         chunks and one descriptor slot — beyond what earlier admitted
         sends have promised, then hold the sender for the pipeline's
         occupancy."""
-        fld, data, meta, func, arg, wait_started = self
+        fld, data, meta, func, arg, wait_started, length = self
         sim = fld.sim
         tx = fld.tx
-        length = len(data)
         needed = -(-length // tx.buffers.chunk_size) or 1
         if not (len(tx.buffers._free) - fld._pending_chunks >= needed
                 and len(tx.descriptors._free) > fld._pending_sends):
@@ -468,21 +474,22 @@ class _Send(tuple):
         fld._pending_chunks += needed
         fld._pending_sends += 1
         sim.call_later((length // 64 or 1) / fld.config.clock_hz,
-                       _Send((fld, data, meta, func, arg, now,
+                       _Send((fld, data, meta, func, arg, now, length,
                               needed)).occupied)
 
     def occupied(self) -> None:
         """The sender is free: the submit lands one pipeline latency
         from now, and ``func(arg)`` resumes the sender."""
-        fld, data, meta, func, arg, started, needed = self
+        fld, data, meta, func, arg, started, length, needed = self
         fld.sim.call_later(fld.config.pipeline_latency,
-                           _Submit((fld, data, meta, needed, started)).land)
+                           _Submit((fld, data, meta, needed, length,
+                                    started)).land)
         func(arg)
 
 
 class _Submit(tuple):
-    """``(fld, data, meta, needed, started)``: a send in FLD's tx
-    pipeline, filed under the tx engine."""
+    """``(fld, data, meta, needed, length, started)``: a send in FLD's
+    tx pipeline, filed under the tx engine."""
 
     __slots__ = ()
 
@@ -491,17 +498,16 @@ class _Submit(tuple):
         return self[0]._ptag_tx
 
     def land(self) -> None:
-        fld, data, meta, needed, started = self
+        fld, data, meta, needed, length, started = self
         fld._pending_chunks -= needed
         fld._pending_sends -= 1
         if meta.trace_ctx is not None:
             fld._spans.record(meta.trace_ctx, "fld.tx", started,
                               fld.sim._now)
-        if fld.tx.submit(meta.queue_id, data, meta, needed) is None:
+        if fld.tx.submit(meta.queue_id, data, meta, needed, length) is None:
             return  # an egress program dropped it; credit already refunded
         fld.stats_tx_packets += 1
-        fld.stats_tx_bytes += len(data)
         tracer = fld._tracer
         if tracer.enabled:
             tracer.instant(f"fld.{fld.name}", f"txq{meta.queue_id}",
-                           "submit", fld.sim._now, {"bytes": len(data)})
+                           "submit", fld.sim._now, {"bytes": length})

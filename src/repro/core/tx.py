@@ -90,6 +90,7 @@ class TxRingManager:
         self._qpn_to_queue: Dict[int, int] = {}
         self.stats_wqe_reads = 0
         self.stats_data_read_bytes = 0
+        self.stats_tx_bytes = 0
         self._spans = sim.telemetry.spans
         # ``mmio_writer`` has a frozen (addr, bytes) signature, so the
         # trace context of the submission being rung travels out-of-band:
@@ -148,14 +149,16 @@ class TxRingManager:
     # -- the accelerator-facing submit path -----------------------------------
 
     def submit(self, queue_id: int, data: bytes, meta: AxisMetadata,
-               chunks: int = 0) -> Optional[int]:
+               chunks: int = 0, length: Optional[int] = None
+               ) -> Optional[int]:
         """Enqueue one packet/message and ring the NIC; returns its wqe
         index.
 
         The caller (FLD top) is responsible for holding a credit; this
         method asserts physical resources, which credits guarantee.
-        ``chunks`` is the payload's chunk count when the caller has
-        already taken it (0: count here).
+        ``chunks`` is the payload's chunk count and ``length`` its size
+        when the caller has already taken them (0 and ``None``: count
+        and measure here).
         An attached egress program runs before any resource is taken:
         a ``drop`` verdict refunds the caller's credit and returns
         ``None`` — the packet never existed as far as buffers,
@@ -172,10 +175,13 @@ class TxRingManager:
             if data is None:
                 self.credits.refund(queue_id, 1)
                 return None
-            chunks = 0  # the program may have resized the payload
+            # The program may have resized the payload.
+            chunks = 0
+            length = None
         if state.pi - state.ci >= state.entries:
             raise TxQueueError(f"queue {queue_id} ring overflow")
-        length = len(data)
+        if length is None:
+            length = len(data)
         context = meta.context_id
         if not (length < 1 << 16 and 0 <= context < 1 << 24):
             raise ValueError(f"{length} B with context {context:#x} does "
@@ -186,8 +192,8 @@ class TxRingManager:
             raise TxQueueError(
                 f"buffer pool exhausted for {length} B on queue {queue_id}"
             )
-        buffers.write_scattered(handles, data)
-        count = len(handles)
+        buffers.write_scattered(handles, data, length)
+        count = chunks or len(handles)
 
         index = state.pi
         state.pi += 1
@@ -207,6 +213,7 @@ class TxRingManager:
             raise TxQueueError("descriptor pool exhausted")
         state.outstanding[index] = (handles, virt_chunk, count)
         state.stats_submitted += 1
+        self.stats_tx_bytes += length
 
         # Ring the NIC (a standalone manager has no writer).
         writer = self.mmio_writer

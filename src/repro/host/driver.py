@@ -456,8 +456,9 @@ class RcEndpoint(_HostQueue):
               remote_addr: int = 0, rkey: int = 0) -> Event:
         """Write ``data`` and its WQE to the next SQ slot and ring the
         doorbell; the returned event fires on the send's completion."""
-        if len(data) > self.tx_buffer_size:
-            raise ValueError(f"{len(data)} B exceeds the send buffer "
+        length = len(data)
+        if length > self.tx_buffer_size:
+            raise ValueError(f"{length} B exceeds the send buffer "
                              f"of {self.tx_buffer_size} B")
         qpn = self.qp.qpn
         index = self._pi
@@ -466,7 +467,7 @@ class RcEndpoint(_HostQueue):
         driver = self.driver
         driver.memory.write_local(buffer_addr - driver.mem_base, data)
         wqe = TX_WQE.pack(opcode, WQE_FLAG_SIGNALED if signaled else 0,
-                          index & 0xFFFF, qpn, buffer_addr, len(data), 0, 0,
+                          index & 0xFFFF, qpn, buffer_addr, length, 0, 0,
                           1, remote_addr, rkey, 0)
         if trace_ctx is not None:
             self._spans.stash(("wqe", driver.nic.name, qpn, index),
@@ -509,6 +510,8 @@ class RcEndpoint(_HostQueue):
             message = b"".join(self._assembly)
             self._assembly = []
             self.stats_messages_received += 1
+            if cqe.trace_ctx is not None:
+                self._spans.end_trace(cqe.trace_ctx, self.sim._now)
             self.messages.try_put((message, cqe))
 
     def _recycle(self, index: int) -> None:

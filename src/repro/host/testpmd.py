@@ -129,7 +129,7 @@ class _FlatPacer:
     """
 
     __slots__ = ("gen", "sizes", "interval", "done", "flows", "labels",
-                 "_index")
+                 "_index", "_count", "_flow_count")
 
     def __init__(self, gen: "LoadGenerator", sizes: List[int],
                  interval: float, done: Event,
@@ -142,6 +142,8 @@ class _FlatPacer:
         self.flows = flows
         self.labels = labels
         self._index = 0
+        self._count = len(sizes)
+        self._flow_count = len(flows) if flows is not None else 0
 
     @property
     def profile_tag(self):
@@ -158,15 +160,16 @@ class _FlatPacer:
         index = self._index
         flows = self.flows
         if flows is not None:
-            gen.flow = flows[index % len(flows)]
+            flow = index % self._flow_count
+            gen.flow = flows[flow]
             labels = self.labels
             if labels is not None:
-                gen.trace_label = labels[index % len(flows)]
+                gen.trace_label = labels[flow]
         gen._send_frame(self.sizes[index])
         gen.stats_sent += 1
         index += 1
         self._index = index
-        if index < len(self.sizes):
+        if index < self._count:
             sim.call_later(self.interval, self._tick, None)
         else:
             # Pace once more after the last frame, then release the
@@ -328,7 +331,7 @@ class LoadGenerator:
             spans.record(ctx, "host.tx", started, self.sim._now)
 
     def _on_receive(self, data: bytes, cqe) -> None:
-        length = len(data)
+        length = cqe.byte_count     # the bytes read back for the CQE
         payload_at = (cqe.layout or parse_layout(data))[PAYLOAD]
         if length - payload_at >= _SEQ_SIZE:
             (seq,) = struct.unpack_from(_SEQ_FORMAT, data, payload_at)

@@ -25,11 +25,17 @@ def internet_checksum(data: bytes, initial: int = 0) -> int:
 
 
 def verify_checksum(data: bytes) -> bool:
-    """True when ``data`` (checksum field included) sums to zero: its
-    fold is 0xFFFF, so its total is a nonzero multiple of 0xFFFF."""
+    """True when ``data`` (checksum field included) sums to zero."""
     if len(data) % 2:
         data = data + b"\x00"
-    total = int.from_bytes(data, "big")
+    return verify_checksum_at(data, 0, len(data))
+
+
+def verify_checksum_at(raw: bytes, start: int, size: int) -> bool:
+    """:func:`verify_checksum` of ``raw[start:start + size]``, an
+    even-length span (an IPv4 header): it sums to zero when its fold is
+    0xFFFF, so its total is a nonzero multiple of 0xFFFF."""
+    total = int.from_bytes(raw[start:start + size], "big")
     return total != 0 and total % 0xFFFF == 0
 
 

@@ -33,7 +33,9 @@ from .vxlan import VXLAN_INNER, Vxlan
 
 _ETH = struct.Struct("!HI6xH")        # dst MAC (high 16, low 32), ethertype
 _IPV4 = struct.Struct("!B5xHxB2xII")  # version/IHL, flags+offset, proto, src, dst
-_PORTS = struct.Struct("!HH")
+#: ``_ETH`` and ``_IPV4`` back to back, then the L4 source and
+#: destination ports: a frame with 38 B past its start in one read.
+_HEAD = struct.Struct("!HI6xHB5xHxB2xIIHH")
 
 
 class ParseError(ValueError):
@@ -50,24 +52,32 @@ def parse_layout(data: bytes, base: int = 0) -> tuple:
     """The layout tuple (slots ``L3`` … ``BTH``) of the frame at ``base``.
 
     Builds no header objects, and raises what :func:`parse_headers`
-    raises on the same bytes.
+    raises on the same bytes.  A frame long enough for L4 ports past
+    an IPv4 header is read in one ``struct`` read; the ports in it are
+    taken only where an L4 header is.
     """
     size = len(data)
-    if size - base < 14:
-        raise ParseError("frame shorter than an Ethernet header")
-    mac_high, mac_low, ethertype = _ETH.unpack_from(data, base)
+    if size - base >= 38:       # _HEAD.size
+        (mac_high, mac_low, ethertype, version_ihl, flags_frag, proto,
+         src_ip, dst_ip, ports_src, ports_dst) = _HEAD.unpack_from(data, base)
+    else:
+        # Too short to hold L4 ports past an IPv4 header: none are read.
+        if size - base < 14:
+            raise ParseError("frame shorter than an Ethernet header")
+        mac_high, mac_low, ethertype = _ETH.unpack_from(data, base)
+        if ethertype == ETHERTYPE_IPV4:
+            if size - base < 34:
+                raise ValueError("truncated IPv4 header")
+            version_ihl, flags_frag, proto, src_ip, dst_ip = \
+                _IPV4.unpack_from(data, base + 14)
     dst_mac = (mac_high << 32) | mac_low
     offset = base + 14
     if ethertype != ETHERTYPE_IPV4:
         return (None, None, offset, dst_mac, ethertype,
                 None, None, None, None, None, None, None, None, None)
-    if size - offset < 20:
-        raise ValueError("truncated IPv4 header")
-    l3 = offset
-    version_ihl, flags_frag, proto, src_ip, dst_ip = _IPV4.unpack_from(
-        data, l3)
     if version_ihl >> 4 != 4:
         raise ValueError("not an IPv4 packet")
+    l3 = offset
     offset += 20
     left = size - offset
     # MF flag or a nonzero fragment offset: L4 may be absent or must
@@ -79,11 +89,11 @@ def parse_layout(data: bytes, base: int = 0) -> tuple:
     elif proto == PROTO_TCP:
         if left >= 20:
             l4, l4_proto = offset, PROTO_TCP
-            src_port, dst_port = _PORTS.unpack_from(data, offset)
+            src_port, dst_port = ports_src, ports_dst
             offset += 20
     elif proto == PROTO_UDP and left >= 8:
         l4, l4_proto = offset, PROTO_UDP
-        src_port, dst_port = _PORTS.unpack_from(data, offset)
+        src_port, dst_port = ports_src, ports_dst
         offset += 8
         left -= 8
         if dst_port == VXLAN_PORT:

@@ -152,6 +152,9 @@ class Nic(PcieEndpoint):
         self.stats_meter_drops = 0
         #: Doorbells and MMIO WQEs for a queue that does not exist.
         self.stats_dropped_doorbells = 0
+        #: Ethernet WQEs whose data is no frame (0 bytes, or shorter
+        #: than its headers): nothing is sent, the WQE completes.
+        self.stats_tx_dropped_malformed = 0
         # The tracer and span recorder are guarded by their ``enabled``
         # flags at every use site.
         tele = sim.telemetry
@@ -385,7 +388,7 @@ class Nic(PcieEndpoint):
     def _resolve_eth(self, sq: SendQueue, wqe: TxWqeRecord, data: bytes):
         """Steer one Ethernet WQE: parse, offload, segment and classify,
         returning ``[(disposition, vport), ...]`` without applying
-        anything.
+        anything (none for data that is no frame).
 
         Rule lookups take no virtual time and only bump counters, so a
         caller can resolve at data-ready time and defer the effect to
@@ -395,7 +398,11 @@ class Nic(PcieEndpoint):
         meta = {"context_id": wqe.context_id & 0xFFFF}
         if ctx is not None:
             meta["trace_ctx"] = ctx
-        packet = Packet.frozen(data, parse_layout(data), meta)
+        try:
+            packet = Packet.frozen(data, parse_layout(data), meta)
+        except ValueError:
+            self.stats_tx_dropped_malformed += 1
+            return []
         if wqe.flags & (WQE_FLAG_CSUM_L3 | WQE_FLAG_CSUM_L4):
             self.checksum.fill(packet, l3=bool(wqe.flags & WQE_FLAG_CSUM_L3),
                                l4=bool(wqe.flags & WQE_FLAG_CSUM_L4))
@@ -634,9 +641,9 @@ class _RqFlatWorker:
             key = (rq.rqn, index % rq.entries)
             cached = nic._cached_rx_desc
             if stride and key in cached:
-                self._complete(item, cached[key], index, stride)
+                self._complete(item, length, cached[key], index, stride)
                 return
-            self._pend = (item, key, index, stride)
+            self._pend = (item, length, key, index, stride)
             nic.fabric.read(nic, rq.slot_addr(index), RX_DESC_SIZE,
                             on_done=self._mprq_desc_ready)
             return
@@ -648,36 +655,39 @@ class _RqFlatWorker:
             return
         rq.ci = index + 1
         rq.stats_packets += 1
+        length = len(item[0])
         desc = nic._cached_rx_desc.pop((rq.rqn, index), None)
         if desc is None:
             slot = index % rq.entries
             burst = max(1, min(nic.config.rx_desc_batch, rq.pi - index,
                                rq.entries - slot))
-            self._pend = (item, index, burst)
+            self._pend = (item, length, index, burst)
             nic.fabric.read(
                 nic, rq.slot_addr(index), burst * RX_DESC_SIZE,
                 on_done=self._plain_desc_ready,
             )
             return
-        self._complete(item, desc, index, 0)
+        self._complete(item, length, desc, index, 0)
 
     def _mprq_desc_ready(self, raw) -> None:
-        item, key, index, stride = self._pend
+        item, length, key, index, stride = self._pend
         self._pend = None
         desc = self.nic._cached_rx_desc[key] = RX_DESC.unpack_from(raw)
-        self._complete(item, desc, index, stride)
+        self._complete(item, length, desc, index, stride)
 
     def _plain_desc_ready(self, raw) -> None:
-        item, index, burst = self._pend
+        item, length, index, burst = self._pend
         self._pend = None
         cached = self.nic._cached_rx_desc
         rqn = self.rq.rqn
         for i, desc in enumerate(RX_DESC.iter_unpack(raw), index):
             cached[(rqn, i)] = desc
-        self._complete(item, cached.pop((rqn, index)), index, 0)
+        self._complete(item, length, cached.pop((rqn, index)), index, 0)
 
-    def _complete(self, item, desc, index: int, stride_index: int) -> None:
-        """Write ``item`` ``stride_index`` strides into the buffer of
+    def _complete(self, item, length: int, desc, index: int,
+                  stride_index: int) -> None:
+        """Write ``item`` (``length`` bytes, measured once by
+        :meth:`_service`) ``stride_index`` strides into the buffer of
         descriptor ``desc`` (ring ``index``), chain its CQE on the write
         and take the next inbox item.  A frame longer than the buffer is
         a local length error: the buffer takes its first bytes and the
@@ -687,7 +697,6 @@ class _RqFlatWorker:
         nic = self.nic
         rq = self.rq
         data, flags, context, qpn, rss_hash, ctx, _enq, frame, started = item
-        length = len(data)
         address, buffer_bytes, _lkey = desc
         if length > buffer_bytes:
             nic.stats_rx_dropped_oversize += 1
@@ -919,7 +928,7 @@ class _SqFlatPipeline:
         sim = nic.sim
         sq.stats_wqes += 1
         nic.stats_tx_wqes += 1
-        nic.stats_tx_bytes += len(data)
+        nic.stats_tx_bytes += wqe.byte_count   # what its data read returned
         now = sim._now
         stage_free = self.stage_free
         service_started = now if now > stage_free else stage_free
@@ -997,8 +1006,8 @@ class _SqFlatPipeline:
     def _tx_paced(self) -> None:
         """At ``done``: a metered queue waits out its shaper first."""
         nic = self.nic
-        _index, wqe, data = self._tx_pend[:3]
-        delay = nic.shaper.delay_for(self.sq.meter, len(data) * 8)
+        wqe = self._tx_pend[1]
+        delay = nic.shaper.delay_for(self.sq.meter, wqe.byte_count * 8)
         if delay > 0:
             if wqe.trace_ctx is not None:
                 now = nic.sim._now
@@ -1009,7 +1018,8 @@ class _SqFlatPipeline:
             self._tx_conformed()
 
     def _tx_conformed(self) -> None:
-        self.nic.shaper.consume(self.sq.meter, len(self._tx_pend[2]) * 8)
+        self.nic.shaper.consume(self.sq.meter,
+                                self._tx_pend[1].byte_count * 8)
         self._tx_emit()
 
     def _tx_emit(self) -> None:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import List
 
-from ..net import (
-    Ethernet, IpAddress, Ipv4, PROTO_UDP, Packet, Tcp, Udp, verify_checksum,
-)
+from ..net import Ethernet, IpAddress, Ipv4, PROTO_UDP, Packet, Tcp, Udp
+from ..net.checksum import verify_checksum_at
 from ..net.parse import (
     IS_FRAGMENT, L3, L4, L4_PROTO, PAYLOAD, DST_IP, SRC_IP,
 )
@@ -40,7 +39,7 @@ class ChecksumOffload:
         l3 = layout[L3]
         if l3 is not None:
             raw = packet.raw
-            if verify_checksum(raw[l3:l3 + Ipv4.HEADER_LEN]):
+            if verify_checksum_at(raw, l3, Ipv4.HEADER_LEN):
                 flags |= CQE_FLAG_L3_OK
             if layout[IS_FRAGMENT]:
                 self.stats_rx_l4_skipped += 1

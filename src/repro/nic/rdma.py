@@ -310,7 +310,8 @@ class RdmaEngine:
         """
         if qp.state != RcQp.READY:
             raise RdmaError(f"QP {qp.qpn} not connected")
-        length = len(data)
+        # A WQE's data read returned exactly its byte count.
+        length = wqe.byte_count if wqe is not None else len(data)
         final = (length - 1) // self.mtu if length else 0   # last index
         ctx = wqe.trace_ctx if wqe is not None else None
         rdma_span = (None if ctx is None else
@@ -329,21 +330,24 @@ class RdmaEngine:
                 on_done()
             return
         last = index == final
+        mtu = self.mtu
+        start = index * mtu
         frame = self._build_frame(
-            qp, data[index * self.mtu:(index + 1) * self.mtu], index == 0,
-            last, wqe,
+            qp, data[start:start + mtu], length - start if last else mtu,
+            index == 0, last, wqe,
             is_write=wqe is not None and wqe.opcode == OP_RDMA_WRITE,
             remote_addr=remote_addr, rkey=rkey, total_length=length,
         )
         segment = _Segment(frame, wqe, last, self.sim._now)
         if last:
             segment.span_id = rdma_span
+        idle = not qp.outstanding
         qp.outstanding[qp.next_psn] = segment
         qp.next_psn = (qp.next_psn + 1) & 0xFFFFFF
         qp.stats_sent_segments += 1
         self.stats_segments_sent += 1
         self._egress_frame(qp, frame)
-        if len(qp.outstanding) == 1:
+        if idle:
             self._arm_retransmit_timer(qp)
         if not last:
             self.sim.call_later(0.0, self._send_segment,
@@ -351,8 +355,9 @@ class RdmaEngine:
         elif on_done is not None:
             on_done()
 
-    def _build_frame(self, qp: RcQp, payload: bytes, first: bool, last: bool,
-                     wqe: Optional[TxWqeRecord], is_write: bool = False,
+    def _build_frame(self, qp: RcQp, payload: bytes, size: int, first: bool,
+                     last: bool, wqe: Optional[TxWqeRecord],
+                     is_write: bool = False,
                      remote_addr: int = 0, rkey: int = 0,
                      total_length: int = 0) -> Packet:
         opcode = SEGMENT_OPCODE[(WRITE if is_write else 0)
@@ -365,10 +370,12 @@ class RdmaEngine:
             body = BTH_RETH_WIRE.pack(
                 opcode, BTH_FLAGS, DEFAULT_PARTITION, qp_field, psn,
                 remote_addr, rkey, total_length)
+            size += BTH_RETH_WIRE.size
         else:
             body = BTH_WIRE.pack(opcode, BTH_FLAGS, DEFAULT_PARTITION,
                                  qp_field, psn)
-        packet = self._frame(qp, body + payload)
+            size += BTH_WIRE.size
+        packet = self._frame(qp, body + payload, size)
         if wqe is not None:
             packet.meta["context_id"] = wqe.context_id
             if wqe.trace_ctx is not None:
@@ -378,16 +385,16 @@ class RdmaEngine:
         return packet
 
     @staticmethod
-    def _frame(qp: RcQp, body: bytes) -> Packet:
-        """A frozen RoCE frame: ``body`` (transport headers + payload)
-        and the ICRC behind the QP's Eth/IPv4/UDP head.
+    def _frame(qp: RcQp, body: bytes, size: int) -> Packet:
+        """A frozen RoCE frame: ``body`` (transport headers + payload,
+        ``size`` bytes) and the ICRC behind the QP's Eth/IPv4/UDP head.
 
         Every field of the head but the two lengths is fixed while the
         QP stays connected, and the layout depends only on the head and
         the BTH opcode (``body[0]``: the AETH/RETH extent), so both are
         built once per (UDP length, opcode).
         """
-        udp_length = Udp.HEADER_LEN + len(body) + ICRC_SIZE
+        udp_length = Udp.HEADER_LEN + size + ICRC_SIZE
         key = (udp_length, body[0])
         cached = qp.frame_heads.get(key)
         if cached is None:
@@ -553,7 +560,8 @@ class RdmaEngine:
     def _send_ack(self, qp: RcQp) -> None:
         packet = self._frame(qp, BTH_AETH_WIRE.pack(
             OP_ACK, BTH_FLAGS, DEFAULT_PARTITION, qp.remote_qpn & 0xFFFFFF,
-            (qp.expected_psn - 1) & 0xFFFFFF, qp.received_msn))
+            (qp.expected_psn - 1) & 0xFFFFFF, qp.received_msn),
+            BTH_AETH_WIRE.size)
         self.stats_acks_sent += 1
         self._egress_frame(qp, packet)
 

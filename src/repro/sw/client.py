@@ -24,6 +24,7 @@ class FldRConnection:
         self.sim = sim
         self.endpoint = endpoint
         self.info = info
+        self._spans = sim.telemetry.spans
 
     @property
     def responses(self) -> Store:
@@ -31,7 +32,15 @@ class FldRConnection:
         return self.endpoint.messages
 
     def post(self, message: bytes) -> Event:
-        """Fire a request; event fires when the send is acked."""
+        """Fire a request; event fires when the send is acked.  With
+        spans on, the request starts a trace, which its response's last
+        segment ends."""
+        if self._spans.enabled:
+            endpoint = self.endpoint
+            ctx = self._spans.start_trace(
+                f"fldr.qp{endpoint.qpn}.msg{endpoint.stats_messages_sent}",
+                self.sim._now)
+            return endpoint.post_send(message, trace_ctx=ctx)
         return self.endpoint.post_send(message)
 
 

@@ -403,6 +403,26 @@ DOORBELL_STORE = (("sim/engine.py:put_or_park|pop_or_park", ("nic/queues.py:*",)
 PER_TLP = (":decode|port_of|retire|completion_chunks"
            "|<built-in method _bisect.*>",
            "fabric.py:__init__", "resources.py:__init__")
+LEN = "~:<built-in method builtins.len>"
+#: A payload's length is read off its descriptor (a WQE's or a CQE's
+#: byte count), or off the record an earlier stage of the same device
+#: measured it into: none of these measures it, and an IPv4 header's
+#: checksum is summed in place.
+LENGTH_READERS = (LEN, (
+    "nic/device.py:_tx_send|_tx_paced|_tx_conformed|_complete"
+    "|_mprq_desc_ready|_plain_desc_ready",
+    "core/fld.py:occupied|land", "core/tx.py:submit",
+    "core/buffers.py:write_scattered", "host/testpmd.py:_on_receive|_tick",
+    "net/checksum.py:*"))
+#: ... and a sent RC message's segments, frames and ACKs are sized by
+#: arithmetic on the WQE's byte count.
+RC_LENGTH_READERS = (LEN, LENGTH_READERS[1] + (
+    "nic/rdma.py:send_message|_send_segment|_build_frame|_frame|_send_ack",
+))
+#: The one measurement each: an FLD send's payload when it starts, a
+#: received frame's when the NIC places it.
+MEASURED_ONCE = (((LEN, ("core/fld.py:send_then",)), "==", 1),
+                 ((LEN, ("nic/device.py:_service",)), "==", 2))
 
 #: Rows ``(name, burst, per, scope, bound, never, counts[, ops])``:
 #: ``burst`` or ``(burst, baseline)`` to measure the difference; calls a
@@ -413,10 +433,15 @@ PER_TLP = (":decode|port_of|retire|completion_chunks"
 #: many bytecode instructions a unit in ``scope``, less the baseline's.
 GATES = (
     # A received frame keeps its parse: only each transmitting NIC
-    # parses; no whole-frame parse, size helper or checksum chain.
-    ("echo", "echo", "frame", None, 328.6,
+    # parses, reading a frame's headers in one read; no whole-frame
+    # parse, size helper or checksum chain.  A payload is measured once.
+    ("echo", "echo", "frame", None, 313.5,
          ("/parse.py:parse_frame", "/checksum.py:internet_checksum",
-          "/packet.py:size"), (("net/parse.py:parse_layout", "<=", 2),),
+          "/packet.py:size", LENGTH_READERS),
+         (("net/parse.py:parse_layout", "<=", 2),
+          (("~:<method 'unpack_from' of '_struct.Struct' objects>",
+            ("net/parse.py:parse_layout",)), "<=",
+           "net/parse.py:parse_layout"), *MEASURED_ONCE),
          13_680),
     # A descriptor is its bytes: one pack and one unpack_from, no codec.
     ("echo.descriptors", "echo", "frame", None, None, ("nic/wqe.py:*",), ()),
@@ -431,7 +456,7 @@ GATES = (
     # An FLD packet pays only for its translations: no BAR object, no
     # helper folded into a stage, no cycle count through its config;
     # two maps at submit, one translation by the NIC's read, two unmaps.
-    ("echo.core", "echo", "frame", CORE, 60,
+    ("echo.core", "echo", "frame", CORE, 55.6,
          (CORE + "bar.py:*", ("core/fld.py:cycles", (CORE + ":*",)),
           *(CORE + site for site in (
               "tx.py:queue", "rx.py:binding", "translation.py:free_slots",
@@ -486,14 +511,14 @@ GATES = (
     # The host side of the CPU echo: a one-page access is one frame (a
     # write subscripts a page dict that makes a page on first touch, a
     # read tests ``in``).
-    ("host", "cpu-echo", "frame", "/repro/host/", 62,
-         (("~:<method 'get' of 'dict' objects>", ("host/memory.py:*",)),),
-         (), 2_035),
+    ("host", "cpu-echo", "frame", "/repro/host/", 60.3,
+         (("~:<method 'get' of 'dict' objects>", ("host/memory.py:*",)),
+          LENGTH_READERS), (), 2_035),
     # A wait is parked where its condition changes: no poll timeout, and
     # over the whole burst two Events, one Process, two driver steps.
     # The burst runs profiled, so its ops count the profiler's filing.
-    ("closed-loop", "closed-loop", "round trip", None, 452.8,
-         ("sim/engine.py:timeout",),
+    ("closed-loop", "closed-loop", "round trip", None, 438.6,
+         ("sim/engine.py:timeout", LENGTH_READERS),
          ((Event.__init__, "==", 2 / TRIPS), (Process.__init__, "==", 1 / TRIPS),
           (SEND, "==", 2 / TRIPS), ((DRIVE, (SEND,)), "==", SEND)), 14_505),
     # An RC segment is its bytes: no net/roce.py frame, one BTH read per
@@ -502,21 +527,23 @@ GATES = (
     # one-segment one is one _send_segment pass, which calls on_done.  A
     # multi-TLP write or read is sized by arithmetic: no chunk list, and
     # a write train finds its route without a frame.
-    ("fldr", "fldr", "request", None, 440.8,
+    ("fldr", "fldr", "request", None, 424.7,
          ("net/roce.py:*", "pcie/tlp.py:split_write_bytes|completion_chunks",
-          ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",))),
+          ("pcie/fabric.py:_route", ("pcie/fabric.py:post_write",)),
+          RC_LENGTH_READERS),
          (("nic/rdma.py:on_ingress", "==", 4), ("nic/rdma.py:_frame", "==", 4),
-          ("nic/rdma.py:_send_segment", "==", 2)),
+          ("nic/rdma.py:_send_segment", "==", 2), *MEASURED_ONCE,
+          ((LEN, ("host/driver.py:_post",)), "==", 1)),
          16_580),
     # A cipher request pays for its bytes: the header is packed and
     # unpacked once a side, the keystream is one kernel pass (the
     # constructor runs no round), and a one-segment message reaches the
     # units without the front end's assembly dict.  No ops bound: a
     # request's ops are the cipher's.
-    ("zuc", "zuc", "request", None, 480.7,
+    ("zuc", "zuc", "request", None, 464.6,
          (("~:<method 'setdefault' of 'dict' objects>|"
            "<method 'join' of 'bytes' objects>",
-           ("accelerators/base.py:_reassemble",)),),
+           ("accelerators/base.py:_reassemble",)), RC_LENGTH_READERS),
          (("accelerators/zuc/zuc_core.py:_clock", "==", 1),)),
     # The same for RC segments: each crosses its eSwitch in one forward.
     ("fldr.steering", "fldr", "request", STEERING, None,
@@ -530,14 +557,15 @@ GATES = (
     ("echo.pcie", "echo", "frame", PCIE, 67.6, (), (), 5_140),
     # A NIC frame is one pass per direction: no per-frame device object,
     # and a doorbell reaches no Store.
-    ("nic.send", "nic-send", "frame", NIC, 16.3, NIC_OBJECT + DOORBELL_STORE,
-     (), 662),
-    ("nic.receive", "nic-receive", "frame", NIC, 13.5, NIC_OBJECT, (), 638),
+    ("nic.send", "nic-send", "frame", NIC, 14.33,
+     NIC_OBJECT + DOORBELL_STORE + (LENGTH_READERS,), (), 662),
+    ("nic.receive", "nic-receive", "frame", NIC, 13.5,
+     NIC_OBJECT + (LENGTH_READERS,), (), 638),
     # A frame is steered off its layout: never thawed, rebuilt, re-packed.
-    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 19.3, THAWED, (),
+    ("rx.wire-to-queue", "wire-to-queue", "frame", None, 16.35, THAWED, (),
      581),
-    ("rx.echo-accelerator", "echo-accelerator", "frame", None, 14, THAWED, (),
-     352),
+    ("rx.echo-accelerator", "echo-accelerator", "frame", None, 10.16, THAWED,
+     (), 352),
     # A TLP is its lane entry: no address decode, lane search or retire,
     # bounds-check frame, chunked completion, fabric or lane object.
     ("fabric.write", "fabric-write", "op", None, 15, PER_TLP, (), 548),

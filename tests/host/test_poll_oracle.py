@@ -166,11 +166,15 @@ class _Loopback:
         self.deliver(self.sim, partial(self._receive, frame))
 
     def _receive(self, frame):
-        self.on_receive(frame, _NO_TRACE)
+        self.on_receive(frame, _cqe(frame))
 
 
-# All the loop reads of a CQE: no trace, no layout (it parses the frame).
-_NO_TRACE = SimpleNamespace(trace_ctx=None, layout=None)
+def _cqe(frame):
+    """All the loop reads of a CQE: the frame's byte count, as an
+    ``EthQueuePair`` CQE carries it, no trace and no layout (it parses
+    the frame)."""
+    return SimpleNamespace(byte_count=len(frame), trace_ctx=None,
+                           layout=None)
 
 
 def _poll_instant(start, polls, step=200e-9):

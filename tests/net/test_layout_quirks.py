@@ -132,7 +132,8 @@ def engine_frames():
     sent = []
     loop.b.egress = lambda qp, frame: sent.append(frame)
     loop.b._send_ack(loop.qp_b)
-    return [loop.a._build_frame(loop.qp_a, b"m" * 100, True, True, wqe),
+    return [loop.a._build_frame(loop.qp_a, b"m" * 100, 100, True, True,
+                                 wqe),
             sent[0]]
 
 

@@ -301,7 +301,8 @@ class TestRoceFrameHeads:
         wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, size))
         for psn in (5, 6):      # the second is built on a warm head
             qp.next_psn = psn
-            frame = loop.a._build_frame(qp, payload[:size], first, last, wqe)
+            frame = loop.a._build_frame(qp, payload[:size], size, first,
+                                        last, wqe)
             bth = Bth(send_opcode(first, last), qp.remote_qpn, psn,
                       ack_request=last)
             assert frame.to_bytes() == packed_by_header_classes(
@@ -317,7 +318,7 @@ class TestRoceFrameHeads:
         wqe = landed(TxWqe(OP_RDMA_WRITE, 1, 0, 0, size))
         for _ in range(2):      # the second is built on a warm head
             frame = loop.a._build_frame(
-                qp, bytes(size), True, False, wqe, is_write=True,
+                qp, bytes(size), size, True, False, wqe, is_write=True,
                 remote_addr=0x1234_5678_9ABC, rkey=77, total_length=3000)
             assert frame.to_bytes() == packed_by_header_classes(
                 qp, [Bth(write_opcode(True, False), qp.remote_qpn, 0),
@@ -331,9 +332,9 @@ class TestRoceFrameHeads:
         qp = loop.qp_a
         wqe = landed(TxWqe(OP_RDMA_WRITE, 1, 0, 0, 16))
         write = loop.a._build_frame(
-            qp, bytes(16), True, False, wqe, is_write=True,
+            qp, bytes(16), 16, True, False, wqe, is_write=True,
             remote_addr=0x1000, rkey=7, total_length=16)
-        send = loop.a._build_frame(qp, bytes(32), True, False, wqe)
+        send = loop.a._build_frame(qp, bytes(32), 32, True, False, wqe)
         assert len(write.raw) == len(send.raw)
         assert_born_parsed(write)
         assert_born_parsed(send)
@@ -357,7 +358,8 @@ class TestRoceFrameHeads:
         for go-back-N; the retransmitted ``copy()`` is the same bytes."""
         loop = _Loopback(Simulator())
         wqe = landed(TxWqe(OP_RDMA_SEND, 1, 0, 0, 100))
-        frame = loop.a._build_frame(loop.qp_a, bytes(100), True, True, wqe)
+        frame = loop.a._build_frame(loop.qp_a, bytes(100), 100, True, True,
+                                    wqe)
         sent = frame.to_bytes()
         assert frame.find(Bth).dest_qp == loop.qp_a.remote_qpn
         again = frame.copy()

@@ -249,12 +249,12 @@ class TestDatapathDecodesLikeTheCodecs:
         placed = []
         with mock.patch.object(type(stage), "_complete",
                                lambda self, *args: placed.append(args)):
-            stage._pend = ("item", index, len(records))
+            stage._pend = ("item", 64, index, len(records))
             stage._plain_desc_ready(b"".join(records))
         laid_out = [(int.from_bytes(r[:8], "big"),
                      int.from_bytes(r[8:12], "big"),
                      int.from_bytes(r[12:], "big")) for r in records]
-        assert placed == [("item", laid_out[0], index, 0)]
+        assert placed == [("item", 64, laid_out[0], index, 0)]
         assert [node.nic._cached_rx_desc[(rqn, index + i)]
                 for i in range(1, len(records))] == laid_out[1:]
 
@@ -382,8 +382,8 @@ class TestDatapathPacksLikeTheCodecs:
         # [data, flags, context_id, qpn, rss_hash, trace_ctx, enqueued,
         #  frame, started], landed in a buffer that holds it.
         item = [bytes(length), flags, tag, qpn, rss, None, 0.0, None, 0.0]
-        nic._rx_flat[qp.rq.rqn]._complete(item, (0, length, 0), counter,
-                                          stride)
+        nic._rx_flat[qp.rq.rqn]._complete(item, length, (0, length, 0),
+                                          counter, stride)
         [on_done] = posted
         assert on_done.args[1] == cqe_bytes(
             CQE_RECV_COMPLETION, qpn, counter, length, flags=flags,

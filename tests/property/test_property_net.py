@@ -264,6 +264,47 @@ def _cuts(frame):
     return [frame[:cut] for cut in range(len(frame) + 1)]
 
 
+#: Where a VXLAN frame's inner frame starts: outer Ethernet, IPv4, UDP
+#: and VXLAN headers.
+_VXLAN_INNER = 14 + 20 + 8 + 8
+
+
+def _assert_layout_agrees(frame):
+    """``parse_layout`` of ``frame`` raises the object parser's
+    exception type, or gives the fields of its header stack."""
+    layout = _outcome(P.parse_layout, frame)
+    parsed = _outcome(P.parse_headers, frame)
+    if isinstance(parsed, type):
+        assert layout is parsed     # the same exception type
+        return
+    headers, payload = parsed
+    stack = Packet(headers, payload)
+    offset_of, offset = {}, 0
+    for header in headers:
+        offset_of.setdefault(type(header), offset)
+        offset += header.size()
+    eth, ip = stack.find(Ethernet), stack.find(Ipv4)
+    l4 = stack.find(Tcp) or stack.find(Udp)
+    vxlan = stack.find(Vxlan)
+    assert layout == (
+        offset_of.get(Ipv4),
+        offset_of[type(l4)] if l4 else None,
+        len(frame) - len(payload),
+        eth.dst.value, eth.ethertype,
+        ip.src.value if ip else None,
+        ip.dst.value if ip else None,
+        ip.proto if ip else None,
+        ip.is_fragment if ip else None,
+        {Tcp: PROTO_TCP, Udp: PROTO_UDP}[type(l4)] if l4 else None,
+        l4.src_port if l4 else None,
+        l4.dst_port if l4 else None,
+        vxlan.vni if vxlan else None,
+        offset_of.get(Bth),
+    )
+    assert P.layer_names(frame, layout) == [
+        type(h).__name__ for h in headers]
+
+
 class TestLayoutMatchesObjectParser:
     """``parse_layout`` against the object parser, which is the oracle."""
 
@@ -275,37 +316,25 @@ class TestLayoutMatchesObjectParser:
     @settings(max_examples=settings().max_examples // 10, deadline=None)
     def test_same_errors_and_same_fields(self, shape, data):
         for frame in _cuts(data.draw(frames(shape))):
-            layout = _outcome(P.parse_layout, frame)
-            parsed = _outcome(P.parse_headers, frame)
-            if isinstance(parsed, type):
-                assert layout is parsed     # the same exception type
-                continue
-            headers, payload = parsed
-            stack = Packet(headers, payload)
-            offset_of, offset = {}, 0
-            for header in headers:
-                offset_of.setdefault(type(header), offset)
-                offset += header.size()
-            eth, ip = stack.find(Ethernet), stack.find(Ipv4)
-            l4 = stack.find(Tcp) or stack.find(Udp)
-            vxlan = stack.find(Vxlan)
-            assert layout == (
-                offset_of.get(Ipv4),
-                offset_of[type(l4)] if l4 else None,
-                len(frame) - len(payload),
-                eth.dst.value, eth.ethertype,
-                ip.src.value if ip else None,
-                ip.dst.value if ip else None,
-                ip.proto if ip else None,
-                ip.is_fragment if ip else None,
-                {Tcp: PROTO_TCP, Udp: PROTO_UDP}[type(l4)] if l4 else None,
-                l4.src_port if l4 else None,
-                l4.dst_port if l4 else None,
-                vxlan.vni if vxlan else None,
-                offset_of.get(Bth),
-            )
-            assert P.layer_names(frame, layout) == [
-                type(h).__name__ for h in headers]
+            _assert_layout_agrees(frame)
+
+    # The layout parser reads a frame with 38 B past its start (Ethernet,
+    # IPv4 and the L4 ports) in one read, and a shorter one header by
+    # header: every length of the 64 B around that threshold, from the
+    # outer frame's start or a VXLAN inner frame's, cut from a frame or
+    # padded past its end with drawn bytes.
+    @pytest.mark.parametrize("shape", [
+        "tcp", "udp", "other-proto", "mf-fragment", "offset-fragment",
+        "vxlan-udp", "vxlan-tcp", "vxlan-roce", "roce-send", "roce-ack"])
+    @given(st.data())
+    @settings(max_examples=settings().max_examples // 10, deadline=None)
+    def test_every_length_around_the_one_read(self, shape, data):
+        frame = data.draw(frames(shape))
+        pad = data.draw(st.binary(min_size=64 + _VXLAN_INNER,
+                                  max_size=64 + _VXLAN_INNER))
+        start = _VXLAN_INNER if shape.startswith("vxlan-") else 0
+        for size in range(start + 65):
+            _assert_layout_agrees((frame + pad)[:size])
 
     @given(frames())
     @settings(deadline=None)

@@ -76,7 +76,7 @@ def test_segment(psn, qpn, first, last, write, size, address, rkey,
     wqe = landed(TxWqe(OP_RDMA_WRITE if write else OP_RDMA_SEND, 1, 0, 0,
                        size))
     frame = loop.a._build_frame(
-        qp, payload[:size], first, last, wqe, is_write=write,
+        qp, payload[:size], size, first, last, wqe, is_write=write,
         remote_addr=address, rkey=rkey, total_length=length)
     opcode = (write_opcode if write else send_opcode)(first, last)
     transport = [Bth(opcode, qpn, psn, ack_request=last)]

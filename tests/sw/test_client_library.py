@@ -10,8 +10,10 @@ from repro.accelerators.zuc.extensions import (
     pack_batch,
     unpack_batch,
 )
+from repro.scenario import audit, run
 from repro.sim import Simulator
 from repro.sw import FldRClient, FldRControlPlane, FldRuntime
+from repro.telemetry import Telemetry
 from repro.testbed import make_local_node
 
 FLD_MAC = "02:00:00:00:00:99"
@@ -80,3 +82,16 @@ class TestBatchFramingEdges:
         assert header.op == OP_SET_KEY
         assert header.slot == 3
         assert message[16:] == bytes(range(16))
+
+
+@pytest.mark.parametrize("name", ["fldr", "fig8a"])
+def test_every_request_finishes_a_trace(name):
+    """Under span telemetry each posted request starts a trace, and the
+    last segment of its response ends it: no trace is left open and no
+    span is orphaned."""
+    telemetry = Telemetry(trace=False, spans=True)
+    _row, testbed = run(name, count=12, telemetry=telemetry)
+    spans = telemetry.spans
+    assert len(spans.traces) == 12
+    assert spans.unfinished_traces() == [] and spans.orphan_spans() == []
+    assert audit(name, testbed, telemetry) == []

@@ -407,10 +407,10 @@ class TestTraceCli:
         assert capsys.readouterr().out == message + "\n"
 
     def test_latency_with_no_packet_traced_is_refused(self, capsys):
-        assert main(["latency", "fldr", "--count", "5"]) == 2
+        assert main(["latency", "cpu-mediated", "--count", "5"]) == 2
         out = capsys.readouterr().out
         assert "reconciliation: no packet traced" in out and "OK" not in out
-        assert out.endswith("no fldr packet finished a trace: "
+        assert out.endswith("no cpu-mediated packet finished a trace: "
                             "nothing to attribute\n")
 
     def test_trace_unknown_experiment(self, tmp_path, capsys):
